@@ -20,52 +20,44 @@ vet:
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# bench runs the scenario-axis benchmarks once (burst staging, multi-job
-# contention, fault injection) and converts each text log into the
-# machine-readable JSON record CI archives and gates on.
-bench:
-	$(GO) test -bench 'BenchmarkBurstBuffer$$|BenchmarkContention$$' -benchtime=1x -run '^$$' . > BENCH_contention.txt
-	cat BENCH_contention.txt
-	$(GO) run ./cmd/benchjson -o BENCH_contention.json < BENCH_contention.txt
-	$(GO) test -bench 'BenchmarkFault$$' -benchtime=1x -run '^$$' . > BENCH_fault.txt
-	cat BENCH_fault.txt
-	$(GO) run ./cmd/benchjson -o BENCH_fault.json < BENCH_fault.txt
-	$(GO) test -bench 'BenchmarkSweep$$' -benchtime=1x -run '^$$' . > BENCH_sweep.txt
-	cat BENCH_sweep.txt
-	$(GO) run ./cmd/benchjson -o BENCH_sweep.json < BENCH_sweep.txt
-	$(GO) test -bench 'BenchmarkInterval$$' -benchtime=1x -run '^$$' . > BENCH_interval.txt
-	cat BENCH_interval.txt
-	$(GO) run ./cmd/benchjson -o BENCH_interval.json < BENCH_interval.txt
-	$(GO) test -bench 'BenchmarkSched$$|BenchmarkSchedScale$$' -benchtime=1x -run '^$$' -timeout 30m . > BENCH_sched.txt
-	cat BENCH_sched.txt
-	$(GO) run ./cmd/benchjson -o BENCH_sched.json < BENCH_sched.txt
-	$(GO) test -bench 'BenchmarkWorkload$$' -benchtime=1x -run '^$$' . > BENCH_workload.txt
-	cat BENCH_workload.txt
-	$(GO) run ./cmd/benchjson -o BENCH_workload.json < BENCH_workload.txt
-	$(GO) test -bench 'BenchmarkKernelScale$$' -benchtime=1x -run '^$$' . > BENCH_kernel.txt
-	cat BENCH_kernel.txt
-	$(GO) run ./cmd/benchjson -o BENCH_kernel.json < BENCH_kernel.txt
+# bench runs each gated benchmark family once and converts its text log
+# into the machine-readable JSON record CI archives and gates on. A
+# family is a committed baseline bench/BENCH_<stem>.json plus its
+# BENCH_<stem>_RE below; _PKG (default .) and _FLAGS are optional.
+BENCH_contention_RE := BenchmarkBurstBuffer$$|BenchmarkContention$$
+BENCH_fault_RE      := BenchmarkFault$$
+BENCH_sweep_RE      := BenchmarkSweep$$
+BENCH_interval_RE   := BenchmarkInterval$$
+BENCH_sched_RE      := BenchmarkSched$$|BenchmarkSchedScale$$
+BENCH_sched_FLAGS   := -timeout 30m
+BENCH_workload_RE   := BenchmarkWorkload$$
+BENCH_kernel_RE     := BenchmarkKernelScale$$
+BENCH_kernel_PKG    := ./internal/sim
 
 # BENCH_BASELINES lists the committed regression baselines the compare
 # gate runs against, by stem.
-BENCH_BASELINES := BENCH_contention BENCH_fault BENCH_sweep BENCH_interval BENCH_sched BENCH_workload BENCH_kernel
+BENCH_BASELINES := $(patsubst bench/%.json,%,$(wildcard bench/BENCH_*.json))
+
+bench: $(BENCH_BASELINES:%=%.json)
+
+# No pipes: the text log is an intermediate file, so a b.Fatal fails the
+# `go test` line itself.
+BENCH_%.json: FORCE
+	$(if $(BENCH_$*_RE),,$(error bench/$@ has no BENCH_$*_RE in the Makefile))
+	$(GO) test -bench '$(BENCH_$*_RE)' -benchtime=1x -run '^$$' $(BENCH_$*_FLAGS) $(or $(BENCH_$*_PKG),.) > BENCH_$*.txt
+	cat BENCH_$*.txt
+	$(GO) run ./cmd/benchjson -o $@ < BENCH_$*.txt
+
+FORCE:
 
 # bench-compare is the regression gate: fresh results must stay within
 # 25% of the committed baselines (bench/*.json) on every throughput
-# metric. A missing baseline fails up front with the full list of absent
-# files (instead of whatever benchjson emits on ENOENT) — refresh them
-# deliberately with:
-#   make bench && cp $(BENCH_BASELINES:%=%.json) bench/
+# metric. Refresh the baselines deliberately with:
+#   make bench && cp BENCH_*.json bench/
+# and start a new family, once its _RE is declared, with:
+#   make BENCH_<stem>.json && cp BENCH_<stem>.json bench/
 bench-compare: bench
-	@missing=""; \
-	for stem in $(BENCH_BASELINES); do \
-		[ -f bench/$$stem.json ] || missing="$$missing bench/$$stem.json"; \
-	done; \
-	if [ -n "$$missing" ]; then \
-		echo "bench-compare: missing committed baseline file(s):$$missing" >&2; \
-		echo "bench-compare: regenerate with 'make bench && cp $(BENCH_BASELINES:%=%.json) bench/'" >&2; \
-		exit 1; \
-	fi
+	@[ -n "$(BENCH_BASELINES)" ] || { echo "bench-compare: no committed baselines under bench/" >&2; exit 1; }
 	for stem in $(BENCH_BASELINES); do \
 		$(GO) run ./cmd/benchjson -compare -threshold 0.25 bench/$$stem.json $$stem.json || exit 1; \
 	done
@@ -78,7 +70,7 @@ bench-compare: bench
 #   go tool pprof -alloc_space sched.test sched_mem.pprof
 profile:
 	$(GO) test -bench 'BenchmarkKernelScale$$' -benchtime=1x -run '^$$' \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -o kernel.test .
+		-cpuprofile cpu.pprof -memprofile mem.pprof -o kernel.test ./internal/sim
 	$(GO) test -bench 'BenchmarkSchedScale$$' -benchtime=1x -run '^$$' -timeout 30m \
 		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof -o sched.test .
 

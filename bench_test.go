@@ -24,7 +24,6 @@ import (
 	"picmcio/internal/experiments"
 	"picmcio/internal/jobs"
 	"picmcio/internal/sched"
-	"picmcio/internal/sim"
 	"picmcio/internal/units"
 )
 
@@ -372,15 +371,15 @@ func BenchmarkAblationMDSThreads(b *testing.B) {
 		m := cluster.Dardel()
 		weak := m
 		weak.Lustre.MDSThreads = 1
-		strongOrig, err := o.RunBIT1Public(m, 10, bit1.IOOriginal, "")
+		strongOrig, err := o.RunBIT1(m, 10, bit1.IOOriginal, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		weakOrig, err := o.RunBIT1Public(weak, 10, bit1.IOOriginal, "")
+		weakOrig, err := o.RunBIT1(weak, 10, bit1.IOOriginal, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		weakBP4, err := o.RunBIT1Public(weak, 10, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"10\"")
+		weakBP4, err := o.RunBIT1(weak, 10, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"10\"")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -402,11 +401,11 @@ func BenchmarkAblationBackbone(b *testing.B) {
 		fast := m
 		fast.Lustre.BackboneRate *= 4
 		fast.Lustre.OSTRate *= 4
-		base, err := o.RunBIT1Public(m, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
+		base, err := o.RunBIT1(m, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
 		if err != nil {
 			b.Fatal(err)
 		}
-		boosted, err := o.RunBIT1Public(fast, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
+		boosted, err := o.RunBIT1(fast, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -636,8 +635,7 @@ func BenchmarkSched(b *testing.B) {
 // (1 - 1/2.5) of the trace — thousands to tens of thousands of queued
 // jobs, the regime ROADMAP item 1 calls whole-machine queues. The
 // machine is the Dardel preset with its node ceiling raised to the
-// partition size; its calendar-queue kernel preset applies to pricing
-// probes automatically.
+// partition size.
 func schedScaleStream(nodes, jobCount int) (cluster.Machine, *sched.Pricer, []sched.Job, error) {
 	m := cluster.Dardel()
 	if nodes > m.MaxNodes {
@@ -746,82 +744,6 @@ func BenchmarkSchedScale(b *testing.B) {
 				b.ReportMetric(speedup, "speedup_4096_ratchet")
 			default:
 				b.ReportMetric(speedup, "speedup_"+tag+"_x")
-			}
-		}
-	}
-}
-
-// kernelScaleRun is the BenchmarkKernelScale workload: `nodes` node
-// processes, each running epochs of a staggered drain burst (32 short
-// chunk events) followed by a long compute sleep. The stagger keeps
-// bursts from overlapping — the same shape a machine-scale co-schedule
-// produces once epochs de-synchronize — so the event population is
-// dominated by pure timer sleeps, which is precisely the pattern the
-// run-to-completion fast path and the calendar queue are built for.
-// It returns the kernel's exact event count, the final virtual time
-// (for cross-configuration determinism checks) and the wall-clock
-// seconds spent inside Run.
-func kernelScaleRun(nodes int, opts ...sim.Option) (events uint64, end sim.Time, wallSec float64) {
-	k := sim.NewKernel(opts...)
-	const (
-		chunks   = 32
-		chunkSec = sim.Duration(2e-6)
-		epochs   = 3
-	)
-	period := sim.Duration(nodes) * chunks * chunkSec * 4
-	for i := 0; i < nodes; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("node%d", i), func(p *sim.Proc) {
-			p.Sleep(period * sim.Duration(i) / sim.Duration(nodes))
-			for e := 0; e < epochs; e++ {
-				for c := 0; c < chunks; c++ {
-					p.Sleep(chunkSec)
-				}
-				p.Sleep(period - chunks*chunkSec)
-			}
-		})
-	}
-	start := time.Now()
-	k.Run()
-	wallSec = time.Since(start).Seconds()
-	return k.Stats().Events(), k.Now(), wallSec
-}
-
-// BenchmarkKernelScale is the kernel's nodes × events/sec record at
-// machine scale: at 256, 1024 and 4096 nodes it runs the staggered-burst
-// workload on the pre-redesign configuration (binary heap, every sleep
-// through the scheduler channel) and on the machine-scale configuration
-// (calendar queue + run-to-completion fast path), reporting both rates
-// and their ratio. The raw events/sec metrics are host-dependent context;
-// the gated metric is the 4096-node speedup ratio — host-independent,
-// both sides measured in the same process — which the bench-compare gate
-// ratchets and the acceptance floor below pins at ≥ 5×.
-func BenchmarkKernelScale(b *testing.B) {
-	nodeCounts := []int{256, 1024, 4096}
-	for i := 0; i < b.N; i++ {
-		for _, nodes := range nodeCounts {
-			baseEv, baseEnd, baseWall := kernelScaleRun(nodes,
-				sim.WithHeapQueue(), sim.WithTimerFastPath(false))
-			fastEv, fastEnd, fastWall := kernelScaleRun(nodes,
-				sim.WithCalendarQueue())
-			if baseEnd != fastEnd {
-				b.Fatalf("%d nodes: virtual end time diverged between configurations: %v vs %v", nodes, baseEnd, fastEnd)
-			}
-			if baseEv != fastEv {
-				b.Fatalf("%d nodes: event count diverged between configurations: %d vs %d", nodes, baseEv, fastEv)
-			}
-			baseRate := float64(baseEv) / baseWall
-			fastRate := float64(fastEv) / fastWall
-			speedup := fastRate / baseRate
-			b.ReportMetric(baseRate/1e6, fmt.Sprintf("heap_Mev_per_s_%d", nodes))
-			b.ReportMetric(fastRate/1e6, fmt.Sprintf("cal_Mev_per_s_%d", nodes))
-			if nodes == 4096 {
-				if speedup < 5 {
-					b.Fatalf("4096 nodes: calendar+fastpath kernel is %.1f× the heap kernel, acceptance floor is 5×", speedup)
-				}
-				b.ReportMetric(speedup, "speedup_4096_ratchet")
-			} else {
-				b.ReportMetric(speedup, fmt.Sprintf("speedup_%d_x", nodes))
 			}
 		}
 	}

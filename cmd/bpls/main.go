@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	k := sim.NewKernel(sim.WithHeapQueue())
+	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	w := mpisim.NewWorld(k, 8, mpisim.AlphaBeta(1e-6, 1.0/10e9))
 

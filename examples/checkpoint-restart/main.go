@@ -205,7 +205,7 @@ func main() {
 		log.Fatal("-auto-interval needs the timing passes the -kill flow skips: run them separately")
 	}
 
-	k := sim.NewKernel(sim.WithHeapQueue())
+	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	env := &posix.Env{FS: fs, Client: &pfs.Client{}}
 	toml := "[adios2.engine.parameters]\nNumAggregators = \"1\"\n"

@@ -27,7 +27,7 @@ func main() {
 		rate  = 2e-15 // ionization rate coefficient R (m³/s)
 		steps = 400
 	)
-	k := sim.NewKernel(sim.WithHeapQueue())
+	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	w := mpisim.NewWorld(k, 2, mpisim.AlphaBeta(1e-6, 1.0/10e9))
 

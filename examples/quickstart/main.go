@@ -18,7 +18,7 @@ import (
 
 func main() {
 	const ranks = 4
-	k := sim.NewKernel(sim.WithHeapQueue())
+	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	w := mpisim.NewWorld(k, ranks, mpisim.AlphaBeta(1e-6, 1.0/10e9))
 

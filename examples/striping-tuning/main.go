@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"picmcio/internal/cluster"
 	"picmcio/internal/experiments"
 	"picmcio/internal/units"
 )
@@ -29,12 +30,16 @@ func main() {
 	fmt.Println(t.Render())
 
 	// Re-run to find the minimum cell.
+	ratio, err := experiments.MeasuredRatio("blosc")
+	if err != nil {
+		log.Fatal(err)
+	}
 	bestSec := -1.0
 	var bestSize int64
 	var bestCount int
 	for _, size := range sizes {
 		for _, count := range counts {
-			sec, err := o.Fig9CellPublic(nodes, count, size)
+			sec, err := o.Fig9Cell(cluster.Dardel(), nodes, count, size, ratio)
 			if err != nil {
 				log.Fatal(err)
 			}

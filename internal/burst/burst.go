@@ -143,15 +143,6 @@ type Spec struct {
 	HighWater     float64 // watermark start fraction (default 0.7)
 	LowWater      float64 // watermark stop fraction (default 0.3)
 
-	// DrainBatchBytes coalesces contiguous same-file volume-mode segments
-	// into one backing write-back of up to this many bytes, so a
-	// steady-state drain phase schedules O(batches) kernel events per node
-	// instead of O(chunks). Zero (the default) drains segment-by-segment,
-	// preserving exact per-chunk timing: batching merges the per-operation
-	// costs of the backing writes, so it is an explicit fidelity/speed
-	// trade a machine-scale run opts into.
-	DrainBatchBytes int64
-
 	// QoS is the drain scheduler's initial quality-of-service setting;
 	// Tier.SetQoS can adjust it at run time (e.g. from engine TOML).
 	QoS QoS
@@ -285,27 +276,6 @@ func (ns *nodeState) pop(priority bool) *segment {
 	seg := ns.queues[best][0]
 	ns.queues[best] = ns.queues[best][1:]
 	return seg
-}
-
-// peek returns the segment pop would hand out next without removing it.
-func (ns *nodeState) peek(priority bool) *segment {
-	best := -1
-	for cl := range ns.queues {
-		if len(ns.queues[cl]) == 0 {
-			continue
-		}
-		if priority {
-			best = cl
-			break
-		}
-		if best < 0 || ns.queues[cl][0].seq < ns.queues[best][0].seq {
-			best = cl
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return ns.queues[best][0]
 }
 
 // Tier is a burst-buffer staging tier over a backing file system.
@@ -658,34 +628,6 @@ func (t *Tier) drain(p *sim.Proc, ns *nodeState) {
 			break
 		}
 		seg := ns.pop(t.qos.PriorityLanes)
-		if batch := t.spec.DrainBatchBytes; batch > 0 && seg.data == nil {
-			// Coalesce the run of contiguous same-file volume segments at
-			// the front of the drain order — ascending or descending, so
-			// out-of-order chunk arrivals (aggregator fan-in) merge too —
-			// into one backing write. Only segments pop would hand out next
-			// are merged, so cross-lane ordering (and hence replay) is the
-			// same as draining them one by one; the batch just pays the
-			// backing write's per-op cost once and schedules one completion
-			// event instead of many. (The absorb side already merges
-			// in-order contiguous writes at enqueue time, so this catches
-			// what that pass structurally cannot.)
-			for seg.n < batch {
-				next := ns.peek(t.qos.PriorityLanes)
-				if next == nil || next.st != seg.st || next.data != nil {
-					break
-				}
-				if next.off == seg.off+seg.n {
-					// ascending run: next extends the tail
-				} else if next.off+next.n == seg.off {
-					// descending run: next extends the head
-					seg.off = next.off
-				} else {
-					break
-				}
-				ns.pop(t.qos.PriorityLanes)
-				seg.n += next.n
-			}
-		}
 		t0 := p.Now()
 		ns.cur, ns.inFlight, ns.segStart = seg, true, t0
 		var devEnd sim.Time

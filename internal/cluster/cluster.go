@@ -90,30 +90,14 @@ type Machine struct {
 	// knee where staging stops helping. Empty ranges exclude the machine
 	// from the sweep (no burst tier, nothing to size).
 	Sizing Sizing
-
-	// CalendarQueueNodes opts runs of this machine into the kernel's
-	// calendar event queue at or above the given node count; zero keeps
-	// the binary heap at every scale. Replay is bit-identical across the
-	// two queue implementations, so the knob only moves the event-cost
-	// curve — presets set it where machine-scale runs hold enough
-	// in-flight events for the calendar to win.
-	CalendarQueueNodes int
 }
 
-// KernelOptions returns the sim.NewKernel options for an n-node run of
-// this machine: the calendar event queue once the run reaches
-// CalendarQueueNodes, the default binary heap below it.
-func (m Machine) KernelOptions(nodes int) []sim.Option {
-	if m.CalendarQueueNodes > 0 && nodes >= m.CalendarQueueNodes {
-		return []sim.Option{sim.WithCalendarQueue()}
-	}
-	return []sim.Option{sim.WithHeapQueue()}
-}
-
-// NewKernel constructs a kernel sized for an n-node run of this machine
-// (see KernelOptions).
+// NewKernel constructs the kernel for an n-node run of this machine.
+// Every scale runs on the same kernel, so nodes is unused; the method
+// stays because jobs, sched, experiments and the benchmark harness all
+// build their kernels through the machine.
 func (m Machine) NewKernel(nodes int) *sim.Kernel {
-	return sim.NewKernel(m.KernelOptions(nodes)...)
+	return sim.NewKernel()
 }
 
 // Sizing is a machine's buffer-sizing sweep declaration, relative rather
@@ -194,9 +178,6 @@ func Discoverer() Machine {
 		MTBFNodeHours:  300e3,
 		NVMeSurvival:   fault.SurviveNone,
 		NodeRestartSec: 300,
-		// Machine-scale runs (a noticeable fraction of the 1128 nodes)
-		// switch to the calendar event queue.
-		CalendarQueueNodes: 256,
 	}
 }
 
@@ -248,7 +229,6 @@ func Dardel() Machine {
 			CapacityEpochs: []float64{0.5, 1, 2, 4},
 			DrainScale:     []float64{0.25, 0.5, 1, 2},
 		},
-		CalendarQueueNodes: 256,
 	}
 }
 
@@ -303,7 +283,6 @@ func Vega() Machine {
 			CapacityEpochs: []float64{0.5, 1, 2, 4},
 			DrainScale:     []float64{0.5, 1, 2},
 		},
-		CalendarQueueNodes: 256,
 	}
 }
 

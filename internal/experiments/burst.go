@@ -55,11 +55,11 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 	return sweep.Run(g, o.sweepOptions("Fig B: direct vs burst-buffer-staged openPMD+BP4 on Dardel (GiB/s)"),
 		func(c sweep.Config) (sweep.Point, error) {
 			nodes := c.Int("nodes")
-			rd, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(nodes, "", 1))
+			rd, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(nodes, "", 1))
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst direct: %w", err)
 			}
-			rs, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, burstTOML(nodes, ""))
+			rs, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, burstTOML(nodes, ""))
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst staged: %w", err)
 			}

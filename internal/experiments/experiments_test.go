@@ -18,11 +18,11 @@ func testOptions() Options {
 func TestRunBIT1BothModes(t *testing.T) {
 	o := testOptions()
 	m := cluster.Dardel()
-	orig, err := o.RunBIT1Public(m, 2, bit1.IOOriginal, "")
+	orig, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp4, err := o.RunBIT1Public(m, 2, bit1.IOOpenPMD, aggrTOML(2, "", 1))
+	bp4, err := o.RunBIT1(m, 2, bit1.IOOpenPMD, aggrTOML(2, "", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEpochExtrapolation(t *testing.T) {
 		t.Fatalf("epoch factor=%v, want 200/2", f)
 	}
 	m := cluster.Dardel()
-	r, err := o.RunBIT1Public(m, 1, bit1.IOOriginal, "")
+	r, err := o.RunBIT1(m, 1, bit1.IOOriginal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,15 @@ func TestFig9TableShape(t *testing.T) {
 
 func TestFig9StripingHelps(t *testing.T) {
 	o := testOptions()
-	t1, err := o.Fig9CellPublic(2, 1, 4<<20)
+	ratio, err := MeasuredRatio("blosc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := o.Fig9CellPublic(2, 8, 4<<20)
+	t1, err := o.Fig9Cell(cluster.Dardel(), 2, 1, 4<<20, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t8, err := o.Fig9Cell(cluster.Dardel(), 2, 8, 4<<20, ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestMeasuredRatio(t *testing.T) {
 func TestFileStatsOnAllBackends(t *testing.T) {
 	o := Options{Seed: 1, RanksPerNode: 4, NodeCounts: []int{1}, DiagEpochs: 1}
 	for _, m := range []cluster.Machine{nfsMachine(), cephMachine()} {
-		r, err := o.RunBIT1Public(m, 1, bit1.IOOpenPMD, aggrTOML(1, "", 1))
+		r, err := o.RunBIT1(m, 1, bit1.IOOpenPMD, aggrTOML(1, "", 1))
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -263,11 +267,11 @@ func TestRenderSeries(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	o := testOptions()
 	m := cluster.Vega() // the jittered machine is the hard case
-	a, err := o.RunBIT1Public(m, 2, bit1.IOOriginal, "")
+	a, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.RunBIT1Public(m, 2, bit1.IOOriginal, "")
+	b, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
 	if err != nil {
 		t.Fatal(err)
 	}

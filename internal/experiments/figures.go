@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/bit1"
 	"picmcio/internal/cluster"
@@ -28,7 +29,7 @@ func (o Options) Fig2() ([]Series, error) {
 	for _, m := range cluster.Machines() {
 		s := Series{Label: m.Name, XLabel: "nodes", YLabel: "GiB/s"}
 		for _, nodes := range o.NodeCounts {
-			r, err := o.runBIT1(m, nodes, bit1.IOOriginal, "")
+			r, err := o.RunBIT1(m, nodes, bit1.IOOriginal, "")
 			if err != nil {
 				return nil, fmt.Errorf("fig2 %s/%d: %w", m.Name, nodes, err)
 			}
@@ -47,11 +48,11 @@ func (o Options) Fig3() ([]Series, error) {
 	orig := Series{Label: "BIT1 Original I/O", XLabel: "nodes", YLabel: "GiB/s"}
 	bp4 := Series{Label: "BIT1 openPMD + BP4", XLabel: "nodes", YLabel: "GiB/s"}
 	for _, nodes := range o.NodeCounts {
-		ro, err := o.runBIT1(m, nodes, bit1.IOOriginal, "")
+		ro, err := o.RunBIT1(m, nodes, bit1.IOOriginal, "")
 		if err != nil {
 			return nil, err
 		}
-		rp, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
+		rp, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
 		if err != nil {
 			return nil, err
 		}
@@ -140,11 +141,11 @@ type Fig5Result struct {
 func (o Options) Fig5(nodes int) (*Fig5Result, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
-	ro, err := o.runBIT1(m, nodes, bit1.IOOriginal, "")
+	ro, err := o.RunBIT1(m, nodes, bit1.IOOriginal, "")
 	if err != nil {
 		return nil, err
 	}
-	rp, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
+	rp, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func (o Options) Fig6(nodes int, aggs []int) (Series, error) {
 		if a > ranks {
 			continue
 		}
-		r, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(a, "", 1))
+		r, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(a, "", 1))
 		if err != nil {
 			return s, err
 		}
@@ -194,15 +195,15 @@ func (o Options) Fig7() ([]Series, error) {
 	blosc := Series{Label: "openPMD+BP4+Blosc 1AGGR", XLabel: "nodes", YLabel: "GiB/s"}
 	plain := Series{Label: "openPMD+BP4 1AGGR", XLabel: "nodes", YLabel: "GiB/s"}
 	for _, nodes := range o.NodeCounts {
-		ro, err := o.runBIT1(m, nodes, bit1.IOOriginal, "")
+		ro, err := o.RunBIT1(m, nodes, bit1.IOOriginal, "")
 		if err != nil {
 			return nil, err
 		}
-		rb, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
+		rb, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
 		if err != nil {
 			return nil, err
 		}
-		rp, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
+		rp, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +231,7 @@ type Fig8Result struct {
 func (o Options) Fig8(nodes int) (*Fig8Result, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
-	plain, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
+	plain, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +239,7 @@ func (o Options) Fig8(nodes int) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	blosc, err := o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
+	blosc, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
 	if err != nil {
 		return nil, err
 	}
@@ -295,13 +296,13 @@ func (o Options) Tab2() (Table, error) {
 			var err error
 			switch cfgName {
 			case "BIT1 Original I/O":
-				r, err = o.runBIT1(m, nodes, bit1.IOOriginal, "")
+				r, err = o.RunBIT1(m, nodes, bit1.IOOriginal, "")
 			case "BIT1 openPMD + BP4":
-				r, err = o.runBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
+				r, err = o.RunBIT1(m, nodes, bit1.IOOpenPMD, o.defaultBP4TOML(nodes))
 			case "BIT1 openPMD + BP4 + 1 AGGR":
-				r, err = o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
+				r, err = o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "", 1))
 			case "BIT1 openPMD + BP4 + Blosc + 1 AGGR":
-				r, err = o.runBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
+				r, err = o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(1, "blosc", ratio))
 			}
 			if err != nil {
 				return t, fmt.Errorf("tab2 %q/%d: %w", cfgName, nodes, err)
@@ -346,7 +347,7 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, error) {
 	for _, size := range sizes {
 		row := []string{units.Bytes(size)}
 		for _, count := range counts {
-			sec, err := o.fig9Cell(m, nodes, count, size, ratio)
+			sec, err := o.Fig9Cell(m, nodes, count, size, ratio)
 			if err != nil {
 				return t, err
 			}
@@ -357,19 +358,9 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, error) {
 	return t, nil
 }
 
-// Fig9CellPublic measures one striping cell on Dardel (exported for the
-// striping-tuning example and ablation benches).
-func (o Options) Fig9CellPublic(nodes, stripeCount int, stripeSize int64) (float64, error) {
-	ratio, err := MeasuredRatio("blosc")
-	if err != nil {
-		return 0, err
-	}
-	return o.fig9Cell(cluster.Dardel(), nodes, stripeCount, stripeSize, ratio)
-}
-
-// fig9Cell measures the aggregator's data write time for one striping
-// configuration.
-func (o Options) fig9Cell(m cluster.Machine, nodes, stripeCount int, stripeSize int64, ratio float64) (float64, error) {
+// Fig9Cell measures the aggregator's data write time for one striping
+// configuration; ratio is the Blosc compression ratio (MeasuredRatio).
+func (o Options) Fig9Cell(m cluster.Machine, nodes, stripeCount int, stripeSize int64, ratio float64) (float64, error) {
 	o = o.WithDefaults()
 	// One output epoch is what the paper times.
 	o.DiagEpochs, o.CheckpointEpochs = 1, 1
@@ -425,16 +416,7 @@ func (o Options) fig9Cell(m cluster.Machine, nodes, stripeCount int, stripeSize 
 }
 
 func isDataSubfile(path string) bool {
-	return pfs.Clean(path) != "" && len(path) > 6 && contains(path, ".bp4/data.")
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+	return pfs.Clean(path) != "" && len(path) > 6 && strings.Contains(path, ".bp4/data.")
 }
 
 // Listing1 reproduces the paper's Listing 1 on a simulated Dardel: create

@@ -168,15 +168,9 @@ type RunResult struct {
 	AppEndSec, DrainTailSec, DrainOverlapSec float64
 }
 
-// RunBIT1Public runs one BIT1 configuration and returns its measurements
-// (exported for ablation benches and tools).
-func (o Options) RunBIT1Public(m cluster.Machine, nodes int, mode bit1.IOMode, toml string) (*RunResult, error) {
-	return o.runBIT1(m, nodes, mode, toml)
-}
-
-// runBIT1 executes one full BIT1 run on machine m with the given node
+// RunBIT1 executes one full BIT1 run on machine m with the given node
 // count and I/O configuration, returning the measurements.
-func (o Options) runBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml string) (*RunResult, error) {
+func (o Options) RunBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml string) (*RunResult, error) {
 	o = o.WithDefaults()
 	k := m.NewKernel(nodes)
 	sys, err := m.Build(k, nodes, o.Seed)

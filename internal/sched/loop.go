@@ -171,9 +171,7 @@ type engine struct {
 }
 
 // sample records the busy-node step function at `now`. Consecutive
-// samples with unchanged Busy coalesce (they are one step), and with
-// TimelineEvery > 0 later steps inside a window fold into the window's
-// retained sample.
+// samples with unchanged Busy coalesce (they are one step).
 func (e *engine) sample() {
 	tl := e.res.Timeline
 	n := len(tl)
@@ -186,13 +184,6 @@ func (e *engine) sample() {
 	}
 	if n > 0 && tl[n-1].Busy == e.busy {
 		return // busy unchanged since the last step: not a new step
-	}
-	if n > 1 && e.cfg.TimelineEvery > 0 && e.now-tl[n-1].Hours < e.cfg.TimelineEvery {
-		tl[n-1].Busy = e.busy // downsample: fold into the window's sample
-		if tl[n-2].Busy == e.busy {
-			e.res.Timeline = tl[:n-1]
-		}
-		return
 	}
 	e.res.Timeline = append(tl, UtilSample{Hours: e.now, Busy: e.busy})
 }

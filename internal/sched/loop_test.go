@@ -24,12 +24,11 @@ func TestNaiveIndexedEquivalence(t *testing.T) {
 		tenants, users int
 		load           float64
 		classes        []SizeClass
-		timelineEvery  float64
 	}{
 		{tenants: 2, users: 1, load: 0.7, classes: nil},
 		{tenants: 5, users: 3, load: 1.4, classes: nil},
 		{tenants: 3, users: 2, load: 1.0, classes: DefaultClasses()[:2]},
-		{tenants: 4, users: 2, load: 1.2, classes: nil, timelineEvery: 24},
+		{tenants: 4, users: 2, load: 1.2, classes: nil},
 	}
 	for ci, c := range cases {
 		pr := NewPricer(m, 7, 6)
@@ -45,7 +44,7 @@ func TestNaiveIndexedEquivalence(t *testing.T) {
 			t.Fatalf("case %d: synthesize: %v", ci, err)
 		}
 		for _, pol := range []Policy{FCFS{}, EASY{}} {
-			cfg := Config{Machine: m, Nodes: 64, Seed: 7, Pricer: pr, TimelineEvery: c.timelineEvery}
+			cfg := Config{Machine: m, Nodes: 64, Seed: 7, Pricer: pr}
 			indexed, err := Run(cfg, pol, stream)
 			if err != nil {
 				t.Fatalf("case %d %s: indexed: %v", ci, pol.Name(), err)
@@ -141,10 +140,8 @@ func TestEndHeapLazyInvalidation(t *testing.T) {
 	}
 }
 
-// TestTimelineCoalescing pins the satellite behaviour: the exact
-// timeline (TimelineEvery == 0) never records two consecutive samples
-// with the same busy count, and a downsampled run retains fewer
-// samples while reporting a utilization close to the exact one.
+// TestTimelineCoalescing pins that the timeline never records two
+// consecutive samples with the same busy count.
 func TestTimelineCoalescing(t *testing.T) {
 	m := cluster.Dardel()
 	pr := NewPricer(m, 3, 6)
@@ -172,25 +169,6 @@ func TestTimelineCoalescing(t *testing.T) {
 		if exact.Timeline[i].Hours <= exact.Timeline[i-1].Hours {
 			t.Fatalf("timeline not strictly increasing at %d", i)
 		}
-	}
-	cfg.TimelineEvery = 48
-	coarse, err := Run(cfg, FCFS{}, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coarse.Timeline) >= len(exact.Timeline) {
-		t.Fatalf("TimelineEvery=48 kept %d samples, exact kept %d: downsampling did nothing",
-			len(coarse.Timeline), len(exact.Timeline))
-	}
-	// The downsampled step function is an approximation; scheduling
-	// outcomes must be untouched and utilization must stay in the same
-	// ballpark.
-	if !reflect.DeepEqual(exact.Jobs, coarse.Jobs) {
-		t.Fatal("TimelineEvery changed job outcomes")
-	}
-	ue, uc := exact.Utilization(), coarse.Utilization()
-	if math.Abs(ue-uc) > 0.15*ue {
-		t.Fatalf("downsampled utilization %g strays too far from exact %g", uc, ue)
 	}
 }
 

@@ -47,16 +47,6 @@ type Pricer struct {
 	// padded number, not the truth; 0 (the default) keeps the historical
 	// perfect oracle. Must be >= 0: estimates are padded, never short.
 	EstimateError float64
-
-	// ProbeDrainBatchBytes, when positive, sets burst.Spec.DrainBatchBytes
-	// on priced specs that leave it zero, so pricing probe runs ride the
-	// kernel's batched drain write-backs (they already ride the
-	// calendar-queue presets automatically: probes run through jobs.Run,
-	// which sizes its kernel via Machine.KernelOptions). Opt-in because
-	// batching changes drain completion timing and therefore prices; the
-	// zero default keeps historical prices byte-identical. The effective
-	// (overridden) spec is what the cache is keyed on.
-	ProbeDrainBatchBytes int64
 }
 
 // shapeKey is the comparable projection of a jobs.Spec (the Classify
@@ -72,15 +62,14 @@ type shapeKey struct {
 }
 
 type burstKey struct {
-	capacity   int64
-	rate       float64
-	perOp      float64
-	drainRate  float64
-	policy     burst.Policy
-	highWater  float64
-	lowWater   float64
-	qos        burst.QoS
-	drainBatch int64
+	capacity  int64
+	rate      float64
+	perOp     float64
+	drainRate float64
+	policy    burst.Policy
+	highWater float64
+	lowWater  float64
+	qos       burst.QoS
 }
 
 func keyOf(s jobs.Spec) shapeKey {
@@ -100,10 +89,6 @@ func keyOf(s jobs.Spec) shapeKey {
 			highWater: s.Burst.HighWater,
 			lowWater:  s.Burst.LowWater,
 			qos:       s.Burst.QoS,
-			// Batched write-backs change drain completion timing; without
-			// this field two specs differing only in DrainBatchBytes would
-			// alias one cache entry and price identically.
-			drainBatch: s.Burst.DrainBatchBytes,
 		},
 		stripeCount: s.StripeCount,
 		stripeSize:  s.StripeSize,
@@ -120,22 +105,11 @@ func NewPricer(m cluster.Machine, seed uint64, epochHours float64) *Pricer {
 	return &Pricer{m: m, seed: seed, epochHours: epochHours, cache: map[shapeKey]Price{}}
 }
 
-// withProbeOptions applies the pricer's opt-in probe overrides to a
-// spec (a value copy), so both the probe run and the cache key see the
-// effective shape.
-func (p *Pricer) withProbeOptions(spec jobs.Spec) jobs.Spec {
-	if p.ProbeDrainBatchBytes > 0 && spec.Burst.DrainBatchBytes == 0 {
-		spec.Burst.DrainBatchBytes = p.ProbeDrainBatchBytes
-	}
-	return spec
-}
-
 // Price returns the shape's cost summary, simulating it on first sight.
 func (p *Pricer) Price(spec jobs.Spec) (Price, error) {
 	if spec.Burst.Classify != nil {
 		return Price{}, fmt.Errorf("sched: job spec %q carries a Classify func (not memoizable)", spec.Name)
 	}
-	spec = p.withProbeOptions(spec)
 	k := keyOf(spec)
 	if pr, ok := p.cache[k]; ok {
 		return p.estimate(pr), nil
@@ -197,7 +171,6 @@ func (p *Pricer) Prewarm(stream []Job, parallel int) error {
 		if spec.Burst.Classify != nil {
 			return fmt.Errorf("sched: job spec %q carries a Classify func (not memoizable)", spec.Name)
 		}
-		spec = p.withProbeOptions(spec)
 		k := keyOf(spec)
 		if seen[k] {
 			continue

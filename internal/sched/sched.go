@@ -158,15 +158,6 @@ type Config struct {
 	// config's machine/seed/epoch clock). Sharing one pricer across runs
 	// of the same machine skips re-simulating known job shapes.
 	Pricer *Pricer
-	// TimelineEvery, when positive, downsamples Result.Timeline: beyond
-	// the always-on coalescing of equal-Busy steps, at most one sample is
-	// retained per TimelineEvery hours — later steps inside a window fold
-	// into the window's sample, which keeps the latest busy count. The
-	// zero default keeps every distinct step: exact, and fine below
-	// machine scale; at thousands of nodes and tens of thousands of jobs
-	// the exact timeline is O(events) memory, and a downsampled one
-	// trades Utilization() precision for a bounded footprint.
-	TimelineEvery float64
 	// UsageHalfLifeHours is the decay half-life of the per-tenant usage
 	// ledger (delivered node-hours) the FairShare policy and the
 	// preemptor order tenants by. Default 168 — one week, the customary

@@ -72,11 +72,6 @@ func NewCompletion(k *Kernel) *Completion { return &Completion{w: waitQueue{k: k
 // Ready reports whether Complete has been called.
 func (c *Completion) Ready() bool { return c.done }
 
-// Done reports whether Complete has been called.
-//
-// Deprecated: use Ready, the Awaitable form.
-func (c *Completion) Done() bool { return c.Ready() }
-
 // Complete marks the event done and wakes every waiter, in wait order.
 // Completing twice is a no-op.
 func (c *Completion) Complete() { c.CompleteAt(c.w.k.now) }
@@ -84,8 +79,9 @@ func (c *Completion) Complete() { c.CompleteAt(c.w.k.now) }
 // CompleteAt marks the event done now but resumes the waiters at time
 // t >= now — a timed broadcast for primitives (collectives, timed
 // handshakes) that decide completion early but release at a computed
-// instant. Completing twice is a no-op.
+// instant. Completing twice is a no-op; a NaN t panics.
 func (c *Completion) CompleteAt(t Time) {
+	checkTime(t)
 	if c.done {
 		return
 	}
@@ -141,8 +137,3 @@ func (g *Gauge) Wait(p *Proc) {
 		g.w.park(p)
 	}
 }
-
-// WaitZero parks the calling process until the gauge value is zero.
-//
-// Deprecated: use Wait, the Awaitable form.
-func (g *Gauge) WaitZero(p *Proc) { g.Wait(p) }

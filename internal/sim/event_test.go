@@ -17,7 +17,7 @@ func TestCompletionBroadcast(t *testing.T) {
 	if wokeA != 2 || wokeB != 2 {
 		t.Errorf("waiters woke at %v/%v, want 2", wokeA, wokeB)
 	}
-	if !c.Done() {
+	if !c.Ready() {
 		t.Error("completion must report done")
 	}
 	// Waiting after completion returns immediately.
@@ -32,12 +32,12 @@ func TestCompletionBroadcast(t *testing.T) {
 	}
 }
 
-func TestGaugeWaitZero(t *testing.T) {
+func TestGaugeWait(t *testing.T) {
 	k := NewKernel()
 	g := NewGauge(k)
 	g.Add(3)
 	var woke Time
-	k.Spawn("waiter", func(p *Proc) { g.WaitZero(p); woke = p.Now() })
+	k.Spawn("waiter", func(p *Proc) { g.Wait(p); woke = p.Now() })
 	k.Spawn("worker", func(p *Proc) {
 		p.Sleep(1)
 		g.Add(-1)
@@ -51,12 +51,12 @@ func TestGaugeWaitZero(t *testing.T) {
 	if g.Value() != 0 {
 		t.Errorf("gauge value %d, want 0", g.Value())
 	}
-	// WaitZero on an already-zero gauge must not park.
+	// Wait on an already-zero gauge must not park.
 	k.Spawn("instant", func(p *Proc) {
 		t0 := p.Now()
-		g.WaitZero(p)
+		g.Wait(p)
 		if p.Now() != t0 {
-			t.Error("WaitZero blocked on a zero gauge")
+			t.Error("Wait blocked on a zero gauge")
 		}
 	})
 	k.Run()

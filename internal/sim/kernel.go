@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is a point in virtual time, in seconds since the start of the run.
@@ -40,11 +39,14 @@ type event struct {
 // Kernel owns the virtual clock and the event queue.
 // The zero value is not usable; create kernels with NewKernel.
 type Kernel struct {
-	now      Time
-	q        eventQueue
-	seq      uint64
-	live     int  // processes spawned and not yet finished
-	fastPath bool // run-to-completion timer sleeps (see Proc.SleepUntil)
+	now  Time
+	q    []event // (at, seq) min-heap, see evPush/evPop
+	seq  uint64
+	live int // processes spawned and not yet finished
+	// fastPath enables run-to-completion timer sleeps (see
+	// Proc.SleepUntil). Always set by NewKernel; in-package tests clear
+	// it to get the slow path the fast path is checked against.
+	fastPath bool
 
 	yield chan yieldMsg // processes signal the scheduler here
 	stats KernelStats
@@ -88,73 +90,26 @@ type yieldMsg struct {
 	val  any // panic value for yieldPanic
 }
 
-// Option configures a Kernel at construction time.
-type Option func(k *Kernel)
-
-// WithHeapQueue selects the binary-heap event queue (the default):
-// O(log n) per operation, lowest constant factors at small scale.
-func WithHeapQueue() Option {
-	return func(k *Kernel) { k.q = &heapQueue{} }
-}
-
-// WithCalendarQueue selects the calendar event queue: a bucketed time
-// wheel with amortized O(1) scheduling that outpaces the heap once a
-// machine-scale run keeps thousands of events in flight. Replay is
-// bit-identical to the heap — the (at, seq) total order is preserved —
-// so the choice is purely a performance knob.
-func WithCalendarQueue() Option {
-	return func(k *Kernel) { k.q = newCalendarQueue() }
-}
-
-// WithTimerFastPath enables or disables the run-to-completion fast path
-// for pure timer sleeps (enabled by default). Disabling it forces every
-// sleep through the scheduler channel round-trip; the only reason to do
-// that is benchmarking the fast path itself.
-func WithTimerFastPath(on bool) Option {
-	return func(k *Kernel) { k.fastPath = on }
-}
-
-// forcedQueue, when non-nil, overrides the queue choice of every kernel
-// constructed in the process. Cross-implementation determinism suites use
-// it to replay unmodified artifact runners on the non-default queue.
-var forcedQueue func() eventQueue
-
-// ForceQueueForTesting overrides the event-queue implementation of every
-// subsequently constructed kernel — "heap" or "calendar" — and returns a
-// function restoring the previous behaviour. Test-only; not safe for
-// concurrent use with kernel construction.
-func ForceQueueForTesting(kind string) (restore func()) {
-	prev := forcedQueue
-	switch kind {
-	case "heap":
-		forcedQueue = func() eventQueue { return &heapQueue{} }
-	case "calendar":
-		forcedQueue = func() eventQueue { return newCalendarQueue() }
-	default:
-		panic(fmt.Sprintf("sim: ForceQueueForTesting: unknown queue kind %q", kind))
-	}
-	return func() { forcedQueue = prev }
-}
-
-// NewKernel returns an empty kernel at virtual time zero. With no options
-// it uses the binary-heap event queue and the timer fast path.
-func NewKernel(opts ...Option) *Kernel {
-	k := &Kernel{
+// NewKernel returns an empty kernel at virtual time zero.
+func NewKernel() *Kernel {
+	return &Kernel{
 		yield:    make(chan yieldMsg),
-		q:        &heapQueue{},
 		fastPath: true,
 	}
-	for _, o := range opts {
-		o(k)
-	}
-	if forcedQueue != nil {
-		k.q = forcedQueue()
-	}
-	return k
 }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// checkTime rejects NaN at every boundary where a caller-computed time
+// enters the kernel: NaN compares false against everything, so it would
+// slip past the "not in the past" clamps, break evLess's total order and
+// end up as the clock value.
+func checkTime(t Time) {
+	if math.IsNaN(float64(t)) {
+		panic("sim: NaN time")
+	}
+}
 
 // Proc is a simulated process. Methods on Proc must only be called from
 // inside the process's own goroutine (the function passed to Spawn).
@@ -189,8 +144,9 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt is like Spawn but delays the start of the process to time at,
-// which must not be earlier than the current virtual time.
+// which must not be earlier than the current virtual time, nor NaN.
 func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
+	checkTime(at)
 	if at < k.now {
 		panic("sim: SpawnAt in the past")
 	}
@@ -223,24 +179,23 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 	if !p.killed {
 		p.pendingSeq = k.seq
 	}
-	k.q.push(event{at: at, seq: k.seq, p: p})
+	k.q = evPush(k.q, event{at: at, seq: k.seq, p: p})
 }
 
 // popLive pops queue entries until one is live, discarding tombstones:
 // entries for finished processes and entries superseded by a later
 // schedule of the same process.
 func (k *Kernel) popLive() (event, bool) {
-	for {
-		e, ok := k.q.pop()
-		if !ok {
-			return event{}, false
-		}
+	for len(k.q) > 0 {
+		var e event
+		e, k.q = evPop(k.q)
 		if e.p.done || e.seq != e.p.pendingSeq {
 			k.stats.Stale++
 			continue
 		}
 		return e, true
 	}
+	return event{}, false
 }
 
 // Run drives the simulation until no events remain. It returns the final
@@ -287,7 +242,8 @@ func (p *Proc) Sleep(d Duration) {
 
 // SleepUntil suspends the process until virtual time t. Times in the past
 // are treated as "now" (the process still yields, giving other processes
-// scheduled at the same instant a chance to run in seq order).
+// scheduled at the same instant a chance to run in seq order); NaN
+// panics.
 //
 // Fast path: when no pending event is due at or before t, nothing can run
 // before this process resumes — only the running process can create new
@@ -298,12 +254,13 @@ func (p *Proc) Sleep(d Duration) {
 // exactly t was scheduled earlier, so it holds a smaller seq and must run
 // first, which only the slow path can arrange.
 func (p *Proc) SleepUntil(t Time) {
+	checkTime(t)
 	k := p.k
 	if t < k.now {
 		t = k.now
 	}
 	if k.fastPath && !p.killed {
-		if at, ok := k.q.peekAt(); !ok || at > t {
+		if len(k.q) == 0 || k.q[0].at > t {
 			k.now = t
 			k.stats.FastPathEvents++
 			return
@@ -367,8 +324,9 @@ func (k *Kernel) Wake(q *Proc) { k.WakeAt(k.now, q) }
 // a process whose wake is still pending moves the resumption to t — the
 // previous entry is tombstoned, never delivered — so a second wake cannot
 // make the process resume twice. Waking a finished or killed process is a
-// no-op.
+// no-op; a NaN t panics.
 func (k *Kernel) WakeAt(t Time, q *Proc) {
+	checkTime(t)
 	if t < k.now {
 		t = k.now
 	}
@@ -420,9 +378,3 @@ func (c *Condition) Broadcast() {
 
 // Len reports the number of parked waiters.
 func (c *Condition) Len() int { return c.w.len() }
-
-// SortProcsByName sorts a slice of processes by name; useful for
-// deterministic bookkeeping in higher layers.
-func SortProcsByName(ps []*Proc) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
-}

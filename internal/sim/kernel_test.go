@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -107,6 +110,51 @@ func TestProcPanicPropagates(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("boom", func(p *Proc) { panic("boom") })
 	k.Run()
+}
+
+// TestNaNTimePanics covers every boundary where a caller-computed time
+// enters the kernel, on an empty and on a non-empty event queue: a NaN
+// must panic there instead of becoming the clock value (empty queue:
+// the fast path's `at > t` is false for NaN) or an unordered heap entry.
+func TestNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	cases := []struct {
+		name string
+		call func(p *Proc, parked *Proc, c *Completion)
+	}{
+		{"Sleep", func(p, _ *Proc, _ *Completion) { p.Sleep(nan) }},
+		{"SleepUntil", func(p, _ *Proc, _ *Completion) { p.SleepUntil(nan) }},
+		{"WakeAt", func(p, parked *Proc, _ *Completion) { p.Kernel().WakeAt(nan, parked) }},
+		{"SpawnAt", func(p, _ *Proc, _ *Completion) { p.Kernel().SpawnAt(nan, "child", func(*Proc) {}) }},
+		{"CompleteAt", func(p, _ *Proc, c *Completion) { c.CompleteAt(nan) }},
+	}
+	for _, tc := range cases {
+		for _, busy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/busy=%v", tc.name, busy), func(t *testing.T) {
+				defer func() {
+					r := recover()
+					if r == nil || !strings.Contains(fmt.Sprint(r), "sim: NaN time") {
+						t.Fatalf("recovered %v, want a panic carrying \"sim: NaN time\"", r)
+					}
+				}()
+				k := NewKernel()
+				c := NewCompletion(k)
+				parked := k.Spawn("parked", func(p *Proc) { p.Park() })
+				k.Spawn("waiter", func(p *Proc) { c.Wait(p) })
+				if busy {
+					k.Spawn("bystander", func(p *Proc) { p.Sleep(5) })
+				}
+				k.Spawn("caller", func(p *Proc) {
+					if got := len(k.q) > 0; got != busy {
+						t.Errorf("queue non-empty = %v at the call, want %v", got, busy)
+					}
+					tc.call(p, parked, c)
+				})
+				end := k.Run()
+				t.Fatalf("Run returned %v (clock %v) without panicking", end, k.Now())
+			})
+		}
+	}
 }
 
 func TestServerFCFS(t *testing.T) {

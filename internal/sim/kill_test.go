@@ -39,7 +39,7 @@ func TestKillParked(t *testing.T) {
 	g := NewGauge(k)
 	victim := k.Spawn("victim", func(p *Proc) {
 		g.Add(1)
-		g.WaitZero(p)
+		g.Wait(p)
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(1)

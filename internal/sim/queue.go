@@ -1,31 +1,11 @@
 package sim
 
-// eventQueue is the kernel's pending-event store. Implementations must
-// return events in exact (at, seq) order — the total order every replay
-// guarantee in the repository rests on — so the queue choice is purely a
-// cost decision, never a behavioural one.
-//
-// Two implementations exist: heapQueue, the classic binary heap (O(log n)
-// per operation, cache-friendly at small scale), and calendarQueue, a
-// bucketed time wheel (amortized O(1) per operation) that wins once a
-// machine-scale run keeps thousands of events in flight. Both store
-// events by value in recycled backing arrays, so steady-state scheduling
-// allocates nothing.
-type eventQueue interface {
-	// push inserts an event. Events arrive with at >= the time of the
-	// last pop (the kernel never schedules into the past), except before
-	// the first pop, where any order is possible.
-	push(e event)
-	// pop removes and returns the earliest event by (at, seq).
-	pop() (event, bool)
-	// peekAt reports the earliest pending event time without removing
-	// it. The kernel's run-to-completion fast path asks this before
-	// every timer sleep, so implementations keep it cheap.
-	peekAt() (Time, bool)
-	// len reports the number of stored events (tombstoned entries
-	// included — the kernel filters those at pop).
-	len() int
-}
+// The kernel's event queue is a binary min-heap over a typed []event
+// slice, ordered by (at, seq) — the total order every replay guarantee
+// in the repository rests on. Events are stored by value in a backing
+// array that pops shrink and pushes regrow in place, so steady-state
+// scheduling allocates nothing. Stale entries stay in the heap until
+// they pop; the kernel filters them there.
 
 // evLess is the kernel's total event order: time, then schedule sequence.
 func evLess(a, b event) bool {
@@ -75,212 +55,4 @@ func evPop(h []event) (event, []event) {
 		i = least
 	}
 	return min, h
-}
-
-// heapQueue is the binary-heap event queue — the implementation the
-// kernel has always had, minus the container/heap interface boxing that
-// used to allocate on every push.
-type heapQueue struct {
-	h []event
-}
-
-func (q *heapQueue) push(e event) { q.h = evPush(q.h, e) }
-
-func (q *heapQueue) pop() (event, bool) {
-	if len(q.h) == 0 {
-		return event{}, false
-	}
-	var e event
-	e, q.h = evPop(q.h)
-	return e, true
-}
-
-func (q *heapQueue) peekAt() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-const (
-	// calMinBuckets is the smallest bucket array a calendar queue keeps.
-	calMinBuckets = 16
-	// calMaxIndex caps the bucket index computed from at/width; events
-	// further out (Infinity sleeps, pathological widths) go to the
-	// overflow heap instead of risking float->int overflow.
-	calMaxIndex = float64(1 << 50)
-)
-
-// calendarQueue is a classic Brown calendar queue: buckets of width
-// `width` seconds addressed by floor(at/width) mod len(buckets), scanned
-// one bucket-window at a time from the current clock position. Each
-// bucket is itself a small (at, seq) min-heap, so same-bucket events —
-// including exact-time ties, which always hash to the same bucket — pop
-// in exactly the order the binary heap would give. Events too far in the
-// future to index safely live in a plain overflow heap; since every
-// indexable event is earlier than any overflow event, the overflow only
-// serves pops once the buckets are empty.
-//
-// The scan tracks its position as win, the unwrapped integer window
-// index, and decides window membership with calWindow — the same
-// floored division push uses for bucket placement. Keeping one shared
-// computation is load-bearing: deriving window boundaries separately
-// (e.g. accumulating anchor += width) drifts away from the placement
-// arithmetic after enough windows, and the scan then skips a bucket
-// that still holds the minimum — an out-of-order pop a full wrap later.
-type calendarQueue struct {
-	buckets  [][]event
-	width    Time
-	size     int   // events in buckets (overflow excluded)
-	cur      int   // bucket the scan is positioned on: int(win) % len
-	win      int64 // unwrapped window index the scan is positioned on
-	overflow heapQueue
-	scratch  []event // recycled collection buffer for resizes
-}
-
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		buckets: make([][]event, calMinBuckets),
-		width:   1e-3,
-	}
-}
-
-func (q *calendarQueue) len() int { return q.size + q.overflow.len() }
-
-// calWindow maps a time to its unwrapped window index under the current
-// width. Push placement, scan membership and reanchoring all go through
-// this one function so their arithmetic can never disagree.
-func (q *calendarQueue) calWindow(at Time) int64 {
-	return int64(float64(at) / float64(q.width))
-}
-
-// reanchor positions the scan on the bucket window containing time at.
-func (q *calendarQueue) reanchor(at Time) {
-	q.win = q.calWindow(at)
-	q.cur = int(q.win) & (len(q.buckets) - 1)
-}
-
-func (q *calendarQueue) push(e event) {
-	f := float64(e.at) / float64(q.width)
-	if !(f < calMaxIndex) { // NaN-safe: also catches Infinity
-		q.overflow.push(e)
-		return
-	}
-	w := int64(f)
-	if q.size == 0 || w < q.win {
-		// Empty queue, or an out-of-order pre-run push (SpawnAt before
-		// earlier Spawns): move the scan back so the event is found
-		// without a full wrap.
-		q.win = w
-		q.cur = int(w) & (len(q.buckets) - 1)
-	}
-	i := int(w) & (len(q.buckets) - 1)
-	q.buckets[i] = evPush(q.buckets[i], e)
-	q.size++
-	if q.size > 2*len(q.buckets) {
-		q.resize(2 * len(q.buckets))
-	}
-}
-
-// findMin positions the scan on the bucket holding the earliest event
-// and reports whether the buckets hold any event at all. The fast path:
-// the event is within the current window of the current bucket. Each
-// empty window advances the scan one bucket; a full wrap without a hit
-// (sparse far-future events) falls back to a direct minimum search.
-func (q *calendarQueue) findMin() bool {
-	if q.size == 0 {
-		return false
-	}
-	n := len(q.buckets)
-	for i := 0; i < n; i++ {
-		if b := q.buckets[q.cur]; len(b) > 0 && q.calWindow(b[0].at) <= q.win {
-			return true
-		}
-		q.cur++
-		if q.cur == n {
-			q.cur = 0
-		}
-		q.win++
-	}
-	// Direct search: jump the scan to the globally earliest event.
-	best := -1
-	for i, b := range q.buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if best < 0 || evLess(b[0], q.buckets[best][0]) {
-			best = i
-		}
-	}
-	q.reanchor(q.buckets[best][0].at)
-	q.cur = best
-	return true
-}
-
-func (q *calendarQueue) pop() (event, bool) {
-	if !q.findMin() {
-		return q.overflow.pop()
-	}
-	var e event
-	e, q.buckets[q.cur] = evPop(q.buckets[q.cur])
-	q.size--
-	if q.size < len(q.buckets)/4 && len(q.buckets) > calMinBuckets {
-		q.resize(len(q.buckets) / 2)
-	}
-	return e, true
-}
-
-func (q *calendarQueue) peekAt() (Time, bool) {
-	if !q.findMin() {
-		return q.overflow.peekAt()
-	}
-	return q.buckets[q.cur][0].at, true
-}
-
-// resize rebuilds the bucket array at the new size and re-estimates the
-// bucket width from the current event population: the occupied time span
-// divided by the event count, doubled, so a bucket window holds a couple
-// of events on average. Degenerate spans (all events at one instant)
-// keep the previous width — the per-bucket heaps absorb the clustering.
-func (q *calendarQueue) resize(n int) {
-	all := q.scratch[:0]
-	for i, b := range q.buckets {
-		all = append(all, b...)
-		q.buckets[i] = b[:0]
-	}
-	minAt, maxAt := Infinity, Time(0)
-	for _, e := range all {
-		if e.at < minAt {
-			minAt = e.at
-		}
-		if e.at > maxAt {
-			maxAt = e.at
-		}
-	}
-	if len(all) > 0 {
-		if w := (maxAt - minAt) * 2 / Time(len(all)); w > 0 && w < Infinity {
-			q.width = w
-		}
-	}
-	if n < calMinBuckets {
-		n = calMinBuckets
-	}
-	if n != len(q.buckets) {
-		q.buckets = make([][]event, n)
-	}
-	q.size = 0
-	for _, e := range all {
-		// Events re-enter through push so overflow routing re-applies
-		// under the new width.
-		q.push(e)
-	}
-	for i := range all {
-		all[i] = event{}
-	}
-	q.scratch = all
-	if q.size > 0 {
-		q.findMin()
-	}
 }

@@ -2,218 +2,91 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestQueueImplementationsAgree drains a randomized event population —
-// clustered times, exact ties, far-future and Infinity entries, pops
-// interleaved with pushes — through both queue implementations and
-// requires identical (at, seq) order. This is the property every replay
-// guarantee reduces to: the queue choice must be invisible.
-func TestQueueImplementationsAgree(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 1))
-		hq := &heapQueue{}
-		cq := newCalendarQueue()
-		var seq uint64
-		now := Time(0)
-		// Mixed phases of pushes and pops, with monotonically
-		// non-decreasing push times relative to the last pop — the
-		// contract the kernel upholds.
-		for phase := 0; phase < 40; phase++ {
-			nPush := rng.Intn(60)
-			for i := 0; i < nPush; i++ {
-				at := now
-				switch rng.Intn(10) {
-				case 0: // exact tie with the current time
-				case 1: // far future
-					at += Time(rng.Float64()) * 1e12
-				case 2: // beyond any calendar bucket
-					at = Infinity
-				default: // clustered near now
-					at += Time(rng.Float64()) * 10
-				}
-				seq++
-				e := event{at: at, seq: seq}
-				hq.push(e)
-				cq.push(e)
-			}
-			if hq.len() != cq.len() {
-				t.Fatalf("trial %d: len mismatch: heap %d calendar %d", trial, hq.len(), cq.len())
-			}
-			if ha, hok := hq.peekAt(); hok {
-				ca, cok := cq.peekAt()
-				if !cok || ha != ca {
-					t.Fatalf("trial %d: peekAt mismatch: heap %v calendar %v (ok=%v)", trial, ha, ca, cok)
-				}
-			}
-			nPop := rng.Intn(50)
-			for i := 0; i < nPop; i++ {
-				he, hok := hq.pop()
-				ce, cok := cq.pop()
-				if hok != cok {
-					t.Fatalf("trial %d: pop ok mismatch: heap %v calendar %v", trial, hok, cok)
-				}
-				if !hok {
-					break
-				}
-				if he.at != ce.at || he.seq != ce.seq {
-					t.Fatalf("trial %d: pop order diverged: heap (%v,%d) calendar (%v,%d)",
-						trial, he.at, he.seq, ce.at, ce.seq)
-				}
-				now = he.at
-			}
-		}
-		// Drain the remainder.
-		for {
-			he, hok := hq.pop()
-			ce, cok := cq.pop()
-			if hok != cok {
-				t.Fatalf("trial %d: drain ok mismatch", trial)
-			}
-			if !hok {
-				break
-			}
-			if he.at != ce.at || he.seq != ce.seq {
-				t.Fatalf("trial %d: drain order diverged: heap (%v,%d) calendar (%v,%d)",
-					trial, he.at, he.seq, ce.at, ce.seq)
-			}
-		}
-	}
-}
-
-// TestCalendarQueueResizeCycles pushes enough to force repeated grows,
-// then drains to force shrinks, checking order throughout.
-func TestCalendarQueueResizeCycles(t *testing.T) {
-	cq := newCalendarQueue()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		cq.push(event{at: Time(i%97) * 0.013, seq: uint64(i + 1)})
-	}
-	if cq.len() != n {
-		t.Fatalf("len = %d, want %d", cq.len(), n)
-	}
-	var last event
-	for i := 0; i < n; i++ {
-		e, ok := cq.pop()
-		if !ok {
-			t.Fatalf("pop %d: queue empty early", i)
-		}
-		if i > 0 && !evLess(last, e) {
-			t.Fatalf("pop %d: order violated: (%v,%d) before (%v,%d)", i, last.at, last.seq, e.at, e.seq)
-		}
-		last = e
-	}
-	if _, ok := cq.pop(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// TestCalendarQueueSingleInstant floods one instant — the degenerate
-// width case — and expects strict seq order out.
-func TestCalendarQueueSingleInstant(t *testing.T) {
-	cq := newCalendarQueue()
-	const n = 500
-	for i := 0; i < n; i++ {
-		cq.push(event{at: 42, seq: uint64(i + 1)})
-	}
-	for i := 0; i < n; i++ {
-		e, ok := cq.pop()
-		if !ok || e.seq != uint64(i+1) {
-			t.Fatalf("pop %d: got (%v, ok=%v), want seq %d", i, e.seq, ok, i+1)
-		}
-	}
-}
-
-// TestCalendarQueueLongHorizon is the regression test for the scan-drift
-// bug: thousands of staggered sleepers crossing tens of thousands of
-// bucket windows, the exact shape of BenchmarkKernelScale. When window
-// boundaries were accumulated additively (anchor += width) instead of
-// derived from the same floored division push uses for placement, float
-// drift eventually made the scan skip a bucket still holding the
-// minimum, and the kernel panicked with "event queue went backwards"
-// around 2048 nodes. The fast path is disabled so every timer traverses
-// the queue.
-func TestCalendarQueueLongHorizon(t *testing.T) {
-	run := func(opts ...Option) (Time, uint64) {
-		k := NewKernel(opts...)
-		const (
-			nodes    = 2048
-			chunks   = 32
-			epochs   = 3
-			chunkSec = Duration(2e-6)
+// TestHeapOrderProperty drives the event heap with seeded random
+// interleavings of pushes and pops — exact-time ties, Infinity entries,
+// out-of-order pushes before the first pop and, after it, the kernel's
+// contract of never pushing earlier than the last pop — and checks every
+// pop against a sort.Slice (at, seq) oracle. Every replay guarantee in
+// the repository reduces to this order.
+func TestHeapOrderProperty(t *testing.T) {
+	const (
+		seeds      = 100
+		opsPerSeed = 10000
+	)
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var (
+			h      []event
+			oracle []event // sorted lazily: dirty after a push
+			dirty  bool
+			seq    uint64
+			now    Time
+			popped bool
 		)
-		period := Duration(nodes) * chunks * chunkSec * 4
-		for i := 0; i < nodes; i++ {
-			i := i
-			k.Spawn("node", func(p *Proc) {
-				p.Sleep(period * Duration(i) / Duration(nodes))
-				for e := 0; e < epochs; e++ {
-					for c := 0; c < chunks; c++ {
-						p.Sleep(chunkSec)
-					}
-					p.Sleep(period - chunks*chunkSec)
+		push := func() {
+			at := now
+			switch rng.Intn(10) {
+			case 0: // exact tie with the last popped time
+			case 1: // far future
+				at += Time(rng.Float64()) * 1e12
+			case 2:
+				at = Infinity
+			case 3: // exact tie with a random pending entry
+				if len(oracle) > 0 {
+					at = oracle[rng.Intn(len(oracle))].at
 				}
-			})
+			default: // clustered near now
+				at += Time(rng.Float64()) * 10
+			}
+			if !popped && rng.Intn(2) == 0 {
+				// Pre-run, any order is legal (SpawnAt before Spawn).
+				at = Time(rng.Float64()) * 10
+			}
+			seq++
+			e := event{at: at, seq: seq}
+			h = evPush(h, e)
+			oracle = append(oracle, e)
+			dirty = true
 		}
-		return k.Run(), k.Stats().Events()
-	}
-	endH, evH := run(WithHeapQueue(), WithTimerFastPath(false))
-	endC, evC := run(WithCalendarQueue(), WithTimerFastPath(false))
-	if endH != endC {
-		t.Fatalf("finish time diverged: heap %v calendar %v", endH, endC)
-	}
-	if evH != evC {
-		t.Fatalf("event count diverged: heap %d calendar %d", evH, evC)
-	}
-}
-
-// TestForceQueueForTesting checks the override hook swaps the queue of
-// subsequently built kernels and restores cleanly.
-func TestForceQueueForTesting(t *testing.T) {
-	restore := ForceQueueForTesting("calendar")
-	k := NewKernel(WithHeapQueue()) // option is overridden by the hook
-	if _, ok := k.q.(*calendarQueue); !ok {
-		t.Fatalf("forced kernel queue is %T, want *calendarQueue", k.q)
-	}
-	restore()
-	k2 := NewKernel()
-	if _, ok := k2.q.(*heapQueue); !ok {
-		t.Fatalf("restored kernel queue is %T, want *heapQueue", k2.q)
-	}
-}
-
-// TestKernelEndToEndBothQueues runs an identical contended workload on
-// both queue implementations and requires the same finish time and the
-// same per-proc resume trace.
-func TestKernelEndToEndBothQueues(t *testing.T) {
-	run := func(opt Option) (Time, []Time) {
-		k := NewKernel(opt)
-		srv := NewServer(k, 100, 0.5)
-		var trace []Time
-		for i := 0; i < 50; i++ {
-			i := i
-			k.Spawn("p", func(p *Proc) {
-				for j := 0; j < 5; j++ {
-					p.Sleep(Duration(i%7) * 0.25)
-					srv.Acquire(p, int64(10+i%3))
-					trace = append(trace, p.Now())
-				}
-			})
+		pop := func() {
+			if dirty {
+				sort.Slice(oracle, func(i, j int) bool { return evLess(oracle[i], oracle[j]) })
+				dirty = false
+			}
+			want := oracle[0]
+			oracle = oracle[1:]
+			var got event
+			got, h = evPop(h)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d: pop order diverged: heap (%v,%d) oracle (%v,%d)",
+					seed, got.at, got.seq, want.at, want.seq)
+			}
+			now, popped = got.at, true
 		}
-		return k.Run(), trace
-	}
-	endH, traceH := run(WithHeapQueue())
-	endC, traceC := run(WithCalendarQueue())
-	if endH != endC {
-		t.Fatalf("finish time diverged: heap %v calendar %v", endH, endC)
-	}
-	if len(traceH) != len(traceC) {
-		t.Fatalf("trace length diverged: heap %d calendar %d", len(traceH), len(traceC))
-	}
-	for i := range traceH {
-		if traceH[i] != traceC[i] {
-			t.Fatalf("trace[%d] diverged: heap %v calendar %v", i, traceH[i], traceC[i])
+		// Alternating bursts keep the heap between empty and a few
+		// hundred entries deep and let the oracle sort once per burst.
+		for ops := 0; ops < opsPerSeed; {
+			for n := rng.Intn(60); n > 0; n-- {
+				push()
+				ops++
+			}
+			for n := rng.Intn(55); n > 0 && len(oracle) > 0; n-- {
+				pop()
+				ops++
+			}
+			if len(h) != len(oracle) {
+				t.Fatalf("seed %d: len mismatch: heap %d oracle %d", seed, len(h), len(oracle))
+			}
+		}
+		for len(oracle) > 0 {
+			pop()
+		}
+		if len(h) != 0 {
+			t.Fatalf("seed %d: heap holds %d entries after the oracle drained", seed, len(h))
 		}
 	}
 }

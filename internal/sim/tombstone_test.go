@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // TestWakeAtSupersedesPendingWake is the regression test for the stale
 // heap entry bug: a WakeAt earlier than a pending scheduled resumption
@@ -202,24 +206,160 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestFastPathDisabled checks WithTimerFastPath(false) routes every sleep
-// through the queue, with identical timing.
-func TestFastPathDisabled(t *testing.T) {
-	k := NewKernel(WithTimerFastPath(false))
-	k.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(1)
+// spawnFastPathMix spawns a seeded mix of everything that can interact
+// with the timer fast path: gauge traffic with barrier waiters, a timed
+// broadcast, superseded wakes of a parked process, and kills landing on a
+// sleep storm, on a process parked forever and on one that has not
+// started. Durations are small multiples of a dyadic unit, so equal sums
+// tie exactly and the strict `>` in SleepUntil decides the order. All
+// randomness is drawn here, at spawn time; rec is called after every
+// resume.
+func spawnFastPathMix(k *Kernel, seed int64, rec func(p *Proc)) {
+	rng := rand.New(rand.NewSource(seed))
+	const u = Duration(1) / 16384
+	durs := func(n int) []Duration {
+		ds := make([]Duration, n)
+		for i := range ds {
+			ds[i] = u * Duration(1+rng.Intn(8))
+		}
+		return ds
+	}
+
+	// Producers hold the gauge up while they work; barriers wait for
+	// its zero crossings.
+	g := NewGauge(k)
+	for i := 0; i < 3; i++ {
+		ds := durs(8)
+		k.Spawn(fmt.Sprintf("producer%d", i), func(p *Proc) {
+			for j := 0; j < len(ds); j += 2 {
+				g.Add(1)
+				p.Sleep(ds[j])
+				rec(p)
+				g.Add(-1)
+				p.Sleep(ds[j+1])
+				rec(p)
+			}
+		})
+	}
+	for i := 0; i < 2; i++ {
+		ds := durs(4)
+		k.Spawn(fmt.Sprintf("barrier%d", i), func(p *Proc) {
+			for _, d := range ds {
+				p.Sleep(d)
+				rec(p)
+				g.Wait(p)
+				rec(p)
+			}
+		})
+	}
+
+	// A timed broadcast releasing three waiters at one instant.
+	c := NewCompletion(k)
+	for i := 0; i < 3; i++ {
+		k.Spawn(fmt.Sprintf("waiter%d", i), func(p *Proc) {
+			c.Wait(p)
+			rec(p)
+			p.Sleep(u)
+			rec(p)
+		})
+	}
+	cd := durs(2)
+	k.Spawn("completer", func(p *Proc) {
+		p.Sleep(cd[0])
+		rec(p)
+		c.CompleteAt(p.Now() + cd[1])
+	})
+
+	// Each round's second WakeAt supersedes the first, leaving a
+	// tombstone; the waker then sleeps past the wake so the parker is
+	// parked again for the next round.
+	const rounds = 4
+	wd := durs(3 * rounds)
+	parker := k.Spawn("parker", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Park()
+			rec(p)
 		}
 	})
-	end := k.Run()
-	if end != 10 {
-		t.Fatalf("end = %v, want 10", end)
+	k.Spawn("waker", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			a, b := wd[3*i], wd[3*i+1]
+			k.WakeAt(p.Now()+a, parker)
+			k.WakeAt(p.Now()+b, parker)
+			p.Sleep(b + wd[3*i+2])
+			rec(p)
+		}
+	})
+
+	// Kills fire at 4–32 units: inside the sleep storm, while the
+	// parked victim's gauge is still held, and before the late victim's
+	// start at 40 units.
+	stuck := NewGauge(k)
+	stuck.Add(1)
+	victims := []*Proc{
+		k.Spawn("victim.storm", func(p *Proc) {
+			for i := 0; i < 1000; i++ {
+				p.Sleep(u / 2)
+				rec(p)
+			}
+		}),
+		k.Spawn("victim.parked", func(p *Proc) {
+			stuck.Wait(p)
+			rec(p)
+		}),
+		k.SpawnAt(40*u, "victim.unstarted", func(p *Proc) { rec(p) }),
 	}
-	st := k.Stats()
-	if st.FastPathEvents != 0 {
-		t.Fatalf("FastPathEvents = %d with the fast path disabled", st.FastPathEvents)
+	for i, d := range durs(len(victims)) {
+		v := victims[i]
+		k.Spawn(fmt.Sprintf("killer%d", i), func(p *Proc) {
+			p.Sleep(4 * d)
+			rec(p)
+			k.Kill(v)
+		})
 	}
-	if st.QueueEvents == 0 {
-		t.Fatal("QueueEvents = 0: sleeps must go through the queue")
+}
+
+// TestFastPathDisabled checks the fast path against its reference: with
+// fastPath cleared every sleep goes through the queue, and the
+// BenchmarkKernelScale timer storm running alongside spawnFastPathMix
+// must end at the same time, resume every process at the same instants
+// in the same order, and count the same events as with it set.
+func TestFastPathDisabled(t *testing.T) {
+	type resume struct {
+		name string
+		at   Time
+	}
+	run := func(seed int64, fastPath bool) (Time, KernelStats, []resume) {
+		k := NewKernel()
+		k.fastPath = fastPath
+		var trace []resume
+		rec := func(p *Proc) { trace = append(trace, resume{p.Name(), p.Now()}) }
+		spawnKernelScale(k, 16, rec)
+		spawnFastPathMix(k, seed, rec)
+		return k.Run(), k.Stats(), trace
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		slowEnd, slowStats, slowTrace := run(seed, false)
+		fastEnd, fastStats, fastTrace := run(seed, true)
+		if slowStats.FastPathEvents != 0 {
+			t.Fatalf("seed %d: FastPathEvents = %d with the fast path disabled", seed, slowStats.FastPathEvents)
+		}
+		if fastStats.FastPathEvents == 0 || fastStats.QueueEvents == 0 || fastStats.Stale == 0 {
+			t.Fatalf("seed %d: schedule does not exercise both paths and tombstones: %+v", seed, fastStats)
+		}
+		if slowEnd != fastEnd {
+			t.Fatalf("seed %d: end time diverged: slow %v fast %v", seed, slowEnd, fastEnd)
+		}
+		if slowStats.Events() != fastStats.Events() {
+			t.Fatalf("seed %d: event count diverged: slow %d fast %d", seed, slowStats.Events(), fastStats.Events())
+		}
+		if len(slowTrace) != len(fastTrace) {
+			t.Fatalf("seed %d: trace length diverged: slow %d fast %d", seed, len(slowTrace), len(fastTrace))
+		}
+		for i := range slowTrace {
+			if slowTrace[i] != fastTrace[i] {
+				t.Fatalf("seed %d: resume %d diverged: slow %+v fast %+v", seed, i, slowTrace[i], fastTrace[i])
+			}
+		}
 	}
 }
