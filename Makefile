@@ -23,13 +23,13 @@ test:
 # bench runs each gated benchmark family once and converts its text log
 # into the machine-readable JSON record CI archives and gates on. A
 # family is a committed baseline bench/BENCH_<stem>.json plus its
-# BENCH_<stem>_RE below; _PKG (default .) and _FLAGS are optional.
+# BENCH_<stem>_RE below; _PKG (default .) is optional.
 BENCH_contention_RE := BenchmarkBurstBuffer$$|BenchmarkContention$$
 BENCH_fault_RE      := BenchmarkFault$$
 BENCH_sweep_RE      := BenchmarkSweep$$
 BENCH_interval_RE   := BenchmarkInterval$$
 BENCH_sched_RE      := BenchmarkSched$$|BenchmarkSchedScale$$
-BENCH_sched_FLAGS   := -timeout 30m
+BENCH_sched_PKG     := ./internal/sched
 BENCH_workload_RE   := BenchmarkWorkload$$
 BENCH_kernel_RE     := BenchmarkKernelScale$$
 BENCH_kernel_PKG    := ./internal/sim
@@ -44,7 +44,7 @@ bench: $(BENCH_BASELINES:%=%.json)
 # `go test` line itself.
 BENCH_%.json: FORCE
 	$(if $(BENCH_$*_RE),,$(error bench/$@ has no BENCH_$*_RE in the Makefile))
-	$(GO) test -bench '$(BENCH_$*_RE)' -benchtime=1x -run '^$$' $(BENCH_$*_FLAGS) $(or $(BENCH_$*_PKG),.) > BENCH_$*.txt
+	$(GO) test -bench '$(BENCH_$*_RE)' -benchtime=1x -run '^$$' $(or $(BENCH_$*_PKG),.) > BENCH_$*.txt
 	cat BENCH_$*.txt
 	$(GO) run ./cmd/benchjson -o $@ < BENCH_$*.txt
 
@@ -71,8 +71,8 @@ bench-compare: bench
 profile:
 	$(GO) test -bench 'BenchmarkKernelScale$$' -benchtime=1x -run '^$$' \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o kernel.test ./internal/sim
-	$(GO) test -bench 'BenchmarkSchedScale$$' -benchtime=1x -run '^$$' -timeout 30m \
-		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof -o sched.test .
+	$(GO) test -bench 'BenchmarkSchedScale$$' -benchtime=1x -run '^$$' \
+		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof -o sched.test ./internal/sched
 
 # smoke builds and runs every example with its interesting flag
 # combinations so examples cannot silently rot.

@@ -10,20 +10,15 @@
 package picmcio
 
 import (
-	"fmt"
 	"math"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"picmcio/internal/bit1"
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
 	"picmcio/internal/experiments"
 	"picmcio/internal/jobs"
-	"picmcio/internal/sched"
 	"picmcio/internal/units"
 )
 
@@ -547,204 +542,5 @@ func BenchmarkWorkload(b *testing.B) {
 		b.ReportMetric(res[0].DurableSec, "ranks_1aggr_durable_s")
 		b.ReportMetric(res[1].DurableSec, "ranks_4aggr_durable_s")
 		b.ReportMetric(jobs.JainIndex(shares), "jain")
-	}
-}
-
-// BenchmarkSched measures the batch-scheduler subsystem under a deep
-// backlog: ~1300 jobs offered at 8× the partition's capacity, so the
-// wait queue builds past 1000 entries and EASY backfill's per-decision
-// work (priority sort + shadow-time reservation) runs at its worst
-// realistic depth. The gated throughput metric is the simulated
-// delivered write bandwidth (workload bytes over makespan) — it drops
-// if the scheduler or the contention model regresses into longer
-// schedules. The wall-clock admission rate is a context metric only
-// (host-speed dependent, so it must not gate).
-func BenchmarkSched(b *testing.B) {
-	m := cluster.Dardel()
-	pr := sched.NewPricer(m, 1, 6)
-	const partition = 64
-	s := sched.Synth{Tenants: 8, Users: 4, Seed: 1}
-	mean, err := sched.SubmitMeanForLoad(pr, m, s, 8, partition)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.SubmitMeanHours = mean
-	s.SpanHours = 1300 * mean / float64(8*4) // expect ~1300 submissions
-	stream, err := sched.Synthesize(m, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sched.Config{Machine: m, Nodes: partition, Seed: 1, Pricer: pr}
-	// Nominal workload volume each job writes (checkpoints + diagnostics
-	// across all epochs and nodes): deterministic, so delivered bandwidth
-	// is a pure function of the schedule the run produces.
-	var totalBytes float64
-	for _, j := range stream {
-		sh := j.Spec.Workload.Shape()
-		totalBytes += float64(sh.Epochs) * float64(sh.BytesPerNode) * float64(j.Nodes)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		res, err := sched.Run(cfg, sched.EASY{}, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		// Reconstruct the backlog depth the run actually saw: +1 per
-		// submission, -1 per start, max prefix over time order.
-		type ev struct {
-			at    float64
-			delta int
-		}
-		evs := make([]ev, 0, 2*len(res.Jobs))
-		for _, j := range res.Jobs {
-			evs = append(evs, ev{j.SubmitHours, +1}, ev{j.StartHours, -1})
-		}
-		depth, maxDepth := 0, 0
-		// Starts at the same instant as submissions drain first (a start
-		// can only follow its own submission).
-		sort.Slice(evs, func(a, b2 int) bool {
-			if evs[a].at != evs[b2].at {
-				return evs[a].at < evs[b2].at
-			}
-			return evs[a].delta < evs[b2].delta
-		})
-		for _, e := range evs {
-			depth += e.delta
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		}
-		if maxDepth < 1000 {
-			b.Fatalf("backlog peaked at %d jobs, benchmark requires >= 1000", maxDepth)
-		}
-		if len(res.Jobs) != len(stream) {
-			b.Fatalf("scheduled %d of %d jobs", len(res.Jobs), len(stream))
-		}
-		b.ReportMetric(float64(len(res.Jobs))/elapsed, "admitted_jobs_per_s")
-		b.ReportMetric(float64(maxDepth), "peak_queue_depth")
-		b.ReportMetric(res.Utilization(), "utilization")
-		b.ReportMetric(totalBytes/(res.Makespan*3600)/(1<<20), "delivered_MiBps")
-	}
-}
-
-// schedScaleStream synthesizes the whole-machine scheduler workload:
-// `jobs` submissions from 8 tenants × 4 users offered at 2.5× the
-// partition's node-hour capacity, so the backlog grows to roughly
-// (1 - 1/2.5) of the trace — thousands to tens of thousands of queued
-// jobs, the regime ROADMAP item 1 calls whole-machine queues. The
-// machine is the Dardel preset with its node ceiling raised to the
-// partition size.
-func schedScaleStream(nodes, jobCount int) (cluster.Machine, *sched.Pricer, []sched.Job, error) {
-	m := cluster.Dardel()
-	if nodes > m.MaxNodes {
-		m.MaxNodes = nodes
-	}
-	pr := sched.NewPricer(m, 1, 6)
-	s := sched.Synth{Tenants: 8, Users: 4, Seed: 1}
-	mean, err := sched.SubmitMeanForLoad(pr, m, s, 2.5, nodes)
-	if err != nil {
-		return m, nil, nil, err
-	}
-	s.SubmitMeanHours = mean
-	s.SpanHours = float64(jobCount) * mean / float64(8*4)
-	stream, err := sched.Synthesize(m, s)
-	if err != nil {
-		return m, nil, nil, err
-	}
-	// Shape pricing is shared, prewarmed state — both loops must pay
-	// event-loop costs, not first-sight simulation costs.
-	if err := pr.Prewarm(stream, 4); err != nil {
-		return m, nil, nil, err
-	}
-	return m, pr, stream, nil
-}
-
-// BenchmarkSchedScale is the scheduler's whole-machine throughput
-// record: 1024- and 4096-node partitions under multi-thousand-job
-// backlogs, each stream replayed through the retained naive event loop
-// and the indexed one, with the Results asserted byte-identical before
-// any rate is reported. Raw scheduled-jobs/sec metrics are
-// host-dependent context; the gated metric is the 4096-node FCFS
-// speedup ratio — host-independent, both sides measured in the same
-// process — which the bench-compare gate ratchets and the acceptance
-// floor below pins at ≥ 5×. EASY backfill runs at the 1024-node tier:
-// its per-decision queue sort dominates both loops equally at 4096
-// nodes, which would dilute the ratio the ratchet exists to protect.
-// A second ratcheted leg replays the 1024-node stream under fair-share
-// with preemption and node failures enabled, so the speedup guarantee
-// also covers the realism stack (floor ≥ 1.5×: the added per-event
-// bookkeeping is common to both loops and compresses the ratio —
-// measured ~2× at record time).
-func BenchmarkSchedScale(b *testing.B) {
-	cases := []struct {
-		nodes, jobs int
-		policy      sched.Policy
-		ratchet     bool
-		// realism turns on the full scheduler-realism stack — fair-share
-		// usage accounting, preemptive checkpoint-and-requeue, in-queue
-		// node failures — so the gated speedup covers the event loop's
-		// most feature-dense configuration, not just the clean path.
-		realism bool
-	}{
-		{1024, 5000, sched.FCFS{}, false, false},
-		{1024, 5000, sched.EASY{}, false, false},
-		{1024, 5000, sched.FairShare{}, true, true},
-		{4096, 20000, sched.FCFS{}, true, false},
-	}
-	for i := 0; i < b.N; i++ {
-		for _, c := range cases {
-			m, pr, stream, err := schedScaleStream(c.nodes, c.jobs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := sched.Config{Machine: m, Nodes: c.nodes, Seed: 1, Pricer: pr}
-			if c.realism {
-				cfg.Preempt = sched.PreemptConfig{MaxHeadWaitHours: 24, CheckpointHours: 0.5}
-				cfg.Faults = sched.FaultConfig{MTBFNodeHours: 2000, RepairHours: 12, RestartOverheadHours: 0.5}
-			}
-			restore := sched.ForceNaiveLoopForTesting()
-			start := time.Now()
-			naive, err := sched.Run(cfg, c.policy, stream)
-			naiveWall := time.Since(start).Seconds()
-			restore()
-			if err != nil {
-				b.Fatal(err)
-			}
-			start = time.Now()
-			indexed, err := sched.Run(cfg, c.policy, stream)
-			indexedWall := time.Since(start).Seconds()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !reflect.DeepEqual(naive, indexed) {
-				b.Fatalf("%d nodes %s: naive and indexed loops diverged", c.nodes, c.policy.Name())
-			}
-			if len(indexed.Jobs) != len(stream) {
-				b.Fatalf("%d nodes %s: scheduled %d of %d jobs", c.nodes, c.policy.Name(), len(indexed.Jobs), len(stream))
-			}
-			rate := float64(len(indexed.Jobs)) / indexedWall
-			speedup := naiveWall / indexedWall
-			tag := fmt.Sprintf("%d_%s", c.nodes, c.policy.Name())
-			b.ReportMetric(rate/1e3, "kjobs_per_s_"+tag)
-			switch {
-			case c.ratchet && c.realism:
-				// The realism stack adds per-event usage folding and kill
-				// bookkeeping to both loops; the indexed advantage shrinks
-				// but must stay decisive.
-				if speedup < 1.5 {
-					b.Fatalf("%d nodes %s realism: indexed loop is %.1f× the naive loop, acceptance floor is 1.5×", c.nodes, c.policy.Name(), speedup)
-				}
-				b.ReportMetric(speedup, "speedup_1024_realism_ratchet")
-			case c.ratchet:
-				if speedup < 5 {
-					b.Fatalf("%d nodes %s: indexed loop is %.1f× the naive loop, acceptance floor is 5×", c.nodes, c.policy.Name(), speedup)
-				}
-				b.ReportMetric(speedup, "speedup_4096_ratchet")
-			default:
-				b.ReportMetric(speedup, "speedup_"+tag+"_x")
-			}
-		}
 	}
 }

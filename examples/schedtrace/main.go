@@ -11,10 +11,9 @@
 // the shared-PFS contention model.
 //
 // -nodes and -jobs scale the partition and the backlog. The defaults
-// (64 nodes, ~240 jobs) run in a couple of seconds; the indexed event
-// loop keeps whole-machine runs tractable too — -nodes 4096 -jobs
-// 20000 replays in well under a minute, where the retired naive loop
-// took tens of minutes.
+// (64 nodes, ~240 jobs) run in a couple of seconds, and whole-machine
+// runs are routine too: -nodes 4096 -jobs 20000 replays in well under a
+// minute.
 //
 // -fair skews the tenant submission rates and adds the fair-share
 // policy to the comparison; -preempt enables checkpoint-and-requeue

@@ -435,8 +435,10 @@ func (t *Tier) Crash(p *sim.Proc, node int, survive bool) CrashReport {
 		lane := &ns.queues[seg.st.class]
 		*lane = append([]*segment{seg}, *lane...)
 	} else if ns.draining {
-		// Worker exists but is between segments (never observable with
-		// the serialized kernel; defensive): let it die with the node.
+		// The worker is between segments: spawned but not yet run, or
+		// blocked in a drained file's deferred close (drain releases the
+		// finished segment's pending bytes as it unwinds). It dies with
+		// the node.
 		t.k.Kill(ns.worker)
 		ns.draining, ns.worker = false, nil
 	}
@@ -679,8 +681,15 @@ func (t *Tier) drain(p *sim.Proc, ns *nodeState) {
 		t.stats.LastDrainEnd = p.Now()
 		cs.DrainedBytes += seg.n
 		cs.LastDrainEnd = p.Now()
-		t.settle(p, ns.client, seg.st)
-		t.pending.Add(-seg.n)
+		func() {
+			// The segment is written back; settle may still block in the
+			// file's deferred close, and a Crash landing there kills the
+			// worker mid-close. Deferred, the gauge release survives the
+			// unwind — skipping it would leave WaitDrained waiting forever
+			// on bytes that are already durable.
+			defer t.pending.Add(-seg.n)
+			t.settle(p, ns.client, seg.st)
+		}()
 	}
 	if ns.queuedSegs() == 0 {
 		ns.force = false

@@ -23,9 +23,10 @@ var goldenCases = []struct {
 	// figworkload's capture dates from its introduction (it postdates the
 	// sweep engine); byte identity pins the workload-interface composition.
 	{"figworkload", "golden_figworkload.txt", Options{Seed: 1}},
-	// figsched's capture predates the indexed event loop; byte identity
-	// pins the DES rewrite (virtual-time accounting, completion heap,
-	// incremental contention) to the naive-loop output.
+	// figsched's capture predates every scaling change to the sched event
+	// loop (stretched virtual time, incremental contention, admission-time
+	// prices, the PrefixPolicy veto); byte identity pins them all to the
+	// original per-event-rescan loop's output.
 	{"figsched", "golden_figsched.txt", Options{Seed: 1}},
 }
 

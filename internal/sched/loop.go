@@ -9,24 +9,7 @@ import (
 	"picmcio/internal/xrand"
 )
 
-// This file is the DES event loop behind Run, in two structures that
-// share every piece of event arithmetic:
-//
-//   - The indexed loop (the default): next-completion lookup through a
-//     lazily invalidated min-heap (heap.go), admission-time prices and
-//     submit times carried on queue entries, reused QueueView buffers,
-//     tombstoned O(1)-amortized queue removal, and an O(1) veto of
-//     provably idle decision points for prefix-order policies.
-//   - The naive loop (ForceNaiveLoopForTesting): the pre-index
-//     structure — O(run) completion scans, per-pass shape pricing
-//     through the memo map, fresh view allocations, splice queue
-//     removal — kept as the differential oracle and the speedup
-//     baseline for BenchmarkSchedScale.
-//
-// Because the shared core performs the exact same float operations in
-// the exact same order for both structures, the two loops produce
-// byte-identical Results; the differential suite enforces that on
-// randomized streams.
+// This file is the DES event loop behind Run.
 //
 // Remaining work is accounted in stretched virtual time: a running job
 // carries its last touch point (touchH, remH, slowdown) and between
@@ -35,60 +18,40 @@ import (
 //	remaining(t) = remH - (t-touchH)/slowdown
 //	endOf        = touchH + remH*slowdown   (constant between touches)
 //
-// so the clock can jump event-to-event without walking the running set
-// (the old advance-everyone-every-event pass), and a job is touched —
-// its elapsed time folded into remH — only when its slowdown is about
-// to change. Slowdowns are a pure function of each job's I/O fraction
-// and the shared contention factor `over`, and `over` moves only when
-// aggregate drain demand does, so the engine maintains demand
-// incrementally on start/complete and restretches only when `over`
-// actually changed.
-
-// forceNaiveLoop routes Run through the retained naive event loop.
-var forceNaiveLoop bool
-
-// ForceNaiveLoopForTesting routes every subsequent Run through the
-// retained naive event loop — the pre-index structure (O(run)
-// completion scans, per-pass shape pricing, fresh view allocations,
-// splice queue removal) sharing the indexed loop's arithmetic — and
-// returns a function restoring the previous behaviour. The
-// differential suite and BenchmarkSchedScale use it to prove the
-// indexed loop byte-identical and to measure its speedup. Test-only;
-// not safe for concurrent use with Run.
-func ForceNaiveLoopForTesting() (restore func()) {
-	prev := forceNaiveLoop
-	forceNaiveLoop = true
-	return func() { forceNaiveLoop = prev }
-}
+// so the clock jumps event-to-event without walking the running set,
+// and a job is touched — its elapsed time folded into remH — only when
+// its slowdown is about to change. Slowdowns are a pure function of each
+// job's I/O fraction and the shared contention factor `over`, and `over`
+// moves only when aggregate drain demand does, so the engine maintains
+// demand incrementally on start/complete and restretches only when
+// `over` actually changed.
+//
+// The wait queue is a dense slice in submission order: an entry is
+// priced once, on admission, and spliced out when its job starts. The
+// next completion is a min-scan over the running set — every completion
+// walks that set anyway to retire the finished jobs.
 
 // PrefixPolicy is an optional Policy refinement for strict
 // in-queue-order policies: PrefixBlocked(free, headNodes) reports that
 // a Pick under `free` free nodes with a queue head needing `headNodes`
-// is guaranteed to start nothing. The indexed event loop uses it to
-// skip queue-view construction entirely on events that cannot change
-// the schedule — the common case for a deep backlog behind a blocked
-// FCFS head. A policy that can start later jobs around a blocked head
-// (EASY backfill) must not implement it.
+// is guaranteed to start nothing. The event loop uses it to skip
+// queue-view construction entirely on events that cannot change the
+// schedule — the common case for a deep backlog behind a blocked FCFS
+// head. A policy that can start later jobs around a blocked head (EASY
+// backfill) must not implement it.
 type PrefixPolicy interface {
 	Policy
 	PrefixBlocked(free, headNodes int) bool
 }
 
-// qent is one queued job's admission record. The indexed loop prices
-// the job once on admission and tombstones the entry on start; the
-// naive loop re-prices per decision point through the memo map and
-// splices entries out, leaving dead always false.
+// qent is one queued job's admission record: the job, when it joined the
+// queue, and the price it is queued under — the shape's for a fresh
+// arrival, the remainder's for a continuation segment of a killed job.
 type qent struct {
 	job     *Job
 	submitH float64
 	price   Price
-	dead    bool
-	// cont marks a continuation segment of a killed job: its price is
-	// the remainder's (set at requeue time in both loops — the naive
-	// loop's per-pass re-pricing would recover the full job's price,
-	// which is no longer what is queued).
-	cont  bool
-	track *jobTrack
+	track   *jobTrack
 }
 
 // running is one admitted job's live state under stretched virtual
@@ -103,10 +66,6 @@ type running struct {
 	slowdown float64
 	drainBps float64
 	ioFrac   float64
-	// epoch versions the (touchH, remH, slowdown) triple; completion-heap
-	// entries snapshot it, and a snapshot whose epoch no longer matches is
-	// stale and discarded on pop (lazy invalidation).
-	epoch uint64
 
 	track *jobTrack // cross-segment bookkeeping (kills, recovered epochs)
 }
@@ -135,9 +94,7 @@ type engine struct {
 	arrivals []*Job
 	next     int // next arrival index
 
-	queue []*qent
-	live  int             // non-tombstoned queue entries
-	qued  map[int]float64 // naive loop's job ID -> submit time bookkeeping
+	queue []*qent // waiting jobs in submission order; queue[0] is the head
 
 	run      []*running // running set in start order
 	demand   float64    // aggregate drain demand, maintained incrementally
@@ -145,15 +102,8 @@ type engine struct {
 	now      float64
 	busy     int
 
-	naive  bool
 	prefix PrefixPolicy // non-nil when pol can veto idle passes in O(1)
-
-	heap endHeap // the indexed loop's completion index
-
-	// Reused QueueView backing buffers (indexed loop). viewSlots maps
-	// view queue indices back to e.queue slots across tombstones.
-	view      QueueView
-	viewSlots []int
+	view   QueueView    // backing buffers reused across decision points
 
 	// Realism-layer state (realism.go): the per-tenant usage ledger and
 	// its fairness integrals, the failure schedule, and the repair list.
@@ -202,9 +152,7 @@ func (e *engine) overOf() float64 {
 // over), so when `over` is unchanged every rewrite would reproduce the
 // value the job already carries — the pass is skipped entirely and no
 // job is touched. When `over` moved, every running job is touched at
-// `now`, re-stretched, and (indexed loop) the completion heap is
-// rebuilt in one O(run) heapify: stale keys are not one-sided bounds
-// when contention can both rise and fall, so re-keying must be eager.
+// `now` and re-stretched.
 func (e *engine) restretch() {
 	over := e.overOf()
 	if over == e.lastOver {
@@ -214,19 +162,11 @@ func (e *engine) restretch() {
 	for _, rj := range e.run {
 		rj.touch(e.now)
 		rj.slowdown = 1 + rj.ioFrac*(over-1)
-		rj.epoch++
-	}
-	if !e.naive {
-		e.heap.rebuild(e.run)
 	}
 }
 
-// nextEnd is the earliest predicted completion: a heap peek for the
-// indexed loop, a min scan over the running set for the naive one.
+// nextEnd is the earliest predicted completion, +Inf when nothing runs.
 func (e *engine) nextEnd() float64 {
-	if !e.naive {
-		return e.heap.min()
-	}
 	tEnd := math.Inf(1)
 	for _, rj := range e.run {
 		if t := rj.endOf(); t < tEnd {
@@ -283,9 +223,6 @@ func (e *engine) admit(j *Job, p Price, tr *jobTrack, backfilled bool) error {
 	e.demand += p.DrainBps
 	e.busy += j.Nodes
 	e.tenant(j.Tenant).rate += float64(j.Nodes)
-	if !e.naive {
-		e.heap.push(rj)
-	}
 	return nil
 }
 
@@ -318,7 +255,6 @@ func (e *engine) completeAt(tEnd float64) error {
 			ts := e.tenant(rj.job.Tenant)
 			ts.rate -= float64(rj.job.Nodes)
 			ts.active--
-			rj.epoch++ // strand any completion-heap snapshot
 		} else {
 			kept = append(kept, rj)
 		}
@@ -329,27 +265,20 @@ func (e *engine) completeAt(tEnd float64) error {
 	return nil
 }
 
-// enqueue admits an arrival to the wait queue. The indexed loop prices
-// the shape here — once per job instead of once per decision point.
+// enqueue admits an arrival to the wait queue, pricing its shape here —
+// once per job instead of once per decision point.
 func (e *engine) enqueue(j *Job) error {
-	tr := &jobTrack{res: &JobResult{Job: *j}, lastEnqueue: e.now}
-	ent := &qent{job: j, submitH: e.now, track: tr}
-	if e.naive {
-		e.qued[j.ID] = e.now
-	} else {
-		p, err := e.pr.Price(j.Spec)
-		if err != nil {
-			return err
-		}
-		ent.price = p
+	p, err := e.pr.Price(j.Spec)
+	if err != nil {
+		return err
 	}
-	e.queue = append(e.queue, ent)
-	e.live++
+	tr := &jobTrack{res: &JobResult{Job: *j}, lastEnqueue: e.now}
+	e.queue = append(e.queue, &qent{job: j, submitH: e.now, price: p, track: tr})
 	e.tenant(j.Tenant).active++
 	return nil
 }
 
-// loop is the shared event skeleton over four event kinds — arrivals,
+// loop is the event skeleton over four event kinds — arrivals,
 // completions, node failures, repairs — plus the preemption deadline.
 // Ties resolve in a fixed priority: completions free nodes first (as a
 // real scheduler's event loop would), then repairs restore capacity,
@@ -359,7 +288,7 @@ func (e *engine) enqueue(j *Job) error {
 // can outlive the arrival stream and the running set).
 func (e *engine) loop() error {
 	e.sample()
-	for e.next < len(e.arrivals) || len(e.run) > 0 || e.live > 0 {
+	for e.next < len(e.arrivals) || len(e.run) > 0 || len(e.queue) > 0 {
 		tArr := math.Inf(1)
 		if e.next < len(e.arrivals) {
 			tArr = e.arrivals[e.next].SubmitHours
@@ -400,9 +329,9 @@ func (e *engine) loop() error {
 		case !math.IsInf(tPre, 1):
 			e.advance(tPre)
 		default:
-			// Live queue entries but no event can ever fire again: a
-			// policy refused a job that fits an empty partition.
-			return fmt.Errorf("sched: policy %s deadlocked with %d queued job(s) at t=%v", e.pol.Name(), e.live, e.now)
+			// Queued jobs but no event can ever fire again: a policy
+			// refused a job that fits an empty partition.
+			return fmt.Errorf("sched: policy %s deadlocked with %d queued job(s) at t=%v", e.pol.Name(), len(e.queue), e.now)
 		}
 		if err := e.scheduleAndPreempt(); err != nil {
 			return err
@@ -416,97 +345,22 @@ func (e *engine) loop() error {
 	return nil
 }
 
+// schedule is the decision step: consult the policy until it starts
+// nothing more. Each pass that starts jobs changes the view, so the
+// policy gets another look (it may have been conservative about a
+// now-free slot).
 func (e *engine) schedule() error {
-	if e.naive {
-		return e.scheduleNaive()
-	}
-	return e.scheduleIndexed()
-}
-
-// scheduleNaive is the pre-index decision loop: a fresh QueueView per
-// pass, every queued shape re-priced through the memo map, started
-// jobs spliced out of the queue.
-func (e *engine) scheduleNaive() error {
-	for {
-		v := QueueView{NowHours: e.now, Free: e.sys.FreeNodes(), Usage: e.usageSnapshot()}
-		for _, ent := range e.queue {
-			p := ent.price
-			if !ent.cont {
-				var err error
-				p, err = e.pr.Price(ent.job.Spec)
-				if err != nil {
-					return err
-				}
-			}
-			v.Queue = append(v.Queue, Pending{Job: ent.job, WaitHours: e.now - e.qued[ent.job.ID], ServiceHours: p.EstimateHours})
-		}
-		for _, rj := range e.run {
-			v.Running = append(v.Running, Active{Nodes: rj.job.Nodes, EndHours: rj.endOf()})
-		}
-		ds := e.pol.Pick(v)
-		if len(ds) == 0 {
-			return nil
-		}
-		// Indices reference the view's queue; apply back-to-front so
-		// earlier removals do not shift later picks.
-		sort.Slice(ds, func(a, b int) bool { return ds[a].QueueIndex > ds[b].QueueIndex })
-		for _, d := range ds {
-			if d.QueueIndex < 0 || d.QueueIndex >= len(e.queue) {
-				return fmt.Errorf("sched: policy %s picked queue index %d of %d", e.pol.Name(), d.QueueIndex, len(e.queue))
-			}
-			ent := e.queue[d.QueueIndex]
-			p := ent.price
-			if !ent.cont {
-				var err error
-				p, err = e.pr.Price(ent.job.Spec)
-				if err != nil {
-					return err
-				}
-			}
-			if err := e.admit(ent.job, p, ent.track, d.Backfilled); err != nil {
-				return err
-			}
-			// Started jobs no longer wait: drop the submit-time entry so a
-			// long trace does not hold every ID's bookkeeping forever.
-			delete(e.qued, ent.job.ID)
-			e.queue = append(e.queue[:d.QueueIndex], e.queue[d.QueueIndex+1:]...)
-			e.live--
-		}
-		e.restretch()
-		e.sample()
-		// Loop: starting jobs changed the view; give the policy another
-		// look (it may have been conservative about a now-free slot).
-		if e.live == 0 {
-			return nil
-		}
-	}
-}
-
-// scheduleIndexed is the scaled decision loop: reused view buffers,
-// admission-time prices, tombstoned queue removal, and the
-// PrefixPolicy veto for decision points that provably start nothing.
-func (e *engine) scheduleIndexed() error {
-	for {
-		if e.live == 0 {
-			return nil
-		}
+	for len(e.queue) > 0 {
 		free := e.sys.FreeNodes()
-		if e.prefix != nil {
-			if head := e.headEnt(); head != nil && e.prefix.PrefixBlocked(free, head.job.Nodes) {
-				return nil // O(1): this pass cannot start anything
-			}
+		if e.prefix != nil && e.prefix.PrefixBlocked(free, e.queue[0].job.Nodes) {
+			return nil // O(1): this pass cannot start anything
 		}
 		e.view.NowHours = e.now
 		e.view.Free = free
 		e.view.Usage = e.usageSnapshot()
 		e.view.Queue = e.view.Queue[:0]
-		e.viewSlots = e.viewSlots[:0]
-		for si, ent := range e.queue {
-			if ent.dead {
-				continue
-			}
+		for _, ent := range e.queue {
 			e.view.Queue = append(e.view.Queue, Pending{Job: ent.job, WaitHours: e.now - ent.submitH, ServiceHours: ent.price.EstimateHours})
-			e.viewSlots = append(e.viewSlots, si)
 		}
 		e.view.Running = e.view.Running[:0]
 		for _, rj := range e.run {
@@ -516,50 +370,34 @@ func (e *engine) scheduleIndexed() error {
 		if len(ds) == 0 {
 			return nil
 		}
-		// Same back-to-front application order as the naive loop: the
-		// allocator's lease sequence is part of the byte-identity contract.
+		// Apply back-to-front so splicing a started job out does not shift
+		// the picks still to come. Admission order is the running set's
+		// order, which fixes retirement order and which job a failure hits.
 		sort.Slice(ds, func(a, b int) bool { return ds[a].QueueIndex > ds[b].QueueIndex })
-		for _, d := range ds {
-			if d.QueueIndex < 0 || d.QueueIndex >= len(e.viewSlots) {
-				return fmt.Errorf("sched: policy %s picked queue index %d of %d", e.pol.Name(), d.QueueIndex, len(e.view.Queue))
+		n := len(e.queue)
+		for i, d := range ds {
+			if d.QueueIndex < 0 || d.QueueIndex >= n {
+				return fmt.Errorf("sched: policy %s picked queue index %d of %d", e.pol.Name(), d.QueueIndex, n)
 			}
-			ent := e.queue[e.viewSlots[d.QueueIndex]]
-			if ent.dead {
+			if i > 0 && d.QueueIndex == ds[i-1].QueueIndex {
 				return fmt.Errorf("sched: policy %s picked queue index %d twice", e.pol.Name(), d.QueueIndex)
 			}
+			ent := e.queue[d.QueueIndex]
 			if err := e.admit(ent.job, ent.price, ent.track, d.Backfilled); err != nil {
 				return err
 			}
-			ent.dead = true
-			e.live--
+			e.queue = append(e.queue[:d.QueueIndex], e.queue[d.QueueIndex+1:]...)
 		}
-		e.compactQueue()
 		e.restretch()
 		e.sample()
-	}
-}
-
-// headEnt is the first live queue entry (the policy-visible head).
-func (e *engine) headEnt() *qent {
-	for _, ent := range e.queue {
-		if !ent.dead {
-			return ent
-		}
 	}
 	return nil
 }
 
-// compactQueue drops tombstones once they outnumber live entries, so
-// removal stays O(1) amortized and headEnt's dead-prefix walk stays
-// short without ever shifting live entries out of submission order.
-func (e *engine) compactQueue() {
-	if dead := len(e.queue) - e.live; dead > e.live && dead > 32 {
-		kept := e.queue[:0]
-		for _, ent := range e.queue {
-			if !ent.dead {
-				kept = append(kept, ent)
-			}
-		}
-		e.queue = kept
+// headEnt is the queue head, nil when nothing waits.
+func (e *engine) headEnt() *qent {
+	if len(e.queue) == 0 {
+		return nil
 	}
+	return e.queue[0]
 }

@@ -31,9 +31,9 @@ func (FCFS) Pick(v QueueView) []Decision {
 }
 
 // PrefixBlocked implements PrefixPolicy: Pick stops at the first job
-// that does not fit, so a blocked head blocks the whole pass. The
-// indexed event loop uses this to skip decision points in O(1) —
-// arrivals behind a blocked head, completions too narrow to unblock it.
+// that does not fit, so a blocked head blocks the whole pass. The event
+// loop uses this to skip decision points in O(1) — arrivals behind a
+// blocked head, completions too narrow to unblock it.
 func (FCFS) PrefixBlocked(free, headNodes int) bool { return headNodes > free }
 
 // EASY is EASY backfill with priority aging. The queue is ordered by an
@@ -156,23 +156,17 @@ type FairShare struct {
 // Name implements Policy.
 func (p FairShare) Name() string { return "fair-share" }
 
-func (p FairShare) agingHours() float64 {
-	if p.AgingHours <= 0 {
-		return 2
-	}
-	return p.AgingHours
-}
-
 // Pick implements Policy.
 func (p FairShare) Pick(v QueueView) []Decision {
 	order := make([]int, len(v.Queue))
 	usage := make([]float64, len(v.Queue))
 	scores := make([]float64, len(v.Queue))
+	aged := EASY{AgingHours: p.AgingHours}
 	for i := range order {
 		order[i] = i
 		q := v.Queue[i]
 		usage[i] = v.Usage[q.Job.Tenant]
-		scores[i] = q.WaitHours/p.agingHours() - math.Log2(float64(q.Job.Nodes))
+		scores[i] = aged.score(q)
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if usage[order[a]] != usage[order[b]] {

@@ -15,10 +15,7 @@ import (
 // skeleton: the per-tenant decayed-usage ledger the FairShare policy and
 // the preemptor read, checkpoint-and-requeue kills (preemption and node
 // failures share one path), and the repair-window bookkeeping that
-// shrinks the free-node count while a failed node is out. Everything
-// here is engine-shared code — the naive and indexed loops run the exact
-// same float operations in the same order, so the differential suite's
-// byte-identity contract extends over all of it.
+// shrinks the free-node count while a failed node is out.
 
 // PreemptConfig enables preemption via checkpoint-and-requeue.
 type PreemptConfig struct {
@@ -127,7 +124,7 @@ type TenantShare struct {
 // node-hours (the quantity fair-share equalizes), its current accrual
 // rate, and the fairness integrals. All tenants fold together at every
 // event-time advance — never in between — so the decay arithmetic is a
-// pure function of the event history and identical in both loops.
+// pure function of the event history.
 type tenantState struct {
 	name    string
 	usage   float64 // decayed delivered node-hours, folded to engine.now
@@ -332,7 +329,6 @@ func (e *engine) killRunning(rj *running, byFailure bool) error {
 	e.res.LeaseOps++
 	e.busy -= rj.job.Nodes
 	e.demand -= rj.drainBps
-	rj.epoch++ // strand any completion-heap snapshot
 	kept := e.run[:0]
 	for _, r := range e.run {
 		if r != rj {
@@ -355,12 +351,7 @@ func (e *engine) killRunning(rj *running, byFailure bool) error {
 	tr.segLed = nil // rebuilt on the next admission
 	tr.lastEnqueue = e.now
 	e.res.RequeuedNodeHours += float64(rj.job.Nodes) * tr.segSvcH
-	ent := &qent{job: rj.job, submitH: e.now, price: e.segmentPrice(tr), cont: true, track: tr}
-	if e.naive {
-		e.qued[rj.job.ID] = e.now
-	}
-	e.queue = append(e.queue, ent)
-	e.live++
+	e.queue = append(e.queue, &qent{job: rj.job, submitH: e.now, price: e.segmentPrice(tr), track: tr})
 	e.restretch()
 	e.sample()
 	return nil

@@ -2,12 +2,10 @@ package sched
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
-	"picmcio/internal/xrand"
 )
 
 // realismHarness prices one size class on a machine and returns the
@@ -217,70 +215,6 @@ func TestFairSharePickOrdersByUsage(t *testing.T) {
 	}
 	if _, err := Policies("fair"); err != nil {
 		t.Fatalf("Policies(fair): %v", err)
-	}
-}
-
-// TestNaiveIndexedEquivalenceRealism extends the differential proof to
-// the realism layer: randomized skewed Synth streams with fair-share,
-// preemption, and in-queue node failures all enabled replay through
-// both loops, and the full Result — kill counters, usage-fairness
-// integrals, repair bookkeeping included — must stay byte-identical.
-func TestNaiveIndexedEquivalenceRealism(t *testing.T) {
-	m := cluster.Dardel()
-	cases := []struct {
-		tenants, users int
-		load           float64
-		weights        []float64
-		survival       fault.Survivability
-		mtbf           float64
-	}{
-		{tenants: 4, users: 2, load: 1.2, weights: []float64{6, 2, 1, 1}, survival: fault.SurviveNVMe, mtbf: 400},
-		{tenants: 3, users: 2, load: 1.0, weights: []float64{4, 1, 1}, survival: fault.SurviveNone, mtbf: 250},
-	}
-	for ci, c := range cases {
-		pr := NewPricer(m, 7, 6)
-		pr.EstimateError = 0.3
-		s := Synth{Tenants: c.tenants, Users: c.users, Seed: xrand.SeedAt(23, uint64(ci)), TenantWeights: c.weights}
-		mean, err := SubmitMeanForLoad(pr, m, s, c.load, 64)
-		if err != nil {
-			t.Fatalf("case %d: calibrate: %v", ci, err)
-		}
-		s.SubmitMeanHours = mean
-		s.SpanHours = 150 * mean / float64(c.tenants*c.users)
-		stream, err := Synthesize(m, s)
-		if err != nil {
-			t.Fatalf("case %d: synthesize: %v", ci, err)
-		}
-		for _, pol := range []Policy{FCFS{}, EASY{}, FairShare{}} {
-			cfg := Config{
-				Machine: m, Nodes: 64, Seed: 7, Pricer: pr,
-				Preempt: PreemptConfig{MaxHeadWaitHours: 8, CheckpointHours: 0.5},
-				Faults: FaultConfig{
-					MTBFNodeHours:        c.mtbf,
-					RepairHours:          4,
-					RestartOverheadHours: 0.5,
-					Survival:             c.survival,
-				},
-			}
-			indexed, err := Run(cfg, pol, stream)
-			if err != nil {
-				t.Fatalf("case %d %s: indexed: %v", ci, pol.Name(), err)
-			}
-			restore := ForceNaiveLoopForTesting()
-			naive, err := Run(cfg, pol, stream)
-			restore()
-			if err != nil {
-				t.Fatalf("case %d %s: naive: %v", ci, pol.Name(), err)
-			}
-			if !reflect.DeepEqual(indexed, naive) {
-				t.Errorf("case %d %s: loops diverged with realism on (%d vs %d jobs, %d vs %d kills, usage jain %v vs %v)",
-					ci, pol.Name(), len(indexed.Jobs), len(naive.Jobs),
-					indexed.FailureKills, naive.FailureKills, indexed.UsageJain, naive.UsageJain)
-			}
-			if indexed.FailureKills == 0 && indexed.IdleFailures == 0 {
-				t.Errorf("case %d %s: no failures landed — the case exercises nothing", ci, pol.Name())
-			}
-		}
 	}
 }
 

@@ -4,11 +4,12 @@
 // of job submissions — synthesized from per-tenant user populations via
 // fault.Arrivals-style exponential interarrivals, or replayed from a
 // trace file (see trace.go) — under a pluggable scheduling Policy
-// (FCFS, EASY-backfill with priority aging).
+// (FCFS, EASY-backfill with priority aging, fair-share).
 //
-// The simulator is a discrete-event loop over two event kinds, arrivals
-// and completions, on a clock measured in production hours (the same
-// campaign clock internal/experiments' failure campaigns use). Each
+// The simulator is a discrete-event loop over arrivals and completions —
+// plus node failures, repairs and preemption deadlines when the realism
+// layer (realism.go) is on — on a clock measured in production hours (the
+// same campaign clock internal/experiments' failure campaigns use). Each
 // admitted job leases its nodes through cluster.System.Allocate and
 // returns them through Free, so the allocator sees exactly the churn a
 // real resource manager produces. A job's isolated service time and
@@ -29,6 +30,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"picmcio/internal/cluster"
@@ -378,18 +380,8 @@ func (r *Result) JainTenants() float64 {
 }
 
 // Run replays the job stream (sorted by SubmitHours; ties broken by ID)
-// through the policy on the config's machine partition.
-//
-// Two event-loop implementations exist behind this entry point. The
-// default indexed loop (loop.go) finds the next completion through a
-// lazily invalidated min-heap, reuses QueueView buffers across decision
-// points, removes started jobs from the wait queue in O(1) amortized,
-// and lets prefix-order policies veto provably idle decision points in
-// O(1) — the machinery that makes whole-machine runs (thousands of
-// nodes, tens of thousands of queued jobs) tractable. The retained
-// naive loop (ForceNaiveLoopForTesting) keeps the pre-index structure;
-// both share every piece of event arithmetic, and the differential
-// suite holds them byte-identical.
+// through the policy on the config's machine partition (the event loop
+// is loop.go).
 func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if pol == nil {
@@ -414,6 +406,9 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 			return nil, fmt.Errorf("sched: duplicate job ID %d in stream", j.ID)
 		}
 		seen[j.ID] = true
+		if math.IsNaN(j.SubmitHours) || math.IsInf(j.SubmitHours, 0) {
+			return nil, fmt.Errorf("sched: job %d has non-finite submit time %v", j.ID, j.SubmitHours)
+		}
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
 			return nil, fmt.Errorf("sched: job %d needs %d nodes on a %d-node partition", j.ID, j.Nodes, cfg.Nodes)
 		}
@@ -447,12 +442,7 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 		e.fails = cfg.Faults.arrivalTimes(cfg.Seed, cfg.Nodes, lastSubmit)
 		e.failRng = xrand.New(xrand.SeedAt(cfg.Seed^failSeedSalt, 1))
 	}
-	if forceNaiveLoop {
-		e.naive = true
-		e.qued = map[int]float64{}
-	} else if pp, ok := pol.(PrefixPolicy); ok {
-		e.prefix = pp
-	}
+	e.prefix, _ = pol.(PrefixPolicy)
 	if err := e.loop(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"picmcio/internal/burst"
@@ -116,6 +117,28 @@ func TestPricerMemoizesShapes(t *testing.T) {
 	}
 	if p1.IOFrac < 0 || p1.IOFrac > 1 {
 		t.Fatalf("IOFrac %v outside [0,1]", p1.IOFrac)
+	}
+	// The event loop prices a job once, when it joins the queue, and
+	// plans with that price at every later decision point: sound only if
+	// a run leaves every price bit-identical.
+	stream := testStream(t, m, 42)
+	before := make([]Price, len(stream))
+	for i, j := range stream {
+		if before[i], err = pr.Price(j.Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Run(Config{Machine: m, Nodes: 24, Seed: 42, Pricer: pr}, EASY{}, stream); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range stream {
+		after, err := pr.Price(j.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before[i] {
+			t.Fatalf("job %d: price moved across a run: %+v -> %+v", j.ID, before[i], after)
+		}
 	}
 }
 
@@ -274,6 +297,57 @@ func TestRunValidation(t *testing.T) {
 	bad.Spec.Nodes = 4
 	if _, err := Run(cfg, FCFS{}, []Job{bad}); err == nil {
 		t.Fatal("spec/job node mismatch accepted")
+	}
+	// A non-finite submit time is the stream's fault, not the policy's:
+	// the error must name the job rather than report a deadlock (NaN,
+	// +Inf) or succeed with StartHours=-Inf and WaitHours=NaN (-Inf).
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Run(cfg, FCFS{}, []Job{mk(1, 2, 0), mk(7, 2, at)})
+		if err == nil || !strings.Contains(err.Error(), "job 7") || strings.Contains(err.Error(), "deadlocked") {
+			t.Errorf("submit time %v: err = %v, want a validation error naming job 7", at, err)
+		}
+	}
+}
+
+// misbehaving is a stub policy whose Pick is supplied by the test.
+type misbehaving func(v QueueView) []Decision
+
+func (misbehaving) Name() string                  { return "stub" }
+func (f misbehaving) Pick(v QueueView) []Decision { return f(v) }
+
+// TestPolicyMisbehaviourIsAnError: a policy that breaks the Pick
+// contract fails the run with the specific error — never a panic, never
+// a spin.
+func TestPolicyMisbehaviourIsAnError(t *testing.T) {
+	m := cluster.Discoverer()
+	cfg := Config{Machine: m, Nodes: 8, Seed: 1}
+	c := DefaultClasses()[0]
+	var stream []Job
+	for id := 1; id <= 5; id++ {
+		s := c.Spec(m)
+		s.Nodes = 4
+		stream = append(stream, Job{ID: id, Tenant: "t", Class: c.Name, Nodes: 4, SubmitHours: 0, Spec: s})
+	}
+	cases := []struct {
+		name string
+		pick misbehaving
+		want string
+	}{
+		{"out of range", func(v QueueView) []Decision { return []Decision{{QueueIndex: len(v.Queue)}} }, "picked queue index 5 of 5"},
+		{"negative", func(v QueueView) []Decision { return []Decision{{QueueIndex: 0}, {QueueIndex: -1}} }, "picked queue index -1 of 5"},
+		{"same index twice", func(v QueueView) []Decision { return []Decision{{QueueIndex: 1}, {QueueIndex: 0}, {QueueIndex: 1}} }, "picked queue index 1 twice"},
+		{"last index twice", func(v QueueView) []Decision { return []Decision{{QueueIndex: 4}, {QueueIndex: 4}} }, "picked queue index 4 twice"},
+		{"wider than free", func(v QueueView) []Decision { return []Decision{{QueueIndex: 0}, {QueueIndex: 1}, {QueueIndex: 2}} }, "overcommitted"},
+		{"nothing ever", func(v QueueView) []Decision { return nil }, "deadlocked with 5 queued job(s)"},
+	}
+	for _, tc := range cases {
+		res, err := Run(cfg, tc.pick, stream)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "policy stub") {
+			t.Errorf("%s: err = %v, want one naming policy stub and %q", tc.name, err, tc.want)
+		}
+		if res != nil {
+			t.Errorf("%s: a failed run returned a result", tc.name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -295,6 +296,12 @@ func ReadTrace(r io.Reader, m cluster.Machine, classes []SizeClass) ([]Job, erro
 		)
 		if _, err := fmt.Sscanf(text, "%d %s %s %d %g", &id, &tenant, &name, &nodes, &at); err != nil {
 			return nil, fmt.Errorf("sched: trace line %d: %v", line, err)
+		}
+		if nodes < 1 {
+			return nil, fmt.Errorf("sched: trace line %d: job %d needs %d nodes", line, id, nodes)
+		}
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			return nil, fmt.Errorf("sched: trace line %d: job %d has non-finite submit_hours %v", line, id, at)
 		}
 		c, ok := byName[name]
 		if !ok {

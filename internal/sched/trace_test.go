@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -145,6 +146,62 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// Values Sscanf parses happily but no job can have; the error carries
+	// the offending line's number.
+	for name, jobLine := range map[string]string{
+		"NaN submit":     "2 t narrow 2 NaN",
+		"+Inf submit":    "2 t narrow 2 Inf",
+		"-Inf submit":    "2 t narrow 2 -Inf",
+		"zero nodes":     "2 t narrow 0 0.5",
+		"negative nodes": "2 t narrow -3 0.5",
+	} {
+		in := "#schedtrace v1\n# comment\n1 t narrow 2 0.25\n" + jobLine + "\n"
+		_, err := ReadTrace(strings.NewReader(in), m, nil)
+		if err == nil || !strings.Contains(err.Error(), "line 4") {
+			t.Errorf("%s: err = %v, want a rejection naming line 4", name, err)
+		}
+	}
+}
+
+// FuzzReadTrace: arbitrary bytes never panic or hang ReadTrace, an
+// accepted trace holds no more jobs than the input has lines, and it
+// survives WriteTrace∘ReadTrace unchanged.
+func FuzzReadTrace(f *testing.F) {
+	m := cluster.Dardel()
+	js, err := Synthesize(m, Synth{Tenants: 3, Users: 2, SubmitMeanHours: 4, SpanHours: 12, Seed: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, js); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		js, err := ReadTrace(bytes.NewReader(in), m, nil)
+		if err != nil {
+			return
+		}
+		if lines := bytes.Count(in, []byte("\n")) + 1; len(js) >= lines {
+			t.Fatalf("%d jobs parsed from %d lines", len(js), lines)
+		}
+		for _, j := range js {
+			if j.Nodes < 1 || math.IsNaN(j.SubmitHours) || math.IsInf(j.SubmitHours, 0) {
+				t.Fatalf("accepted impossible job %+v", j)
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, js); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&out, m, nil)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(js, back) {
+			t.Fatalf("round trip changed the stream:\n%s", out.Bytes())
+		}
+	})
 }
 
 func TestReadTraceSkipsCommentsAndResizes(t *testing.T) {
