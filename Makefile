@@ -33,6 +33,8 @@ BENCH_sched_PKG     := ./internal/sched
 BENCH_workload_RE   := BenchmarkWorkload$$
 BENCH_kernel_RE     := BenchmarkKernelScale$$
 BENCH_kernel_PKG    := ./internal/sim
+BENCH_adaptor_RE    := BenchmarkAdaptorSave$$
+BENCH_adaptor_PKG   := ./internal/core
 
 # BENCH_BASELINES lists the committed regression baselines the compare
 # gate runs against, by stem.
@@ -63,16 +65,22 @@ bench-compare: bench
 	done
 
 # profile captures CPU and allocation profiles of the machine-scale
-# benchmarks for pprof inspection:
+# benchmarks, and of one real figure (the end-to-end benchmark's
+# aggr_sweep: fig6 at 16 nodes, every allocation sampled), for pprof
+# inspection:
 #   go tool pprof kernel.test cpu.pprof
 #   go tool pprof -alloc_space kernel.test mem.pprof
 #   go tool pprof sched.test sched_cpu.pprof
 #   go tool pprof -alloc_space sched.test sched_mem.pprof
+#   go tool pprof fig6.bin fig6_cpu.pprof
+#   go tool pprof -sample_index=alloc_objects fig6.bin fig6_mem.pprof
 profile:
 	$(GO) test -bench 'BenchmarkKernelScale$$' -benchtime=1x -run '^$$' \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o kernel.test ./internal/sim
 	$(GO) test -bench 'BenchmarkSchedScale$$' -benchtime=1x -run '^$$' \
 		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof -o sched.test ./internal/sched
+	$(GO) build -o fig6.bin ./cmd/experiments
+	./fig6.bin -cpuprofile fig6_cpu.pprof -memprofile fig6_mem.pprof -run fig6 -nodes 16 -diag-epochs 3
 
 # smoke builds and runs every example with its interesting flag
 # combinations so examples cannot silently rot.
@@ -110,4 +118,5 @@ sweep-smoke:
 clean:
 	rm -f BENCH_*.json BENCH_*.txt
 	rm -f cpu.pprof mem.pprof kernel.test sched_cpu.pprof sched_mem.pprof sched.test
+	rm -f fig6_cpu.pprof fig6_mem.pprof fig6.bin
 	rm -f figsizing.json campfail.json figinterval.json figsched.json figfair.json figworkload.json

@@ -12,6 +12,7 @@
 //	experiments -json figsizing      # sweep table as JSON
 //	experiments -parallel 8 figfault # bit-identical to -parallel 1
 //	experiments -optimal campfail    # validate the ckptopt interval
+//	experiments -cpuprofile cpu.pprof -memprofile mem.pprof -run fig6
 package main
 
 import (
@@ -19,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -40,6 +43,8 @@ func main() {
 	campaignMTBF := flag.Float64("campaign-mtbf", 0, "campfail/figinterval per-node MTBF override in hours (0 = machine preset)")
 	optimal := flag.Bool("optimal", false, "campfail validation mode: run at the ckptopt-recommended interval vs fixed baselines")
 	schedJobs := flag.Int("sched-jobs", 0, "figsched expected jobs per campaign cell (0 = default 240)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the artifact runs to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (every allocation sampled) to this file")
 	flag.Parse()
 	if *list {
 		for _, a := range experiments.Catalog() {
@@ -97,6 +102,10 @@ func main() {
 		// break any consumer doing a single parse of the output.
 		fatal(fmt.Errorf("-json emits one JSON document; run one artifact per invocation (got %d)", len(names)))
 	}
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		a, ok := experiments.Lookup(name)
@@ -115,6 +124,50 @@ func main() {
 		}
 		fmt.Print(out.Text)
 	}
+	if err := stop(); err != nil {
+		fatal(err)
+	}
+}
+
+// startProfiles begins the requested pprof profiles and returns the
+// function that finishes and writes them. A run that ends in fatal
+// leaves no profile: there is nothing worth reading in one.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		// The allocation hunt counts objects, so sample every one.
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // fold the last cycle's frees into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // emitJSON writes the artifact's machine-readable form: the sweep table

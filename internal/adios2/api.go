@@ -181,11 +181,13 @@ func (io *IO) AddOperation(codec string) error {
 // Operator reports the attached compression operator name ("" if none).
 func (io *IO) Operator() string { return io.operator }
 
-// Variable describes an n-dimensional distributed array.
+// Variable describes an n-dimensional distributed array. It owns the
+// storage behind Shape and its selection: DefineVariable, SetShape and
+// SetSelection copy the caller's slices in, so callers may reuse theirs.
 type Variable struct {
 	Name  string
 	Type  DType
-	Shape []uint64 // global extent
+	Shape []uint64 // global extent; read-only for callers, SetShape writes it
 	start []uint64
 	count []uint64
 }
@@ -196,7 +198,13 @@ func (io *IO) DefineVariable(name string, t DType, shape, start, count []uint64)
 	if len(shape) != len(start) || len(shape) != len(count) {
 		return nil, fmt.Errorf("adios2: dimension mismatch for %q", name)
 	}
-	v := &Variable{Name: name, Type: t, Shape: shape, start: start, count: count}
+	// One block for all three, overwritten in place from here on.
+	n := len(shape)
+	dims := make([]uint64, 3*n)
+	v := &Variable{Name: name, Type: t, Shape: dims[:n:n], start: dims[n : 2*n : 2*n], count: dims[2*n:]}
+	copy(v.Shape, shape)
+	copy(v.start, start)
+	copy(v.count, count)
 	io.vars[name] = v
 	return v, nil
 }
@@ -223,7 +231,7 @@ func (v *Variable) SetShape(shape []uint64) error {
 	if len(shape) != len(v.Shape) {
 		return fmt.Errorf("adios2: shape rank change for %q", v.Name)
 	}
-	v.Shape = append([]uint64(nil), shape...)
+	copy(v.Shape, shape)
 	return nil
 }
 
@@ -232,7 +240,8 @@ func (v *Variable) SetSelection(start, count []uint64) error {
 	if len(start) != len(v.Shape) || len(count) != len(v.Shape) {
 		return fmt.Errorf("adios2: selection rank mismatch for %q", v.Name)
 	}
-	v.start, v.count = start, count
+	copy(v.start, start)
+	copy(v.count, count)
 	return nil
 }
 

@@ -49,12 +49,14 @@ type chunkDesc struct {
 	Len     int64    `json:"len"`    // stored (possibly compressed) block length
 }
 
+// putRec is one staged Put. Its selection is a snapshot, taken at Put
+// time because the variable's own is overwritten by the next
+// SetSelection: start then count, at sel in the engine's selection buffer.
 type putRec struct {
-	v     *Variable
-	start []uint64
-	count []uint64
-	n     int64
-	data  []byte
+	v    *Variable
+	sel  int
+	n    int64
+	data []byte
 }
 
 type stepLoc struct {
@@ -87,6 +89,7 @@ type Engine struct {
 	pfsDurable bool // EndStep blocks until staged writes are PFS-durable
 
 	puts      []putRec
+	sels      []uint64 // the step's selection snapshots, reset at BeginStep
 	inStep    bool
 	curStep   int64
 	stepSeq   int
@@ -187,6 +190,7 @@ func (e *Engine) BeginStep(id int64) error {
 	e.inStep = true
 	e.curStep = id
 	e.puts = e.puts[:0]
+	e.sels = e.sels[:0]
 	e.contentOK = true
 	return nil
 }
@@ -208,9 +212,8 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	if data == nil {
 		e.contentOK = false
 	}
-	start := append([]uint64(nil), v.start...)
-	count := append([]uint64(nil), v.count...)
-	e.puts = append(e.puts, putRec{v: v, start: start, count: count, n: n, data: data})
+	e.puts = append(e.puts, putRec{v: v, sel: len(e.sels), n: n, data: data})
+	e.sels = append(append(e.sels, v.start...), v.count...)
 	if e.codec == nil && n > 0 {
 		d := sim.Duration(float64(n) / e.memRate)
 		e.Timers.Memcpy += d
@@ -286,9 +289,10 @@ func (e *Engine) EndStep() error {
 	if e.contentOK {
 		table := make([]chunkDesc, len(e.puts))
 		for i, pr := range e.puts {
+			d := len(pr.v.Shape)
 			table[i] = chunkDesc{
 				Var: pr.v.Name, Type: pr.v.Type, Shape: pr.v.Shape,
-				Start: pr.start, Count: pr.count, RawLen: pr.n,
+				Start: e.sels[pr.sel : pr.sel+d], Count: e.sels[pr.sel+d : pr.sel+2*d], RawLen: pr.n,
 				Codec: e.io.operator, Subfile: e.subfile, Len: storedLens[i],
 			}
 		}

@@ -204,12 +204,20 @@ func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, 
 	return nil
 }
 
+// openPMDPlan is what runOpenPMD derives from the config and the size of
+// the world alone, so that one rank works it out for all of them.
+type openPMDPlan struct {
+	seriesPath string
+	epochs     []epoch
+	varNames   []string
+	elems      []int64 // per-rank elements of each variable, per epoch
+}
+
 // runOpenPMD is the paper's integration: accumulate per-rank vectors,
 // then save everything as openPMD iteration 0 (periodically overwritten
 // with the latest system state) through the ADIOS2 BP4 engine.
 func runOpenPMD(cfg Config, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
-	ranks := r.Comm.Size()
 	sz := cfg.Sizing
 
 	if r.ID == 0 {
@@ -219,8 +227,17 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 	}
 	r.Comm.Barrier()
 
+	plan := mpisim.Memo(r.Comm, cfg, func() *openPMDPlan {
+		return &openPMDPlan{
+			seriesPath: pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4"),
+			epochs:     epochs(cfg.Deck),
+			varNames:   snapshotVarNames(sz.NVars),
+			elems:      sz.PerRankSnapshotElems(r.Comm.Size()),
+		}
+	})
+
 	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
-	ad, err := core.NewAdaptor(host, pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4"), cfg.OpenPMDOptions)
+	ad, err := core.NewAdaptor(host, plan.seriesPath, cfg.OpenPMDOptions)
 	if err != nil {
 		return err
 	}
@@ -236,11 +253,8 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 		}
 	}
 
-	varNames := snapshotVarNames(sz.NVars)
-	elems := sz.PerRankSnapshotElems(ranks)
-
 	prev := 0
-	for _, ep := range epochs(cfg.Deck) {
+	for _, ep := range plan.epochs {
 		if cfg.ComputePerStep > 0 {
 			p.Sleep(cfg.ComputePerStep * sim.Duration(ep.step-prev))
 		}
@@ -250,8 +264,8 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 		}
 		// Accumulate the latest system state (checkpoint + diagnostics)
 		// into the global vectors, then flush as iteration 0.
-		for i, name := range varNames {
-			ad.AccumulateVolume(name, elems[i])
+		for i, name := range plan.varNames {
+			ad.AccumulateVolume(name, plan.elems[i])
 		}
 		if err := ad.SaveIteration(0); err != nil {
 			return err

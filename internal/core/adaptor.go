@@ -21,7 +21,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
+	"picmcio/internal/mpisim"
 	"picmcio/internal/openpmd"
 )
 
@@ -30,10 +32,33 @@ type Adaptor struct {
 	host   openpmd.Host
 	series *openpmd.Series
 
-	order   []string
-	floats  map[string][]float64 // content-mode accumulators
-	volumes map[string]int64     // volume-mode accumulators (elements)
-	closed  bool
+	// slots holds one entry per component ever accumulated, in first-use
+	// order, which is also the order they are written in. They outlive a
+	// save so that the openPMD handle resolved for one epoch serves the
+	// next.
+	slots []slot
+	// iter is the iteration the slots' handles were taken from.
+	iter   *openpmd.Iteration
+	locals []int64 // SaveIteration's exscan contribution, reused
+	closed bool
+}
+
+// slot is one record component's accumulator and its openPMD handle.
+type slot struct {
+	name    string
+	rc      *openpmd.RecordComponent // nil until a save resolves it in iter
+	floats  []float64                // content-mode accumulator
+	elems   int64                    // volume-mode accumulator (elements)
+	pending bool                     // accumulated into since the last save
+}
+
+// local is the slot's element count on this rank: the floats if any were
+// accumulated, the volume otherwise.
+func (s *slot) local() int64 {
+	if s.floats != nil {
+		return int64(len(s.floats))
+	}
+	return s.elems
 }
 
 // NewAdaptor opens the series at path (extension selects the backend;
@@ -45,45 +70,49 @@ func NewAdaptor(h openpmd.Host, path, tomlOptions string) (*Adaptor, error) {
 	}
 	s.SetAttribute("software", "BIT1")
 	s.SetAttribute("iterationEncoding", "groupBased")
-	return &Adaptor{
-		host:    h,
-		series:  s,
-		floats:  map[string][]float64{},
-		volumes: map[string]int64{},
-	}, nil
+	return &Adaptor{host: h, series: s}, nil
 }
 
 // Series exposes the underlying openPMD series.
 func (a *Adaptor) Series() *openpmd.Series { return a.series }
 
-func (a *Adaptor) track(name string) {
-	if _, f := a.floats[name]; f {
-		return
+// pend returns name's slot, marked as holding data for the next save.
+func (a *Adaptor) pend(name string) *slot {
+	for i := range a.slots {
+		if a.slots[i].name == name {
+			a.slots[i].pending = true
+			return &a.slots[i]
+		}
 	}
-	if _, v := a.volumes[name]; v {
-		return
-	}
-	a.order = append(a.order, name)
+	a.slots = append(a.slots, slot{name: name, pending: true})
+	return &a.slots[len(a.slots)-1]
 }
 
 // AccumulateFloats appends values to the named record component's local
 // vector (content mode) — the any_function_save pattern: each rank builds
 // a local vector, appended to the global vector kept until flush.
 func (a *Adaptor) AccumulateFloats(name string, vals []float64) {
-	a.track(name)
-	a.floats[name] = append(a.floats[name], vals...)
+	s := a.pend(name)
+	s.floats = append(s.floats, vals...)
 }
 
 // AccumulateVolume adds elems float64 elements to the named component in
 // volume mode (sizes only) — used for at-scale runs where payload bytes
 // are modelled, not materialized.
 func (a *Adaptor) AccumulateVolume(name string, elems int64) {
-	a.track(name)
-	a.volumes[name] += elems
+	a.pend(name).elems += elems
 }
 
 // PendingVars reports how many record components have accumulated data.
-func (a *Adaptor) PendingVars() int { return len(a.order) }
+func (a *Adaptor) PendingVars() int {
+	n := 0
+	for i := range a.slots {
+		if a.slots[i].pending {
+			n++
+		}
+	}
+	return n
+}
 
 // SaveIteration writes all accumulated vectors as iteration id and clears
 // them. Offsets in each component's global extent are computed with MPI
@@ -97,39 +126,47 @@ func (a *Adaptor) SaveIteration(id uint64) error {
 	if err != nil {
 		return err
 	}
-	comm := a.host.Comm
+	if it != a.iter {
+		// Not the iteration written last: its handles died with it.
+		for i := range a.slots {
+			a.slots[i].rc = nil
+		}
+		a.iter = it
+	}
 	// One collective computes every component's offset and global extent
 	// (the MPI step of §III-B), instead of two per component.
-	locals := make([]int64, len(a.order))
-	for i, name := range a.order {
-		if data := a.floats[name]; data != nil {
-			locals[i] = int64(len(data))
-		} else {
-			locals[i] = a.volumes[name]
+	a.locals = a.locals[:0]
+	for i := range a.slots {
+		if s := &a.slots[i]; s.pending {
+			a.locals = append(a.locals, s.local())
 		}
 	}
-	offsets, totals := comm.ExscanVecI64(locals)
-	for i, name := range a.order {
-		data := a.floats[name]
-		local, offset, global := locals[i], offsets[i], totals[i]
+	offsets, totals := a.host.Comm.ExscanVecI64(a.locals)
+	j := 0
+	for i := range a.slots {
+		s := &a.slots[i]
+		if !s.pending {
+			continue
+		}
+		local, offset, global := a.locals[j], offsets[j], totals[j]
+		j++
 		if global == 0 {
 			continue
 		}
-		rc, err := componentFor(it, name)
-		if err != nil {
-			return err
-		}
-		if err := rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{uint64(global)}}); err != nil {
-			return err
-		}
-		if local > 0 {
-			if err := rc.StoreChunk([]uint64{uint64(offset)}, []uint64{uint64(local)}, data); err != nil {
+		if s.rc == nil {
+			if s.rc, err = a.component(it, s.name); err != nil {
 				return err
 			}
-		} else {
-			// Zero-extent ranks still participate in the collective
-			// close below; nothing to store.
-			_ = rc
+		}
+		if err := s.rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{uint64(global)}}); err != nil {
+			return err
+		}
+		// Zero-extent ranks still participate in the collective close
+		// below; they have nothing to store.
+		if local > 0 {
+			if err := s.rc.StoreChunk([]uint64{uint64(offset)}, []uint64{uint64(local)}, s.floats); err != nil {
+				return err
+			}
 		}
 	}
 	if err := a.series.Flush(); err != nil {
@@ -139,39 +176,49 @@ func (a *Adaptor) SaveIteration(id uint64) error {
 		return err
 	}
 	// Clear global vectors after the flush, as the paper prescribes.
-	a.floats = map[string][]float64{}
-	a.volumes = map[string]int64{}
-	a.order = a.order[:0]
+	for i := range a.slots {
+		s := &a.slots[i]
+		s.floats, s.elems, s.pending = nil, 0, false
+	}
 	return nil
 }
 
-// componentFor resolves a dotted component name "species/record/comp" or
-// "meshes/name" into the iteration's record component.
-func componentFor(it *openpmd.Iteration, name string) (*openpmd.RecordComponent, error) {
-	parts := splitName(name)
-	switch len(parts) {
-	case 2:
-		if parts[0] == "meshes" {
-			return it.Meshes(parts[1]).Component(openpmd.Scalar), nil
-		}
-		return it.Particles(parts[0]).Record(parts[1]).Component(openpmd.Scalar), nil
-	case 3:
-		return it.Particles(parts[0]).Record(parts[1]).Component(parts[2]), nil
-	default:
-		return nil, fmt.Errorf("core: bad component name %q (want species/record[/component] or meshes/name)", name)
-	}
+// componentName is a parsed component name: "species/record[/component]"
+// or, for a mesh, "meshes/record".
+type componentName struct {
+	mesh                       bool
+	species, record, component string
+	err                        error
 }
 
-func splitName(name string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			out = append(out, name[start:i])
-			start = i + 1
-		}
+// nameKey is the world-memo key of a parsed component name.
+type nameKey string
+
+// component resolves a component name in it. Every rank uses the same
+// names, so each is parsed once per world.
+func (a *Adaptor) component(it *openpmd.Iteration, name string) (*openpmd.RecordComponent, error) {
+	cn := mpisim.Memo(a.host.Comm, nameKey(name), func() componentName { return parseName(name) })
+	if cn.err != nil {
+		return nil, cn.err
 	}
-	return append(out, name[start:])
+	if cn.mesh {
+		return it.Meshes(cn.record).Component(cn.component), nil
+	}
+	return it.Particles(cn.species).Record(cn.record).Component(cn.component), nil
+}
+
+func parseName(name string) componentName {
+	parts := strings.Split(name, "/")
+	switch {
+	case len(parts) == 2 && parts[0] == "meshes":
+		return componentName{mesh: true, record: parts[1], component: openpmd.Scalar}
+	case len(parts) == 2:
+		return componentName{species: parts[0], record: parts[1], component: openpmd.Scalar}
+	case len(parts) == 3:
+		return componentName{species: parts[0], record: parts[1], component: parts[2]}
+	default:
+		return componentName{err: fmt.Errorf("core: bad component name %q (want species/record[/component] or meshes/name)", name)}
+	}
 }
 
 // Close closes the series. It is collective.

@@ -43,6 +43,11 @@ type World struct {
 	cost CostModel
 
 	world *commGroup
+
+	// memo holds one typed map per (key type, value type) pair that Memo
+	// has been called with, under a zero-size token of that pair.
+	memo       map[any]any
+	memoBuilds int
 }
 
 // NewWorld creates a world of size ranks with the given network model.
@@ -104,6 +109,40 @@ func (w *World) Attach(id int, p *sim.Proc) *Rank {
 	r.Comm = &Comm{g: w.world, rank: id, r: r}
 	return r
 }
+
+// memoSlot is the token a (K, V) pair's typed map is stored under.
+type memoSlot[K comparable, V any] struct{}
+
+// Memo returns the value the communicator's world holds under key,
+// calling build on the first rank that asks — the simulator's analogue of
+// MPI communicator attribute caching. It is for what every rank would
+// otherwise compute identically: the value must be immutable once built
+// and derived only from rank-invariant inputs, all of which belong in
+// key. Values live in one map per (K, V) pair: make K or V a type private
+// to the calling package and no other package's keys can collide with
+// yours. Ranks of one kernel never run concurrently, so there is no lock;
+// a world must not be shared between kernels.
+func Memo[K comparable, V any](c *Comm, key K, build func() V) V {
+	w := c.g.w
+	m, _ := w.memo[memoSlot[K, V]{}].(map[K]V)
+	if v, ok := m[key]; ok {
+		return v
+	}
+	if m == nil {
+		if w.memo == nil {
+			w.memo = map[any]any{}
+		}
+		m = map[K]V{}
+		w.memo[memoSlot[K, V]{}] = m
+	}
+	v := build()
+	w.memoBuilds++
+	m[key] = v
+	return v
+}
+
+// MemoBuilds reports how many values Memo has built for this world.
+func (w *World) MemoBuilds() int { return w.memoBuilds }
 
 // commGroup is the shared state of one communicator.
 type commGroup struct {

@@ -295,3 +295,33 @@ func TestAttachRejectsOutOfRangeRank(t *testing.T) {
 	})
 	k.Run()
 }
+
+// Memo builds a value once per world and key, whichever communicator of
+// the world asks; a second world starts empty, and two key types with
+// the same underlying value do not share an entry.
+func TestMemoBuildsOncePerWorld(t *testing.T) {
+	type nameKey string
+	type pathKey string
+	run := func(size int) *World {
+		w := world(size)
+		w.Run(func(r *Rank) {
+			half := r.Comm.Split(r.ID%2, r.ID)
+			for _, c := range []*Comm{r.Comm, half} {
+				got := Memo(c, nameKey("x"), func() *int { v := r.ID; return &v })
+				if *got != 0 {
+					t.Errorf("rank %d reads rank %d's value, want the first rank's", r.ID, *got)
+				}
+			}
+			if got := Memo(half, pathKey("x"), func() string { return "path" }); got != "path" {
+				t.Errorf("pathKey(x) = %q: collided with nameKey(x)", got)
+			}
+			Memo(r.Comm, nameKey("y"), func() *int { return nil })
+		})
+		return w
+	}
+	for _, size := range []int{1, 8} {
+		if got := run(size).MemoBuilds(); got != 3 {
+			t.Errorf("a world of %d ranks built %d values, want 3", size, got)
+		}
+	}
+}

@@ -96,20 +96,27 @@ func (b *bp4Backend) beginIteration(id uint64) error {
 	return nil
 }
 
-func (b *bp4Backend) store(varPath string, d Dataset, offset, extent []uint64, data []float64) error {
-	v, ok := b.io.InquireVariable(varPath)
-	if !ok {
+func (b *bp4Backend) store(rc *RecordComponent, data []float64) error {
+	v := rc.bpVar
+	if v == nil {
+		// Another handle on the same path may have defined it already.
+		v, _ = b.io.InquireVariable(rc.path)
+	}
+	if v == nil {
 		var err error
-		v, err = b.io.DefineVariable(varPath, d.Type.adios(), d.Extent, offset, extent)
+		v, err = b.io.DefineVariable(rc.path, rc.dtype.adios(), rc.extent(), rc.offset(), rc.count())
 		if err != nil {
 			return err
 		}
-	} else if err := v.SetShape(d.Extent); err != nil {
-		return err
+	} else {
+		if err := v.SetShape(rc.extent()); err != nil {
+			return err
+		}
+		if err := v.SetSelection(rc.offset(), rc.count()); err != nil {
+			return err
+		}
 	}
-	if err := v.SetSelection(offset, extent); err != nil {
-		return err
-	}
+	rc.bpVar = v
 	if data == nil {
 		return b.eng.Put(v, nil)
 	}

@@ -55,15 +55,17 @@ func (b *jsonBackend) beginIteration(id uint64) error {
 	return nil
 }
 
-func (b *jsonBackend) store(varPath string, d Dataset, offset, extent []uint64, data []float64) error {
+func (b *jsonBackend) store(rc *RecordComponent, data []float64) error {
 	if data == nil {
 		return fmt.Errorf("openpmd: json backend requires real data (content mode)")
 	}
-	if len(d.Extent) != 1 {
+	if rc.rank() != 1 {
 		return fmt.Errorf("openpmd: json backend supports 1-D datasets")
 	}
+	// rc reuses its dimension storage; the staged message keeps copies.
+	dims := append([]uint64(nil), rc.dims...)
 	b.staged = append(b.staged, jsonChunkMsg{
-		Var: varPath, Extent: d.Extent, Offset: offset, Count: extent, Data: data,
+		Var: rc.path, Extent: dims[:1], Offset: dims[1:2], Count: dims[2:], Data: data,
 	})
 	return nil
 }

@@ -70,8 +70,10 @@ type Dataset struct {
 type backend interface {
 	// beginIteration opens iteration id for writing.
 	beginIteration(id uint64) error
-	// store stages one chunk of a record component.
-	store(varPath string, d Dataset, offset, extent []uint64, data []float64) error
+	// store stages the chunk rc.offset()/rc.count() of a record
+	// component. Those slices are overwritten by rc's next StoreChunk, so
+	// a backend that keeps them past the call copies them.
+	store(rc *RecordComponent, data []float64) error
 	// closeIteration finalizes the open iteration.
 	closeIteration() error
 	// close finalizes the series.
@@ -93,7 +95,19 @@ type Series struct {
 	be      backend
 	attrs   map[string]string
 	curIter *Iteration
-	closed  bool
+	// lastIter is the most recently closed write iteration — the only
+	// closed one a series keeps — so that WriteIteration with the same id
+	// re-opens it and the component handles taken from it work again.
+	lastIter *Iteration
+	closed   bool
+}
+
+// tomlKey is the world-memo key of a parsed options document.
+type tomlKey string
+
+type parsedTOML struct {
+	cfg *Config
+	err error
 }
 
 // NewSeries opens (or creates) a series at path. The backend is chosen by
@@ -103,7 +117,13 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("openpmd: incomplete host")
 	}
-	cfg, err := ParseTOML(options)
+	// The options are the same document on every rank: parse it once per
+	// world. The shared Config is never written after ParseTOML returns.
+	parsed := mpisim.Memo(h.Comm, tomlKey(options), func() parsedTOML {
+		cfg, err := ParseTOML(options)
+		return parsedTOML{cfg, err}
+	})
+	cfg, err := parsed.cfg, parsed.err
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +164,10 @@ func (s *Series) Path() string { return s.path }
 
 // WriteIteration opens iteration id for writing. Only one iteration may be
 // open at a time; openPMD semantics allow re-opening a previously written
-// id (BIT1 re-writes iteration 0 for checkpoints).
+// id (BIT1 re-writes iteration 0 for checkpoints). When id is the one
+// closed last, the same Iteration is returned, open again, and the
+// components taken from it keep their dataset; any other id gets a new
+// Iteration and the closed one's components stay unusable.
 func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 	if s.access != AccessCreate {
 		return nil, fmt.Errorf("openpmd: series is read-only")
@@ -155,21 +178,21 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 	if err := s.be.beginIteration(id); err != nil {
 		return nil, err
 	}
-	s.curIter = &Iteration{series: s, ID: id}
+	if it := s.lastIter; it != nil && it.ID == id {
+		it.closed = false
+		s.curIter = it
+	} else {
+		s.curIter = &Iteration{series: s, ID: id}
+	}
+	s.lastIter = nil
 	return s.curIter, nil
 }
 
-// Flush commits staged chunks to the backend layer, as the paper's
-// integration does once per iteration after all vectors are accumulated.
-// With the BP engine the actual disk write happens when the iteration
-// closes (ADIOS2 EndStep); Flush validates that all staged chunks belong
-// to the open iteration.
-func (s *Series) Flush() error {
-	if s.curIter == nil {
-		return nil
-	}
-	return nil
-}
+// Flush is where the paper's integration commits its accumulated vectors,
+// once per iteration. Here it does nothing and cannot fail: StoreChunk has
+// already handed every chunk to the backend, and both backends write when
+// the iteration closes (ADIOS2 EndStep; the JSON gather).
+func (s *Series) Flush() error { return nil }
 
 // Iterations lists the iteration ids available for reading.
 func (s *Series) Iterations() ([]uint64, error) { return s.be.iterations() }
@@ -204,9 +227,32 @@ type Iteration struct {
 	closed bool
 }
 
+// recordKey is the world-memo key of a record's path: a species' record,
+// or a mesh (species unused).
+type recordKey struct {
+	id            uint64
+	mesh          bool
+	species, name string
+}
+
+// componentKey is the world-memo key of a non-scalar component's path.
+type componentKey struct{ record, name string }
+
+// recordPath builds the standard's path of a record once per world: every
+// rank names the same records, and the string ends up in each rank's
+// component handle and ADIOS2 variable.
+func (it *Iteration) recordPath(mesh bool, species, name string) string {
+	return mpisim.Memo(it.series.host.Comm, recordKey{it.ID, mesh, species, name}, func() string {
+		if mesh {
+			return fmt.Sprintf("/data/%d/meshes/%s", it.ID, name)
+		}
+		return fmt.Sprintf("/data/%d/particles/%s/%s", it.ID, species, name)
+	})
+}
+
 // Meshes returns the mesh record with the given name.
 func (it *Iteration) Meshes(name string) *Record {
-	return &Record{it: it, path: fmt.Sprintf("/data/%d/meshes/%s", it.ID, name)}
+	return &Record{it: it, path: it.recordPath(true, "", name)}
 }
 
 // Particles returns the particle species container with the given name.
@@ -215,9 +261,10 @@ func (it *Iteration) Particles(species string) *Species {
 }
 
 // Close finalizes the iteration: with the BP backend this triggers the
-// EndStep that aggregates and writes the data. After Close, the iteration
-// must not be reopened (per openPMD-api docs) — BIT1 instead re-opens a
-// *new* handle for id 0 when checkpointing.
+// EndStep that aggregates and writes the data. A closed iteration and the
+// components taken from it reject further stores until
+// Series.WriteIteration opens the same id again; closing twice is an
+// error.
 func (it *Iteration) Close() error {
 	if it.read {
 		return nil
@@ -227,6 +274,7 @@ func (it *Iteration) Close() error {
 	}
 	it.closed = true
 	it.series.curIter = nil
+	it.series.lastIter = it
 	return it.series.be.closeIteration()
 }
 
@@ -239,7 +287,7 @@ type Species struct {
 // Record returns a named record of the species ("position", "momentum",
 // "weighting", …).
 func (sp *Species) Record(name string) *Record {
-	return &Record{it: sp.it, path: fmt.Sprintf("/data/%d/particles/%s/%s", sp.it.ID, sp.name, name)}
+	return &Record{it: sp.it, path: sp.it.recordPath(false, sp.name, name)}
 }
 
 // Record is a physical quantity; it may have several components.
@@ -252,43 +300,78 @@ type Record struct {
 func (r *Record) Component(name string) *RecordComponent {
 	p := r.path
 	if name != Scalar {
-		p = p + "/" + name
+		p = mpisim.Memo(r.it.series.host.Comm, componentKey{r.path, name}, func() string {
+			return r.path + "/" + name
+		})
 	}
 	return &RecordComponent{it: r.it, path: p}
 }
 
-// RecordComponent is the leaf object data is stored into.
+// RecordComponent is the leaf object data is stored into. A writer may
+// keep one for as long as its iteration is open or can be re-opened: the
+// component remembers its dataset and, on the BP backend, its ADIOS2
+// variable.
 type RecordComponent struct {
-	it      *Iteration
-	path    string
-	dataset Dataset
-	hasDS   bool
+	it    *Iteration
+	path  string
+	dtype Datatype
+	// dims is the component's own storage for the dataset extent and the
+	// chunk last stored — extent, offset, count, each of the dataset's
+	// rank — overwritten in place. nil until ResetDataset.
+	dims []uint64
+	// bpVar is the BP backend's variable for path, once defined.
+	bpVar *adios2.Variable
 }
 
 // Path reports the full openPMD variable path of the component.
 func (rc *RecordComponent) Path() string { return rc.path }
 
-// ResetDataset declares the component's global datatype and extent.
+func (rc *RecordComponent) rank() int        { return len(rc.dims) / 3 }
+func (rc *RecordComponent) extent() []uint64 { return rc.dims[:rc.rank()] }
+func (rc *RecordComponent) offset() []uint64 { return rc.dims[rc.rank() : 2*rc.rank()] }
+func (rc *RecordComponent) count() []uint64  { return rc.dims[2*rc.rank():] }
+
+// writable reports why the component cannot be written, if it cannot.
+func (rc *RecordComponent) writable(op string) error {
+	if rc.it.read {
+		return fmt.Errorf("openpmd: %s on read iteration", op)
+	}
+	if rc.it.closed {
+		return fmt.Errorf("openpmd: %s: %s on closed iteration %d", rc.path, op, rc.it.ID)
+	}
+	return nil
+}
+
+// ResetDataset declares the component's global datatype and extent. The
+// extent is copied.
 func (rc *RecordComponent) ResetDataset(d Dataset) error {
-	if len(d.Extent) == 0 {
+	if err := rc.writable("ResetDataset"); err != nil {
+		return err
+	}
+	n := len(d.Extent)
+	if n == 0 {
 		return fmt.Errorf("openpmd: empty extent for %s", rc.path)
 	}
-	rc.dataset = d
-	rc.hasDS = true
+	if len(rc.dims) != 3*n {
+		rc.dims = make([]uint64, 3*n)
+	}
+	rc.dtype = d.Type
+	copy(rc.extent(), d.Extent)
 	return nil
 }
 
 // StoreChunk stages this rank's chunk. data may be nil (volume mode) or
 // must have exactly the extent's element count. Per openPMD rules the
-// buffer must stay untouched until the iteration closes.
+// buffer must stay untouched until the iteration closes; offset and extent
+// are copied.
 func (rc *RecordComponent) StoreChunk(offset, extent []uint64, data []float64) error {
-	if rc.it.read {
-		return fmt.Errorf("openpmd: StoreChunk on read iteration")
+	if err := rc.writable("StoreChunk"); err != nil {
+		return err
 	}
-	if !rc.hasDS {
+	if rc.dims == nil {
 		return fmt.Errorf("openpmd: %s: StoreChunk before ResetDataset", rc.path)
 	}
-	if len(offset) != len(rc.dataset.Extent) || len(extent) != len(rc.dataset.Extent) {
+	if len(offset) != rc.rank() || len(extent) != rc.rank() {
 		return fmt.Errorf("openpmd: %s: chunk rank mismatch", rc.path)
 	}
 	if data != nil {
@@ -300,7 +383,9 @@ func (rc *RecordComponent) StoreChunk(offset, extent []uint64, data []float64) e
 			return fmt.Errorf("openpmd: %s: chunk has %d elements, extent wants %d", rc.path, len(data), n)
 		}
 	}
-	return rc.it.series.be.store(rc.path, rc.dataset, offset, extent, data)
+	copy(rc.offset(), offset)
+	copy(rc.count(), extent)
+	return rc.it.series.be.store(rc, data)
 }
 
 // Load reads the whole component (read mode).
