@@ -83,9 +83,14 @@ profile:
 	./fig6.bin -cpuprofile fig6_cpu.pprof -memprofile fig6_mem.pprof -run fig6 -nodes 16 -diag-epochs 3
 
 # smoke builds and runs every example with its interesting flag
-# combinations so examples cannot silently rot.
+# combinations, and the two job CLIs that share cluster.System's launcher,
+# so neither can silently rot.
 smoke:
 	$(GO) build ./...
+	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
+	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original
+	$(GO) run ./cmd/ior -nodes 2 -n 16
+	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ionization
 	$(GO) run ./examples/striping-tuning

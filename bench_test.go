@@ -1,32 +1,24 @@
 // Package picmcio's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper, each exercising the exact experiment
-// code path at a reduced-but-representative scale (full machine models,
-// full code paths, smaller node sets so `go test -bench=.` finishes in
-// minutes). cmd/experiments regenerates the artifacts at paper scale.
+// scenario family `make bench` gates against a committed bench/ baseline
+// (burst buffer, contention, fault, interval, sweep, workload), each
+// exercising the exact experiment code path at a reduced scale. The
+// paper's own artifacts are pinned byte-for-byte by the goldens in
+// internal/experiments instead.
 //
-// Reported custom metrics carry the experiment's headline quantity
-// (GiB/s, seconds, file counts) so the benchmark output doubles as a
-// regression record for the reproduced results.
+// Reported custom metrics carry the scenario's headline quantity so the
+// benchmark output doubles as a regression record.
 package picmcio
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"picmcio/internal/bit1"
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
 	"picmcio/internal/experiments"
 	"picmcio/internal/jobs"
 	"picmcio/internal/units"
 )
-
-// metricName turns a series label into a legal benchmark metric name.
-func metricName(label, suffix string) string {
-	r := strings.NewReplacer(" ", "_", "(", "", ")", "", "+", "_")
-	return r.Replace(label) + "_" + suffix
-}
 
 // benchOptions keeps the per-iteration cost low: 16 ranks/node and a
 // short epoch schedule, full machine models.
@@ -36,129 +28,6 @@ func benchOptions() experiments.Options {
 		RanksPerNode: 16,
 		NodeCounts:   []int{1, 10, 50},
 		DiagEpochs:   2,
-	}
-}
-
-// BenchmarkFig2OriginalIO measures BIT1 original file I/O write
-// throughput across the three machines (Fig. 2).
-func BenchmarkFig2OriginalIO(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		ss, err := o.Fig2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range ss {
-			b.ReportMetric(s.Y[len(s.Y)-1], metricName(s.Label, "GiBps_at50nodes"))
-		}
-	}
-}
-
-// BenchmarkFig3OriginalVsBP4 compares the two output paths on Dardel
-// (Fig. 3).
-func BenchmarkFig3OriginalVsBP4(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		ss, err := o.Fig3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		orig, bp4 := ss[0], ss[1]
-		b.ReportMetric(orig.Y[len(orig.Y)-1], "original_GiBps")
-		b.ReportMetric(bp4.Y[len(bp4.Y)-1], "openPMD_BP4_GiBps")
-		if bp4.Y[len(bp4.Y)-1] <= orig.Y[len(orig.Y)-1] {
-			b.Fatal("openPMD+BP4 must beat original I/O")
-		}
-	}
-}
-
-// BenchmarkFig4IORReference adds the IOR upper-bound lines (Fig. 4).
-func BenchmarkFig4IORReference(b *testing.B) {
-	o := benchOptions()
-	o.NodeCounts = []int{1, 10}
-	for i := 0; i < b.N; i++ {
-		ss, err := o.Fig4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range ss {
-			b.ReportMetric(s.Y[len(s.Y)-1], metricName(s.Label, "GiBps"))
-		}
-	}
-}
-
-// BenchmarkFig5PerProcessCosts measures the read/meta/write decomposition
-// (Fig. 5) at a reduced 50-node scale.
-func BenchmarkFig5PerProcessCosts(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := o.Fig5(50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Original.MetaSec, "original_meta_s")
-		b.ReportMetric(r.OpenPMD.MetaSec, "openPMD_meta_s")
-		b.ReportMetric(r.Original.WriteSec, "original_write_s")
-		b.ReportMetric(r.OpenPMD.WriteSec, "openPMD_write_s")
-		if r.OpenPMD.MetaSec >= r.Original.MetaSec {
-			b.Fatal("metadata time must collapse under openPMD+BP4")
-		}
-	}
-}
-
-// BenchmarkFig6AggregatorSweep sweeps the BP4 aggregator count (Fig. 6).
-func BenchmarkFig6AggregatorSweep(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		s, err := o.Fig6(50, []int{1, 25, 100, 400, 800})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak, at := 0.0, 0.0
-		for j := range s.X {
-			if s.Y[j] > peak {
-				peak, at = s.Y[j], s.X[j]
-			}
-		}
-		b.ReportMetric(s.Y[0], "GiBps_1aggr")
-		b.ReportMetric(peak, "GiBps_peak")
-		b.ReportMetric(at, "peak_aggregators")
-		if peak <= s.Y[0] {
-			b.Fatal("aggregation must raise throughput above 1 aggregator")
-		}
-	}
-}
-
-// BenchmarkFig7BloscCompression compares Blosc+1AGGR with the original
-// path as nodes scale (Fig. 7).
-func BenchmarkFig7BloscCompression(b *testing.B) {
-	o := benchOptions()
-	o.NodeCounts = []int{1, 10}
-	for i := 0; i < b.N; i++ {
-		ss, err := o.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range ss {
-			b.ReportMetric(s.Y[0], metricName(s.Label, "GiBps_1node"))
-		}
-	}
-}
-
-// BenchmarkFig8MemcpyProfile extracts the profiling.json memcpy totals
-// with and without compression (Fig. 8).
-func BenchmarkFig8MemcpyProfile(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := o.Fig8(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.MemcpyMicrosNoComp, "memcpy_us_plain")
-		b.ReportMetric(r.MemcpyMicrosBlosc, "memcpy_us_blosc")
-		if r.MemcpyMicrosBlosc != 0 || r.MemcpyMicrosNoComp == 0 {
-			b.Fatal("Blosc must eliminate marshalling memcpy")
-		}
 	}
 }
 
@@ -328,86 +197,6 @@ func BenchmarkInterval(b *testing.B) {
 		}
 		if !(byDur["buffered"] > 0 && byDur["buffered"] < byDur["pfs"]) {
 			b.Fatalf("buffered cadence %v must be shorter than PFS %v", byDur["buffered"], byDur["pfs"])
-		}
-	}
-}
-
-// BenchmarkTab2FileCounts regenerates the Table II file accounting.
-func BenchmarkTab2FileCounts(b *testing.B) {
-	o := benchOptions()
-	o.NodeCounts = []int{1, 10}
-	for i := 0; i < b.N; i++ {
-		t, err := o.Tab2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(t.Rows)), "rows")
-	}
-}
-
-// BenchmarkFig9StripingSweep sweeps Lustre striping (Fig. 9).
-func BenchmarkFig9StripingSweep(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		t, err := o.Fig9(10, []int64{1 << 20, 16 << 20}, []int{1, 8, 48})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(t.Rows)*len(t.Header)), "cells")
-	}
-}
-
-// BenchmarkAblationMDSThreads is the design-note ablation: the original
-// path's scalability hinges on metadata service concurrency; halving MDS
-// threads must not change the BP4 path (which barely touches the MDS).
-func BenchmarkAblationMDSThreads(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		m := cluster.Dardel()
-		weak := m
-		weak.Lustre.MDSThreads = 1
-		strongOrig, err := o.RunBIT1(m, 10, bit1.IOOriginal, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		weakOrig, err := o.RunBIT1(weak, 10, bit1.IOOriginal, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		weakBP4, err := o.RunBIT1(weak, 10, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"10\"")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(strongOrig.ThroughputGiBs, "orig_16mds_GiBps")
-		b.ReportMetric(weakOrig.ThroughputGiBs, "orig_1mds_GiBps")
-		b.ReportMetric(weakBP4.ThroughputGiBs, "bp4_1mds_GiBps")
-		if weakOrig.MetaSec <= strongOrig.MetaSec {
-			b.Fatal("weak MDS must raise original metadata time")
-		}
-	}
-}
-
-// BenchmarkAblationBackbone verifies the Fig. 6 peak is backbone-bound:
-// doubling the storage fabric bandwidth must raise peak throughput.
-func BenchmarkAblationBackbone(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		m := cluster.Dardel()
-		fast := m
-		fast.Lustre.BackboneRate *= 4
-		fast.Lustre.OSTRate *= 4
-		base, err := o.RunBIT1(m, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
-		if err != nil {
-			b.Fatal(err)
-		}
-		boosted, err := o.RunBIT1(fast, 50, bit1.IOOpenPMD, "[adios2.engine.parameters]\nNumAggregators = \"400\"")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(base.ThroughputGiBs, "base_GiBps")
-		b.ReportMetric(boosted.ThroughputGiBs, "boosted_GiBps")
-		if boosted.ThroughputGiBs <= base.ThroughputGiBs {
-			b.Fatal("faster fabric must raise aggregated throughput")
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"picmcio/internal/compress"
 	"picmcio/internal/darshan"
 	"picmcio/internal/mpisim"
-	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 	"picmcio/internal/units"
 	"picmcio/internal/workload"
@@ -35,16 +34,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var m cluster.Machine
-	switch strings.ToLower(*machine) {
-	case "discoverer":
-		m = cluster.Discoverer()
-	case "dardel":
-		m = cluster.Dardel()
-	case "vega":
-		m = cluster.Vega()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	m, err := cluster.ByName(*machine)
+	if err != nil {
+		fatal(err)
 	}
 
 	deck := bit1.DefaultDeck()
@@ -85,9 +77,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ranks := *nodes * *ranksPerNode
-	w := mpisim.NewWorld(k, ranks, mpisim.AlphaBeta(m.NetAlpha, m.NetBeta))
 	col := darshan.NewCollector()
+	w, envOf, err := sys.Launch(*ranksPerNode, col)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := bit1.Config{
 		Deck: deck, Sizing: workload.Default(), OutDir: "/scratch/bit1",
 		Mode: ioMode, OpenPMDOptions: toml.String(),
@@ -95,12 +89,7 @@ func main() {
 	}
 	var runErr error
 	w.Run(func(r *mpisim.Rank) {
-		node := r.ID / *ranksPerNode
-		if node >= len(sys.Clients) {
-			node = len(sys.Clients) - 1
-		}
-		env := &posix.Env{FS: sys.FS, Client: sys.Clients[node], Rank: r.ID, Monitor: col}
-		if err := bit1.Run(cfg, bit1.RankEnv{Rank: r, Env: env}); err != nil && runErr == nil {
+		if err := bit1.Run(cfg, bit1.RankEnv{Rank: r, Env: envOf(r)}); err != nil && runErr == nil {
 			runErr = err
 		}
 	})
@@ -108,10 +97,10 @@ func main() {
 		fatal(runErr)
 	}
 	log := col.Snapshot(darshan.JobMeta{
-		Executable: "bit1 (" + ioMode.String() + ")", NProcs: ranks,
+		Executable: "bit1 (" + ioMode.String() + ")", NProcs: w.Size,
 		Machine: m.Name, RunSeconds: float64(k.Now()),
 	})
-	fmt.Printf("machine=%s nodes=%d ranks=%d mode=%s\n", m.Name, *nodes, ranks, ioMode)
+	fmt.Printf("machine=%s nodes=%d ranks=%d mode=%s\n", m.Name, *nodes, w.Size, ioMode)
 	fmt.Printf("virtual elapsed: %s\n", units.Seconds(float64(k.Now())))
 	fmt.Print(log.Report())
 }

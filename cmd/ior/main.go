@@ -12,8 +12,6 @@ import (
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/ior"
-	"picmcio/internal/mpisim"
-	"picmcio/internal/posix"
 	"picmcio/internal/units"
 )
 
@@ -30,16 +28,9 @@ func main() {
 	nodes := flag.Int("nodes", 1, "node allocation")
 	flag.Parse()
 
-	var m cluster.Machine
-	switch strings.ToLower(*machine) {
-	case "discoverer":
-		m = cluster.Discoverer()
-	case "dardel":
-		m = cluster.Dardel()
-	case "vega":
-		m = cluster.Vega()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machine))
+	m, err := cluster.ByName(*machine)
+	if err != nil {
+		fatal(err)
 	}
 	tSize, err := units.ParseBytes(*transfer)
 	if err != nil {
@@ -55,20 +46,15 @@ func main() {
 		TransferSize: tSize, BlockSize: bSize, ReadBack: *read,
 		TestDir: "/ior",
 	}
-	k := m.NewKernel(*nodes)
-	sys, err := m.Build(k, *nodes, 1)
+	sys, err := m.Build(m.NewKernel(*nodes), *nodes, 1)
 	if err != nil {
 		fatal(err)
 	}
-	ranksPerNode := (*tasks + *nodes - 1) / *nodes
-	w := mpisim.NewWorld(k, *tasks, mpisim.AlphaBeta(m.NetAlpha, m.NetBeta))
-	res, err := ior.Run(cfg, w, func(r *mpisim.Rank) *posix.Env {
-		node := r.ID / ranksPerNode
-		if node >= len(sys.Clients) {
-			node = len(sys.Clients) - 1
-		}
-		return &posix.Env{FS: sys.FS, Client: sys.Clients[node], Rank: r.ID}
-	})
+	w, envOf, err := sys.LaunchN(*tasks, nil)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := ior.Run(cfg, w, envOf)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,5 +5,5 @@
 // Darshan-style monitor, and simulated Lustre machines, all in pure Go.
 //
 // See README.md for the layout, DESIGN.md for the system inventory, and
-// bench_test.go for one benchmark per paper table/figure.
+// bench_test.go for the gated scenario benchmarks.
 package picmcio

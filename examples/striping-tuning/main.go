@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"picmcio/internal/cluster"
 	"picmcio/internal/experiments"
 	"picmcio/internal/units"
 )
@@ -23,31 +22,20 @@ func main() {
 	sizes := []int64{1 << 20, 4 << 20, 16 << 20}
 	counts := []int{1, 4, 16, 48}
 
-	t, err := o.Fig9(nodes, sizes, counts)
+	t, sec, err := o.Fig9(nodes, sizes, counts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(t.Render())
 
-	// Re-run to find the minimum cell.
-	ratio, err := experiments.MeasuredRatio("blosc")
-	if err != nil {
-		log.Fatal(err)
-	}
-	bestSec := -1.0
-	var bestSize int64
-	var bestCount int
-	for _, size := range sizes {
-		for _, count := range counts {
-			sec, err := o.Fig9Cell(cluster.Dardel(), nodes, count, size, ratio)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if bestSec < 0 || sec < bestSec {
-				bestSec, bestSize, bestCount = sec, size, count
+	bi, bj := 0, 0
+	for i := range sec {
+		for j := range sec[i] {
+			if sec[i][j] < sec[bi][bj] {
+				bi, bj = i, j
 			}
 		}
 	}
 	fmt.Printf("best configuration: lfs setstripe -c %d -S %s  (%s per write)\n",
-		bestCount, units.Bytes(bestSize), units.Seconds(bestSec))
+		counts[bj], units.Bytes(sizes[bi]), units.Seconds(sec[bi][bj]))
 }

@@ -12,14 +12,17 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/burst"
 	"picmcio/internal/cephfs"
 	"picmcio/internal/ckptopt"
 	"picmcio/internal/fault"
 	"picmcio/internal/lustre"
+	"picmcio/internal/mpisim"
 	"picmcio/internal/nfs"
 	"picmcio/internal/pfs"
+	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 )
 
@@ -289,6 +292,16 @@ func Vega() Machine {
 // Machines returns the three evaluation systems in paper order.
 func Machines() []Machine { return []Machine{Discoverer(), Dardel(), Vega()} }
 
+// ByName finds an evaluation system by its name, in any letter case.
+func ByName(name string) (Machine, error) {
+	for _, m := range Machines() {
+		if strings.EqualFold(m.Name, name) {
+			return m, nil
+		}
+	}
+	return Machine{}, fmt.Errorf("cluster: unknown machine %q", name)
+}
+
 // System is an instantiated machine: a file system plus per-node clients.
 type System struct {
 	Machine Machine
@@ -448,29 +461,30 @@ func (m Machine) Build(k *sim.Kernel, nodes int, seed uint64) (*System, error) {
 	return s, nil
 }
 
-// Ranks reports the total MPI rank count for the node allocation
-// (cores-per-node ranks per node, as the paper runs BIT1).
-func (s *System) Ranks() int { return s.Nodes * s.Machine.CoresPerNode }
-
-// ClientFor returns the client (node NIC) a given world rank issues I/O
-// through, with ranks laid out block-wise across nodes.
-func (s *System) ClientFor(rank int) *pfs.Client {
-	node := rank / s.Machine.CoresPerNode
-	if node >= s.Nodes {
-		node = s.Nodes - 1
+// Launch starts the MPI job the paper's runs are: ranksPerNode ranks on
+// every allocated node (`srun --ntasks-per-node`).
+func (s *System) Launch(ranksPerNode int, mon posix.Monitor) (*mpisim.World, func(*mpisim.Rank) *posix.Env, error) {
+	if ranksPerNode < 1 {
+		return nil, nil, fmt.Errorf("cluster: need at least one rank per node (got %d)", ranksPerNode)
 	}
-	return s.Clients[node]
+	return s.LaunchN(s.Nodes*ranksPerNode, mon)
 }
 
-// CollectiveTime evaluates the machine's analytic collective cost model
-// for a P-rank operation moving the given total bytes.
-func (m Machine) CollectiveTime(p int, bytes int64) sim.Duration {
-	if p <= 1 {
-		return 0
+// LaunchN is the one place an MPI job is put on a system (`srun -n
+// tasks`): it creates the world on the system's kernel with the machine's
+// α-β collective cost model, lays the ranks out block-wise —
+// ceil(tasks/nodes) to a node, so fewer tasks than nodes leaves the tail
+// nodes idle and no rank maps past the last node — and returns, with the
+// world, the function that builds each rank's POSIX environment: the
+// shared file system and staging tier, the rank's node client, and mon
+// (nil: unmonitored) as its Darshan hook.
+func (s *System) LaunchN(tasks int, mon posix.Monitor) (*mpisim.World, func(*mpisim.Rank) *posix.Env, error) {
+	if tasks < 1 {
+		return nil, nil, fmt.Errorf("cluster: need at least one rank (got %d)", tasks)
 	}
-	hops := 0
-	for v := p - 1; v > 0; v >>= 1 {
-		hops++
-	}
-	return sim.Duration(m.NetAlpha*float64(hops) + m.NetBeta*float64(bytes))
+	m, perNode, stage := s.Machine, (tasks+s.Nodes-1)/s.Nodes, s.StagedFS()
+	w := mpisim.NewWorld(s.K, tasks, mpisim.AlphaBeta(m.NetAlpha, m.NetBeta))
+	return w, func(r *mpisim.Rank) *posix.Env {
+		return &posix.Env{FS: s.FS, Stage: stage, Client: s.Clients[r.ID/perNode], Rank: r.ID, Monitor: mon}
+	}, nil
 }

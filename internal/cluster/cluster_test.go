@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"picmcio/internal/fault"
+	"picmcio/internal/mpisim"
+	"picmcio/internal/pfs"
 	"picmcio/internal/sim"
 )
 
@@ -45,14 +47,28 @@ func TestBuildAndClients(t *testing.T) {
 	if len(sys.Clients) != 3 {
 		t.Fatalf("clients=%d", len(sys.Clients))
 	}
-	if sys.Ranks() != 3*128 {
-		t.Fatalf("ranks=%d", sys.Ranks())
+	// Launch lays ranks out block-wise: 128 to a node, none past the last.
+	w, envOf, err := sys.Launch(128, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sys.ClientFor(0) != sys.Clients[0] || sys.ClientFor(129) != sys.Clients[1] {
+	if w.Size != 3*128 {
+		t.Fatalf("ranks=%d", w.Size)
+	}
+	clientOf := func(rank int) *pfs.Client { return envOf(&mpisim.Rank{ID: rank}).Client }
+	if clientOf(0) != sys.Clients[0] || clientOf(129) != sys.Clients[1] || clientOf(3*128-1) != sys.Clients[2] {
 		t.Fatal("rank->node mapping wrong")
 	}
-	if sys.ClientFor(99999) != sys.Clients[2] {
-		t.Fatal("rank clamp wrong")
+	// LaunchN with fewer tasks than nodes: one per node, the tail idle.
+	w, envOf, err = sys.LaunchN(2, nil)
+	if err != nil || w.Size != 2 {
+		t.Fatalf("LaunchN(2): size=%v err=%v", w, err)
+	}
+	if clientOf(0) != sys.Clients[0] || clientOf(1) != sys.Clients[1] {
+		t.Fatal("sparse rank->node mapping wrong")
+	}
+	if env := envOf(&mpisim.Rank{ID: 1}); env.FS != sys.FS || env.Stage != sys.StagedFS() || env.Rank != 1 || env.Monitor != nil {
+		t.Fatalf("rank environment wrong: %+v", env)
 	}
 }
 
@@ -63,22 +79,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Dardel().Build(k, 99999, 1); err == nil {
 		t.Error("oversubscription accepted")
-	}
-}
-
-func TestCollectiveTime(t *testing.T) {
-	m := Dardel()
-	if m.CollectiveTime(1, 1000) != 0 {
-		t.Error("single-rank collective should be free")
-	}
-	small := m.CollectiveTime(2, 0)
-	big := m.CollectiveTime(25600, 0)
-	if big <= small {
-		t.Errorf("collective cost must grow with ranks: %v vs %v", small, big)
-	}
-	withBytes := m.CollectiveTime(2, 1<<30)
-	if withBytes <= small {
-		t.Error("bytes must cost time")
 	}
 }
 
@@ -408,4 +408,13 @@ func TestLeaseChurnMatrix(t *testing.T) {
 			t.Fatalf("machine not fully reusable after churn: %v", err)
 		}
 	})
+}
+
+func TestByName(t *testing.T) {
+	if m, err := ByName("DARDEL"); err != nil || m.Name != "Dardel" {
+		t.Fatalf("ByName(DARDEL) = %q, %v", m.Name, err)
+	}
+	if _, err := ByName("summit"); err == nil {
+		t.Fatal("unknown machine accepted")
+	}
 }

@@ -23,15 +23,12 @@ type BurstPoint struct {
 	AbsorbedBytes, FallbackBytes, DrainedBytes int64
 }
 
-// burstTOML renders the adaptor TOML for a staged configuration. The
+// bp4Staged is the BP4 default routed through the burst tier: the
 // burst_buffer key is what lets the core adaptor select staged I/O.
-func burstTOML(numAgg int, durability string) string {
-	s := "burst_buffer = true\n"
-	if durability != "" {
-		s += fmt.Sprintf("burst_durability = %q\n", durability)
-	}
-	return s + aggrTOML(numAgg, "", 1)
-}
+var bp4Staged = Config{Label: "BIT1 openPMD + BP4, staged", Mode: bit1.IOOpenPMD, TOML: func(nodes int) (string, error) {
+	toml, err := BP4.TOML(nodes)
+	return "burst_buffer = true\n" + toml, err
+}}
 
 // FigBurstSweep is FigBurst as a grid declaration: one axis (node count),
 // one trial measuring the direct and staged runs back to back. The Extra
@@ -55,11 +52,11 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 	return sweep.Run(g, o.sweepOptions("Fig B: direct vs burst-buffer-staged openPMD+BP4 on Dardel (GiB/s)"),
 		func(c sweep.Config) (sweep.Point, error) {
 			nodes := c.Int("nodes")
-			rd, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, aggrTOML(nodes, "", 1))
+			rd, err := o.RunBIT1(Run{Machine: m, Nodes: nodes, Config: BP4})
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst direct: %w", err)
 			}
-			rs, err := o.RunBIT1(m, nodes, bit1.IOOpenPMD, burstTOML(nodes, ""))
+			rs, err := o.RunBIT1(Run{Machine: m, Nodes: nodes, Config: bp4Staged})
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst staged: %w", err)
 			}

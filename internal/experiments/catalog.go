@@ -70,9 +70,9 @@ var catalog = []Artifact{
 		var b strings.Builder
 		fmt.Fprintf(&b, "# Fig 5: avg I/O cost per process on Dardel, %d nodes (full-run equivalent)\n", nodes)
 		fmt.Fprintf(&b, "%-24s  %-12s %-12s %-12s\n", "configuration", "read", "metadata", "write")
-		fmt.Fprintf(&b, "%-24s  %-12s %-12s %-12s\n", "BIT1 Original I/O",
+		fmt.Fprintf(&b, "%-24s  %-12s %-12s %-12s\n", Original.Label,
 			units.Seconds(r.Original.ReadSec), units.Seconds(r.Original.MetaSec), units.Seconds(r.Original.WriteSec))
-		fmt.Fprintf(&b, "%-24s  %-12s %-12s %-12s\n", "BIT1 openPMD + BP4",
+		fmt.Fprintf(&b, "%-24s  %-12s %-12s %-12s\n", BP4.Label,
 			units.Seconds(r.OpenPMD.ReadSec), units.Seconds(r.OpenPMD.MetaSec), units.Seconds(r.OpenPMD.WriteSec))
 		if r.Original.MetaSec > 0 {
 			fmt.Fprintf(&b, "metadata reduction: %.2f%%\n", 100*(1-r.OpenPMD.MetaSec/r.Original.MetaSec))
@@ -110,7 +110,7 @@ var catalog = []Artifact{
 		return Output{Text: b.String()}, nil
 	}},
 	{"fig9", "Lustre stripe size × OST count write-time grid", func(o Options, nodes int) (Output, error) {
-		t, err := o.Fig9(nodes, nil, nil)
+		t, _, err := o.Fig9(nodes, nil, nil)
 		if err != nil {
 			return Output{}, err
 		}

@@ -4,10 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"picmcio/internal/bit1"
 	"picmcio/internal/cephfs"
 	"picmcio/internal/cluster"
+	"picmcio/internal/ior"
 	"picmcio/internal/nfs"
+	"picmcio/internal/units"
 )
 
 // testOptions keeps unit-test runs light: 8 ranks/node, 2 epochs.
@@ -18,11 +19,11 @@ func testOptions() Options {
 func TestRunBIT1BothModes(t *testing.T) {
 	o := testOptions()
 	m := cluster.Dardel()
-	orig, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
+	orig, err := o.RunBIT1(Run{Machine: m, Nodes: 2, Config: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp4, err := o.RunBIT1(m, 2, bit1.IOOpenPMD, aggrTOML(2, "", 1))
+	bp4, err := o.RunBIT1(Run{Machine: m, Nodes: 2, Config: BP4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +42,75 @@ func TestRunBIT1BothModes(t *testing.T) {
 	}
 }
 
+// TestLaunchErrors: a bad scale or striping request is an error from the
+// launch path, not a goroutine dump. At parent 91d8545 the rank rows died
+// with "panic: mpisim: world size must be >= 1" and the stripe row with a
+// nil sys.Lustre dereference.
+func TestLaunchErrors(t *testing.T) {
+	d := cluster.Dardel()
+	bit1On := func(m cluster.Machine, nodes, ranksPerNode, stripeCount int) func() error {
+		return func() error {
+			o := testOptions()
+			o.RanksPerNode = ranksPerNode
+			_, err := o.RunBIT1(Run{Machine: m, Nodes: nodes, Config: BP4OneAggr, StripeCount: stripeCount, StripeSize: 1 << 20})
+			return err
+		}
+	}
+	iorTasks := func(nodes, tasks int) func() error {
+		return func() error {
+			sys, err := d.Build(d.NewKernel(nodes), nodes, 1)
+			if err != nil {
+				return err
+			}
+			w, envOf, err := sys.LaunchN(tasks, nil)
+			if err != nil {
+				return err
+			}
+			cfg := ior.DefaultConfig(tasks)
+			cfg.BlockSize = cfg.TransferSize
+			res, err := ior.Run(cfg, w, envOf)
+			if err == nil && res.WriteBytes != int64(tasks)*cfg.BlockSize {
+				t.Errorf("ior on %d nodes wrote %d bytes from %d tasks", nodes, res.WriteBytes, tasks)
+			}
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name, want string // want "": must succeed
+		run        func() error
+	}{
+		{"no nodes", "at least one node", bit1On(d, 0, 8, 0)},
+		{"more nodes than the machine", "has only 1270 nodes", bit1On(d, d.MaxNodes+1, 8, 0)},
+		{"negative ranks per node", "at least one rank per node (got -3)", bit1On(d, 1, -3, 0)},
+		{"zero ranks per node", "at least one rank per node (got 0)", func() error {
+			sys, err := d.Build(d.NewKernel(1), 1, 1)
+			if err == nil {
+				_, _, err = sys.Launch(0, nil)
+			}
+			return err
+		}},
+		{"no tasks", "at least one rank (got 0)", iorTasks(1, 0)},
+		{"stripe without Lustre", "no Lustre file system to stripe", bit1On(cephMachine(), 1, 4, 4)},
+		{"fewer IOR tasks than nodes", "", iorTasks(4, 2)},
+		{"stripe on Lustre", "", bit1On(d, 1, 4, 4)},
+	} {
+		err := c.run()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestEpochExtrapolation(t *testing.T) {
 	o := testOptions()
 	if f := o.WithDefaults().EpochFactor(); f != 100 {
 		t.Fatalf("epoch factor=%v, want 200/2", f)
 	}
 	m := cluster.Dardel()
-	r, err := o.RunBIT1(m, 1, bit1.IOOriginal, "")
+	r, err := o.RunBIT1(Run{Machine: m, Nodes: 1, Config: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +133,67 @@ func TestFig5Reduction(t *testing.T) {
 	}
 	if r.Original.ReadSec <= 0 || r.OpenPMD.ReadSec <= 0 {
 		t.Fatal("input-deck reads must appear in both configurations")
+	}
+}
+
+// benchScale is the smallest scale at which the three shape tests below
+// saturate what they probe (the MDS at 160 ranks, the storage backbone at
+// 400 aggregators): 16 ranks/node up to 50 nodes.
+func benchScale() Options {
+	return Options{Seed: 1, RanksPerNode: 16, NodeCounts: []int{1, 10, 50}, DiagEpochs: 2}
+}
+
+// TestFig3BP4BeatsOriginal: at the largest node count openPMD+BP4 must
+// out-write the original file-per-rank path.
+func TestFig3BP4BeatsOriginal(t *testing.T) {
+	ss, err := benchScale().Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, bp4 := ss[0], ss[1]
+	if last := len(orig.Y) - 1; bp4.Y[last] <= orig.Y[last] {
+		t.Fatalf("at %v nodes openPMD+BP4 writes %v GiB/s, original %v", orig.X[last], bp4.Y[last], orig.Y[last])
+	}
+}
+
+// TestAblationMDSThreads: the original path's scalability hinges on
+// metadata service concurrency — a one-thread MDS must raise its
+// per-process metadata time.
+func TestAblationMDSThreads(t *testing.T) {
+	o := benchScale()
+	weak := cluster.Dardel()
+	weak.Lustre.MDSThreads = 1
+	strongOrig, err := o.RunBIT1(Run{Machine: cluster.Dardel(), Nodes: 10, Config: Original})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weakOrig, err := o.RunBIT1(Run{Machine: weak, Nodes: 10, Config: Original})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weakOrig.MetaSec <= strongOrig.MetaSec {
+		t.Fatalf("1-thread MDS metadata time %v, 16-thread %v", weakOrig.MetaSec, strongOrig.MetaSec)
+	}
+}
+
+// TestAblationBackbone: the Fig. 6 peak is backbone-bound — a 4× storage
+// fabric must raise 400-aggregator throughput.
+func TestAblationBackbone(t *testing.T) {
+	o := benchScale()
+	fast := cluster.Dardel()
+	fast.Lustre.BackboneRate *= 4
+	fast.Lustre.OSTRate *= 4
+	aggr400 := bp4("openPMD+BP4, 400 AGGR", func(int) int { return 400 })
+	base, err := o.RunBIT1(Run{Machine: cluster.Dardel(), Nodes: 50, Config: aggr400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boosted, err := o.RunBIT1(Run{Machine: fast, Nodes: 50, Config: aggr400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boosted.ThroughputGiBs <= base.ThroughputGiBs {
+		t.Fatalf("4x fabric writes %v GiB/s, base %v", boosted.ThroughputGiBs, base.ThroughputGiBs)
 	}
 }
 
@@ -123,7 +247,7 @@ func TestTab2ConstantFilesWith1Aggr(t *testing.T) {
 	// Find the 1-AGGR rows: file count must be constant (6) across nodes.
 	var counts []string
 	for _, row := range tab.Rows {
-		if row[0] == "BIT1 openPMD + BP4 + 1 AGGR" {
+		if row[0] == BP4OneAggr.Label {
 			counts = append(counts, row[2])
 		}
 	}
@@ -139,30 +263,30 @@ func TestTab2ConstantFilesWith1Aggr(t *testing.T) {
 
 func TestFig9TableShape(t *testing.T) {
 	o := testOptions()
-	tab, err := o.Fig9(2, []int64{1 << 20, 16 << 20}, []int{1, 8})
+	tab, sec, err := o.Fig9(2, []int64{1 << 20, 16 << 20}, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 || len(tab.Header) != 3 {
 		t.Fatalf("table %dx%d", len(tab.Rows), len(tab.Header))
 	}
+	// The numbers are the table's cells, before formatting.
+	for i, row := range sec {
+		for j, s := range row {
+			if got := tab.Rows[i][j+1]; got != units.Seconds(s) {
+				t.Errorf("cell %d,%d: table says %s, seconds say %v", i, j, got, s)
+			}
+		}
+	}
 }
 
 func TestFig9StripingHelps(t *testing.T) {
 	o := testOptions()
-	ratio, err := MeasuredRatio("blosc")
+	_, sec, err := o.Fig9(2, []int64{4 << 20}, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := o.Fig9Cell(cluster.Dardel(), 2, 1, 4<<20, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t8, err := o.Fig9Cell(cluster.Dardel(), 2, 8, 4<<20, ratio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t8 >= t1 {
+	if t1, t8 := sec[0][0], sec[0][1]; t8 >= t1 {
 		t.Fatalf("8-OST striping (%v) not faster than 1 OST (%v)", t8, t1)
 	}
 }
@@ -206,7 +330,7 @@ func TestMeasuredRatio(t *testing.T) {
 func TestFileStatsOnAllBackends(t *testing.T) {
 	o := Options{Seed: 1, RanksPerNode: 4, NodeCounts: []int{1}, DiagEpochs: 1}
 	for _, m := range []cluster.Machine{nfsMachine(), cephMachine()} {
-		r, err := o.RunBIT1(m, 1, bit1.IOOpenPMD, aggrTOML(1, "", 1))
+		r, err := o.RunBIT1(Run{Machine: m, Nodes: 1, Config: BP4OneAggr})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -239,16 +363,16 @@ func cephMachine() cluster.Machine {
 
 func TestRunIOROrdering(t *testing.T) {
 	o := testOptions()
-	fpp, err := o.runIOR(2, true)
+	fpp, err := o.runIOR(Run{Machine: cluster.Dardel(), Nodes: 2, Config: IORFilePerProc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := o.runIOR(2, false)
+	shared, err := o.runIOR(Run{Machine: cluster.Dardel(), Nodes: 2, Config: IORShared})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fpp <= 0 || shared <= 0 {
-		t.Fatalf("ior: fpp=%v shared=%v", fpp, shared)
+	if fpp.ThroughputGiBs <= 0 || shared.ThroughputGiBs <= 0 {
+		t.Fatalf("ior: fpp=%v shared=%v", fpp.ThroughputGiBs, shared.ThroughputGiBs)
 	}
 }
 
@@ -267,11 +391,11 @@ func TestRenderSeries(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	o := testOptions()
 	m := cluster.Vega() // the jittered machine is the hard case
-	a, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
+	a, err := o.RunBIT1(Run{Machine: m, Nodes: 2, Config: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.RunBIT1(m, 2, bit1.IOOriginal, "")
+	b, err := o.RunBIT1(Run{Machine: m, Nodes: 2, Config: Original})
 	if err != nil {
 		t.Fatal(err)
 	}

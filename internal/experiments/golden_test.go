@@ -30,9 +30,34 @@ var goldenCases = []struct {
 	{"figsched", "golden_figsched.txt", Options{Seed: 1}},
 }
 
+// paperGoldens are the paper's own artifacts. Their captures were printed
+// by parent 91d8545's `cmd/experiments -run <name> -ranks-per-node 8
+// -node-list 1,4 -diag-epochs 2 -nodes 4 -seed 1`, before the launch path
+// and the figure loops were consolidated. They have no sweep form, so
+// only the serial leg applies.
+var paperGoldens = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "tab2", "lst1"}
+
 // TestGoldenBitIdentical: same Options.Seed ⇒ byte-identical table text,
 // serial and at -parallel 4, against the pre-refactor captures.
 func TestGoldenBitIdentical(t *testing.T) {
+	for _, name := range paperGoldens {
+		t.Run(name, func(t *testing.T) {
+			file := "golden_" + name + ".txt"
+			want, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := Lookup(name)
+			out, err := a.Run(testOptions(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Text != string(want) {
+				t.Fatalf("output diverged from the 91d8545 capture (saved to %s):\n--- got ---\n%s\n--- want ---\n%s",
+					writeGot(t, file, out.Text), out.Text, want)
+			}
+		})
+	}
 	for _, c := range goldenCases {
 		t.Run(c.artifact, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", c.file))

@@ -21,9 +21,9 @@ import (
 	"picmcio/internal/cluster"
 	"picmcio/internal/compress"
 	"picmcio/internal/darshan"
+	"picmcio/internal/ior"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/pfs"
-	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 	"picmcio/internal/sweep"
 	"picmcio/internal/units"
@@ -141,15 +141,9 @@ type FileStats struct {
 	MaxBytes   int64
 }
 
-// RunResult is one (machine, nodes, config) measurement.
+// RunResult is what one Run measured.
 type RunResult struct {
-	Machine string
-	Nodes   int
-	Ranks   int
-	Label   string
-
 	ThroughputGiBs float64 // aggregate write throughput (Darshan, elapsed window)
-	Elapsed        sim.Time
 	Log            *darshan.Log
 	Files          FileStats
 
@@ -168,18 +162,118 @@ type RunResult struct {
 	AppEndSec, DrainTailSec, DrainOverlapSec float64
 }
 
-// RunBIT1 executes one full BIT1 run on machine m with the given node
-// count and I/O configuration, returning the measurements.
-func (o Options) RunBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml string) (*RunResult, error) {
+// Config is one I/O configuration a run is launched in: the label the
+// paper gives it, BIT1's output path, and the openPMD adaptor TOML as a
+// function of the node count (nil on the original path).
+type Config struct {
+	Label string
+	Mode  bit1.IOMode
+	TOML  func(nodes int) (string, error)
+
+	// IOR, when set, makes the run the IOR benchmark — configured for the
+	// launched task count — instead of BIT1: the reference lines of Fig. 4.
+	IOR func(tasks int) ior.Config
+}
+
+// The four configurations of Table II. Every figure names these instead
+// of re-deriving the TOML.
+var (
+	Original = Config{Label: "BIT1 Original I/O", Mode: bit1.IOOriginal}
+	// BP4 is the ADIOS2 BP4 default: one aggregator per node.
+	BP4        = bp4("BIT1 openPMD + BP4", func(nodes int) int { return nodes })
+	BP4OneAggr = bp4("BIT1 openPMD + BP4 + 1 AGGR", func(int) int { return 1 })
+	// BP4BloscOneAggr assumes Blosc at its measured ratio on a PIC payload.
+	BP4BloscOneAggr = Config{Label: "BIT1 openPMD + BP4 + Blosc + 1 AGGR", Mode: bit1.IOOpenPMD,
+		TOML: func(int) (string, error) {
+			ratio, err := MeasuredRatio("blosc")
+			return aggrTOML(1, "blosc", ratio), err
+		}}
+
+	// Tab2Configs lists them in the paper's order.
+	Tab2Configs = []Config{Original, BP4, BP4OneAggr, BP4BloscOneAggr}
+)
+
+// bp4 is uncompressed openPMD+BP4 with the aggregator count a function of
+// the node count.
+func bp4(label string, aggregators func(nodes int) int) Config {
+	return Config{Label: label, Mode: bit1.IOOpenPMD, TOML: func(nodes int) (string, error) {
+		return aggrTOML(aggregators(nodes), "", 1), nil
+	}}
+}
+
+// labelled returns the configuration under a figure's own legend name.
+func (c Config) labelled(label string) Config {
+	c.Label = label
+	return c
+}
+
+// Run describes one launch: a machine × node count in one configuration,
+// optionally after one `lfs setstripe` on /scratch (StripeCount 0: keep
+// the file system's default layout).
+type Run struct {
+	Machine     cluster.Machine
+	Nodes       int
+	Config      Config
+	StripeCount int
+	StripeSize  int64
+}
+
+// evaluate is the one loop every paper figure runs on: it measures each
+// run of the list in order and hands the result to fold, which keeps the
+// few numbers the figure plots. The result — a Darshan log, the file
+// statistics of a whole namespace — is dropped before the next run starts.
+func (o Options) evaluate(runs []Run, fold func(i int, r *RunResult) error) error {
+	for i, run := range runs {
+		measure := o.RunBIT1
+		if run.Config.IOR != nil {
+			measure = o.runIOR
+		}
+		r, err := measure(run)
+		if err == nil {
+			err = fold(i, r)
+		}
+		if err != nil {
+			return fmt.Errorf("%q on %s, %d node(s): %w", run.Config.Label, run.Machine.Name, run.Nodes, err)
+		}
+	}
+	return nil
+}
+
+// build instantiates the run's machine on a fresh kernel and applies its
+// striping request.
+func (o Options) build(run Run) (*cluster.System, error) {
+	m := run.Machine
+	sys, err := m.Build(m.NewKernel(run.Nodes), run.Nodes, o.Seed)
+	if err != nil || run.StripeCount == 0 {
+		return sys, err
+	}
+	if sys.Lustre == nil {
+		return nil, fmt.Errorf("experiments: %s has no Lustre file system to stripe", m.Name)
+	}
+	return sys, sys.Lustre.SetStripe("/scratch", run.StripeCount, run.StripeSize)
+}
+
+// RunBIT1 executes one full BIT1 run under Darshan and returns the
+// measurements. cluster.System.Launch owns the rank count, the rank→node
+// mapping and each rank's POSIX environment.
+func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	o = o.WithDefaults()
-	k := m.NewKernel(nodes)
-	sys, err := m.Build(k, nodes, o.Seed)
+	sys, err := o.build(run)
 	if err != nil {
 		return nil, err
 	}
-	ranks := nodes * o.RanksPerNode
-	w := mpisim.NewWorld(k, ranks, mpisim.AlphaBeta(m.NetAlpha, m.NetBeta))
+	m, k, mode := run.Machine, sys.K, run.Config.Mode
+	var toml string
+	if run.Config.TOML != nil {
+		if toml, err = run.Config.TOML(run.Nodes); err != nil {
+			return nil, err
+		}
+	}
 	col := darshan.NewCollector()
+	w, envOf, err := sys.Launch(o.RanksPerNode, col)
+	if err != nil {
+		return nil, err
+	}
 	cfg := bit1.Config{
 		Deck:           o.deck(),
 		Sizing:         workload.Default(),
@@ -194,12 +288,7 @@ func (o Options) RunBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml st
 	var appEnd sim.Time
 	var drainBusyAtAppEnd float64
 	w.Run(func(r *mpisim.Rank) {
-		node := r.ID / o.RanksPerNode
-		if node >= len(sys.Clients) {
-			node = len(sys.Clients) - 1
-		}
-		env := &posix.Env{FS: sys.FS, Stage: sys.StagedFS(), Client: sys.Clients[node], Rank: r.ID, Monitor: col}
-		err := bit1.Run(cfg, bit1.RankEnv{Rank: r, Env: env})
+		err := bit1.Run(cfg, bit1.RankEnv{Rank: r, Env: envOf(r)})
 		mu.Lock()
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -215,13 +304,7 @@ func (o Options) RunBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml st
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &RunResult{
-		Machine:   m.Name,
-		Nodes:     nodes,
-		Ranks:     ranks,
-		Elapsed:   k.Now(),
-		AppEndSec: float64(appEnd),
-	}
+	res := &RunResult{AppEndSec: float64(appEnd)}
 	if sys.Burst != nil {
 		st := sys.Burst.Stats()
 		res.Burst = &st
@@ -231,7 +314,7 @@ func (o Options) RunBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml st
 		res.DrainOverlapSec = drainBusyAtAppEnd
 	}
 	res.Log = col.Snapshot(darshan.JobMeta{
-		Executable: "bit1." + mode.String(), NProcs: ranks,
+		Executable: "bit1." + mode.String(), NProcs: w.Size,
 		Machine: m.Name, RunSeconds: float64(k.Now()),
 	})
 	// Throughput is measured on the simulation's output files only: the

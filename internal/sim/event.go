@@ -19,7 +19,7 @@ var (
 )
 
 // waitQueue is the pooled wait list behind every blocking primitive
-// (Completion, Gauge, Condition). Backing arrays come from the kernel's
+// (Completion, Gauge). Backing arrays come from the kernel's
 // free pool and return to it after a broadcast, so steady-state
 // park/wake cycles allocate nothing. The pooling is safe because wakes
 // only schedule queue entries — a woken process re-parking into the
@@ -53,8 +53,6 @@ func (w *waitQueue) wakeAllAt(t Time) {
 	}
 	w.k.releaseWaiters(ws)
 }
-
-func (w *waitQueue) len() int { return len(w.ws) }
 
 // Completion is a one-shot broadcast event: processes Wait until some
 // other process calls Complete, after which every current and future Wait

@@ -356,25 +356,3 @@ func (k *Kernel) releaseWaiters(ws []*Proc) {
 	}
 	k.waitPool = append(k.waitPool, ws[:0])
 }
-
-// WaitGroup-style helper: Condition is a simple broadcast condition for
-// processes. Waiters park; Broadcast wakes all current waiters.
-type Condition struct {
-	w waitQueue
-}
-
-// NewCondition returns a condition bound to kernel k.
-func NewCondition(k *Kernel) *Condition { return &Condition{w: waitQueue{k: k}} }
-
-// Wait parks the calling process until the next Broadcast.
-func (c *Condition) Wait(p *Proc) {
-	c.w.park(p)
-}
-
-// Broadcast wakes every currently waiting process, in wait order.
-func (c *Condition) Broadcast() {
-	c.w.wakeAllAt(c.w.k.now)
-}
-
-// Len reports the number of parked waiters.
-func (c *Condition) Len() int { return c.w.len() }

@@ -216,52 +216,6 @@ func TestMultiServerParallelism(t *testing.T) {
 	}
 }
 
-func TestMutexFIFO(t *testing.T) {
-	k := NewKernel()
-	var order []int
-	k.Spawn("setup", func(p *Proc) {
-		mu := NewMutex(k)
-		for i := 0; i < 3; i++ {
-			i := i
-			k.Spawn("w", func(p *Proc) {
-				p.Sleep(Time(i) * 0.001) // stagger arrivals
-				mu.Lock(p)
-				p.Sleep(1)
-				order = append(order, i)
-				mu.Unlock()
-			})
-		}
-	})
-	k.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order=%v, want FIFO [0 1 2]", order)
-		}
-	}
-}
-
-func TestConditionBroadcast(t *testing.T) {
-	k := NewKernel()
-	woken := 0
-	k.Spawn("setup", func(p *Proc) {
-		c := NewCondition(k)
-		for i := 0; i < 5; i++ {
-			k.Spawn("waiter", func(p *Proc) {
-				c.Wait(p)
-				woken++
-			})
-		}
-		k.Spawn("b", func(p *Proc) {
-			p.Sleep(2)
-			c.Broadcast()
-		})
-	})
-	k.Run()
-	if woken != 5 {
-		t.Fatalf("woken=%d, want 5", woken)
-	}
-}
-
 // Property: for a single FCFS server, total completion time of a batch of
 // same-instant jobs equals the sum of their service times, regardless of
 // order, and per-job completion times are non-decreasing in arrival order.

@@ -154,34 +154,3 @@ func (m *MultiServer) Ops() uint64 { return m.ops }
 
 // Busy reports cumulative busy time across all servers.
 func (m *MultiServer) Busy() Duration { return m.busy }
-
-// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
-type Mutex struct {
-	k     *Kernel
-	held  bool
-	queue []*Proc
-}
-
-// NewMutex returns an unlocked mutex bound to kernel k.
-func NewMutex(k *Kernel) *Mutex { return &Mutex{k: k} }
-
-// Lock acquires the mutex, parking p until it is available.
-func (mu *Mutex) Lock(p *Proc) {
-	if !mu.held {
-		mu.held = true
-		return
-	}
-	mu.queue = append(mu.queue, p)
-	p.Park()
-}
-
-// Unlock releases the mutex, handing it to the longest-waiting process.
-func (mu *Mutex) Unlock() {
-	if len(mu.queue) == 0 {
-		mu.held = false
-		return
-	}
-	next := mu.queue[0]
-	mu.queue = mu.queue[1:]
-	mu.k.Wake(next) // mutex stays held on behalf of next
-}
