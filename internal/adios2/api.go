@@ -15,7 +15,6 @@ package adios2
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"picmcio/internal/burst"
@@ -213,16 +212,6 @@ func (io *IO) DefineVariable(name string, t DType, shape, start, count []uint64)
 func (io *IO) InquireVariable(name string) (*Variable, bool) {
 	v, ok := io.vars[name]
 	return v, ok
-}
-
-// VariableNames lists defined variables, sorted.
-func (io *IO) VariableNames() []string {
-	out := make([]string, 0, len(io.vars))
-	for n := range io.vars {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SetShape updates the variable's global extent — needed when a re-used

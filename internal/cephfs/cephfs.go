@@ -40,18 +40,17 @@ func DefaultParams() Params {
 	}
 }
 
-// FS is a simulated CephFS.
+// FS is a simulated CephFS: the shared POSIX front end, timed by the
+// MDS/OSD cost model below.
 type FS struct {
+	*pfs.Frontend
 	k    *sim.Kernel
-	ns   *pfs.Namespace
 	p    Params
 	osds []*sim.Server
 	mds  *sim.MultiServer
 	rng  *xrand.RNG
 
-	nextIno      uint64
-	bytesWritten uint64
-	bytesRead    uint64
+	nextIno uint64
 }
 
 // New creates a CephFS on kernel k.
@@ -67,7 +66,6 @@ func New(k *sim.Kernel, p Params) *FS {
 	}
 	fs := &FS{
 		k:   k,
-		ns:  pfs.NewNamespace(),
 		p:   p,
 		mds: sim.NewMultiServer(k, p.MDSThreads, 0, 0),
 		rng: xrand.New(p.Seed ^ 0xcef5),
@@ -75,20 +73,8 @@ func New(k *sim.Kernel, p Params) *FS {
 	for i := 0; i < p.NumOSDs; i++ {
 		fs.osds = append(fs.osds, sim.NewServer(k, p.OSDRate, p.OSDPerOp))
 	}
+	fs.Frontend = pfs.NewFrontend("cephfs", model{fs})
 	return fs
-}
-
-// Name implements pfs.FileSystem.
-func (fs *FS) Name() string { return "cephfs" }
-
-// Namespace exposes the file tree for offline inspection.
-func (fs *FS) Namespace() *pfs.Namespace { return fs.ns }
-
-// TotalBytesWritten reports cumulative bytes written.
-func (fs *FS) TotalBytesWritten() uint64 { return fs.bytesWritten }
-
-func (fs *FS) metaOp(p *sim.Proc) {
-	p.SleepUntil(fs.mds.ReserveDur(fs.p.MetaOp) + fs.p.RPCLatency)
 }
 
 // placement hashes (inode, objectIndex) to an OSD, CRUSH-style.
@@ -107,147 +93,57 @@ func (fs *FS) tail() sim.Duration {
 	return sim.Duration(fs.p.LatencyVar * fs.rng.ExpFloat64())
 }
 
+// model is the FS as the front end's cost model (pfs.Backend); a type of
+// its own keeps the hooks off *FS's exported method set.
+type model struct{ *FS }
+
+// Meta implements pfs.Backend: the MDS cluster serves every kind of
+// metadata operation at one price.
+func (fs model) Meta(pfs.MetaOp) sim.Time {
+	return fs.mds.ReserveDur(fs.p.MetaOp) + fs.p.RPCLatency
+}
+
+// auxIno is a file's placement state: the inode number its objects hash
+// from.
 type auxIno struct{ ino uint64 }
 
-type file struct {
-	fs   *FS
-	node *pfs.Node
-	path string
-	ino  uint64
+// Place implements pfs.Backend: the next inode number.
+func (fs model) Place(_ string, n *pfs.Node) {
+	fs.nextIno++
+	n.Aux = &auxIno{ino: fs.nextIno}
 }
 
-func (fs *FS) fileFor(n *pfs.Node, path string) *file {
-	a, ok := n.Aux.(*auxIno)
-	if !ok {
-		fs.nextIno++
-		a = &auxIno{ino: fs.nextIno}
-		n.Aux = a
-	}
-	return &file{fs: fs, node: n, path: pfs.Clean(path), ino: a.ino}
-}
-
-// Create implements pfs.FileSystem.
-func (fs *FS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.CreateFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return fs.fileFor(n, path), nil
-}
-
-// Open implements pfs.FileSystem.
-func (fs *FS) Open(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return fs.fileFor(n, path), nil
-}
-
-// OpenAppend implements pfs.FileSystem.
-func (fs *FS) OpenAppend(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	if _, err := fs.ns.Lookup(path); err != nil {
-		return fs.Create(p, c, path)
-	}
-	return fs.Open(p, c, path)
-}
-
-// Stat implements pfs.FileSystem.
-func (fs *FS) Stat(p *sim.Proc, c *pfs.Client, path string) (pfs.FileInfo, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.Lookup(path)
-	if err != nil {
-		return pfs.FileInfo{}, err
-	}
-	return pfs.FileInfo{Path: pfs.Clean(path), Size: n.Size, IsDir: n.Dir}, nil
-}
-
-// Unlink implements pfs.FileSystem.
-func (fs *FS) Unlink(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p)
-	return fs.ns.Unlink(path)
-}
-
-// MkdirAll implements pfs.FileSystem.
-func (fs *FS) MkdirAll(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p)
-	_, err := fs.ns.MkdirAll(path)
-	return err
-}
-
-// ReadDir implements pfs.FileSystem.
-func (fs *FS) ReadDir(p *sim.Proc, c *pfs.Client, path string) ([]pfs.FileInfo, error) {
-	fs.metaOp(p)
-	return fs.ns.ReadDir(path)
-}
-
-func (f *file) Path() string { return f.path }
-func (f *file) Size() int64  { return f.node.Size }
-
-// objSpan issues per-object operations covering [off, off+n) and returns
-// the latest completion time.
-func (f *file) objSpan(off, n int64) sim.Time {
-	fs := f.fs
-	end := fs.k.Now()
-	os := fs.p.ObjectSize
-	for n > 0 {
+// objSpan issues per-object operations covering [off, off+length) of file n and
+// returns the latest completion time, or end if that is later.
+func (fs *FS) objSpan(n *pfs.Node, off, length int64, end sim.Time) sim.Time {
+	ino, os := n.Aux.(*auxIno).ino, fs.p.ObjectSize
+	for length > 0 {
 		obj := off / os
 		within := off % os
 		chunk := os - within
-		if chunk > n {
-			chunk = n
+		if chunk > length {
+			chunk = length
 		}
-		e := fs.placement(f.ino, obj).Reserve(chunk) + fs.tail()
-		if e > end {
+		if e := fs.placement(ino, obj).Reserve(chunk) + fs.tail(); e > end {
 			end = e
 		}
 		off += chunk
-		n -= chunk
+		length -= chunk
 	}
 	return end
 }
 
-// WriteAt implements pfs.File.
-func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
-	end := p.Now()
-	if c != nil && c.NIC != nil && n > 0 {
-		end = c.NIC.Reserve(n)
-	}
-	if e := f.objSpan(off, n); e > end {
-		end = e
-	}
-	pfs.NodeWrite(f.node, off, n, data)
-	f.fs.bytesWritten += uint64(n)
-	p.SleepUntil(end + f.fs.p.RPCLatency)
+// Absorb implements pfs.Backend.
+func (fs model) Absorb(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+	return fs.objSpan(n, off, length, nicDone) + fs.p.RPCLatency
 }
 
-// ReadAt implements pfs.File.
-func (f *file) ReadAt(p *sim.Proc, c *pfs.Client, off, n int64) []byte {
-	if off >= f.node.Size {
-		return nil
-	}
-	if off+n > f.node.Size {
-		n = f.node.Size - off
-	}
-	end := f.objSpan(off, n)
-	if c != nil && c.NIC != nil && n > 0 {
-		if e := c.NIC.Reserve(n); e > end {
-			end = e
-		}
-	}
-	f.fs.bytesRead += uint64(n)
-	p.SleepUntil(end + f.fs.p.RPCLatency)
-	return pfs.NodeRead(f.node, off, n)
+// Serve implements pfs.Backend.
+func (fs model) Serve(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+	return fs.objSpan(n, off, length, nicDone) + fs.p.RPCLatency
 }
 
-// Sync implements pfs.File.
-func (f *file) Sync(p *sim.Proc, c *pfs.Client) {
-	p.Sleep(f.fs.p.RPCLatency + f.fs.tail())
+// Fsync implements pfs.Backend.
+func (fs model) Fsync(*pfs.Node) sim.Time {
+	return fs.k.Now() + (fs.p.RPCLatency + fs.tail())
 }
-
-// Close implements pfs.File.
-func (f *file) Close(p *sim.Proc, c *pfs.Client) { f.fs.metaOp(p) }
-
-var _ pfs.FileSystem = (*FS)(nil)

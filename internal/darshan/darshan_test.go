@@ -176,3 +176,61 @@ func TestSharedFileAggregation(t *testing.T) {
 		t.Fatalf("sums=%+v", sums)
 	}
 }
+
+// TestOneFileOneRecord: a file is one record however its path is spelled.
+// posix normalises the path where it enters, so the open, every descriptor
+// operation and a failed open all land on the normalised name. (Before,
+// the open was recorded under the path as given and the writes under the
+// cleaned one: two records, one with OPENS=1 WRITES=0 and one with
+// OPENS=0 WRITES=1.)
+func TestOneFileOneRecord(t *testing.T) {
+	k := sim.NewKernel()
+	fs := lustre.New(k, lustre.DefaultParams())
+	col := NewCollector()
+	k.Spawn("r", func(p *sim.Proc) {
+		env := &posix.Env{FS: fs, Client: &pfs.Client{}, Monitor: col}
+		if err := env.MkdirAll(p, "/out/"); err != nil {
+			t.Error(err)
+		}
+		fd, err := env.Create(p, "/out//x.dat")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fd.Write(p, 4096, nil)
+		fd.Close(p)
+		if _, err := env.Stat(p, "/out/./x.dat"); err != nil {
+			t.Error(err)
+		}
+		ap, err := env.OpenAppend(p, "out/x.dat")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ap.Write(p, 4096, nil)
+		ap.Close(p)
+		if err := env.Unlink(p, "/out/sub/../x.dat"); err != nil {
+			t.Error(err)
+		}
+		if _, err := env.Open(p, "/nope/../missing"); err == nil || !strings.HasSuffix(err.Error(), ": /missing") {
+			t.Errorf("open of a missing file: err=%v, want one naming /missing", err)
+		}
+	})
+	k.Run()
+	l := col.Snapshot(JobMeta{NProcs: 1})
+	want := map[string][3]int64{ // opens, writes, stats
+		"/out":       {0, 0, 0},
+		"/out/x.dat": {2, 2, 1},
+		"/missing":   {1, 0, 0},
+	}
+	if len(l.Records) != len(want) {
+		t.Errorf("records=%d, want %d", len(l.Records), len(want))
+	}
+	for _, r := range l.Records {
+		w, ok := want[r.Path]
+		got := [3]int64{r.Counters[POSIX_OPENS], r.Counters[POSIX_WRITES], r.Counters[POSIX_STATS]}
+		if !ok || got != w {
+			t.Errorf("record %q: opens/writes/stats=%v, want %v (known path: %t)", r.Path, got, w, ok)
+		}
+	}
+}

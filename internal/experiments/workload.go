@@ -10,7 +10,7 @@ import (
 	"picmcio/internal/units"
 )
 
-// WorkloadKinds is the workload axis of FigWorkload, in table order: the
+// WorkloadKinds is the workload axis of figworkload, in table order: the
 // flat chunked per-node writer and the mpisim rank schedule with
 // aggregator fan-in. Both emit the same logical volume per node per
 // epoch (96 MiB checkpoint + 32 MiB diagnostics), so every difference
@@ -34,7 +34,7 @@ const (
 	workloadRanks  = 4 // ranks per node in the rank schedule
 )
 
-// workloadSpecs builds the two-job co-schedule of one FigWorkload cell
+// workloadSpecs builds the two-job co-schedule of one figworkload cell
 // on Dardel: the workload under test staging through an epoch-end burst
 // tier next to a direct flat writer, both striped across every OST.
 func workloadSpecs(kind string, aggr int, qos burst.QoS) ([]jobs.Spec, error) {
@@ -101,8 +101,12 @@ type WorkloadCell struct {
 	Result *jobs.ContentionResult
 }
 
-// FigWorkloadSweep is FigWorkload as a grid declaration: workload kind ×
-// drain QoS × aggregator count, one jobs.Contention run per cell. The
+// FigWorkloadSweep is the workload-composition artifact as a grid
+// declaration: every workload kind through the same staged two-job
+// scenario under every drain QoS, with the rank schedule additionally
+// swept over aggregator counts — workload kind × drain QoS × aggregator
+// count, one jobs.Contention run per cell; the composition the Workload
+// interface exists to make a grid instead of a per-combination rewrite. The
 // chunked workload has no aggregation stage, so its cells depend only on
 // the QoS axis; they are precomputed once per policy into an immutable
 // map the trials read (the FigFault baseline pattern), keeping trials
@@ -166,20 +170,6 @@ func (o Options) FigWorkloadSweep() (sweep.Table, error) {
 				Extra: cell,
 			}, nil
 		})
-}
-
-// FigWorkload is the workload-composition artifact: every workload kind
-// through the same staged two-job scenario under every drain QoS, with
-// the rank schedule additionally swept over aggregator counts — the
-// composition the Workload interface exists to make a grid declaration
-// instead of a per-combination rewrite.
-func (o Options) FigWorkload() (Table, []WorkloadCell, error) {
-	st, err := o.FigWorkloadSweep()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	t, cells := workloadTable(st)
-	return t, cells, nil
 }
 
 // workloadTable builds the figure's text table and typed cells from the

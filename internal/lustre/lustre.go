@@ -94,10 +94,11 @@ type Layout struct {
 	Objects      []Object
 }
 
-// FS is a simulated Lustre file system.
+// FS is a simulated Lustre file system: the shared POSIX front end, timed
+// by the MDS/OST cost model below.
 type FS struct {
+	*pfs.Frontend
 	k        *sim.Kernel
-	ns       *pfs.Namespace
 	p        Params
 	osts     []*sim.Server
 	mds      *sim.MultiServer
@@ -106,11 +107,7 @@ type FS struct {
 	nextID   uint64
 	nextOST  int
 
-	dirDefaults map[string]Layout // SetStripe on directories
-
-	// aggregate accounting
-	bytesWritten uint64
-	bytesRead    uint64
+	dirDefaults map[string]Layout // SetStripe on directories, by clean path
 }
 
 // New creates a Lustre file system on kernel k.
@@ -129,7 +126,6 @@ func New(k *sim.Kernel, p Params) *FS {
 	}
 	fs := &FS{
 		k:           k,
-		ns:          pfs.NewNamespace(),
 		p:           p,
 		mds:         sim.NewMultiServer(k, p.MDSThreads, 0, 0),
 		rng:         xrand.New(p.Seed ^ 0x1f5),
@@ -142,24 +138,12 @@ func New(k *sim.Kernel, p Params) *FS {
 	if p.BackboneRate > 0 {
 		fs.backbone = sim.NewServer(k, p.BackboneRate, 0)
 	}
+	fs.Frontend = pfs.NewFrontend("lustre", model{fs})
 	return fs
 }
 
-// Name implements pfs.FileSystem.
-func (fs *FS) Name() string { return "lustre" }
-
 // Params returns the configuration the file system was built with.
 func (fs *FS) Params() Params { return fs.p }
-
-// Namespace exposes the underlying tree for offline inspection (tools,
-// tests); it must not be mutated while processes are running.
-func (fs *FS) Namespace() *pfs.Namespace { return fs.ns }
-
-// TotalBytesWritten reports cumulative bytes written across all files.
-func (fs *FS) TotalBytesWritten() uint64 { return fs.bytesWritten }
-
-// TotalBytesRead reports cumulative bytes read across all files.
-func (fs *FS) TotalBytesRead() uint64 { return fs.bytesRead }
 
 // MDSOps reports how many metadata operations the MDS has served.
 func (fs *FS) MDSOps() uint64 { return fs.mds.Ops() }
@@ -192,17 +176,14 @@ func (fs *FS) SetStripe(dir string, count int, size int64) error {
 	return nil
 }
 
-// defaultLayoutFor walks up the directory chain for a SetStripe default.
+// defaultLayoutFor walks up the parents of a clean path for a SetStripe
+// default.
 func (fs *FS) defaultLayoutFor(path string) Layout {
-	dir, _ := pfs.Split(path)
-	for {
+	for dir := path; dir != "/"; {
+		dir = dir[:max(1, strings.LastIndexByte(dir, '/'))]
 		if l, ok := fs.dirDefaults[dir]; ok {
 			return l
 		}
-		if dir == "/" {
-			break
-		}
-		dir, _ = pfs.Split(dir)
 	}
 	return Layout{StripeCount: fs.p.DefaultStripeCount, StripeSize: fs.p.DefaultStripeSize, Pattern: "raid0"}
 }
@@ -233,86 +214,30 @@ func (fs *FS) jitter(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * f)
 }
 
-// metaOp charges one metadata operation of base service time d.
-func (fs *FS) metaOp(p *sim.Proc, d sim.Duration) {
-	end := fs.mds.ReserveDur(fs.jitter(d))
-	p.SleepUntil(end + fs.p.RPCLatency)
+// model is the FS as the front end's cost model (pfs.Backend); a type of
+// its own keeps the hooks off *FS's exported method set.
+type model struct{ *FS }
+
+// Meta implements pfs.Backend: the MDS prices each kind of operation.
+func (fs model) Meta(op pfs.MetaOp) sim.Time {
+	d := [...]sim.Duration{
+		pfs.MetaCreate: fs.p.MDSCreate, pfs.MetaOpen: fs.p.MDSOpen, pfs.MetaStat: fs.p.MDSStat,
+		pfs.MetaClose: fs.p.MDSClose, pfs.MetaUnlink: fs.p.MDSUnlink, pfs.MetaMkdir: fs.p.MDSMkdir,
+	}[op]
+	return fs.mds.ReserveDur(fs.jitter(d)) + fs.p.RPCLatency
 }
 
-// file implements pfs.File on a namespace node with a Lustre layout.
-type file struct {
-	fs   *FS
-	node *pfs.Node
-	path string
-}
-
-// Create implements pfs.FileSystem.
-func (fs *FS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p, fs.p.MDSCreate)
-	n, err := fs.ns.CreateFile(path)
-	if err != nil {
-		return nil, err
-	}
+// Place implements pfs.Backend: a layout from the nearest SetStripe
+// default, its objects allocated round-robin.
+func (fs model) Place(path string, n *pfs.Node) {
 	lay := fs.allocate(fs.defaultLayoutFor(path))
 	n.Aux = &lay
-	return &file{fs: fs, node: n, path: pfs.Clean(path)}, nil
-}
-
-// Open implements pfs.FileSystem.
-func (fs *FS) Open(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p, fs.p.MDSOpen)
-	n, err := fs.ns.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if n.Aux == nil {
-		lay := fs.allocate(fs.defaultLayoutFor(path))
-		n.Aux = &lay
-	}
-	return &file{fs: fs, node: n, path: pfs.Clean(path)}, nil
-}
-
-// OpenAppend implements pfs.FileSystem.
-func (fs *FS) OpenAppend(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	if _, err := fs.ns.Lookup(path); err != nil {
-		return fs.Create(p, c, path)
-	}
-	return fs.Open(p, c, path)
-}
-
-// Stat implements pfs.FileSystem.
-func (fs *FS) Stat(p *sim.Proc, c *pfs.Client, path string) (pfs.FileInfo, error) {
-	fs.metaOp(p, fs.p.MDSStat)
-	n, err := fs.ns.Lookup(path)
-	if err != nil {
-		return pfs.FileInfo{}, err
-	}
-	return pfs.FileInfo{Path: pfs.Clean(path), Size: n.Size, IsDir: n.Dir}, nil
-}
-
-// Unlink implements pfs.FileSystem.
-func (fs *FS) Unlink(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p, fs.p.MDSUnlink)
-	return fs.ns.Unlink(path)
-}
-
-// MkdirAll implements pfs.FileSystem.
-func (fs *FS) MkdirAll(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p, fs.p.MDSMkdir)
-	_, err := fs.ns.MkdirAll(path)
-	return err
-}
-
-// ReadDir implements pfs.FileSystem.
-func (fs *FS) ReadDir(p *sim.Proc, c *pfs.Client, path string) ([]pfs.FileInfo, error) {
-	fs.metaOp(p, fs.p.MDSStat)
-	return fs.ns.ReadDir(path)
 }
 
 // GetStripe returns the layout of the file at path, as `lfs getstripe`
 // would report it.
 func (fs *FS) GetStripe(path string) (Layout, error) {
-	n, err := fs.ns.OpenFile(path)
+	n, err := fs.Namespace().OpenFile(path)
 	if err != nil {
 		return Layout{}, err
 	}
@@ -339,11 +264,6 @@ func FormatGetStripe(path string, l Layout) string {
 	return b.String()
 }
 
-func (f *file) Path() string { return f.path }
-func (f *file) Size() int64  { return f.node.Size }
-
-func (f *file) layout() *Layout { return f.node.Aux.(*Layout) }
-
 // stripeSplit apportions [off, off+n) across the layout's stripe objects,
 // returning bytes per object index.
 func stripeSplit(l *Layout, off, n int64) []int64 {
@@ -366,23 +286,11 @@ func stripeSplit(l *Layout, off, n int64) []int64 {
 	return per
 }
 
-// WriteAt implements pfs.File.
-func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
-	fs := f.fs
-	l := f.layout()
-	// The client injects the payload through its node NIC while the OSTs
-	// drain their stripe shares concurrently; completion is the latest
-	// stage, plus an RPC latency and any configured jitter.
-	end := p.Now()
-	if c != nil && c.NIC != nil && n > 0 {
-		end = c.NIC.Reserve(n)
-	}
-	if fs.backbone != nil && n > 0 {
-		if e := fs.backbone.Reserve(n); e > end {
-			end = e
-		}
-	}
-	for i, bytes := range stripeSplit(l, off, n) {
+// reserve books [off, off+length) of file n on the OSTs holding its stripe
+// objects and returns the latest completion, or end if that is later.
+func (fs *FS) reserve(n *pfs.Node, off, length int64, end sim.Time) sim.Time {
+	l := n.Aux.(*Layout)
+	for i, bytes := range stripeSplit(l, off, length) {
 		if bytes == 0 {
 			continue
 		}
@@ -390,66 +298,38 @@ func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
 			end = e
 		}
 	}
-	pfs.NodeWrite(f.node, off, n, data)
-	fs.bytesWritten += uint64(n)
-	p.SleepUntil(p.Now() + fs.jitterAround(end-p.Now()) + fs.p.RPCLatency + fs.p.ClientWriteLatency)
+	return end
 }
 
-// jitterAround perturbs an elapsed duration by the configured jitter
-// fraction; it never returns a negative duration.
-func (fs *FS) jitterAround(d sim.Duration) sim.Duration {
-	d2 := fs.jitter(d)
-	if d2 < 0 {
-		return 0
-	}
-	return d2
-}
-
-// ReadAt implements pfs.File.
-func (f *file) ReadAt(p *sim.Proc, c *pfs.Client, off, n int64) []byte {
-	fs := f.fs
-	if off >= f.node.Size {
-		return nil
-	}
-	if off+n > f.node.Size {
-		n = f.node.Size - off
-	}
-	l := f.layout()
-	end := p.Now() + fs.p.RPCLatency
-	for i, bytes := range stripeSplit(l, off, n) {
-		if bytes == 0 {
-			continue
-		}
-		if e := fs.osts[l.Objects[i].OBDIdx].Reserve(bytes); e > end {
+// Absorb implements pfs.Backend. The client injects the payload through
+// its node NIC while the fabric and the OSTs drain their stripe shares
+// concurrently; completion is the latest stage, jittered, plus an RPC
+// latency and the client-side cost of a synchronous write.
+func (fs model) Absorb(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+	end := nicDone
+	if fs.backbone != nil && length > 0 {
+		if e := fs.backbone.Reserve(length); e > end {
 			end = e
 		}
 	}
-	if c != nil && c.NIC != nil && n > 0 {
-		if e := c.NIC.Reserve(n); e > end {
-			end = e
-		}
-	}
-	fs.bytesRead += uint64(n)
-	p.SleepUntil(end + fs.p.RPCLatency)
-	return pfs.NodeRead(f.node, off, n)
+	end = fs.reserve(n, off, length, end)
+	now := fs.k.Now()
+	return now + max(0, fs.jitter(end-now)) + fs.p.RPCLatency + fs.p.ClientWriteLatency
 }
 
-// Sync implements pfs.File: one RPC per stripe object.
-func (f *file) Sync(p *sim.Proc, c *pfs.Client) {
-	fs := f.fs
-	l := f.layout()
-	end := p.Now()
-	for _, o := range l.Objects {
+// Serve implements pfs.Backend: a request latency out, the stripe
+// objects' OSTs and the client NIC in parallel, a reply latency back.
+func (fs model) Serve(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+	return max(nicDone, fs.reserve(n, off, length, fs.k.Now()+fs.p.RPCLatency)) + fs.p.RPCLatency
+}
+
+// Fsync implements pfs.Backend: one RPC per stripe object.
+func (fs model) Fsync(n *pfs.Node) sim.Time {
+	end := fs.k.Now()
+	for _, o := range n.Aux.(*Layout).Objects {
 		if e := fs.osts[o.OBDIdx].Reserve(0); e > end {
 			end = e
 		}
 	}
-	p.SleepUntil(end + fs.p.RPCLatency)
+	return end + fs.p.RPCLatency
 }
-
-// Close implements pfs.File: a close is an MDS operation.
-func (f *file) Close(p *sim.Proc, c *pfs.Client) {
-	f.fs.metaOp(p, f.fs.p.MDSClose)
-}
-
-var _ pfs.FileSystem = (*FS)(nil)

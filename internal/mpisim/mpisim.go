@@ -203,9 +203,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the communicator size.
 func (c *Comm) Size() int { return len(c.g.ranks) }
 
-// WorldRank reports the world rank behind a communicator rank.
-func (c *Comm) WorldRank(commRank int) int { return c.g.ranks[commRank] }
-
 // collective executes one matched collective. The reduce callback runs on
 // the last-arriving rank; it receives every rank's contribution in comm
 // rank order and returns the per-rank results and the total bytes moved

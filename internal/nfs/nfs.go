@@ -23,141 +23,43 @@ func DefaultParams() Params {
 	return Params{Rate: 0.9e9, PerOp: 150e-6, MetaOp: 400e-6, RPCLatency: 80e-6}
 }
 
-// FS is a simulated NFS file system.
+// FS is a simulated NFS file system: the shared POSIX front end, timed by
+// the one server below.
 type FS struct {
-	k   *sim.Kernel
-	ns  *pfs.Namespace
+	*pfs.Frontend
 	p   Params
 	srv *sim.Server
-
-	bytesWritten uint64
-	bytesRead    uint64
 }
 
 // New creates an NFS file system on kernel k.
 func New(k *sim.Kernel, p Params) *FS {
-	return &FS{k: k, ns: pfs.NewNamespace(), p: p, srv: sim.NewServer(k, p.Rate, p.PerOp)}
+	fs := &FS{p: p, srv: sim.NewServer(k, p.Rate, p.PerOp)}
+	fs.Frontend = pfs.NewFrontend("nfs", model{fs})
+	return fs
 }
 
-// Name implements pfs.FileSystem.
-func (fs *FS) Name() string { return "nfs" }
+// model is the FS as the front end's cost model (pfs.Backend); a type of
+// its own keeps the hooks off *FS's exported method set.
+type model struct{ *FS }
 
-// Namespace exposes the file tree for offline inspection.
-func (fs *FS) Namespace() *pfs.Namespace { return fs.ns }
-
-// TotalBytesWritten reports cumulative bytes written.
-func (fs *FS) TotalBytesWritten() uint64 { return fs.bytesWritten }
-
-func (fs *FS) metaOp(p *sim.Proc) {
-	end := fs.srv.Reserve(0) + fs.p.MetaOp + fs.p.RPCLatency
-	p.SleepUntil(end)
+// Meta implements pfs.Backend: every kind of metadata operation costs the
+// same and takes its turn on the one server.
+func (fs model) Meta(pfs.MetaOp) sim.Time {
+	return fs.srv.Reserve(0) + fs.p.MetaOp + fs.p.RPCLatency
 }
 
-type file struct {
-	fs   *FS
-	node *pfs.Node
-	path string
+// Place implements pfs.Backend: one server, nothing to place.
+func (fs model) Place(string, *pfs.Node) {}
+
+// Absorb implements pfs.Backend.
+func (fs model) Absorb(_ *pfs.Node, _, length int64, nicDone sim.Time) sim.Time {
+	return max(nicDone, fs.srv.Reserve(length)) + fs.p.RPCLatency
 }
 
-// Create implements pfs.FileSystem.
-func (fs *FS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.CreateFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{fs: fs, node: n, path: pfs.Clean(path)}, nil
+// Serve implements pfs.Backend.
+func (fs model) Serve(_ *pfs.Node, _, length int64, nicDone sim.Time) sim.Time {
+	return max(nicDone, fs.srv.Reserve(length)) + fs.p.RPCLatency
 }
 
-// Open implements pfs.FileSystem.
-func (fs *FS) Open(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{fs: fs, node: n, path: pfs.Clean(path)}, nil
-}
-
-// OpenAppend implements pfs.FileSystem.
-func (fs *FS) OpenAppend(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
-	if _, err := fs.ns.Lookup(path); err != nil {
-		return fs.Create(p, c, path)
-	}
-	return fs.Open(p, c, path)
-}
-
-// Stat implements pfs.FileSystem.
-func (fs *FS) Stat(p *sim.Proc, c *pfs.Client, path string) (pfs.FileInfo, error) {
-	fs.metaOp(p)
-	n, err := fs.ns.Lookup(path)
-	if err != nil {
-		return pfs.FileInfo{}, err
-	}
-	return pfs.FileInfo{Path: pfs.Clean(path), Size: n.Size, IsDir: n.Dir}, nil
-}
-
-// Unlink implements pfs.FileSystem.
-func (fs *FS) Unlink(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p)
-	return fs.ns.Unlink(path)
-}
-
-// MkdirAll implements pfs.FileSystem.
-func (fs *FS) MkdirAll(p *sim.Proc, c *pfs.Client, path string) error {
-	fs.metaOp(p)
-	_, err := fs.ns.MkdirAll(path)
-	return err
-}
-
-// ReadDir implements pfs.FileSystem.
-func (fs *FS) ReadDir(p *sim.Proc, c *pfs.Client, path string) ([]pfs.FileInfo, error) {
-	fs.metaOp(p)
-	return fs.ns.ReadDir(path)
-}
-
-func (f *file) Path() string { return f.path }
-func (f *file) Size() int64  { return f.node.Size }
-
-// WriteAt implements pfs.File.
-func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
-	end := p.Now()
-	if c != nil && c.NIC != nil && n > 0 {
-		end = c.NIC.Reserve(n)
-	}
-	if e := f.fs.srv.Reserve(n); e > end {
-		end = e
-	}
-	pfs.NodeWrite(f.node, off, n, data)
-	f.fs.bytesWritten += uint64(n)
-	p.SleepUntil(end + f.fs.p.RPCLatency)
-}
-
-// ReadAt implements pfs.File.
-func (f *file) ReadAt(p *sim.Proc, c *pfs.Client, off, n int64) []byte {
-	if off >= f.node.Size {
-		return nil
-	}
-	if off+n > f.node.Size {
-		n = f.node.Size - off
-	}
-	end := f.fs.srv.Reserve(n)
-	if c != nil && c.NIC != nil && n > 0 {
-		if e := c.NIC.Reserve(n); e > end {
-			end = e
-		}
-	}
-	f.fs.bytesRead += uint64(n)
-	p.SleepUntil(end + f.fs.p.RPCLatency)
-	return pfs.NodeRead(f.node, off, n)
-}
-
-// Sync implements pfs.File.
-func (f *file) Sync(p *sim.Proc, c *pfs.Client) {
-	p.SleepUntil(f.fs.srv.Reserve(0) + f.fs.p.RPCLatency)
-}
-
-// Close implements pfs.File.
-func (f *file) Close(p *sim.Proc, c *pfs.Client) { f.fs.metaOp(p) }
-
-var _ pfs.FileSystem = (*FS)(nil)
+// Fsync implements pfs.Backend.
+func (fs model) Fsync(*pfs.Node) sim.Time { return fs.srv.Reserve(0) + fs.p.RPCLatency }

@@ -3,9 +3,10 @@
 // offset-addressed reads and writes, and the notion of a client (a compute
 // node's network endpoint) through which every operation is issued.
 //
-// Concrete file systems attach simulated-time cost models; the namespace
-// bookkeeping itself (directories, sizes, optional contents) lives here so
-// all backends behave identically at the semantic level.
+// The semantics live here once, in Frontend: the namespace (directories,
+// sizes, optional contents), the open handle and the path rules are the
+// same on every backend, and a concrete file system is only the Backend
+// cost model it times them with.
 package pfs
 
 import (
@@ -21,7 +22,6 @@ import (
 // values the real code paths would see.
 var (
 	ErrNotExist = errors.New("pfs: no such file or directory")
-	ErrExist    = errors.New("pfs: file exists")
 	ErrIsDir    = errors.New("pfs: is a directory")
 	ErrNotDir   = errors.New("pfs: not a directory")
 )
@@ -89,8 +89,8 @@ type Stager interface {
 	DrainEpoch(p *sim.Proc)
 }
 
-// Namespacer is implemented by every concrete backend (Lustre, NFS,
-// CephFS): it exposes the in-memory file tree for offline inspection —
+// Namespacer is implemented by Frontend, and so by every concrete backend
+// (Lustre, NFS, CephFS): it exposes the in-memory file tree for offline inspection —
 // file statistics, profile extraction, tool clones — without charging
 // simulated time.
 type Namespacer interface {
@@ -98,10 +98,12 @@ type Namespacer interface {
 }
 
 // Clean normalizes a path to an absolute slash-separated form with no
-// trailing slash (except for the root itself).
+// trailing slash (except for the root itself). A path that already has
+// that form is returned as it is, without allocating: every layer
+// normalizes where a path enters it, so most calls see a clean path.
 func Clean(path string) string {
-	if path == "" {
-		return "/"
+	if isClean(path) {
+		return path
 	}
 	parts := strings.Split(path, "/")
 	out := make([]string, 0, len(parts))
@@ -117,6 +119,25 @@ func Clean(path string) string {
 		}
 	}
 	return "/" + strings.Join(out, "/")
+}
+
+// isClean reports whether path is what Clean would return for it:
+// absolute, no empty, "." or ".." component, no trailing slash.
+func isClean(path string) bool {
+	if path == "/" {
+		return true
+	}
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for rest, more := path[1:], true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, "/")
+		if part == "" || part == "." || part == ".." {
+			return false
+		}
+	}
+	return true
 }
 
 // Split returns the parent directory and base name of a cleaned path.
@@ -145,7 +166,9 @@ type Node struct {
 }
 
 // Namespace is a plain in-memory file tree with no timing model. It is the
-// semantic core that every simulated file system shares.
+// semantic core that every simulated file system shares. Every method
+// normalizes the path it is given (free for the clean paths a Frontend
+// hands it) and resolves it component by component.
 type Namespace struct {
 	root *Node
 }
@@ -155,42 +178,38 @@ func NewNamespace() *Namespace {
 	return &Namespace{root: &Node{Name: "/", Dir: true, Children: map[string]*Node{}}}
 }
 
-func (ns *Namespace) walk(path string) (*Node, error) {
+// Lookup returns the node at path.
+func (ns *Namespace) Lookup(path string) (*Node, error) {
 	p := Clean(path)
-	if p == "/" {
-		return ns.root, nil
-	}
 	cur := ns.root
-	for _, part := range strings.Split(p[1:], "/") {
+	for rest := p[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if !cur.Dir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
 		}
 		next, ok := cur.Children[part]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
+			return nil, fmt.Errorf("%w: %s", ErrNotExist, p)
 		}
 		cur = next
 	}
 	return cur, nil
 }
 
-// Lookup returns the node at path.
-func (ns *Namespace) Lookup(path string) (*Node, error) { return ns.walk(path) }
-
 // MkdirAll creates a directory chain; existing directories are fine.
 func (ns *Namespace) MkdirAll(path string) (*Node, error) {
 	p := Clean(path)
-	if p == "/" {
-		return ns.root, nil
-	}
 	cur := ns.root
-	for _, part := range strings.Split(p[1:], "/") {
+	for rest := p[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		next, ok := cur.Children[part]
 		if !ok {
 			next = &Node{Name: part, Dir: true, Children: map[string]*Node{}}
 			cur.Children[part] = next
 		} else if !next.Dir {
-			return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
 		}
 		cur = next
 	}
@@ -200,14 +219,18 @@ func (ns *Namespace) MkdirAll(path string) (*Node, error) {
 // CreateFile creates or truncates a regular file, creating parents as
 // needed (matching the behaviour the simulation layers rely on).
 func (ns *Namespace) CreateFile(path string) (*Node, error) {
-	dir, base := Split(path)
+	p := Clean(path)
+	if p == "/" {
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
+	}
+	dir, base := Split(p)
 	d, err := ns.MkdirAll(dir)
 	if err != nil {
 		return nil, err
 	}
 	if n, ok := d.Children[base]; ok {
 		if n.Dir {
-			return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+			return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 		}
 		n.Size = 0
 		n.Content = nil
@@ -221,52 +244,61 @@ func (ns *Namespace) CreateFile(path string) (*Node, error) {
 
 // OpenFile returns the existing regular file at path.
 func (ns *Namespace) OpenFile(path string) (*Node, error) {
-	n, err := ns.walk(path)
+	p := Clean(path)
+	n, err := ns.Lookup(p)
 	if err != nil {
 		return nil, err
 	}
 	if n.Dir {
-		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	return n, nil
 }
 
 // Unlink removes the regular file at path.
 func (ns *Namespace) Unlink(path string) error {
-	dir, base := Split(path)
-	d, err := ns.walk(dir)
+	p := Clean(path)
+	dir, base := Split(p)
+	d, err := ns.Lookup(dir)
 	if err != nil {
 		return err
 	}
 	n, ok := d.Children[base]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, path)
+		return fmt.Errorf("%w: %s", ErrNotExist, p)
 	}
 	if n.Dir {
-		return fmt.Errorf("%w: %s", ErrIsDir, path)
+		return fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
 	delete(d.Children, base)
 	return nil
 }
 
+// sortedNames lists a directory's entry names in order.
+func sortedNames(dir *Node) []string {
+	names := make([]string, 0, len(dir.Children))
+	for name := range dir.Children {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // ReadDir lists a directory's entries sorted by name.
 func (ns *Namespace) ReadDir(path string) ([]FileInfo, error) {
-	n, err := ns.walk(path)
+	p := Clean(path)
+	n, err := ns.Lookup(p)
 	if err != nil {
 		return nil, err
 	}
 	if !n.Dir {
-		return nil, fmt.Errorf("%w: %s", ErrNotDir, path)
+		return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
 	}
-	names := make([]string, 0, len(n.Children))
-	for name := range n.Children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNames(n)
 	out := make([]FileInfo, 0, len(names))
 	for _, name := range names {
 		c := n.Children[name]
-		out = append(out, FileInfo{Path: Join(path, name), Size: c.Size, IsDir: c.Dir})
+		out = append(out, FileInfo{Path: Join(p, name), Size: c.Size, IsDir: c.Dir})
 	}
 	return out, nil
 }
@@ -274,7 +306,7 @@ func (ns *Namespace) ReadDir(path string) ([]FileInfo, error) {
 // WalkFiles visits every regular file under root (inclusive), sorted by
 // path, calling fn with the full path and node.
 func (ns *Namespace) WalkFiles(root string, fn func(path string, n *Node)) error {
-	start, err := ns.walk(root)
+	start, err := ns.Lookup(root)
 	if err != nil {
 		return err
 	}
@@ -284,12 +316,7 @@ func (ns *Namespace) WalkFiles(root string, fn func(path string, n *Node)) error
 			fn(path, n)
 			return
 		}
-		names := make([]string, 0, len(n.Children))
-		for name := range n.Children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedNames(n) {
 			rec(Join(path, name), n.Children[name])
 		}
 	}

@@ -2,8 +2,10 @@ package pfs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClean(t *testing.T) {
@@ -151,14 +153,63 @@ func TestNodeVolumeMode(t *testing.T) {
 	}
 }
 
-// Property: Clean is idempotent and always yields an absolute path.
+// Property: Clean is idempotent and always yields an absolute path — and
+// cleaning a clean path is free: the same string (same data pointer, not
+// an equal copy) and no allocation, which is what lets every layer
+// normalise at its own entry.
 func TestCleanIdempotentProperty(t *testing.T) {
 	f := func(s string) bool {
 		c := Clean(s)
-		return c == Clean(c) && len(c) > 0 && c[0] == '/'
+		cc := Clean(c)
+		return c == cc && len(c) > 0 && c[0] == '/' && unsafe.StringData(c) == unsafe.StringData(cc) &&
+			testing.AllocsPerRun(1, func() { Clean(c) }) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range []string{"/", "/a", "/scratch/bit1/bit1_000001.dat", "/.a/..b/c.", "/a b/\x00"} {
+		if c := Clean(s); unsafe.StringData(c) != unsafe.StringData(s) {
+			t.Errorf("Clean(%q) = %q is not its argument", s, c)
+		}
+	}
+}
+
+// checkClean is the contract FuzzClean holds Clean, Split and Join to.
+func checkClean(t *testing.T, in string) {
+	c := Clean(in)
+	if c == "" || c[0] != '/' {
+		t.Fatalf("Clean(%q) = %q is not absolute", in, c)
+	}
+	if c != "/" {
+		for _, part := range strings.Split(c[1:], "/") {
+			if part == "" || part == "." || part == ".." {
+				t.Fatalf("Clean(%q) = %q has component %q", in, c, part)
+			}
+		}
+		if dir, base := Split(c); Join(dir, base) != c {
+			t.Fatalf("Join(Split(%q)) = %q", c, Join(dir, base))
+		}
+	}
+	if cc := Clean(c); cc != c {
+		t.Fatalf("Clean(%q) = %q is not a fixed point: cleans to %q", in, c, cc)
+	}
+}
+
+// FuzzClean: Clean never panics, and its result is absolute, has no
+// empty, "." or ".." component, is a fixed point and survives
+// Join(Split(c)). The corpus is testdata/fuzz/FuzzClean.
+func FuzzClean(f *testing.F) {
+	f.Fuzz(checkClean)
+}
+
+// TestCreateRoot: the root is a directory, not a file to create.
+func TestCreateRoot(t *testing.T) {
+	ns := NewNamespace()
+	if _, err := ns.CreateFile("/"); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("create /: err=%v, want ErrIsDir", err)
+	}
+	if ents, _ := ns.ReadDir("/"); len(ents) != 0 {
+		t.Fatalf("create / left entries behind: %v", ents)
 	}
 }
 

@@ -95,6 +95,13 @@ func (e *Env) record(op Op, path string, bytes int64, start, end sim.Time) {
 	}
 }
 
+// begin is where a path enters the POSIX layer: it is normalised here,
+// once, and the returned string is the one the monitor records, the
+// descriptor stores and the file system is handed — so one file is one
+// Darshan record however the caller spelled its path, failed opens
+// included.
+func begin(p *sim.Proc, path string) (string, sim.Time) { return pfs.Clean(path), p.Now() }
+
 // FD is an open file descriptor with a position.
 type FD struct {
 	env  *Env
@@ -103,42 +110,40 @@ type FD struct {
 	off  int64
 }
 
-// Create creates (or truncates) a file and returns a descriptor at offset 0.
-func (e *Env) Create(p *sim.Proc, path string) (*FD, error) {
-	start := p.Now()
-	f, err := e.FS.Create(p, e.Client, path)
-	e.record(OpCreate, path, 0, start, p.Now())
+// open is Create, Open and OpenAppend, which differ in the FileSystem call
+// they make and the operation they record.
+func (e *Env) open(p *sim.Proc, op Op, path string, call func(*sim.Proc, *pfs.Client, string) (pfs.File, error)) (*FD, error) {
+	path, start := begin(p, path)
+	f, err := call(p, e.Client, path)
+	e.record(op, path, 0, start, p.Now())
 	if err != nil {
 		return nil, err
 	}
-	return &FD{env: e, f: f, path: pfs.Clean(path)}, nil
+	return &FD{env: e, f: f, path: path}, nil
+}
+
+// Create creates (or truncates) a file and returns a descriptor at offset 0.
+func (e *Env) Create(p *sim.Proc, path string) (*FD, error) {
+	return e.open(p, OpCreate, path, e.FS.Create)
 }
 
 // Open opens an existing file at offset 0.
 func (e *Env) Open(p *sim.Proc, path string) (*FD, error) {
-	start := p.Now()
-	f, err := e.FS.Open(p, e.Client, path)
-	e.record(OpOpen, path, 0, start, p.Now())
-	if err != nil {
-		return nil, err
-	}
-	return &FD{env: e, f: f, path: pfs.Clean(path)}, nil
+	return e.open(p, OpOpen, path, e.FS.Open)
 }
 
 // OpenAppend opens (creating if needed) a file positioned at its end.
 func (e *Env) OpenAppend(p *sim.Proc, path string) (*FD, error) {
-	start := p.Now()
-	f, err := e.FS.OpenAppend(p, e.Client, path)
-	e.record(OpOpen, path, 0, start, p.Now())
-	if err != nil {
-		return nil, err
+	fd, err := e.open(p, OpOpen, path, e.FS.OpenAppend)
+	if err == nil {
+		fd.off = fd.f.Size()
 	}
-	return &FD{env: e, f: f, path: pfs.Clean(path), off: f.Size()}, nil
+	return fd, err
 }
 
 // Stat reports file metadata.
 func (e *Env) Stat(p *sim.Proc, path string) (pfs.FileInfo, error) {
-	start := p.Now()
+	path, start := begin(p, path)
 	fi, err := e.FS.Stat(p, e.Client, path)
 	e.record(OpStat, path, 0, start, p.Now())
 	return fi, err
@@ -146,7 +151,7 @@ func (e *Env) Stat(p *sim.Proc, path string) (pfs.FileInfo, error) {
 
 // Unlink removes a file.
 func (e *Env) Unlink(p *sim.Proc, path string) error {
-	start := p.Now()
+	path, start := begin(p, path)
 	err := e.FS.Unlink(p, e.Client, path)
 	e.record(OpUnlink, path, 0, start, p.Now())
 	return err
@@ -154,7 +159,7 @@ func (e *Env) Unlink(p *sim.Proc, path string) error {
 
 // MkdirAll creates a directory chain.
 func (e *Env) MkdirAll(p *sim.Proc, path string) error {
-	start := p.Now()
+	path, start := begin(p, path)
 	err := e.FS.MkdirAll(p, e.Client, path)
 	e.record(OpMkdir, path, 0, start, p.Now())
 	return err

@@ -138,3 +138,34 @@ func TestOpClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateWriteCloseAllocs pins what one create + 4 KiB volume write +
+// close costs on default Lustre, so per-layer path re-cleaning cannot
+// creep back: the five objects left are the file handle, the FD, the
+// layout, its Objects and stripeSplit's slice. When every layer
+// normalised the path again it was 33, 28 of them path cleaning.
+func TestCreateWriteCloseAllocs(t *testing.T) {
+	files := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			env := &Env{FS: lustre.New(k, lustre.DefaultParams()), Client: &pfs.Client{}}
+			k.Spawn("r", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					fd, err := env.Create(p, "/scratch/bit1/bit1_000001.dat")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					fd.Write(p, 4096, nil)
+					fd.Close(p)
+				}
+			})
+			k.Run()
+		})
+	}
+	if per := (files(110) - files(10)) / 100; per > 8 {
+		t.Fatalf("create+write+close allocates %.1f objects, want <= 8", per)
+	} else {
+		t.Logf("create+write+close allocates %.1f objects", per)
+	}
+}

@@ -283,9 +283,6 @@ func (p *Proc) await() {
 	}
 }
 
-// Yield lets other processes scheduled at the current instant run first.
-func (p *Proc) Yield() { p.SleepUntil(p.k.now) }
-
 // Park suspends the process indefinitely; some other process must call
 // Wake (or WakeAt) to resume it. Parking with no eventual waker is a
 // deadlock, which Run reports.

@@ -36,17 +36,8 @@ func (s *Server) ServiceTime(n int64) Duration {
 // at which the operation completes, without blocking the caller. Use this
 // when one process fans an operation out across several servers (e.g. a
 // striped write) and then waits for the max completion time.
-func (s *Server) Reserve(n int64) Time { return s.ReserveAt(s.k.now, n) }
-
-// ReserveAt books an operation of n bytes arriving at time at (not before
-// the current virtual time) and returns its completion time. It is the
-// building block for pipelined multi-stage transfers such as
-// client NIC → OST.
-func (s *Server) ReserveAt(at Time, n int64) Time {
-	start := at
-	if start < s.k.now {
-		start = s.k.now
-	}
+func (s *Server) Reserve(n int64) Time {
+	start := s.k.now
 	if s.freeAt > start {
 		start = s.freeAt
 	}
@@ -69,9 +60,6 @@ func (s *Server) Acquire(p *Proc, n int64) {
 func (s *Server) Stats() (ops, bytes uint64, busy Duration) {
 	return s.ops, s.bytes, s.busy
 }
-
-// FreeAt reports when the server next becomes idle.
-func (s *Server) FreeAt() Time { return s.freeAt }
 
 // MultiServer models a station with c identical servers and a single FCFS
 // queue, e.g. a metadata server with a fixed service-thread count. Jobs are
@@ -145,9 +133,6 @@ func (m *MultiServer) ReserveDur(d Duration) Time {
 	m.busy += d
 	return end
 }
-
-// AcquireDur books an operation of duration d and blocks p until done.
-func (m *MultiServer) AcquireDur(p *Proc, d Duration) { p.SleepUntil(m.ReserveDur(d)) }
 
 // Ops reports the number of operations served so far.
 func (m *MultiServer) Ops() uint64 { return m.ops }

@@ -44,15 +44,6 @@ func Ints(name string, vs []int) Axis {
 	return a
 }
 
-// Int64s builds an int64-valued axis.
-func Int64s(name string, vs []int64) Axis {
-	a := Axis{Name: name}
-	for _, v := range vs {
-		a.Values = append(a.Values, v)
-	}
-	return a
-}
-
 // Floats builds a float64-valued axis.
 func Floats(name string, vs []float64) Axis {
 	a := Axis{Name: name}
@@ -169,9 +160,6 @@ func (c Config) Ordinal(name string) int {
 
 // Int reads an int-valued axis.
 func (c Config) Int(name string) int { return c.Value(name).(int) }
-
-// Int64 reads an int64-valued axis.
-func (c Config) Int64(name string) int64 { return c.Value(name).(int64) }
 
 // Float reads a float64-valued axis.
 func (c Config) Float(name string) float64 { return c.Value(name).(float64) }
