@@ -148,7 +148,8 @@ func (l *Ledger) Mark(now sim.Time, cum int64) {
 // uses the same Ledger the event-level injector fills, just with
 // uniformly spaced marks.
 func UniformLedger(epochs int, start, perEpoch sim.Duration, cumBase int64) *Ledger {
-	l := &Ledger{}
+	n := max(epochs, 0)
+	l := &Ledger{bufferedAt: make([]sim.Time, 0, n), cumPerNode: make([]int64, 0, n)}
 	for k := 1; k <= epochs; k++ {
 		l.Mark(start+sim.Duration(k)*perEpoch, cumBase+int64(k))
 	}

@@ -87,6 +87,14 @@ func TestLedgerQueries(t *testing.T) {
 	}
 }
 
+// TestUniformLedgerAllocs: the ledger's two slices are sized up front,
+// so building one costs three objects however many epochs it marks.
+func TestUniformLedgerAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { fault.UniformLedger(64, 0.5, 2.0, 0) }); n > 3 {
+		t.Fatalf("UniformLedger(64 epochs) allocated %v objects, want <= 3", n)
+	}
+}
+
 func TestUniformLedger(t *testing.T) {
 	// 3 epochs, first checkpoint 0.5 h of overhead plus one 2 h epoch in,
 	// cumulative-bytes counter resuming from a prior segment's 4 epochs.

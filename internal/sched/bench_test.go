@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -17,7 +18,10 @@ import (
 // delivered write bandwidth (workload bytes over makespan) — it drops
 // if the scheduler or the contention model regresses into longer
 // schedules. The wall-clock admission rate is a context metric only
-// (host-speed dependent, so it must not gate).
+// (host-speed dependent, so it must not gate). The allocation count of
+// the run is host-independent and gated too, as jobs scheduled per
+// thousand allocations: it falls if a policy pass starts allocating per
+// decision point again.
 func BenchmarkSched(b *testing.B) {
 	m := cluster.Dardel()
 	pr := NewPricer(m, 1, 6)
@@ -35,14 +39,17 @@ func BenchmarkSched(b *testing.B) {
 		sh := j.Spec.Workload.Shape()
 		totalBytes += float64(sh.Epochs) * float64(sh.BytesPerNode) * float64(j.Nodes)
 	}
+	var before, after runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		res, err := Run(cfg, EASY{}, stream)
 		if err != nil {
 			b.Fatal(err)
 		}
 		elapsed := time.Since(start).Seconds()
+		runtime.ReadMemStats(&after)
 		// Reconstruct the backlog depth the run actually saw: +1 per
 		// submission, -1 per start, max prefix over time order.
 		type ev struct {
@@ -78,6 +85,9 @@ func BenchmarkSched(b *testing.B) {
 		b.ReportMetric(float64(maxDepth), "peak_queue_depth")
 		b.ReportMetric(res.Utilization(), "utilization")
 		b.ReportMetric(totalBytes/(res.Makespan*3600)/(1<<20), "delivered_MiBps")
+		perJob := float64(after.Mallocs-before.Mallocs) / float64(len(res.Jobs))
+		b.ReportMetric(perJob, "allocs_per_job")
+		b.ReportMetric(1000/perJob, "jobs_per_kalloc_ratchet")
 	}
 }
 

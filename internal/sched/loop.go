@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/xrand"
@@ -103,7 +104,7 @@ type engine struct {
 	busy     int
 
 	prefix PrefixPolicy // non-nil when pol can veto idle passes in O(1)
-	view   QueueView    // backing buffers reused across decision points
+	view   QueueView    // backing buffers and the lent Pick scratch, reused across decision points
 
 	// Realism-layer state (realism.go): the per-tenant usage ledger and
 	// its fairness integrals, the failure schedule, and the repair list.
@@ -196,9 +197,6 @@ func (e *engine) admit(j *Job, p Price, tr *jobTrack, backfilled bool) error {
 		tr.epochs = epochsOf(j)
 		tr.perEpochH = p.ServiceHours / float64(tr.epochs)
 		tr.segSvcH = p.ServiceHours
-	}
-	if tr.segLed == nil {
-		tr.buildLedger()
 	}
 	tr.res.Segments++
 	tr.waitH += e.now - tr.lastEnqueue
@@ -341,7 +339,7 @@ func (e *engine) loop() error {
 	e.finishFairness()
 	// Jobs complete in event order; report them in submission order so
 	// the result is keyed the way the trace was.
-	sort.SliceStable(e.res.Jobs, func(a, b int) bool { return e.res.Jobs[a].ID < e.res.Jobs[b].ID })
+	slices.SortStableFunc(e.res.Jobs, func(a, b JobResult) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }
 
@@ -373,7 +371,7 @@ func (e *engine) schedule() error {
 		// Apply back-to-front so splicing a started job out does not shift
 		// the picks still to come. Admission order is the running set's
 		// order, which fixes retirement order and which job a failure hits.
-		sort.Slice(ds, func(a, b int) bool { return ds[a].QueueIndex > ds[b].QueueIndex })
+		slices.SortFunc(ds, func(a, b Decision) int { return cmp.Compare(b.QueueIndex, a.QueueIndex) })
 		n := len(e.queue)
 		for i, d := range ds {
 			if d.QueueIndex < 0 || d.QueueIndex >= n {

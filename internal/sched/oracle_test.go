@@ -30,9 +30,10 @@ import (
 // QueueView per pass, scanned the running set for the next completion
 // and knew no veto; Run must reproduce each digest bit for bit.
 //
-// Live: refPolicy strips from any policy the two things the engine does
-// beyond that reference structure — the PrefixPolicy veto and the reused
-// view buffers — and Run(pol) must DeepEqual Run(refPolicy{pol}).
+// Live: refPolicy strips from any policy the three things the engine
+// does beyond that reference structure — the PrefixPolicy veto, the
+// reused view buffers and the lent Pick scratch — and Run(pol) must
+// DeepEqual Run(refPolicy{pol}).
 
 // frozen loads testdata/result_digests.json once. Beside the fields read
 // here the file records its provenance (parent commit, generator).
@@ -120,16 +121,24 @@ func resultDigest(res *Result) string {
 
 // refPolicy is the live oracle's wrapper. It does not implement
 // PrefixPolicy, so the engine consults the inner policy at every decision
-// point; the inner policy sees a deep copy of the view; and the engine's
-// own view is poisoned once Pick returns, so anything the engine read
-// back from it — or any buffer content that survived into the next
+// point; the inner policy sees a deep copy of the view with no scratch,
+// so every pass works in fresh memory; and the engine's own view and
+// scratch are poisoned once Pick returns, so anything the engine read
+// back from them — or any buffer content that survived into the next
 // pass — would corrupt the run.
 type refPolicy struct{ Policy }
 
 func (r refPolicy) Pick(v QueueView) []Decision {
 	cp := v
 	cp.Queue, cp.Running, cp.Usage = slices.Clone(v.Queue), slices.Clone(v.Running), maps.Clone(v.Usage)
+	cp.scratch = nil
 	ds := slices.Clone(r.Policy.Pick(cp))
+	if s := v.scratch; s != nil {
+		n := len(v.Queue) + len(v.Running)
+		s.keys = slices.Repeat([]pickKey{{usage: math.NaN(), score: math.NaN(), qi: -1}}, n)
+		s.ds = slices.Repeat([]Decision{{QueueIndex: -1, Backfilled: true}}, n)
+		s.rels = slices.Repeat([]release{{at: math.NaN(), nodes: -1}}, n)
+	}
 	for i := range v.Queue {
 		v.Queue[i] = Pending{WaitHours: math.NaN(), ServiceHours: math.NaN()}
 	}
@@ -283,6 +292,42 @@ func TestLoopOraclesRealism(t *testing.T) {
 		for _, res := range results {
 			if res.FailureKills == 0 && res.IdleFailures == 0 {
 				t.Errorf("case %d %s: no failures landed — the case exercises nothing", ci, res.Policy)
+			}
+		}
+	}
+}
+
+// TestPolicyValueSharedAcrossRuns: policies are stateless values — the
+// Pick scratch belongs to each Run's engine — so one value driving
+// concurrent runs (as the sweep cells and examples/schedtrace do) yields
+// exactly the serial results. Run under -race.
+func TestPolicyValueSharedAcrossRuns(t *testing.T) {
+	c := realismCases(t)[0]
+	if err := c.cfg.Pricer.Prewarm(c.stream, 1); err != nil {
+		t.Fatal(err) // the shared pricer is read-only once warm
+	}
+	for _, pol := range []Policy{EASY{}, FairShare{}} {
+		want, err := Run(c.cfg, pol, c.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Result, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Run(c.cfg, pol, c.stream)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s: concurrent run %d: %v", pol.Name(), i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s: concurrent run %d diverged from the serial run", pol.Name(), i)
 			}
 		}
 	}

@@ -3,8 +3,56 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
+
+// pickKey is one queued job's sort key in a priority-ordered pass: the
+// owning tenant's usage (zero under EASY), the aged score, and the queue
+// index the key stands for.
+type pickKey struct {
+	usage, score float64
+	qi           int
+}
+
+// release is nodes coming free at a predicted instant (reservation).
+type release struct {
+	at    float64
+	nodes int
+}
+
+// pickScratch is the working memory of one Pick: the priority order, the
+// decisions and the reservation's release list. The engine owns one per
+// Run and lends it to in-package policies through QueueView.scratch, so
+// a steady-state pass allocates nothing; the policies themselves stay
+// stateless values that concurrent runs may share. Nothing in it
+// carries over from one Pick to the next but capacity.
+type pickScratch struct {
+	keys []pickKey
+	ds   []Decision
+	rels []release
+}
+
+// cmpFloat is the three-way order of the passes' sort keys, by plain <
+// and >: the keys are never NaN, and cmp.Compare's NaN handling in these
+// comparators measured slower than the reflection sorts they replaced.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// workspace is the view's lent scratch, or a fresh one for a view that
+// carries none (built by hand, or stripped by the test oracle).
+func (v QueueView) workspace() *pickScratch {
+	if v.scratch != nil {
+		return v.scratch
+	}
+	return &pickScratch{}
+}
 
 // FCFS is strict first-come-first-served: jobs start in submission
 // order, and a queue head that does not fit blocks everything behind it
@@ -18,8 +66,9 @@ func (FCFS) Name() string { return "fcfs" }
 // Pick implements Policy: start queue-order jobs while they fit; stop at
 // the first that does not.
 func (FCFS) Pick(v QueueView) []Decision {
+	s := v.workspace()
 	free := v.Free
-	var ds []Decision
+	ds := s.ds[:0]
 	for i, p := range v.Queue {
 		if p.Job.Nodes > free {
 			break
@@ -27,6 +76,7 @@ func (FCFS) Pick(v QueueView) []Decision {
 		ds = append(ds, Decision{QueueIndex: i})
 		free -= p.Job.Nodes
 	}
+	s.ds = ds
 	return ds
 }
 
@@ -73,37 +123,36 @@ func (p EASY) score(q Pending) float64 {
 
 // Pick implements Policy.
 func (p EASY) Pick(v QueueView) []Decision {
-	order := make([]int, len(v.Queue))
+	s := v.workspace()
 	// Scores are computed once per entry rather than inside the sort
 	// comparator: score is a pure function of the entry, so the ordering
-	// is unchanged, but a deep queue no longer pays two Log2 calls per
-	// comparison — the comparator cost that used to dominate
-	// machine-scale Picks.
-	scores := make([]float64, len(v.Queue))
-	for i := range order {
-		order[i] = i
-		scores[i] = p.score(v.Queue[i])
+	// is unchanged, but a deep queue does not pay two Log2 calls per
+	// comparison.
+	keys := s.keys[:0]
+	for i, q := range v.Queue {
+		keys = append(keys, pickKey{score: p.score(q), qi: i})
 	}
+	s.keys = keys
 	// Stable sort on descending score: ties resolve in submission order,
 	// keeping the policy deterministic for bit-identical parallel sweeps.
-	sort.SliceStable(order, func(a, b int) bool {
-		return scores[order[a]] > scores[order[b]]
-	})
-	return pickOrdered(v, order)
+	slices.SortStableFunc(keys, func(a, b pickKey) int { return cmpFloat(b.score, a.score) })
+	return pickOrdered(v, s)
 }
 
 // pickOrdered is the single-reservation backfill pass shared by every
 // priority-ordered policy (EASY, FairShare): start jobs in priority
 // order while they fit, give the first that does not the sole
 // reservation, and backfill behind it only with starts that cannot
-// delay the reserved instant.
-func pickOrdered(v QueueView, order []int) []Decision {
+// delay the reserved instant. It walks s.keys, already in priority
+// order.
+func pickOrdered(v QueueView, s *pickScratch) []Decision {
 	free := v.Free
-	var ds []Decision
+	ds := s.ds[:0]
 	reserved := -1 // order position of the blocked head, -1 while none
 	var shadowHours float64
 	var shadowExtra int // nodes still free at the shadow time after the reservation
-	for _, qi := range order {
+	for _, k := range s.keys {
+		qi := k.qi
 		job := v.Queue[qi].Job
 		if reserved < 0 {
 			if job.Nodes <= free {
@@ -113,7 +162,7 @@ func pickOrdered(v QueueView, order []int) []Decision {
 			}
 			// First blocked job: it owns the run's single reservation.
 			reserved = qi
-			shadowHours, shadowExtra = reservation(v, free, ds, job.Nodes)
+			shadowHours, shadowExtra = reservation(v, s, free, ds, job.Nodes)
 			continue
 		}
 		// Backfill candidates behind the reservation: must fit now and
@@ -133,6 +182,7 @@ func pickOrdered(v QueueView, order []int) []Decision {
 		ds = append(ds, Decision{QueueIndex: qi, Backfilled: true})
 		free -= job.Nodes
 	}
+	s.ds = ds
 	return ds
 }
 
@@ -158,35 +208,28 @@ func (p FairShare) Name() string { return "fair-share" }
 
 // Pick implements Policy.
 func (p FairShare) Pick(v QueueView) []Decision {
-	order := make([]int, len(v.Queue))
-	usage := make([]float64, len(v.Queue))
-	scores := make([]float64, len(v.Queue))
+	s := v.workspace()
 	aged := EASY{AgingHours: p.AgingHours}
-	for i := range order {
-		order[i] = i
-		q := v.Queue[i]
-		usage[i] = v.Usage[q.Job.Tenant]
-		scores[i] = aged.score(q)
+	keys := s.keys[:0]
+	for i, q := range v.Queue {
+		keys = append(keys, pickKey{usage: v.Usage[q.Job.Tenant], score: aged.score(q), qi: i})
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if usage[order[a]] != usage[order[b]] {
-			return usage[order[a]] < usage[order[b]]
+	s.keys = keys
+	slices.SortStableFunc(keys, func(a, b pickKey) int {
+		if c := cmpFloat(a.usage, b.usage); c != 0 {
+			return c
 		}
-		return scores[order[a]] > scores[order[b]]
+		return cmpFloat(b.score, a.score)
 	})
-	return pickOrdered(v, order)
+	return pickOrdered(v, s)
 }
 
 // reservation computes the blocked head's shadow time — the earliest
 // instant enough nodes are free for it, assuming the decisions already
 // taken start now and running jobs end at their predicted times — and
 // how many nodes remain spare at that instant beyond the head's need.
-func reservation(v QueueView, freeNow int, started []Decision, need int) (shadow float64, extra int) {
-	type release struct {
-		at    float64
-		nodes int
-	}
-	var rels []release
+func reservation(v QueueView, s *pickScratch, freeNow int, started []Decision, need int) (shadow float64, extra int) {
+	rels := s.rels[:0]
 	for _, a := range v.Running {
 		rels = append(rels, release{a.EndHours, a.Nodes})
 	}
@@ -195,7 +238,8 @@ func reservation(v QueueView, freeNow int, started []Decision, need int) (shadow
 		q := v.Queue[d.QueueIndex]
 		rels = append(rels, release{v.NowHours + q.ServiceHours, q.Job.Nodes})
 	}
-	sort.Slice(rels, func(a, b int) bool { return rels[a].at < rels[b].at })
+	s.rels = rels
+	slices.SortFunc(rels, func(a, b release) int { return cmpFloat(a.at, b.at) })
 	avail := freeNow
 	for _, r := range rels {
 		avail += r.nodes

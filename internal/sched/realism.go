@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
@@ -242,10 +243,9 @@ type jobTrack struct {
 	epochs    int     // checkpoint epochs in the full job
 	perEpochH float64 // base service hours per epoch
 
-	doneEpochs   int           // epochs recovered across all kills so far
-	segSvcH      float64       // current segment's nominal service hours
-	segOverheadH float64       // restart/checkpoint overhead inside segSvcH
-	segLed       *fault.Ledger // buffered-checkpoint marks, segment-relative
+	doneEpochs   int     // epochs recovered across all kills so far
+	segSvcH      float64 // current segment's nominal service hours
+	segOverheadH float64 // restart/checkpoint overhead inside segSvcH
 
 	waitH       float64 // queue wait accumulated across segments
 	lastEnqueue float64
@@ -262,15 +262,6 @@ func epochsOf(j *Job) int {
 	return 1
 }
 
-// buildLedger reconstructs the segment's nominal checkpoint schedule —
-// the remaining epochs buffered at overhead + k·perEpoch — through the
-// same fault.Ledger the event-level injector uses, so kill-time →
-// restartable-epoch mapping is one shared mechanism.
-func (tr *jobTrack) buildLedger() {
-	rem := tr.epochs - tr.doneEpochs
-	tr.segLed = fault.UniformLedger(rem, sim.Time(tr.segOverheadH), sim.Duration(tr.perEpochH), int64(tr.doneEpochs))
-}
-
 // segmentPrice is the Price a continuation is queued under: remaining
 // nominal service (plus restart overhead), the base shape's drain
 // demand and I/O fraction, and the pricer's estimate padding.
@@ -284,9 +275,17 @@ func (e *engine) segmentPrice(tr *jobTrack) Price {
 // recoveredEpochs maps a kill at nominal segment progress doneH onto the
 // epochs the continuation keeps: the segment ledger's buffered count,
 // minus the SurviveNone drain lag on a crash (preemption checkpoints
-// cleanly and always restarts from buffered state).
+// cleanly and always restarts from buffered state). The ledger is the
+// segment's nominal checkpoint schedule — the remaining epochs buffered
+// at overhead + k·perEpoch — rebuilt here, at the kill, through the same
+// fault.Ledger the event-level injector uses, so kill-time →
+// restartable-epoch mapping is one shared mechanism and a segment that
+// is never killed never pays for one. Nothing it is built from moves
+// between a segment's admission and its kill.
 func (e *engine) recoveredEpochs(tr *jobTrack, doneH float64, byFailure bool) int {
-	buf := tr.segLed.BufferedEpochs(sim.Time(doneH))
+	rem := tr.epochs - tr.doneEpochs
+	led := fault.UniformLedger(rem, sim.Time(tr.segOverheadH), sim.Duration(tr.perEpochH), int64(tr.doneEpochs))
+	buf := led.BufferedEpochs(sim.Time(doneH))
 	if byFailure && e.cfg.Faults.Survival == fault.SurviveNone {
 		buf -= e.cfg.Faults.DrainLagEpochs
 		if buf < 0 {
@@ -348,7 +347,6 @@ func (e *engine) killRunning(rj *running, byFailure bool) error {
 	}
 	tr.segOverheadH = overhead
 	tr.segSvcH = overhead + float64(remEpochs)*tr.perEpochH
-	tr.segLed = nil // rebuilt on the next admission
 	tr.lastEnqueue = e.now
 	e.res.RequeuedNodeHours += float64(rj.job.Nodes) * tr.segSvcH
 	e.queue = append(e.queue, &qent{job: rj.job, submitH: e.now, price: e.segmentPrice(tr), track: tr})
@@ -407,15 +405,15 @@ func (e *engine) maybePreempt() (bool, error) {
 			cands = append(cands, rj)
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		ua, ub := e.tenant(cands[a].job.Tenant).usage, e.tenant(cands[b].job.Tenant).usage
+	slices.SortStableFunc(cands, func(a, b *running) int {
+		ua, ub := e.tenant(a.job.Tenant).usage, e.tenant(b.job.Tenant).usage
 		if ua != ub {
-			return ua > ub
+			return cmp.Compare(ub, ua)
 		}
-		if cands[a].res.StartHours != cands[b].res.StartHours {
-			return cands[a].res.StartHours > cands[b].res.StartHours
+		if a.res.StartHours != b.res.StartHours {
+			return cmp.Compare(b.res.StartHours, a.res.StartHours)
 		}
-		return cands[a].job.ID > cands[b].job.ID
+		return cmp.Compare(b.job.ID, a.job.ID)
 	})
 	freed, take := 0, 0
 	for _, rj := range cands {

@@ -29,8 +29,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"picmcio/internal/cluster"
@@ -122,6 +124,10 @@ type QueueView struct {
 	// per-tenant lookups and comparisons are order-free, a float sum over
 	// a Go map is not deterministic).
 	Usage map[string]float64
+
+	// scratch is the engine's per-Run Pick workspace (policy.go), lent to
+	// the in-package policies; nil on a view built by hand.
+	scratch *pickScratch
 }
 
 // Decision is one job a policy starts now.
@@ -133,9 +139,14 @@ type Decision struct {
 
 // Policy picks which queued jobs start at this decision point. It must
 // be deterministic (no wall clock, no shared RNG) — the sweep engine's
-// serial-vs-parallel bit-identity guarantee rests on it. Decisions are
-// applied in order; a decision that exceeds the free nodes remaining
-// after the ones before it is a policy bug and fails the run.
+// serial-vs-parallel bit-identity guarantee rests on it — and stateless:
+// one policy value may drive concurrent runs. The decisions are a set:
+// the engine sorts them and admits back to front (descending queue
+// index), whatever order Pick returned them in. A set that names an index
+// twice or out of range, or that needs more nodes than are free, is a
+// policy bug and fails the run. The view and the returned slice are valid
+// only until the next Pick — the engine reuses their backing memory — so
+// a policy must not retain either.
 type Policy interface {
 	Name() string
 	Pick(v QueueView) []Decision
@@ -417,11 +428,11 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 		}
 		arrivals[i] = &j
 	}
-	sort.SliceStable(arrivals, func(a, b int) bool {
-		if arrivals[a].SubmitHours != arrivals[b].SubmitHours {
-			return arrivals[a].SubmitHours < arrivals[b].SubmitHours
+	slices.SortStableFunc(arrivals, func(a, b *Job) int {
+		if a.SubmitHours != b.SubmitHours {
+			return cmp.Compare(a.SubmitHours, b.SubmitHours)
 		}
-		return arrivals[a].ID < arrivals[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 
 	if err := cfg.Faults.validate(); err != nil {
@@ -430,7 +441,8 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	e := &engine{
 		cfg: cfg, pol: pol, pr: pr, sys: sys,
 		arrivals: arrivals,
-		res:      &Result{Policy: pol.Name(), Nodes: cfg.Nodes},
+		res:      &Result{Policy: pol.Name(), Nodes: cfg.Nodes, Jobs: make([]JobResult, 0, len(stream))},
+		view:     QueueView{scratch: &pickScratch{}},
 		lastOver: 1,
 		tenantIx: map[string]*tenantState{},
 	}

@@ -72,6 +72,45 @@ func TestEASYAgingPrioritizesOldWideJobs(t *testing.T) {
 	}
 }
 
+// TestPickAllocs pins the allocation-free pass: on a warmed engine
+// scratch, a Pick over a 1000-deep queue whose second-priority job is
+// blocked — so starts, the reservation and the backfill walk all run —
+// allocates nothing, for every shipped policy.
+func TestPickAllocs(t *testing.T) {
+	queue := []Pending{pend(1, 4, 1000, 5), pend(2, 64, 900, 5)}
+	for id := 3; id <= 1000; id++ {
+		queue = append(queue, pend(id, 1+id%2, float64(id%17), float64(1+id%40)))
+	}
+	for i, q := range queue {
+		q.Job.Tenant = "light"
+		if i >= 2 {
+			q.Job.Tenant = []string{"mid", "hog"}[i%2]
+		}
+	}
+	var running []Active
+	for i := 0; i < 12; i++ {
+		running = append(running, Active{Nodes: 8, EndHours: 12 + float64(i%5)})
+	}
+	v := view(10, queue, running)
+	v.Usage = map[string]float64{"light": 0, "mid": 10, "hog": 100}
+	v.scratch = &pickScratch{}
+	for _, pol := range []Policy{FCFS{}, EASY{}, FairShare{}} {
+		ds := pol.Pick(v) // warm the scratch to this queue's depth
+		backfilled := 0
+		for _, d := range ds {
+			if d.Backfilled {
+				backfilled++
+			}
+		}
+		if _, strict := pol.(PrefixPolicy); len(ds) == 0 || (!strict && backfilled == 0) {
+			t.Fatalf("%s: picked %d jobs, %d backfilled — the pass under test did not run", pol.Name(), len(ds), backfilled)
+		}
+		if n := testing.AllocsPerRun(20, func() { pol.Pick(v) }); n != 0 {
+			t.Errorf("%s: %v allocations per steady-state Pick, want 0", pol.Name(), n)
+		}
+	}
+}
+
 func TestPoliciesResolver(t *testing.T) {
 	for _, name := range []string{"fcfs", "easy-backfill", "easy", "fair-share", "fair"} {
 		if _, err := Policies(name); err != nil {
