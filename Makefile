@@ -65,22 +65,30 @@ bench-compare: bench
 	done
 
 # profile captures CPU and allocation profiles of the machine-scale
-# benchmarks, and of one real figure (the end-to-end benchmark's
-# aggr_sweep: fig6 at 16 nodes, every allocation sampled), for pprof
-# inspection:
+# benchmarks, and of two real figures at the end-to-end benchmark's scale
+# from one cmd/experiments binary (aggr_sweep: fig6 at 16 nodes, the
+# openPMD path; orig_scaling: fig2 to 30 nodes, the file-per-rank path;
+# every allocation sampled), for pprof inspection:
 #   go tool pprof kernel.test cpu.pprof
 #   go tool pprof -alloc_space kernel.test mem.pprof
 #   go tool pprof sched.test sched_cpu.pprof
 #   go tool pprof -alloc_space sched.test sched_mem.pprof
-#   go tool pprof fig6.bin fig6_cpu.pprof
-#   go tool pprof -sample_index=alloc_objects fig6.bin fig6_mem.pprof
+#   go tool pprof experiments.bin fig6_cpu.pprof
+#   go tool pprof -sample_index=alloc_objects experiments.bin fig6_mem.pprof
+#   go tool pprof experiments.bin fig2_cpu.pprof
+#   go tool pprof -sample_index=alloc_space experiments.bin fig2_mem.pprof
+# An object count read off a -memprofile is a floor, not a total: pointer-
+# free allocations under 16 bytes share a 16-byte block, and only the one
+# that opens a block is sampled. Size an object-count claim against the
+# benchmark's mallocs_M.
 profile:
 	$(GO) test -bench 'BenchmarkKernelScale$$' -benchtime=1x -run '^$$' \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -o kernel.test ./internal/sim
 	$(GO) test -bench 'BenchmarkSchedScale$$' -benchtime=1x -run '^$$' \
 		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof -o sched.test ./internal/sched
-	$(GO) build -o fig6.bin ./cmd/experiments
-	./fig6.bin -cpuprofile fig6_cpu.pprof -memprofile fig6_mem.pprof -run fig6 -nodes 16 -diag-epochs 3
+	$(GO) build -o experiments.bin ./cmd/experiments
+	./experiments.bin -cpuprofile fig6_cpu.pprof -memprofile fig6_mem.pprof -run fig6 -nodes 16 -diag-epochs 3
+	./experiments.bin -cpuprofile fig2_cpu.pprof -memprofile fig2_mem.pprof -run fig2 -node-list 1,5,10,30 -diag-epochs 3
 
 # smoke builds and runs every example with its interesting flag
 # combinations, and the two job CLIs that share cluster.System's launcher,
@@ -123,5 +131,5 @@ sweep-smoke:
 clean:
 	rm -f BENCH_*.json BENCH_*.txt
 	rm -f cpu.pprof mem.pprof kernel.test sched_cpu.pprof sched_mem.pprof sched.test
-	rm -f fig6_cpu.pprof fig6_mem.pprof fig6.bin
+	rm -f fig6_cpu.pprof fig6_mem.pprof fig2_cpu.pprof fig2_mem.pprof experiments.bin
 	rm -f figsizing.json campfail.json figinterval.json figsched.json figfair.json figworkload.json

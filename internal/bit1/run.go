@@ -60,14 +60,15 @@ func Run(cfg Config, re RankEnv) error {
 	if err := cfg.Deck.Validate(); err != nil {
 		return err
 	}
-	if err := readInputDeck(cfg, re); err != nil {
+	pl := mpisim.Memo(re.Rank.Comm, cfg, func() *plan { return newPlan(cfg, re.Rank.Comm.Size()) })
+	if err := readInputDeck(pl, re); err != nil {
 		return err
 	}
 	switch cfg.Mode {
 	case IOOriginal:
-		return runOriginal(cfg, re)
+		return runOriginal(cfg, pl, re)
 	case IOOpenPMD:
-		return runOpenPMD(cfg, re)
+		return runOpenPMD(cfg, pl, re)
 	default:
 		return fmt.Errorf("bit1: unknown I/O mode %d", cfg.Mode)
 	}
@@ -80,9 +81,9 @@ func Run(cfg Config, re RankEnv) error {
 const inputDeckBytes = 2048
 
 // readInputDeck has rank 0 stage the input file, then every rank read it.
-func readInputDeck(cfg Config, re RankEnv) error {
+func readInputDeck(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
-	path := pfs.Join(cfg.OutDir, "..", cfg.Deck.DatFile+".inp")
+	path := pl.inputPath
 	if r.ID == 0 {
 		fd, err := env.Create(p, path)
 		if err != nil {
@@ -100,6 +101,34 @@ func readInputDeck(cfg Config, re RankEnv) error {
 	fd.Close(p)
 	r.Comm.Barrier()
 	return nil
+}
+
+// plan is what a run derives from its config and the size of the world
+// alone, so that one rank works it out for all of them (mpisim.Memo): it
+// is immutable once built.
+type plan struct {
+	inputPath string
+	epochs    []epoch
+	shared    []string // rank 0's global history files
+
+	// openPMD mode only.
+	seriesPath string
+	varNames   []string
+	elems      []int64 // per-rank elements of each variable, per epoch
+}
+
+func newPlan(cfg Config, ranks int) *plan {
+	pl := &plan{
+		inputPath: pfs.Join(cfg.OutDir, "..", cfg.Deck.DatFile+".inp"),
+		epochs:    epochs(cfg.Deck),
+		shared:    sharedFileNames(cfg),
+	}
+	if cfg.Mode == IOOpenPMD {
+		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
+		pl.varNames = snapshotVarNames(cfg.Sizing.NVars)
+		pl.elems = cfg.Sizing.PerRankSnapshotElems(ranks)
+	}
+	return pl
 }
 
 // epoch describes one output event in the step loop.
@@ -139,7 +168,7 @@ func sharedFileNames(cfg Config) []string {
 // .dmp file, re-written at each epoch through buffered stdio, while rank 0
 // additionally appends the global history files — the file-per-process
 // pattern whose metadata cost collapses at scale (Figs. 2–5).
-func runOriginal(cfg Config, re RankEnv) error {
+func runOriginal(cfg Config, pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	ranks := r.Comm.Size()
 	sz := cfg.Sizing
@@ -152,7 +181,7 @@ func runOriginal(cfg Config, re RankEnv) error {
 		if err := env.MkdirAll(p, cfg.OutDir); err != nil {
 			return err
 		}
-		for _, name := range sharedFileNames(cfg) {
+		for _, name := range pl.shared {
 			f, err := stdio.Fopen(p, env, name, "w")
 			if err != nil {
 				return err
@@ -163,7 +192,7 @@ func runOriginal(cfg Config, re RankEnv) error {
 	r.Comm.Barrier()
 
 	prev := 0
-	for _, ep := range epochs(cfg.Deck) {
+	for _, ep := range pl.epochs {
 		if cfg.ComputePerStep > 0 {
 			p.Sleep(cfg.ComputePerStep * sim.Duration(ep.step-prev))
 		}
@@ -204,19 +233,10 @@ func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, 
 	return nil
 }
 
-// openPMDPlan is what runOpenPMD derives from the config and the size of
-// the world alone, so that one rank works it out for all of them.
-type openPMDPlan struct {
-	seriesPath string
-	epochs     []epoch
-	varNames   []string
-	elems      []int64 // per-rank elements of each variable, per epoch
-}
-
 // runOpenPMD is the paper's integration: accumulate per-rank vectors,
 // then save everything as openPMD iteration 0 (periodically overwritten
 // with the latest system state) through the ADIOS2 BP4 engine.
-func runOpenPMD(cfg Config, re RankEnv) error {
+func runOpenPMD(cfg Config, pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	sz := cfg.Sizing
 
@@ -227,24 +247,15 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 	}
 	r.Comm.Barrier()
 
-	plan := mpisim.Memo(r.Comm, cfg, func() *openPMDPlan {
-		return &openPMDPlan{
-			seriesPath: pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4"),
-			epochs:     epochs(cfg.Deck),
-			varNames:   snapshotVarNames(sz.NVars),
-			elems:      sz.PerRankSnapshotElems(r.Comm.Size()),
-		}
-	})
-
 	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
-	ad, err := core.NewAdaptor(host, plan.seriesPath, cfg.OpenPMDOptions)
+	ad, err := core.NewAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions)
 	if err != nil {
 		return err
 	}
 
 	var shared []*stdio.File
 	if r.ID == 0 {
-		for _, name := range sharedFileNames(cfg) {
+		for _, name := range pl.shared {
 			f, err := stdio.Fopen(p, env, name, "w")
 			if err != nil {
 				return err
@@ -254,7 +265,7 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 	}
 
 	prev := 0
-	for _, ep := range plan.epochs {
+	for _, ep := range pl.epochs {
 		if cfg.ComputePerStep > 0 {
 			p.Sleep(cfg.ComputePerStep * sim.Duration(ep.step-prev))
 		}
@@ -264,8 +275,8 @@ func runOpenPMD(cfg Config, re RankEnv) error {
 		}
 		// Accumulate the latest system state (checkpoint + diagnostics)
 		// into the global vectors, then flush as iteration 0.
-		for i, name := range plan.varNames {
-			ad.AccumulateVolume(name, plan.elems[i])
+		for i, name := range pl.varNames {
+			ad.AccumulateVolume(name, pl.elems[i])
 		}
 		if err := ad.SaveIteration(0); err != nil {
 			return err

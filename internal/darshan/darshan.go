@@ -9,11 +9,13 @@
 package darshan
 
 import (
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
@@ -205,18 +207,19 @@ type Log struct {
 }
 
 // Snapshot freezes the collector into a Log, sorted by (rank, path) for
-// deterministic output.
+// deterministic output. The log is a copy — one Records slice of exactly
+// the collector's size — so recording may go on after it.
 func (c *Collector) Snapshot(meta JobMeta) *Log {
 	meta.Version = "darshan-sim 3.4.2-go"
-	l := &Log{Meta: meta}
+	l := &Log{Meta: meta, Records: make([]Record, 0, len(c.recs))}
 	for _, r := range c.recs {
 		l.Records = append(l.Records, *r)
 	}
-	sort.Slice(l.Records, func(i, j int) bool {
-		if l.Records[i].Rank != l.Records[j].Rank {
-			return l.Records[i].Rank < l.Records[j].Rank
+	slices.SortFunc(l.Records, func(a, b Record) int {
+		if a.Rank != b.Rank {
+			return cmp.Compare(a.Rank, b.Rank)
 		}
-		return l.Records[i].Path < l.Records[j].Path
+		return strings.Compare(a.Path, b.Path)
 	})
 	return l
 }
@@ -232,16 +235,60 @@ func (l *Log) Encode(w io.Writer) error {
 	return zw.Close()
 }
 
+// maxLogBytes caps the JSON a log may decompress to: four times the log of
+// the largest run the simulator launches (200 nodes × 128 ranks × 3 files,
+// ≈ 300 bytes a record), so that a small hostile file cannot make Parse
+// allocate without bound. A record must carry all its counters (see
+// UnmarshalJSON), which keeps what Parse builds within a small multiple of
+// what it read.
+const maxLogBytes = 96 << 20
+
 // Parse reads a log produced by Encode.
-func Parse(r io.Reader) (*Log, error) {
+func Parse(r io.Reader) (*Log, error) { return parse(r, maxLogBytes) }
+
+// parse is Parse with the cap on the decompressed size a parameter.
+func parse(r io.Reader, limit int64) (*Log, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("darshan: not a darshan-sim log: %w", err)
 	}
 	defer zr.Close()
+	body := &io.LimitedReader{R: zr, N: limit + 1}
 	var l Log
-	if err := json.NewDecoder(zr).Decode(&l); err != nil {
+	err = json.NewDecoder(body).Decode(&l)
+	if err == nil {
+		// Reading on to the end of the stream is what checks its length
+		// and checksum: the decoder stops where the log's closing brace is.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if body.N == 0 {
+		return nil, fmt.Errorf("darshan: parse: log decompresses to more than %d bytes", limit)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("darshan: parse: %w", err)
 	}
 	return &l, nil
+}
+
+// UnmarshalJSON reads a record as Encode writes it and rejects one with a
+// different number of counters: a log of another format version is an
+// error, not a log with some counters silently dropped or zero.
+func (r *Record) UnmarshalJSON(b []byte) error {
+	var w struct {
+		Rank     int       `json:"rank"`
+		Path     string    `json:"path"`
+		Counters []int64   `json:"counters"`
+		FCount   []float64 `json:"fcounters"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	if len(w.Counters) != int(NumCounters) || len(w.FCount) != int(NumFCounters) {
+		return fmt.Errorf("record of rank %d has %d counters and %d fcounters, want %d and %d",
+			w.Rank, len(w.Counters), len(w.FCount), NumCounters, NumFCounters)
+	}
+	*r = Record{Rank: w.Rank, Path: w.Path}
+	copy(r.Counters[:], w.Counters)
+	copy(r.FCount[:], w.FCount)
+	return nil
 }

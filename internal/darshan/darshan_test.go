@@ -2,6 +2,10 @@ package darshan
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +17,7 @@ import (
 
 // runInstrumented performs a small instrumented workload and returns the
 // resulting log.
-func runInstrumented(t *testing.T) *Log {
+func runInstrumented(t testing.TB) *Log {
 	t.Helper()
 	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
@@ -96,6 +100,103 @@ func TestPerProcessTimes(t *testing.T) {
 	if r <= 0 || m <= 0 || w <= 0 {
 		t.Fatalf("times r=%v m=%v w=%v, want all positive", r, m, w)
 	}
+
+	// A log that does not say how many processes ran averages over the
+	// ranks that appear in it — and a hand-built one need not be in rank
+	// order: three distinct ranks here, ranks 2 and 0 each split in two.
+	rec := func(rank int, path string, read, meta, write float64) Record {
+		r := Record{Rank: rank, Path: path}
+		r.Counters[POSIX_BYTES_WRITTEN] = 36
+		r.FCount[POSIX_F_READ_TIME], r.FCount[POSIX_F_META_TIME], r.FCount[POSIX_F_WRITE_TIME] = read, meta, write
+		return r
+	}
+	hand := &Log{Records: []Record{
+		rec(2, "/b", 1, 2, 4), rec(0, "/a", 1, 2, 4), rec(7, "/a", 1, 2, 4),
+		rec(2, "/a", 1, 2, 4), rec(0, "/b.inp", 1, 2, 4), rec(0, "/c", 1, 2, 4),
+	}}
+	before := slices.Clone(hand.Records)
+	if r, m, w := hand.PerProcessTimes(); r != 2 || m != 4 || w != 8 {
+		t.Errorf("unsorted log without NProcs: r=%v m=%v w=%v, want 2 4 8 (six records over three ranks)", r, m, w)
+	}
+	notInp := func(r *Record) bool { return !strings.HasSuffix(r.Path, ".inp") }
+	if r, _, _ := hand.PerProcessTimesWhere(func(r *Record) bool { return !notInp(r) }); r != 1 {
+		t.Errorf("one kept record of one rank: read=%v, want 1", r)
+	}
+	if r, m, w := hand.PerProcessTimesWhere(notInp); r != 5.0/3 || m != 10.0/3 || w != 20.0/3 {
+		t.Errorf("five kept records over three ranks: r=%v m=%v w=%v", r, m, w)
+	}
+	// Rank 0 is slowest with three records of write+meta 6 each; 36 bytes
+	// written apiece makes 216 bytes over 18 s.
+	if tp := hand.WriteThroughputBySlowest(); tp != 12 {
+		t.Errorf("unsorted log: throughput by slowest=%v, want 12", tp)
+	}
+	if !reflect.DeepEqual(hand.Records, before) {
+		t.Error("a reduction reordered the log it was given")
+	}
+	hand.Meta.NProcs = 12
+	if r, m, w := hand.PerProcessTimes(); r != 0.5 || m != 1 || w != 2 {
+		t.Errorf("NProcs=12: r=%v m=%v w=%v, want 0.5 1 2", r, m, w)
+	}
+}
+
+// TestSnapshotIsACopy: recording may go on after a Snapshot without the
+// log it returned moving, and the next Snapshot has everything, in order.
+func TestSnapshotIsACopy(t *testing.T) {
+	col := NewCollector()
+	col.Record(1, posix.OpWrite, "/b", 100, 0, 1)
+	col.Record(0, posix.OpWrite, "/a", 100, 0, 1)
+	first := col.Snapshot(JobMeta{NProcs: 2})
+	frozen := slices.Clone(first.Records)
+
+	col.Record(1, posix.OpWrite, "/b", 50, 1, 2) // an existing key
+	col.Record(1, posix.OpWrite, "/a", 25, 2, 3) // new keys
+	col.Record(0, posix.OpCreate, "/z", 0, 3, 4)
+	second := col.Snapshot(JobMeta{NProcs: 2})
+
+	if !reflect.DeepEqual(first.Records, frozen) {
+		t.Errorf("first snapshot changed under later records:\n got %+v\nwant %+v", first.Records, frozen)
+	}
+	var got []string
+	for _, r := range second.Records {
+		got = append(got, fmt.Sprintf("%d%s:%d", r.Rank, r.Path, r.Counters[POSIX_BYTES_WRITTEN]))
+	}
+	if want := []string{"0/a:100", "0/z:0", "1/a:25", "1/b:150"}; !slices.Equal(got, want) {
+		t.Errorf("second snapshot %v, want %v", got, want)
+	}
+}
+
+// TestSnapshotAllocs: a snapshot is the log and one Records slice of
+// exactly the collector's size — no append growth, no sort scratch.
+func TestSnapshotAllocs(t *testing.T) {
+	const n = 10000
+	col := NewCollector()
+	for i := 0; i < n; i++ {
+		col.Record(i%100, posix.OpWrite, fmt.Sprintf("/f%05d", i), 1, 0, 1)
+	}
+	var l *Log
+	if a := testing.AllocsPerRun(3, func() { l = col.Snapshot(JobMeta{}) }); a > 4 {
+		t.Errorf("Snapshot of %d records allocates %.0f objects, want <= 4", n, a)
+	}
+	if len(l.Records) != n || cap(l.Records) != n {
+		t.Errorf("Records len %d cap %d, want both %d", len(l.Records), cap(l.Records), n)
+	}
+}
+
+// TestFilterAllocs: the filtered log is one Records slice of exactly the
+// kept size, in log order.
+func TestFilterAllocs(t *testing.T) {
+	l := runInstrumented(t)
+	odd := func(r *Record) bool { return r.Rank%2 == 1 }
+	var f *Log
+	if a := testing.AllocsPerRun(10, func() { f = l.Filter(odd) }); a > 2 {
+		t.Errorf("Filter allocates %.0f objects, want <= 2", a)
+	}
+	if len(f.Records) != 2 || cap(f.Records) != 2 || f.Records[0].Rank != 1 || f.Records[1].Rank != 3 || f.Meta != l.Meta {
+		t.Errorf("filtered log %+v", f)
+	}
+	if none := l.Filter(func(*Record) bool { return false }); len(none.Records) != 0 {
+		t.Errorf("empty filter kept %d records", len(none.Records))
+	}
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
@@ -123,6 +224,87 @@ func TestParseRejectsJunk(t *testing.T) {
 	if _, err := Parse(strings.NewReader("not a log")); err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+// gz is text as Encode would compress it.
+func gz(t testing.TB, text string) []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write([]byte(text)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestParseRejectsOtherFormats: a record must carry exactly this
+// version's counters — a longer array is not truncated, a shorter or
+// missing one not zero-filled — and a log may not decompress without
+// bound.
+func TestParseRejectsOtherFormats(t *testing.T) {
+	ints := func(n int) string { return "[" + strings.TrimSuffix(strings.Repeat("1,", n), ",") + "]" }
+	record := func(counters, fcounters int) string {
+		return `{"meta":{"nprocs":1},"records":[{"rank":0,"path":"/a","counters":` + ints(counters) + `,"fcounters":` + ints(fcounters) + `}]}`
+	}
+	if l, err := Parse(bytes.NewReader(gz(t, record(int(NumCounters), int(NumFCounters))))); err != nil || len(l.Records) != 1 || l.Records[0].Counters[NumCounters-1] != 1 {
+		t.Fatalf("a well-formed record: log %+v, err %v", l, err)
+	}
+	for name, text := range map[string]string{
+		"too many counters":  record(int(NumCounters)+1, int(NumFCounters)),
+		"too few counters":   record(int(NumCounters)-1, int(NumFCounters)),
+		"too many fcounters": record(int(NumCounters), int(NumFCounters)+1),
+		"no counters":        `{"records":[{"rank":0,"path":"/a"}]}`,
+		"null record":        `{"records":[null]}`,
+		"not JSON":           "POSIX_OPENS 1\n",
+	} {
+		if l, err := Parse(bytes.NewReader(gz(t, text))); err == nil {
+			t.Errorf("%s: accepted as %d record(s)", name, len(l.Records))
+		}
+	}
+	good := record(int(NumCounters), int(NumFCounters))
+	if _, err := parse(bytes.NewReader(gz(t, good)), int64(len(good))); err != nil {
+		t.Errorf("a log of exactly the cap: %v", err)
+	}
+	for name, text := range map[string]string{"a log": good, "padding inside a log": good[:len(good)-2] + strings.Repeat(" ", 1<<16) + "]}", "padding after a log": good + strings.Repeat(" ", 1<<16)} {
+		if _, err := parse(bytes.NewReader(gz(t, text)), int64(len(good))-1); err == nil || !strings.Contains(err.Error(), "decompresses to more than") {
+			t.Errorf("%s past the cap: err=%v", name, err)
+		}
+	}
+	whole := gz(t, good)
+	if _, err := Parse(bytes.NewReader(whole[:len(whole)-6])); err == nil {
+		t.Error("a truncated gzip stream was accepted")
+	}
+}
+
+// FuzzParse: arbitrary bytes never panic or hang Parse, and a log it
+// accepts survives Encode → Parse unchanged. The hostile seeds are
+// testdata/fuzz/FuzzParse; the real one is made here so that it follows
+// the format.
+func FuzzParse(f *testing.F) {
+	var real bytes.Buffer
+	if err := runInstrumented(f).Encode(&real); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		l, err := Parse(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := l.Encode(&out); err != nil {
+			t.Fatalf("encoding an accepted log: %v", err)
+		}
+		back, err := Parse(&out)
+		if err != nil {
+			t.Fatalf("re-reading an encoded log: %v", err)
+		}
+		if !reflect.DeepEqual(l, back) {
+			t.Fatalf("round trip changed the log:\n got %+v\nwant %+v", back, l)
+		}
+	})
 }
 
 func TestFileSummaries(t *testing.T) {

@@ -1,12 +1,22 @@
 package darshan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"picmcio/internal/units"
 )
+
+// The reductions a figure is drawn from come in two forms: over the whole
+// log, and — the Where forms — over the records a predicate keeps, read in
+// place. A Where form visits records in log order, so it returns exactly
+// what the plain form returns on Filter(keep), without the copy; a nil
+// keep keeps every record.
+
+func kept(keep func(r *Record) bool, r *Record) bool { return keep == nil || keep(r) }
 
 // TotalBytesWritten sums bytes written across all records.
 func (l *Log) TotalBytesWritten() int64 {
@@ -29,16 +39,26 @@ func (l *Log) TotalBytesRead() int64 {
 // WriteWindow reports the earliest write start and latest write end
 // timestamps across all records. ok is false if nothing was written.
 func (l *Log) WriteWindow() (start, end float64, ok bool) {
-	first := true
+	start, end, _, ok = l.writeWindowWhere(nil)
+	return start, end, ok
+}
+
+// writeWindowWhere is WriteWindow over the kept records, with the bytes
+// they wrote.
+func (l *Log) writeWindowWhere(keep func(r *Record) bool) (start, end float64, bytes int64, ok bool) {
 	for i := range l.Records {
 		r := &l.Records[i]
+		if !kept(keep, r) {
+			continue
+		}
+		bytes += r.Counters[POSIX_BYTES_WRITTEN]
 		if r.Counters[POSIX_WRITES] == 0 {
 			continue
 		}
 		s := r.FCount[POSIX_F_WRITE_START_TIMESTAMP]
 		e := r.FCount[POSIX_F_WRITE_END_TIMESTAMP]
-		if first {
-			start, end, first = s, e, false
+		if !ok {
+			start, end, ok = s, e, true
 			continue
 		}
 		if s < start {
@@ -48,32 +68,51 @@ func (l *Log) WriteWindow() (start, end float64, ok bool) {
 			end = e
 		}
 	}
-	return start, end, !first
+	return start, end, bytes, ok
 }
 
 // WriteThroughputByElapsed estimates aggregate write throughput as total
 // bytes written divided by the wall span of the write window — the
 // headline "write throughput" number of the paper's figures.
-func (l *Log) WriteThroughputByElapsed() float64 {
-	s, e, ok := l.WriteWindow()
+func (l *Log) WriteThroughputByElapsed() float64 { return l.WriteThroughputByElapsedWhere(nil) }
+
+// WriteThroughputByElapsedWhere is WriteThroughputByElapsed over the
+// records keep keeps.
+func (l *Log) WriteThroughputByElapsedWhere(keep func(r *Record) bool) float64 {
+	s, e, bytes, ok := l.writeWindowWhere(keep)
 	if !ok || e <= s {
 		return 0
 	}
-	return float64(l.TotalBytesWritten()) / (e - s)
+	return float64(bytes) / (e - s)
+}
+
+// byRank returns the records grouped by rank, each rank's in log order:
+// the log's own slice when it is already in rank order — as every Snapshot
+// is — and otherwise a stably sorted copy, so a hand-built or foreign log
+// costs a sort instead of being silently misread.
+func (l *Log) byRank() []Record {
+	rankOrder := func(a, b Record) int { return cmp.Compare(a.Rank, b.Rank) }
+	if slices.IsSortedFunc(l.Records, rankOrder) {
+		return l.Records
+	}
+	recs := slices.Clone(l.Records)
+	slices.SortStableFunc(recs, rankOrder)
+	return recs
 }
 
 // WriteThroughputBySlowest mirrors Darshan's agg_perf_by_slowest: total
 // bytes divided by the largest per-rank cumulative I/O time (write + meta).
 func (l *Log) WriteThroughputBySlowest() float64 {
-	perRank := map[int]float64{}
-	for i := range l.Records {
-		r := &l.Records[i]
-		perRank[r.Rank] += r.FCount[POSIX_F_WRITE_TIME] + r.FCount[POSIX_F_META_TIME]
-	}
-	var slowest float64
-	for _, t := range perRank {
-		if t > slowest {
-			slowest = t
+	var slowest, sum float64
+	recs := l.byRank()
+	for i := range recs {
+		r := &recs[i]
+		if i > 0 && r.Rank != recs[i-1].Rank {
+			sum = 0
+		}
+		sum += r.FCount[POSIX_F_WRITE_TIME] + r.FCount[POSIX_F_META_TIME]
+		if sum > slowest {
+			slowest = sum
 		}
 	}
 	if slowest <= 0 {
@@ -86,19 +125,22 @@ func (l *Log) WriteThroughputBySlowest() float64 {
 // seconds per process — the decomposition of Fig. 5. The divisor is the
 // job's process count (Meta.NProcs) when known, so ranks that performed no
 // POSIX I/O (e.g. non-aggregators under BP4) still count in the average,
-// exactly as Darshan averages over all procs.
-func (l *Log) PerProcessTimes() (read, meta, write float64) {
-	ranks := map[int]bool{}
+// exactly as Darshan averages over all procs; a log that does not say
+// averages over the ranks that appear in it.
+func (l *Log) PerProcessTimes() (read, meta, write float64) { return l.PerProcessTimesWhere(nil) }
+
+// PerProcessTimesWhere is PerProcessTimes over the records keep keeps.
+func (l *Log) PerProcessTimesWhere(keep func(r *Record) bool) (read, meta, write float64) {
 	for i := range l.Records {
-		r := &l.Records[i]
-		ranks[r.Rank] = true
-		read += r.FCount[POSIX_F_READ_TIME]
-		meta += r.FCount[POSIX_F_META_TIME]
-		write += r.FCount[POSIX_F_WRITE_TIME]
+		if r := &l.Records[i]; kept(keep, r) {
+			read += r.FCount[POSIX_F_READ_TIME]
+			meta += r.FCount[POSIX_F_META_TIME]
+			write += r.FCount[POSIX_F_WRITE_TIME]
+		}
 	}
 	n := float64(l.Meta.NProcs)
 	if n == 0 {
-		n = float64(len(ranks))
+		n = float64(l.ranksWhere(keep))
 	}
 	if n == 0 {
 		return 0, 0, 0
@@ -106,11 +148,35 @@ func (l *Log) PerProcessTimes() (read, meta, write float64) {
 	return read / n, meta / n, write / n
 }
 
-// Filter returns a shallow copy of the log containing only the records
-// for which keep returns true (same job metadata). Used to separate
-// one-time I/O (input decks) from per-epoch I/O when extrapolating.
+// ranksWhere counts the distinct ranks among the kept records.
+func (l *Log) ranksWhere(keep func(r *Record) bool) int {
+	n, prev := 0, 0
+	recs := l.byRank()
+	for i := range recs {
+		if r := &recs[i]; kept(keep, r) && (n == 0 || r.Rank != prev) {
+			n, prev = n+1, r.Rank
+		}
+	}
+	return n
+}
+
+// Filter returns a copy of the log containing only the records for which
+// keep returns true (same job metadata), in one allocation of exactly that
+// many records — so keep is asked twice about each. It is for tools that
+// want a log to hand on; a reduction over part of a log takes the
+// predicate instead (the Where forms above).
 func (l *Log) Filter(keep func(r *Record) bool) *Log {
+	n := 0
+	for i := range l.Records {
+		if keep(&l.Records[i]) {
+			n++
+		}
+	}
 	out := &Log{Meta: l.Meta}
+	if n == 0 {
+		return out
+	}
+	out.Records = make([]Record, 0, n)
 	for i := range l.Records {
 		if keep(&l.Records[i]) {
 			out.Records = append(out.Records, l.Records[i])

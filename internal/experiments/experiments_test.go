@@ -6,6 +6,7 @@ import (
 
 	"picmcio/internal/cephfs"
 	"picmcio/internal/cluster"
+	"picmcio/internal/darshan"
 	"picmcio/internal/ior"
 	"picmcio/internal/nfs"
 	"picmcio/internal/units"
@@ -116,6 +117,71 @@ func TestEpochExtrapolation(t *testing.T) {
 	}
 	if r.MetaSec <= 0 || r.WriteSec <= 0 {
 		t.Fatalf("per-proc times: meta=%v write=%v", r.MetaSec, r.WriteSec)
+	}
+}
+
+// TestLogReductionsMatchFilter: RunBIT1 reads its log in place through
+// predicates; what it gets is bit for bit what the same reductions return
+// on filtered copies of the log, in both modes.
+func TestLogReductionsMatchFilter(t *testing.T) {
+	o := testOptions()
+	once := func(rec *darshan.Record) bool { return strings.HasSuffix(rec.Path, ".inp") }
+	perEpoch := func(rec *darshan.Record) bool { return !once(rec) }
+	for _, cfg := range []Config{Original, BP4} {
+		res, err := o.RunBIT1(Run{Machine: cluster.Dardel(), Nodes: 2, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := res.Log
+		if n, all := len(l.Filter(once).Records), len(l.Records); n == 0 || n == all {
+			t.Fatalf("%s: %d of %d records are one-time I/O; the split is not exercised", cfg.Label, n, all)
+		}
+		if got, want := l.WriteThroughputByElapsedWhere(perEpoch), l.Filter(perEpoch).WriteThroughputByElapsed(); got != want || got <= 0 {
+			t.Errorf("%s: throughput in place %v, on the filtered copy %v", cfg.Label, got, want)
+		}
+		if got := units.GiBps(l.WriteThroughputByElapsedWhere(perEpoch)); got != res.ThroughputGiBs {
+			t.Errorf("%s: RunBIT1 reports %v GiB/s, its log says %v", cfg.Label, res.ThroughputGiBs, got)
+		}
+		for name, keep := range map[string]func(*darshan.Record) bool{"once": once, "per-epoch": perEpoch} {
+			r, m, w := l.PerProcessTimesWhere(keep)
+			fr, fm, fw := l.Filter(keep).PerProcessTimes()
+			if r != fr || m != fm || w != fw || m <= 0 {
+				t.Errorf("%s, %s: per-process times in place %v %v %v, on the filtered copy %v %v %v", cfg.Label, name, r, m, w, fr, fm, fw)
+			}
+		}
+	}
+}
+
+// TestFig2OriginalStopsScaling ties Fig. 2 to the paper's claim rather
+// than to our own golden bytes: at 128 ranks a node the original
+// file-per-rank path is past saturation by 10 nodes on all three machines.
+// Tripling the ranks buys no aggregate write throughput, while the
+// per-process metadata time — the create storm queueing on the MDS — at
+// least triples. One file is one Darshan record: every rank's .dat, .dmp
+// and input-deck read, plus rank 0's six history files and the output
+// directory.
+func TestFig2OriginalStopsScaling(t *testing.T) {
+	o := Options{Seed: 1, RanksPerNode: 128, DiagEpochs: 2}
+	for _, m := range cluster.Machines() {
+		at := func(nodes int) *RunResult {
+			r, err := o.RunBIT1(Run{Machine: m, Nodes: nodes, Config: Original})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 3*nodes*o.RanksPerNode + 7; len(r.Log.Records) != want {
+				t.Errorf("%s, %d nodes: %d Darshan records, want %d", m.Name, nodes, len(r.Log.Records), want)
+			}
+			return r
+		}
+		r10, r30 := at(10), at(30)
+		t.Logf("%s: 10 → 30 nodes: %.3f → %.3f GiB/s, metadata %.2f → %.2f s per process",
+			m.Name, r10.ThroughputGiBs, r30.ThroughputGiBs, r10.MetaSec, r30.MetaSec)
+		if r30.ThroughputGiBs > 1.05*r10.ThroughputGiBs {
+			t.Errorf("%s: throughput still scales past 10 nodes: %.3f → %.3f GiB/s", m.Name, r10.ThroughputGiBs, r30.ThroughputGiBs)
+		}
+		if r30.MetaSec < 3*r10.MetaSec {
+			t.Errorf("%s: per-process metadata time %.2f → %.2f s, want at least 3x", m.Name, r10.MetaSec, r30.MetaSec)
+		}
 	}
 }
 

@@ -320,13 +320,14 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	// Throughput is measured on the simulation's output files only: the
 	// staged input deck is written once at t=0 and read by every rank,
 	// and would otherwise stretch the Darshan write window across the
-	// startup phase.
+	// startup phase. The log is read in place, through predicates.
 	once := func(rec *darshan.Record) bool { return strings.HasSuffix(rec.Path, ".inp") }
-	res.ThroughputGiBs = units.GiBps(res.Log.Filter(func(rec *darshan.Record) bool { return !once(rec) }).WriteThroughputByElapsed())
+	perEpoch := func(rec *darshan.Record) bool { return !once(rec) }
+	res.ThroughputGiBs = units.GiBps(res.Log.WriteThroughputByElapsedWhere(perEpoch))
 	// Per-epoch I/O extrapolates to the full production run; one-time
 	// I/O (the input deck every rank reads at startup) does not.
-	r1, m1, w1 := res.Log.Filter(once).PerProcessTimes()
-	rN, mN, wN := res.Log.Filter(func(rec *darshan.Record) bool { return !once(rec) }).PerProcessTimes()
+	r1, m1, w1 := res.Log.PerProcessTimesWhere(once)
+	rN, mN, wN := res.Log.PerProcessTimesWhere(perEpoch)
 	f := o.EpochFactor()
 	res.ReadSec = r1 + rN*f
 	res.MetaSec = m1 + mN*f

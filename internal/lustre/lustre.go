@@ -188,22 +188,35 @@ func (fs *FS) defaultLayoutFor(path string) Layout {
 	return Layout{StripeCount: fs.p.DefaultStripeCount, StripeSize: fs.p.DefaultStripeSize, Pattern: "raid0"}
 }
 
+// placement is a layout and the backing of its Objects when there is one
+// object — the default striping, and every file of a file-per-rank run —
+// so that placing such a file is one allocation.
+type placement struct {
+	Layout
+	one [1]Object
+}
+
 // allocate assigns stripe objects round-robin across OSTs.
-func (fs *FS) allocate(l Layout) Layout {
-	l.Pattern = "raid0"
-	l.StripeOffset = fs.nextOST % fs.p.NumOSTs
-	l.Objects = make([]Object, l.StripeCount)
-	for i := 0; i < l.StripeCount; i++ {
+func (fs *FS) allocate(l Layout) *Layout {
+	pl := &placement{Layout: l}
+	pl.Pattern = "raid0"
+	pl.StripeOffset = fs.nextOST % fs.p.NumOSTs
+	if l.StripeCount == 1 {
+		pl.Objects = pl.one[:]
+	} else {
+		pl.Objects = make([]Object, l.StripeCount)
+	}
+	for i := range pl.Objects {
 		idx := (fs.nextOST + i) % fs.p.NumOSTs
 		fs.nextID += 1 + uint64(fs.rng.Intn(97))
-		l.Objects[i] = Object{
+		pl.Objects[i] = Object{
 			OBDIdx: idx,
 			ObjID:  fs.nextID,
 			Group:  uint64(idx)<<34 | 0x400,
 		}
 	}
 	fs.nextOST = (fs.nextOST + l.StripeCount) % fs.p.NumOSTs
-	return l
+	return &pl.Layout
 }
 
 func (fs *FS) jitter(d sim.Duration) sim.Duration {
@@ -230,8 +243,7 @@ func (fs model) Meta(op pfs.MetaOp) sim.Time {
 // Place implements pfs.Backend: a layout from the nearest SetStripe
 // default, its objects allocated round-robin.
 func (fs model) Place(path string, n *pfs.Node) {
-	lay := fs.allocate(fs.defaultLayoutFor(path))
-	n.Aux = &lay
+	n.Aux = fs.allocate(fs.defaultLayoutFor(path))
 }
 
 // GetStripe returns the layout of the file at path, as `lfs getstripe`
@@ -264,37 +276,30 @@ func FormatGetStripe(path string, l Layout) string {
 	return b.String()
 }
 
-// stripeSplit apportions [off, off+n) across the layout's stripe objects,
-// returning bytes per object index.
-func stripeSplit(l *Layout, off, n int64) []int64 {
-	per := make([]int64, l.StripeCount)
-	if n <= 0 {
-		return per
-	}
-	ss := l.StripeSize
-	for n > 0 {
-		stripe := off / ss
-		within := off % ss
-		chunk := ss - within
-		if chunk > n {
-			chunk = n
-		}
-		per[int(stripe)%l.StripeCount] += chunk
-		off += chunk
-		n -= chunk
-	}
-	return per
-}
-
 // reserve books [off, off+length) of file n on the OSTs holding its stripe
-// objects and returns the latest completion, or end if that is later.
+// objects — one reservation per object the range touches, in object order,
+// for all of that object's bytes — and returns the latest completion, or
+// end if that is later. Raid0 deals stripes of StripeSize round-robin, so
+// of the bytes below x object i holds StripeSize for every full round of
+// StripeCount stripes, plus what of its stripe in the partial round lies
+// below x; its share of the range is that at off+length less that at off.
 func (fs *FS) reserve(n *pfs.Node, off, length int64, end sim.Time) sim.Time {
+	if length <= 0 {
+		return end
+	}
 	l := n.Aux.(*Layout)
-	for i, bytes := range stripeSplit(l, off, length) {
+	ss := l.StripeSize
+	round := ss * int64(l.StripeCount)
+	hi := off + length
+	loFull, loPart := off/round*ss, off%round
+	hiFull, hiPart := hi/round*ss, hi%round
+	for i, o := range l.Objects {
+		first := int64(i) * ss
+		bytes := hiFull + min(max(hiPart-first, 0), ss) - loFull - min(max(loPart-first, 0), ss)
 		if bytes == 0 {
 			continue
 		}
-		if e := fs.osts[l.Objects[i].OBDIdx].Reserve(bytes); e > end {
+		if e := fs.osts[o.OBDIdx].Reserve(bytes); e > end {
 			end = e
 		}
 	}

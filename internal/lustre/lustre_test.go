@@ -1,9 +1,13 @@
 package lustre
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"picmcio/internal/pfs"
 	"picmcio/internal/sim"
@@ -12,6 +16,129 @@ import (
 func testFS(p Params) (*sim.Kernel, *FS) {
 	k := sim.NewKernel()
 	return k, New(k, p)
+}
+
+// stripeSplit apportions [off, off+n) across the layout's stripe objects
+// by walking the range stripe by stripe, returning bytes per object index.
+// It was the shipped data path until FS.reserve learned the closed form; it
+// stays here as the oracle reserve is checked against.
+func stripeSplit(l *Layout, off, n int64) []int64 {
+	per := make([]int64, l.StripeCount)
+	if n <= 0 {
+		return per
+	}
+	ss := l.StripeSize
+	for n > 0 {
+		stripe := off / ss
+		within := off % ss
+		chunk := ss - within
+		if chunk > n {
+			chunk = n
+		}
+		per[int(stripe)%l.StripeCount] += chunk
+		off += chunk
+		n -= chunk
+	}
+	return per
+}
+
+// ostLoad is what one OST has been asked to do.
+type ostLoad struct{ ops, bytes uint64 }
+
+func ostLoads(fs *FS) []ostLoad {
+	out := make([]ostLoad, fs.Params().NumOSTs)
+	for i := range out {
+		out[i].ops, out[i].bytes, _ = fs.OSTStats(i)
+	}
+	return out
+}
+
+// TestReserveMatchesStripeSplit books random byte ranges of randomly
+// striped files and checks every OST was sent what the stripe-walking
+// oracle sends it: one reservation per touched object, for that object's
+// bytes. Each OST backs at most one object of a file, so per-OST counts
+// pin the whole (object, bytes) sequence.
+func TestReserveMatchesStripeSplit(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	k, fs := testFS(DefaultParams())
+	k.Spawn("r", func(p *sim.Proc) {
+		for trial := 0; trial < 300; trial++ {
+			count := 1 + rng.Intn(48)
+			ss := int64(1+rng.Intn(64)) << 16 // 64 KiB … 4 MiB
+			dir := fmt.Sprintf("/d/%d", trial)
+			if err := fs.SetStripe(dir, count, ss); err != nil {
+				t.Error(err)
+				return
+			}
+			path := dir + "/f"
+			f, err := fs.Create(p, nil, path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.Close(p, nil)
+			n, _ := fs.Namespace().Lookup(path)
+			l := n.Aux.(*Layout)
+			for i := 0; i < 20; i++ {
+				off := rng.Int63n(4 * ss * int64(count))
+				var length int64
+				switch rng.Intn(5) {
+				case 0:
+					length = -rng.Int63n(ss)
+				case 1:
+					length = 0
+				case 2:
+					length = 1 + rng.Int63n(ss)
+				default:
+					length = 1 + rng.Int63n(3*ss*int64(count))
+				}
+				want := ostLoads(fs)
+				for obj, bytes := range stripeSplit(l, off, length) {
+					if bytes != 0 {
+						want[l.Objects[obj].OBDIdx].ops++
+						want[l.Objects[obj].OBDIdx].bytes += uint64(bytes)
+					}
+				}
+				fs.reserve(n, off, length, 0)
+				if got := ostLoads(fs); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d: count %d size %d off %d length %d:\n got %v\nwant %v", seed, count, ss, off, length, got, want)
+					return
+				}
+			}
+		}
+	})
+	k.Run()
+}
+
+// TestReserveAllocs: a write and a read of an open file allocate nothing
+// in the Lustre model, at one stripe object and at eight.
+func TestReserveAllocs(t *testing.T) {
+	for _, count := range []int{1, 8} {
+		k, fs := testFS(DefaultParams())
+		if err := fs.SetStripe("/io", count, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		k.Spawn("r", func(p *sim.Proc) {
+			f, err := fs.Create(p, nil, "/io/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.WriteAt(p, nil, 0, 32<<20, nil)
+		})
+		k.Run()
+		n, _ := fs.Namespace().Lookup("/io/f")
+		m := model{fs}
+		off := int64(0)
+		if a := testing.AllocsPerRun(100, func() {
+			m.Absorb(n, off, 3<<20|4096, k.Now())
+			m.Serve(n, off+12345, 5<<20, k.Now())
+			off += 3<<20 | 4096
+		}); a != 0 {
+			t.Errorf("stripe count %d: a write and a read allocate %.0f objects, want 0", count, a)
+		}
+	}
 }
 
 func TestStripeSplitCoversAllBytes(t *testing.T) {
