@@ -463,3 +463,131 @@ func TestProfilingJSONSchema(t *testing.T) {
 		t.Fatalf("timers: total=%+v max=%+v", total, max)
 	}
 }
+
+// A numeric engine parameter that does not parse, or cannot be used, is an
+// error from Open that names key and value — the same on every rank and
+// before the first collective, so the world drains instead of deadlocking
+// — not a silent run with the default.
+func TestOpenRejectsMalformedParameters(t *testing.T) {
+	for _, c := range []struct{ key, value string }{
+		{"NumAggregators", "1O"},
+		{"NumAggregators", ""},
+		{"MemRate", "8e9 B/s"},
+		{"MemRate", "0"},
+		{"MemRate", "NaN"},
+		{"SimCompressionRatio", "80%"},
+		{"SimCompressionRatio", "-0.5"},
+	} {
+		rg := newRig(4)
+		failed := 0
+		rg.w.Run(func(r *mpisim.Rank) {
+			io := New().DeclareIO("bad")
+			io.SetParameter(c.key, c.value)
+			_, err := io.Open(rg.host(r), "/bad.bp4", ModeWrite)
+			if err == nil {
+				t.Errorf("rank %d: %s = %q accepted", r.ID, c.key, c.value)
+				return
+			}
+			failed++
+			if msg := err.Error(); !strings.HasPrefix(msg, "adios2:") || !strings.Contains(msg, c.key) || !strings.Contains(msg, fmt.Sprintf("%q", c.value)) {
+				t.Errorf("rank %d: %s = %q: error %q does not name both", r.ID, c.key, c.value, msg)
+			}
+		})
+		if failed != 4 {
+			t.Errorf("%s = %q: %d of 4 ranks got the error", c.key, c.value, failed)
+		}
+		if files := listFiles(rg, "/bad.bp4"); len(files) != 0 {
+			t.Errorf("%s = %q: the failed open created %v", c.key, c.value, files)
+		}
+	}
+}
+
+// A forked IO reads its template's settings until either changes one; the
+// change is then the changer's alone, and is parsed again at its Open.
+func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
+	tmpl := New().DeclareIO("tmpl")
+	tmpl.SetParameter("NumAggregators", "2")
+	if err := tmpl.AddOperation("blosc"); err != nil {
+		t.Fatal(err)
+	}
+	a, b := tmpl.Fork(), tmpl.Fork()
+	if a.set != tmpl.set || b.set != tmpl.set {
+		t.Fatal("Fork copied the settings")
+	}
+	if a.Name() != "tmpl" || a.Operator() != "blosc" || a.Parameter("NumAggregators", "") != "2" {
+		t.Errorf("fork is %q with operator %q and NumAggregators %q", a.Name(), a.Operator(), a.Parameter("NumAggregators", ""))
+	}
+	wp, err := a.set.writer()
+	if err != nil || wp.numAgg != 2 {
+		t.Fatalf("parsed NumAggregators %+v, %v", wp, err)
+	}
+	if again, _ := b.set.writer(); again != wp {
+		t.Error("the second fork parsed the parameters again")
+	}
+
+	a.SetParameter("NumAggregators", "x")
+	if err := b.SetEngine("BP5"); err != nil {
+		t.Fatal(err)
+	}
+	tmpl.AddOperation("none")
+	for name, got := range map[string][3]string{
+		"a":    {a.Parameter("NumAggregators", ""), a.Engine(), a.Operator()},
+		"b":    {b.Parameter("NumAggregators", ""), b.Engine(), b.Operator()},
+		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.Engine(), tmpl.Operator()},
+	} {
+		want := map[string][3]string{"a": {"x", "BP4", "blosc"}, "b": {"2", "BP5", "blosc"}, "tmpl": {"2", "BP4", "none"}}[name]
+		if got != want {
+			t.Errorf("%s has NumAggregators, engine, operator %q, want %q", name, got, want)
+		}
+	}
+	if _, err := a.set.writer(); err == nil {
+		t.Error("a's new NumAggregators was not parsed again")
+	}
+	if wp, err := b.set.writer(); err != nil || wp.numAgg != 2 {
+		t.Errorf("b parses to %+v, %v", wp, err)
+	}
+}
+
+// A writer that defines its variables together before its first Put gets
+// step buffers of exactly the size one Put of each needs, once.
+func TestDeclareThenPutSizesOnce(t *testing.T) {
+	for _, n := range []int{10, 20} {
+		rg := newRig(1)
+		rg.w.Run(func(r *mpisim.Rank) {
+			io := New().DeclareIO("sized")
+			io.SetParameter("Profile", "off")
+			e, err := io.Open(rg.host(r), "/sized.bp4", ModeWrite)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			names := make([]string, n)
+			for i := range names {
+				names[i] = fmt.Sprint("v", i)
+			}
+			vars := io.DefineVariables(names, TypeFloat64, 1)
+			for step := int64(0); step < 2; step++ {
+				errs := []error{e.BeginStep(step)}
+				for i := range vars {
+					v := &vars[i]
+					if got, ok := io.InquireVariable(names[i]); !ok || got != v {
+						t.Errorf("InquireVariable(%s) = %p, %v, want %p", names[i], got, ok, v)
+					}
+					errs = append(errs, v.SetShape([]uint64{8}), v.SetSelection([]uint64{0}, []uint64{8}), e.Put(v, nil))
+				}
+				for _, err := range errs {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				if len(e.puts) != n || cap(e.puts) != n || len(e.sels) != 2*n || cap(e.sels) != 2*n {
+					t.Errorf("step %d, %d variables: puts len %d cap %d, sels len %d cap %d", step, n, len(e.puts), cap(e.puts), len(e.sels), cap(e.sels))
+				}
+				if err := e.EndStep(); err != nil {
+					t.Error(err)
+				}
+			}
+			e.Close()
+		})
+	}
+}

@@ -83,18 +83,60 @@ func (a *ADIOS) DeclareIO(name string) *IO {
 	if io, ok := a.ios[name]; ok {
 		return io
 	}
-	io := &IO{name: name, engine: "BP4", params: map[string]string{}, vars: map[string]*Variable{}}
+	io := &IO{name: name, set: &settings{engine: "BP4"}}
 	a.ios[name] = io
 	return io
 }
 
 // IO holds engine choice, parameters, operators and variable definitions.
 type IO struct {
-	name     string
+	name string
+	set  *settings
+
+	// vars chains the defined variables, newest first; nvars counts them
+	// and dims sums their dimensions. A step that puts each of them once
+	// stages nvars puts and 2·dims selection entries.
+	vars        *Variable
+	nvars, dims int
+}
+
+// settings is what Fork shares between IOs: engine type, parameters and
+// operator, and the parameters as Open parsed them.
+type settings struct {
 	engine   string
 	params   map[string]string
 	operator string // compression codec name; "" for none
-	vars     map[string]*Variable
+	// shared is set once a second IO reads these settings; from then on
+	// whoever changes one does it on a copy (IO.own).
+	shared bool
+	// parsed is the parameters a write engine reads, as the first Open
+	// since they last changed parsed them; parseErr is why it could not.
+	parsed   *writerParams
+	parseErr error
+}
+
+// Fork returns a new IO with io's name, engine type, parameters and
+// operator, and no variables. The settings are not copied: both IOs read
+// the same ones — parsed once, by whichever opens first — until one of
+// them changes a setting, which it then does on its own copy. It is how
+// every rank of a world gets the configuration one rank resolved.
+func (io *IO) Fork() *IO {
+	io.set.shared = true
+	return &IO{name: io.name, set: io.set}
+}
+
+// own returns io's settings for writing: a private copy if they are
+// shared, and in either case no longer parsed.
+func (io *IO) own() *settings {
+	if io.set.shared {
+		set := &settings{engine: io.set.engine, operator: io.set.operator, params: make(map[string]string, len(io.set.params)+1)}
+		for k, v := range io.set.params {
+			set.params[k] = v
+		}
+		io.set = set
+	}
+	io.set.parsed, io.set.parseErr = nil, nil
+	return io.set
 }
 
 // Name reports the IO object's name.
@@ -106,7 +148,7 @@ func (io *IO) Name() string { return io.name }
 func (io *IO) SetEngine(e string) error {
 	switch e {
 	case "BP4", "BP5":
-		io.engine = e
+		io.own().engine = e
 		return nil
 	default:
 		return fmt.Errorf("adios2: unsupported engine %q", e)
@@ -114,14 +156,15 @@ func (io *IO) SetEngine(e string) error {
 }
 
 // Engine reports the configured engine type.
-func (io *IO) Engine() string { return io.engine }
+func (io *IO) Engine() string { return io.set.engine }
 
 // SetParameter sets an engine parameter. Recognized keys:
 //
-//	NumAggregators       number of subfiles (the paper's NumAgg knob)
+//	NumAggregators       number of subfiles (the paper's NumAgg knob),
+//	                     clamped to [1, ranks]
 //	Profile              "on"/"off" — write profiling.json
-//	SimCompressionRatio  ratio to assume for volume-mode payloads
-//	MemRate              marshalling memcpy bandwidth (bytes/s)
+//	SimCompressionRatio  ratio to assume for volume-mode payloads (> 0)
+//	MemRate              marshalling memcpy bandwidth (bytes/s, > 0)
 //	BurstBuffer          "on"/"true" — stage I/O through the host
 //	                     environment's burst-buffer tier, if attached
 //	BurstDurability      "buffered" (default) or "pfs" — whether EndStep
@@ -131,38 +174,74 @@ func (io *IO) Engine() string { return io.engine }
 //	BurstDrainLimit      per-node write-back bandwidth cap, bytes/second
 //	BurstDrainDeadline   pace each epoch's write-back across this many
 //	                     seconds instead of bursting ("drain by next epoch")
-func (io *IO) SetParameter(k, v string) { io.params[k] = v }
+//
+// A malformed numeric value is an error from Open, not a silent default.
+func (io *IO) SetParameter(k, v string) {
+	set := io.own()
+	if set.params == nil {
+		set.params = map[string]string{}
+	}
+	set.params[k] = v
+}
 
 // Parameter reads back a parameter with a default.
-func (io *IO) Parameter(k, def string) string {
-	if v, ok := io.params[k]; ok {
+func (io *IO) Parameter(k, def string) string { return io.set.param(k, def) }
+
+// writerParams is the engine parameters a write engine reads, parsed.
+type writerParams struct {
+	numAgg     int // 0: NumAggregators absent, one subfile per rank
+	memRate    float64
+	volRatio   float64
+	profile    bool
+	pfsDurable bool
+}
+
+// writer returns the parameters a write engine reads, parsed once per
+// settings: every IO forked from one template gets the same answer, error
+// included, without parsing again.
+func (set *settings) writer() (*writerParams, error) {
+	if set.parsed == nil && set.parseErr == nil {
+		set.parsed, set.parseErr = set.parseWriter()
+	}
+	return set.parsed, set.parseErr
+}
+
+func (set *settings) parseWriter() (*writerParams, error) {
+	wp := &writerParams{
+		memRate:    8e9,
+		volRatio:   0.8,
+		profile:    set.param("Profile", "on") == "on",
+		pfsDurable: set.param("BurstDurability", "buffered") == "pfs",
+	}
+	if v, ok := set.params["NumAggregators"]; ok {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return nil, fmt.Errorf("adios2: bad NumAggregators %q (want an integer)", v)
+		}
+		wp.numAgg = max(n, 1)
+	}
+	for _, f := range []struct {
+		key string
+		dst *float64
+	}{{"MemRate", &wp.memRate}, {"SimCompressionRatio", &wp.volRatio}} {
+		v, ok := set.params[f.key]
+		if !ok {
+			continue
+		}
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(x > 0) {
+			return nil, fmt.Errorf("adios2: bad %s %q (want a positive number)", f.key, v)
+		}
+		*f.dst = x
+	}
+	return wp, nil
+}
+
+func (set *settings) param(k, def string) string {
+	if v, ok := set.params[k]; ok {
 		return v
 	}
 	return def
-}
-
-func (io *IO) intParam(k string, def int) int {
-	v, ok := io.params[k]
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
-}
-
-func (io *IO) floatParam(k string, def float64) float64 {
-	v, ok := io.params[k]
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return def
-	}
-	return f
 }
 
 // AddOperation attaches a compression operator ("blosc" or "bzip2") to
@@ -173,12 +252,12 @@ func (io *IO) AddOperation(codec string) error {
 			return err
 		}
 	}
-	io.operator = codec
+	io.own().operator = codec
 	return nil
 }
 
 // Operator reports the attached compression operator name ("" if none).
-func (io *IO) Operator() string { return io.operator }
+func (io *IO) Operator() string { return io.set.operator }
 
 // Variable describes an n-dimensional distributed array. It owns the
 // storage behind Shape and its selection: DefineVariable, SetShape and
@@ -189,29 +268,56 @@ type Variable struct {
 	Shape []uint64 // global extent; read-only for callers, SetShape writes it
 	start []uint64
 	count []uint64
+	next  *Variable // the IO's variable defined before this one
+}
+
+// bind gives v its name, its type and a block of three times its
+// dimensionality for Shape, start and count, overwritten in place from
+// here on, and links it into io.
+func (io *IO) bind(v *Variable, name string, t DType, block []uint64) {
+	n := len(block) / 3
+	*v = Variable{Name: name, Type: t, Shape: block[:n:n], start: block[n : 2*n : 2*n], count: block[2*n:], next: io.vars}
+	io.vars = v
+	io.nvars++
+	io.dims += n
 }
 
 // DefineVariable declares a variable with a global shape and this rank's
-// initial selection.
+// initial selection. A name defined before now means the new variable.
 func (io *IO) DefineVariable(name string, t DType, shape, start, count []uint64) (*Variable, error) {
 	if len(shape) != len(start) || len(shape) != len(count) {
 		return nil, fmt.Errorf("adios2: dimension mismatch for %q", name)
 	}
-	// One block for all three, overwritten in place from here on.
-	n := len(shape)
-	dims := make([]uint64, 3*n)
-	v := &Variable{Name: name, Type: t, Shape: dims[:n:n], start: dims[n : 2*n : 2*n], count: dims[2*n:]}
+	v := &Variable{}
+	io.bind(v, name, t, make([]uint64, 3*len(shape)))
 	copy(v.Shape, shape)
 	copy(v.start, start)
 	copy(v.count, count)
-	io.vars[name] = v
 	return v, nil
+}
+
+// DefineVariables declares one variable per name, all of type t and of
+// dims dimensions with a zero shape and selection, for SetShape and
+// SetSelection to fill in: the form for a writer that knows its whole
+// schema before its first Put. The variables come out of one block, in
+// the order of names.
+func (io *IO) DefineVariables(names []string, t DType, dims int) []Variable {
+	vars, block := make([]Variable, len(names)), make([]uint64, 3*dims*len(names))
+	for i, name := range names {
+		lo, hi := 3*dims*i, 3*dims*(i+1)
+		io.bind(&vars[i], name, t, block[lo:hi:hi])
+	}
+	return vars
 }
 
 // InquireVariable looks up a defined variable.
 func (io *IO) InquireVariable(name string) (*Variable, bool) {
-	v, ok := io.vars[name]
-	return v, ok
+	for v := io.vars; v != nil; v = v.next {
+		if v.Name == name {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // SetShape updates the variable's global extent — needed when a re-used
@@ -274,11 +380,11 @@ func (io *IO) applyBurstQoS(fs pfs.FileSystem) error {
 	tier := bfs.Tier()
 	q := tier.QoS()
 	changed := false
-	if v, ok := io.params["BurstQoSPriority"]; ok {
+	if v, ok := io.set.params["BurstQoSPriority"]; ok {
 		q.PriorityLanes = paramOn(v)
 		changed = true
 	}
-	if v, ok := io.params["BurstDrainLimit"]; ok {
+	if v, ok := io.set.params["BurstDrainLimit"]; ok {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 {
 			return fmt.Errorf("adios2: bad BurstDrainLimit %q (want non-negative bytes/second)", v)
@@ -286,7 +392,7 @@ func (io *IO) applyBurstQoS(fs pfs.FileSystem) error {
 		q.DrainLimit = f
 		changed = true
 	}
-	if v, ok := io.params["BurstDrainDeadline"]; ok {
+	if v, ok := io.set.params["BurstDrainDeadline"]; ok {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 {
 			return fmt.Errorf("adios2: bad BurstDrainDeadline %q (want non-negative seconds)", v)

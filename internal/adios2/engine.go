@@ -88,6 +88,8 @@ type Engine struct {
 	profile    bool
 	pfsDurable bool // EndStep blocks until staged writes are PFS-durable
 
+	// puts and sels are sized at the engine's first Put for one Put of each
+	// variable the IO then holds, and grow past that.
 	puts      []putRec
 	sels      []uint64 // the step's selection snapshots, reset at BeginStep
 	inStep    bool
@@ -103,35 +105,36 @@ type Engine struct {
 
 // openWriter opens path for collective writing.
 func openWriter(io *IO, h Host, path string) (*Engine, error) {
+	// Before anything collective: a bad parameter is the same error on
+	// every rank, and nobody is left parked.
+	wp, err := io.set.writer()
+	if err != nil {
+		return nil, err
+	}
+	size := h.Comm.Size()
 	e := &Engine{
 		io:         io,
 		h:          h,
 		path:       pfs.Clean(path),
 		mode:       ModeWrite,
-		memRate:    io.floatParam("MemRate", 8e9),
-		profile:    io.Parameter("Profile", "on") == "on",
-		pfsDurable: io.Parameter("BurstDurability", "buffered") == "pfs",
-		steps:      map[int64]stepLoc{},
+		nAgg:       size,
+		volRatio:   1,
+		memRate:    wp.memRate,
+		profile:    wp.profile,
+		pfsDurable: wp.pfsDurable,
 		curStep:    -1,
 	}
-	size := h.Comm.Size()
-	e.nAgg = io.intParam("NumAggregators", size)
-	if e.nAgg < 1 {
-		e.nAgg = 1
+	if wp.numAgg != 0 {
+		e.nAgg = min(wp.numAgg, size)
 	}
-	if e.nAgg > size {
-		e.nAgg = size
-	}
-	if io.operator != "" && io.operator != "none" {
-		c, err := compress.New(io.operator, 8)
+	if op := io.set.operator; op != "" && op != "none" {
+		c, err := compress.New(op, 8)
 		if err != nil {
 			return nil, err
 		}
 		e.codec = c
-		e.cost = compress.CostOf(io.operator)
-		e.volRatio = io.floatParam("SimCompressionRatio", 0.8)
-	} else {
-		e.volRatio = 1
+		e.cost = compress.CostOf(op)
+		e.volRatio = wp.volRatio
 	}
 
 	rank := h.Comm.Rank()
@@ -139,14 +142,13 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 		if err := h.Env.MkdirAll(h.Proc, e.path); err != nil {
 			return nil, err
 		}
-		var err error
 		if e.mdFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, "md.0")); err != nil {
 			return nil, err
 		}
 		if e.idxFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, "md.idx")); err != nil {
 			return nil, err
 		}
-		if io.engine == "BP5" {
+		if io.set.engine == "BP5" {
 			fd, err := h.Env.Create(h.Proc, pfs.Join(e.path, "mmd.0"))
 			if err != nil {
 				return nil, err
@@ -160,7 +162,7 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	e.isAgg = e.aggComm.Rank() == 0
 	if e.isAgg {
 		e.ldrComm = h.Comm.Split(0, rank)
-		var err error
+		e.steps = map[int64]stepLoc{}
 		if e.dataFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, fmt.Sprintf("data.%d", color))); err != nil {
 			return nil, err
 		}
@@ -212,6 +214,10 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	if data == nil {
 		e.contentOK = false
 	}
+	if e.puts == nil {
+		e.puts = make([]putRec, 0, e.io.nvars)
+		e.sels = make([]uint64, 0, 2*e.io.dims)
+	}
 	e.puts = append(e.puts, putRec{v: v, sel: len(e.sels), n: n, data: data})
 	e.sels = append(append(e.sels, v.start...), v.count...)
 	if e.codec == nil && n > 0 {
@@ -241,10 +247,16 @@ func (e *Engine) EndStep() error {
 
 	// Serialize this rank's payload: per put, a 64-byte block header
 	// followed by the (individually compressed) body — compression
-	// operators apply per variable block, as in real ADIOS2.
+	// operators apply per variable block, as in real ADIOS2 — and build
+	// this rank's chunk table beside it (offsets filled by the aggregator).
+	// In volume mode neither is materialized; only the table's analytic
+	// binary footprint travels, so 25k-rank runs stay cheap.
 	var stored int64
 	var storedContent []byte
-	storedLens := make([]int64, len(e.puts))
+	var table []chunkDesc
+	if e.contentOK {
+		table = make([]chunkDesc, len(e.puts))
+	}
 	if e.codec != nil {
 		var rawTotal int64
 		for _, pr := range e.puts {
@@ -267,7 +279,6 @@ func (e *Engine) EndStep() error {
 		} else {
 			body = pr.data
 		}
-		storedLens[i] = blockLen
 		stored += blockLen
 		if e.contentOK {
 			if storedContent == nil {
@@ -275,27 +286,17 @@ func (e *Engine) EndStep() error {
 			}
 			storedContent = append(storedContent, make([]byte, perPutHeaderBytes)...)
 			storedContent = append(storedContent, body...)
-		}
-	}
-	if !e.contentOK {
-		storedContent = nil
-	}
-
-	// Build this rank's chunk table (offsets filled by the aggregator).
-	// In volume mode the table itself is not materialized; only its
-	// analytic binary footprint travels, so 25k-rank runs stay cheap.
-	var tableJSON []byte
-	tableBytes := int64(len(e.puts)) * mdEntryBytes
-	if e.contentOK {
-		table := make([]chunkDesc, len(e.puts))
-		for i, pr := range e.puts {
 			d := len(pr.v.Shape)
 			table[i] = chunkDesc{
 				Var: pr.v.Name, Type: pr.v.Type, Shape: pr.v.Shape,
 				Start: e.sels[pr.sel : pr.sel+d], Count: e.sels[pr.sel+d : pr.sel+2*d], RawLen: pr.n,
-				Codec: e.io.operator, Subfile: e.subfile, Len: storedLens[i],
+				Codec: e.io.set.operator, Subfile: e.subfile, Len: blockLen,
 			}
 		}
+	}
+	var tableJSON []byte
+	tableBytes := int64(len(e.puts)) * mdEntryBytes
+	if e.contentOK {
 		var err error
 		if tableJSON, err = json.Marshal(table); err != nil {
 			return err
@@ -463,8 +464,8 @@ func (e *Engine) Close() error {
 		sum := profileSummary{
 			Ranks:       comm.Size(),
 			Aggregators: e.nAgg,
-			Engine:      e.io.engine,
-			Operator:    e.io.operator,
+			Engine:      e.io.set.engine,
+			Operator:    e.io.set.operator,
 		}
 		sum.Total.Memcpy = sim.Duration(comm.AllreduceF64(float64(e.Timers.Memcpy), "sum"))
 		sum.Total.Compress = sim.Duration(comm.AllreduceF64(float64(e.Timers.Compress), "sum"))

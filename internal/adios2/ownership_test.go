@@ -100,3 +100,21 @@ func TestTwoPutsOfOneVariableInOneStep(t *testing.T) {
 		t.Errorf("both chunks at subfile offset %d", rec.Chunks[0].Offset)
 	}
 }
+
+// Defining a name again — one at a time or in a batch — leaves the earlier
+// variable to whoever holds it and makes the name mean the new one.
+func TestRedefinitionShadows(t *testing.T) {
+	io := New().DeclareIO("again")
+	first, _ := io.DefineVariable("x", TypeFloat64, []uint64{4}, []uint64{0}, []uint64{4})
+	second, _ := io.DefineVariable("x", TypeFloat64, []uint64{8}, []uint64{0}, []uint64{8})
+	if got, _ := io.InquireVariable("x"); got != second || first.Shape[0] != 4 {
+		t.Errorf("after a second DefineVariable, x is %p (first %p, second %p), first's shape %v", got, first, second, first.Shape)
+	}
+	batch := io.DefineVariables([]string{"y", "x"}, TypeFloat64, 1)
+	if got, _ := io.InquireVariable("x"); got != &batch[1] {
+		t.Errorf("after DefineVariables, x is %p, want the batch's %p", got, &batch[1])
+	}
+	if _, ok := io.InquireVariable("z"); ok {
+		t.Error("z was never defined")
+	}
+}

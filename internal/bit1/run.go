@@ -61,6 +61,9 @@ func Run(cfg Config, re RankEnv) error {
 		return err
 	}
 	pl := mpisim.Memo(re.Rank.Comm, cfg, func() *plan { return newPlan(cfg, re.Rank.Comm.Size()) })
+	if pl.err != nil {
+		return pl.err
+	}
 	if err := readInputDeck(pl, re); err != nil {
 		return err
 	}
@@ -114,7 +117,9 @@ type plan struct {
 	// openPMD mode only.
 	seriesPath string
 	varNames   []string
-	elems      []int64 // per-rank elements of each variable, per epoch
+	schema     *core.Schema // varNames, as the adaptor takes them
+	elems      []int64      // per-rank elements of each variable, per epoch
+	err        error        // why there is no schema
 }
 
 func newPlan(cfg Config, ranks int) *plan {
@@ -126,6 +131,7 @@ func newPlan(cfg Config, ranks int) *plan {
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
 		pl.varNames = snapshotVarNames(cfg.Sizing.NVars)
+		pl.schema, pl.err = core.NewSchema(pl.varNames)
 		pl.elems = cfg.Sizing.PerRankSnapshotElems(ranks)
 	}
 	return pl
@@ -250,6 +256,9 @@ func runOpenPMD(cfg Config, pl *plan, re RankEnv) error {
 	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
 	ad, err := core.NewAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions)
 	if err != nil {
+		return err
+	}
+	if err := ad.Declare(pl.schema); err != nil {
 		return err
 	}
 

@@ -32,11 +32,14 @@ type Adaptor struct {
 	host   openpmd.Host
 	series *openpmd.Series
 
-	// slots holds one entry per component ever accumulated, in first-use
-	// order, which is also the order they are written in. They outlive a
-	// save so that the openPMD handle resolved for one epoch serves the
-	// next.
+	// slots holds one entry per component declared or ever accumulated,
+	// in first-use order, which is also the order they are written in. They
+	// outlive a save so that the openPMD handle resolved for one epoch
+	// serves the next.
 	slots []slot
+	// schema is what Declare was given: its components are the first
+	// slots, and get their handles in one call.
+	schema *Schema
 	// iter is the iteration the slots' handles were taken from.
 	iter   *openpmd.Iteration
 	locals []int64 // SaveIteration's exscan contribution, reused
@@ -71,6 +74,47 @@ func NewAdaptor(h openpmd.Host, path, tomlOptions string) (*Adaptor, error) {
 	s.SetAttribute("software", "BIT1")
 	s.SetAttribute("iterationEncoding", "groupBased")
 	return &Adaptor{host: h, series: s}, nil
+}
+
+// Schema is a list of component names parsed once, for Declare. It is
+// immutable: make one and hand the same pointer to every rank.
+type Schema struct {
+	names []string
+	comps *openpmd.Schema
+}
+
+// NewSchema parses names ("species/record[/component]" or, for a mesh,
+// "meshes/record").
+func NewSchema(names []string) (*Schema, error) {
+	comps := make([]openpmd.ComponentName, len(names))
+	for i, name := range names {
+		var err error
+		if comps[i], err = parseName(name); err != nil {
+			return nil, err
+		}
+	}
+	pmd, err := openpmd.NewSchema(comps, openpmd.Float64, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Schema{names: append([]string(nil), names...), comps: pmd}, nil
+}
+
+// Declare names, in one call and before anything is accumulated, the
+// components this adaptor will write — what BIT1 knows from its input
+// deck. The adaptor then holds exactly that many accumulators, and the
+// first save resolves them, and defines their ADIOS2 variables, together.
+// Components accumulated under other names still join one by one.
+func (a *Adaptor) Declare(s *Schema) error {
+	if len(a.slots) != 0 {
+		return fmt.Errorf("core: Declare on an adaptor that already holds %d components", len(a.slots))
+	}
+	a.schema = s
+	a.slots = make([]slot, len(s.names))
+	for i, name := range s.names {
+		a.slots[i].name = name
+	}
+	return nil
 }
 
 // Series exposes the underlying openPMD series.
@@ -132,9 +176,21 @@ func (a *Adaptor) SaveIteration(id uint64) error {
 			a.slots[i].rc = nil
 		}
 		a.iter = it
+		if a.schema != nil {
+			rcs, err := it.Components(a.schema.comps)
+			if err != nil {
+				return err
+			}
+			for i := range rcs {
+				a.slots[i].rc = &rcs[i]
+			}
+		}
 	}
 	// One collective computes every component's offset and global extent
 	// (the MPI step of §III-B), instead of two per component.
+	if cap(a.locals) < len(a.slots) {
+		a.locals = make([]int64, 0, len(a.slots))
+	}
 	a.locals = a.locals[:0]
 	for i := range a.slots {
 		if s := &a.slots[i]; s.pending {
@@ -183,12 +239,10 @@ func (a *Adaptor) SaveIteration(id uint64) error {
 	return nil
 }
 
-// componentName is a parsed component name: "species/record[/component]"
-// or, for a mesh, "meshes/record".
-type componentName struct {
-	mesh                       bool
-	species, record, component string
-	err                        error
+// parsedName is the world-memo value of a component name.
+type parsedName struct {
+	openpmd.ComponentName
+	err error
 }
 
 // nameKey is the world-memo key of a parsed component name.
@@ -197,27 +251,30 @@ type nameKey string
 // component resolves a component name in it. Every rank uses the same
 // names, so each is parsed once per world.
 func (a *Adaptor) component(it *openpmd.Iteration, name string) (*openpmd.RecordComponent, error) {
-	cn := mpisim.Memo(a.host.Comm, nameKey(name), func() componentName { return parseName(name) })
+	cn := mpisim.Memo(a.host.Comm, nameKey(name), func() parsedName {
+		cn, err := parseName(name)
+		return parsedName{cn, err}
+	})
 	if cn.err != nil {
 		return nil, cn.err
 	}
-	if cn.mesh {
-		return it.Meshes(cn.record).Component(cn.component), nil
+	if cn.Mesh {
+		return it.Meshes(cn.Record).Component(cn.Component), nil
 	}
-	return it.Particles(cn.species).Record(cn.record).Component(cn.component), nil
+	return it.Particles(cn.Species).Record(cn.Record).Component(cn.Component), nil
 }
 
-func parseName(name string) componentName {
+func parseName(name string) (openpmd.ComponentName, error) {
 	parts := strings.Split(name, "/")
 	switch {
 	case len(parts) == 2 && parts[0] == "meshes":
-		return componentName{mesh: true, record: parts[1], component: openpmd.Scalar}
+		return openpmd.ComponentName{Mesh: true, Record: parts[1], Component: openpmd.Scalar}, nil
 	case len(parts) == 2:
-		return componentName{species: parts[0], record: parts[1], component: openpmd.Scalar}
+		return openpmd.ComponentName{Species: parts[0], Record: parts[1], Component: openpmd.Scalar}, nil
 	case len(parts) == 3:
-		return componentName{species: parts[0], record: parts[1], component: parts[2]}
+		return openpmd.ComponentName{Species: parts[0], Record: parts[1], Component: parts[2]}, nil
 	default:
-		return componentName{err: fmt.Errorf("core: bad component name %q (want species/record[/component] or meshes/name)", name)}
+		return openpmd.ComponentName{}, fmt.Errorf("core: bad component name %q (want species/record[/component] or meshes/name)", name)
 	}
 }
 

@@ -9,18 +9,26 @@ import (
 // cut down to the adaptor: 16 nodes × 128 ranks save ten volume-mode
 // components as iteration 0 three times through 16 aggregators. It counts
 // every heap object the run allocates, adaptor open and close included,
-// per rank and epoch.
+// per rank and epoch — and, from a run of no epochs, what the open and
+// close alone cost a rank.
 func BenchmarkAdaptorSave(b *testing.B) {
 	const ranks, aggregators, comps, epochs = 16 * 128, 16, 10, 3
-	var before, after runtime.MemStats
-	for i := 0; i < b.N; i++ {
+	mallocs := func(epochs int) float64 {
+		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		saveEpochs(b, ranks, aggregators, comps, epochs)
 		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
 	}
-	perRankEpoch := float64(after.Mallocs-before.Mallocs) / (ranks * epochs)
+	var perRankEpoch, perRankOpen float64
+	for i := 0; i < b.N; i++ {
+		perRankEpoch = mallocs(epochs) / (ranks * epochs)
+		perRankOpen = mallocs(0) / ranks
+	}
 	b.ReportMetric(perRankEpoch, "allocs_per_rank_epoch")
-	// The gated form, bigger is better: rank-epochs saved per thousand
-	// allocations.
+	b.ReportMetric(perRankOpen, "allocs_per_rank_open")
+	// The gated forms, bigger is better: rank-epochs saved, and ranks
+	// opened, per thousand allocations.
 	b.ReportMetric(1000/perRankEpoch, "rank_epochs_per_kalloc_ratchet")
+	b.ReportMetric(1000/perRankOpen, "rank_opens_per_kalloc_ratchet")
 }

@@ -227,3 +227,66 @@ Profile = "off"
 		t.Fatalf("subfiles=%d, want 4", nData)
 	}
 }
+
+// A declared schema and a component accumulated under a name it does not
+// hold are written side by side: the declared ones resolved together, the
+// other on its own, and again when another iteration is opened.
+func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
+	schema, err := NewSchema([]string{"e/position/x", "meshes/density"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := newRig(2)
+	rg.w.Run(func(r *mpisim.Rank) {
+		ad, err := NewAdaptor(rg.host(r), "/both.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
+		if err == nil {
+			err = ad.Declare(schema)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(ad.slots) != 2 || cap(ad.slots) != 2 {
+			t.Errorf("a schema of 2 made %d slots with room for %d", len(ad.slots), cap(ad.slots))
+		}
+		if err := ad.Declare(schema); err == nil {
+			t.Error("second Declare accepted")
+		}
+		for _, id := range []uint64{0, 1, 0} {
+			v := float64(10*id) + float64(r.ID)
+			ad.AccumulateFloats("e/position/x", []float64{v})
+			ad.AccumulateFloats("meshes/density", []float64{v + 0.25})
+			ad.AccumulateFloats("e/momentum/x", []float64{v + 0.5})
+			if err := ad.SaveIteration(id); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		ad.Close()
+	})
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := openpmd.NewSeries(rg.host(r), "/both.bp4", openpmd.AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, id := range []uint64{0, 1} {
+			it, _ := s.ReadIteration(id)
+			for name, rc := range map[string]*openpmd.RecordComponent{
+				"e/position/x":   it.Particles("e").Record("position").Component("x"),
+				"meshes/density": it.Meshes("density").Component(openpmd.Scalar),
+				"e/momentum/x":   it.Particles("e").Record("momentum").Component("x"),
+			} {
+				add := map[string]float64{"e/position/x": 0, "meshes/density": 0.25, "e/momentum/x": 0.5}[name]
+				want := []float64{float64(10*id) + add, float64(10*id) + 1 + add}
+				if got, _, err := rc.Load(); err != nil || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+					t.Errorf("iteration %d, %s: %v (%v), want %v", id, name, got, err, want)
+				}
+			}
+		}
+		s.Close()
+	})
+	if _, err := NewSchema([]string{"e/position/x", "way/too/deep/name"}); err == nil {
+		t.Error("a schema with a 4-part name accepted")
+	}
+}

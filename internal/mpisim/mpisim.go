@@ -11,8 +11,9 @@
 package mpisim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"picmcio/internal/sim"
 )
@@ -63,7 +64,7 @@ func NewWorld(k *sim.Kernel, size int, cost CostModel) *World {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	w.world = newCommGroup(w, ranks)
+	w.world = &commGroup{w: w, ranks: ranks, parked: make([]*sim.Proc, size)}
 	return w
 }
 
@@ -148,19 +149,18 @@ func (w *World) MemoBuilds() int { return w.memoBuilds }
 type commGroup struct {
 	w     *World
 	ranks []int // world rank per comm rank
-	colls map[int]*collState
+
+	// The rendezvous in progress, a *collState[C, R]. A communicator has at
+	// most one: nobody leaves collective k before everybody has entered it,
+	// so nobody enters k+1 while k is pending.
+	pending any
+	arrived int
+	// parked holds the procs waiting in the pending rendezvous, by comm
+	// rank; the last arriver wakes them and leaves every entry nil.
+	parked []*sim.Proc
+
 	mail  map[mailKey][]*message
 	recvQ map[mailKey]*recvWait
-}
-
-func newCommGroup(w *World, ranks []int) *commGroup {
-	return &commGroup{
-		w:     w,
-		ranks: ranks,
-		colls: map[int]*collState{},
-		mail:  map[mailKey][]*message{},
-		recvQ: map[mailKey]*recvWait{},
-	}
 }
 
 type mailKey struct {
@@ -181,12 +181,11 @@ type recvWait struct {
 	msg     *message
 }
 
-type collState struct {
-	arrived  int
-	contribs []any
-	procs    []*sim.Proc
-	results  []any
-	wakeAt   sim.Time
+// collState is one matched collective: every rank's contribution by comm
+// rank and, once the last rank has arrived, the result all of them read.
+type collState[C, R any] struct {
+	contribs []C
+	result   R
 }
 
 // Comm is a per-rank communicator handle.
@@ -194,7 +193,6 @@ type Comm struct {
 	g    *commGroup
 	rank int // my index within g.ranks
 	r    *Rank
-	seq  int // my next collective sequence number
 }
 
 // Rank reports this process's rank within the communicator.
@@ -203,161 +201,134 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the communicator size.
 func (c *Comm) Size() int { return len(c.g.ranks) }
 
-// collective executes one matched collective. The reduce callback runs on
-// the last-arriving rank; it receives every rank's contribution in comm
-// rank order and returns the per-rank results and the total bytes moved
-// (for the cost model).
-func (c *Comm) collective(contrib any, reduce func(contribs []any) (results []any, bytes int64)) any {
-	p := c.r.Proc
-	id := c.seq
-	c.seq++
-	st := c.g.colls[id]
-	if st == nil {
-		n := len(c.g.ranks)
-		st = &collState{contribs: make([]any, n), procs: make([]*sim.Proc, n)}
-		c.g.colls[id] = st
+// collective executes one matched collective and returns its result, the
+// same value on every rank; what a rank takes from it is the caller's
+// business. The reduce callback runs on the last-arriving rank: it
+// receives every rank's contribution in comm-rank order — a slice it may
+// overwrite or keep, nobody else holds it — and returns the result and the
+// total bytes moved (for the cost model).
+func collective[C, R any](c *Comm, contrib C, reduce func(contribs []C) (R, int64)) R {
+	p, g := c.r.Proc, c.g
+	n := len(g.ranks)
+	if g.pending == nil {
+		g.pending = &collState[C, R]{contribs: make([]C, n)}
 	}
+	// Panics if the ranks of a communicator enter different collectives.
+	st := g.pending.(*collState[C, R])
 	st.contribs[c.rank] = contrib
-	st.arrived++
-	if st.arrived < len(c.g.ranks) {
-		st.procs[c.rank] = p
+	g.arrived++
+	if g.arrived < n {
+		g.parked[c.rank] = p
 		p.Park()
-	} else {
-		results, bytes := reduce(st.contribs)
-		st.results = results
-		st.wakeAt = p.Now() + c.g.w.cost(len(c.g.ranks), bytes)
-		delete(c.g.colls, id)
-		// Deliberately not a sim.Completion: its broadcast resumes waiters
-		// in arrival order, while ranks leaving a collective must resume in
-		// comm-rank order — same-instant seq ties decide who reserves shared
-		// servers first, and replay bit-identity pins that order.
-		for _, q := range st.procs {
-			if q != nil {
-				c.g.w.K.WakeAt(st.wakeAt, q)
-			}
+		return st.result
+	}
+	g.pending, g.arrived = nil, 0
+	var bytes int64
+	st.result, bytes = reduce(st.contribs)
+	wakeAt := p.Now() + g.w.cost(n, bytes)
+	// Deliberately not a sim.Completion: its broadcast resumes waiters
+	// in arrival order, while ranks leaving a collective must resume in
+	// comm-rank order, this one after them — same-instant seq ties decide
+	// who reserves shared servers first, and replay bit-identity pins that
+	// order.
+	for i, q := range g.parked {
+		if q != nil {
+			g.parked[i] = nil
+			g.w.K.WakeAt(wakeAt, q)
 		}
-		p.SleepUntil(st.wakeAt)
 	}
-	if st.results == nil {
-		return nil
-	}
-	return st.results[c.rank]
+	p.SleepUntil(wakeAt)
+	return st.result
 }
 
 // Barrier blocks until every rank in the communicator has entered.
 func (c *Comm) Barrier() {
-	c.collective(nil, func(_ []any) ([]any, int64) {
-		return make([]any, len(c.g.ranks)), 0
+	collective(c, struct{}{}, func([]struct{}) (struct{}, int64) { return struct{}{}, 0 })
+}
+
+// allreduce combines one value per rank in comm-rank order, in T's own
+// arithmetic. An unknown op is a caller bug: every rank panics on entry,
+// before any of them parks.
+func allreduce[T int64 | float64](c *Comm, v T, op string) T {
+	switch op {
+	case "sum", "max", "min":
+	default:
+		panic(fmt.Sprintf("mpisim: unknown reduce op %q (want sum, max or min)", op))
+	}
+	return collective(c, v, func(contribs []T) (T, int64) {
+		acc := contribs[0]
+		for _, x := range contribs[1:] {
+			switch {
+			case op == "sum":
+				acc += x
+			case op == "max" && x > acc, op == "min" && x < acc:
+				acc = x
+			}
+		}
+		return acc, int64(8 * len(contribs))
 	})
 }
 
 // AllreduceF64 combines one float64 per rank with op ("sum", "max", "min")
-// and returns the result on every rank.
-func (c *Comm) AllreduceF64(v float64, op string) float64 {
-	res := c.collective(v, func(contribs []any) ([]any, int64) {
-		acc := contribs[0].(float64)
-		for _, x := range contribs[1:] {
-			f := x.(float64)
-			switch op {
-			case "sum":
-				acc += f
-			case "max":
-				if f > acc {
-					acc = f
-				}
-			case "min":
-				if f < acc {
-					acc = f
-				}
-			default:
-				panic("mpisim: unknown op " + op)
-			}
-		}
-		out := make([]any, len(contribs))
-		for i := range out {
-			out[i] = acc
-		}
-		return out, int64(8 * len(contribs))
-	})
-	return res.(float64)
-}
+// and returns the result on every rank. An unknown op panics.
+func (c *Comm) AllreduceF64(v float64, op string) float64 { return allreduce(c, v, op) }
 
-// AllreduceI64 combines one int64 per rank ("sum", "max", "min").
-func (c *Comm) AllreduceI64(v int64, op string) int64 {
-	return int64(c.AllreduceF64(float64(v), op))
-}
+// AllreduceI64 combines one int64 per rank ("sum", "max", "min"), exactly:
+// the reduction is in int64, never through a float64.
+func (c *Comm) AllreduceI64(v int64, op string) int64 { return allreduce(c, v, op) }
 
 // ExscanI64 returns the exclusive prefix sum of v across ranks — the MPI
 // call openPMD-style writers use to compute each rank's offset in the
 // global extent. Rank 0 receives 0.
 func (c *Comm) ExscanI64(v int64) int64 {
-	res := c.collective(v, func(contribs []any) ([]any, int64) {
-		out := make([]any, len(contribs))
+	return collective(c, v, func(contribs []int64) ([]int64, int64) {
 		var run int64
 		for i, x := range contribs {
-			out[i] = run
-			run += x.(int64)
+			contribs[i] = run
+			run += x
 		}
-		return out, int64(8 * len(contribs))
-	})
-	return res.(int64)
+		return contribs, int64(8 * len(contribs))
+	})[c.rank]
 }
 
 // ExscanVecI64 performs an element-wise exclusive prefix sum over a
 // vector of int64 (one entry per variable) and also returns the global
 // sums — one collective instead of 2·len(v), which is what lets the
 // openPMD adaptor compute every record component's offset and global
-// extent in a single operation at 25k ranks.
+// extent in a single operation at 25k ranks. v must stay untouched until
+// the call returns. Both results are views into one block shared by all
+// ranks of the communicator: read-only.
 func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
-	res := c.collective(v, func(contribs []any) ([]any, int64) {
-		m := len(v)
-		run := make([]int64, m)
-		out := make([]any, len(contribs))
-		for i, x := range contribs {
-			vec := x.([]int64)
-			offs := make([]int64, m)
-			copy(offs, run)
-			for j := 0; j < m; j++ {
-				run[j] += vec[j]
+	m := len(v)
+	slab := collective(c, v, func(contribs [][]int64) ([]int64, int64) {
+		// Row i is rank i's offsets; the row after the last is the totals.
+		n := len(contribs)
+		slab := make([]int64, (n+1)*m)
+		for i, vec := range contribs {
+			row, next := slab[i*m:(i+1)*m], slab[(i+1)*m:(i+2)*m]
+			for j := range row {
+				next[j] = row[j] + vec[j]
 			}
-			out[i] = offs
 		}
-		// run now holds the totals; attach them to every rank's result.
-		for i := range out {
-			out[i] = [2][]int64{out[i].([]int64), run}
-		}
-		return out, int64(8 * m * len(contribs))
+		return slab, int64(8 * m * n)
 	})
-	pair := res.([2][]int64)
-	return pair[0], pair[1]
+	lo, end := c.rank*m, len(slab)-m
+	return slab[lo : lo+m : lo+m], slab[end:]
 }
 
-// AllgatherI64 gathers one int64 from every rank onto every rank.
+// AllgatherI64 gathers one int64 from every rank onto every rank. The
+// result is shared by all ranks of the communicator: read-only.
 func (c *Comm) AllgatherI64(v int64) []int64 {
-	res := c.collective(v, func(contribs []any) ([]any, int64) {
-		all := make([]int64, len(contribs))
-		for i, x := range contribs {
-			all[i] = x.(int64)
-		}
-		out := make([]any, len(contribs))
-		for i := range out {
-			out[i] = all
-		}
-		return out, int64(8 * len(contribs) * len(contribs))
+	return collective(c, v, func(contribs []int64) ([]int64, int64) {
+		return contribs, int64(8 * len(contribs) * len(contribs))
 	})
-	return res.([]int64)
 }
 
 // BcastI64 broadcasts v from root to every rank.
 func (c *Comm) BcastI64(v int64, root int) int64 {
-	res := c.collective(v, func(contribs []any) ([]any, int64) {
-		out := make([]any, len(contribs))
-		for i := range out {
-			out[i] = contribs[root]
-		}
-		return out, int64(8 * len(contribs))
+	return collective(c, v, func(contribs []int64) (int64, int64) {
+		return contribs[root], int64(8 * len(contribs))
 	})
-	return res.(int64)
 }
 
 // GatherChunk is one rank's contribution to GathervBytes.
@@ -371,60 +342,61 @@ type GatherChunk struct {
 // its size n and optional payload; root receives all chunks in comm-rank
 // order, other ranks receive nil. Cost is charged for the total volume.
 func (c *Comm) GathervBytes(n int64, data []byte, root int) []GatherChunk {
-	type contrib struct {
-		n    int64
-		data []byte
-	}
-	res := c.collective(contrib{n, data}, func(contribs []any) ([]any, int64) {
-		chunks := make([]GatherChunk, len(contribs))
+	chunks := collective(c, GatherChunk{Rank: c.rank, N: n, Data: data}, func(chunks []GatherChunk) ([]GatherChunk, int64) {
 		var total int64
-		for i, x := range contribs {
-			ct := x.(contrib)
-			chunks[i] = GatherChunk{Rank: i, N: ct.n, Data: ct.data}
-			total += ct.n
+		for _, ch := range chunks {
+			total += ch.N
 		}
-		out := make([]any, len(contribs))
-		out[root] = chunks
-		return out, total
+		return chunks, total
 	})
-	if res == nil {
+	if c.rank != root {
 		return nil
 	}
-	return res.([]GatherChunk)
+	return chunks
+}
+
+// splitEntry is one rank's contribution to Split.
+type splitEntry struct{ color, key, world, commRank int }
+
+// splitMember is where Split puts one rank: its new group and its rank
+// there.
+type splitMember struct {
+	g    *commGroup
+	rank int
 }
 
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by (key, world rank), mirroring MPI_Comm_split.
 func (c *Comm) Split(color, key int) *Comm {
-	type ck struct{ color, key, world, commRank int }
-	res := c.collective(ck{color, key, c.g.ranks[c.rank], c.rank}, func(contribs []any) ([]any, int64) {
-		byColor := map[int][]ck{}
-		for _, x := range contribs {
-			e := x.(ck)
-			byColor[e.color] = append(byColor[e.color], e)
-		}
-		groups := map[int]*commGroup{}
-		idxInGroup := make([]any, len(contribs))
-		for color, members := range byColor {
-			sort.Slice(members, func(i, j int) bool {
-				if members[i].key != members[j].key {
-					return members[i].key < members[j].key
-				}
-				return members[i].world < members[j].world
-			})
-			ranks := make([]int, len(members))
-			for i, m := range members {
-				ranks[i] = m.world
-			}
-			groups[color] = newCommGroup(c.g.w, ranks)
-			for i, m := range members {
-				idxInGroup[m.commRank] = []any{groups[color], i}
+	m := collective(c, splitEntry{color, key, c.g.ranks[c.rank], c.rank}, func(es []splitEntry) ([]splitMember, int64) {
+		// Sorted, every color is one run and the run is its group in rank
+		// order: membership is built once per color, and the groups, their
+		// rank tables and their parking slots each come out of one block
+		// (the groups' sized exactly: members point into it).
+		slices.SortFunc(es, func(a, b splitEntry) int {
+			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.world, b.world))
+		})
+		colors := 0
+		for i := range es {
+			if i == 0 || es[i].color != es[i-1].color {
+				colors++
 			}
 		}
-		return idxInGroup, int64(16 * len(contribs))
-	})
-	pair := res.([]any)
-	return &Comm{g: pair[0].(*commGroup), rank: pair[1].(int), r: c.r}
+		groups, members := make([]commGroup, 0, colors), make([]splitMember, len(es))
+		world, parked := make([]int, len(es)), make([]*sim.Proc, len(es))
+		for lo, hi := 0, 0; lo < len(es); lo = hi {
+			for hi < len(es) && es[hi].color == es[lo].color {
+				world[hi] = es[hi].world
+				hi++
+			}
+			groups = append(groups, commGroup{w: c.g.w, ranks: world[lo:hi:hi], parked: parked[lo:hi:hi]})
+			for i := lo; i < hi; i++ {
+				members[es[i].commRank] = splitMember{&groups[len(groups)-1], i - lo}
+			}
+		}
+		return members, int64(16 * len(es))
+	})[c.rank]
+	return &Comm{g: m.g, rank: m.rank, r: c.r}
 }
 
 // Send delivers a message of n bytes (payload optional) to comm rank `to`
@@ -440,6 +412,9 @@ func (c *Comm) Send(to, tag int, n int64, payload any) {
 		delete(c.g.recvQ, key)
 		rw.arrived.CompleteAt(arrival)
 	} else {
+		if c.g.mail == nil {
+			c.g.mail = map[mailKey][]*message{}
+		}
 		c.g.mail[key] = append(c.g.mail[key], msg)
 	}
 	p.Sleep(c.g.w.cost(2, 0)) // injection overhead
@@ -464,6 +439,9 @@ func (c *Comm) Recv(from, tag int) (any, int64) {
 		panic("mpisim: two concurrent Recv calls on the same (from, tag)")
 	}
 	rw := &recvWait{arrived: sim.NewCompletion(p.Kernel())}
+	if c.g.recvQ == nil {
+		c.g.recvQ = map[mailKey]*recvWait{}
+	}
 	c.g.recvQ[key] = rw
 	rw.arrived.Wait(p)
 	return rw.msg.payload, rw.msg.bytes

@@ -1,8 +1,14 @@
 package mpisim
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"picmcio/internal/sim"
 )
@@ -322,6 +328,217 @@ func TestMemoBuildsOncePerWorld(t *testing.T) {
 	for _, size := range []int{1, 8} {
 		if got := run(size).MemoBuilds(); got != 3 {
 			t.Errorf("a world of %d ranks built %d values, want 3", size, got)
+		}
+	}
+}
+
+// AllreduceI64 reduces in int64: above 2^53 a float64 no longer holds
+// every integer, and a byte total that large must still come back exact.
+func TestAllreduceI64Exact(t *testing.T) {
+	const base = int64(1) << 53
+	world(3).Run(func(r *Rank) {
+		if got, want := r.Comm.AllreduceI64(base+1, "sum"), 3*base+3; got != want {
+			t.Errorf("rank %d: sum=%d, want %d", r.ID, got, want)
+		}
+		// base+1, base+3, base+1: as float64s they are base, base+4, base.
+		v := base + 1 + 2*int64(r.ID%2)
+		if got := r.Comm.AllreduceI64(v, "min"); got != base+1 {
+			t.Errorf("rank %d: min=%d, want %d", r.ID, got, base+1)
+		}
+		if got := r.Comm.AllreduceI64(v, "max"); got != base+3 {
+			t.Errorf("rank %d: max=%d, want %d", r.ID, got, base+3)
+		}
+	})
+}
+
+// An unknown op is rejected on entry, by every rank and whatever the size
+// of the communicator: the run dies of a panic that names the op, not of
+// the deadlock of the ranks that did park.
+func TestAllreduceRejectsUnknownOp(t *testing.T) {
+	for _, size := range []int{1, 4} {
+		for name, call := range map[string]func(c *Comm){
+			"F64": func(c *Comm) { c.AllreduceF64(1, "avg") },
+			"I64": func(c *Comm) { c.AllreduceI64(1, "avg") },
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, `"avg"`) || strings.Contains(msg, "deadlock") {
+						t.Errorf("Allreduce%s on %d ranks with op avg: %s, want a panic naming the op", name, size, msg)
+					}
+				}()
+				world(size).Run(func(r *Rank) { call(r.Comm) })
+			}()
+		}
+	}
+}
+
+// The order ranks leave a collective in is what decides same-instant ties
+// downstream, and replay identity rests on it: the ranks that parked
+// resume in comm-rank order whatever order they arrived in, and the last
+// arriver, which woke them, after them.
+func TestCollectiveResumesInCommRankOrder(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(7))
+	arrival := rng.Perm(n) // arrival[id] is when world rank id enters, in ms
+	type exit struct{ group, rank int }
+	var worldOrder []int
+	var subOrder []exit
+	world(n).Run(func(r *Rank) {
+		// Three groups, ranked against world order.
+		sub := r.Comm.Split(r.ID%3, -r.ID)
+		r.Proc.Sleep(sim.Time(arrival[r.ID]) * 1e-3)
+		r.Comm.Barrier()
+		worldOrder = append(worldOrder, r.ID)
+		r.Proc.Sleep(sim.Time(arrival[(r.ID+5)%n]) * 1e-3)
+		sub.AllreduceF64(1, "sum")
+		subOrder = append(subOrder, exit{r.ID % 3, sub.Rank()})
+	})
+	wantOrder := func(size, last int) []int {
+		var want []int
+		for i := 0; i < size; i++ {
+			if i != last {
+				want = append(want, i)
+			}
+		}
+		return append(want, last)
+	}
+	lastWorld := slices.Index(arrival, n-1)
+	if want := wantOrder(n, lastWorld); !slices.Equal(worldOrder, want) {
+		t.Errorf("ranks arriving at %v ms left the world barrier in order %v, want %v", arrival, worldOrder, want)
+	}
+	for g := 0; g < 3; g++ {
+		var got []int
+		for _, e := range subOrder {
+			if e.group == g {
+				got = append(got, e.rank)
+			}
+		}
+		// Group g is world ranks g, g+3, …, highest first; its last arriver
+		// is the member with the latest second sleep.
+		last, latest := 0, -1
+		for id := g; id < n; id += 3 {
+			if at := arrival[(id+5)%n]; at > latest {
+				latest, last = at, (n-1-id)/3
+			}
+		}
+		if want := wantOrder(n/3, last); !slices.Equal(got, want) {
+			t.Errorf("group %d left its allreduce in comm-rank order %v, want %v", g, got, want)
+		}
+	}
+}
+
+// splitReference is MPI_Comm_split done serially: for each rank, the world
+// ranks of its group in (key, world rank) order.
+func splitReference(colors, keys []int) [][]int {
+	groups := map[int][]int{}
+	for id, c := range colors {
+		groups[c] = append(groups[c], id)
+	}
+	out := make([][]int, len(colors))
+	for id, c := range colors {
+		g := groups[c]
+		sort.SliceStable(g, func(i, j int) bool { return keys[g[i]] < keys[g[j]] })
+		out[id] = g
+	}
+	return out
+}
+
+func TestSplitMatchesReference(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(64)
+		colors, keys := make([]int, n), make([]int, n)
+		for i := range colors {
+			colors[i], keys[i] = rng.Intn(1+rng.Intn(n)), rng.Intn(8)-4
+		}
+		subs := make([]*Comm, n)
+		world(n).Run(func(r *Rank) { subs[r.ID] = r.Comm.Split(colors[r.ID], keys[r.ID]) })
+		want := splitReference(colors, keys)
+		for id, sub := range subs {
+			if !slices.Equal(sub.g.ranks, want[id]) {
+				t.Fatalf("seed %d: %d ranks, colors %v, keys %v: rank %d is in group %v, want %v", seed, n, colors, keys, id, sub.g.ranks, want[id])
+			}
+			if sub.Size() != len(want[id]) || want[id][sub.Rank()] != id {
+				t.Fatalf("seed %d: rank %d is rank %d of %d in %v", seed, id, sub.Rank(), sub.Size(), want[id])
+			}
+			// One group per color, shared by its members and by nobody else.
+			for other, osub := range subs {
+				if (osub.g == sub.g) != (colors[other] == colors[id]) {
+					t.Fatalf("seed %d: colors %v: ranks %d and %d: same group %v", seed, colors, id, other, osub.g == sub.g)
+				}
+			}
+		}
+	}
+}
+
+// ExscanVecI64 hands out views into one block. No two of them overlap, and
+// none can be grown into its neighbour: a rank that (against the contract)
+// scribbles over its offsets changes nobody else's, and not the totals.
+func TestExscanVecViewsAreDisjoint(t *testing.T) {
+	const n, m = 7, 3
+	world(n).Run(func(r *Rank) {
+		offs, totals := r.Comm.ExscanVecI64([]int64{1, 2, int64(r.ID)})
+		if len(offs) != m || cap(offs) != m || len(totals) != m || cap(totals) != m {
+			t.Errorf("rank %d: offsets len %d cap %d, totals len %d cap %d, want %d throughout", r.ID, len(offs), cap(offs), len(totals), cap(totals), m)
+		}
+		want := []int64{int64(r.ID), 2 * int64(r.ID), int64(r.ID * (r.ID - 1) / 2)}
+		r.Comm.Barrier()
+		for j := range offs {
+			if offs[j] != want[j] {
+				t.Errorf("rank %d: offsets %v, want %v", r.ID, offs, want)
+			}
+			offs[j] = -int64(r.ID + 1)
+		}
+		r.Comm.Barrier()
+		for j := range offs {
+			if offs[j] != -int64(r.ID+1) {
+				t.Errorf("rank %d: another rank wrote %d into its offsets", r.ID, offs[j])
+			}
+		}
+		if !slices.Equal(totals, []int64{n, 2 * n, n * (n - 1) / 2}) {
+			t.Errorf("rank %d: totals %v after every rank overwrote its offsets", r.ID, totals)
+		}
+	})
+}
+
+// A collective allocates a constant number of objects, however many ranks
+// it has; only Split adds one per rank, the rank's new handle. Measured as
+// the difference between worlds that differ only in how often they call,
+// so that spawning the world and the kernel's queue cancel out.
+func TestCollectiveAllocs(t *testing.T) {
+	const ranks, short, long = 64, 2, 10
+	vec := make([][]int64, ranks)
+	for i := range vec {
+		vec[i] = make([]int64, 10)
+	}
+	for _, c := range []struct {
+		name    string
+		call    func(r *Rank)
+		perRank int
+	}{
+		{"Barrier", func(r *Rank) { r.Comm.Barrier() }, 0},
+		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }, 0},
+		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }, 0},
+		{"GathervBytes", func(r *Rank) { r.Comm.GathervBytes(8, nil, 0) }, 0},
+		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }, 1},
+	} {
+		run := func(calls int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				world(ranks).Run(func(r *Rank) {
+					for i := 0; i < calls; i++ {
+						c.call(r)
+					}
+				})
+			})
+		}
+		perCall := (run(long) - run(short)) / (long - short)
+		t.Logf("%s on %d ranks: %.1f objects per call", c.name, ranks, perCall)
+		// Measured 1, 2, 3, 2 and 6+64; the slack is for the runtime's own
+		// (a parked goroutine's sudog after a GC emptied the caches).
+		if limit := float64(8 + c.perRank*ranks); perCall > limit {
+			t.Errorf("%s on %d ranks allocates %.1f objects per call, want at most %.0f", c.name, ranks, perCall, limit)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package openpmd
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/adios2"
+	"picmcio/internal/mpisim"
 )
 
 // bp4Backend drives the simulated ADIOS2 BP engine. Iterations map to
@@ -16,30 +18,36 @@ type bp4Backend struct {
 	inIter bool
 }
 
-func newBP4Backend(s *Series) (*bp4Backend, error) {
-	a := adios2.New()
-	io := a.DeclareIO("openpmd")
-	engine := s.cfg.GetDefault("adios2.engine.type", "bp4")
+// ioTemplate is the world-memo value of a Config's ADIOS2 settings: an IO
+// every rank's is forked from, or why there is none.
+type ioTemplate struct {
+	io  *adios2.IO
+	err error
+}
+
+// newIOTemplate resolves the options document into ADIOS2 settings.
+func newIOTemplate(cfg *Config) ioTemplate {
+	io := adios2.New().DeclareIO("openpmd")
+	engine := cfg.GetDefault("adios2.engine.type", "bp4")
 	switch engine {
 	case "bp4", "BP4":
 		io.SetEngine("BP4")
 	case "bp5", "BP5":
 		io.SetEngine("BP5")
 	default:
-		return nil, fmt.Errorf("openpmd: unsupported adios2 engine %q", engine)
+		return ioTemplate{err: fmt.Errorf("openpmd: unsupported adios2 engine %q", engine)}
 	}
 	// Engine parameters pass through from the TOML config; the aggregator
 	// count is the paper's OPENPMD_ADIOS2_BP5_NumAgg knob.
-	for _, key := range s.cfg.Keys() {
-		const pfx = "adios2.engine.parameters."
-		if len(key) > len(pfx) && key[:len(pfx)] == pfx {
-			v, _ := s.cfg.Get(key)
-			io.SetParameter(key[len(pfx):], v)
+	for _, key := range cfg.Keys() {
+		if param, ok := strings.CutPrefix(key, "adios2.engine.parameters."); ok && param != "" {
+			v, _ := cfg.Get(key)
+			io.SetParameter(param, v)
 		}
 	}
-	if op, ok := s.cfg.Get("adios2.dataset.operators.type"); ok {
+	if op, ok := cfg.Get("adios2.dataset.operators.type"); ok {
 		if err := io.AddOperation(op); err != nil {
-			return nil, err
+			return ioTemplate{err: err}
 		}
 	}
 	// Burst-buffer staging: `burst_buffer = true` (top level or under
@@ -60,18 +68,29 @@ func newBP4Backend(s *Series) (*bp4Backend, error) {
 	}
 	for _, bk := range burstKeys {
 		for _, key := range []string{bk.toml, "adios2.engine." + bk.toml} {
-			if v, ok := s.cfg.Get(key); ok {
+			if v, ok := cfg.Get(key); ok {
 				io.SetParameter(bk.param, v)
 			}
 		}
 	}
-	b := &bp4Backend{s: s, io: io}
+	return ioTemplate{io: io}
+}
+
+func newBP4Backend(s *Series) (*bp4Backend, error) {
+	// The Config is one per world (NewSeries), so what it says about the
+	// engine is resolved once per world too; a rank's IO reads the
+	// template's settings in place and has only its variables to itself.
+	tmpl := mpisim.Memo(s.host.Comm, s.cfg, func() ioTemplate { return newIOTemplate(s.cfg) })
+	if tmpl.err != nil {
+		return nil, tmpl.err
+	}
+	b := &bp4Backend{s: s, io: tmpl.io.Fork()}
 	h := adios2.Host{Proc: s.host.Proc, Env: s.host.Env, Comm: s.host.Comm}
 	mode := adios2.ModeWrite
 	if s.access == AccessReadOnly {
 		mode = adios2.ModeRead
 	}
-	eng, err := io.Open(h, s.path, mode)
+	eng, err := b.io.Open(h, s.path, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +113,13 @@ func (b *bp4Backend) beginIteration(id uint64) error {
 	}
 	b.inIter = true
 	return nil
+}
+
+func (b *bp4Backend) declare(rcs []RecordComponent, paths []string, t Datatype, dims int) {
+	vars := b.io.DefineVariables(paths, t.adios(), dims)
+	for i := range rcs {
+		rcs[i].bpVar = &vars[i]
+	}
 }
 
 func (b *bp4Backend) store(rc *RecordComponent, data []float64) error {

@@ -55,6 +55,8 @@ func (b *jsonBackend) beginIteration(id uint64) error {
 	return nil
 }
 
+func (b *jsonBackend) declare([]RecordComponent, []string, Datatype, int) {}
+
 func (b *jsonBackend) store(rc *RecordComponent, data []float64) error {
 	if data == nil {
 		return fmt.Errorf("openpmd: json backend requires real data (content mode)")
@@ -103,7 +105,7 @@ func (b *jsonBackend) closeIteration() error {
 	}
 	doc := map[string]any{
 		"iteration":  b.iterID,
-		"attributes": b.s.attrs,
+		"attributes": b.s.attributes(),
 		"records":    vars,
 	}
 	body, err := json.MarshalIndent(doc, "", " ")
@@ -126,7 +128,7 @@ func (b *jsonBackend) iterPath(id uint64) string {
 func (b *jsonBackend) close() error {
 	comm, p, env := b.s.host.Comm, b.s.host.Proc, b.s.host.Env
 	if b.s.access == AccessCreate && comm.Rank() == 0 {
-		body, err := json.MarshalIndent(b.s.attrs, "", " ")
+		body, err := json.MarshalIndent(b.s.attributes(), "", " ")
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package openpmd
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,10 +209,14 @@ func TestMeshNamingSchema(t *testing.T) {
 	}
 }
 
+// Every series reads the standard's seven attributes from one table; what
+// SetAttribute stores — over one of them or beside them — is that
+// series' alone, and the JSON backend writes the merged set.
 func TestStandardAttributes(t *testing.T) {
 	rg := newRig(1)
 	rg.w.Run(func(r *mpisim.Rank) {
 		s, _ := NewSeries(rg.host(r), "/a.json", AccessCreate, "")
+		other, _ := NewSeries(rg.host(r), "/b.json", AccessCreate, "")
 		if v, ok := s.Attribute("openPMD"); !ok || v != "1.1.0" {
 			t.Errorf("openPMD attr = %q", v)
 		}
@@ -218,14 +224,40 @@ func TestStandardAttributes(t *testing.T) {
 			t.Errorf("encoding attr = %q", v)
 		}
 		s.SetAttribute("author", "BIT1 team")
+		s.SetAttribute("software", "BIT1")
+		s.SetAttribute("software", "BIT1 v2")
+		if v, _ := s.Attribute("software"); v != "BIT1 v2" {
+			t.Errorf("software attr = %q after SetAttribute", v)
+		}
+		if v, _ := other.Attribute("software"); v != "picmcio" {
+			t.Errorf("another series' software attr = %q", v)
+		}
+		if v, ok := other.Attribute("author"); ok {
+			t.Errorf("another series has author = %q", v)
+		}
 		s.Close()
+		other.Close()
 	})
-	n, err := rg.fs.Namespace().Lookup("/a.json/attributes.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(n.Content), "BIT1 team") {
-		t.Fatal("custom attribute not persisted")
+	for path, want := range map[string]map[string]string{
+		"/a.json": {"author": "BIT1 team", "software": "BIT1 v2"},
+		"/b.json": {"software": "picmcio"},
+	} {
+		n, err := rg.fs.Namespace().Lookup(path + "/attributes.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]string
+		if err := json.Unmarshal(n.Content, &got); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, a := range standardAttrs {
+			if _, over := want[a.key]; !over {
+				want[a.key] = a.value
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/attributes.json holds %v, want %v", path, got, want)
+		}
 	}
 }
 

@@ -1,0 +1,243 @@
+package openpmd
+
+import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"picmcio/internal/mpisim"
+	"picmcio/internal/pfs"
+)
+
+func testSchema(t *testing.T, n int) (*Schema, []ComponentName) {
+	t.Helper()
+	names := make([]ComponentName, n)
+	for i := range names {
+		names[i] = ComponentName{Species: fmt.Sprint("s", i), Record: "momentum", Component: "x"}
+	}
+	names[n-1] = ComponentName{Mesh: true, Record: "density", Component: Scalar}
+	s, err := NewSchema(names, Float64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, names
+}
+
+// The settings every rank's IO reads are one per options document, not one
+// per world: two series opened side by side with different options each
+// get their own, and a rank that changes a parameter of its IO after the
+// open changes nobody else's.
+func TestSharedSettingsAreNotAliased(t *testing.T) {
+	const ranks = 16
+	rg := newRig(ranks)
+	wide := "[adios2.engine.parameters]\nNumAggregators = \"16\"\nProfile = \"off\"\n\n[adios2.dataset.operators]\ntype = \"blosc\"\n"
+	narrow := "[adios2.engine.parameters]\nNumAggregators = \"2\"\nProfile = \"off\"\n"
+	rg.w.Run(func(r *mpisim.Rank) {
+		a, errA := NewSeries(rg.host(r), "/wide.bp4", AccessCreate, wide)
+		b, errB := NewSeries(rg.host(r), "/narrow.bp4", AccessCreate, narrow)
+		if errA != nil || errB != nil {
+			t.Error(errA, errB)
+			return
+		}
+		ba, bb := a.be.(*bp4Backend), b.be.(*bp4Backend)
+		if got := [2]int{ba.Engine().NumAggregators(), bb.Engine().NumAggregators()}; got != [2]int{16, 2} {
+			t.Errorf("rank %d: aggregators %v, want [16 2]", r.ID, got)
+		}
+		if got := [2]string{ba.IO().Operator(), bb.IO().Operator()}; got != [2]string{"blosc", ""} {
+			t.Errorf("rank %d: operators %q, want blosc and none", r.ID, got)
+		}
+		// Ranks run one after another up to their next collective: what
+		// rank 0 sets here, every later rank would see if it were shared.
+		if got := ba.IO().Parameter("NumAggregators", ""); got != "16" {
+			t.Errorf("rank %d reads NumAggregators = %q: another rank's SetParameter leaked", r.ID, got)
+		}
+		ba.IO().SetParameter("NumAggregators", fmt.Sprint(100+r.ID))
+		r.Comm.Barrier()
+		if got, want := ba.IO().Parameter("NumAggregators", ""), fmt.Sprint(100+r.ID); got != want {
+			t.Errorf("rank %d reads back NumAggregators = %q, want its own %q", r.ID, got, want)
+		}
+		a.Close()
+		b.Close()
+	})
+	for path, want := range map[string]int{"/wide.bp4": 16, "/narrow.bp4": 2} {
+		subfiles := 0
+		rg.fs.Namespace().WalkFiles(path, func(p string, _ *pfs.Node) {
+			if strings.Contains(p, "/data.") {
+				subfiles++
+			}
+		})
+		if subfiles != want {
+			t.Errorf("%s has %d subfiles, want %d", path, subfiles, want)
+		}
+	}
+}
+
+// A malformed engine parameter in the options reaches every rank as the
+// same error from NewSeries, before any of them is parked in a collective:
+// the world drains.
+func TestNewSeriesRejectsMalformedParameter(t *testing.T) {
+	rg := newRig(4)
+	failed := 0
+	rg.w.Run(func(r *mpisim.Rank) {
+		_, err := NewSeries(rg.host(r), "/typo.bp4", AccessCreate, "[adios2.engine.parameters]\nNumAggregators = \"1O\"\n")
+		if err == nil || !strings.Contains(err.Error(), "NumAggregators") || !strings.Contains(err.Error(), `"1O"`) {
+			t.Errorf("rank %d: NewSeries with NumAggregators = 1O: %v", r.ID, err)
+			return
+		}
+		failed++
+	})
+	if failed != 4 {
+		t.Errorf("%d of 4 ranks got the error", failed)
+	}
+}
+
+// Components resolves a schema to what the one-at-a-time calls resolve its
+// names to, and the paths are built by one rank for all.
+func TestComponentsMatchOneAtATime(t *testing.T) {
+	schema, names := testSchema(t, 5)
+	for _, path := range []string{"/schema.bp4", "/schema.json"} {
+		rg := newRig(4)
+		builders := 0
+		rg.w.Run(func(r *mpisim.Rank) {
+			s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			it, _ := s.WriteIteration(3)
+			before := rg.w.MemoBuilds()
+			rcs, err := it.Components(schema)
+			if err != nil || len(rcs) != len(names) {
+				t.Errorf("Components: %d components, %v", len(rcs), err)
+				return
+			}
+			if rg.w.MemoBuilds() != before {
+				builders++
+			}
+			for i, n := range names {
+				single := it.Particles(n.Species).Record(n.Record).Component(n.Component)
+				if n.Mesh {
+					single = it.Meshes(n.Record).Component(n.Component)
+				}
+				if rcs[i].Path() != single.Path() {
+					t.Errorf("component %d is %s, one at a time %s", i, rcs[i].Path(), single.Path())
+				}
+				if err := rcs[i].ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
+					t.Error(err)
+				}
+				if err := rcs[i].StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
+					t.Error(err)
+				}
+			}
+			it.Close()
+			if _, err := it.Components(schema); err == nil {
+				t.Error("Components on a closed iteration accepted")
+			}
+			s.Close()
+		})
+		if builders != 1 {
+			t.Errorf("%s: %d ranks built memo values resolving the schema, want one", path, builders)
+		}
+	}
+	if _, err := NewSchema(names, Float64, 0); err == nil {
+		t.Error("a schema of 0-dimensional datasets accepted")
+	}
+}
+
+// What a schema shares between ranks stops at names and paths: four ranks
+// store different offsets and counts into one declared schema, and the
+// metadata and the data read back are each rank's own block.
+func TestSelectionsStayPerRank(t *testing.T) {
+	const ranks, comps = 4, 3
+	schema, _ := testSchema(t, comps)
+	rg := newRig(ranks)
+	// Rank r holds r+1 elements of every component.
+	offset := func(r int) uint64 { return uint64(r * (r + 1) / 2) }
+	const total = ranks * (ranks + 1) / 2
+	rg.w.Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/sel.bp4", AccessCreate, "[adios2.engine.parameters]\nNumAggregators = \"2\"\nProfile = \"off\"")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.WriteIteration(0)
+		rcs, err := it.Components(schema)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for c := range rcs {
+			data := make([]float64, r.ID+1)
+			for i := range data {
+				data[i] = float64(100*c + 10*r.ID + i)
+			}
+			if err := rcs[c].ResetDataset(Dataset{Type: Float64, Extent: []uint64{total}}); err != nil {
+				t.Error(err)
+			}
+			if err := rcs[c].StoreChunk([]uint64{offset(r.ID)}, []uint64{uint64(r.ID + 1)}, data); err != nil {
+				t.Error(err)
+			}
+		}
+		it.Close()
+		s.Close()
+	})
+
+	// What bpls reads: one chunk record per rank and component.
+	md, err := rg.fs.Namespace().Lookup("/sel.bp4/md.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Chunks []struct {
+			Var          string
+			Start, Count []uint64
+		}
+	}
+	if err := json.Unmarshal(md.Content, &rec); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string][]uint64{}
+	for _, c := range rec.Chunks {
+		seen[c.Var] = append(seen[c.Var], c.Start[0], c.Count[0])
+	}
+	var wantSel []uint64
+	for r := 0; r < ranks; r++ {
+		wantSel = append(wantSel, offset(r), uint64(r+1))
+	}
+	if len(seen) != comps {
+		t.Errorf("md.0 names %d variables, want %d", len(seen), comps)
+	}
+	for name, sel := range seen {
+		if !reflect.DeepEqual(sel, wantSel) {
+			t.Errorf("%s: (start, count) per rank %v, want %v", name, sel, wantSel)
+		}
+	}
+
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/sel.bp4", AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.ReadIteration(0)
+		rcs, err := it.Components(schema)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for c := range rcs {
+			var want []float64
+			for rk := 0; rk < ranks; rk++ {
+				for i := 0; i <= rk; i++ {
+					want = append(want, float64(100*c+10*rk+i))
+				}
+			}
+			if got, _, err := rcs[c].Load(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s holds %v (%v), want %v", rcs[c].Path(), got, err, want)
+			}
+		}
+		s.Close()
+	})
+}

@@ -70,6 +70,10 @@ type Dataset struct {
 type backend interface {
 	// beginIteration opens iteration id for writing.
 	beginIteration(id uint64) error
+	// declare is told of the components a schema resolved to in the open
+	// write iteration — rcs[i] at paths[i], all of type t and dims
+	// dimensions — before any of them is stored.
+	declare(rcs []RecordComponent, paths []string, t Datatype, dims int)
 	// store stages the chunk rc.offset()/rc.count() of a record
 	// component. Those slices are overwritten by rc's next StoreChunk, so
 	// a backend that keeps them past the call copies them.
@@ -88,18 +92,34 @@ type backend interface {
 
 // Series is the root object of an openPMD hierarchy.
 type Series struct {
-	host    Host
-	path    string
-	access  Access
-	cfg     *Config
-	be      backend
-	attrs   map[string]string
+	host   Host
+	path   string
+	access Access
+	cfg    *Config
+	be     backend
+	// attrs holds what SetAttribute stored, over standardAttrs.
+	attrs   []attribute
 	curIter *Iteration
 	// lastIter is the most recently closed write iteration — the only
 	// closed one a series keeps — so that WriteIteration with the same id
 	// re-opens it and the component handles taken from it work again.
 	lastIter *Iteration
 	closed   bool
+}
+
+// attribute is one root attribute.
+type attribute struct{ key, value string }
+
+// standardAttrs is what the standard requires at the root of every series
+// and SetAttribute may override: read-only, shared by all of them.
+var standardAttrs = [...]attribute{
+	{"openPMD", "1.1.0"},
+	{"openPMDextension", "0"},
+	{"basePath", "/data/%T/"},
+	{"meshesPath", "meshes/"},
+	{"particlesPath", "particles/"},
+	{"iterationEncoding", "groupBased"},
+	{"software", "picmcio"},
 }
 
 // tomlKey is the world-memo key of a parsed options document.
@@ -127,15 +147,7 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Series{host: h, path: path, access: access, cfg: cfg, attrs: map[string]string{
-		"openPMD":           "1.1.0",
-		"openPMDextension":  "0",
-		"basePath":          "/data/%T/",
-		"meshesPath":        "meshes/",
-		"particlesPath":     "particles/",
-		"iterationEncoding": "groupBased",
-		"software":          "picmcio",
-	}}
+	s := &Series{host: h, path: path, access: access, cfg: cfg}
 	switch {
 	case strings.HasSuffix(path, ".bp"), strings.HasSuffix(path, ".bp4"), strings.HasSuffix(path, ".bp5"):
 		s.be, err = newBP4Backend(s)
@@ -151,12 +163,38 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 }
 
 // SetAttribute stores a root attribute.
-func (s *Series) SetAttribute(key, value string) { s.attrs[key] = value }
+func (s *Series) SetAttribute(key, value string) {
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
+	}
+	s.attrs = append(s.attrs, attribute{key, value})
+}
 
 // Attribute reads a root attribute.
 func (s *Series) Attribute(key string) (string, bool) {
-	v, ok := s.attrs[key]
-	return v, ok
+	for _, list := range [][]attribute{s.attrs, standardAttrs[:]} {
+		for _, a := range list {
+			if a.key == key {
+				return a.value, true
+			}
+		}
+	}
+	return "", false
+}
+
+// attributes returns every root attribute: the standard's, then what
+// SetAttribute stored over and beside them.
+func (s *Series) attributes() map[string]string {
+	m := make(map[string]string, len(standardAttrs)+len(s.attrs))
+	for _, list := range [][]attribute{standardAttrs[:], s.attrs} {
+		for _, a := range list {
+			m[a.key] = a.value
+		}
+	}
+	return m
 }
 
 // Path reports the series path.
@@ -260,6 +298,69 @@ func (it *Iteration) Particles(species string) *Species {
 	return &Species{it: it, name: species}
 }
 
+// ComponentName addresses one record component the way the standard's
+// hierarchy does.
+type ComponentName struct {
+	Mesh      bool   // a mesh record; Species is unused
+	Species   string // particle species
+	Record    string
+	Component string // Scalar for a scalar record
+}
+
+// Schema is a list of record components of one datatype and
+// dimensionality, for a writer that knows them all before its first store
+// (Iteration.Components). It is immutable: make one and hand the same
+// pointer to every rank, so that what it resolves to in an iteration is
+// worked out once per world.
+type Schema struct {
+	names []ComponentName
+	dtype Datatype
+	dims  int
+}
+
+// NewSchema returns the schema of the named components, each holding
+// datasets of type t and dims dimensions. names is copied.
+func NewSchema(names []ComponentName, t Datatype, dims int) (*Schema, error) {
+	if dims < 1 {
+		return nil, fmt.Errorf("openpmd: schema of %d-dimensional datasets", dims)
+	}
+	return &Schema{names: append([]ComponentName(nil), names...), dtype: t, dims: dims}, nil
+}
+
+// schemaKey is the world-memo key of a schema's paths in one iteration.
+type schemaKey struct {
+	id uint64
+	s  *Schema
+}
+
+// Components returns one component per name of the schema, in its order —
+// what Meshes/Particles(..).Record(..).Component(..) return one at a time
+// — out of one block, each with a zero extent of the schema's
+// dimensionality for ResetDataset to set. On the BP backend their
+// variables are defined here, together, so the engine knows how many
+// before the first is stored.
+func (it *Iteration) Components(s *Schema) ([]RecordComponent, error) {
+	if !it.read && it.closed {
+		return nil, fmt.Errorf("openpmd: Components on closed iteration %d", it.ID)
+	}
+	paths := mpisim.Memo(it.series.host.Comm, schemaKey{it.ID, s}, func() []string {
+		paths := make([]string, len(s.names))
+		for i, n := range s.names {
+			paths[i] = it.componentPath(it.recordPath(n.Mesh, n.Species, n.Record), n.Component)
+		}
+		return paths
+	})
+	rcs, dims := make([]RecordComponent, len(paths)), make([]uint64, 3*s.dims*len(paths))
+	for i, path := range paths {
+		lo, hi := 3*s.dims*i, 3*s.dims*(i+1)
+		rcs[i] = RecordComponent{it: it, path: path, dtype: s.dtype, dims: dims[lo:hi:hi]}
+	}
+	if !it.read {
+		it.series.be.declare(rcs, paths, s.dtype, s.dims)
+	}
+	return rcs, nil
+}
+
 // Close finalizes the iteration: with the BP backend this triggers the
 // EndStep that aggregates and writes the data. A closed iteration and the
 // components taken from it reject further stores until
@@ -296,15 +397,20 @@ type Record struct {
 	path string
 }
 
+// componentPath builds a component's path once per world, as recordPath
+// does its record's.
+func (it *Iteration) componentPath(record, name string) string {
+	if name == Scalar {
+		return record
+	}
+	return mpisim.Memo(it.series.host.Comm, componentKey{record, name}, func() string {
+		return record + "/" + name
+	})
+}
+
 // Component returns a record component; use Scalar for scalar records.
 func (r *Record) Component(name string) *RecordComponent {
-	p := r.path
-	if name != Scalar {
-		p = mpisim.Memo(r.it.series.host.Comm, componentKey{r.path, name}, func() string {
-			return r.path + "/" + name
-		})
-	}
-	return &RecordComponent{it: r.it, path: p}
+	return &RecordComponent{it: r.it, path: r.it.componentPath(r.path, name)}
 }
 
 // RecordComponent is the leaf object data is stored into. A writer may
