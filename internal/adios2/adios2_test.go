@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
@@ -39,7 +40,7 @@ func (rg *rig) host(r *mpisim.Rank) Host {
 
 // writeSeries writes nSteps steps of a float64 variable distributed over
 // the ranks, with per-rank slabs of slab elements each.
-func writeSeries(t *testing.T, rg *rig, path string, engineParams map[string]string, operator string, nSteps, slab int) {
+func writeSeries(t testing.TB, rg *rig, path string, engineParams map[string]string, operator string, nSteps, slab int) {
 	t.Helper()
 	rg.w.Run(func(r *mpisim.Rank) {
 		a := New()
@@ -549,7 +550,9 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 }
 
 // A writer that defines its variables together before its first Put gets
-// step buffers of exactly the size one Put of each needs, once.
+// step buffers of exactly the size one Put of each needs, once; the row's
+// numbers are read where the writer put them, and a put record is two
+// words whatever the payload.
 func TestDeclareThenPutSizesOnce(t *testing.T) {
 	for _, n := range []int{10, 20} {
 		rg := newRig(1)
@@ -565,23 +568,44 @@ func TestDeclareThenPutSizesOnce(t *testing.T) {
 			for i := range names {
 				names[i] = fmt.Sprint("v", i)
 			}
-			vars := io.DefineVariables(names, TypeFloat64, 1)
+			set, err := NewVarSet(names, TypeFloat64, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			nums := make([]uint64, set.RowWords())
+			row, err := io.DefineRow(set, nums)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for step := int64(0); step < 2; step++ {
 				errs := []error{e.BeginStep(step)}
-				for i := range vars {
-					v := &vars[i]
+				for i := range names {
+					v := row.At(i)
 					if got, ok := io.InquireVariable(names[i]); !ok || got != v {
-						t.Errorf("InquireVariable(%s) = %p, %v, want %p", names[i], got, ok, v)
+						t.Errorf("InquireVariable(%s) = %+v, %v, want %+v", names[i], got, ok, v)
 					}
-					errs = append(errs, v.SetShape([]uint64{8}), v.SetSelection([]uint64{0}, []uint64{8}), e.Put(v, nil))
+					// Half through the setters, half straight into the block.
+					if i%2 == 0 {
+						errs = append(errs, v.SetShape([]uint64{8}), v.SetSelection([]uint64{0}, []uint64{8}))
+					} else {
+						nums[3*i], nums[3*i+1], nums[3*i+2] = 8, 0, 8
+					}
+					errs = append(errs, e.Put(&v, nil))
 				}
 				for _, err := range errs {
 					if err != nil {
 						t.Error(err)
 					}
 				}
-				if len(e.puts) != n || cap(e.puts) != n || len(e.sels) != 2*n || cap(e.sels) != 2*n {
-					t.Errorf("step %d, %d variables: puts len %d cap %d, sels len %d cap %d", step, n, len(e.puts), cap(e.puts), len(e.sels), cap(e.sels))
+				if len(e.puts) != n || cap(e.puts) != n || len(e.sels) != 2*n || cap(e.sels) != 2*n || e.data != nil {
+					t.Errorf("step %d, %d variables: puts len %d cap %d, sels len %d cap %d, %d payloads", step, n, len(e.puts), cap(e.puts), len(e.sels), cap(e.sels), len(e.data))
+				}
+				for i, pr := range e.puts {
+					if int(pr.idx) != i || pr.n != 64 || e.sels[pr.sel] != 0 || e.sels[pr.sel+1] != 8 {
+						t.Errorf("step %d: put %d is %+v", step, i, pr)
+					}
 				}
 				if err := e.EndStep(); err != nil {
 					t.Error(err)
@@ -589,5 +613,8 @@ func TestDeclareThenPutSizesOnce(t *testing.T) {
 			}
 			e.Close()
 		})
+	}
+	if got := unsafe.Sizeof(putRec{}); got != 16 {
+		t.Errorf("a put record is %d bytes, want 16", got)
 	}
 }

@@ -93,10 +93,10 @@ type IO struct {
 	name string
 	set  *settings
 
-	// vars chains the defined variables, newest first; nvars counts them
-	// and dims sums their dimensions. A step that puts each of them once
-	// stages nvars puts and 2·dims selection entries.
-	vars        *Variable
+	// rows chains the defined rows of variables, newest first; nvars counts
+	// their variables and dims sums their dimensions. A step that puts each
+	// of them once stages nvars puts and 2·dims selection entries.
+	rows        *VarRow
 	nvars, dims int
 }
 
@@ -259,94 +259,160 @@ func (io *IO) AddOperation(codec string) error {
 // Operator reports the attached compression operator name ("" if none).
 func (io *IO) Operator() string { return io.set.operator }
 
-// Variable describes an n-dimensional distributed array. It owns the
-// storage behind Shape and its selection: DefineVariable, SetShape and
-// SetSelection copy the caller's slices in, so callers may reuse theirs.
-type Variable struct {
-	Name  string
-	Type  DType
-	Shape []uint64 // global extent; read-only for callers, SetShape writes it
-	start []uint64
-	count []uint64
-	next  *Variable // the IO's variable defined before this one
+// VarSet is the half of a set of variables that is the same on every rank:
+// their names, in definition order, and their common type and
+// dimensionality. It is immutable: make one and hand the same pointer to
+// every rank (the world memo is the place to keep it).
+type VarSet struct {
+	names []string
+	dtype DType
+	dims  int
 }
 
-// bind gives v its name, its type and a block of three times its
-// dimensionality for Shape, start and count, overwritten in place from
-// here on, and links it into io.
-func (io *IO) bind(v *Variable, name string, t DType, block []uint64) {
-	n := len(block) / 3
-	*v = Variable{Name: name, Type: t, Shape: block[:n:n], start: block[n : 2*n : 2*n], count: block[2*n:], next: io.vars}
-	io.vars = v
-	io.nvars++
-	io.dims += n
+// NewVarSet returns the set of the named variables, each of type t and of
+// dims dimensions. names is copied.
+func NewVarSet(names []string, t DType, dims int) (*VarSet, error) {
+	if dims < 0 {
+		return nil, fmt.Errorf("adios2: variable set of %d dimensions", dims)
+	}
+	return &VarSet{names: append([]string(nil), names...), dtype: t, dims: dims}, nil
 }
+
+// RowWords reports the length of the block of numbers a rank keeps for the
+// set: per variable its shape, start and count, each of the set's
+// dimensionality.
+func (s *VarSet) RowWords() int { return 3 * s.dims * len(s.names) }
+
+// VarRow is the other half: one rank's shape and selection of every
+// variable of a VarSet, as defined in one IO. The numbers are one block,
+// overwritten in place.
+type VarRow struct {
+	io   *IO
+	set  *VarSet
+	nums []uint64 // per variable shape, start, count
+	base int      // variables the IO held before this row; put records count from it
+	next *VarRow  // the IO's row defined before this one
+}
+
+// DefineRow defines the variables of set in io, all at once: the form for
+// a writer that knows its whole schema before its first Put. nums is this
+// rank's block of set.RowWords() numbers. It is kept, not copied: the
+// caller may go on writing shapes and selections into it where they lie
+// (variable i's shape, start and count follow each other from word
+// 3·dims·i) as well as through SetShape and SetSelection, and the engine
+// reads them there at Put. Names defined before now mean the new variables.
+func (io *IO) DefineRow(set *VarSet, nums []uint64) (*VarRow, error) {
+	if len(nums) != set.RowWords() {
+		return nil, fmt.Errorf("adios2: a row of %d numbers for %d variables of %d dimensions", len(nums), len(set.names), set.dims)
+	}
+	r := &VarRow{io: io, set: set, nums: nums, base: io.nvars, next: io.rows}
+	io.rows = r
+	io.nvars += len(set.names)
+	io.dims += set.dims * len(set.names)
+	return r, nil
+}
+
+// At returns the handle of variable i of the row.
+func (r *VarRow) At(i int) Variable { return Variable{row: r, i: i} }
+
+// Variable is a handle on one n-dimensional distributed array of an IO: a
+// row and an index into it. The row owns the storage behind the shape and
+// the selection; DefineVariable, SetShape and SetSelection copy the
+// caller's slices in, so callers may reuse theirs.
+type Variable struct {
+	row *VarRow
+	i   int
+}
+
+// Row reports the row the variable belongs to, and Index its place in it.
+func (v Variable) Row() *VarRow { return v.row }
+func (v Variable) Index() int   { return v.i }
+
+// Name reports the variable's name.
+func (v Variable) Name() string { return v.row.set.names[v.i] }
+
+// Type reports the variable's element type.
+func (v Variable) Type() DType { return v.row.set.dtype }
+
+// dim returns part k of the variable's numbers: 0 shape, 1 start, 2 count.
+func (v Variable) dim(k int) []uint64 {
+	d := v.row.set.dims
+	lo := (3*v.i + k) * d
+	return v.row.nums[lo : lo+d : lo+d]
+}
+
+// Shape reports the global extent; read-only for callers, SetShape writes
+// it.
+func (v Variable) Shape() []uint64 { return v.dim(0) }
+
+func (v Variable) start() []uint64 { return v.dim(1) }
+func (v Variable) count() []uint64 { return v.dim(2) }
 
 // DefineVariable declares a variable with a global shape and this rank's
-// initial selection. A name defined before now means the new variable.
+// initial selection: a row of one. A name defined before now means the new
+// variable.
 func (io *IO) DefineVariable(name string, t DType, shape, start, count []uint64) (*Variable, error) {
 	if len(shape) != len(start) || len(shape) != len(count) {
 		return nil, fmt.Errorf("adios2: dimension mismatch for %q", name)
 	}
-	v := &Variable{}
-	io.bind(v, name, t, make([]uint64, 3*len(shape)))
-	copy(v.Shape, shape)
-	copy(v.start, start)
-	copy(v.count, count)
-	return v, nil
-}
-
-// DefineVariables declares one variable per name, all of type t and of
-// dims dimensions with a zero shape and selection, for SetShape and
-// SetSelection to fill in: the form for a writer that knows its whole
-// schema before its first Put. The variables come out of one block, in
-// the order of names.
-func (io *IO) DefineVariables(names []string, t DType, dims int) []Variable {
-	vars, block := make([]Variable, len(names)), make([]uint64, 3*dims*len(names))
-	for i, name := range names {
-		lo, hi := 3*dims*i, 3*dims*(i+1)
-		io.bind(&vars[i], name, t, block[lo:hi:hi])
-	}
-	return vars
+	d := len(shape)
+	nums := make([]uint64, 3*d)
+	copy(nums, shape)
+	copy(nums[d:], start)
+	copy(nums[2*d:], count)
+	row, err := io.DefineRow(&VarSet{names: []string{name}, dtype: t, dims: d}, nums)
+	return &Variable{row: row}, err
 }
 
 // InquireVariable looks up a defined variable.
-func (io *IO) InquireVariable(name string) (*Variable, bool) {
-	for v := io.vars; v != nil; v = v.next {
-		if v.Name == name {
-			return v, true
+func (io *IO) InquireVariable(name string) (Variable, bool) {
+	for r := io.rows; r != nil; r = r.next {
+		for i := len(r.set.names) - 1; i >= 0; i-- {
+			if r.set.names[i] == name {
+				return r.At(i), true
+			}
 		}
 	}
-	return nil, false
+	return Variable{}, false
+}
+
+// variable returns the handle of the IO's idx-th variable, in definition
+// order — what a put record holds.
+func (io *IO) variable(idx int) Variable {
+	r := io.rows
+	for idx < r.base {
+		r = r.next
+	}
+	return r.At(idx - r.base)
 }
 
 // SetShape updates the variable's global extent — needed when a re-used
 // variable (e.g. a checkpoint re-written each epoch) grows or shrinks.
-func (v *Variable) SetShape(shape []uint64) error {
-	if len(shape) != len(v.Shape) {
-		return fmt.Errorf("adios2: shape rank change for %q", v.Name)
+func (v Variable) SetShape(shape []uint64) error {
+	if len(shape) != v.row.set.dims {
+		return fmt.Errorf("adios2: shape rank change for %q", v.Name())
 	}
-	copy(v.Shape, shape)
+	copy(v.Shape(), shape)
 	return nil
 }
 
 // SetSelection sets this rank's hyperslab (start, count).
-func (v *Variable) SetSelection(start, count []uint64) error {
-	if len(start) != len(v.Shape) || len(count) != len(v.Shape) {
-		return fmt.Errorf("adios2: selection rank mismatch for %q", v.Name)
+func (v Variable) SetSelection(start, count []uint64) error {
+	if len(start) != v.row.set.dims || len(count) != v.row.set.dims {
+		return fmt.Errorf("adios2: selection rank mismatch for %q", v.Name())
 	}
-	copy(v.start, start)
-	copy(v.count, count)
+	copy(v.start(), start)
+	copy(v.count(), count)
 	return nil
 }
 
 // SelectionBytes reports the byte size of the current selection.
-func (v *Variable) SelectionBytes() int64 {
+func (v Variable) SelectionBytes() int64 {
 	n := int64(1)
-	for _, c := range v.count {
+	for _, c := range v.count() {
 		n *= int64(c)
 	}
-	return n * v.Type.Size()
+	return n * v.Type().Size()
 }
 
 // Host ties an engine to the simulation: the calling rank's process, its

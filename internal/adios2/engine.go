@@ -49,14 +49,15 @@ type chunkDesc struct {
 	Len     int64    `json:"len"`    // stored (possibly compressed) block length
 }
 
-// putRec is one staged Put. Its selection is a snapshot, taken at Put
-// time because the variable's own is overwritten by the next
-// SetSelection: start then count, at sel in the engine's selection buffer.
+// putRec is one staged Put: which of the IO's variables, in definition
+// order, where in the engine's selection buffer its selection was
+// snapshotted — start then count, taken at Put time because the variable's
+// own is overwritten by the next SetSelection — and the selection's size in
+// bytes.
 type putRec struct {
-	v    *Variable
-	sel  int
-	n    int64
-	data []byte
+	idx int32
+	sel int32
+	n   int64
 }
 
 type stepLoc struct {
@@ -90,8 +91,11 @@ type Engine struct {
 
 	// puts and sels are sized at the engine's first Put for one Put of each
 	// variable the IO then holds, and grow past that.
-	puts      []putRec
-	sels      []uint64 // the step's selection snapshots, reset at BeginStep
+	puts []putRec
+	sels []uint64 // the step's selection snapshots, reset at BeginStep
+	// data holds the payloads of the step's content-mode puts, by put; it
+	// stops at the last put that carried one and stays nil in volume mode.
+	data      [][]byte
 	inStep    bool
 	curStep   int64
 	stepSeq   int
@@ -103,7 +107,9 @@ type Engine struct {
 	rd *readerState // read mode only
 }
 
-// openWriter opens path for collective writing.
+// openWriter opens path for collective writing. Every rank parks in its
+// splits and its barrier, so what only world rank 0 and the aggregators do
+// — creating files — has its own frames.
 func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	// Before anything collective: a bad parameter is the same error on
 	// every rank, and nobody is left parked.
@@ -128,42 +134,25 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 		e.nAgg = min(wp.numAgg, size)
 	}
 	if op := io.set.operator; op != "" && op != "none" {
-		c, err := compress.New(op, 8)
-		if err != nil {
+		if e.codec, err = compress.New(op, 8); err != nil {
 			return nil, err
 		}
-		e.codec = c
 		e.cost = compress.CostOf(op)
 		e.volRatio = wp.volRatio
 	}
 
 	rank := h.Comm.Rank()
 	if rank == 0 {
-		if err := h.Env.MkdirAll(h.Proc, e.path); err != nil {
+		if err := e.createMetadata(); err != nil {
 			return nil, err
-		}
-		if e.mdFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, "md.0")); err != nil {
-			return nil, err
-		}
-		if e.idxFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, "md.idx")); err != nil {
-			return nil, err
-		}
-		if io.set.engine == "BP5" {
-			fd, err := h.Env.Create(h.Proc, pfs.Join(e.path, "mmd.0"))
-			if err != nil {
-				return nil, err
-			}
-			fd.Close(h.Proc)
 		}
 	}
-	color := rank * e.nAgg / size
-	e.subfile = color
-	e.aggComm = h.Comm.Split(color, rank)
+	e.subfile = rank * e.nAgg / size
+	e.aggComm = h.Comm.Split(e.subfile, rank)
 	e.isAgg = e.aggComm.Rank() == 0
 	if e.isAgg {
 		e.ldrComm = h.Comm.Split(0, rank)
-		e.steps = map[int64]stepLoc{}
-		if e.dataFD, err = h.Env.Create(h.Proc, pfs.Join(e.path, fmt.Sprintf("data.%d", color))); err != nil {
+		if err := e.createSubfile(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -171,6 +160,37 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	}
 	h.Comm.Barrier()
 	return e, nil
+}
+
+// createMetadata is world rank 0's part of openWriter: the dataset
+// directory, the global metadata log and the step index.
+func (e *Engine) createMetadata() error {
+	p, env := e.h.Proc, e.h.Env
+	if err := env.MkdirAll(p, e.path); err != nil {
+		return err
+	}
+	var err error
+	if e.mdFD, err = env.Create(p, pfs.Join(e.path, "md.0")); err != nil {
+		return err
+	}
+	if e.idxFD, err = env.Create(p, pfs.Join(e.path, "md.idx")); err != nil {
+		return err
+	}
+	if e.io.set.engine == "BP5" {
+		fd, err := env.Create(p, pfs.Join(e.path, "mmd.0"))
+		if err != nil {
+			return err
+		}
+		fd.Close(p)
+	}
+	return nil
+}
+
+// createSubfile is an aggregator's part of openWriter.
+func (e *Engine) createSubfile() (err error) {
+	e.steps = map[int64]stepLoc{}
+	e.dataFD, err = e.h.Env.Create(e.h.Proc, pfs.Join(e.path, fmt.Sprintf("data.%d", e.subfile)))
+	return err
 }
 
 // NumAggregators reports the effective aggregator (subfile) count.
@@ -193,6 +213,7 @@ func (e *Engine) BeginStep(id int64) error {
 	e.curStep = id
 	e.puts = e.puts[:0]
 	e.sels = e.sels[:0]
+	e.data = e.data[:0]
 	e.contentOK = true
 	return nil
 }
@@ -207,23 +228,42 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	if !e.inStep {
 		return fmt.Errorf("adios2: Put outside step")
 	}
+	if v == nil || v.row == nil || v.row.io != e.io {
+		return fmt.Errorf("adios2: Put of a variable that IO %q did not define", e.io.name)
+	}
+	if v.i < 0 || v.i >= len(v.row.set.names) {
+		return fmt.Errorf("adios2: Put of variable %d of a row of %d", v.i, len(v.row.set.names))
+	}
 	n := v.SelectionBytes()
 	if data != nil && int64(len(data)) != n {
-		return fmt.Errorf("adios2: %q payload %d bytes, selection %d", v.Name, len(data), n)
-	}
-	if data == nil {
-		e.contentOK = false
+		return fmt.Errorf("adios2: %q payload %d bytes, selection %d", v.Name(), len(data), n)
 	}
 	if e.puts == nil {
 		e.puts = make([]putRec, 0, e.io.nvars)
 		e.sels = make([]uint64, 0, 2*e.io.dims)
 	}
-	e.puts = append(e.puts, putRec{v: v, sel: len(e.sels), n: n, data: data})
-	e.sels = append(append(e.sels, v.start...), v.count...)
+	if data == nil {
+		e.contentOK = false
+	} else {
+		for len(e.data) < len(e.puts) {
+			e.data = append(e.data, nil) // earlier puts of the step carried none
+		}
+		e.data = append(e.data, data)
+	}
+	e.puts = append(e.puts, putRec{idx: int32(v.row.base + v.i), sel: int32(len(e.sels)), n: n})
+	e.sels = append(append(e.sels, v.start()...), v.count()...)
 	if e.codec == nil && n > 0 {
 		d := sim.Duration(float64(n) / e.memRate)
 		e.Timers.Memcpy += d
 		e.h.Proc.Sleep(d)
+	}
+	return nil
+}
+
+// payload returns what put i of the step carried, nil in volume mode.
+func (e *Engine) payload(i int) []byte {
+	if i < len(e.data) {
+		return e.data[i]
 	}
 	return nil
 }
@@ -238,21 +278,48 @@ func (e *Engine) PutFloat64s(v *Variable, vals []float64) error {
 }
 
 // EndStep serializes, compresses, aggregates and writes the staged puts,
-// then publishes the step's metadata. It is collective.
+// then publishes the step's metadata. It is collective, and every rank of
+// the world parks in it — in a gather or in the barrier — so it holds only
+// what every rank runs: what an aggregator or world rank 0 alone does has
+// its own method, and its locals a frame only that rank pushes.
 func (e *Engine) EndStep() error {
 	if !e.inStep {
 		return fmt.Errorf("adios2: EndStep outside step")
 	}
-	p, comm := e.h.Proc, e.h.Comm
+	stored, content, tableBytes, table, err := e.serializeStep()
+	if err != nil {
+		return err
+	}
 
-	// Serialize this rank's payload: per put, a 64-byte block header
-	// followed by the (individually compressed) body — compression
-	// operators apply per variable block, as in real ADIOS2 — and build
-	// this rank's chunk table beside it (offsets filled by the aggregator).
-	// In volume mode neither is materialized; only the table's analytic
-	// binary footprint travels, so 25k-rank runs stay cheap.
-	var stored int64
-	var storedContent []byte
+	// Gather payloads and chunk tables to the group aggregator.
+	p := e.h.Proc
+	t0 := p.Now()
+	chunks := e.aggComm.GathervBytes(stored, content, 0)
+	tchunks := e.aggComm.GathervBytes(tableBytes, table, 0)
+	e.Timers.Gather += p.Now() - t0
+
+	if e.isAgg {
+		if err := e.aggregateStep(chunks, tchunks); err != nil {
+			return err
+		}
+	}
+	e.drainStep()
+
+	e.h.Comm.Barrier()
+	e.inStep = false
+	e.curStep = -1
+	e.stepSeq++
+	e.puts = e.puts[:0]
+	return nil
+}
+
+// serializeStep builds this rank's payload: per put, a 64-byte block
+// header followed by the (individually compressed) body — compression
+// operators apply per variable block, as in real ADIOS2 — and this rank's
+// chunk table beside it as JSON (offsets filled by the aggregator). In
+// volume mode neither is materialized; only their sizes are returned, the
+// table's as its analytic binary footprint, so 25k-rank runs stay cheap.
+func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64, tableJSON []byte, err error) {
 	var table []chunkDesc
 	if e.contentOK {
 		table = make([]chunkDesc, len(e.puts))
@@ -264,187 +331,191 @@ func (e *Engine) EndStep() error {
 		}
 		d := e.cost.CompressTime(rawTotal)
 		e.Timers.Compress += d
-		p.Sleep(d)
+		e.h.Proc.Sleep(d)
 	}
 	for i, pr := range e.puts {
 		blockLen := perPutHeaderBytes + pr.n
+		data := e.payload(i)
 		var body []byte
 		if e.codec != nil && pr.n > 0 {
-			if pr.data != nil {
-				body = e.codec.Compress(pr.data)
+			if data != nil {
+				body = e.codec.Compress(data)
 				blockLen = perPutHeaderBytes + int64(len(body))
 			} else {
 				blockLen = perPutHeaderBytes + int64(float64(pr.n)*e.volRatio)
 			}
 		} else {
-			body = pr.data
+			body = data
 		}
 		stored += blockLen
 		if e.contentOK {
-			if storedContent == nil {
-				storedContent = make([]byte, 0, stored)
+			if content == nil {
+				content = make([]byte, 0, stored)
 			}
-			storedContent = append(storedContent, make([]byte, perPutHeaderBytes)...)
-			storedContent = append(storedContent, body...)
-			d := len(pr.v.Shape)
+			content = append(content, make([]byte, perPutHeaderBytes)...)
+			content = append(content, body...)
+			v := e.io.variable(int(pr.idx))
+			d := int32(len(v.Shape()))
 			table[i] = chunkDesc{
-				Var: pr.v.Name, Type: pr.v.Type, Shape: pr.v.Shape,
+				Var: v.Name(), Type: v.Type(), Shape: v.Shape(),
 				Start: e.sels[pr.sel : pr.sel+d], Count: e.sels[pr.sel+d : pr.sel+2*d], RawLen: pr.n,
 				Codec: e.io.set.operator, Subfile: e.subfile, Len: blockLen,
 			}
 		}
 	}
-	var tableJSON []byte
-	tableBytes := int64(len(e.puts)) * mdEntryBytes
+	tableBytes = int64(len(e.puts)) * mdEntryBytes
 	if e.contentOK {
-		var err error
 		if tableJSON, err = json.Marshal(table); err != nil {
-			return err
+			return 0, nil, 0, nil, err
 		}
 		tableBytes = int64(len(tableJSON))
 	}
+	return stored, content, tableBytes, tableJSON, nil
+}
 
-	// Gather payloads and chunk tables to the group aggregator.
-	t0 := p.Now()
-	chunks := e.aggComm.GathervBytes(stored, storedContent, 0)
-	tchunks := e.aggComm.GathervBytes(tableBytes, tableJSON, 0)
-	e.Timers.Gather += p.Now() - t0
+// aggregateStep is the aggregator's part of EndStep: it writes the
+// gathered payloads to its subfile, completes the gathered chunk tables
+// with their subfile offsets, and forwards them to world rank 0, which
+// publishes the step.
+func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
+	p := e.h.Proc
+	var total int64
+	for _, c := range chunks {
+		total += c.N
+	}
+	var off int64
+	if loc, replacing := e.steps[e.curStep]; replacing && total <= loc.n {
+		off = loc.off // overwrite the previous payload in place
+	} else {
+		off = e.dataFD.Size()
+		e.steps[e.curStep] = stepLoc{off: off, n: total}
+	}
+	var payload []byte
+	allContent := true
+	for _, c := range chunks {
+		if c.Data == nil && c.N > 0 {
+			allContent = false
+			break
+		}
+	}
+	if allContent {
+		payload = make([]byte, 0, total)
+		for _, c := range chunks {
+			payload = append(payload, c.Data...)
+		}
+	}
+	tw0 := p.Now()
+	if total > 0 {
+		e.dataFD.Pwrite(p, off, total, payload)
+	}
+	e.Timers.Write += p.Now() - tw0
 
-	// Aggregator writes its subfile and completes the chunk tables.
+	// Complete chunk descriptors with subfile offsets: each rank's
+	// blocks land back to back in gather order, and every table
+	// entry already carries its exact stored length.
 	var myMD []chunkDesc
 	var myMDBytes int64 // analytic size when tables are not materialized
-	if e.isAgg {
-		var total int64
-		for _, c := range chunks {
-			total += c.N
+	cur := off
+	for ri, c := range tchunks {
+		if c.Data == nil {
+			myMDBytes += c.N
+			cur += chunks[ri].N
+			continue
 		}
-		var off int64
-		if loc, replacing := e.steps[e.curStep]; replacing && total <= loc.n {
-			off = loc.off // overwrite the previous payload in place
-		} else {
-			off = e.dataFD.Size()
-			e.steps[e.curStep] = stepLoc{off: off, n: total}
+		var tbl []chunkDesc
+		if err := json.Unmarshal(c.Data, &tbl); err != nil {
+			return fmt.Errorf("adios2: chunk table: %w", err)
 		}
-		var payload []byte
-		allContent := true
-		for _, c := range chunks {
-			if c.Data == nil && c.N > 0 {
-				allContent = false
-				break
-			}
+		for i := range tbl {
+			tbl[i].Offset = cur
+			cur += tbl[i].Len
 		}
-		if allContent {
-			payload = make([]byte, 0, total)
-			for _, c := range chunks {
-				payload = append(payload, c.Data...)
-			}
-		}
-		tw0 := p.Now()
-		if total > 0 {
-			e.dataFD.Pwrite(p, off, total, payload)
-		}
-		e.Timers.Write += p.Now() - tw0
-
-		// Complete chunk descriptors with subfile offsets: each rank's
-		// blocks land back to back in gather order, and every table
-		// entry already carries its exact stored length.
-		cur := off
-		for ri, c := range tchunks {
-			if c.Data == nil {
-				myMDBytes += c.N
-				cur += chunks[ri].N
-				continue
-			}
-			var tbl []chunkDesc
-			if err := json.Unmarshal(c.Data, &tbl); err != nil {
-				return fmt.Errorf("adios2: chunk table: %w", err)
-			}
-			for i := range tbl {
-				tbl[i].Offset = cur
-				cur += tbl[i].Len
-			}
-			myMD = append(myMD, tbl...)
-		}
+		myMD = append(myMD, tbl...)
 	}
 
 	// Leaders forward their step metadata to world rank 0, which appends
 	// the global metadata log and the step index.
-	if e.isAgg {
-		var mdJSON []byte
-		mdBytes := myMDBytes
-		if myMDBytes == 0 { // fully materialized tables
-			var err error
-			if mdJSON, err = json.Marshal(myMD); err != nil {
-				return err
-			}
-			mdBytes = int64(len(mdJSON))
+	var mdJSON []byte
+	mdBytes := myMDBytes
+	if myMDBytes == 0 { // fully materialized tables
+		var err error
+		if mdJSON, err = json.Marshal(myMD); err != nil {
+			return err
 		}
-		gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0)
-		if comm.Rank() == 0 {
-			tm0 := p.Now()
-			var all []chunkDesc
-			var analyticBytes int64
-			content := true
-			for _, g := range gathered {
-				if g.Data == nil {
-					analyticBytes += g.N
-					content = false
-					continue
-				}
-				var tbl []chunkDesc
-				if err := json.Unmarshal(g.Data, &tbl); err != nil {
-					return fmt.Errorf("adios2: md gather: %w", err)
-				}
-				all = append(all, tbl...)
-			}
-			mdOff := e.mdFD.Size()
-			if content {
-				rec := mdStepRecord{Step: e.curStep, Seq: e.stepSeq, Chunks: all}
-				line, err := json.Marshal(rec)
-				if err != nil {
-					return err
-				}
-				line = append(line, '\n')
-				e.mdFD.Write(p, int64(len(line)), line)
-			} else {
-				// Volume mode: charge the analytic metadata footprint,
-				// which grows linearly with total rank count.
-				e.mdFD.Write(p, analyticBytes, nil)
-			}
-			var idx [idxRecordBytes]byte
-			putU64(idx[0:], uint64(e.curStep))
-			putU64(idx[8:], uint64(mdOff))
-			putU64(idx[16:], uint64(e.mdFD.Size()-mdOff))
-			putU64(idx[24:], uint64(e.stepSeq))
-			e.idxFD.Write(p, idxRecordBytes, idx[:])
-			e.Timers.Meta += p.Now() - tm0
-		}
+		mdBytes = int64(len(mdJSON))
 	}
-
-	// Burst staging: at step close, nudge the tier's drain scheduler so
-	// buffered epoch data starts flowing to the PFS in the background. If
-	// PFS durability was requested, the writers fsync first — on a staged
-	// file that forces the drain and blocks until write-back completes,
-	// so the step is PFS-durable before EndStep returns.
-	if st, ok := e.h.Env.FS.(pfs.Stager); ok {
-		if e.pfsDurable {
-			if e.isAgg && e.dataFD != nil {
-				e.dataFD.Fsync(p)
-			}
-			if comm.Rank() == 0 {
-				e.mdFD.Fsync(p)
-				e.idxFD.Fsync(p)
-			}
-		}
-		st.DrainEpoch(p)
+	gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0)
+	if e.h.Comm.Rank() == 0 {
+		return e.publishStep(gathered)
 	}
-
-	comm.Barrier()
-	e.inStep = false
-	e.curStep = -1
-	e.stepSeq++
-	e.puts = e.puts[:0]
 	return nil
+}
+
+// publishStep is world rank 0's part of EndStep: one md.0 record holding
+// every leader's chunk tables, and the md.idx record that locates it.
+func (e *Engine) publishStep(gathered []mpisim.GatherChunk) error {
+	p := e.h.Proc
+	tm0 := p.Now()
+	var all []chunkDesc
+	var analyticBytes int64
+	content := true
+	for _, g := range gathered {
+		if g.Data == nil {
+			analyticBytes += g.N
+			content = false
+			continue
+		}
+		var tbl []chunkDesc
+		if err := json.Unmarshal(g.Data, &tbl); err != nil {
+			return fmt.Errorf("adios2: md gather: %w", err)
+		}
+		all = append(all, tbl...)
+	}
+	mdOff := e.mdFD.Size()
+	if content {
+		rec := mdStepRecord{Step: e.curStep, Seq: e.stepSeq, Chunks: all}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		line = append(line, '\n')
+		e.mdFD.Write(p, int64(len(line)), line)
+	} else {
+		// Volume mode: charge the analytic metadata footprint,
+		// which grows linearly with total rank count.
+		e.mdFD.Write(p, analyticBytes, nil)
+	}
+	var idx [idxRecordBytes]byte
+	putU64(idx[0:], uint64(e.curStep))
+	putU64(idx[8:], uint64(mdOff))
+	putU64(idx[16:], uint64(e.mdFD.Size()-mdOff))
+	putU64(idx[24:], uint64(e.stepSeq))
+	e.idxFD.Write(p, idxRecordBytes, idx[:])
+	e.Timers.Meta += p.Now() - tm0
+	return nil
+}
+
+// drainStep nudges the burst tier's drain scheduler at step close, so
+// buffered epoch data starts flowing to the PFS in the background. If PFS
+// durability was requested, the writers fsync first — on a staged file
+// that forces the drain and blocks until write-back completes, so the step
+// is PFS-durable before EndStep returns.
+func (e *Engine) drainStep() {
+	st, ok := e.h.Env.FS.(pfs.Stager)
+	if !ok {
+		return
+	}
+	p := e.h.Proc
+	if e.pfsDurable {
+		if e.isAgg && e.dataFD != nil {
+			e.dataFD.Fsync(p)
+		}
+		if e.h.Comm.Rank() == 0 {
+			e.mdFD.Fsync(p)
+			e.idxFD.Fsync(p)
+		}
+	}
+	st.DrainEpoch(p)
 }
 
 // mdStepRecord is one line of md.0.

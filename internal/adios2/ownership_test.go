@@ -3,8 +3,10 @@ package adios2
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"picmcio/internal/compress"
 	"picmcio/internal/mpisim"
 )
 
@@ -19,9 +21,9 @@ func TestVariableOwnsItsDimensions(t *testing.T) {
 	}
 	check := func(after string, wantShape, wantStart, wantCount uint64) {
 		t.Helper()
-		if v.Shape[0] != wantShape || v.start[0] != wantStart || v.count[0] != wantCount {
+		if v.Shape()[0] != wantShape || v.start()[0] != wantStart || v.count()[0] != wantCount {
 			t.Errorf("after %s: shape=%v start=%v count=%v, want [%d] [%d] [%d]",
-				after, v.Shape, v.start, v.count, wantShape, wantStart, wantCount)
+				after, v.Shape(), v.start(), v.count(), wantShape, wantStart, wantCount)
 		}
 	}
 	shape[0], start[0], count[0] = 1, 2, 3
@@ -101,20 +103,147 @@ func TestTwoPutsOfOneVariableInOneStep(t *testing.T) {
 	}
 }
 
-// Defining a name again — one at a time or in a batch — leaves the earlier
+// Defining a name again — one at a time or in a row — leaves the earlier
 // variable to whoever holds it and makes the name mean the new one.
 func TestRedefinitionShadows(t *testing.T) {
 	io := New().DeclareIO("again")
 	first, _ := io.DefineVariable("x", TypeFloat64, []uint64{4}, []uint64{0}, []uint64{4})
 	second, _ := io.DefineVariable("x", TypeFloat64, []uint64{8}, []uint64{0}, []uint64{8})
-	if got, _ := io.InquireVariable("x"); got != second || first.Shape[0] != 4 {
-		t.Errorf("after a second DefineVariable, x is %p (first %p, second %p), first's shape %v", got, first, second, first.Shape)
+	if got, _ := io.InquireVariable("x"); got != *second || first.Shape()[0] != 4 {
+		t.Errorf("after a second DefineVariable, x is %+v (first %+v, second %+v), first's shape %v", got, *first, *second, first.Shape())
 	}
-	batch := io.DefineVariables([]string{"y", "x"}, TypeFloat64, 1)
-	if got, _ := io.InquireVariable("x"); got != &batch[1] {
-		t.Errorf("after DefineVariables, x is %p, want the batch's %p", got, &batch[1])
+	set, err := NewVarSet([]string{"y", "x"}, TypeFloat64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := io.DefineRow(set, make([]uint64, set.RowWords()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.InquireVariable("x"); got != row.At(1) {
+		t.Errorf("after DefineRow, x is %+v, want the row's %+v", got, row.At(1))
 	}
 	if _, ok := io.InquireVariable("z"); ok {
 		t.Error("z was never defined")
+	}
+	if _, err := io.DefineRow(set, make([]uint64, set.RowWords()-1)); err == nil {
+		t.Error("a row one number short accepted")
+	}
+}
+
+// A variable is its IO's: Put refuses one another IO defined, one no IO
+// did, and an index outside its row, with an adios2: error and nothing
+// staged.
+func TestPutRejectsForeignVariable(t *testing.T) {
+	rg := newRig(1)
+	rg.w.Run(func(r *mpisim.Rank) {
+		mine, other := New().DeclareIO("mine"), New().DeclareIO("other")
+		mine.SetParameter("Profile", "off")
+		set, err := NewVarSet([]string{"a", "b"}, TypeFloat64, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		foreignRow, _ := other.DefineRow(set, make([]uint64, set.RowWords()))
+		foreign, _ := other.DefineVariable("x", TypeFloat64, []uint64{4}, []uint64{0}, []uint64{4})
+		own, _ := mine.DefineVariable("x", TypeFloat64, []uint64{4}, []uint64{0}, []uint64{4})
+		ownRow, _ := mine.DefineRow(set, make([]uint64, set.RowWords()))
+		e, err := mine.Open(rg.host(r), "/foreign.bp4", ModeWrite)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := e.BeginStep(0); err != nil {
+			t.Error(err)
+		}
+		inRow, pastRow, before := foreignRow.At(0), ownRow.At(2), ownRow.At(-1)
+		for what, v := range map[string]*Variable{
+			"another IO's variable":    foreign,
+			"another IO's row":         &inRow,
+			"an index past its row":    &pastRow,
+			"an index before its row":  &before,
+			"a variable no IO defined": {},
+			"no variable":              nil,
+		} {
+			err := e.Put(v, nil)
+			if err == nil || !strings.HasPrefix(err.Error(), "adios2:") {
+				t.Errorf("Put of %s: %v, want an adios2: error", what, err)
+			}
+		}
+		if len(e.puts) != 0 {
+			t.Errorf("%d rejected puts were staged", len(e.puts))
+		}
+		last := ownRow.At(1)
+		if err := e.Put(own, nil); err != nil {
+			t.Errorf("Put of its own variable: %v", err)
+		}
+		if err := e.Put(&last, nil); err != nil {
+			t.Errorf("Put of the last variable of its own row: %v", err)
+		}
+		if err := e.EndStep(); err != nil {
+			t.Error(err)
+		}
+		e.Close()
+	})
+}
+
+// A step that mixes puts with payloads and puts without is a volume-mode
+// step, but a payload it did get is still what the operator compresses:
+// the engine keeps payloads by put, whichever put came first.
+func TestMixedContentAndVolumePuts(t *testing.T) {
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i % 4)
+	}
+	raw := make([]byte, 8*len(vals))
+	for i, f := range vals {
+		putF64(raw[8*i:], f)
+	}
+	for _, operator := range []string{"", "blosc"} {
+		for _, dataFirst := range []bool{true, false} {
+			rg := newRig(1)
+			rg.w.Run(func(r *mpisim.Rank) {
+				io := New().DeclareIO("mixed")
+				io.SetParameter("Profile", "off")
+				if err := io.AddOperation(operator); err != nil {
+					t.Error(err)
+					return
+				}
+				n := uint64(len(vals))
+				a, _ := io.DefineVariable("a", TypeFloat64, []uint64{n}, []uint64{0}, []uint64{n})
+				b, _ := io.DefineVariable("b", TypeFloat64, []uint64{n}, []uint64{0}, []uint64{n})
+				e, err := io.Open(rg.host(r), "/mixed.bp4", ModeWrite)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				errs := []error{e.BeginStep(0)}
+				if dataFirst {
+					errs = append(errs, e.PutFloat64s(a, vals), e.Put(b, nil))
+				} else {
+					errs = append(errs, e.Put(b, nil), e.PutFloat64s(a, vals))
+				}
+				errs = append(errs, e.EndStep(), e.Close())
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("call %d: %v", i, err)
+					}
+				}
+			})
+			want := int64(2 * (perPutHeaderBytes + len(raw)))
+			if operator != "" {
+				codec, err := compress.New(operator, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = 2*perPutHeaderBytes + int64(len(codec.Compress(raw))) + int64(float64(len(raw))*0.8)
+			}
+			if n, err := rg.fs.Namespace().Lookup("/mixed.bp4/data.0"); err != nil || n.Size != want {
+				t.Errorf("operator %q, payload first %v: data.0 is %v bytes (%v), want %d", operator, dataFirst, n, err, want)
+			}
+			if n, err := rg.fs.Namespace().Lookup("/mixed.bp4/md.0"); err != nil || n.Size != 2*mdEntryBytes {
+				t.Errorf("operator %q, payload first %v: md.0 is %v (%v), want the analytic %d bytes", operator, dataFirst, n, err, 2*mdEntryBytes)
+			}
+		}
 	}
 }

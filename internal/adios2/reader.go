@@ -63,13 +63,19 @@ func openReader(io *IO, h Host, path string) (*Engine, error) {
 		return nil, fmt.Errorf("adios2: %s: %w", path, err)
 	}
 	rd := &readerState{bySteps: map[int64]*mdStepRecord{}}
-	rd.idxCount = len(idxRaw) / idxRecordBytes
-	for i := 0; i < rd.idxCount; i++ {
-		rec := idxRaw[i*idxRecordBytes:]
+	// A trailing partial record is ignored, as a step whose index record
+	// was cut short by a crash would be.
+	for ; (rd.idxCount+1)*idxRecordBytes <= len(idxRaw); rd.idxCount++ {
+		rec := idxRaw[rd.idxCount*idxRecordBytes:][:idxRecordBytes]
 		step := int64(getU64(rec[0:]))
-		mdOff := int64(getU64(rec[8:]))
-		mdLen := int64(getU64(rec[16:]))
-		line := mdFD.Pread(p, mdOff, mdLen)
+		// The index is input from outside: a region is taken on trust only
+		// once it lies inside md.0.
+		mdOff, mdLen := getU64(rec[8:]), getU64(rec[16:])
+		if size := uint64(mdFD.Size()); mdOff > size || mdLen > size-mdOff {
+			mdFD.Close(p)
+			return nil, fmt.Errorf("adios2: %s: md.idx record %d places step %d at [%d,+%d) of an md.0 of %d bytes", path, rd.idxCount, step, mdOff, mdLen, size)
+		}
+		line := mdFD.Pread(p, int64(mdOff), int64(mdLen))
 		if line == nil {
 			mdFD.Close(p)
 			return nil, fmt.Errorf("adios2: %s: md.0 region [%d,%d) unavailable", path, mdOff, mdOff+mdLen)
@@ -153,11 +159,38 @@ func (e *Engine) Get(step int64, name string) ([]byte, []uint64, error) {
 	if len(shape) != 1 {
 		return nil, nil, fmt.Errorf("adios2: Get supports 1-D variables, %q is %d-D", name, len(shape))
 	}
-	esz := dtype.Size()
-	out := make([]byte, int64(shape[0])*esz)
+	// The metadata is input from outside. Before anything is sized by it,
+	// every chunk must lie inside the shape, and the shape must be no larger
+	// than what the chunks say they hold — which each is held to below,
+	// against the bytes actually read.
+	esz := uint64(dtype.Size())
+	if shape[0] > math.MaxInt64/esz {
+		return nil, nil, fmt.Errorf("adios2: %q has an impossible shape %v", name, shape)
+	}
+	size := shape[0] * esz
+	var held uint64
+	for _, c := range chunks {
+		if len(c.Start) != 1 || c.RawLen < 0 || uint64(c.RawLen) > size || c.Start[0] > (size-uint64(c.RawLen))/esz {
+			return nil, nil, fmt.Errorf("adios2: %q: a chunk of %d bytes at %v lies outside the shape %v", name, c.RawLen, c.Start, shape)
+		}
+		if c.Offset < 0 || c.Len < perPutHeaderBytes {
+			return nil, nil, fmt.Errorf("adios2: %q: a chunk stored at [%d,+%d) of data.%d", name, c.Offset, c.Len, c.Subfile)
+		}
+		held += uint64(c.RawLen) // each at most size: no overflow short of 2^64/size chunks
+	}
+	if size > held {
+		return nil, nil, fmt.Errorf("adios2: %q: shape %v is %d bytes, its chunks hold %d", name, shape, size, held)
+	}
 	p := e.h.Proc
 
-	// Group chunk reads by subfile to open each data.N once.
+	// Group chunk reads by subfile to open each data.N once. The global
+	// array is made once every chunk has been read back whole: by then its
+	// size is backed by bytes that exist.
+	type piece struct {
+		at   uint64
+		body []byte
+	}
+	pieces := make([]piece, 0, len(chunks))
 	bySub := map[int][]chunkDesc{}
 	for _, c := range chunks {
 		bySub[c.Subfile] = append(bySub[c.Subfile], c)
@@ -202,10 +235,13 @@ func (e *Engine) Get(step int64, name string) ([]byte, []uint64, error) {
 				fd.Close(p)
 				return nil, nil, fmt.Errorf("adios2: chunk for %q too short: %d < %d", name, len(body), c.RawLen)
 			}
-			dst := int64(c.Start[0]) * esz
-			copy(out[dst:], body[:c.RawLen])
+			pieces = append(pieces, piece{c.Start[0] * esz, body[:c.RawLen]})
 		}
 		fd.Close(p)
+	}
+	out := make([]byte, size)
+	for _, pc := range pieces {
+		copy(out[pc.at:], pc.body)
 	}
 	return out, shape, nil
 }

@@ -69,9 +69,9 @@ func Run(cfg Config, re RankEnv) error {
 	}
 	switch cfg.Mode {
 	case IOOriginal:
-		return runOriginal(cfg, pl, re)
+		return runOriginal(pl, re)
 	case IOOpenPMD:
-		return runOpenPMD(cfg, pl, re)
+		return runOpenPMD(pl, re)
 	default:
 		return fmt.Errorf("bit1: unknown I/O mode %d", cfg.Mode)
 	}
@@ -108,11 +108,16 @@ func readInputDeck(pl *plan, re RankEnv) error {
 
 // plan is what a run derives from its config and the size of the world
 // alone, so that one rank works it out for all of them (mpisim.Memo): it
-// is immutable once built.
+// is immutable once built. It carries the config, so that the frames a
+// rank parks under hold a pointer and not a copy of it.
 type plan struct {
+	cfg       Config
 	inputPath string
 	epochs    []epoch
 	shared    []string // rank 0's global history files
+
+	// Original mode only: a rank's bytes per diagnostic and per checkpoint.
+	diagBytes, checkpointBytes int64
 
 	// openPMD mode only.
 	seriesPath string
@@ -124,9 +129,13 @@ type plan struct {
 
 func newPlan(cfg Config, ranks int) *plan {
 	pl := &plan{
+		cfg:       cfg,
 		inputPath: pfs.Join(cfg.OutDir, "..", cfg.Deck.DatFile+".inp"),
 		epochs:    epochs(cfg.Deck),
 		shared:    sharedFileNames(cfg),
+	}
+	if cfg.Mode == IOOriginal {
+		pl.diagBytes, pl.checkpointBytes = cfg.Sizing.PerRankDiag(ranks), cfg.Sizing.PerRankCheckpoint(ranks)
 	}
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
@@ -174,10 +183,9 @@ func sharedFileNames(cfg Config) []string {
 // .dmp file, re-written at each epoch through buffered stdio, while rank 0
 // additionally appends the global history files — the file-per-process
 // pattern whose metadata cost collapses at scale (Figs. 2–5).
-func runOriginal(cfg Config, pl *plan, re RankEnv) error {
+func runOriginal(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
-	ranks := r.Comm.Size()
-	sz := cfg.Sizing
+	cfg, sz := &pl.cfg, &pl.cfg.Sizing
 
 	datPath := pfs.Join(cfg.OutDir, fmt.Sprintf("%s_%06d.dat", cfg.Deck.DatFile, r.ID))
 	dmpPath := pfs.Join(cfg.OutDir, fmt.Sprintf("%s_%06d.dmp", cfg.Deck.DatFile, r.ID))
@@ -204,7 +212,7 @@ func runOriginal(cfg Config, pl *plan, re RankEnv) error {
 		}
 		prev = ep.step
 		if ep.diag {
-			if err := writeStdioVolume(p, env, datPath, sz.PerRankDiag(ranks), sz.StdioChunk, cfg.StdioOverhead); err != nil {
+			if err := writeStdioVolume(p, env, datPath, pl.diagBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
 				return err
 			}
 			for _, f := range shared {
@@ -213,7 +221,7 @@ func runOriginal(cfg Config, pl *plan, re RankEnv) error {
 			}
 		}
 		if ep.checkpoint {
-			if err := writeStdioVolume(p, env, dmpPath, sz.PerRankCheckpoint(ranks), sz.StdioChunk, cfg.StdioOverhead); err != nil {
+			if err := writeStdioVolume(p, env, dmpPath, pl.checkpointBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
 				return err
 			}
 		}
@@ -242,9 +250,9 @@ func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, 
 // runOpenPMD is the paper's integration: accumulate per-rank vectors,
 // then save everything as openPMD iteration 0 (periodically overwritten
 // with the latest system state) through the ADIOS2 BP4 engine.
-func runOpenPMD(cfg Config, pl *plan, re RankEnv) error {
+func runOpenPMD(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
-	sz := cfg.Sizing
+	cfg := &pl.cfg
 
 	if r.ID == 0 {
 		if err := env.MkdirAll(p, cfg.OutDir); err != nil {
@@ -292,7 +300,7 @@ func runOpenPMD(cfg Config, pl *plan, re RankEnv) error {
 		}
 		if ep.diag {
 			for _, f := range shared {
-				f.Fwrite(p, sz.SharedFileBytes, nil)
+				f.Fwrite(p, cfg.Sizing.SharedFileBytes, nil)
 				f.Fflush(p)
 			}
 		}

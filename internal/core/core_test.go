@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"picmcio/internal/lustre"
@@ -246,8 +247,12 @@ func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(ad.slots) != 2 || cap(ad.slots) != 2 {
-			t.Errorf("a schema of 2 made %d slots with room for %d", len(ad.slots), cap(ad.slots))
+		// For the schema: 3 numbers per component for openPMD and ADIOS2
+		// and a volume accumulator each (one block: TestOpenAllocations
+		// counts it); nothing else until a component is named.
+		if len(ad.nums) != 2*3 || len(ad.vols) != 2 || ad.floats != nil || ad.named != nil {
+			t.Errorf("a schema of 2 made %d numbers, %d volume accumulators, %d content accumulators and %d named handles",
+				len(ad.nums), len(ad.vols), len(ad.floats), len(ad.named))
 		}
 		if err := ad.Declare(schema); err == nil {
 			t.Error("second Declare accepted")
@@ -261,6 +266,9 @@ func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
 				t.Error(err)
 				return
 			}
+		}
+		if len(ad.names) != 3 || len(ad.vols) != 3 || len(ad.floats) != 3 || len(ad.named) != 1 {
+			t.Errorf("after the saves: %d names, %d volume and %d content accumulators, %d named handles, want 3, 3, 3 and 1", len(ad.names), len(ad.vols), len(ad.floats), len(ad.named))
 		}
 		ad.Close()
 	})
@@ -288,5 +296,44 @@ func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
 	})
 	if _, err := NewSchema([]string{"e/position/x", "way/too/deep/name"}); err == nil {
 		t.Error("a schema with a 4-part name accepted")
+	}
+}
+
+// Values and a volume accumulated into one component between two saves is
+// an error naming it, from every rank that did it and before anything
+// collective: nobody is left parked, the world drains, and the adaptor
+// still closes.
+func TestMixedAccumulationIsAnError(t *testing.T) {
+	schema, err := NewSchema([]string{"e/position/x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"e/position/x", "e/momentum/x"} {
+		rg := newRig(4)
+		failed := 0
+		rg.w.Run(func(r *mpisim.Rank) {
+			ad, err := NewAdaptor(rg.host(r), "/mixed.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
+			if err == nil {
+				err = ad.Declare(schema)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ad.AccumulateFloats(name, []float64{1, 2})
+			ad.AccumulateVolume(name, 7)
+			err = ad.SaveIteration(0)
+			if err == nil || !strings.HasPrefix(err.Error(), "core:") || !strings.Contains(err.Error(), name) {
+				t.Errorf("rank %d: saving %s after values and a volume: %v, want a core: error naming it", r.ID, name, err)
+				return
+			}
+			failed++
+			if err := ad.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+		if failed != 4 {
+			t.Errorf("%s: %d of 4 ranks got the error", name, failed)
+		}
 	}
 }

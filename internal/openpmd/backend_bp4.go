@@ -115,26 +115,39 @@ func (b *bp4Backend) beginIteration(id uint64) error {
 	return nil
 }
 
-func (b *bp4Backend) declare(rcs []RecordComponent, paths []string, t Datatype, dims int) {
-	vars := b.io.DefineVariables(paths, t.adios(), dims)
-	for i := range rcs {
-		rcs[i].bpVar = &vars[i]
-	}
-}
-
-func (b *bp4Backend) store(rc *RecordComponent, data []float64) error {
-	v := rc.bpVar
-	if v == nil {
-		// Another handle on the same path may have defined it already.
-		v, _ = b.io.InquireVariable(rc.path)
-	}
-	if v == nil {
+// bind finds or defines the variables of a set's components, at its first
+// store: a schema's all together over the set's own block of numbers, and
+// so a named component's — unless another handle on the same path defined
+// the variable already, which is then handed a copy at every store.
+func (b *bp4Backend) bind(set *ComponentSet) error {
+	vars := set.vars
+	if vars == nil {
+		if v, ok := b.io.InquireVariable(set.paths[0]); ok {
+			set.bpRow, set.bpAt, set.bpInPlace = v.Row(), v.Index(), false
+			return nil
+		}
 		var err error
-		v, err = b.io.DefineVariable(rc.path, rc.dtype.adios(), rc.extent(), rc.offset(), rc.count())
-		if err != nil {
+		if vars, err = adios2.NewVarSet(set.paths, set.dtype.adios(), set.dims); err != nil {
 			return err
 		}
-	} else {
+	}
+	row, err := b.io.DefineRow(vars, set.nums)
+	if err != nil {
+		return err
+	}
+	set.bpRow, set.bpAt, set.bpInPlace = row, 0, true
+	return nil
+}
+
+func (b *bp4Backend) store(rc RecordComponent, data []float64) error {
+	set := rc.set
+	if set.bpRow == nil {
+		if err := b.bind(set); err != nil {
+			return err
+		}
+	}
+	v := set.bpRow.At(set.bpAt + rc.i)
+	if !set.bpInPlace {
 		if err := v.SetShape(rc.extent()); err != nil {
 			return err
 		}
@@ -142,11 +155,10 @@ func (b *bp4Backend) store(rc *RecordComponent, data []float64) error {
 			return err
 		}
 	}
-	rc.bpVar = v
 	if data == nil {
-		return b.eng.Put(v, nil)
+		return b.eng.Put(&v, nil)
 	}
-	return b.eng.PutFloat64s(v, data)
+	return b.eng.PutFloat64s(&v, data)
 }
 
 func (b *bp4Backend) closeIteration() error {

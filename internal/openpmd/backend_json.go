@@ -55,19 +55,17 @@ func (b *jsonBackend) beginIteration(id uint64) error {
 	return nil
 }
 
-func (b *jsonBackend) declare([]RecordComponent, []string, Datatype, int) {}
-
-func (b *jsonBackend) store(rc *RecordComponent, data []float64) error {
+func (b *jsonBackend) store(rc RecordComponent, data []float64) error {
 	if data == nil {
 		return fmt.Errorf("openpmd: json backend requires real data (content mode)")
 	}
-	if rc.rank() != 1 {
+	if rc.set.dims != 1 {
 		return fmt.Errorf("openpmd: json backend supports 1-D datasets")
 	}
-	// rc reuses its dimension storage; the staged message keeps copies.
-	dims := append([]uint64(nil), rc.dims...)
+	// rc's numbers are overwritten in place; the staged message keeps copies.
+	dims := []uint64{rc.extent()[0], rc.offset()[0], rc.count()[0]}
 	b.staged = append(b.staged, jsonChunkMsg{
-		Var: rc.path, Extent: dims[:1], Offset: dims[1:2], Count: dims[2:], Data: data,
+		Var: rc.Path(), Extent: dims[:1], Offset: dims[1:2], Count: dims[2:], Data: data,
 	})
 	return nil
 }

@@ -108,31 +108,47 @@ func TestComponentsMatchOneAtATime(t *testing.T) {
 			}
 			it, _ := s.WriteIteration(3)
 			before := rg.w.MemoBuilds()
-			rcs, err := it.Components(schema)
-			if err != nil || len(rcs) != len(names) {
-				t.Errorf("Components: %d components, %v", len(rcs), err)
+			nums := make([]uint64, schema.RowWords())
+			cs, err := it.Components(schema, nums)
+			if err != nil || cs.Len() != len(names) {
+				t.Errorf("Components: %d components, %v", cs.Len(), err)
 				return
 			}
 			if rg.w.MemoBuilds() != before {
 				builders++
+			}
+			if _, err := it.Components(schema, nums[1:]); err == nil {
+				t.Error("a block one number short accepted")
 			}
 			for i, n := range names {
 				single := it.Particles(n.Species).Record(n.Record).Component(n.Component)
 				if n.Mesh {
 					single = it.Meshes(n.Record).Component(n.Component)
 				}
-				if rcs[i].Path() != single.Path() {
-					t.Errorf("component %d is %s, one at a time %s", i, rcs[i].Path(), single.Path())
+				rc := cs.At(i)
+				if rc.Path() != single.Path() {
+					t.Errorf("component %d is %s, one at a time %s", i, rc.Path(), single.Path())
 				}
-				if err := rcs[i].ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
+				if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
 					t.Error(err)
 				}
-				if err := rcs[i].StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
+				if err := rc.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
 					t.Error(err)
+				}
+				// The block is the one place the numbers are, in the
+				// order extent, offset, count.
+				if got, want := [3]uint64(nums[3*i:3*i+3]), [3]uint64{4, uint64(r.ID), 1}; got != want {
+					t.Errorf("component %d: the block holds %v, want %v", i, got, want)
+				}
+				if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4, 4}}); err == nil {
+					t.Error("a 2-D dataset in a schema of 1-D ones accepted")
+				}
+				if err := rc.ResetDataset(Dataset{Type: UInt64, Extent: []uint64{4}}); err == nil {
+					t.Error("a dataset of another type than the schema's accepted")
 				}
 			}
 			it.Close()
-			if _, err := it.Components(schema); err == nil {
+			if _, err := it.Components(schema, nums); err == nil {
 				t.Error("Components on a closed iteration accepted")
 			}
 			s.Close()
@@ -163,20 +179,20 @@ func TestSelectionsStayPerRank(t *testing.T) {
 			return
 		}
 		it, _ := s.WriteIteration(0)
-		rcs, err := it.Components(schema)
+		cs, err := it.Components(schema, make([]uint64, schema.RowWords()))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		for c := range rcs {
+		for c := 0; c < cs.Len(); c++ {
 			data := make([]float64, r.ID+1)
 			for i := range data {
 				data[i] = float64(100*c + 10*r.ID + i)
 			}
-			if err := rcs[c].ResetDataset(Dataset{Type: Float64, Extent: []uint64{total}}); err != nil {
+			if err := cs.At(c).ResetDataset(Dataset{Type: Float64, Extent: []uint64{total}}); err != nil {
 				t.Error(err)
 			}
-			if err := rcs[c].StoreChunk([]uint64{offset(r.ID)}, []uint64{uint64(r.ID + 1)}, data); err != nil {
+			if err := cs.At(c).StoreChunk([]uint64{offset(r.ID)}, []uint64{uint64(r.ID + 1)}, data); err != nil {
 				t.Error(err)
 			}
 		}
@@ -222,21 +238,106 @@ func TestSelectionsStayPerRank(t *testing.T) {
 			return
 		}
 		it, _ := s.ReadIteration(0)
-		rcs, err := it.Components(schema)
+		cs, err := it.Components(schema, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		for c := range rcs {
+		for c := 0; c < cs.Len(); c++ {
 			var want []float64
 			for rk := 0; rk < ranks; rk++ {
 				for i := 0; i <= rk; i++ {
 					want = append(want, float64(100*c+10*rk+i))
 				}
 			}
-			if got, _, err := rcs[c].Load(); err != nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s holds %v (%v), want %v", rcs[c].Path(), got, err, want)
+			if got, _, err := cs.At(c).Load(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s holds %v (%v), want %v", cs.At(c).Path(), got, err, want)
 			}
+		}
+		s.Close()
+	})
+}
+
+// A component taken by name on a path a schema also resolves to writes
+// through the schema's ADIOS2 variable — found by name, handed a copy of
+// the handle's own numbers at every store — and the two handles' chunks
+// land side by side, across a re-opened iteration too. A named handle
+// whose dataset changes dimensionality fails where it did before: at the
+// variable, which keeps its own.
+func TestNamedHandleOnDeclaredPath(t *testing.T) {
+	const ranks = 2
+	schema, names := testSchema(t, 2)
+	rg := newRig(ranks)
+	rg.w.Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/shared.bp4", AccessCreate, "[adios2.engine.parameters]\nNumAggregators = \"1\"\nProfile = \"off\"")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.WriteIteration(0)
+		cs, err := it.Components(schema, make([]uint64, schema.RowWords()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		named := it.Particles(names[0].Species).Record(names[0].Record).Component(names[0].Component)
+		if named.Path() != cs.At(0).Path() {
+			t.Errorf("the named handle is on %s, the schema's on %s", named.Path(), cs.At(0).Path())
+		}
+		// Rank r holds elements 2r and 2r+1 of component 0: the first
+		// through the schema's handle, the second through the named one.
+		for epoch := 0; epoch < 2; epoch++ {
+			if epoch > 0 {
+				if again, err := s.WriteIteration(0); err != nil || again != it {
+					t.Errorf("re-opening iteration 0: %v, %v", again, err)
+				}
+			}
+			base := float64(100 * epoch)
+			for c := 0; c < cs.Len(); c++ {
+				if err := cs.At(c).ResetDataset(Dataset{Type: Float64, Extent: []uint64{2 * ranks}}); err != nil {
+					t.Error(err)
+				}
+			}
+			errs := []error{
+				cs.At(0).StoreChunk([]uint64{uint64(2 * r.ID)}, []uint64{1}, []float64{base + float64(2*r.ID)}),
+				named.ResetDataset(Dataset{Type: Float64, Extent: []uint64{2 * ranks}}),
+				named.StoreChunk([]uint64{uint64(2*r.ID + 1)}, []uint64{1}, []float64{base + float64(2*r.ID+1)}),
+				cs.At(1).StoreChunk([]uint64{uint64(2 * r.ID)}, []uint64{2}, []float64{base, base}),
+				it.Close(),
+			}
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("epoch %d, call %d: %v", epoch, i, err)
+				}
+			}
+		}
+		next, _ := s.WriteIteration(1)
+		alone := next.Meshes("rho").Component(Scalar)
+		errs := []error{
+			alone.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks}}),
+			alone.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}),
+			alone.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks, 2}}),
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("iteration 1, call %d: %v", i, err)
+			}
+		}
+		if err := alone.StoreChunk([]uint64{uint64(r.ID), 0}, []uint64{1, 1}, []float64{1}); err == nil || !strings.HasPrefix(err.Error(), "adios2:") {
+			t.Errorf("storing a 2-D chunk into a 1-D variable: %v, want an adios2: error", err)
+		}
+		s.Close()
+	})
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/shared.bp4", AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.ReadIteration(0)
+		got, _, err := it.Particles(names[0].Species).Record(names[0].Record).Component(names[0].Component).Load()
+		if want := []float64{100, 101, 102, 103}; err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("component 0 holds %v (%v), want %v", got, err, want)
 		}
 		s.Close()
 	})

@@ -70,14 +70,10 @@ type Dataset struct {
 type backend interface {
 	// beginIteration opens iteration id for writing.
 	beginIteration(id uint64) error
-	// declare is told of the components a schema resolved to in the open
-	// write iteration — rcs[i] at paths[i], all of type t and dims
-	// dimensions — before any of them is stored.
-	declare(rcs []RecordComponent, paths []string, t Datatype, dims int)
 	// store stages the chunk rc.offset()/rc.count() of a record
 	// component. Those slices are overwritten by rc's next StoreChunk, so
 	// a backend that keeps them past the call copies them.
-	store(rc *RecordComponent, data []float64) error
+	store(rc RecordComponent, data []float64) error
 	// closeIteration finalizes the open iteration.
 	closeIteration() error
 	// close finalizes the series.
@@ -327,39 +323,82 @@ func NewSchema(names []ComponentName, t Datatype, dims int) (*Schema, error) {
 	return &Schema{names: append([]ComponentName(nil), names...), dtype: t, dims: dims}, nil
 }
 
-// schemaKey is the world-memo key of a schema's paths in one iteration.
+// RowWords reports the length of the block of numbers a rank keeps for the
+// schema's components in an iteration: per component its extent and the
+// offset and count of the chunk last stored, each of the schema's
+// dimensionality.
+func (s *Schema) RowWords() int { return 3 * s.dims * len(s.names) }
+
+// schemaKey is the world-memo key of what a schema resolves to in one
+// iteration.
 type schemaKey struct {
 	id uint64
 	s  *Schema
 }
 
-// Components returns one component per name of the schema, in its order —
-// what Meshes/Particles(..).Record(..).Component(..) return one at a time
-// — out of one block, each with a zero extent of the schema's
-// dimensionality for ResetDataset to set. On the BP backend their
-// variables are defined here, together, so the engine knows how many
-// before the first is stored.
-func (it *Iteration) Components(s *Schema) ([]RecordComponent, error) {
-	if !it.read && it.closed {
-		return nil, fmt.Errorf("openpmd: Components on closed iteration %d", it.ID)
+// resolved is what a schema comes to in one iteration, the same on every
+// rank: the components' paths, and the ADIOS2 variables of those names.
+type resolved struct {
+	paths []string
+	vars  *adios2.VarSet
+}
+
+// ComponentSet is the components a Schema — or one name — resolves to in
+// one iteration: their paths, shared by every rank that resolves the same
+// schema, and this rank's block of numbers for them, overwritten in place.
+// Its components are addressed by index (At).
+type ComponentSet struct {
+	it    *Iteration
+	paths []string
+	dtype Datatype
+	dims  int // 0 until a named component's ResetDataset
+	// nums holds, per component, the dataset extent and the offset and count
+	// of the chunk last stored, each of dims words. A schema's is the block
+	// Components was given; a named component's is made by ResetDataset.
+	nums []uint64
+	// vars is a schema's ADIOS2 variables; nil for a named component.
+	vars *adios2.VarSet
+	// On the BP backend, once a component has been stored: component i is
+	// variable bpAt+i of bpRow, which reads nums in place if bpInPlace and is
+	// handed a copy at every store otherwise.
+	bpRow     *adios2.VarRow
+	bpAt      int
+	bpInPlace bool
+}
+
+// Components resolves the schema in the iteration: what
+// Meshes/Particles(..).Record(..).Component(..) return one at a time, in
+// the schema's order, as one set over one block of numbers. nums is that
+// block, s.RowWords() long; the set keeps it, the layers below
+// read it where it lies, and nothing copies it. (A read iteration takes no
+// block.) On the BP backend the components' variables are defined together
+// at the first store, so the engine knows how many before the first Put.
+func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) {
+	if it.read {
+		nums = nil
+	} else if it.closed {
+		return ComponentSet{}, fmt.Errorf("openpmd: Components on closed iteration %d", it.ID)
+	} else if len(nums) != s.RowWords() {
+		return ComponentSet{}, fmt.Errorf("openpmd: a block of %d numbers for %d components of %d dimensions", len(nums), len(s.names), s.dims)
 	}
-	paths := mpisim.Memo(it.series.host.Comm, schemaKey{it.ID, s}, func() []string {
+	res := mpisim.Memo(it.series.host.Comm, schemaKey{it.ID, s}, func() resolved {
 		paths := make([]string, len(s.names))
 		for i, n := range s.names {
 			paths[i] = it.componentPath(it.recordPath(n.Mesh, n.Species, n.Record), n.Component)
 		}
-		return paths
+		// dims was checked by NewSchema.
+		vars, _ := adios2.NewVarSet(paths, s.dtype.adios(), s.dims)
+		return resolved{paths, vars}
 	})
-	rcs, dims := make([]RecordComponent, len(paths)), make([]uint64, 3*s.dims*len(paths))
-	for i, path := range paths {
-		lo, hi := 3*s.dims*i, 3*s.dims*(i+1)
-		rcs[i] = RecordComponent{it: it, path: path, dtype: s.dtype, dims: dims[lo:hi:hi]}
-	}
-	if !it.read {
-		it.series.be.declare(rcs, paths, s.dtype, s.dims)
-	}
-	return rcs, nil
+	return ComponentSet{it: it, paths: res.paths, dtype: s.dtype, dims: s.dims, nums: nums, vars: res.vars}, nil
 }
+
+// Len reports the number of components in the set.
+func (cs *ComponentSet) Len() int { return len(cs.paths) }
+
+// At returns the handle of component i: a value, good for as long as the
+// set stays where it is.
+func (cs *ComponentSet) At(i int) RecordComponent { return RecordComponent{set: cs, i: i} }
 
 // Close finalizes the iteration: with the BP backend this triggers the
 // EndStep that aggregates and writes the data. A closed iteration and the
@@ -410,58 +449,67 @@ func (it *Iteration) componentPath(record, name string) string {
 
 // Component returns a record component; use Scalar for scalar records.
 func (r *Record) Component(name string) *RecordComponent {
-	return &RecordComponent{it: r.it, path: r.it.componentPath(r.path, name)}
+	set := &ComponentSet{it: r.it, paths: []string{r.it.componentPath(r.path, name)}}
+	return &RecordComponent{set: set}
 }
 
-// RecordComponent is the leaf object data is stored into. A writer may
-// keep one for as long as its iteration is open or can be re-opened: the
-// component remembers its dataset and, on the BP backend, its ADIOS2
-// variable.
+// RecordComponent is the leaf object data is stored into: a handle on one
+// component of a ComponentSet. A writer may keep one for as long as its
+// iteration is open or can be re-opened: the set remembers the component's
+// dataset and, on the BP backend, its ADIOS2 variable.
 type RecordComponent struct {
-	it    *Iteration
-	path  string
-	dtype Datatype
-	// dims is the component's own storage for the dataset extent and the
-	// chunk last stored — extent, offset, count, each of the dataset's
-	// rank — overwritten in place. nil until ResetDataset.
-	dims []uint64
-	// bpVar is the BP backend's variable for path, once defined.
-	bpVar *adios2.Variable
+	set *ComponentSet
+	i   int
 }
 
 // Path reports the full openPMD variable path of the component.
-func (rc *RecordComponent) Path() string { return rc.path }
+func (rc RecordComponent) Path() string { return rc.set.paths[rc.i] }
 
-func (rc *RecordComponent) rank() int        { return len(rc.dims) / 3 }
-func (rc *RecordComponent) extent() []uint64 { return rc.dims[:rc.rank()] }
-func (rc *RecordComponent) offset() []uint64 { return rc.dims[rc.rank() : 2*rc.rank()] }
-func (rc *RecordComponent) count() []uint64  { return rc.dims[2*rc.rank():] }
+// dim returns part k of the component's numbers: 0 extent, 1 offset, 2
+// count.
+func (rc RecordComponent) dim(k int) []uint64 {
+	d := rc.set.dims
+	lo := (3*rc.i + k) * d
+	return rc.set.nums[lo : lo+d : lo+d]
+}
+
+func (rc RecordComponent) extent() []uint64 { return rc.dim(0) }
+func (rc RecordComponent) offset() []uint64 { return rc.dim(1) }
+func (rc RecordComponent) count() []uint64  { return rc.dim(2) }
 
 // writable reports why the component cannot be written, if it cannot.
-func (rc *RecordComponent) writable(op string) error {
-	if rc.it.read {
+func (rc RecordComponent) writable(op string) error {
+	if it := rc.set.it; it.read {
 		return fmt.Errorf("openpmd: %s on read iteration", op)
-	}
-	if rc.it.closed {
-		return fmt.Errorf("openpmd: %s: %s on closed iteration %d", rc.path, op, rc.it.ID)
+	} else if it.closed {
+		return fmt.Errorf("openpmd: %s: %s on closed iteration %d", rc.Path(), op, it.ID)
 	}
 	return nil
 }
 
 // ResetDataset declares the component's global datatype and extent. The
-// extent is copied.
-func (rc *RecordComponent) ResetDataset(d Dataset) error {
+// extent is copied. A component of a schema keeps the schema's datatype
+// and dimensionality.
+func (rc RecordComponent) ResetDataset(d Dataset) error {
 	if err := rc.writable("ResetDataset"); err != nil {
 		return err
 	}
-	n := len(d.Extent)
+	set, n := rc.set, len(d.Extent)
 	if n == 0 {
-		return fmt.Errorf("openpmd: empty extent for %s", rc.path)
+		return fmt.Errorf("openpmd: empty extent for %s", rc.Path())
 	}
-	if len(rc.dims) != 3*n {
-		rc.dims = make([]uint64, 3*n)
+	if set.vars != nil {
+		if n != set.dims || d.Type != set.dtype {
+			return fmt.Errorf("openpmd: %s: a %d-dimensional dataset of another type or dimensionality than its schema's %d", rc.Path(), n, set.dims)
+		}
+	} else {
+		if n != set.dims {
+			// The variable bound to the old block, if any, is found again
+			// by name at the next store.
+			set.nums, set.dims, set.bpRow = make([]uint64, 3*n), n, nil
+		}
+		set.dtype = d.Type
 	}
-	rc.dtype = d.Type
 	copy(rc.extent(), d.Extent)
 	return nil
 }
@@ -470,15 +518,15 @@ func (rc *RecordComponent) ResetDataset(d Dataset) error {
 // must have exactly the extent's element count. Per openPMD rules the
 // buffer must stay untouched until the iteration closes; offset and extent
 // are copied.
-func (rc *RecordComponent) StoreChunk(offset, extent []uint64, data []float64) error {
+func (rc RecordComponent) StoreChunk(offset, extent []uint64, data []float64) error {
 	if err := rc.writable("StoreChunk"); err != nil {
 		return err
 	}
-	if rc.dims == nil {
-		return fmt.Errorf("openpmd: %s: StoreChunk before ResetDataset", rc.path)
+	if rc.set.nums == nil {
+		return fmt.Errorf("openpmd: %s: StoreChunk before ResetDataset", rc.Path())
 	}
-	if len(offset) != rc.rank() || len(extent) != rc.rank() {
-		return fmt.Errorf("openpmd: %s: chunk rank mismatch", rc.path)
+	if len(offset) != rc.set.dims || len(extent) != rc.set.dims {
+		return fmt.Errorf("openpmd: %s: chunk rank mismatch", rc.Path())
 	}
 	if data != nil {
 		n := uint64(1)
@@ -486,20 +534,21 @@ func (rc *RecordComponent) StoreChunk(offset, extent []uint64, data []float64) e
 			n *= e
 		}
 		if uint64(len(data)) != n {
-			return fmt.Errorf("openpmd: %s: chunk has %d elements, extent wants %d", rc.path, len(data), n)
+			return fmt.Errorf("openpmd: %s: chunk has %d elements, extent wants %d", rc.Path(), len(data), n)
 		}
 	}
 	copy(rc.offset(), offset)
 	copy(rc.count(), extent)
-	return rc.it.series.be.store(rc, data)
+	return rc.set.it.series.be.store(rc, data)
 }
 
 // Load reads the whole component (read mode).
-func (rc *RecordComponent) Load() ([]float64, []uint64, error) {
-	if !rc.it.read {
+func (rc RecordComponent) Load() ([]float64, []uint64, error) {
+	it := rc.set.it
+	if !it.read {
 		return nil, nil, fmt.Errorf("openpmd: Load on write iteration")
 	}
-	return rc.it.series.be.load(rc.it.ID, rc.path)
+	return it.series.be.load(it.ID, rc.Path())
 }
 
 // ListRecordComponents lists the component paths stored in an iteration,

@@ -337,3 +337,43 @@ func TestBackendConformance(t *testing.T) {
 		t.Logf("reference record:\n%s", ref)
 	}
 }
+
+// A read of a negative offset or length is pread's EINVAL on every
+// backend and through a burst tier: nothing returned, nothing served, no
+// time spent — and a length that would overflow past the end is clipped
+// like any other.
+func TestReadRejectsNegativeRegion(t *testing.T) {
+	check := func(name string, k *sim.Kernel, fs pfs.FileSystem) {
+		k.Spawn("reader", func(p *sim.Proc) {
+			c := &pfs.Client{}
+			f, err := fs.Create(p, c, "/neg.dat")
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			f.WriteAt(p, c, 0, 5, []byte("hello"))
+			f.ReadAt(p, c, 0, 1) // a burst tier drains before its first read
+			before := p.Now()
+			for _, r := range [][2]int64{{-1, 4}, {0, -1}, {-1 << 63, -1 << 63}, {1 << 62, 1 << 62}} {
+				if got := f.ReadAt(p, c, r[0], r[1]); got != nil {
+					t.Errorf("%s: ReadAt(%d, %d) returned %q", name, r[0], r[1], got)
+				}
+			}
+			if p.Now() != before {
+				t.Errorf("%s: rejected reads took %v", name, p.Now()-before)
+			}
+			if got := string(f.ReadAt(p, c, 2, 1<<63-1)); got != "llo" {
+				t.Errorf("%s: ReadAt(2, MaxInt64) = %q, want %q", name, got, "llo")
+			}
+			f.Close(p, c)
+		})
+		k.Run()
+	}
+	for _, b := range backends {
+		k := sim.NewKernel()
+		check(b.name, k, b.build(k))
+	}
+	k := sim.NewKernel()
+	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 64 * mib, Rate: 5e9, PerOp: 10e-6}, traceLustre(k))
+	check("burst+lustre", k, tier.FS())
+}

@@ -187,16 +187,16 @@ func (f *file) WriteAt(p *sim.Proc, c *Client, off, n int64, data []byte) {
 	p.SleepUntil(end)
 }
 
-// ReadAt implements File. A read at or past EOF is free; one that
-// straddles it is clipped. The content is taken after the sleep, so it
-// includes what was written while this process waited.
+// ReadAt implements File. A read at or past EOF is free, and so is one
+// with a negative offset or length — pread's EINVAL: nothing is served and
+// nothing returned; one that straddles EOF is clipped. The content is
+// taken after the sleep, so it includes what was written while this
+// process waited.
 func (f *file) ReadAt(p *sim.Proc, c *Client, off, n int64) []byte {
-	if off >= f.node.Size {
+	if off < 0 || n < 0 || off >= f.node.Size {
 		return nil
 	}
-	if off+n > f.node.Size {
-		n = f.node.Size - off
-	}
+	n = min(n, f.node.Size-off)
 	end := f.fe.b.Serve(f.node, off, n, nicDone(p, c, n))
 	f.fe.bytesRead += uint64(n)
 	p.SleepUntil(end)

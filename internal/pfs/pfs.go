@@ -341,15 +341,13 @@ func NodeWrite(n *Node, off, length int64, data []byte) {
 }
 
 // NodeRead returns content-mode bytes for [off, off+length), clipped to the
-// file size; nil if the region is volume-mode.
+// file size; nil if the region is volume-mode, or no region at all
+// (negative offset or length).
 func NodeRead(n *Node, off, length int64) []byte {
-	if off >= n.Size {
+	if off < 0 || length < 0 || off >= n.Size {
 		return nil
 	}
-	end := off + length
-	if end > n.Size {
-		end = n.Size
-	}
+	end := off + min(length, n.Size-off)
 	if int64(len(n.Content)) >= end {
 		return n.Content[off:end]
 	}

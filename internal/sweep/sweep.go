@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -316,15 +317,34 @@ type Options struct {
 
 // ForEach evaluates fn(i) for every i in [0, n) on a bounded worker
 // pool of min(parallel, n) goroutines (parallel <= 1: serial, in index
-// order). A failing index stops the dispatch — no further indices are
-// handed out, though in-flight parallel ones finish — and ForEach
-// returns the lowest-index error observed. It is the pool behind Run,
-// exported so other deterministic fan-outs (the sched pricer's Prewarm)
-// share one concurrency discipline instead of growing their own.
+// order). A failing index — an error, or a panic, which becomes that
+// index's error with the frames it came from, so that one bad trial
+// costs its own result and not the process with every other trial's —
+// stops the dispatch: no further indices are handed out, though
+// in-flight parallel ones finish, and ForEach returns the lowest-index
+// error observed. It is the pool behind Run, exported so other
+// deterministic fan-outs (the sched pricer's Prewarm) share one
+// concurrency discipline instead of growing their own.
 func ForEach(n, parallel int, fn func(i int) error) error {
+	_, err := forEach(n, parallel, fn)
+	return err
+}
+
+// forEach is ForEach, also returning the index its error came from.
+func forEach(n, parallel int, fn func(i int) error) (int, error) {
 	errs := make([]error, n)
 	var failed atomic.Bool
 	one := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.Store(true) // stop the dispatch before paying for the stack
+				stack := strings.Split(strings.TrimSpace(string(debug.Stack())), "\n")
+				// Below the goroutine header, debug.Stack, this closure and
+				// panic itself (two lines a frame): where it was raised.
+				stack = stack[min(7, len(stack)):]
+				errs[i] = fmt.Errorf("sweep: trial panicked: %v\n%s", r, strings.Join(stack[:min(8, len(stack))], "\n"))
+			}
+		}()
 		if err := fn(i); err != nil {
 			errs[i] = err
 			failed.Store(true)
@@ -352,20 +372,20 @@ func ForEach(n, parallel int, fn func(i int) error) error {
 			one(i)
 		}
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // Run evaluates the trial at every cell of the grid and returns the
 // points in grid order. Trials run on min(Parallel, Size) workers. A
 // failing trial stops the sweep — no further cells are dispatched
 // (in-flight parallel trials finish) — and Run returns the
-// lowest-index error observed, with its parameter assignment wrapped
-// in.
+// lowest-index error observed, a panic included, with its parameter
+// assignment wrapped in.
 func Run(g Grid, opt Options, trial Trial) (Table, error) {
 	if err := g.Validate(); err != nil {
 		return Table{}, err
@@ -375,12 +395,12 @@ func Run(g Grid, opt Options, trial Trial) (Table, error) {
 	}
 	n := g.Size()
 	t := Table{Title: opt.Title, Seed: opt.Seed, Axes: g, Points: make([]Point, n)}
-	err := ForEach(n, opt.Parallel, func(i int) error {
+	i, err := forEach(n, opt.Parallel, func(i int) error {
 		c := g.At(i)
 		c.Seed = xrand.SeedAt(opt.Seed, uint64(i))
 		p, err := trial(c)
 		if err != nil {
-			return fmt.Errorf("sweep: trial %d (%s): %w", i, paramString(c.Params()), err)
+			return err
 		}
 		p.Index = i
 		if p.Params == nil {
@@ -389,6 +409,9 @@ func Run(g Grid, opt Options, trial Trial) (Table, error) {
 		t.Points[i] = p
 		return nil
 	})
+	if err != nil {
+		err = fmt.Errorf("sweep: trial %d (%s): %w", i, paramString(g.At(i).Params()), err)
+	}
 	return t, err
 }
 

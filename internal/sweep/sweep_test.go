@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -251,5 +252,73 @@ func TestRunStopsAfterFailure(t *testing.T) {
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("serial run evaluated %d trials after the failure at index 1, want 2", got)
+	}
+}
+
+// gateOnPrint is a panic value that opens its gate when it is formatted —
+// which ForEach does only after it has stopped the dispatch.
+type gateOnPrint struct{ gate chan struct{} }
+
+func (g gateOnPrint) String() string {
+	close(g.gate)
+	return "cell 2 blew up"
+}
+
+// A panicking cell is that index's error, not the end of the process: the
+// cells in flight finish, nothing past the failure is dispatched, the pool
+// is gone when ForEach returns, and serial and parallel agree. Through Run
+// the error carries the cell's parameters like any other.
+func TestForEachRecoversPanic(t *testing.T) {
+	const n, bad = 8, 2
+	for _, width := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		gate := make(chan struct{})
+		var ran [n]atomic.Bool
+		err := ForEach(n, width, func(i int) error {
+			ran[i].Store(true)
+			if i == bad {
+				panic(gateOnPrint{gate})
+			}
+			if width > 1 && i < 4 {
+				// In flight with the panic: held until the dispatch has
+				// been stopped, so that what runs after is decided.
+				<-gate
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "sweep: trial panicked: cell 2 blew up") || !strings.Contains(err.Error(), "sweep_test.go") {
+			t.Errorf("width %d: error %q, want the panic's value and where it was raised", width, err)
+		}
+		// Serially nothing follows the failure; in parallel at most the one
+		// index the dispatcher was already handing out.
+		first := map[int]int{1: bad + 1, 4: 5}[width]
+		for i := range ran {
+			if i <= bad && !ran[i].Load() {
+				t.Errorf("width %d: cell %d never ran", width, i)
+			}
+			if i >= first && ran[i].Load() {
+				t.Errorf("width %d: cell %d was dispatched after the failure", width, i)
+			}
+		}
+		// The workers are past wg.Done, on their way out.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("width %d: %d goroutines before, %d after", width, before, after)
+		}
+	}
+
+	_, err := Run(testGrid(), Options{Parallel: 4}, func(c Config) (Point, error) {
+		if c.Str("policy") == "b" && c.Int("nodes") == 2 {
+			var m map[string]int
+			m["x"]++
+		}
+		return Point{}, nil
+	})
+	for _, want := range []string{"trial 4", "policy=b", "nodes=2", "trial panicked", "nil map"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run's error %q missing %q", err, want)
+		}
 	}
 }
