@@ -53,11 +53,14 @@ func main() {
 		}
 	}
 
-	ioMode := bit1.IOOpenPMD
-	if strings.ToLower(*mode) == "original" {
-		ioMode = bit1.IOOriginal
+	ioMode, err := bit1.ParseIOMode(*mode)
+	if err != nil {
+		fatal(err)
 	}
 	numAgg := *aggregators
+	if numAgg < 0 {
+		fatal(fmt.Errorf("-aggregators %d: want a count, or 0 for one per node", numAgg))
+	}
 	if numAgg == 0 {
 		numAgg = *nodes
 	}

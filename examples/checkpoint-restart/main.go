@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log"
 
+	"picmcio/examples/internal/pic"
 	"picmcio/internal/burst"
 	"picmcio/internal/ckptopt"
 	"picmcio/internal/fault"
@@ -32,7 +33,6 @@ import (
 	"picmcio/internal/mpisim"
 	"picmcio/internal/openpmd"
 	"picmcio/internal/pfs"
-	"picmcio/internal/pic"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 	"picmcio/internal/units"

@@ -355,16 +355,3 @@ func (s *Sim) Advance() error {
 	s.Step++
 	return nil
 }
-
-// TotalEnergy reports kinetic plus field energy.
-func (s *Sim) TotalEnergy() float64 {
-	e := 0.0
-	for _, sp := range s.Species {
-		e += sp.KineticEnergy()
-	}
-	dx := s.dx()
-	for _, ef := range s.E {
-		e += 0.5 * Epsilon0 * ef * ef * dx
-	}
-	return e
-}

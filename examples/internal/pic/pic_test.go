@@ -286,13 +286,13 @@ func TestEnergyConservationPlasmaOscillation(t *testing.T) {
 	}
 	s.DepositDensity()
 	s.SolveFields()
-	e0 := s.TotalEnergy()
+	e0 := totalEnergy(s)
 	for i := 0; i < 100; i++ {
 		if err := s.Advance(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e1 := s.TotalEnergy()
+	e1 := totalEnergy(s)
 	if rel := math.Abs(e1-e0) / e0; rel > 0.05 {
 		t.Fatalf("energy drifted %.2f%% over 100 steps", rel*100)
 	}
@@ -317,7 +317,7 @@ func TestVelocityDistributionMoments(t *testing.T) {
 	s := ionizationSetup(t, 50000, 0)
 	e, _ := s.SpeciesByName("e")
 	vth := math.Sqrt(10 * ElementaryQ / ElectronMass)
-	h := VelocityDistribution(e.VX, 40, 5*vth)
+	h := velocityDistribution(e.VX, 40, 5*vth)
 	var count float64
 	for _, c := range h {
 		count += c
@@ -336,54 +336,6 @@ func TestVelocityDistributionMoments(t *testing.T) {
 	}
 	if math.Abs(left-right)/count > 0.05 {
 		t.Fatalf("velocity distribution skewed: %v vs %v", left, right)
-	}
-}
-
-func TestEnergyAndAngularDistributions(t *testing.T) {
-	s := ionizationSetup(t, 20000, 0)
-	e, _ := s.SpeciesByName("e")
-	ed := e.EnergyDistribution(50, 100)
-	var n float64
-	for _, c := range ed {
-		n += c
-	}
-	if n < 0.95*float64(e.N()) {
-		t.Fatalf("energy histogram covers %v of %d", n, e.N())
-	}
-	ad := e.AngularDistribution(20)
-	var an float64
-	for _, c := range ad {
-		an += c
-	}
-	if an != float64(e.N()) {
-		t.Fatalf("angular histogram covers %v of %d", an, e.N())
-	}
-}
-
-func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	s := ionizationSetup(t, 3000, 3e-15)
-	for i := 0; i < 20; i++ {
-		s.Advance()
-	}
-	ck := s.Snapshot()
-	// Run ahead, then restore and re-run: trajectories must match since
-	// the RNG state is independent of particle state... it is not, so we
-	// compare restored state directly instead.
-	e, _ := s.SpeciesByName("e")
-	wantN := e.N()
-	wantX := append([]float64(nil), e.X...)
-	for i := 0; i < 10; i++ {
-		s.Advance()
-	}
-	s.Restore(ck)
-	e2, _ := s.SpeciesByName("e")
-	if s.Step != 20 || e2.N() != wantN {
-		t.Fatalf("restore: step=%d n=%d", s.Step, e2.N())
-	}
-	for i := range wantX {
-		if e2.X[i] != wantX[i] {
-			t.Fatalf("restored X[%d] differs", i)
-		}
 	}
 }
 
@@ -431,8 +383,8 @@ func TestBoundedWallsAbsorbAndAccount(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("no particles reached the walls")
 	}
-	if s.Walls.TotalAbsorbed() != lost {
-		t.Fatalf("flux accounting %d != losses %d", s.Walls.TotalAbsorbed(), lost)
+	if totalAbsorbed(s.Walls) != lost {
+		t.Fatalf("flux accounting %d != losses %d", totalAbsorbed(s.Walls), lost)
 	}
 	lf, rf := s.Walls.Left["e"], s.Walls.Right["e"]
 	if lf == nil || rf == nil || lf.Particles == 0 || rf.Particles == 0 {
@@ -467,4 +419,43 @@ func TestWallFluxSymmetry(t *testing.T) {
 	if asym > 0.1 {
 		t.Fatalf("wall fluxes asymmetric: left=%v right=%v", l, r)
 	}
+}
+
+// totalEnergy is kinetic plus field energy: the conserved quantity of
+// TestEnergyConservationPlasmaOscillation.
+func totalEnergy(s *Sim) float64 {
+	e := 0.0
+	for _, sp := range s.Species {
+		e += sp.KineticEnergy()
+	}
+	dx := s.dx()
+	for _, ef := range s.E {
+		e += 0.5 * Epsilon0 * ef * ef * dx
+	}
+	return e
+}
+
+// totalAbsorbed is the macro-particles lost to both walls.
+func totalAbsorbed(w *WallStats) int64 {
+	var n int64
+	for _, f := range w.Left {
+		n += f.Particles
+	}
+	for _, f := range w.Right {
+		n += f.Particles
+	}
+	return n
+}
+
+// velocityDistribution histograms one velocity component into bins over
+// [-vmax, vmax].
+func velocityDistribution(vs []float64, bins int, vmax float64) []float64 {
+	out := make([]float64, bins)
+	w := 2 * vmax / float64(bins)
+	for _, v := range vs {
+		if i := int((v + vmax) / w); i >= 0 && i < bins {
+			out[i]++
+		}
+	}
+	return out
 }

@@ -32,18 +32,6 @@ func (w *WallStats) flux(side map[string]*WallFlux, name string) *WallFlux {
 	return f
 }
 
-// TotalAbsorbed reports the macro-particles lost to both walls.
-func (w *WallStats) TotalAbsorbed() int64 {
-	var n int64
-	for _, f := range w.Left {
-		n += f.Particles
-	}
-	for _, f := range w.Right {
-		n += f.Particles
-	}
-	return n
-}
-
 // PushParticlesBounded advances positions with absorbing walls instead of
 // periodic wrap, recording wall fluxes. It replaces PushParticles when
 // Params.BoundedWalls is set.

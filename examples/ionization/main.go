@@ -12,11 +12,11 @@ import (
 	"log"
 	"math"
 
+	"picmcio/examples/internal/pic"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/openpmd"
 	"picmcio/internal/pfs"
-	"picmcio/internal/pic"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 )

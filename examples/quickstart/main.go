@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"log"
 
+	"picmcio/examples/internal/pic"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/openpmd"
 	"picmcio/internal/pfs"
-	"picmcio/internal/pic"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 )

@@ -515,8 +515,8 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	if a.set != tmpl.set || b.set != tmpl.set {
 		t.Fatal("Fork copied the settings")
 	}
-	if a.Name() != "tmpl" || a.Operator() != "blosc" || a.Parameter("NumAggregators", "") != "2" {
-		t.Errorf("fork is %q with operator %q and NumAggregators %q", a.Name(), a.Operator(), a.Parameter("NumAggregators", ""))
+	if a.name != "tmpl" || a.set.operator != "blosc" || a.Parameter("NumAggregators", "") != "2" {
+		t.Errorf("fork is %q with operator %q and NumAggregators %q", a.name, a.set.operator, a.Parameter("NumAggregators", ""))
 	}
 	wp, err := a.set.writer()
 	if err != nil || wp.numAgg != 2 {
@@ -532,9 +532,9 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	}
 	tmpl.AddOperation("none")
 	for name, got := range map[string][3]string{
-		"a":    {a.Parameter("NumAggregators", ""), a.Engine(), a.Operator()},
-		"b":    {b.Parameter("NumAggregators", ""), b.Engine(), b.Operator()},
-		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.Engine(), tmpl.Operator()},
+		"a":    {a.Parameter("NumAggregators", ""), a.set.engine, a.set.operator},
+		"b":    {b.Parameter("NumAggregators", ""), b.set.engine, b.set.operator},
+		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.set.engine, tmpl.set.operator},
 	} {
 		want := map[string][3]string{"a": {"x", "BP4", "blosc"}, "b": {"2", "BP5", "blosc"}, "tmpl": {"2", "BP4", "none"}}[name]
 		if got != want {

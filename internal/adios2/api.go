@@ -139,9 +139,6 @@ func (io *IO) own() *settings {
 	return io.set
 }
 
-// Name reports the IO object's name.
-func (io *IO) Name() string { return io.name }
-
 // SetEngine selects the engine type ("BP4" is the engine of the paper;
 // "BP5" is accepted and mapped onto the same writer with BP5's extra
 // metadata file).
@@ -154,9 +151,6 @@ func (io *IO) SetEngine(e string) error {
 		return fmt.Errorf("adios2: unsupported engine %q", e)
 	}
 }
-
-// Engine reports the configured engine type.
-func (io *IO) Engine() string { return io.set.engine }
 
 // SetParameter sets an engine parameter. Recognized keys:
 //
@@ -255,9 +249,6 @@ func (io *IO) AddOperation(codec string) error {
 	io.own().operator = codec
 	return nil
 }
-
-// Operator reports the attached compression operator name ("" if none).
-func (io *IO) Operator() string { return io.set.operator }
 
 // VarSet is the half of a set of variables that is the same on every rank:
 // their names, in definition order, and their common type and

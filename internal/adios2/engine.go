@@ -193,12 +193,6 @@ func (e *Engine) createSubfile() (err error) {
 	return err
 }
 
-// NumAggregators reports the effective aggregator (subfile) count.
-func (e *Engine) NumAggregators() int { return e.nAgg }
-
-// Path reports the dataset directory.
-func (e *Engine) Path() string { return e.path }
-
 // BeginStep starts writing step id. Re-using a previous id replaces that
 // step's payload in place when it fits — the mechanism behind openPMD's
 // "iteration 0 is periodically overwritten" checkpointing strategy.

@@ -1,6 +1,7 @@
-package core
+package bit1
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,13 +29,31 @@ func (rg *rig) host(r *mpisim.Rank) openpmd.Host {
 	return openpmd.Host{Proc: r.Proc, Env: &posix.Env{FS: rg.fs, Client: &pfs.Client{}, Rank: r.ID}, Comm: r.Comm}
 }
 
+// schemaOf is the adaptor's schema of the named components.
+func schemaOf(tb testing.TB, names ...openpmd.ComponentName) *openpmd.Schema {
+	tb.Helper()
+	schema, err := openpmd.NewSchema(names, openpmd.Float64, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return schema
+}
+
+// particle names component comp of a species' record.
+func particle(species, record, comp string) openpmd.ComponentName {
+	return openpmd.ComponentName{Species: species, Record: record, Component: comp}
+}
+
+const profileOff = "[adios2.engine.parameters]\nProfile = \"off\""
+
 func TestAdaptorAccumulateAndSave(t *testing.T) {
+	schema := schemaOf(t, particle("e", "position", "x"))
 	rg := newRig(4)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/io/adapt.bp4", `
+		ad, err := newAdaptor(rg.host(r), "/io/adapt.bp4", `
 [adios2.engine.parameters]
 NumAggregators = "1"
-`)
+`, schema)
 		if err != nil {
 			t.Error(err)
 			return
@@ -45,19 +64,19 @@ NumAggregators = "1"
 		for i := range vals {
 			vals[i] = float64(100*r.ID + i)
 		}
-		ad.AccumulateFloats("e/position/x", vals[:1])
-		ad.AccumulateFloats("e/position/x", vals[1:]) // appends, any_function_save style
-		if ad.PendingVars() != 1 {
-			t.Errorf("pending=%d", ad.PendingVars())
+		ad.accumulateFloats(0, vals[:1])
+		ad.accumulateFloats(0, vals[1:]) // appends, any_function_save style
+		if !ad.pending(0) {
+			t.Error("nothing pending after accumulating")
 		}
-		if err := ad.SaveIteration(0); err != nil {
+		if err := ad.saveIteration(0); err != nil {
 			t.Error(err)
 			return
 		}
-		if ad.PendingVars() != 0 {
+		if ad.pending(0) {
 			t.Error("vectors not cleared after save")
 		}
-		if err := ad.Close(); err != nil {
+		if err := ad.close(); err != nil {
 			t.Error(err)
 		}
 	})
@@ -90,24 +109,25 @@ NumAggregators = "1"
 }
 
 func TestAdaptorVolumeMode(t *testing.T) {
+	schema := schemaOf(t, particle("D+", "position", "x"), particle("D+", "momentum", "x"))
 	rg := newRig(8)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/v.bp4", `
+		ad, err := newAdaptor(rg.host(r), "/v.bp4", `
 [adios2.engine.parameters]
 NumAggregators = "2"
 Profile = "off"
-`)
+`, schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ad.AccumulateVolume("D+/position/x", 1000)
-		ad.AccumulateVolume("D+/momentum/x", 1000)
-		if err := ad.SaveIteration(0); err != nil {
+		ad.accumulateVolume(0, 1000)
+		ad.accumulateVolume(1, 1000)
+		if err := ad.saveIteration(0); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := ad.Close(); err != nil {
+		if err := ad.close(); err != nil {
 			t.Error(err)
 		}
 	})
@@ -124,19 +144,20 @@ Profile = "off"
 }
 
 func TestAdaptorMeshComponent(t *testing.T) {
+	schema := schemaOf(t, openpmd.ComponentName{Mesh: true, Record: "density", Component: openpmd.Scalar})
 	rg := newRig(2)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/m.json", "")
+		ad, err := newAdaptor(rg.host(r), "/m.json", "", schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ad.AccumulateFloats("meshes/density", []float64{float64(r.ID), float64(r.ID)})
-		if err := ad.SaveIteration(5); err != nil {
+		ad.accumulateFloats(0, []float64{float64(r.ID), float64(r.ID)})
+		if err := ad.saveIteration(5); err != nil {
 			t.Error(err)
 			return
 		}
-		ad.Close()
+		ad.close()
 	})
 	if _, err := rg.fs.Namespace().Lookup("/m.json/data/5.json"); err != nil {
 		t.Fatal(err)
@@ -146,25 +167,26 @@ func TestAdaptorMeshComponent(t *testing.T) {
 func TestAdaptorRepeatedIterationZero(t *testing.T) {
 	// The checkpoint pattern: save iteration 0 many times; payload stays
 	// bounded at one snapshot.
+	schema := schemaOf(t, particle("e", "position", "x"))
 	rg := newRig(2)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/ck.bp4", `
+		ad, err := newAdaptor(rg.host(r), "/ck.bp4", `
 [adios2.engine.parameters]
 NumAggregators = "1"
 Profile = "off"
-`)
+`, schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		for rep := 0; rep < 6; rep++ {
-			ad.AccumulateVolume("e/position/x", 500)
-			if err := ad.SaveIteration(0); err != nil {
+			ad.accumulateVolume(0, 500)
+			if err := ad.saveIteration(0); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		ad.Close()
+		ad.close()
 	})
 	n, err := rg.fs.Namespace().Lookup("/ck.bp4/data.0")
 	if err != nil {
@@ -176,47 +198,37 @@ Profile = "off"
 	}
 }
 
-func TestAdaptorBadComponentName(t *testing.T) {
-	rg := newRig(1)
-	rg.w.Run(func(r *mpisim.Rank) {
-		ad, _ := NewAdaptor(rg.host(r), "/b.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
-		ad.AccumulateFloats("way/too/deep/name", []float64{1})
-		if err := ad.SaveIteration(0); err == nil {
-			t.Error("4-part name accepted")
-		}
-		ad.Close()
-	})
-}
-
 func TestAdaptorClosedRejectsSave(t *testing.T) {
+	schema := schemaOf(t, particle("e", "position", "x"))
 	rg := newRig(1)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, _ := NewAdaptor(rg.host(r), "/c.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
-		ad.Close()
-		if err := ad.SaveIteration(0); err == nil {
+		ad, _ := newAdaptor(rg.host(r), "/c.bp4", profileOff, schema)
+		ad.close()
+		if err := ad.saveIteration(0); err == nil {
 			t.Error("save after close accepted")
 		}
-		if err := ad.Close(); err != nil {
+		if err := ad.close(); err != nil {
 			t.Error("double close should be a no-op")
 		}
 	})
 }
 
 func TestTOMLAggregatorsReachEngine(t *testing.T) {
+	schema := schemaOf(t, particle("e", "position", "x"))
 	rg := newRig(8)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/agg.bp4", `
+		ad, err := newAdaptor(rg.host(r), "/agg.bp4", `
 [adios2.engine.parameters]
 NumAggregators = "4"
 Profile = "off"
-`)
+`, schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ad.AccumulateVolume("e/position/x", 10)
-		ad.SaveIteration(0)
-		ad.Close()
+		ad.accumulateVolume(0, 10)
+		ad.saveIteration(0)
+		ad.close()
 	})
 	nData := 0
 	rg.fs.Namespace().WalkFiles("/agg.bp4", func(p string, n *pfs.Node) {
@@ -229,48 +241,43 @@ Profile = "off"
 	}
 }
 
-// A declared schema and a component accumulated under a name it does not
-// hold are written side by side: the declared ones resolved together, the
-// other on its own, and again when another iteration is opened.
-func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
-	schema, err := NewSchema([]string{"e/position/x", "meshes/density"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// A particle component and a mesh are written side by side through one
+// block of numbers, resolved together and again when another iteration is
+// opened; a component nothing was accumulated into is left out of a save.
+func TestComponentsAcrossIterations(t *testing.T) {
+	schema := schemaOf(t,
+		particle("e", "position", "x"),
+		openpmd.ComponentName{Mesh: true, Record: "density", Component: openpmd.Scalar},
+		particle("e", "momentum", "x"))
+	add := []float64{0, 0.25, 0.5}
 	rg := newRig(2)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/both.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
-		if err == nil {
-			err = ad.Declare(schema)
-		}
+		ad, err := newAdaptor(rg.host(r), "/both.bp4", profileOff, schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// For the schema: 3 numbers per component for openPMD and ADIOS2
-		// and a volume accumulator each (one block: TestOpenAllocations
-		// counts it); nothing else until a component is named.
-		if len(ad.nums) != 2*3 || len(ad.vols) != 2 || ad.floats != nil || ad.named != nil {
-			t.Errorf("a schema of 2 made %d numbers, %d volume accumulators, %d content accumulators and %d named handles",
-				len(ad.nums), len(ad.vols), len(ad.floats), len(ad.named))
-		}
-		if err := ad.Declare(schema); err == nil {
-			t.Error("second Declare accepted")
+		// 3 numbers per component for openPMD and ADIOS2 and a volume
+		// accumulator each (one block: TestOpenAllocations counts it);
+		// no content accumulators until values arrive.
+		if len(ad.nums) != 3*3 || len(ad.vols) != 3 || ad.floats != nil {
+			t.Errorf("a schema of 3 made %d numbers, %d volume accumulators and %d content accumulators",
+				len(ad.nums), len(ad.vols), len(ad.floats))
 		}
 		for _, id := range []uint64{0, 1, 0} {
 			v := float64(10*id) + float64(r.ID)
-			ad.AccumulateFloats("e/position/x", []float64{v})
-			ad.AccumulateFloats("meshes/density", []float64{v + 0.25})
-			ad.AccumulateFloats("e/momentum/x", []float64{v + 0.5})
-			if err := ad.SaveIteration(id); err != nil {
+			for i, a := range add {
+				if i == 2 && id == 1 {
+					continue // iteration 1 has no momentum
+				}
+				ad.accumulateFloats(i, []float64{v + a})
+			}
+			if err := ad.saveIteration(id); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-		if len(ad.names) != 3 || len(ad.vols) != 3 || len(ad.floats) != 3 || len(ad.named) != 1 {
-			t.Errorf("after the saves: %d names, %d volume and %d content accumulators, %d named handles, want 3, 3, 3 and 1", len(ad.names), len(ad.vols), len(ad.floats), len(ad.named))
-		}
-		ad.Close()
+		ad.close()
 	})
 	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
 		s, err := openpmd.NewSeries(rg.host(r), "/both.bp4", openpmd.AccessReadOnly, "")
@@ -280,23 +287,26 @@ func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
 		}
 		for _, id := range []uint64{0, 1} {
 			it, _ := s.ReadIteration(id)
-			for name, rc := range map[string]*openpmd.RecordComponent{
-				"e/position/x":   it.Particles("e").Record("position").Component("x"),
-				"meshes/density": it.Meshes("density").Component(openpmd.Scalar),
-				"e/momentum/x":   it.Particles("e").Record("momentum").Component("x"),
+			for i, rc := range []*openpmd.RecordComponent{
+				it.Particles("e").Record("position").Component("x"),
+				it.Meshes("density").Component(openpmd.Scalar),
+				it.Particles("e").Record("momentum").Component("x"),
 			} {
-				add := map[string]float64{"e/position/x": 0, "meshes/density": 0.25, "e/momentum/x": 0.5}[name]
-				want := []float64{float64(10*id) + add, float64(10*id) + 1 + add}
-				if got, _, err := rc.Load(); err != nil || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-					t.Errorf("iteration %d, %s: %v (%v), want %v", id, name, got, err, want)
+				got, _, err := rc.Load()
+				if i == 2 && id == 1 {
+					if err == nil {
+						t.Errorf("iteration 1 holds %s: %v", rc.Path(), got)
+					}
+					continue
+				}
+				want := []float64{float64(10*id) + add[i], float64(10*id) + 1 + add[i]}
+				if err != nil || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+					t.Errorf("iteration %d, %s: %v (%v), want %v", id, rc.Path(), got, err, want)
 				}
 			}
 		}
 		s.Close()
 	})
-	if _, err := NewSchema([]string{"e/position/x", "way/too/deep/name"}); err == nil {
-		t.Error("a schema with a 4-part name accepted")
-	}
 }
 
 // Values and a volume accumulated into one component between two saves is
@@ -304,36 +314,30 @@ func TestDeclaredAndNamedComponentsTogether(t *testing.T) {
 // collective: nobody is left parked, the world drains, and the adaptor
 // still closes.
 func TestMixedAccumulationIsAnError(t *testing.T) {
-	schema, err := NewSchema([]string{"e/position/x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"e/position/x", "e/momentum/x"} {
+	schema := schemaOf(t, particle("e", "position", "x"), particle("e", "momentum", "x"))
+	for i := 0; i < schema.Len(); i++ {
 		rg := newRig(4)
 		failed := 0
 		rg.w.Run(func(r *mpisim.Rank) {
-			ad, err := NewAdaptor(rg.host(r), "/mixed.bp4", "[adios2.engine.parameters]\nProfile = \"off\"")
-			if err == nil {
-				err = ad.Declare(schema)
-			}
+			ad, err := newAdaptor(rg.host(r), "/mixed.bp4", profileOff, schema)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ad.AccumulateFloats(name, []float64{1, 2})
-			ad.AccumulateVolume(name, 7)
-			err = ad.SaveIteration(0)
-			if err == nil || !strings.HasPrefix(err.Error(), "core:") || !strings.Contains(err.Error(), name) {
-				t.Errorf("rank %d: saving %s after values and a volume: %v, want a core: error naming it", r.ID, name, err)
+			ad.accumulateFloats(i, []float64{1, 2})
+			ad.accumulateVolume(i, 7)
+			err = ad.saveIteration(0)
+			if want := fmt.Sprintf("bit1: component %d ", i); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("rank %d: saving component %d after values and a volume: %v, want an error beginning %q", r.ID, i, err, want)
 				return
 			}
 			failed++
-			if err := ad.Close(); err != nil {
+			if err := ad.close(); err != nil {
 				t.Error(err)
 			}
 		})
 		if failed != 4 {
-			t.Errorf("%s: %d of 4 ranks got the error", name, failed)
+			t.Errorf("component %d: %d of 4 ranks got the error", i, failed)
 		}
 	}
 }

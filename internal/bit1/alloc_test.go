@@ -1,4 +1,4 @@
-package core
+package bit1
 
 import (
 	"fmt"
@@ -6,45 +6,49 @@ import (
 	"runtime"
 	"testing"
 
+	"picmcio/internal/darshan"
 	"picmcio/internal/mpisim"
+	"picmcio/internal/openpmd"
+	"picmcio/internal/pfs"
+	"picmcio/internal/posix"
 	"picmcio/internal/sim"
+	"picmcio/internal/workload"
 )
 
+// testSchema is a schema of comps particle components.
+func testSchema(tb testing.TB, comps int) *openpmd.Schema {
+	names := make([]openpmd.ComponentName, comps)
+	for i := range names {
+		names[i] = particle(fmt.Sprintf("s%d", i), "momentum", "x")
+	}
+	return schemaOf(tb, names...)
+}
+
 // saveEpochs runs the BIT1 write pattern on a fresh world: every rank
-// opens an adaptor on a BP4 series and declares comps components, then
-// for each epoch accumulates them in volume mode and saves them as
-// iteration 0. It returns the world, for its memo counter.
+// opens an adaptor of comps components on a BP4 series, then for each
+// epoch accumulates them in volume mode and saves them as iteration 0. It
+// returns the world, for its memo counter.
 func saveEpochs(tb testing.TB, ranks, aggregators, comps, epochs int) *mpisim.World {
 	tb.Helper()
-	names := make([]string, comps)
-	for i := range names {
-		names[i] = fmt.Sprintf("s%d/momentum/x", i)
-	}
-	schema, err := NewSchema(names)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	schema := testSchema(tb, comps)
 	toml := fmt.Sprintf("[adios2.engine.parameters]\nNumAggregators = \"%d\"\nProfile = \"off\"\n", aggregators)
 	rg := newRig(ranks)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := NewAdaptor(rg.host(r), "/alloc.bp4", toml)
-		if err == nil {
-			err = ad.Declare(schema)
-		}
+		ad, err := newAdaptor(rg.host(r), "/alloc.bp4", toml, schema)
 		if err != nil {
 			tb.Error(err)
 			return
 		}
 		for e := 0; e < epochs; e++ {
-			for _, name := range names {
-				ad.AccumulateVolume(name, 1000)
+			for i := 0; i < comps; i++ {
+				ad.accumulateVolume(i, 1000)
 			}
-			if err := ad.SaveIteration(0); err != nil {
+			if err := ad.saveIteration(0); err != nil {
 				tb.Error(err)
 				return
 			}
 		}
-		if err := ad.Close(); err != nil {
+		if err := ad.close(); err != nil {
 			tb.Error(err)
 		}
 	})
@@ -95,14 +99,14 @@ func TestOpenAllocations(t *testing.T) {
 	spawn := testing.AllocsPerRun(5, func() { newRig(ranks).w.Run(func(*mpisim.Rank) {}) }) / ranks
 	one, two := perRank(1)-spawn, perRank(2)-spawn
 	t.Logf("allocations per rank of an open and close: %.2f with 1 aggregator, %.2f with 2", one, two)
-	// Measured: 17.1 and 17.6 (28.8 and 30.1 before the settings were
+	// Measured: 16.3 and 16.8 (28.8 and 30.1 before the settings were
 	// shared), of which 11 are a rank's own handles (adaptor, its row of
 	// numbers, series, two attributes, backend, IO, engine, three
 	// communicators), 2 this rig's POSIX environment and the rest this
-	// small world's per-world objects spread over 16 ranks. The bound is
-	// that + 1, and one more for what the race detector allocates (17.7 to
-	// 18.1 under it).
-	limit := 18.2
+	// small world's per-world objects — the test's schema among them —
+	// spread over 16 ranks. The bound is that + 1, and one more for what
+	// the race detector allocates.
+	limit := 17.4
 	if raceBuild {
 		limit++
 	}
@@ -114,22 +118,43 @@ func TestOpenAllocations(t *testing.T) {
 	}
 }
 
-// What is the same on every rank — the parsed TOML options, the ADIOS2
-// settings they resolve to, the openPMD path strings — is built by the
-// first rank that asks: a world of sixteen ranks builds exactly what a
-// world of one does, so no other rank parsed or formatted anything.
+// openPMDRun is a BIT1 run of one output epoch in openPMD mode, at the
+// paper's sizing spread over comps components.
+func openPMDRun(aggregators, comps int) Config {
+	cfg := Config{
+		Deck:           InputDeck{DatFile: "bit1", LastStep: 100, MVFlag: 1, MVStep: 100, DMPStep: 100},
+		Sizing:         workload.Default(),
+		OutDir:         "/out",
+		Mode:           IOOpenPMD,
+		OpenPMDOptions: fmt.Sprintf("[adios2.engine.parameters]\nNumAggregators = \"%d\"\nProfile = \"off\"\n", aggregators),
+	}
+	cfg.Sizing.NVars = comps
+	return cfg
+}
+
+// What is the same on every rank is built by the first rank that asks: a
+// world of sixteen ranks builds exactly what a world of one does, so no
+// other rank parsed or formatted anything.
 func TestOnlyTheFirstRankResolves(t *testing.T) {
-	const comps = 10
-	one := saveEpochs(t, 1, 1, comps, 2).MemoBuilds()
-	sixteen := saveEpochs(t, 16, 2, comps, 2).MemoBuilds()
-	// Three for the world: the parsed options, the IO settings every rank's
-	// IO is forked from, and what the schema resolves to in iteration 0 (its
-	// components' paths and the ADIOS2 variable set of those names, one
-	// value). Two per component: its record's path and its own, kept one by
-	// one so that a component named on its own finds the same strings. (The
-	// names were parsed before the world existed.)
-	if want := 3 + 2*comps; one != want {
-		t.Errorf("a world of one rank built %d memo values, want %d", one, want)
+	builds := func(ranks, aggregators int) int {
+		cfg := openPMDRun(aggregators, 10)
+		rg := newRig(ranks)
+		rg.w.Run(func(r *mpisim.Rank) {
+			env := &posix.Env{FS: rg.fs, Client: &pfs.Client{}, Rank: r.ID}
+			if err := Run(cfg, RankEnv{Rank: r, Env: env}); err != nil {
+				t.Error(err)
+			}
+		})
+		return rg.w.MemoBuilds()
+	}
+	one, sixteen := builds(1, 1), builds(16, 2)
+	// Four, whatever the number of components: the run's plan (schedule,
+	// paths, schema and sizes), the parsed TOML options, the ADIOS2 settings
+	// every rank's IO is forked from, and what the schema resolves to in
+	// iteration 0 — its components' paths and the ADIOS2 variable set of
+	// those names, one value.
+	if one != 4 {
+		t.Errorf("a world of one rank built %d memo values, want 4", one)
 	}
 	if sixteen != one {
 		t.Errorf("a world of 16 ranks built %d memo values, a world of one %d", sixteen, one)
@@ -165,100 +190,88 @@ func TestRankFootprint(t *testing.T) {
 	ten, twenty := perRank(10), perRank(20)
 	perComp := (twenty - ten) / 10
 	t.Logf("bytes per rank of open + first save + close: %.0f with 10 components, %.0f with 20: %.1f per extra component", ten, twenty, perComp)
-	// Measured (go1.24): 2965, 4261 and 129.6, of which 83 are the rank's
+	// Measured (go1.24): 2680, 3658 and 97.8, of which 83 are the rank's
 	// own and the rest this small world's per-component objects — names,
-	// paths, the exscan's result — spread over 16 ranks (85.7 on 256). It
-	// was 5748, 10138 and 439 while the adaptor, openPMD and ADIOS2 each
-	// kept the numbers in handles of their own. The bounds are those + 10 %.
-	if ten > 3260 {
-		t.Errorf("open + first save + close of 10 components allocates %.0f bytes per rank, want at most 3260", ten)
+	// paths, the exscan's result — spread over 16 ranks. It was 5748, 10138
+	// and 439 while the adaptor, openPMD and ADIOS2 each kept the numbers in
+	// handles of their own. The bounds are those + 10 %.
+	if ten > 2950 {
+		t.Errorf("open + first save + close of 10 components allocates %.0f bytes per rank, want at most 2950", ten)
 	}
-	if perComp > 143 {
-		t.Errorf("an extra component costs a rank %.1f bytes, want at most 143", perComp)
+	if perComp > 108 {
+		t.Errorf("an extra component costs a rank %.1f bytes, want at most 108", perComp)
 	}
 }
 
-// bit1Frames is what a BIT1 run holds between the launcher and the
-// adaptor, which this package's rig does not push: experiments.RunBIT1's
-// rank closure 544 bytes, bit1.Run 288, runOpenPMD 192 (go tool objdump,
-// go1.24 amd64).
-const bit1Frames = 1024
+// padFrame is what one level of underPad adds to a rank's stack: its
+// array, the return address and the saved frame pointer, rounded as the
+// compiler lays it out (go tool objdump, go1.24 amd64).
+const padFrame = 128 + 24
 
-// underBIT1Frames calls fn that much deeper.
+// underPad calls fn levels frames deeper.
 //
 //go:noinline
-func underBIT1Frames(fn func(), i int) byte {
-	var pad [bit1Frames]byte
-	pad[i] = 1
-	fn()
-	return pad[len(pad)-1-i]
+func underPad(fn func(), levels int) byte {
+	if levels == 0 {
+		fn()
+		return 0
+	}
+	var pad [128]byte
+	pad[levels] = 1
+	return underPad(fn, levels-1) + pad[len(pad)-1-levels]
 }
 
-// parkedStack reports the bytes of goroutine stack per rank while a world
-// is parked in the EndStep of its first save, with the frames of a BIT1 run
-// above the adaptor: an observer process wakes halfway through the save and
-// reads what the runtime has in stacks.
-func parkedStack(tb testing.TB, ranks, aggregators, comps int) float64 {
-	names := make([]string, comps)
-	for i := range names {
-		names[i] = fmt.Sprintf("s%d/momentum/x", i)
-	}
-	schema, err := NewSchema(names)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	toml := fmt.Sprintf("[adios2.engine.parameters]\nNumAggregators = \"%d\"\nProfile = \"off\"\n", aggregators)
-	// run saves once and reports when, in virtual time, the save began and
-	// ended; observe, if any, runs in a process of its own at observeAt.
-	run := func(observeAt sim.Time, observe func()) (begin, end sim.Time) {
+// parkedStack reports the most goroutine stack per rank that a BIT1 run in
+// openPMD mode holds at any of a few instants spread over it: the real
+// chain from the launcher's closure — which, like experiments.RunBIT1's,
+// holds a copy of the config to call Run with — through Run and runOpenPMD
+// to the adaptor and everything it parks under, each rank padLevels frames
+// of underPad deeper. Nearly all of a run is the aggregators' write of its
+// one epoch, where every other rank is parked in EndStep; a stack that
+// grew earlier, in the open's splits, has not shrunk by then.
+func parkedStack(tb testing.TB, ranks, aggregators, comps, padLevels int) float64 {
+	cfg := openPMDRun(aggregators, comps)
+	// run reports when, in virtual time, the job ended; observe, if any,
+	// runs in a process of its own at each of the instants.
+	run := func(instants []sim.Time, observe func()) sim.Time {
 		rg := newRig(ranks)
 		if observe != nil {
 			rg.k.Spawn("observer", func(p *sim.Proc) {
-				p.SleepUntil(observeAt)
-				observe()
+				for _, at := range instants {
+					p.SleepUntil(at)
+					observe()
+				}
 			})
 		}
+		col := darshan.NewCollector()
 		rg.w.Run(func(r *mpisim.Rank) {
-			underBIT1Frames(func() {
-				ad, err := NewAdaptor(rg.host(r), "/parked.bp4", toml)
-				if err == nil {
-					err = ad.Declare(schema)
-				}
-				if err != nil {
-					tb.Error(err)
-					return
-				}
-				for _, name := range names {
-					ad.AccumulateVolume(name, 100_000)
-				}
-				r.Comm.Barrier()
-				if r.ID == 0 {
-					begin = r.Proc.Now()
-				}
-				if err := ad.SaveIteration(0); err != nil {
+			underPad(func() {
+				env := &posix.Env{FS: rg.fs, Client: &pfs.Client{}, Rank: r.ID, Monitor: col}
+				if err := Run(cfg, RankEnv{Rank: r, Env: env}); err != nil {
 					tb.Error(err)
 				}
-				if r.ID == 0 {
-					end = r.Proc.Now()
-				}
-				if err := ad.Close(); err != nil {
-					tb.Error(err)
-				}
-			}, r.ID%bit1Frames)
+			}, padLevels)
 		})
-		return begin, end
+		return rg.k.Now()
 	}
-	// The kernel is deterministic: the second run's save is where the
-	// first's was, and nearly all of it is the aggregators' write.
-	begin, end := run(0, nil)
-	var before, during runtime.MemStats
+	// The kernel is deterministic: the second run is where the first was.
+	end := run(nil, nil)
+	instants := make([]sim.Time, 8)
+	for i := range instants {
+		instants[i] = end * sim.Time(i+1) / sim.Time(len(instants)+1)
+	}
+	var before, m runtime.MemStats
+	var most uint64
 	runtime.GC() // return the first run's stacks
 	runtime.ReadMemStats(&before)
-	run((begin+end)/2, func() { runtime.ReadMemStats(&during) })
-	if during.StackInuse == 0 {
+	run(instants, func() {
+		runtime.ReadMemStats(&m)
+		most = max(most, m.StackInuse)
+	})
+	if most == 0 {
 		tb.Fatal("the observer never ran")
 	}
-	return float64(during.StackInuse-before.StackInuse) / float64(ranks)
+	return float64(most-before.StackInuse) / float64(ranks)
 }
 
 // A rank parked in EndStep — where every rank of a world is while its
@@ -271,13 +284,28 @@ func TestParkedRankStack(t *testing.T) {
 	if raceBuild {
 		t.Skip("frames are fatter under the race detector")
 	}
-	perRank := parkedStack(t, 512, 4, 10)
+	const ranks, aggregators, comps = 512, 4, 10
+	fits := func(padLevels int) (float64, bool) {
+		perRank := parkedStack(t, ranks, aggregators, comps, padLevels)
+		return perRank, perRank <= 4.5*1024
+	}
+	perRank, ok := fits(0)
 	t.Logf("%s: %.2f KiB of stack per parked rank", runtime.Version(), perRank/1024)
 	// Measured (go1.24.0 amd64): 4.06, and 8.06 with Engine.EndStep's frame
-	// at 760 bytes and bit1's 200 fatter, as they were. It stays 4.06 up to
-	// 300 more bytes of frames; a BIT1 run, with no test closures in its
-	// chain, has 500 to spare.
-	if perRank > 4.5*1024 {
-		t.Errorf("a parked rank holds %.2f KiB of stack, want at most 4.5", perRank/1024)
+	// at 760 bytes and bit1's 200 fatter, as they were.
+	if !ok {
+		t.Fatalf("a parked rank holds %.2f KiB of stack, want at most 4.5", perRank/1024)
 	}
+	// How much fatter the chain's frames may grow before that: the most
+	// levels of padding under which a rank still fits.
+	lo, hi := 0, 8 // fits at lo; not known to at hi
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if _, ok := fits(mid); ok {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
 }

@@ -1,4 +1,4 @@
-package core
+package bit1
 
 import (
 	"runtime"
@@ -25,7 +25,7 @@ func BenchmarkAdaptorSave(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		perRankEpoch, bytesEpoch = allocated(epochs)
 		perRankOpen, bytesOpen = allocated(0)
-		stack = parkedStack(b, ranks, aggregators, comps)
+		stack = parkedStack(b, ranks, aggregators, comps, 0)
 	}
 	perRankEpoch, bytesEpoch = perRankEpoch/(ranks*epochs), bytesEpoch/(ranks*epochs)
 	perRankOpen, bytesOpen = perRankOpen/ranks, bytesOpen/ranks

@@ -30,11 +30,17 @@ cells = 1024
 	if d.DatFile != "run42" || d.DMPStep != 500 || d.MVStep != 100 || d.LastStep != 1000 || d.Cells != 1024 {
 		t.Fatalf("deck=%+v", d)
 	}
-	if d.DiagEpochs() != 10 {
-		t.Fatalf("diag epochs=%d", d.DiagEpochs())
+	diags, checkpoints := 0, 0
+	for _, e := range epochs(d) {
+		if e.diag {
+			diags++
+		}
+		if e.checkpoint {
+			checkpoints++
+		}
 	}
-	if d.CheckpointEpochs() != 2 {
-		t.Fatalf("checkpoint epochs=%d", d.CheckpointEpochs())
+	if diags != 10 || checkpoints != 2 {
+		t.Fatalf("%d diagnostic and %d checkpoint epochs, want 10 and 2", diags, checkpoints)
 	}
 }
 
@@ -208,6 +214,31 @@ func TestDarshanSeesOriginalWrites(t *testing.T) {
 	}
 	if dats < 8 {
 		t.Fatalf("expected per-rank records, got %d", dats)
+	}
+}
+
+func TestParseIOMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want IOMode
+		ok   bool
+	}{
+		{"original", IOOriginal, true},
+		{"openpmd", IOOpenPMD, true},
+		{"OpenPMD", IOOpenPMD, true},
+		{"ORIGINAL", IOOriginal, true},
+		{"orignal", 0, false},
+		{"", 0, false},
+		{"openPMD+BP4", 0, false}, // String's label is not the flag's vocabulary
+		{" original", 0, false},
+	} {
+		got, err := ParseIOMode(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseIOMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "bit1:") {
+			t.Errorf("ParseIOMode(%q): error %q does not say bit1:", tc.in, err)
+		}
 	}
 }
 

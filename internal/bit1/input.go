@@ -1,7 +1,8 @@
 // Package bit1 is the application shell of the simulated BIT1 code: the
 // input deck (the five critical I/O parameters of §II), the time-step
 // loop, and the two output paths the paper compares — the original serial
-// stdio file-per-process writer and the openPMD adaptor (internal/core).
+// stdio file-per-process writer and the openPMD adaptor (adaptor.go), the
+// paper's contribution.
 package bit1
 
 import (
@@ -105,22 +106,4 @@ func (d InputDeck) Validate() error {
 		return fmt.Errorf("bit1: datfile must be set")
 	}
 	return nil
-}
-
-// DiagEpochs reports how many diagnostic outputs the deck produces.
-func (d InputDeck) DiagEpochs() int {
-	if d.MVFlag <= 0 || d.MVStep < 1 {
-		return 0
-	}
-	return d.LastStep / d.MVStep
-}
-
-// CheckpointEpochs reports how many checkpoint outputs the deck produces
-// (including the final state save at last_step).
-func (d InputDeck) CheckpointEpochs() int {
-	n := d.LastStep / d.DMPStep
-	if d.LastStep%d.DMPStep != 0 {
-		n++ // final state save
-	}
-	return n
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package core
+package bit1
 
 const raceBuild = false

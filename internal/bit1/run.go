@@ -2,8 +2,8 @@ package bit1
 
 import (
 	"fmt"
+	"strings"
 
-	"picmcio/internal/core"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/openpmd"
 	"picmcio/internal/pfs"
@@ -28,6 +28,19 @@ func (m IOMode) String() string {
 		return "openPMD+BP4"
 	}
 	return "Original I/O"
+}
+
+// ParseIOMode maps the name of an output path, "original" or "openpmd" in
+// any case, to its mode. Anything else is an error: a typo'd mode must not
+// run the other experiment.
+func ParseIOMode(s string) (IOMode, error) {
+	switch strings.ToLower(s) {
+	case "original":
+		return IOOriginal, nil
+	case "openpmd":
+		return IOOpenPMD, nil
+	}
+	return 0, fmt.Errorf("bit1: unknown I/O mode %q (want original or openpmd)", s)
 }
 
 // Config describes one BIT1 run.
@@ -121,10 +134,9 @@ type plan struct {
 
 	// openPMD mode only.
 	seriesPath string
-	varNames   []string
-	schema     *core.Schema // varNames, as the adaptor takes them
-	elems      []int64      // per-rank elements of each variable, per epoch
-	err        error        // why there is no schema
+	schema     *openpmd.Schema // the snapshot's components
+	elems      []int64         // per-rank elements of each, per epoch
+	err        error           // why there is no schema
 }
 
 func newPlan(cfg Config, ranks int) *plan {
@@ -139,8 +151,7 @@ func newPlan(cfg Config, ranks int) *plan {
 	}
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
-		pl.varNames = snapshotVarNames(cfg.Sizing.NVars)
-		pl.schema, pl.err = core.NewSchema(pl.varNames)
+		pl.schema, pl.err = openpmd.NewSchema(snapshotComponents(cfg.Sizing.NVars), openpmd.Float64, 1)
 		pl.elems = cfg.Sizing.PerRankSnapshotElems(ranks)
 	}
 	return pl
@@ -262,11 +273,8 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	r.Comm.Barrier()
 
 	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
-	ad, err := core.NewAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions)
+	ad, err := newAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions, pl.schema)
 	if err != nil {
-		return err
-	}
-	if err := ad.Declare(pl.schema); err != nil {
 		return err
 	}
 
@@ -292,10 +300,10 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 		}
 		// Accumulate the latest system state (checkpoint + diagnostics)
 		// into the global vectors, then flush as iteration 0.
-		for i, name := range pl.varNames {
-			ad.AccumulateVolume(name, pl.elems[i])
+		for i, n := range pl.elems {
+			ad.accumulateVolume(i, n)
 		}
-		if err := ad.SaveIteration(0); err != nil {
+		if err := ad.saveIteration(0); err != nil {
 			return err
 		}
 		if ep.diag {
@@ -308,29 +316,35 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	for _, f := range shared {
 		f.Fclose(p)
 	}
-	if err := ad.Close(); err != nil {
+	if err := ad.close(); err != nil {
 		return err
 	}
 	r.Comm.Barrier()
 	return nil
 }
 
-// snapshotVarNames builds the openPMD component names the snapshot is
-// spread over: species × (position + momentum components).
-func snapshotVarNames(n int) []string {
+// snapshotComponents names the openPMD components the snapshot is spread
+// over: species × (position + momentum components), then mesh profiles.
+func snapshotComponents(n int) []openpmd.ComponentName {
 	species := []string{"e", "D+", "D"}
-	records := []string{"position/x", "momentum/x", "momentum/y", "momentum/z"}
-	var out []string
+	records := []openpmd.ComponentName{
+		{Record: "position", Component: "x"},
+		{Record: "momentum", Component: "x"},
+		{Record: "momentum", Component: "y"},
+		{Record: "momentum", Component: "z"},
+	}
+	var out []openpmd.ComponentName
 	for _, sp := range species {
 		for _, rec := range records {
 			if len(out) == n {
 				return out
 			}
-			out = append(out, sp+"/"+rec)
+			rec.Species = sp
+			out = append(out, rec)
 		}
 	}
 	for i := len(out); i < n; i++ {
-		out = append(out, fmt.Sprintf("meshes/profile%d", i))
+		out = append(out, openpmd.ComponentName{Mesh: true, Record: fmt.Sprintf("profile%d", i), Component: openpmd.Scalar})
 	}
 	return out
 }

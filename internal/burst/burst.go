@@ -313,10 +313,6 @@ func NewTier(k *sim.Kernel, spec Spec, backing pfs.FileSystem) *Tier {
 	return t
 }
 
-// Spec reports the tier's per-node buffer spec (its QoS field is the
-// initial setting; QoS reports the live one).
-func (t *Tier) Spec() Spec { return t.spec }
-
 // QoS reports the drain scheduler's current quality-of-service setting.
 func (t *Tier) QoS() QoS { return t.qos }
 
@@ -328,9 +324,6 @@ func (t *Tier) SetQoS(q QoS) { t.qos = q }
 // FS returns the staging file system: writes through it are absorbed by
 // the node-local buffer and drained in the background.
 func (t *Tier) FS() pfs.FileSystem { return t.fs }
-
-// Backing returns the wrapped parallel file system.
-func (t *Tier) Backing() pfs.FileSystem { return t.backing }
 
 // Stats reports the tier's cumulative accounting. Busy time includes the
 // elapsed part of any segment currently in flight, so a mid-run snapshot
@@ -716,9 +709,6 @@ func (f *FS) Name() string { return "burst+" + f.t.backing.Name() }
 
 // DrainEpoch implements pfs.Stager.
 func (f *FS) DrainEpoch(p *sim.Proc) { f.t.DrainEpoch(p) }
-
-// WaitDrained forces a full drain and blocks until PFS durability.
-func (f *FS) WaitDrained(p *sim.Proc) { f.t.WaitDrained(p) }
 
 // wrap stages a freshly opened backing handle, or returns it unwrapped
 // when the tier is disabled (zero capacity degrades to direct I/O).

@@ -67,7 +67,7 @@ func New(k *sim.Kernel, p Params) *FS {
 	fs := &FS{
 		k:   k,
 		p:   p,
-		mds: sim.NewMultiServer(k, p.MDSThreads, 0, 0),
+		mds: sim.NewMultiServer(k, p.MDSThreads),
 		rng: xrand.New(p.Seed ^ 0xcef5),
 	}
 	for i := 0; i < p.NumOSDs; i++ {

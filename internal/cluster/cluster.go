@@ -117,19 +117,6 @@ func (s Sizing) Enabled() bool {
 	return len(s.CapacityEpochs) > 0 && len(s.DrainScale) > 0
 }
 
-// FaultSpec builds a single-node failure spec from the machine's
-// availability knobs: the victim dies during epoch killEpoch's compute
-// phase, killFrac of the way through.
-func (m Machine) FaultSpec(killEpoch int, killFrac float64, node int) *fault.Spec {
-	return &fault.Spec{
-		KillEpoch:    killEpoch,
-		KillFrac:     killFrac,
-		Node:         node,
-		Survival:     m.NVMeSurvival,
-		RestartDelay: sim.Duration(m.NodeRestartSec),
-	}
-}
-
 // CheckpointCosts derives the availability-side inputs of the
 // checkpoint-interval optimizer from the preset's knobs, for a job of
 // the given node count: the job-level MTBF (any of the job's nodes

@@ -103,8 +103,8 @@ func TestBurstBufferPresets(t *testing.T) {
 	if sys.Burst == nil || sys.StagedFS() == nil {
 		t.Fatal("building a machine with a burst spec must attach a tier")
 	}
-	if sys.Burst.Backing() != sys.FS {
-		t.Error("the tier must wrap the machine's file system")
+	if got, want := sys.Burst.FS().Name(), "burst+"+sys.FS.Name(); got != want {
+		t.Errorf("the tier stages for %s, want the machine's file system: %s", got, want)
 	}
 	k2 := sim.NewKernel()
 	sys2, err := Discoverer().Build(k2, 2, 1)
@@ -157,16 +157,6 @@ func TestAvailabilityKnobs(t *testing.T) {
 	for _, m := range Machines() {
 		if m.MTBFNodeHours <= 0 || m.NodeRestartSec <= 0 {
 			t.Errorf("%s: availability knobs unset: MTBF=%v restart=%v", m.Name, m.MTBFNodeHours, m.NodeRestartSec)
-		}
-		f := m.FaultSpec(3, 0.5, 1)
-		if f.KillEpoch != 3 || f.KillFrac != 0.5 || f.Node != 1 {
-			t.Errorf("%s: FaultSpec mangled the kill point: %+v", m.Name, f)
-		}
-		if f.Survival != m.NVMeSurvival || float64(f.RestartDelay) != m.NodeRestartSec {
-			t.Errorf("%s: FaultSpec dropped the machine knobs: %+v", m.Name, f)
-		}
-		if err := f.Validate(4, 5); err != nil {
-			t.Errorf("%s: preset fault spec invalid: %v", m.Name, err)
 		}
 	}
 	// Dardel's on-board NVMe dies with the node; Vega's enclosures do not.

@@ -33,6 +33,10 @@ func (c *bloscCodec) Name() string { return "blosc" }
 
 const bloscMagic = "BLgo"
 
+// maxInflate is the most DEFLATE can expand its input by: a stored length
+// field larger than that times the payload is not a length.
+const maxInflate = 1032
+
 // shuffle performs the byte transposition: output groups byte lane k of
 // every element contiguously. Trailing bytes that do not fill a whole
 // element are appended unshuffled.
@@ -121,7 +125,11 @@ func (c *bloscCodec) Decompress(data []byte) ([]byte, error) {
 	total := binary.LittleEndian.Uint64(data[4:12])
 	typeSize := int(binary.LittleEndian.Uint32(data[12:16]))
 	pos := 16
-	out := make([]byte, 0, total)
+	// The output grows by what the blocks decode to: the header's total is
+	// a claim to check, not a size to allocate.
+	var out []byte
+	var inflater io.ReadCloser // one for all the blocks
+	var past [1]byte
 	for uint64(len(out)) < total {
 		if pos+8 > len(data) {
 			return nil, fmt.Errorf("compress: truncated blosc-sim block header")
@@ -134,23 +142,31 @@ func (c *bloscCodec) Decompress(data []byte) ([]byte, error) {
 		if pos+compLen > len(data) {
 			return nil, fmt.Errorf("compress: truncated blosc-sim block")
 		}
-		var block []byte
-		if stored {
-			block = data[pos : pos+compLen]
-		} else {
-			fr := flate.NewReader(bytes.NewReader(data[pos : pos+compLen]))
-			var err error
-			block, err = io.ReadAll(fr)
-			fr.Close()
-			if err != nil {
+		if rawLen == 0 || rawLen > c.blockSize || rawLen > maxInflate*compLen {
+			return nil, fmt.Errorf("compress: blosc-sim block of %d bytes claims to hold %d", compLen, rawLen)
+		}
+		block := data[pos : pos+compLen]
+		if !stored {
+			if src := bytes.NewReader(block); inflater == nil {
+				inflater = flate.NewReader(src)
+			} else {
+				inflater.(flate.Resetter).Reset(src, nil)
+			}
+			block = make([]byte, rawLen)
+			if _, err := io.ReadFull(inflater, block); err != nil {
 				return nil, fmt.Errorf("compress: blosc-sim inflate: %w", err)
 			}
-		}
-		if len(block) != rawLen {
+			if n, _ := inflater.Read(past[:]); n != 0 {
+				return nil, fmt.Errorf("compress: blosc-sim block inflates past its %d bytes", rawLen)
+			}
+		} else if len(block) != rawLen {
 			return nil, fmt.Errorf("compress: blosc-sim block length mismatch")
 		}
 		out = append(out, unshuffle(block, typeSize)...)
 		pos += compLen
+	}
+	if uint64(len(out)) != total {
+		return nil, fmt.Errorf("compress: blosc-sim length mismatch: %d != %d", len(out), total)
 	}
 	return out, nil
 }

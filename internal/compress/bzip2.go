@@ -32,6 +32,9 @@ func (c *bzip2Codec) Name() string { return "bzip2" }
 
 const bzMagic = "BZgo"
 
+// maxBzBlock is the largest block newBzip2 cuts, at level 9.
+const maxBzBlock = 9 * 100_000
+
 // Compress implements Codec.
 func (c *bzip2Codec) Compress(data []byte) []byte {
 	out := make([]byte, 0, len(data)/2+64)
@@ -76,7 +79,9 @@ func (c *bzip2Codec) Decompress(data []byte) ([]byte, error) {
 	}
 	total := binary.LittleEndian.Uint64(data[4:12])
 	pos := 12
-	out := make([]byte, 0, total)
+	// The output grows by what the blocks decode to: the header's total is
+	// a claim to check, not a size to allocate.
+	var out []byte
 	for uint64(len(out)) < total {
 		if pos+20 > len(data) {
 			return nil, fmt.Errorf("compress: truncated bzip2-sim block header")
@@ -89,6 +94,12 @@ func (c *bzip2Codec) Decompress(data []byte) ([]byte, error) {
 		pos += 20
 		if pos+lensLen+streamLen > len(data) {
 			return nil, fmt.Errorf("compress: truncated bzip2-sim block")
+		}
+		// A symbol takes a bit at least, and a block is no larger than the
+		// largest Compress cuts (zero runs make its length exponential in
+		// the symbols that spell it, so the stream's size bounds nothing).
+		if rawLen == 0 || rawLen > maxBzBlock || nsyms > 8*streamLen {
+			return nil, fmt.Errorf("compress: bzip2-sim block of %d bytes claims %d symbols and %d bytes", streamLen, nsyms, rawLen)
 		}
 		lens := data[pos : pos+lensLen]
 		pos += lensLen
@@ -293,6 +304,9 @@ func zrleDecode(syms []uint16, n int) ([]byte, error) {
 				}
 				place *= 2
 				i++
+			}
+			if run > n-len(out) {
+				return nil, fmt.Errorf("compress: zrle run of %d zeros past the block's %d bytes", run, n)
 			}
 			for j := 0; j < run; j++ {
 				out = append(out, 0)

@@ -47,27 +47,23 @@ func New(name string, typeSize int) (Codec, error) {
 	}
 }
 
-// Names lists the registered codec names.
-func Names() []string { return []string{"none", "blosc", "bzip2"} }
-
 // CostModel holds the per-codec compute-throughput figures used to charge
 // virtual time: bytes/second of input processed. They reflect the speed
 // *classes* of the real libraries (Blosc ≈ memory bandwidth, bzip2 ≈ tens
 // of MB/s).
 type CostModel struct {
-	CompressRate   float64 // input bytes per second
-	DecompressRate float64
+	CompressRate float64 // input bytes per second
 }
 
 // CostOf returns the cost model for a codec name.
 func CostOf(name string) CostModel {
 	switch name {
 	case "blosc":
-		return CostModel{CompressRate: 1.8e9, DecompressRate: 3.0e9}
+		return CostModel{CompressRate: 1.8e9}
 	case "bzip2":
-		return CostModel{CompressRate: 18e6, DecompressRate: 45e6}
+		return CostModel{CompressRate: 18e6}
 	default: // none
-		return CostModel{CompressRate: 0, DecompressRate: 0}
+		return CostModel{}
 	}
 }
 
@@ -77,14 +73,6 @@ func (m CostModel) CompressTime(n int64) sim.Duration {
 		return 0
 	}
 	return sim.Duration(float64(n) / m.CompressRate)
-}
-
-// DecompressTime reports the virtual time to decompress to n output bytes.
-func (m CostModel) DecompressTime(n int64) sim.Duration {
-	if m.DecompressRate <= 0 || n <= 0 {
-		return 0
-	}
-	return sim.Duration(float64(n) / m.DecompressRate)
 }
 
 // Ratio measures the compression ratio (compressed/original) of codec on

@@ -26,7 +26,8 @@ func runInstrumented(t testing.TB) *Log {
 		rank := rank
 		k.Spawn("r", func(p *sim.Proc) {
 			env := &posix.Env{FS: fs, Client: &pfs.Client{}, Rank: rank, Monitor: col}
-			fd, err := env.Create(p, pfs.Join("/out", "file", string(rune('a'+rank))))
+			path := pfs.Join("/out", "file", string(rune('a'+rank)))
+			fd, err := env.Create(p, path)
 			if err != nil {
 				t.Error(err)
 				return
@@ -36,7 +37,7 @@ func runInstrumented(t testing.TB) *Log {
 			}
 			fd.Fsync(p)
 			fd.Close(p)
-			rd, err := env.Open(p, fd.Path())
+			rd, err := env.Open(p, path)
 			if err != nil {
 				t.Error(err)
 				return
@@ -340,7 +341,7 @@ func TestReportContainsKeyLines(t *testing.T) {
 
 func TestWriteWindow(t *testing.T) {
 	l := runInstrumented(t)
-	s, e, ok := l.WriteWindow()
+	s, e, _, ok := l.writeWindowWhere(nil)
 	if !ok || e <= s {
 		t.Fatalf("window [%v,%v] ok=%v", s, e, ok)
 	}

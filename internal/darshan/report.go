@@ -36,15 +36,9 @@ func (l *Log) TotalBytesRead() int64 {
 	return n
 }
 
-// WriteWindow reports the earliest write start and latest write end
-// timestamps across all records. ok is false if nothing was written.
-func (l *Log) WriteWindow() (start, end float64, ok bool) {
-	start, end, _, ok = l.writeWindowWhere(nil)
-	return start, end, ok
-}
-
-// writeWindowWhere is WriteWindow over the kept records, with the bytes
-// they wrote.
+// writeWindowWhere reports the earliest write start and latest write end
+// timestamps across the kept records, with the bytes they wrote. ok is
+// false if nothing was written.
 func (l *Log) writeWindowWhere(keep func(r *Record) bool) (start, end float64, bytes int64, ok bool) {
 	for i := range l.Records {
 		r := &l.Records[i]

@@ -30,9 +30,14 @@ var bp4Staged = Config{Label: "BIT1 openPMD + BP4, staged", Mode: bit1.IOOpenPMD
 	return "burst_buffer = true\n" + toml, err
 }}
 
-// FigBurstSweep is FigBurst as a grid declaration: one axis (node count),
-// one trial measuring the direct and staged runs back to back. The Extra
-// payload carries the typed BurstPoint the figure's table builders use.
+// FigBurstSweep is the burst-buffer staging figure (new scenario axis
+// beyond the paper's §IV tuning surface) as a grid declaration: on Dardel,
+// BIT1 openPMD+BP4 writing directly to Lustre vs staging through the
+// node-local burst tier, one axis (node count), one trial measuring the
+// direct and staged runs back to back. Staged runs charge compute between
+// epochs so the asynchronous drain has something to overlap with. The
+// Extra payload carries the typed BurstPoint the figure's table builders
+// use.
 func (o Options) FigBurstSweep() (sweep.Table, error) {
 	o = o.WithDefaults()
 	if o.ComputePerStep == 0 {
@@ -87,18 +92,4 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 				Extra: pt,
 			}, nil
 		})
-}
-
-// FigBurst is the burst-buffer staging figure (new scenario axis beyond
-// the paper's §IV tuning surface): on Dardel, BIT1 openPMD+BP4 writing
-// directly to Lustre vs staging through the node-local burst tier, across
-// node counts. Staged runs charge compute between epochs so the
-// asynchronous drain has something to overlap with.
-func (o Options) FigBurst() ([]Series, []BurstPoint, error) {
-	t, err := o.FigBurstSweep()
-	if err != nil {
-		return nil, nil, err
-	}
-	ss, pts := burstSeriesAndPoints(t)
-	return ss, pts, nil
 }

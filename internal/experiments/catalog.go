@@ -273,7 +273,7 @@ var catalog = []Artifact{
 }
 
 // burstSeriesAndPoints derives the figure's series and typed points from
-// the sweep table (shared by FigBurst and the catalogue entry).
+// the sweep table.
 func burstSeriesAndPoints(t sweep.Table) ([]Series, []BurstPoint) {
 	direct := Series{Label: "openPMD+BP4 direct", XLabel: "nodes", YLabel: "GiB/s"}
 	staged := Series{Label: "openPMD+BP4 staged", XLabel: "nodes", YLabel: "GiB/s"}

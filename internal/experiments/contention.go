@@ -71,9 +71,12 @@ func contentionSpecs(qos burst.QoS, epochs int) []jobs.Spec {
 	}
 }
 
-// FigContentionSweep is FigContention as a grid declaration: one axis
-// (the drain-QoS policy), one jobs.Contention run per cell. The Extra
-// payload carries the ContentionRow the figure's table builder uses.
+// FigContentionSweep is the multi-job contention artifact as a grid
+// declaration: the two-job scenario on Dardel, one axis (the drain-QoS
+// policy), one jobs.Contention run per cell, reporting per-job slowdown vs
+// an isolated run, apparent and write-back bandwidths, the per-lane drain
+// split, and Jain's fairness index per policy. The Extra payload carries
+// the ContentionRow the figure's table builder uses.
 func (o Options) FigContentionSweep() (sweep.Table, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
@@ -104,22 +107,8 @@ func (o Options) FigContentionSweep() (sweep.Table, error) {
 		})
 }
 
-// FigContention is the multi-job contention artifact: the two-job
-// scenario on Dardel under each drain-QoS policy, reporting per-job
-// slowdown vs an isolated run, apparent and write-back bandwidths, the
-// per-lane drain split, and Jain's fairness index per policy.
-func (o Options) FigContention() (Table, []ContentionRow, error) {
-	st, err := o.FigContentionSweep()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	t, rows := contentionTable(st)
-	return t, rows, nil
-}
-
 // contentionTable builds the figure's text table and typed rows from the
-// sweep table (shared by FigContention and the catalogue entry). The
-// text table inherits the sweep's title, so text and JSON cannot drift.
+// sweep table. The text table inherits the sweep's title, so text and JSON cannot drift.
 func contentionTable(st sweep.Table) (Table, []ContentionRow) {
 	t := Table{
 		Title: st.Title,

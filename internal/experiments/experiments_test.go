@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -471,11 +472,11 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestFigContention(t *testing.T) {
-	o := testOptions()
-	tab, rows, err := o.FigContention()
+	st, err := testOptions().FigContentionSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, rows := contentionTable(st)
 	if len(rows) != len(ContentionQoSPolicies) {
 		t.Fatalf("rows=%d, want one per policy", len(rows))
 	}
@@ -505,14 +506,31 @@ func TestFigContention(t *testing.T) {
 		t.Errorf("rate limit did not reduce the direct job's slowdown: %.3f vs %.3f",
 			lim.Result.Slowdown[1], off.Result.Slowdown[1])
 	}
+	// The model is deterministic: the staged job's write-back bandwidth
+	// under the plain scheduler, and what the policies do to the pair.
+	pinned(t, "qos-off staged drain GiB/s", units.GiBps(off.Result.Jobs[0].DrainBps), "5.1523")
+	pinned(t, "qos-off max slowdown", off.Result.MaxSlowdown(), "1.8859")
+	pinned(t, "qos-off Jain", off.Result.Jain, "0.9939")
+	pinned(t, "rate-limit direct slowdown", lim.Result.Slowdown[1], "1.7380")
+	pinned(t, "rate-limit Jain", lim.Result.Jain, "1.0000")
+}
+
+// pinned fails unless got, to four decimals, is want: for a quantity the
+// deterministic model produces, where a band would hide a change.
+func pinned(t *testing.T, what string, got float64, want string) {
+	t.Helper()
+	if s := fmt.Sprintf("%.4f", got); s != want {
+		t.Errorf("%s = %s, want %s", what, s, want)
+	}
 }
 
 func TestFigBurstStagedBeatsDirect(t *testing.T) {
 	o := testOptions()
-	ss, pts, err := o.FigBurst()
+	st, err := o.FigBurstSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss, pts := burstSeriesAndPoints(st)
 	if len(ss) != 2 || len(pts) != len(o.NodeCounts) {
 		t.Fatalf("want 2 series and %d points, got %d/%d", len(o.NodeCounts), len(ss), len(pts))
 	}
@@ -531,7 +549,12 @@ func TestFigBurstStagedBeatsDirect(t *testing.T) {
 	}
 	// Some drain work must happen while ranks still run (the compute
 	// windows between epochs are what the async drain overlaps).
-	if last := pts[len(pts)-1]; last.OverlapFrac <= 0 {
+	last := pts[len(pts)-1]
+	if last.OverlapFrac <= 0 {
 		t.Errorf("drain must overlap compute at %d nodes, overlap %.2f", last.Nodes, last.OverlapFrac)
 	}
+	pinned(t, "direct GiB/s at 4 nodes", last.DirectGiBs, "2.2613")
+	pinned(t, "staged GiB/s at 4 nodes", last.StagedGiBs, "9.8590")
+	pinned(t, "drain busy seconds at 4 nodes", last.DrainSec, "1.5923")
+	pinned(t, "drain overlap at 4 nodes", last.OverlapFrac, "0.1885")
 }

@@ -132,8 +132,14 @@ func figFaultSpec(frac float64) *fault.Spec {
 	}
 }
 
-// FigFaultSweep is FigFault as a grid declaration: drain policy × QoS ×
-// kill time. The clean baselines depend only on (policy, QoS), so they
+// FigFaultSweep is the fault-injection artifact as a grid declaration:
+// drain policy × drain QoS × kill time on Dardel, where a victim node dies
+// mid-epoch and loses its NVMe. Per cell it reports the recovery position
+// at both durability levels, the staged bytes destroyed, and what the
+// failure cost in durable-completion time against an identical clean run.
+// Lost work on node loss orders immediate < epoch-end < watermark: the
+// longer write-back is deferred, the more epochs exist only on the NVMe
+// that just died. The clean baselines depend only on (policy, QoS), so they
 // are precomputed once per pair into an immutable map the trials read —
 // trials stay pure (parallel-deterministic) without re-simulating the
 // same clean co-schedule per kill time. The Extra payload carries the
@@ -203,26 +209,8 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 		})
 }
 
-// FigFault is the fault-injection artifact: a kill-time × drain-policy ×
-// drain-QoS grid on Dardel where a victim node dies mid-epoch and loses
-// its NVMe. Per cell it reports the recovery position at both durability
-// levels, the staged bytes destroyed, and what the failure cost in
-// durable-completion time against an identical clean run. Lost work on
-// node loss orders immediate < epoch-end < watermark: the longer
-// write-back is deferred, the more epochs exist only on the NVMe that
-// just died.
-func (o Options) FigFault() (Table, []FaultCell, error) {
-	st, err := o.FigFaultSweep()
-	if err != nil {
-		return Table{}, nil, err
-	}
-	t, cells := faultTable(st)
-	return t, cells, nil
-}
-
 // faultTable builds the figure's text table and typed cells from the
-// sweep table (shared by FigFault and the catalogue entry). The text
-// table inherits the sweep's title, so text and JSON cannot drift.
+// sweep table. The text table inherits the sweep's title, so text and JSON cannot drift.
 func faultTable(st sweep.Table) (Table, []FaultCell) {
 	t := Table{
 		Title: st.Title,

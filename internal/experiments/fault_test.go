@@ -5,6 +5,7 @@ import (
 
 	"picmcio/internal/burst"
 	"picmcio/internal/fault"
+	"picmcio/internal/units"
 )
 
 // TestFigFaultPolicySeparation is the artifact's headline claim: on node
@@ -13,11 +14,11 @@ import (
 // immediate draining, and watermark (deepest backlog) at least as much as
 // epoch-end.
 func TestFigFaultPolicySeparation(t *testing.T) {
-	o := Options{Seed: 1}
-	_, cells, err := o.FigFault()
+	st, err := Options{Seed: 1}.FigFaultSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, cells := faultTable(st)
 	lost := map[burst.Policy]map[float64]int{}
 	for _, c := range cells {
 		if c.QoS != "qos-off" {
@@ -27,6 +28,15 @@ func TestFigFaultPolicySeparation(t *testing.T) {
 			lost[c.Policy] = map[float64]int{}
 		}
 		lost[c.Policy][c.KillFrac] = c.Report.LostEpochsPFS
+	}
+	total := map[burst.Policy]int{}
+	for pol, byFrac := range lost {
+		for _, n := range byFrac {
+			total[pol] += n
+		}
+	}
+	if got, want := [3]int{total[burst.PolicyImmediate], total[burst.PolicyEpochEnd], total[burst.PolicyWatermark]}, [3]int{0, 2, 8}; got != want {
+		t.Errorf("epochs lost over the kill times under immediate, epoch-end and watermark draining: %v, want %v", got, want)
 	}
 	for _, frac := range FaultKillFracs {
 		imm, ee, wm := lost[burst.PolicyImmediate][frac], lost[burst.PolicyEpochEnd][frac], lost[burst.PolicyWatermark][frac]
@@ -72,4 +82,9 @@ func TestFigFaultSurvival(t *testing.T) {
 	if nk.RestartEpoch < nl.RestartEpoch {
 		t.Errorf("NVMe survival restarts from %d, behind node loss's %d", nk.RestartEpoch, nl.RestartEpoch)
 	}
+	// The surviving staged state redrains at real drain bandwidth.
+	if nl.LostBytes != 512<<20 || nk.RedrainBytes != 512<<20 {
+		t.Errorf("node loss destroyed %d bytes and NVMe survival redrained %d, want 512 MiB each", nl.LostBytes, nk.RedrainBytes)
+	}
+	pinned(t, "redrain GiB/s", units.GiBps(sc.NVMeKeep.DrainBps), "10.2219")
 }

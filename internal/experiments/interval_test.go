@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"picmcio/internal/ckptopt"
 )
 
 // TestFigInterval pins the interval figure's structure: the analytic
@@ -47,6 +49,22 @@ func TestFigInterval(t *testing.T) {
 			}
 		}
 	}
+	// What the cost probes measured on Dardel under immediate draining, as
+	// the bandwidth of a 128 MiB checkpoint at each durability level, and
+	// the cadence that prices into.
+	dardel := func(durability string) ckptopt.Level {
+		for _, p := range st.Points {
+			if cell := p.Extra.(IntervalCell); cell.Machine == "Dardel" && cell.Policy == "immediate" && cell.Durability == durability && cell.Scale == 1 {
+				return cell.Level
+			}
+		}
+		t.Fatalf("no Dardel/immediate/%s cell", durability)
+		return ckptopt.Level{}
+	}
+	pinned(t, "buffered checkpoint GiB/s", 128/1024.0/dardel("buffered").SaveSec, "5.5116")
+	pinned(t, "PFS checkpoint GiB/s", 128/1024.0/dardel("pfs").SaveSec, "2.2732")
+	pinned(t, "buffered optimal interval s", dardel("buffered").NumericSec, "6389.3108")
+	pinned(t, "PFS optimal interval s", dardel("pfs").NumericSec, "9948.9070")
 	if len(marks) != 2*3*2 {
 		t.Fatalf("expected 12 curves, saw %d", len(marks))
 	}

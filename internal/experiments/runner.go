@@ -7,7 +7,7 @@
 // sizes, but a reduced number of output epochs; quantities that accumulate
 // over the whole 200 K-step production run (per-process times, metadata
 // log sizes) are extrapolated by the epoch ratio and labelled as
-// "full-run equivalent" — see DESIGN.md §6.
+// "full-run equivalent" — see DESIGN.md §12.
 package experiments
 
 import (

@@ -46,6 +46,20 @@ func TestFigSizingKnee(t *testing.T) {
 			t.Errorf("%s: no PFS fallback at %.2g-epoch capacity", m.Name, caps[0])
 		}
 	}
+	var bestDrain, bestSpeedup float64
+	for _, p := range tab.Points {
+		if v, ok := p.Get("drain_gibps"); ok {
+			bestDrain = max(bestDrain, v)
+		}
+		if v, ok := p.Get("app_speedup_x"); ok {
+			bestSpeedup = max(bestSpeedup, v)
+		}
+	}
+	if len(tab.Points) != 32 {
+		t.Errorf("%d grid points, want 32", len(tab.Points))
+	}
+	pinned(t, "best write-back GiB/s of the grid", bestDrain, "6.0100")
+	pinned(t, "best staging speedup of the grid", bestSpeedup, "2.3035")
 	// Cells outside a machine's declared range stay empty (rectangular
 	// union grid, no fabricated measurements): Vega declares no 0.25x
 	// drain scale.
@@ -99,6 +113,8 @@ func TestCampaignFailure(t *testing.T) {
 		t.Errorf("policy ordering violated: immediate %.2f, epoch-end %.2f, watermark %.2f",
 			lost["immediate"], lost["epoch-end"], lost["watermark"])
 	}
+	pinned(t, "node-hours lost per failure, immediate", lost["immediate"], "6.2146")
+	pinned(t, "node-hours lost per failure, watermark", lost["watermark"], "23.5560")
 }
 
 // TestCampaignAtPresetMTBF: at the real 500k-hour MTBF the analytic

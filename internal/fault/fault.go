@@ -73,17 +73,6 @@ func (s Survivability) Prob() float64 {
 	return 0
 }
 
-// ParseSurvivability maps a configuration string to a Survivability.
-func ParseSurvivability(s string) (Survivability, error) {
-	switch s {
-	case "none", "node-loss":
-		return SurviveNone, nil
-	case "nvme", "nvme-survives":
-		return SurviveNVMe, nil
-	}
-	return 0, fmt.Errorf("fault: unknown survivability model %q", s)
-}
-
 // Spec configures one injected failure inside a job's epoch schedule.
 type Spec struct {
 	// KillEpoch is the epoch (0-based) during whose compute phase the
@@ -155,9 +144,6 @@ func UniformLedger(epochs int, start, perEpoch sim.Duration, cumBase int64) *Led
 	}
 	return l
 }
-
-// Epochs reports how many epochs have been marked.
-func (l *Ledger) Epochs() int { return len(l.bufferedAt) }
 
 // BufferedEpochs reports how many epochs were fully buffered-durable by
 // time t — the restart position when staged state survives the failure.
@@ -258,11 +244,11 @@ type Injector struct {
 	Report *Report
 }
 
-// Arm schedules an injection on kernel k: at virtual time at, kill every
-// victim process, crash each victim node's buffer per the survivability
-// model (tier may be nil for a direct-to-PFS job), assess the recovery
-// position from the ledger, wait out the restart delay, and call restart
-// with the epoch the victims resume from. The victims are the restarting
+// ArmWith schedules an injection on kernel k: at virtual time at, kill
+// every victim process, crash each victim node's buffer per the
+// survivability model (tier may be nil for a direct-to-PFS job), assess the
+// recovery position from the ledger, wait out the restart delay, and call
+// restart with the epoch the victims resume from. The victims are the restarting
 // set: the durable position is the minimum over their drained counters,
 // since the restart needs its checkpoint back on every restarting node
 // (surviving nodes keep their staged state and need no rollback). The
@@ -272,18 +258,13 @@ type Injector struct {
 // should respawn only processes whose Killed() reports true — a victim
 // that completed before the kill fired needs no recovery, and its node's
 // Crash finds nothing staged (a finished writer drained before exiting).
-func Arm(k *sim.Kernel, at sim.Time, spec Spec, victims []Victim, tier *burst.Tier,
-	led *Ledger, restart func(p *sim.Proc, fromEpoch int)) *Injector {
-	return ArmWith(k, at, spec, victims, tier, led, nil, restart)
-}
-
-// ArmWith is Arm with an explicit durable-position probe: drained is
-// sampled at kill time (before the crash destroys staged state) and fed
-// to Assess in place of the default minimum over the victims'
-// drained-byte counters. Callers whose staged output is not uniform
-// across nodes — aggregating workloads whose ledger counts epochs
-// rather than bytes — supply a closure that reports the position in the
-// ledger's own units; nil keeps the default.
+//
+// drainedFn is an explicit durable-position probe: it is sampled at kill
+// time (before the crash destroys staged state) and fed to Assess in place
+// of the default minimum over the victims' drained-byte counters. Callers
+// whose staged output is not uniform across nodes — aggregating workloads
+// whose ledger counts epochs rather than bytes — supply a closure that
+// reports the position in the ledger's own units; nil keeps the default.
 func ArmWith(k *sim.Kernel, at sim.Time, spec Spec, victims []Victim, tier *burst.Tier,
 	led *Ledger, drainedFn func() int64, restart func(p *sim.Proc, fromEpoch int)) *Injector {
 	inj := &Injector{}

@@ -15,16 +15,12 @@ import (
 	"picmcio/internal/sim"
 )
 
-// API selects the I/O interface. Only POSIX is implemented; the constant
-// set mirrors IOR's -a option values.
+// API selects the I/O interface, by the value of IOR's -a option. Only
+// POSIX is implemented.
 type API string
 
-// Supported and recognized APIs.
-const (
-	POSIX API = "POSIX"
-	MPIIO API = "MPIIO"
-	HDF5  API = "HDF5"
-)
+// POSIX is the supported API.
+const POSIX API = "POSIX"
 
 // Config mirrors the IOR command-line options used in Table I.
 type Config struct {

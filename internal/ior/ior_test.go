@@ -105,7 +105,7 @@ func TestCommandLineRendering(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	cfg := DefaultConfig(4)
-	cfg.API = HDF5
+	cfg.API = "HDF5"
 	if err := cfg.Validate(); err == nil {
 		t.Error("HDF5 accepted")
 	}

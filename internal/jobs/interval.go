@@ -12,7 +12,6 @@ import (
 
 	"picmcio/internal/ckptopt"
 	"picmcio/internal/cluster"
-	"picmcio/internal/sim"
 )
 
 // MeasureCheckpointCosts runs probe jobs of workload wl on machine m at
@@ -85,13 +84,4 @@ func perEpochSave(r Result, wl Workload, kind string) (float64, error) {
 		return 0, fmt.Errorf("jobs: %s probe measured non-positive save cost %v", kind, save)
 	}
 	return save, nil
-}
-
-// IntervalFrom returns a copy of the spec whose per-epoch compute phase
-// is the plan's recommended checkpoint interval — the hook that lets a
-// campaign run a co-schedule *at* the ckptopt optimum instead of a
-// hand-picked epoch length.
-func (s Spec) IntervalFrom(p ckptopt.Plan) Spec {
-	s.Workload = s.Workload.WithCompute(sim.Duration(p.IntervalSec()))
-	return s
 }

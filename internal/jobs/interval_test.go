@@ -8,7 +8,6 @@ import (
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
 	"picmcio/internal/jobs"
-	"picmcio/internal/sim"
 	"picmcio/internal/units"
 )
 
@@ -94,33 +93,6 @@ func TestMeasureCheckpointCosts(t *testing.T) {
 	}
 	if _, err := jobs.MeasureCheckpointCosts(m, nil, 2, 1); err == nil {
 		t.Error("nil-workload probe accepted")
-	}
-}
-
-// TestIntervalFrom: the spec hook stamps the plan's recommendation onto
-// the workload's compute phase without touching anything else.
-func TestIntervalFrom(t *testing.T) {
-	p, err := ckptopt.Optimize(ckptopt.Costs{
-		MTBFSec:         9e8,
-		BufferedSaveSec: 0.02,
-		DurableSaveSec:  0.08,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := jobs.Spec{Name: "campaign", Nodes: 2, Workload: probeWorkload()}
-	tuned := spec.IntervalFrom(p)
-	if got, want := float64(tuned.Workload.Shape().ComputeSec), p.IntervalSec(); got != want {
-		t.Errorf("ComputeSec %v, want the recommended interval %v", got, want)
-	}
-	if tuned.Workload.Shape().Epochs != spec.Workload.Shape().Epochs || tuned.Name != spec.Name {
-		t.Error("IntervalFrom disturbed unrelated spec fields")
-	}
-	if spec.Workload.Shape().ComputeSec != probeWorkload().ComputeSec {
-		t.Error("IntervalFrom mutated the caller's spec")
-	}
-	if sim.Duration(p.IntervalSec()) <= 0 {
-		t.Fatalf("recommended interval %v not positive", p.IntervalSec())
 	}
 }
 

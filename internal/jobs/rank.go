@@ -15,7 +15,6 @@ import (
 	"picmcio/internal/mpisim"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
-	"picmcio/internal/workload"
 )
 
 // RankWorkload is a coordinated (lockstep) Workload: the job's per-node
@@ -42,23 +41,6 @@ type RankWorkload struct {
 	// fan-in and gather collectives (0: 1 µs latency, 10 GB/s).
 	NetAlpha float64
 	NetBeta  float64
-}
-
-// BIT1Rank returns a RankWorkload calibrated against the paper's BIT1
-// Table II sizing at the given total rank count (ranksPerNode × nodes):
-// per-rank checkpoint and diagnostic snapshot bytes from the global
-// snapshot sizes.
-func BIT1Rank(epochs, nodes, ranksPerNode, aggregators int, compute sim.Duration) RankWorkload {
-	s := workload.Default()
-	ranks := nodes * ranksPerNode
-	return RankWorkload{
-		Epochs:                 epochs,
-		RanksPerNode:           ranksPerNode,
-		Aggregators:            aggregators,
-		CheckpointBytesPerRank: s.PerRankCheckpoint(ranks),
-		DiagBytesPerRank:       s.PerRankDiag(ranks),
-		ComputeSec:             compute,
-	}
 }
 
 // aggr is the effective writer-group count.

@@ -1,6 +1,7 @@
 package jobs_test
 
 import (
+	"fmt"
 	"testing"
 
 	"picmcio/internal/burst"
@@ -232,21 +233,51 @@ func TestRankWorkloadDeterminism(t *testing.T) {
 	}
 }
 
-// TestBIT1RankSizing: the constructor splits the paper's global snapshot
-// volumes across the schedule's total rank count.
-func TestBIT1RankSizing(t *testing.T) {
-	wl := jobs.BIT1Rank(4, 8, 16, 2, 0.05)
-	if wl.Epochs != 4 || wl.RanksPerNode != 16 || wl.Aggregators != 2 {
-		t.Fatalf("schedule fields not threaded through: %+v", wl)
+// TestWorkloadCoSchedule runs the unified workload interface as a 4-job
+// co-schedule on Dardel: two BIT1-style rank schedules (1 vs 4 aggregator
+// groups), a chunked flat writer and a direct neighbour, all contending
+// for the same PFS. Every job writes and drains everything, the aggregator
+// count leaves the logical volume alone, funnelling through one writer
+// does not reach durability before spreading over four — and the
+// write-back bandwidths, which drop if the mpisim gather path, the staging
+// tier or the shared-PFS contention model regresses, are the model's to
+// the digit.
+func TestWorkloadCoSchedule(t *testing.T) {
+	tier := burst.Spec{CapacityBytes: 2 << 30, Rate: 6e9, PerOp: 25e-6, Policy: burst.PolicyEpochEnd}
+	rank := func(aggr int) jobs.Workload { return rankSpec(4, aggr).Workload }
+	flat := jobs.BulkWriter{Epochs: 3, CheckpointBytes: 96 * units.MiB, DiagBytes: 32 * units.MiB, ComputeSec: 0.02}
+	res, err := jobs.Run(cluster.Dardel(), []jobs.Spec{
+		{Name: "ranks-1agg", Nodes: 4, Burst: tier, Workload: rank(1), StripeCount: -1},
+		{Name: "ranks-4agg", Nodes: 4, Burst: tier, Workload: rank(4), StripeCount: -1},
+		{Name: "chunked", Nodes: 4, Burst: tier, Workload: jobs.ChunkedWriter{
+			Epochs: 3, CheckpointBytes: 96 * units.MiB, DiagBytes: 32 * units.MiB,
+			ComputeSec: 0.02, ChunkBytes: 16 * units.MiB,
+		}, StripeCount: -1},
+		{Name: "direct", Nodes: 4, Workload: flat, StripeCount: -1},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wl.CheckpointBytesPerRank <= wl.DiagBytesPerRank || wl.DiagBytesPerRank <= 0 {
-		t.Errorf("per-rank sizing implausible: ckpt=%d diag=%d",
-			wl.CheckpointBytesPerRank, wl.DiagBytesPerRank)
+	shares := make([]float64, len(res))
+	for i, r := range res {
+		shares[i] = r.FairShareBps()
+		if r.BytesWritten == 0 {
+			t.Errorf("job %s wrote nothing", r.Name)
+		}
+		if r.Burst != nil && r.Burst.PendingBytes != 0 {
+			t.Errorf("job %s left %d bytes staged", r.Name, r.Burst.PendingBytes)
+		}
 	}
-	// More ranks ⇒ smaller per-rank share of the fixed global snapshot.
-	finer := jobs.BIT1Rank(4, 8, 32, 2, 0.05)
-	if finer.CheckpointBytesPerRank >= wl.CheckpointBytesPerRank {
-		t.Errorf("doubling ranks did not shrink the per-rank checkpoint: %d vs %d",
-			finer.CheckpointBytesPerRank, wl.CheckpointBytesPerRank)
+	one, four := res[0], res[1]
+	if one.BytesWritten != four.BytesWritten {
+		t.Errorf("aggregator count changed logical volume: %d vs %d", one.BytesWritten, four.BytesWritten)
+	}
+	if one.DurableSec < four.DurableSec {
+		t.Errorf("one aggregator durable at %.4fs, before four at %.4fs", one.DurableSec, four.DurableSec)
+	}
+	got := fmt.Sprintf("drain %.4f and %.4f GiB/s, durable at %.4f and %.4f s, Jain %.4f",
+		units.GiBps(one.DrainBps), units.GiBps(four.DrainBps), one.DurableSec, four.DurableSec, jobs.JainIndex(shares))
+	if want := "drain 3.9146 and 3.1878 GiB/s, durable at 0.5409 and 0.5203 s, Jain 0.9899"; got != want {
+		t.Errorf("1 and 4 aggregators: %s, want %s", got, want)
 	}
 }

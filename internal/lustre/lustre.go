@@ -127,7 +127,7 @@ func New(k *sim.Kernel, p Params) *FS {
 	fs := &FS{
 		k:           k,
 		p:           p,
-		mds:         sim.NewMultiServer(k, p.MDSThreads, 0, 0),
+		mds:         sim.NewMultiServer(k, p.MDSThreads),
 		rng:         xrand.New(p.Seed ^ 0x1f5),
 		nextID:      297000000,
 		dirDefaults: map[string]Layout{},

@@ -1,7 +1,7 @@
 // Package mpisim is a simulated MPI runtime on the discrete-event kernel:
-// each rank is a sim process, point-to-point messages and collectives cost
-// virtual time through a pluggable alpha-beta network model, and
-// communicators can be split — enough MPI surface for BIT1's I/O paths
+// each rank is a sim process, collectives cost virtual time through a
+// pluggable alpha-beta network model, and communicators can be split —
+// enough MPI surface for BIT1's I/O paths
 // (offset exscan for openPMD global extents, gatherv for ADIOS2
 // aggregation, barriers between phases).
 //
@@ -158,27 +158,6 @@ type commGroup struct {
 	// parked holds the procs waiting in the pending rendezvous, by comm
 	// rank; the last arriver wakes them and leaves every entry nil.
 	parked []*sim.Proc
-
-	mail  map[mailKey][]*message
-	recvQ map[mailKey]*recvWait
-}
-
-type mailKey struct {
-	to, from, tag int
-}
-
-type message struct {
-	payload any
-	bytes   int64
-	arrival sim.Time
-}
-
-// recvWait is a posted receive: the arrival completion is a timed
-// broadcast (sim.Completion.CompleteAt), so the matching Send releases
-// the receiver at the message's arrival time.
-type recvWait struct {
-	arrived *sim.Completion
-	msg     *message
 }
 
 // collState is one matched collective: every rank's contribution by comm
@@ -316,21 +295,6 @@ func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 	return slab[lo : lo+m : lo+m], slab[end:]
 }
 
-// AllgatherI64 gathers one int64 from every rank onto every rank. The
-// result is shared by all ranks of the communicator: read-only.
-func (c *Comm) AllgatherI64(v int64) []int64 {
-	return collective(c, v, func(contribs []int64) ([]int64, int64) {
-		return contribs, int64(8 * len(contribs) * len(contribs))
-	})
-}
-
-// BcastI64 broadcasts v from root to every rank.
-func (c *Comm) BcastI64(v int64, root int) int64 {
-	return collective(c, v, func(contribs []int64) (int64, int64) {
-		return contribs[root], int64(8 * len(contribs))
-	})
-}
-
 // GatherChunk is one rank's contribution to GathervBytes.
 type GatherChunk struct {
 	Rank int
@@ -397,52 +361,4 @@ func (c *Comm) Split(color, key int) *Comm {
 		return members, int64(16 * len(es))
 	})[c.rank]
 	return &Comm{g: m.g, rank: m.rank, r: c.r}
-}
-
-// Send delivers a message of n bytes (payload optional) to comm rank `to`
-// with the given tag. The sender is charged a small injection overhead;
-// the message arrives after the network cost for its size.
-func (c *Comm) Send(to, tag int, n int64, payload any) {
-	p := c.r.Proc
-	arrival := p.Now() + c.g.w.cost(2, n)
-	key := mailKey{to: to, from: c.rank, tag: tag}
-	msg := &message{payload: payload, bytes: n, arrival: arrival}
-	if rw, ok := c.g.recvQ[key]; ok && rw.msg == nil {
-		rw.msg = msg
-		delete(c.g.recvQ, key)
-		rw.arrived.CompleteAt(arrival)
-	} else {
-		if c.g.mail == nil {
-			c.g.mail = map[mailKey][]*message{}
-		}
-		c.g.mail[key] = append(c.g.mail[key], msg)
-	}
-	p.Sleep(c.g.w.cost(2, 0)) // injection overhead
-}
-
-// Recv blocks until a message from comm rank `from` with the given tag
-// arrives and returns its payload and size.
-func (c *Comm) Recv(from, tag int) (any, int64) {
-	p := c.r.Proc
-	key := mailKey{to: c.rank, from: from, tag: tag}
-	if q := c.g.mail[key]; len(q) > 0 {
-		msg := q[0]
-		if len(q) == 1 {
-			delete(c.g.mail, key)
-		} else {
-			c.g.mail[key] = q[1:]
-		}
-		p.SleepUntil(msg.arrival)
-		return msg.payload, msg.bytes
-	}
-	if _, busy := c.g.recvQ[key]; busy {
-		panic("mpisim: two concurrent Recv calls on the same (from, tag)")
-	}
-	rw := &recvWait{arrived: sim.NewCompletion(p.Kernel())}
-	if c.g.recvQ == nil {
-		c.g.recvQ = map[mailKey]*recvWait{}
-	}
-	c.g.recvQ[key] = rw
-	rw.arrived.Wait(p)
-	return rw.msg.payload, rw.msg.bytes
 }

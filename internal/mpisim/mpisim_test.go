@@ -70,32 +70,6 @@ func TestExscan(t *testing.T) {
 	})
 }
 
-func TestAllgather(t *testing.T) {
-	w := world(5)
-	w.Run(func(r *Rank) {
-		all := r.Comm.AllgatherI64(int64(r.ID * r.ID))
-		for i, v := range all {
-			if v != int64(i*i) {
-				t.Errorf("rank %d: all[%d]=%d", r.ID, i, v)
-			}
-		}
-	})
-}
-
-func TestBcast(t *testing.T) {
-	w := world(6)
-	w.Run(func(r *Rank) {
-		v := int64(-1)
-		if r.ID == 2 {
-			v = 777
-		}
-		got := r.Comm.BcastI64(v, 2)
-		if got != 777 {
-			t.Errorf("rank %d: bcast=%d", r.ID, got)
-		}
-	})
-}
-
 func TestGathervBytes(t *testing.T) {
 	w := world(4)
 	w.Run(func(r *Rank) {
@@ -136,47 +110,6 @@ func TestSplit(t *testing.T) {
 			t.Errorf("rank %d: sub sum=%d", r.ID, sum)
 		}
 	})
-}
-
-func TestSendRecvBothOrders(t *testing.T) {
-	// Receiver-first and sender-first must both work.
-	for _, recvFirst := range []bool{true, false} {
-		w := world(2)
-		var got any
-		w.Run(func(r *Rank) {
-			if r.ID == 0 {
-				if !recvFirst {
-					r.Proc.Sleep(0.01)
-				}
-				got, _ = r.Comm.Recv(1, 7)
-			} else {
-				if recvFirst {
-					r.Proc.Sleep(0.01)
-				}
-				r.Comm.Send(0, 7, 1024, "payload")
-			}
-		})
-		if got != "payload" {
-			t.Fatalf("recvFirst=%v: got %v", recvFirst, got)
-		}
-	}
-}
-
-func TestMessageTransferTakesTime(t *testing.T) {
-	w := NewWorld(sim.NewKernel(), 2, AlphaBeta(1e-3, 1e-6))
-	var recvAt sim.Time
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			r.Comm.Send(1, 0, 1000, nil)
-		} else {
-			r.Comm.Recv(0, 0)
-			recvAt = r.Proc.Now()
-		}
-	})
-	// alpha + 1000*beta = 1ms + 1ms = 2ms.
-	if recvAt < 0.0019 || recvAt > 0.0021 {
-		t.Fatalf("message arrived at %v, want ~2ms", recvAt)
-	}
 }
 
 func TestCollectiveCostScalesWithRanks(t *testing.T) {

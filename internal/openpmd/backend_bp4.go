@@ -98,12 +98,6 @@ func newBP4Backend(s *Series) (*bp4Backend, error) {
 	return b, nil
 }
 
-// IO exposes the underlying ADIOS2 IO for inspection.
-func (b *bp4Backend) IO() *adios2.IO { return b.io }
-
-// Engine exposes the underlying engine (e.g. for profiling counters).
-func (b *bp4Backend) Engine() *adios2.Engine { return b.eng }
-
 func (b *bp4Backend) beginIteration(id uint64) error {
 	if b.inIter {
 		return fmt.Errorf("openpmd: bp4 backend already in iteration")
@@ -189,16 +183,4 @@ func (b *bp4Backend) load(it uint64, varPath string) ([]float64, []uint64, error
 		return nil, nil, err
 	}
 	return adios2.Float64sFromBytes(raw), shape, nil
-}
-
-func (b *bp4Backend) listVars(it uint64) ([]string, error) {
-	vars, err := b.eng.VariablesAt(int64(it))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(vars))
-	for i, v := range vars {
-		out[i] = v.Name
-	}
-	return out, nil
 }

@@ -189,16 +189,3 @@ func (b *jsonBackend) load(it uint64, varPath string) ([]float64, []uint64, erro
 	}
 	return v.Data, v.Extent, nil
 }
-
-func (b *jsonBackend) listVars(it uint64) ([]string, error) {
-	recs, err := b.readIterDoc(it)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for k := range recs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}

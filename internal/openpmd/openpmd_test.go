@@ -134,14 +134,6 @@ NumAggregators = "2"
 			return
 		}
 		it, _ := s.ReadIteration(100)
-		vars, err := it.ListRecordComponents()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if len(vars) != 1 || vars[0] != "/data/100/particles/e/position/x" {
-			t.Errorf("vars=%v", vars)
-		}
 		rc := it.Particles("e").Record("position").Component("x")
 		data, shape, err := rc.Load()
 		if err != nil {
@@ -217,22 +209,22 @@ func TestStandardAttributes(t *testing.T) {
 	rg.w.Run(func(r *mpisim.Rank) {
 		s, _ := NewSeries(rg.host(r), "/a.json", AccessCreate, "")
 		other, _ := NewSeries(rg.host(r), "/b.json", AccessCreate, "")
-		if v, ok := s.Attribute("openPMD"); !ok || v != "1.1.0" {
+		if v, ok := s.attributes()["openPMD"]; !ok || v != "1.1.0" {
 			t.Errorf("openPMD attr = %q", v)
 		}
-		if v, _ := s.Attribute("iterationEncoding"); v != "groupBased" {
+		if v := s.attributes()["iterationEncoding"]; v != "groupBased" {
 			t.Errorf("encoding attr = %q", v)
 		}
 		s.SetAttribute("author", "BIT1 team")
 		s.SetAttribute("software", "BIT1")
 		s.SetAttribute("software", "BIT1 v2")
-		if v, _ := s.Attribute("software"); v != "BIT1 v2" {
+		if v := s.attributes()["software"]; v != "BIT1 v2" {
 			t.Errorf("software attr = %q after SetAttribute", v)
 		}
-		if v, _ := other.Attribute("software"); v != "picmcio" {
+		if v := other.attributes()["software"]; v != "picmcio" {
 			t.Errorf("another series' software attr = %q", v)
 		}
-		if v, ok := other.Attribute("author"); ok {
+		if v, ok := other.attributes()["author"]; ok {
 			t.Errorf("another series has author = %q", v)
 		}
 		s.Close()

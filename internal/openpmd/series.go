@@ -13,7 +13,6 @@ package openpmd
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"picmcio/internal/adios2"
@@ -47,9 +46,6 @@ func (d Datatype) adios() adios2.DType {
 	return adios2.TypeFloat64
 }
 
-// Size reports the element size in bytes.
-func (d Datatype) Size() int64 { return 8 }
-
 // Scalar is the component name of scalar records.
 const Scalar = "\x00scalar"
 
@@ -82,8 +78,6 @@ type backend interface {
 	iterations() ([]uint64, error)
 	// load reads a whole record component (read mode).
 	load(it uint64, varPath string) ([]float64, []uint64, error)
-	// listVars lists record component paths of one iteration (read mode).
-	listVars(it uint64) ([]string, error)
 }
 
 // Series is the root object of an openPMD hierarchy.
@@ -169,18 +163,6 @@ func (s *Series) SetAttribute(key, value string) {
 	s.attrs = append(s.attrs, attribute{key, value})
 }
 
-// Attribute reads a root attribute.
-func (s *Series) Attribute(key string) (string, bool) {
-	for _, list := range [][]attribute{s.attrs, standardAttrs[:]} {
-		for _, a := range list {
-			if a.key == key {
-				return a.value, true
-			}
-		}
-	}
-	return "", false
-}
-
 // attributes returns every root attribute: the standard's, then what
 // SetAttribute stored over and beside them.
 func (s *Series) attributes() map[string]string {
@@ -192,9 +174,6 @@ func (s *Series) attributes() map[string]string {
 	}
 	return m
 }
-
-// Path reports the series path.
-func (s *Series) Path() string { return s.path }
 
 // WriteIteration opens iteration id for writing. Only one iteration may be
 // open at a time; openPMD semantics allow re-opening a previously written
@@ -261,32 +240,17 @@ type Iteration struct {
 	closed bool
 }
 
-// recordKey is the world-memo key of a record's path: a species' record,
-// or a mesh (species unused).
-type recordKey struct {
-	id            uint64
-	mesh          bool
-	species, name string
-}
-
-// componentKey is the world-memo key of a non-scalar component's path.
-type componentKey struct{ record, name string }
-
-// recordPath builds the standard's path of a record once per world: every
-// rank names the same records, and the string ends up in each rank's
-// component handle and ADIOS2 variable.
-func (it *Iteration) recordPath(mesh bool, species, name string) string {
-	return mpisim.Memo(it.series.host.Comm, recordKey{it.ID, mesh, species, name}, func() string {
-		if mesh {
-			return fmt.Sprintf("/data/%d/meshes/%s", it.ID, name)
-		}
-		return fmt.Sprintf("/data/%d/particles/%s/%s", it.ID, species, name)
-	})
+// recordPath is the standard's path of a record of iteration id.
+func recordPath(id uint64, mesh bool, species, name string) string {
+	if mesh {
+		return fmt.Sprintf("/data/%d/meshes/%s", id, name)
+	}
+	return fmt.Sprintf("/data/%d/particles/%s/%s", id, species, name)
 }
 
 // Meshes returns the mesh record with the given name.
 func (it *Iteration) Meshes(name string) *Record {
-	return &Record{it: it, path: it.recordPath(true, "", name)}
+	return &Record{it: it, path: recordPath(it.ID, true, "", name)}
 }
 
 // Particles returns the particle species container with the given name.
@@ -322,6 +286,9 @@ func NewSchema(names []ComponentName, t Datatype, dims int) (*Schema, error) {
 	}
 	return &Schema{names: append([]ComponentName(nil), names...), dtype: t, dims: dims}, nil
 }
+
+// Len reports the number of components in the schema.
+func (s *Schema) Len() int { return len(s.names) }
 
 // RowWords reports the length of the block of numbers a rank keeps for the
 // schema's components in an iteration: per component its extent and the
@@ -384,7 +351,7 @@ func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) 
 	res := mpisim.Memo(it.series.host.Comm, schemaKey{it.ID, s}, func() resolved {
 		paths := make([]string, len(s.names))
 		for i, n := range s.names {
-			paths[i] = it.componentPath(it.recordPath(n.Mesh, n.Species, n.Record), n.Component)
+			paths[i] = componentPath(recordPath(it.ID, n.Mesh, n.Species, n.Record), n.Component)
 		}
 		// dims was checked by NewSchema.
 		vars, _ := adios2.NewVarSet(paths, s.dtype.adios(), s.dims)
@@ -392,9 +359,6 @@ func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) 
 	})
 	return ComponentSet{it: it, paths: res.paths, dtype: s.dtype, dims: s.dims, nums: nums, vars: res.vars}, nil
 }
-
-// Len reports the number of components in the set.
-func (cs *ComponentSet) Len() int { return len(cs.paths) }
 
 // At returns the handle of component i: a value, good for as long as the
 // set stays where it is.
@@ -427,7 +391,7 @@ type Species struct {
 // Record returns a named record of the species ("position", "momentum",
 // "weighting", …).
 func (sp *Species) Record(name string) *Record {
-	return &Record{it: sp.it, path: sp.it.recordPath(false, sp.name, name)}
+	return &Record{it: sp.it, path: recordPath(sp.it.ID, false, sp.name, name)}
 }
 
 // Record is a physical quantity; it may have several components.
@@ -436,20 +400,17 @@ type Record struct {
 	path string
 }
 
-// componentPath builds a component's path once per world, as recordPath
-// does its record's.
-func (it *Iteration) componentPath(record, name string) string {
+// componentPath is the path of a record's component.
+func componentPath(record, name string) string {
 	if name == Scalar {
 		return record
 	}
-	return mpisim.Memo(it.series.host.Comm, componentKey{record, name}, func() string {
-		return record + "/" + name
-	})
+	return record + "/" + name
 }
 
 // Component returns a record component; use Scalar for scalar records.
 func (r *Record) Component(name string) *RecordComponent {
-	set := &ComponentSet{it: r.it, paths: []string{r.it.componentPath(r.path, name)}}
+	set := &ComponentSet{it: r.it, paths: []string{componentPath(r.path, name)}}
 	return &RecordComponent{set: set}
 }
 
@@ -549,15 +510,4 @@ func (rc RecordComponent) Load() ([]float64, []uint64, error) {
 		return nil, nil, fmt.Errorf("openpmd: Load on write iteration")
 	}
 	return it.series.be.load(it.ID, rc.Path())
-}
-
-// ListRecordComponents lists the component paths stored in an iteration,
-// sorted (read mode).
-func (it *Iteration) ListRecordComponents() ([]string, error) {
-	vars, err := it.series.be.listVars(it.ID)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(vars)
-	return vars, nil
 }

@@ -57,8 +57,7 @@ type Frontend struct {
 	ns   *Namespace
 	b    Backend
 
-	bytesWritten uint64
-	bytesRead    uint64
+	bytesRead uint64
 }
 
 // NewFrontend returns an empty file system called name, timed by b.
@@ -74,9 +73,6 @@ func (fe *Frontend) Name() string { return fe.name }
 // Namespace exposes the file tree for offline inspection (tools, tests);
 // it must not be mutated while processes are running.
 func (fe *Frontend) Namespace() *Namespace { return fe.ns }
-
-// TotalBytesWritten reports cumulative bytes written across all files.
-func (fe *Frontend) TotalBytesWritten() uint64 { return fe.bytesWritten }
 
 // TotalBytesRead reports cumulative bytes read across all files.
 func (fe *Frontend) TotalBytesRead() uint64 { return fe.bytesRead }
@@ -183,7 +179,6 @@ func nicDone(p *sim.Proc, c *Client, n int64) sim.Time {
 func (f *file) WriteAt(p *sim.Proc, c *Client, off, n int64, data []byte) {
 	end := f.fe.b.Absorb(f.node, off, n, nicDone(p, c, n))
 	NodeWrite(f.node, off, n, data)
-	f.fe.bytesWritten += uint64(n)
 	p.SleepUntil(end)
 }
 

@@ -165,12 +165,6 @@ func (e *Env) MkdirAll(p *sim.Proc, path string) error {
 	return err
 }
 
-// Path reports the path the descriptor was opened with.
-func (fd *FD) Path() string { return fd.path }
-
-// Offset reports the current file position.
-func (fd *FD) Offset() int64 { return fd.off }
-
 // Size reports the current size of the underlying file.
 func (fd *FD) Size() int64 { return fd.f.Size() }
 
@@ -214,13 +208,6 @@ func (fd *FD) Pread(p *sim.Proc, off, n int64) []byte {
 	}
 	fd.env.record(OpRead, fd.path, got, start, p.Now())
 	return b
-}
-
-// Seek sets the absolute file position (SEEK_SET).
-func (fd *FD) Seek(p *sim.Proc, off int64) {
-	start := p.Now()
-	fd.off = off
-	fd.env.record(OpSeek, fd.path, 0, start, p.Now())
 }
 
 // Fsync flushes the file to stable storage.

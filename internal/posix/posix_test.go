@@ -36,8 +36,8 @@ func TestWriteAdvancesOffset(t *testing.T) {
 		}
 		fd.Write(p, 100, nil)
 		fd.Write(p, 50, nil)
-		if fd.Offset() != 150 {
-			t.Errorf("offset=%d, want 150", fd.Offset())
+		if fd.off != 150 {
+			t.Errorf("offset=%d, want 150", fd.off)
 		}
 		if fd.Size() != 150 {
 			t.Errorf("size=%d, want 150", fd.Size())
@@ -52,8 +52,8 @@ func TestPwriteDoesNotMoveOffset(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		fd, _ := env.Create(p, "/f")
 		fd.Pwrite(p, 1000, 10, nil)
-		if fd.Offset() != 0 {
-			t.Errorf("offset moved to %d", fd.Offset())
+		if fd.off != 0 {
+			t.Errorf("offset moved to %d", fd.off)
 		}
 		if fd.Size() != 1010 {
 			t.Errorf("size=%d", fd.Size())
@@ -74,8 +74,8 @@ func TestOpenAppendPositionsAtEnd(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if fd2.Offset() != 64 {
-			t.Errorf("append offset=%d, want 64", fd2.Offset())
+		if fd2.off != 64 {
+			t.Errorf("append offset=%d, want 64", fd2.off)
 		}
 		fd2.Write(p, 64, nil)
 		fd2.Close(p)
@@ -92,13 +92,13 @@ func TestReadClipsAtEOF(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		fd, _ := env.Create(p, "/f")
 		fd.Write(p, 10, []byte("0123456789"))
-		fd.Seek(p, 5)
+		fd.off = 5
 		got := fd.Read(p, 100)
 		if string(got) != "56789" {
 			t.Errorf("read %q", got)
 		}
-		if fd.Offset() != 10 {
-			t.Errorf("offset=%d, want 10 (clipped)", fd.Offset())
+		if fd.off != 10 {
+			t.Errorf("offset=%d, want 10 (clipped)", fd.off)
 		}
 		fd.Close(p)
 	})

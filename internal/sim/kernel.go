@@ -22,9 +22,6 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// Infinity is a time later than any event the kernel will ever schedule.
-const Infinity Time = math.MaxFloat64
-
 // event is a scheduled resumption of a process. Only the entry whose seq
 // matches the process's pendingSeq is live; earlier entries for the same
 // process are tombstones that the run loop discards when they pop, so a
@@ -125,9 +122,6 @@ type Proc struct {
 
 // Name reports the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }

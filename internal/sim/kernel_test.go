@@ -124,8 +124,8 @@ func TestNaNTimePanics(t *testing.T) {
 	}{
 		{"Sleep", func(p, _ *Proc, _ *Completion) { p.Sleep(nan) }},
 		{"SleepUntil", func(p, _ *Proc, _ *Completion) { p.SleepUntil(nan) }},
-		{"WakeAt", func(p, parked *Proc, _ *Completion) { p.Kernel().WakeAt(nan, parked) }},
-		{"SpawnAt", func(p, _ *Proc, _ *Completion) { p.Kernel().SpawnAt(nan, "child", func(*Proc) {}) }},
+		{"WakeAt", func(p, parked *Proc, _ *Completion) { p.k.WakeAt(nan, parked) }},
+		{"SpawnAt", func(p, _ *Proc, _ *Completion) { p.k.SpawnAt(nan, "child", func(*Proc) {}) }},
 		{"CompleteAt", func(p, _ *Proc, c *Completion) { c.CompleteAt(nan) }},
 	}
 	for _, tc := range cases {
@@ -167,7 +167,7 @@ func TestServerFCFS(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			i := i
 			k.Spawn("w", func(p *Proc) {
-				s.Acquire(p, 100)
+				p.SleepUntil(s.Reserve(100))
 				ends = append(ends, p.Now())
 				_ = i
 			})
@@ -185,7 +185,7 @@ func TestServerPerOpLatency(t *testing.T) {
 	var end Time
 	k.Spawn("w", func(p *Proc) {
 		s := NewServer(k, 0, 0.25) // latency-only server
-		s.Acquire(p, 1<<20)
+		p.SleepUntil(s.Reserve(1 << 20))
 		end = p.Now()
 	})
 	k.Run()
@@ -198,10 +198,10 @@ func TestMultiServerParallelism(t *testing.T) {
 	k := NewKernel()
 	var ends []Time
 	k.Spawn("setup", func(p *Proc) {
-		m := NewMultiServer(k, 2, 0, 1.0)
+		m := NewMultiServer(k, 2)
 		for i := 0; i < 4; i++ {
 			k.Spawn("w", func(p *Proc) {
-				m.Acquire(p, 0)
+				p.SleepUntil(m.ReserveDur(1.0))
 				ends = append(ends, p.Now())
 			})
 		}
@@ -259,9 +259,9 @@ func TestMultiServerMakespanProperty(t *testing.T) {
 		k := NewKernel()
 		var last Time
 		k.Spawn("setup", func(p *Proc) {
-			m := NewMultiServer(k, c, 0, 1.0)
+			m := NewMultiServer(k, c)
 			for i := 0; i < n; i++ {
-				end := m.Reserve(0)
+				end := m.ReserveDur(1.0)
 				if end > last {
 					last = end
 				}

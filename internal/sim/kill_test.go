@@ -15,7 +15,7 @@ func TestKillSleeping(t *testing.T) {
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(3)
-		p.Kernel().Kill(victim)
+		p.k.Kill(victim)
 	})
 	end := k.Run()
 	if resumed {
@@ -43,7 +43,7 @@ func TestKillParked(t *testing.T) {
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(1)
-		p.Kernel().Kill(victim)
+		p.k.Kill(victim)
 	})
 	k.Run() // must not panic with a deadlock
 }
@@ -54,7 +54,7 @@ func TestKillBeforeStart(t *testing.T) {
 	k := NewKernel()
 	ran := false
 	victim := k.SpawnAt(5, "victim", func(p *Proc) { ran = true })
-	k.Spawn("killer", func(p *Proc) { p.Kernel().Kill(victim) })
+	k.Spawn("killer", func(p *Proc) { p.k.Kill(victim) })
 	k.Run()
 	if ran {
 		t.Fatal("killed process body ran")
@@ -69,10 +69,10 @@ func TestKillIdempotent(t *testing.T) {
 	victim := k.Spawn("victim", func(p *Proc) { p.Sleep(10) })
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(1)
-		p.Kernel().Kill(victim)
-		p.Kernel().Kill(victim)
-		p.Kernel().Kill(fast)
-		p.Kernel().Kill(nil)
+		p.k.Kill(victim)
+		p.k.Kill(victim)
+		p.k.Kill(fast)
+		p.k.Kill(nil)
 	})
 	k.Run()
 }
@@ -88,8 +88,8 @@ func TestKillThenWake(t *testing.T) {
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(2)
-		p.Kernel().Kill(victim)
-		p.Kernel().Wake(victim)
+		p.k.Kill(victim)
+		p.k.Wake(victim)
 	})
 	k.Run()
 	if resumed {
@@ -111,7 +111,7 @@ func TestKillLeavesOthersRunning(t *testing.T) {
 	}
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(1)
-		p.Kernel().Kill(victim)
+		p.k.Kill(victim)
 	})
 	if end := k.Run(); end != 5 {
 		t.Fatalf("run ended at t=%v, want 5", end)

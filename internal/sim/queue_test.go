@@ -1,17 +1,18 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
 
 // TestHeapOrderProperty drives the event heap with seeded random
-// interleavings of pushes and pops — exact-time ties, Infinity entries,
-// out-of-order pushes before the first pop and, after it, the kernel's
-// contract of never pushing earlier than the last pop — and checks every
-// pop against a sort.Slice (at, seq) oracle. Every replay guarantee in
-// the repository reduces to this order.
+// interleavings of pushes and pops — exact-time ties, entries at the last
+// time there is, out-of-order pushes before the first pop and, after it,
+// the kernel's contract of never pushing earlier than the last pop — and
+// checks every pop against a sort.Slice (at, seq) oracle. Every replay
+// guarantee in the repository reduces to this order.
 func TestHeapOrderProperty(t *testing.T) {
 	const (
 		seeds      = 100
@@ -34,7 +35,7 @@ func TestHeapOrderProperty(t *testing.T) {
 			case 1: // far future
 				at += Time(rng.Float64()) * 1e12
 			case 2:
-				at = Infinity
+				at = math.MaxFloat64
 			case 3: // exact tie with a random pending entry
 				if len(oracle) > 0 {
 					at = oracle[rng.Intn(len(oracle))].at

@@ -51,11 +51,6 @@ func (s *Server) Reserve(n int64) Time {
 	return s.freeAt
 }
 
-// Acquire books an operation of n bytes and blocks p until it completes.
-func (s *Server) Acquire(p *Proc, n int64) {
-	p.SleepUntil(s.Reserve(n))
-}
-
 // Stats reports the cumulative number of operations, bytes and busy time.
 func (s *Server) Stats() (ops, bytes uint64, busy Duration) {
 	return s.ops, s.bytes, s.busy
@@ -65,12 +60,10 @@ func (s *Server) Stats() (ops, bytes uint64, busy Duration) {
 // queue, e.g. a metadata server with a fixed service-thread count. Jobs are
 // dispatched to the earliest-free server.
 type MultiServer struct {
-	k     *Kernel
-	free  timeHeap // freeAt per server
-	perOp Duration
-	rate  float64
-	ops   uint64
-	busy  Duration
+	k    *Kernel
+	free timeHeap // freeAt per server
+	ops  uint64
+	busy Duration
 }
 
 type timeHeap []Time
@@ -81,43 +74,19 @@ func (h timeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *timeHeap) Push(x any)        { *h = append(*h, x.(Time)) }
 func (h *timeHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
-// NewMultiServer returns a c-server station with per-op latency perOp and
-// optional per-byte service rate (bytes/second; <=0 disables).
-func NewMultiServer(k *Kernel, c int, rate float64, perOp Duration) *MultiServer {
+// NewMultiServer returns a c-server station.
+func NewMultiServer(k *Kernel, c int) *MultiServer {
 	if c < 1 {
 		c = 1
 	}
-	m := &MultiServer{k: k, perOp: perOp, rate: rate, free: make(timeHeap, c)}
+	m := &MultiServer{k: k, free: make(timeHeap, c)}
 	heap.Init(&m.free)
 	return m
 }
 
-// Reserve books one operation of n bytes arriving now and returns its
-// completion time.
-func (m *MultiServer) Reserve(n int64) Time {
-	start := m.k.now
-	if m.free[0] > start {
-		start = m.free[0]
-	}
-	d := m.perOp
-	if m.rate > 0 && n > 0 {
-		d += Duration(float64(n) / m.rate)
-	}
-	end := start + d
-	m.free[0] = end
-	heap.Fix(&m.free, 0)
-	m.ops++
-	m.busy += d
-	return end
-}
-
-// Acquire books one operation and blocks p until it completes.
-func (m *MultiServer) Acquire(p *Proc, n int64) { p.SleepUntil(m.Reserve(n)) }
-
-// ReserveDur books an operation with an explicit service duration d,
-// ignoring the station's default per-op latency and rate. It returns the
-// completion time. Used for stations whose operations have heterogeneous
-// costs (e.g. a metadata server where create is dearer than stat).
+// ReserveDur books an operation of service duration d arriving now and
+// returns its completion time: the station's operations have heterogeneous
+// costs (a metadata server where create is dearer than stat).
 func (m *MultiServer) ReserveDur(d Duration) Time {
 	if d < 0 {
 		d = 0

@@ -21,10 +21,10 @@ func TestWakeAtSupersedesPendingWake(t *testing.T) {
 		resumes = append(resumes, p.Now())
 	})
 	k.Spawn("waker", func(p *Proc) {
-		p.Kernel().WakeAt(10, sleeper) // pending resumption at 10...
-		p.Kernel().WakeAt(2, sleeper)  // ...superseded by an earlier one
+		p.k.WakeAt(10, sleeper) // pending resumption at 10...
+		p.k.WakeAt(2, sleeper)  // ...superseded by an earlier one
 		p.Sleep(20)
-		p.Kernel().Wake(sleeper) // the only legitimate second wake, at 20
+		p.k.Wake(sleeper) // the only legitimate second wake, at 20
 	})
 	k.Run()
 	if len(resumes) != 2 || resumes[0] != 2 || resumes[1] != 20 {
@@ -42,8 +42,8 @@ func TestWakeAtLaterSupersedes(t *testing.T) {
 		resumes = append(resumes, p.Now())
 	})
 	k.Spawn("waker", func(p *Proc) {
-		p.Kernel().WakeAt(3, sleeper)
-		p.Kernel().WakeAt(7, sleeper)
+		p.k.WakeAt(3, sleeper)
+		p.k.WakeAt(7, sleeper)
 	})
 	k.Run()
 	if len(resumes) != 1 || resumes[0] != 7 {
@@ -66,7 +66,7 @@ func TestKillSupersedesPendingSleep(t *testing.T) {
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(4)
-		p.Kernel().Kill(victim)
+		p.k.Kill(victim)
 	})
 	if end := k.Run(); end != 4 {
 		t.Fatalf("run ended at %v, want 4", end)
@@ -86,7 +86,7 @@ func TestSelfKillThenSleep(t *testing.T) {
 	k.Spawn("suicidal", func(p *Proc) {
 		defer func() { diedAt = p.Now() }()
 		p.Sleep(2)
-		p.Kernel().Kill(p) // takes effect at the next suspension
+		p.k.Kill(p) // takes effect at the next suspension
 		p.Sleep(50)
 		resumed = true
 	})
@@ -124,7 +124,7 @@ func TestKillDuringPooledWait(t *testing.T) {
 	k.Spawn("driver", func(p *Proc) {
 		p.Sleep(1)
 		for _, v := range victims {
-			p.Kernel().Kill(v)
+			p.k.Kill(v)
 		}
 		p.Sleep(1)
 		c1.Complete() // wait list recycles into the kernel pool here
@@ -161,7 +161,7 @@ func TestKillDuringFastPathSleepStorm(t *testing.T) {
 	})
 	k.Spawn("killer", func(p *Proc) {
 		p.Sleep(10.25)
-		p.Kernel().Kill(victim)
+		p.k.Kill(victim)
 	})
 	end := k.Run()
 	if end != 10.25 {
@@ -197,8 +197,8 @@ func TestStatsCounters(t *testing.T) {
 	k2 := NewKernel()
 	parked := k2.Spawn("parked", func(p *Proc) { p.Park() })
 	k2.Spawn("waker", func(p *Proc) {
-		p.Kernel().WakeAt(5, parked)
-		p.Kernel().WakeAt(1, parked)
+		p.k.WakeAt(5, parked)
+		p.k.WakeAt(1, parked)
 	})
 	k2.Run()
 	if st2 := k2.Stats(); st2.Stale == 0 {

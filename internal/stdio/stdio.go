@@ -75,12 +75,6 @@ func (f *File) Fwrite(p *sim.Proc, n int64, data []byte) {
 	}
 }
 
-// Fprintf formats and appends text to the stream (content mode).
-func (f *File) Fprintf(p *sim.Proc, format string, args ...any) {
-	s := fmt.Sprintf(format, args...)
-	f.Fwrite(p, int64(len(s)), []byte(s))
-}
-
 // flushChunk writes exactly n buffered bytes through POSIX.
 func (f *File) flushChunk(p *sim.Proc, n int64) {
 	if n <= 0 || f.buf <= 0 {
@@ -115,19 +109,8 @@ func (f *File) Fflush(p *sim.Proc) {
 	}
 }
 
-// Fread reads up to n bytes from the current position.
-func (f *File) Fread(p *sim.Proc, n int64) []byte {
-	return f.fd.Read(p, n)
-}
-
 // Fclose flushes and closes the stream.
 func (f *File) Fclose(p *sim.Proc) {
 	f.Fflush(p)
 	f.fd.Close(p)
 }
-
-// FD exposes the underlying descriptor (for fsync etc.).
-func (f *File) FD() *posix.FD { return f.fd }
-
-// Buffered reports the number of bytes currently in the stdio buffer.
-func (f *File) Buffered() int64 { return f.buf }

@@ -58,19 +58,19 @@ func TestBufferingCoalescesSmallWrites(t *testing.T) {
 	}
 }
 
-func TestFprintfContent(t *testing.T) {
+func TestFwriteContent(t *testing.T) {
 	k, env, _ := setup(t)
 	var got string
 	k.Spawn("r", func(p *sim.Proc) {
 		f, _ := Fopen(p, env, "/t.txt", "w")
-		f.Fprintf(p, "step=%d t=%.2f\n", 42, 1.5)
+		f.Fwrite(p, 15, []byte("step=42 t=1.50\n"))
 		f.Fclose(p)
 		r, err := Fopen(p, env, "/t.txt", "r")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		got = string(r.Fread(p, 1024))
+		got = string(r.fd.Read(p, 1024))
 		r.Fclose(p)
 	})
 	k.Run()
@@ -126,12 +126,12 @@ func TestFflushDrains(t *testing.T) {
 	k.Spawn("r", func(p *sim.Proc) {
 		f, _ := Fopen(p, env, "/f", "w")
 		f.Fwrite(p, 100, nil)
-		if f.Buffered() != 100 {
-			t.Errorf("buffered=%d", f.Buffered())
+		if f.buf != 100 {
+			t.Errorf("buffered=%d", f.buf)
 		}
 		f.Fflush(p)
-		if f.Buffered() != 0 {
-			t.Errorf("buffered after flush=%d", f.Buffered())
+		if f.buf != 0 {
+			t.Errorf("buffered after flush=%d", f.buf)
 		}
 		f.Fclose(p)
 	})

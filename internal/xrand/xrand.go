@@ -84,14 +84,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0,n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // NormFloat64 returns a standard normal deviate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
@@ -118,15 +110,4 @@ func (r *RNG) ExpFloat64() float64 {
 // thermal speed vth (standard deviation of each component).
 func (r *RNG) Maxwellian(vth float64) float64 {
 	return vth * r.NormFloat64()
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
