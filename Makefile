@@ -101,7 +101,9 @@ profile:
 # smoke builds and runs every example with its interesting flag
 # combinations, and the two job CLIs that share cluster.System's launcher,
 # so neither can silently rot. A typo'd mode and a negative aggregator
-# count are usage errors, not another experiment.
+# count are usage errors, not another experiment; so is an argument to
+# bpls, which reads no host file, and darshan-parser says no to a missing
+# file, an empty one and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
@@ -110,6 +112,11 @@ smoke:
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -aggregators -3
 	$(GO) run ./cmd/ior -nodes 2 -n 16
 	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
+	$(GO) run ./cmd/bpls
+	! $(GO) run ./cmd/bpls x
+	! $(GO) run ./cmd/darshan-parser nonexistent.darshan.gz
+	! $(GO) run ./cmd/darshan-parser /dev/null
+	! $(GO) run ./cmd/darshan-parser .
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ionization
 	$(GO) run ./examples/striping-tuning

@@ -2,11 +2,16 @@
 // format: it writes a small openPMD series on a simulated file system,
 // then lists its steps and variables by reading only md.idx and md.0 —
 // never touching the data subfiles — and reports how few bytes that took.
+// It is a self-contained demonstration: it reads no host file and takes
+// no arguments.
+//
+//	bpls
 package main
 
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"picmcio/internal/adios2"
 	"picmcio/internal/lustre"
@@ -18,6 +23,10 @@ import (
 )
 
 func main() {
+	if len(os.Args) != 1 {
+		fmt.Fprintln(os.Stderr, "usage: bpls (no arguments: it lists the demonstration series it writes)")
+		os.Exit(2)
+	}
 	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	w := mpisim.NewWorld(k, 8, mpisim.AlphaBeta(1e-6, 1.0/10e9))
@@ -69,7 +78,7 @@ func main() {
 		e.Close()
 		var dataBytes int64
 		fs.Namespace().WalkFiles("/demo.bp4", func(p string, n *pfs.Node) {
-			if len(p) > 5 && p[:11] == "/demo.bp4/d" {
+			if strings.HasPrefix(p, "/demo.bp4/data.") {
 				dataBytes += n.Size
 			}
 		})

@@ -26,7 +26,7 @@ import (
 )
 
 // Mode selects how an engine opens a dataset.
-type Mode int
+type Mode uint8
 
 // Engine open modes.
 const (

@@ -65,29 +65,30 @@ type stepLoc struct {
 	n   int64
 }
 
+// writerFiles is what only the ranks that write files hold: every
+// aggregator its subfile and where its steps lie in it, world rank 0 — an
+// aggregator too — the global metadata log and the step index as well.
+type writerFiles struct {
+	data  *posix.FD
+	md    *posix.FD         // world rank 0 only
+	idx   *posix.FD         // world rank 0 only
+	steps map[int64]stepLoc // aggregator-local step placement
+}
+
 // Engine is an open BP4 (or BP5) dataset.
 type Engine struct {
 	io   *IO
 	h    Host
 	path string
-	mode Mode
 
 	nAgg    int
 	aggComm *mpisim.Comm
 	ldrComm *mpisim.Comm
-	isAgg   bool
 	subfile int
+	files   *writerFiles  // aggregators only
+	wp      *writerParams // the world's, read-only
 
-	dataFD *posix.FD // aggregators only
-	mdFD   *posix.FD // world rank 0 only
-	idxFD  *posix.FD // world rank 0 only
-
-	codec      compress.Codec
-	cost       compress.CostModel
-	volRatio   float64
-	memRate    float64
-	profile    bool
-	pfsDurable bool // EndStep blocks until staged writes are PFS-durable
+	codec compress.Codec // nil without an operator
 
 	// puts and sels are sized at the engine's first Put for one Put of each
 	// variable the IO then holds, and grow past that.
@@ -95,12 +96,14 @@ type Engine struct {
 	sels []uint64 // the step's selection snapshots, reset at BeginStep
 	// data holds the payloads of the step's content-mode puts, by put; it
 	// stops at the last put that carried one and stays nil in volume mode.
-	data      [][]byte
+	data    [][]byte
+	curStep int64
+	stepSeq int
+
+	mode      Mode
+	isAgg     bool
 	inStep    bool
-	curStep   int64
-	stepSeq   int
-	steps     map[int64]stepLoc // aggregator-local step placement
-	contentOK bool              // all puts so far carried real bytes
+	contentOK bool // all puts so far carried real bytes
 
 	Timers Timers
 
@@ -119,16 +122,13 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	}
 	size := h.Comm.Size()
 	e := &Engine{
-		io:         io,
-		h:          h,
-		path:       pfs.Clean(path),
-		mode:       ModeWrite,
-		nAgg:       size,
-		volRatio:   1,
-		memRate:    wp.memRate,
-		profile:    wp.profile,
-		pfsDurable: wp.pfsDurable,
-		curStep:    -1,
+		io:      io,
+		h:       h,
+		path:    pfs.Clean(path),
+		mode:    ModeWrite,
+		nAgg:    size,
+		wp:      wp,
+		curStep: -1,
 	}
 	if wp.numAgg != 0 {
 		e.nAgg = min(wp.numAgg, size)
@@ -137,8 +137,6 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 		if e.codec, err = compress.New(op, 8); err != nil {
 			return nil, err
 		}
-		e.cost = compress.CostOf(op)
-		e.volRatio = wp.volRatio
 	}
 
 	rank := h.Comm.Rank()
@@ -169,11 +167,12 @@ func (e *Engine) createMetadata() error {
 	if err := env.MkdirAll(p, e.path); err != nil {
 		return err
 	}
+	e.files = &writerFiles{}
 	var err error
-	if e.mdFD, err = env.Create(p, pfs.Join(e.path, "md.0")); err != nil {
+	if e.files.md, err = env.Create(p, pfs.Join(e.path, "md.0")); err != nil {
 		return err
 	}
-	if e.idxFD, err = env.Create(p, pfs.Join(e.path, "md.idx")); err != nil {
+	if e.files.idx, err = env.Create(p, pfs.Join(e.path, "md.idx")); err != nil {
 		return err
 	}
 	if e.io.set.engine == "BP5" {
@@ -188,8 +187,11 @@ func (e *Engine) createMetadata() error {
 
 // createSubfile is an aggregator's part of openWriter.
 func (e *Engine) createSubfile() (err error) {
-	e.steps = map[int64]stepLoc{}
-	e.dataFD, err = e.h.Env.Create(e.h.Proc, pfs.Join(e.path, fmt.Sprintf("data.%d", e.subfile)))
+	if e.files == nil {
+		e.files = &writerFiles{}
+	}
+	e.files.steps = map[int64]stepLoc{}
+	e.files.data, err = e.h.Env.Create(e.h.Proc, pfs.Join(e.path, fmt.Sprintf("data.%d", e.subfile)))
 	return err
 }
 
@@ -247,7 +249,7 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	e.puts = append(e.puts, putRec{idx: int32(v.row.base + v.i), sel: int32(len(e.sels)), n: n})
 	e.sels = append(append(e.sels, v.start()...), v.count()...)
 	if e.codec == nil && n > 0 {
-		d := sim.Duration(float64(n) / e.memRate)
+		d := sim.Duration(float64(n) / e.wp.memRate)
 		e.Timers.Memcpy += d
 		e.h.Proc.Sleep(d)
 	}
@@ -323,7 +325,7 @@ func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64
 		for _, pr := range e.puts {
 			rawTotal += pr.n
 		}
-		d := e.cost.CompressTime(rawTotal)
+		d := compress.CostOf(e.io.set.operator).CompressTime(rawTotal)
 		e.Timers.Compress += d
 		e.h.Proc.Sleep(d)
 	}
@@ -336,7 +338,7 @@ func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64
 				body = e.codec.Compress(data)
 				blockLen = perPutHeaderBytes + int64(len(body))
 			} else {
-				blockLen = perPutHeaderBytes + int64(float64(pr.n)*e.volRatio)
+				blockLen = perPutHeaderBytes + int64(float64(pr.n)*e.wp.volRatio)
 			}
 		} else {
 			body = data
@@ -378,11 +380,11 @@ func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
 		total += c.N
 	}
 	var off int64
-	if loc, replacing := e.steps[e.curStep]; replacing && total <= loc.n {
+	if loc, replacing := e.files.steps[e.curStep]; replacing && total <= loc.n {
 		off = loc.off // overwrite the previous payload in place
 	} else {
-		off = e.dataFD.Size()
-		e.steps[e.curStep] = stepLoc{off: off, n: total}
+		off = e.files.data.Size()
+		e.files.steps[e.curStep] = stepLoc{off: off, n: total}
 	}
 	var payload []byte
 	allContent := true
@@ -400,7 +402,7 @@ func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
 	}
 	tw0 := p.Now()
 	if total > 0 {
-		e.dataFD.Pwrite(p, off, total, payload)
+		e.files.data.Pwrite(p, off, total, payload)
 	}
 	e.Timers.Write += p.Now() - tw0
 
@@ -448,7 +450,7 @@ func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
 // publishStep is world rank 0's part of EndStep: one md.0 record holding
 // every leader's chunk tables, and the md.idx record that locates it.
 func (e *Engine) publishStep(gathered []mpisim.GatherChunk) error {
-	p := e.h.Proc
+	p, md := e.h.Proc, e.files.md
 	tm0 := p.Now()
 	var all []chunkDesc
 	var analyticBytes int64
@@ -465,7 +467,7 @@ func (e *Engine) publishStep(gathered []mpisim.GatherChunk) error {
 		}
 		all = append(all, tbl...)
 	}
-	mdOff := e.mdFD.Size()
+	mdOff := md.Size()
 	if content {
 		rec := mdStepRecord{Step: e.curStep, Seq: e.stepSeq, Chunks: all}
 		line, err := json.Marshal(rec)
@@ -473,18 +475,18 @@ func (e *Engine) publishStep(gathered []mpisim.GatherChunk) error {
 			return err
 		}
 		line = append(line, '\n')
-		e.mdFD.Write(p, int64(len(line)), line)
+		md.Write(p, int64(len(line)), line)
 	} else {
 		// Volume mode: charge the analytic metadata footprint,
 		// which grows linearly with total rank count.
-		e.mdFD.Write(p, analyticBytes, nil)
+		md.Write(p, analyticBytes, nil)
 	}
 	var idx [idxRecordBytes]byte
 	putU64(idx[0:], uint64(e.curStep))
 	putU64(idx[8:], uint64(mdOff))
-	putU64(idx[16:], uint64(e.mdFD.Size()-mdOff))
+	putU64(idx[16:], uint64(md.Size()-mdOff))
 	putU64(idx[24:], uint64(e.stepSeq))
-	e.idxFD.Write(p, idxRecordBytes, idx[:])
+	e.files.idx.Write(p, idxRecordBytes, idx[:])
 	e.Timers.Meta += p.Now() - tm0
 	return nil
 }
@@ -500,13 +502,11 @@ func (e *Engine) drainStep() {
 		return
 	}
 	p := e.h.Proc
-	if e.pfsDurable {
-		if e.isAgg && e.dataFD != nil {
-			e.dataFD.Fsync(p)
-		}
-		if e.h.Comm.Rank() == 0 {
-			e.mdFD.Fsync(p)
-			e.idxFD.Fsync(p)
+	if f := e.files; f != nil && e.wp.pfsDurable {
+		f.data.Fsync(p)
+		if f.md != nil {
+			f.md.Fsync(p)
+			f.idx.Fsync(p)
 		}
 	}
 	st.DrainEpoch(p)
@@ -525,7 +525,7 @@ func (e *Engine) Close() error {
 		return e.closeReader()
 	}
 	p, comm := e.h.Proc, e.h.Comm
-	if e.profile {
+	if e.wp.profile {
 		sum := profileSummary{
 			Ranks:       comm.Size(),
 			Aggregators: e.nAgg,
@@ -555,12 +555,12 @@ func (e *Engine) Close() error {
 			fd.Close(p)
 		}
 	}
-	if e.dataFD != nil {
-		e.dataFD.Close(p)
-	}
-	if e.mdFD != nil {
-		e.mdFD.Close(p)
-		e.idxFD.Close(p)
+	if f := e.files; f != nil {
+		f.data.Close(p)
+		if f.md != nil {
+			f.md.Close(p)
+			f.idx.Close(p)
+		}
 	}
 	comm.Barrier()
 	return nil

@@ -85,7 +85,7 @@ func TestSteadyStateSaveAllocations(t *testing.T) {
 	}
 }
 
-// Opening and closing an adaptor — series, engine, the three communicator
+// Opening and closing an adaptor — series, engine, the communicator
 // splits, the declared accumulators, no save — costs a rank a fixed
 // number of objects: the ratchet BenchmarkAdaptorSave's
 // allocs_per_rank_open reports at scale, held here on 16 ranks. What the
@@ -99,14 +99,15 @@ func TestOpenAllocations(t *testing.T) {
 	spawn := testing.AllocsPerRun(5, func() { newRig(ranks).w.Run(func(*mpisim.Rank) {}) }) / ranks
 	one, two := perRank(1)-spawn, perRank(2)-spawn
 	t.Logf("allocations per rank of an open and close: %.2f with 1 aggregator, %.2f with 2", one, two)
-	// Measured: 16.3 and 16.8 (28.8 and 30.1 before the settings were
-	// shared), of which 11 are a rank's own handles (adaptor, its row of
-	// numbers, series, two attributes, backend, IO, engine, three
-	// communicators), 2 this rig's POSIX environment and the rest this
-	// small world's per-world objects — the test's schema among them —
-	// spread over 16 ranks. The bound is that + 1, and one more for what
+	// Measured: 12.4 and 12.9 (16.3 and 16.8 while the two attributes and
+	// the split communicators' handles were objects of their own; 28.8 and
+	// 30.1 before the settings were shared), of which 6 are a rank's own
+	// handles (adaptor, its row of numbers, series, backend, IO, engine), 2
+	// this rig's POSIX environment and the rest this small world's
+	// per-world objects — the test's schema among them — spread over 16
+	// ranks. The bound is that + 1, and one more for what
 	// the race detector allocates.
-	limit := 17.4
+	limit := 13.4
 	if raceBuild {
 		limit++
 	}
@@ -190,16 +191,21 @@ func TestRankFootprint(t *testing.T) {
 	ten, twenty := perRank(10), perRank(20)
 	perComp := (twenty - ten) / 10
 	t.Logf("bytes per rank of open + first save + close: %.0f with 10 components, %.0f with 20: %.1f per extra component", ten, twenty, perComp)
-	// Measured (go1.24): 2680, 3658 and 97.8, of which 83 are the rank's
+	// Measured (go1.24): 2517, 3495 and 97.8, of which 83 are the rank's
 	// own and the rest this small world's per-component objects — names,
 	// paths, the exscan's result — spread over 16 ranks. It was 5748, 10138
 	// and 439 while the adaptor, openPMD and ADIOS2 each kept the numbers in
-	// handles of their own. The bounds are those + 10 %.
-	if ten > 2950 {
-		t.Errorf("open + first save + close of 10 components allocates %.0f bytes per rank, want at most 2950", ten)
+	// handles of their own, and 2680 with a 352-byte engine and two split
+	// handles a rank. The bounds are those + 10 %.
+	if ten > 2770 {
+		t.Errorf("open + first save + close of 10 components allocates %.0f bytes per rank, want at most 2770", ten)
 	}
-	if perComp > 108 {
-		t.Errorf("an extra component costs a rank %.1f bytes, want at most 108", perComp)
+	perCompLimit := 108.0
+	if raceBuild {
+		perCompLimit = 120 // 95 to 114 there, run to run: the detector allocates too
+	}
+	if perComp > perCompLimit {
+		t.Errorf("an extra component costs a rank %.1f bytes, want at most %.0f", perComp, perCompLimit)
 	}
 }
 
@@ -291,8 +297,9 @@ func TestParkedRankStack(t *testing.T) {
 	}
 	perRank, ok := fits(0)
 	t.Logf("%s: %.2f KiB of stack per parked rank", runtime.Version(), perRank/1024)
-	// Measured (go1.24.0 amd64): 4.06, and 8.06 with Engine.EndStep's frame
-	// at 760 bytes and bit1's 200 fatter, as they were.
+	// Measured (go1.24.0 amd64): 3.94 — 4.00 while a rank was a goroutine
+	// parked on a channel — and 8.06 with Engine.EndStep's frame at 760 bytes
+	// and bit1's 200 fatter, as they were.
 	if !ok {
 		t.Fatalf("a parked rank holds %.2f KiB of stack, want at most 4.5", perRank/1024)
 	}
@@ -307,5 +314,7 @@ func TestParkedRankStack(t *testing.T) {
 			hi = mid - 1
 		}
 	}
+	// 760 to 912 under a coroutine's yield; 608 to 760 under chanrecv and
+	// gopark.
 	t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
 }

@@ -1,6 +1,7 @@
 package bit1
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,28 @@ func countFiles(fs *lustre.FS, dir string) (n int, total, maxSize int64) {
 		}
 	})
 	return
+}
+
+// A rank's file name is built in one allocation; it is the name Join and
+// Sprintf gave it, whatever the output directory looks like and however
+// many digits the rank has.
+func TestRankFileName(t *testing.T) {
+	for _, dir := range []string{"/out", "/scratch//run/./x/", "rel/../out", strings.Repeat("/deep", 30)} {
+		cfg := Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: dir, Mode: IOOriginal, Sizing: workload.Default()}
+		pl := newPlan(cfg, 4)
+		for _, rank := range []int{0, 7, 42, 99999, 100000, 123456, 1234567} {
+			for _, ext := range []string{".dat", ".dmp"} {
+				want := pfs.Join(dir, fmt.Sprintf("%s_%06d%s", cfg.Deck.DatFile, rank, ext))
+				if got := pl.rankFile(rank, ext); got != want {
+					t.Errorf("rankFile(%d, %q) under %q = %q, want %q", rank, ext, dir, got, want)
+				}
+			}
+		}
+	}
+	pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, 4)
+	if n := testing.AllocsPerRun(100, func() { pl.rankFile(4242, ".dat") }); n != 1 {
+		t.Errorf("rankFile allocates %.0f objects, want 1", n)
+	}
 }
 
 func TestOriginalFileCountMatchesTableII(t *testing.T) {

@@ -2,6 +2,7 @@ package bit1
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"picmcio/internal/mpisim"
@@ -129,8 +130,10 @@ type plan struct {
 	epochs    []epoch
 	shared    []string // rank 0's global history files
 
-	// Original mode only: a rank's bytes per diagnostic and per checkpoint.
+	// Original mode only: a rank's bytes per diagnostic and per checkpoint,
+	// and what its two files' names start with (see rankFile).
 	diagBytes, checkpointBytes int64
+	rankFilePrefix             string
 
 	// openPMD mode only.
 	seriesPath string
@@ -148,6 +151,7 @@ func newPlan(cfg Config, ranks int) *plan {
 	}
 	if cfg.Mode == IOOriginal {
 		pl.diagBytes, pl.checkpointBytes = cfg.Sizing.PerRankDiag(ranks), cfg.Sizing.PerRankCheckpoint(ranks)
+		pl.rankFilePrefix = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_")
 	}
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
@@ -190,6 +194,17 @@ func sharedFileNames(cfg Config) []string {
 	return names
 }
 
+// rankFile names a rank's own file, <OutDir>/<DatFile>_<rank, six
+// digits><ext>, in one allocation: the clean prefix is the plan's.
+func (pl *plan) rankFile(rank int, ext string) string {
+	var buf [96]byte
+	b := append(buf[:0], pl.rankFilePrefix...)
+	for pad := 100000; pad > 1 && rank < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(append(strconv.AppendInt(b, int64(rank), 10), ext...))
+}
+
 // runOriginal is BIT1's baseline writer: every rank owns a .dat and a
 // .dmp file, re-written at each epoch through buffered stdio, while rank 0
 // additionally appends the global history files — the file-per-process
@@ -198,8 +213,7 @@ func runOriginal(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg, sz := &pl.cfg, &pl.cfg.Sizing
 
-	datPath := pfs.Join(cfg.OutDir, fmt.Sprintf("%s_%06d.dat", cfg.Deck.DatFile, r.ID))
-	dmpPath := pfs.Join(cfg.OutDir, fmt.Sprintf("%s_%06d.dmp", cfg.Deck.DatFile, r.ID))
+	datPath, dmpPath := pl.rankFile(r.ID, ".dat"), pl.rankFile(r.ID, ".dmp")
 
 	var shared []*stdio.File
 	if r.ID == 0 {

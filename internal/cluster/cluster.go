@@ -471,7 +471,10 @@ func (s *System) LaunchN(tasks int, mon posix.Monitor) (*mpisim.World, func(*mpi
 	}
 	m, perNode, stage := s.Machine, (tasks+s.Nodes-1)/s.Nodes, s.StagedFS()
 	w := mpisim.NewWorld(s.K, tasks, mpisim.AlphaBeta(m.NetAlpha, m.NetBeta))
+	envs := make([]posix.Env, tasks) // one block a job, filled in as each rank asks
 	return w, func(r *mpisim.Rank) *posix.Env {
-		return &posix.Env{FS: s.FS, Stage: stage, Client: s.Clients[r.ID/perNode], Rank: r.ID, Monitor: mon}
+		e := &envs[r.ID]
+		*e = posix.Env{FS: s.FS, Stage: stage, Client: s.Clients[r.ID/perNode], Rank: r.ID, Monitor: mon}
+		return e
 	}, nil
 }

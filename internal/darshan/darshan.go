@@ -9,7 +9,6 @@
 package darshan
 
 import (
-	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -105,20 +104,80 @@ type Record struct {
 	FCount   [NumFCounters]float64 `json:"fcounters"`
 }
 
-type recKey struct {
-	rank int
-	path string
-}
-
 // Collector gathers records during a run. It implements posix.Monitor and
 // is attached to every rank's POSIX environment, exactly where the real
-// Darshan library interposes.
+// Darshan library interposes. It allocates per block of ranks and per
+// block of records, not per record: the index is by rank, then by path
+// among the few files a rank touches, and the records lie in chunks that
+// never move.
 type Collector struct {
-	recs map[recKey]*Record
+	ranks  [][]rankRecords // ranks[r/rankBlock][r%rankBlock] is rank r's index
+	chunks [][]Record      // every chunk but the last is full
+	n      int
 }
 
+// rankRecords finds one rank's records by path.
+type rankRecords struct {
+	few  [4]*Record         // its first files, in the order it touched them: a BIT1 rank has three
+	more map[string]*Record // the rest
+}
+
+const (
+	rankBlock   = 256
+	recordChunk = 128
+)
+
 // NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{recs: map[recKey]*Record{}} }
+func NewCollector() *Collector { return &Collector{} }
+
+// record returns the record of (rank, path), new if it is their first
+// operation; start is then when that began.
+func (c *Collector) record(rank int, path string, start sim.Time) *Record {
+	if rank < 0 {
+		panic(fmt.Sprintf("darshan: record of rank %d", rank))
+	}
+	for len(c.ranks) <= rank/rankBlock {
+		c.ranks = append(c.ranks, nil)
+	}
+	block := &c.ranks[rank/rankBlock]
+	if *block == nil {
+		*block = make([]rankRecords, rankBlock)
+	}
+	rr := &(*block)[rank%rankBlock]
+	free := -1 // the first empty slot of few
+	for i, r := range rr.few {
+		if r == nil {
+			free = i
+			break
+		}
+		if r.Path == path {
+			return r
+		}
+	}
+	if free < 0 {
+		if r := rr.more[path]; r != nil {
+			return r
+		}
+	}
+
+	if len(c.chunks) == 0 || len(c.chunks[len(c.chunks)-1]) == recordChunk {
+		c.chunks = append(c.chunks, make([]Record, 0, recordChunk))
+	}
+	chunk := &c.chunks[len(c.chunks)-1]
+	*chunk = append(*chunk, Record{Rank: rank, Path: path})
+	r := &(*chunk)[len(*chunk)-1]
+	r.FCount[POSIX_F_OPEN_START_TIMESTAMP] = float64(start)
+	c.n++
+	switch {
+	case free >= 0:
+		rr.few[free] = r
+	case rr.more == nil:
+		rr.more = map[string]*Record{path: r}
+	default:
+		rr.more[path] = r
+	}
+	return r
+}
 
 func writeSizeBucket(n int64) Counter {
 	switch {
@@ -145,13 +204,7 @@ func writeSizeBucket(n int64) Counter {
 
 // Record implements posix.Monitor.
 func (c *Collector) Record(rank int, op posix.Op, path string, bytes int64, start, end sim.Time) {
-	key := recKey{rank, path}
-	r := c.recs[key]
-	if r == nil {
-		r = &Record{Rank: rank, Path: path}
-		r.FCount[POSIX_F_OPEN_START_TIMESTAMP] = float64(start)
-		c.recs[key] = r
-	}
+	r := c.record(rank, path, start)
 	dur := float64(end - start)
 	switch op {
 	case posix.OpOpen, posix.OpCreate:
@@ -211,16 +264,23 @@ type Log struct {
 // the collector's size — so recording may go on after it.
 func (c *Collector) Snapshot(meta JobMeta) *Log {
 	meta.Version = "darshan-sim 3.4.2-go"
-	l := &Log{Meta: meta, Records: make([]Record, 0, len(c.recs))}
-	for _, r := range c.recs {
-		l.Records = append(l.Records, *r)
-	}
-	slices.SortFunc(l.Records, func(a, b Record) int {
-		if a.Rank != b.Rank {
-			return cmp.Compare(a.Rank, b.Rank)
+	l := &Log{Meta: meta, Records: make([]Record, 0, c.n)}
+	for _, block := range c.ranks {
+		for i := range block {
+			// The index is in rank order already: only a rank's own
+			// few records are left to sort, by path.
+			rr, from := &block[i], len(l.Records)
+			for _, r := range rr.few {
+				if r != nil {
+					l.Records = append(l.Records, *r)
+				}
+			}
+			for _, r := range rr.more {
+				l.Records = append(l.Records, *r)
+			}
+			slices.SortFunc(l.Records[from:], func(a, b Record) int { return strings.Compare(a.Path, b.Path) })
 		}
-		return strings.Compare(a.Path, b.Path)
-	})
+	}
 	return l
 }
 

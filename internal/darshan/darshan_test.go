@@ -166,6 +166,53 @@ func TestSnapshotIsACopy(t *testing.T) {
 	}
 }
 
+// TestCollectorIndex: the by-rank index finds a record again whether it is
+// among a rank's first few files or past them, for ranks far apart, and
+// the snapshot is in (rank, path) order across both; a rank of BIT1's
+// three files costs the collector no object of its own.
+func TestCollectorIndex(t *testing.T) {
+	col := NewCollector()
+	files := []string{"/g", "/c", "/e", "/a", "/f", "/b", "/d"} // more than a rank's few
+	ranks := []int{3 * rankBlock, 0, rankBlock + 7}
+	for round := 1; round <= 2; round++ {
+		for _, rank := range ranks {
+			for _, f := range files {
+				col.Record(rank, posix.OpWrite, f, int64(round), 0, 1)
+			}
+		}
+	}
+	var got []string
+	for _, r := range col.Snapshot(JobMeta{}).Records {
+		if r.Counters[POSIX_WRITES] != 2 || r.Counters[POSIX_BYTES_WRITTEN] != 3 {
+			t.Errorf("rank %d %s: %d writes of %d bytes, want 2 of 3", r.Rank, r.Path, r.Counters[POSIX_WRITES], r.Counters[POSIX_BYTES_WRITTEN])
+		}
+		got = append(got, fmt.Sprintf("%d%s", r.Rank, r.Path))
+	}
+	var want []string
+	for _, rank := range []int{0, rankBlock + 7, 3 * rankBlock} {
+		for _, f := range []string{"/a", "/b", "/c", "/d", "/e", "/f", "/g"} {
+			want = append(want, fmt.Sprintf("%d%s", rank, f))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("snapshot order %v, want %v", got, want)
+	}
+
+	const n = 4 * rankBlock
+	paths := [3]string{"/in", "/dat", "/dmp"}
+	perRank := testing.AllocsPerRun(3, func() {
+		col := NewCollector()
+		for rank := 0; rank < n; rank++ {
+			for _, f := range paths {
+				col.Record(rank, posix.OpWrite, f, 1, 0, 1)
+			}
+		}
+	}) / n
+	if perRank > 0.1 {
+		t.Errorf("the collector allocates %.2f objects per rank of three files, want blocks only (< 0.1)", perRank)
+	}
+}
+
 // TestSnapshotAllocs: a snapshot is the log and one Records slice of
 // exactly the collector's size — no append growth, no sort scratch.
 func TestSnapshotAllocs(t *testing.T) {

@@ -77,16 +77,16 @@ type Rank struct {
 }
 
 // Spawn launches the rank programs; the caller then drives the kernel with
-// K.Run(). fn runs once per rank.
+// K.Run(). fn runs once per rank. The ranks' processes, handles and world
+// communicators are one block each per world.
 func (w *World) Spawn(fn func(r *Rank)) {
-	for i := 0; i < w.Size; i++ {
-		i := i
-		w.K.Spawn(fmt.Sprintf("rank%05d", i), func(p *sim.Proc) {
-			r := &Rank{ID: i, Proc: p, W: w}
-			r.Comm = &Comm{g: w.world, rank: i, r: r}
-			fn(r)
-		})
-	}
+	ranks, comms := make([]Rank, w.Size), make([]Comm, w.Size)
+	w.K.SpawnN(w.Size, "rank", func(i int, p *sim.Proc) {
+		r, c := &ranks[i], &comms[i]
+		*r = Rank{ID: i, Proc: p, W: w, Comm: c}
+		*c = Comm{g: w.world, rank: i, r: r}
+		fn(r)
+	})
 }
 
 // Run is a convenience that spawns the rank programs and runs the kernel
@@ -322,21 +322,15 @@ func (c *Comm) GathervBytes(n int64, data []byte, root int) []GatherChunk {
 // splitEntry is one rank's contribution to Split.
 type splitEntry struct{ color, key, world, commRank int }
 
-// splitMember is where Split puts one rank: its new group and its rank
-// there.
-type splitMember struct {
-	g    *commGroup
-	rank int
-}
-
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by (key, world rank), mirroring MPI_Comm_split.
 func (c *Comm) Split(color, key int) *Comm {
-	m := collective(c, splitEntry{color, key, c.g.ranks[c.rank], c.rank}, func(es []splitEntry) ([]splitMember, int64) {
+	m := &collective(c, splitEntry{color, key, c.g.ranks[c.rank], c.rank}, func(es []splitEntry) ([]Comm, int64) {
 		// Sorted, every color is one run and the run is its group in rank
 		// order: membership is built once per color, and the groups, their
-		// rank tables and their parking slots each come out of one block
-		// (the groups' sized exactly: members point into it).
+		// rank tables, their parking slots and every rank's handle each
+		// come out of one block (the groups' sized exactly: handles point
+		// into it).
 		slices.SortFunc(es, func(a, b splitEntry) int {
 			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.world, b.world))
 		})
@@ -346,7 +340,7 @@ func (c *Comm) Split(color, key int) *Comm {
 				colors++
 			}
 		}
-		groups, members := make([]commGroup, 0, colors), make([]splitMember, len(es))
+		groups, members := make([]commGroup, 0, colors), make([]Comm, len(es))
 		world, parked := make([]int, len(es)), make([]*sim.Proc, len(es))
 		for lo, hi := 0, 0; lo < len(es); lo = hi {
 			for hi < len(es) && es[hi].color == es[lo].color {
@@ -355,10 +349,11 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			groups = append(groups, commGroup{w: c.g.w, ranks: world[lo:hi:hi], parked: parked[lo:hi:hi]})
 			for i := lo; i < hi; i++ {
-				members[es[i].commRank] = splitMember{&groups[len(groups)-1], i - lo}
+				members[es[i].commRank] = Comm{g: &groups[len(groups)-1], rank: i - lo}
 			}
 		}
 		return members, int64(16 * len(es))
 	})[c.rank]
-	return &Comm{g: m.g, rank: m.rank, r: c.r}
+	m.r = c.r // each rank completes its own handle, and only that
+	return m
 }

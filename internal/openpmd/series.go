@@ -87,14 +87,19 @@ type Series struct {
 	access Access
 	cfg    *Config
 	be     backend
-	// attrs holds what SetAttribute stored, over standardAttrs.
+	// attrs holds what SetAttribute stored, over standardAttrs; the first
+	// two lie in the series itself.
 	attrs   []attribute
+	attrs0  [2]attribute
 	curIter *Iteration
 	// lastIter is the most recently closed write iteration — the only
 	// closed one a series keeps — so that WriteIteration with the same id
 	// re-opens it and the component handles taken from it work again.
 	lastIter *Iteration
-	closed   bool
+	// first is the first iteration written: most series write one, over
+	// and over, and it need not be an object of its own.
+	first  Iteration
+	closed bool
 }
 
 // attribute is one root attribute.
@@ -138,6 +143,7 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 		return nil, err
 	}
 	s := &Series{host: h, path: path, access: access, cfg: cfg}
+	s.attrs = s.attrs0[:0]
 	switch {
 	case strings.HasSuffix(path, ".bp"), strings.HasSuffix(path, ".bp4"), strings.HasSuffix(path, ".bp5"):
 		s.be, err = newBP4Backend(s)
@@ -195,7 +201,12 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 		it.closed = false
 		s.curIter = it
 	} else {
-		s.curIter = &Iteration{series: s, ID: id}
+		it := &s.first
+		if it.series != nil { // taken: a handle on it may still be held
+			it = new(Iteration)
+		}
+		*it = Iteration{series: s, ID: id}
+		s.curIter = it
 	}
 	s.lastIter = nil
 	return s.curIter, nil

@@ -110,36 +110,57 @@ type FD struct {
 	off  int64
 }
 
-// open is Create, Open and OpenAppend, which differ in the FileSystem call
-// they make and the operation they record.
-func (e *Env) open(p *sim.Proc, op Op, path string, call func(*sim.Proc, *pfs.Client, string) (pfs.File, error)) (*FD, error) {
+// OpenMode is how OpenFD opens a file: C's fopen "w", "a" and "r".
+type OpenMode int
+
+// The ways to open a file.
+const (
+	Truncate OpenMode = iota // create, or truncate, at offset 0
+	Append                   // create if needed, positioned at the end
+	ReadOnly                 // an existing file, at offset 0
+)
+
+// OpenFD opens path into fd, a descriptor the caller holds by value — a
+// stdio stream holds its own — so that what wraps a descriptor is one
+// allocation with it. Create, Open and OpenAppend are OpenFD into a new
+// descriptor; on an error fd is left as it was.
+func (e *Env) OpenFD(fd *FD, p *sim.Proc, path string, mode OpenMode) error {
 	path, start := begin(p, path)
+	op, call := OpOpen, e.FS.Open
+	switch mode {
+	case Truncate:
+		op, call = OpCreate, e.FS.Create
+	case Append:
+		call = e.FS.OpenAppend
+	}
 	f, err := call(p, e.Client, path)
 	e.record(op, path, 0, start, p.Now())
 	if err != nil {
+		return err
+	}
+	*fd = FD{env: e, f: f, path: path}
+	if mode == Append {
+		fd.off = f.Size()
+	}
+	return nil
+}
+
+func (e *Env) open(p *sim.Proc, path string, mode OpenMode) (*FD, error) {
+	fd := new(FD)
+	if err := e.OpenFD(fd, p, path, mode); err != nil {
 		return nil, err
 	}
-	return &FD{env: e, f: f, path: path}, nil
+	return fd, nil
 }
 
 // Create creates (or truncates) a file and returns a descriptor at offset 0.
-func (e *Env) Create(p *sim.Proc, path string) (*FD, error) {
-	return e.open(p, OpCreate, path, e.FS.Create)
-}
+func (e *Env) Create(p *sim.Proc, path string) (*FD, error) { return e.open(p, path, Truncate) }
 
 // Open opens an existing file at offset 0.
-func (e *Env) Open(p *sim.Proc, path string) (*FD, error) {
-	return e.open(p, OpOpen, path, e.FS.Open)
-}
+func (e *Env) Open(p *sim.Proc, path string) (*FD, error) { return e.open(p, path, ReadOnly) }
 
 // OpenAppend opens (creating if needed) a file positioned at its end.
-func (e *Env) OpenAppend(p *sim.Proc, path string) (*FD, error) {
-	fd, err := e.open(p, OpOpen, path, e.FS.OpenAppend)
-	if err == nil {
-		fd.off = fd.f.Size()
-	}
-	return fd, err
-}
+func (e *Env) OpenAppend(p *sim.Proc, path string) (*FD, error) { return e.open(p, path, Append) }
 
 // Stat reports file metadata.
 func (e *Env) Stat(p *sim.Proc, path string) (pfs.FileInfo, error) {

@@ -58,14 +58,17 @@ func kernelScaleRun(nodes int, fastPath bool) (events uint64, end Time, wallSec 
 
 // BenchmarkKernelScale is the kernel's nodes × events/sec record at
 // machine scale: at 256, 1024 and 4096 nodes it runs the staggered-burst
-// workload on the slow path (every sleep through the queue and the
-// scheduler channel — the fast path's reference implementation, which
+// workload on the slow path (every sleep through the queue and two
+// coroutine switches — the fast path's reference implementation, which
 // only in-package code can select) and on the kernel as shipped,
 // reporting both rates and their ratio. The raw events/sec metrics are
 // host-dependent context; the gated metric is the 4096-node speedup
 // ratio — host-independent, both sides measured in the same process —
 // which the bench-compare gate ratchets and the acceptance floor below
-// pins at ≥ 5×.
+// pins at ≥ 5×. The ratio fell, 17.7 → ≈ 10, when processes became
+// coroutines: its denominator, the slow path, got 2.5× faster (≈ 1.4 →
+// ≈ 3.5 Mev/s at 4096 nodes) and the fast path, which hands nothing
+// off, did not.
 func BenchmarkKernelScale(b *testing.B) {
 	nodeCounts := []int{256, 1024, 4096}
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// Processes are goroutines that advance a shared virtual clock by sleeping
-// or by blocking on simulated resources. Exactly one process runs at a time;
-// the kernel hands control to the process whose next event is earliest,
-// breaking ties by event sequence number, so runs are bit-reproducible.
+// Processes are coroutines of the kernel's run loop (iter.Pull) that
+// advance a shared virtual clock by sleeping or by blocking on simulated
+// resources. Exactly one process runs at a time; the loop switches to the
+// process whose next event is earliest, breaking ties by event sequence
+// number, so runs are bit-reproducible. A handoff is a direct switch
+// between two goroutines on one thread: it never enters the Go scheduler.
 //
 // The kernel is the substrate for the simulated MPI runtime and the
 // simulated parallel file systems: storage devices are modeled as FCFS
@@ -13,7 +15,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, in seconds since the start of the run.
@@ -45,8 +49,12 @@ type Kernel struct {
 	// it to get the slow path the fast path is checked against.
 	fastPath bool
 
-	yield chan yieldMsg // processes signal the scheduler here
 	stats KernelStats
+
+	// spawned holds every process in spawn order, a SpawnN world as one
+	// block and a single as a block of one: what Run unwinds when it ends
+	// abnormally.
+	spawned [][]Proc
 
 	waitPool [][]*Proc // recycled wait-list backing arrays (see waitQueue)
 }
@@ -55,7 +63,7 @@ type Kernel struct {
 // counters are cumulative over the kernel's lifetime.
 type KernelStats struct {
 	// QueueEvents is the number of process resumptions delivered through
-	// the event queue (one channel round-trip each).
+	// the event queue (one coroutine switch there and one back each).
 	QueueEvents uint64
 	// FastPathEvents is the number of timer sleeps that ran to completion
 	// in-line: no earlier event existed, so the clock advanced without
@@ -73,26 +81,9 @@ func (s KernelStats) Events() uint64 { return s.QueueEvents + s.FastPathEvents }
 // Stats returns a snapshot of the kernel's scheduler counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
-type yieldKind int
-
-const (
-	yieldSleep yieldKind = iota // process scheduled its own resumption
-	yieldPark                   // process blocks until someone wakes it
-	yieldDone                   // process finished
-	yieldPanic                  // process panicked
-)
-
-type yieldMsg struct {
-	kind yieldKind
-	val  any // panic value for yieldPanic
-}
-
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yield:    make(chan yieldMsg),
-		fastPath: true,
-	}
+	return &Kernel{fastPath: true}
 }
 
 // Now reports the current virtual time.
@@ -111,24 +102,37 @@ func checkTime(t Time) {
 // Proc is a simulated process. Methods on Proc must only be called from
 // inside the process's own goroutine (the function passed to Spawn).
 type Proc struct {
-	k          *Kernel
+	k *Kernel
+	// name is Spawn's name, or SpawnN's prefix when index >= 0: a world's
+	// per-rank names are formatted only when somebody asks.
 	name       string
-	resume     chan struct{}
 	pendingSeq uint64 // seq of the live queue entry; earlier ones are stale
-	parked     bool
+	index      int32  // position in its SpawnN world; -1 for a single
 	done       bool
 	killed     bool
+
+	// The coroutine (iter.Pull): the run loop calls next to switch to the
+	// process, the process calls yield to switch back, stop unwinds it.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
-// Name reports the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name reports the name given at Spawn time; for a process of a SpawnN
+// world, the prefix followed by its index, zero-padded to five digits.
+func (p *Proc) Name() string {
+	if p.index < 0 {
+		return p.name
+	}
+	return fmt.Sprintf("%s%05d", p.name, p.index)
+}
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// killSignal is the panic payload a killed process unwinds with; the
-// spawn wrapper recognizes it and reports a clean death, not a panic.
-type killSignal struct{ name string }
+// killSignal is the panic payload a killed or unwound process dies with;
+// its coroutine recognizes it and ends cleanly instead of panicking.
+type killSignal struct{}
 
 // Spawn creates a process and schedules it to start at the current virtual
 // time. The function fn runs in its own goroutine but is only ever executed
@@ -144,24 +148,61 @@ func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	if at < k.now {
 		panic("sim: SpawnAt in the past")
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.live++
-	k.schedule(at, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					k.yield <- yieldMsg{kind: yieldPanic, val: fmt.Sprintf("sim: process %q panicked: %v", p.name, r)}
-					return
-				}
-			}
-			p.done = true
-			k.yield <- yieldMsg{kind: yieldDone}
-		}()
-		p.await()
-		fn(p)
-	}()
+	p := &k.block(1)[0]
+	p.name, p.index = name, -1
+	p.start(at, fn)
 	return p
+}
+
+// SpawnN creates a world of n processes named prefix00000, prefix00001, …
+// that start at the current virtual time in index order, and runs fn(i, p)
+// in the i-th. It is Spawn n times from one block of processes and with
+// nothing per process but its coroutine.
+func (k *Kernel) SpawnN(n int, prefix string, fn func(i int, p *Proc)) {
+	run := func(p *Proc) { fn(int(p.index), p) }
+	world := k.block(n)
+	for i := range world {
+		p := &world[i]
+		p.name, p.index = prefix, int32(i)
+		p.start(k.now, run)
+	}
+}
+
+// block allocates n processes of this kernel, remembers them and makes
+// room in the queue for their first resumes.
+func (k *Kernel) block(n int) []Proc {
+	k.q = slices.Grow(k.q, n)
+	ps := make([]Proc, n)
+	for i := range ps {
+		ps[i].k = k
+	}
+	k.spawned = append(k.spawned, ps)
+	return ps
+}
+
+// start makes the process a coroutine and queues its first resume, at
+// which it runs fn — unless it was killed before it ever ran.
+func (p *Proc) start(at Time, fn func(p *Proc)) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		if !p.killed {
+			defer p.leave()
+			fn(p)
+		}
+	})
+	p.k.live++
+	p.k.schedule(at, p)
+}
+
+// leave is deferred under every process's body. A kill (or Run's unwind)
+// ends the body through killSignal, and that is a clean end; any other
+// panic goes on, through next, into Run.
+func (p *Proc) leave() {
+	if r := recover(); r != nil {
+		if _, ok := r.(killSignal); !ok {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r))
+		}
+	}
 }
 
 // schedule queues a resumption of p at time at. The new entry supersedes
@@ -192,10 +233,21 @@ func (k *Kernel) popLive() (event, bool) {
 	return event{}, false
 }
 
-// Run drives the simulation until no events remain. It returns the final
-// virtual time. If any process panicked, Run panics with the first such
-// panic value after the event queue drains or immediately on detection.
+// Run drives the simulation until no events remain and returns the final
+// virtual time. It is the one scheduler loop: pop the earliest live event,
+// advance the clock, switch to its process until that yields or ends. A
+// process's panic leaves Run at once, as do a deadlock (processes parked
+// with nothing queued) and a runtime.Goexit inside a process, which ends
+// Run's goroutine as iter.Pull documents; on each of them Run first
+// unwinds every process that has not finished, so a world that ends badly
+// leaves no goroutine behind.
 func (k *Kernel) Run() Time {
+	clean := false
+	defer func() {
+		if !clean {
+			k.unwind()
+		}
+	}()
 	for {
 		e, ok := k.popLive()
 		if !ok {
@@ -206,23 +258,38 @@ func (k *Kernel) Run() Time {
 		}
 		k.now = e.at
 		k.stats.QueueEvents++
-		e.p.parked = false
-		e.p.resume <- struct{}{}
-		msg := <-k.yield
-		switch msg.kind {
-		case yieldDone:
+		p := e.p
+		if _, more := p.next(); !more {
+			p.done = true
+			p.next, p.stop, p.yield = nil, nil, nil // the kernel keeps p, not what its body held
 			k.live--
-		case yieldPanic:
-			panic(msg.val)
-		case yieldPark, yieldSleep:
-			// nothing: either a future event exists (sleep) or another
-			// process is responsible for waking it (park).
 		}
 	}
 	if k.live > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events at t=%v", k.live, k.now))
 	}
+	clean = true
 	return k.now
+}
+
+// unwind stops every unfinished process in spawn order: its pending yield
+// returns false, await unwinds it with killSignal, its deferred functions
+// run and its goroutine ends; one that never started ends without running.
+// Whatever took Run down stays the failure reported: a panic out of a
+// deferred function of a process being unwound is dropped.
+func (k *Kernel) unwind() {
+	for _, ps := range k.spawned {
+		for i := range ps {
+			if p := &ps[i]; !p.done {
+				p.done = true
+				func() {
+					defer func() { _ = recover() }()
+					p.stop()
+				}()
+			}
+		}
+	}
+	k.live = 0
 }
 
 // Sleep suspends the process for d seconds of virtual time.
@@ -243,7 +310,7 @@ func (p *Proc) Sleep(d Duration) {
 // before this process resumes — only the running process can create new
 // events, and kills or wakes can only be issued by running processes. The
 // sleep therefore runs to completion in-line: the clock jumps to t and the
-// process keeps going, with no queue traffic and no channel round-trip.
+// process keeps going, with no queue traffic and no switch to the run loop.
 // The strict `> t` comparison keeps replay bit-identical: an event at
 // exactly t was scheduled earlier, so it holds a smaller seq and must run
 // first, which only the slow path can arrange.
@@ -261,19 +328,18 @@ func (p *Proc) SleepUntil(t Time) {
 		}
 	}
 	k.schedule(t, p)
-	k.yield <- yieldMsg{kind: yieldSleep}
 	p.await()
 }
 
-// await blocks until the kernel hands the process control again, then
-// unwinds it if a Kill arrived while it was suspended. Every suspension
+// await switches to the run loop until it hands the process control again,
+// then unwinds it if a Kill arrived while it was suspended or Run is
+// unwinding the world (yield reports false). Every suspension
 // point funnels through here, so a kill takes effect at the victim's next
 // scheduling boundary — the discrete-event analogue of "the node died
 // while the program was blocked".
 func (p *Proc) await() {
-	<-p.resume
-	if p.killed {
-		panic(killSignal{p.name})
+	if !p.yield(struct{}{}) || p.killed {
+		panic(killSignal{})
 	}
 }
 
@@ -281,8 +347,6 @@ func (p *Proc) await() {
 // Wake (or WakeAt) to resume it. Parking with no eventual waker is a
 // deadlock, which Run reports.
 func (p *Proc) Park() {
-	p.parked = true
-	p.k.yield <- yieldMsg{kind: yieldPark}
 	p.await()
 }
 

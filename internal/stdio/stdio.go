@@ -18,8 +18,8 @@ const DefaultBufSize = 4096
 
 // File is a buffered stream over a POSIX descriptor.
 type File struct {
-	fd       *posix.FD
-	buf      int64 // bytes currently buffered
+	fd       posix.FD // by value: a stream and its descriptor are one object
+	buf      int64    // bytes currently buffered
 	bufSize  int64
 	content  []byte       // retained only in content mode
 	volume   bool         // true once any volume-mode write happened
@@ -29,22 +29,22 @@ type File struct {
 // Fopen opens path with C-style modes "w" (truncate), "a" (append) or
 // "r" (read). Only the writing modes buffer.
 func Fopen(p *sim.Proc, env *posix.Env, path, mode string) (*File, error) {
-	var fd *posix.FD
-	var err error
+	var how posix.OpenMode
 	switch mode {
 	case "w":
-		fd, err = env.Create(p, path)
+		how = posix.Truncate
 	case "a":
-		fd, err = env.OpenAppend(p, path)
+		how = posix.Append
 	case "r":
-		fd, err = env.Open(p, path)
+		how = posix.ReadOnly
 	default:
 		return nil, fmt.Errorf("stdio: unsupported mode %q", mode)
 	}
-	if err != nil {
+	f := &File{bufSize: DefaultBufSize}
+	if err := env.OpenFD(&f.fd, p, path, how); err != nil {
 		return nil, err
 	}
-	return &File{fd: fd, bufSize: DefaultBufSize}, nil
+	return f, nil
 }
 
 // SetBufSize overrides the buffer size (setvbuf). Must be called before

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"picmcio/internal/mpisim"
+	"picmcio/internal/sim"
 	"picmcio/internal/xrand"
 )
 
@@ -319,6 +321,49 @@ func TestForEachRecoversPanic(t *testing.T) {
 	for _, want := range []string{"trial 4", "policy=b", "nodes=2", "trial panicked", "nil map"} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Run's error %q missing %q", err, want)
+		}
+	}
+}
+
+// A campaign with a failing cell keeps nothing of it: each cell runs one
+// small world, the last cell's has a rank that panics while the others are
+// parked in a barrier, and ForEach ends with that cell's error, every other
+// cell's result, and — the kernel having unwound the dead world before the
+// panic reached the pool — the goroutine count back where it was.
+func TestPanickingWorldIsUnwound(t *testing.T) {
+	const cells, ranks, bad = 6, 64, 5
+	for _, width := range []int{1, 3} {
+		before := runtime.NumGoroutine()
+		var ends [cells]sim.Time
+		var unwound atomic.Int32
+		err := ForEach(cells, width, func(i int) error {
+			w := mpisim.NewWorld(sim.NewKernel(), ranks, nil)
+			ends[i] = w.Run(func(r *mpisim.Rank) {
+				defer unwound.Add(1)
+				r.Proc.Sleep(sim.Duration(1 + r.ID))
+				if i == bad && r.ID == ranks/2 {
+					panic("rank down")
+				}
+				r.Comm.Barrier()
+			})
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), `sweep: trial panicked: sim: process "rank00032" panicked: rank down`) {
+			t.Errorf("width %d: error %q, want the bad cell's panic", width, err)
+		}
+		for i, end := range ends {
+			if i != bad && end < ranks {
+				t.Errorf("width %d: cell %d ended at %v, want its world run to the barrier at t >= %d", width, i, end, ranks)
+			}
+		}
+		if got := unwound.Load(); got != cells*ranks {
+			t.Errorf("width %d: %d rank programs ran their deferred function, want all %d", width, got, cells*ranks)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond) // the pool's workers are past wg.Done, on their way out
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("width %d: %d goroutines before, %d after: the dead world's ranks are still there", width, before, after)
 		}
 	}
 }
