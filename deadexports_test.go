@@ -61,7 +61,10 @@ func exportsOf(fset *token.FileSet, s *source) []export {
 				if star, ok := t.(*ast.StarExpr); ok {
 					t = star.X
 				}
-				if ix, ok := t.(*ast.IndexExpr); ok { // a generic receiver
+				switch ix := t.(type) { // a generic receiver
+				case *ast.IndexExpr:
+					t = ix.X
+				case *ast.IndexListExpr:
 					t = ix.X
 				}
 				recv = t.(*ast.Ident).Name
@@ -237,6 +240,8 @@ func unexported() {}
 			want: []string{"internal/low/dead.go:3: low.OnlyTested"}, ownOnly: 3},
 		{name: "dead method", add: map[string]string{"internal/low/dead.go": "package low\nfunc (*T) OnlyTestedMethod() {}"},
 			want: []string{"internal/low/dead.go:2: low.T.OnlyTestedMethod"}, ownOnly: 3},
+		{name: "dead method of a type of two parameters", add: map[string]string{"internal/low/dead.go": "package low\ntype Pair[A, B any] struct{}\nfunc (*Pair[A, B]) OnlyTestedMethod() {}"},
+			want: []string{"internal/low/dead.go:3: low.Pair.OnlyTestedMethod"}, ownOnly: 4},
 		{name: "dead constant and type", add: map[string]string{"internal/low/dead.go": "package low\nconst Dead = 2\ntype Gone int"},
 			want: []string{"internal/low/dead.go:2: low.Dead", "internal/low/dead.go:3: low.Gone"}, ownOnly: 3},
 		{name: "another package's name of the same spelling does not count", add: map[string]string{

@@ -73,6 +73,10 @@ type writerFiles struct {
 	md    *posix.FD         // world rank 0 only
 	idx   *posix.FD         // world rank 0 only
 	steps map[int64]stepLoc // aggregator-local step placement
+	// The receive buffers of the gathers an aggregator is the root of, kept
+	// across steps: payloads and chunk tables from its group, and — world
+	// rank 0's — the leaders' step metadata.
+	chunks, tables, leaders []mpisim.GatherChunk
 }
 
 // Engine is an open BP4 (or BP5) dataset.
@@ -81,7 +85,6 @@ type Engine struct {
 	h    Host
 	path string
 
-	nAgg    int
 	aggComm *mpisim.Comm
 	ldrComm *mpisim.Comm
 	subfile int
@@ -99,11 +102,15 @@ type Engine struct {
 	data    [][]byte
 	curStep int64
 	stepSeq int
+	// copyEnd is when the step's deferred copies end, if copying: they run
+	// back to back from the step's first Put (see Put).
+	copyEnd sim.Time
 
 	mode      Mode
 	isAgg     bool
 	inStep    bool
 	contentOK bool // all puts so far carried real bytes
+	copying   bool
 
 	Timers Timers
 
@@ -120,18 +127,13 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := h.Comm.Size()
 	e := &Engine{
 		io:      io,
 		h:       h,
 		path:    pfs.Clean(path),
 		mode:    ModeWrite,
-		nAgg:    size,
 		wp:      wp,
 		curStep: -1,
-	}
-	if wp.numAgg != 0 {
-		e.nAgg = min(wp.numAgg, size)
 	}
 	if op := io.set.operator; op != "" && op != "none" {
 		if e.codec, err = compress.New(op, 8); err != nil {
@@ -145,7 +147,7 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.subfile = rank * e.nAgg / size
+	e.subfile = rank * e.aggregators() / h.Comm.Size()
 	e.aggComm = h.Comm.Split(e.subfile, rank)
 	e.isAgg = e.aggComm.Rank() == 0
 	if e.isAgg {
@@ -158,6 +160,16 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	}
 	h.Comm.Barrier()
 	return e, nil
+}
+
+// aggregators reports the number of subfiles: NumAggregators, clamped to
+// the number of ranks, which it is without the parameter.
+func (e *Engine) aggregators() int {
+	size := e.h.Comm.Size()
+	if e.wp.numAgg == 0 {
+		return size
+	}
+	return min(e.wp.numAgg, size)
 }
 
 // createMetadata is world rank 0's part of openWriter: the dataset
@@ -216,10 +228,13 @@ func (e *Engine) BeginStep(id int64) error {
 
 // Put stages variable data for the current step. data may carry the real
 // bytes (content mode) or be nil with only the selection's size counted
-// (volume mode). Without a compression operator the engine copies the
-// payload into its serialization buffer, costing memcpy time; with an
-// operator the payload is consumed directly by the compressor at EndStep
-// — which is why Fig. 8 shows memcpy vanishing under Blosc.
+// (volume mode); either way it must stay untouched until EndStep. Put is
+// deferred, as in ADIOS2: without a compression operator the engine copies
+// the payload into its serialization buffer at EndStep, costing memcpy
+// time — the step's copies run back to back from its first Put, so EndStep
+// returns when they would had each Put copied at once; with an operator
+// the payload is consumed directly by the compressor at EndStep — which is
+// why Fig. 8 shows memcpy vanishing under Blosc.
 func (e *Engine) Put(v *Variable, data []byte) error {
 	if !e.inStep {
 		return fmt.Errorf("adios2: Put outside step")
@@ -251,9 +266,20 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	if e.codec == nil && n > 0 {
 		d := sim.Duration(float64(n) / e.wp.memRate)
 		e.Timers.Memcpy += d
-		e.h.Proc.Sleep(d)
+		if !e.copying {
+			e.copyEnd, e.copying = e.h.Proc.Now(), true
+		}
+		e.copyEnd += d
 	}
 	return nil
+}
+
+// copyPuts waits out the step's deferred copies.
+func (e *Engine) copyPuts() {
+	if e.copying {
+		e.copying = false
+		e.h.Proc.SleepUntil(e.copyEnd)
+	}
 }
 
 // payload returns what put i of the step carried, nil in volume mode.
@@ -282,19 +308,26 @@ func (e *Engine) EndStep() error {
 	if !e.inStep {
 		return fmt.Errorf("adios2: EndStep outside step")
 	}
+	e.copyPuts()
 	stored, content, tableBytes, table, err := e.serializeStep()
 	if err != nil {
 		return err
 	}
 
-	// Gather payloads and chunk tables to the group aggregator.
+	// Gather payloads and chunk tables to the group aggregator, into the
+	// buffers it keeps.
 	p := e.h.Proc
+	var chunks, tchunks []mpisim.GatherChunk
+	if e.isAgg {
+		chunks, tchunks = e.files.chunks, e.files.tables
+	}
 	t0 := p.Now()
-	chunks := e.aggComm.GathervBytes(stored, content, 0)
-	tchunks := e.aggComm.GathervBytes(tableBytes, table, 0)
+	chunks = e.aggComm.GathervBytes(stored, content, 0, chunks...)
+	tchunks = e.aggComm.GathervBytes(tableBytes, table, 0, tchunks...)
 	e.Timers.Gather += p.Now() - t0
 
 	if e.isAgg {
+		e.files.chunks, e.files.tables = chunks, tchunks
 		if err := e.aggregateStep(chunks, tchunks); err != nil {
 			return err
 		}
@@ -440,8 +473,9 @@ func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
 		}
 		mdBytes = int64(len(mdJSON))
 	}
-	gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0)
+	gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0, e.files.leaders...)
 	if e.h.Comm.Rank() == 0 {
+		e.files.leaders = gathered
 		return e.publishStep(gathered)
 	}
 	return nil
@@ -525,34 +559,10 @@ func (e *Engine) Close() error {
 		return e.closeReader()
 	}
 	p, comm := e.h.Proc, e.h.Comm
+	e.copyPuts() // a step left open
 	if e.wp.profile {
-		sum := profileSummary{
-			Ranks:       comm.Size(),
-			Aggregators: e.nAgg,
-			Engine:      e.io.set.engine,
-			Operator:    e.io.set.operator,
-		}
-		sum.Total.Memcpy = sim.Duration(comm.AllreduceF64(float64(e.Timers.Memcpy), "sum"))
-		sum.Total.Compress = sim.Duration(comm.AllreduceF64(float64(e.Timers.Compress), "sum"))
-		sum.Total.Gather = sim.Duration(comm.AllreduceF64(float64(e.Timers.Gather), "sum"))
-		sum.Total.Write = sim.Duration(comm.AllreduceF64(float64(e.Timers.Write), "sum"))
-		sum.Total.Meta = sim.Duration(comm.AllreduceF64(float64(e.Timers.Meta), "sum"))
-		sum.Max.Memcpy = sim.Duration(comm.AllreduceF64(float64(e.Timers.Memcpy), "max"))
-		sum.Max.Compress = sim.Duration(comm.AllreduceF64(float64(e.Timers.Compress), "max"))
-		sum.Max.Gather = sim.Duration(comm.AllreduceF64(float64(e.Timers.Gather), "max"))
-		sum.Max.Write = sim.Duration(comm.AllreduceF64(float64(e.Timers.Write), "max"))
-		sum.Max.Meta = sim.Duration(comm.AllreduceF64(float64(e.Timers.Meta), "max"))
-		if comm.Rank() == 0 {
-			body, err := json.MarshalIndent(sum, "", "  ")
-			if err != nil {
-				return err
-			}
-			fd, err := e.h.Env.Create(p, pfs.Join(e.path, "profiling.json"))
-			if err != nil {
-				return err
-			}
-			fd.Write(p, int64(len(body)), body)
-			fd.Close(p)
+		if err := e.writeProfile(); err != nil {
+			return err
 		}
 	}
 	if f := e.files; f != nil {
@@ -563,6 +573,45 @@ func (e *Engine) Close() error {
 		}
 	}
 	comm.Barrier()
+	return nil
+}
+
+// writeProfile reduces every rank's timers in one rendezvous — summed
+// over the ranks, then their maximum, charged as the ten scalar allreduces
+// it stands for — and world rank 0 writes them to profiling.json. Every
+// rank parks in it: rank 0's part has its own frame.
+func (e *Engine) writeProfile() error {
+	t := &e.Timers
+	v := [...]float64{float64(t.Memcpy), float64(t.Compress), float64(t.Gather), float64(t.Write), float64(t.Meta)}
+	r := e.h.Comm.AllreduceVecF64(v[:], "sum", "max")
+	if e.h.Comm.Rank() != 0 {
+		return nil
+	}
+	return e.publishProfile(r)
+}
+
+// publishProfile is world rank 0's part of writeProfile: the reduced
+// timers, sums then maxima, as profiling.json.
+func (e *Engine) publishProfile(r []float64) error {
+	p, comm := e.h.Proc, e.h.Comm
+	sum := profileSummary{
+		Ranks:       comm.Size(),
+		Aggregators: e.aggregators(),
+		Engine:      e.io.set.engine,
+		Operator:    e.io.set.operator,
+		Total:       Timers{Memcpy: sim.Duration(r[0]), Compress: sim.Duration(r[1]), Gather: sim.Duration(r[2]), Write: sim.Duration(r[3]), Meta: sim.Duration(r[4])},
+		Max:         Timers{Memcpy: sim.Duration(r[5]), Compress: sim.Duration(r[6]), Gather: sim.Duration(r[7]), Write: sim.Duration(r[8]), Meta: sim.Duration(r[9])},
+	}
+	body, err := json.MarshalIndent(sum, "", "  ")
+	if err != nil {
+		return err
+	}
+	fd, err := e.h.Env.Create(p, pfs.Join(e.path, "profiling.json"))
+	if err != nil {
+		return err
+	}
+	fd.Write(p, int64(len(body)), body)
+	fd.Close(p)
 	return nil
 }
 

@@ -72,15 +72,21 @@ func TestSteadyStateSaveAllocations(t *testing.T) {
 	}
 	ten, twenty := perRankEpoch(10), perRankEpoch(20)
 	t.Logf("allocations per rank and steady-state epoch: %.2f with 10 components, %.2f with 20", ten, twenty)
-	// Measured: 1.0 and 1.0 — per world and epoch, the rendezvous and
-	// contribution block of the exscan, the EndStep gathers and the barrier
-	// (9.9 while collectives boxed every contribution; 157.9 and 299.9
-	// while every save resolved every component again). AllocsPerRun
-	// averages are whole numbers, hence the slack of 1.
-	if ten > 2 {
-		t.Errorf("a steady-state SaveIteration allocates %.2f objects per rank, want at most 2", ten)
+	// Measured: 0.12 and 0.12 — per world and epoch, rank 0's md.idx record
+	// and the file system's note of its md.0 write, over 16 ranks (1.0
+	// while every collective made its rendezvous, contribution block and
+	// result anew; 9.9 while collectives boxed every contribution; 157.9
+	// and 299.9 while every save resolved every component again).
+	// AllocsPerRun averages are whole numbers per world, hence the slack of
+	// one object a world-epoch; the race detector allocates a few more.
+	limit, slack := 0.19, 1.0/16
+	if raceBuild {
+		limit, slack = 0.5, 0.25
 	}
-	if twenty > ten+1 {
+	if ten > limit {
+		t.Errorf("a steady-state SaveIteration allocates %.2f objects per rank, want at most %.2f", ten, limit)
+	}
+	if twenty > ten+slack {
 		t.Errorf("doubling the components took a steady-state SaveIteration from %.2f to %.2f allocations per rank", ten, twenty)
 	}
 }
@@ -191,12 +197,14 @@ func TestRankFootprint(t *testing.T) {
 	ten, twenty := perRank(10), perRank(20)
 	perComp := (twenty - ten) / 10
 	t.Logf("bytes per rank of open + first save + close: %.0f with 10 components, %.0f with 20: %.1f per extra component", ten, twenty, perComp)
-	// Measured (go1.24): 2517, 3495 and 97.8, of which 83 are the rank's
+	// Measured (go1.24): 2560, 3538 and 97.8, of which 83 are the rank's
 	// own and the rest this small world's per-component objects — names,
-	// paths, the exscan's result — spread over 16 ranks. It was 5748, 10138
-	// and 439 while the adaptor, openPMD and ADIOS2 each kept the numbers in
+	// paths, the exscan's result — spread over 16 ranks. The 2560 counts
+	// the rendezvous every communicator keeps once it has run a collective
+	// of a kind (2517 while each call made its own); it was 5748, 10138 and
+	// 439 while the adaptor, openPMD and ADIOS2 each kept the numbers in
 	// handles of their own, and 2680 with a 352-byte engine and two split
-	// handles a rank. The bounds are those + 10 %.
+	// handles a rank. The bounds are 2517 and 97.8 + 10 %.
 	if ten > 2770 {
 		t.Errorf("open + first save + close of 10 components allocates %.0f bytes per rank, want at most 2770", ten)
 	}
@@ -283,9 +291,9 @@ func parkedStack(tb testing.TB, ranks, aggregators, comps, padLevels int) float6
 // A rank parked in EndStep — where every rank of a world is while its
 // aggregator writes — fits the 4 KiB stack a goroutine gets after its
 // first growth: one frame too fat anywhere between World.Spawn and a park
-// (the open's splits and a Put's memcpy sleep lie deeper than EndStep's
-// gathers) and every rank doubles to 8 KiB and never shrinks, which is
-// then what a simulated rank weighs.
+// (the open's splits lie deepest, then EndStep's gathers; a Put no longer
+// parks) and every rank doubles to 8 KiB and never shrinks, which is then
+// what a simulated rank weighs.
 func TestParkedRankStack(t *testing.T) {
 	if raceBuild {
 		t.Skip("frames are fatter under the race detector")

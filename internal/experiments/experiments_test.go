@@ -223,6 +223,35 @@ func TestFig3BP4BeatsOriginal(t *testing.T) {
 	}
 }
 
+// TestFig4IORFilePerProcessIsTheEnvelope: IOR file-per-process is the
+// reference the paper draws BIT1 against — no BIT1 configuration, original
+// or openPMD+BP4, writes faster at any node count.
+func TestFig4IORFilePerProcessIsTheEnvelope(t *testing.T) {
+	ss, err := benchScale().Fig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ior *Series
+	for i := range ss {
+		if ss[i].Label == IORFilePerProc.Label {
+			ior = &ss[i]
+		}
+	}
+	if ior == nil {
+		t.Fatalf("Fig. 4 has no %q line", IORFilePerProc.Label)
+	}
+	for _, s := range ss {
+		if s.Label == IORFilePerProc.Label || s.Label == IORShared.Label {
+			continue
+		}
+		for i, y := range s.Y {
+			if y > ior.Y[i] {
+				t.Errorf("at %v nodes %s writes %.4f GiB/s, above IOR file-per-process's %.4f", s.X[i], s.Label, y, ior.Y[i])
+			}
+		}
+	}
+}
+
 // TestAblationMDSThreads: the original path's scalability hinges on
 // metadata service concurrency — a one-thread MDS must raise its
 // per-process metadata time.

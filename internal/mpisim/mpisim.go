@@ -150,21 +150,48 @@ type commGroup struct {
 	w     *World
 	ranks []int // world rank per comm rank
 
-	// The rendezvous in progress, a *collState[C, R]. A communicator has at
-	// most one: nobody leaves collective k before everybody has entered it,
-	// so nobody enters k+1 while k is pending.
-	pending any
+	// kinds holds one rendezvous per collective the communicator has run,
+	// kept across calls with its contribution block and result block.
+	kinds []rendezvous
+	// The rendezvous in progress, one of kinds, and the root it names (-1
+	// for a collective without one). A communicator has at most one:
+	// nobody leaves collective k before everybody has entered it, so
+	// nobody enters k+1 while k is pending.
+	pending rendezvous
+	root    int
 	arrived int
-	// parked holds the procs waiting in the pending rendezvous, by comm
-	// rank; the last arriver wakes them and leaves every entry nil.
+	// parked holds, by comm rank, the proc of each rank that waited in a
+	// rendezvous of this communicator; the last arriver hands it to the
+	// kernel as the release's list, where its own slot is skipped.
 	parked []*sim.Proc
 }
 
-// collState is one matched collective: every rank's contribution by comm
-// rank and, once the last rank has arrived, the result all of them read.
+// rendezvous is a collState of any types, for the communicator's list.
+type rendezvous interface{ kind() string }
+
+// collState is one kind of collective on a communicator: its name, every
+// rank's contribution by comm rank and, once the last rank has arrived,
+// the result all of them read — for a rooted collective, the root's
+// receive buffer.
 type collState[C, R any] struct {
+	name     string
 	contribs []C
 	result   R
+}
+
+func (st *collState[C, R]) kind() string { return st.name }
+
+// stateOf returns g's rendezvous for the collective name, made at its
+// first call.
+func stateOf[C, R any](g *commGroup, name string) *collState[C, R] {
+	for _, k := range g.kinds {
+		if st, ok := k.(*collState[C, R]); ok && st.name == name {
+			return st
+		}
+	}
+	st := &collState[C, R]{name: name, contribs: make([]C, len(g.ranks))}
+	g.kinds = append(g.kinds, st)
+	return st
 }
 
 // Comm is a per-rank communicator handle.
@@ -180,21 +207,39 @@ func (c *Comm) Rank() int { return c.rank }
 // Size reports the communicator size.
 func (c *Comm) Size() int { return len(c.g.ranks) }
 
-// collective executes one matched collective and returns its result, the
-// same value on every rank; what a rank takes from it is the caller's
-// business. The reduce callback runs on the last-arriving rank: it
-// receives every rank's contribution in comm-rank order — a slice it may
-// overwrite or keep, nobody else holds it — and returns the result and the
-// total bytes moved (for the cost model).
-func collective[C, R any](c *Comm, contrib C, reduce func(contribs []C) (R, int64)) R {
+// A collective is enter, then leave: enter matches the rank's collective
+// with the communicator's pending one and takes its contribution, leave
+// waits for the others. They are two calls, not one, so that a rank parks
+// under the one frame of leave.
+
+// enter enters this rank into the communicator's collective name, which
+// names root (-1 for a collective without one), with its contribution,
+// and returns the kind's rendezvous. Ranks entering different
+// collectives, or naming different roots, panic.
+func enter[C, R any](c *Comm, name string, root int, contrib C) *collState[C, R] {
+	g := c.g
+	var st *collState[C, R]
+	if g.arrived == 0 {
+		st = stateOf[C, R](g, name)
+		g.pending, g.root = st, root
+	} else if s, ok := g.pending.(*collState[C, R]); ok && s.name == name && root == g.root {
+		st = s
+	} else {
+		panic(c.mismatch(name, root))
+	}
+	st.contribs[c.rank] = contrib
+	return st
+}
+
+// leave, the rank's contribution entered, counts it in and parks it, or,
+// for the last to arrive, runs reduce and releases everybody. reduce finds
+// every rank's contribution in comm-rank order — a block it may overwrite,
+// kept for the kind's next call — writes st.result, and returns the bytes
+// moved and how many operations the call stands for, each charged to the
+// cost model for that many bytes, one after the other.
+func leave[C, R any](c *Comm, st *collState[C, R], reduce func(st *collState[C, R]) (bytes int64, ops int)) R {
 	p, g := c.r.Proc, c.g
 	n := len(g.ranks)
-	if g.pending == nil {
-		g.pending = &collState[C, R]{contribs: make([]C, n)}
-	}
-	// Panics if the ranks of a communicator enter different collectives.
-	st := g.pending.(*collState[C, R])
-	st.contribs[c.rank] = contrib
 	g.arrived++
 	if g.arrived < n {
 		g.parked[c.rank] = p
@@ -202,71 +247,127 @@ func collective[C, R any](c *Comm, contrib C, reduce func(contribs []C) (R, int6
 		return st.result
 	}
 	g.pending, g.arrived = nil, 0
-	var bytes int64
-	st.result, bytes = reduce(st.contribs)
-	wakeAt := p.Now() + g.w.cost(n, bytes)
-	// Deliberately not a sim.Completion: its broadcast resumes waiters
-	// in arrival order, while ranks leaving a collective must resume in
-	// comm-rank order, this one after them — same-instant seq ties decide
-	// who reserves shared servers first, and replay bit-identity pins that
-	// order.
-	for i, q := range g.parked {
-		if q != nil {
-			g.parked[i] = nil
-			g.w.K.WakeAt(wakeAt, q)
-		}
+	bytes, ops := reduce(st)
+	wakeAt := p.Now()
+	for range ops {
+		wakeAt += g.w.cost(n, bytes)
 	}
-	p.SleepUntil(wakeAt)
+	// The parked ranks leave in comm-rank order, this one after them, from
+	// one queue entry: same-instant seq ties decide who reserves shared
+	// servers first, and replay bit-identity pins that order.
+	p.WakeAllAndSleepUntil(wakeAt, g.parked)
 	return st.result
+}
+
+// mismatch is the panic of a rank that entered collective name, naming
+// root, on a communicator whose pending collective is another or names
+// another.
+func (c *Comm) mismatch(name string, root int) string {
+	g := c.g
+	what := fmt.Sprintf("the communicator's pending collective is %s", g.pending.kind())
+	if g.pending.kind() == name {
+		what = fmt.Sprintf("the communicator's pending %s has root %d", name, g.root)
+		name = fmt.Sprintf("%s with root %d", name, root)
+	}
+	return fmt.Sprintf("mpisim: rank %d of %d entered %s while %s", c.rank, len(g.ranks), name, what)
+}
+
+// badRoot is the panic of a rooted collective whose root is no rank.
+func (c *Comm) badRoot(root int) string {
+	return fmt.Sprintf("mpisim: GathervBytes to root %d of a communicator of %d", root, c.Size())
 }
 
 // Barrier blocks until every rank in the communicator has entered.
 func (c *Comm) Barrier() {
-	collective(c, struct{}{}, func([]struct{}) (struct{}, int64) { return struct{}{}, 0 })
+	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, struct{}{}), func(*collState[struct{}, struct{}]) (int64, int) { return 0, 1 })
 }
 
-// allreduce combines one value per rank in comm-rank order, in T's own
-// arithmetic. An unknown op is a caller bug: every rank panics on entry,
-// before any of them parks.
-func allreduce[T int64 | float64](c *Comm, v T, op string) T {
+// checkOp rejects an unknown reduce op. It is a caller bug: every rank
+// panics on entry, before any of them parks.
+func checkOp(op string) {
 	switch op {
 	case "sum", "max", "min":
 	default:
 		panic(fmt.Sprintf("mpisim: unknown reduce op %q (want sum, max or min)", op))
 	}
-	return collective(c, v, func(contribs []T) (T, int64) {
-		acc := contribs[0]
-		for _, x := range contribs[1:] {
-			switch {
-			case op == "sum":
-				acc += x
-			case op == "max" && x > acc, op == "min" && x < acc:
-				acc = x
-			}
+}
+
+// combine folds x into acc with op, in T's own arithmetic.
+func combine[T int64 | float64](op string, acc, x T) T {
+	switch {
+	case op == "sum":
+		acc += x
+	case op == "max" && x > acc, op == "min" && x < acc:
+		acc = x
+	}
+	return acc
+}
+
+// allreduce combines one value per rank in comm-rank order.
+func allreduce[T int64 | float64](c *Comm, name string, v T, op string) T {
+	checkOp(op)
+	return leave(c, enter[T, T](c, name, -1, v), func(st *collState[T, T]) (int64, int) {
+		acc := st.contribs[0]
+		for _, x := range st.contribs[1:] {
+			acc = combine(op, acc, x)
 		}
-		return acc, int64(8 * len(contribs))
+		st.result = acc
+		return int64(8 * len(st.contribs)), 1
 	})
 }
 
-// AllreduceF64 combines one float64 per rank with op ("sum", "max", "min")
-// and returns the result on every rank. An unknown op panics.
-func (c *Comm) AllreduceF64(v float64, op string) float64 { return allreduce(c, v, op) }
-
 // AllreduceI64 combines one int64 per rank ("sum", "max", "min"), exactly:
 // the reduction is in int64, never through a float64.
-func (c *Comm) AllreduceI64(v int64, op string) int64 { return allreduce(c, v, op) }
+func (c *Comm) AllreduceI64(v int64, op string) int64 { return allreduce(c, "AllreduceI64", v, op) }
+
+// AllreduceVecF64 reduces v element-wise across the ranks once per op, in
+// one rendezvous: result[k·len(v)+j] combines element j of every rank's v
+// with ops[k], in comm-rank order — what len(ops)·len(v) scalar
+// allreduces return, op by op, and charged as that many back to back.
+// Every rank passes as many values and the same ops. v is copied in: the
+// caller may reuse it at once. The result is a view of a block the
+// communicator keeps, read-only and valid until this rank's next
+// AllreduceVecF64 on it. An unknown op panics.
+func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
+	for _, op := range ops {
+		checkOp(op)
+	}
+	// The block is a row per rank, then the result.
+	n, m := c.Size(), len(v)
+	st := enter[struct{}, []float64](c, "AllreduceVecF64", -1, struct{}{})
+	if len(st.result) != (n+len(ops))*m {
+		st.result = make([]float64, (n+len(ops))*m)
+	}
+	copy(st.result[c.rank*m:], v)
+	return leave(c, st, func(st *collState[struct{}, []float64]) (int64, int) {
+		rows, res := st.result[:n*m], st.result[n*m:]
+		for k, op := range ops {
+			for j := range m {
+				acc := rows[j]
+				for i := m + j; i < len(rows); i += m {
+					acc = combine(op, acc, rows[i])
+				}
+				res[k*m+j] = acc
+			}
+		}
+		return int64(8 * n), len(res)
+	})[n*m:]
+}
 
 // ExscanI64 returns the exclusive prefix sum of v across ranks — the MPI
 // call openPMD-style writers use to compute each rank's offset in the
 // global extent. Rank 0 receives 0.
 func (c *Comm) ExscanI64(v int64) int64 {
-	return collective(c, v, func(contribs []int64) ([]int64, int64) {
+	// The scan is written over the contributions, where each rank reads its
+	// own at once: only it writes that slot again.
+	return leave(c, enter[int64, []int64](c, "ExscanI64", -1, v), func(st *collState[int64, []int64]) (int64, int) {
 		var run int64
-		for i, x := range contribs {
-			contribs[i] = run
+		for i, x := range st.contribs {
+			st.contribs[i] = run
 			run += x
 		}
-		return contribs, int64(8 * len(contribs))
+		st.result = st.contribs
+		return int64(8 * len(st.contribs)), 1
 	})[c.rank]
 }
 
@@ -275,21 +376,27 @@ func (c *Comm) ExscanI64(v int64) int64 {
 // sums — one collective instead of 2·len(v), which is what lets the
 // openPMD adaptor compute every record component's offset and global
 // extent in a single operation at 25k ranks. v must stay untouched until
-// the call returns. Both results are views into one block shared by all
-// ranks of the communicator: read-only.
+// the call returns. Both results are views into one block the
+// communicator keeps and shares between its ranks: read-only, and valid
+// until this rank's next ExscanVecI64 on the communicator.
 func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 	m := len(v)
-	slab := collective(c, v, func(contribs [][]int64) ([]int64, int64) {
+	slab := leave(c, enter[[]int64, []int64](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, []int64]) (int64, int) {
 		// Row i is rank i's offsets; the row after the last is the totals.
-		n := len(contribs)
-		slab := make([]int64, (n+1)*m)
-		for i, vec := range contribs {
+		n := len(st.contribs)
+		if cap(st.result) < (n+1)*m {
+			st.result = make([]int64, (n+1)*m)
+		}
+		slab := st.result[:(n+1)*m]
+		clear(slab[:m])
+		for i, vec := range st.contribs {
 			row, next := slab[i*m:(i+1)*m], slab[(i+1)*m:(i+2)*m]
 			for j := range row {
 				next[j] = row[j] + vec[j]
 			}
 		}
-		return slab, int64(8 * m * n)
+		st.result = slab
+		return int64(8 * m * n), 1
 	})
 	lo, end := c.rank*m, len(slab)-m
 	return slab[lo : lo+m : lo+m], slab[end:]
@@ -305,13 +412,27 @@ type GatherChunk struct {
 // GathervBytes gathers variable-size chunks onto root. Every rank passes
 // its size n and optional payload; root receives all chunks in comm-rank
 // order, other ranks receive nil. Cost is charged for the total volume.
-func (c *Comm) GathervBytes(n int64, data []byte, root int) []GatherChunk {
-	chunks := collective(c, GatherChunk{Rank: c.rank, N: n, Data: data}, func(chunks []GatherChunk) ([]GatherChunk, int64) {
+// recv, which only root's matters, is MPI's receive buffer: the chunks are
+// written over it, grown if it is short, and it is returned — pass the
+// last call's result (as recv...) and a gather allocates nothing.
+func (c *Comm) GathervBytes(n int64, data []byte, root int, recv ...GatherChunk) []GatherChunk {
+	if root < 0 || root >= c.Size() {
+		panic(c.badRoot(root))
+	}
+	st := enter[GatherChunk, []GatherChunk](c, "GathervBytes", root, GatherChunk{Rank: c.rank, N: n, Data: data})
+	if c.rank == root {
+		st.result = recv
+	}
+	chunks := leave(c, st, func(st *collState[GatherChunk, []GatherChunk]) (int64, int) {
 		var total int64
-		for _, ch := range chunks {
+		for _, ch := range st.contribs {
 			total += ch.N
 		}
-		return chunks, total
+		// Copied now: a rank that leaves before the root may enter the next
+		// gather and write its slot.
+		st.result = append(st.result[:0], st.contribs...)
+		clear(st.contribs) // the payloads are the ranks', not the communicator's
+		return total, 1
 	})
 	if c.rank != root {
 		return nil
@@ -325,12 +446,13 @@ type splitEntry struct{ color, key, world, commRank int }
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by (key, world rank), mirroring MPI_Comm_split.
 func (c *Comm) Split(color, key int) *Comm {
-	m := &collective(c, splitEntry{color, key, c.g.ranks[c.rank], c.rank}, func(es []splitEntry) ([]Comm, int64) {
+	m := &leave(c, enter[splitEntry, []Comm](c, "Split", -1, splitEntry{color, key, c.g.ranks[c.rank], c.rank}), func(st *collState[splitEntry, []Comm]) (int64, int) {
 		// Sorted, every color is one run and the run is its group in rank
 		// order: membership is built once per color, and the groups, their
 		// rank tables, their parking slots and every rank's handle each
 		// come out of one block (the groups' sized exactly: handles point
 		// into it).
+		es := st.contribs
 		slices.SortFunc(es, func(a, b splitEntry) int {
 			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.world, b.world))
 		})
@@ -352,7 +474,8 @@ func (c *Comm) Split(color, key int) *Comm {
 				members[es[i].commRank] = Comm{g: &groups[len(groups)-1], rank: i - lo}
 			}
 		}
-		return members, int64(16 * len(es))
+		st.result = members
+		return int64(16 * len(es)), 1
 	})[c.rank]
 	m.r = c.r // each rank completes its own handle, and only that
 	return m

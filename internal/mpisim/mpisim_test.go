@@ -19,6 +19,12 @@ func world(size int) *World {
 	return NewWorld(sim.NewKernel(), size, AlphaBeta(1e-6, 1.0/10e9))
 }
 
+// AllreduceF64 combines one float64 per rank with op ("sum", "max", "min").
+// No shipped caller reduces a single float64 any more (adios2 reduces its
+// timers with AllreduceVecF64); the tests keep it as a scalar allreduce of
+// a collective kind of its own.
+func (c *Comm) AllreduceF64(v float64, op string) float64 { return allreduce(c, "AllreduceF64", v, op) }
+
 func TestBarrierSynchronizes(t *testing.T) {
 	w := world(8)
 	var after []sim.Time
@@ -54,6 +60,28 @@ func TestAllreduce(t *testing.T) {
 		min := r.Comm.AllreduceI64(int64(r.ID+3), "min")
 		if min != 3 {
 			t.Errorf("rank %d: min=%v", r.ID, min)
+		}
+	})
+}
+
+// AllreduceVecF64 returns, op by op, what the scalar allreduce of every
+// element returns, and takes a copy of v: a rank that overwrites v as soon
+// as the call returns changes nobody's result.
+func TestAllreduceVecF64(t *testing.T) {
+	const n = 5
+	world(n).Run(func(r *Rank) {
+		x := float64(r.ID)
+		v := []float64{x, -x, x * x}
+		got := r.Comm.AllreduceVecF64(v, "sum", "max", "min")
+		v[0], v[1], v[2] = 1e9, 1e9, 1e9
+		var want []float64
+		for _, op := range []string{"sum", "max", "min"} {
+			for _, y := range []float64{x, -x, x * x} {
+				want = append(want, r.Comm.AllreduceF64(y, op))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("rank %d: %v, scalar allreduces %v", r.ID, got, want)
 		}
 	})
 }
@@ -438,28 +466,40 @@ func TestExscanVecViewsAreDisjoint(t *testing.T) {
 	})
 }
 
-// A collective allocates a constant number of objects, however many ranks
-// it has — Split too, whose new handles are one block. Measured as
-// the difference between worlds that differ only in how often they call,
-// so that spawning the world and the kernel's queue cancel out.
+// A collective allocates nothing once its communicator has run one of its
+// kind — a gather that is handed back its last result as the root's
+// receive buffer included — and Split a constant number of objects,
+// however many ranks it has: its groups, their rank tables and parking
+// slots, and the new handles are a block each, and live on.
+// Measured as the difference between worlds that differ only in how often
+// they call, so that spawning the world, the kernel's queue and each
+// kind's first call cancel out.
 func TestCollectiveAllocs(t *testing.T) {
 	const ranks, short, long = 64, 2, 10
 	vec := make([][]int64, ranks)
+	vals := make([][]float64, ranks)
+	bufs := make([][]GatherChunk, ranks)
 	for i := range vec {
 		vec[i] = make([]int64, 10)
+		vals[i] = make([]float64, 4)
 	}
 	for _, c := range []struct {
 		name string
 		call func(r *Rank)
+		want float64
 	}{
-		{"Barrier", func(r *Rank) { r.Comm.Barrier() }},
-		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }},
-		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }},
-		{"GathervBytes", func(r *Rank) { r.Comm.GathervBytes(8, nil, 0) }},
-		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }},
+		{"Barrier", func(r *Rank) { r.Comm.Barrier() }, 0},
+		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }, 0},
+		{"AllreduceI64", func(r *Rank) { r.Comm.AllreduceI64(1, "max") }, 0},
+		{"AllreduceVecF64", func(r *Rank) { r.Comm.AllreduceVecF64(vals[r.ID], "sum", "max", "min") }, 0},
+		{"ExscanI64", func(r *Rank) { r.Comm.ExscanI64(1) }, 0},
+		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }, 0},
+		{"GathervBytes", func(r *Rank) { bufs[r.ID] = r.Comm.GathervBytes(8, nil, 0, bufs[r.ID]...) }, 0},
+		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }, 5},
 	} {
 		run := func(calls int) float64 {
 			return testing.AllocsPerRun(5, func() {
+				clear(bufs)
 				world(ranks).Run(func(r *Rank) {
 					for i := 0; i < calls; i++ {
 						c.call(r)
@@ -469,11 +509,107 @@ func TestCollectiveAllocs(t *testing.T) {
 		}
 		perCall := (run(long) - run(short)) / (long - short)
 		t.Logf("%s on %d ranks: %.1f objects per call", c.name, ranks, perCall)
-		// Measured 1, 2, 3, 2 and 6.
-		if perCall > 8 {
-			t.Errorf("%s on %d ranks allocates %.1f objects per call, want at most 8", c.name, ranks, perCall)
+		// Measured 0 throughout but Split's 4.0 to 4.1 (its four blocks);
+		// 1, 2, 3, 2 and 6 for Barrier, AllreduceF64, ExscanVecI64,
+		// GathervBytes and Split while every call made its rendezvous anew.
+		if perCall > c.want {
+			t.Errorf("%s on %d ranks allocates %.1f objects per call, want at most %.0f", c.name, ranks, perCall, c.want)
 		}
 	}
+}
+
+// Ranks of one communicator that enter different collectives, or one
+// rooted collective with different roots, die of a panic that names both
+// — whichever arrives first, and whatever kinds the communicator ran
+// before — never of a type assertion inside the runtime, and never by
+// borrowing another kind's rendezvous.
+func TestMismatchedCollectivesPanic(t *testing.T) {
+	kinds := []struct {
+		name string
+		call func(c *Comm)
+	}{
+		{"Barrier", func(c *Comm) { c.Barrier() }},
+		{"AllreduceF64", func(c *Comm) { c.AllreduceF64(1, "sum") }},
+		{"AllreduceI64", func(c *Comm) { c.AllreduceI64(1, "sum") }},
+		{"AllreduceVecF64", func(c *Comm) { c.AllreduceVecF64([]float64{1}, "sum") }},
+		{"ExscanI64", func(c *Comm) { c.ExscanI64(1) }},
+		{"ExscanVecI64", func(c *Comm) { c.ExscanVecI64([]int64{1}) }},
+		{"GathervBytes", func(c *Comm) { c.GathervBytes(1, nil, 0) }},
+		{"Split", func(c *Comm) { c.Split(0, 0) }},
+	}
+	// panicOf runs a world of two whose rank 0 calls first and rank 1
+	// second, rank 1 or rank 0 arriving first.
+	panicOf := func(first, second func(c *Comm), rank1First bool) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		world(2).Run(func(r *Rank) {
+			for _, k := range kinds { // every kind's rendezvous exists already
+				k.call(r.Comm)
+			}
+			if (r.ID == 1) != rank1First {
+				r.Proc.Sleep(1)
+			}
+			if r.ID == 0 {
+				first(r.Comm)
+			} else {
+				second(r.Comm)
+			}
+		})
+		return ""
+	}
+	for _, a := range kinds {
+		for _, b := range kinds {
+			if a.name == b.name {
+				continue
+			}
+			for _, rank1First := range []bool{false, true} {
+				late, lateKind, early := 1, b.name, a.name
+				if rank1First {
+					late, lateKind, early = 0, a.name, b.name
+				}
+				want := fmt.Sprintf("mpisim: rank %d of 2 entered %s while the communicator's pending collective is %s", late, lateKind, early)
+				if got := panicOf(a.call, b.call, rank1First); !strings.Contains(got, want) {
+					t.Errorf("rank 0 in %s, rank 1 in %s, rank 1 first %v: %s, want a panic with %q", a.name, b.name, rank1First, got, want)
+				}
+			}
+		}
+	}
+	for _, rank1First := range []bool{false, true} {
+		root0 := func(c *Comm) { c.GathervBytes(1, nil, 0) }
+		root1 := func(c *Comm) { c.GathervBytes(1, nil, 1) }
+		want := "mpisim: rank 1 of 2 entered GathervBytes with root 1 while the communicator's pending GathervBytes has root 0"
+		if rank1First {
+			want = "mpisim: rank 0 of 2 entered GathervBytes with root 0 while the communicator's pending GathervBytes has root 1"
+		}
+		if got := panicOf(root0, root1, rank1First); !strings.Contains(got, want) {
+			t.Errorf("gathers to roots 0 and 1, rank 1 first %v: %s, want a panic with %q", rank1First, got, want)
+		}
+	}
+}
+
+// A rank that leaves a gather before its root may enter the next gather on
+// the communicator and write its contribution there before the root has
+// run again: the root's result was copied into its receive buffer when the
+// last rank arrived, so it holds this gather's chunks, not the next one's.
+func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
+	const n = 5
+	world(n).Run(func(r *Rank) {
+		var kept []GatherChunk
+		for g := 0; g < 3; g++ {
+			if r.ID == 0 {
+				r.Proc.Sleep(1) // the root arrives last and leaves last
+			}
+			chunks := r.Comm.GathervBytes(int64(g), []byte{byte(10*g + r.ID)}, 0, kept...)
+			if r.ID != 0 {
+				continue
+			}
+			kept = chunks
+			for i, ch := range chunks {
+				if ch.Rank != i || ch.N != int64(g) || ch.Data[0] != byte(10*g+i) {
+					t.Errorf("gather %d: chunk %d is %+v", g, i, ch)
+				}
+			}
+		}
+	})
 }
 
 // TestWorldSpawnAllocations is the ratchet on what a rank costs before its

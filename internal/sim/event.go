@@ -19,13 +19,14 @@ var (
 )
 
 // waitQueue is the pooled wait list behind every blocking primitive
-// (Completion, Gauge). Backing arrays come from the kernel's
-// free pool and return to it after a broadcast, so steady-state
-// park/wake cycles allocate nothing. The pooling is safe because wakes
-// only schedule queue entries — a woken process re-parking into the
-// same primitive gets a fresh array, never the one being drained — and
-// because stale entries for superseded wakes are tombstoned by seq, a
-// recycled array can never resurrect or double-wake a process.
+// (Completion, Gauge). Backing arrays come from the kernel's free pool; a
+// broadcast hands its array to the kernel as one batch entry, and the
+// kernel returns it to the pool once the batch is delivered, so
+// steady-state park/wake cycles allocate nothing. A woken process
+// re-parking into the same primitive gets a fresh array, never the one
+// being delivered, and a member superseded since the broadcast is
+// tombstoned by seq, so a recycled array can never resurrect or
+// double-wake a process.
 type waitQueue struct {
 	k  *Kernel
 	ws []*Proc
@@ -41,17 +42,14 @@ func (w *waitQueue) park(p *Proc) {
 }
 
 // wakeAllAt schedules every current waiter to resume at time t, in wait
-// order, then recycles the backing array.
+// order, as one queue entry.
 func (w *waitQueue) wakeAllAt(t Time) {
 	ws := w.ws
 	if ws == nil {
 		return
 	}
 	w.ws = nil
-	for _, q := range ws {
-		w.k.WakeAt(t, q)
-	}
-	w.k.releaseWaiters(ws)
+	w.k.release(t, ws, nil, true)
 }
 
 // Completion is a one-shot broadcast event: processes Wait until some

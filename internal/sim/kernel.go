@@ -26,15 +26,39 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// event is a scheduled resumption of a process. Only the entry whose seq
-// matches the process's pendingSeq is live; earlier entries for the same
-// process are tombstones that the run loop discards when they pop, so a
-// re-schedule (WakeAt racing a pending wake, a Kill superseding a sleep)
-// can never resume a process twice or out of order.
+// event is a scheduled resumption of a process, or of a batch of them.
+// Only the entry whose seq matches the process's pendingSeq is live;
+// earlier entries for the same process are tombstones that the run loop
+// discards when they pop, so a re-schedule (WakeAt racing a pending wake,
+// a Kill superseding a sleep) can never resume a process twice or out of
+// order. An entry whose p is a batch's entry stands for one such entry per
+// member at (at, seq), delivered back to back: see release. Entries are
+// 24 bytes, and stay so: the heap moves them by value.
 type event struct {
 	at  Time
 	seq uint64
 	p   *Proc
+}
+
+// batch is the process list one release queued: the members, in list
+// order, then the rider. A member is claimed by the release — its
+// pendingSeq set to seq — unless it was nil, the rider, finished or killed
+// then; claimed or not stays so, because a pendingSeq only grows and a
+// dead process's never moves. Delivery resumes each claimed member whose
+// pendingSeq is still seq, counts the others stale, as their tombstones
+// would have been, and skips the unclaimed, which never had an entry.
+type batch struct {
+	// entry is what the queue holds for the batch: a Proc that is no
+	// process, marked batch, whose index is the record's slot (see
+	// Kernel.batchAt).
+	entry  Proc
+	at     Time
+	seq    uint64
+	ws     []*Proc
+	rider  *Proc  // resumes after the members; nil once delivered
+	i      int    // the next member to look at
+	pooled bool   // ws is a wait list of the kernel's pool (see waitQueue)
+	free   *batch // the next free record, while this one is free
 }
 
 // Kernel owns the virtual clock and the event queue.
@@ -49,6 +73,10 @@ type Kernel struct {
 	// it to get the slow path the fast path is checked against.
 	fastPath bool
 
+	// cur is the batch being delivered, while it has members left that
+	// were claimed: they are the earliest events there are.
+	cur *batch
+
 	stats KernelStats
 
 	// spawned holds every process in spawn order, a SpawnN world as one
@@ -57,6 +85,12 @@ type Kernel struct {
 	spawned [][]Proc
 
 	waitPool [][]*Proc // recycled wait-list backing arrays (see waitQueue)
+	// The batch records: slot 0 in the kernel itself — most kernels never
+	// have two releases queued at once — the others by slot from 1; the
+	// free ones chained from freeBatch.
+	batch0    batch
+	batches   []*batch
+	freeBatch *batch
 }
 
 // KernelStats counts scheduler work for benchmarks and tuning. All
@@ -83,7 +117,10 @@ func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{fastPath: true}
+	k := &Kernel{fastPath: true}
+	k.batch0.entry = Proc{batch: true}
+	k.freeBatch = &k.batch0
+	return k
 }
 
 // Now reports the current virtual time.
@@ -110,6 +147,7 @@ type Proc struct {
 	index      int32  // position in its SpawnN world; -1 for a single
 	done       bool
 	killed     bool
+	batch      bool // a batch's queue entry, not a process (see batch)
 
 	// The coroutine (iter.Pull): the run loop calls next to switch to the
 	// process, the process calls yield to switch back, stop unwinds it.
@@ -217,20 +255,126 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 	k.q = evPush(k.q, event{at: at, seq: k.seq, p: p})
 }
 
-// popLive pops queue entries until one is live, discarding tombstones:
-// entries for finished processes and entries superseded by a later
-// schedule of the same process.
-func (k *Kernel) popLive() (event, bool) {
-	for len(k.q) > 0 {
+// popLive returns the next live resumption: the next member of the batch
+// being delivered, or else of the earliest queue entry, discarding
+// tombstones — entries for finished processes and entries superseded by
+// a later schedule of the same process.
+func (k *Kernel) popLive() (Time, *Proc, bool) {
+	for {
+		if b := k.cur; b != nil {
+			at, seq, p := b.at, b.seq, b.next()
+			if b.drained() {
+				k.cur = nil
+				k.recycle(b)
+			}
+			if !p.done && p.pendingSeq == seq {
+				return at, p, true
+			}
+			k.stats.Stale++
+			continue
+		}
+		if len(k.q) == 0 {
+			return 0, nil, false
+		}
 		var e event
 		e, k.q = evPop(k.q)
+		if e.p.batch {
+			k.cur = k.batchAt(e.p.index)
+			continue
+		}
 		if e.p.done || e.seq != e.p.pendingSeq {
 			k.stats.Stale++
 			continue
 		}
-		return e, true
+		return e.at, e.p, true
 	}
-	return event{}, false
+}
+
+// release queues, as one entry at t >= now, the resumption of every
+// process of ws in list order and then of rider, if any: what a WakeAt of
+// each and then a SleepUntil(t) of the rider would queue, with the same
+// (at, seq) order against every other entry — theirs would be consecutive
+// seqs, nothing can come between — and the same fast-path decisions, for
+// the batch being delivered holds back the fast path as their entries
+// would. nil entries are skipped, and so is the rider if ws holds it. It
+// reports whether it queued anything: not if no member was claimed, when
+// there was nothing for the rider to ride. A pooled ws goes back to the
+// pool once delivered; any other must keep its members until then.
+func (k *Kernel) release(t Time, ws []*Proc, rider *Proc, pooled bool) bool {
+	checkTime(t)
+	if t < k.now {
+		t = k.now
+	}
+	s, claimed := k.seq+1, false
+	for _, q := range ws {
+		if q != nil && q != rider && !q.done && !q.killed {
+			q.pendingSeq, claimed = s, true
+		}
+	}
+	if !claimed {
+		if pooled {
+			k.releaseWaiters(ws)
+		}
+		return false
+	}
+	k.seq = s
+	if rider != nil {
+		rider.pendingSeq = s
+	}
+	b := k.freeBatch
+	if b != nil {
+		k.freeBatch = b.free
+	} else {
+		b = &batch{entry: Proc{index: int32(len(k.batches) + 1), batch: true}}
+		k.batches = append(k.batches, b)
+	}
+	b.at, b.seq, b.ws, b.rider, b.i, b.pooled = t, s, ws, rider, 0, pooled
+	b.skip()
+	k.q = evPush(k.q, event{at: t, seq: s, p: &b.entry})
+	return true
+}
+
+// skip moves past the members the release did not claim.
+func (b *batch) skip() {
+	for ; b.i < len(b.ws); b.i++ {
+		if q := b.ws[b.i]; q != nil && q != b.rider && q.pendingSeq >= b.seq {
+			return
+		}
+	}
+}
+
+// next returns the next claimed member, or the rider after the last.
+func (b *batch) next() *Proc {
+	if b.i < len(b.ws) {
+		p := b.ws[b.i]
+		b.i++
+		b.skip()
+		return p
+	}
+	p := b.rider
+	b.rider = nil
+	return p
+}
+
+// drained reports whether nothing the release claimed is left.
+func (b *batch) drained() bool { return b.i == len(b.ws) && b.rider == nil }
+
+// batchAt returns the batch record in slot i.
+func (k *Kernel) batchAt(i int32) *batch {
+	if i == 0 {
+		return &k.batch0
+	}
+	return k.batches[i-1]
+}
+
+// recycle returns a delivered batch's record, and its list if pooled, to
+// the kernel's pools.
+func (k *Kernel) recycle(b *batch) {
+	if b.pooled {
+		k.releaseWaiters(b.ws)
+	}
+	b.ws, b.rider = nil, nil
+	b.free, k.freeBatch = k.freeBatch, b
 }
 
 // Run drives the simulation until no events remain and returns the final
@@ -249,16 +393,15 @@ func (k *Kernel) Run() Time {
 		}
 	}()
 	for {
-		e, ok := k.popLive()
+		at, p, ok := k.popLive()
 		if !ok {
 			break
 		}
-		if e.at < k.now {
+		if at < k.now {
 			panic("sim: event queue went backwards")
 		}
-		k.now = e.at
+		k.now = at
 		k.stats.QueueEvents++
-		p := e.p
 		if _, more := p.next(); !more {
 			p.done = true
 			p.next, p.stop, p.yield = nil, nil, nil // the kernel keeps p, not what its body held
@@ -313,14 +456,15 @@ func (p *Proc) Sleep(d Duration) {
 // process keeps going, with no queue traffic and no switch to the run loop.
 // The strict `> t` comparison keeps replay bit-identical: an event at
 // exactly t was scheduled earlier, so it holds a smaller seq and must run
-// first, which only the slow path can arrange.
+// first, which only the slow path can arrange. The rest of a batch being
+// delivered is such an event.
 func (p *Proc) SleepUntil(t Time) {
 	checkTime(t)
 	k := p.k
 	if t < k.now {
 		t = k.now
 	}
-	if k.fastPath && !p.killed {
+	if k.fastPath && !p.killed && k.cur == nil {
 		if len(k.q) == 0 || k.q[0].at > t {
 			k.now = t
 			k.stats.FastPathEvents++
@@ -389,6 +533,25 @@ func (k *Kernel) WakeAt(t Time, q *Proc) {
 		return
 	}
 	k.schedule(t, q)
+}
+
+// WakeAllAndSleepUntil wakes every process of ws at time t >= now, in list
+// order, and then suspends the calling process until t, behind them: what
+// a WakeAt of each and a SleepUntil(t) would do, from one queue entry. It
+// is the release of a rendezvous by the last process to arrive. ws may
+// hold the caller, which is then skipped there, and nil entries; a
+// finished or killed process in it is not woken. ws must keep its members
+// until they have all resumed.
+func (p *Proc) WakeAllAndSleepUntil(t Time, ws []*Proc) {
+	rider := p
+	if p.killed {
+		rider = nil // dies at its kill's entry, as SleepUntil would have it
+	}
+	if p.k.release(t, ws, rider, false) && rider != nil {
+		p.await()
+		return
+	}
+	p.SleepUntil(t)
 }
 
 // grabWaiters hands out a recycled wait-list backing array, or a fresh
