@@ -1,16 +1,14 @@
-# Developer entry points. CI runs `make check`, `make bench-compare` and
-# `make smoke` across the build matrix.
+# Developer entry points. CI runs `make smoke`, `make sweep-smoke` and
+# `make profile`. Performance claims go through `go run ./benchmark`.
 
-# -ec so every recipe line must succeed; pipefail as a belt-and-braces
-# default, though bench deliberately avoids pipes: each stage writes an
-# intermediate file, so a b.Fatal in `go test -bench` fails its own line
-# instead of being masked by the consumer's exit status.
+# -ec so every recipe line must succeed; pipefail so a failing stage of a
+# pipe fails its line.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO ?= go
 
-.PHONY: check test vet bench bench-compare profile smoke sweep-smoke clean
+.PHONY: check test vet profile smoke sweep-smoke clean
 
 check: vet test
 
@@ -19,48 +17,6 @@ vet:
 
 test:
 	$(GO) build ./... && $(GO) test ./...
-
-# bench runs each gated benchmark family once and converts its text log
-# into the machine-readable JSON record CI archives and gates on. A
-# family is a committed baseline bench/BENCH_<stem>.json plus its
-# BENCH_<stem>_RE and _PKG below. All three are host-cost
-# ratchets, each beside the package whose test-only helpers it needs;
-# what the simulation computes is pinned to the digit by the acceptance
-# tests of its figure, not to 25 % here.
-BENCH_sched_RE      := BenchmarkSched$$|BenchmarkSchedScale$$
-BENCH_sched_PKG     := ./internal/sched
-BENCH_kernel_RE     := BenchmarkKernelScale$$
-BENCH_kernel_PKG    := ./internal/sim
-BENCH_adaptor_RE    := BenchmarkAdaptorSave$$
-BENCH_adaptor_PKG   := ./internal/bit1
-
-# BENCH_BASELINES lists the committed regression baselines the compare
-# gate runs against, by stem.
-BENCH_BASELINES := $(patsubst bench/%.json,%,$(wildcard bench/BENCH_*.json))
-
-bench: $(BENCH_BASELINES:%=%.json)
-
-# No pipes: the text log is an intermediate file, so a b.Fatal fails the
-# `go test` line itself.
-BENCH_%.json: FORCE
-	$(if $(BENCH_$*_RE),,$(error bench/$@ has no BENCH_$*_RE in the Makefile))
-	$(GO) test -bench '$(BENCH_$*_RE)' -benchtime=1x -run '^$$' $(BENCH_$*_PKG) > BENCH_$*.txt
-	cat BENCH_$*.txt
-	$(GO) run ./cmd/benchjson -o $@ < BENCH_$*.txt
-
-FORCE:
-
-# bench-compare is the regression gate: fresh results must stay within
-# 25% of the committed baselines (bench/*.json) on every throughput
-# metric. Refresh the baselines deliberately with:
-#   make bench && cp BENCH_*.json bench/
-# and start a new family, once its _RE is declared, with:
-#   make BENCH_<stem>.json && cp BENCH_<stem>.json bench/
-bench-compare: bench
-	@[ -n "$(BENCH_BASELINES)" ] || { echo "bench-compare: no committed baselines under bench/" >&2; exit 1; }
-	for stem in $(BENCH_BASELINES); do \
-		$(GO) run ./cmd/benchjson -compare -threshold 0.25 bench/$$stem.json $$stem.json || exit 1; \
-	done
 
 # profile captures CPU and allocation profiles of the machine-scale
 # benchmarks, and of three real figures at the end-to-end benchmark's
@@ -147,7 +103,6 @@ sweep-smoke:
 	$(GO) run ./cmd/experiments -json -parallel 4 figworkload > figworkload.json
 
 clean:
-	rm -f BENCH_*.json BENCH_*.txt
 	rm -f cpu.pprof mem.pprof kernel.test sched_cpu.pprof sched_mem.pprof sched.test
 	rm -f fig6_cpu.pprof fig6_mem.pprof fig2_cpu.pprof fig2_mem.pprof experiments.bin
 	rm -f figburst_cpu.pprof figburst_mem.pprof

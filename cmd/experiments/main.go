@@ -1,13 +1,14 @@
 // Command experiments regenerates the paper's tables and figures on the
 // simulated substrate. Each artifact prints as a text series or table;
 // sweep-backed artifacts can emit machine-readable JSON instead.
-// EXPERIMENTS.md records the paper-vs-measured comparison.
+// README.md's "Running things" lists the artifacts; DESIGN.md §12 says
+// what a paper figure is run against and how it is extrapolated.
 //
 // Usage:
 //
 //	experiments -list                # catalogue with descriptions
 //	experiments -run fig2            # one artifact
-//	experiments -run all             # everything (minutes)
+//	experiments -run all             # everything (about a minute)
 //	experiments -run fig6 -nodes 200 # with explicit scale
 //	experiments -json figsizing      # sweep table as JSON
 //	experiments -parallel 8 figfault # bit-identical to -parallel 1

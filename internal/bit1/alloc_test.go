@@ -93,9 +93,8 @@ func TestSteadyStateSaveAllocations(t *testing.T) {
 
 // Opening and closing an adaptor — series, engine, the communicator
 // splits, the declared accumulators, no save — costs a rank a fixed
-// number of objects: the ratchet BenchmarkAdaptorSave's
-// allocs_per_rank_open reports at scale, held here on 16 ranks. What the
-// aggregator count adds is per aggregator, not per rank.
+// number of objects, held here on 16 ranks. What the aggregator count
+// adds is per aggregator, not per rank.
 func TestOpenAllocations(t *testing.T) {
 	const ranks = 2 * 8
 	perRank := func(aggregators int) float64 {

@@ -41,7 +41,7 @@ type CampaignCell struct {
 // expected lost node-hours per drain policy/QoS instead of single-kill
 // grids). Per (drain policy × QoS) cell it samples a campaign of
 // production runs of the FigFault victim/neighbour scenario, each run
-// CampaignEpochHours of wall-clock per epoch long. Failure arrivals are
+// campaignEpochHours of wall-clock per epoch long. Failure arrivals are
 // exponential draws (fault.Arrivals over the victim job's nodes at the
 // machine's MTBFNodeHours); a run whose first arrival lands inside the
 // span is simulated with the kill mapped onto (epoch, fraction, node),
@@ -61,7 +61,7 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 	victim := faultScenario(burst.PolicyImmediate, burst.QoS{}, nil)[0]
 	wl := victim.Workload.Shape()
 	victimNodes := victim.Nodes
-	spanHours := float64(wl.Epochs) * o.CampaignEpochHours
+	spanHours := float64(wl.Epochs) * campaignEpochHours
 	lambda := fault.ExpectedFailures(mtbf, victimNodes, sim.Duration(spanHours*3600))
 	runs := o.CampaignRuns
 	if runs <= 0 {
@@ -75,12 +75,12 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 	}
 	g := sweep.Grid{faultPolicyAxis(), sweep.Strings("qos", FaultQoSPolicies)}
 	title := fmt.Sprintf("Campaign F: stochastic node failures on %s (MTBF %.3gk h, %d-epoch runs, %g h/epoch, %d runs/cell)",
-		m.Name, mtbf/1e3, wl.Epochs, o.CampaignEpochHours, runs)
+		m.Name, mtbf/1e3, wl.Epochs, campaignEpochHours, runs)
 	return sweep.Run(g, o.sweepOptions(title),
 		func(c sweep.Config) (sweep.Point, error) {
 			pol := c.Value("policy").(burst.Policy)
 			qosName := c.Str("qos")
-			qos, err := faultQoS(qosName)
+			qos, err := contentionQoS(qosName, 0)
 			if err != nil {
 				return sweep.Point{}, err
 			}
@@ -103,11 +103,11 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 				// the recovery dynamics of a single kill are what the drain
 				// policies differ on.
 				t := arrivals[0]
-				epoch := int(t / o.CampaignEpochHours)
+				epoch := int(t / campaignEpochHours)
 				if epoch >= wl.Epochs {
 					epoch = wl.Epochs - 1
 				}
-				frac := t/o.CampaignEpochHours - float64(epoch)
+				frac := t/campaignEpochHours - float64(epoch)
 				if frac >= 1 {
 					frac = 0.999999
 				}
@@ -132,7 +132,7 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 					continue
 				}
 				cell.Failures++
-				cell.LostNodeHours += res[0].LostNodeHours(o.CampaignEpochHours, m.NodeRestartSec/3600)
+				cell.LostNodeHours += res[0].LostNodeHours(campaignEpochHours, m.NodeRestartSec/3600)
 				cell.MeanFaultCostSec += res[0].DurableSec - clean[0].DurableSec
 			}
 			if cell.Failures > 0 {

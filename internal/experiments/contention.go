@@ -16,7 +16,9 @@ import (
 // write-back rate limit, and drain-by-next-epoch deadline pacing.
 var ContentionQoSPolicies = []string{"qos-off", "priority", "rate-limit", "deadline"}
 
-// contentionQoS maps a policy name to the staged job's drain QoS.
+// contentionQoS maps a QoS policy name to the staged job's drain QoS:
+// figcontention's and figworkload's four, and the figfault and campfail
+// subset. epochWindow sizes the deadline policy's pacing.
 func contentionQoS(policy string, epochWindow float64) (burst.QoS, error) {
 	switch policy {
 	case "qos-off":
@@ -25,12 +27,14 @@ func contentionQoS(policy string, epochWindow float64) (burst.QoS, error) {
 		return burst.QoS{PriorityLanes: true}, nil
 	case "rate-limit":
 		// Per-node cap well under the PFS-limited burst rate: write-back
-		// yields bandwidth to the neighbour at the cost of a longer tail.
+		// yields bandwidth to the neighbour at the cost of a longer tail,
+		// and a backlog that spans epochs leaves the durable position
+		// further behind the buffered one.
 		return burst.QoS{DrainLimit: 1.5e9}, nil
 	case "deadline":
 		return burst.QoS{Deadline: sim.Duration(epochWindow)}, nil
 	}
-	return burst.QoS{}, fmt.Errorf("figcontention: unknown QoS policy %q", policy)
+	return burst.QoS{}, fmt.Errorf("unknown QoS policy %q", policy)
 }
 
 // ContentionRow is one QoS policy's measurement of the two-job scenario.

@@ -307,6 +307,20 @@ func TestFig6ShapeRisesThenFalls(t *testing.T) {
 	}
 }
 
+// A sweep with no point that fits the allocation is an error, as a
+// zero-node run is for every other figure, not an empty figure.
+func TestFig6NoAggregatorCountFits(t *testing.T) {
+	o := testOptions()
+	for _, nodes := range []int{0, -1} {
+		if s, err := o.Fig6(nodes, nil); err == nil {
+			t.Errorf("Fig6 at %d nodes returned %d points and no error", nodes, len(s.X))
+		}
+	}
+	if _, err := o.Fig6(1, []int{9, 16}); err == nil {
+		t.Error("Fig6 with no aggregator count ≤ 8 ranks returned no error")
+	}
+}
+
 func TestFig8MemcpyElimination(t *testing.T) {
 	o := testOptions()
 	r, err := o.Fig8(2)

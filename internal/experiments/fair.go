@@ -64,7 +64,7 @@ type FairPoint struct {
 func (o Options) FigFair() (sweep.Table, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
-	pr := sched.NewPricer(m, o.Seed, o.CampaignEpochHours)
+	pr := sched.NewPricer(m, o.Seed, campaignEpochHours)
 	s := sched.Synth{Tenants: schedTenants, Users: schedUsers, TenantWeights: fairWeights}
 	mean, err := sched.SubmitMeanForLoad(pr, m, s, fairLoad, schedPartitionNodes)
 	if err != nil {
@@ -104,7 +104,7 @@ func (o Options) FigFair() (sweep.Table, error) {
 			cfg := sched.Config{
 				Machine:    m,
 				Nodes:      schedPartitionNodes,
-				EpochHours: o.CampaignEpochHours,
+				EpochHours: campaignEpochHours,
 				Seed:       o.Seed,
 				Pricer:     pr,
 				Preempt:    sched.PreemptConfig{MaxHeadWaitHours: 8, CheckpointHours: 0.5},

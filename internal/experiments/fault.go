@@ -58,19 +58,6 @@ type FaultCell struct {
 	NeighbourEnd  float64 // neighbour durable-completion sec in the faulted run
 }
 
-// faultQoS maps a QoS axis name to the staged job's drain QoS.
-func faultQoS(name string) (burst.QoS, error) {
-	switch name {
-	case "qos-off":
-		return burst.QoS{}, nil
-	case "rate-limit":
-		// Well under the production rate: a write-back backlog spans
-		// epochs, so the durable position trails the buffered one by more.
-		return burst.QoS{DrainLimit: 1.5e9}, nil
-	}
-	return burst.QoS{}, fmt.Errorf("figfault: unknown QoS policy %q", name)
-}
-
 // faultScenario builds the victim/neighbour co-schedule on Dardel: a
 // staged checkpoint-only job (2 nodes, 128 MiB per node per epoch in
 // 16 MiB chunks, 30 ms compute) whose node 0 carries the fault, next to
@@ -154,7 +141,7 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 	cleans := map[cleanKey]float64{}
 	for _, pol := range FaultDrainPolicies {
 		for _, qosName := range FaultQoSPolicies {
-			qos, err := faultQoS(qosName)
+			qos, err := contentionQoS(qosName, 0)
 			if err != nil {
 				return sweep.Table{}, err
 			}
@@ -175,7 +162,7 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 			pol := c.Value("policy").(burst.Policy)
 			qosName := c.Str("qos")
 			frac := c.Float("kill_frac")
-			qos, err := faultQoS(qosName)
+			qos, err := contentionQoS(qosName, 0)
 			if err != nil {
 				return sweep.Point{}, err
 			}
@@ -250,7 +237,7 @@ type FaultSurvivalComparison struct {
 func (o Options) FigFaultSurvival() (*FaultSurvivalComparison, error) {
 	o = o.WithDefaults()
 	m := FaultMachine()
-	qos, _ := faultQoS("qos-off")
+	qos, _ := contentionQoS("qos-off", 0)
 	frac := FaultKillFracs[len(FaultKillFracs)-1]
 	var out FaultSurvivalComparison
 	for _, surv := range []fault.Survivability{fault.SurviveNone, fault.SurviveNVMe} {

@@ -173,6 +173,9 @@ func (o Options) Fig6(nodes int, aggs []int) (Series, error) {
 			cfgs = append(cfgs, bp4(fmt.Sprintf("openPMD+BP4, %d AGGR", a), func(int) int { return a }))
 		}
 	}
+	if len(cfgs) == 0 {
+		return s, fmt.Errorf("no aggregator count of %v fits %d nodes × %d ranks", aggs, nodes, o.RanksPerNode)
+	}
 	err := o.evaluate(atNodes(nodes, onDardel(cfgs...)), func(_ int, r *RunResult) error {
 		s.Y = append(s.Y, r.ThroughputGiBs)
 		return nil
@@ -261,7 +264,7 @@ var (
 func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float64, error) {
 	o = o.WithDefaults()
 	// One output epoch is what the paper times.
-	o.DiagEpochs, o.CheckpointEpochs = 1, 1
+	o.DiagEpochs = 1
 	if len(sizes) == 0 {
 		sizes = Fig9StripeSizes
 	}

@@ -40,13 +40,12 @@ func RenderSeries(title, xlabel string, ss []Series) string {
 	}
 	for i := 0; i < n; i++ {
 		wrote := false
-		for si, s := range ss {
+		for _, s := range ss {
 			if i < len(s.X) {
 				if !wrote {
 					fmt.Fprintf(&b, "%-12g", s.X[i])
 					wrote = true
 				}
-				_ = si
 				fmt.Fprintf(&b, "  %-22.4f", s.Y[i])
 			} else if wrote {
 				fmt.Fprintf(&b, "  %-22s", "-")

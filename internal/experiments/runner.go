@@ -30,14 +30,26 @@ import (
 	"picmcio/internal/workload"
 )
 
+// The run lengths no artifact varies.
+const (
+	// fullDiagEpochs is the production run's diagnostic output count,
+	// the numerator of EpochFactor.
+	fullDiagEpochs = 200
+	// checkpointEpochs is the simulated checkpoint count (paper: 20).
+	checkpointEpochs = 1
+	// campaignEpochHours is how many production hours one simulated
+	// epoch stands for in the campaigns' failure-arrival and pricing
+	// clocks: a checkpoint interval of a quarter day.
+	campaignEpochHours float64 = 6
+)
+
 // Options scales the experiments.
 type Options struct {
 	Seed         uint64
 	RanksPerNode int   // default 128, as on the paper's machines
 	NodeCounts   []int // default: the Table II node set
 
-	DiagEpochs       int // simulated diagnostic outputs (paper: 200)
-	CheckpointEpochs int // simulated checkpoints (paper: 20)
+	DiagEpochs int // simulated diagnostic outputs (paper: 200)
 
 	// ComputePerStep charges virtual compute time per PIC step between
 	// output epochs (0 for pure-I/O experiments). The burst-buffer
@@ -49,9 +61,6 @@ type Options struct {
 	// "" keeps the preset).
 	BurstPolicy string
 
-	FullDiagEpochs       int // production-run diagnostic outputs
-	FullCheckpointEpochs int // production-run checkpoints
-
 	// Parallel bounds the sweep engine's trial worker pool (<= 1:
 	// serial). Every artifact is bit-identical at any width: trials are
 	// pure functions of their sweep.Config, and per-trial seeds derive
@@ -62,10 +71,6 @@ type Options struct {
 	// count per grid cell (0: auto-size so the cell expects
 	// campaignTargetFailures failures at the preset MTBF).
 	CampaignRuns int
-	// CampaignEpochHours is how many production hours one simulated
-	// epoch stands for in the campaign's failure-arrival clock
-	// (default 6: a checkpoint interval of a quarter day).
-	CampaignEpochHours float64
 	// CampaignMTBFHours overrides the machine preset's per-node MTBF in
 	// the campaign (0: keep the preset). Accelerated MTBFs make tiny
 	// smoke campaigns actually observe failures.
@@ -94,18 +99,6 @@ func (o Options) WithDefaults() Options {
 	if o.DiagEpochs == 0 {
 		o.DiagEpochs = 5
 	}
-	if o.CheckpointEpochs == 0 {
-		o.CheckpointEpochs = 1
-	}
-	if o.FullDiagEpochs == 0 {
-		o.FullDiagEpochs = 200
-	}
-	if o.FullCheckpointEpochs == 0 {
-		o.FullCheckpointEpochs = 20
-	}
-	if o.CampaignEpochHours == 0 {
-		o.CampaignEpochHours = 6
-	}
 	if o.SchedJobs == 0 {
 		o.SchedJobs = 240
 	}
@@ -119,7 +112,7 @@ func (o Options) sweepOptions(title string) sweep.Options {
 
 // EpochFactor is the full-run / simulated-run extrapolation ratio.
 func (o Options) EpochFactor() float64 {
-	return float64(o.FullDiagEpochs) / float64(o.DiagEpochs)
+	return fullDiagEpochs / float64(o.DiagEpochs)
 }
 
 // deck builds the scaled input deck for the options.
@@ -128,7 +121,7 @@ func (o Options) deck() bit1.InputDeck {
 	d.MVStep = 100
 	d.MVFlag = 1
 	d.LastStep = o.DiagEpochs * 100
-	d.DMPStep = o.DiagEpochs * 100 / o.CheckpointEpochs
+	d.DMPStep = o.DiagEpochs * 100 / checkpointEpochs
 	return d
 }
 

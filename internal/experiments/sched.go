@@ -81,7 +81,7 @@ func (o Options) FigSched() (sweep.Table, error) {
 	cells := map[[2]int]*schedCell{}
 	for mi, m := range machines {
 		names[mi] = strings.ToLower(m.Name)
-		pr := sched.NewPricer(m, o.Seed, o.CampaignEpochHours)
+		pr := sched.NewPricer(m, o.Seed, campaignEpochHours)
 		for li, load := range schedLoads {
 			s := sched.Synth{Tenants: schedTenants, Users: schedUsers}
 			mean, err := sched.SubmitMeanForLoad(pr, m, s, load, schedPartitionNodes)
@@ -118,7 +118,7 @@ func (o Options) FigSched() (sweep.Table, error) {
 		sweep.Strings("policy", schedPolicies),
 	}
 	title := fmt.Sprintf("Fig S: batch scheduling on a %d-node partition (%d tenants × %d users, ~%d jobs/cell, %g h/epoch)",
-		schedPartitionNodes, schedTenants, schedUsers, o.SchedJobs, o.CampaignEpochHours)
+		schedPartitionNodes, schedTenants, schedUsers, o.SchedJobs, campaignEpochHours)
 	return sweep.Run(g, o.sweepOptions(title),
 		func(c sweep.Config) (sweep.Point, error) {
 			cell := cells[[2]int{c.Ordinal("machine"), c.Ordinal("load")}]
@@ -129,7 +129,7 @@ func (o Options) FigSched() (sweep.Table, error) {
 			res, err := sched.Run(sched.Config{
 				Machine:    cell.machine,
 				Nodes:      schedPartitionNodes,
-				EpochHours: o.CampaignEpochHours,
+				EpochHours: campaignEpochHours,
 				Seed:       o.Seed,
 				Pricer:     cell.pricer,
 			}, pol, cell.stream)

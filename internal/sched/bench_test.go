@@ -2,94 +2,11 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"picmcio/internal/cluster"
 )
-
-// BenchmarkSched measures the batch-scheduler subsystem under a deep
-// backlog: ~1300 jobs offered at 8× the partition's capacity, so the
-// wait queue builds past 1000 entries and EASY backfill's per-decision
-// work (priority sort + shadow-time reservation) runs at its worst
-// realistic depth. The gated throughput metric is the simulated
-// delivered write bandwidth (workload bytes over makespan) — it drops
-// if the scheduler or the contention model regresses into longer
-// schedules. The wall-clock admission rate is a context metric only
-// (host-speed dependent, so it must not gate). The allocation count of
-// the run is host-independent and gated too, as jobs scheduled per
-// thousand allocations: it falls if a policy pass starts allocating per
-// decision point again.
-func BenchmarkSched(b *testing.B) {
-	m := cluster.Dardel()
-	pr := NewPricer(m, 1, 6)
-	const partition = 64
-	stream, err := streamAtLoad(pr, m, Synth{Tenants: 8, Users: 4, Seed: 1}, 8, partition, 1300)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Machine: m, Nodes: partition, Seed: 1, Pricer: pr}
-	// Nominal workload volume each job writes (checkpoints + diagnostics
-	// across all epochs and nodes): deterministic, so delivered bandwidth
-	// is a pure function of the schedule the run produces.
-	var totalBytes float64
-	for _, j := range stream {
-		sh := j.Spec.Workload.Shape()
-		totalBytes += float64(sh.Epochs) * float64(sh.BytesPerNode) * float64(j.Nodes)
-	}
-	var before, after runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := Run(cfg, EASY{}, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		// Reconstruct the backlog depth the run actually saw: +1 per
-		// submission, -1 per start, max prefix over time order.
-		type ev struct {
-			at    float64
-			delta int
-		}
-		evs := make([]ev, 0, 2*len(res.Jobs))
-		for _, j := range res.Jobs {
-			evs = append(evs, ev{j.SubmitHours, +1}, ev{j.StartHours, -1})
-		}
-		depth, maxDepth := 0, 0
-		// Starts at the same instant as submissions drain first (a start
-		// can only follow its own submission).
-		sort.Slice(evs, func(a, b2 int) bool {
-			if evs[a].at != evs[b2].at {
-				return evs[a].at < evs[b2].at
-			}
-			return evs[a].delta < evs[b2].delta
-		})
-		for _, e := range evs {
-			depth += e.delta
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		}
-		if maxDepth < 1000 {
-			b.Fatalf("backlog peaked at %d jobs, benchmark requires >= 1000", maxDepth)
-		}
-		if len(res.Jobs) != len(stream) {
-			b.Fatalf("scheduled %d of %d jobs", len(res.Jobs), len(stream))
-		}
-		b.ReportMetric(float64(len(res.Jobs))/elapsed, "admitted_jobs_per_s")
-		b.ReportMetric(float64(maxDepth), "peak_queue_depth")
-		b.ReportMetric(res.Utilization(), "utilization")
-		b.ReportMetric(totalBytes/(res.Makespan*3600)/(1<<20), "delivered_MiBps")
-		perJob := float64(after.Mallocs-before.Mallocs) / float64(len(res.Jobs))
-		b.ReportMetric(perJob, "allocs_per_job")
-		b.ReportMetric(1000/perJob, "jobs_per_kalloc_ratchet")
-	}
-}
 
 // scaleCase is one whole-machine replay of BenchmarkSchedScale.
 type scaleCase struct {

@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -312,6 +314,90 @@ func TestEASYBeatsFCFSOnMeanWait(t *testing.T) {
 	if easy.Utilization() < fcfs.Utilization()-1e-9 {
 		t.Fatalf("EASY utilization %.3f below FCFS %.3f", easy.Utilization(), fcfs.Utilization())
 	}
+}
+
+// TestEASYDeepBacklog is EASY backfill under a deep backlog: ~1300 jobs
+// offered at 8× a 64-node partition's capacity, so the wait queue builds
+// past 1000 entries and every decision point sorts priorities and
+// reserves a shadow time at its worst realistic depth. The schedule is
+// held exactly — peak queue depth, utilization and the delivered write
+// bandwidth (the jobs' nominal bytes over the makespan), which moves if
+// the scheduler or the contention model lengthens a schedule — and the
+// run's allocations per job are bounded: they grow if a policy pass
+// starts allocating per decision point again.
+func TestEASYDeepBacklog(t *testing.T) {
+	m := cluster.Dardel()
+	pr := NewPricer(m, 1, 6)
+	const partition = 64
+	stream, err := streamAtLoad(pr, m, Synth{Tenants: 8, Users: 4, Seed: 1}, 8, partition, 1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var totalBytes float64
+	for _, j := range stream {
+		sh := j.Spec.Workload.Shape()
+		totalBytes += float64(sh.Epochs) * float64(sh.BytesPerNode) * float64(j.Nodes)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(Config{Machine: m, Nodes: partition, Seed: 1, Pricer: pr}, EASY{}, stream)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stream) != 1342 || len(res.Jobs) != len(stream) {
+		t.Fatalf("scheduled %d of %d jobs, want 1342 of 1342", len(res.Jobs), len(stream))
+	}
+	if depth := peakQueueDepth(res); depth != 1223 {
+		t.Errorf("backlog peaked at %d jobs, want 1223", depth)
+	}
+	f, err := frozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exact where the frozen digests were recorded; elsewhere FMA fusion
+	// may move the low bits (see frozen).
+	if f.GOARCH == runtime.GOARCH {
+		if u := res.Utilization(); u != 0.9725496472928296 {
+			t.Errorf("utilization %v, want 0.9725496472928296", u)
+		}
+		if bw := totalBytes / (res.Makespan * 3600) / (1 << 20); bw != 0.4046929967906601 {
+			t.Errorf("delivered %v MiB/s, want 0.4046929967906601", bw)
+		}
+	}
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(res.Jobs))
+	t.Logf("allocations per scheduled job: %.2f", perJob)
+	// Measured: 10.24, pricing every shape on first sight included, and
+	// the same under the race detector.
+	if perJob > 10.75 {
+		t.Errorf("%.2f allocations per scheduled job, want at most 10.75", perJob)
+	}
+}
+
+// peakQueueDepth reconstructs the deepest backlog a run saw: +1 per
+// submission, -1 per start, the largest prefix sum in time order, with a
+// start at the instant of a submission taken first.
+func peakQueueDepth(res *Result) int {
+	type ev struct {
+		at    float64
+		delta int
+	}
+	evs := make([]ev, 0, 2*len(res.Jobs))
+	for _, j := range res.Jobs {
+		evs = append(evs, ev{j.SubmitHours, +1}, ev{j.StartHours, -1})
+	}
+	sort.Slice(evs, func(a, b int) bool {
+		if evs[a].at != evs[b].at {
+			return evs[a].at < evs[b].at
+		}
+		return evs[a].delta < evs[b].delta
+	})
+	depth, peak := 0, 0
+	for _, e := range evs {
+		depth += e.delta
+		peak = max(peak, depth)
+	}
+	return peak
 }
 
 func TestRunValidation(t *testing.T) {

@@ -62,10 +62,10 @@ func kernelScaleRun(nodes int, fastPath bool) (events uint64, end Time, wallSec 
 // coroutine switches — the fast path's reference implementation, which
 // only in-package code can select) and on the kernel as shipped,
 // reporting both rates and their ratio. The raw events/sec metrics are
-// host-dependent context; the gated metric is the 4096-node speedup
-// ratio — host-independent, both sides measured in the same process —
-// which the bench-compare gate ratchets and the acceptance floor below
-// pins at ≥ 5×. The ratio fell, 17.7 → ≈ 10, when processes became
+// host-dependent context; the 4096-node speedup ratio is host-independent
+// — both sides measured in the same process — and the acceptance floor
+// below pins it at ≥ 5× wherever the benchmark runs, make profile
+// included. The ratio fell, 17.7 → ≈ 10, when processes became
 // coroutines: its denominator, the slow path, got 2.5× faster (≈ 1.4 →
 // ≈ 3.5 Mev/s at 4096 nodes) and the fast path, which hands nothing
 // off, did not.
@@ -86,14 +86,10 @@ func BenchmarkKernelScale(b *testing.B) {
 			speedup := fastRate / slowRate
 			b.ReportMetric(slowRate/1e6, fmt.Sprintf("slow_Mev_per_s_%d", nodes))
 			b.ReportMetric(fastRate/1e6, fmt.Sprintf("fast_Mev_per_s_%d", nodes))
-			if nodes == 4096 {
-				if speedup < 5 {
-					b.Fatalf("4096 nodes: the fast path is %.1f× the slow path, acceptance floor is 5×", speedup)
-				}
-				b.ReportMetric(speedup, "speedup_4096_ratchet")
-			} else {
-				b.ReportMetric(speedup, fmt.Sprintf("speedup_%d_x", nodes))
+			if nodes == 4096 && speedup < 5 {
+				b.Fatalf("4096 nodes: the fast path is %.1f× the slow path, acceptance floor is 5×", speedup)
 			}
+			b.ReportMetric(speedup, fmt.Sprintf("speedup_%d_x", nodes))
 		}
 	}
 }
