@@ -94,7 +94,6 @@ func exportsOf(fset *token.FileSet, s *source) []export {
 type references struct {
 	pkg      map[[2]string]bool // {dir, name} → referenced from another package
 	selector map[string]string  // name → a directory that selects it, "*" if several do
-	iface    map[string]bool    // method names of the module's interfaces
 }
 
 // collect adds the references of one file.
@@ -115,12 +114,6 @@ func (r *references) collect(fset *token.FileSet, s *source) {
 				r.selector[n.Sel.Name] = own
 			} else if from != own {
 				r.selector[n.Sel.Name] = "*"
-			}
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					r.iface[id.Name] = true
-				}
 			}
 		case *ast.FuncDecl:
 			declares[n.Name] = true
@@ -149,7 +142,7 @@ func (r *references) collect(fset *token.FileSet, s *source) {
 // references. What counts as a reference: any non-test file of the module,
 // and any file of benchmark/, which is fixed from outside.
 func checkDeadExports(fset *token.FileSet, srcs []*source, kept map[string]string) (dead []string, ownOnly int) {
-	refs := &references{pkg: map[[2]string]bool{}, selector: map[string]string{}, iface: map[string]bool{}}
+	refs := &references{pkg: map[[2]string]bool{}, selector: map[string]string{}}
 	var exports []export
 	for _, s := range srcs {
 		if s.test && s.dir() != "benchmark" {
@@ -167,7 +160,7 @@ func checkDeadExports(fset *token.FileSet, srcs []*source, kept map[string]strin
 			outside, alive = refs.pkg[[2]string{e.dir, e.name}]
 		} else {
 			from, ok := refs.selector[e.name]
-			hook := refs.iface[e.name] || slices.Contains(stdlibHooks, e.name)
+			hook := slices.Contains(stdlibHooks, e.name)
 			alive, outside = ok || hook, hook || from != e.dir
 		}
 		switch _, ok := kept[e.String()]; {
@@ -197,7 +190,8 @@ func checkDeadExports(fset *token.FileSet, srcs []*source, kept map[string]strin
 // internal/ is referenced by a file that ships — or by benchmark/ — or is
 // on keptExports with a reason. (Struct fields are not looked at, and a
 // method is known by its name alone: one that shares it with a live method
-// passes.)
+// passes. An interface that lists a method does not keep it alive; a call
+// does.)
 func TestNoDeadExports(t *testing.T) {
 	fset, srcs := parseModule(t)
 	dead, ownOnly := checkDeadExports(fset, srcs, keptExports)
@@ -212,14 +206,11 @@ func TestCheckDeadExports(t *testing.T) {
 	base := map[string]string{
 		"internal/low/low.go": `package low
 type T struct{}
-type Doer interface{ Do() }
 func Used() T { return T{} }
 func (T) Method() {}
-func (T) Do() {}
 func (T) String() string { return "" }
 const OwnOnly = 1
 var _ = OwnOnly
-var _ Doer = T{}
 func ForBench() {}
 func unexported() {}
 `,
@@ -228,6 +219,7 @@ func unexported() {}
 		"benchmark/b_test.go":    "package main\nimport \"picmcio/internal/low\"\nfunc init() { low.ForBench() }",
 		"internal/low/l_test.go": "package low\nfunc init() { OnlyTested(); T{}.OnlyTestedMethod() }",
 	}
+	doer := "package low\ntype Doer interface{ Do() }\nfunc (T) Do() {}\nvar _ Doer = T{}"
 	for _, tc := range []struct {
 		name    string
 		add     map[string]string
@@ -235,25 +227,29 @@ func unexported() {}
 		want    []string // a substring of each finding, in order
 		ownOnly int
 	}{
-		{name: "clean: an interface keeps Do alive, fmt String, benchmark/ ForBench, their own package T, Doer and OwnOnly", ownOnly: 3},
+		{name: "clean: fmt keeps String alive, benchmark/ ForBench, their own package T and OwnOnly", ownOnly: 2},
+		{name: "an interface method no file calls is dead", add: map[string]string{"internal/low/doer.go": doer},
+			want: []string{"internal/low/doer.go:3: low.T.Do"}, ownOnly: 3},
+		{name: "a method called through its interface stays alive", add: map[string]string{"internal/low/doer.go": doer,
+			"internal/top/do.go": "package top\nimport l \"picmcio/internal/low\"\nfunc init() { var d l.Doer = V; d.Do() }"}, ownOnly: 2},
 		{name: "dead function", add: map[string]string{"internal/low/dead.go": "package low\n\nfunc OnlyTested() {}"},
-			want: []string{"internal/low/dead.go:3: low.OnlyTested"}, ownOnly: 3},
+			want: []string{"internal/low/dead.go:3: low.OnlyTested"}, ownOnly: 2},
 		{name: "dead method", add: map[string]string{"internal/low/dead.go": "package low\nfunc (*T) OnlyTestedMethod() {}"},
-			want: []string{"internal/low/dead.go:2: low.T.OnlyTestedMethod"}, ownOnly: 3},
+			want: []string{"internal/low/dead.go:2: low.T.OnlyTestedMethod"}, ownOnly: 2},
 		{name: "dead method of a type of two parameters", add: map[string]string{"internal/low/dead.go": "package low\ntype Pair[A, B any] struct{}\nfunc (*Pair[A, B]) OnlyTestedMethod() {}"},
-			want: []string{"internal/low/dead.go:3: low.Pair.OnlyTestedMethod"}, ownOnly: 4},
+			want: []string{"internal/low/dead.go:3: low.Pair.OnlyTestedMethod"}, ownOnly: 3},
 		{name: "dead constant and type", add: map[string]string{"internal/low/dead.go": "package low\nconst Dead = 2\ntype Gone int"},
-			want: []string{"internal/low/dead.go:2: low.Dead", "internal/low/dead.go:3: low.Gone"}, ownOnly: 3},
+			want: []string{"internal/low/dead.go:2: low.Dead", "internal/low/dead.go:3: low.Gone"}, ownOnly: 2},
 		{name: "another package's name of the same spelling does not count", add: map[string]string{
 			"internal/mid/mid.go": "package mid\nfunc Used() {}"},
-			want: []string{"internal/mid/mid.go:2: mid.Used"}, ownOnly: 3},
+			want: []string{"internal/mid/mid.go:2: mid.Used"}, ownOnly: 2},
 		{name: "kept, with a reason", add: map[string]string{"internal/low/dead.go": "package low\nfunc OnlyTested() {}"},
-			kept: map[string]string{"low.OnlyTested": "the oracle of three packages' tests"}, ownOnly: 3},
+			kept: map[string]string{"low.OnlyTested": "the oracle of three packages' tests"}, ownOnly: 2},
 		{name: "kept, without one", add: map[string]string{"internal/low/dead.go": "package low\nfunc OnlyTested() {}"},
 			kept: map[string]string{"low.OnlyTested": " "},
-			want: []string{"keptExports: low.OnlyTested has no reason"}, ownOnly: 3},
+			want: []string{"keptExports: low.OnlyTested has no reason"}, ownOnly: 2},
 		{name: "kept, but absent", kept: map[string]string{"low.Nothing": "x"},
-			want: []string{"keptExports: low.Nothing is not an export"}, ownOnly: 3},
+			want: []string{"keptExports: low.Nothing is not an export"}, ownOnly: 2},
 	} {
 		files := map[string]string{}
 		for name, src := range base {

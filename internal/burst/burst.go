@@ -146,8 +146,6 @@ type Spec struct {
 	// QoS is the drain scheduler's initial quality-of-service setting;
 	// Tier.SetQoS can adjust it at run time (e.g. from engine TOML).
 	QoS QoS
-	// Classify assigns staged paths to drain lanes; nil = DefaultClassify.
-	Classify func(path string) Class
 }
 
 // Enabled reports whether the spec describes an actual buffer.
@@ -280,34 +278,29 @@ func (ns *nodeState) pop(priority bool) *segment {
 
 // Tier is a burst-buffer staging tier over a backing file system.
 type Tier struct {
-	k        *sim.Kernel
-	spec     Spec
-	qos      QoS
-	classify func(string) Class
-	backing  pfs.FileSystem
-	fs       *FS
-	nodes    map[int]*nodeState
-	order    []*nodeState // deterministic iteration order (creation order)
-	files    map[string]*fileState
-	pending  *sim.Gauge // total undrained bytes, for WaitDrained
-	segSeq   uint64
-	stats    Stats
+	k       *sim.Kernel
+	spec    Spec
+	qos     QoS
+	backing pfs.FileSystem
+	fs      *FS
+	nodes   map[int]*nodeState
+	order   []*nodeState // deterministic iteration order (creation order)
+	files   map[string]*fileState
+	pending *sim.Gauge // total undrained bytes, for WaitDrained
+	segSeq  uint64
+	stats   Stats
 }
 
 // NewTier creates a staging tier on kernel k over the backing file system.
 func NewTier(k *sim.Kernel, spec Spec, backing pfs.FileSystem) *Tier {
 	t := &Tier{
-		k:        k,
-		spec:     spec.withDefaults(),
-		qos:      spec.QoS,
-		classify: spec.Classify,
-		backing:  backing,
-		nodes:    map[int]*nodeState{},
-		files:    map[string]*fileState{},
-		pending:  sim.NewGauge(k),
-	}
-	if t.classify == nil {
-		t.classify = DefaultClassify
+		k:       k,
+		spec:    spec.withDefaults(),
+		qos:     spec.QoS,
+		backing: backing,
+		nodes:   map[int]*nodeState{},
+		files:   map[string]*fileState{},
+		pending: sim.NewGauge(k),
 	}
 	t.fs = &FS{t: t}
 	return t
@@ -504,7 +497,7 @@ func (t *Tier) state(p *sim.Proc, c *pfs.Client, path string, backing pfs.File) 
 	cp := pfs.Clean(path)
 	st, ok := t.files[cp]
 	if !ok {
-		st = &fileState{path: cp, class: t.classify(cp)}
+		st = &fileState{path: cp, class: DefaultClassify(cp)}
 		t.files[cp] = st
 	}
 	if st.backing != nil && st.backing != backing {

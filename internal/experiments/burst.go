@@ -40,11 +40,9 @@ var bp4Staged = Config{Label: "BIT1 openPMD + BP4, staged", Mode: bit1.IOOpenPMD
 // use.
 func (o Options) FigBurstSweep() (sweep.Table, error) {
 	o = o.WithDefaults()
-	if o.ComputePerStep == 0 {
-		// ~20 ms of compute per 100-step epoch gap: enough window for the
-		// drain scheduler to overlap write-back with the next phase.
-		o.ComputePerStep = 200e-6
-	}
+	// ~20 ms of compute per 100-step epoch gap: enough window for the
+	// drain scheduler to overlap write-back with the next phase.
+	o.computePerStep = 200e-6
 	m := cluster.Dardel()
 	if o.BurstPolicy != "" {
 		pol, err := burst.ParsePolicy(o.BurstPolicy)

@@ -22,6 +22,22 @@ const campaignTargetFailures = 12
 // bounded separately by fault.Arrivals' own truncation.)
 const campaignMaxRuns = 200_000
 
+// campaignDraws is a campaign's Monte-Carlo draw count: runs when it is
+// set, otherwise enough draws that a cell expects about target failures
+// at lambda expected failures per draw, capped at campaignMaxRuns. The
+// comparison is in float space: a huge MTBF makes the needed draw count
+// overflow int, and a wrapped-negative count would silently empty the
+// campaign.
+func campaignDraws(runs int, target, lambda float64) int {
+	if runs > 0 {
+		return runs
+	}
+	if need := target / lambda; lambda > 0 && need+1 < campaignMaxRuns {
+		return int(need) + 1
+	}
+	return campaignMaxRuns
+}
+
 // CampaignCell is one (drain policy × QoS) cell of the stochastic
 // failure campaign: the Monte-Carlo accounting over all sampled runs.
 type CampaignCell struct {
@@ -63,16 +79,7 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 	victimNodes := victim.Nodes
 	spanHours := float64(wl.Epochs) * campaignEpochHours
 	lambda := fault.ExpectedFailures(mtbf, victimNodes, sim.Duration(spanHours*3600))
-	runs := o.CampaignRuns
-	if runs <= 0 {
-		runs = campaignMaxRuns
-		// Compare in float space: a huge MTBF makes the needed draw count
-		// overflow int, and a wrapped-negative count would silently empty
-		// the campaign.
-		if need := campaignTargetFailures / lambda; lambda > 0 && need+1 < float64(runs) {
-			runs = int(need) + 1
-		}
-	}
+	runs := campaignDraws(o.CampaignRuns, campaignTargetFailures, lambda)
 	g := sweep.Grid{faultPolicyAxis(), sweep.Strings("qos", FaultQoSPolicies)}
 	title := fmt.Sprintf("Campaign F: stochastic node failures on %s (MTBF %.3gk h, %d-epoch runs, %g h/epoch, %d runs/cell)",
 		m.Name, mtbf/1e3, wl.Epochs, campaignEpochHours, runs)

@@ -114,33 +114,38 @@ func (o Options) FigContentionSweep() (sweep.Table, error) {
 // contentionTable builds the figure's text table and typed rows from the
 // sweep table. The text table inherits the sweep's title, so text and JSON cannot drift.
 func contentionTable(st sweep.Table) (Table, []ContentionRow) {
-	t := Table{
-		Title: st.Title,
-		Header: []string{"policy", "job", "nodes", "durable", "slowdown",
-			"client GiB/s", "drain GiB/s", "ckpt drained", "diag drained", "Jain"},
-	}
+	t := Table{Title: st.Title, Header: append([]string{"policy", "job", "nodes"}, jobCellsHeader...)}
 	var rows []ContentionRow
 	for _, p := range st.Points {
 		row := p.Extra.(ContentionRow)
 		rows = append(rows, row)
-		res := row.Result
-		for i, j := range res.Jobs {
-			ck, dg := "-", "-"
-			drain := "-"
-			if j.Burst != nil {
-				ck = units.Bytes(j.Burst.Class[burst.ClassCheckpoint].DrainedBytes)
-				dg = units.Bytes(j.Burst.Class[burst.ClassDiagnostic].DrainedBytes)
-				drain = fmt.Sprintf("%.3f", units.GiBps(j.DrainBps))
-			}
-			t.Rows = append(t.Rows, []string{
-				row.Policy, j.Name, fmt.Sprint(j.Nodes),
-				units.Seconds(j.DurableSec),
-				fmt.Sprintf("%.3fx", res.Slowdown[i]),
-				fmt.Sprintf("%.3f", units.GiBps(j.ClientBps)),
-				drain, ck, dg,
-				fmt.Sprintf("%.4f", res.Jain),
-			})
+		for i, j := range row.Result.Jobs {
+			t.Rows = append(t.Rows, append([]string{row.Policy, j.Name, fmt.Sprint(j.Nodes)}, jobCells(row.Result, i)...))
 		}
 	}
 	return t, rows
+}
+
+// jobCellsHeader heads the columns of jobCells.
+var jobCellsHeader = []string{"durable", "slowdown", "client GiB/s", "drain GiB/s", "ckpt drained", "diag drained", "Jain"}
+
+// jobCells formats job i of a co-schedule as the per-job columns the
+// contention and workload tables share: durable time, slowdown, client
+// and drain bandwidth, bytes drained per lane ("-" for a direct writer)
+// and the run's Jain index.
+func jobCells(res *jobs.ContentionResult, i int) []string {
+	j := res.Jobs[i]
+	ck, dg, drain := "-", "-", "-"
+	if j.Burst != nil {
+		ck = units.Bytes(j.Burst.Class[burst.ClassCheckpoint].DrainedBytes)
+		dg = units.Bytes(j.Burst.Class[burst.ClassDiagnostic].DrainedBytes)
+		drain = fmt.Sprintf("%.3f", units.GiBps(j.DrainBps))
+	}
+	return []string{
+		units.Seconds(j.DurableSec),
+		fmt.Sprintf("%.3fx", res.Slowdown[i]),
+		fmt.Sprintf("%.3f", units.GiBps(j.ClientBps)),
+		drain, ck, dg,
+		fmt.Sprintf("%.4f", res.Jain),
+	}
 }

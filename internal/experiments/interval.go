@@ -265,13 +265,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 		wl := intervalProbeWorkload()
 		span := float64(wl.Epochs) * (tau + plan.Recommended().SaveSec)
 		lambda := fault.ExpectedFailures(st.mtbf, intervalProbeNodes, sim.Duration(span))
-		st.runs = o.CampaignRuns
-		if st.runs <= 0 {
-			st.runs = campaignMaxRuns
-			if need := optimalTargetFailures / lambda; lambda > 0 && need+1 < float64(st.runs) {
-				st.runs = int(need) + 1
-			}
-		}
+		st.runs = campaignDraws(o.CampaignRuns, optimalTargetFailures, lambda)
 		states[m.Name] = st
 	}
 	g := sweep.Grid{mAxis, sweep.Floats("interval_x", IntervalScales)}

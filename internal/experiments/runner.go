@@ -51,10 +51,10 @@ type Options struct {
 
 	DiagEpochs int // simulated diagnostic outputs (paper: 200)
 
-	// ComputePerStep charges virtual compute time per PIC step between
+	// computePerStep charges virtual compute time per PIC step between
 	// output epochs (0 for pure-I/O experiments). The burst-buffer
 	// figure sets it so asynchronous drain overlaps compute.
-	ComputePerStep sim.Duration
+	computePerStep sim.Duration
 
 	// BurstPolicy overrides the machine preset's drain policy for the
 	// burst-buffer figure ("immediate", "watermark", "epoch-end";
@@ -273,7 +273,7 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 		OutDir:         "/scratch/bit1",
 		Mode:           mode,
 		OpenPMDOptions: toml,
-		ComputePerStep: o.ComputePerStep,
+		ComputePerStep: o.computePerStep,
 		StdioOverhead:  sim.Duration(m.StdioWriteOverhead),
 	}
 	var mu sync.Mutex

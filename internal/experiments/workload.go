@@ -177,11 +177,7 @@ func (o Options) FigWorkloadSweep() (sweep.Table, error) {
 // the text table prints them once per QoS (the JSON keeps every cell);
 // the dash in the aggr column marks the axis as not applicable.
 func workloadTable(st sweep.Table) (Table, []WorkloadCell) {
-	t := Table{
-		Title: st.Title,
-		Header: []string{"workload", "qos", "aggr", "job", "durable", "slowdown",
-			"client GiB/s", "drain GiB/s", "ckpt drained", "diag drained", "Jain"},
-	}
+	t := Table{Title: st.Title, Header: append([]string{"workload", "qos", "aggr", "job"}, jobCellsHeader...)}
 	var cells []WorkloadCell
 	for _, p := range st.Points {
 		cell := p.Extra.(WorkloadCell)
@@ -193,22 +189,8 @@ func workloadTable(st sweep.Table) (Table, []WorkloadCell) {
 			}
 			aggr = "-"
 		}
-		res := cell.Result
-		for i, j := range res.Jobs {
-			ck, dg, drain := "-", "-", "-"
-			if j.Burst != nil {
-				ck = units.Bytes(j.Burst.Class[burst.ClassCheckpoint].DrainedBytes)
-				dg = units.Bytes(j.Burst.Class[burst.ClassDiagnostic].DrainedBytes)
-				drain = fmt.Sprintf("%.3f", units.GiBps(j.DrainBps))
-			}
-			t.Rows = append(t.Rows, []string{
-				cell.Kind, cell.QoS, aggr, j.Name,
-				units.Seconds(j.DurableSec),
-				fmt.Sprintf("%.3fx", res.Slowdown[i]),
-				fmt.Sprintf("%.3f", units.GiBps(j.ClientBps)),
-				drain, ck, dg,
-				fmt.Sprintf("%.4f", res.Jain),
-			})
+		for i, j := range cell.Result.Jobs {
+			t.Rows = append(t.Rows, append([]string{cell.Kind, cell.QoS, aggr, j.Name}, jobCells(cell.Result, i)...))
 		}
 	}
 	return t, cells

@@ -36,12 +36,14 @@ type RankWorkload struct {
 	// ChunkBytes chunks the aggregated file writes like an ADIOS2
 	// aggregator's flush loop (<= 0: one call per file).
 	ChunkBytes int64
-
-	// NetAlpha/NetBeta parameterize the alpha-beta network model for the
-	// fan-in and gather collectives (0: 1 µs latency, 10 GB/s).
-	NetAlpha float64
-	NetBeta  float64
 }
+
+// The alpha-beta network model of the fan-in and gather collectives: 1 µs
+// latency, 10 GB/s.
+const (
+	rankNetAlpha = 1e-6
+	rankNetBeta  = 1.0 / 10e9
+)
 
 // aggr is the effective writer-group count.
 func (w RankWorkload) aggr() int {
@@ -66,9 +68,6 @@ func (w RankWorkload) Shape() Shape {
 	}
 }
 
-// Key implements Workload.
-func (w RankWorkload) Key() any { return w }
-
 // Validate implements Workload.
 func (w RankWorkload) Validate(nodes int) error {
 	if w.RanksPerNode < 1 {
@@ -83,23 +82,10 @@ func (w RankWorkload) Validate(nodes int) error {
 	return nil
 }
 
-// WithCompute implements Workload.
-func (w RankWorkload) WithCompute(d sim.Duration) Workload {
-	w.ComputeSec = d
-	return w
-}
-
 // Bind implements Workload: a fresh mpisim world per job incarnation,
 // so a whole-job restart re-enters collectives from a clean slate.
 func (w RankWorkload) Bind(b Binding) EpochWriter {
-	alpha, beta := w.NetAlpha, w.NetBeta
-	if alpha == 0 {
-		alpha = 1e-6
-	}
-	if beta == 0 {
-		beta = 1.0 / 10e9
-	}
-	cost := mpisim.AlphaBeta(alpha, beta)
+	cost := mpisim.AlphaBeta(rankNetAlpha, rankNetBeta)
 	return &rankWriter{
 		wl:     w,
 		dir:    b.Dir,

@@ -8,12 +8,14 @@
 //   - Shape: the sizing contract the pricer and the checkpoint-interval
 //     optimizer consume (epochs, logical bytes per node per epoch, the
 //     compute phase, whether ranks run in lockstep);
+//   - Validate: the workload's own constraints on the job's node count;
 //   - Bind: an EpochWriter bound to one job incarnation, whose
 //     WriteEpoch issues the epoch's output through the node's posix.Env
 //     (a restart re-Binds coordinated workloads so collective state
-//     starts fresh);
-//   - Key: a comparable fingerprint so sched.Pricer can memoize service
-//     prices per workload shape.
+//     starts fresh).
+//
+// Every Workload is a comparable value type: sched.Pricer memoizes
+// service prices keyed on the jobs.Spec that carries it.
 //
 // BulkWriter and ChunkedWriter reproduce the historical flat per-node
 // writer byte-for-byte; RankWorkload (rank.go) runs mpisim/BIT1 rank
@@ -37,8 +39,9 @@ type Shape struct {
 	// physically written from that node (an aggregating workload funnels
 	// them to its writer nodes first).
 	BytesPerNode int64
-	// ComputeSec is the compute phase between epochs — the knob the
-	// checkpoint-interval optimizer retunes via WithCompute.
+	// ComputeSec is the compute phase between epochs — the interval the
+	// checkpoint-interval campaigns retune by setting the workload's own
+	// ComputeSec field.
 	ComputeSec sim.Duration
 	// Coordinated marks lockstep (MPI-style) workloads whose nodes block
 	// in collectives: a partial restart cannot re-enter a collective the
@@ -66,20 +69,14 @@ type EpochWriter interface {
 }
 
 // Workload is one job's application model. Implementations must be
-// comparable value types (or return one from Key) so scheduler pricing
-// can memoize by shape.
+// comparable value types, equal exactly when they behave identically:
+// scheduler pricing memoizes on them.
 type Workload interface {
 	// Shape reports the sizing contract.
 	Shape() Shape
-	// Key returns a comparable fingerprint of the workload for price
-	// memoization; two workloads with equal keys must behave identically.
-	Key() any
 	// Validate checks workload-specific constraints against the job's
 	// node count before the run starts.
 	Validate(nodes int) error
-	// WithCompute returns a copy with the per-epoch compute phase set —
-	// the hook ckptopt's interval recommendations apply through.
-	WithCompute(d sim.Duration) Workload
 	// Bind returns the epoch body for one job incarnation. jobs.Run
 	// binds once at launch and again on whole-job restart when the
 	// shape is Coordinated.
@@ -114,17 +111,8 @@ func (w BulkWriter) Shape() Shape {
 	return Shape{Epochs: w.Epochs, BytesPerNode: w.CheckpointBytes + w.DiagBytes, ComputeSec: w.ComputeSec}
 }
 
-// Key implements Workload.
-func (w BulkWriter) Key() any { return w }
-
 // Validate implements Workload.
 func (w BulkWriter) Validate(int) error { return nil }
-
-// WithCompute implements Workload.
-func (w BulkWriter) WithCompute(d sim.Duration) Workload {
-	w.ComputeSec = d
-	return w
-}
 
 // Bind implements Workload.
 func (w BulkWriter) Bind(b Binding) EpochWriter {
@@ -151,17 +139,8 @@ func (w ChunkedWriter) Shape() Shape {
 	return Shape{Epochs: w.Epochs, BytesPerNode: w.CheckpointBytes + w.DiagBytes, ComputeSec: w.ComputeSec}
 }
 
-// Key implements Workload.
-func (w ChunkedWriter) Key() any { return w }
-
 // Validate implements Workload.
 func (w ChunkedWriter) Validate(int) error { return nil }
-
-// WithCompute implements Workload.
-func (w ChunkedWriter) WithCompute(d sim.Duration) Workload {
-	w.ComputeSec = d
-	return w
-}
 
 // Bind implements Workload.
 func (w ChunkedWriter) Bind(b Binding) EpochWriter {

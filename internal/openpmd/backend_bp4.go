@@ -59,14 +59,14 @@ func newIOTemplate(cfg *Config) ioTemplate {
 	// diagnostics, `burst_drain_limit` caps write-back bytes/second, and
 	// `burst_drain_deadline` paces each epoch's write-back across the
 	// given window in seconds ("drain by next epoch").
-	burstKeys := []struct{ toml, param string }{
+	burstParams := []struct{ toml, param string }{
 		{"burst_buffer", "BurstBuffer"},
 		{"burst_durability", "BurstDurability"},
 		{"burst_qos_priority", "BurstQoSPriority"},
 		{"burst_drain_limit", "BurstDrainLimit"},
 		{"burst_drain_deadline", "BurstDrainDeadline"},
 	}
-	for _, bk := range burstKeys {
+	for _, bk := range burstParams {
 		for _, key := range []string{bk.toml, "adios2.engine." + bk.toml} {
 			if v, ok := cfg.Get(key); ok {
 				io.SetParameter(bk.param, v)

@@ -92,6 +92,8 @@ type engine struct {
 	sys *cluster.System
 	res *Result
 
+	pfsBW float64 // PFSBandwidth(cfg.Machine): the contention model's denominator
+
 	arrivals []*Job
 	next     int // next arrival index
 
@@ -142,8 +144,8 @@ func (e *engine) sample() {
 // overOf is the contention factor for the current aggregate demand:
 // how far the running set oversubscribes the shared PFS write-back.
 func (e *engine) overOf() float64 {
-	if e.cfg.PFSBandwidth > 0 && e.demand > e.cfg.PFSBandwidth {
-		return e.demand / e.cfg.PFSBandwidth
+	if e.pfsBW > 0 && e.demand > e.pfsBW {
+		return e.demand / e.pfsBW
 	}
 	return 1
 }

@@ -97,32 +97,25 @@ func (FCFS) PrefixBlocked(free, headNodes int) bool { return headNodes > free }
 //
 // Priority aging keeps the ordering from degenerating into
 // widest-job-starves: small jobs get a head start (they backfill well),
-// but every AgingHours of queue wait cancels one doubling of node count,
+// but every agingHours of queue wait cancels one doubling of node count,
 // so a wide job's priority overtakes a stream of fresh narrow ones
 // instead of waiting forever.
-type EASY struct {
-	// AgingHours is the queue wait that outweighs one log2(nodes) of job
-	// width (default 2). Smaller values converge on FCFS ordering faster.
-	AgingHours float64
-}
+type EASY struct{}
 
 // Name implements Policy.
-func (p EASY) Name() string { return "easy-backfill" }
+func (EASY) Name() string { return "easy-backfill" }
 
-func (p EASY) agingHours() float64 {
-	if p.AgingHours <= 0 {
-		return 2
-	}
-	return p.AgingHours
-}
+// agingHours is the queue wait that outweighs one log2(nodes) of job
+// width, in EASY's priority and FairShare's within-tenant tiebreak.
+const agingHours = 2.0
 
-// score is the aged priority: higher runs earlier.
-func (p EASY) score(q Pending) float64 {
-	return q.WaitHours/p.agingHours() - math.Log2(float64(q.Job.Nodes))
+// agedScore is the aged priority: higher runs earlier.
+func agedScore(q Pending) float64 {
+	return q.WaitHours/agingHours - math.Log2(float64(q.Job.Nodes))
 }
 
 // Pick implements Policy.
-func (p EASY) Pick(v QueueView) []Decision {
+func (EASY) Pick(v QueueView) []Decision {
 	s := v.workspace()
 	// Scores are computed once per entry rather than inside the sort
 	// comparator: score is a pure function of the entry, so the ordering
@@ -130,7 +123,7 @@ func (p EASY) Pick(v QueueView) []Decision {
 	// comparison.
 	keys := s.keys[:0]
 	for i, q := range v.Queue {
-		keys = append(keys, pickKey{score: p.score(q), qi: i})
+		keys = append(keys, pickKey{score: agedScore(q), qi: i})
 	}
 	s.keys = keys
 	// Stable sort on descending score: ties resolve in submission order,
@@ -198,21 +191,17 @@ func pickOrdered(v QueueView, s *pickScratch) []Decision {
 // FairShare deliberately does not implement PrefixPolicy: like EASY it
 // starts jobs around a blocked head, so no decision point is provably
 // idle from the head alone.
-type FairShare struct {
-	// AgingHours is the within-tenant tiebreak aging (default 2, as EASY).
-	AgingHours float64
-}
+type FairShare struct{}
 
 // Name implements Policy.
-func (p FairShare) Name() string { return "fair-share" }
+func (FairShare) Name() string { return "fair-share" }
 
 // Pick implements Policy.
-func (p FairShare) Pick(v QueueView) []Decision {
+func (FairShare) Pick(v QueueView) []Decision {
 	s := v.workspace()
-	aged := EASY{AgingHours: p.AgingHours}
 	keys := s.keys[:0]
 	for i, q := range v.Queue {
-		keys = append(keys, pickKey{usage: v.Usage[q.Job.Tenant], score: aged.score(q), qi: i})
+		keys = append(keys, pickKey{usage: v.Usage[q.Job.Tenant], score: agedScore(q), qi: i})
 	}
 	s.keys = keys
 	slices.SortStableFunc(keys, func(a, b pickKey) int {

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
 	"picmcio/internal/jobs"
 	"picmcio/internal/sweep"
@@ -31,14 +30,15 @@ type Price struct {
 
 // Pricer prices job shapes via jobs.Run and memoizes by shape: a queue
 // of thousands of jobs drawn from a handful of size classes costs a
-// handful of simulations, not thousands. The cache key covers every
-// spec field that changes the simulation, so two jobs price identically
-// exactly when their runs would be identical.
+// handful of simulations, not thousands. The cache is keyed on the probe
+// spec itself — the job's spec under a canonical name and without its
+// fault — so two jobs price identically exactly when their probe runs
+// would be identical.
 type Pricer struct {
 	m          cluster.Machine
 	seed       uint64
 	epochHours float64
-	cache      map[shapeKey]Price
+	cache      map[jobs.Spec]Price
 
 	// EstimateError is the deterministic walltime-estimate error the
 	// scheduler plans against: every Price's EstimateHours is
@@ -49,52 +49,6 @@ type Pricer struct {
 	EstimateError float64
 }
 
-// shapeKey is the comparable projection of a jobs.Spec (the Classify
-// func is deliberately excluded: stream specs must leave it nil). The
-// workload contributes its comparable Key fingerprint, so two specs
-// share a cache entry exactly when their workloads behave identically.
-type shapeKey struct {
-	nodes       int
-	wl          any
-	burst       burstKey
-	stripeCount int
-	stripeSize  int64
-}
-
-type burstKey struct {
-	capacity  int64
-	rate      float64
-	perOp     float64
-	drainRate float64
-	policy    burst.Policy
-	highWater float64
-	lowWater  float64
-	qos       burst.QoS
-}
-
-func keyOf(s jobs.Spec) shapeKey {
-	var wl any
-	if s.Workload != nil {
-		wl = s.Workload.Key()
-	}
-	return shapeKey{
-		nodes: s.Nodes,
-		wl:    wl,
-		burst: burstKey{
-			capacity:  s.Burst.CapacityBytes,
-			rate:      s.Burst.Rate,
-			perOp:     float64(s.Burst.PerOp),
-			drainRate: s.Burst.DrainRate,
-			policy:    s.Burst.Policy,
-			highWater: s.Burst.HighWater,
-			lowWater:  s.Burst.LowWater,
-			qos:       s.Burst.QoS,
-		},
-		stripeCount: s.StripeCount,
-		stripeSize:  s.StripeSize,
-	}
-}
-
 // NewPricer builds a pricer for machine m. epochHours anchors the
 // campaign clock (one compute phase = one epoch = epochHours production
 // hours, the convention the failure campaigns use).
@@ -102,37 +56,38 @@ func NewPricer(m cluster.Machine, seed uint64, epochHours float64) *Pricer {
 	if epochHours <= 0 {
 		epochHours = 6
 	}
-	return &Pricer{m: m, seed: seed, epochHours: epochHours, cache: map[shapeKey]Price{}}
+	return &Pricer{m: m, seed: seed, epochHours: epochHours, cache: map[jobs.Spec]Price{}}
+}
+
+// probeOf is the spec a shape is priced by, and cached under: an
+// isolated run under a canonical name, so the price depends on the
+// shape, not on which queued job first exercised it.
+func probeOf(spec jobs.Spec) jobs.Spec {
+	spec.Name = "price"
+	spec.Fault = nil
+	return spec
 }
 
 // Price returns the shape's cost summary, simulating it on first sight.
 func (p *Pricer) Price(spec jobs.Spec) (Price, error) {
-	if spec.Burst.Classify != nil {
-		return Price{}, fmt.Errorf("sched: job spec %q carries a Classify func (not memoizable)", spec.Name)
-	}
-	k := keyOf(spec)
-	if pr, ok := p.cache[k]; ok {
+	probe := probeOf(spec)
+	if pr, ok := p.cache[probe]; ok {
 		return p.estimate(pr), nil
 	}
 	pr, err := p.priceUncached(spec)
 	if err != nil {
 		return Price{}, err
 	}
-	p.cache[k] = pr
+	p.cache[probe] = pr
 	return p.estimate(pr), nil
 }
 
-// priceUncached measures one shape by simulation, without touching the
-// cache — the shared core of Price and Prewarm. The result depends
-// only on the shape, the machine, and the pricer's seed, so concurrent
-// callers on distinct shapes are independent.
+// priceUncached measures one shape by simulating its probe spec, without
+// touching the cache — the shared core of Price and Prewarm. The result
+// depends only on the probe, the machine, and the pricer's seed, so
+// concurrent callers on distinct probes are independent.
 func (p *Pricer) priceUncached(spec jobs.Spec) (Price, error) {
-	// Isolated run under a canonical name: the price must depend on the
-	// shape, not on which queued job first exercised it.
-	probe := spec
-	probe.Name = "price"
-	probe.Fault = nil
-	res, err := jobs.Run(p.m, []jobs.Spec{probe}, p.seed)
+	res, err := jobs.Run(p.m, []jobs.Spec{probeOf(spec)}, p.seed)
 	if err != nil {
 		return Price{}, fmt.Errorf("sched: pricing %q: %w", spec.Name, err)
 	}
@@ -164,23 +119,18 @@ func (p *Pricer) priceUncached(spec jobs.Spec) (Price, error) {
 // the lowest-stream-index failure is returned and no result is cached.
 func (p *Pricer) Prewarm(stream []Job, parallel int) error {
 	var specs []jobs.Spec
-	var keys []shapeKey
-	seen := map[shapeKey]bool{}
+	seen := map[jobs.Spec]bool{}
 	for i := range stream {
 		spec := stream[i].Spec
-		if spec.Burst.Classify != nil {
-			return fmt.Errorf("sched: job spec %q carries a Classify func (not memoizable)", spec.Name)
-		}
-		k := keyOf(spec)
-		if seen[k] {
+		probe := probeOf(spec)
+		if seen[probe] {
 			continue
 		}
-		seen[k] = true
-		if _, ok := p.cache[k]; ok {
+		seen[probe] = true
+		if _, ok := p.cache[probe]; ok {
 			continue
 		}
 		specs = append(specs, spec)
-		keys = append(keys, k)
 	}
 	prices := make([]Price, len(specs))
 	err := sweep.ForEach(len(specs), parallel, func(i int) error {
@@ -194,8 +144,8 @@ func (p *Pricer) Prewarm(stream []Job, parallel int) error {
 	if err != nil {
 		return err
 	}
-	for i, k := range keys {
-		p.cache[k] = prices[i]
+	for i, spec := range specs {
+		p.cache[probeOf(spec)] = prices[i]
 	}
 	return nil
 }

@@ -54,16 +54,9 @@ type FaultConfig struct {
 	RestartOverheadHours float64
 	// Survival selects the NVMe-survivability model for the recovery
 	// position: SurviveNVMe restarts from the last buffered epoch,
-	// SurviveNone additionally loses the newest DrainLagEpochs buffered
+	// SurviveNone additionally loses the newest drainLagEpochs buffered
 	// checkpoints (their write-back had not caught up when the node died).
 	Survival fault.Survivability
-	// DrainLagEpochs is the queue-level abstraction of the write-back
-	// tail under SurviveNone (see Survival). Default 1; -1 means no lag.
-	DrainLagEpochs int
-	// HorizonHours bounds the failure-arrival draw (0 = derived from the
-	// stream: 4× the last submission + 48 h, comfortably past any sane
-	// makespan).
-	HorizonHours float64
 	// ArrivalHours, when non-empty, replaces the Poisson draw with
 	// explicit failure instants (strictly increasing) — the hook the
 	// requeue edge-case tests aim kills with.
@@ -72,22 +65,32 @@ type FaultConfig struct {
 
 func (f FaultConfig) enabled() bool { return f.MTBFNodeHours > 0 || len(f.ArrivalHours) > 0 }
 
+// drainLagEpochs is the queue-level abstraction of the write-back tail
+// under SurviveNone: the buffered checkpoints a crash loses.
+const drainLagEpochs = 1
+
+// usageHalfLifeHours is the decay half-life of the per-tenant usage
+// ledger (delivered node-hours) the FairShare policy and the preemptor
+// order tenants by: one week, the customary fair-share decay. The ledger
+// is maintained for every run (it is cheap and feeds Result.UsageJain);
+// only FairShare and preemption act on it. Typed: untyped, the decay gain's
+// usageHalfLifeHours/math.Ln2 would fold at full precision and move the
+// last bit of every run's usage ledger.
+const usageHalfLifeHours float64 = 168
+
 // failSeedSalt decorrelates the failure stream from every other
 // consumer of Config.Seed (pricing stochastics, synthesis).
 const failSeedSalt = 0x6661756c74 // "fault"
 
 // arrivalTimes is the failure schedule for one run: the explicit
-// override when set, otherwise a fault.Arrivals Poisson draw over the
-// configured or derived horizon.
+// override when set, otherwise a fault.Arrivals Poisson draw over a
+// horizon derived from the stream: 4× the last submission + 48 h,
+// comfortably past any sane makespan.
 func (f FaultConfig) arrivalTimes(seed uint64, nodes int, lastSubmitH float64) []float64 {
 	if len(f.ArrivalHours) > 0 {
 		return f.ArrivalHours
 	}
-	span := f.HorizonHours
-	if span <= 0 {
-		span = 4*lastSubmitH + 48
-	}
-	return fault.Arrivals(xrand.New(xrand.SeedAt(seed^failSeedSalt, 0)), f.MTBFNodeHours, nodes, span)
+	return fault.Arrivals(xrand.New(xrand.SeedAt(seed^failSeedSalt, 0)), f.MTBFNodeHours, nodes, 4*lastSubmitH+48)
 }
 
 func (f FaultConfig) validate() error {
@@ -192,8 +195,8 @@ func (e *engine) advance(t float64) {
 	}
 	// Constant-rate exponential decay over the interval, in closed form:
 	// dU/dt = rate − U·ln2/H  ⇒  U(t+dt) = U·2^(−dt/H) + rate·H/ln2·(1−2^(−dt/H)).
-	decay := math.Exp2(-dt / e.cfg.UsageHalfLifeHours)
-	gain := e.cfg.UsageHalfLifeHours / math.Ln2 * (1 - decay)
+	decay := math.Exp2(-dt / usageHalfLifeHours)
+	gain := usageHalfLifeHours / math.Ln2 * (1 - decay)
 	for _, ts := range e.tenants {
 		ts.usage = ts.usage*decay + ts.rate*gain
 	}
@@ -287,7 +290,7 @@ func (e *engine) recoveredEpochs(tr *jobTrack, doneH float64, byFailure bool) in
 	led := fault.UniformLedger(rem, sim.Time(tr.segOverheadH), sim.Duration(tr.perEpochH), int64(tr.doneEpochs))
 	buf := led.BufferedEpochs(sim.Time(doneH))
 	if byFailure && e.cfg.Faults.Survival == fault.SurviveNone {
-		buf -= e.cfg.Faults.DrainLagEpochs
+		buf -= drainLagEpochs
 		if buf < 0 {
 			buf = 0
 		}

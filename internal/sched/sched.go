@@ -119,7 +119,7 @@ type QueueView struct {
 	Queue    []Pending
 	Running  []Active
 	// Usage is the per-tenant decayed delivered node-hours ledger (see
-	// Config.UsageHalfLifeHours) — the quantity FairShare orders by.
+	// usageHalfLifeHours) — the quantity FairShare orders by.
 	// Read-only; policies must not sum over its iteration order (raw
 	// per-tenant lookups and comparisons are order-free, a float sum over
 	// a Go map is not deterministic).
@@ -163,21 +163,10 @@ type Config struct {
 	EpochHours float64
 	// Seed feeds the pricing runs' storage stochastics.
 	Seed uint64
-	// PFSBandwidth is the shared write-back capacity the contention model
-	// divides among running jobs, bytes/second in simulation terms
-	// (0 = derive from the machine's storage backbone).
-	PFSBandwidth float64
 	// Pricer overrides the service-time pricer (nil = NewPricer on the
 	// config's machine/seed/epoch clock). Sharing one pricer across runs
 	// of the same machine skips re-simulating known job shapes.
 	Pricer *Pricer
-	// UsageHalfLifeHours is the decay half-life of the per-tenant usage
-	// ledger (delivered node-hours) the FairShare policy and the
-	// preemptor order tenants by. Default 168 — one week, the customary
-	// fair-share decay. The ledger is maintained for every run (it is
-	// cheap and feeds Result.UsageJain); only FairShare and preemption
-	// act on it.
-	UsageHalfLifeHours float64
 	// Preempt enables preemption via checkpoint-and-requeue (off by
 	// default; see PreemptConfig).
 	Preempt PreemptConfig
@@ -193,22 +182,8 @@ func (c Config) withDefaults() Config {
 	if c.EpochHours == 0 {
 		c.EpochHours = 6
 	}
-	if c.PFSBandwidth == 0 {
-		c.PFSBandwidth = PFSBandwidth(c.Machine)
-	}
-	if c.UsageHalfLifeHours <= 0 {
-		c.UsageHalfLifeHours = 168
-	}
-	if c.Faults.enabled() {
-		if c.Faults.RepairHours == 0 {
-			c.Faults.RepairHours = 12
-		}
-		switch {
-		case c.Faults.DrainLagEpochs == 0:
-			c.Faults.DrainLagEpochs = 1
-		case c.Faults.DrainLagEpochs < 0:
-			c.Faults.DrainLagEpochs = 0
-		}
+	if c.Faults.enabled() && c.Faults.RepairHours == 0 {
+		c.Faults.RepairHours = 12
 	}
 	return c
 }
@@ -440,6 +415,7 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	}
 	e := &engine{
 		cfg: cfg, pol: pol, pr: pr, sys: sys,
+		pfsBW:    PFSBandwidth(cfg.Machine),
 		arrivals: arrivals,
 		res:      &Result{Policy: pol.Name(), Nodes: cfg.Nodes, Jobs: make([]JobResult, 0, len(stream))},
 		view:     QueueView{scratch: &pickScratch{}},

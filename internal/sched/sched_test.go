@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
+	"picmcio/internal/fault"
 	"picmcio/internal/units"
 )
 
@@ -140,15 +140,20 @@ func TestPricerMemoizesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second job of the same shape (different name) must hit the cache.
+	// A second job of the same shape — another name, a fault — must hit
+	// the cache, and a warm Price is a map lookup that allocates nothing.
 	s2 := c.Spec(m)
 	s2.Name = "other-job"
+	s2.Fault = &fault.Spec{KillEpoch: 1, KillFrac: 0.5}
 	p2, err := pr.Price(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.Shapes() != 1 {
 		t.Fatalf("Shapes() = %d after two same-shape prices, want 1", pr.Shapes())
+	}
+	if a := testing.AllocsPerRun(100, func() { pr.Price(s2) }); a != 0 {
+		t.Errorf("a warm Price allocates %v objects, want 0", a)
 	}
 	if p1 != p2 {
 		t.Fatalf("same shape priced differently: %+v vs %+v", p1, p2)
@@ -180,16 +185,6 @@ func TestPricerMemoizesShapes(t *testing.T) {
 		if after != before[i] {
 			t.Fatalf("job %d: price moved across a run: %+v -> %+v", j.ID, before[i], after)
 		}
-	}
-}
-
-func TestPricerRejectsClassifyFunc(t *testing.T) {
-	m := cluster.Discoverer()
-	pr := NewPricer(m, 1, 6)
-	s := DefaultClasses()[0].Spec(m)
-	s.Burst.Classify = burst.DefaultClassify
-	if _, err := pr.Price(s); err == nil {
-		t.Fatal("spec with Classify func priced without error (cache key cannot cover it)")
 	}
 }
 
@@ -367,10 +362,10 @@ func TestEASYDeepBacklog(t *testing.T) {
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(res.Jobs))
 	t.Logf("allocations per scheduled job: %.2f", perJob)
-	// Measured: 10.24, pricing every shape on first sight included, and
+	// Measured: 9.24, pricing every shape on first sight included, and
 	// the same under the race detector.
-	if perJob > 10.75 {
-		t.Errorf("%.2f allocations per scheduled job, want at most 10.75", perJob)
+	if perJob > 9.70 {
+		t.Errorf("%.2f allocations per scheduled job, want at most 9.70", perJob)
 	}
 }
 

@@ -1,23 +1,5 @@
 package sim
 
-// Awaitable is the common face of the kernel's blocking primitives: a
-// condition a process can block on until some other process makes it
-// ready. Completion (one-shot broadcast) and Gauge (counter reaching
-// zero) both implement it, so higher layers can hold "something to wait
-// for" without caring which primitive backs it.
-type Awaitable interface {
-	// Wait parks the calling process until the condition is ready; it
-	// returns immediately if the condition is already ready.
-	Wait(p *Proc)
-	// Ready reports whether Wait would return without blocking.
-	Ready() bool
-}
-
-var (
-	_ Awaitable = (*Completion)(nil)
-	_ Awaitable = (*Gauge)(nil)
-)
-
 // waitQueue is the pooled wait list behind every blocking primitive
 // (Completion, Gauge). Backing arrays come from the kernel's free pool; a
 // broadcast hands its array to the kernel as one batch entry, and the
@@ -65,9 +47,6 @@ type Completion struct {
 // NewCompletion returns an incomplete completion bound to kernel k.
 func NewCompletion(k *Kernel) *Completion { return &Completion{w: waitQueue{k: k}} }
 
-// Ready reports whether Complete has been called.
-func (c *Completion) Ready() bool { return c.done }
-
 // Complete marks the event done and wakes every waiter, in wait order.
 // Completing twice is a no-op.
 func (c *Completion) Complete() { c.CompleteAt(c.w.k.now) }
@@ -108,9 +87,6 @@ func NewGauge(k *Kernel) *Gauge { return &Gauge{w: waitQueue{k: k}} }
 
 // Value reports the current gauge value.
 func (g *Gauge) Value() int64 { return g.v }
-
-// Ready reports whether the gauge is at zero (Wait would not block).
-func (g *Gauge) Ready() bool { return g.v == 0 }
 
 // Add changes the gauge by d. Dropping to zero wakes all waiters;
 // going negative panics (it means release without matching acquire).

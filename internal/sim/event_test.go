@@ -17,7 +17,7 @@ func TestCompletionBroadcast(t *testing.T) {
 	if wokeA != 2 || wokeB != 2 {
 		t.Errorf("waiters woke at %v/%v, want 2", wokeA, wokeB)
 	}
-	if !c.Ready() {
+	if !c.done {
 		t.Error("completion must report done")
 	}
 	// Waiting after completion returns immediately.
