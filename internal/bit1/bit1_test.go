@@ -15,8 +15,9 @@ import (
 	"picmcio/internal/workload"
 )
 
-func TestParseDeck(t *testing.T) {
-	d, err := ParseDeck(`
+// deckGood and deckBad are the input decks the table tests below read,
+// and the seeds of FuzzParseDeck.
+const deckGood = `
 # BIT1 input
 datfile = run42
 dmpstep = 500
@@ -24,7 +25,18 @@ mvflag  = 1
 mvstep  = 100
 last_step = 1000
 cells = 1024
-`)
+`
+
+var deckBad = []string{
+	"nonsense line",
+	"unknown_key = 3",
+	"dmpstep = abc",
+	"last_step = 0",
+	"mvflag = 1\nmvstep = 0",
+}
+
+func TestParseDeck(t *testing.T) {
+	d, err := ParseDeck(deckGood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +58,27 @@ cells = 1024
 }
 
 func TestParseDeckErrors(t *testing.T) {
-	for _, bad := range []string{
-		"nonsense line",
-		"unknown_key = 3",
-		"dmpstep = abc",
-		"last_step = 0",
-		"mvflag = 1\nmvstep = 0",
-	} {
+	for _, bad := range deckBad {
 		if _, err := ParseDeck(bad); err == nil {
 			t.Errorf("deck %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseDeck: ParseDeck never panics, and a deck it accepts is valid.
+func FuzzParseDeck(f *testing.F) {
+	for _, src := range append([]string{deckGood}, deckBad...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseDeck(src)
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted deck %q does not validate: %v", src, err)
+		}
+	})
 }
 
 func TestEpochSchedule(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"slices"
 	"strings"
 
@@ -259,27 +260,58 @@ type Log struct {
 	Records []Record `json:"records"`
 }
 
-// Snapshot freezes the collector into a Log, sorted by (rank, path) for
-// deterministic output. The log is a copy — one Records slice of exactly
-// the collector's size — so recording may go on after it.
-func (c *Collector) Snapshot(meta JobMeta) *Log {
-	meta.Version = "darshan-sim 3.4.2-go"
-	l := &Log{Meta: meta, Records: make([]Record, 0, c.n)}
+// All visits every record in place, in the order Snapshot copies them:
+// by rank, then by path among that rank's records. The records are the
+// collector's own, so the visit is for reading; recording must not go on
+// during it.
+func (c *Collector) All() iter.Seq[*Record] {
+	// A closure literal and not the method value c.visit: the compiler
+	// inlines it, so the body of a range over All stays on the stack.
+	return func(yield func(*Record) bool) { c.visit(yield) }
+}
+
+// visit is All's sequence. A rank's records are sorted as pointers, in a
+// buffer on the stack unless the rank has more files than it holds.
+func (c *Collector) visit(yield func(*Record) bool) {
+	var stack [8]*Record
+	rank := stack[:0]
 	for _, block := range c.ranks {
 		for i := range block {
-			// The index is in rank order already: only a rank's own
-			// few records are left to sort, by path.
-			rr, from := &block[i], len(l.Records)
+			rr := &block[i]
+			if rr.few[0] == nil {
+				continue // a rank that recorded nothing
+			}
+			rank = rank[:0]
+			if n := len(rr.few) + len(rr.more); n > cap(rank) {
+				rank = make([]*Record, 0, n)
+			}
 			for _, r := range rr.few {
 				if r != nil {
-					l.Records = append(l.Records, *r)
+					rank = append(rank, r)
 				}
 			}
 			for _, r := range rr.more {
-				l.Records = append(l.Records, *r)
+				rank = append(rank, r)
 			}
-			slices.SortFunc(l.Records[from:], func(a, b Record) int { return strings.Compare(a.Path, b.Path) })
+			slices.SortFunc(rank, func(a, b *Record) int { return strings.Compare(a.Path, b.Path) })
+			for _, r := range rank {
+				if !yield(r) {
+					return
+				}
+			}
 		}
+	}
+}
+
+// Snapshot freezes the collector into a Log, in All's (rank, path) order
+// for deterministic output. The log is a copy — one Records slice of
+// exactly the collector's size — so recording may go on after it. A
+// reduction needs no copy: the collector's own forms read it in place.
+func (c *Collector) Snapshot(meta JobMeta) *Log {
+	meta.Version = "darshan-sim 3.4.2-go"
+	l := &Log{Meta: meta, Records: make([]Record, 0, c.n)}
+	for r := range c.All() {
+		l.Records = append(l.Records, *r)
 	}
 	return l
 }

@@ -2,8 +2,10 @@ package darshan
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -120,10 +122,10 @@ func TestPerProcessTimes(t *testing.T) {
 		t.Errorf("unsorted log without NProcs: r=%v m=%v w=%v, want 2 4 8 (six records over three ranks)", r, m, w)
 	}
 	notInp := func(r *Record) bool { return !strings.HasSuffix(r.Path, ".inp") }
-	if r, _, _ := hand.PerProcessTimesWhere(func(r *Record) bool { return !notInp(r) }); r != 1 {
+	if r, _, _ := hand.Filter(func(r *Record) bool { return !notInp(r) }).PerProcessTimes(); r != 1 {
 		t.Errorf("one kept record of one rank: read=%v, want 1", r)
 	}
-	if r, m, w := hand.PerProcessTimesWhere(notInp); r != 5.0/3 || m != 10.0/3 || w != 20.0/3 {
+	if r, m, w := hand.Filter(notInp).PerProcessTimes(); r != 5.0/3 || m != 10.0/3 || w != 20.0/3 {
 		t.Errorf("five kept records over three ranks: r=%v m=%v w=%v", r, m, w)
 	}
 	// Rank 0 is slowest with three records of write+meta 6 each; 36 bytes
@@ -227,6 +229,107 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 	if len(l.Records) != n || cap(l.Records) != n {
 		t.Errorf("Records len %d cap %d, want both %d", len(l.Records), cap(l.Records), n)
+	}
+}
+
+// TestInPlaceMatchesSnapshot: the collector read in place is its Snapshot
+// read as a log. Over 60 seeds, ranks spread over several rank blocks each
+// touch 1–7 files — past a rank's few — first in a shuffled order, with
+// durations that make every float sum depend on the order it is taken in.
+// Snapshot holds one record per (rank, path) in that order, All visits
+// exactly Snapshot's records in Snapshot's order, and every reduction,
+// over all records or through a predicate, is bit for bit the Log's on
+// the Snapshot or on its Filter.
+func TestInPlaceMatchesSnapshot(t *testing.T) {
+	ops := []posix.Op{posix.OpCreate, posix.OpWrite, posix.OpWrite, posix.OpRead, posix.OpStat, posix.OpClose}
+	files := []string{"/a.inp", "/b", "/c", "/d.inp", "/e", "/f", "/g"}
+	var few, more int // ranks whose records all fit in few, and ranks past it
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		nprocs := 3*rankBlock + rng.IntN(rankBlock)
+		type touch struct {
+			rank int
+			path string
+		}
+		var touches []touch
+		for _, rank := range rng.Perm(nprocs)[:24] {
+			n := 1 + rng.IntN(len(files))
+			if n > len(rankRecords{}.few) {
+				more++
+			} else {
+				few++
+			}
+			for _, i := range rng.Perm(len(files))[:n] {
+				for range 1 + rng.IntN(3) {
+					touches = append(touches, touch{rank, files[i]})
+				}
+			}
+		}
+		rng.Shuffle(len(touches), func(i, j int) { touches[i], touches[j] = touches[j], touches[i] })
+		col := NewCollector()
+		for _, tc := range touches {
+			start := sim.Time(rng.Float64() * 100)
+			col.Record(tc.rank, ops[rng.IntN(len(ops))], tc.path, rng.Int64N(1<<20), start, start+sim.Time(rng.ExpFloat64()/7))
+		}
+
+		l := col.Snapshot(JobMeta{NProcs: nprocs})
+		distinct := map[touch]bool{}
+		for _, tc := range touches {
+			distinct[tc] = true
+		}
+		byRankPath := func(a, b Record) int { return cmp.Or(cmp.Compare(a.Rank, b.Rank), strings.Compare(a.Path, b.Path)) }
+		if len(l.Records) != len(distinct) || !slices.IsSortedFunc(l.Records, byRankPath) {
+			t.Fatalf("seed %d: Snapshot has %d records for %d (rank, path) pairs, in (rank, path) order: %t",
+				seed, len(l.Records), len(distinct), slices.IsSortedFunc(l.Records, byRankPath))
+		}
+		var visited []Record
+		for r := range col.All() {
+			visited = append(visited, *r)
+		}
+		if !reflect.DeepEqual(visited, l.Records) {
+			t.Fatalf("seed %d: All visits %d records, not Snapshot's %d in its order", seed, len(visited), len(l.Records))
+		}
+		once := func(r *Record) bool { return strings.HasSuffix(r.Path, ".inp") }
+		perEpoch := func(r *Record) bool { return !once(r) }
+		for name, keep := range map[string]func(*Record) bool{"all": nil, "once": once, "per-epoch": perEpoch} {
+			want := l
+			if keep != nil {
+				want = l.Filter(keep)
+			}
+			if got, w := col.WriteThroughputByElapsed(keep), want.WriteThroughputByElapsed(); got != w || got <= 0 {
+				t.Errorf("seed %d, %s: throughput in place %v, on the log %v", seed, name, got, w)
+			}
+			r, m, w := col.PerProcessTimes(nprocs, keep)
+			if lr, lm, lw := want.PerProcessTimes(); r != lr || m != lm || w != lw || m <= 0 {
+				t.Errorf("seed %d, %s: per-process times in place %v %v %v, on the log %v %v %v", seed, name, r, m, w, lr, lm, lw)
+			}
+		}
+	}
+	if few == 0 || more == 0 {
+		t.Errorf("%d ranks within a rank's few files and %d past them; both must be exercised", few, more)
+	}
+}
+
+// TestFoldAllocs: a reduction reads the collector in place — no copy, no
+// object per record or per rank, whatever the rank's file count.
+func TestFoldAllocs(t *testing.T) {
+	const n = 10000
+	col := NewCollector()
+	for i := 0; i < n; i++ {
+		col.Record(i%100, posix.OpWrite, fmt.Sprintf("/f%05d", i), 1, sim.Time(i), sim.Time(i+1))
+	}
+	tenth := func(r *Record) bool { return strings.HasSuffix(r.Path, "7") }
+	for name, fold := range map[string]func(){
+		"throughput":        func() { col.WriteThroughputByElapsed(nil) },
+		"per-process times": func() { col.PerProcessTimes(100, tenth) },
+		"visit through All": func() {
+			for range col.All() {
+			}
+		},
+	} {
+		if a := testing.AllocsPerRun(3, fold); a > 2 {
+			t.Errorf("%s over %d records allocates %.0f objects, want <= 2", name, n, a)
+		}
 	}
 }
 
@@ -388,9 +491,8 @@ func TestReportContainsKeyLines(t *testing.T) {
 
 func TestWriteWindow(t *testing.T) {
 	l := runInstrumented(t)
-	s, e, _, ok := l.writeWindowWhere(nil)
-	if !ok || e <= s {
-		t.Fatalf("window [%v,%v] ok=%v", s, e, ok)
+	if f := foldOf(records(l.Records), nil); !f.wrote || f.end <= f.start {
+		t.Fatalf("window [%v,%v] wrote=%v", f.start, f.end, f.wrote)
 	}
 }
 

@@ -3,6 +3,7 @@ package darshan
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -10,13 +11,91 @@ import (
 	"picmcio/internal/units"
 )
 
-// The reductions a figure is drawn from come in two forms: over the whole
-// log, and — the Where forms — over the records a predicate keeps, read in
-// place. A Where form visits records in log order, so it returns exactly
-// what the plain form returns on Filter(keep), without the copy; a nil
-// keep keeps every record.
+// The reductions a figure is drawn from — the write window and the
+// per-process times — are written once, as a fold over a sequence of
+// records: a Log's Records in order, or a Collector's read in place
+// (Collector.All). Both are in (rank, path) order for any Snapshot, so a
+// reduction of the collector is bit for bit the same reduction of its
+// Snapshot. The collector's forms take a predicate keep, and return what
+// the Log's forms return on Snapshot(...).Filter(keep), without the copy;
+// a nil keep keeps every record.
 
 func kept(keep func(r *Record) bool, r *Record) bool { return keep == nil || keep(r) }
+
+// records is the sequence of a slice's records, in order.
+func records(recs []Record) iter.Seq[*Record] {
+	return func(yield func(*Record) bool) {
+		for i := range recs {
+			if !yield(&recs[i]) {
+				return
+			}
+		}
+	}
+}
+
+// fold is what the reductions read of the records added to it.
+type fold struct {
+	start, end        float64 // the write window: earliest write start, latest write end
+	wrote             bool    // whether any record wrote, so that the window is set
+	bytes             int64   // bytes written
+	read, meta, write float64 // cumulative seconds
+	ranks, last       int     // runs of one rank: its distinct ranks when added grouped by rank
+}
+
+// foldOf folds the records of recs that keep keeps, in order.
+func foldOf(recs iter.Seq[*Record], keep func(r *Record) bool) (f fold) {
+	for r := range recs {
+		if kept(keep, r) {
+			f.add(r)
+		}
+	}
+	return f
+}
+
+func (f *fold) add(r *Record) {
+	f.bytes += r.Counters[POSIX_BYTES_WRITTEN]
+	if r.Counters[POSIX_WRITES] > 0 {
+		s := r.FCount[POSIX_F_WRITE_START_TIMESTAMP]
+		e := r.FCount[POSIX_F_WRITE_END_TIMESTAMP]
+		switch {
+		case !f.wrote:
+			f.start, f.end, f.wrote = s, e, true
+		case s < f.start:
+			f.start = s
+		}
+		if e > f.end {
+			f.end = e
+		}
+	}
+	f.read += r.FCount[POSIX_F_READ_TIME]
+	f.meta += r.FCount[POSIX_F_META_TIME]
+	f.write += r.FCount[POSIX_F_WRITE_TIME]
+	if f.ranks == 0 || r.Rank != f.last {
+		f.ranks, f.last = f.ranks+1, r.Rank
+	}
+}
+
+// throughputByElapsed is the bytes written over the span of the write
+// window; 0 if nothing was written.
+func (f fold) throughputByElapsed() float64 {
+	if !f.wrote || f.end <= f.start {
+		return 0
+	}
+	return float64(f.bytes) / (f.end - f.start)
+}
+
+// perProcessTimes averages the cumulative seconds over nprocs processes,
+// or, if nprocs is 0, over the distinct ranks folded.
+func (f fold) perProcessTimes(nprocs int) (read, meta, write float64) {
+	n := float64(nprocs)
+	if n == 0 {
+		n = float64(f.ranks)
+	}
+	if n == 0 {
+		return 0, 0, 0
+	}
+	return f.read / n, f.meta / n, f.write / n
+}
 
 // TotalBytesWritten sums bytes written across all records.
 func (l *Log) TotalBytesWritten() int64 {
@@ -36,48 +115,17 @@ func (l *Log) TotalBytesRead() int64 {
 	return n
 }
 
-// writeWindowWhere reports the earliest write start and latest write end
-// timestamps across the kept records, with the bytes they wrote. ok is
-// false if nothing was written.
-func (l *Log) writeWindowWhere(keep func(r *Record) bool) (start, end float64, bytes int64, ok bool) {
-	for i := range l.Records {
-		r := &l.Records[i]
-		if !kept(keep, r) {
-			continue
-		}
-		bytes += r.Counters[POSIX_BYTES_WRITTEN]
-		if r.Counters[POSIX_WRITES] == 0 {
-			continue
-		}
-		s := r.FCount[POSIX_F_WRITE_START_TIMESTAMP]
-		e := r.FCount[POSIX_F_WRITE_END_TIMESTAMP]
-		if !ok {
-			start, end, ok = s, e, true
-			continue
-		}
-		if s < start {
-			start = s
-		}
-		if e > end {
-			end = e
-		}
-	}
-	return start, end, bytes, ok
-}
-
 // WriteThroughputByElapsed estimates aggregate write throughput as total
 // bytes written divided by the wall span of the write window — the
 // headline "write throughput" number of the paper's figures.
-func (l *Log) WriteThroughputByElapsed() float64 { return l.WriteThroughputByElapsedWhere(nil) }
+func (l *Log) WriteThroughputByElapsed() float64 {
+	return foldOf(records(l.Records), nil).throughputByElapsed()
+}
 
-// WriteThroughputByElapsedWhere is WriteThroughputByElapsed over the
-// records keep keeps.
-func (l *Log) WriteThroughputByElapsedWhere(keep func(r *Record) bool) float64 {
-	s, e, bytes, ok := l.writeWindowWhere(keep)
-	if !ok || e <= s {
-		return 0
-	}
-	return float64(bytes) / (e - s)
+// WriteThroughputByElapsed is Log.WriteThroughputByElapsed over the
+// records keep keeps, read in place.
+func (c *Collector) WriteThroughputByElapsed(keep func(r *Record) bool) float64 {
+	return foldOf(c.All(), keep).throughputByElapsed()
 }
 
 // byRank returns the records grouped by rank, each rank's in log order:
@@ -121,44 +169,21 @@ func (l *Log) WriteThroughputBySlowest() float64 {
 // POSIX I/O (e.g. non-aggregators under BP4) still count in the average,
 // exactly as Darshan averages over all procs; a log that does not say
 // averages over the ranks that appear in it.
-func (l *Log) PerProcessTimes() (read, meta, write float64) { return l.PerProcessTimesWhere(nil) }
-
-// PerProcessTimesWhere is PerProcessTimes over the records keep keeps.
-func (l *Log) PerProcessTimesWhere(keep func(r *Record) bool) (read, meta, write float64) {
-	for i := range l.Records {
-		if r := &l.Records[i]; kept(keep, r) {
-			read += r.FCount[POSIX_F_READ_TIME]
-			meta += r.FCount[POSIX_F_META_TIME]
-			write += r.FCount[POSIX_F_WRITE_TIME]
-		}
-	}
-	n := float64(l.Meta.NProcs)
-	if n == 0 {
-		n = float64(l.ranksWhere(keep))
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return read / n, meta / n, write / n
+func (l *Log) PerProcessTimes() (read, meta, write float64) {
+	return foldOf(records(l.byRank()), nil).perProcessTimes(l.Meta.NProcs)
 }
 
-// ranksWhere counts the distinct ranks among the kept records.
-func (l *Log) ranksWhere(keep func(r *Record) bool) int {
-	n, prev := 0, 0
-	recs := l.byRank()
-	for i := range recs {
-		if r := &recs[i]; kept(keep, r) && (n == 0 || r.Rank != prev) {
-			n, prev = n+1, r.Rank
-		}
-	}
-	return n
+// PerProcessTimes is Log.PerProcessTimes of a job of nprocs processes,
+// over the records keep keeps, read in place.
+func (c *Collector) PerProcessTimes(nprocs int, keep func(r *Record) bool) (read, meta, write float64) {
+	return foldOf(c.All(), keep).perProcessTimes(nprocs)
 }
 
 // Filter returns a copy of the log containing only the records for which
 // keep returns true (same job metadata), in one allocation of exactly that
 // many records — so keep is asked twice about each. It is for tools that
-// want a log to hand on; a reduction over part of a log takes the
-// predicate instead (the Where forms above).
+// want a log to hand on; a reduction over part of a run reads the
+// collector in place instead.
 func (l *Log) Filter(keep func(r *Record) bool) *Log {
 	n := 0
 	for i := range l.Records {

@@ -121,30 +121,33 @@ func TestEpochExtrapolation(t *testing.T) {
 	}
 }
 
-// TestLogReductionsMatchFilter: RunBIT1 reads its log in place through
-// predicates; what it gets is bit for bit what the same reductions return
-// on filtered copies of the log, in both modes.
+// TestLogReductionsMatchFilter: RunBIT1 reads the Darshan collector in
+// place through predicates; what it gets is bit for bit what the Log's
+// reductions return on filtered copies of the collector's Snapshot, in
+// both modes.
 func TestLogReductionsMatchFilter(t *testing.T) {
 	o := testOptions()
 	once := func(rec *darshan.Record) bool { return strings.HasSuffix(rec.Path, ".inp") }
 	perEpoch := func(rec *darshan.Record) bool { return !once(rec) }
 	for _, cfg := range []Config{Original, BP4} {
-		res, err := o.RunBIT1(Run{Machine: cluster.Dardel(), Nodes: 2, Config: cfg})
+		const nodes = 2
+		res, err := o.RunBIT1(Run{Machine: cluster.Dardel(), Nodes: nodes, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := res.Log
+		nprocs := nodes * o.RanksPerNode
+		col, l := res.Darshan, res.Darshan.Snapshot(darshan.JobMeta{NProcs: nprocs})
 		if n, all := len(l.Filter(once).Records), len(l.Records); n == 0 || n == all {
 			t.Fatalf("%s: %d of %d records are one-time I/O; the split is not exercised", cfg.Label, n, all)
 		}
-		if got, want := l.WriteThroughputByElapsedWhere(perEpoch), l.Filter(perEpoch).WriteThroughputByElapsed(); got != want || got <= 0 {
+		if got, want := col.WriteThroughputByElapsed(perEpoch), l.Filter(perEpoch).WriteThroughputByElapsed(); got != want || got <= 0 {
 			t.Errorf("%s: throughput in place %v, on the filtered copy %v", cfg.Label, got, want)
 		}
-		if got := units.GiBps(l.WriteThroughputByElapsedWhere(perEpoch)); got != res.ThroughputGiBs {
-			t.Errorf("%s: RunBIT1 reports %v GiB/s, its log says %v", cfg.Label, res.ThroughputGiBs, got)
+		if got := units.GiBps(col.WriteThroughputByElapsed(perEpoch)); got != res.ThroughputGiBs {
+			t.Errorf("%s: RunBIT1 reports %v GiB/s, its collector says %v", cfg.Label, res.ThroughputGiBs, got)
 		}
 		for name, keep := range map[string]func(*darshan.Record) bool{"once": once, "per-epoch": perEpoch} {
-			r, m, w := l.PerProcessTimesWhere(keep)
+			r, m, w := col.PerProcessTimes(nprocs, keep)
 			fr, fm, fw := l.Filter(keep).PerProcessTimes()
 			if r != fr || m != fm || w != fw || m <= 0 {
 				t.Errorf("%s, %s: per-process times in place %v %v %v, on the filtered copy %v %v %v", cfg.Label, name, r, m, w, fr, fm, fw)
@@ -169,8 +172,12 @@ func TestFig2OriginalStopsScaling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := 3*nodes*o.RanksPerNode + 7; len(r.Log.Records) != want {
-				t.Errorf("%s, %d nodes: %d Darshan records, want %d", m.Name, nodes, len(r.Log.Records), want)
+			records := 0
+			for range r.Darshan.All() {
+				records++
+			}
+			if want := 3*nodes*o.RanksPerNode + 7; records != want {
+				t.Errorf("%s, %d nodes: %d Darshan records, want %d", m.Name, nodes, records, want)
 			}
 			return r
 		}
@@ -210,16 +217,50 @@ func benchScale() Options {
 	return Options{Seed: 1, RanksPerNode: 16, NodeCounts: []int{1, 10, 50}, DiagEpochs: 2}
 }
 
-// TestFig3BP4BeatsOriginal: at the largest node count openPMD+BP4 must
-// out-write the original file-per-rank path.
+// TestFig3BP4BeatsOriginal: openPMD+BP4 out-writes the original
+// file-per-rank path at every node count, and by more at each step — the
+// gap of the paper's Fig. 3 widens with scale.
 func TestFig3BP4BeatsOriginal(t *testing.T) {
 	ss, err := benchScale().Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig, bp4 := ss[0], ss[1]
-	if last := len(orig.Y) - 1; bp4.Y[last] <= orig.Y[last] {
-		t.Fatalf("at %v nodes openPMD+BP4 writes %v GiB/s, original %v", orig.X[last], bp4.Y[last], orig.Y[last])
+	prev := 0.0
+	for i := range orig.Y {
+		gap := bp4.Y[i] - orig.Y[i]
+		t.Logf("%v nodes: openPMD+BP4 %.4f, original %.4f GiB/s, gap %.4f", orig.X[i], bp4.Y[i], orig.Y[i], gap)
+		if gap <= prev {
+			t.Errorf("at %v nodes the gap is %.4f GiB/s, not wider than the %.4f before", orig.X[i], gap, prev)
+		}
+		prev = gap
+	}
+}
+
+// TestFig7OriginalCrossesOneAggregator: at 128 ranks a node and the CLI's
+// five epochs, one aggregator writes at one rate whatever the node count,
+// and the original file-per-rank path crosses it twice — under both
+// one-aggregator lines at 5 nodes, over them at 10 and under them again at
+// 100. Blosc stays within 1 % below the uncompressed line at every point.
+func TestFig7OriginalCrossesOneAggregator(t *testing.T) {
+	o := Options{Seed: 1, RanksPerNode: 128, NodeCounts: []int{5, 10, 100}}
+	ss, err := o.Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, blosc, plain := ss[0], ss[1], ss[2]
+	for i, above := range []bool{false, true, false} {
+		t.Logf("%v nodes: original %.4f, Blosc 1AGGR %.4f, 1AGGR %.4f GiB/s", orig.X[i], orig.Y[i], blosc.Y[i], plain.Y[i])
+		lo, hi := min(blosc.Y[i], plain.Y[i]), max(blosc.Y[i], plain.Y[i])
+		if above && orig.Y[i] <= hi {
+			t.Errorf("at %v nodes the original path writes %.4f GiB/s, want it above both one-aggregator lines (%.4f, %.4f)", orig.X[i], orig.Y[i], blosc.Y[i], plain.Y[i])
+		}
+		if !above && orig.Y[i] >= lo {
+			t.Errorf("at %v nodes the original path writes %.4f GiB/s, want it under both one-aggregator lines (%.4f, %.4f)", orig.X[i], orig.Y[i], blosc.Y[i], plain.Y[i])
+		}
+		if blosc.Y[i] > plain.Y[i] || blosc.Y[i] < 0.99*plain.Y[i] {
+			t.Errorf("at %v nodes Blosc with one aggregator writes %.4f GiB/s, want within 1 %% below %.4f", orig.X[i], blosc.Y[i], plain.Y[i])
+		}
 	}
 }
 

@@ -288,8 +288,8 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float6
 	err := o.evaluate(runs, func(i int, r *RunResult) error {
 		var writeSec float64
 		var writes int64
-		for j := range r.Log.Records {
-			if rec := &r.Log.Records[j]; strings.Contains(rec.Path, ".bp4/data.") {
+		for rec := range r.Darshan.All() {
+			if strings.Contains(rec.Path, ".bp4/data.") {
 				writeSec += rec.FCount[darshan.POSIX_F_WRITE_TIME]
 				writes += rec.Counters[darshan.POSIX_WRITES]
 			}

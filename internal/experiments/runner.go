@@ -136,8 +136,8 @@ type FileStats struct {
 
 // RunResult is what one Run measured.
 type RunResult struct {
-	ThroughputGiBs float64 // aggregate write throughput (Darshan, elapsed window)
-	Log            *darshan.Log
+	ThroughputGiBs float64            // aggregate write throughput (Darshan, elapsed window)
+	Darshan        *darshan.Collector // the run's Darshan records, read in place
 	Files          FileStats
 
 	// Full-run-equivalent per-process times (Fig. 5).
@@ -213,7 +213,7 @@ type Run struct {
 
 // evaluate is the one loop every paper figure runs on: it measures each
 // run of the list in order and hands the result to fold, which keeps the
-// few numbers the figure plots. The result — a Darshan log, the file
+// few numbers the figure plots. The result — the Darshan records, the file
 // statistics of a whole namespace — is dropped before the next run starts.
 func (o Options) evaluate(runs []Run, fold func(i int, r *RunResult) error) error {
 	for i, run := range runs {
@@ -306,21 +306,18 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 		res.DrainTailSec = float64(k.Now() - appEnd)
 		res.DrainOverlapSec = drainBusyAtAppEnd
 	}
-	res.Log = col.Snapshot(darshan.JobMeta{
-		Executable: "bit1." + mode.String(), NProcs: w.Size,
-		Machine: m.Name, RunSeconds: float64(k.Now()),
-	})
+	res.Darshan = col
 	// Throughput is measured on the simulation's output files only: the
 	// staged input deck is written once at t=0 and read by every rank,
 	// and would otherwise stretch the Darshan write window across the
-	// startup phase. The log is read in place, through predicates.
+	// startup phase. The collector is read in place, through predicates.
 	once := func(rec *darshan.Record) bool { return strings.HasSuffix(rec.Path, ".inp") }
 	perEpoch := func(rec *darshan.Record) bool { return !once(rec) }
-	res.ThroughputGiBs = units.GiBps(res.Log.WriteThroughputByElapsedWhere(perEpoch))
+	res.ThroughputGiBs = units.GiBps(col.WriteThroughputByElapsed(perEpoch))
 	// Per-epoch I/O extrapolates to the full production run; one-time
 	// I/O (the input deck every rank reads at startup) does not.
-	r1, m1, w1 := res.Log.PerProcessTimesWhere(once)
-	rN, mN, wN := res.Log.PerProcessTimesWhere(perEpoch)
+	r1, m1, w1 := col.PerProcessTimes(w.Size, once)
+	rN, mN, wN := col.PerProcessTimes(w.Size, perEpoch)
 	f := o.EpochFactor()
 	res.ReadSec = r1 + rN*f
 	res.MetaSec = m1 + mN*f

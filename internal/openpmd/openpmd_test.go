@@ -29,8 +29,9 @@ func (rg *rig) host(r *mpisim.Rank) Host {
 	return Host{Proc: r.Proc, Env: &posix.Env{FS: rg.fs, Client: &pfs.Client{}, Rank: r.ID}, Comm: r.Comm}
 }
 
-func TestTOMLParse(t *testing.T) {
-	cfg, err := ParseTOML(`
+// tomlGood and tomlBad are the adaptor configurations the table tests
+// below read, and the seeds of FuzzParseTOML.
+const tomlGood = `
 # BIT1 openPMD runtime configuration
 [adios2.engine]
 type = "bp4"
@@ -42,7 +43,12 @@ Profile = "on"
 [adios2.dataset.operators]
 type = "blosc"
 level = 5
-`)
+`
+
+var tomlBad = []string{"[unterminated", "[]", "just a line", "= novalue"}
+
+func TestTOMLParse(t *testing.T) {
+	cfg, err := ParseTOML(tomlGood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +68,30 @@ level = 5
 }
 
 func TestTOMLErrors(t *testing.T) {
-	for _, bad := range []string{"[unterminated", "[]", "just a line", "= novalue"} {
+	for _, bad := range tomlBad {
 		if _, err := ParseTOML(bad); err == nil {
 			t.Errorf("ParseTOML(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseTOML: ParseTOML never panics, and every key a configuration
+// lists is non-empty, has no space at either end and is found by Get.
+func FuzzParseTOML(f *testing.F) {
+	for _, src := range append([]string{tomlGood}, tomlBad...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		cfg, err := ParseTOML(src)
+		if err != nil {
+			return
+		}
+		for _, k := range cfg.Keys() {
+			if _, ok := cfg.Get(k); k == "" || strings.TrimSpace(k) != k || !ok {
+				t.Fatalf("key %q of %q: found by Get %v", k, src, ok)
+			}
+		}
+	})
 }
 
 // writeParticleSeries writes one iteration of particle positions with the

@@ -4,6 +4,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -75,6 +76,7 @@ func Seconds(s float64) string {
 // ParseBytes parses strings like "16M", "16MiB", "1MB", "4k", "512" into a
 // byte count. Both SI-style (decimal ignored; treated binary like lfs) and
 // IEC suffixes map to binary multiples, matching `lfs setstripe -S 16M`.
+// A size that is negative, not a number or past math.MaxInt64 is an error.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -100,5 +102,10 @@ func ParseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("units: bad size %q: %v", s, err)
 	}
-	return int64(v * float64(mult)), nil
+	// float64(math.MaxInt64) is 2⁶³, one past what an int64 holds.
+	n := v * float64(mult)
+	if math.IsNaN(n) || n < 0 || n >= math.MaxInt64 {
+		return 0, fmt.Errorf("units: size %q is not a byte count from 0 to %d", s, int64(math.MaxInt64))
+	}
+	return int64(n), nil
 }

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -57,12 +58,45 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q)=%d, want %d", c.in, got, c.want)
 		}
 	}
-	if _, err := ParseBytes(""); err == nil {
-		t.Error("expected error for empty string")
+	for _, bad := range parseBytesBad {
+		if n, err := ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an error", bad, n)
+		}
 	}
-	if _, err := ParseBytes("xMiB"); err == nil {
-		t.Error("expected error for junk")
+	// The largest sizes an int64 holds are accepted, and what float64
+	// rounds up to 2⁶³ is not.
+	if n, err := ParseBytes("8191P"); err != nil || n != 8191*PiB {
+		t.Errorf("ParseBytes(8191P) = %d, %v", n, err)
 	}
+	if n, err := ParseBytes("-0"); err != nil || n != 0 {
+		t.Errorf("ParseBytes(-0) = %d, %v", n, err)
+	}
+}
+
+// parseBytesBad are sizes ParseBytes must refuse: empty, junk, and what
+// no int64 byte count can be.
+var parseBytesBad = []string{
+	"", "xMiB", "-4K", "-1", "-0.5M", "NaN", "nan", "Inf", "+Inf", "-Inf", "infK",
+	"1e30P", "8192P", "9223372036854775807", "9223372036854775808", "1e19",
+}
+
+// FuzzParseBytes: ParseBytes never panics, never accepts a negative
+// count, and reads every decimal integer a float64 holds exactly (up to
+// 2⁵³) back as itself.
+func FuzzParseBytes(f *testing.F) {
+	for i, s := range append([]string{"16M", "16MiB", "1MB", "4k", "512", "1.5M"}, parseBytesBad...) {
+		f.Add(s, uint64(i)<<50)
+	}
+	f.Add("", uint64(1)<<53)
+	f.Fuzz(func(t *testing.T, s string, u uint64) {
+		if n, err := ParseBytes(s); err == nil && n < 0 {
+			t.Fatalf("ParseBytes(%q) = %d", s, n)
+		}
+		n := int64(u % (1<<53 + 1))
+		if got, err := ParseBytes(strconv.FormatInt(n, 10)); err != nil || got != n {
+			t.Fatalf("ParseBytes(%d) = %d, %v", n, got, err)
+		}
+	})
 }
 
 func TestSeconds(t *testing.T) {
