@@ -56,16 +56,18 @@ profile:
 
 # smoke builds and runs every example with its interesting flag
 # combinations, and the two job CLIs that share cluster.System's launcher,
-# so neither can silently rot. A typo'd mode and a negative aggregator
-# count are usage errors, not another experiment; so is an argument to
-# bpls, which reads no host file, and darshan-parser says no to a missing
-# file, an empty one and a directory.
+# so neither can silently rot. A typo'd mode, a negative aggregator count
+# and a zero scale are usage errors, not another experiment; so is an
+# argument to bpls, which reads no host file, and darshan-parser says no to
+# a missing file, an empty one and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode orignal
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -aggregators -3
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
 	$(GO) run ./cmd/ior -nodes 2 -n 16
 	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
 	$(GO) run ./cmd/bpls

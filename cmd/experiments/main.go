@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's tables and figures on the
 // simulated substrate. Each artifact prints as a text series or table;
 // sweep-backed artifacts can emit machine-readable JSON instead.
-// README.md's "Running things" lists the artifacts; DESIGN.md §12 says
+// README.md's "Running things" lists the artifacts; DESIGN.md §14 says
 // what a paper figure is run against and how it is extrapolated.
 //
 // Usage:
@@ -67,6 +67,14 @@ func main() {
 		}
 		joined := strings.Join(args, ",")
 		runWhat = &joined
+	}
+	// Options reads a zero scale as "the default", so refuse one here
+	// rather than silently run 128 ranks a node or 5 epochs.
+	if *ranksPerNode < 1 {
+		fatal(fmt.Errorf("-ranks-per-node %d: need at least 1", *ranksPerNode))
+	}
+	if *diagEpochs < 1 {
+		fatal(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
 	}
 
 	o := experiments.Options{

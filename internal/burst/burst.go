@@ -179,7 +179,6 @@ type Stats struct {
 	DrainBusySec    float64  // cumulative drain-worker busy time
 	FirstDrainStart sim.Time // when the first segment started draining
 	LastDrainEnd    sim.Time // when the most recent segment became PFS-durable
-	MaxUsedBytes    int64    // peak buffer occupancy on any node
 	PendingBytes    int64    // still buffered, not yet PFS-durable
 
 	// Class breaks the drain accounting down by QoS lane; the achieved
@@ -383,7 +382,6 @@ type CrashReport struct {
 	Node           int
 	LostBytes      int64 // buffered-only bytes destroyed with the node's NVMe
 	SurvivingBytes int64 // staged bytes preserved on NVMe, still owed to the PFS
-	LostByClass    [NumClasses]int64
 }
 
 // Crash models losing node id mid-run, per the NVMe-survivability model:
@@ -441,7 +439,6 @@ func (t *Tier) Crash(p *sim.Proc, node int, survive bool) CrashReport {
 	for cl := range ns.queues {
 		for _, seg := range ns.queues[cl] {
 			rep.LostBytes += seg.n
-			rep.LostByClass[seg.st.class] += seg.n
 			ns.used -= seg.n
 			ns.lost += seg.n
 			seg.st.pending -= seg.n
@@ -844,9 +841,6 @@ func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
 			*lane = append(*lane, seg)
 		}
 		ns.used += buffered
-		if ns.used > t.stats.MaxUsedBytes {
-			t.stats.MaxUsedBytes = ns.used
-		}
 		f.st.pending += buffered
 		t.pending.Add(buffered)
 		t.stats.AbsorbedBytes += buffered

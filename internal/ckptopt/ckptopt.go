@@ -245,8 +245,6 @@ func (l Level) Waste(tauSec float64) float64 {
 
 // Plan is a machine's interval recommendation at every durability level.
 type Plan struct {
-	Costs Costs
-
 	// PFS is the single-level plan: every checkpoint synchronously
 	// durable on the parallel file system.
 	PFS Level
@@ -269,7 +267,7 @@ func Optimize(c Costs) (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return Plan{}, err
 	}
-	p := Plan{Costs: c}
+	var p Plan
 	p.PFS = Level{
 		Name:       "pfs",
 		SaveSec:    c.DurableSaveSec,

@@ -50,10 +50,9 @@ func (s StorageKind) String() string {
 
 // Machine is a cluster preset.
 type Machine struct {
-	Name         string
-	MaxNodes     int
-	CoresPerNode int
-	NICRate      float64 // bytes/second injection bandwidth per node
+	Name     string
+	MaxNodes int
+	NICRate  float64 // bytes/second injection bandwidth per node
 
 	// Collective network model: time = Alpha*ceil(log2 P) + bytes*Beta.
 	NetAlpha float64 // seconds per hop
@@ -156,7 +155,6 @@ func Discoverer() Machine {
 	return Machine{
 		Name:               "Discoverer",
 		MaxNodes:           1128,
-		CoresPerNode:       128,
 		NICRate:            10e9,
 		StdioWriteOverhead: 500e-6,
 		NetAlpha:           2.0e-6,
@@ -189,7 +187,6 @@ func Dardel() Machine {
 	return Machine{
 		Name:               "Dardel",
 		MaxNodes:           1270,
-		CoresPerNode:       128,
 		NICRate:            25e9,
 		StdioWriteOverhead: 5e-3,
 		NetAlpha:           1.3e-6,
@@ -242,7 +239,6 @@ func Vega() Machine {
 	return Machine{
 		Name:               "Vega",
 		MaxNodes:           960,
-		CoresPerNode:       128,
 		NICRate:            12.5e9,
 		StdioWriteOverhead: 2.5e-3,
 		NetAlpha:           1.6e-6,
@@ -315,7 +311,6 @@ type System struct {
 // NodeIDs lists them in ascending order and Clients matches index-for-
 // index.
 type Allocation struct {
-	First   int // lowest node index of the set (kept for existing callers)
 	Nodes   int
 	NodeIDs []int         // the leased node indices, ascending
 	Clients []*pfs.Client // the set's per-node clients, parallel to NodeIDs
@@ -351,7 +346,7 @@ func (s *System) Allocate(n int) (*Allocation, error) {
 		ids = append(ids, s.allocated)
 		s.allocated++
 	}
-	a := &Allocation{First: ids[0], Nodes: n, NodeIDs: ids, gen: s.leaseGen, owner: s}
+	a := &Allocation{Nodes: n, NodeIDs: ids, gen: s.leaseGen, owner: s}
 	a.Clients = make([]*pfs.Client, n)
 	for i, id := range ids {
 		s.leased[id] = s.leaseGen

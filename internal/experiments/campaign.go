@@ -38,6 +38,21 @@ func campaignDraws(runs int, target, lambda float64) int {
 	return campaignMaxRuns
 }
 
+// killPoint maps a failure arriving t after a run's start onto the
+// (epoch, fraction) a fault.Spec kills at, each epoch cycle long: an
+// arrival past the last epoch lands in it, and the fraction stays below 1.
+func killPoint(t, cycle float64, epochs int) (int, float64) {
+	epoch := int(t / cycle)
+	if epoch >= epochs {
+		epoch = epochs - 1
+	}
+	frac := t/cycle - float64(epoch)
+	if frac >= 1 {
+		frac = 0.999999
+	}
+	return epoch, frac
+}
+
 // CampaignCell is one (drain policy × QoS) cell of the stochastic
 // failure campaign: the Monte-Carlo accounting over all sampled runs.
 type CampaignCell struct {
@@ -109,15 +124,7 @@ func (o Options) CampaignFailure() (sweep.Table, error) {
 				// a second failure inside one run's span is negligible and
 				// the recovery dynamics of a single kill are what the drain
 				// policies differ on.
-				t := arrivals[0]
-				epoch := int(t / campaignEpochHours)
-				if epoch >= wl.Epochs {
-					epoch = wl.Epochs - 1
-				}
-				frac := t/campaignEpochHours - float64(epoch)
-				if frac >= 1 {
-					frac = 0.999999
-				}
+				epoch, frac := killPoint(arrivals[0], campaignEpochHours, wl.Epochs)
 				fs := &fault.Spec{
 					KillEpoch: epoch,
 					KillFrac:  frac,

@@ -275,8 +275,8 @@ var catalog = []Artifact{
 // burstSeriesAndPoints derives the figure's series and typed points from
 // the sweep table.
 func burstSeriesAndPoints(t sweep.Table) ([]Series, []BurstPoint) {
-	direct := Series{Label: "openPMD+BP4 direct", XLabel: "nodes", YLabel: "GiB/s"}
-	staged := Series{Label: "openPMD+BP4 staged", XLabel: "nodes", YLabel: "GiB/s"}
+	direct := Series{Label: "openPMD+BP4 direct"}
+	staged := Series{Label: "openPMD+BP4 staged"}
 	var pts []BurstPoint
 	for _, p := range t.Points {
 		pt := p.Extra.(BurstPoint)

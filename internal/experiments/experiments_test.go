@@ -497,7 +497,7 @@ func TestFileStatsOnAllBackends(t *testing.T) {
 // nfsMachine is a small single-server NFS machine for backend coverage.
 func nfsMachine() cluster.Machine {
 	return cluster.Machine{
-		Name: "nfs-box", MaxNodes: 8, CoresPerNode: 8, NICRate: 10e9,
+		Name: "nfs-box", MaxNodes: 8, NICRate: 10e9,
 		NetAlpha: 2e-6, NetBeta: 1.0 / 25e9,
 		Storage: cluster.StorageNFS, NFS: nfs.DefaultParams(),
 	}
@@ -506,7 +506,7 @@ func nfsMachine() cluster.Machine {
 // cephMachine is a small CephFS machine for backend coverage.
 func cephMachine() cluster.Machine {
 	return cluster.Machine{
-		Name: "ceph-box", MaxNodes: 8, CoresPerNode: 8, NICRate: 10e9,
+		Name: "ceph-box", MaxNodes: 8, NICRate: 10e9,
 		NetAlpha: 2e-6, NetBeta: 1.0 / 25e9,
 		Storage: cluster.StorageCephFS, Ceph: cephfs.DefaultParams(),
 	}

@@ -55,7 +55,6 @@ type FaultCell struct {
 	Report        *fault.Report
 	VictimDurable float64 // faulted run: victim durable-completion sec
 	CleanDurable  float64 // same scenario, no fault
-	NeighbourEnd  float64 // neighbour durable-completion sec in the faulted run
 }
 
 // faultScenario builds the victim/neighbour co-schedule on Dardel: a
@@ -179,7 +178,6 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 				Report:        rep,
 				VictimDurable: res[0].DurableSec,
 				CleanDurable:  cleans[cleanKey{pol, qosName}],
-				NeighbourEnd:  res[1].DurableSec,
 			}
 			return sweep.Point{
 				Values: []sweep.Value{

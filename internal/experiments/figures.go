@@ -36,7 +36,7 @@ func (o Options) scaling(lines []Run) ([]Series, error) {
 	o = o.WithDefaults()
 	ss := make([]Series, len(lines))
 	for i, line := range lines {
-		ss[i] = Series{Label: line.Config.Label, XLabel: "nodes", YLabel: "GiB/s"}
+		ss[i] = Series{Label: line.Config.Label}
 	}
 	runs := o.acrossNodes(lines)
 	err := o.evaluate(runs, func(i int, r *RunResult) error {
@@ -165,7 +165,7 @@ func (o Options) Fig6(nodes int, aggs []int) (Series, error) {
 	if len(aggs) == 0 {
 		aggs = Fig6Aggregators
 	}
-	s := Series{Label: fmt.Sprintf("openPMD+BP4 @%d nodes", nodes), XLabel: "aggregators", YLabel: "GiB/s"}
+	s := Series{Label: fmt.Sprintf("openPMD+BP4 @%d nodes", nodes)}
 	var cfgs []Config
 	for _, a := range aggs {
 		if a <= nodes*o.RanksPerNode {

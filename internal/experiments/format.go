@@ -9,11 +9,9 @@ import (
 
 // Series is one labelled curve of a figure.
 type Series struct {
-	Label  string
-	XLabel string
-	YLabel string
-	X      []float64
-	Y      []float64
+	Label string
+	X     []float64
+	Y     []float64
 }
 
 // Table is a titled text table.

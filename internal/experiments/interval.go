@@ -307,14 +307,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 				if len(arrivals) == 0 {
 					continue
 				}
-				epoch := int(arrivals[0] / cycleH)
-				if epoch >= wl.Epochs {
-					epoch = wl.Epochs - 1
-				}
-				frac := arrivals[0]/cycleH - float64(epoch)
-				if frac >= 1 {
-					frac = 0.999999
-				}
+				epoch, frac := killPoint(arrivals[0], cycleH, wl.Epochs)
 				// Checkpointing here is coordinated (the whole job writes and
 				// rolls back together, as an MPI application does), so any
 				// node's failure restarts every node — the setting whose
@@ -390,7 +383,6 @@ func renderOptimal(t sweep.Table) string {
 		waste float64
 		atRec float64
 		tauH  float64
-		ok    bool
 	}
 	bests := map[string]*best{}
 	var order []string

@@ -7,7 +7,7 @@
 // sizes, but a reduced number of output epochs; quantities that accumulate
 // over the whole 200 K-step production run (per-process times, metadata
 // log sizes) are extrapolated by the epoch ratio and labelled as
-// "full-run equivalent" — see DESIGN.md §12.
+// "full-run equivalent" — see DESIGN.md §14.
 package experiments
 
 import (
@@ -148,11 +148,11 @@ type RunResult struct {
 
 	// Burst-buffer tier accounting, when the machine has one.
 	Burst *burst.Stats
-	// AppEndSec is when the last rank finished its program; DrainTailSec
-	// is the wall-clock write-back time left after that. DrainOverlapSec
-	// is the drain busy time accrued while ranks were still running —
-	// the portion of write-back genuinely overlapped with the app.
-	AppEndSec, DrainTailSec, DrainOverlapSec float64
+	// DrainTailSec is the wall-clock write-back time left after the last
+	// rank finished its program. DrainOverlapSec is the drain busy time
+	// accrued while ranks were still running — the portion of write-back
+	// genuinely overlapped with the app.
+	DrainTailSec, DrainOverlapSec float64
 }
 
 // Config is one I/O configuration a run is launched in: the label the
@@ -297,7 +297,7 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &RunResult{AppEndSec: float64(appEnd)}
+	res := &RunResult{}
 	if sys.Burst != nil {
 		st := sys.Burst.Stats()
 		res.Burst = &st

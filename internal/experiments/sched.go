@@ -66,7 +66,6 @@ type schedCell struct {
 	machine cluster.Machine
 	pricer  *sched.Pricer
 	stream  []sched.Job
-	span    float64
 }
 
 // FigSched runs the batch-scheduling campaign: synthetic multi-tenant
@@ -109,7 +108,7 @@ func (o Options) FigSched() (sweep.Table, error) {
 			if err := pr.Prewarm(stream, o.Parallel); err != nil {
 				return sweep.Table{}, fmt.Errorf("figsched prewarm %s load %g: %w", m.Name, load, err)
 			}
-			cells[[2]int{mi, li}] = &schedCell{machine: m, pricer: pr, stream: stream, span: s.SpanHours}
+			cells[[2]int{mi, li}] = &schedCell{machine: m, pricer: pr, stream: stream}
 		}
 	}
 	g := sweep.Grid{

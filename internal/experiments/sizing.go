@@ -39,8 +39,6 @@ type SizingPoint struct {
 	DurableX     float64 // staged DurableSec / direct DurableSec: the write-back debt
 	FallbackFrac float64 // share of staged bytes that fell back to the PFS
 	DrainGiBs    float64 // achieved write-back bandwidth
-	StagedAppSec float64
-	DirectAppSec float64
 }
 
 // FigSizing is the buffer-sizing sweep (ROADMAP: FigBurst
@@ -114,8 +112,6 @@ func (o Options) FigSizing() (sweep.Table, error) {
 				Machine:        m.Name,
 				CapacityEpochs: capEpochs,
 				DrainScale:     drainScale,
-				StagedAppSec:   rs[0].AppSec,
-				DirectAppSec:   rd[0].AppSec,
 			}
 			if rs[0].AppSec > 0 {
 				pt.AppSpeedup = rd[0].AppSec / rs[0].AppSec

@@ -177,8 +177,7 @@ func (l *Ledger) DurableEpochs(drained int64) int {
 
 // Report is what one injected failure cost.
 type Report struct {
-	Spec     Spec
-	KillTime sim.Time
+	Spec Spec
 
 	// Recovery positions at the two durability levels, in epochs: how far
 	// back a restart reaches with NVMe-surviving staged state vs from the
@@ -197,13 +196,6 @@ type Report struct {
 
 	LostBytes    int64 // staged-only bytes destroyed with the node(s)
 	RedrainBytes int64 // surviving staged bytes still owed to the PFS
-	// ReplayedBytes is the rewrite traffic recovery re-issues: the bytes
-	// of already-checkpointed epochs (RestartEpoch through the kill
-	// epoch) the restarting nodes write again. The caller that knows the
-	// workload's byte layout fills it in; jobs.Result.BytesWritten
-	// deliberately excludes it so faulted and clean runs report the same
-	// logical output.
-	ReplayedBytes int64
 }
 
 // Assess computes the recovery position for a failure at time t during
@@ -214,7 +206,6 @@ func Assess(spec Spec, l *Ledger, t sim.Time, drained int64) *Report {
 	attempted := spec.KillEpoch + 1 // epochs whose writes were issued by the kill
 	r := &Report{
 		Spec:           spec,
-		KillTime:       t,
 		BufferedEpochs: l.BufferedEpochs(t),
 		DurableEpochs:  l.DurableEpochs(drained),
 	}

@@ -68,8 +68,8 @@ type Result struct {
 	DurableSec float64 // until every byte of the job was PFS-durable
 	// BytesWritten is the job's logical output (epochs × per-node bytes ×
 	// nodes) — identical for faulted and clean runs, so slowdowns and
-	// fairness compare apples-to-apples. The extra traffic a recovery
-	// re-issues is reported separately as Fault.ReplayedBytes.
+	// fairness compare apples-to-apples. The epochs a recovery rewrites
+	// are not counted again.
 	BytesWritten int64
 	ClientBps    float64 // apparent client-side bandwidth: logical bytes / AppSec
 	DrainBps     float64 // achieved write-back bandwidth (0 for direct jobs)
@@ -133,8 +133,7 @@ func (r Result) FairShareBps() float64 {
 
 // ContentionResult compares the co-scheduled run against isolated runs.
 type ContentionResult struct {
-	Jobs     []Result // co-scheduled measurements, in spec order
-	Isolated []Result // the same jobs each run alone on the machine
+	Jobs []Result // co-scheduled measurements, in spec order
 
 	// Slowdown is per-job DurableSec(co-scheduled)/DurableSec(isolated);
 	// > 1.0 means measurable cross-job interference.
@@ -196,7 +195,6 @@ func Contention(m cluster.Machine, specs []Spec, seed uint64) (*ContentionResult
 		if err != nil {
 			return nil, fmt.Errorf("jobs: isolated %s: %w", specs[i].Name, err)
 		}
-		res.Isolated = append(res.Isolated, iso[0])
 		if iso[0].DurableSec > 0 {
 			res.Slowdown[i] = co[i].DurableSec / iso[0].DurableSec
 		}
@@ -402,13 +400,6 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 		}
 		if rt.inj != nil && rt.inj.Report != nil {
 			r.Fault = rt.inj.Report
-			victims := 1
-			if spec.Fault.WholeJob {
-				victims = spec.Nodes
-			}
-			if re := spec.Fault.KillEpoch + 1 - r.Fault.RestartEpoch; re > 0 {
-				r.Fault.ReplayedBytes = int64(re) * rt.shape.BytesPerNode * int64(victims)
-			}
 		}
 		out[i] = r
 	}

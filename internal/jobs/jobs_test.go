@@ -49,16 +49,21 @@ func testSpecs(qos burst.QoS) []jobs.Spec {
 }
 
 func TestContentionInterferenceIsNonzero(t *testing.T) {
-	res, err := jobs.Contention(cluster.Dardel(), testSpecs(burst.QoS{}), 1)
+	specs := testSpecs(burst.QoS{})
+	res, err := jobs.Contention(cluster.Dardel(), specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Jobs) != 2 || len(res.Isolated) != 2 {
-		t.Fatalf("jobs=%d isolated=%d", len(res.Jobs), len(res.Isolated))
+	if len(res.Jobs) != 2 {
+		t.Fatalf("jobs=%d", len(res.Jobs))
 	}
 	for i, r := range res.Jobs {
-		if r.BytesWritten != res.Isolated[i].BytesWritten || r.BytesWritten == 0 {
-			t.Fatalf("job %s wrote %d co-scheduled vs %d isolated", r.Name, r.BytesWritten, res.Isolated[i].BytesWritten)
+		iso, err := jobs.Run(cluster.Dardel(), specs[i:i+1], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BytesWritten != iso[0].BytesWritten || r.BytesWritten == 0 {
+			t.Fatalf("job %s wrote %d co-scheduled vs %d isolated", r.Name, r.BytesWritten, iso[0].BytesWritten)
 		}
 	}
 	// Co-scheduling must cost something: the direct job's writes queue

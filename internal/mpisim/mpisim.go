@@ -72,7 +72,6 @@ func NewWorld(k *sim.Kernel, size int, cost CostModel) *World {
 type Rank struct {
 	ID   int
 	Proc *sim.Proc
-	W    *World
 	Comm *Comm // the world communicator
 }
 
@@ -83,7 +82,7 @@ func (w *World) Spawn(fn func(r *Rank)) {
 	ranks, comms := make([]Rank, w.Size), make([]Comm, w.Size)
 	w.K.SpawnN(w.Size, "rank", func(i int, p *sim.Proc) {
 		r, c := &ranks[i], &comms[i]
-		*r = Rank{ID: i, Proc: p, W: w, Comm: c}
+		*r = Rank{ID: i, Proc: p, Comm: c}
 		*c = Comm{g: w.world, rank: i, r: r}
 		fn(r)
 	})
@@ -106,7 +105,7 @@ func (w *World) Attach(id int, p *sim.Proc) *Rank {
 	if id < 0 || id >= w.Size {
 		panic(fmt.Sprintf("mpisim: attach rank %d outside world of size %d", id, w.Size))
 	}
-	r := &Rank{ID: id, Proc: p, W: w}
+	r := &Rank{ID: id, Proc: p}
 	r.Comm = &Comm{g: w.world, rank: id, r: r}
 	return r
 }

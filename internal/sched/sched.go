@@ -305,7 +305,6 @@ func (r *Result) Utilization() float64 {
 type GroupStats struct {
 	Name          string
 	Jobs          int
-	NodeHours     float64 // delivered node-hours (nodes × actual runtime)
 	MeanWaitHours float64
 	MeanSlowdown  float64
 }
@@ -324,7 +323,6 @@ func groupBy(jobsDone []JobResult, key func(JobResult) string) []GroupStats {
 		}
 		g := &out[i]
 		g.Jobs++
-		g.NodeHours += float64(j.Nodes) * (j.EndHours - j.StartHours)
 		g.MeanWaitHours += j.WaitHours
 		g.MeanSlowdown += j.Slowdown()
 	}
