@@ -295,109 +295,33 @@ type System struct {
 	Nodes   int
 	Clients []*pfs.Client // one per node, shared by the node's ranks
 
-	allocated int   // high-water mark of the bump region leased via Allocate
-	released  []int // node indices returned by Free, ascending, reused first
-	leased    []int // per-node lease generation; 0 = free (lazily sized)
-	leaseGen  int   // generation counter stamped onto each new lease
+	allocated int // nodes leased via Allocate so far, from index 0 up
 }
 
 // Allocation is a set of a system's nodes leased to one job: the
-// node-level scheduling unit of a multi-job co-schedule and of the batch
-// scheduler's queue churn. Jobs never share nodes, but every allocation
-// shares the machine's file system (and backbone), which is where
-// cross-job contention lives. On a freshly built system allocations are
-// contiguous; once leases have been released and reused (a scheduler
-// freeing finished jobs), an allocation may span scattered node indices —
-// NodeIDs lists them in ascending order and Clients matches index-for-
-// index.
+// node-level scheduling unit of a multi-job co-schedule. Jobs never share
+// nodes, but every allocation shares the machine's file system (and
+// backbone), which is where cross-job contention lives.
 type Allocation struct {
 	Nodes   int
-	NodeIDs []int         // the leased node indices, ascending
-	Clients []*pfs.Client // the set's per-node clients, parallel to NodeIDs
-
-	gen   int     // lease generation stamped at Allocate time
-	owner *System // issuing system; guards against cross-system Free
+	Clients []*pfs.Client // the leased nodes' clients, a window of System.Clients
 }
 
-// Allocate leases n free nodes to a job, lowest node indices first
-// (released nodes are reused before the untouched tail of the machine).
-// Allocations never overlap; Allocate fails once the machine is full.
+// Allocate leases the next n nodes to a job. Leases are contiguous and
+// never overlap, and nothing returns them: Allocate fails once the
+// machine is full.
 func (s *System) Allocate(n int) (*Allocation, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: allocation needs at least one node")
 	}
-	if free := s.FreeNodes(); n > free {
+	if free := s.Nodes - s.allocated; n > free {
 		return nil, fmt.Errorf("cluster: %s build has %d free node(s), asked for %d",
 			s.Machine.Name, free, n)
 	}
-	if s.leased == nil {
-		s.leased = make([]int, s.Nodes)
-	}
-	s.leaseGen++
-	ids := make([]int, 0, n)
-	// Reused nodes carry lower indices than the bump tail by construction
-	// (released is ascending and only ever holds indices < allocated), so
-	// taking released first keeps NodeIDs ascending.
-	for len(ids) < n && len(s.released) > 0 {
-		ids = append(ids, s.released[0])
-		s.released = s.released[1:]
-	}
-	for len(ids) < n {
-		ids = append(ids, s.allocated)
-		s.allocated++
-	}
-	a := &Allocation{Nodes: n, NodeIDs: ids, gen: s.leaseGen, owner: s}
-	a.Clients = make([]*pfs.Client, n)
-	for i, id := range ids {
-		s.leased[id] = s.leaseGen
-		a.Clients[i] = s.Clients[id]
-	}
+	a := &Allocation{Nodes: n, Clients: s.Clients[s.allocated : s.allocated+n : s.allocated+n]}
+	s.allocated += n
 	return a, nil
 }
-
-// Free returns an allocation's nodes to the system for reuse — the
-// release half of the lease cycle a batch scheduler exercises once per
-// finished job. Freeing an allocation twice, an allocation issued by a
-// different system, or one whose nodes have since been re-leased is an
-// error: silent double-frees would hand one node to two jobs.
-func (s *System) Free(a *Allocation) error {
-	if a == nil {
-		return fmt.Errorf("cluster: Free of nil allocation")
-	}
-	if a.owner != s {
-		return fmt.Errorf("cluster: Free of allocation not issued by this %s build", s.Machine.Name)
-	}
-	for _, id := range a.NodeIDs {
-		if id < 0 || id >= s.Nodes || s.leased[id] != a.gen {
-			return fmt.Errorf("cluster: double free of node %d (lease already released or re-issued)", id)
-		}
-	}
-	for _, id := range a.NodeIDs {
-		s.leased[id] = 0
-	}
-	s.released = mergeAscending(s.released, a.NodeIDs)
-	return nil
-}
-
-// mergeAscending merges two ascending, disjoint index slices.
-func mergeAscending(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// FreeNodes reports how many nodes remain unleased.
-func (s *System) FreeNodes() int { return s.Nodes - s.allocated + len(s.released) }
 
 // StagedFS returns the burst-buffer staging file system, or nil when the
 // machine has none. Attach it to posix.Env.Stage so engines can opt in.

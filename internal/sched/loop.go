@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"picmcio/internal/cluster"
 	"picmcio/internal/xrand"
 )
 
@@ -45,43 +44,51 @@ type PrefixPolicy interface {
 	PrefixBlocked(free, headNodes int) bool
 }
 
-// qent is one queued job's admission record: the job, when it joined the
-// queue, and the price it is queued under — the shape's for a fresh
-// arrival, the remainder's for a continuation segment of a killed job.
-type qent struct {
-	job     *Job
-	submitH float64
-	price   Price
-	track   *jobTrack
-}
+// jobState is one job's whole record for a Run. A job is queued or
+// running, never both, so one record carries both phases and the
+// cross-segment bookkeeping a kill needs; Run allocates every record of
+// a stream in one slab.
+type jobState struct {
+	job *Job       // the caller's stream entry, read only
+	res *JobResult // the job's slot in Result.Jobs, written in place
 
-// running is one admitted job's live state under stretched virtual
-// time (see the file comment for the accounting).
-type running struct {
-	job   *Job
-	res   *JobResult
-	alloc *cluster.Allocation
+	// Queued: when the job (or its continuation) last joined the queue,
+	// and the price it is queued under — the shape's for a fresh arrival,
+	// the remainder's for a continuation segment of a killed job. A
+	// running job keeps the price it was admitted under.
+	enqH  float64
+	price Price
 
+	// Running, under stretched virtual time (see the file comment).
 	touchH   float64 // clock of the last touch
 	remH     float64 // service time still owed at nominal rate, as of touchH
 	slowdown float64
-	drainBps float64
-	ioFrac   float64
 
-	track *jobTrack // cross-segment bookkeeping (kills, recovered epochs)
+	// Across segments: the ground-truth price of the whole job, its
+	// checkpoint-epoch structure, how many epochs survived previous kills,
+	// and the current segment's shape. A never-killed job has exactly one
+	// segment whose service equals the base price.
+	base         Price
+	epochs       int     // checkpoint epochs in the full job
+	perEpochH    float64 // base service hours per epoch
+	doneEpochs   int     // epochs recovered across all kills so far
+	segSvcH      float64 // current segment's nominal service hours
+	segOverheadH float64 // restart/checkpoint overhead inside segSvcH
+	waitH        float64 // queue wait accumulated across segments
+	retired      bool
 }
 
 // endOf is the predicted completion under the current stretch.
-func (rj *running) endOf() float64 { return rj.touchH + rj.remH*rj.slowdown }
+func (st *jobState) endOf() float64 { return st.touchH + st.remH*st.slowdown }
 
 // touch folds elapsed time into the job's remaining work at its current
 // rate, so the slowdown can change at `now` without rewriting history.
-func (rj *running) touch(now float64) {
-	rj.remH -= (now - rj.touchH) / rj.slowdown
-	if rj.remH < 0 {
-		rj.remH = 0
+func (st *jobState) touch(now float64) {
+	st.remH -= (now - st.touchH) / st.slowdown
+	if st.remH < 0 {
+		st.remH = 0
 	}
-	rj.touchH = now
+	st.touchH = now
 }
 
 // engine is one Run's event-loop state.
@@ -89,27 +96,32 @@ type engine struct {
 	cfg Config
 	pol Policy
 	pr  *Pricer
-	sys *cluster.System
 	res *Result
 
 	pfsBW float64 // PFSBandwidth(cfg.Machine): the contention model's denominator
 
-	arrivals []*Job
-	next     int // next arrival index
+	arrivals []*jobState // in (SubmitHours, ID) order
+	next     int         // next arrival index
 
-	queue []*qent // waiting jobs in submission order; queue[0] is the head
+	queue []*jobState // waiting jobs in submission order; queue[0] is the head
 
-	run      []*running // running set in start order
-	demand   float64    // aggregate drain demand, maintained incrementally
-	lastOver float64    // contention factor of the last restretch
+	run      []*jobState // running set in start order
+	demand   float64     // aggregate drain demand, maintained incrementally
+	lastOver float64     // contention factor of the last restretch
 	now      float64
-	busy     int
+
+	// The node ledger: busy nodes are held by running jobs, down nodes are
+	// out for repair, the rest of the partition is free. nextEnd audits it
+	// after every event; retired counts completions.
+	busy, downNodes int
+	retired         int
 
 	prefix PrefixPolicy // non-nil when pol can veto idle passes in O(1)
 	view   QueueView    // backing buffers and the lent Pick scratch, reused across decision points
 
 	// Realism-layer state (realism.go): the per-tenant usage ledger and
-	// its fairness integrals, the failure schedule, and the repair list.
+	// its fairness integrals, the failure schedule, the repair list and
+	// the preemptor's candidate buffer.
 	tenants     []*tenantState
 	tenantIx    map[string]*tenantState
 	usageView   map[string]float64
@@ -119,9 +131,12 @@ type engine struct {
 	fails       []float64
 	nextFail    int
 	failRng     *xrand.RNG
-	repairs     []repair
-	downNodes   int
+	repairs     []float64 // repair-window ends, FIFO
+	cands       []*jobState
 }
+
+// free is the node count no running job holds and no repair keeps out.
+func (e *engine) free() int { return e.cfg.Nodes - e.busy - e.downNodes }
 
 // sample records the busy-node step function at `now`. Consecutive
 // samples with unchanged Busy coalesce (they are one step).
@@ -162,64 +177,66 @@ func (e *engine) restretch() {
 		return
 	}
 	e.lastOver = over
-	for _, rj := range e.run {
-		rj.touch(e.now)
-		rj.slowdown = 1 + rj.ioFrac*(over-1)
+	for _, st := range e.run {
+		st.touch(e.now)
+		st.slowdown = 1 + st.price.IOFrac*(over-1)
 	}
 }
 
 // nextEnd is the earliest predicted completion, +Inf when nothing runs.
-func (e *engine) nextEnd() float64 {
-	tEnd := math.Inf(1)
-	for _, rj := range e.run {
-		if t := rj.endOf(); t < tEnd {
+// Its scan of the running set also audits the node ledger: the running
+// jobs hold exactly the busy nodes, and busy plus down nodes fit the
+// partition.
+func (e *engine) nextEnd() (float64, error) {
+	tEnd, held := math.Inf(1), 0
+	for _, st := range e.run {
+		held += st.job.Nodes
+		if t := st.endOf(); t < tEnd {
 			tEnd = t
 		}
 	}
-	return tEnd
+	if held != e.busy || e.busy+e.downNodes > e.cfg.Nodes {
+		return 0, fmt.Errorf("sched: node ledger broken at t=%v: %d busy, running jobs hold %d, %d down, %d-node partition",
+			e.now, e.busy, held, e.downNodes, e.cfg.Nodes)
+	}
+	return tEnd, nil
 }
 
-// admit starts job j now: lease its nodes, open its result, and join
-// the running set. The start-time slowdown anticipates the pass-end
+// admit starts a queued job now: take its nodes, open its result, and
+// join the running set. The start-time slowdown anticipates the pass-end
 // restretch: when this batch of starts leaves `over` unchanged the
 // restretch is skipped, so the value must already be what the rewrite
 // would produce.
-func (e *engine) admit(j *Job, p Price, tr *jobTrack, backfilled bool) error {
-	alloc, err := e.sys.Allocate(j.Nodes)
-	if err != nil {
-		return fmt.Errorf("sched: policy %s overcommitted: %w", e.pol.Name(), err)
+func (e *engine) admit(st *jobState, backfilled bool) error {
+	j, p := st.job, st.price
+	if free := e.free(); j.Nodes > free {
+		return fmt.Errorf("sched: policy %s overcommitted: %d free node(s), asked for %d", e.pol.Name(), free, j.Nodes)
 	}
 	e.res.LeaseOps++
-	if tr.res.Segments == 0 {
+	jr := st.res
+	if jr.Segments == 0 {
 		// First admission anchors the cross-segment bookkeeping on the
 		// ground-truth price; a never-killed job's single segment is the
 		// whole job, so this path reproduces the historical result fields
 		// byte for byte.
-		tr.base = p
-		tr.epochs = epochsOf(j)
-		tr.perEpochH = p.ServiceHours / float64(tr.epochs)
-		tr.segSvcH = p.ServiceHours
+		st.base = p
+		st.epochs = epochsOf(j)
+		st.perEpochH = p.ServiceHours / float64(st.epochs)
+		st.segSvcH = p.ServiceHours
 	}
-	tr.res.Segments++
-	tr.waitH += e.now - tr.lastEnqueue
-	jr := tr.res
+	jr.Segments++
+	st.waitH += e.now - st.enqH
 	jr.StartHours = e.now
-	jr.WaitHours = tr.waitH
-	jr.ServiceHours = tr.base.ServiceHours
+	jr.WaitHours = st.waitH
+	jr.ServiceHours = st.base.ServiceHours
 	jr.Backfilled = backfilled
 	if backfilled {
 		e.res.Backfills++
 	}
-	rj := &running{
-		job: j, res: jr, alloc: alloc,
-		touchH:   e.now,
-		remH:     p.ServiceHours,
-		slowdown: 1 + p.IOFrac*(e.lastOver-1),
-		drainBps: p.DrainBps,
-		ioFrac:   p.IOFrac,
-		track:    tr,
-	}
-	e.run = append(e.run, rj)
+	st.touchH = e.now
+	st.remH = p.ServiceHours
+	st.slowdown = 1 + p.IOFrac*(e.lastOver-1)
+	e.run = append(e.run, st)
 	e.demand += p.DrainBps
 	e.busy += j.Nodes
 	e.tenant(j.Tenant).rate += float64(j.Nodes)
@@ -230,34 +247,34 @@ func (e *engine) admit(j *Job, p Price, tr *jobTrack, backfilled bool) error {
 // nano-hour of tEnd. tEnd came from nextEnd, so the argmin job always
 // qualifies and every completion event retires at least one job; the
 // slack merges near-simultaneous finishes into one deterministic
-// instant. Retirement runs in start order (the running list's), which
-// pins the allocator's Free sequence.
+// instant. Retirement runs in start order (the running list's).
 func (e *engine) completeAt(tEnd float64) error {
 	e.advance(tEnd)
 	kept := e.run[:0]
-	for _, rj := range e.run {
-		if rj.endOf() <= tEnd+1e-9 {
-			rj.res.EndHours = tEnd
-			actual := tEnd - rj.res.StartHours
-			// Stretch is measured against the final segment's nominal
-			// service (== ServiceHours for a never-killed job), so it keeps
-			// reading "contention slowdown of what actually ran last".
-			if sv := rj.track.segSvcH; sv > 0 {
-				rj.res.StretchX = actual / sv
-			}
-			e.res.Jobs = append(e.res.Jobs, *rj.res)
-			if err := e.sys.Free(rj.alloc); err != nil {
-				return err
-			}
-			e.res.LeaseOps++
-			e.busy -= rj.job.Nodes
-			e.demand -= rj.drainBps
-			ts := e.tenant(rj.job.Tenant)
-			ts.rate -= float64(rj.job.Nodes)
-			ts.active--
-		} else {
-			kept = append(kept, rj)
+	for _, st := range e.run {
+		if !(st.endOf() <= tEnd+1e-9) {
+			kept = append(kept, st)
+			continue
 		}
+		if st.retired {
+			return fmt.Errorf("sched: job %d retired twice (t=%v)", st.job.ID, tEnd)
+		}
+		st.retired = true
+		e.retired++
+		st.res.EndHours = tEnd
+		actual := tEnd - st.res.StartHours
+		// Stretch is measured against the final segment's nominal service
+		// (== ServiceHours for a never-killed job), so it keeps reading
+		// "contention slowdown of what actually ran last".
+		if sv := st.segSvcH; sv > 0 {
+			st.res.StretchX = actual / sv
+		}
+		e.res.LeaseOps++
+		e.busy -= st.job.Nodes
+		e.demand -= st.price.DrainBps
+		ts := e.tenant(st.job.Tenant)
+		ts.rate -= float64(st.job.Nodes)
+		ts.active--
 	}
 	e.run = kept
 	e.restretch()
@@ -267,14 +284,14 @@ func (e *engine) completeAt(tEnd float64) error {
 
 // enqueue admits an arrival to the wait queue, pricing its shape here —
 // once per job instead of once per decision point.
-func (e *engine) enqueue(j *Job) error {
-	p, err := e.pr.Price(j.Spec)
+func (e *engine) enqueue(st *jobState) error {
+	p, err := e.pr.Price(st.job.Spec)
 	if err != nil {
 		return err
 	}
-	tr := &jobTrack{res: &JobResult{Job: *j}, lastEnqueue: e.now}
-	e.queue = append(e.queue, &qent{job: j, submitH: e.now, price: p, track: tr})
-	e.tenant(j.Tenant).active++
+	st.enqH, st.price = e.now, p
+	e.queue = append(e.queue, st)
+	e.tenant(st.job.Tenant).active++
 	return nil
 }
 
@@ -291,12 +308,15 @@ func (e *engine) loop() error {
 	for e.next < len(e.arrivals) || len(e.run) > 0 || len(e.queue) > 0 {
 		tArr := math.Inf(1)
 		if e.next < len(e.arrivals) {
-			tArr = e.arrivals[e.next].SubmitHours
+			tArr = e.arrivals[e.next].job.SubmitHours
 		}
-		tEnd := e.nextEnd()
+		tEnd, err := e.nextEnd()
+		if err != nil {
+			return err
+		}
 		tRep := math.Inf(1)
 		if len(e.repairs) > 0 {
-			tRep = e.repairs[0].at
+			tRep = e.repairs[0]
 		}
 		tFail := math.Inf(1)
 		if e.nextFail < len(e.fails) {
@@ -309,9 +329,7 @@ func (e *engine) loop() error {
 				return err
 			}
 		case tRep <= tArr && tRep <= tFail && tRep <= tPre && !math.IsInf(tRep, 1):
-			if err := e.repairAt(tRep); err != nil {
-				return err
-			}
+			e.repairAt(tRep)
 		case tFail <= tArr && tFail <= tPre && !math.IsInf(tFail, 1):
 			e.nextFail++
 			if err := e.failAt(tFail); err != nil {
@@ -320,7 +338,7 @@ func (e *engine) loop() error {
 		case tArr <= tPre && !math.IsInf(tArr, 1):
 			e.advance(tArr)
 			// Admit every arrival at this instant before scheduling.
-			for e.next < len(e.arrivals) && e.arrivals[e.next].SubmitHours == e.now {
+			for e.next < len(e.arrivals) && e.arrivals[e.next].job.SubmitHours == e.now {
 				if err := e.enqueue(e.arrivals[e.next]); err != nil {
 					return err
 				}
@@ -337,11 +355,14 @@ func (e *engine) loop() error {
 			return err
 		}
 	}
+	if _, err := e.nextEnd(); err != nil {
+		return err
+	}
+	if e.retired != len(e.arrivals) {
+		return fmt.Errorf("sched: %d of %d jobs retired by t=%v", e.retired, len(e.arrivals), e.now)
+	}
 	e.res.Makespan = e.now
 	e.finishFairness()
-	// Jobs complete in event order; report them in submission order so
-	// the result is keyed the way the trace was.
-	slices.SortStableFunc(e.res.Jobs, func(a, b JobResult) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }
 
@@ -351,7 +372,7 @@ func (e *engine) loop() error {
 // now-free slot).
 func (e *engine) schedule() error {
 	for len(e.queue) > 0 {
-		free := e.sys.FreeNodes()
+		free := e.free()
 		if e.prefix != nil && e.prefix.PrefixBlocked(free, e.queue[0].job.Nodes) {
 			return nil // O(1): this pass cannot start anything
 		}
@@ -359,12 +380,12 @@ func (e *engine) schedule() error {
 		e.view.Free = free
 		e.view.Usage = e.usageSnapshot()
 		e.view.Queue = e.view.Queue[:0]
-		for _, ent := range e.queue {
-			e.view.Queue = append(e.view.Queue, Pending{Job: ent.job, WaitHours: e.now - ent.submitH, ServiceHours: ent.price.EstimateHours})
+		for _, st := range e.queue {
+			e.view.Queue = append(e.view.Queue, Pending{Job: st.job, WaitHours: e.now - st.enqH, ServiceHours: st.price.EstimateHours})
 		}
 		e.view.Running = e.view.Running[:0]
-		for _, rj := range e.run {
-			e.view.Running = append(e.view.Running, Active{Nodes: rj.job.Nodes, EndHours: rj.endOf()})
+		for _, st := range e.run {
+			e.view.Running = append(e.view.Running, Active{Nodes: st.job.Nodes, EndHours: st.endOf()})
 		}
 		ds := e.pol.Pick(e.view)
 		if len(ds) == 0 {
@@ -382,8 +403,7 @@ func (e *engine) schedule() error {
 			if i > 0 && d.QueueIndex == ds[i-1].QueueIndex {
 				return fmt.Errorf("sched: policy %s picked queue index %d twice", e.pol.Name(), d.QueueIndex)
 			}
-			ent := e.queue[d.QueueIndex]
-			if err := e.admit(ent.job, ent.price, ent.track, d.Backfilled); err != nil {
+			if err := e.admit(e.queue[d.QueueIndex], d.Backfilled); err != nil {
 				return err
 			}
 			e.queue = append(e.queue[:d.QueueIndex], e.queue[d.QueueIndex+1:]...)
@@ -395,7 +415,7 @@ func (e *engine) schedule() error {
 }
 
 // headEnt is the queue head, nil when nothing waits.
-func (e *engine) headEnt() *qent {
+func (e *engine) headEnt() *jobState {
 	if len(e.queue) == 0 {
 		return nil
 	}

@@ -277,7 +277,7 @@ func realismCases(t testing.TB) []oracleCase {
 }
 
 // TestLoopOracles holds the event loop to both oracles on the clean
-// streams. Event ordering, the allocator's lease sequence, restretch
+// streams. Event ordering, the node ledger, restretch
 // gating and wait arithmetic are all on trial: any divergence shows up as
 // a digest or DeepEqual mismatch.
 func TestLoopOracles(t *testing.T) {

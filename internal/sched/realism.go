@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
 	"picmcio/internal/sim"
 	"picmcio/internal/xrand"
@@ -234,26 +233,6 @@ func (e *engine) finishFairness() {
 	}
 }
 
-// jobTrack is one job's cross-segment scheduling state: the ground-truth
-// price of the whole job, its checkpoint-epoch structure, how many
-// epochs survived previous kills, and the current segment's shape. A
-// never-killed job has exactly one segment whose service equals the
-// base price — the historical path, byte for byte.
-type jobTrack struct {
-	res  *JobResult
-	base Price // full-job ground-truth price
-
-	epochs    int     // checkpoint epochs in the full job
-	perEpochH float64 // base service hours per epoch
-
-	doneEpochs   int     // epochs recovered across all kills so far
-	segSvcH      float64 // current segment's nominal service hours
-	segOverheadH float64 // restart/checkpoint overhead inside segSvcH
-
-	waitH       float64 // queue wait accumulated across segments
-	lastEnqueue float64
-}
-
 // epochsOf is a job's checkpoint granularity: its workload's epoch
 // count, or 1 for an epoch-less shape (kills lose everything).
 func epochsOf(j *Job) int {
@@ -268,10 +247,10 @@ func epochsOf(j *Job) int {
 // segmentPrice is the Price a continuation is queued under: remaining
 // nominal service (plus restart overhead), the base shape's drain
 // demand and I/O fraction, and the pricer's estimate padding.
-func (e *engine) segmentPrice(tr *jobTrack) Price {
-	p := tr.base
-	p.ServiceHours = tr.segSvcH
-	p.EstimateHours = tr.segSvcH * (1 + e.pr.EstimateError)
+func (e *engine) segmentPrice(st *jobState) Price {
+	p := st.base
+	p.ServiceHours = st.segSvcH
+	p.EstimateHours = st.segSvcH * (1 + e.pr.EstimateError)
 	return p
 }
 
@@ -285,9 +264,9 @@ func (e *engine) segmentPrice(tr *jobTrack) Price {
 // restartable-epoch mapping is one shared mechanism and a segment that
 // is never killed never pays for one. Nothing it is built from moves
 // between a segment's admission and its kill.
-func (e *engine) recoveredEpochs(tr *jobTrack, doneH float64, byFailure bool) int {
-	rem := tr.epochs - tr.doneEpochs
-	led := fault.UniformLedger(rem, sim.Time(tr.segOverheadH), sim.Duration(tr.perEpochH), int64(tr.doneEpochs))
+func (e *engine) recoveredEpochs(st *jobState, doneH float64, byFailure bool) int {
+	rem := st.epochs - st.doneEpochs
+	led := fault.UniformLedger(rem, sim.Time(st.segOverheadH), sim.Duration(st.perEpochH), int64(st.doneEpochs))
 	buf := led.BufferedEpochs(sim.Time(doneH))
 	if byFailure && e.cfg.Faults.Survival == fault.SurviveNone {
 		buf -= drainLagEpochs
@@ -302,60 +281,56 @@ func (e *engine) recoveredEpochs(tr *jobTrack, doneH float64, byFailure bool) in
 // instant and requeues its remainder as a continuation segment at the
 // queue tail. byFailure selects crash recovery semantics (drain lag,
 // restart overhead) over the clean preemption checkpoint.
-func (e *engine) killRunning(rj *running, byFailure bool) error {
-	rj.touch(e.now)
-	tr := rj.track
-	doneH := tr.segSvcH - rj.remH
+func (e *engine) killRunning(st *jobState, byFailure bool) {
+	st.touch(e.now)
+	doneH := st.segSvcH - st.remH
 	if doneH < 0 {
 		doneH = 0
 	}
-	rec := e.recoveredEpochs(tr, doneH, byFailure)
-	tr.doneEpochs += rec
-	lostH := doneH - float64(rec)*tr.perEpochH
+	rec := e.recoveredEpochs(st, doneH, byFailure)
+	st.doneEpochs += rec
+	lostH := doneH - float64(rec)*st.perEpochH
 	if lostH < 0 {
 		lostH = 0
 	}
-	lostNH := float64(rj.job.Nodes) * lostH
-	tr.res.LostNodeHours += lostNH
+	nodes := st.job.Nodes
+	lostNH := float64(nodes) * lostH
+	st.res.LostNodeHours += lostNH
 	e.res.LostNodeHours += lostNH
 	if byFailure {
-		tr.res.FailureKills++
+		st.res.FailureKills++
 		e.res.FailureKills++
 	} else {
-		tr.res.Preemptions++
+		st.res.Preemptions++
 		e.res.Preemptions++
 	}
-	if err := e.sys.Free(rj.alloc); err != nil {
-		return err
-	}
 	e.res.LeaseOps++
-	e.busy -= rj.job.Nodes
-	e.demand -= rj.drainBps
+	e.busy -= nodes
+	e.demand -= st.price.DrainBps
 	kept := e.run[:0]
 	for _, r := range e.run {
-		if r != rj {
+		if r != st {
 			kept = append(kept, r)
 		}
 	}
 	e.run = kept
-	e.tenant(rj.job.Tenant).rate -= float64(rj.job.Nodes)
+	e.tenant(st.job.Tenant).rate -= float64(nodes)
 
 	overhead := e.cfg.Preempt.CheckpointHours
 	if byFailure {
 		overhead = e.cfg.Faults.RestartOverheadHours
 	}
-	remEpochs := tr.epochs - tr.doneEpochs
+	remEpochs := st.epochs - st.doneEpochs
 	if remEpochs < 0 {
 		remEpochs = 0
 	}
-	tr.segOverheadH = overhead
-	tr.segSvcH = overhead + float64(remEpochs)*tr.perEpochH
-	tr.lastEnqueue = e.now
-	e.res.RequeuedNodeHours += float64(rj.job.Nodes) * tr.segSvcH
-	e.queue = append(e.queue, &qent{job: rj.job, submitH: e.now, price: e.segmentPrice(tr), track: tr})
+	st.segOverheadH = overhead
+	st.segSvcH = overhead + float64(remEpochs)*st.perEpochH
+	e.res.RequeuedNodeHours += float64(nodes) * st.segSvcH
+	st.enqH, st.price = e.now, e.segmentPrice(st)
+	e.queue = append(e.queue, st)
 	e.restretch()
 	e.sample()
-	return nil
 }
 
 // preemptDeadline is the instant the queue head's wait crosses the
@@ -371,7 +346,7 @@ func (e *engine) preemptDeadline() float64 {
 	if head == nil {
 		return math.Inf(1)
 	}
-	if t := head.submitH + e.cfg.Preempt.MaxHeadWaitHours; t > e.now {
+	if t := head.enqH + e.cfg.Preempt.MaxHeadWaitHours; t > e.now {
 		return t
 	}
 	return math.Inf(1)
@@ -382,33 +357,35 @@ func (e *engine) preemptDeadline() float64 {
 // strictly-more-served tenants to cover its need. Jobs started at this
 // very instant are never victims — killing freshly admitted work would
 // let a blocked head and an eager backfiller trade the same nodes
-// forever within one event. Returns whether anything was preempted.
-func (e *engine) maybePreempt() (bool, error) {
+// forever within one event. The candidates are gathered in a buffer the
+// engine keeps across rounds. Returns whether anything was preempted.
+func (e *engine) maybePreempt() bool {
 	if !e.cfg.Preempt.enabled() {
-		return false, nil
+		return false
 	}
 	head := e.headEnt()
 	if head == nil {
-		return false, nil
+		return false
 	}
-	if e.now < head.submitH+e.cfg.Preempt.MaxHeadWaitHours {
-		return false, nil
+	if e.now < head.enqH+e.cfg.Preempt.MaxHeadWaitHours {
+		return false
 	}
-	need := head.job.Nodes - e.sys.FreeNodes()
+	need := head.job.Nodes - e.free()
 	if need <= 0 {
-		return false, nil
+		return false
 	}
 	headUsage := e.tenant(head.job.Tenant).usage
-	var cands []*running
-	for _, rj := range e.run {
-		if rj.res.StartHours == e.now {
+	cands := e.cands[:0]
+	for _, st := range e.run {
+		if st.res.StartHours == e.now {
 			continue
 		}
-		if e.tenant(rj.job.Tenant).usage > headUsage {
-			cands = append(cands, rj)
+		if e.tenant(st.job.Tenant).usage > headUsage {
+			cands = append(cands, st)
 		}
 	}
-	slices.SortStableFunc(cands, func(a, b *running) int {
+	e.cands = cands
+	slices.SortStableFunc(cands, func(a, b *jobState) int {
 		ua, ub := e.tenant(a.job.Tenant).usage, e.tenant(b.job.Tenant).usage
 		if ua != ub {
 			return cmp.Compare(ub, ua)
@@ -419,22 +396,20 @@ func (e *engine) maybePreempt() (bool, error) {
 		return cmp.Compare(b.job.ID, a.job.ID)
 	})
 	freed, take := 0, 0
-	for _, rj := range cands {
+	for _, st := range cands {
 		if freed >= need {
 			break
 		}
-		freed += rj.job.Nodes
+		freed += st.job.Nodes
 		take++
 	}
 	if freed < need {
-		return false, nil
+		return false
 	}
-	for _, rj := range cands[:take] {
-		if err := e.killRunning(rj, false); err != nil {
-			return false, err
-		}
+	for _, st := range cands[:take] {
+		e.killRunning(st, false)
 	}
-	return true, nil
+	return true
 }
 
 // scheduleAndPreempt is the per-event decision step: a scheduling pass,
@@ -444,26 +419,12 @@ func (e *engine) scheduleAndPreempt() error {
 	if err := e.schedule(); err != nil {
 		return err
 	}
-	for e.cfg.Preempt.enabled() {
-		did, err := e.maybePreempt()
-		if err != nil {
-			return err
-		}
-		if !did {
-			return nil
-		}
+	for e.maybePreempt() {
 		if err := e.schedule(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// repair is one failed node's repair window: when it ends and the lease
-// holding the node out of the schedulable pool.
-type repair struct {
-	at    float64
-	alloc *cluster.Allocation
 }
 
 // failAt processes one node-failure arrival: the failure lands uniformly
@@ -474,11 +435,11 @@ func (e *engine) failAt(t float64) error {
 	e.advance(t)
 	u := e.failRng.Float64() * float64(e.cfg.Nodes)
 	acc := 0.0
-	var victim *running
-	for _, rj := range e.run {
-		acc += float64(rj.job.Nodes)
+	var victim *jobState
+	for _, st := range e.run {
+		acc += float64(st.job.Nodes)
 		if u < acc {
-			victim = rj
+			victim = st
 			break
 		}
 	}
@@ -491,42 +452,35 @@ func (e *engine) failAt(t float64) error {
 		e.res.IdleFailures++
 	}
 	if victim != nil {
-		if err := e.killRunning(victim, true); err != nil {
-			return err
-		}
+		e.killRunning(victim, true)
 	}
 	return e.startRepair()
 }
 
-// startRepair takes the failed node out of the schedulable pool by
-// holding a 1-node lease until the repair window ends. The lease is
-// always satisfiable: a busy victim's nodes were just freed, and an
-// idle-node hit implies a free node exists.
+// startRepair takes the failed node out of the schedulable pool until
+// the repair window ends. A free node always exists here — a busy
+// victim's nodes were just freed, and an idle-node hit lands on one — so
+// finding none is a broken node ledger.
 func (e *engine) startRepair() error {
 	if e.cfg.Faults.RepairHours <= 0 {
 		return nil
 	}
-	alloc, err := e.sys.Allocate(1)
-	if err != nil {
-		return fmt.Errorf("sched: repair lease: %w", err)
+	if e.free() < 1 {
+		return fmt.Errorf("sched: node ledger broken at t=%v: a failure found no free node to repair (%d busy, %d down, %d-node partition)",
+			e.now, e.busy, e.downNodes, e.cfg.Nodes)
 	}
 	e.res.LeaseOps++
 	e.downNodes++
 	e.res.DownNodeHours += e.cfg.Faults.RepairHours
-	e.repairs = append(e.repairs, repair{at: e.now + e.cfg.Faults.RepairHours, alloc: alloc})
+	e.repairs = append(e.repairs, e.now+e.cfg.Faults.RepairHours)
 	return nil
 }
 
 // repairAt returns the oldest down node to the pool (RepairHours is
 // constant, so the repair list is FIFO in end time).
-func (e *engine) repairAt(t float64) error {
+func (e *engine) repairAt(t float64) {
 	e.advance(t)
-	r := e.repairs[0]
 	e.repairs = e.repairs[1:]
-	if err := e.sys.Free(r.alloc); err != nil {
-		return err
-	}
 	e.res.LeaseOps++
 	e.downNodes--
-	return nil
 }

@@ -1,7 +1,7 @@
 // Package sched is the trace-driven datacenter batch scheduler: the
 // queue-level layer above internal/jobs, where the ROADMAP's "millions
-// of users" live. A machine partition (cluster.System) serves a stream
-// of job submissions — synthesized from per-tenant user populations via
+// of users" live. A machine partition serves a stream of job
+// submissions — synthesized from per-tenant user populations via
 // fault.Arrivals-style exponential interarrivals, or replayed from a
 // trace file (see trace.go) — under a pluggable scheduling Policy
 // (FCFS, EASY-backfill with priority aging, fair-share).
@@ -9,14 +9,14 @@
 // The simulator is a discrete-event loop over arrivals and completions —
 // plus node failures, repairs and preemption deadlines when the realism
 // layer (realism.go) is on — on a clock measured in production hours (the
-// same campaign clock internal/experiments' failure campaigns use). Each
-// admitted job leases its nodes through cluster.System.Allocate and
-// returns them through Free, so the allocator sees exactly the churn a
-// real resource manager produces. A job's isolated service time and
-// parallel-file-system drain demand are priced by actually running its
-// jobs.Spec through jobs.Run on the machine preset (see Pricer) — queued
-// work inherits the full burst/QoS/fault machinery of the lower layers
-// rather than being assigned a made-up runtime.
+// same campaign clock internal/experiments' failure campaigns use). The
+// partition is a node ledger — busy, down and free counts the loop
+// audits after every event — rather than a machine build: nothing but
+// the count of free nodes bears on a schedule. A job's isolated service
+// time and parallel-file-system drain demand are priced by actually
+// running its jobs.Spec through jobs.Run on the machine preset (see
+// Pricer) — queued work inherits the full burst/QoS/fault machinery of
+// the lower layers rather than being assigned a made-up runtime.
 //
 // Cross-job PFS contention emerges from the scheduling mix: the running
 // set's aggregate drain demand is compared against the machine's
@@ -93,7 +93,7 @@ func (r JobResult) Slowdown() float64 {
 
 // Pending is a queued job as a Policy sees it.
 type Pending struct {
-	Job       *Job
+	Job       *Job    // the entry of the stream Run was given: read only
 	WaitHours float64 // time in queue so far
 	// ServiceHours is the walltime estimate the policy plans against:
 	// the pricer's EstimateHours, i.e. the true service time padded by
@@ -188,6 +188,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate holds the partition to what cluster.Machine.Build accepts —
+// at least one node, no more than the machine has, a storage model it
+// knows — and the fault injection to its own checks.
+func (c Config) validate() error {
+	if c.Nodes < 1 {
+		return fmt.Errorf("sched: partition needs at least one node (got %d)", c.Nodes)
+	}
+	if c.Nodes > c.Machine.MaxNodes {
+		return fmt.Errorf("sched: %s has only %d nodes (asked for a %d-node partition)", c.Machine.Name, c.Machine.MaxNodes, c.Nodes)
+	}
+	switch c.Machine.Storage {
+	case cluster.StorageLustre, cluster.StorageNFS, cluster.StorageCephFS:
+	default:
+		return fmt.Errorf("sched: %s has unknown storage kind %v", c.Machine.Name, c.Machine.Storage)
+	}
+	return c.Faults.validate()
+}
+
 // PFSBandwidth is the machine's shared write-back capacity: the storage
 // backbone for Lustre machines, the aggregate server bandwidth
 // otherwise. It is the denominator of the contention stretch model.
@@ -217,7 +235,7 @@ type Result struct {
 	Jobs      []JobResult
 	Timeline  []UtilSample // busy-node step function over the run
 	Makespan  float64      // hours until the last job completed
-	LeaseOps  int          // Allocate+Free calls issued against the system
+	LeaseOps  int          // node-ledger updates: admit, retire, kill, repair start and end
 	Backfills int
 
 	// Preemption and failure accounting (zero when both are disabled).
@@ -363,33 +381,42 @@ func (r *Result) JainTenants() float64 {
 	return jobs.JainIndex(xs)
 }
 
-// Run replays the job stream (sorted by SubmitHours; ties broken by ID)
-// through the policy on the config's machine partition (the event loop
-// is loop.go).
+// Run replays the job stream through the policy on the config's machine
+// partition (the event loop is loop.go). Jobs arrive in SubmitHours
+// order, ties broken by ID, and Result.Jobs lists them by ID. Run only
+// reads the stream — the engine and the policy's QueueView point into it
+// rather than copying it — so concurrent Runs may share one stream, which
+// must not change until they return.
 func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
+	e, err := newEngine(cfg, pol, stream)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.loop(); err != nil {
+		return nil, err
+	}
+	return e.res, nil
+}
+
+// newEngine checks a Run's inputs and sets up its engine at t=0.
+func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 	cfg = cfg.withDefaults()
 	if pol == nil {
 		return nil, fmt.Errorf("sched: nil policy")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	pr := cfg.Pricer
 	if pr == nil {
 		pr = NewPricer(cfg.Machine, cfg.Seed, cfg.EpochHours)
 	}
-	// The lease substrate: a real cluster.System build, so Allocate/Free
-	// churn exercises the allocator the co-schedule layer uses.
-	sys, err := cfg.Machine.Build(cfg.Machine.NewKernel(cfg.Nodes), cfg.Nodes, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 
-	arrivals := make([]*Job, len(stream))
-	seen := map[int]bool{}
+	// One record per job, from one slab; arrivals index it.
+	slab := make([]jobState, len(stream))
+	arrivals := make([]*jobState, len(stream))
 	for i := range stream {
-		j := stream[i]
-		if seen[j.ID] {
-			return nil, fmt.Errorf("sched: duplicate job ID %d in stream", j.ID)
-		}
-		seen[j.ID] = true
+		j := &stream[i]
 		if math.IsNaN(j.SubmitHours) || math.IsInf(j.SubmitHours, 0) {
 			return nil, fmt.Errorf("sched: job %d has non-finite submit time %v", j.ID, j.SubmitHours)
 		}
@@ -399,23 +426,32 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 		if j.Spec.Nodes != j.Nodes {
 			return nil, fmt.Errorf("sched: job %d: spec nodes %d != job nodes %d", j.ID, j.Spec.Nodes, j.Nodes)
 		}
-		arrivals[i] = &j
+		slab[i].job = j
+		arrivals[i] = &slab[i]
 	}
-	slices.SortStableFunc(arrivals, func(a, b *Job) int {
-		if a.SubmitHours != b.SubmitHours {
-			return cmp.Compare(a.SubmitHours, b.SubmitHours)
+	// In ID order first: the order of Result.Jobs, whose slots the records
+	// write their outcomes into, and where duplicate IDs sit side by side.
+	slices.SortFunc(arrivals, func(a, b *jobState) int { return cmp.Compare(a.job.ID, b.job.ID) })
+	res := &Result{Policy: pol.Name(), Nodes: cfg.Nodes, Jobs: make([]JobResult, len(stream))}
+	for k, st := range arrivals {
+		if k > 0 && st.job.ID == arrivals[k-1].job.ID {
+			return nil, fmt.Errorf("sched: duplicate job ID %d in stream", st.job.ID)
 		}
-		return cmp.Compare(a.ID, b.ID)
+		res.Jobs[k].Job = *st.job
+		st.res = &res.Jobs[k]
+	}
+	// Then in arrival order, a total order once IDs are unique.
+	slices.SortFunc(arrivals, func(a, b *jobState) int {
+		if a.job.SubmitHours != b.job.SubmitHours {
+			return cmp.Compare(a.job.SubmitHours, b.job.SubmitHours)
+		}
+		return cmp.Compare(a.job.ID, b.job.ID)
 	})
 
-	if err := cfg.Faults.validate(); err != nil {
-		return nil, err
-	}
 	e := &engine{
-		cfg: cfg, pol: pol, pr: pr, sys: sys,
+		cfg: cfg, pol: pol, pr: pr, res: res,
 		pfsBW:    PFSBandwidth(cfg.Machine),
 		arrivals: arrivals,
-		res:      &Result{Policy: pol.Name(), Nodes: cfg.Nodes, Jobs: make([]JobResult, 0, len(stream))},
 		view:     QueueView{scratch: &pickScratch{}},
 		lastOver: 1,
 		tenantIx: map[string]*tenantState{},
@@ -423,14 +459,11 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	if cfg.Faults.enabled() {
 		lastSubmit := 0.0
 		if n := len(arrivals); n > 0 {
-			lastSubmit = arrivals[n-1].SubmitHours
+			lastSubmit = arrivals[n-1].job.SubmitHours
 		}
 		e.fails = cfg.Faults.arrivalTimes(cfg.Seed, cfg.Nodes, lastSubmit)
 		e.failRng = xrand.New(xrand.SeedAt(cfg.Seed^failSeedSalt, 1))
 	}
 	e.prefix, _ = pol.(PrefixPolicy)
-	if err := e.loop(); err != nil {
-		return nil, err
-	}
-	return e.res, nil
+	return e, nil
 }

@@ -7,10 +7,11 @@ package sched
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -156,17 +157,23 @@ func Synthesize(m cluster.Machine, s Synth) ([]Job, error) {
 			return nil, fmt.Errorf("sched: tenant %d weight %v must be > 0", t, w)
 		}
 	}
-	var js []Job
-	for t := 0; t < s.Tenants; t++ {
+	// Every tenant's arrivals first, so the stream is sized once.
+	times, picks := make([][]float64, s.Tenants), make([]*xrand.RNG, s.Tenants)
+	n := 0
+	for t := range times {
 		rng := xrand.New(xrand.SeedAt(s.Seed, uint64(t)))
 		mean := s.SubmitMeanHours
 		if t < len(s.TenantWeights) {
 			mean = s.SubmitMeanHours / s.TenantWeights[t]
 		}
-		times := fault.Arrivals(rng.Split(0), mean, s.Users, s.SpanHours)
-		pick := rng.Split(1)
+		times[t] = fault.Arrivals(rng.Split(0), mean, s.Users, s.SpanHours)
+		picks[t] = rng.Split(1)
+		n += len(times[t])
+	}
+	js := make([]Job, 0, n)
+	for t, pick := range picks {
 		tenant := fmt.Sprintf("tenant%02d", t)
-		for _, at := range times {
+		for _, at := range times[t] {
 			w := pick.Float64() * total
 			ci := 0
 			for ci < len(s.Classes)-1 && w >= s.Classes[ci].Weight {
@@ -186,11 +193,11 @@ func Synthesize(m cluster.Machine, s Synth) ([]Job, error) {
 	// Merge the per-tenant streams into one submission-ordered log and
 	// assign IDs in that order (ties break by tenant, which is fixed
 	// before IDs exist — keeps the merge deterministic).
-	sort.SliceStable(js, func(a, b int) bool {
-		if js[a].SubmitHours != js[b].SubmitHours {
-			return js[a].SubmitHours < js[b].SubmitHours
+	slices.SortStableFunc(js, func(a, b Job) int {
+		if a.SubmitHours != b.SubmitHours {
+			return cmp.Compare(a.SubmitHours, b.SubmitHours)
 		}
-		return js[a].Tenant < js[b].Tenant
+		return strings.Compare(a.Tenant, b.Tenant)
 	})
 	for i := range js {
 		js[i].ID = i + 1
