@@ -466,25 +466,32 @@ func (io *IO) applyBurstQoS(fs pfs.FileSystem) error {
 // Open creates an engine for path in the given mode. Every rank of the
 // communicator must call Open collectively for write mode. With the
 // BurstBuffer parameter on and a staging tier attached to the host
-// environment, all engine I/O (write and read) goes through the tier.
+// environment, all engine I/O (write and read) goes through the tier, from
+// an environment the engine holds by value.
 func (io *IO) Open(h Host, path string, mode Mode) (*Engine, error) {
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("adios2: incomplete host")
 	}
-	if paramOn(io.Parameter("BurstBuffer", "off")) {
-		if st := h.Env.Staged(); st != nil {
-			h.Env = st
-			if err := io.applyBurstQoS(st.FS); err != nil {
-				return nil, err
-			}
+	e := &Engine{io: io, h: h, path: pfs.Clean(path), mode: mode, curStep: -1}
+	if paramOn(io.Parameter("BurstBuffer", "off")) && h.Env.Stage != nil {
+		e.staged = *h.Env
+		e.staged.FS = h.Env.Stage
+		e.h.Env = &e.staged
+		if err := io.applyBurstQoS(e.staged.FS); err != nil {
+			return nil, err
 		}
 	}
+	var err error
 	switch mode {
 	case ModeWrite:
-		return openWriter(io, h, path)
+		err = e.openWriter()
 	case ModeRead:
-		return openReader(io, h, path)
+		err = e.openReader(path)
 	default:
-		return nil, fmt.Errorf("adios2: bad mode %d", mode)
+		err = fmt.Errorf("adios2: bad mode %d", mode)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }

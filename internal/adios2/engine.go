@@ -115,36 +115,33 @@ type Engine struct {
 	Timers Timers
 
 	rd *readerState // read mode only
+
+	// staged is the host's environment with the staging tier as its file
+	// system, which h.Env points at when the engine's I/O is staged.
+	staged posix.Env
 }
 
 // openWriter opens path for collective writing. Every rank parks in its
 // splits and its barrier, so what only world rank 0 and the aggregators do
 // — creating files — has its own frames.
-func openWriter(io *IO, h Host, path string) (*Engine, error) {
+func (e *Engine) openWriter() error {
 	// Before anything collective: a bad parameter is the same error on
 	// every rank, and nobody is left parked.
-	wp, err := io.set.writer()
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{
-		io:      io,
-		h:       h,
-		path:    pfs.Clean(path),
-		mode:    ModeWrite,
-		wp:      wp,
-		curStep: -1,
+	io, h := e.io, e.h
+	var err error
+	if e.wp, err = io.set.writer(); err != nil {
+		return err
 	}
 	if op := io.set.operator; op != "" && op != "none" {
 		if e.codec, err = compress.New(op, 8); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	rank := h.Comm.Rank()
 	if rank == 0 {
 		if err := e.createMetadata(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	e.subfile = rank * e.aggregators() / h.Comm.Size()
@@ -153,13 +150,13 @@ func openWriter(io *IO, h Host, path string) (*Engine, error) {
 	if e.isAgg {
 		e.ldrComm = h.Comm.Split(0, rank)
 		if err := e.createSubfile(); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		e.ldrComm = h.Comm.Split(1, rank)
 	}
 	h.Comm.Barrier()
-	return e, nil
+	return nil
 }
 
 // aggregators reports the number of subfiles: NumAggregators, clamped to

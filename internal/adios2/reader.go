@@ -44,23 +44,22 @@ type readerState struct {
 // openReader opens path for reading. Only the two metadata files are
 // touched — the "rapid metadata extraction in BP4 format" the paper's
 // abstract credits: listing steps and variables never reads data.N.
-func openReader(io *IO, h Host, path string) (*Engine, error) {
-	e := &Engine{io: io, h: h, path: pfs.Clean(path), mode: ModeRead, curStep: -1}
-	p := h.Proc
+func (e *Engine) openReader(path string) error {
+	h, p := e.h, e.h.Proc
 
 	idxFD, err := h.Env.Open(p, pfs.Join(e.path, "md.idx"))
 	if err != nil {
-		return nil, fmt.Errorf("adios2: %s: %w", path, err)
+		return fmt.Errorf("adios2: %s: %w", path, err)
 	}
 	idxRaw := idxFD.Pread(p, 0, idxFD.Size())
 	idxFD.Close(p)
 	if idxRaw == nil && idxFD.Size() > 0 {
-		return nil, fmt.Errorf("adios2: %s: metadata was written in volume mode and cannot be read back", path)
+		return fmt.Errorf("adios2: %s: metadata was written in volume mode and cannot be read back", path)
 	}
 
 	mdFD, err := h.Env.Open(p, pfs.Join(e.path, "md.0"))
 	if err != nil {
-		return nil, fmt.Errorf("adios2: %s: %w", path, err)
+		return fmt.Errorf("adios2: %s: %w", path, err)
 	}
 	rd := &readerState{bySteps: map[int64]*mdStepRecord{}}
 	// A trailing partial record is ignored, as a step whose index record
@@ -73,17 +72,17 @@ func openReader(io *IO, h Host, path string) (*Engine, error) {
 		mdOff, mdLen := getU64(rec[8:]), getU64(rec[16:])
 		if size := uint64(mdFD.Size()); mdOff > size || mdLen > size-mdOff {
 			mdFD.Close(p)
-			return nil, fmt.Errorf("adios2: %s: md.idx record %d places step %d at [%d,+%d) of an md.0 of %d bytes", path, rd.idxCount, step, mdOff, mdLen, size)
+			return fmt.Errorf("adios2: %s: md.idx record %d places step %d at [%d,+%d) of an md.0 of %d bytes", path, rd.idxCount, step, mdOff, mdLen, size)
 		}
 		line := mdFD.Pread(p, int64(mdOff), int64(mdLen))
 		if line == nil {
 			mdFD.Close(p)
-			return nil, fmt.Errorf("adios2: %s: md.0 region [%d,%d) unavailable", path, mdOff, mdOff+mdLen)
+			return fmt.Errorf("adios2: %s: md.0 region [%d,%d) unavailable", path, mdOff, mdOff+mdLen)
 		}
 		var sr mdStepRecord
 		if err := json.Unmarshal([]byte(strings.TrimSpace(string(line))), &sr); err != nil {
 			mdFD.Close(p)
-			return nil, fmt.Errorf("adios2: %s: bad md.0 record: %w", path, err)
+			return fmt.Errorf("adios2: %s: bad md.0 record: %w", path, err)
 		}
 		if _, seen := rd.bySteps[step]; !seen {
 			rd.steps = append(rd.steps, step)
@@ -92,7 +91,7 @@ func openReader(io *IO, h Host, path string) (*Engine, error) {
 	}
 	mdFD.Close(p)
 	e.rd = rd
-	return e, nil
+	return nil
 }
 
 func (e *Engine) closeReader() error { return nil }

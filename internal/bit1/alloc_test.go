@@ -12,6 +12,7 @@ import (
 	"picmcio/internal/pfs"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
+	"picmcio/internal/units"
 	"picmcio/internal/workload"
 )
 
@@ -196,9 +197,10 @@ func TestRankFootprint(t *testing.T) {
 	ten, twenty := perRank(10), perRank(20)
 	perComp := (twenty - ten) / 10
 	t.Logf("bytes per rank of open + first save + close: %.0f with 10 components, %.0f with 20: %.1f per extra component", ten, twenty, perComp)
-	// Measured (go1.24): 2560, 3538 and 97.8, of which 83 are the rank's
+	// Measured (go1.24): 2626, 3604 and 97.8, of which 83 are the rank's
 	// own and the rest this small world's per-component objects — names,
-	// paths, the exscan's result — spread over 16 ranks. The 2560 counts
+	// paths, the exscan's result — spread over 16 ranks; 2560 before the
+	// engine held a staged environment by value. The 2560 counts
 	// the rendezvous every communicator keeps once it has run a collective
 	// of a kind (2517 while each call made its own); it was 5748, 10138 and
 	// 439 while the adaptor, openPMD and ADIOS2 each kept the numbers in
@@ -234,16 +236,16 @@ func underPad(fn func(), levels int) byte {
 	return underPad(fn, levels-1) + pad[len(pad)-1-levels]
 }
 
-// parkedStack reports the most goroutine stack per rank that a BIT1 run in
-// openPMD mode holds at any of a few instants spread over it: the real
-// chain from the launcher's closure — which, like experiments.RunBIT1's,
-// holds a copy of the config to call Run with — through Run and runOpenPMD
-// to the adaptor and everything it parks under, each rank padLevels frames
-// of underPad deeper. Nearly all of a run is the aggregators' write of its
-// one epoch, where every other rank is parked in EndStep; a stack that
-// grew earlier, in the open's splits, has not shrunk by then.
-func parkedStack(tb testing.TB, ranks, aggregators, comps, padLevels int) float64 {
-	cfg := openPMDRun(aggregators, comps)
+// parkedStack reports the most goroutine stack per rank that a BIT1 run
+// of cfg holds at any of a few instants spread over it: the real chain
+// from the launcher's closure — which, like experiments.RunBIT1's, holds a
+// copy of the config to call Run with — through Run to everything a rank
+// parks under, each rank padLevels frames of underPad deeper. In openPMD
+// mode nearly all of a run is the aggregators' write of its one epoch,
+// where every other rank is parked in EndStep; a stack that grew earlier,
+// in the open's splits, has not shrunk by then. In the original mode a
+// rank parks in its own writes, under the stream it holds on its stack.
+func parkedStack(tb testing.TB, cfg Config, ranks, padLevels int) float64 {
 	// run reports when, in virtual time, the job ended; observe, if any,
 	// runs in a process of its own at each of the instants.
 	run := func(instants []sim.Time, observe func()) sim.Time {
@@ -288,40 +290,57 @@ func parkedStack(tb testing.TB, ranks, aggregators, comps, padLevels int) float6
 }
 
 // A rank parked in EndStep — where every rank of a world is while its
-// aggregator writes — fits the 4 KiB stack a goroutine gets after its
-// first growth: one frame too fat anywhere between World.Spawn and a park
-// (the open's splits lie deepest, then EndStep's gathers; a Put no longer
-// parks) and every rank doubles to 8 KiB and never shrinks, which is then
-// what a simulated rank weighs.
+// aggregator writes — or in an original-mode write fits the 4 KiB stack a
+// goroutine gets after its first growth: one frame too fat anywhere
+// between World.Spawn and a park (the open's splits lie deepest, then
+// EndStep's gathers; a Put no longer parks) and every rank doubles to
+// 8 KiB and never shrinks, which is then what a simulated rank weighs.
 func TestParkedRankStack(t *testing.T) {
 	if raceBuild {
 		t.Skip("frames are fatter under the race detector")
 	}
-	const ranks, aggregators, comps = 512, 4, 10
-	fits := func(padLevels int) (float64, bool) {
-		perRank := parkedStack(t, ranks, aggregators, comps, padLevels)
-		return perRank, perRank <= 4.5*1024
+	const ranks = 512
+	original := Config{
+		Deck:   InputDeck{DatFile: "bit1", LastStep: 100, MVFlag: 1, MVStep: 100, DMPStep: 100},
+		Sizing: workload.Default(), OutDir: "/out", Mode: IOOriginal, StdioOverhead: 1e-5,
 	}
-	perRank, ok := fits(0)
-	t.Logf("%s: %.2f KiB of stack per parked rank", runtime.Version(), perRank/1024)
-	// Measured (go1.24.0 amd64): 3.94 — 4.00 while a rank was a goroutine
-	// parked on a channel — and 8.06 with Engine.EndStep's frame at 760 bytes
-	// and bit1's 200 fatter, as they were.
-	if !ok {
-		t.Fatalf("a parked rank holds %.2f KiB of stack, want at most 4.5", perRank/1024)
+	original.Sizing.CheckpointTotalBytes = 32 * units.MiB // 16 writes a rank
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"openpmd", openPMDRun(4, 10)}, {"original", original}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fits := func(padLevels int) (float64, bool) {
+				perRank := parkedStack(t, tc.cfg, ranks, padLevels)
+				return perRank, perRank <= 4.5*1024
+			}
+			perRank, ok := fits(0)
+			t.Logf("%s: %.2f KiB of stack per parked rank", runtime.Version(), perRank/1024)
+			// Measured (go1.24.0 amd64): 3.94 in openPMD mode — 4.00 while
+			// a rank was a goroutine parked on a channel — and 8.06 with
+			// Engine.EndStep's frame at 760 bytes and bit1's 200 fatter, as
+			// they were; 3.69 in the original mode.
+			if !ok {
+				t.Fatalf("a parked rank holds %.2f KiB of stack, want at most 4.5", perRank/1024)
+			}
+			// How much fatter the chain's frames may grow before that: the
+			// most levels of padding under which a rank still fits.
+			lo, hi := 0, 8 // fits at lo; not known to at hi
+			for lo < hi {
+				mid := (lo + hi + 1) / 2
+				if _, ok := fits(mid); ok {
+					lo = mid
+				} else {
+					hi = mid - 1
+				}
+			}
+			// openPMD: 912 to 1064 under a coroutine's yield (760 to 912
+			// while Run's frame held the memo's copies of the config); 608
+			// to 760 under chanrecv and gopark. Original: 608 to 760; with
+			// the stream on the stack and the copies still in Run's frame,
+			// 456 to 608 — too little for the deeper launchers of
+			// experiments and the benchmark, whose ranks doubled to 8 KiB.
+			t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
+		})
 	}
-	// How much fatter the chain's frames may grow before that: the most
-	// levels of padding under which a rank still fits.
-	lo, hi := 0, 8 // fits at lo; not known to at hi
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if _, ok := fits(mid); ok {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	// 760 to 912 under a coroutine's yield; 608 to 760 under chanrecv and
-	// gopark.
-	t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
 }

@@ -1,6 +1,7 @@
 package bit1
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -298,4 +299,61 @@ func TestUnknownModeRejected(t *testing.T) {
 			t.Error("mode 99 accepted")
 		}
 	})
+}
+
+// TestSetupFailureIsEveryRanksError: when rank 0 cannot create the input
+// deck or the output directory, every rank of the world returns the error
+// — in both modes — rather than the others parking for good in the
+// barrier rank 0 never reached.
+func TestSetupFailureIsEveryRanksError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		outDir string
+		block  func(ns *pfs.Namespace) error // puts the obstacle in place
+		want   error
+	}{
+		{"output directory is a regular file", "/out", func(ns *pfs.Namespace) error {
+			_, err := ns.CreateFile("/out")
+			return err
+		}, pfs.ErrNotDir},
+		{"input deck is a directory", "/out", func(ns *pfs.Namespace) error {
+			_, err := ns.MkdirAll("/bit1.inp")
+			return err
+		}, pfs.ErrIsDir},
+		{"input deck's directory is a regular file", "/top/out", func(ns *pfs.Namespace) error {
+			_, err := ns.CreateFile("/top")
+			return err
+		}, pfs.ErrNotDir},
+	} {
+		for _, modeName := range []string{"original", "openpmd"} {
+			mode, _ := ParseIOMode(modeName)
+			t.Run(tc.name+"/"+modeName, func(t *testing.T) {
+				k := sim.NewKernel()
+				fs := lustre.New(k, lustre.DefaultParams())
+				if err := tc.block(fs.Namespace()); err != nil {
+					t.Fatal(err)
+				}
+				const ranks = 4
+				cfg := Config{Deck: InputDeck{DatFile: "bit1", LastStep: 200, MVFlag: 1, MVStep: 100, DMPStep: 100},
+					Sizing: workload.Default(), OutDir: tc.outDir, Mode: mode}
+				errs := make([]error, ranks)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("run panicked: %v", r)
+						}
+					}()
+					mpisim.NewWorld(k, ranks, nil).Run(func(r *mpisim.Rank) {
+						env := &posix.Env{FS: fs, Client: &pfs.Client{}, Rank: r.ID}
+						errs[r.ID] = Run(cfg, RankEnv{Rank: r, Env: env})
+					})
+				}()
+				for rank, err := range errs {
+					if !errors.Is(err, tc.want) {
+						t.Errorf("rank %d returned %v, want %v", rank, err, tc.want)
+					}
+				}
+			})
+		}
+	}
 }

@@ -74,7 +74,7 @@ func Run(cfg Config, re RankEnv) error {
 	if err := cfg.Deck.Validate(); err != nil {
 		return err
 	}
-	pl := mpisim.Memo(re.Rank.Comm, cfg, func() *plan { return newPlan(cfg, re.Rank.Comm.Size()) })
+	pl := planFor(&cfg, re.Rank.Comm)
 	if pl.err != nil {
 		return pl.err
 	}
@@ -91,6 +91,16 @@ func Run(cfg Config, re RankEnv) error {
 	}
 }
 
+// planFor returns the world's plan for cfg, built by the first rank that
+// asks. It is small enough to inline, and must not be: the memo key and
+// the builder's copy of cfg would then lie in Run's frame, under every
+// rank's parks — the original writer's streams need the room.
+//
+//go:noinline
+func planFor(cfg *Config, comm *mpisim.Comm) *plan {
+	return mpisim.Memo(comm, *cfg, func() *plan { return newPlan(*cfg, comm.Size()) })
+}
+
 // inputDeckBytes is the size of the input file every rank reads at start
 // ("a relatively small (1-3 kB) file read by all processes", §II) — the
 // only read operation in a BIT1 run, visible as the constant read bar of
@@ -98,20 +108,22 @@ func Run(cfg Config, re RankEnv) error {
 const inputDeckBytes = 2048
 
 // readInputDeck has rank 0 stage the input file, then every rank read it.
+// A deck rank 0 cannot create is every rank's error.
 func readInputDeck(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	path := pl.inputPath
+	var fd posix.FD
+	var err error
 	if r.ID == 0 {
-		fd, err := env.Create(p, path)
-		if err != nil {
-			return err
+		if err = env.OpenFD(&fd, p, path, posix.Truncate); err == nil {
+			fd.Write(p, inputDeckBytes, nil)
+			fd.Close(p)
 		}
-		fd.Write(p, inputDeckBytes, nil)
-		fd.Close(p)
 	}
-	r.Comm.Barrier()
-	fd, err := env.Open(p, path)
-	if err != nil {
+	if err = r.Comm.BarrierErr(err); err != nil {
+		return err
+	}
+	if err = env.OpenFD(&fd, p, path, posix.ReadOnly); err != nil {
 		return err
 	}
 	fd.Read(p, inputDeckBytes)
@@ -216,19 +228,15 @@ func runOriginal(pl *plan, re RankEnv) error {
 	datPath, dmpPath := pl.rankFile(r.ID, ".dat"), pl.rankFile(r.ID, ".dmp")
 
 	var shared []*stdio.File
+	var err error
 	if r.ID == 0 {
-		if err := env.MkdirAll(p, cfg.OutDir); err != nil {
-			return err
-		}
-		for _, name := range pl.shared {
-			f, err := stdio.Fopen(p, env, name, "w")
-			if err != nil {
-				return err
-			}
-			shared = append(shared, f)
+		if err = env.MkdirAll(p, cfg.OutDir); err == nil {
+			shared, err = fopenShared(p, env, pl.shared)
 		}
 	}
-	r.Comm.Barrier()
+	if err = r.Comm.BarrierErr(err); err != nil {
+		return err
+	}
 
 	prev := 0
 	for _, ep := range pl.epochs {
@@ -258,11 +266,27 @@ func runOriginal(pl *plan, re RankEnv) error {
 	return nil
 }
 
+// fopenShared is rank 0's part of a run's setup: it opens the global
+// history files for writing.
+func fopenShared(p *sim.Proc, env *posix.Env, names []string) ([]*stdio.File, error) {
+	shared := make([]*stdio.File, 0, len(names))
+	for _, name := range names {
+		f, err := stdio.Fopen(p, env, name, "w")
+		if err != nil {
+			return nil, err
+		}
+		shared = append(shared, f)
+	}
+	return shared, nil
+}
+
 // writeStdioVolume re-creates path and streams n bytes through a stdio
-// buffer of the given chunk size, mimicking BIT1's formatted output.
+// buffer of the given chunk size, mimicking BIT1's formatted output. The
+// stream is the rank's, on its stack: an epoch's re-create allocates
+// nothing.
 func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, overhead sim.Duration) error {
-	f, err := stdio.Fopen(p, env, path, "w")
-	if err != nil {
+	var f stdio.File
+	if err := f.Open(p, env, path, "w"); err != nil {
 		return err
 	}
 	f.SetBufSize(chunk)
@@ -279,12 +303,13 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg := &pl.cfg
 
+	var err error
 	if r.ID == 0 {
-		if err := env.MkdirAll(p, cfg.OutDir); err != nil {
-			return err
-		}
+		err = env.MkdirAll(p, cfg.OutDir)
 	}
-	r.Comm.Barrier()
+	if err = r.Comm.BarrierErr(err); err != nil {
+		return err
+	}
 
 	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
 	ad, err := newAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions, pl.schema)
@@ -294,12 +319,8 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 
 	var shared []*stdio.File
 	if r.ID == 0 {
-		for _, name := range pl.shared {
-			f, err := stdio.Fopen(p, env, name, "w")
-			if err != nil {
-				return err
-			}
-			shared = append(shared, f)
+		if shared, err = fopenShared(p, env, pl.shared); err != nil {
+			return err
 		}
 	}
 

@@ -489,7 +489,8 @@ func (t *Tier) node(c *pfs.Client) *nodeState {
 // the given backing handle and observing its current size. A previously
 // adopted handle this one supersedes is closed — every backing open must
 // pay exactly one backing close, or metadata costs are undercounted and
-// the superseded handle leaks.
+// the superseded handle leaks. The two may be the same value: a file
+// system's opens of one file can share a handle.
 func (t *Tier) state(p *sim.Proc, c *pfs.Client, path string, backing pfs.File) *fileState {
 	cp := pfs.Clean(path)
 	st, ok := t.files[cp]
@@ -497,7 +498,7 @@ func (t *Tier) state(p *sim.Proc, c *pfs.Client, path string, backing pfs.File) 
 		st = &fileState{path: cp, class: DefaultClassify(cp)}
 		t.files[cp] = st
 	}
-	if st.backing != nil && st.backing != backing {
+	if st.backing != nil {
 		st.backing.Close(p, c)
 	}
 	st.backing = backing

@@ -113,6 +113,43 @@ func TestSupersededBackingHandlesClose(t *testing.T) {
 	}
 }
 
+// TestSupersededSharedHandleCloses: the backing file system's opens of
+// one file share a handle, so superseding is by open, not by handle
+// value: over Lustre itself, the scenario above pays one MDS close for
+// each of its three backing opens.
+func TestSupersededSharedHandleCloses(t *testing.T) {
+	k := sim.NewKernel()
+	back := lustre.New(k, lustre.DefaultParams())
+	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 64 * MB, Rate: 10e9, Policy: burst.PolicyEpochEnd}, back)
+	c := &pfs.Client{Node: 0, NIC: sim.NewServer(k, 25e9, 0)}
+	k.Spawn("test", func(p *sim.Proc) {
+		f1, err := tier.FS().Create(p, c, "/x/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f1.WriteAt(p, c, 0, 1*MB, nil)
+		f1.Close(p, c)
+		f2, err := tier.FS().Open(p, c, "/x/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f3, err := tier.FS().OpenAppend(p, c, "/x/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		tier.WaitDrained(p)
+		f2.Close(p, c)
+		f3.Close(p, c)
+	})
+	k.Run()
+	if ops := back.MDSOps(); ops != 6 {
+		t.Fatalf("MDS served %d operations, want 6: a create, two opens and a close for each", ops)
+	}
+}
+
 // TestCloseAfterDrainStillBalances covers the deferred-close path: the
 // drain worker performs the close after the last segment lands, and a
 // later reopen of the path must not double-close that handle.

@@ -107,9 +107,14 @@ func (fs model) Meta(pfs.MetaOp) sim.Time {
 // from.
 type auxIno struct{ ino uint64 }
 
-// Place implements pfs.Backend: the next inode number.
+// Place implements pfs.Backend: the next inode number, in the truncated
+// file's old state when it has one.
 func (fs model) Place(_ string, n *pfs.Node) {
 	fs.nextIno++
+	if a, ok := n.Aux.(*auxIno); ok {
+		a.ino = fs.nextIno
+		return
+	}
 	n.Aux = &auxIno{ino: fs.nextIno}
 }
 

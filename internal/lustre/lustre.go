@@ -14,6 +14,7 @@ package lustre
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"picmcio/internal/pfs"
@@ -196,27 +197,33 @@ type placement struct {
 	one [1]Object
 }
 
-// allocate assigns stripe objects round-robin across OSTs.
-func (fs *FS) allocate(l Layout) *Layout {
-	pl := &placement{Layout: l}
-	pl.Pattern = "raid0"
-	pl.StripeOffset = fs.nextOST % fs.p.NumOSTs
-	if l.StripeCount == 1 {
-		pl.Objects = pl.one[:]
-	} else {
-		pl.Objects = make([]Object, l.StripeCount)
+// allocate assigns count stripe objects of size bytes round-robin across
+// OSTs into l — a truncated file's layout, or nil — when its Objects have
+// the room, so that a re-create allocates nothing, and into a new layout
+// otherwise; the draws are the same either way.
+func (fs *FS) allocate(count int, size int64, l *Layout) *Layout {
+	if l == nil || cap(l.Objects) < count {
+		pl := &placement{}
+		if count == 1 {
+			pl.Objects = pl.one[:]
+		} else {
+			pl.Objects = make([]Object, count)
+		}
+		l = &pl.Layout
 	}
-	for i := range pl.Objects {
+	*l = Layout{StripeCount: count, StripeSize: size, StripeOffset: fs.nextOST % fs.p.NumOSTs,
+		Pattern: "raid0", Objects: l.Objects[:count]}
+	for i := range l.Objects {
 		idx := (fs.nextOST + i) % fs.p.NumOSTs
 		fs.nextID += 1 + uint64(fs.rng.Intn(97))
-		pl.Objects[i] = Object{
+		l.Objects[i] = Object{
 			OBDIdx: idx,
 			ObjID:  fs.nextID,
 			Group:  uint64(idx)<<34 | 0x400,
 		}
 	}
-	fs.nextOST = (fs.nextOST + l.StripeCount) % fs.p.NumOSTs
-	return &pl.Layout
+	fs.nextOST = (fs.nextOST + count) % fs.p.NumOSTs
+	return l
 }
 
 func (fs *FS) jitter(d sim.Duration) sim.Duration {
@@ -241,13 +248,18 @@ func (fs model) Meta(op pfs.MetaOp) sim.Time {
 }
 
 // Place implements pfs.Backend: a layout from the nearest SetStripe
-// default, its objects allocated round-robin.
+// default, its objects allocated round-robin — in the truncated file's
+// old layout, when it has one.
 func (fs model) Place(path string, n *pfs.Node) {
-	n.Aux = fs.allocate(fs.defaultLayoutFor(path))
+	l := fs.defaultLayoutFor(path)
+	old, _ := n.Aux.(*Layout)
+	n.Aux = fs.allocate(l.StripeCount, l.StripeSize, old)
 }
 
 // GetStripe returns the layout of the file at path, as `lfs getstripe`
-// would report it.
+// would report it. The result is the caller's: its Objects are a copy, so
+// a later re-create, which rewrites the file's layout in place, leaves it
+// as it was.
 func (fs *FS) GetStripe(path string) (Layout, error) {
 	n, err := fs.Namespace().OpenFile(path)
 	if err != nil {
@@ -257,7 +269,9 @@ func (fs *FS) GetStripe(path string) (Layout, error) {
 	if !ok {
 		return Layout{}, fmt.Errorf("lustre: %s has no layout", path)
 	}
-	return *l, nil
+	out := *l
+	out.Objects = slices.Clone(l.Objects)
+	return out, nil
 }
 
 // FormatGetStripe renders a layout in the style of Listing 1 of the paper.

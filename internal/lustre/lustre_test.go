@@ -141,6 +141,78 @@ func TestReserveAllocs(t *testing.T) {
 	}
 }
 
+// TestPlaceRecyclesAllocs: re-placing a truncated file reuses its layout
+// while the layout's objects have the room — the same stripe count, or a
+// lower one — and allocates a new one for more objects than it had. What
+// Place allocates is what truncating to a from-object layout and placing
+// allocates less what the truncation does.
+func TestPlaceRecyclesAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		from, to int
+		want     float64
+	}{{1, 1, 0}, {8, 8, 0}, {8, 2, 0}, {1, 4, 2}, {2, 8, 2}} {
+		_, fs := testFS(DefaultParams())
+		if err := fs.SetStripe("/io", tc.to, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		n, err := fs.Namespace().CreateFile("/io/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := model{fs}
+		truncated := func() { n.Aux = fs.allocate(tc.from, 1<<20, nil) }
+		base := testing.AllocsPerRun(100, truncated)
+		a := testing.AllocsPerRun(100, func() {
+			truncated()
+			m.Place("/io/f", n)
+		}) - base
+		if a != tc.want {
+			t.Errorf("re-placing %d objects as %d allocates %.0f objects, want %.0f", tc.from, tc.to, a, tc.want)
+		}
+		if l := n.Aux.(*Layout); l.StripeCount != tc.to || len(l.Objects) != tc.to {
+			t.Errorf("re-placed %d as %d: count %d with %d objects", tc.from, tc.to, l.StripeCount, len(l.Objects))
+		}
+	}
+}
+
+// TestGetStripeIsACopy: a layout GetStripe returned stays what it was when
+// the file is re-created and its layout recycled in place.
+func TestGetStripeIsACopy(t *testing.T) {
+	k, fs := testFS(DefaultParams())
+	if err := fs.SetStripe("/io", 4, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	create := func() {
+		k.Spawn("r", func(p *sim.Proc) {
+			f, err := fs.Create(p, nil, "/io/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.Close(p, nil)
+		})
+		k.Run()
+	}
+	create()
+	first, err := fs.GetStripe("/io/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := first
+	kept.Objects = append([]Object(nil), first.Objects...)
+	create()
+	again, err := fs.GetStripe("/io/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Fatalf("a re-create rewrote an earlier GetStripe result:\n got %+v\nwant %+v", first, kept)
+	}
+	if reflect.DeepEqual(again, first) {
+		t.Fatalf("the re-created file kept its layout %+v", again)
+	}
+}
+
 func TestStripeSplitCoversAllBytes(t *testing.T) {
 	f := func(offRaw uint32, nRaw uint32, cRaw, sRaw uint8) bool {
 		count := int(cRaw%8) + 1

@@ -281,6 +281,24 @@ func (c *Comm) Barrier() {
 	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, struct{}{}), func(*collState[struct{}, struct{}]) (int64, int) { return 0, 1 })
 }
 
+// BarrierErr is a Barrier that a rank may reach having failed: every rank
+// returns the first non-nil err any rank entered with, in comm-rank order,
+// so one rank's failure before a barrier ends them all instead of leaving
+// the rest parked for good. The error rides the synchronisation and is
+// charged as a barrier's, so where no rank failed it is Barrier.
+func (c *Comm) BarrierErr(err error) error {
+	return leave(c, enter[error, error](c, "BarrierErr", -1, err), func(st *collState[error, error]) (int64, int) {
+		st.result = nil
+		for _, e := range st.contribs {
+			if e != nil {
+				st.result = e
+				break
+			}
+		}
+		return 0, 1
+	})
+}
+
 // checkOp rejects an unknown reduce op. It is a caller bug: every rank
 // panics on entry, before any of them parks.
 func checkOp(op string) {

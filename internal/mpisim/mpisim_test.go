@@ -46,6 +46,38 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// TestBarrierErr: every rank leaves a BarrierErr with the error of the
+// lowest comm rank that entered with one, when a Barrier's ranks would
+// leave it — the error rides the synchronisation for free.
+func TestBarrierErr(t *testing.T) {
+	leave := func(sync func(r *Rank) error) ([]sim.Time, []error) {
+		when, errs := make([]sim.Time, 8), make([]error, 8)
+		world(8).Run(func(r *Rank) {
+			r.Proc.Sleep(sim.Time(7-r.ID) * 0.01) // the failing ranks arrive last
+			errs[r.ID] = sync(r)
+			when[r.ID] = r.Proc.Now()
+		})
+		return when, errs
+	}
+	want, _ := leave(func(r *Rank) error { r.Comm.Barrier(); return nil })
+	fail := []error{2: fmt.Errorf("rank 2 failed"), 5: fmt.Errorf("rank 5 failed"), 7: nil}
+	got, errs := leave(func(r *Rank) error { return r.Comm.BarrierErr(fail[r.ID]) })
+	if !slices.Equal(got, want) {
+		t.Errorf("ranks left BarrierErr at %v, Barrier at %v", got, want)
+	}
+	for rank, err := range errs {
+		if err != fail[2] {
+			t.Errorf("rank %d left with %v, want rank 2's error", rank, err)
+		}
+	}
+	_, errs = leave(func(r *Rank) error { return r.Comm.BarrierErr(nil) })
+	for rank, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d left a barrier nobody failed with %v", rank, err)
+		}
+	}
+}
+
 func TestAllreduce(t *testing.T) {
 	w := world(16)
 	w.Run(func(r *Rank) {
@@ -489,6 +521,7 @@ func TestCollectiveAllocs(t *testing.T) {
 		want float64
 	}{
 		{"Barrier", func(r *Rank) { r.Comm.Barrier() }, 0},
+		{"BarrierErr", func(r *Rank) { r.Comm.BarrierErr(nil) }, 0},
 		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }, 0},
 		{"AllreduceI64", func(r *Rank) { r.Comm.AllreduceI64(1, "max") }, 0},
 		{"AllreduceVecF64", func(r *Rank) { r.Comm.AllreduceVecF64(vals[r.ID], "sum", "max", "min") }, 0},
@@ -529,6 +562,7 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 		call func(c *Comm)
 	}{
 		{"Barrier", func(c *Comm) { c.Barrier() }},
+		{"BarrierErr", func(c *Comm) { c.BarrierErr(nil) }},
 		{"AllreduceF64", func(c *Comm) { c.AllreduceF64(1, "sum") }},
 		{"AllreduceI64", func(c *Comm) { c.AllreduceI64(1, "sum") }},
 		{"AllreduceVecF64", func(c *Comm) { c.AllreduceVecF64([]float64{1}, "sum") }},

@@ -377,3 +377,63 @@ func TestReadRejectsNegativeRegion(t *testing.T) {
 	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 64 * mib, Rate: 5e9, PerOp: 10e-6}, traceLustre(k))
 	check("burst+lustre", k, tier.FS())
 }
+
+// TestSharedHandle: on every backend the opens of one file share its
+// node's handle — a handle holds nothing an open owns — and its path is
+// the clean one however the file was named; a file unlinked and created
+// again is a new node with a handle of its own, and the old handle still
+// names the old file's bytes.
+func TestSharedHandle(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			fs := b.build(k)
+			k.Spawn("r", func(p *sim.Proc) {
+				c := &pfs.Client{}
+				f1, err := fs.Create(p, c, "/d/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f1.WriteAt(p, c, 0, mib, nil)
+				f2, err := fs.Open(p, c, "/d/./f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f3, err := fs.OpenAppend(p, c, "//d/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if f1 != f2 || f2 != f3 {
+					t.Errorf("three live opens of one file have distinct handles")
+				}
+				if f1.Path() != "/d/f" || f2.Path() != "/d/f" || f3.Path() != "/d/f" {
+					t.Errorf("paths %q %q %q, want /d/f", f1.Path(), f2.Path(), f3.Path())
+				}
+				f2.Close(p, c)
+				f3.Close(p, c)
+				if err := fs.Unlink(p, c, "/d/f"); err != nil {
+					t.Error(err)
+					return
+				}
+				g, err := fs.Create(p, c, "/d/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				g.WriteAt(p, c, 0, 2*mib, nil)
+				if g == f1 {
+					t.Errorf("a file created after an unlink shares the unlinked file's handle")
+				}
+				if f1.Size() != mib || g.Size() != 2*mib || f1.Path() != "/d/f" {
+					t.Errorf("old handle: size %d path %q; new: size %d; want %d, /d/f, %d", f1.Size(), f1.Path(), g.Size(), mib, 2*mib)
+				}
+				f1.Close(p, c)
+				g.Close(p, c)
+			})
+			k.Run()
+		})
+	}
+}

@@ -23,8 +23,8 @@ const (
 //
 // The order of calls is the contract, because backends draw from their
 // seed stream: the Frontend charges the metadata operation, then mutates
-// the namespace, then places — and never places a file that already has
-// placement state.
+// the namespace, then places — a new file, and a truncated one again —
+// and never places a file whose placement state is current.
 type Backend interface {
 	// Meta books one metadata operation and returns when the client has
 	// its reply.
@@ -32,6 +32,8 @@ type Backend interface {
 	// Place gives the regular file n at the clean path its placement state
 	// in n.Aux (a Lustre layout, a Ceph inode; nothing on NFS): on create
 	// or truncate, and on opening a file a tool put into the namespace.
+	// After a truncate n.Aux still holds the old state, which Place may
+	// reuse as the new one's storage; what it draws does not depend on it.
 	Place(path string, n *Node)
 	// Absorb books a write of [off, off+length) to n and returns when the
 	// write call returns; nicDone is when the payload has left the
@@ -80,12 +82,17 @@ func (fe *Frontend) TotalBytesRead() uint64 { return fe.bytesRead }
 // meta charges p one metadata operation.
 func (fe *Frontend) meta(p *sim.Proc, op MetaOp) { p.SleepUntil(fe.b.Meta(op)) }
 
-// handle opens n, placing it first if it has no placement state.
+// handle opens n, placing it first if its placement state is missing or
+// stale, and returns the node's own handle: a handle holds nothing an open
+// owns — the offset is the descriptor's — so every open of a file shares
+// it, and opening allocates nothing.
 func (fe *Frontend) handle(path string, n *Node) *file {
-	if n.Aux == nil {
+	if n.Aux == nil || n.stale {
 		fe.b.Place(path, n)
+		n.stale = false
 	}
-	return &file{fe: fe, node: n, path: path}
+	n.h = file{fe: fe, node: n, path: path}
+	return &n.h
 }
 
 // Create implements FileSystem.
@@ -154,7 +161,8 @@ func (fe *Frontend) ReadDir(p *sim.Proc, c *Client, path string) ([]FileInfo, er
 	return fe.ns.ReadDir(path)
 }
 
-// file is an open handle; it shares the Frontend's normalized path string.
+// file is an open handle, the one a Node carries; it shares the
+// Frontend's normalized path string.
 type file struct {
 	fe   *Frontend
 	node *Node

@@ -159,10 +159,13 @@ func Join(elem ...string) string { return Clean(strings.Join(elem, "/")) }
 type Node struct {
 	Name     string
 	Dir      bool
+	stale    bool // Aux is a truncated incarnation's, for Place to recycle
 	Size     int64
 	Children map[string]*Node // directories only
 	Content  []byte           // content-mode data; nil in volume mode
 	Aux      any              // backend-specific state (e.g. Lustre layout)
+
+	h file // the handle every open of the file shares (Frontend.handle)
 }
 
 // Namespace is a plain in-memory file tree with no timing model. It is the
@@ -217,7 +220,9 @@ func (ns *Namespace) MkdirAll(path string) (*Node, error) {
 }
 
 // CreateFile creates or truncates a regular file, creating parents as
-// needed (matching the behaviour the simulation layers rely on).
+// needed (matching the behaviour the simulation layers rely on). A
+// truncated file keeps its placement state, marked stale: the next open
+// re-places it, and the backend may recycle what it held.
 func (ns *Namespace) CreateFile(path string) (*Node, error) {
 	p := Clean(path)
 	if p == "/" {
@@ -234,7 +239,7 @@ func (ns *Namespace) CreateFile(path string) (*Node, error) {
 		}
 		n.Size = 0
 		n.Content = nil
-		n.Aux = nil
+		n.stale = true
 		return n, nil
 	}
 	n := &Node{Name: base}

@@ -73,20 +73,9 @@ type Env struct {
 	Monitor Monitor // may be nil
 
 	// Stage is an optional staging tier (e.g. a node-local burst buffer)
-	// layered over FS. I/O paths opt in per engine via Staged; plain FS
-	// operations keep going direct.
+	// layered over FS. I/O paths opt in per engine, with a copy of the
+	// environment whose FS is Stage; plain FS operations keep going direct.
 	Stage pfs.FileSystem
-}
-
-// Staged returns a copy of the environment that issues I/O through the
-// staging tier, or nil when no tier is attached.
-func (e *Env) Staged() *Env {
-	if e.Stage == nil {
-		return nil
-	}
-	c := *e
-	c.FS = e.Stage
-	return &c
 }
 
 func (e *Env) record(op Op, path string, bytes int64, start, end sim.Time) {

@@ -26,9 +26,21 @@ type File struct {
 	overhead sim.Duration // synchronous client-side cost per flush
 }
 
-// Fopen opens path with C-style modes "w" (truncate), "a" (append) or
-// "r" (read). Only the writing modes buffer.
+// Fopen opens path into a new stream: Open, on the heap.
 func Fopen(p *sim.Proc, env *posix.Env, path, mode string) (*File, error) {
+	f := new(File)
+	if err := f.Open(p, env, path, mode); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Open opens path into f, a stream the caller holds — by value, for one
+// that lives no longer than the function that opens it, so that opening
+// allocates nothing — with C-style modes "w" (truncate), "a" (append) or
+// "r" (read). Only the writing modes buffer. Whatever f held is
+// discarded, not closed.
+func (f *File) Open(p *sim.Proc, env *posix.Env, path, mode string) error {
 	var how posix.OpenMode
 	switch mode {
 	case "w":
@@ -38,13 +50,10 @@ func Fopen(p *sim.Proc, env *posix.Env, path, mode string) (*File, error) {
 	case "r":
 		how = posix.ReadOnly
 	default:
-		return nil, fmt.Errorf("stdio: unsupported mode %q", mode)
+		return fmt.Errorf("stdio: unsupported mode %q", mode)
 	}
-	f := &File{bufSize: DefaultBufSize}
-	if err := env.OpenFD(&f.fd, p, path, how); err != nil {
-		return nil, err
-	}
-	return f, nil
+	*f = File{bufSize: DefaultBufSize}
+	return env.OpenFD(&f.fd, p, path, how)
 }
 
 // SetBufSize overrides the buffer size (setvbuf). Must be called before

@@ -140,3 +140,37 @@ func TestFflushDrains(t *testing.T) {
 		t.Fatalf("writes=%v", mon.writes)
 	}
 }
+
+// TestRecreateAllocs: re-creating a file through a stream the caller holds
+// by value — BIT1's per-epoch .dat and .dmp — allocates nothing in stdio,
+// posix or the file system, and each Open starts the stream afresh.
+func TestRecreateAllocs(t *testing.T) {
+	world := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			env := &posix.Env{FS: lustre.New(k, lustre.DefaultParams()), Client: &pfs.Client{}}
+			k.Spawn("r", func(p *sim.Proc) {
+				var f File
+				for i := 0; i < n; i++ {
+					if err := f.Open(p, env, "/out/bit1_000001.dmp", "w"); err != nil {
+						t.Error(err)
+						return
+					}
+					if f.bufSize != DefaultBufSize || f.buf != 0 || f.overhead != 0 {
+						t.Errorf("re-opened stream kept state: bufSize=%d buf=%d overhead=%v", f.bufSize, f.buf, f.overhead)
+					}
+					f.SetBufSize(1024)
+					f.SetWriteOverhead(1e-6)
+					f.Fwrite(p, 8192+100, nil)
+					f.Fclose(p)
+				}
+			})
+			k.Run()
+		})
+	}
+	if per := (world(110) - world(10)) / 100; per >= 0.5 {
+		t.Errorf("stdio re-create+write+close allocates %.2f objects, want 0", per)
+	} else {
+		t.Logf("stdio re-create+write+close allocates %.2f objects", per)
+	}
+}
