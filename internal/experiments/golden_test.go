@@ -28,6 +28,21 @@ var goldenCases = []struct {
 	// prices, the PrefixPolicy veto); byte identity pins them all to the
 	// original per-event-rescan loop's output.
 	{"figsched", "golden_figsched.txt", Options{Seed: 1}},
+	// The fault campaigns and the fair-share queue, captured before the
+	// restart ledger moved to epoch units, at the campaign options the
+	// serial-vs-parallel check used to run them with.
+	{"campfail", "golden_campfail.txt", campaignOpts},
+	{"campfail", "golden_campfail_optimal.txt", withOptimal(campaignOpts)},
+	{"figinterval", "golden_figinterval.txt", campaignOpts},
+	{"figfair", "golden_figfair.txt", campaignOpts},
+}
+
+// campaignOpts sizes the Monte Carlo failure campaigns for the suite.
+var campaignOpts = Options{Seed: 1, CampaignRuns: 1500, CampaignMTBFHours: 500}
+
+func withOptimal(o Options) Options {
+	o.CampaignOptimal = true
+	return o
 }
 
 // paperGoldens are the paper's own artifacts. Their captures were printed
@@ -59,7 +74,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 		})
 	}
 	for _, c := range goldenCases {
-		t.Run(c.artifact, func(t *testing.T) {
+		t.Run(strings.TrimSuffix(strings.TrimPrefix(c.file, "golden_"), ".txt"), func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", c.file))
 			if err != nil {
 				t.Fatal(err)
@@ -117,11 +132,11 @@ func writeGot(t *testing.T, goldenFile, text string) string {
 }
 
 // TestGoldenNewArtifactsDeterministic extends the serial-vs-parallel
-// guarantee to the two sweep-native artifacts (no pre-refactor capture
-// exists, so the invariant is self-consistency).
+// guarantee to the artifacts with no capture at these options (the
+// invariant is self-consistency).
 func TestGoldenNewArtifactsDeterministic(t *testing.T) {
-	o := Options{Seed: 1, CampaignRuns: 1500, CampaignMTBFHours: 500}
-	for _, name := range []string{"figsizing", "campfail", "figinterval", "figsched", "figfair"} {
+	o := campaignOpts
+	for _, name := range []string{"figsizing", "figsched"} {
 		t.Run(name, func(t *testing.T) {
 			a, ok := Lookup(name)
 			if !ok {
