@@ -136,7 +136,11 @@ type ckptMark struct {
 // path — redrain the staged bytes and leave a consistent last checkpoint
 // on Lustre for the restart.
 func killRun(k *sim.Kernel, env *posix.Env, tier *burst.Tier, path, toml string, killStep int) (marks []ckptMark, buffered, durable int, pendingAtKill int64, redrainSec float64) {
+	// The ledger counts buffered checkpoints; the checkpoints differ in
+	// size, so the PFS-durable count comes from the cumulative buffered
+	// bytes each one ends at, against the node's drained counter.
 	led := &fault.Ledger{}
+	var cumBytes []int64
 	w := mpisim.NewWorld(k, 1, nil)
 	w.Run(func(r *mpisim.Rank) {
 		host := openpmd.Host{Proc: r.Proc, Env: env, Comm: r.Comm}
@@ -159,7 +163,12 @@ func killRun(k *sim.Kernel, env *posix.Env, tier *burst.Tier, path, toml string,
 				// instant of death, before anything else moves.
 				now := r.Proc.Now()
 				buffered = led.BufferedEpochs(now)
-				durable = led.DurableEpochs(tier.NodeStats(0).DrainedBytes)
+				drained := tier.NodeStats(0).DrainedBytes
+				for _, cum := range cumBytes {
+					if cum <= drained {
+						durable++
+					}
+				}
 				// Counterfactual node loss: what would die with the NVMe.
 				pendingAtKill = tier.Durability().PendingBytes
 				// Actual path: the staged state survives (SurviveNVMe) and
@@ -179,7 +188,8 @@ func killRun(k *sim.Kernel, env *posix.Env, tier *burst.Tier, path, toml string,
 				}
 				e, _ := s.SpeciesByName("e")
 				marks = append(marks, ckptMark{step: step, n: e.N(), x0: e.X[0], vx0: e.VX[0]})
-				led.Mark(r.Proc.Now(), tier.Durability().BufferedBytes)
+				led.Mark(r.Proc.Now())
+				cumBytes = append(cumBytes, tier.Durability().BufferedBytes)
 			}
 		}
 		// The dead node wrote no more; closing the series stands in for

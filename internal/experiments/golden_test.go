@@ -28,9 +28,9 @@ var goldenCases = []struct {
 	// prices, the PrefixPolicy veto); byte identity pins them all to the
 	// original per-event-rescan loop's output.
 	{"figsched", "golden_figsched.txt", Options{Seed: 1}},
-	// The fault campaigns and the fair-share queue, captured before the
-	// restart ledger moved to epoch units, at the campaign options the
-	// serial-vs-parallel check used to run them with.
+	// The fault campaigns and the fair-share queue: their numbers hang on
+	// where each killed run or job restarts, so byte identity pins the
+	// restart position.
 	{"campfail", "golden_campfail.txt", campaignOpts},
 	{"campfail", "golden_campfail_optimal.txt", withOptimal(campaignOpts)},
 	{"figinterval", "golden_figinterval.txt", campaignOpts},

@@ -19,13 +19,13 @@
 //     bandwidth with every co-scheduled neighbour.
 //
 // The package provides the ledger that maps a kill time onto "last
-// restartable epoch" at each level (Ledger, Assess), and the injector
-// that orchestrates a kill inside a running simulation (Arm): kill the
-// victim processes via the kernel's abort primitive, crash their nodes'
-// buffers per the survivability model, wait out the restart delay, and
-// hand control back to the caller's restart path. internal/jobs threads
-// Spec through co-schedules so a victim job restarts while its neighbours
-// keep running.
+// restartable epoch" at each level (Ledger, Assess), in epochs at both,
+// and the injector that orchestrates a kill inside a running simulation
+// (ArmWith): kill the victim processes via the kernel's abort primitive,
+// crash their nodes' buffers per the survivability model, wait out the
+// restart delay, and hand control back to the caller's restart path.
+// internal/jobs threads Spec through co-schedules so a victim job
+// restarts while its neighbours keep running.
 package fault
 
 import (
@@ -111,38 +111,17 @@ func (s Spec) Validate(nodes, epochs int) error {
 	return nil
 }
 
-// Ledger records, per epoch, when the epoch's output became fully
-// buffered-durable and the cumulative staged bytes per node it ends at —
-// for a uniform per-node output pattern, the two numbers that map a kill
-// time plus a node's drained-byte counter back onto "last restartable
-// epoch" at each durability level.
+// Ledger records when each epoch's output became fully buffered-durable
+// (every writer's writes returned), so a kill time maps onto the last
+// epoch a restart from buffered state reaches. The PFS-durable position
+// is counted in the same unit, epochs, by the caller (see Assess).
 type Ledger struct {
-	bufferedAt []sim.Time // epoch i: every node's writes returned
-	cumPerNode []int64    // epoch i: cumulative staged bytes per node
+	bufferedAt []sim.Time // epoch i: every writer's writes returned
 }
 
-// Mark records the completion of the next epoch: at time now, every node
-// has buffered its writes, ending at cum cumulative staged bytes per node.
-func (l *Ledger) Mark(now sim.Time, cum int64) {
+// Mark records that the next epoch is buffered-durable at time now.
+func (l *Ledger) Mark(now sim.Time) {
 	l.bufferedAt = append(l.bufferedAt, now)
-	l.cumPerNode = append(l.cumPerNode, cum)
-}
-
-// UniformLedger builds the ledger of an epoch-uniform checkpoint
-// schedule: epochs checkpoints buffered at start + k·perEpoch
-// (k = 1..epochs), each ending at cumBase+k cumulative units per node.
-// This is the nominal schedule the batch scheduler (internal/sched)
-// reconstructs for queued jobs — their epoch structure is priced, not
-// replayed event-by-event, so the kill-time→restartable-epoch mapping
-// uses the same Ledger the event-level injector fills, just with
-// uniformly spaced marks.
-func UniformLedger(epochs int, start, perEpoch sim.Duration, cumBase int64) *Ledger {
-	n := max(epochs, 0)
-	l := &Ledger{bufferedAt: make([]sim.Time, 0, n), cumPerNode: make([]int64, 0, n)}
-	for k := 1; k <= epochs; k++ {
-		l.Mark(start+sim.Duration(k)*perEpoch, cumBase+int64(k))
-	}
-	return l
 }
 
 // BufferedEpochs reports how many epochs were fully buffered-durable by
@@ -151,24 +130,6 @@ func (l *Ledger) BufferedEpochs(t sim.Time) int {
 	n := 0
 	for _, at := range l.bufferedAt {
 		if at <= t {
-			n++
-		}
-	}
-	return n
-}
-
-// DurableEpochs reports how many epochs are fully PFS-durable given the
-// minimum per-node drained-byte counter across the restarting nodes — the
-// restart position when the failure destroys staged state. A drained
-// value of -1 means "everything staged has been written back" (a job with
-// no staging tier is always fully durable).
-func (l *Ledger) DurableEpochs(drained int64) int {
-	if drained < 0 {
-		return len(l.cumPerNode)
-	}
-	n := 0
-	for _, cum := range l.cumPerNode {
-		if cum <= drained {
 			n++
 		}
 	}
@@ -199,17 +160,14 @@ type Report struct {
 }
 
 // Assess computes the recovery position for a failure at time t during
-// epoch killEpoch, given the run's ledger and the minimum drained-byte
-// counter across the restarting nodes (-1 for a job with no staging
-// tier). It fills every Report field the crash itself does not determine.
-func Assess(spec Spec, l *Ledger, t sim.Time, drained int64) *Report {
+// epoch spec.KillEpoch, given the run's ledger and the number of epochs
+// PFS-durable on every restarting node (negative for a job with no
+// staging tier, where every buffered epoch is durable). It fills every
+// Report field the crash itself does not determine.
+func Assess(spec Spec, l *Ledger, t sim.Time, durable int) *Report {
 	attempted := spec.KillEpoch + 1 // epochs whose writes were issued by the kill
-	r := &Report{
-		Spec:           spec,
-		BufferedEpochs: l.BufferedEpochs(t),
-		DurableEpochs:  l.DurableEpochs(drained),
-	}
-	if r.DurableEpochs > r.BufferedEpochs {
+	r := &Report{Spec: spec, BufferedEpochs: l.BufferedEpochs(t), DurableEpochs: durable}
+	if durable < 0 || durable > r.BufferedEpochs {
 		// Fallback writes can make bytes PFS-durable before the epoch's
 		// buffered mark lands; durability never exceeds what was written.
 		r.DurableEpochs = r.BufferedEpochs
@@ -239,40 +197,24 @@ type Injector struct {
 // every victim process, crash each victim node's buffer per the
 // survivability model (tier may be nil for a direct-to-PFS job), assess the
 // recovery position from the ledger, wait out the restart delay, and call
-// restart with the epoch the victims resume from. The victims are the restarting
-// set: the durable position is the minimum over their drained counters,
-// since the restart needs its checkpoint back on every restarting node
-// (surviving nodes keep their staged state and need no rollback). The
-// caller's restart func runs inside the injection process and typically
-// respawns the victims' writers. Killing a victim that already finished
-// is a no-op (sim.Kernel.Kill on a done process), so a restart callback
-// should respawn only processes whose Killed() reports true — a victim
-// that completed before the kill fired needs no recovery, and its node's
-// Crash finds nothing staged (a finished writer drained before exiting).
+// restart with the epoch the victims resume from. The caller's restart
+// func runs inside the injection process and typically respawns the
+// victims' writers. Killing a victim that already finished is a no-op
+// (sim.Kernel.Kill on a done process), so a restart callback should
+// respawn only processes whose Killed() reports true — a victim that
+// completed before the kill fired needs no recovery, and its node's Crash
+// finds nothing staged (a finished writer drained before exiting).
 //
-// drainedFn is an explicit durable-position probe: it is sampled at kill
-// time (before the crash destroys staged state) and fed to Assess in place
-// of the default minimum over the victims' drained-byte counters. Callers
-// whose staged output is not uniform across nodes — aggregating workloads
-// whose ledger counts epochs rather than bytes — supply a closure that
-// reports the position in the ledger's own units; nil keeps the default.
+// durable is the PFS-durable position probe, in epochs, fed to Assess: it
+// is sampled at kill time, before the crash destroys staged state. The
+// victims are the restarting set, so it is the minimum over them — the
+// restart needs its checkpoint back on every restarting node (surviving
+// nodes keep their staged state and need no rollback).
 func ArmWith(k *sim.Kernel, at sim.Time, spec Spec, victims []Victim, tier *burst.Tier,
-	led *Ledger, drainedFn func() int64, restart func(p *sim.Proc, fromEpoch int)) *Injector {
+	led *Ledger, durable func() int, restart func(p *sim.Proc, fromEpoch int)) *Injector {
 	inj := &Injector{}
 	k.SpawnAt(at, "fault.inject", func(p *sim.Proc) {
-		drained := int64(-1)
-		switch {
-		case drainedFn != nil:
-			drained = drainedFn()
-		case tier != nil:
-			drained = math.MaxInt64
-			for _, v := range victims {
-				if d := tier.NodeStats(v.Node).DrainedBytes; d < drained {
-					drained = d
-				}
-			}
-		}
-		rep := Assess(spec, led, p.Now(), drained)
+		rep := Assess(spec, led, p.Now(), durable())
 		for _, v := range victims {
 			k.Kill(v.Proc)
 		}

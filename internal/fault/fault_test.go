@@ -37,12 +37,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestLedgerQueries exercises the epoch ledger's buffered/durable math.
+// TestLedgerQueries exercises the ledger's buffered count and Assess's
+// durable position: a PFS-durable epoch count is clamped to the buffered
+// count, and a negative one (no staging tier) makes every buffered epoch
+// durable.
 func TestLedgerQueries(t *testing.T) {
 	l := &fault.Ledger{}
-	l.Mark(1.0, 10*dMB)
-	l.Mark(2.0, 20*dMB)
-	l.Mark(3.0, 30*dMB)
+	l.Mark(1.0)
+	l.Mark(2.0)
+	l.Mark(3.0)
 	for _, tc := range []struct {
 		t    sim.Time
 		want int
@@ -52,62 +55,26 @@ func TestLedgerQueries(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		drained int64
-		want    int
-	}{{0, 0}, {10*dMB - 1, 0}, {10 * dMB, 1}, {25 * dMB, 2}, {-1, 3}} {
-		if got := l.DurableEpochs(tc.drained); got != tc.want {
-			t.Errorf("DurableEpochs(%d) = %d, want %d", tc.drained, got, tc.want)
+		t             sim.Time
+		durable, want int
+	}{{9, 0, 0}, {9, 1, 1}, {9, 2, 2}, {9, 3, 3}, {9, 5, 3}, {9, -1, 3}, {2.5, 3, 2}, {2.5, -1, 2}, {0.5, -1, 0}} {
+		if got := fault.Assess(fault.Spec{KillEpoch: 2}, l, tc.t, tc.durable).DurableEpochs; got != tc.want {
+			t.Errorf("Assess(t=%v, durable=%d).DurableEpochs = %d, want %d", tc.t, tc.durable, got, tc.want)
 		}
-	}
-}
-
-// TestUniformLedgerAllocs: the ledger's two slices are sized up front,
-// so building one costs three objects however many epochs it marks.
-func TestUniformLedgerAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(20, func() { fault.UniformLedger(64, 0.5, 2.0, 0) }); n > 3 {
-		t.Fatalf("UniformLedger(64 epochs) allocated %v objects, want <= 3", n)
-	}
-}
-
-func TestUniformLedger(t *testing.T) {
-	// 3 epochs, first checkpoint 0.5 h of overhead plus one 2 h epoch in,
-	// cumulative-bytes counter resuming from a prior segment's 4 epochs.
-	l := fault.UniformLedger(3, 0.5, 2.0, 4)
-	for _, tc := range []struct {
-		t    sim.Time
-		want int
-	}{{0, 0}, {2.4, 0}, {2.5, 1}, {4.5, 2}, {6.5, 3}, {100, 3}} {
-		if got := l.BufferedEpochs(tc.t); got != tc.want {
-			t.Errorf("BufferedEpochs(%v) = %d, want %d", tc.t, got, tc.want)
-		}
-	}
-	// The cumulative counter continues from the base: each continuation
-	// epoch is durable once its (base+k)th unit is on the PFS.
-	for _, tc := range []struct {
-		drained int64
-		want    int
-	}{{4, 0}, {5, 1}, {6, 2}, {7, 3}} {
-		if got := l.DurableEpochs(tc.drained); got != tc.want {
-			t.Errorf("DurableEpochs(%d) = %d, want %d", tc.drained, got, tc.want)
-		}
-	}
-	if got := fault.UniformLedger(0, 1, 1, 0).BufferedEpochs(100); got != 0 {
-		t.Fatalf("empty ledger has %d epochs", got)
 	}
 }
 
 // TestAssess checks the lost-work math at both survivability levels.
 func TestAssess(t *testing.T) {
 	l := &fault.Ledger{}
-	l.Mark(1.0, 10*dMB)
-	l.Mark(2.0, 20*dMB)
-	l.Mark(3.0, 30*dMB)
-
+	l.Mark(1.0)
+	l.Mark(2.0)
+	l.Mark(3.0)
 	// Killed during epoch 2's compute (3 epochs buffered), with only
 	// epoch 0 drained back: node loss rolls back two epochs, surviving
 	// NVMe loses none.
 	spec := fault.Spec{KillEpoch: 2, Survival: fault.SurviveNone}
-	r := fault.Assess(spec, l, 3.5, 10*dMB)
+	r := fault.Assess(spec, l, 3.5, 1)
 	if r.BufferedEpochs != 3 || r.DurableEpochs != 1 {
 		t.Fatalf("positions %d/%d, want 3 buffered / 1 durable", r.BufferedEpochs, r.DurableEpochs)
 	}
@@ -118,10 +85,9 @@ func TestAssess(t *testing.T) {
 		t.Fatalf("restart epoch %d under SurviveNone, want 1", r.RestartEpoch)
 	}
 	spec.Survival = fault.SurviveNVMe
-	if r := fault.Assess(spec, l, 3.5, 10*dMB); r.RestartEpoch != 3 {
+	if r := fault.Assess(spec, l, 3.5, 1); r.RestartEpoch != 3 {
 		t.Fatalf("restart epoch %d under SurviveNVMe, want 3", r.RestartEpoch)
 	}
-
 	// A straggler kill mid-write: epoch 1's writes incomplete, so even
 	// buffered recovery loses an epoch.
 	spec = fault.Spec{KillEpoch: 1}
@@ -155,7 +121,7 @@ func TestArmEndToEnd(t *testing.T) {
 	victim := k.Spawn("writer", func(p *sim.Proc) {
 		for e := 0; e < 4; e++ {
 			write(p, pathOf(e), dMB)
-			led.Mark(p.Now(), int64(e+1)*dMB)
+			led.Mark(p.Now())
 			tier.DrainEpoch(p)
 			epochsRun++
 			p.Sleep(1.5) // drains one segment per 1.5 s window at 1e6 B/s
@@ -168,7 +134,10 @@ func TestArmEndToEnd(t *testing.T) {
 	// Kill inside epoch 2's compute window. Epoch boundaries land near
 	// t = 0, 1.5, 3.0 (writes and metadata cost only milliseconds), so
 	// t = 3.5 is mid-epoch-2 with epoch 0 drained and epoch 1 in flight.
-	inj := fault.ArmWith(k, 3.5, spec, []fault.Victim{{Proc: victim, Node: 0}}, tier, led, nil,
+	// Every epoch stages dMB, so the drained counter counts whole epochs
+	// written back.
+	durable := func() int { return int(tier.NodeStats(0).DrainedBytes / dMB) }
+	inj := fault.ArmWith(k, 3.5, spec, []fault.Victim{{Proc: victim, Node: 0}}, tier, led, durable,
 		func(p *sim.Proc, from int) {
 			restartedFrom = from
 			for e := from; e < 4; e++ {

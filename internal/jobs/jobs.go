@@ -17,7 +17,6 @@ package jobs
 
 import (
 	"fmt"
-	"math"
 
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
@@ -277,14 +276,6 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 		binding := Binding{K: k, Nodes: spec.Nodes, Dir: spec.dir()}
 		rt.shape = spec.Workload.Shape()
 		rt.body = spec.Workload.Bind(binding)
-		// The restart ledger's byte ladder assumes every node stages the
-		// same bytes each epoch; aggregating workloads stage everything on
-		// their writer nodes, so their ledger counts epochs instead and the
-		// durable position comes from the drained closure below.
-		rt.cumStep = rt.shape.BytesPerNode
-		if _, staged := rt.body.(stagedWriters); staged {
-			rt.cumStep = 1
-		}
 		rt.spawn = func(node, from int, mark bool) *sim.Proc {
 			client := alloc.Clients[node]
 			name := fmt.Sprintf("job.%s.%d", spec.Name, node)
@@ -313,31 +304,25 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 						nodes = append(nodes, n)
 					}
 				}
-				var drained func() int64
-				if sw, ok := rt.body.(stagedWriters); ok && rt.tier != nil {
-					// Epoch-unit ledger: the durable position is the minimum
-					// count of whole staged epochs written back across the
-					// workload's writer nodes (coordinated workloads restart
-					// whole-job, so every writer node is restarting).
-					wNodes, perEpoch := sw.StagedWriters()
-					drained = func() int64 {
-						eps := int64(math.MaxInt64)
-						for wi, n := range wNodes {
-							var e int64
-							if perEpoch[wi] > 0 {
-								e = rt.tier.NodeStats(alloc.Clients[n].Node).DrainedBytes / perEpoch[wi]
-							}
-							if e < eps {
+				// The PFS-durable position is the fewest whole epochs any
+				// victim that stages bytes has written back; with no such
+				// victim, or no tier, every buffered epoch is durable.
+				durable := func() int {
+					if rt.tier == nil {
+						return -1
+					}
+					eps := -1
+					for _, n := range nodes {
+						if per := rt.body.StagedBytes(n); per > 0 {
+							e := int(rt.tier.NodeStats(alloc.Clients[n].Node).DrainedBytes / per)
+							if eps < 0 || e < eps {
 								eps = e
 							}
 						}
-						if eps == math.MaxInt64 {
-							return -1
-						}
-						return eps
 					}
+					return eps
 				}
-				rt.inj = fault.ArmWith(k, at, *f, victims, rt.tier, rt.ledger, drained, func(p *sim.Proc, from int) {
+				rt.inj = fault.ArmWith(k, at, *f, victims, rt.tier, rt.ledger, durable, func(p *sim.Proc, from int) {
 					var dead []int
 					for _, n := range nodes {
 						// Respawn only writers the kill actually reached: a
@@ -421,15 +406,10 @@ type jobRT struct {
 
 	// Fault-injection state (nil/unused when the spec carries no fault).
 	ledger    *fault.Ledger
-	epochFill []int // writers that buffered each epoch so far
-	// cum advances by cumStep per marked epoch: per-node staged bytes for
-	// uniform workloads, 1 (epoch units) for aggregating workloads whose
-	// durable position comes from the drained closure instead.
-	cum     int64
-	cumStep int64
-	arm     func(p *sim.Proc) // schedules the injector at the kill epoch
-	armed   bool
-	inj     *fault.Injector
+	epochFill []int             // writers that buffered each epoch so far
+	arm       func(p *sim.Proc) // schedules the injector at the kill epoch
+	armed     bool
+	inj       *fault.Injector
 }
 
 // markEpoch records a node's epoch completion; when the whole job has the
@@ -444,8 +424,7 @@ func (rt *jobRT) markEpoch(p *sim.Proc, spec Spec, e int) {
 	if rt.epochFill[e] < spec.Nodes {
 		return
 	}
-	rt.cum += rt.cumStep
-	rt.ledger.Mark(p.Now(), rt.cum)
+	rt.ledger.Mark(p.Now())
 	if !rt.armed && e == spec.Fault.KillEpoch {
 		rt.armed = true
 		rt.arm(p)

@@ -173,20 +173,16 @@ func (rw *rankWriter) WriteEpoch(p *sim.Proc, env *posix.Env, node, epoch int) e
 	return nil
 }
 
-// StagedWriters implements the stagedWriters hook: only the aggregator
-// nodes physically write, each staging its whole group's epoch bytes.
-func (rw *rankWriter) StagedWriters() (nodes []int, bytesPerEpoch []int64) {
-	perNode := rw.wl.perNodeBytes()
-	a := rw.wl.aggr()
-	nodes = make([]int, 0, a)
-	bytesPerEpoch = make([]int64, 0, a)
-	for n := 0; n < rw.nodes; n++ {
-		g := rw.group(n)
-		if len(nodes) == g {
-			nodes = append(nodes, n)
-			bytesPerEpoch = append(bytesPerEpoch, 0)
-		}
-		bytesPerEpoch[g] += perNode
+// StagedBytes implements EpochWriter: a group's aggregator (its lowest
+// node) writes the whole group's epoch bytes, every other node none.
+func (rw *rankWriter) StagedBytes(node int) int64 {
+	g := rw.group(node)
+	if node > 0 && rw.group(node-1) == g {
+		return 0
 	}
-	return nodes, bytesPerEpoch
+	n := int64(0)
+	for m := node; m < rw.nodes && rw.group(m) == g; m++ {
+		n++
+	}
+	return n * rw.wl.perNodeBytes()
 }

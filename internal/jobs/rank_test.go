@@ -127,9 +127,9 @@ func TestRankWorkloadSingleRank(t *testing.T) {
 }
 
 // TestRankWorkloadWholeJobFault kills every node mid-epoch: the restart
-// must resume from the epoch-unit ledger's durable position (the NVMe
-// dies with the nodes), rebind a fresh mpisim world, and still deliver
-// the full logical output with nothing left staged.
+// must resume from the durable position (the NVMe dies with the nodes),
+// rebind a fresh mpisim world, and still deliver the full logical output
+// with nothing left staged.
 func TestRankWorkloadWholeJobFault(t *testing.T) {
 	clean, err := jobs.Run(cluster.Dardel(), []jobs.Spec{rankSpec(2, 1)}, 1)
 	if err != nil {

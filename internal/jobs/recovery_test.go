@@ -10,6 +10,7 @@ import (
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
 	"picmcio/internal/jobs"
+	"picmcio/internal/units"
 )
 
 // TestRecoveryFence pins every fault.Report field of four job kinds — a
@@ -70,5 +71,34 @@ func TestRecoveryFence(t *testing.T) {
 			t.Logf("could not save diverging output: %v", err)
 		}
 		t.Fatalf("recovery positions diverged (saved to %s):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestRecoveryZeroBytes: a job that stages nothing has nothing to lose
+// to a node, so a whole-job kill restarts it from its buffered position —
+// the same report whether the workload is flat or aggregating.
+func TestRecoveryZeroBytes(t *testing.T) {
+	f := fault.Spec{KillEpoch: 1, KillFrac: 0.5, WholeJob: true, Survival: fault.SurviveNone, RestartDelay: 0.05}
+	var reps []fault.Report
+	for _, wl := range []jobs.Workload{
+		jobs.ChunkedWriter{Epochs: 3, ComputeSec: 0.02, ChunkBytes: 16 * units.MiB},
+		jobs.RankWorkload{Epochs: 3, RanksPerNode: 4, ComputeSec: 0.02, ChunkBytes: 16 * units.MiB},
+	} {
+		spec := rankSpec(2, 1)
+		spec.Workload, spec.Fault = wl, &f
+		res, err := jobs.Run(cluster.Dardel(), []jobs.Spec{spec}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Fault == nil {
+			t.Fatalf("%T: no fault report", wl)
+		}
+		reps = append(reps, *res[0].Fault)
+	}
+	want := fault.Report{Spec: f, BufferedEpochs: 2, DurableEpochs: 2, RestartEpoch: 2}
+	for i, name := range []string{"ChunkedWriter", "RankWorkload"} {
+		if reps[i] != want {
+			t.Errorf("zero-byte %s recovered as %+v, want %+v", name, reps[i], want)
+		}
 	}
 }

@@ -63,9 +63,12 @@ type Binding struct {
 // node's writer process and issues the epoch's output through env; the
 // driver supplies the drain nudge, ledger mark and compute phase around
 // it. Implementations may rendezvous across nodes (collectives) but
-// must be deterministic for a given binding.
+// must be deterministic for a given binding. StagedBytes is the bytes
+// node itself writes each epoch — what its drain counter advances by per
+// epoch written back, so the fault path counts its PFS-durable epochs.
 type EpochWriter interface {
 	WriteEpoch(p *sim.Proc, env *posix.Env, node, epoch int) error
+	StagedBytes(node int) int64
 }
 
 // Workload is one job's application model. Implementations must be
@@ -81,17 +84,6 @@ type Workload interface {
 	// binds once at launch and again on whole-job restart when the
 	// shape is Coordinated.
 	Bind(b Binding) EpochWriter
-}
-
-// stagedWriters is an optional interface on a bound EpochWriter for
-// workloads whose staged output is not uniform across the job's nodes
-// (aggregating workloads stage everything on their writer nodes). It
-// reports the nodes that physically write and each one's staged bytes
-// per epoch; the fault path then keeps the restart ledger in epoch
-// units and derives the durable position from the writer nodes' drain
-// counters instead of assuming every node staged the same byte ladder.
-type stagedWriters interface {
-	StagedWriters() (nodes []int, bytesPerEpoch []int64)
 }
 
 // BulkWriter is the historical flat workload: every epoch each node
@@ -155,6 +147,9 @@ type flatWriter struct {
 	ckpt, diag int64
 	chunk      int64
 }
+
+// StagedBytes implements EpochWriter: every node writes its own files.
+func (f flatWriter) StagedBytes(int) int64 { return f.ckpt + f.diag }
 
 // WriteEpoch implements EpochWriter.
 func (f flatWriter) WriteEpoch(p *sim.Proc, env *posix.Env, node, epoch int) error {

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"picmcio/internal/fault"
-	"picmcio/internal/sim"
 	"picmcio/internal/xrand"
 )
 
@@ -255,19 +254,20 @@ func (e *engine) segmentPrice(st *jobState) Price {
 }
 
 // recoveredEpochs maps a kill at nominal segment progress doneH onto the
-// epochs the continuation keeps: the segment ledger's buffered count,
-// minus the SurviveNone drain lag on a crash (preemption checkpoints
-// cleanly and always restarts from buffered state). The ledger is the
-// segment's nominal checkpoint schedule — the remaining epochs buffered
-// at overhead + k·perEpoch — rebuilt here, at the kill, through the same
-// fault.Ledger the event-level injector uses, so kill-time →
-// restartable-epoch mapping is one shared mechanism and a segment that
-// is never killed never pays for one. Nothing it is built from moves
+// epochs the continuation keeps: how many of the segment's remaining
+// checkpoints were buffered by the kill, minus the SurviveNone drain lag
+// on a crash (preemption checkpoints cleanly and always restarts from
+// buffered state). The segment's nominal schedule buffers its k-th
+// remaining checkpoint at overhead + k·perEpoch; it is counted here, at
+// the kill, without building anything. Nothing it is counted from moves
 // between a segment's admission and its kill.
 func (e *engine) recoveredEpochs(st *jobState, doneH float64, byFailure bool) int {
-	rem := st.epochs - st.doneEpochs
-	led := fault.UniformLedger(rem, sim.Time(st.segOverheadH), sim.Duration(st.perEpochH), int64(st.doneEpochs))
-	buf := led.BufferedEpochs(sim.Time(doneH))
+	buf := 0
+	for k := 1; k <= st.epochs-st.doneEpochs; k++ {
+		if st.segOverheadH+float64(k)*st.perEpochH <= doneH {
+			buf++
+		}
+	}
 	if byFailure && e.cfg.Faults.Survival == fault.SurviveNone {
 		buf -= drainLagEpochs
 		if buf < 0 {

@@ -6,6 +6,8 @@ import (
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
+	"picmcio/internal/sim"
+	"picmcio/internal/xrand"
 )
 
 // realismHarness prices one size class on a machine and returns the
@@ -254,5 +256,99 @@ func TestRealismOffIsByteIdenticalToBaseline(t *testing.T) {
 	}
 	if res.UsageJain <= 0 || res.UsageJain > 1 {
 		t.Fatalf("usage Jain %v outside (0, 1]", res.UsageJain)
+	}
+}
+
+// TestKillAllocs: a kill counts its recovered epochs off the segment's
+// nominal schedule without building one, so a preemption kill and a
+// failure kill each allocate nothing. Each round re-admits the lone job
+// with 2.5 of its 3 epochs done and kills it again.
+func TestKillAllocs(t *testing.T) {
+	m := cluster.Dardel()
+	class := DefaultClasses()[0] // narrow: 2 nodes, 3 epochs
+	pr, _, _ := realismHarness(t, m, class, 2)
+	cfg := Config{Machine: m, Nodes: 4, Seed: 7, Pricer: pr,
+		Preempt: PreemptConfig{MaxHeadWaitHours: 1, CheckpointHours: 0.25},
+		Faults:  FaultConfig{RestartOverheadHours: 0.5, Survival: fault.SurviveNone}}
+	e, err := newEngine(cfg, FCFS{}, []Job{classJob(1, "a", m, class, 2, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.arrivals[0]
+	if err := e.enqueue(st); err != nil {
+		t.Fatal(err)
+	}
+	e.next = 1
+	if err := e.schedule(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		byFailure bool
+		kept      int // epochs the continuation keeps
+	}{{"preemption", false, 2}, {"failure", true, 2 - drainLagEpochs}} {
+		kill := func() {
+			e.queue = e.queue[:0]
+			st.doneEpochs, st.segOverheadH, st.segSvcH, st.price = 0, 0, st.base.ServiceHours, st.base
+			if err := e.admit(st, false); err != nil {
+				t.Fatal(err)
+			}
+			st.remH = st.segSvcH - 2.5*st.perEpochH
+			e.killRunning(st, tc.byFailure)
+		}
+		kill()
+		if st.doneEpochs != tc.kept || len(e.run) != 0 || len(e.queue) != 1 {
+			t.Fatalf("%s kill kept %d epochs, left %d running and %d queued; want %d kept, the job requeued",
+				tc.name, st.doneEpochs, len(e.run), len(e.queue), tc.kept)
+		}
+		if n := testing.AllocsPerRun(20, kill); n != 0 {
+			t.Errorf("a %s kill allocates %v objects, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestRecoveredEpochsLedgerOracle: the engine's count of buffered
+// checkpoints equals a fault.Ledger marked at the segment's nominal
+// schedule — the k-th remaining checkpoint at overhead + k·perEpoch —
+// on fixed cases and random ones, with t drawn exactly on a mark half
+// the time.
+func TestRecoveredEpochsLedgerOracle(t *testing.T) {
+	e := &engine{}
+	count := func(done, rem int, start, perEpoch, at float64) int {
+		st := &jobState{epochs: done + rem, doneEpochs: done, segOverheadH: start, perEpochH: perEpoch}
+		return e.recoveredEpochs(st, at, false)
+	}
+	ledger := func(rem int, start, perEpoch, at float64) int {
+		l := &fault.Ledger{}
+		for k := 1; k <= rem; k++ {
+			l.Mark(sim.Time(start) + sim.Duration(k)*sim.Duration(perEpoch))
+		}
+		return l.BufferedEpochs(sim.Time(at))
+	}
+	// 3 epochs left after 4 done, the first checkpoint 0.5 h of overhead
+	// plus one 2 h epoch in.
+	for _, tc := range []struct {
+		at   float64
+		want int
+	}{{0, 0}, {2.4, 0}, {2.5, 1}, {4.5, 2}, {6.5, 3}, {100, 3}} {
+		if got := count(4, 3, 0.5, 2.0, tc.at); got != tc.want {
+			t.Errorf("%d of 3 epochs buffered by t=%v, want %d", got, tc.at, tc.want)
+		}
+	}
+	if got := count(4, 0, 1, 1, 100); got != 0 {
+		t.Errorf("a segment with no epochs left recovers %d", got)
+	}
+	r := xrand.New(11)
+	for i := 0; i < 2000; i++ {
+		rem := r.Intn(65)
+		start := []float64{0, 0.25, r.Float64() * 3}[r.Intn(3)]
+		perEpoch := r.Float64() * 5
+		at := r.Float64() * (start + float64(rem+1)*perEpoch)
+		if rem > 0 && r.Intn(2) == 0 {
+			at = start + float64(1+r.Intn(rem))*perEpoch
+		}
+		if got, want := count(r.Intn(4), rem, start, perEpoch, at), ledger(rem, start, perEpoch, at); got != want {
+			t.Fatalf("rem=%d start=%v perEpoch=%v t=%v: engine counts %d, ledger %d", rem, start, perEpoch, at, got, want)
+		}
 	}
 }
