@@ -70,6 +70,7 @@ func TestAssess(t *testing.T) {
 	l.Mark(1.0)
 	l.Mark(2.0)
 	l.Mark(3.0)
+
 	// Killed during epoch 2's compute (3 epochs buffered), with only
 	// epoch 0 drained back: node loss rolls back two epochs, surviving
 	// NVMe loses none.
@@ -88,6 +89,7 @@ func TestAssess(t *testing.T) {
 	if r := fault.Assess(spec, l, 3.5, 1); r.RestartEpoch != 3 {
 		t.Fatalf("restart epoch %d under SurviveNVMe, want 3", r.RestartEpoch)
 	}
+
 	// A straggler kill mid-write: epoch 1's writes incomplete, so even
 	// buffered recovery loses an epoch.
 	spec = fault.Spec{KillEpoch: 1}
