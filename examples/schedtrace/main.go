@@ -93,9 +93,9 @@ func main() {
 	if *mtbf > 0 {
 		cfg.Faults = sched.FaultConfig{MTBFNodeHours: *mtbf, RepairHours: 12, RestartOverheadHours: 0.5}
 	}
-	policies := []sched.Policy{sched.FCFS{}, sched.EASY{}}
+	policies := []sched.Policy{sched.FCFS, sched.EASY}
 	if *fair {
-		policies = append(policies, sched.FairShare{})
+		policies = append(policies, sched.FairShare)
 	}
 	var results []*sched.Result
 	for _, pol := range policies {

@@ -25,7 +25,7 @@ var goldenCases = []struct {
 	{"figworkload", "golden_figworkload.txt", Options{Seed: 1}},
 	// figsched's capture predates every scaling change to the sched event
 	// loop (stretched virtual time, incremental contention, admission-time
-	// prices, the PrefixPolicy veto); byte identity pins them all to the
+	// prices, one pass run by the engine); byte identity pins them all to the
 	// original per-event-rescan loop's output.
 	{"figsched", "golden_figsched.txt", Options{Seed: 1}},
 	// The fault campaigns and the fair-share queue: their numbers hang on

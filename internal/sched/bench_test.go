@@ -19,10 +19,10 @@ type scaleCase struct {
 }
 
 var scaleCases = []scaleCase{
-	{1024, 5000, FCFS{}, false},
-	{1024, 5000, EASY{}, false},
-	{1024, 5000, FairShare{}, true},
-	{4096, 20000, FCFS{}, false},
+	{1024, 5000, FCFS, false},
+	{1024, 5000, EASY, false},
+	{1024, 5000, FairShare, true},
+	{4096, 20000, FCFS, false},
 }
 
 // build synthesizes the case's workload: `jobs` submissions from 8

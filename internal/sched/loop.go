@@ -31,26 +31,14 @@ import (
 // next completion is a min-scan over the running set — every completion
 // walks that set anyway to retire the finished jobs.
 
-// PrefixPolicy is an optional Policy refinement for strict
-// in-queue-order policies: PrefixBlocked(free, headNodes) reports that
-// a Pick under `free` free nodes with a queue head needing `headNodes`
-// is guaranteed to start nothing. The event loop uses it to skip
-// queue-view construction entirely on events that cannot change the
-// schedule — the common case for a deep backlog behind a blocked FCFS
-// head. A policy that can start later jobs around a blocked head (EASY
-// backfill) must not implement it.
-type PrefixPolicy interface {
-	Policy
-	PrefixBlocked(free, headNodes int) bool
-}
-
 // jobState is one job's whole record for a Run. A job is queued or
 // running, never both, so one record carries both phases and the
 // cross-segment bookkeeping a kill needs; Run allocates every record of
 // a stream in one slab.
 type jobState struct {
-	job *Job       // the caller's stream entry, read only
-	res *JobResult // the job's slot in Result.Jobs, written in place
+	job    *Job         // the caller's stream entry, read only
+	res    *JobResult   // the job's slot in Result.Jobs, written in place
+	tenant *tenantState // the job's usage-ledger entry, set by enqueue
 
 	// Queued: when the job (or its continuation) last joined the queue,
 	// and the price it is queued under — the shape's for a fresh arrival,
@@ -116,15 +104,18 @@ type engine struct {
 	busy, downNodes int
 	retired         int
 
-	prefix PrefixPolicy // non-nil when pol can veto idle passes in O(1)
-	view   QueueView    // backing buffers and the lent Pick scratch, reused across decision points
+	// The pass's working memory (policy.go), reused across decision
+	// points: nothing in it carries over from one pass to the next but
+	// capacity.
+	keys  []pickKey
+	picks []pick
+	rels  []release
 
 	// Realism-layer state (realism.go): the per-tenant usage ledger and
 	// its fairness integrals, the failure schedule, the repair list and
 	// the preemptor's candidate buffer.
 	tenants     []*tenantState
 	tenantIx    map[string]*tenantState
-	usageView   map[string]float64
 	jainInt     float64
 	shareErrInt float64
 	contendH    float64
@@ -229,7 +220,7 @@ func (e *engine) admit(st *jobState, backfilled bool) error {
 	jr.StartHours = e.now
 	jr.WaitHours = st.waitH
 	jr.ServiceHours = st.base.ServiceHours
-	jr.Backfilled = backfilled
+	jr.backfilled = backfilled
 	if backfilled {
 		e.res.Backfills++
 	}
@@ -239,7 +230,7 @@ func (e *engine) admit(st *jobState, backfilled bool) error {
 	e.run = append(e.run, st)
 	e.demand += p.DrainBps
 	e.busy += j.Nodes
-	e.tenant(j.Tenant).rate += float64(j.Nodes)
+	st.tenant.rate += float64(j.Nodes)
 	return nil
 }
 
@@ -272,9 +263,8 @@ func (e *engine) completeAt(tEnd float64) error {
 		e.res.LeaseOps++
 		e.busy -= st.job.Nodes
 		e.demand -= st.price.DrainBps
-		ts := e.tenant(st.job.Tenant)
-		ts.rate -= float64(st.job.Nodes)
-		ts.active--
+		st.tenant.rate -= float64(st.job.Nodes)
+		st.tenant.active--
 	}
 	e.run = kept
 	e.restretch()
@@ -291,7 +281,8 @@ func (e *engine) enqueue(st *jobState) error {
 	}
 	st.enqH, st.price = e.now, p
 	e.queue = append(e.queue, st)
-	e.tenant(st.job.Tenant).active++
+	st.tenant = e.tenant(st.job.Tenant)
+	st.tenant.active++
 	return nil
 }
 
@@ -347,7 +338,7 @@ func (e *engine) loop() error {
 		case !math.IsInf(tPre, 1):
 			e.advance(tPre)
 		default:
-			// Queued jobs but no event can ever fire again: a policy
+			// Queued jobs but no event can ever fire again: the pass
 			// refused a job that fits an empty partition.
 			return fmt.Errorf("sched: policy %s deadlocked with %d queued job(s) at t=%v", e.pol.Name(), len(e.queue), e.now)
 		}
@@ -366,47 +357,24 @@ func (e *engine) loop() error {
 	return nil
 }
 
-// schedule is the decision step: consult the policy until it starts
-// nothing more. Each pass that starts jobs changes the view, so the
-// policy gets another look (it may have been conservative about a
-// now-free slot).
+// schedule is the decision step: run passes until one starts nothing.
+// Each pass that starts jobs changes the free-node count and the release
+// profile, so the next pass may start more. Starts are admitted back to
+// front (descending queue index), so splicing a started job out does not
+// shift the picks still to come; admission order is the running set's
+// order, which fixes retirement order and which job a failure hits.
 func (e *engine) schedule() error {
 	for len(e.queue) > 0 {
-		free := e.free()
-		if e.prefix != nil && e.prefix.PrefixBlocked(free, e.queue[0].job.Nodes) {
-			return nil // O(1): this pass cannot start anything
-		}
-		e.view.NowHours = e.now
-		e.view.Free = free
-		e.view.Usage = e.usageSnapshot()
-		e.view.Queue = e.view.Queue[:0]
-		for _, st := range e.queue {
-			e.view.Queue = append(e.view.Queue, Pending{Job: st.job, WaitHours: e.now - st.enqH, ServiceHours: st.price.EstimateHours})
-		}
-		e.view.Running = e.view.Running[:0]
-		for _, st := range e.run {
-			e.view.Running = append(e.view.Running, Active{Nodes: st.job.Nodes, EndHours: st.endOf()})
-		}
-		ds := e.pol.Pick(e.view)
-		if len(ds) == 0 {
+		picks := e.pass()
+		if len(picks) == 0 {
 			return nil
 		}
-		// Apply back-to-front so splicing a started job out does not shift
-		// the picks still to come. Admission order is the running set's
-		// order, which fixes retirement order and which job a failure hits.
-		slices.SortFunc(ds, func(a, b Decision) int { return cmp.Compare(b.QueueIndex, a.QueueIndex) })
-		n := len(e.queue)
-		for i, d := range ds {
-			if d.QueueIndex < 0 || d.QueueIndex >= n {
-				return fmt.Errorf("sched: policy %s picked queue index %d of %d", e.pol.Name(), d.QueueIndex, n)
-			}
-			if i > 0 && d.QueueIndex == ds[i-1].QueueIndex {
-				return fmt.Errorf("sched: policy %s picked queue index %d twice", e.pol.Name(), d.QueueIndex)
-			}
-			if err := e.admit(e.queue[d.QueueIndex], d.Backfilled); err != nil {
+		slices.SortFunc(picks, func(a, b pick) int { return cmp.Compare(b.qi, a.qi) })
+		for _, p := range picks {
+			if err := e.admit(e.queue[p.qi], p.backfilled); err != nil {
 				return err
 			}
-			e.queue = append(e.queue[:d.QueueIndex], e.queue[d.QueueIndex+1:]...)
+			e.queue = append(e.queue[:p.qi], e.queue[p.qi+1:]...)
 		}
 		e.restretch()
 		e.sample()

@@ -27,7 +27,7 @@ func TestTimelineCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Machine: m, Nodes: 64, Seed: 3, Pricer: pr}
-	exact, err := Run(cfg, FCFS{}, stream)
+	exact, err := Run(cfg, FCFS, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunLeavesStreamUntouched(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res[i], errs[i] = Run(c.cfg, FairShare{}, stream)
+			res[i], errs[i] = Run(c.cfg, FairShare, stream)
 		}()
 	}
 	wg.Wait()
@@ -155,7 +155,7 @@ func TestPreemptRoundAllocs(t *testing.T) {
 		classJob(4, "newbie", m, class, 2, 0),
 		classJob(5, "newbie", m, class, 8, 0),
 	}
-	e, err := newEngine(cfg, FCFS{}, stream)
+	e, err := newEngine(cfg, FCFS, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestNodeLedgerAudit(t *testing.T) {
 	class := DefaultClasses()[0]
 	pr, _, _ := realismHarness(t, m, class, 2)
 	setup := func() *engine {
-		e, err := newEngine(Config{Machine: m, Nodes: 4, Seed: 7, Pricer: pr}, FCFS{}, []Job{classJob(1, "a", m, class, 2, 0)})
+		e, err := newEngine(Config{Machine: m, Nodes: 4, Seed: 7, Pricer: pr}, FCFS, []Job{classJob(1, "a", m, class, 2, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

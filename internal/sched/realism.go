@@ -201,20 +201,6 @@ func (e *engine) advance(t float64) {
 	e.now = t
 }
 
-// usageSnapshot refreshes and returns the policy-visible usage map
-// (QueueView.Usage). The backing map is reused across decision points;
-// policies must treat it as read-only and must not sum over its
-// iteration order (raw per-tenant lookups are order-free).
-func (e *engine) usageSnapshot() map[string]float64 {
-	if e.usageView == nil {
-		e.usageView = make(map[string]float64, len(e.tenants))
-	}
-	for _, ts := range e.tenants {
-		e.usageView[ts.name] = ts.usage
-	}
-	return e.usageView
-}
-
 // finishFairness folds the fairness integrals into the Result once the
 // loop drains.
 func (e *engine) finishFairness() {
@@ -314,7 +300,7 @@ func (e *engine) killRunning(st *jobState, byFailure bool) {
 		}
 	}
 	e.run = kept
-	e.tenant(st.job.Tenant).rate -= float64(nodes)
+	st.tenant.rate -= float64(nodes)
 
 	overhead := e.cfg.Preempt.CheckpointHours
 	if byFailure {
@@ -374,19 +360,19 @@ func (e *engine) maybePreempt() bool {
 	if need <= 0 {
 		return false
 	}
-	headUsage := e.tenant(head.job.Tenant).usage
+	headUsage := head.tenant.usage
 	cands := e.cands[:0]
 	for _, st := range e.run {
 		if st.res.StartHours == e.now {
 			continue
 		}
-		if e.tenant(st.job.Tenant).usage > headUsage {
+		if st.tenant.usage > headUsage {
 			cands = append(cands, st)
 		}
 	}
 	e.cands = cands
 	slices.SortStableFunc(cands, func(a, b *jobState) int {
-		ua, ub := e.tenant(a.job.Tenant).usage, e.tenant(b.job.Tenant).usage
+		ua, ub := a.tenant.usage, b.tenant.usage
 		if ua != ub {
 			return cmp.Compare(ub, ua)
 		}

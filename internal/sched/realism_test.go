@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"picmcio/internal/cluster"
@@ -57,7 +58,7 @@ func TestFailureDuringFinalEpoch(t *testing.T) {
 			Survival:             fault.SurviveNVMe,
 		},
 	}
-	res, err := Run(cfg, FCFS{}, []Job{classJob(1, "a", m, class, 2, 0)})
+	res, err := Run(cfg, FCFS, []Job{classJob(1, "a", m, class, 2, 0)})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestPreemptZeroDrainedEpochs(t *testing.T) {
 		classJob(1, "hog", m, class, 4, 0),
 		classJob(2, "newbie", m, class, 4, tB),
 	}
-	res, err := Run(cfg, FCFS{}, stream)
+	res, err := Run(cfg, FCFS, stream)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -152,7 +153,7 @@ func TestBackToBackKillsOfContinuation(t *testing.T) {
 			Survival:     fault.SurviveNVMe,
 		},
 	}
-	res, err := Run(cfg, FCFS{}, []Job{classJob(1, "a", m, class, 2, 0)})
+	res, err := Run(cfg, FCFS, []Job{classJob(1, "a", m, class, 2, 0)})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -183,7 +184,7 @@ func TestIdleFailureShrinksPool(t *testing.T) {
 		Machine: m, Nodes: 4, Seed: 7, Pricer: pr,
 		Faults: FaultConfig{ArrivalHours: []float64{tFail}, RepairHours: repairH},
 	}
-	res, err := Run(cfg, FCFS{}, []Job{classJob(1, "a", m, class, 4, tSubmit)})
+	res, err := Run(cfg, FCFS, []Job{classJob(1, "a", m, class, 4, tSubmit)})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -200,23 +201,15 @@ func TestIdleFailureShrinksPool(t *testing.T) {
 	}
 }
 
-// TestFairSharePickOrdersByUsage drives the policy directly: with equal
+// TestFairSharePickOrdersByUsage drives the pass directly: with equal
 // waits, the job of the least-served tenant starts first regardless of
 // queue position.
 func TestFairSharePickOrdersByUsage(t *testing.T) {
-	v := view(4, []Pending{pend(1, 4, 1, 5), pend(2, 4, 1, 5)}, nil)
-	v.Queue[0].Job.Tenant = "hog"
-	v.Queue[1].Job.Tenant = "light"
-	v.Usage = map[string]float64{"hog": 100, "light": 1}
-	ds := FairShare{}.Pick(v)
-	if len(ds) != 1 || v.Queue[ds[0].QueueIndex].Job.Tenant != "light" {
-		t.Fatalf("FairShare picked %+v, want only the light tenant's job", ds)
-	}
-	if _, err := Policies("fair-share"); err != nil {
-		t.Fatalf("Policies(fair-share): %v", err)
-	}
-	if _, err := Policies("fair"); err != nil {
-		t.Fatalf("Policies(fair): %v", err)
+	hog, light := pend(1, 4, 1, 5), pend(2, 4, 1, 5)
+	hog.job.Tenant, light.job.Tenant = "hog", "light"
+	e := passEngine(FairShare, 4, []*jobState{hog, light}, nil, map[string]float64{"hog": 100, "light": 1})
+	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
+		t.Fatalf("FairShare picked jobs %v (backfilled %v), want only the light tenant's job 2, not backfilled", ids, bf)
 	}
 }
 
@@ -239,7 +232,7 @@ func TestRealismOffIsByteIdenticalToBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("synthesize: %v", err)
 	}
-	res, err := Run(Config{Machine: m, Nodes: 32, Seed: 7, Pricer: pr}, EASY{}, stream)
+	res, err := Run(Config{Machine: m, Nodes: 32, Seed: 7, Pricer: pr}, EASY, stream)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -270,7 +263,7 @@ func TestKillAllocs(t *testing.T) {
 	cfg := Config{Machine: m, Nodes: 4, Seed: 7, Pricer: pr,
 		Preempt: PreemptConfig{MaxHeadWaitHours: 1, CheckpointHours: 0.25},
 		Faults:  FaultConfig{RestartOverheadHours: 0.5, Survival: fault.SurviveNone}}
-	e, err := newEngine(cfg, FCFS{}, []Job{classJob(1, "a", m, class, 2, 0)})
+	e, err := newEngine(cfg, FCFS, []Job{classJob(1, "a", m, class, 2, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

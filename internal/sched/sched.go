@@ -3,7 +3,7 @@
 // of users" live. A machine partition serves a stream of job
 // submissions — synthesized from per-tenant user populations via
 // fault.Arrivals-style exponential interarrivals, or replayed from a
-// trace file (see trace.go) — under a pluggable scheduling Policy
+// trace file (see trace.go) — under one of three scheduling policies
 // (FCFS, EASY-backfill with priority aging, fair-share).
 //
 // The simulator is a discrete-event loop over arrivals and completions —
@@ -68,8 +68,10 @@ type JobResult struct {
 	// service: > 1 means PFS contention from the co-running mix slowed
 	// the job down.
 	StretchX float64
-	// Backfilled marks a (final) start ahead of a blocked queue head.
-	Backfilled bool
+	// backfilled marks a (final) start ahead of a blocked queue head.
+	// Nothing reads it; it stays because the frozen result digests
+	// (oracle_test.go) encode every field of a Result.
+	backfilled bool
 	// Segments counts admissions: 1 for a job never killed.
 	Segments int
 	// Preemptions and FailureKills count the checkpoint-and-requeue
@@ -89,67 +91,6 @@ func (r JobResult) Slowdown() float64 {
 		return 1
 	}
 	return (r.WaitHours + r.EndHours - r.StartHours) / r.ServiceHours
-}
-
-// Pending is a queued job as a Policy sees it.
-type Pending struct {
-	Job       *Job    // the entry of the stream Run was given: read only
-	WaitHours float64 // time in queue so far
-	// ServiceHours is the walltime estimate the policy plans against:
-	// the pricer's EstimateHours, i.e. the true service time padded by
-	// its EstimateError (a perfect estimate at the zero default). The
-	// simulator still runs jobs for their true service time, so a padded
-	// estimate misleads only the planning.
-	ServiceHours float64
-}
-
-// Active is a running job as a Policy sees it: how many nodes it holds
-// and when the simulator currently predicts it will release them.
-type Active struct {
-	Nodes    int
-	EndHours float64
-}
-
-// QueueView is the scheduling state handed to a Policy at each decision
-// point: the current clock, the free-node count, the wait queue in
-// submission order, and the running set with predicted release times.
-type QueueView struct {
-	NowHours float64
-	Free     int
-	Queue    []Pending
-	Running  []Active
-	// Usage is the per-tenant decayed delivered node-hours ledger (see
-	// usageHalfLifeHours) — the quantity FairShare orders by.
-	// Read-only; policies must not sum over its iteration order (raw
-	// per-tenant lookups and comparisons are order-free, a float sum over
-	// a Go map is not deterministic).
-	Usage map[string]float64
-
-	// scratch is the engine's per-Run Pick workspace (policy.go), lent to
-	// the in-package policies; nil on a view built by hand.
-	scratch *pickScratch
-}
-
-// Decision is one job a policy starts now.
-type Decision struct {
-	QueueIndex int // index into QueueView.Queue
-	// Backfilled marks a start that jumped a blocked higher-priority job.
-	Backfilled bool
-}
-
-// Policy picks which queued jobs start at this decision point. It must
-// be deterministic (no wall clock, no shared RNG) — the sweep engine's
-// serial-vs-parallel bit-identity guarantee rests on it — and stateless:
-// one policy value may drive concurrent runs. The decisions are a set:
-// the engine sorts them and admits back to front (descending queue
-// index), whatever order Pick returned them in. A set that names an index
-// twice or out of range, or that needs more nodes than are free, is a
-// policy bug and fails the run. The view and the returned slice are valid
-// only until the next Pick — the engine reuses their backing memory — so
-// a policy must not retain either.
-type Policy interface {
-	Name() string
-	Pick(v QueueView) []Decision
 }
 
 // Config parameterizes a scheduler run.
@@ -384,9 +325,9 @@ func (r *Result) JainTenants() float64 {
 // Run replays the job stream through the policy on the config's machine
 // partition (the event loop is loop.go). Jobs arrive in SubmitHours
 // order, ties broken by ID, and Result.Jobs lists them by ID. Run only
-// reads the stream — the engine and the policy's QueueView point into it
-// rather than copying it — so concurrent Runs may share one stream, which
-// must not change until they return.
+// reads the stream — the engine points into it rather than copying it —
+// so concurrent Runs may share one stream, which must not change until
+// they return.
 func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	e, err := newEngine(cfg, pol, stream)
 	if err != nil {
@@ -401,8 +342,8 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 // newEngine checks a Run's inputs and sets up its engine at t=0.
 func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 	cfg = cfg.withDefaults()
-	if pol == nil {
-		return nil, fmt.Errorf("sched: nil policy")
+	if pol > FairShare {
+		return nil, fmt.Errorf("sched: unknown %s", pol.Name())
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -452,7 +393,6 @@ func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 		cfg: cfg, pol: pol, pr: pr, res: res,
 		pfsBW:    PFSBandwidth(cfg.Machine),
 		arrivals: arrivals,
-		view:     QueueView{scratch: &pickScratch{}},
 		lastOver: 1,
 		tenantIx: map[string]*tenantState{},
 	}
@@ -464,6 +404,5 @@ func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 		e.fails = cfg.Faults.arrivalTimes(cfg.Seed, cfg.Nodes, lastSubmit)
 		e.failRng = xrand.New(xrand.SeedAt(cfg.Seed^failSeedSalt, 1))
 	}
-	e.prefix, _ = pol.(PrefixPolicy)
 	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,24 +14,48 @@ import (
 	"picmcio/internal/units"
 )
 
-// view builds a QueueView by hand for direct policy tests.
-func view(free int, queue []Pending, running []Active) QueueView {
-	return QueueView{NowHours: 10, Free: free, Queue: queue, Running: running}
+// passEngine seeds an engine's queue and running set by hand for the
+// direct pass tests: the clock at 10 h, `free` nodes free beside the
+// running jobs' nodes, and every tenant's usage from `usage`.
+func passEngine(pol Policy, free int, queue, running []*jobState, usage map[string]float64) *engine {
+	e := &engine{pol: pol, now: 10, queue: queue, run: running}
+	for _, st := range running {
+		e.busy += st.job.Nodes
+	}
+	e.cfg.Nodes = free + e.busy
+	for _, st := range queue {
+		st.tenant = &tenantState{name: st.job.Tenant, usage: usage[st.job.Tenant]}
+	}
+	return e
 }
 
-func pend(id, nodes int, waitH, svcH float64) Pending {
-	return Pending{Job: &Job{ID: id, Nodes: nodes}, WaitHours: waitH, ServiceHours: svcH}
+// pend is a queued job that has waited waitH at the 10 h clock, planned
+// at svcH.
+func pend(id, nodes int, waitH, svcH float64) *jobState {
+	return &jobState{job: &Job{ID: id, Nodes: nodes}, enqH: 10 - waitH, price: Price{EstimateHours: svcH}}
+}
+
+// active is a running job predicted to release its nodes at endH.
+func active(nodes int, endH float64) *jobState {
+	return &jobState{job: &Job{Nodes: nodes}, touchH: endH, slowdown: 1}
+}
+
+// pickedIDs is the pass's picks as job IDs, in pick order, with each
+// pick's backfill flag.
+func pickedIDs(e *engine, picks []pick) (ids []int, backfilled []bool) {
+	for _, p := range picks {
+		ids = append(ids, e.queue[p.qi].job.ID)
+		backfilled = append(backfilled, p.backfilled)
+	}
+	return ids, backfilled
 }
 
 func TestFCFSHeadOfLineBlocking(t *testing.T) {
 	// Queue: 4-node head fits, 8-node second blocks on 6 free, 2-node
 	// third would fit but FCFS must not jump the blocker.
-	v := view(10,
-		[]Pending{pend(1, 4, 1, 5), pend(2, 8, 1, 5), pend(3, 2, 1, 5)},
-		nil)
-	ds := FCFS{}.Pick(v)
-	if len(ds) != 1 || ds[0].QueueIndex != 0 {
-		t.Fatalf("FCFS picked %+v, want only queue index 0", ds)
+	e := passEngine(FCFS, 10, []*jobState{pend(1, 4, 1, 5), pend(2, 8, 1, 5), pend(3, 2, 1, 5)}, nil, nil)
+	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
+		t.Fatalf("FCFS picked jobs %v (backfilled %v), want only job 1, not backfilled", ids, bf)
 	}
 }
 
@@ -39,88 +64,117 @@ func TestEASYBackfillsBehindReservation(t *testing.T) {
 	// job releases at t=14 (shadow). A 2-node backfill that finishes by
 	// then (service 3h < 4h) must start; a 2-node job that would overrun
 	// the shadow may still start only on the spare nodes.
-	v := view(6,
-		[]Pending{
+	e := passEngine(EASY, 6,
+		[]*jobState{
 			pend(1, 8, 10, 5), // blocked head (aged hardest: longest wait)
 			pend(2, 2, 1, 3),  // finishes before shadow
 			pend(3, 2, 1, 50), // overruns shadow: needs spare nodes
 			pend(4, 2, 1, 50), // overruns shadow: no spare left after 3
 		},
-		[]Active{{Nodes: 4, EndHours: 14}})
-	ds := EASY{}.Pick(v)
+		[]*jobState{active(4, 14)}, nil)
 	// Shadow: at t=14 avail = 6+4 = 10 ≥ 8, spare = 2. Job 2 backfills
 	// (ends 13 ≤ 14); job 3 takes the 2 spare; job 4 must not start.
-	got := map[int]bool{}
-	for _, d := range ds {
-		if !d.Backfilled {
-			t.Fatalf("decision %+v not marked backfilled behind a reservation", d)
-		}
-		got[v.Queue[d.QueueIndex].Job.ID] = true
+	ids, bf := pickedIDs(e, e.pass())
+	if !slices.Equal(ids, []int{2, 3}) {
+		t.Fatalf("EASY backfilled jobs %v, want [2 3]", ids)
 	}
-	if !got[2] || !got[3] || got[4] || got[1] {
-		t.Fatalf("EASY backfilled job set %v, want {2,3}", got)
+	if !bf[0] || !bf[1] {
+		t.Fatalf("picks %v backfilled %v: both start behind a reservation", ids, bf)
 	}
 }
 
 func TestEASYAgingPrioritizesOldWideJobs(t *testing.T) {
 	// A wide job that has waited long outranks a fresh narrow one:
 	// score(wide) = 20/2 - log2(16) = 6 > score(narrow) = 0/2 - 1 = -1.
-	v := view(16,
-		[]Pending{pend(1, 2, 0, 5), pend(2, 16, 20, 5)},
-		nil)
-	ds := EASY{}.Pick(v)
-	if len(ds) != 1 || v.Queue[ds[0].QueueIndex].Job.ID != 2 {
-		t.Fatalf("EASY started %+v, want only the aged wide job (id 2)", ds)
+	e := passEngine(EASY, 16, []*jobState{pend(1, 2, 0, 5), pend(2, 16, 20, 5)}, nil, nil)
+	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
+		t.Fatalf("EASY started jobs %v (backfilled %v), want only the aged wide job (id 2), not backfilled", ids, bf)
 	}
 }
 
-// TestPickAllocs pins the allocation-free pass: on a warmed engine
-// scratch, a Pick over a 1000-deep queue whose second-priority job is
-// blocked — so starts, the reservation and the backfill walk all run —
-// allocates nothing, for every shipped policy.
-func TestPickAllocs(t *testing.T) {
-	queue := []Pending{pend(1, 4, 1000, 5), pend(2, 64, 900, 5)}
-	for id := 3; id <= 1000; id++ {
-		queue = append(queue, pend(id, 1+id%2, float64(id%17), float64(1+id%40)))
-	}
-	for i, q := range queue {
-		q.Job.Tenant = "light"
-		if i >= 2 {
-			q.Job.Tenant = []string{"mid", "hog"}[i%2]
+// TestReservationSameInstantReleases pins the reservation's tie rule:
+// releases are counted running set first, then this pass's picks, and
+// the count stops at the first release that covers the blocked job's
+// need — so two releases at the shadow instant leave a spare count that
+// depends on their order, and with it whether a long job may backfill
+// on the spare nodes. Counting every release at the shadow instant
+// would give the same spare count in every order.
+func TestReservationSameInstantReleases(t *testing.T) {
+	// 3 free nodes; the 5-node head is blocked until t=14, when a 6-node
+	// and a 2-node job both release. The 3-node job behind it runs past
+	// 14 and may start only on spare nodes.
+	queue := func() []*jobState { return []*jobState{pend(1, 5, 30, 5), pend(2, 3, 0, 50)} }
+	for _, tc := range []struct {
+		name    string
+		running []*jobState
+		want    []int
+	}{
+		// 3+6 covers the need at the 6-node release: 4 spare.
+		{"wide release first", []*jobState{active(6, 14), active(2, 14)}, []int{2}},
+		// 3+2 covers it at the 2-node release: none spare.
+		{"narrow release first", []*jobState{active(2, 14), active(6, 14)}, nil},
+	} {
+		e := passEngine(EASY, 3, queue(), tc.running, nil)
+		if ids, _ := pickedIDs(e, e.pass()); !slices.Equal(ids, tc.want) {
+			t.Errorf("%s: picked jobs %v, want %v", tc.name, ids, tc.want)
 		}
 	}
-	var running []Active
-	for i := 0; i < 12; i++ {
-		running = append(running, Active{Nodes: 8, EndHours: 12 + float64(i%5)})
+	// A running job and a job this pass starts, both releasing at t=14:
+	// the running job's 2 nodes count first, covering the 5-node need
+	// with none spare, so the 3-node job behind it must not start.
+	e := passEngine(EASY, 9, []*jobState{pend(1, 6, 40, 4), pend(2, 5, 30, 5), pend(3, 3, 0, 50)}, []*jobState{active(2, 14)}, nil)
+	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
+		t.Errorf("running set then starts: picked jobs %v (backfilled %v), want only job 1, not backfilled", ids, bf)
 	}
-	v := view(10, queue, running)
-	v.Usage = map[string]float64{"light": 0, "mid": 10, "hog": 100}
-	v.scratch = &pickScratch{}
-	for _, pol := range []Policy{FCFS{}, EASY{}, FairShare{}} {
-		ds := pol.Pick(v) // warm the scratch to this queue's depth
+}
+
+// TestPickAllocs pins the allocation-free pass: once the engine's pass
+// memory has grown to a 1000-deep queue whose second-priority job is
+// blocked — so starts, the reservation and the backfill walk all run — a
+// pass allocates nothing, for every policy.
+func TestPickAllocs(t *testing.T) {
+	for _, pol := range []Policy{FCFS, EASY, FairShare} {
+		queue := []*jobState{pend(1, 4, 1000, 5), pend(2, 64, 900, 5)}
+		for id := 3; id <= 1000; id++ {
+			queue = append(queue, pend(id, 1+id%2, float64(id%17), float64(1+id%40)))
+		}
+		for i, st := range queue {
+			st.job.Tenant = "light"
+			if i >= 2 {
+				st.job.Tenant = []string{"mid", "hog"}[i%2]
+			}
+		}
+		var running []*jobState
+		for i := 0; i < 12; i++ {
+			running = append(running, active(8, 12+float64(i%5)))
+		}
+		e := passEngine(pol, 10, queue, running, map[string]float64{"light": 0, "mid": 10, "hog": 100})
+		picks := e.pass() // grow the pass memory to this queue's depth
 		backfilled := 0
-		for _, d := range ds {
-			if d.Backfilled {
+		for _, p := range picks {
+			if p.backfilled {
 				backfilled++
 			}
 		}
-		if _, strict := pol.(PrefixPolicy); len(ds) == 0 || (!strict && backfilled == 0) {
-			t.Fatalf("%s: picked %d jobs, %d backfilled — the pass under test did not run", pol.Name(), len(ds), backfilled)
+		if len(picks) == 0 || (pol != FCFS && backfilled == 0) {
+			t.Fatalf("%s: picked %d jobs, %d backfilled — the pass under test did not run", pol.Name(), len(picks), backfilled)
 		}
-		if n := testing.AllocsPerRun(20, func() { pol.Pick(v) }); n != 0 {
-			t.Errorf("%s: %v allocations per steady-state Pick, want 0", pol.Name(), n)
+		if n := testing.AllocsPerRun(20, func() { e.pass() }); n != 0 {
+			t.Errorf("%s: %v allocations per warmed pass, want 0", pol.Name(), n)
 		}
 	}
 }
 
 func TestPoliciesResolver(t *testing.T) {
-	for _, name := range []string{"fcfs", "easy-backfill", "easy", "fair-share", "fair"} {
-		if _, err := Policies(name); err != nil {
-			t.Fatalf("Policies(%q): %v", name, err)
+	for _, pol := range []Policy{FCFS, EASY, FairShare} {
+		if got, err := Policies(pol.Name()); err != nil || got != pol {
+			t.Fatalf("Policies(%q) = %v, %v; want %v", pol.Name(), got, err, pol)
 		}
 	}
-	if _, err := Policies("lottery"); err == nil {
-		t.Fatal("Policies(lottery) = nil error, want failure")
+	for _, name := range []string{"lottery", "easy", "fair"} {
+		if _, err := Policies(name); err == nil {
+			t.Fatalf("Policies(%q) = nil error, want failure", name)
+		}
 	}
 }
 
@@ -174,7 +228,7 @@ func TestPricerMemoizesShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Run(Config{Machine: m, Nodes: 24, Seed: 42, Pricer: pr}, EASY{}, stream); err != nil {
+	if _, err := Run(Config{Machine: m, Nodes: 24, Seed: 42, Pricer: pr}, EASY, stream); err != nil {
 		t.Fatal(err)
 	}
 	for i, j := range stream {
@@ -210,7 +264,7 @@ func TestRunCompletesEveryJob(t *testing.T) {
 	m := cluster.Discoverer()
 	cfg := Config{Machine: m, Nodes: 24, Seed: 7}
 	stream := testStream(t, m, 7)
-	res, err := Run(cfg, FCFS{}, stream)
+	res, err := Run(cfg, FCFS, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +309,7 @@ func TestRunDeterminism(t *testing.T) {
 	m := cluster.Dardel()
 	cfg := Config{Machine: m, Nodes: 24, Seed: 11}
 	stream := testStream(t, m, 11)
-	for _, pol := range []Policy{FCFS{}, EASY{}} {
+	for _, pol := range []Policy{FCFS, EASY} {
 		a, err := Run(cfg, pol, stream)
 		if err != nil {
 			t.Fatal(err)
@@ -291,11 +345,11 @@ func TestEASYBeatsFCFSOnMeanWait(t *testing.T) {
 	if len(js) < 50 {
 		t.Fatalf("only %d jobs at load 1.2 over %vh", len(js), s.SpanHours)
 	}
-	fcfs, err := Run(cfg, FCFS{}, js)
+	fcfs, err := Run(cfg, FCFS, js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	easy, err := Run(cfg, EASY{}, js)
+	easy, err := Run(cfg, EASY, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +389,7 @@ func TestEASYDeepBacklog(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := Run(Config{Machine: m, Nodes: partition, Seed: 1, Pricer: pr}, EASY{}, stream)
+	res, err := Run(Config{Machine: m, Nodes: partition, Seed: 1, Pricer: pr}, EASY, stream)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +416,7 @@ func TestEASYDeepBacklog(t *testing.T) {
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(len(res.Jobs))
 	t.Logf("allocations per scheduled job: %.2f", perJob)
-	// Measured: 0.07 (every shape is priced before the run), and the same
+	// Measured: 0.05 (every shape is priced before the run), and the same
 	// under the race detector.
 	if perJob > 0.17 {
 		t.Errorf("%.2f allocations per scheduled job, want at most 0.17", perJob)
@@ -404,13 +458,13 @@ func TestRunValidation(t *testing.T) {
 		s.Nodes = nodes
 		return Job{ID: id, Tenant: "t", Class: c.Name, Nodes: nodes, SubmitHours: at, Spec: s}
 	}
-	if _, err := Run(cfg, nil, nil); err == nil {
-		t.Fatal("nil policy accepted")
+	if _, err := Run(cfg, FairShare+1, nil); err == nil || !strings.Contains(err.Error(), "unknown policy(3)") {
+		t.Fatalf("policy 3: err = %v, want an unknown-policy error", err)
 	}
-	if _, err := Run(cfg, FCFS{}, []Job{mk(1, 2, 0), mk(1, 2, 1)}); err == nil {
+	if _, err := Run(cfg, FCFS, []Job{mk(1, 2, 0), mk(1, 2, 1)}); err == nil {
 		t.Fatal("duplicate job IDs accepted")
 	}
-	if _, err := Run(cfg, FCFS{}, []Job{mk(1, 9, 0)}); err == nil {
+	if _, err := Run(cfg, FCFS, []Job{mk(1, 9, 0)}); err == nil {
 		t.Fatal("job wider than partition accepted")
 	}
 	// The partition checks cluster.Machine.Build makes, made without a build.
@@ -422,35 +476,32 @@ func TestRunValidation(t *testing.T) {
 		{Machine: cluster.Machine{Name: "empty"}},
 		{Machine: unknown, Nodes: 8},
 	} {
-		if _, err := Run(bad, FCFS{}, []Job{mk(1, 1, 0)}); err == nil || !strings.HasPrefix(err.Error(), "sched: ") {
+		if _, err := Run(bad, FCFS, []Job{mk(1, 1, 0)}); err == nil || !strings.HasPrefix(err.Error(), "sched: ") {
 			t.Errorf("%d-node partition of %s (storage %v): err = %v, want a config error", bad.Nodes, bad.Machine.Name, bad.Machine.Storage, err)
 		}
 	}
 	bad := mk(1, 2, 0)
 	bad.Spec.Nodes = 4
-	if _, err := Run(cfg, FCFS{}, []Job{bad}); err == nil {
+	if _, err := Run(cfg, FCFS, []Job{bad}); err == nil {
 		t.Fatal("spec/job node mismatch accepted")
 	}
 	// A non-finite submit time is the stream's fault, not the policy's:
 	// the error must name the job rather than report a deadlock (NaN,
 	// +Inf) or succeed with StartHours=-Inf and WaitHours=NaN (-Inf).
 	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := Run(cfg, FCFS{}, []Job{mk(1, 2, 0), mk(7, 2, at)})
+		_, err := Run(cfg, FCFS, []Job{mk(1, 2, 0), mk(7, 2, at)})
 		if err == nil || !strings.Contains(err.Error(), "job 7") || strings.Contains(err.Error(), "deadlocked") {
 			t.Errorf("submit time %v: err = %v, want a validation error naming job 7", at, err)
 		}
 	}
 }
 
-// misbehaving is a stub policy whose Pick is supplied by the test.
-type misbehaving func(v QueueView) []Decision
-
-func (misbehaving) Name() string                  { return "stub" }
-func (f misbehaving) Pick(v QueueView) []Decision { return f(v) }
-
-// TestPolicyMisbehaviourIsAnError: a policy that breaks the Pick
-// contract fails the run with the specific error — never a panic, never
-// a spin.
+// TestPolicyMisbehaviourIsAnError: the engine's own checks on what a
+// pass leads to — a start wider than the free nodes, a queue no event
+// can ever serve — fail the run with an error naming the policy, never
+// a panic, never a spin. A sound pass cannot trip either, so each case
+// breaks the engine's state by hand: nodes taken down behind the
+// ledger's back, with no repair to bring them back.
 func TestPolicyMisbehaviourIsAnError(t *testing.T) {
 	m := cluster.Discoverer()
 	cfg := Config{Machine: m, Nodes: 8, Seed: 1}
@@ -463,23 +514,25 @@ func TestPolicyMisbehaviourIsAnError(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		pick misbehaving
+		run  func(e *engine) error
 		want string
 	}{
-		{"out of range", func(v QueueView) []Decision { return []Decision{{QueueIndex: len(v.Queue)}} }, "picked queue index 5 of 5"},
-		{"negative", func(v QueueView) []Decision { return []Decision{{QueueIndex: 0}, {QueueIndex: -1}} }, "picked queue index -1 of 5"},
-		{"same index twice", func(v QueueView) []Decision { return []Decision{{QueueIndex: 1}, {QueueIndex: 0}, {QueueIndex: 1}} }, "picked queue index 1 twice"},
-		{"last index twice", func(v QueueView) []Decision { return []Decision{{QueueIndex: 4}, {QueueIndex: 4}} }, "picked queue index 4 twice"},
-		{"wider than free", func(v QueueView) []Decision { return []Decision{{QueueIndex: 0}, {QueueIndex: 1}, {QueueIndex: 2}} }, "overcommitted"},
-		{"nothing ever", func(v QueueView) []Decision { return nil }, "deadlocked with 5 queued job(s)"},
+		{"wider than free", func(e *engine) error {
+			if err := e.enqueue(e.arrivals[0]); err != nil {
+				return err
+			}
+			e.downNodes = 6
+			return e.admit(e.queue[0], false)
+		}, "overcommitted: 2 free node(s), asked for 4"},
+		{"nothing ever", func(e *engine) error { e.downNodes = 8; return e.loop() }, "deadlocked with 5 queued job(s)"},
 	}
 	for _, tc := range cases {
-		res, err := Run(cfg, tc.pick, stream)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "policy stub") {
-			t.Errorf("%s: err = %v, want one naming policy stub and %q", tc.name, err, tc.want)
+		e, err := newEngine(cfg, EASY, stream)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res != nil {
-			t.Errorf("%s: a failed run returned a result", tc.name)
+		if err := tc.run(e); err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "policy easy-backfill") {
+			t.Errorf("%s: err = %v, want one naming policy easy-backfill and %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -581,16 +634,16 @@ func TestEstimateErrorShrinksBackfillAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfs, err := Run(cfg, FCFS{}, js)
+	fcfs, err := Run(cfg, FCFS, js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	easyOracle, err := Run(cfg, EASY{}, js)
+	easyOracle, err := Run(cfg, EASY, js)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared.EstimateError = 3.0 // 4× walltime padding, the cache is reused
-	easyPadded, err := Run(cfg, EASY{}, js)
+	easyPadded, err := Run(cfg, EASY, js)
 	if err != nil {
 		t.Fatal(err)
 	}
