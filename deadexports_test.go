@@ -15,7 +15,7 @@ import (
 // with the reason. At most maxKept, so that it cannot become where dead
 // code goes.
 var keptExports = map[string]string{
-	"darshan.Log.Encode":      "the writer of the only format cmd/darshan-parser reads; until a CLI writes a log (ROADMAP items 5 and 8) only tests call it",
+	"darshan.Log.Encode":      "the writer of the only format cmd/darshan-parser reads; until a CLI writes a log (ROADMAP items 8 and 9) only tests call it",
 	"mpisim.World.MemoBuilds": "the counter the once-per-world ratchets of openpmd's and bit1's tests read; a _test.go file of mpisim could not serve them",
 	"nfs.DefaultParams":       "the one NFS configuration there is: no machine preset mounts NFS, and the tests of nfs, pfs (its conformance trace) and experiments build theirs from it",
 	"pfs.FileInfo.IsDir":      "POSIX's directory bit, which every backend must agree on: the conformance traces in internal/pfs/testdata record it",

@@ -26,9 +26,12 @@ import (
 // demand incrementally on start/complete and restretches only when
 // `over` actually changed.
 //
-// The wait queue is a dense slice in submission order: an entry is
-// priced once, on admission, and spliced out when its job starts. The
-// next completion is a min-scan over the running set — every completion
+// The wait queue is a dense slice in join order: an entry is priced
+// once, on admission, and spliced out when its job starts. Under EASY
+// and FairShare each tenant also keeps its queued jobs in the aged order
+// (policy.go), so a pass merges a few kept lists instead of sorting the
+// queue. The next
+// completion is a min-scan over the running set — every completion
 // walks that set anyway to retire the finished jobs.
 
 // jobState is one job's whole record for a Run. A job is queued or
@@ -38,7 +41,7 @@ import (
 type jobState struct {
 	job    *Job         // the caller's stream entry, read only
 	res    *JobResult   // the job's slot in Result.Jobs, written in place
-	tenant *tenantState // the job's usage-ledger entry, set by enqueue
+	tenant *tenantState // the job's usage-ledger entry, set by openLedger
 
 	// Queued: when the job (or its continuation) last joined the queue,
 	// and the price it is queued under — the shape's for a fresh arrival,
@@ -52,18 +55,18 @@ type jobState struct {
 	remH     float64 // service time still owed at nominal rate, as of touchH
 	slowdown float64
 
-	// Across segments: the ground-truth price of the whole job, its
-	// checkpoint-epoch structure, how many epochs survived previous kills,
-	// and the current segment's shape. A never-killed job has exactly one
-	// segment whose service equals the base price.
-	base         Price
-	epochs       int     // checkpoint epochs in the full job
-	perEpochH    float64 // base service hours per epoch
-	doneEpochs   int     // epochs recovered across all kills so far
+	// Across segments: the job's checkpoint-epoch structure, how many
+	// epochs survived previous kills, and the current segment's shape. A
+	// never-killed job has exactly one segment whose service is the
+	// shape's price.
+	epochs       int32   // checkpoint epochs in the full job
+	doneEpochs   int32   // epochs recovered across all kills so far
+	perEpochH    float64 // full-job service hours per epoch
 	segSvcH      float64 // current segment's nominal service hours
 	segOverheadH float64 // restart/checkpoint overhead inside segSvcH
-	waitH        float64 // queue wait accumulated across segments
-	retired      bool
+
+	seq     uint32 // join stamp: the queue's order, and the kept order's tiebreak
+	retired bool
 }
 
 // endOf is the predicted completion under the current stretch.
@@ -91,7 +94,8 @@ type engine struct {
 	arrivals []*jobState // in (SubmitHours, ID) order
 	next     int         // next arrival index
 
-	queue []*jobState // waiting jobs in submission order; queue[0] is the head
+	queue []*jobState // waiting jobs in join order; queue[0] is the head
+	seq   uint32      // the next join's stamp
 
 	run      []*jobState // running set in start order
 	demand   float64     // aggregate drain demand, maintained incrementally
@@ -107,7 +111,9 @@ type engine struct {
 	// The pass's working memory (policy.go), reused across decision
 	// points: nothing in it carries over from one pass to the next but
 	// capacity.
-	keys  []pickKey
+	tiers []*tenantState // tenants with queued jobs, least usage first
+	tier  int            // the first tier not yet merged
+	heads [][]kept       // the merge's kept lists, a min-heap by first entry
 	picks []pick
 	rels  []release
 
@@ -115,7 +121,6 @@ type engine struct {
 	// its fairness integrals, the failure schedule, the repair list and
 	// the preemptor's candidate buffer.
 	tenants     []*tenantState
-	tenantIx    map[string]*tenantState
 	jainInt     float64
 	shareErrInt float64
 	contendH    float64
@@ -210,16 +215,14 @@ func (e *engine) admit(st *jobState, backfilled bool) error {
 		// ground-truth price; a never-killed job's single segment is the
 		// whole job, so this path reproduces the historical result fields
 		// byte for byte.
-		st.base = p
 		st.epochs = epochsOf(j)
 		st.perEpochH = p.ServiceHours / float64(st.epochs)
 		st.segSvcH = p.ServiceHours
+		jr.ServiceHours = p.ServiceHours
 	}
 	jr.Segments++
-	st.waitH += e.now - st.enqH
 	jr.StartHours = e.now
-	jr.WaitHours = st.waitH
-	jr.ServiceHours = st.base.ServiceHours
+	jr.WaitHours += e.now - st.enqH
 	jr.backfilled = backfilled
 	if backfilled {
 		e.res.Backfills++
@@ -280,10 +283,37 @@ func (e *engine) enqueue(st *jobState) error {
 		return err
 	}
 	st.enqH, st.price = e.now, p
-	e.queue = append(e.queue, st)
-	st.tenant = e.tenant(st.job.Tenant)
 	st.tenant.active++
+	e.join(st)
 	return nil
+}
+
+// join puts a priced job — an arrival, or a killed job's continuation —
+// at the queue's tail and into its tenant's kept order, stamped with the
+// next join seq. FCFS walks the queue itself and keeps no other order.
+func (e *engine) join(st *jobState) {
+	st.seq = e.seq
+	e.seq++
+	e.queue = append(e.queue, st)
+	if e.pol == FCFS {
+		return
+	}
+	ts, k := st.tenant, keptOf(st)
+	i, _ := slices.BinarySearchFunc(ts.queued, k, cmpKept)
+	ts.queued = slices.Insert(ts.queued, i, k)
+}
+
+// leave takes a started job out of the queue and out of its tenant's
+// kept list; both are sorted, by seq and in the kept order.
+func (e *engine) leave(st *jobState) {
+	i, _ := slices.BinarySearchFunc(e.queue, st.seq, func(q *jobState, seq uint32) int { return cmp.Compare(q.seq, seq) })
+	e.queue = slices.Delete(e.queue, i, i+1)
+	if e.pol == FCFS {
+		return
+	}
+	ts := st.tenant
+	i, _ = slices.BinarySearchFunc(ts.queued, keptOf(st), cmpKept)
+	ts.queued = slices.Delete(ts.queued, i, i+1)
 }
 
 // loop is the event skeleton over four event kinds — arrivals,
@@ -359,22 +389,22 @@ func (e *engine) loop() error {
 
 // schedule is the decision step: run passes until one starts nothing.
 // Each pass that starts jobs changes the free-node count and the release
-// profile, so the next pass may start more. Starts are admitted back to
-// front (descending queue index), so splicing a started job out does not
-// shift the picks still to come; admission order is the running set's
-// order, which fixes retirement order and which job a failure hits.
+// profile, so the next pass may start more. Starts are admitted in
+// descending join order (from the queue's tail toward its head);
+// admission order is the running set's order, which fixes retirement
+// order and which job a failure hits.
 func (e *engine) schedule() error {
 	for len(e.queue) > 0 {
 		picks := e.pass()
 		if len(picks) == 0 {
 			return nil
 		}
-		slices.SortFunc(picks, func(a, b pick) int { return cmp.Compare(b.qi, a.qi) })
+		slices.SortFunc(picks, func(a, b pick) int { return cmp.Compare(b.st.seq, a.st.seq) })
 		for _, p := range picks {
-			if err := e.admit(e.queue[p.qi], p.backfilled); err != nil {
+			if err := e.admit(p.st, p.backfilled); err != nil {
 				return err
 			}
-			e.queue = append(e.queue[:p.qi], e.queue[p.qi+1:]...)
+			e.leave(p.st)
 		}
 		e.restretch()
 		e.sample()

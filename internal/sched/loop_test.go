@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"picmcio/internal/cluster"
 )
@@ -225,5 +226,14 @@ func TestNodeLedgerAudit(t *testing.T) {
 				t.Errorf("%s: err = %v, want it to name %q", tc.name, err, w)
 			}
 		}
+	}
+}
+
+// TestJobStateSize pins the per-job record to the 128-byte size class:
+// Run allocates one per job, in one slab, and a field that pushed it
+// past 128 bytes would move every Run's slab into the next class.
+func TestJobStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(jobState{}); n > 128 {
+		t.Errorf("jobState is %d bytes, want at most 128", n)
 	}
 }

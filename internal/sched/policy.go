@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -71,18 +72,34 @@ func Policies(name string) (Policy, error) {
 // width, in EASY's priority and FairShare's within-tenant tiebreak.
 const agingHours = 2.0
 
-// pickKey is one queued job's sort key in a priority-ordered pass: the
-// owning tenant's usage (zero under EASY), the aged score, and the queue
-// index the key stands for.
-type pickKey struct {
-	usage, score float64
-	qi           int
+// kept is one entry of a tenant's kept list: a queued job and its rank
+// in the aged order, enqH/agingHours + log2(nodes), ascending, ties in
+// join order. The rank is the aged score (now−enqH)/agingHours −
+// log2(nodes) with now taken out — now shifts every score alike — so
+// the order of two queued jobs never changes while they wait: each
+// tenant keeps its queued jobs in it, computed once per join, instead of
+// a pass sorting them.
+type kept struct {
+	rank float64
+	st   *jobState
 }
 
-// pick is one job the pass starts: its queue index, and whether it
-// jumped a blocked higher-priority job.
+func keptOf(st *jobState) kept {
+	return kept{st.enqH/agingHours + math.Log2(float64(st.job.Nodes)), st}
+}
+
+// cmpKept is the kept order.
+func cmpKept(a, b kept) int {
+	if c := cmpFloat(a.rank, b.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.st.seq, b.st.seq)
+}
+
+// pick is one job the pass starts, and whether it jumped a blocked
+// higher-priority job.
 type pick struct {
-	qi         int
+	st         *jobState
 	backfilled bool
 }
 
@@ -105,29 +122,80 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-// order builds the pass's priority keys in queue order and sorts them:
-// least tenant usage first (all zero under EASY), then the highest aged
-// score. The sort is stable, so ties resolve in submission order and the
-// pass stays deterministic for bit-identical parallel sweeps. Scores are
-// computed once per entry rather than inside the comparator: a deep
-// queue does not pay two Log2 calls per comparison.
-func (e *engine) order() []pickKey {
-	keys := e.keys[:0]
-	for i, st := range e.queue {
-		k := pickKey{score: (e.now-st.enqH)/agingHours - math.Log2(float64(st.job.Nodes)), qi: i}
-		if e.pol == FairShare {
-			k.usage = st.tenant.usage
-		}
-		keys = append(keys, k)
+// walk readies the pass's walk over the queue in the policy's order.
+// FCFS walks the queue itself, in join order. EASY merges every tenant's
+// kept list. FairShare ranks the tenants with queued jobs by decayed
+// usage, least served first, and merges the lists of each run of equal
+// usage — the order a stable sort of the queue by (usage, aged score)
+// gives, since the queue is in join order.
+func (e *engine) walk() {
+	e.heads, e.tiers, e.tier = e.heads[:0], e.tiers[:0], 0
+	if e.pol == FCFS {
+		return
 	}
-	e.keys = keys
-	slices.SortStableFunc(keys, func(a, b pickKey) int {
-		if c := cmpFloat(a.usage, b.usage); c != 0 {
-			return c
+	for _, ts := range e.tenants {
+		if len(ts.queued) > 0 {
+			e.tiers = append(e.tiers, ts)
 		}
-		return cmpFloat(b.score, a.score)
-	})
-	return keys
+	}
+	if e.pol == FairShare {
+		slices.SortFunc(e.tiers, func(a, b *tenantState) int { return cmpFloat(a.usage, b.usage) })
+	}
+}
+
+// nextQueued is the walk's i-th job, nil at its end. When the merge runs
+// dry it loads the next run of equal-usage tenants (all of them under
+// EASY) as a min-heap of their kept lists, by first entry.
+func (e *engine) nextQueued(i int) *jobState {
+	if e.pol == FCFS {
+		if i == len(e.queue) {
+			return nil
+		}
+		return e.queue[i]
+	}
+	if len(e.heads) == 0 {
+		if e.tier == len(e.tiers) {
+			return nil
+		}
+		lo := e.tier
+		e.tier++
+		for e.tier < len(e.tiers) && (e.pol == EASY || e.tiers[e.tier].usage == e.tiers[lo].usage) {
+			e.tier++
+		}
+		for _, ts := range e.tiers[lo:e.tier] {
+			e.heads = append(e.heads, ts.queued)
+		}
+		for j := len(e.heads)/2 - 1; j >= 0; j-- {
+			e.siftDown(j)
+		}
+	}
+	st := e.heads[0][0].st
+	if e.heads[0] = e.heads[0][1:]; len(e.heads[0]) == 0 {
+		last := len(e.heads) - 1
+		e.heads[0] = e.heads[last]
+		e.heads = e.heads[:last]
+	}
+	e.siftDown(0)
+	return st
+}
+
+// siftDown restores the heap of kept lists below index i.
+func (e *engine) siftDown(i int) {
+	h := e.heads
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && cmpKept(h[l][0], h[m][0]) < 0 {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && cmpKept(h[r][0], h[m][0]) < 0 {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // pass is one scheduling pass over the queue and the running set; it
@@ -136,27 +204,24 @@ func (e *engine) order() []pickKey {
 // while they fit. At the first job that does not, FCFS stops — so a
 // blocked FCFS head costs O(1). EASY and FairShare give that job the
 // run's single reservation and backfill behind it only with starts that
-// cannot delay the reserved instant.
+// cannot delay the reserved instant. Once no node is free nothing more
+// can start, and the walk ends.
 func (e *engine) pass() []pick {
-	var keys []pickKey
-	if e.pol != FCFS {
-		keys = e.order()
-	}
+	e.walk()
 	free := e.free()
 	picks := e.picks[:0]
 	reserved := false
 	var shadowHours float64
 	var shadowExtra int // nodes still free at the shadow time after the reservation
-	for i := range e.queue {
-		qi := i
-		if keys != nil {
-			qi = keys[i].qi
+	for i := 0; free > 0; i++ {
+		st := e.nextQueued(i)
+		if st == nil {
+			break
 		}
-		st := e.queue[qi]
 		nodes := st.job.Nodes
 		if !reserved {
 			if nodes <= free {
-				picks = append(picks, pick{qi: qi})
+				picks = append(picks, pick{st: st})
 				free -= nodes
 				continue
 			}
@@ -181,7 +246,7 @@ func (e *engine) pass() []pick {
 			}
 			shadowExtra -= nodes
 		}
-		picks = append(picks, pick{qi: qi, backfilled: true})
+		picks = append(picks, pick{st: st, backfilled: true})
 		free -= nodes
 	}
 	e.picks = picks
@@ -202,8 +267,7 @@ func (e *engine) reservation(freeNow int, started []pick, need int) (shadow floa
 		rels = append(rels, release{st.endOf(), st.job.Nodes})
 	}
 	for _, p := range started {
-		st := e.queue[p.qi]
-		rels = append(rels, release{e.now + st.price.EstimateHours, st.job.Nodes})
+		rels = append(rels, release{e.now + p.st.price.EstimateHours, p.st.job.Nodes})
 	}
 	e.rels = rels
 	slices.SortFunc(rels, func(a, b release) int { return cmpFloat(a.at, b.at) })

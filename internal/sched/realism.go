@@ -134,18 +134,38 @@ type tenantState struct {
 	active  int     // jobs queued or running
 	errInt  float64 // ∫|share − fair| dt while active and contended
 	activeH float64
+
+	queued []kept // its waiting jobs in the kept order (policy.go)
 }
 
-// tenant returns (creating on first sight, in deterministic first-seen
-// order) the usage-ledger entry for a tenant name.
-func (e *engine) tenant(name string) *tenantState {
-	ts := e.tenantIx[name]
-	if ts == nil {
-		ts = &tenantState{name: name}
-		e.tenantIx[name] = ts
-		e.tenants = append(e.tenants, ts)
+// openLedger sets up the usage ledger for a Run's records, given in
+// arrival order: one entry per tenant in first-arrival order (the order
+// Result.TenantShares lists them), each record pointed at its tenant's,
+// and, unless the policy is FCFS, every tenant's kept list carved from
+// one slab — a tenant never has more jobs queued than it submitted, so
+// the lists never grow. A tenant whose first job has not arrived yet has
+// no usage and no rate, and folds to zero like one with nothing active.
+func (e *engine) openLedger(sts []*jobState) {
+	ix := map[string]int{}
+	var counts []int
+	for _, st := range sts {
+		i, ok := ix[st.job.Tenant]
+		if !ok {
+			i = len(e.tenants)
+			ix[st.job.Tenant] = i
+			e.tenants = append(e.tenants, &tenantState{name: st.job.Tenant})
+			counts = append(counts, 0)
+		}
+		st.tenant = e.tenants[i]
+		counts[i]++
 	}
-	return ts
+	if e.pol == FCFS {
+		return
+	}
+	slab := make([]kept, len(sts))
+	for i, ts := range e.tenants {
+		ts.queued, slab = slab[:0:counts[i]], slab[counts[i]:]
+	}
 }
 
 // advance moves the clock to t, integrating the fairness metrics over
@@ -220,20 +240,21 @@ func (e *engine) finishFairness() {
 
 // epochsOf is a job's checkpoint granularity: its workload's epoch
 // count, or 1 for an epoch-less shape (kills lose everything).
-func epochsOf(j *Job) int {
+func epochsOf(j *Job) int32 {
 	if j.Spec.Workload != nil {
 		if ep := j.Spec.Workload.Shape().Epochs; ep > 0 {
-			return ep
+			return int32(ep)
 		}
 	}
 	return 1
 }
 
 // segmentPrice is the Price a continuation is queued under: remaining
-// nominal service (plus restart overhead), the base shape's drain
-// demand and I/O fraction, and the pricer's estimate padding.
+// nominal service (plus restart overhead), the shape's drain demand and
+// I/O fraction — every segment's price carries the shape's — and the
+// pricer's estimate padding.
 func (e *engine) segmentPrice(st *jobState) Price {
-	p := st.base
+	p := st.price
 	p.ServiceHours = st.segSvcH
 	p.EstimateHours = st.segSvcH * (1 + e.pr.EstimateError)
 	return p
@@ -247,9 +268,9 @@ func (e *engine) segmentPrice(st *jobState) Price {
 // remaining checkpoint at overhead + k·perEpoch; it is counted here, at
 // the kill, without building anything. Nothing it is counted from moves
 // between a segment's admission and its kill.
-func (e *engine) recoveredEpochs(st *jobState, doneH float64, byFailure bool) int {
-	buf := 0
-	for k := 1; k <= st.epochs-st.doneEpochs; k++ {
+func (e *engine) recoveredEpochs(st *jobState, doneH float64, byFailure bool) int32 {
+	var buf int32
+	for k := int32(1); k <= st.epochs-st.doneEpochs; k++ {
 		if st.segOverheadH+float64(k)*st.perEpochH <= doneH {
 			buf++
 		}
@@ -264,9 +285,9 @@ func (e *engine) recoveredEpochs(st *jobState, doneH float64, byFailure bool) in
 }
 
 // killRunning checkpoints-and-kills a running job at the current
-// instant and requeues its remainder as a continuation segment at the
-// queue tail. byFailure selects crash recovery semantics (drain lag,
-// restart overhead) over the clean preemption checkpoint.
+// instant and requeues its remainder as a continuation segment, joining
+// at the queue's tail. byFailure selects crash recovery semantics (drain
+// lag, restart overhead) over the clean preemption checkpoint.
 func (e *engine) killRunning(st *jobState, byFailure bool) {
 	st.touch(e.now)
 	doneH := st.segSvcH - st.remH
@@ -314,7 +335,7 @@ func (e *engine) killRunning(st *jobState, byFailure bool) {
 	st.segSvcH = overhead + float64(remEpochs)*st.perEpochH
 	e.res.RequeuedNodeHours += float64(nodes) * st.segSvcH
 	st.enqH, st.price = e.now, e.segmentPrice(st)
-	e.queue = append(e.queue, st)
+	e.join(st)
 	e.restretch()
 	e.sample()
 }

@@ -208,7 +208,7 @@ func TestFairSharePickOrdersByUsage(t *testing.T) {
 	hog, light := pend(1, 4, 1, 5), pend(2, 4, 1, 5)
 	hog.job.Tenant, light.job.Tenant = "hog", "light"
 	e := passEngine(FairShare, 4, []*jobState{hog, light}, nil, map[string]float64{"hog": 100, "light": 1})
-	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
+	if ids, bf := pickedIDs(e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
 		t.Fatalf("FairShare picked jobs %v (backfilled %v), want only the light tenant's job 2, not backfilled", ids, bf)
 	}
 }
@@ -275,14 +275,17 @@ func TestKillAllocs(t *testing.T) {
 	if err := e.schedule(); err != nil {
 		t.Fatal(err)
 	}
+	shape := st.price // the price the fresh job was admitted under
 	for _, tc := range []struct {
 		name      string
 		byFailure bool
-		kept      int // epochs the continuation keeps
+		kept      int32 // epochs the continuation keeps
 	}{{"preemption", false, 2}, {"failure", true, 2 - drainLagEpochs}} {
 		kill := func() {
-			e.queue = e.queue[:0]
-			st.doneEpochs, st.segOverheadH, st.segSvcH, st.price = 0, 0, st.base.ServiceHours, st.base
+			if len(e.queue) > 0 { // the previous round's continuation
+				e.leave(st)
+			}
+			st.doneEpochs, st.segOverheadH, st.segSvcH, st.price = 0, 0, shape.ServiceHours, shape
 			if err := e.admit(st, false); err != nil {
 				t.Fatal(err)
 			}
@@ -308,8 +311,8 @@ func TestKillAllocs(t *testing.T) {
 func TestRecoveredEpochsLedgerOracle(t *testing.T) {
 	e := &engine{}
 	count := func(done, rem int, start, perEpoch, at float64) int {
-		st := &jobState{epochs: done + rem, doneEpochs: done, segOverheadH: start, perEpochH: perEpoch}
-		return e.recoveredEpochs(st, at, false)
+		st := &jobState{epochs: int32(done + rem), doneEpochs: int32(done), segOverheadH: start, perEpochH: perEpoch}
+		return int(e.recoveredEpochs(st, at, false))
 	}
 	ledger := func(rem int, start, perEpoch, at float64) int {
 		l := &fault.Ledger{}

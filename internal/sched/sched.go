@@ -394,8 +394,8 @@ func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 		pfsBW:    PFSBandwidth(cfg.Machine),
 		arrivals: arrivals,
 		lastOver: 1,
-		tenantIx: map[string]*tenantState{},
 	}
+	e.openLedger(arrivals)
 	if cfg.Faults.enabled() {
 		lastSubmit := 0.0
 		if n := len(arrivals); n > 0 {

@@ -14,17 +14,21 @@ import (
 	"picmcio/internal/units"
 )
 
-// passEngine seeds an engine's queue and running set by hand for the
-// direct pass tests: the clock at 10 h, `free` nodes free beside the
-// running jobs' nodes, and every tenant's usage from `usage`.
+// passEngine sets up an engine for the direct pass tests: the clock at
+// 10 h, the running set by hand with `free` nodes free beside its nodes,
+// every tenant's usage from `usage`, and the queued jobs joined in the
+// order given — through join, as enqueue and a kill's requeue put them,
+// so the tenants' kept orders are the engine's own.
 func passEngine(pol Policy, free int, queue, running []*jobState, usage map[string]float64) *engine {
-	e := &engine{pol: pol, now: 10, queue: queue, run: running}
+	e := &engine{pol: pol, now: 10, run: running}
 	for _, st := range running {
 		e.busy += st.job.Nodes
 	}
 	e.cfg.Nodes = free + e.busy
+	e.openLedger(queue)
 	for _, st := range queue {
-		st.tenant = &tenantState{name: st.job.Tenant, usage: usage[st.job.Tenant]}
+		st.tenant.usage = usage[st.job.Tenant]
+		e.join(st)
 	}
 	return e
 }
@@ -42,9 +46,9 @@ func active(nodes int, endH float64) *jobState {
 
 // pickedIDs is the pass's picks as job IDs, in pick order, with each
 // pick's backfill flag.
-func pickedIDs(e *engine, picks []pick) (ids []int, backfilled []bool) {
+func pickedIDs(picks []pick) (ids []int, backfilled []bool) {
 	for _, p := range picks {
-		ids = append(ids, e.queue[p.qi].job.ID)
+		ids = append(ids, p.st.job.ID)
 		backfilled = append(backfilled, p.backfilled)
 	}
 	return ids, backfilled
@@ -54,7 +58,7 @@ func TestFCFSHeadOfLineBlocking(t *testing.T) {
 	// Queue: 4-node head fits, 8-node second blocks on 6 free, 2-node
 	// third would fit but FCFS must not jump the blocker.
 	e := passEngine(FCFS, 10, []*jobState{pend(1, 4, 1, 5), pend(2, 8, 1, 5), pend(3, 2, 1, 5)}, nil, nil)
-	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
+	if ids, bf := pickedIDs(e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
 		t.Fatalf("FCFS picked jobs %v (backfilled %v), want only job 1, not backfilled", ids, bf)
 	}
 }
@@ -74,7 +78,7 @@ func TestEASYBackfillsBehindReservation(t *testing.T) {
 		[]*jobState{active(4, 14)}, nil)
 	// Shadow: at t=14 avail = 6+4 = 10 ≥ 8, spare = 2. Job 2 backfills
 	// (ends 13 ≤ 14); job 3 takes the 2 spare; job 4 must not start.
-	ids, bf := pickedIDs(e, e.pass())
+	ids, bf := pickedIDs(e.pass())
 	if !slices.Equal(ids, []int{2, 3}) {
 		t.Fatalf("EASY backfilled jobs %v, want [2 3]", ids)
 	}
@@ -83,11 +87,24 @@ func TestEASYBackfillsBehindReservation(t *testing.T) {
 	}
 }
 
+// TestEASYBackfillsTheLastFreeNode: the pass's walk ends only once no
+// node is free, so a 1-node job late in the order still takes the last.
+func TestEASYBackfillsTheLastFreeNode(t *testing.T) {
+	// 3 free nodes; the 8-node job 2 (aged hardest) is blocked until the
+	// running 8-node job releases at t=14, leaving 3 spare. Job 1 runs
+	// past 14 on 2 of the spare nodes; job 3 ends at 11 on the last free
+	// node.
+	e := passEngine(EASY, 3, []*jobState{pend(1, 2, 5, 5), pend(2, 8, 10, 5), pend(3, 1, 0, 1)}, []*jobState{active(8, 14)}, nil)
+	if ids, bf := pickedIDs(e.pass()); !slices.Equal(ids, []int{1, 3}) || !bf[0] || !bf[1] {
+		t.Fatalf("EASY picked jobs %v (backfilled %v), want 1 and 3, both backfilled", ids, bf)
+	}
+}
+
 func TestEASYAgingPrioritizesOldWideJobs(t *testing.T) {
 	// A wide job that has waited long outranks a fresh narrow one:
 	// score(wide) = 20/2 - log2(16) = 6 > score(narrow) = 0/2 - 1 = -1.
 	e := passEngine(EASY, 16, []*jobState{pend(1, 2, 0, 5), pend(2, 16, 20, 5)}, nil, nil)
-	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
+	if ids, bf := pickedIDs(e.pass()); !slices.Equal(ids, []int{2}) || bf[0] {
 		t.Fatalf("EASY started jobs %v (backfilled %v), want only the aged wide job (id 2), not backfilled", ids, bf)
 	}
 }
@@ -115,7 +132,7 @@ func TestReservationSameInstantReleases(t *testing.T) {
 		{"narrow release first", []*jobState{active(2, 14), active(6, 14)}, nil},
 	} {
 		e := passEngine(EASY, 3, queue(), tc.running, nil)
-		if ids, _ := pickedIDs(e, e.pass()); !slices.Equal(ids, tc.want) {
+		if ids, _ := pickedIDs(e.pass()); !slices.Equal(ids, tc.want) {
 			t.Errorf("%s: picked jobs %v, want %v", tc.name, ids, tc.want)
 		}
 	}
@@ -123,7 +140,7 @@ func TestReservationSameInstantReleases(t *testing.T) {
 	// the running job's 2 nodes count first, covering the 5-node need
 	// with none spare, so the 3-node job behind it must not start.
 	e := passEngine(EASY, 9, []*jobState{pend(1, 6, 40, 4), pend(2, 5, 30, 5), pend(3, 3, 0, 50)}, []*jobState{active(2, 14)}, nil)
-	if ids, bf := pickedIDs(e, e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
+	if ids, bf := pickedIDs(e.pass()); !slices.Equal(ids, []int{1}) || bf[0] {
 		t.Errorf("running set then starts: picked jobs %v (backfilled %v), want only job 1, not backfilled", ids, bf)
 	}
 }
