@@ -2,6 +2,7 @@ package adios2
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -503,6 +504,57 @@ func TestOpenRejectsMalformedParameters(t *testing.T) {
 	}
 }
 
+// A file that world rank 0 or an aggregator cannot create while opening
+// for writing is every rank's error: the failing rank stays in the splits
+// and hands it to the closing barrier, instead of returning before them
+// and leaving the rest parked for good.
+func TestOpenFailureIsEveryRanksError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block func(ns *pfs.Namespace) error // puts the obstacle in place
+		want  error
+	}{
+		{"md.0 is a directory", func(ns *pfs.Namespace) error {
+			_, err := ns.MkdirAll("/out.bp4/md.0")
+			return err
+		}, pfs.ErrIsDir},
+		{"an aggregator's subfile is a directory", func(ns *pfs.Namespace) error {
+			_, err := ns.MkdirAll("/out.bp4/data.1")
+			return err
+		}, pfs.ErrIsDir},
+		{"the dataset is a regular file", func(ns *pfs.Namespace) error {
+			_, err := ns.CreateFile("/out.bp4")
+			return err
+		}, pfs.ErrNotDir},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const ranks = 4
+			rg := newRig(ranks)
+			if err := tc.block(rg.fs.Namespace()); err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, ranks)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("open panicked: %v", r)
+					}
+				}()
+				rg.w.Run(func(r *mpisim.Rank) {
+					io := New().DeclareIO("out")
+					io.SetParameter("NumAggregators", "2")
+					_, errs[r.ID] = io.Open(rg.host(r), "/out.bp4", ModeWrite)
+				})
+			}()
+			for rank, err := range errs {
+				if !errors.Is(err, tc.want) {
+					t.Errorf("rank %d returned %v, want %v", rank, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // A forked IO reads its template's settings until either changes one; the
 // change is then the changer's alone, and is parsed again at its Open.
 func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
@@ -511,7 +563,8 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	if err := tmpl.AddOperation("blosc"); err != nil {
 		t.Fatal(err)
 	}
-	a, b := tmpl.Fork(), tmpl.Fork()
+	a, b := new(IO), new(IO)
+	*a, *b = tmpl.Fork(), tmpl.Fork()
 	if a.set != tmpl.set || b.set != tmpl.set {
 		t.Fatal("Fork copied the settings")
 	}

@@ -98,6 +98,9 @@ type IO struct {
 	// of them once stages nvars puts and 2·dims selection entries.
 	rows        *VarRow
 	nvars, dims int
+	// first is the first row defined: most IOs define one, and it need not
+	// be an object of its own. An IO is not copied once it has rows.
+	first VarRow
 }
 
 // settings is what Fork shares between IOs: engine type, parameters and
@@ -116,13 +119,14 @@ type settings struct {
 }
 
 // Fork returns a new IO with io's name, engine type, parameters and
-// operator, and no variables. The settings are not copied: both IOs read
-// the same ones — parsed once, by whichever opens first — until one of
-// them changes a setting, which it then does on its own copy. It is how
-// every rank of a world gets the configuration one rank resolved.
-func (io *IO) Fork() *IO {
+// operator, and no variables, by value, for its caller to keep where it
+// likes. The settings are not copied: both IOs read the same ones —
+// parsed once, by whichever opens first — until one of them changes a
+// setting, which it then does on its own copy. It is how every rank of a
+// world gets the configuration one rank resolved.
+func (io *IO) Fork() IO {
 	io.set.shared = true
-	return &IO{name: io.name, set: io.set}
+	return IO{name: io.name, set: io.set}
 }
 
 // own returns io's settings for writing: a private copy if they are
@@ -296,7 +300,11 @@ func (io *IO) DefineRow(set *VarSet, nums []uint64) (*VarRow, error) {
 	if len(nums) != set.RowWords() {
 		return nil, fmt.Errorf("adios2: a row of %d numbers for %d variables of %d dimensions", len(nums), len(set.names), set.dims)
 	}
-	r := &VarRow{io: io, set: set, nums: nums, base: io.nvars, next: io.rows}
+	r := &io.first
+	if r.io != nil { // taken
+		r = new(VarRow)
+	}
+	*r = VarRow{io: io, set: set, nums: nums, base: io.nvars, next: io.rows}
 	io.rows = r
 	io.nvars += len(set.names)
 	io.dims += set.dims * len(set.names)
@@ -463,16 +471,17 @@ func (io *IO) applyBurstQoS(fs pfs.FileSystem) error {
 	return nil
 }
 
-// Open creates an engine for path in the given mode. Every rank of the
-// communicator must call Open collectively for write mode. With the
-// BurstBuffer parameter on and a staging tier attached to the host
-// environment, all engine I/O (write and read) goes through the tier, from
-// an environment the engine holds by value.
+// Open creates an engine for path in the given mode: the rank's slot of
+// the communicator's block of engines of that path (mpisim.Block). Every
+// rank of the communicator must call Open collectively for write mode.
+// With the BurstBuffer parameter on and a staging tier attached to the
+// host environment, all engine I/O (write and read) goes through the
+// tier, from an environment the engine holds by value.
 func (io *IO) Open(h Host, path string, mode Mode) (*Engine, error) {
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("adios2: incomplete host")
 	}
-	e := &Engine{io: io, h: h, path: pfs.Clean(path), mode: mode, curStep: -1}
+	e := io.newEngine(h, path, mode)
 	if paramOn(io.Parameter("BurstBuffer", "off")) && h.Env.Stage != nil {
 		e.staged = *h.Env
 		e.staged.FS = h.Env.Stage
@@ -494,4 +503,16 @@ func (io *IO) Open(h Host, path string, mode Mode) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// newEngine returns a new engine of io for path, filled field by field:
+// every rank parks under Open, and neither this frame nor a composite
+// literal's temporary may fatten Open's.
+//
+//go:noinline
+func (io *IO) newEngine(h Host, path string, mode Mode) *Engine {
+	path = pfs.Clean(path)
+	e := mpisim.Block[string, Engine](h.Comm, path)
+	e.io, e.h, e.path, e.mode, e.curStep = io, h, path, mode, -1
+	return e
 }

@@ -123,7 +123,9 @@ type Engine struct {
 
 // openWriter opens path for collective writing. Every rank parks in its
 // splits and its barrier, so what only world rank 0 and the aggregators do
-// — creating files — has its own frames.
+// — creating files — has its own frames. A rank whose create fails stays
+// in the splits and hands its error to the closing BarrierErr, which makes
+// it every rank's.
 func (e *Engine) openWriter() error {
 	// Before anything collective: a bad parameter is the same error on
 	// every rank, and nobody is left parked.
@@ -140,23 +142,20 @@ func (e *Engine) openWriter() error {
 
 	rank := h.Comm.Rank()
 	if rank == 0 {
-		if err := e.createMetadata(); err != nil {
-			return err
-		}
+		err = e.createMetadata()
 	}
 	e.subfile = rank * e.aggregators() / h.Comm.Size()
 	e.aggComm = h.Comm.Split(e.subfile, rank)
 	e.isAgg = e.aggComm.Rank() == 0
 	if e.isAgg {
 		e.ldrComm = h.Comm.Split(0, rank)
-		if err := e.createSubfile(); err != nil {
-			return err
+		if err == nil {
+			err = e.createSubfile()
 		}
 	} else {
 		e.ldrComm = h.Comm.Split(1, rank)
 	}
-	h.Comm.Barrier()
-	return nil
+	return h.Comm.BarrierErr(err)
 }
 
 // aggregators reports the number of subfiles: NumAggregators, clamped to

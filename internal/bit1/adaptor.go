@@ -49,18 +49,23 @@ type adaptor struct {
 	// for one epoch serve the next.
 	comps  openpmd.ComponentSet
 	iter   *openpmd.Iteration
-	locals []int64 // saveIteration's exscan contribution, reused
+	locals []int64 // saveIteration's exscan contribution, one per component
 	closed bool
 }
 
 // idle is a volume accumulator nothing was added to since the last save.
 const idle = ^uint64(0)
 
+// adaptorKey is the key of the blocks an adaptor's ranks take their
+// adaptors and rows from: the series path.
+type adaptorKey string
+
 // newAdaptor opens the series at path (extension selects the backend;
 // .bp4 for the paper's configuration) with the given TOML options, to
 // write the components of schema: one block of numbers for all of them,
 // which the first save resolves, defining their ADIOS2 variables,
-// together.
+// together. The adaptor, its numbers and its exscan contribution are the
+// rank's slots of three blocks of the communicator (mpisim.Block).
 func newAdaptor(h openpmd.Host, path, tomlOptions string, schema *openpmd.Schema) (*adaptor, error) {
 	s, err := openpmd.NewSeries(h, path, openpmd.AccessCreate, tomlOptions)
 	if err != nil {
@@ -68,13 +73,26 @@ func newAdaptor(h openpmd.Host, path, tomlOptions string, schema *openpmd.Schema
 	}
 	s.SetAttribute("software", "BIT1")
 	s.SetAttribute("iterationEncoding", "groupBased")
-	words := schema.RowWords()
-	block := make([]uint64, words+schema.Len())
-	a := &adaptor{comm: h.Comm, series: s, schema: schema, nums: block[:words:words], vols: block[words:]}
+	return takeAdaptor(h.Comm, path, s, schema), nil
+}
+
+// takeAdaptor returns a new adaptor of series s at path, with its numbers
+// and its exscan contribution, filled field by field: every rank parks
+// under newAdaptor, and neither this frame nor a composite literal's
+// temporary may fatten its.
+//
+//go:noinline
+func takeAdaptor(comm *mpisim.Comm, path string, s *openpmd.Series, schema *openpmd.Schema) *adaptor {
+	key, words := adaptorKey(path), schema.RowWords()
+	a := mpisim.Block[adaptorKey, adaptor](comm, key)
+	a.comm, a.series, a.schema = comm, s, schema
+	block := mpisim.Rows[adaptorKey, uint64](comm, key, words+schema.Len())
+	a.nums, a.vols = block[:words:words], block[words:]
+	a.locals = mpisim.Rows[adaptorKey, int64](comm, key, schema.Len())[:0]
 	for i := range a.vols {
 		a.vols[i] = idle
 	}
-	return a, nil
+	return a
 }
 
 // accumulateFloats appends values to component i's local vector (content
@@ -159,9 +177,6 @@ func (a *adaptor) saveIteration(id uint64) error {
 // contribute fills locals with this rank's element count of every pending
 // component, in component order: its contribution to the save's exscan.
 func (a *adaptor) contribute() error {
-	if a.locals == nil {
-		a.locals = make([]int64, 0, len(a.vols))
-	}
 	a.locals = a.locals[:0]
 	for i, local := range a.vols {
 		if !a.pending(i) {

@@ -105,15 +105,17 @@ func TestOpenAllocations(t *testing.T) {
 	spawn := testing.AllocsPerRun(5, func() { newRig(ranks).w.Run(func(*mpisim.Rank) {}) }) / ranks
 	one, two := perRank(1)-spawn, perRank(2)-spawn
 	t.Logf("allocations per rank of an open and close: %.2f with 1 aggregator, %.2f with 2", one, two)
-	// Measured: 12.4 and 12.9 (16.3 and 16.8 while the two attributes and
-	// the split communicators' handles were objects of their own; 28.8 and
-	// 30.1 before the settings were shared), of which 6 are a rank's own
-	// handles (adaptor, its row of numbers, series, backend, IO, engine), 2
-	// this rig's POSIX environment and the rest this small world's
-	// per-world objects — the test's schema among them — spread over 16
-	// ranks. The bound is that + 1, and one more for what
-	// the race detector allocates.
-	limit := 13.4
+	// Measured: 7.5 and 7.9 (12.1 and 12.6 while a rank's own handles —
+	// adaptor, its row of numbers, series, backend, IO, engine — were 6
+	// objects, not slots of its communicator's blocks or fields of each
+	// other; 16.3 and 16.8 while the two
+	// attributes and the split communicators' handles were objects of
+	// their own; 28.8 and 30.1 before the settings were shared), of which
+	// 0 are a rank's own handles, 2 this rig's POSIX environment and the
+	// rest this small world's per-world objects — the blocks and the
+	// test's schema among them — spread over 16 ranks. The bound is that
+	// + 1, and one more for what the race detector allocates.
+	limit := 8.5
 	if raceBuild {
 		limit++
 	}
@@ -197,9 +199,11 @@ func TestRankFootprint(t *testing.T) {
 	ten, twenty := perRank(10), perRank(20)
 	perComp := (twenty - ten) / 10
 	t.Logf("bytes per rank of open + first save + close: %.0f with 10 components, %.0f with 20: %.1f per extra component", ten, twenty, perComp)
-	// Measured (go1.24): 2626, 3604 and 97.8, of which 83 are the rank's
+	// Measured (go1.24): 2736, 3706 and 97.0, of which 83 are the rank's
 	// own and the rest this small world's per-component objects — names,
-	// paths, the exscan's result — spread over 16 ranks; 2560 before the
+	// paths, the exscan's result — spread over 16 ranks; 2626 while a
+	// rank's handles were objects of their own, not slots of blocks that
+	// its world keeps, with their bookkeeping, until it ends; 2560 before the
 	// engine held a staged environment by value. The 2560 counts
 	// the rendezvous every communicator keeps once it has run a collective
 	// of a kind (2517 while each call made its own); it was 5748, 10138 and

@@ -302,9 +302,9 @@ func TestUnknownModeRejected(t *testing.T) {
 }
 
 // TestSetupFailureIsEveryRanksError: when rank 0 cannot create the input
-// deck or the output directory, every rank of the world returns the error
-// — in both modes — rather than the others parking for good in the
-// barrier rank 0 never reached.
+// deck, the output directory or a history file, every rank of the world
+// returns the error — in both modes — rather than the others parking for
+// good in the barrier or the collective rank 0 never reached.
 func TestSetupFailureIsEveryRanksError(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -324,6 +324,10 @@ func TestSetupFailureIsEveryRanksError(t *testing.T) {
 			_, err := ns.CreateFile("/top")
 			return err
 		}, pfs.ErrNotDir},
+		{"history file is a directory", "/out", func(ns *pfs.Namespace) error {
+			_, err := ns.MkdirAll("/out/bit1_global_0.dat")
+			return err
+		}, pfs.ErrIsDir},
 	} {
 		for _, modeName := range []string{"original", "openpmd"} {
 			mode, _ := ParseIOMode(modeName)

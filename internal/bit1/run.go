@@ -303,9 +303,12 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg := &pl.cfg
 
+	var shared []*stdio.File
 	var err error
 	if r.ID == 0 {
-		err = env.MkdirAll(p, cfg.OutDir)
+		if err = env.MkdirAll(p, cfg.OutDir); err == nil {
+			shared, err = fopenShared(p, env, pl.shared)
+		}
 	}
 	if err = r.Comm.BarrierErr(err); err != nil {
 		return err
@@ -315,13 +318,6 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	ad, err := newAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions, pl.schema)
 	if err != nil {
 		return err
-	}
-
-	var shared []*stdio.File
-	if r.ID == 0 {
-		if shared, err = fopenShared(p, env, pl.shared); err != nil {
-			return err
-		}
 	}
 
 	prev := 0

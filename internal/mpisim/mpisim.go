@@ -144,6 +144,49 @@ func Memo[K comparable, V any](c *Comm, key K, build func() V) V {
 // MemoBuilds reports how many values Memo has built for this world.
 func (w *World) MemoBuilds() int { return w.memoBuilds }
 
+// block is what a group holds under one (key, T, width): every rank's
+// row, back to back in comm-rank order, and which ranks have taken
+// theirs.
+type block[K comparable, T any] struct {
+	key   K
+	width int
+	elems []T
+	taken []bool
+}
+
+// Block returns this rank's element of the block the communicator's group
+// holds under (key, T), so that what every rank of a collective open has
+// one of is one allocation, as the ranks' handles are (World.Spawn). The
+// first rank to ask makes the block, one zero element per comm rank. A
+// rank asking again for a slot it has taken — a second open of one path,
+// say — gets a new element: a slot is never handed out twice. Unlike a
+// Memo value, the element is the rank's to write. Make K or T private to
+// the calling package.
+func Block[K comparable, T any](c *Comm, key K) *T { return &Rows[K, T](c, key, 1)[0] }
+
+// Rows is Block for a row of width elements, capped: an append to it
+// cannot reach the next rank's row.
+func Rows[K comparable, T any](c *Comm, key K, width int) []T {
+	g := c.g
+	var b *block[K, T]
+	for _, x := range g.blocks {
+		if x, ok := x.(*block[K, T]); ok && x.key == key && x.width == width {
+			b = x
+			break
+		}
+	}
+	if b == nil {
+		b = &block[K, T]{key: key, width: width, elems: make([]T, len(g.ranks)*width), taken: make([]bool, len(g.ranks))}
+		g.blocks = append(g.blocks, b)
+	}
+	if b.taken[c.rank] {
+		return make([]T, width)
+	}
+	b.taken[c.rank] = true
+	lo := c.rank * width
+	return b.elems[lo : lo+width : lo+width]
+}
+
 // commGroup is the shared state of one communicator.
 type commGroup struct {
 	w     *World
@@ -163,6 +206,8 @@ type commGroup struct {
 	// rendezvous of this communicator; the last arriver hands it to the
 	// kernel as the release's list, where its own slot is skipped.
 	parked []*sim.Proc
+	// blocks holds what Block and Rows have made: a few, so a list.
+	blocks []any
 }
 
 // rendezvous is a collState of any types, for the communicator's list.

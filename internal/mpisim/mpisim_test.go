@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"picmcio/internal/sim"
 )
@@ -324,6 +325,57 @@ func TestMemoBuildsOncePerWorld(t *testing.T) {
 		if got := run(size).MemoBuilds(); got != 3 {
 			t.Errorf("a world of %d ranks built %d values, want 3", size, got)
 		}
+	}
+}
+
+// Block and Rows hand each rank its slot of one block per (key, T, width)
+// of the communicator's group, sized and indexed by the communicator; a
+// rank that asks again gets a new element, never its slot a second time;
+// and none of it is a memo build.
+func TestBlock(t *testing.T) {
+	type nameKey string
+	type pathKey string
+	const size, width = 8, 3
+	w := world(size)
+	w.Run(func(r *Rank) {
+		c := r.Comm
+		slots := []unsafe.Pointer{
+			unsafe.Pointer(Block[nameKey, int](c, "a")),
+			unsafe.Pointer(Block[nameKey, int](c, "b")),
+			unsafe.Pointer(Block[pathKey, int](c, "a")),
+			unsafe.Pointer(Block[nameKey, int64](c, "a")),
+			unsafe.Pointer(Block[nameKey, int](c, "a")), // taken: a new element
+		}
+		for i := range slots {
+			for j := range i {
+				if slots[i] == slots[j] {
+					t.Errorf("rank %d: request %d returned the slot of request %d", r.ID, i, j)
+				}
+			}
+		}
+
+		half := c.Split(r.ID%2, r.ID)
+		row := Rows[nameKey, int64](half, "row", width)
+		if len(row) != width || cap(row) != width {
+			t.Errorf("rank %d: a row of len %d, cap %d, want %d", r.ID, len(row), cap(row), width)
+		}
+		b := half.g.blocks[len(half.g.blocks)-1].(*block[nameKey, int64])
+		if len(b.elems) != half.Size()*width || &b.elems[half.Rank()*width] != &row[0] {
+			t.Errorf("rank %d: row at %p of a block of %d, want the split's block of %d at index %d", r.ID, &row[0], len(b.elems), half.Size()*width, half.Rank()*width)
+		}
+		for i := range row {
+			row[i] = int64(r.ID)
+		}
+		_ = append(row, -1) // must not reach the next rank's row
+		half.Barrier()
+		for i, v := range b.elems {
+			if want := int64(half.g.ranks[i/width]); v != want {
+				t.Errorf("rank %d: element %d of the split's block is %d, want %d", r.ID, i, v, want)
+			}
+		}
+	})
+	if got := w.MemoBuilds(); got != 0 {
+		t.Errorf("blocks counted %d memo builds, want 0", got)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // bp4Backend drives the simulated ADIOS2 BP engine. Iterations map to
 // ADIOS2 steps ("group-based iteration encoding with steps", §III-B), so
-// one engine/directory holds the whole series.
+// one engine/directory holds the whole series. It lies in its Series, and
+// its IO in it.
 type bp4Backend struct {
-	s      *Series
-	io     *adios2.IO
+	io     adios2.IO
 	eng    *adios2.Engine
 	inIter bool
 }
@@ -76,15 +76,16 @@ func newIOTemplate(cfg *Config) ioTemplate {
 	return ioTemplate{io: io}
 }
 
-func newBP4Backend(s *Series) (*bp4Backend, error) {
+// open opens s's engine.
+func (b *bp4Backend) open(s *Series) error {
 	// The Config is one per world (NewSeries), so what it says about the
 	// engine is resolved once per world too; a rank's IO reads the
 	// template's settings in place and has only its variables to itself.
 	tmpl := mpisim.Memo(s.host.Comm, s.cfg, func() ioTemplate { return newIOTemplate(s.cfg) })
 	if tmpl.err != nil {
-		return nil, tmpl.err
+		return tmpl.err
 	}
-	b := &bp4Backend{s: s, io: tmpl.io.Fork()}
+	b.fork(tmpl.io)
 	h := adios2.Host{Proc: s.host.Proc, Env: s.host.Env, Comm: s.host.Comm}
 	mode := adios2.ModeWrite
 	if s.access == AccessReadOnly {
@@ -92,11 +93,17 @@ func newBP4Backend(s *Series) (*bp4Backend, error) {
 	}
 	eng, err := b.io.Open(h, s.path, mode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.eng = eng
-	return b, nil
+	return nil
 }
+
+// fork takes b's IO from the template: every rank parks under open, and
+// the forked IO's temporary may not fatten its frame.
+//
+//go:noinline
+func (b *bp4Backend) fork(tmpl *adios2.IO) { b.io = tmpl.Fork() }
 
 func (b *bp4Backend) beginIteration(id uint64) error {
 	if b.inIter {

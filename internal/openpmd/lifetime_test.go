@@ -158,3 +158,81 @@ func TestStoreChunkCopiesDimensions(t *testing.T) {
 		})
 	}
 }
+
+// A rank's series and engine are its slots of its communicator's blocks
+// for their path; a second open of the path for writing, while the first
+// is live, gets a series and an engine of its own, and the first still
+// writes and closes as if it were alone.
+func TestReopenGetsItsOwnSeries(t *testing.T) {
+	const ranks, perRank = 4, 8
+	const path, toml = "/re.bp4", "[adios2.engine.parameters]\nNumAggregators = \"2\"\nProfile = \"off\""
+	rg := newRig(ranks)
+	firsts := make([]*Series, ranks)
+	rg.w.Run(func(r *mpisim.Rank) {
+		first, err := NewSeries(rg.host(r), path, AccessCreate, toml)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		second, err := NewSeries(rg.host(r), path, AccessCreate, toml)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		firsts[r.ID] = first
+		if first == second || first.bp4.eng == second.bp4.eng {
+			t.Errorf("rank %d: the second open shares the first's series %t or engine %t", r.ID, first == second, first.bp4.eng == second.bp4.eng)
+		}
+		it, err := first.WriteIteration(0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rc := it.Particles("e").Record("position").Component("x")
+		data := make([]float64, perRank)
+		for i := range data {
+			data[i] = float64(r.ID*perRank + i)
+		}
+		for _, err := range []error{
+			rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks * perRank}}),
+			rc.StoreChunk([]uint64{uint64(r.ID * perRank)}, []uint64{perRank}, data),
+			it.Close(),
+			first.Close(),
+			second.Close(),
+		} {
+			if err != nil {
+				t.Errorf("rank %d: %v", r.ID, err)
+			}
+		}
+	})
+	for i := range firsts {
+		for j := range i {
+			if firsts[i] == firsts[j] {
+				t.Errorf("ranks %d and %d share a series", j, i)
+			}
+		}
+	}
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), path, AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.ReadIteration(0)
+		got, _, err := it.Particles("e").Record("position").Component("x").Load()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, v := range got {
+			if v != float64(i) {
+				t.Errorf("element %d reads %v, want %d", i, v, i)
+				break
+			}
+		}
+		if len(got) != ranks*perRank {
+			t.Errorf("read %d elements, want %d", len(got), ranks*perRank)
+		}
+		s.Close()
+	})
+}

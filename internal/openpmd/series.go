@@ -100,6 +100,8 @@ type Series struct {
 	// and over, and it need not be an object of its own.
 	first  Iteration
 	closed bool
+	// bp4 is the BP backend, be's if the series has one.
+	bp4 bp4Backend
 }
 
 // attribute is one root attribute.
@@ -127,7 +129,9 @@ type parsedTOML struct {
 
 // NewSeries opens (or creates) a series at path. The backend is chosen by
 // extension: .bp/.bp4/.bp5 → ADIOS2 BP engine, .json → JSON files.
-// options is a TOML document ("" for defaults).
+// options is a TOML document ("" for defaults). Creating is collective.
+// A series is the rank's slot of the communicator's block of series of
+// that path (mpisim.Block).
 func NewSeries(h Host, path string, access Access, options string) (*Series, error) {
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("openpmd: incomplete host")
@@ -142,11 +146,10 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Series{host: h, path: path, access: access, cfg: cfg}
-	s.attrs = s.attrs0[:0]
+	s := newSeries(h, path, access, cfg)
 	switch {
 	case strings.HasSuffix(path, ".bp"), strings.HasSuffix(path, ".bp4"), strings.HasSuffix(path, ".bp5"):
-		s.be, err = newBP4Backend(s)
+		s.be, err = &s.bp4, s.bp4.open(s)
 	case strings.HasSuffix(path, ".json"):
 		s.be, err = newJSONBackend(s)
 	default:
@@ -156,6 +159,18 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 		return nil, err
 	}
 	return s, nil
+}
+
+// newSeries returns a new series of path, filled field by field: every
+// rank parks under NewSeries, and neither this frame nor a composite
+// literal's temporary may fatten its.
+//
+//go:noinline
+func newSeries(h Host, path string, access Access, cfg *Config) *Series {
+	s := mpisim.Block[string, Series](h.Comm, path)
+	s.host, s.path, s.access, s.cfg = h, path, access, cfg
+	s.attrs = s.attrs0[:0]
+	return s
 }
 
 // SetAttribute stores a root attribute.
