@@ -17,8 +17,7 @@ import (
 var keptExports = map[string]string{
 	"darshan.Log.Encode":      "the writer of the only format cmd/darshan-parser reads; until a CLI writes a log (ROADMAP items 8 and 9) only tests call it",
 	"mpisim.World.MemoBuilds": "the counter the once-per-world ratchets of openpmd's and bit1's tests read; a _test.go file of mpisim could not serve them",
-	"nfs.DefaultParams":       "the one NFS configuration there is: no machine preset mounts NFS, and the tests of nfs, pfs (its conformance trace) and experiments build theirs from it",
-	"pfs.FileInfo.IsDir":      "POSIX's directory bit, which every backend must agree on: the conformance traces in internal/pfs/testdata record it",
+	"pfs.FileInfo.IsDir":      "POSIX's directory bit, which a burst tier must keep: the conformance trace in internal/pfs/testdata records it",
 
 	// The frozen digests in internal/sched/testdata/result_digests.json
 	// encode every field of a Result, so deleting one changes all of them.

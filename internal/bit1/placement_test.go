@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"picmcio/internal/cephfs"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/pfs"
@@ -17,69 +16,32 @@ import (
 	"picmcio/internal/workload"
 )
 
-// placementFS is a backend under the placement fence: how to build it and
-// how to describe one file's placement state.
-type placementFS struct {
-	name  string
-	build func(k *sim.Kernel) pfs.FileSystem
-	// describe is the file's placement: a Lustre layout as lfs getstripe
-	// reports it, a Ceph inode as fmt prints the backend's state.
-	describe func(fs pfs.FileSystem, path string, n *pfs.Node) string
-	// recreates are the changed conditions one file is re-created under,
-	// one after another, once the run is over.
-	recreates []func(fs pfs.FileSystem) error
+// describePlacement is a file's Lustre layout as lfs getstripe reports it.
+func describePlacement(fs *lustre.FS, path string) string {
+	l, err := fs.GetStripe(path)
+	if err != nil {
+		return err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "count=%d stripe_size=%d offset=%d", l.StripeCount, l.StripeSize, l.StripeOffset)
+	for _, o := range l.Objects {
+		fmt.Fprintf(&b, " %d:%d", o.OBDIdx, o.ObjID)
+	}
+	return b.String()
 }
 
-var placementBackends = []placementFS{
-	{
-		name: "lustre",
-		build: func(k *sim.Kernel) pfs.FileSystem {
-			p := lustre.DefaultParams()
-			p.JitterFrac, p.Seed = 0.05, 3 // metadata jitter interleaves its draws with placement's
-			return lustre.New(k, p)
-		},
-		describe: func(fs pfs.FileSystem, path string, _ *pfs.Node) string {
-			l, err := fs.(*lustre.FS).GetStripe(path)
-			if err != nil {
-				return err.Error()
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "count=%d stripe_size=%d offset=%d", l.StripeCount, l.StripeSize, l.StripeOffset)
-			for _, o := range l.Objects {
-				fmt.Fprintf(&b, " %d:%d", o.OBDIdx, o.ObjID)
-			}
-			return b.String()
-		},
-		recreates: []func(fs pfs.FileSystem) error{
-			func(fs pfs.FileSystem) error { return fs.(*lustre.FS).SetStripe("/out", 4, units.MiB) },
-			func(fs pfs.FileSystem) error { return fs.(*lustre.FS).SetStripe("/out", 2, 2*units.MiB) },
-			func(fs pfs.FileSystem) error { return fs.(*lustre.FS).SetStripe("/out", 3, units.MiB) },
-		},
-	},
-	{
-		name:  "cephfs",
-		build: func(k *sim.Kernel) pfs.FileSystem { return cephfs.New(k, cephfs.DefaultParams()) },
-		describe: func(_ pfs.FileSystem, _ string, n *pfs.Node) string {
-			return fmt.Sprintf("%+v", n.Aux)
-		},
-		recreates: []func(fs pfs.FileSystem) error{
-			func(pfs.FileSystem) error { return nil },
-			func(pfs.FileSystem) error { return nil },
-		},
-	},
-}
-
-// placementTrace runs a 3-epoch Original BIT1 world of 4 ranks on fs, then
-// re-creates one rank file under each of the backend's changed conditions
-// (on Lustre, its directory's stripe count raised, then lowered, then
-// raised within what it had), writing to each incarnation. It reports
-// every file's placement after the run and after each re-create, with the
-// virtual times — what must not move however the placement state is
-// allocated.
-func placementTrace(t *testing.T, b placementFS) string {
+// placementTrace runs a 3-epoch Original BIT1 world of 4 ranks on Lustre,
+// then re-creates one rank file under each of three changed conditions
+// (its directory's stripe count raised, then lowered, then raised within
+// what it had), writing to each incarnation. It reports every file's
+// placement after the run and after each re-create, with the virtual
+// times — what must not move however the placement state is allocated.
+func placementTrace(t *testing.T) string {
 	t.Helper()
 	k := sim.NewKernel()
-	fs := b.build(k)
+	p := lustre.DefaultParams()
+	p.JitterFrac, p.Seed = 0.05, 3 // metadata jitter interleaves its draws with placement's
+	fs := lustre.New(k, p)
 	w := mpisim.NewWorld(k, 4, mpisim.AlphaBeta(1e-6, 1.0/10e9))
 	cfg := Config{
 		Deck:   InputDeck{DatFile: "bit1", LastStep: 300, MVFlag: 1, MVStep: 100, DMPStep: 100},
@@ -99,14 +61,17 @@ func placementTrace(t *testing.T, b placementFS) string {
 	var out strings.Builder
 	dump := func(what string) {
 		fmt.Fprintf(&out, "== %s at %x\n", what, float64(k.Now()))
-		fs.(pfs.Namespacer).Namespace().WalkFiles("/", func(path string, n *pfs.Node) {
-			fmt.Fprintf(&out, "%s size=%d %s\n", path, n.Size, b.describe(fs, path, n))
+		fs.Namespace().WalkFiles("/", func(path string, n *pfs.Node) {
+			fmt.Fprintf(&out, "%s size=%d %s\n", path, n.Size, describePlacement(fs, path))
 		})
 	}
 	dump("after 3 epochs")
 	const path = "/out/bit1_000000.dat"
-	for i, change := range b.recreates {
-		if err := change(fs); err != nil {
+	for i, stripe := range []struct {
+		count int
+		size  int64
+	}{{4, units.MiB}, {2, 2 * units.MiB}, {3, units.MiB}} {
+		if err := fs.SetStripe("/out", stripe.count, stripe.size); err != nil {
 			t.Fatal(err)
 		}
 		k.Spawn("recreate", func(p *sim.Proc) {
@@ -126,28 +91,26 @@ func placementTrace(t *testing.T, b placementFS) string {
 }
 
 // TestPlacementFence pins every file's placement state — Lustre's stripe
-// offset, OST indexes and object IDs, Ceph's inode numbers — and the
-// virtual times of a file-per-process BIT1 run and of re-creates after its
-// directory's striping changes, byte for byte against a capture made
-// before re-creates recycled placement state. A divergence is saved as
-// testdata/placement_<backend>.got.txt.
+// offset, OST indexes and object IDs — and the virtual times of a
+// file-per-process BIT1 run and of re-creates after its directory's
+// striping changes, byte for byte against a capture made before re-creates
+// recycled placement state. A divergence is saved as
+// testdata/placement_lustre.got.txt; the subtest is named for its file.
 func TestPlacementFence(t *testing.T) {
-	for _, b := range placementBackends {
-		t.Run(b.name, func(t *testing.T) {
-			file := filepath.Join("testdata", "placement_"+b.name+".txt")
-			got := placementTrace(t, b)
-			want, err := os.ReadFile(file)
-			if err == nil && got == string(want) {
-				return
-			}
-			gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
-			if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
-				t.Logf("could not save diverging trace: %v", werr)
-			}
-			if err != nil {
-				t.Fatalf("%v (trace saved to %s)", err, gotFile)
-			}
-			t.Fatalf("placement diverged from the capture (saved to %s)", gotFile)
-		})
-	}
+	t.Run("lustre", func(t *testing.T) {
+		file := filepath.Join("testdata", "placement_lustre.txt")
+		got := placementTrace(t)
+		want, err := os.ReadFile(file)
+		if err == nil && got == string(want) {
+			return
+		}
+		gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
+		if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
+			t.Logf("could not save diverging trace: %v", werr)
+		}
+		if err != nil {
+			t.Fatalf("%v (trace saved to %s)", err, gotFile)
+		}
+		t.Fatalf("placement diverged from the capture (saved to %s)", gotFile)
+	})
 }

@@ -1,7 +1,7 @@
 // Package cluster describes the simulated HPC machines used in the paper's
 // evaluation — Discoverer, Dardel and Vega — as parameter presets: node
 // counts, cores per node, per-node injection bandwidth, collective network
-// coefficients, and the attached storage system (Lustre, NFS or CephFS).
+// coefficients, and the attached Lustre file system.
 //
 // Build instantiates a machine on a simulation kernel, producing the file
 // system and one pfs.Client per allocated node. Numerical values are
@@ -15,38 +15,14 @@ import (
 	"strings"
 
 	"picmcio/internal/burst"
-	"picmcio/internal/cephfs"
 	"picmcio/internal/ckptopt"
 	"picmcio/internal/fault"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
-	"picmcio/internal/nfs"
 	"picmcio/internal/pfs"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 )
-
-// StorageKind selects which file-system model a machine attaches.
-type StorageKind int
-
-const (
-	StorageLustre StorageKind = iota
-	StorageNFS
-	StorageCephFS
-)
-
-// String implements fmt.Stringer.
-func (s StorageKind) String() string {
-	switch s {
-	case StorageLustre:
-		return "lustre"
-	case StorageNFS:
-		return "nfs"
-	case StorageCephFS:
-		return "cephfs"
-	}
-	return fmt.Sprintf("StorageKind(%d)", int(s))
-}
 
 // Machine is a cluster preset.
 type Machine struct {
@@ -63,10 +39,7 @@ type Machine struct {
 	// sync RPC); bulk POSIX writes (BP4, IOR) do not pay it.
 	StdioWriteOverhead float64 // seconds
 
-	Storage StorageKind
-	Lustre  lustre.Params
-	NFS     nfs.Params
-	Ceph    cephfs.Params
+	Lustre lustre.Params
 
 	// Burst describes an optional node-local burst-buffer tier (NVMe
 	// capacity + bandwidth per node). The zero value means the machine
@@ -159,7 +132,6 @@ func Discoverer() Machine {
 		StdioWriteOverhead: 500e-6,
 		NetAlpha:           2.0e-6,
 		NetBeta:            1.0 / 25e9,
-		Storage:            StorageLustre,
 		Lustre:             lp,
 		// Availability: an older EuroHPC fleet without node-local staging —
 		// a failure rolls back to whatever the PFS holds.
@@ -191,7 +163,6 @@ func Dardel() Machine {
 		StdioWriteOverhead: 5e-3,
 		NetAlpha:           1.3e-6,
 		NetBeta:            1.0 / 50e9,
-		Storage:            StorageLustre,
 		Lustre:             lp,
 		// Cray EX nodes carry local NVMe usable as a burst buffer:
 		// ~6 GB/s absorb, drain capped by the NVMe read side sharing the
@@ -220,9 +191,9 @@ func Dardel() Machine {
 }
 
 // Vega is the petascale EuroHPC system: 960 nodes, Lustre with 80 OSTs
-// (1 PB) plus a large CephFS. Its Lustre partition is heavily shared, which
-// we model with a large jitter fraction — hence the erratic scaling the
-// paper observes.
+// (1 PB); the machine also mounts a large CephFS, which is not modelled.
+// Its Lustre partition is heavily shared, which we model with a large
+// jitter fraction — hence the erratic scaling the paper observes.
 func Vega() Machine {
 	lp := lustre.DefaultParams()
 	lp.NumOSTs = 80
@@ -243,9 +214,7 @@ func Vega() Machine {
 		StdioWriteOverhead: 2.5e-3,
 		NetAlpha:           1.6e-6,
 		NetBeta:            1.0 / 60e9,
-		Storage:            StorageLustre,
 		Lustre:             lp,
-		Ceph:               cephfs.DefaultParams(),
 		// Vega's heavily shared Lustre makes batched write-back the
 		// sensible default: buffer until the high watermark, then burst.
 		Burst: burst.Spec{
@@ -290,7 +259,7 @@ type System struct {
 	Machine Machine
 	K       *sim.Kernel
 	FS      pfs.FileSystem
-	Lustre  *lustre.FS  // non-nil when Storage == StorageLustre
+	Lustre  *lustre.FS  // FS, typed for SetStripe, GetStripe and Namespace
 	Burst   *burst.Tier // non-nil when the machine has a burst-buffer spec
 	Nodes   int
 	Clients []*pfs.Client // one per node, shared by the node's ranks
@@ -342,21 +311,10 @@ func (m Machine) Build(k *sim.Kernel, nodes int, seed uint64) (*System, error) {
 		return nil, fmt.Errorf("cluster: %s has only %d nodes (asked for %d)", m.Name, m.MaxNodes, nodes)
 	}
 	s := &System{Machine: m, K: k, Nodes: nodes}
-	switch m.Storage {
-	case StorageLustre:
-		lp := m.Lustre
-		lp.Seed = seed
-		lfs := lustre.New(k, lp)
-		s.FS, s.Lustre = lfs, lfs
-	case StorageNFS:
-		s.FS = nfs.New(k, m.NFS)
-	case StorageCephFS:
-		cp := m.Ceph
-		cp.Seed = seed
-		s.FS = cephfs.New(k, cp)
-	default:
-		return nil, fmt.Errorf("cluster: unknown storage kind %v", m.Storage)
-	}
+	lp := m.Lustre
+	lp.Seed = seed
+	s.Lustre = lustre.New(k, lp)
+	s.FS = s.Lustre
 	if m.Burst.Enabled() {
 		s.Burst = burst.NewTier(k, m.Burst, s.FS)
 	}

@@ -79,9 +79,13 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestStorageKindString(t *testing.T) {
-	if StorageLustre.String() != "lustre" || StorageNFS.String() != "nfs" || StorageCephFS.String() != "cephfs" {
-		t.Fatal("StorageKind strings wrong")
+// TestBackboneRatePerPreset holds every preset to a positive Lustre
+// backbone rate: the scheduler's contention model divides by it.
+func TestBackboneRatePerPreset(t *testing.T) {
+	for _, m := range Machines() {
+		if bw := m.Lustre.BackboneRate; bw <= 0 {
+			t.Errorf("%s: Lustre.BackboneRate = %v, want > 0", m.Name, bw)
+		}
 	}
 }
 

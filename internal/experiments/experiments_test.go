@@ -5,11 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"picmcio/internal/cephfs"
 	"picmcio/internal/cluster"
 	"picmcio/internal/darshan"
 	"picmcio/internal/ior"
-	"picmcio/internal/nfs"
 	"picmcio/internal/units"
 )
 
@@ -92,7 +90,6 @@ func TestLaunchErrors(t *testing.T) {
 			return err
 		}},
 		{"no tasks", "at least one rank (got 0)", iorTasks(1, 0)},
-		{"stripe without Lustre", "no Lustre file system to stripe", bit1On(cephMachine(), 1, 4, 4)},
 		{"fewer IOR tasks than nodes", "", iorTasks(4, 2)},
 		{"stripe on Lustre", "", bit1On(d, 1, 4, 4)},
 	} {
@@ -472,43 +469,6 @@ func TestMeasuredRatio(t *testing.T) {
 	// An unknown codec must surface the error, not silently assume 1.
 	if r, err := MeasuredRatio("lz-nope"); err == nil {
 		t.Fatalf("unknown codec returned ratio %v with no error", r)
-	}
-}
-
-// TestFileStatsOnAllBackends pins the namespaceOf fix: Table II file
-// statistics must come back nonzero on NFS- and CephFS-backed machines,
-// not only on Lustre.
-func TestFileStatsOnAllBackends(t *testing.T) {
-	o := Options{Seed: 1, RanksPerNode: 4, NodeCounts: []int{1}, DiagEpochs: 1}
-	for _, m := range []cluster.Machine{nfsMachine(), cephMachine()} {
-		r, err := o.RunBIT1(Run{Machine: m, Nodes: 1, Config: BP4OneAggr})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		if r.Files.Count == 0 || r.Files.TotalBytes == 0 {
-			t.Errorf("%s: file stats empty: %+v", m.Name, r.Files)
-		}
-		if r.Profile == nil {
-			t.Errorf("%s: BP4 profile missing", m.Name)
-		}
-	}
-}
-
-// nfsMachine is a small single-server NFS machine for backend coverage.
-func nfsMachine() cluster.Machine {
-	return cluster.Machine{
-		Name: "nfs-box", MaxNodes: 8, NICRate: 10e9,
-		NetAlpha: 2e-6, NetBeta: 1.0 / 25e9,
-		Storage: cluster.StorageNFS, NFS: nfs.DefaultParams(),
-	}
-}
-
-// cephMachine is a small CephFS machine for backend coverage.
-func cephMachine() cluster.Machine {
-	return cluster.Machine{
-		Name: "ceph-box", MaxNodes: 8, NICRate: 10e9,
-		NetAlpha: 2e-6, NetBeta: 1.0 / 25e9,
-		Storage: cluster.StorageCephFS, Ceph: cephfs.DefaultParams(),
 	}
 }
 

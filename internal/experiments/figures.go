@@ -108,7 +108,7 @@ func (o Options) runIOR(run Run) (*RunResult, error) {
 	cfg := run.Config.IOR(w.Size)
 	// IOR benchmarks large-transfer performance: stripe the shared-file
 	// directory wide, as benchmarkers do.
-	if sys.Lustre != nil && !cfg.FilePerProc {
+	if !cfg.FilePerProc {
 		if err := sys.Lustre.SetStripe(cfg.TestDir, -1, 16<<20); err != nil {
 			return nil, err
 		}

@@ -240,9 +240,6 @@ func (o Options) build(run Run) (*cluster.System, error) {
 	if err != nil || run.StripeCount == 0 {
 		return sys, err
 	}
-	if sys.Lustre == nil {
-		return nil, fmt.Errorf("experiments: %s has no Lustre file system to stripe", m.Name)
-	}
 	return sys, sys.Lustre.SetStripe("/scratch", run.StripeCount, run.StripeSize)
 }
 
@@ -332,12 +329,8 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 // linearly with epochs while snapshot files are overwritten in place.
 func (o Options) fileStats(sys *cluster.System, dir string) FileStats {
 	var fs FileStats
-	ns := namespaceOf(sys)
-	if ns == nil {
-		return fs
-	}
 	factor := o.EpochFactor()
-	ns.WalkFiles(dir, func(path string, n *pfs.Node) {
+	sys.Lustre.Namespace().WalkFiles(dir, func(path string, n *pfs.Node) {
 		size := n.Size
 		if isAppendMode(path) {
 			size = int64(float64(size) * factor)
@@ -360,24 +353,9 @@ func isAppendMode(path string) bool {
 		strings.Contains(path, "_global_")
 }
 
-// namespaceOf exposes the backend's file tree regardless of which file
-// system the machine attaches — Lustre, NFS and CephFS all implement
-// pfs.Namespacer, so FileStats and profile extraction work on every
-// backend instead of silently returning zero off-Lustre.
-func namespaceOf(sys *cluster.System) *pfs.Namespace {
-	if n, ok := sys.FS.(pfs.Namespacer); ok {
-		return n.Namespace()
-	}
-	return nil
-}
-
 // profileOf extracts BP4 profiling totals if present.
 func profileOf(sys *cluster.System, path string) *adios2.Timers {
-	ns := namespaceOf(sys)
-	if ns == nil {
-		return nil
-	}
-	n, err := ns.Lookup(path)
+	n, err := sys.Lustre.Namespace().Lookup(path)
 	if err != nil || n.Content == nil {
 		return nil
 	}

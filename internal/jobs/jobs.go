@@ -39,8 +39,8 @@ type Spec struct {
 	// for mpisim/BIT1 rank schedules with aggregator fan-in.
 	Workload Workload
 
-	// StripeCount widens the job's output directory striping on
-	// Lustre-backed machines (-1 = all OSTs, 0 = machine default).
+	// StripeCount widens the job's output directory striping (-1 = all
+	// OSTs, 0 = machine default).
 	// Checkpoint directories are conventionally striped wide, and wide
 	// stripes are what make co-scheduled jobs share OSTs.
 	StripeCount int
@@ -261,7 +261,7 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.StripeCount != 0 && sys.Lustre != nil {
+		if spec.StripeCount != 0 {
 			size := spec.StripeSize
 			if size == 0 {
 				size = 4 << 20

@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"picmcio/internal/burst"
-	"picmcio/internal/cephfs"
 	"picmcio/internal/lustre"
-	"picmcio/internal/nfs"
 	"picmcio/internal/pfs"
 	"picmcio/internal/sim"
 )
@@ -20,8 +18,8 @@ const mib = 1 << 20
 
 // script is one process's half of the scenario: it records, after every
 // step, what the step did (op, error, sizes, contents — the POSIX
-// semantics every backend must agree on) and when it finished (`p.Now()`
-// as %x — the cost model, which they must not).
+// semantics a burst tier must not change) and when it finished (`p.Now()`
+// as %x — the cost model, which it may).
 type script struct {
 	p     *sim.Proc
 	c     *pfs.Client
@@ -112,7 +110,7 @@ func (s *script) unlink(path string) {
 }
 
 // scriptA is the single-writer walk through every FileSystem and File
-// method: the rows the cross-backend comparison is about.
+// method: the rows the conformance comparison is about.
 func scriptA(s *script) {
 	fs := s.fs
 	s.mkdir("/out/run")
@@ -178,8 +176,8 @@ func scriptA(s *script) {
 	s.stat("/")
 }
 
-// scriptB runs concurrently on the second client, in the directory the
-// Lustre leg stripes four ways: its operations queue behind scriptA's on
+// scriptB runs concurrently on the second client, in the directory
+// traceLustre stripes four ways: its operations queue behind scriptA's on
 // the shared servers, which is what the trace pins.
 func scriptB(s *script) {
 	fs := s.fs
@@ -206,8 +204,8 @@ func scriptB(s *script) {
 
 // runScenario plays both scripts on fs and returns the semantic record
 // and the timing trace, scriptA's rows first: the two processes never
-// touch the same file, so each one's rows are a function of the backend
-// alone and their interleaving shows only in the times.
+// touch the same file, so each one's rows are a function of the file
+// system alone and their interleaving shows only in the times.
 func runScenario(k *sim.Kernel, fs pfs.FileSystem) (sem, trace string) {
 	scripts := []*script{{name: "A"}, {name: "B"}}
 	for i, body := range []func(*script){scriptA, scriptB} {
@@ -241,41 +239,29 @@ func traceLustre(k *sim.Kernel) *lustre.FS {
 	return fs
 }
 
-var backends = []struct {
-	name  string
-	build func(k *sim.Kernel) pfs.FileSystem
-}{
-	{"lustre", func(k *sim.Kernel) pfs.FileSystem { return traceLustre(k) }},
-	{"nfs", func(k *sim.Kernel) pfs.FileSystem { return nfs.New(k, nfs.DefaultParams()) }},
-	{"cephfs", func(k *sim.Kernel) pfs.FileSystem { return cephfs.New(k, cephfs.DefaultParams()) }},
-}
-
-// TestBackendTraces pins every backend's cost model to the nanosecond:
-// testdata/trace_{lustre,nfs,cephfs}.txt were printed by this scenario at
-// parent 6ceed54, when each backend still carried its own copy of the
-// namespace methods and the file handle, before the front end replaced
-// them. NFS and CephFS have no other byte-level oracle — every golden and
-// digest runs on a Lustre machine.
+// TestBackendTraces pins Lustre's cost model to the nanosecond:
+// testdata/trace_lustre.txt was printed by this scenario at parent
+// 6ceed54, when the backend still carried its own copy of the namespace
+// methods and the file handle, before the front end replaced them. The
+// subtest is named for its trace file.
 func TestBackendTraces(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			file := filepath.Join("testdata", "trace_"+b.name+".txt")
-			k := sim.NewKernel()
-			_, got := runScenario(k, b.build(k))
-			want, err := os.ReadFile(file)
-			if err == nil && got == string(want) {
-				return
-			}
-			gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
-			if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
-				t.Logf("could not save diverging trace: %v", werr)
-			}
-			if err != nil {
-				t.Fatalf("%v (trace saved to %s)", err, gotFile)
-			}
-			t.Fatalf("trace diverged from the 6ceed54 capture (saved to %s); first difference:\n%s", gotFile, firstDiff(got, string(want)))
-		})
-	}
+	t.Run("lustre", func(t *testing.T) {
+		file := filepath.Join("testdata", "trace_lustre.txt")
+		k := sim.NewKernel()
+		_, got := runScenario(k, traceLustre(k))
+		want, err := os.ReadFile(file)
+		if err == nil && got == string(want) {
+			return
+		}
+		gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
+		if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
+			t.Logf("could not save diverging trace: %v", werr)
+		}
+		if err != nil {
+			t.Fatalf("%v (trace saved to %s)", err, gotFile)
+		}
+		t.Fatalf("trace diverged from the 6ceed54 capture (saved to %s); first difference:\n%s", gotFile, firstDiff(got, string(want)))
+	})
 }
 
 func firstDiff(got, want string) string {
@@ -288,31 +274,23 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
-// TestBackendConformance: the same scenario means the same thing on every
-// backend — identical errors, sizes, listings and contents on Lustre, NFS,
-// CephFS and through a burst tier over Lustre; only the times differ.
+// TestBackendConformance: the same scenario means the same thing on
+// Lustre and through a burst tier over it — identical errors, sizes,
+// listings and contents; only the times differ.
 func TestBackendConformance(t *testing.T) {
 	k := sim.NewKernel()
-	ref, _ := runScenario(k, backends[0].build(k))
+	ref, _ := runScenario(k, traceLustre(k))
 	if strings.Contains(ref, "UNCLASSIFIED") {
 		t.Fatalf("an error that is none of the pfs sentinels:\n%s", ref)
 	}
-	check := func(name string, k *sim.Kernel, fs pfs.FileSystem) {
-		got, _ := runScenario(k, fs)
-		if got != ref {
-			t.Errorf("%s disagrees with lustre on POSIX semantics; first difference:\n%s", name, firstDiff(got, ref))
-		}
-	}
-	for _, b := range backends[1:] {
-		k := sim.NewKernel()
-		check(b.name, k, b.build(k))
-	}
 	k = sim.NewKernel()
 	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 64 * mib, Rate: 5e9, PerOp: 10e-6}, traceLustre(k))
-	check("burst+lustre", k, tier.FS())
+	if got, _ := runScenario(k, tier.FS()); got != ref {
+		t.Errorf("burst+lustre disagrees with lustre on POSIX semantics; first difference:\n%s", firstDiff(got, ref))
+	}
 
-	// Spot-check the reference itself against POSIX, so four backends
-	// cannot agree on something wrong.
+	// Spot-check the reference itself against POSIX, so the two cannot
+	// agree on something wrong.
 	for _, want := range []string{
 		"A create /out/run/a.dat ok path=/out/run/a.dat size=0",
 		"A stat /out/run/a.dat ok path=/out/run/a.dat size=8388608 dir=false",
@@ -338,8 +316,8 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// A read of a negative offset or length is pread's EINVAL on every
-// backend and through a burst tier: nothing returned, nothing served, no
+// A read of a negative offset or length is pread's EINVAL on Lustre and
+// through a burst tier over it: nothing returned, nothing served, no
 // time spent — and a length that would overflow past the end is clipped
 // like any other.
 func TestReadRejectsNegativeRegion(t *testing.T) {
@@ -369,71 +347,67 @@ func TestReadRejectsNegativeRegion(t *testing.T) {
 		})
 		k.Run()
 	}
-	for _, b := range backends {
-		k := sim.NewKernel()
-		check(b.name, k, b.build(k))
-	}
 	k := sim.NewKernel()
+	check("lustre", k, traceLustre(k))
+	k = sim.NewKernel()
 	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 64 * mib, Rate: 5e9, PerOp: 10e-6}, traceLustre(k))
 	check("burst+lustre", k, tier.FS())
 }
 
-// TestSharedHandle: on every backend the opens of one file share its
-// node's handle — a handle holds nothing an open owns — and its path is
-// the clean one however the file was named; a file unlinked and created
-// again is a new node with a handle of its own, and the old handle still
-// names the old file's bytes.
+// TestSharedHandle: the opens of one file share its node's handle — a
+// handle holds nothing an open owns — and its path is the clean one
+// however the file was named; a file unlinked and created again is a new
+// node with a handle of its own, and the old handle still names the old
+// file's bytes.
 func TestSharedHandle(t *testing.T) {
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			k := sim.NewKernel()
-			fs := b.build(k)
-			k.Spawn("r", func(p *sim.Proc) {
-				c := &pfs.Client{}
-				f1, err := fs.Create(p, c, "/d/f")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				f1.WriteAt(p, c, 0, mib, nil)
-				f2, err := fs.Open(p, c, "/d/./f")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				f3, err := fs.OpenAppend(p, c, "//d/f")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if f1 != f2 || f2 != f3 {
-					t.Errorf("three live opens of one file have distinct handles")
-				}
-				if f1.Path() != "/d/f" || f2.Path() != "/d/f" || f3.Path() != "/d/f" {
-					t.Errorf("paths %q %q %q, want /d/f", f1.Path(), f2.Path(), f3.Path())
-				}
-				f2.Close(p, c)
-				f3.Close(p, c)
-				if err := fs.Unlink(p, c, "/d/f"); err != nil {
-					t.Error(err)
-					return
-				}
-				g, err := fs.Create(p, c, "/d/f")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				g.WriteAt(p, c, 0, 2*mib, nil)
-				if g == f1 {
-					t.Errorf("a file created after an unlink shares the unlinked file's handle")
-				}
-				if f1.Size() != mib || g.Size() != 2*mib || f1.Path() != "/d/f" {
-					t.Errorf("old handle: size %d path %q; new: size %d; want %d, /d/f, %d", f1.Size(), f1.Path(), g.Size(), mib, 2*mib)
-				}
-				f1.Close(p, c)
-				g.Close(p, c)
-			})
-			k.Run()
+	t.Run("lustre", func(t *testing.T) {
+		k := sim.NewKernel()
+		fs := traceLustre(k)
+		k.Spawn("r", func(p *sim.Proc) {
+			c := &pfs.Client{}
+			f1, err := fs.Create(p, c, "/d/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f1.WriteAt(p, c, 0, mib, nil)
+			f2, err := fs.Open(p, c, "/d/./f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f3, err := fs.OpenAppend(p, c, "//d/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if f1 != f2 || f2 != f3 {
+				t.Errorf("three live opens of one file have distinct handles")
+			}
+			if f1.Path() != "/d/f" || f2.Path() != "/d/f" || f3.Path() != "/d/f" {
+				t.Errorf("paths %q %q %q, want /d/f", f1.Path(), f2.Path(), f3.Path())
+			}
+			f2.Close(p, c)
+			f3.Close(p, c)
+			if err := fs.Unlink(p, c, "/d/f"); err != nil {
+				t.Error(err)
+				return
+			}
+			g, err := fs.Create(p, c, "/d/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g.WriteAt(p, c, 0, 2*mib, nil)
+			if g == f1 {
+				t.Errorf("a file created after an unlink shares the unlinked file's handle")
+			}
+			if f1.Size() != mib || g.Size() != 2*mib || f1.Path() != "/d/f" {
+				t.Errorf("old handle: size %d path %q; new: size %d; want %d, /d/f, %d", f1.Size(), f1.Path(), g.Size(), mib, 2*mib)
+			}
+			f1.Close(p, c)
+			g.Close(p, c)
 		})
-	}
+		k.Run()
+	})
 }

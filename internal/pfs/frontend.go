@@ -17,11 +17,11 @@ const (
 )
 
 // Backend is the cost model behind a Frontend: what the simulated file
-// systems disagree on, and nothing else. Each method books its
+// system's timing and placement decide, and nothing else. Each method books its
 // reservations now, without blocking, and returns when the calling
 // process may continue; the Frontend does the sleeping and the bookkeeping.
 //
-// The order of calls is the contract, because backends draw from their
+// The order of calls is the contract, because the backend draws from its
 // seed stream: the Frontend charges the metadata operation, then mutates
 // the namespace, then places — a new file, and a truncated one again —
 // and never places a file whose placement state is current.
@@ -30,8 +30,8 @@ type Backend interface {
 	// its reply.
 	Meta(op MetaOp) sim.Time
 	// Place gives the regular file n at the clean path its placement state
-	// in n.Aux (a Lustre layout, a Ceph inode; nothing on NFS): on create
-	// or truncate, and on opening a file a tool put into the namespace.
+	// in n.Aux (a Lustre layout): on create or truncate, and on opening a
+	// file a tool put into the namespace.
 	// After a truncate n.Aux still holds the old state, which Place may
 	// reuse as the new one's storage; what it draws does not depend on it.
 	Place(path string, n *Node)
@@ -51,9 +51,8 @@ type Backend interface {
 // POSIX semantics over a Namespace — create truncates, open-append
 // creates what is missing, reads clip at EOF — with the size and content
 // bookkeeping, the byte counters and the client-NIC stage, timed by a
-// Backend. Lustre, NFS and CephFS each embed one. Paths are normalized
-// where they enter it; Namespace, Backend.Place and the handle get that
-// clean string.
+// Backend. Lustre embeds one. Paths are normalized where they enter it;
+// Namespace, Backend.Place and the handle get that clean string.
 type Frontend struct {
 	name string
 	ns   *Namespace

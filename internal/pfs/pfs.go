@@ -1,12 +1,12 @@
-// Package pfs defines the abstraction shared by the simulated parallel
-// file systems (Lustre, NFS, CephFS): a POSIX-ish namespace, files with
-// offset-addressed reads and writes, and the notion of a client (a compute
-// node's network endpoint) through which every operation is issued.
+// Package pfs defines the POSIX side of the simulated parallel file
+// system: a POSIX-ish namespace, files with offset-addressed reads and
+// writes, and the notion of a client (a compute node's network endpoint)
+// through which every operation is issued.
 //
-// The semantics live here once, in Frontend: the namespace (directories,
-// sizes, optional contents), the open handle and the path rules are the
-// same on every backend, and a concrete file system is only the Backend
-// cost model it times them with.
+// The semantics live here, in Frontend: the namespace (directories,
+// sizes, optional contents), the open handle and the path rules. The
+// concrete file system, Lustre, is the Backend cost model that times
+// them.
 package pfs
 
 import (
@@ -62,7 +62,7 @@ type File interface {
 
 // FileSystem is a simulated parallel file system.
 type FileSystem interface {
-	// Name reports a short identifier such as "lustre" or "nfs".
+	// Name reports a short identifier such as "lustre" or "burst+lustre".
 	Name() string
 	// Create creates (or truncates) a regular file.
 	Create(p *sim.Proc, c *Client, path string) (File, error)
@@ -89,9 +89,9 @@ type Stager interface {
 	DrainEpoch(p *sim.Proc)
 }
 
-// Namespacer is implemented by Frontend, and so by every concrete backend
-// (Lustre, NFS, CephFS): it exposes the in-memory file tree for offline inspection —
-// file statistics, profile extraction, tool clones — without charging
+// Namespacer is implemented by Frontend, and so by Lustre, which embeds
+// it: it exposes the in-memory file tree for offline inspection — file
+// statistics, profile extraction, tool clones — without charging
 // simulated time.
 type Namespacer interface {
 	Namespace() *Namespace

@@ -89,7 +89,7 @@ type engine struct {
 	pr  *Pricer
 	res *Result
 
-	pfsBW float64 // PFSBandwidth(cfg.Machine): the contention model's denominator
+	pfsBW float64 // the Lustre backbone rate: the contention model's denominator
 
 	arrivals []*jobState // in (SubmitHours, ID) order
 	next     int         // next arrival index

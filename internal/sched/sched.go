@@ -130,8 +130,8 @@ func (c Config) withDefaults() Config {
 }
 
 // validate holds the partition to what cluster.Machine.Build accepts —
-// at least one node, no more than the machine has, a storage model it
-// knows — and the fault injection to its own checks.
+// at least one node, no more than the machine has — and the fault
+// injection to its own checks.
 func (c Config) validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("sched: partition needs at least one node (got %d)", c.Nodes)
@@ -139,27 +139,7 @@ func (c Config) validate() error {
 	if c.Nodes > c.Machine.MaxNodes {
 		return fmt.Errorf("sched: %s has only %d nodes (asked for a %d-node partition)", c.Machine.Name, c.Machine.MaxNodes, c.Nodes)
 	}
-	switch c.Machine.Storage {
-	case cluster.StorageLustre, cluster.StorageNFS, cluster.StorageCephFS:
-	default:
-		return fmt.Errorf("sched: %s has unknown storage kind %v", c.Machine.Name, c.Machine.Storage)
-	}
 	return c.Faults.validate()
-}
-
-// PFSBandwidth is the machine's shared write-back capacity: the storage
-// backbone for Lustre machines, the aggregate server bandwidth
-// otherwise. It is the denominator of the contention stretch model.
-func PFSBandwidth(m cluster.Machine) float64 {
-	switch m.Storage {
-	case cluster.StorageLustre:
-		return m.Lustre.BackboneRate
-	case cluster.StorageNFS:
-		return m.NFS.Rate
-	case cluster.StorageCephFS:
-		return float64(m.Ceph.NumOSDs) * m.Ceph.OSDRate
-	}
-	return m.NICRate
 }
 
 // UtilSample is one step of the machine-utilization timeline: from
@@ -391,7 +371,7 @@ func newEngine(cfg Config, pol Policy, stream []Job) (*engine, error) {
 
 	e := &engine{
 		cfg: cfg, pol: pol, pr: pr, res: res,
-		pfsBW:    PFSBandwidth(cfg.Machine),
+		pfsBW:    cfg.Machine.Lustre.BackboneRate,
 		arrivals: arrivals,
 		lastOver: 1,
 	}

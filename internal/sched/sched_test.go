@@ -195,14 +195,6 @@ func TestPoliciesResolver(t *testing.T) {
 	}
 }
 
-func TestPFSBandwidthPerStorage(t *testing.T) {
-	for _, m := range cluster.Machines() {
-		if bw := PFSBandwidth(m); bw <= 0 {
-			t.Errorf("%s: PFSBandwidth = %v, want > 0", m.Name, bw)
-		}
-	}
-}
-
 func TestPricerMemoizesShapes(t *testing.T) {
 	m := cluster.Discoverer()
 	pr := NewPricer(m, 42, 6)
@@ -485,16 +477,13 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("job wider than partition accepted")
 	}
 	// The partition checks cluster.Machine.Build makes, made without a build.
-	unknown := m
-	unknown.Storage = cluster.StorageKind(9)
 	for _, bad := range []Config{
 		{Machine: m, Nodes: -1},
 		{Machine: m, Nodes: m.MaxNodes + 1},
 		{Machine: cluster.Machine{Name: "empty"}},
-		{Machine: unknown, Nodes: 8},
 	} {
 		if _, err := Run(bad, FCFS, []Job{mk(1, 1, 0)}); err == nil || !strings.HasPrefix(err.Error(), "sched: ") {
-			t.Errorf("%d-node partition of %s (storage %v): err = %v, want a config error", bad.Nodes, bad.Machine.Name, bad.Machine.Storage, err)
+			t.Errorf("%d-node partition of %s: err = %v, want a config error", bad.Nodes, bad.Machine.Name, err)
 		}
 	}
 	bad := mk(1, 2, 0)

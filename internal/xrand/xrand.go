@@ -1,9 +1,9 @@
 // Package xrand provides a small deterministic, splittable random number
 // generator (SplitMix64 seeding a xoshiro256** core). Every stochastic
-// element of the simulation — Monte-Carlo collisions, CephFS placement
-// jitter, Vega variability — derives its stream from a run seed through
-// Split, so experiments are bit-reproducible and independent sub-streams
-// never correlate.
+// element of the simulation — Monte-Carlo collisions, Lustre object IDs
+// and jitter (Vega's variability), failure arrivals — derives its stream
+// from a run seed through Split, so experiments are bit-reproducible and
+// independent sub-streams never correlate.
 package xrand
 
 import "math"

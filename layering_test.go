@@ -29,9 +29,7 @@ var layers = []string{
 	"sim",         // discrete-event kernel
 	"mpisim",      // simulated MPI
 	"pfs",         // the file-system front end
-	"lustre",      // } the three pfs.Backend
-	"nfs",         // } cost models
-	"cephfs",      // }
+	"lustre",      // the pfs.Backend cost model
 	"burst",       // node-local staging tier over a backend
 	"posix",       // descriptors, with the monitoring hook
 	"stdio",       // C-stdio buffering
