@@ -3,7 +3,7 @@
 // neutrals ionize against the electron background, so the neutral density
 // decays as ∂n/∂t = −n·nₑ·R. The example runs the PIC MC kernel (field
 // solver off, exactly as the paper's test), writes the density profile of
-// each species per diagnostic epoch to a JSON openPMD series, and checks
+// each species per diagnostic epoch to an openPMD BP4 series, and checks
 // the decay against theory.
 package main
 
@@ -50,7 +50,7 @@ func main() {
 		ne := float64(e.N()) * e.Weight / s.P.Length
 
 		host := openpmd.Host{Proc: r.Proc, Env: &posix.Env{FS: fs, Client: &pfs.Client{}, Rank: r.ID}, Comm: r.Comm}
-		series, err := openpmd.NewSeries(host, "/out/ionization.json", openpmd.AccessCreate, "")
+		series, err := openpmd.NewSeries(host, "/out/ionization.bp4", openpmd.AccessCreate, "")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -381,44 +381,6 @@ func TestPutValidation(t *testing.T) {
 	})
 }
 
-func TestEngineSelection(t *testing.T) {
-	io := New().DeclareIO("t")
-	if err := io.SetEngine("BP4"); err != nil {
-		t.Fatal(err)
-	}
-	if err := io.SetEngine("BP5"); err != nil {
-		t.Fatal(err)
-	}
-	if err := io.SetEngine("HDF5"); err == nil {
-		t.Fatal("HDF5 accepted (not implemented)")
-	}
-}
-
-func TestBP5HasSecondMetadataFile(t *testing.T) {
-	rg := newRig(2)
-	rg.w.Run(func(r *mpisim.Rank) {
-		a := New()
-		io := a.DeclareIO("bp5")
-		io.SetEngine("BP5")
-		io.SetParameter("NumAggregators", "1")
-		io.SetParameter("Profile", "off")
-		v, _ := io.DefineVariable("v", TypeFloat64, []uint64{8}, []uint64{uint64(4 * r.ID)}, []uint64{4})
-		e, err := io.Open(rg.host(r), "/b5.bp5", ModeWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		e.BeginStep(0)
-		e.PutFloat64s(v, make([]float64, 4))
-		e.EndStep()
-		e.Close()
-	})
-	joined := strings.Join(listFiles(rg, "/b5.bp5"), ",")
-	if !strings.Contains(joined, "mmd.0") {
-		t.Fatalf("BP5 dir missing mmd.0: %s", joined)
-	}
-}
-
 func TestReaderRejectsMissingDataset(t *testing.T) {
 	rg := newRig(1)
 	rg.w.Run(func(r *mpisim.Rank) {
@@ -580,18 +542,18 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	}
 
 	a.SetParameter("NumAggregators", "x")
-	if err := b.SetEngine("BP5"); err != nil {
+	if err := b.AddOperation("bzip2"); err != nil {
 		t.Fatal(err)
 	}
 	tmpl.AddOperation("none")
-	for name, got := range map[string][3]string{
-		"a":    {a.Parameter("NumAggregators", ""), a.set.engine, a.set.operator},
-		"b":    {b.Parameter("NumAggregators", ""), b.set.engine, b.set.operator},
-		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.set.engine, tmpl.set.operator},
+	for name, got := range map[string][2]string{
+		"a":    {a.Parameter("NumAggregators", ""), a.set.operator},
+		"b":    {b.Parameter("NumAggregators", ""), b.set.operator},
+		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.set.operator},
 	} {
-		want := map[string][3]string{"a": {"x", "BP4", "blosc"}, "b": {"2", "BP5", "blosc"}, "tmpl": {"2", "BP4", "none"}}[name]
+		want := map[string][2]string{"a": {"x", "blosc"}, "b": {"2", "bzip2"}, "tmpl": {"2", "none"}}[name]
 		if got != want {
-			t.Errorf("%s has NumAggregators, engine, operator %q, want %q", name, got, want)
+			t.Errorf("%s has NumAggregators, operator %q, want %q", name, got, want)
 		}
 	}
 	if _, err := a.set.writer(); err == nil {

@@ -83,12 +83,12 @@ func (a *ADIOS) DeclareIO(name string) *IO {
 	if io, ok := a.ios[name]; ok {
 		return io
 	}
-	io := &IO{name: name, set: &settings{engine: "BP4"}}
+	io := &IO{name: name, set: &settings{}}
 	a.ios[name] = io
 	return io
 }
 
-// IO holds engine choice, parameters, operators and variable definitions.
+// IO holds engine parameters, operators and variable definitions.
 type IO struct {
 	name string
 	set  *settings
@@ -103,10 +103,9 @@ type IO struct {
 	first VarRow
 }
 
-// settings is what Fork shares between IOs: engine type, parameters and
-// operator, and the parameters as Open parsed them.
+// settings is what Fork shares between IOs: parameters and operator, and
+// the parameters as Open parsed them.
 type settings struct {
-	engine   string
 	params   map[string]string
 	operator string // compression codec name; "" for none
 	// shared is set once a second IO reads these settings; from then on
@@ -118,12 +117,12 @@ type settings struct {
 	parseErr error
 }
 
-// Fork returns a new IO with io's name, engine type, parameters and
-// operator, and no variables, by value, for its caller to keep where it
-// likes. The settings are not copied: both IOs read the same ones —
-// parsed once, by whichever opens first — until one of them changes a
-// setting, which it then does on its own copy. It is how every rank of a
-// world gets the configuration one rank resolved.
+// Fork returns a new IO with io's name, parameters and operator, and no
+// variables, by value, for its caller to keep where it likes. The settings
+// are not copied: both IOs read the same ones — parsed once, by whichever
+// opens first — until one of them changes a setting, which it then does on
+// its own copy. It is how every rank of a world gets the configuration one
+// rank resolved.
 func (io *IO) Fork() IO {
 	io.set.shared = true
 	return IO{name: io.name, set: io.set}
@@ -133,7 +132,7 @@ func (io *IO) Fork() IO {
 // shared, and in either case no longer parsed.
 func (io *IO) own() *settings {
 	if io.set.shared {
-		set := &settings{engine: io.set.engine, operator: io.set.operator, params: make(map[string]string, len(io.set.params)+1)}
+		set := &settings{operator: io.set.operator, params: make(map[string]string, len(io.set.params)+1)}
 		for k, v := range io.set.params {
 			set.params[k] = v
 		}
@@ -143,20 +142,8 @@ func (io *IO) own() *settings {
 	return io.set
 }
 
-// SetEngine selects the engine type ("BP4" is the engine of the paper;
-// "BP5" is accepted and mapped onto the same writer with BP5's extra
-// metadata file).
-func (io *IO) SetEngine(e string) error {
-	switch e {
-	case "BP4", "BP5":
-		io.own().engine = e
-		return nil
-	default:
-		return fmt.Errorf("adios2: unsupported engine %q", e)
-	}
-}
-
-// SetParameter sets an engine parameter. Recognized keys:
+// SetParameter sets a parameter of the BP4 engine, the one engine there
+// is. Recognized keys:
 //
 //	NumAggregators       number of subfiles (the paper's NumAgg knob),
 //	                     clamped to [1, ranks]

@@ -79,7 +79,7 @@ type writerFiles struct {
 	chunks, tables, leaders []mpisim.GatherChunk
 }
 
-// Engine is an open BP4 (or BP5) dataset.
+// Engine is an open BP4 dataset.
 type Engine struct {
 	io   *IO
 	h    Host
@@ -182,13 +182,6 @@ func (e *Engine) createMetadata() error {
 	}
 	if e.files.idx, err = env.Create(p, pfs.Join(e.path, "md.idx")); err != nil {
 		return err
-	}
-	if e.io.set.engine == "BP5" {
-		fd, err := env.Create(p, pfs.Join(e.path, "mmd.0"))
-		if err != nil {
-			return err
-		}
-		fd.Close(p)
 	}
 	return nil
 }
@@ -593,7 +586,7 @@ func (e *Engine) publishProfile(r []float64) error {
 	sum := profileSummary{
 		Ranks:       comm.Size(),
 		Aggregators: e.aggregators(),
-		Engine:      e.io.set.engine,
+		Engine:      "BP4",
 		Operator:    e.io.set.operator,
 		Total:       Timers{Memcpy: sim.Duration(r[0]), Compress: sim.Duration(r[1]), Gather: sim.Duration(r[2]), Write: sim.Duration(r[3]), Meta: sim.Duration(r[4])},
 		Max:         Timers{Memcpy: sim.Duration(r[5]), Compress: sim.Duration(r[6]), Gather: sim.Duration(r[7]), Write: sim.Duration(r[8]), Meta: sim.Duration(r[9])},

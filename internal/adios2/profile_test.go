@@ -26,7 +26,7 @@ func closeTenScalars(e *Engine) error {
 		sum := profileSummary{
 			Ranks:       comm.Size(),
 			Aggregators: e.aggregators(),
-			Engine:      e.io.set.engine,
+			Engine:      "BP4",
 			Operator:    e.io.set.operator,
 		}
 		sum.Total.Memcpy = scalar(e.Timers.Memcpy, "sum")

@@ -60,19 +60,17 @@ const idle = ^uint64(0)
 // adaptors and rows from: the series path.
 type adaptorKey string
 
-// newAdaptor opens the series at path (extension selects the backend;
-// .bp4 for the paper's configuration) with the given TOML options, to
-// write the components of schema: one block of numbers for all of them,
-// which the first save resolves, defining their ADIOS2 variables,
-// together. The adaptor, its numbers and its exscan contribution are the
-// rank's slots of three blocks of the communicator (mpisim.Block).
+// newAdaptor opens the BP4 series at path (a .bp4 path, the paper's
+// configuration) with the given TOML options, to write the components of
+// schema: one block of numbers for all of them, which the first save
+// resolves, defining their ADIOS2 variables, together. The adaptor, its
+// numbers and its exscan contribution are the rank's slots of three blocks
+// of the communicator (mpisim.Block).
 func newAdaptor(h openpmd.Host, path, tomlOptions string, schema *openpmd.Schema) (*adaptor, error) {
 	s, err := openpmd.NewSeries(h, path, openpmd.AccessCreate, tomlOptions)
 	if err != nil {
 		return nil, err
 	}
-	s.SetAttribute("software", "BIT1")
-	s.SetAttribute("iterationEncoding", "groupBased")
 	return takeAdaptor(h.Comm, path, s, schema), nil
 }
 
@@ -133,8 +131,8 @@ func (a *adaptor) pending(i int) bool { return a.vols[i] != idle || a.content(i)
 
 // saveIteration writes all accumulated vectors as iteration id and clears
 // them. Offsets in each component's global extent are computed with MPI
-// exscan, the store is staged per component, flushed once, and the
-// iteration is closed. It is collective: every rank parks under it twice,
+// exscan, the store is staged per component, and closing the iteration
+// flushes it once. It is collective: every rank parks under it twice,
 // so it keeps to the calls and leaves the loops to its helpers' frames.
 func (a *adaptor) saveIteration(id uint64) error {
 	if a.closed {
@@ -158,9 +156,6 @@ func (a *adaptor) saveIteration(id uint64) error {
 	// (the MPI step of §III-B), instead of two per component.
 	offsets, totals := a.comm.ExscanVecI64(a.locals)
 	if err := a.stage(offsets, totals); err != nil {
-		return err
-	}
-	if err := a.series.Flush(); err != nil {
 		return err
 	}
 	if err := it.Close(); err != nil {

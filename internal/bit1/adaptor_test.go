@@ -147,21 +147,37 @@ func TestAdaptorMeshComponent(t *testing.T) {
 	schema := schemaOf(t, openpmd.ComponentName{Mesh: true, Record: "density", Component: openpmd.Scalar})
 	rg := newRig(2)
 	rg.w.Run(func(r *mpisim.Rank) {
-		ad, err := newAdaptor(rg.host(r), "/m.json", "", schema)
+		ad, err := newAdaptor(rg.host(r), "/m.bp4", "", schema)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ad.accumulateFloats(0, []float64{float64(r.ID), float64(r.ID)})
+		ad.accumulateFloats(0, []float64{float64(r.ID), float64(r.ID) + 0.5})
 		if err := ad.saveIteration(5); err != nil {
 			t.Error(err)
 			return
 		}
 		ad.close()
 	})
-	if _, err := rg.fs.Namespace().Lookup("/m.json/data/5.json"); err != nil {
-		t.Fatal(err)
-	}
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := openpmd.NewSeries(rg.host(r), "/m.bp4", openpmd.AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, _ := s.ReadIteration(5)
+		rc := it.Meshes("density").Component(openpmd.Scalar)
+		if p := rc.Path(); p != "/data/5/meshes/density" {
+			t.Errorf("density path %q", p)
+		}
+		data, shape, err := rc.Load()
+		if err != nil {
+			t.Error(err)
+		} else if len(shape) != 1 || shape[0] != 4 || fmt.Sprint(data) != "[0 0.5 1 1.5]" {
+			t.Errorf("density shape %v data %v, want [4] and [0 0.5 1 1.5]", shape, data)
+		}
+		s.Close()
+	})
 }
 
 func TestAdaptorRepeatedIterationZero(t *testing.T) {

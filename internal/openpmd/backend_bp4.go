@@ -28,14 +28,9 @@ type ioTemplate struct {
 // newIOTemplate resolves the options document into ADIOS2 settings.
 func newIOTemplate(cfg *Config) ioTemplate {
 	io := adios2.New().DeclareIO("openpmd")
-	engine := cfg.GetDefault("adios2.engine.type", "bp4")
-	switch engine {
-	case "bp4", "BP4":
-		io.SetEngine("BP4")
-	case "bp5", "BP5":
-		io.SetEngine("BP5")
-	default:
-		return ioTemplate{err: fmt.Errorf("openpmd: unsupported adios2 engine %q", engine)}
+	// BP4 is the one engine; the TOML may name it, and nothing else.
+	if engine := cfg.GetDefault("adios2.engine.type", "bp4"); engine != "bp4" && engine != "BP4" {
+		return ioTemplate{err: fmt.Errorf("openpmd: unsupported adios2 engine %q (use bp4)", engine)}
 	}
 	// Engine parameters pass through from the TOML config; the aggregator
 	// count is the paper's OPENPMD_ADIOS2_BP5_NumAgg knob.

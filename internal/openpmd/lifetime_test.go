@@ -23,83 +23,82 @@ func wantStale(t *testing.T, what string, err error) {
 // closed, valid again — dataset and all — when WriteIteration re-opens
 // the same id, dead for good once another id has been opened in between.
 func TestHandleLifetime(t *testing.T) {
-	for _, path := range []string{"/life.bp4", "/life.json"} {
-		t.Run(path, func(t *testing.T) {
-			rg := newRig(1)
-			rg.w.Run(func(r *mpisim.Rank) {
-				s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+	const path = "/life.bp4"
+	t.Run(path, func(t *testing.T) {
+		rg := newRig(1)
+		rg.w.Run(func(r *mpisim.Rank) {
+			s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			must := func(what string, err error) {
+				t.Helper()
 				if err != nil {
-					t.Error(err)
-					return
+					t.Errorf("%s: %v", what, err)
 				}
-				must := func(what string, err error) {
-					t.Helper()
-					if err != nil {
-						t.Errorf("%s: %v", what, err)
-					}
-				}
-				component := func(it *Iteration) *RecordComponent {
-					return it.Particles("e").Record("position").Component("x")
-				}
-				open := func(id uint64) *Iteration {
-					t.Helper()
-					it, err := s.WriteIteration(id)
-					must("WriteIteration", err)
-					return it
-				}
-				off, ext := []uint64{0}, []uint64{2}
+			}
+			component := func(it *Iteration) *RecordComponent {
+				return it.Particles("e").Record("position").Component("x")
+			}
+			open := func(id uint64) *Iteration {
+				t.Helper()
+				it, err := s.WriteIteration(id)
+				must("WriteIteration", err)
+				return it
+			}
+			off, ext := []uint64{0}, []uint64{2}
 
-				it0 := open(0)
-				rc := component(it0)
-				must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
-				must("StoreChunk", rc.StoreChunk(off, ext, []float64{1, 2}))
-				must("Close", it0.Close())
+			it0 := open(0)
+			rc := component(it0)
+			must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("StoreChunk", rc.StoreChunk(off, ext, []float64{1, 2}))
+			must("Close", it0.Close())
 
-				// Closed: one error, from both entry points, on both backends.
-				wantStale(t, "StoreChunk after Close", rc.StoreChunk(off, ext, []float64{3, 4}))
-				wantStale(t, "ResetDataset after Close", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
-				if err := it0.Close(); err == nil {
-					t.Error("double Close accepted")
-				}
+			// Closed: one error, from both entry points.
+			wantStale(t, "StoreChunk after Close", rc.StoreChunk(off, ext, []float64{3, 4}))
+			wantStale(t, "ResetDataset after Close", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			if err := it0.Close(); err == nil {
+				t.Error("double Close accepted")
+			}
 
-				// Same id: the same iteration, and the handle works without
-				// a new ResetDataset.
-				again := open(0)
-				if again != it0 {
-					t.Error("WriteIteration(0) after closing 0 returned a new Iteration")
-				}
-				must("StoreChunk through the re-opened handle", rc.StoreChunk(off, ext, []float64{5, 6}))
-				must("Close", again.Close())
-				if err := again.Close(); err == nil {
-					t.Error("double Close of a re-opened iteration accepted")
-				}
+			// Same id: the same iteration, and the handle works without
+			// a new ResetDataset.
+			again := open(0)
+			if again != it0 {
+				t.Error("WriteIteration(0) after closing 0 returned a new Iteration")
+			}
+			must("StoreChunk through the re-opened handle", rc.StoreChunk(off, ext, []float64{5, 6}))
+			must("Close", again.Close())
+			if err := again.Close(); err == nil {
+				t.Error("double Close of a re-opened iteration accepted")
+			}
 
-				// Another id: a fresh tree, the old handle stays dead.
-				it1 := open(1)
-				wantStale(t, "StoreChunk through iteration 0's handle while 1 is open", rc.StoreChunk(off, ext, []float64{7, 8}))
-				fresh := component(it1)
-				if err := fresh.StoreChunk(off, ext, []float64{7, 8}); err == nil {
-					t.Error("iteration 1's component inherited a dataset")
-				}
-				must("ResetDataset", fresh.ResetDataset(Dataset{Type: Float64, Extent: ext}))
-				must("StoreChunk", fresh.StoreChunk(off, ext, []float64{7, 8}))
-				must("Close", it1.Close())
+			// Another id: a fresh tree, the old handle stays dead.
+			it1 := open(1)
+			wantStale(t, "StoreChunk through iteration 0's handle while 1 is open", rc.StoreChunk(off, ext, []float64{7, 8}))
+			fresh := component(it1)
+			if err := fresh.StoreChunk(off, ext, []float64{7, 8}); err == nil {
+				t.Error("iteration 1's component inherited a dataset")
+			}
+			must("ResetDataset", fresh.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("StoreChunk", fresh.StoreChunk(off, ext, []float64{7, 8}))
+			must("Close", it1.Close())
 
-				// Only the last closed iteration is kept: 0 is new again.
-				third := open(0)
-				if third == it0 {
-					t.Error("iteration 0 survived iteration 1")
-				}
-				wantStale(t, "StoreChunk through the first iteration 0's handle", rc.StoreChunk(off, ext, []float64{9, 9}))
-				rc = component(third)
-				must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
-				must("StoreChunk", rc.StoreChunk(off, ext, []float64{9, 10}))
-				must("Series.Close with an open iteration", s.Close())
-				wantStale(t, "StoreChunk after Series.Close", rc.StoreChunk(off, ext, []float64{0, 0}))
-			})
-			readBack(t, rg, path, map[uint64][]float64{0: {9, 10}, 1: {7, 8}})
+			// Only the last closed iteration is kept: 0 is new again.
+			third := open(0)
+			if third == it0 {
+				t.Error("iteration 0 survived iteration 1")
+			}
+			wantStale(t, "StoreChunk through the first iteration 0's handle", rc.StoreChunk(off, ext, []float64{9, 9}))
+			rc = component(third)
+			must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("StoreChunk", rc.StoreChunk(off, ext, []float64{9, 10}))
+			must("Series.Close with an open iteration", s.Close())
+			wantStale(t, "StoreChunk after Series.Close", rc.StoreChunk(off, ext, []float64{0, 0}))
 		})
-	}
+		readBack(t, rg, path, map[uint64][]float64{0: {9, 10}, 1: {7, 8}})
+	})
 }
 
 // readBack checks e/position/x of every listed iteration of the series.
@@ -128,35 +127,34 @@ func readBack(t *testing.T, rg *rig, path string, want map[uint64][]float64) {
 // reuses them for the next component must not move the chunk already
 // staged.
 func TestStoreChunkCopiesDimensions(t *testing.T) {
-	for _, path := range []string{"/alias.bp4", "/alias.json"} {
-		t.Run(path, func(t *testing.T) {
-			rg := newRig(1)
-			rg.w.Run(func(r *mpisim.Rank) {
-				s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+	const path = "/alias.bp4"
+	t.Run(path, func(t *testing.T) {
+		rg := newRig(1)
+		rg.w.Run(func(r *mpisim.Rank) {
+			s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			it, _ := s.WriteIteration(0)
+			rc := it.Particles("e").Record("position").Component("x")
+			global, off, ext := []uint64{4}, []uint64{0}, []uint64{2}
+			errs := []error{
+				rc.ResetDataset(Dataset{Type: Float64, Extent: global}),
+				rc.StoreChunk(off, ext, []float64{1, 2}),
+			}
+			off[0] = 2 // the second chunk, through the same slices
+			errs = append(errs, rc.StoreChunk(off, ext, []float64{3, 4}))
+			global[0], off[0], ext[0] = 1, 1, 1
+			errs = append(errs, it.Close(), s.Close())
+			for i, err := range errs {
 				if err != nil {
-					t.Error(err)
-					return
+					t.Errorf("call %d: %v", i, err)
 				}
-				it, _ := s.WriteIteration(0)
-				rc := it.Particles("e").Record("position").Component("x")
-				global, off, ext := []uint64{4}, []uint64{0}, []uint64{2}
-				errs := []error{
-					rc.ResetDataset(Dataset{Type: Float64, Extent: global}),
-					rc.StoreChunk(off, ext, []float64{1, 2}),
-				}
-				off[0] = 2 // the second chunk, through the same slices
-				errs = append(errs, rc.StoreChunk(off, ext, []float64{3, 4}))
-				global[0], off[0], ext[0] = 1, 1, 1
-				errs = append(errs, it.Close(), s.Close())
-				for i, err := range errs {
-					if err != nil {
-						t.Errorf("call %d: %v", i, err)
-					}
-				}
-			})
-			readBack(t, rg, path, map[uint64][]float64{0: {1, 2, 3, 4}})
+			}
 		})
-	}
+		readBack(t, rg, path, map[uint64][]float64{0: {1, 2, 3, 4}})
+	})
 }
 
 // A rank's series and engine are its slots of its communicator's blocks

@@ -1,8 +1,6 @@
 package openpmd
 
 import (
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -94,8 +92,8 @@ func FuzzParseTOML(f *testing.F) {
 	})
 }
 
-// writeParticleSeries writes one iteration of particle positions with the
-// given backend suffix and returns the rig for inspection.
+// writeParticleSeries writes one iteration of particle positions to the
+// series at path and returns the rig for inspection.
 func writeParticleSeries(t *testing.T, path string, ranks, perRank int, toml string) *rig {
 	t.Helper()
 	rg := newRig(ranks)
@@ -123,10 +121,6 @@ func writeParticleSeries(t *testing.T, path string, ranks, perRank int, toml str
 			data[i] = float64(r.ID) + float64(i)/1000
 		}
 		if err := rc.StoreChunk([]uint64{off}, []uint64{uint64(perRank)}, data); err != nil {
-			t.Error(err)
-			return
-		}
-		if err := s.Flush(); err != nil {
 			t.Error(err)
 			return
 		}
@@ -175,113 +169,54 @@ NumAggregators = "2"
 	})
 }
 
-func TestJSONBackendWriteRead(t *testing.T) {
-	rg := writeParticleSeries(t, "/io/series.json", 3, 8, "")
-	// The JSON file must literally exist and contain the naming schema.
-	n, err := rg.fs.Namespace().Lookup("/io/series.json/data/100.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(n.Content), "/data/100/particles/e/position/x") {
-		t.Fatalf("JSON missing openPMD path:\n%.300s", n.Content)
-	}
-	w2 := mpisim.NewWorld(rg.k, 1, nil)
-	w2.Run(func(r *mpisim.Rank) {
-		s, err := NewSeries(rg.host(r), "/io/series.json", AccessReadOnly, "")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		it, _ := s.ReadIteration(100)
-		data, shape, err := it.Particles("e").Record("position").Component("x").Load()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if shape[0] != 24 || data[9] != 1.0+1.0/1000 {
-			t.Errorf("shape=%v data[9]=%v", shape, data[9])
-		}
-		s.Close()
-	})
-}
-
+// Two ranks write a mesh record under the standard's mesh path; one rank
+// reads it back by that path.
 func TestMeshNamingSchema(t *testing.T) {
 	rg := newRig(2)
 	rg.w.Run(func(r *mpisim.Rank) {
-		s, _ := NewSeries(rg.host(r), "/m.json", AccessCreate, "")
+		s, err := NewSeries(rg.host(r), "/m.bp4", AccessCreate, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		it, _ := s.WriteIteration(7)
 		rc := it.Meshes("density").Component(Scalar)
 		rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{8}})
-		off := uint64(4 * r.ID)
-		rc.StoreChunk([]uint64{off}, []uint64{4}, make([]float64, 4))
+		data := make([]float64, 4)
+		for i := range data {
+			data[i] = float64(10*r.ID + i)
+		}
+		if err := rc.StoreChunk([]uint64{uint64(4 * r.ID)}, []uint64{4}, data); err != nil {
+			t.Error(err)
+		}
 		it.Close()
 		s.Close()
 	})
-	n, err := rg.fs.Namespace().Lookup("/m.json/data/7.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(n.Content), "/data/7/meshes/density") {
-		t.Fatal("mesh naming schema missing")
-	}
-}
-
-// Every series reads the standard's seven attributes from one table; what
-// SetAttribute stores — over one of them or beside them — is that
-// series' alone, and the JSON backend writes the merged set.
-func TestStandardAttributes(t *testing.T) {
-	rg := newRig(1)
-	rg.w.Run(func(r *mpisim.Rank) {
-		s, _ := NewSeries(rg.host(r), "/a.json", AccessCreate, "")
-		other, _ := NewSeries(rg.host(r), "/b.json", AccessCreate, "")
-		if v, ok := s.attributes()["openPMD"]; !ok || v != "1.1.0" {
-			t.Errorf("openPMD attr = %q", v)
+	mpisim.NewWorld(rg.k, 1, nil).Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/m.bp4", AccessReadOnly, "")
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if v := s.attributes()["iterationEncoding"]; v != "groupBased" {
-			t.Errorf("encoding attr = %q", v)
+		it, _ := s.ReadIteration(7)
+		rc := it.Meshes("density").Component(Scalar)
+		if p := rc.Path(); p != "/data/7/meshes/density" {
+			t.Errorf("mesh path %q", p)
 		}
-		s.SetAttribute("author", "BIT1 team")
-		s.SetAttribute("software", "BIT1")
-		s.SetAttribute("software", "BIT1 v2")
-		if v := s.attributes()["software"]; v != "BIT1 v2" {
-			t.Errorf("software attr = %q after SetAttribute", v)
-		}
-		if v := other.attributes()["software"]; v != "picmcio" {
-			t.Errorf("another series' software attr = %q", v)
-		}
-		if v, ok := other.attributes()["author"]; ok {
-			t.Errorf("another series has author = %q", v)
+		data, shape, err := rc.Load()
+		if err != nil {
+			t.Error(err)
+		} else if len(shape) != 1 || shape[0] != 8 || len(data) != 8 || data[5] != 11 {
+			t.Errorf("shape=%v data=%v, want [8] with data[5] = 11", shape, data)
 		}
 		s.Close()
-		other.Close()
 	})
-	for path, want := range map[string]map[string]string{
-		"/a.json": {"author": "BIT1 team", "software": "BIT1 v2"},
-		"/b.json": {"software": "picmcio"},
-	} {
-		n, err := rg.fs.Namespace().Lookup(path + "/attributes.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got map[string]string
-		if err := json.Unmarshal(n.Content, &got); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		for _, a := range standardAttrs {
-			if _, over := want[a.key]; !over {
-				want[a.key] = a.value
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s/attributes.json holds %v, want %v", path, got, want)
-		}
-	}
 }
 
 func TestValidationErrors(t *testing.T) {
 	rg := newRig(1)
 	rg.w.Run(func(r *mpisim.Rank) {
-		s, _ := NewSeries(rg.host(r), "/v.json", AccessCreate, "")
+		s, _ := NewSeries(rg.host(r), "/v.bp4", AccessCreate, "")
 		it, _ := s.WriteIteration(0)
 		rc := it.Particles("e").Record("position").Component("x")
 		if err := rc.StoreChunk([]uint64{0}, []uint64{4}, make([]float64, 4)); err == nil {
@@ -302,11 +237,16 @@ func TestValidationErrors(t *testing.T) {
 	})
 }
 
+// A series is BP4 and nothing else: every other path is an error naming
+// the path.
 func TestUnknownBackendRejected(t *testing.T) {
 	rg := newRig(1)
 	rg.w.Run(func(r *mpisim.Rank) {
-		if _, err := NewSeries(rg.host(r), "/x.h5", AccessCreate, ""); err == nil {
-			t.Error("h5 backend accepted")
+		for _, path := range []string{"/x.h5", "/x.json", "/x.bp5", "/x.bp"} {
+			_, err := NewSeries(rg.host(r), path, AccessCreate, "")
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), ".bp4") {
+				t.Errorf("NewSeries(%q): %v, want an error naming it and .bp4", path, err)
+			}
 		}
 	})
 }

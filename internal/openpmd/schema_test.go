@@ -41,7 +41,7 @@ func TestSharedSettingsAreNotAliased(t *testing.T) {
 			t.Error(errA, errB)
 			return
 		}
-		ba, bb := a.be.(*bp4Backend), b.be.(*bp4Backend)
+		ba, bb := &a.bp4, &b.bp4
 		// Ranks run one after another up to their next collective: what
 		// rank 0 sets below, every later rank would see here if it were
 		// shared. (The subfiles counted at the end say what the engines made
@@ -71,22 +71,27 @@ func TestSharedSettingsAreNotAliased(t *testing.T) {
 	}
 }
 
-// A malformed engine parameter in the options reaches every rank as the
-// same error from NewSeries, before any of them is parked in a collective:
-// the world drains.
+// A malformed engine parameter, or an engine other than BP4, in the
+// options reaches every rank as the same error from NewSeries, before any
+// of them is parked in a collective: the world drains.
 func TestNewSeriesRejectsMalformedParameter(t *testing.T) {
-	rg := newRig(4)
-	failed := 0
-	rg.w.Run(func(r *mpisim.Rank) {
-		_, err := NewSeries(rg.host(r), "/typo.bp4", AccessCreate, "[adios2.engine.parameters]\nNumAggregators = \"1O\"\n")
-		if err == nil || !strings.Contains(err.Error(), "NumAggregators") || !strings.Contains(err.Error(), `"1O"`) {
-			t.Errorf("rank %d: NewSeries with NumAggregators = 1O: %v", r.ID, err)
-			return
+	for _, c := range []struct{ options, prefix, value string }{
+		{"[adios2.engine.parameters]\nNumAggregators = \"1O\"\n", "adios2: bad NumAggregators", `"1O"`},
+		{"[adios2.engine]\ntype = \"bp5\"\n", "openpmd: unsupported adios2 engine", `"bp5"`},
+	} {
+		rg := newRig(4)
+		failed := 0
+		rg.w.Run(func(r *mpisim.Rank) {
+			_, err := NewSeries(rg.host(r), "/typo.bp4", AccessCreate, c.options)
+			if err == nil || !strings.HasPrefix(err.Error(), c.prefix) || !strings.Contains(err.Error(), c.value) {
+				t.Errorf("rank %d: NewSeries with %s: %v, want %s %s", r.ID, c.value, err, c.prefix, c.value)
+				return
+			}
+			failed++
+		})
+		if failed != 4 {
+			t.Errorf("%s: %d of 4 ranks got the error", c.value, failed)
 		}
-		failed++
-	})
-	if failed != 4 {
-		t.Errorf("%d of 4 ranks got the error", failed)
 	}
 }
 
@@ -94,65 +99,63 @@ func TestNewSeriesRejectsMalformedParameter(t *testing.T) {
 // names to, and the paths are built by one rank for all.
 func TestComponentsMatchOneAtATime(t *testing.T) {
 	schema, names := testSchema(t, 5)
-	for _, path := range []string{"/schema.bp4", "/schema.json"} {
-		rg := newRig(4)
-		builders := 0
-		rg.w.Run(func(r *mpisim.Rank) {
-			s, err := NewSeries(rg.host(r), path, AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			it, _ := s.WriteIteration(3)
-			before := rg.w.MemoBuilds()
-			nums := make([]uint64, schema.RowWords())
-			cs, err := it.Components(schema, nums)
-			if err != nil || len(cs.paths) != len(names) {
-				t.Errorf("Components: %d components, %v", len(cs.paths), err)
-				return
-			}
-			if rg.w.MemoBuilds() != before {
-				builders++
-			}
-			if _, err := it.Components(schema, nums[1:]); err == nil {
-				t.Error("a block one number short accepted")
-			}
-			for i, n := range names {
-				single := it.Particles(n.Species).Record(n.Record).Component(n.Component)
-				if n.Mesh {
-					single = it.Meshes(n.Record).Component(n.Component)
-				}
-				rc := cs.At(i)
-				if rc.Path() != single.Path() {
-					t.Errorf("component %d is %s, one at a time %s", i, rc.Path(), single.Path())
-				}
-				if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
-					t.Error(err)
-				}
-				if err := rc.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
-					t.Error(err)
-				}
-				// The block is the one place the numbers are, in the
-				// order extent, offset, count.
-				if got, want := [3]uint64(nums[3*i:3*i+3]), [3]uint64{4, uint64(r.ID), 1}; got != want {
-					t.Errorf("component %d: the block holds %v, want %v", i, got, want)
-				}
-				if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4, 4}}); err == nil {
-					t.Error("a 2-D dataset in a schema of 1-D ones accepted")
-				}
-				if err := rc.ResetDataset(Dataset{Type: UInt64, Extent: []uint64{4}}); err == nil {
-					t.Error("a dataset of another type than the schema's accepted")
-				}
-			}
-			it.Close()
-			if _, err := it.Components(schema, nums); err == nil {
-				t.Error("Components on a closed iteration accepted")
-			}
-			s.Close()
-		})
-		if builders != 1 {
-			t.Errorf("%s: %d ranks built memo values resolving the schema, want one", path, builders)
+	rg := newRig(4)
+	builders := 0
+	rg.w.Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), "/schema.bp4", AccessCreate, "[adios2.engine.parameters]\nProfile = \"off\"")
+		if err != nil {
+			t.Error(err)
+			return
 		}
+		it, _ := s.WriteIteration(3)
+		before := rg.w.MemoBuilds()
+		nums := make([]uint64, schema.RowWords())
+		cs, err := it.Components(schema, nums)
+		if err != nil || len(cs.paths) != len(names) {
+			t.Errorf("Components: %d components, %v", len(cs.paths), err)
+			return
+		}
+		if rg.w.MemoBuilds() != before {
+			builders++
+		}
+		if _, err := it.Components(schema, nums[1:]); err == nil {
+			t.Error("a block one number short accepted")
+		}
+		for i, n := range names {
+			single := it.Particles(n.Species).Record(n.Record).Component(n.Component)
+			if n.Mesh {
+				single = it.Meshes(n.Record).Component(n.Component)
+			}
+			rc := cs.At(i)
+			if rc.Path() != single.Path() {
+				t.Errorf("component %d is %s, one at a time %s", i, rc.Path(), single.Path())
+			}
+			if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
+				t.Error(err)
+			}
+			if err := rc.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
+				t.Error(err)
+			}
+			// The block is the one place the numbers are, in the
+			// order extent, offset, count.
+			if got, want := [3]uint64(nums[3*i:3*i+3]), [3]uint64{4, uint64(r.ID), 1}; got != want {
+				t.Errorf("component %d: the block holds %v, want %v", i, got, want)
+			}
+			if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4, 4}}); err == nil {
+				t.Error("a 2-D dataset in a schema of 1-D ones accepted")
+			}
+			if err := rc.ResetDataset(Dataset{Type: UInt64, Extent: []uint64{4}}); err == nil {
+				t.Error("a dataset of another type than the schema's accepted")
+			}
+		}
+		it.Close()
+		if _, err := it.Components(schema, nums); err == nil {
+			t.Error("Components on a closed iteration accepted")
+		}
+		s.Close()
+	})
+	if builders != 1 {
+		t.Errorf("%d ranks built memo values resolving the schema, want one", builders)
 	}
 	if _, err := NewSchema(names, Float64, 0); err == nil {
 		t.Error("a schema of 0-dimensional datasets accepted")

@@ -1,9 +1,8 @@
 // Package openpmd reimplements the slice of the openPMD standard and the
 // openPMD-api library that BIT1's I/O integration uses: a Series of
 // Iterations holding Meshes and ParticleSpecies whose Records store
-// chunked, offset-addressed data through a pluggable backend. The BP4
-// backend drives the simulated ADIOS2 engine (the paper's configuration);
-// the JSON backend writes real, human-readable files for small runs.
+// chunked, offset-addressed data through the BP4 backend, which drives
+// the simulated ADIOS2 engine (the paper's configuration).
 //
 // The standard's naming schema — /data/<iteration>/particles/<species>/
 // <record>/<component> and /data/<iteration>/meshes/<mesh>/<component> —
@@ -62,35 +61,12 @@ type Dataset struct {
 	Extent []uint64
 }
 
-// backend is the storage engine behind a series.
-type backend interface {
-	// beginIteration opens iteration id for writing.
-	beginIteration(id uint64) error
-	// store stages the chunk rc.offset()/rc.count() of a record
-	// component. Those slices are overwritten by rc's next StoreChunk, so
-	// a backend that keeps them past the call copies them.
-	store(rc RecordComponent, data []float64) error
-	// closeIteration finalizes the open iteration.
-	closeIteration() error
-	// close finalizes the series.
-	close() error
-	// iterations lists available iterations (read mode).
-	iterations() ([]uint64, error)
-	// load reads a whole record component (read mode).
-	load(it uint64, varPath string) ([]float64, []uint64, error)
-}
-
 // Series is the root object of an openPMD hierarchy.
 type Series struct {
-	host   Host
-	path   string
-	access Access
-	cfg    *Config
-	be     backend
-	// attrs holds what SetAttribute stored, over standardAttrs; the first
-	// two lie in the series itself.
-	attrs   []attribute
-	attrs0  [2]attribute
+	host    Host
+	path    string
+	access  Access
+	cfg     *Config
 	curIter *Iteration
 	// lastIter is the most recently closed write iteration — the only
 	// closed one a series keeps — so that WriteIteration with the same id
@@ -100,23 +76,8 @@ type Series struct {
 	// and over, and it need not be an object of its own.
 	first  Iteration
 	closed bool
-	// bp4 is the BP backend, be's if the series has one.
+	// bp4 is the series' storage: the ADIOS2 IO and engine behind it.
 	bp4 bp4Backend
-}
-
-// attribute is one root attribute.
-type attribute struct{ key, value string }
-
-// standardAttrs is what the standard requires at the root of every series
-// and SetAttribute may override: read-only, shared by all of them.
-var standardAttrs = [...]attribute{
-	{"openPMD", "1.1.0"},
-	{"openPMDextension", "0"},
-	{"basePath", "/data/%T/"},
-	{"meshesPath", "meshes/"},
-	{"particlesPath", "particles/"},
-	{"iterationEncoding", "groupBased"},
-	{"software", "picmcio"},
 }
 
 // tomlKey is the world-memo key of a parsed options document.
@@ -127,14 +88,16 @@ type parsedTOML struct {
 	err error
 }
 
-// NewSeries opens (or creates) a series at path. The backend is chosen by
-// extension: .bp/.bp4/.bp5 → ADIOS2 BP engine, .json → JSON files.
-// options is a TOML document ("" for defaults). Creating is collective.
-// A series is the rank's slot of the communicator's block of series of
-// that path (mpisim.Block).
+// NewSeries opens (or creates) the BP4 series at path, which must end in
+// .bp4. options is a TOML document ("" for defaults). Creating is
+// collective. A series is the rank's slot of the communicator's block of
+// series of that path (mpisim.Block).
 func NewSeries(h Host, path string, access Access, options string) (*Series, error) {
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("openpmd: incomplete host")
+	}
+	if !strings.HasSuffix(path, ".bp4") {
+		return nil, fmt.Errorf("openpmd: %q is not a BP4 series path (use .bp4)", path)
 	}
 	// The options are the same document on every rank: parse it once per
 	// world. The shared Config is never written after ParseTOML returns.
@@ -147,15 +110,7 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 		return nil, err
 	}
 	s := newSeries(h, path, access, cfg)
-	switch {
-	case strings.HasSuffix(path, ".bp"), strings.HasSuffix(path, ".bp4"), strings.HasSuffix(path, ".bp5"):
-		s.be, err = &s.bp4, s.bp4.open(s)
-	case strings.HasSuffix(path, ".json"):
-		s.be, err = newJSONBackend(s)
-	default:
-		return nil, fmt.Errorf("openpmd: no backend for %q (use .bp4 or .json)", path)
-	}
-	if err != nil {
+	if err := s.bp4.open(s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -169,31 +124,7 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 func newSeries(h Host, path string, access Access, cfg *Config) *Series {
 	s := mpisim.Block[string, Series](h.Comm, path)
 	s.host, s.path, s.access, s.cfg = h, path, access, cfg
-	s.attrs = s.attrs0[:0]
 	return s
-}
-
-// SetAttribute stores a root attribute.
-func (s *Series) SetAttribute(key, value string) {
-	for i := range s.attrs {
-		if s.attrs[i].key == key {
-			s.attrs[i].value = value
-			return
-		}
-	}
-	s.attrs = append(s.attrs, attribute{key, value})
-}
-
-// attributes returns every root attribute: the standard's, then what
-// SetAttribute stored over and beside them.
-func (s *Series) attributes() map[string]string {
-	m := make(map[string]string, len(standardAttrs)+len(s.attrs))
-	for _, list := range [][]attribute{standardAttrs[:], s.attrs} {
-		for _, a := range list {
-			m[a.key] = a.value
-		}
-	}
-	return m
 }
 
 // WriteIteration opens iteration id for writing. Only one iteration may be
@@ -209,7 +140,7 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 	if s.curIter != nil {
 		return nil, fmt.Errorf("openpmd: iteration %d still open", s.curIter.ID)
 	}
-	if err := s.be.beginIteration(id); err != nil {
+	if err := s.bp4.beginIteration(id); err != nil {
 		return nil, err
 	}
 	if it := s.lastIter; it != nil && it.ID == id {
@@ -227,14 +158,8 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 	return s.curIter, nil
 }
 
-// Flush is where the paper's integration commits its accumulated vectors,
-// once per iteration. Here it does nothing and cannot fail: StoreChunk has
-// already handed every chunk to the backend, and both backends write when
-// the iteration closes (ADIOS2 EndStep; the JSON gather).
-func (s *Series) Flush() error { return nil }
-
 // Iterations lists the iteration ids available for reading.
-func (s *Series) Iterations() ([]uint64, error) { return s.be.iterations() }
+func (s *Series) Iterations() ([]uint64, error) { return s.bp4.iterations() }
 
 // ReadIteration returns a read handle for iteration id.
 func (s *Series) ReadIteration(id uint64) (*Iteration, error) {
@@ -255,7 +180,7 @@ func (s *Series) Close() error {
 		}
 	}
 	s.closed = true
-	return s.be.close()
+	return s.bp4.close()
 }
 
 // Iteration is one time point of a series.
@@ -351,9 +276,9 @@ type ComponentSet struct {
 	nums []uint64
 	// vars is a schema's ADIOS2 variables; nil for a named component.
 	vars *adios2.VarSet
-	// On the BP backend, once a component has been stored: component i is
-	// variable bpAt+i of bpRow, which reads nums in place if bpInPlace and is
-	// handed a copy at every store otherwise.
+	// Once a component has been stored: component i is variable bpAt+i of
+	// bpRow, which reads nums in place if bpInPlace and is handed a copy at
+	// every store otherwise.
 	bpRow     *adios2.VarRow
 	bpAt      int
 	bpInPlace bool
@@ -364,8 +289,8 @@ type ComponentSet struct {
 // the schema's order, as one set over one block of numbers. nums is that
 // block, s.RowWords() long; the set keeps it, the layers below
 // read it where it lies, and nothing copies it. (A read iteration takes no
-// block.) On the BP backend the components' variables are defined together
-// at the first store, so the engine knows how many before the first Put.
+// block.) The components' variables are defined together at the first
+// store, so the engine knows how many before the first Put.
 func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) {
 	if it.read {
 		nums = nil
@@ -390,11 +315,10 @@ func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) 
 // set stays where it is.
 func (cs *ComponentSet) At(i int) RecordComponent { return RecordComponent{set: cs, i: i} }
 
-// Close finalizes the iteration: with the BP backend this triggers the
-// EndStep that aggregates and writes the data. A closed iteration and the
-// components taken from it reject further stores until
-// Series.WriteIteration opens the same id again; closing twice is an
-// error.
+// Close finalizes the iteration: it triggers the ADIOS2 EndStep that
+// aggregates and writes the data. A closed iteration and the components
+// taken from it reject further stores until Series.WriteIteration opens
+// the same id again; closing twice is an error.
 func (it *Iteration) Close() error {
 	if it.read {
 		return nil
@@ -405,7 +329,7 @@ func (it *Iteration) Close() error {
 	it.closed = true
 	it.series.curIter = nil
 	it.series.lastIter = it
-	return it.series.be.closeIteration()
+	return it.series.bp4.closeIteration()
 }
 
 // Species is a particle species container.
@@ -443,7 +367,7 @@ func (r *Record) Component(name string) *RecordComponent {
 // RecordComponent is the leaf object data is stored into: a handle on one
 // component of a ComponentSet. A writer may keep one for as long as its
 // iteration is open or can be re-opened: the set remembers the component's
-// dataset and, on the BP backend, its ADIOS2 variable.
+// dataset and its ADIOS2 variable.
 type RecordComponent struct {
 	set *ComponentSet
 	i   int
@@ -526,7 +450,7 @@ func (rc RecordComponent) StoreChunk(offset, extent []uint64, data []float64) er
 	}
 	copy(rc.offset(), offset)
 	copy(rc.count(), extent)
-	return rc.set.it.series.be.store(rc, data)
+	return rc.set.it.series.bp4.store(rc, data)
 }
 
 // Load reads the whole component (read mode).
@@ -535,5 +459,5 @@ func (rc RecordComponent) Load() ([]float64, []uint64, error) {
 	if !it.read {
 		return nil, nil, fmt.Errorf("openpmd: Load on write iteration")
 	}
-	return it.series.be.load(it.ID, rc.Path())
+	return it.series.bp4.load(it.ID, rc.Path())
 }
