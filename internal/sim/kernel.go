@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// Processes are coroutines of the kernel's run loop (iter.Pull) that
-// advance a shared virtual clock by sleeping or by blocking on simulated
-// resources. Exactly one process runs at a time; the loop switches to the
-// process whose next event is earliest, breaking ties by event sequence
-// number, so runs are bit-reproducible. A handoff is a direct switch
-// between two goroutines on one thread: it never enters the Go scheduler.
+// Processes advance a shared virtual clock by sleeping or by blocking on
+// simulated resources. Each runs on a carrier, a coroutine of the
+// kernel's run loop (iter.Pull) that passes on to another process once
+// its own has finished, in this kernel or a later one. Exactly one
+// process runs at a time; the loop switches to the process whose next
+// event is earliest, breaking ties by event sequence number, so runs are
+// bit-reproducible. A handoff is a direct switch between two goroutines
+// on one thread: it never enters the Go scheduler.
 //
 // The kernel is the substrate for the simulated MPI runtime and the
 // simulated parallel file systems: storage devices are modeled as FCFS
@@ -17,7 +19,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"slices"
+	"sync"
 )
 
 // Time is a point in virtual time, in seconds since the start of the run.
@@ -83,6 +85,9 @@ type Kernel struct {
 	// block and a single as a block of one: what Run unwinds when it ends
 	// abnormally.
 	spawned [][]Proc
+	// free holds the carriers whose processes finished: the next spawn's
+	// first, and the idle list's when Run ends cleanly.
+	free []*carrier
 
 	waitPool [][]*Proc // recycled wait-list backing arrays (see waitQueue)
 	// The batch records: slot 0 in the kernel itself — most kernels never
@@ -149,11 +154,8 @@ type Proc struct {
 	killed     bool
 	batch      bool // a batch's queue entry, not a process (see batch)
 
-	// The coroutine (iter.Pull): the run loop calls next to switch to the
-	// process, the process calls yield to switch back, stop unwinds it.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	c  *carrier    // runs the body; nil once the process has finished
+	fn func(*Proc) // the body
 }
 
 // Name reports the name given at Spawn time; for a process of a SpawnN
@@ -173,7 +175,7 @@ func (p *Proc) Now() Time { return p.k.now }
 type killSignal struct{}
 
 // Spawn creates a process and schedules it to start at the current virtual
-// time. The function fn runs in its own goroutine but is only ever executed
+// time. The function fn runs on its carrier's goroutine, but only ever
 // while the kernel has handed it control.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(k.now, name, fn)
@@ -194,8 +196,8 @@ func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 
 // SpawnN creates a world of n processes named prefix00000, prefix00001, …
 // that start at the current virtual time in index order, and runs fn(i, p)
-// in the i-th. It is Spawn n times from one block of processes and with
-// nothing per process but its coroutine.
+// in the i-th. It is Spawn n times from one block of processes, with
+// nothing allocated per process once n carriers are idle.
 func (k *Kernel) SpawnN(n int, prefix string, fn func(i int, p *Proc)) {
 	run := func(p *Proc) { fn(int(p.index), p) }
 	world := k.block(n)
@@ -206,11 +208,14 @@ func (k *Kernel) SpawnN(n int, prefix string, fn func(i int, p *Proc)) {
 	}
 }
 
-// block allocates n processes of this kernel, remembers them and makes
-// room in the queue for their first resumes.
+// block allocates n processes of this kernel, each with a carrier,
+// remembers them and makes room in the queue for their first resumes and
+// in the free list for their carriers.
 func (k *Kernel) block(n int) []Proc {
-	k.q = slices.Grow(k.q, n)
+	k.q = grow(k.q, n)
 	ps := make([]Proc, n)
+	k.carriers(ps)
+	k.free = grow(k.free, n)
 	for i := range ps {
 		ps[i].k = k
 	}
@@ -218,23 +223,111 @@ func (k *Kernel) block(n int) []Proc {
 	return ps
 }
 
-// start makes the process a coroutine and queues its first resume, at
-// which it runs fn — unless it was killed before it ever ran.
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must move: slices.Grow, without the n-element
+// temporary that one allocates under the race detector.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	g := make(S, len(s), max(len(s)+n, 2*cap(s)))
+	copy(g, s)
+	return g
+}
+
+// start queues the process's first resume, at which its carrier runs fn
+// — unless it was killed before it ever ran.
 func (p *Proc) start(at Time, fn func(p *Proc)) {
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		if !p.killed {
-			defer p.leave()
-			fn(p)
-		}
-	})
+	p.fn = fn
+	p.c.p = p
 	p.k.live++
 	p.k.schedule(at, p)
 }
 
+// carrier is a coroutine (iter.Pull) that runs process bodies one after
+// another: the run loop calls next to switch to the process it carries,
+// the process calls yield to switch back. Between two processes it waits
+// in yield holding nothing, on its kernel's free list or on the idle
+// list; stop ends it.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process it runs; nil once that has finished
+}
+
+// idle holds the carriers of kernels that ended cleanly, for any kernel's
+// next spawn. A clean Run leaves at most as many as it held itself.
+var idle struct {
+	sync.Mutex
+	cs []*carrier
+}
+
+// carriers gives each process of ps a carrier: the kernel's free ones
+// first, then idle ones, then new ones for the shortfall, from one block.
+func (k *Kernel) carriers(ps []Proc) {
+	ps = takeCarriers(ps, &k.free)
+	if len(ps) > 0 {
+		idle.Lock()
+		ps = takeCarriers(ps, &idle.cs)
+		idle.Unlock()
+	}
+	if len(ps) == 0 {
+		return
+	}
+	cs := make([]carrier, len(ps))
+	for i := range ps {
+		c := &cs[i]
+		c.next, c.stop = iter.Pull(c.loop)
+		ps[i].c = c
+	}
+}
+
+// takeCarriers hands the carriers at the end of *from to the first
+// processes of ps and returns the processes left without one.
+func takeCarriers(ps []Proc, from *[]*carrier) []Proc {
+	cs := *from
+	n := min(len(ps), len(cs))
+	for i, c := range cs[len(cs)-n:] {
+		ps[i].c = c
+	}
+	clear(cs[len(cs)-n:])
+	*from = cs[:len(cs)-n]
+	return ps[n:]
+}
+
+// loop is a carrier's coroutine: run the body of the process handed
+// over, unless it was killed before it ever ran, report it finished by
+// yielding with c.p nil, wait for the next, until stopped.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		if p := c.p; !p.killed {
+			p.body()
+		}
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// end stops the carrier's coroutine and lets go of it: the rest of its
+// block may still be carrying processes.
+func (c *carrier) end() {
+	defer func() { c.next, c.stop, c.yield = nil, nil, nil }()
+	c.stop()
+}
+
+// body runs the process's body under leave.
+func (p *Proc) body() {
+	defer p.leave()
+	p.fn(p)
+}
+
 // leave is deferred under every process's body. A kill (or Run's unwind)
 // ends the body through killSignal, and that is a clean end; any other
-// panic goes on, through next, into Run.
+// panic goes on, through next, into Run, and the carrier dies with it.
 func (p *Proc) leave() {
 	if r := recover(); r != nil {
 		if _, ok := r.(killSignal); !ok {
@@ -402,24 +495,46 @@ func (k *Kernel) Run() Time {
 		}
 		k.now = at
 		k.stats.QueueEvents++
-		if _, more := p.next(); !more {
+		c := p.c
+		c.next()
+		if c.p == nil {
 			p.done = true
-			p.next, p.stop, p.yield = nil, nil, nil // the kernel keeps p, not what its body held
+			p.c, p.fn = nil, nil // the kernel keeps p, not what its body held
 			k.live--
+			k.free = append(k.free, c)
 		}
 	}
 	if k.live > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events at t=%v", k.live, k.now))
 	}
 	clean = true
+	k.giveBack()
 	return k.now
+}
+
+// giveBack puts the kernel's carriers on the idle list, then trims that
+// to as many as the kernel held: after a world of n processes no more
+// than n carriers wait, each pinning its goroutine's stack.
+func (k *Kernel) giveBack() {
+	n := len(k.free)
+	idle.Lock()
+	defer idle.Unlock()
+	idle.cs = append(idle.cs, k.free...)
+	for _, c := range idle.cs[n:] {
+		c.end()
+	}
+	clear(idle.cs[n:])
+	idle.cs = idle.cs[:n]
+	k.free = nil
 }
 
 // unwind stops every unfinished process in spawn order: its pending yield
 // returns false, await unwinds it with killSignal, its deferred functions
-// run and its goroutine ends; one that never started ends without running.
-// Whatever took Run down stays the failure reported: a panic out of a
-// deferred function of a process being unwound is dropped.
+// run and its carrier's goroutine ends; one that never started ends
+// without running. Then it stops the kernel's free carriers: a world that
+// ends badly gives back none. Whatever took Run down stays the failure
+// reported: a panic out of a deferred function of a process being unwound
+// is dropped.
 func (k *Kernel) unwind() {
 	for _, ps := range k.spawned {
 		for i := range ps {
@@ -427,11 +542,15 @@ func (k *Kernel) unwind() {
 				p.done = true
 				func() {
 					defer func() { _ = recover() }()
-					p.stop()
+					p.c.end()
 				}()
 			}
 		}
 	}
+	for _, c := range k.free {
+		c.end()
+	}
+	k.free = nil
 	k.live = 0
 }
 
@@ -482,7 +601,7 @@ func (p *Proc) SleepUntil(t Time) {
 // scheduling boundary — the discrete-event analogue of "the node died
 // while the program was blocked".
 func (p *Proc) await() {
-	if !p.yield(struct{}{}) || p.killed {
+	if !p.c.yield(struct{}{}) || p.killed {
 		panic(killSignal{})
 	}
 }
