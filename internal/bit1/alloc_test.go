@@ -281,7 +281,10 @@ func parkedStack(tb testing.TB, cfg Config, ranks, padLevels int) float64 {
 	}
 	var before, m runtime.MemStats
 	var most uint64
-	runtime.GC() // return the first run's stacks
+	// End the carriers the first run left idle, with their grown stacks,
+	// and return those: the second run's ranks start on fresh goroutines.
+	sim.NewKernel().Run()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	run(instants, func() {
 		runtime.ReadMemStats(&m)

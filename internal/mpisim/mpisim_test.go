@@ -700,9 +700,12 @@ func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 
 // TestWorldSpawnAllocations is the ratchet on what a rank costs before its
 // program runs: objects and bytes per rank of a world spawned, run with an
-// empty rank program and gone, above what iter.Pull itself allocates on the
-// running toolchain. The ranks' processes, handles and communicators are
-// one block each per world, and a rank's name is formatted only on demand.
+// empty rank program and gone. A world spawned after one of its size runs
+// on the carriers that one left idle; a cold one — the idle list emptied
+// first by a clean Run of no process — pays for them, and is bounded
+// above what iter.Pull itself allocates on the running toolchain. The
+// ranks' processes, handles and communicators are one block each per
+// world, and a rank's name is formatted only on demand.
 func TestWorldSpawnAllocations(t *testing.T) {
 	const ranks = 1024
 	measure := func(f func()) (objects, bytes float64) {
@@ -721,13 +724,24 @@ func TestWorldSpawnAllocations(t *testing.T) {
 			stop()
 		}
 	})
+	coldObjects, coldBytes := measure(func() {
+		sim.NewKernel().Run()
+		world(ranks).Run(func(r *Rank) {})
+	})
 	objects, bytes := measure(func() { world(ranks).Run(func(r *Rank) {}) })
-	ownObjects, ownBytes := objects-pullObjects, bytes-pullBytes
-	t.Logf("World.Spawn: %.2f objects and %.0f B per rank, of them iter.Pull %.2f and %.0f, the simulator %.2f and %.0f",
-		objects, bytes, pullObjects, pullBytes, ownObjects, ownBytes)
-	// Measured on go1.24: 1.01 objects (the coroutine's body closure) and
-	// 191 B (Proc, queue entry, closure, Rank, Comm and the world's rank and
-	// parking tables).
+	ownObjects, ownBytes := coldObjects-pullObjects, coldBytes-pullBytes
+	t.Logf("World.Spawn: %.3f objects and %.0f B per rank on idle carriers; cold %.2f and %.0f, of them iter.Pull %.2f and %.0f, the simulator %.2f and %.0f",
+		objects, bytes, coldObjects, coldBytes, pullObjects, pullBytes, ownObjects, ownBytes)
+	// Measured on go1.24: on idle carriers 0.013 objects and 154 B (Proc,
+	// queue entry, Rank, Comm and the world's rank and parking tables);
+	// cold, 1.01 objects above iter.Pull (the carrier's loop closure) and
+	// 202 B (those, a carrier and the closure).
+	if objects > 0.05 {
+		t.Errorf("World.Spawn on idle carriers allocates %.3f objects per rank, bound 0.05", objects)
+	}
+	if bytes > 170 {
+		t.Errorf("World.Spawn on idle carriers allocates %.0f B per rank, bound 170", bytes)
+	}
 	if ownObjects > 2.01 {
 		t.Errorf("World.Spawn allocates %.2f objects per rank above iter.Pull's %.2f, bound 2", ownObjects, pullObjects)
 	}

@@ -76,10 +76,11 @@ func checkNoLeak(t *testing.T, baseline int) {
 }
 
 // checkReuse checks what a world, spawned on carriers the idle list held,
-// left there: only live carriers, none of the world's if
-// it ended badly, and no other goroutine beside baseline. Then a clean
-// world of as many processes as carriers wait reuses every one of them.
-func checkReuse(t *testing.T, baseline int, world []*carrier, clean bool) {
+// left there: only live carriers, none of dead — those of the processes
+// unfinished when it ended badly — and no other goroutine beside
+// baseline. Then a clean world of as many processes as carriers wait
+// reuses every one of them.
+func checkReuse(t *testing.T, baseline int, dead []*carrier) {
 	t.Helper()
 	left := idleSet()
 	for c := range left {
@@ -87,11 +88,9 @@ func checkReuse(t *testing.T, baseline int, world []*carrier, clean bool) {
 			t.Fatal("a stopped carrier is on the idle list")
 		}
 	}
-	if !clean {
-		for i, c := range world {
-			if left[c] {
-				t.Fatalf("process %d's carrier is on the idle list after its world ended badly", i)
-			}
+	for i, c := range dead {
+		if left[c] {
+			t.Fatalf("unfinished process %d's carrier is on the idle list after its world ended badly", i)
 		}
 	}
 	checkNoLeak(t, baseline)
@@ -134,13 +133,13 @@ func TestReusedCarrierKilledBeforeFirstResume(t *testing.T) {
 	if n := idleCarriers(); n != len(cs) {
 		t.Fatalf("%d carriers idle after a clean world of %d, want %d", n, len(cs), len(cs))
 	}
-	checkReuse(t, baseline, cs, true)
+	checkReuse(t, baseline, nil)
 }
 
 // TestReusedCarrierPanics: a process that panics on a reused carrier
-// takes its world down; the world's carriers die with it, the one a
-// finished process left too, and the carriers it did not take are the
-// next world's.
+// takes its world down; the carriers of its unfinished processes die with
+// it, and the one a finished process left waits idle beside those the
+// world did not take, for the next world.
 func TestReusedCarrierPanics(t *testing.T) {
 	warm, baseline := warmIdle(t, 8)
 	k := NewKernel()
@@ -157,16 +156,16 @@ func TestReusedCarrierPanics(t *testing.T) {
 			t.Fatalf("process %d's deferred function ran %d times, want once", i, n)
 		}
 	}
-	if n := idleCarriers(); n != 8-len(cs) {
-		t.Fatalf("%d carriers idle, want the %d the world did not take", n, 8-len(cs))
+	if n := idleCarriers(); n != 8-len(cs)+1 {
+		t.Fatalf("%d carriers idle, want the %d the world did not take and early's", n, 8-len(cs))
 	}
-	checkReuse(t, baseline, cs, false)
+	checkReuse(t, baseline, cs[1:])
 }
 
 // TestReusedCarrierGoexit: a runtime.Goexit on a reused carrier ends the
-// goroutine that called Run and the world's carriers with it, the one a
-// finished process left too; the carriers it did not take are the next
-// world's.
+// goroutine that called Run and the carriers of the world's unfinished
+// processes with it; the one a finished process left waits idle beside
+// those the world did not take, for the next world.
 func TestReusedCarrierGoexit(t *testing.T) {
 	warm, baseline := warmIdle(t, 8)
 	k := NewKernel()
@@ -190,10 +189,10 @@ func TestReusedCarrierGoexit(t *testing.T) {
 			t.Fatalf("process %d's deferred function ran %d times, want once", i, n)
 		}
 	}
-	if n := idleCarriers(); n != 8-len(cs) {
-		t.Fatalf("%d carriers idle, want the %d the world did not take", n, 8-len(cs))
+	if n := idleCarriers(); n != 8-len(cs)+1 {
+		t.Fatalf("%d carriers idle, want the %d the world did not take and early's", n, 8-len(cs))
 	}
-	checkReuse(t, baseline, cs, false)
+	checkReuse(t, baseline, cs[1:])
 }
 
 // TestIdleListTrimmed: after a clean world of n processes at most n

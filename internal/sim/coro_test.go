@@ -293,12 +293,12 @@ func TestSpawnNAllocations(t *testing.T) {
 	ownObjects, ownBytes := coldObjects-pullObjects, coldBytes-pullBytes
 	t.Logf("SpawnN: %.3f objects and %.0f B per process on idle carriers; cold %.2f and %.0f, of them iter.Pull %.2f and %.0f, the kernel %.2f and %.0f",
 		objects, bytes, coldObjects, coldBytes, pullObjects, pullBytes, ownObjects, ownBytes)
-	// Measured on go1.24: on idle carriers 0.006 objects and 92 B (a
-	// Proc, a queue entry, a free-list slot: the process block, the
-	// queue, the free list and the kernel's record of the block are one
-	// allocation each per world); cold, 1.01 objects above iter.Pull (the
-	// carrier's loop closure; the carriers are one block per world) and
-	// 141 B (those three, a carrier and the closure).
+	// Measured on go1.24: on idle carriers 0.005 objects and 83 B (a
+	// Proc and a queue entry: the process block, the queue and the
+	// kernel's record of the block are one allocation each per world);
+	// cold, 1.01 objects above iter.Pull (the carrier's loop closure; the
+	// carriers are one block per world) and 131 B (those two, a carrier
+	// and the closure).
 	if objects > 0.05 {
 		t.Errorf("SpawnN on idle carriers allocates %.3f objects per process, bound 0.05", objects)
 	}

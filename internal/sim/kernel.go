@@ -85,9 +85,8 @@ type Kernel struct {
 	// block and a single as a block of one: what Run unwinds when it ends
 	// abnormally.
 	spawned [][]Proc
-	// free holds the carriers whose processes finished: the next spawn's
-	// first, and the idle list's when Run ends cleanly.
-	free []*carrier
+	// procs counts the processes spawned: what Run trims the idle list to.
+	procs int
 
 	waitPool [][]*Proc // recycled wait-list backing arrays (see waitQueue)
 	// The batch records: slot 0 in the kernel itself — most kernels never
@@ -209,17 +208,16 @@ func (k *Kernel) SpawnN(n int, prefix string, fn func(i int, p *Proc)) {
 }
 
 // block allocates n processes of this kernel, each with a carrier,
-// remembers them and makes room in the queue for their first resumes and
-// in the free list for their carriers.
+// remembers them and makes room in the queue for their first resumes.
 func (k *Kernel) block(n int) []Proc {
 	k.q = grow(k.q, n)
 	ps := make([]Proc, n)
-	k.carriers(ps)
-	k.free = grow(k.free, n)
+	carriers(ps)
 	for i := range ps {
 		ps[i].k = k
 	}
 	k.spawned = append(k.spawned, ps)
+	k.procs += n
 	return ps
 }
 
@@ -247,8 +245,7 @@ func (p *Proc) start(at Time, fn func(p *Proc)) {
 // carrier is a coroutine (iter.Pull) that runs process bodies one after
 // another: the run loop calls next to switch to the process it carries,
 // the process calls yield to switch back. Between two processes it waits
-// in yield holding nothing, on its kernel's free list or on the idle
-// list; stop ends it.
+// in yield holding nothing, on the idle list; stop ends it.
 type carrier struct {
 	next  func() (struct{}, bool)
 	stop  func()
@@ -256,22 +253,27 @@ type carrier struct {
 	p     *Proc // the process it runs; nil once that has finished
 }
 
-// idle holds the carriers of kernels that ended cleanly, for any kernel's
-// next spawn. A clean Run leaves at most as many as it held itself.
+// idle holds the carriers whose processes finished, in any kernel, for
+// any kernel's next spawn. Run leaves at most as many as its kernel
+// spawned processes.
 var idle struct {
 	sync.Mutex
 	cs []*carrier
 }
 
-// carriers gives each process of ps a carrier: the kernel's free ones
-// first, then idle ones, then new ones for the shortfall, from one block.
-func (k *Kernel) carriers(ps []Proc) {
-	ps = takeCarriers(ps, &k.free)
-	if len(ps) > 0 {
-		idle.Lock()
-		ps = takeCarriers(ps, &idle.cs)
-		idle.Unlock()
+// carriers gives each process of ps a carrier: idle ones first, then new
+// ones for the shortfall, from one block.
+func carriers(ps []Proc) {
+	idle.Lock()
+	n := min(len(ps), len(idle.cs))
+	rest := len(idle.cs) - n
+	for i, c := range idle.cs[rest:] {
+		ps[i].c = c
 	}
+	clear(idle.cs[rest:])
+	idle.cs = idle.cs[:rest]
+	idle.Unlock()
+	ps = ps[n:]
 	if len(ps) == 0 {
 		return
 	}
@@ -283,17 +285,27 @@ func (k *Kernel) carriers(ps []Proc) {
 	}
 }
 
-// takeCarriers hands the carriers at the end of *from to the first
-// processes of ps and returns the processes left without one.
-func takeCarriers(ps []Proc, from *[]*carrier) []Proc {
-	cs := *from
-	n := min(len(ps), len(cs))
-	for i, c := range cs[len(cs)-n:] {
-		ps[i].c = c
+// toIdle puts the carrier of a finished process on the idle list.
+func (c *carrier) toIdle() {
+	idle.Lock()
+	idle.cs = append(idle.cs, c)
+	idle.Unlock()
+}
+
+// trimIdle stops the carriers on the idle list beyond the first n: after
+// a world of n processes no more than n wait, each pinning its
+// goroutine's stack.
+func trimIdle(n int) {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.cs) <= n {
+		return
 	}
-	clear(cs[len(cs)-n:])
-	*from = cs[:len(cs)-n]
-	return ps[n:]
+	for _, c := range idle.cs[n:] {
+		c.end()
+	}
+	clear(idle.cs[n:])
+	idle.cs = idle.cs[:n]
 }
 
 // loop is a carrier's coroutine: run the body of the process handed
@@ -477,13 +489,15 @@ func (k *Kernel) recycle(b *batch) {
 // with nothing queued) and a runtime.Goexit inside a process, which ends
 // Run's goroutine as iter.Pull documents; on each of them Run first
 // unwinds every process that has not finished, so a world that ends badly
-// leaves no goroutine behind.
+// leaves no goroutine behind. Either way it leaves no more carriers idle
+// than its kernel spawned processes.
 func (k *Kernel) Run() Time {
 	clean := false
 	defer func() {
 		if !clean {
 			k.unwind()
 		}
+		trimIdle(k.procs)
 	}()
 	for {
 		at, p, ok := k.popLive()
@@ -501,40 +515,21 @@ func (k *Kernel) Run() Time {
 			p.done = true
 			p.c, p.fn = nil, nil // the kernel keeps p, not what its body held
 			k.live--
-			k.free = append(k.free, c)
+			c.toIdle()
 		}
 	}
 	if k.live > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events at t=%v", k.live, k.now))
 	}
 	clean = true
-	k.giveBack()
 	return k.now
-}
-
-// giveBack puts the kernel's carriers on the idle list, then trims that
-// to as many as the kernel held: after a world of n processes no more
-// than n carriers wait, each pinning its goroutine's stack.
-func (k *Kernel) giveBack() {
-	n := len(k.free)
-	idle.Lock()
-	defer idle.Unlock()
-	idle.cs = append(idle.cs, k.free...)
-	for _, c := range idle.cs[n:] {
-		c.end()
-	}
-	clear(idle.cs[n:])
-	idle.cs = idle.cs[:n]
-	k.free = nil
 }
 
 // unwind stops every unfinished process in spawn order: its pending yield
 // returns false, await unwinds it with killSignal, its deferred functions
 // run and its carrier's goroutine ends; one that never started ends
-// without running. Then it stops the kernel's free carriers: a world that
-// ends badly gives back none. Whatever took Run down stays the failure
-// reported: a panic out of a deferred function of a process being unwound
-// is dropped.
+// without running. Whatever took Run down stays the failure reported: a
+// panic out of a deferred function of a process being unwound is dropped.
 func (k *Kernel) unwind() {
 	for _, ps := range k.spawned {
 		for i := range ps {
@@ -547,10 +542,6 @@ func (k *Kernel) unwind() {
 			}
 		}
 	}
-	for _, c := range k.free {
-		c.end()
-	}
-	k.free = nil
 	k.live = 0
 }
 
