@@ -144,25 +144,49 @@ func countFiles(fs *lustre.FS, dir string) (n int, total, maxSize int64) {
 	return
 }
 
-// A rank's file name is built in one allocation; it is the name Join and
-// Sprintf gave it, whatever the output directory looks like and however
-// many digits the rank has.
+// A rank's file name is the name Join and Sprintf gave it, whatever the
+// output directory looks like and however many digits the rank has; a
+// plan cuts its world's names from one block, without allocating.
 func TestRankFileName(t *testing.T) {
 	for _, dir := range []string{"/out", "/scratch//run/./x/", "rel/../out", strings.Repeat("/deep", 30)} {
 		cfg := Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: dir, Mode: IOOriginal, Sizing: workload.Default()}
 		pl := newPlan(cfg, 4)
-		for _, rank := range []int{0, 7, 42, 99999, 100000, 123456, 1234567} {
+		for _, rank := range []int{0, 7, 42, 99999, 100000, 123456, 999999, 1000000, 1234567, 98765432} {
 			for _, ext := range []string{".dat", ".dmp"} {
 				want := pfs.Join(dir, fmt.Sprintf("%s_%06d%s", cfg.Deck.DatFile, rank, ext))
-				if got := pl.rankFile(rank, ext); got != want {
-					t.Errorf("rankFile(%d, %q) under %q = %q, want %q", rank, ext, dir, got, want)
+				var b strings.Builder
+				writeRankFile(&b, pl.rankFilePrefix, rank, ext)
+				if got := b.String(); got != want {
+					t.Errorf("writeRankFile(%d, %q) under %q = %q, want %q", rank, ext, dir, got, want)
+				}
+				if n := pl.rankNameLen(rank); n != len(want) {
+					t.Errorf("rank %d's name under %q sized %d, want %d", rank, dir, n, len(want))
 				}
 			}
 		}
 	}
-	pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, 4)
-	if n := testing.AllocsPerRun(100, func() { pl.rankFile(4242, ".dat") }); n != 1 {
-		t.Errorf("rankFile allocates %.0f objects, want 1", n)
+	// Worlds that cross 10⁶ ranks: the block's offsets count the extra digit.
+	for _, ranks := range []int{1, 4, 1000003} {
+		pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, ranks)
+		if len(pl.rankNames) != pl.rankNamesBefore(ranks) {
+			t.Errorf("%d ranks: a block of %d bytes, sized %d", ranks, len(pl.rankNames), pl.rankNamesBefore(ranks))
+		}
+		for _, rank := range []int{0, ranks / 2, 999999, 1000000, ranks - 1} {
+			if rank >= ranks {
+				continue
+			}
+			dat, dmp := pl.rankFiles(rank)
+			if want := fmt.Sprintf("/out/bit1_%06d.dat", rank); dat != want {
+				t.Errorf("%d ranks: rank %d's .dat is %q, want %q", ranks, rank, dat, want)
+			}
+			if want := fmt.Sprintf("/out/bit1_%06d.dmp", rank); dmp != want {
+				t.Errorf("%d ranks: rank %d's .dmp is %q, want %q", ranks, rank, dmp, want)
+			}
+		}
+	}
+	pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, 5000)
+	if n := testing.AllocsPerRun(100, func() { pl.rankFiles(4242) }); n != 0 {
+		t.Errorf("rankFiles allocates %.0f objects, want 0", n)
 	}
 }
 

@@ -143,9 +143,10 @@ type plan struct {
 	shared    []string // rank 0's global history files
 
 	// Original mode only: a rank's bytes per diagnostic and per checkpoint,
-	// and what its two files' names start with (see rankFile).
+	// what its two files' names start with, and every rank's two names in
+	// one block (see rankFiles).
 	diagBytes, checkpointBytes int64
-	rankFilePrefix             string
+	rankFilePrefix, rankNames  string
 
 	// openPMD mode only.
 	seriesPath string
@@ -164,6 +165,13 @@ func newPlan(cfg Config, ranks int) *plan {
 	if cfg.Mode == IOOriginal {
 		pl.diagBytes, pl.checkpointBytes = cfg.Sizing.PerRankDiag(ranks), cfg.Sizing.PerRankCheckpoint(ranks)
 		pl.rankFilePrefix = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_")
+		var b strings.Builder
+		b.Grow(pl.rankNamesBefore(ranks))
+		for r := range ranks {
+			writeRankFile(&b, pl.rankFilePrefix, r, ".dat")
+			writeRankFile(&b, pl.rankFilePrefix, r, ".dmp")
+		}
+		pl.rankNames = b.String()
 	}
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
@@ -206,15 +214,46 @@ func sharedFileNames(cfg Config) []string {
 	return names
 }
 
-// rankFile names a rank's own file, <OutDir>/<DatFile>_<rank, six
-// digits><ext>, in one allocation: the clean prefix is the plan's.
-func (pl *plan) rankFile(rank int, ext string) string {
-	var buf [96]byte
-	b := append(buf[:0], pl.rankFilePrefix...)
-	for pad := 100000; pad > 1 && rank < pad; pad /= 10 {
-		b = append(b, '0')
+// writeRankFile writes the name of a rank's own file, <prefix><rank, six
+// digits or more><ext>: with the plan's clean prefix,
+// <OutDir>/<DatFile>_000042.dat.
+func writeRankFile(b *strings.Builder, prefix string, rank int, ext string) {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(rank), 10)
+	b.WriteString(prefix)
+	for range 6 - len(digits) {
+		b.WriteByte('0')
 	}
-	return string(append(strconv.AppendInt(b, int64(rank), 10), ext...))
+	b.Write(digits)
+	b.WriteString(ext)
+}
+
+// rankNameLen is the length of either of a rank's names: the prefix, six
+// digits or more, and a four-byte extension.
+func (pl *plan) rankNameLen(rank int) int {
+	n := len(pl.rankFilePrefix) + 6 + len(".dat")
+	for p := 1000000; p <= rank; p *= 10 {
+		n++
+	}
+	return n
+}
+
+// rankNamesBefore is how many bytes the names of ranks [0, rank) take in
+// the plan's block: two a rank, each one byte longer for every rank from
+// 10⁶, 10⁷, … on.
+func (pl *plan) rankNamesBefore(rank int) int {
+	n := rank * pl.rankNameLen(0)
+	for p := 1000000; p < rank; p *= 10 {
+		n += rank - p
+	}
+	return 2 * n
+}
+
+// rankFiles returns a rank's .dat and .dmp names, cut from the plan's
+// block without allocating.
+func (pl *plan) rankFiles(rank int) (dat, dmp string) {
+	off, n := pl.rankNamesBefore(rank), pl.rankNameLen(rank)
+	return pl.rankNames[off : off+n], pl.rankNames[off+n : off+2*n]
 }
 
 // runOriginal is BIT1's baseline writer: every rank owns a .dat and a
@@ -225,7 +264,7 @@ func runOriginal(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg, sz := &pl.cfg, &pl.cfg.Sizing
 
-	datPath, dmpPath := pl.rankFile(r.ID, ".dat"), pl.rankFile(r.ID, ".dmp")
+	datPath, dmpPath := pl.rankFiles(r.ID)
 
 	var shared []*stdio.File
 	var err error

@@ -8,6 +8,8 @@ import (
 	"picmcio/internal/cluster"
 	"picmcio/internal/darshan"
 	"picmcio/internal/ior"
+	"picmcio/internal/pfs"
+	"picmcio/internal/sim"
 	"picmcio/internal/units"
 )
 
@@ -100,6 +102,47 @@ func TestLaunchErrors(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestFileStatsByDirAndName: fileStats tests a file's name and its
+// directory apart, and gives what testing its whole path gave — the oracle
+// here — also where a directory, not the file, carries "_global_", or a
+// name holds a pattern only with its directory's tail.
+func TestFileStatsByDirAndName(t *testing.T) {
+	o := testOptions().WithDefaults()
+	sys, err := cluster.Dardel().Build(sim.NewKernel(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := sys.Lustre.Namespace()
+	for i, p := range []string{
+		"/out/bit1_000001.dat", "/out/bit1_global_0.dat", "/out/f.bp4/md.0", "/out/f.bp4/md.idx",
+		"/out/f.bp4/data.0", "/out/run_global_a/x.dat", "/out/run_global_a/deep/y", "/out/a_glo/bal_/z",
+		"/out/md/.0", "/out/xmd.0", "/out/_global_", "/out/data_global_/md.idx",
+	} {
+		n, err := ns.CreateFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pfs.NodeWrite(n, 0, int64(1000+37*i), nil)
+	}
+	var want FileStats
+	ns.WalkFiles("/out", func(path string, n *pfs.Node) {
+		size := n.Size
+		if strings.HasSuffix(path, "md.0") || strings.HasSuffix(path, "md.idx") || strings.Contains(path, "_global_") {
+			size = int64(float64(size) * o.EpochFactor())
+		}
+		want.Count++
+		want.TotalBytes += size
+		want.MaxBytes = max(want.MaxBytes, size)
+	})
+	want.AvgBytes = want.TotalBytes / int64(want.Count)
+	if got := o.fileStats(sys, "/out"); got != want {
+		t.Fatalf("fileStats = %+v, want %+v", got, want)
+	}
+	if want.Count != 12 || want.MaxBytes < 1000*int64(o.EpochFactor()) {
+		t.Fatalf("oracle saw %+v: the tree is not what the test built", want)
 	}
 }
 

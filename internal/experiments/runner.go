@@ -326,13 +326,15 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 
 // fileStats walks the output tree applying full-run extrapolation to the
 // append-mode files (BP metadata, shared histories), since those grow
-// linearly with epochs while snapshot files are overwritten in place.
+// linearly with epochs while snapshot files are overwritten in place. It
+// builds no file's path: none of isAppendMode's patterns holds a '/', so
+// a path matches exactly when its directory or its name does.
 func (o Options) fileStats(sys *cluster.System, dir string) FileStats {
 	var fs FileStats
 	factor := o.EpochFactor()
-	sys.Lustre.Namespace().WalkFiles(dir, func(path string, n *pfs.Node) {
+	sys.Lustre.Namespace().Files(dir, func(dir string, n *pfs.Node) {
 		size := n.Size
-		if isAppendMode(path) {
+		if isAppendMode(n.Name) || strings.Contains(dir, "_global_") {
 			size = int64(float64(size) * factor)
 		}
 		fs.Count++
@@ -347,10 +349,10 @@ func (o Options) fileStats(sys *cluster.System, dir string) FileStats {
 	return fs
 }
 
-// isAppendMode reports whether a file grows with epoch count.
-func isAppendMode(path string) bool {
-	return strings.HasSuffix(path, "md.0") || strings.HasSuffix(path, "md.idx") ||
-		strings.Contains(path, "_global_")
+// isAppendMode reports whether a file of this name grows with epoch count.
+func isAppendMode(name string) bool {
+	return strings.HasSuffix(name, "md.0") || strings.HasSuffix(name, "md.idx") ||
+		strings.Contains(name, "_global_")
 }
 
 // profileOf extracts BP4 profiling totals if present.

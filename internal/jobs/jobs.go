@@ -490,8 +490,8 @@ func (rt *jobRT) fail(err error) {
 // writeFile creates path and writes n volume-mode bytes through it, as
 // one call or as sequential chunks of chunk bytes (chunk <= 0: one call).
 func writeFile(p *sim.Proc, env *posix.Env, path string, n, chunk int64) error {
-	fd, err := env.Create(p, path)
-	if err != nil {
+	var fd posix.FD
+	if err := env.OpenFD(&fd, p, path, posix.Truncate); err != nil {
 		return err
 	}
 	if chunk <= 0 {

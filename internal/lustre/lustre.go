@@ -108,6 +108,7 @@ type FS struct {
 	nextID   uint64
 	nextOST  int
 
+	placements  pfs.Slab[placement]
 	dirDefaults map[string]Layout // SetStripe on directories, by clean path
 }
 
@@ -190,8 +191,9 @@ func (fs *FS) defaultLayoutFor(path string) Layout {
 }
 
 // placement is a layout and the backing of its Objects when there is one
-// object — the default striping, and every file of a file-per-rank run —
-// so that placing such a file is one allocation.
+// object — the default striping, and every file of a file-per-rank run.
+// Placements are carved from the FS's slab, so placing such a file
+// allocates nothing of its own.
 type placement struct {
 	Layout
 	one [1]Object
@@ -203,7 +205,7 @@ type placement struct {
 // otherwise; the draws are the same either way.
 func (fs *FS) allocate(count int, size int64, l *Layout) *Layout {
 	if l == nil || cap(l.Objects) < count {
-		pl := &placement{}
+		pl := fs.placements.New()
 		if count == 1 {
 			pl.Objects = pl.one[:]
 		} else {

@@ -2,8 +2,10 @@ package lustre
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,16 +143,42 @@ func TestReserveAllocs(t *testing.T) {
 	}
 }
 
+// allocated reports the heap objects and bytes fn allocates per run over
+// runs runs: a fraction, so that a slab chunk's one allocation shows
+// spread over the values it holds. The least of a few tries: the
+// runtime's own background allocations only ever add.
+func allocated(runs int, fn func()) (objects, bytes float64) {
+	fn()
+	objects, bytes = math.Inf(1), math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		objects = min(objects, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return objects, bytes
+}
+
+// slabRuns is more runs than a slab chunk at its cap holds, so that a
+// count over them includes the chunks' allocations.
+const slabRuns = 1024
+
 // TestPlaceRecyclesAllocs: re-placing a truncated file reuses its layout
 // while the layout's objects have the room — the same stripe count, or a
-// lower one — and allocates a new one for more objects than it had. What
-// Place allocates is what truncating to a from-object layout and placing
-// allocates less what the truncation does.
+// lower one — and otherwise takes a placement from the slab and allocates
+// only the new Objects. What Place allocates is what truncating to a
+// from-object layout and placing allocates less what the truncation does;
+// both take their placements from the slab, so the difference is exact up
+// to a chunk's share.
 func TestPlaceRecyclesAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		from, to int
 		want     float64
-	}{{1, 1, 0}, {8, 8, 0}, {8, 2, 0}, {1, 4, 2}, {2, 8, 2}} {
+	}{{1, 1, 0}, {8, 8, 0}, {8, 2, 0}, {1, 4, 1}, {2, 8, 1}} {
 		_, fs := testFS(DefaultParams())
 		if err := fs.SetStripe("/io", tc.to, 1<<20); err != nil {
 			t.Fatal(err)
@@ -161,17 +189,65 @@ func TestPlaceRecyclesAllocs(t *testing.T) {
 		}
 		m := model{fs}
 		truncated := func() { n.Aux = fs.allocate(tc.from, 1<<20, nil) }
-		base := testing.AllocsPerRun(100, truncated)
-		a := testing.AllocsPerRun(100, func() {
+		base, _ := allocated(slabRuns, truncated)
+		a, _ := allocated(slabRuns, func() {
 			truncated()
 			m.Place("/io/f", n)
-		}) - base
-		if a != tc.want {
-			t.Errorf("re-placing %d objects as %d allocates %.0f objects, want %.0f", tc.from, tc.to, a, tc.want)
+		})
+		if a -= base; a < tc.want-0.005 || a > tc.want+0.02 {
+			t.Errorf("re-placing %d objects as %d allocates %.4f objects, want %.0f (+0.02)", tc.from, tc.to, a, tc.want)
 		}
 		if l := n.Aux.(*Layout); l.StripeCount != tc.to || len(l.Objects) != tc.to {
 			t.Errorf("re-placed %d as %d: count %d with %d objects", tc.from, tc.to, l.StripeCount, len(l.Objects))
 		}
+	}
+}
+
+// TestCreateAllocs: creating and placing a file-per-rank file — a new node
+// and its single-stripe placement — allocates nothing of its own: both come
+// from slabs, one allocation a chunk, and a chunk at the cap is nearly all
+// values. The directory's map is the directory's, so each counted round
+// first unlinks the last round's files, which allocates nothing and leaves
+// the map its room, and then creates them again as new files. A namespace
+// holding a single file pays for one node and one placement, not for a
+// chunk of them.
+func TestCreateAllocs(t *testing.T) {
+	_, fs := testFS(DefaultParams())
+	ns, m := fs.Namespace(), model{fs}
+	paths := make([]string, slabRuns)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/out/bit1_%06d.dat", i)
+	}
+	objects, bytes := allocated(1, func() {
+		for _, p := range paths {
+			ns.Unlink(p)
+		}
+		for _, p := range paths {
+			n, _ := ns.CreateFile(p)
+			m.Place(p, n)
+		}
+	})
+	objects, bytes = objects/slabRuns, bytes/slabRuns
+	own := float64(reflect.TypeFor[pfs.Node]().Size() + reflect.TypeFor[placement]().Size())
+	t.Logf("a create and place: %.4f objects, %.1f bytes (node + placement: %.0f)", objects, bytes, own)
+	if objects > 0.05 {
+		t.Errorf("a create and place allocates %.4f objects, want at most 0.05", objects)
+	}
+	if bytes > 1.25*own {
+		t.Errorf("a create and place allocates %.1f bytes, want at most %.0f", bytes, 1.25*own)
+	}
+
+	_, fs = testFS(DefaultParams())
+	_, one := allocated(1, func() {
+		ns := pfs.NewNamespace()
+		n, _ := ns.CreateFile("/f")
+		model{fs}.Place("/f", n)
+	})
+	// Measured (go1.24): 576, of which the root directory, its map and the
+	// map's first group take 368; a first chunk of four would add 624.
+	t.Logf("a namespace of one file: %.0f bytes", one)
+	if one > 640 {
+		t.Errorf("a namespace of one file allocates %.0f bytes, want at most 640", one)
 	}
 }
 

@@ -171,9 +171,38 @@ type Node struct {
 // Namespace is a plain in-memory file tree with no timing model. It is the
 // semantic core that every simulated file system shares. Every method
 // normalizes the path it is given (free for the clean paths a Frontend
-// hands it) and resolves it component by component.
+// hands it) and resolves it component by component. Its regular files'
+// nodes are carved from a slab.
 type Namespace struct {
-	root *Node
+	root  *Node
+	files Slab[Node]
+}
+
+// Slab hands out zero values of T carved from chunks it allocates, so that
+// making many values of one kind costs an allocation a chunk, not one
+// each. A new chunk holds an eighth of the values handed out so far, at
+// least one and at most slabCap: what a slab leaves unused is at most an
+// eighth of what it has handed out, so a namespace of a few files pays
+// for them one by one, and one of thousands a chunk per 128. A slot is
+// never handed out twice: a value, and with it its chunk, lives while
+// anything points at it. The zero Slab is ready to use.
+type Slab[T any] struct {
+	free []T
+	n    int // values handed out
+}
+
+const slabGrowth, slabCap = 8, 128
+
+// New returns a pointer to a zero T from the current chunk, or from a new
+// one when it is used up.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(max(s.n/slabGrowth, 1), slabCap))
+	}
+	s.n++
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
 }
 
 // NewNamespace returns a namespace containing only the root directory.
@@ -242,7 +271,8 @@ func (ns *Namespace) CreateFile(path string) (*Node, error) {
 		n.stale = true
 		return n, nil
 	}
-	n := &Node{Name: base}
+	n := ns.files.New()
+	n.Name = base
 	d.Children[base] = n
 	return n, nil
 }
@@ -308,25 +338,36 @@ func (ns *Namespace) ReadDir(path string) ([]FileInfo, error) {
 	return out, nil
 }
 
-// WalkFiles visits every regular file under root (inclusive), sorted by
-// path, calling fn with the full path and node.
-func (ns *Namespace) WalkFiles(root string, fn func(path string, n *Node)) error {
+// Files visits every regular file under root (inclusive), sorted by path,
+// calling fn with the file's directory and node: the file's path is
+// Join(dir, n.Name). It builds a path for each directory, none for a file.
+func (ns *Namespace) Files(root string, fn func(dir string, n *Node)) error {
 	start, err := ns.Lookup(root)
 	if err != nil {
 		return err
 	}
-	var rec func(path string, n *Node)
-	rec = func(path string, n *Node) {
-		if !n.Dir {
-			fn(path, n)
-			return
-		}
-		for _, name := range sortedNames(n) {
-			rec(Join(path, name), n.Children[name])
+	var rec func(dir string, d *Node)
+	rec = func(dir string, d *Node) {
+		for _, name := range sortedNames(d) {
+			if n := d.Children[name]; n.Dir {
+				rec(Join(dir, name), n)
+			} else {
+				fn(dir, n)
+			}
 		}
 	}
-	rec(Clean(root), start)
+	if root = Clean(root); start.Dir {
+		rec(root, start)
+	} else {
+		dir, _ := Split(root)
+		fn(dir, start)
+	}
 	return nil
+}
+
+// WalkFiles is Files with each file's full path.
+func (ns *Namespace) WalkFiles(root string, fn func(path string, n *Node)) error {
+	return ns.Files(root, func(dir string, n *Node) { fn(Join(dir, n.Name), n) })
 }
 
 // NodeWrite applies a write to a node's size/content bookkeeping.

@@ -2,6 +2,9 @@ package pfs
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,18 +115,85 @@ func TestReadDirSorted(t *testing.T) {
 	}
 }
 
+// TestWalkFiles: Files visits the files WalkFiles does, in the same
+// order — sorted by path component by component, so "/a/b/c" before
+// "/a/b-" — handing over each file's directory, from which WalkFiles
+// joins the path; a root that is a file is visited with its parent.
 func TestWalkFiles(t *testing.T) {
 	ns := NewNamespace()
-	files := []string{"/x/1", "/x/sub/2", "/x/sub/deep/3"}
-	for _, f := range files {
-		ns.CreateFile(f)
+	paths := []string{"/top", "/a/z", "/a/b/c", "/a/b_global_1/md.0", "/a/b_global_1/x", "/a/m", "/a/b-", "/b/data.0"}
+	for _, p := range paths {
+		if _, err := ns.CreateFile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var got []string
-	if err := ns.WalkFiles("/x", func(p string, n *Node) { got = append(got, p) }); err != nil {
-		t.Fatal(err)
+	for _, root := range []string{"/", "/a", "//a/./b_global_1/", "/a/b/c", "/top"} {
+		var walked, joined []string
+		if err := ns.WalkFiles(root, func(p string, n *Node) {
+			walked = append(walked, p)
+			if _, base := Split(p); base != n.Name {
+				t.Errorf("WalkFiles(%q) gave %q with node %q", root, p, n.Name)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.Files(root, func(dir string, n *Node) { joined = append(joined, Join(dir, n.Name)) }); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, p := range paths {
+			if r := Clean(root); p == r || r == "/" || strings.HasPrefix(p, r+"/") {
+				want = append(want, p)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return strings.ReplaceAll(want[i], "/", "\x00") < strings.ReplaceAll(want[j], "/", "\x00")
+		})
+		if !slices.Equal(walked, want) || !slices.Equal(joined, want) {
+			t.Errorf("under %q: WalkFiles %q, Files %q, want %q", root, walked, joined, want)
+		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("walked %v", got)
+	if err := ns.Files("/missing", func(string, *Node) { t.Error("visited under a missing root") }); !errors.Is(err, ErrNotExist) {
+		t.Errorf("Files of a missing root: err=%v, want ErrNotExist", err)
+	}
+}
+
+// TestUnlinkedNodeKept: nodes come from a slab, and a slot is never handed
+// out twice. A node unlinked while something holds it keeps its size, and
+// the next create of its path, in any chunk, gets a fresh node.
+func TestUnlinkedNodeKept(t *testing.T) {
+	ns := NewNamespace()
+	const files = 3 * slabCap
+	held := make([]*Node, files)
+	for i := range held {
+		n, err := ns.CreateFile(fmt.Sprintf("/d/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		NodeWrite(n, 0, int64(i+1), nil)
+		held[i] = n
+	}
+	for i := range held {
+		p := fmt.Sprintf("/d/f%d", i)
+		if err := ns.Unlink(p); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ns.CreateFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(held, n) {
+			t.Fatalf("re-created %s is a node that is still held", p)
+		}
+		if n.Size != 0 || n.Name != fmt.Sprintf("f%d", i) || n.Aux != nil {
+			t.Fatalf("re-created %s is not fresh: %+v", p, *n)
+		}
+		NodeWrite(n, 0, 7*files, nil)
+	}
+	for i, n := range held {
+		if n.Size != int64(i+1) {
+			t.Fatalf("unlinked f%d: size %d, want %d", i, n.Size, i+1)
+		}
 	}
 }
 
