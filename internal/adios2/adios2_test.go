@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"picmcio/internal/compress"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/pfs"
@@ -319,6 +320,136 @@ func TestMemcpyVanishesWithOperator(t *testing.T) {
 	}
 }
 
+// A step that mixes content-mode and volume-mode puts stores and indexes
+// what it did when every put was recorded and sized at EndStep: per put a
+// header and its body — a content put's compressed bytes under a codec, a
+// volume put's selection scaled by the modelled ratio — and an analytic
+// table entry per put.
+func TestMixedStepAccounting(t *testing.T) {
+	const volRatio = 0.8 // SimCompressionRatio's default
+	for _, operator := range []string{"", "blosc"} {
+		rg := newRig(1)
+		var payloads [][]byte
+		var volumes []int64
+		rg.w.Run(func(r *mpisim.Rank) {
+			io := New().DeclareIO("mixed")
+			io.SetParameter("Profile", "off")
+			if operator != "" {
+				if err := io.AddOperation(operator); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			e, err := io.Open(rg.host(r), "/mixed.bp4", ModeWrite)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			put := func(name string, elems uint64, content bool) {
+				v, err := io.DefineVariable(name, TypeFloat64, []uint64{elems}, []uint64{0}, []uint64{elems})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !content {
+					volumes = append(volumes, int64(8*elems))
+					err = e.Put(v, nil)
+				} else {
+					vals := make([]float64, elems)
+					for i := range vals {
+						vals[i] = float64(i % 7)
+					}
+					err = e.PutFloat64s(v, vals)
+					payloads = append(payloads, e.data[len(e.data)-1])
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+			e.BeginStep(0)
+			put("a", 100, true)
+			put("b", 0, true)
+			put("c", 333, false)
+			put("d", 37, true)
+			put("e", 0, false)
+			put("f", 5, false)
+			if err := e.EndStep(); err != nil {
+				t.Error(err)
+			}
+			e.Close()
+		})
+		var stored int64
+		for _, data := range payloads {
+			body := data
+			if operator != "" && len(data) > 0 {
+				codec, err := compress.New(operator, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = codec.Compress(data)
+			}
+			stored += perPutHeaderBytes + int64(len(body))
+		}
+		for _, n := range volumes {
+			if operator != "" && n > 0 {
+				n = int64(float64(n) * volRatio)
+			}
+			stored += perPutHeaderBytes + n
+		}
+		table := int64(len(payloads)+len(volumes)) * mdEntryBytes
+		size := func(name string) int64 {
+			n, err := rg.fs.Namespace().Lookup("/mixed.bp4/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n.Size
+		}
+		if got := size("data.0"); got != stored {
+			t.Errorf("operator %q: the step stored %d bytes, want %d", operator, got, stored)
+		}
+		if got := size("md.0"); got != table {
+			t.Errorf("operator %q: the step's metadata is %d bytes, want %d", operator, got, table)
+		}
+	}
+}
+
+// The aggregator a rank works out for itself is the one the split makes:
+// the lowest rank of its subfile's group, which is rank 0 of the group's
+// communicator, and the leaders' communicator holds exactly those.
+func TestLocalAggregatorMatchesSplit(t *testing.T) {
+	for _, c := range []struct{ size, aggs int }{
+		{1, 1}, {5, 1}, {5, 5}, {5, 9}, {7, 3}, {10, 4}, {16, 6}, {12, 0},
+	} {
+		rg := newRig(c.size)
+		rg.w.Run(func(r *mpisim.Rank) {
+			io := New().DeclareIO("aggs")
+			io.SetParameter("Profile", "off")
+			if c.aggs > 0 {
+				io.SetParameter("NumAggregators", fmt.Sprint(c.aggs))
+			}
+			e, err := io.Open(rg.host(r), "/aggs.bp4", ModeWrite)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want := min(c.aggs, c.size)
+			if c.aggs == 0 {
+				want = c.size
+			}
+			if e.isAgg != (e.aggComm.Rank() == 0) {
+				t.Errorf("%d ranks, %d aggregators: rank %d works out aggregator %v, is rank %d of its group", c.size, c.aggs, r.ID, e.isAgg, e.aggComm.Rank())
+			}
+			if e.isAgg && e.ldrComm.Size() != want {
+				t.Errorf("%d ranks, %d aggregators: %d leaders, want %d", c.size, c.aggs, e.ldrComm.Size(), want)
+			}
+			if e.isAgg && e.ldrComm.Rank() != e.subfile {
+				t.Errorf("%d ranks, %d aggregators: subfile %d's aggregator is leader %d", c.size, c.aggs, e.subfile, e.ldrComm.Rank())
+			}
+			e.Close()
+		})
+	}
+}
+
 func TestVolumeModePayloads(t *testing.T) {
 	// Volume-mode puts write no content but still produce correctly sized
 	// subfiles and metadata.
@@ -564,70 +695,101 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	}
 }
 
-// A writer that defines its variables together before its first Put gets
-// step buffers of exactly the size one Put of each needs, once; the row's
-// numbers are read where the writer put them, and a put record is two
-// words whatever the payload.
+// A writer that defines its variables together before its first
+// content-mode Put gets step buffers of exactly the size one Put of each
+// needs, once; the row's numbers are read where the writer put them, and a
+// put record is two words whatever the payload. A volume-mode Put records
+// nothing: the step's totals fold it in, and once the engine has run a
+// step, a step of volume puts allocates nothing.
 func TestDeclareThenPutSizesOnce(t *testing.T) {
 	for _, n := range []int{10, 20} {
-		rg := newRig(1)
-		rg.w.Run(func(r *mpisim.Rank) {
-			io := New().DeclareIO("sized")
-			io.SetParameter("Profile", "off")
-			e, err := io.Open(rg.host(r), "/sized.bp4", ModeWrite)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprint("v", i)
-			}
-			set, err := NewVarSet(names, TypeFloat64, 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			nums := make([]uint64, set.RowWords())
-			row, err := io.DefineRow(set, nums)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for step := int64(0); step < 2; step++ {
-				errs := []error{e.BeginStep(step)}
-				for i := range names {
-					v := row.At(i)
-					if got, ok := io.InquireVariable(names[i]); !ok || got != v {
-						t.Errorf("InquireVariable(%s) = %+v, %v, want %+v", names[i], got, ok, v)
-					}
-					// Half through the setters, half straight into the block.
-					if i%2 == 0 {
-						errs = append(errs, v.SetShape([]uint64{8}), v.SetSelection([]uint64{0}, []uint64{8}))
-					} else {
-						nums[3*i], nums[3*i+1], nums[3*i+2] = 8, 0, 8
-					}
-					errs = append(errs, e.Put(&v, nil))
+		for _, content := range []bool{true, false} {
+			rg := newRig(1)
+			rg.w.Run(func(r *mpisim.Rank) {
+				io := New().DeclareIO("sized")
+				io.SetParameter("Profile", "off")
+				e, err := io.Open(rg.host(r), "/sized.bp4", ModeWrite)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				for _, err := range errs {
-					if err != nil {
+				names := make([]string, n)
+				for i := range names {
+					names[i] = fmt.Sprint("v", i)
+				}
+				set, err := NewVarSet(names, TypeFloat64, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				nums := make([]uint64, set.RowWords())
+				row, err := io.DefineRow(set, nums)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var payload []byte
+				if content {
+					payload = make([]byte, 64)
+				}
+				vars := make([]Variable, n)
+				for step := int64(0); step < 2; step++ {
+					errs := []error{e.BeginStep(step)}
+					for i := range names {
+						vars[i] = row.At(i)
+						if got, ok := io.InquireVariable(names[i]); !ok || got != vars[i] {
+							t.Errorf("InquireVariable(%s) = %+v, %v, want %+v", names[i], got, ok, vars[i])
+						}
+						// Half through the setters, half straight into the block.
+						if i%2 == 0 {
+							errs = append(errs, vars[i].SetShape([]uint64{8}), vars[i].SetSelection([]uint64{0}, []uint64{8}))
+						} else {
+							nums[3*i], nums[3*i+1], nums[3*i+2] = 8, 0, 8
+						}
+					}
+					for i := range vars {
+						errs = append(errs, e.Put(&vars[i], payload))
+					}
+					for _, err := range errs {
+						if err != nil {
+							t.Error(err)
+						}
+					}
+					if !content {
+						if e.puts != nil || e.sels != nil || e.data != nil {
+							t.Errorf("step %d, %d volume puts: buffers made: %d puts, %d words of selections, %d payloads", step, n, cap(e.puts), cap(e.sels), cap(e.data))
+						}
+						if want := (volTotals{puts: int64(n), raw: 64 * int64(n), stored: 128 * int64(n)}); e.vol != want {
+							t.Errorf("step %d, %d volume puts: totals %+v, want %+v", step, n, e.vol, want)
+						}
+						if step > 0 {
+							var err error
+							allocs := testing.AllocsPerRun(5, func() {
+								for i := range vars {
+									err = errors.Join(err, e.Put(&vars[i], nil))
+								}
+							})
+							if err != nil || allocs != 0 {
+								t.Errorf("a step of %d volume puts allocates %.1f objects (%v), want 0", n, allocs, err)
+							}
+						}
+					} else {
+						if len(e.puts) != n || cap(e.puts) != n || len(e.sels) != 2*n || cap(e.sels) != 2*n || len(e.data) != n || cap(e.data) != n {
+							t.Errorf("step %d, %d variables: puts len %d cap %d, sels len %d cap %d, payloads len %d cap %d", step, n, len(e.puts), cap(e.puts), len(e.sels), cap(e.sels), len(e.data), cap(e.data))
+						}
+						for i, pr := range e.puts {
+							if int(pr.idx) != i || pr.n != 64 || e.sels[pr.sel] != 0 || e.sels[pr.sel+1] != 8 {
+								t.Errorf("step %d: put %d is %+v", step, i, pr)
+							}
+						}
+					}
+					if err := e.EndStep(); err != nil {
 						t.Error(err)
 					}
 				}
-				if len(e.puts) != n || cap(e.puts) != n || len(e.sels) != 2*n || cap(e.sels) != 2*n || e.data != nil {
-					t.Errorf("step %d, %d variables: puts len %d cap %d, sels len %d cap %d, %d payloads", step, n, len(e.puts), cap(e.puts), len(e.sels), cap(e.sels), len(e.data))
-				}
-				for i, pr := range e.puts {
-					if int(pr.idx) != i || pr.n != 64 || e.sels[pr.sel] != 0 || e.sels[pr.sel+1] != 8 {
-						t.Errorf("step %d: put %d is %+v", step, i, pr)
-					}
-				}
-				if err := e.EndStep(); err != nil {
-					t.Error(err)
-				}
-			}
-			e.Close()
-		})
+				e.Close()
+			})
+		}
 	}
 	if got := unsafe.Sizeof(putRec{}); got != 16 {
 		t.Errorf("a put record is %d bytes, want 16", got)

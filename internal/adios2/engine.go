@@ -60,6 +60,10 @@ type putRec struct {
 	n   int64
 }
 
+// volTotals is what a step's volume-mode puts add up to: how many there
+// were, their selections' bytes and their stored blocks' bytes.
+type volTotals struct{ puts, raw, stored int64 }
+
 type stepLoc struct {
 	off int64
 	n   int64
@@ -74,9 +78,9 @@ type writerFiles struct {
 	idx   *posix.FD         // world rank 0 only
 	steps map[int64]stepLoc // aggregator-local step placement
 	// The receive buffers of the gathers an aggregator is the root of, kept
-	// across steps: payloads and chunk tables from its group, and — world
+	// across steps: payloads then chunk tables from its group, and — world
 	// rank 0's — the leaders' step metadata.
-	chunks, tables, leaders []mpisim.GatherChunk
+	chunks, leaders []mpisim.GatherChunk
 }
 
 // Engine is an open BP4 dataset.
@@ -93,13 +97,15 @@ type Engine struct {
 
 	codec compress.Codec // nil without an operator
 
-	// puts and sels are sized at the engine's first Put for one Put of each
-	// variable the IO then holds, and grow past that.
+	// puts, sels and data record the step's content-mode puts and are
+	// sized at the engine's first one for one Put of each variable the IO
+	// then holds, and grow past that.
 	puts []putRec
 	sels []uint64 // the step's selection snapshots, reset at BeginStep
-	// data holds the payloads of the step's content-mode puts, by put; it
-	// stops at the last put that carried one and stays nil in volume mode.
-	data    [][]byte
+	data [][]byte // the payloads, by put
+	// vol folds the step's volume-mode puts into totals: they record
+	// nothing else.
+	vol     volTotals
 	curStep int64
 	stepSeq int
 	// copyEnd is when the step's deferred copies end, if copying: they run
@@ -122,9 +128,9 @@ type Engine struct {
 }
 
 // openWriter opens path for collective writing. Every rank parks in its
-// splits and its barrier, so what only world rank 0 and the aggregators do
+// split and its barrier, so what only world rank 0 and the aggregators do
 // — creating files — has its own frames. A rank whose create fails stays
-// in the splits and hands its error to the closing BarrierErr, which makes
+// in the split and hands its error to the closing BarrierErr, which makes
 // it every rank's.
 func (e *Engine) openWriter() error {
 	// Before anything collective: a bad parameter is the same error on
@@ -140,20 +146,21 @@ func (e *Engine) openWriter() error {
 		}
 	}
 
-	rank := h.Comm.Rank()
+	// A subfile's group is a run of ranks and its lowest is the group's
+	// aggregator, so both colours are known before the one split.
+	rank, size, aggs := h.Comm.Rank(), h.Comm.Size(), e.aggregators()
+	e.subfile = rank * aggs / size
+	e.isAgg = rank == 0 || (rank-1)*aggs/size != e.subfile
 	if rank == 0 {
 		err = e.createMetadata()
 	}
-	e.subfile = rank * e.aggregators() / h.Comm.Size()
-	e.aggComm = h.Comm.Split(e.subfile, rank)
-	e.isAgg = e.aggComm.Rank() == 0
+	others := 1
 	if e.isAgg {
-		e.ldrComm = h.Comm.Split(0, rank)
-		if err == nil {
-			err = e.createSubfile()
-		}
-	} else {
-		e.ldrComm = h.Comm.Split(1, rank)
+		others = 0
+	}
+	e.aggComm, e.ldrComm = h.Comm.SplitPair(e.subfile, h.Comm.Rank(), others, h.Comm.Rank())
+	if e.isAgg && err == nil {
+		err = e.createSubfile()
 	}
 	return h.Comm.BarrierErr(err)
 }
@@ -211,19 +218,21 @@ func (e *Engine) BeginStep(id int64) error {
 	e.puts = e.puts[:0]
 	e.sels = e.sels[:0]
 	e.data = e.data[:0]
+	e.vol = volTotals{}
 	e.contentOK = true
 	return nil
 }
 
 // Put stages variable data for the current step. data may carry the real
-// bytes (content mode) or be nil with only the selection's size counted
-// (volume mode); either way it must stay untouched until EndStep. Put is
-// deferred, as in ADIOS2: without a compression operator the engine copies
-// the payload into its serialization buffer at EndStep, costing memcpy
-// time — the step's copies run back to back from its first Put, so EndStep
-// returns when they would had each Put copied at once; with an operator
-// the payload is consumed directly by the compressor at EndStep — which is
-// why Fig. 8 shows memcpy vanishing under Blosc.
+// bytes (content mode), which must stay untouched until EndStep, or be nil
+// with only the selection's size counted (volume mode), which the step's
+// totals fold in at once. Put is deferred, as in ADIOS2: without a
+// compression operator the engine copies the payload into its
+// serialization buffer at EndStep, costing memcpy time — the step's copies
+// run back to back from its first Put, so EndStep returns when they would
+// had each Put copied at once; with an operator the payload is consumed
+// directly by the compressor at EndStep — which is why Fig. 8 shows memcpy
+// vanishing under Blosc.
 func (e *Engine) Put(v *Variable, data []byte) error {
 	if !e.inStep {
 		return fmt.Errorf("adios2: Put outside step")
@@ -238,20 +247,25 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 	if data != nil && int64(len(data)) != n {
 		return fmt.Errorf("adios2: %q payload %d bytes, selection %d", v.Name(), len(data), n)
 	}
-	if e.puts == nil {
-		e.puts = make([]putRec, 0, e.io.nvars)
-		e.sels = make([]uint64, 0, 2*e.io.dims)
-	}
 	if data == nil {
 		e.contentOK = false
-	} else {
-		for len(e.data) < len(e.puts) {
-			e.data = append(e.data, nil) // earlier puts of the step carried none
+		body := n
+		if e.codec != nil && n > 0 {
+			body = int64(float64(n) * e.wp.volRatio)
 		}
+		e.vol.puts++
+		e.vol.raw += n
+		e.vol.stored += perPutHeaderBytes + body
+	} else {
+		if e.puts == nil {
+			e.puts = make([]putRec, 0, e.io.nvars)
+			e.sels = make([]uint64, 0, 2*e.io.dims)
+			e.data = make([][]byte, 0, e.io.nvars)
+		}
+		e.puts = append(e.puts, putRec{idx: int32(v.row.base + v.i), sel: int32(len(e.sels)), n: n})
+		e.sels = append(append(e.sels, v.start()...), v.count()...)
 		e.data = append(e.data, data)
 	}
-	e.puts = append(e.puts, putRec{idx: int32(v.row.base + v.i), sel: int32(len(e.sels)), n: n})
-	e.sels = append(append(e.sels, v.start()...), v.count()...)
 	if e.codec == nil && n > 0 {
 		d := sim.Duration(float64(n) / e.wp.memRate)
 		e.Timers.Memcpy += d
@@ -269,14 +283,6 @@ func (e *Engine) copyPuts() {
 		e.copying = false
 		e.h.Proc.SleepUntil(e.copyEnd)
 	}
-}
-
-// payload returns what put i of the step carried, nil in volume mode.
-func (e *Engine) payload(i int) []byte {
-	if i < len(e.data) {
-		return e.data[i]
-	}
-	return nil
 }
 
 // PutFloat64s is a convenience for content-mode float64 payloads.
@@ -303,21 +309,21 @@ func (e *Engine) EndStep() error {
 		return err
 	}
 
-	// Gather payloads and chunk tables to the group aggregator, into the
-	// buffers it keeps.
+	// Gather payloads and chunk tables to the group aggregator in one
+	// rendezvous, into the buffer it keeps.
 	p := e.h.Proc
-	var chunks, tchunks []mpisim.GatherChunk
+	var chunks []mpisim.GatherChunk
 	if e.isAgg {
-		chunks, tchunks = e.files.chunks, e.files.tables
+		chunks = e.files.chunks
 	}
 	t0 := p.Now()
-	chunks = e.aggComm.GathervBytes(stored, content, 0, chunks...)
-	tchunks = e.aggComm.GathervBytes(tableBytes, table, 0, tchunks...)
+	chunks = e.aggComm.GathervPair(stored, content, tableBytes, table, 0, chunks...)
 	e.Timers.Gather += p.Now() - t0
 
 	if e.isAgg {
-		e.files.chunks, e.files.tables = chunks, tchunks
-		if err := e.aggregateStep(chunks, tchunks); err != nil {
+		e.files.chunks = chunks
+		n := e.aggComm.Size()
+		if err := e.aggregateStep(chunks[:n], chunks[n:]); err != nil {
 			return err
 		}
 	}
@@ -343,7 +349,7 @@ func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64
 		table = make([]chunkDesc, len(e.puts))
 	}
 	if e.codec != nil {
-		var rawTotal int64
+		rawTotal := e.vol.raw
 		for _, pr := range e.puts {
 			rawTotal += pr.n
 		}
@@ -351,20 +357,13 @@ func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64
 		e.Timers.Compress += d
 		e.h.Proc.Sleep(d)
 	}
+	stored = e.vol.stored
 	for i, pr := range e.puts {
-		blockLen := perPutHeaderBytes + pr.n
-		data := e.payload(i)
-		var body []byte
+		body := e.data[i]
 		if e.codec != nil && pr.n > 0 {
-			if data != nil {
-				body = e.codec.Compress(data)
-				blockLen = perPutHeaderBytes + int64(len(body))
-			} else {
-				blockLen = perPutHeaderBytes + int64(float64(pr.n)*e.wp.volRatio)
-			}
-		} else {
-			body = data
+			body = e.codec.Compress(body)
 		}
+		blockLen := perPutHeaderBytes + int64(len(body))
 		stored += blockLen
 		if e.contentOK {
 			if content == nil {
@@ -381,7 +380,7 @@ func (e *Engine) serializeStep() (stored int64, content []byte, tableBytes int64
 			}
 		}
 	}
-	tableBytes = int64(len(e.puts)) * mdEntryBytes
+	tableBytes = (int64(len(e.puts)) + e.vol.puts) * mdEntryBytes
 	if e.contentOK {
 		if tableJSON, err = json.Marshal(table); err != nil {
 			return 0, nil, 0, nil, err

@@ -142,19 +142,21 @@ func (rw *rankWriter) WriteEpoch(p *sim.Proc, env *posix.Env, node, epoch int) e
 		// leader before it enters the cross-node gather.
 		p.Sleep(rw.cost(rw.wl.RanksPerNode, ck+dg))
 	}
-	cks := gc.GathervBytes(ck, nil, 0)
-	var dgs []mpisim.GatherChunk
+	// dg is the same on every node, so either all gather it or none do.
+	var chunks []mpisim.GatherChunk
 	if dg > 0 {
-		dgs = gc.GathervBytes(dg, nil, 0)
+		chunks = gc.GathervPair(ck, nil, dg, nil, 0)
+	} else {
+		chunks = gc.GathervBytes(ck, nil, 0)
 	}
 	if gc.Rank() != 0 {
 		return nil
 	}
 	var ckTotal, dgTotal int64
-	for _, c := range cks {
+	for _, c := range chunks[:gc.Size()] {
 		ckTotal += c.N
 	}
-	for _, c := range dgs {
+	for _, c := range chunks[gc.Size():] {
 		dgTotal += c.N
 	}
 	g := rw.group(node)

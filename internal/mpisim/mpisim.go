@@ -213,27 +213,30 @@ type commGroup struct {
 // rendezvous is a collState of any types, for the communicator's list.
 type rendezvous interface{ kind() string }
 
-// collState is one kind of collective on a communicator: its name, every
-// rank's contribution by comm rank and, once the last rank has arrived,
-// the result all of them read — for a rooted collective, the root's
-// receive buffer.
+// collState is one kind of collective on a communicator: its name, how
+// many calls its rendezvous stands for (two for a pair fused into one),
+// every rank's contribution by call and then comm rank and, once the last
+// rank has arrived, the bytes each call moved and the result all of them
+// read — for a rooted collective, the root's receive buffer.
 type collState[C, R any] struct {
 	name     string
+	parts    int
 	contribs []C
+	moved    [2]int64 // by call: a pair's two at most
 	result   R
 }
 
 func (st *collState[C, R]) kind() string { return st.name }
 
-// stateOf returns g's rendezvous for the collective name, made at its
-// first call.
-func stateOf[C, R any](g *commGroup, name string) *collState[C, R] {
+// stateOf returns g's rendezvous for the collective name of parts calls,
+// made at its first call.
+func stateOf[C, R any](g *commGroup, name string, parts int) *collState[C, R] {
 	for _, k := range g.kinds {
 		if st, ok := k.(*collState[C, R]); ok && st.name == name {
 			return st
 		}
 	}
-	st := &collState[C, R]{name: name, contribs: make([]C, len(g.ranks))}
+	st := &collState[C, R]{name: name, parts: parts, contribs: make([]C, parts*len(g.ranks))}
 	g.kinds = append(g.kinds, st)
 	return st
 }
@@ -257,50 +260,66 @@ func (c *Comm) Size() int { return len(c.g.ranks) }
 // under the one frame of leave.
 
 // enter enters this rank into the communicator's collective name, which
-// names root (-1 for a collective without one), with its contribution,
-// and returns the kind's rendezvous. Ranks entering different
-// collectives, or naming different roots, panic.
-func enter[C, R any](c *Comm, name string, root int, contrib C) *collState[C, R] {
+// names root (-1 for a collective without one), with its contribution to
+// each of the calls the collective stands for, and returns the kind's
+// rendezvous. Ranks entering different collectives, or naming different
+// roots, panic.
+func enter[C, R any](c *Comm, name string, root int, contrib ...C) *collState[C, R] {
 	g := c.g
 	var st *collState[C, R]
 	if g.arrived == 0 {
-		st = stateOf[C, R](g, name)
+		st = stateOf[C, R](g, name, len(contrib))
 		g.pending, g.root = st, root
 	} else if s, ok := g.pending.(*collState[C, R]); ok && s.name == name && root == g.root {
 		st = s
 	} else {
 		panic(c.mismatch(name, root))
 	}
-	st.contribs[c.rank] = contrib
+	for j, x := range contrib {
+		st.contribs[j*len(g.ranks)+c.rank] = x
+	}
 	return st
 }
 
 // leave, the rank's contribution entered, counts it in and parks it, or,
 // for the last to arrive, runs reduce and releases everybody. reduce finds
-// every rank's contribution in comm-rank order — a block it may overwrite,
-// kept for the kind's next call — writes st.result, and returns the bytes
-// moved and how many operations the call stands for, each charged to the
-// cost model for that many bytes, one after the other.
-func leave[C, R any](c *Comm, st *collState[C, R], reduce func(st *collState[C, R]) (bytes int64, ops int)) R {
+// every rank's contribution to each call in comm-rank order, call after
+// call — a block it may overwrite, kept for the kind's next call — writes
+// st.result and, in st.moved, the bytes each call moved, and returns how
+// many operations each call stands for. Every operation is charged to the
+// cost model for its call's bytes, one after the other, the first call's
+// first: a pair of calls fused into one rendezvous costs what the two
+// cost back to back.
+func leave[C, R any](c *Comm, st *collState[C, R], reduce func(st *collState[C, R]) (ops int)) R {
 	p, g := c.r.Proc, c.g
-	n := len(g.ranks)
 	g.arrived++
-	if g.arrived < n {
+	if g.arrived < len(g.ranks) {
 		g.parked[c.rank] = p
 		p.Park()
 		return st.result
 	}
 	g.pending, g.arrived = nil, 0
-	bytes, ops := reduce(st)
-	wakeAt := p.Now()
-	for range ops {
-		wakeAt += g.w.cost(n, bytes)
-	}
+	ops := reduce(st)
 	// The parked ranks leave in comm-rank order, this one after them, from
 	// one queue entry: same-instant seq ties decide who reserves shared
 	// servers first, and replay bit-identity pins that order.
-	p.WakeAllAndSleepUntil(wakeAt, g.parked)
+	p.WakeAllAndSleepUntil(g.charge(p.Now(), st.moved[:st.parts], ops), g.parked)
 	return st.result
+}
+
+// charge returns when a release that starts at now ends: ops operations
+// for each call, each charged to the cost model for its call's bytes
+// moved, one after the other. It has its own frame, which no parked rank
+// holds.
+//
+//go:noinline
+func (g *commGroup) charge(now sim.Time, moved []int64, ops int) sim.Time {
+	for _, b := range moved {
+		for range ops {
+			now += g.w.cost(len(g.ranks), b)
+		}
+	}
+	return now
 }
 
 // mismatch is the panic of a rank that entered collective name, naming
@@ -316,14 +335,14 @@ func (c *Comm) mismatch(name string, root int) string {
 	return fmt.Sprintf("mpisim: rank %d of %d entered %s while %s", c.rank, len(g.ranks), name, what)
 }
 
-// badRoot is the panic of a rooted collective whose root is no rank.
-func (c *Comm) badRoot(root int) string {
-	return fmt.Sprintf("mpisim: GathervBytes to root %d of a communicator of %d", root, c.Size())
+// badRoot is the panic of a rooted collective name whose root is no rank.
+func (c *Comm) badRoot(name string, root int) string {
+	return fmt.Sprintf("mpisim: %s to root %d of a communicator of %d", name, root, c.Size())
 }
 
 // Barrier blocks until every rank in the communicator has entered.
 func (c *Comm) Barrier() {
-	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, struct{}{}), func(*collState[struct{}, struct{}]) (int64, int) { return 0, 1 })
+	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, struct{}{}), func(*collState[struct{}, struct{}]) int { return 1 })
 }
 
 // BarrierErr is a Barrier that a rank may reach having failed: every rank
@@ -332,7 +351,7 @@ func (c *Comm) Barrier() {
 // the rest parked for good. The error rides the synchronisation and is
 // charged as a barrier's, so where no rank failed it is Barrier.
 func (c *Comm) BarrierErr(err error) error {
-	return leave(c, enter[error, error](c, "BarrierErr", -1, err), func(st *collState[error, error]) (int64, int) {
+	return leave(c, enter[error, error](c, "BarrierErr", -1, err), func(st *collState[error, error]) int {
 		st.result = nil
 		for _, e := range st.contribs {
 			if e != nil {
@@ -340,7 +359,7 @@ func (c *Comm) BarrierErr(err error) error {
 				break
 			}
 		}
-		return 0, 1
+		return 1
 	})
 }
 
@@ -368,13 +387,13 @@ func combine[T int64 | float64](op string, acc, x T) T {
 // allreduce combines one value per rank in comm-rank order.
 func allreduce[T int64 | float64](c *Comm, name string, v T, op string) T {
 	checkOp(op)
-	return leave(c, enter[T, T](c, name, -1, v), func(st *collState[T, T]) (int64, int) {
+	return leave(c, enter[T, T](c, name, -1, v), func(st *collState[T, T]) int {
 		acc := st.contribs[0]
 		for _, x := range st.contribs[1:] {
 			acc = combine(op, acc, x)
 		}
-		st.result = acc
-		return int64(8 * len(st.contribs)), 1
+		st.result, st.moved[0] = acc, int64(8*len(st.contribs))
+		return 1
 	})
 }
 
@@ -401,7 +420,7 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 		st.result = make([]float64, (n+len(ops))*m)
 	}
 	copy(st.result[c.rank*m:], v)
-	return leave(c, st, func(st *collState[struct{}, []float64]) (int64, int) {
+	return leave(c, st, func(st *collState[struct{}, []float64]) int {
 		rows, res := st.result[:n*m], st.result[n*m:]
 		for k, op := range ops {
 			for j := range m {
@@ -412,7 +431,8 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 				res[k*m+j] = acc
 			}
 		}
-		return int64(8 * n), len(res)
+		st.moved[0] = int64(8 * n)
+		return len(res)
 	})[n*m:]
 }
 
@@ -422,14 +442,14 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 func (c *Comm) ExscanI64(v int64) int64 {
 	// The scan is written over the contributions, where each rank reads its
 	// own at once: only it writes that slot again.
-	return leave(c, enter[int64, []int64](c, "ExscanI64", -1, v), func(st *collState[int64, []int64]) (int64, int) {
+	return leave(c, enter[int64, []int64](c, "ExscanI64", -1, v), func(st *collState[int64, []int64]) int {
 		var run int64
 		for i, x := range st.contribs {
 			st.contribs[i] = run
 			run += x
 		}
-		st.result = st.contribs
-		return int64(8 * len(st.contribs)), 1
+		st.result, st.moved[0] = st.contribs, int64(8*len(st.contribs))
+		return 1
 	})[c.rank]
 }
 
@@ -443,7 +463,7 @@ func (c *Comm) ExscanI64(v int64) int64 {
 // until this rank's next ExscanVecI64 on the communicator.
 func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 	m := len(v)
-	slab := leave(c, enter[[]int64, []int64](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, []int64]) (int64, int) {
+	slab := leave(c, enter[[]int64, []int64](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, []int64]) int {
 		// Row i is rank i's offsets; the row after the last is the totals.
 		n := len(st.contribs)
 		if cap(st.result) < (n+1)*m {
@@ -457,8 +477,8 @@ func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 				next[j] = row[j] + vec[j]
 			}
 		}
-		st.result = slab
-		return int64(8 * m * n), 1
+		st.result, st.moved[0] = slab, int64(8*m*n)
+		return 1
 	})
 	lo, end := c.rank*m, len(slab)-m
 	return slab[lo : lo+m : lo+m], slab[end:]
@@ -478,28 +498,52 @@ type GatherChunk struct {
 // written over it, grown if it is short, and it is returned — pass the
 // last call's result (as recv...) and a gather allocates nothing.
 func (c *Comm) GathervBytes(n int64, data []byte, root int, recv ...GatherChunk) []GatherChunk {
-	if root < 0 || root >= c.Size() {
-		panic(c.badRoot(root))
-	}
-	st := enter[GatherChunk, []GatherChunk](c, "GathervBytes", root, GatherChunk{Rank: c.rank, N: n, Data: data})
-	if c.rank == root {
-		st.result = recv
-	}
-	chunks := leave(c, st, func(st *collState[GatherChunk, []GatherChunk]) (int64, int) {
-		var total int64
-		for _, ch := range st.contribs {
-			total += ch.N
-		}
-		// Copied now: a rank that leaves before the root may enter the next
-		// gather and write its slot.
-		st.result = append(st.result[:0], st.contribs...)
-		clear(st.contribs) // the payloads are the ranks', not the communicator's
-		return total, 1
-	})
+	chunks := leave(c, enterGather(c, "GathervBytes", root, recv, GatherChunk{Rank: c.rank, N: n, Data: data}), gathered)
 	if c.rank != root {
 		return nil
 	}
 	return chunks
+}
+
+// GathervPair is GathervBytes(n1, data1, root) then GathervBytes(n2,
+// data2, root) in one rendezvous, charged as the two back to back. Root
+// receives the first gather's chunks and then the second's, in comm-rank
+// order each, in one block — recv, as GathervBytes's — so its chunk i is
+// rank i's first contribution and chunk Size()+i its second.
+func (c *Comm) GathervPair(n1 int64, data1 []byte, n2 int64, data2 []byte, root int, recv ...GatherChunk) []GatherChunk {
+	chunks := leave(c, enterGather(c, "GathervPair", root, recv, GatherChunk{Rank: c.rank, N: n1, Data: data1}, GatherChunk{Rank: c.rank, N: n2, Data: data2}), gathered)
+	if c.rank != root {
+		return nil
+	}
+	return chunks
+}
+
+// enterGather enters a gather of one chunk a rank per call it stands for,
+// checking its root first, and hands it root's receive buffer.
+func enterGather(c *Comm, name string, root int, recv []GatherChunk, parts ...GatherChunk) *collState[GatherChunk, []GatherChunk] {
+	if root < 0 || root >= c.Size() {
+		panic(c.badRoot(name, root))
+	}
+	st := enter[GatherChunk, []GatherChunk](c, name, root, parts...)
+	if c.rank == root {
+		st.result = recv
+	}
+	return st
+}
+
+// gathered is a gather's reduce: it copies every chunk, call after call,
+// into root's receive buffer.
+func gathered(st *collState[GatherChunk, []GatherChunk]) int {
+	n := len(st.contribs) / st.parts
+	st.moved = [2]int64{}
+	for i, ch := range st.contribs {
+		st.moved[i/n] += ch.N
+	}
+	// Copied now: a rank that leaves before the root may enter the next
+	// gather and write its slot.
+	st.result = append(st.result[:0], st.contribs...)
+	clear(st.contribs) // the payloads are the ranks', not the communicator's
+	return 1
 }
 
 // splitEntry is one rank's contribution to Split.
@@ -508,37 +552,57 @@ type splitEntry struct{ color, key, world, commRank int }
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by (key, world rank), mirroring MPI_Comm_split.
 func (c *Comm) Split(color, key int) *Comm {
-	m := &leave(c, enter[splitEntry, []Comm](c, "Split", -1, splitEntry{color, key, c.g.ranks[c.rank], c.rank}), func(st *collState[splitEntry, []Comm]) (int64, int) {
-		// Sorted, every color is one run and the run is its group in rank
-		// order: membership is built once per color, and the groups, their
-		// rank tables, their parking slots and every rank's handle each
-		// come out of one block (the groups' sized exactly: handles point
-		// into it).
-		es := st.contribs
-		slices.SortFunc(es, func(a, b splitEntry) int {
-			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.world, b.world))
-		})
-		colors := 0
-		for i := range es {
-			if i == 0 || es[i].color != es[i-1].color {
-				colors++
-			}
-		}
-		groups, members := make([]commGroup, 0, colors), make([]Comm, len(es))
-		world, parked := make([]int, len(es)), make([]*sim.Proc, len(es))
-		for lo, hi := 0, 0; lo < len(es); lo = hi {
-			for hi < len(es) && es[hi].color == es[lo].color {
-				world[hi] = es[hi].world
-				hi++
-			}
-			groups = append(groups, commGroup{w: c.g.w, ranks: world[lo:hi:hi], parked: parked[lo:hi:hi]})
-			for i := lo; i < hi; i++ {
-				members[es[i].commRank] = Comm{g: &groups[len(groups)-1], rank: i - lo}
-			}
-		}
-		st.result = members
-		return int64(16 * len(es)), 1
-	})[c.rank]
+	st := enter[splitEntry, []Comm](c, "Split", -1, splitEntry{color, key, c.g.ranks[c.rank], c.rank})
+	m := &leave(c, st, c.partition)[c.rank]
 	m.r = c.r // each rank completes its own handle, and only that
 	return m
+}
+
+// SplitPair is Split(color1, key1) then Split(color2, key2) in one
+// rendezvous, charged as the two back to back.
+func (c *Comm) SplitPair(color1, key1, color2, key2 int) (*Comm, *Comm) {
+	w := c.g.ranks[c.rank]
+	st := enter[splitEntry, []Comm](c, "SplitPair", -1, splitEntry{color1, key1, w, c.rank}, splitEntry{color2, key2, w, c.rank})
+	ms := leave(c, st, c.partition)
+	a, b := &ms[c.rank], &ms[c.Size()+c.rank]
+	a.r, b.r = c.r, c.r
+	return a, b
+}
+
+// partition is a split's reduce: every rank's new handles, call after
+// call, each in comm-rank order.
+func (c *Comm) partition(st *collState[splitEntry, []Comm]) int {
+	// Sorted, every color of a call is one run and the run is its group in
+	// rank order: membership is built once per color, and the groups of
+	// every call, their rank tables, their parking slots and every rank's
+	// handles each come out of one block (the groups' sized exactly:
+	// handles point into it).
+	es := st.contribs
+	n := len(es) / st.parts
+	for lo := 0; lo < len(es); lo += n {
+		slices.SortFunc(es[lo:lo+n], func(a, b splitEntry) int {
+			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.world, b.world))
+		})
+	}
+	colors := 0
+	for i := range es {
+		if i%n == 0 || es[i].color != es[i-1].color {
+			colors++
+		}
+	}
+	groups, members := make([]commGroup, 0, colors), make([]Comm, len(es))
+	world, parked := make([]int, len(es)), make([]*sim.Proc, len(es))
+	for lo, hi := 0, 0; lo < len(es); lo = hi {
+		part := lo / n
+		for hi < len(es) && hi/n == part && es[hi].color == es[lo].color {
+			world[hi] = es[hi].world
+			hi++
+		}
+		groups = append(groups, commGroup{w: c.g.w, ranks: world[lo:hi:hi], parked: parked[lo:hi:hi]})
+		for i := lo; i < hi; i++ {
+			members[part*n+es[i].commRank] = Comm{g: &groups[len(groups)-1], rank: i - lo}
+		}
+	}
+	st.result, st.moved = members, [2]int64{int64(16 * n), int64(16 * n)}
+	return 1
 }

@@ -26,6 +26,22 @@ func world(size int) *World {
 // a collective kind of its own.
 func (c *Comm) AllreduceF64(v float64, op string) float64 { return allreduce(c, "AllreduceF64", v, op) }
 
+// splitPairOracle is what SplitPair stands for: two Splits back to back.
+func (c *Comm) splitPairOracle(color1, key1, color2, key2 int) (*Comm, *Comm) {
+	return c.Split(color1, key1), c.Split(color2, key2)
+}
+
+// gathervPairOracle is what GathervPair stands for: two GathervBytes back
+// to back, root's chunks of the first then the second in one slice.
+func (c *Comm) gathervPairOracle(n1 int64, data1 []byte, n2 int64, data2 []byte, root int) []GatherChunk {
+	first := c.GathervBytes(n1, data1, root)
+	second := c.GathervBytes(n2, data2, root)
+	if first == nil {
+		return nil
+	}
+	return append(first, second...)
+}
+
 func TestBarrierSynchronizes(t *testing.T) {
 	w := world(8)
 	var after []sim.Time
@@ -167,10 +183,14 @@ func TestSplit(t *testing.T) {
 		if sub.Rank() != want {
 			t.Errorf("rank %d: sub rank=%d, want %d", r.ID, sub.Rank(), want)
 		}
-		// Collectives on the subcommunicator work.
+		// Collectives on the subcommunicator work, and on both of a pair's.
 		sum := sub.AllreduceI64(1, "sum")
 		if sum != 4 {
 			t.Errorf("rank %d: sub sum=%d", r.ID, sum)
+		}
+		a, b := r.Comm.SplitPair(r.ID%3, r.ID, r.ID%2, r.ID)
+		if sa, sb := a.AllreduceI64(1, "sum"), b.AllreduceI64(1, "sum"); sa != 4 || sb != 6 {
+			t.Errorf("rank %d: pair sums %d and %d, want 4 and 6", r.ID, sa, sb)
 		}
 	})
 }
@@ -473,6 +493,57 @@ func TestCollectiveResumesInCommRankOrder(t *testing.T) {
 			t.Errorf("group %d left its allreduce in comm-rank order %v, want %v", g, got, want)
 		}
 	}
+
+	// A fused pair releases its ranks in the order, and at the instant, that
+	// the two calls it stands for release them in: the last arriver at the
+	// first is the last at the second, and the second's cost is added to
+	// the first's wake time. Many draws, so that an addition in another
+	// order rounds differently somewhere.
+	type left struct {
+		rank int
+		at   sim.Time
+	}
+	for draw := int64(0); draw < 20; draw++ {
+		rng := rand.New(rand.NewSource(draw))
+		arrival := rng.Perm(n)
+		sizes := make([]int64, n)
+		for i := range sizes {
+			sizes[i] = rng.Int63n(1 << 30)
+		}
+		second := rng.Int63n(1 << 30)
+		for _, leg := range []struct {
+			name          string
+			fused, oracle func(c *Comm, id int)
+		}{
+			{"GathervPair",
+				func(c *Comm, id int) { c.GathervPair(sizes[id], nil, second, nil, 0) },
+				func(c *Comm, id int) { c.gathervPairOracle(sizes[id], nil, second, nil, 0) }},
+			{"SplitPair",
+				func(c *Comm, id int) { c.SplitPair(id%2, id, 0, -id) },
+				func(c *Comm, id int) { c.splitPairOracle(id%2, id, 0, -id) }},
+		} {
+			exits := func(call func(c *Comm, id int)) []left {
+				var out []left
+				world(n).Run(func(r *Rank) {
+					r.Proc.Sleep(sim.Time(arrival[r.ID]) * 1.1e-3)
+					call(r.Comm, r.ID)
+					out = append(out, left{r.ID, r.Proc.Now()})
+				})
+				return out
+			}
+			got, want := exits(leg.fused), exits(leg.oracle)
+			if !slices.Equal(got, want) {
+				t.Errorf("draw %d: %s: ranks left as %v, the two calls it stands for as %v", draw, leg.name, got, want)
+			}
+			var order []int
+			for _, l := range got {
+				order = append(order, l.rank)
+			}
+			if want := wantOrder(n, slices.Index(arrival, n-1)); !slices.Equal(order, want) {
+				t.Errorf("draw %d: %s: ranks left in order %v, want %v", draw, leg.name, order, want)
+			}
+		}
+	}
 }
 
 // splitReference is MPI_Comm_split done serially: for each rank, the world
@@ -500,21 +571,38 @@ func TestSplitMatchesReference(t *testing.T) {
 		for i := range colors {
 			colors[i], keys[i] = rng.Intn(1+rng.Intn(n)), rng.Intn(8)-4
 		}
-		subs := make([]*Comm, n)
-		world(n).Run(func(r *Rank) { subs[r.ID] = r.Comm.Split(colors[r.ID], keys[r.ID]) })
-		want := splitReference(colors, keys)
-		for id, sub := range subs {
-			if !slices.Equal(sub.g.ranks, want[id]) {
-				t.Fatalf("seed %d: %d ranks, colors %v, keys %v: rank %d is in group %v, want %v", seed, n, colors, keys, id, sub.g.ranks, want[id])
-			}
-			if sub.Size() != len(want[id]) || want[id][sub.Rank()] != id {
-				t.Fatalf("seed %d: rank %d is rank %d of %d in %v", seed, id, sub.Rank(), sub.Size(), want[id])
-			}
-			// One group per color, shared by its members and by nobody else.
-			for other, osub := range subs {
-				if (osub.g == sub.g) != (colors[other] == colors[id]) {
-					t.Fatalf("seed %d: colors %v: ranks %d and %d: same group %v", seed, colors, id, other, osub.g == sub.g)
-				}
+		// A SplitPair's second split, over the colors and keys reversed, is
+		// held to the same reference.
+		subs, firsts, seconds := make([]*Comm, n), make([]*Comm, n), make([]*Comm, n)
+		world(n).Run(func(r *Rank) {
+			subs[r.ID] = r.Comm.Split(colors[r.ID], keys[r.ID])
+			firsts[r.ID], seconds[r.ID] = r.Comm.SplitPair(colors[r.ID], keys[r.ID], colors[n-1-r.ID], keys[n-1-r.ID])
+		})
+		rcolors, rkeys := slices.Clone(colors), slices.Clone(keys)
+		slices.Reverse(rcolors)
+		slices.Reverse(rkeys)
+		checkSplit(t, seed, colors, keys, subs)
+		checkSplit(t, seed, colors, keys, firsts)
+		checkSplit(t, seed, rcolors, rkeys, seconds)
+	}
+}
+
+// checkSplit holds subs, every rank's communicator from one split by
+// colors and keys, to splitReference.
+func checkSplit(t *testing.T, seed int64, colors, keys []int, subs []*Comm) {
+	t.Helper()
+	want := splitReference(colors, keys)
+	for id, sub := range subs {
+		if !slices.Equal(sub.g.ranks, want[id]) {
+			t.Fatalf("seed %d: %d ranks, colors %v, keys %v: rank %d is in group %v, want %v", seed, len(subs), colors, keys, id, sub.g.ranks, want[id])
+		}
+		if sub.Size() != len(want[id]) || want[id][sub.Rank()] != id {
+			t.Fatalf("seed %d: rank %d is rank %d of %d in %v", seed, id, sub.Rank(), sub.Size(), want[id])
+		}
+		// One group per color, shared by its members and by nobody else.
+		for other, osub := range subs {
+			if (osub.g == sub.g) != (colors[other] == colors[id]) {
+				t.Fatalf("seed %d: colors %v: ranks %d and %d: same group %v", seed, colors, id, other, osub.g == sub.g)
 			}
 		}
 	}
@@ -580,7 +668,9 @@ func TestCollectiveAllocs(t *testing.T) {
 		{"ExscanI64", func(r *Rank) { r.Comm.ExscanI64(1) }, 0},
 		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }, 0},
 		{"GathervBytes", func(r *Rank) { bufs[r.ID] = r.Comm.GathervBytes(8, nil, 0, bufs[r.ID]...) }, 0},
+		{"GathervPair", func(r *Rank) { bufs[r.ID] = r.Comm.GathervPair(8, nil, 16, nil, 0, bufs[r.ID]...) }, 0},
 		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }, 5},
+		{"SplitPair", func(r *Rank) { r.Comm.SplitPair(r.ID%4, r.ID, r.ID%2, -r.ID) }, 5},
 	} {
 		run := func(calls int) float64 {
 			return testing.AllocsPerRun(5, func() {
@@ -594,7 +684,8 @@ func TestCollectiveAllocs(t *testing.T) {
 		}
 		perCall := (run(long) - run(short)) / (long - short)
 		t.Logf("%s on %d ranks: %.1f objects per call", c.name, ranks, perCall)
-		// Measured 0 throughout but Split's 4.0 to 4.1 (its four blocks);
+		// Measured 0 throughout but Split's and SplitPair's 4.0 to 4.1 (their
+		// four blocks, which SplitPair's two splits share);
 		// 1, 2, 3, 2 and 6 for Barrier, AllreduceF64, ExscanVecI64,
 		// GathervBytes and Split while every call made its rendezvous anew.
 		if perCall > c.want {
@@ -621,7 +712,9 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 		{"ExscanI64", func(c *Comm) { c.ExscanI64(1) }},
 		{"ExscanVecI64", func(c *Comm) { c.ExscanVecI64([]int64{1}) }},
 		{"GathervBytes", func(c *Comm) { c.GathervBytes(1, nil, 0) }},
+		{"GathervPair", func(c *Comm) { c.GathervPair(1, nil, 2, nil, 0) }},
 		{"Split", func(c *Comm) { c.Split(0, 0) }},
+		{"SplitPair", func(c *Comm) { c.SplitPair(0, 0, 1, 0) }},
 	}
 	// panicOf runs a world of two whose rank 0 calls first and rank 1
 	// second, rank 1 or rank 0 arriving first.
@@ -669,6 +762,44 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 		if got := panicOf(root0, root1, rank1First); !strings.Contains(got, want) {
 			t.Errorf("gathers to roots 0 and 1, rank 1 first %v: %s, want a panic with %q", rank1First, got, want)
 		}
+		pair0 := func(c *Comm) { c.GathervPair(1, nil, 2, nil, 0) }
+		pair1 := func(c *Comm) { c.GathervPair(1, nil, 2, nil, 1) }
+		want = strings.ReplaceAll(want, "GathervBytes", "GathervPair")
+		if got := panicOf(pair0, pair1, rank1First); !strings.Contains(got, want) {
+			t.Errorf("gather pairs to roots 0 and 1, rank 1 first %v: %s, want a panic with %q", rank1First, got, want)
+		}
+	}
+}
+
+// A gather to a root that is no rank of the communicator panics on entry,
+// naming the call: the first rank to make it dies before it or anybody
+// else has parked, and the communicator has no collective pending.
+func TestBadRootPanicsBeforeParking(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func(c *Comm, root int)
+	}{
+		{"GathervBytes", func(c *Comm, root int) { c.GathervBytes(1, nil, root) }},
+		{"GathervPair", func(c *Comm, root int) { c.GathervPair(1, nil, 2, nil, root) }},
+	} {
+		for _, root := range []int{-1, 3} {
+			w := world(3)
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				w.Run(func(r *Rank) {
+					r.Proc.Sleep(sim.Time(r.ID)) // rank 0 calls first
+					c.call(r.Comm, root)
+				})
+				return ""
+			}()
+			want := fmt.Sprintf("mpisim: %s to root %d of a communicator of 3", c.name, root)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s to root %d: %s, want a panic with %q", c.name, root, msg, want)
+			}
+			if g := w.world; g.arrived != 0 || g.pending != nil || slices.ContainsFunc(g.parked, func(p *sim.Proc) bool { return p != nil }) {
+				t.Errorf("%s to root %d: %d ranks arrived, one parked %v, before the panic", c.name, root, g.arrived, slices.ContainsFunc(g.parked, func(p *sim.Proc) bool { return p != nil }))
+			}
+		}
 	}
 }
 
@@ -676,6 +807,8 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 // the communicator and write its contribution there before the root has
 // run again: the root's result was copied into its receive buffer when the
 // last rank arrived, so it holds this gather's chunks, not the next one's.
+// So with a pair: root holds both calls' chunks of this pair, as the two
+// GathervBytes it stands for would have given it.
 func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 	const n = 5
 	world(n).Run(func(r *Rank) {
@@ -696,6 +829,41 @@ func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 			}
 		}
 	})
+	pairs := func(fused bool) [][]GatherChunk {
+		var got [][]GatherChunk
+		world(n).Run(func(r *Rank) {
+			var kept []GatherChunk
+			for g := 0; g < 3; g++ {
+				if r.ID == 0 {
+					r.Proc.Sleep(1)
+				}
+				n1, d1 := int64(g), []byte{byte(10*g + r.ID)}
+				n2, d2 := int64(100+g), []byte{byte(50 + 10*g + r.ID)}
+				var chunks []GatherChunk
+				if fused {
+					chunks = r.Comm.GathervPair(n1, d1, n2, d2, 0, kept...)
+				} else {
+					chunks = r.Comm.gathervPairOracle(n1, d1, n2, d2, 0)
+				}
+				if r.ID == 0 {
+					kept = chunks
+					got = append(got, slices.Clone(chunks))
+				}
+			}
+		})
+		return got
+	}
+	got, want := pairs(true), pairs(false)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("root gathered %d pairs, the oracle %d; want 3", len(got), len(want))
+	}
+	for g := range got {
+		if !slices.EqualFunc(got[g], want[g], func(a, b GatherChunk) bool {
+			return a.Rank == b.Rank && a.N == b.N && slices.Equal(a.Data, b.Data)
+		}) {
+			t.Errorf("pair %d: root holds %+v, the two gathers give %+v", g, got[g], want[g])
+		}
+	}
 }
 
 // TestWorldSpawnAllocations is the ratchet on what a rank costs before its
