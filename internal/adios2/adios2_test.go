@@ -8,7 +8,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"picmcio/internal/compress"
 	"picmcio/internal/lustre"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/pfs"
@@ -317,99 +316,6 @@ func TestMemcpyVanishesWithOperator(t *testing.T) {
 	}
 	if blosc.Compress <= 0 {
 		t.Fatalf("blosc run has no compress time: %+v", blosc)
-	}
-}
-
-// A step that mixes content-mode and volume-mode puts stores and indexes
-// what it did when every put was recorded and sized at EndStep: per put a
-// header and its body — a content put's compressed bytes under a codec, a
-// volume put's selection scaled by the modelled ratio — and an analytic
-// table entry per put.
-func TestMixedStepAccounting(t *testing.T) {
-	const volRatio = 0.8 // SimCompressionRatio's default
-	for _, operator := range []string{"", "blosc"} {
-		rg := newRig(1)
-		var payloads [][]byte
-		var volumes []int64
-		rg.w.Run(func(r *mpisim.Rank) {
-			io := New().DeclareIO("mixed")
-			io.SetParameter("Profile", "off")
-			if operator != "" {
-				if err := io.AddOperation(operator); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			e, err := io.Open(rg.host(r), "/mixed.bp4", ModeWrite)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			put := func(name string, elems uint64, content bool) {
-				v, err := io.DefineVariable(name, TypeFloat64, []uint64{elems}, []uint64{0}, []uint64{elems})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !content {
-					volumes = append(volumes, int64(8*elems))
-					err = e.Put(v, nil)
-				} else {
-					vals := make([]float64, elems)
-					for i := range vals {
-						vals[i] = float64(i % 7)
-					}
-					err = e.PutFloat64s(v, vals)
-					payloads = append(payloads, e.data[len(e.data)-1])
-				}
-				if err != nil {
-					t.Error(err)
-				}
-			}
-			e.BeginStep(0)
-			put("a", 100, true)
-			put("b", 0, true)
-			put("c", 333, false)
-			put("d", 37, true)
-			put("e", 0, false)
-			put("f", 5, false)
-			if err := e.EndStep(); err != nil {
-				t.Error(err)
-			}
-			e.Close()
-		})
-		var stored int64
-		for _, data := range payloads {
-			body := data
-			if operator != "" && len(data) > 0 {
-				codec, err := compress.New(operator, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body = codec.Compress(data)
-			}
-			stored += perPutHeaderBytes + int64(len(body))
-		}
-		for _, n := range volumes {
-			if operator != "" && n > 0 {
-				n = int64(float64(n) * volRatio)
-			}
-			stored += perPutHeaderBytes + n
-		}
-		table := int64(len(payloads)+len(volumes)) * mdEntryBytes
-		size := func(name string) int64 {
-			n, err := rg.fs.Namespace().Lookup("/mixed.bp4/" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n.Size
-		}
-		if got := size("data.0"); got != stored {
-			t.Errorf("operator %q: the step stored %d bytes, want %d", operator, got, stored)
-		}
-		if got := size("md.0"); got != table {
-			t.Errorf("operator %q: the step's metadata is %d bytes, want %d", operator, got, table)
-		}
 	}
 }
 

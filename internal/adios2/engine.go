@@ -154,11 +154,14 @@ func (e *Engine) openWriter() error {
 	if rank == 0 {
 		err = e.createMetadata()
 	}
-	others := 1
+	// The leaders' split: the aggregators are colour 0, the rest 1. The
+	// keys read Rank() again: rank kept live across createMetadata would
+	// take a slot in this frame, which every rank parks under.
+	ldrColor := 1
 	if e.isAgg {
-		others = 0
+		ldrColor = 0
 	}
-	e.aggComm, e.ldrComm = h.Comm.SplitPair(e.subfile, h.Comm.Rank(), others, h.Comm.Rank())
+	e.aggComm, e.ldrComm = h.Comm.SplitPair(e.subfile, h.Comm.Rank(), ldrColor, h.Comm.Rank())
 	if e.isAgg && err == nil {
 		err = e.createSubfile()
 	}

@@ -2,6 +2,7 @@ package adios2
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -165,13 +166,16 @@ func TestPutRejectsForeignVariable(t *testing.T) {
 			"a variable no IO defined": {},
 			"no variable":              nil,
 		} {
-			err := e.Put(v, nil)
-			if err == nil || !strings.HasPrefix(err.Error(), "adios2:") {
-				t.Errorf("Put of %s: %v, want an adios2: error", what, err)
+			// In volume mode and in content mode: each stages its own way.
+			for _, data := range [][]byte{nil, make([]byte, 32)} {
+				err := e.Put(v, data)
+				if err == nil || !strings.HasPrefix(err.Error(), "adios2:") {
+					t.Errorf("Put of %s (payload %v): %v, want an adios2: error", what, data != nil, err)
+				}
 			}
 		}
-		if len(e.puts) != 0 {
-			t.Errorf("%d rejected puts were staged", len(e.puts))
+		if len(e.puts) != 0 || e.vol != (volTotals{}) {
+			t.Errorf("rejected puts were staged: %d recorded, %+v folded", len(e.puts), e.vol)
 		}
 		last := ownRow.At(1)
 		if err := e.Put(own, nil); err != nil {
@@ -187,20 +191,51 @@ func TestPutRejectsForeignVariable(t *testing.T) {
 	})
 }
 
-// A step that mixes puts with payloads and puts without is a volume-mode
-// step, but a payload it did get is still what the operator compresses:
-// the engine keeps payloads by put, whichever put came first.
+// A step that mixes puts with payloads and puts without — empty ones
+// among them — is a volume-mode step, but a payload it did get is still
+// what the operator compresses, whichever put came first: per put a header
+// and its body, a content put's compressed bytes under a codec and a
+// volume put's selection scaled by the modelled ratio, and an analytic
+// table entry per put.
 func TestMixedContentAndVolumePuts(t *testing.T) {
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64(i % 4)
+	const volRatio = 0.8 // SimCompressionRatio's default
+	type put struct {
+		elems   uint64
+		content bool
 	}
-	raw := make([]byte, 8*len(vals))
-	for i, f := range vals {
-		putF64(raw[8*i:], f)
+	values := func(elems uint64) ([]float64, []byte) {
+		vals, raw := make([]float64, elems), make([]byte, 8*elems)
+		for i := range vals {
+			vals[i] = float64(i % 4)
+			putF64(raw[8*i:], vals[i])
+		}
+		return vals, raw
 	}
-	for _, operator := range []string{"", "blosc"} {
-		for _, dataFirst := range []bool{true, false} {
+	for _, puts := range [][]put{
+		{{64, true}, {64, false}},
+		{{64, false}, {64, true}},
+		{{100, true}, {0, true}, {333, false}, {37, true}, {0, false}, {5, false}},
+	} {
+		for _, operator := range []string{"", "blosc"} {
+			var codec compress.Codec
+			if operator != "" {
+				var err error
+				if codec, err = compress.New(operator, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var want int64
+			for _, p := range puts {
+				body := 8 * int64(p.elems)
+				switch _, raw := values(p.elems); {
+				case codec == nil || body == 0:
+				case p.content:
+					body = int64(len(codec.Compress(raw)))
+				default:
+					body = int64(float64(body) * volRatio)
+				}
+				want += perPutHeaderBytes + body
+			}
 			rg := newRig(1)
 			rg.w.Run(func(r *mpisim.Rank) {
 				io := New().DeclareIO("mixed")
@@ -209,19 +244,20 @@ func TestMixedContentAndVolumePuts(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				n := uint64(len(vals))
-				a, _ := io.DefineVariable("a", TypeFloat64, []uint64{n}, []uint64{0}, []uint64{n})
-				b, _ := io.DefineVariable("b", TypeFloat64, []uint64{n}, []uint64{0}, []uint64{n})
 				e, err := io.Open(rg.host(r), "/mixed.bp4", ModeWrite)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				errs := []error{e.BeginStep(0)}
-				if dataFirst {
-					errs = append(errs, e.PutFloat64s(a, vals), e.Put(b, nil))
-				} else {
-					errs = append(errs, e.Put(b, nil), e.PutFloat64s(a, vals))
+				for i, p := range puts {
+					v, err := io.DefineVariable(fmt.Sprint("v", i), TypeFloat64, []uint64{p.elems}, []uint64{0}, []uint64{p.elems})
+					errs = append(errs, err)
+					if vals, _ := values(p.elems); p.content {
+						errs = append(errs, e.PutFloat64s(v, vals))
+					} else {
+						errs = append(errs, e.Put(v, nil))
+					}
 				}
 				errs = append(errs, e.EndStep(), e.Close())
 				for i, err := range errs {
@@ -230,19 +266,11 @@ func TestMixedContentAndVolumePuts(t *testing.T) {
 					}
 				}
 			})
-			want := int64(2 * (perPutHeaderBytes + len(raw)))
-			if operator != "" {
-				codec, err := compress.New(operator, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = 2*perPutHeaderBytes + int64(len(codec.Compress(raw))) + int64(float64(len(raw))*0.8)
-			}
 			if n, err := rg.fs.Namespace().Lookup("/mixed.bp4/data.0"); err != nil || n.Size != want {
-				t.Errorf("operator %q, payload first %v: data.0 is %v bytes (%v), want %d", operator, dataFirst, n, err, want)
+				t.Errorf("operator %q, puts %v: data.0 is %v bytes (%v), want %d", operator, puts, n, err, want)
 			}
-			if n, err := rg.fs.Namespace().Lookup("/mixed.bp4/md.0"); err != nil || n.Size != 2*mdEntryBytes {
-				t.Errorf("operator %q, payload first %v: md.0 is %v (%v), want the analytic %d bytes", operator, dataFirst, n, err, 2*mdEntryBytes)
+			if n, err := rg.fs.Namespace().Lookup("/mixed.bp4/md.0"); err != nil || n.Size != int64(len(puts))*mdEntryBytes {
+				t.Errorf("operator %q, puts %v: md.0 is %v (%v), want the analytic %d bytes", operator, puts, n, err, int64(len(puts))*mdEntryBytes)
 			}
 		}
 	}
