@@ -39,7 +39,6 @@ func main() {
 	ranksPerNode := flag.Int("ranks-per-node", 128, "MPI ranks per node")
 	diagEpochs := flag.Int("diag-epochs", 5, "simulated diagnostic epochs (paper run: 200)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	burstPolicy := flag.String("burst-policy", "", "figburst drain policy override: immediate, watermark, epoch-end")
 	campaignRuns := flag.Int("campaign-runs", 0, "campfail Monte-Carlo draws per cell (0 = auto-size to the expected-failure target)")
 	campaignMTBF := flag.Float64("campaign-mtbf", 0, "campfail/figinterval per-node MTBF override in hours (0 = machine preset)")
 	optimal := flag.Bool("optimal", false, "campfail validation mode: run at the ckptopt-recommended interval vs fixed baselines")
@@ -81,7 +80,6 @@ func main() {
 		Seed:              *seed,
 		RanksPerNode:      *ranksPerNode,
 		DiagEpochs:        *diagEpochs,
-		BurstPolicy:       *burstPolicy,
 		Parallel:          *parallel,
 		CampaignRuns:      *campaignRuns,
 		CampaignMTBFHours: *campaignMTBF,

@@ -465,19 +465,44 @@ func TestProfilingJSONSchema(t *testing.T) {
 	}
 }
 
-// A numeric engine parameter that does not parse, or cannot be used, is an
-// error from Open that names key and value — the same on every rank and
+// An on/off or closed-value parameter reads the same in any case, as
+// ADIOS2 documents "On" and "Off": Profile = "On" writes profiling.json,
+// and "PFS" is PFS durability, not the buffered default.
+func TestOnOffParameterCase(t *testing.T) {
+	for _, c := range []struct {
+		value string
+		want  bool
+	}{{"On", true}, {"ON", true}, {"true", true}, {"Off", false}, {"FALSE", false}} {
+		rg := newRig(2)
+		writeSeries(t, rg, "/p.bp4", map[string]string{"Profile": c.value}, "", 1, 8)
+		if _, err := rg.fs.Namespace().Lookup("/p.bp4/profiling.json"); (err == nil) != c.want {
+			t.Errorf("Profile = %q: profiling.json written %v, want %v", c.value, err == nil, c.want)
+		}
+	}
+	io := New().DeclareIO("case")
+	io.SetParameter("BurstBuffer", "Yes")
+	io.SetParameter("BurstDurability", "PFS")
+	if wp, err := io.set.engine(); err != nil || !wp.staged || !wp.pfsDurable {
+		t.Errorf("BurstBuffer = \"Yes\", BurstDurability = \"PFS\": %+v, %v, want staged and PFS-durable", wp, err)
+	}
+}
+
+// An engine parameter that does not parse, or cannot be used, is an error
+// from Open that names key and value — the same on every rank and
 // before the first collective, so the world drains instead of deadlocking
 // — not a silent run with the default.
 func TestOpenRejectsMalformedParameters(t *testing.T) {
 	for _, c := range []struct{ key, value string }{
 		{"NumAggregators", "1O"},
 		{"NumAggregators", ""},
-		{"MemRate", "8e9 B/s"},
-		{"MemRate", "0"},
-		{"MemRate", "NaN"},
 		{"SimCompressionRatio", "80%"},
 		{"SimCompressionRatio", "-0.5"},
+		{"SimCompressionRatio", "NaN"},
+		{"Profile", "of"},
+		{"Profile", ""},
+		{"BurstBuffer", "enabled"},
+		{"BurstDurability", "PFS-durable"},
+		{"BurstDurability", "nvme"},
 	} {
 		rg := newRig(4)
 		failed := 0
@@ -567,14 +592,14 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	if a.set != tmpl.set || b.set != tmpl.set {
 		t.Fatal("Fork copied the settings")
 	}
-	if a.name != "tmpl" || a.set.operator != "blosc" || a.Parameter("NumAggregators", "") != "2" {
-		t.Errorf("fork is %q with operator %q and NumAggregators %q", a.name, a.set.operator, a.Parameter("NumAggregators", ""))
+	if a.name != "tmpl" || a.set.operator != "blosc" || a.set.params["NumAggregators"] != "2" {
+		t.Errorf("fork is %q with operator %q and NumAggregators %q", a.name, a.set.operator, a.set.params["NumAggregators"])
 	}
-	wp, err := a.set.writer()
+	wp, err := a.set.engine()
 	if err != nil || wp.numAgg != 2 {
 		t.Fatalf("parsed NumAggregators %+v, %v", wp, err)
 	}
-	if again, _ := b.set.writer(); again != wp {
+	if again, _ := b.set.engine(); again != wp {
 		t.Error("the second fork parsed the parameters again")
 	}
 
@@ -584,19 +609,19 @@ func TestForkSharesSettingsCopyOnWrite(t *testing.T) {
 	}
 	tmpl.AddOperation("none")
 	for name, got := range map[string][2]string{
-		"a":    {a.Parameter("NumAggregators", ""), a.set.operator},
-		"b":    {b.Parameter("NumAggregators", ""), b.set.operator},
-		"tmpl": {tmpl.Parameter("NumAggregators", ""), tmpl.set.operator},
+		"a":    {a.set.params["NumAggregators"], a.set.operator},
+		"b":    {b.set.params["NumAggregators"], b.set.operator},
+		"tmpl": {tmpl.set.params["NumAggregators"], tmpl.set.operator},
 	} {
 		want := map[string][2]string{"a": {"x", "blosc"}, "b": {"2", "bzip2"}, "tmpl": {"2", "none"}}[name]
 		if got != want {
 			t.Errorf("%s has NumAggregators, operator %q, want %q", name, got, want)
 		}
 	}
-	if _, err := a.set.writer(); err == nil {
+	if _, err := a.set.engine(); err == nil {
 		t.Error("a's new NumAggregators was not parsed again")
 	}
-	if wp, err := b.set.writer(); err != nil || wp.numAgg != 2 {
+	if wp, err := b.set.engine(); err != nil || wp.numAgg != 2 {
 		t.Errorf("b parses to %+v, %v", wp, err)
 	}
 }

@@ -16,8 +16,8 @@ package adios2
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
-	"picmcio/internal/burst"
 	"picmcio/internal/compress"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/pfs"
@@ -111,9 +111,9 @@ type settings struct {
 	// shared is set once a second IO reads these settings; from then on
 	// whoever changes one does it on a copy (IO.own).
 	shared bool
-	// parsed is the parameters a write engine reads, as the first Open
-	// since they last changed parsed them; parseErr is why it could not.
-	parsed   *writerParams
+	// parsed is the parameters an engine reads, as the first Open since
+	// they last changed parsed them; parseErr is why it could not.
+	parsed   *engineParams
 	parseErr error
 }
 
@@ -147,20 +147,16 @@ func (io *IO) own() *settings {
 //
 //	NumAggregators       number of subfiles (the paper's NumAgg knob),
 //	                     clamped to [1, ranks]
-//	Profile              "on"/"off" — write profiling.json
+//	Profile              on/off — write profiling.json (default on)
 //	SimCompressionRatio  ratio to assume for volume-mode payloads (> 0)
-//	MemRate              marshalling memcpy bandwidth (bytes/s, > 0)
-//	BurstBuffer          "on"/"true" — stage I/O through the host
+//	BurstBuffer          on/off — stage I/O through the host
 //	                     environment's burst-buffer tier, if attached
 //	BurstDurability      "buffered" (default) or "pfs" — whether EndStep
 //	                     returns at buffered or PFS durability
-//	BurstQoSPriority     "on"/"true" — drain checkpoint-class segments
-//	                     before diagnostics (tier QoS priority lane)
-//	BurstDrainLimit      per-node write-back bandwidth cap, bytes/second
-//	BurstDrainDeadline   pace each epoch's write-back across this many
-//	                     seconds instead of bursting ("drain by next epoch")
 //
-// A malformed numeric value is an error from Open, not a silent default.
+// An on/off value is also true/false, yes/no or 1/0, and no value's case
+// matters. A value outside its key's set, or a malformed number, is an
+// error from Open, not a silent default.
 func (io *IO) SetParameter(k, v string) {
 	set := io.own()
 	if set.params == nil {
@@ -169,35 +165,36 @@ func (io *IO) SetParameter(k, v string) {
 	set.params[k] = v
 }
 
-// Parameter reads back a parameter with a default.
-func (io *IO) Parameter(k, def string) string { return io.set.param(k, def) }
+// memRate is the marshalling memcpy bandwidth, bytes/second.
+const memRate = 8e9
 
-// writerParams is the engine parameters a write engine reads, parsed.
-type writerParams struct {
+// onOff and durability read the closed-value parameters, in lower case.
+var (
+	onOff      = map[string]bool{"on": true, "true": true, "yes": true, "1": true, "off": false, "false": false, "no": false, "0": false}
+	durability = map[string]bool{"pfs": true, "buffered": false}
+)
+
+// engineParams is the parameters an engine reads, parsed.
+type engineParams struct {
 	numAgg     int // 0: NumAggregators absent, one subfile per rank
-	memRate    float64
 	volRatio   float64
 	profile    bool
+	staged     bool
 	pfsDurable bool
 }
 
-// writer returns the parameters a write engine reads, parsed once per
+// engine returns the parameters an engine reads, parsed once per
 // settings: every IO forked from one template gets the same answer, error
 // included, without parsing again.
-func (set *settings) writer() (*writerParams, error) {
+func (set *settings) engine() (*engineParams, error) {
 	if set.parsed == nil && set.parseErr == nil {
-		set.parsed, set.parseErr = set.parseWriter()
+		set.parsed, set.parseErr = set.parseEngine()
 	}
 	return set.parsed, set.parseErr
 }
 
-func (set *settings) parseWriter() (*writerParams, error) {
-	wp := &writerParams{
-		memRate:    8e9,
-		volRatio:   0.8,
-		profile:    set.param("Profile", "on") == "on",
-		pfsDurable: set.param("BurstDurability", "buffered") == "pfs",
-	}
+func (set *settings) parseEngine() (*engineParams, error) {
+	wp := &engineParams{volRatio: 0.8, profile: true}
 	if v, ok := set.params["NumAggregators"]; ok {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -205,28 +202,33 @@ func (set *settings) parseWriter() (*writerParams, error) {
 		}
 		wp.numAgg = max(n, 1)
 	}
+	if v, ok := set.params["SimCompressionRatio"]; ok {
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(x > 0) {
+			return nil, fmt.Errorf("adios2: bad SimCompressionRatio %q (want a positive number)", v)
+		}
+		wp.volRatio = x
+	}
 	for _, f := range []struct {
-		key string
-		dst *float64
-	}{{"MemRate", &wp.memRate}, {"SimCompressionRatio", &wp.volRatio}} {
+		key, want string
+		values    map[string]bool
+		dst       *bool
+	}{
+		{"Profile", "on or off", onOff, &wp.profile},
+		{"BurstBuffer", "on or off", onOff, &wp.staged},
+		{"BurstDurability", "buffered or pfs", durability, &wp.pfsDurable},
+	} {
 		v, ok := set.params[f.key]
 		if !ok {
 			continue
 		}
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(x > 0) {
-			return nil, fmt.Errorf("adios2: bad %s %q (want a positive number)", f.key, v)
+		b, ok := f.values[strings.ToLower(v)]
+		if !ok {
+			return nil, fmt.Errorf("adios2: bad %s %q (want %s)", f.key, v, f.want)
 		}
-		*f.dst = x
+		*f.dst = b
 	}
 	return wp, nil
-}
-
-func (set *settings) param(k, def string) string {
-	if v, ok := set.params[k]; ok {
-		return v
-	}
-	return def
 }
 
 // AddOperation attaches a compression operator ("blosc" or "bzip2") to
@@ -409,55 +411,6 @@ type Host struct {
 	Comm *mpisim.Comm
 }
 
-// paramOn reports whether a parameter holds an affirmative value.
-func paramOn(v string) bool {
-	switch v {
-	case "on", "true", "1", "yes":
-		return true
-	}
-	return false
-}
-
-// applyBurstQoS forwards the BurstQoS* engine parameters to the staging
-// tier's drain scheduler when the staged file system is a burst tier.
-// Every rank applies the same values at open time, so the call is
-// idempotent across the communicator. Malformed knob values are errors —
-// a typo'd rate limit silently running uncapped would defeat the knob's
-// purpose.
-func (io *IO) applyBurstQoS(fs pfs.FileSystem) error {
-	bfs, ok := fs.(*burst.FS)
-	if !ok {
-		return nil
-	}
-	tier := bfs.Tier()
-	q := tier.QoS()
-	changed := false
-	if v, ok := io.set.params["BurstQoSPriority"]; ok {
-		q.PriorityLanes = paramOn(v)
-		changed = true
-	}
-	if v, ok := io.set.params["BurstDrainLimit"]; ok {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("adios2: bad BurstDrainLimit %q (want non-negative bytes/second)", v)
-		}
-		q.DrainLimit = f
-		changed = true
-	}
-	if v, ok := io.set.params["BurstDrainDeadline"]; ok {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("adios2: bad BurstDrainDeadline %q (want non-negative seconds)", v)
-		}
-		q.Deadline = sim.Duration(f)
-		changed = true
-	}
-	if changed {
-		tier.SetQoS(q)
-	}
-	return nil
-}
-
 // Open creates an engine for path in the given mode: the rank's slot of
 // the communicator's block of engines of that path (mpisim.Block). Every
 // rank of the communicator must call Open collectively for write mode.
@@ -468,16 +421,13 @@ func (io *IO) Open(h Host, path string, mode Mode) (*Engine, error) {
 	if h.Proc == nil || h.Env == nil || h.Comm == nil {
 		return nil, fmt.Errorf("adios2: incomplete host")
 	}
-	e := io.newEngine(h, path, mode)
-	if paramOn(io.Parameter("BurstBuffer", "off")) && h.Env.Stage != nil {
-		e.staged = *h.Env
-		e.staged.FS = h.Env.Stage
-		e.h.Env = &e.staged
-		if err := io.applyBurstQoS(e.staged.FS); err != nil {
-			return nil, err
-		}
+	// Before anything collective: a bad parameter is the same error on
+	// every rank, and nobody is left parked.
+	wp, err := io.set.engine()
+	if err != nil {
+		return nil, err
 	}
-	var err error
+	e := io.newEngine(h, path, mode, wp)
 	switch mode {
 	case ModeWrite:
 		err = e.openWriter()
@@ -497,9 +447,14 @@ func (io *IO) Open(h Host, path string, mode Mode) (*Engine, error) {
 // literal's temporary may fatten Open's.
 //
 //go:noinline
-func (io *IO) newEngine(h Host, path string, mode Mode) *Engine {
+func (io *IO) newEngine(h Host, path string, mode Mode, wp *engineParams) *Engine {
 	path = pfs.Clean(path)
 	e := mpisim.Block[string, Engine](h.Comm, path)
-	e.io, e.h, e.path, e.mode, e.curStep = io, h, path, mode, -1
+	e.io, e.h, e.path, e.mode, e.wp, e.curStep = io, h, path, mode, wp, -1
+	if wp.staged && h.Env.Stage != nil {
+		e.staged = *h.Env
+		e.staged.FS = h.Env.Stage
+		e.h.Env = &e.staged
+	}
 	return e
 }

@@ -93,7 +93,7 @@ type Engine struct {
 	ldrComm *mpisim.Comm
 	subfile int
 	files   *writerFiles  // aggregators only
-	wp      *writerParams // the world's, read-only
+	wp      *engineParams // the world's, read-only
 
 	codec compress.Codec // nil without an operator
 
@@ -133,13 +133,8 @@ type Engine struct {
 // in the split and hands its error to the closing BarrierErr, which makes
 // it every rank's.
 func (e *Engine) openWriter() error {
-	// Before anything collective: a bad parameter is the same error on
-	// every rank, and nobody is left parked.
 	io, h := e.io, e.h
 	var err error
-	if e.wp, err = io.set.writer(); err != nil {
-		return err
-	}
 	if op := io.set.operator; op != "" && op != "none" {
 		if e.codec, err = compress.New(op, 8); err != nil {
 			return err
@@ -270,7 +265,7 @@ func (e *Engine) Put(v *Variable, data []byte) error {
 		e.data = append(e.data, data)
 	}
 	if e.codec == nil && n > 0 {
-		d := sim.Duration(float64(n) / e.wp.memRate)
+		d := sim.Duration(float64(n) / memRate)
 		e.Timers.Memcpy += d
 		if !e.copying {
 			e.copyEnd, e.copying = e.h.Proc.Now(), true

@@ -144,12 +144,10 @@ func TestFusedProfileMatchesTenScalars(t *testing.T) {
 // out the same way. Timers.Memcpy is counted at the Put.
 func TestPutIsDeferredToEndStep(t *testing.T) {
 	sizes := []uint64{1000, 3, 12345}
-	const memRate = 1e9
 	run := func(copyAtPut, endStep bool) (end sim.Time, memcpy sim.Duration) {
 		rg := newRig(2)
 		rg.w.Run(func(r *mpisim.Rank) {
 			io := New().DeclareIO("deferred")
-			io.SetParameter("MemRate", fmt.Sprint(memRate))
 			io.SetParameter("Profile", "off")
 			e, err := io.Open(rg.host(r), "/deferred.bp4", ModeWrite)
 			if err != nil {

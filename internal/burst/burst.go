@@ -60,19 +60,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy maps a configuration string to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "immediate":
-		return PolicyImmediate, nil
-	case "watermark":
-		return PolicyWatermark, nil
-	case "epoch-end", "epochend":
-		return PolicyEpochEnd, nil
-	}
-	return 0, fmt.Errorf("burst: unknown drain policy %q", s)
-}
-
 // Class is a drain QoS lane. Checkpoint segments are the data a restart
 // depends on; diagnostics are analysis output that can tolerate latency.
 type Class int
@@ -143,8 +130,8 @@ type Spec struct {
 	HighWater     float64 // watermark start fraction (default 0.7)
 	LowWater      float64 // watermark stop fraction (default 0.3)
 
-	// QoS is the drain scheduler's initial quality-of-service setting;
-	// Tier.SetQoS can adjust it at run time (e.g. from engine TOML).
+	// QoS is the drain scheduler's quality-of-service setting, fixed for
+	// the tier's life: the spec is the one place it is set.
 	QoS QoS
 }
 
@@ -231,9 +218,8 @@ type nodeState struct {
 	draining bool
 	force    bool // drain past the low watermark (flush requested)
 
-	limitDev   *sim.Server // QoS rate limiter; rebuilt when the limit changes
-	limitRate  float64
-	deadlineAt sim.Time // drain-by-deadline target for the current batch
+	limitDev   *sim.Server // QoS rate limiter; nil until first needed
+	deadlineAt sim.Time    // drain-by-deadline target for the current batch
 
 	worker   *sim.Proc // the node's drain worker while one is running
 	cur      *segment  // segment the worker is mid-transfer on
@@ -279,7 +265,6 @@ func (ns *nodeState) pop(priority bool) *segment {
 type Tier struct {
 	k       *sim.Kernel
 	spec    Spec
-	qos     QoS
 	backing pfs.FileSystem
 	fs      *FS
 	nodes   map[int]*nodeState
@@ -295,7 +280,6 @@ func NewTier(k *sim.Kernel, spec Spec, backing pfs.FileSystem) *Tier {
 	t := &Tier{
 		k:       k,
 		spec:    spec.withDefaults(),
-		qos:     spec.QoS,
 		backing: backing,
 		nodes:   map[int]*nodeState{},
 		files:   map[string]*fileState{},
@@ -304,14 +288,6 @@ func NewTier(k *sim.Kernel, spec Spec, backing pfs.FileSystem) *Tier {
 	t.fs = &FS{t: t}
 	return t
 }
-
-// QoS reports the drain scheduler's current quality-of-service setting.
-func (t *Tier) QoS() QoS { return t.qos }
-
-// SetQoS adjusts the drain scheduler's quality of service; it applies to
-// every subsequent drain decision (queued segments included). Engines set
-// it at open time from the burst_* TOML knobs.
-func (t *Tier) SetQoS(q QoS) { t.qos = q }
 
 // FS returns the staging file system: writes through it are absorbed by
 // the node-local buffer and drained in the background.
@@ -567,15 +543,15 @@ func (t *Tier) forceDrainAll() {
 // be defeated if every step close forced a flush. With a QoS deadline the
 // nudge also re-arms every node's drain-by-next-epoch target.
 func (t *Tier) DrainEpoch(_ *sim.Proc) {
-	if t.qos.Deadline > 0 {
+	if t.spec.QoS.Deadline > 0 {
 		for _, ns := range t.order {
-			ns.deadlineAt = t.k.Now() + t.qos.Deadline
+			ns.deadlineAt = t.k.Now() + t.spec.QoS.Deadline
 		}
 	}
 	if t.spec.Policy != PolicyEpochEnd {
 		return
 	}
-	if t.qos.Deadline > 0 {
+	if t.spec.QoS.Deadline > 0 {
 		for _, ns := range t.order { // paced drain, not a forced flush
 			t.ensureDrainer(ns)
 		}
@@ -613,22 +589,22 @@ func (t *Tier) drain(p *sim.Proc, ns *nodeState) {
 			float64(ns.used) <= t.spec.LowWater*float64(t.spec.CapacityBytes) {
 			break
 		}
-		seg := ns.pop(t.qos.PriorityLanes)
+		seg := ns.pop(t.spec.QoS.PriorityLanes)
 		t0 := p.Now()
 		ns.cur, ns.inFlight, ns.segStart = seg, true, t0
 		var devEnd sim.Time
 		if ns.drainDev != nil {
 			devEnd = ns.drainDev.Reserve(seg.n)
 		}
-		if lim := t.qos.DrainLimit; lim > 0 {
-			if ns.limitDev == nil || ns.limitRate != lim {
-				ns.limitDev, ns.limitRate = sim.NewServer(t.k, lim, 0), lim
+		if lim := t.spec.QoS.DrainLimit; lim > 0 {
+			if ns.limitDev == nil {
+				ns.limitDev = sim.NewServer(t.k, lim, 0)
 			}
 			if e := ns.limitDev.Reserve(seg.n); e > devEnd {
 				devEnd = e
 			}
 		}
-		if t.qos.Deadline > 0 && !ns.force {
+		if t.spec.QoS.Deadline > 0 && !ns.force {
 			// Pace the batch: this segment gets the share of the remaining
 			// deadline window proportional to its share of the node's
 			// pending bytes, so the whole batch lands at the deadline
@@ -691,9 +667,6 @@ var (
 	_ pfs.FileSystem = (*FS)(nil)
 	_ pfs.Stager     = (*FS)(nil)
 )
-
-// Tier returns the tier behind the staging file system.
-func (f *FS) Tier() *Tier { return f.t }
 
 // Name implements pfs.FileSystem.
 func (f *FS) Name() string { return "burst+" + f.t.backing.Name() }
@@ -845,8 +818,8 @@ func (f *file) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
 		f.st.pending += buffered
 		t.pending.Add(buffered)
 		t.stats.AbsorbedBytes += buffered
-		if t.qos.Deadline > 0 && ns.deadlineAt <= p.Now() {
-			ns.deadlineAt = p.Now() + t.qos.Deadline
+		if t.spec.QoS.Deadline > 0 && ns.deadlineAt <= p.Now() {
+			ns.deadlineAt = p.Now() + t.spec.QoS.Deadline
 		}
 	}
 	if fallback > 0 {

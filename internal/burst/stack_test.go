@@ -92,44 +92,3 @@ func TestStagingIsOptIn(t *testing.T) {
 		t.Errorf("tier absorbed %d bytes without burst_buffer = true", st.AbsorbedBytes)
 	}
 }
-
-// TestQoSKnobsFlowFromTOML checks the full plumbing of the drain QoS
-// knobs: openPMD TOML keys → ADIOS2 engine parameters → tier QoS.
-func TestQoSKnobsFlowFromTOML(t *testing.T) {
-	toml := "burst_buffer = true\n" +
-		"burst_qos_priority = true\n" +
-		"burst_drain_limit = \"2e9\"\n" +
-		"burst_drain_deadline = \"0.25\"\n"
-	_, tier := writeIteration(t, toml, 50e6)
-	q := tier.QoS()
-	if !q.PriorityLanes {
-		t.Error("burst_qos_priority = true did not reach the tier")
-	}
-	if q.DrainLimit != 2e9 {
-		t.Errorf("burst_drain_limit: got %v, want 2e9", q.DrainLimit)
-	}
-	if q.Deadline != 0.25 {
-		t.Errorf("burst_drain_deadline: got %v, want 0.25", q.Deadline)
-	}
-}
-
-// TestQoSKnobTypoIsAnError checks that a malformed QoS value fails the
-// engine open instead of silently running with the knob ignored.
-func TestQoSKnobTypoIsAnError(t *testing.T) {
-	k := sim.NewKernel()
-	back := lustre.New(k, lustre.DefaultParams())
-	tier := burst.NewTier(k, burst.Spec{CapacityBytes: 1 << 30, Rate: 10e9}, back)
-	w := mpisim.NewWorld(k, 1, nil)
-	w.Run(func(r *mpisim.Rank) {
-		env := &posix.Env{
-			FS:     back,
-			Stage:  tier.FS(),
-			Client: &pfs.Client{Node: 0, NIC: sim.NewServer(k, 25e9, 0)},
-		}
-		host := openpmd.Host{Proc: r.Proc, Env: env, Comm: r.Comm}
-		toml := "burst_buffer = true\nburst_drain_limit = \"1.5 GB\"\n"
-		if _, err := openpmd.NewSeries(host, "/scratch/bad.bp4", openpmd.AccessCreate, toml); err == nil {
-			t.Error("malformed burst_drain_limit must fail the open")
-		}
-	})
-}

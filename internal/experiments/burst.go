@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"picmcio/internal/bit1"
-	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
 	"picmcio/internal/sweep"
 )
@@ -44,13 +43,6 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 	// drain scheduler to overlap write-back with the next phase.
 	o.computePerStep = 200e-6
 	m := cluster.Dardel()
-	if o.BurstPolicy != "" {
-		pol, err := burst.ParsePolicy(o.BurstPolicy)
-		if err != nil {
-			return sweep.Table{}, err
-		}
-		m.Burst.Policy = pol
-	}
 	g := sweep.Grid{sweep.Ints("nodes", o.NodeCounts)}
 	return sweep.Run(g, o.sweepOptions("Fig B: direct vs burst-buffer-staged openPMD+BP4 on Dardel (GiB/s)"),
 		func(c sweep.Config) (sweep.Point, error) {

@@ -43,6 +43,21 @@ type ContentionRow struct {
 	Result *jobs.ContentionResult
 }
 
+// stagedTier is the node-local NVMe tier of the extension scenarios
+// (figcontention, figworkload, figfault, campfail): 2 GiB a node
+// absorbing at 6 GB/s, draining at drainRate (0: PFS-limited) under the
+// given policy and QoS.
+func stagedTier(drainRate float64, policy burst.Policy, qos burst.QoS) burst.Spec {
+	return burst.Spec{
+		CapacityBytes: 2 << 30,
+		Rate:          6e9,
+		PerOp:         25e-6,
+		DrainRate:     drainRate,
+		Policy:        policy,
+		QoS:           qos,
+	}
+}
+
 // contentionSpecs builds the canonical two-job scenario on machine m: a
 // checkpoint-heavy job staging through a per-node burst tier (epoch-end
 // drain, so write-back bursts right when the neighbour writes) next to a
@@ -58,16 +73,9 @@ func contentionSpecs(qos burst.QoS, epochs int) []jobs.Spec {
 		{
 			Name:  "staged",
 			Nodes: 4,
-			Burst: burst.Spec{
-				CapacityBytes: 2 << 30,
-				Rate:          6e9,
-				PerOp:         25e-6,
-				// PFS-limited drain: write-back bursts at full fabric
-				// speed unless a QoS knob reins it in.
-				DrainRate: 0,
-				Policy:    burst.PolicyEpochEnd,
-				QoS:       qos,
-			},
+			// PFS-limited drain: write-back bursts at full fabric speed
+			// unless a QoS knob reins it in.
+			Burst:       stagedTier(0, burst.PolicyEpochEnd, qos),
 			Workload:    wl,
 			StripeCount: -1,
 		},

@@ -76,16 +76,9 @@ func faultScenario(pol burst.Policy, qos burst.QoS, f *fault.Spec) []jobs.Spec {
 	}
 	return []jobs.Spec{
 		{
-			Name:  "victim",
-			Nodes: 2,
-			Burst: burst.Spec{
-				CapacityBytes: 2 << 30,
-				Rate:          6e9,
-				PerOp:         25e-6,
-				DrainRate:     5.5e9,
-				Policy:        pol,
-				QoS:           qos,
-			},
+			Name:        "victim",
+			Nodes:       2,
+			Burst:       stagedTier(5.5e9, pol, qos),
 			Workload:    wl,
 			StripeCount: -1,
 			Fault:       f,

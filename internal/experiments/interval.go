@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"picmcio/internal/burst"
 	"picmcio/internal/ckptopt"
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
@@ -53,18 +52,11 @@ func intervalProbeWorkload() jobs.ChunkedWriter {
 // intervalProbeNodes is the probe and campaign job scale.
 const intervalProbeNodes = 2
 
-// intervalPlan measures machine m's checkpoint costs under the given
-// drain policy and prices them into a plan. A zero mtbfHours keeps the
-// preset MTBF; the override is what lets accelerated smoke campaigns
-// observe failures.
-func intervalPlan(m cluster.Machine, pol string, mtbfHours float64, seed uint64) (ckptopt.Plan, error) {
-	if pol != "" {
-		p, err := burst.ParsePolicy(pol)
-		if err != nil {
-			return ckptopt.Plan{}, err
-		}
-		m.Burst.Policy = p
-	}
+// intervalPlan measures machine m's checkpoint costs under the drain
+// policy its burst spec carries and prices them into a plan. A zero
+// mtbfHours keeps the preset MTBF; the override is what lets accelerated
+// smoke campaigns observe failures.
+func intervalPlan(m cluster.Machine, mtbfHours float64, seed uint64) (ckptopt.Plan, error) {
 	if mtbfHours > 0 {
 		m.MTBFNodeHours = mtbfHours
 	}
@@ -110,7 +102,9 @@ func (o Options) FigIntervalSweep() (sweep.Table, error) {
 	for _, m := range machines {
 		mAxis.Values = append(mAxis.Values, m.Name)
 		for _, pol := range FaultDrainPolicies {
-			p, err := intervalPlan(m, pol.String(), o.CampaignMTBFHours, o.Seed)
+			mp := m
+			mp.Burst.Policy = pol
+			p, err := intervalPlan(mp, o.CampaignMTBFHours, o.Seed)
 			if err != nil {
 				return sweep.Table{}, fmt.Errorf("figinterval %s/%s: %w", m.Name, pol, err)
 			}
@@ -253,7 +247,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 	states := map[string]*mstate{}
 	for mi, m := range machines {
 		mAxis.Values = append(mAxis.Values, m.Name)
-		plan, err := intervalPlan(m, "", o.CampaignMTBFHours, o.Seed)
+		plan, err := intervalPlan(m, o.CampaignMTBFHours, o.Seed)
 		if err != nil {
 			return sweep.Table{}, fmt.Errorf("campfail -optimal %s: %w", m.Name, err)
 		}

@@ -56,11 +56,6 @@ type Options struct {
 	// figure sets it so asynchronous drain overlaps compute.
 	computePerStep sim.Duration
 
-	// BurstPolicy overrides the machine preset's drain policy for the
-	// burst-buffer figure ("immediate", "watermark", "epoch-end";
-	// "" keeps the preset).
-	BurstPolicy string
-
 	// Parallel bounds the sweep engine's trial worker pool (<= 1:
 	// serial). Every artifact is bit-identical at any width: trials are
 	// pure functions of their sweep.Config, and per-trial seeds derive

@@ -65,16 +65,9 @@ func workloadSpecs(kind string, aggr int, qos burst.QoS) ([]jobs.Spec, error) {
 	}
 	return []jobs.Spec{
 		{
-			Name:  "staged",
-			Nodes: workloadNodes,
-			Burst: burst.Spec{
-				CapacityBytes: 2 << 30,
-				Rate:          6e9,
-				PerOp:         25e-6,
-				DrainRate:     0, // PFS-limited unless a QoS knob caps it
-				Policy:        burst.PolicyEpochEnd,
-				QoS:           qos,
-			},
+			Name:        "staged",
+			Nodes:       workloadNodes,
+			Burst:       stagedTier(0, burst.PolicyEpochEnd, qos), // PFS-limited unless a QoS knob caps it
 			Workload:    wl,
 			StripeCount: -1,
 		},

@@ -33,11 +33,16 @@ func newIOTemplate(cfg *Config) ioTemplate {
 		return ioTemplate{err: fmt.Errorf("openpmd: unsupported adios2 engine %q (use bp4)", engine)}
 	}
 	// Engine parameters pass through from the TOML config; the aggregator
-	// count is the paper's OPENPMD_ADIOS2_BP5_NumAgg knob.
+	// count is the paper's OPENPMD_ADIOS2_BP5_NumAgg knob. A tier's drain
+	// policy and QoS are its burst.Spec's, so a burst_* key other than the
+	// two below is a typo or a removed knob, and an error.
 	for _, key := range cfg.Keys() {
 		if param, ok := strings.CutPrefix(key, "adios2.engine.parameters."); ok && param != "" {
 			v, _ := cfg.Get(key)
 			io.SetParameter(param, v)
+		}
+		if name := strings.TrimPrefix(key, "adios2.engine."); strings.HasPrefix(name, "burst_") && name != "burst_buffer" && name != "burst_durability" {
+			return ioTemplate{err: fmt.Errorf("openpmd: unknown key %q (the burst keys are burst_buffer and burst_durability)", key)}
 		}
 	}
 	if op, ok := cfg.Get("adios2.dataset.operators.type"); ok {
@@ -48,20 +53,11 @@ func newIOTemplate(cfg *Config) ioTemplate {
 	// Burst-buffer staging: `burst_buffer = true` (top level or under
 	// [adios2.engine]) routes engine I/O through the host environment's
 	// staging tier; `burst_durability = "pfs"` makes iteration close wait
-	// for write-back instead of returning at buffered durability. The
-	// drain QoS knobs tune the tier's write-back scheduler at open time:
-	// `burst_qos_priority = true` drains checkpoint segments before
-	// diagnostics, `burst_drain_limit` caps write-back bytes/second, and
-	// `burst_drain_deadline` paces each epoch's write-back across the
-	// given window in seconds ("drain by next epoch").
-	burstParams := []struct{ toml, param string }{
+	// for write-back instead of returning at buffered durability.
+	for _, bk := range []struct{ toml, param string }{
 		{"burst_buffer", "BurstBuffer"},
 		{"burst_durability", "BurstDurability"},
-		{"burst_qos_priority", "BurstQoSPriority"},
-		{"burst_drain_limit", "BurstDrainLimit"},
-		{"burst_drain_deadline", "BurstDrainDeadline"},
-	}
-	for _, bk := range burstParams {
+	} {
 		for _, key := range []string{bk.toml, "adios2.engine." + bk.toml} {
 			if v, ok := cfg.Get(key); ok {
 				io.SetParameter(bk.param, v)

@@ -251,6 +251,32 @@ func TestUnknownBackendRejected(t *testing.T) {
 	})
 }
 
+// A burst_* key other than burst_buffer and burst_durability, at the top
+// level or under [adios2.engine], is an openPMD error naming it on every
+// rank — a typo or a removed QoS knob does not run silently as if unset.
+func TestUnknownBurstKeyRejected(t *testing.T) {
+	for _, c := range []struct{ toml, key string }{
+		{"burst_buffer = true\nburst_drain_limit = \"2e9\"\n", "burst_drain_limit"},
+		{"burst_bufer = true\n", "burst_bufer"},
+		{"[adios2.engine]\nburst_qos_priority = true\n", "adios2.engine.burst_qos_priority"},
+	} {
+		const ranks = 3
+		rg := newRig(ranks)
+		failed := 0
+		rg.w.Run(func(r *mpisim.Rank) {
+			_, err := NewSeries(rg.host(r), "/x.bp4", AccessCreate, c.toml)
+			if err == nil || !strings.HasPrefix(err.Error(), "openpmd:") || !strings.Contains(err.Error(), `"`+c.key+`"`) {
+				t.Errorf("rank %d, %q: %v, want an openpmd: error naming %q", r.ID, c.toml, err, c.key)
+				return
+			}
+			failed++
+		})
+		if failed != ranks {
+			t.Errorf("%q: %d of %d ranks got the error", c.toml, failed, ranks)
+		}
+	}
+}
+
 func TestCheckpointIterationOverwrite(t *testing.T) {
 	// Re-writing iteration 0 (BIT1's checkpoint pattern) must not grow
 	// the BP4 subfile.
