@@ -61,10 +61,11 @@ profile:
 
 # smoke builds and runs every example with its interesting flag
 # combinations, and the two job CLIs that share cluster.System's launcher,
-# so neither can silently rot. A typo'd mode, a negative aggregator count
-# and a zero scale are usage errors, not another experiment; so is an
-# argument to bpls, which reads no host file, and darshan-parser says no to
-# a missing file, an empty one and a directory.
+# so neither can silently rot. A typo'd mode, a negative aggregator count,
+# a zero scale and a negative job count, draw count or MTBF are usage
+# errors, not another experiment; so is an argument to bpls, which reads
+# no host file, and darshan-parser says no to a missing file, an empty one
+# and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
@@ -73,6 +74,9 @@ smoke:
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -aggregators -3
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
+	! $(GO) run ./cmd/experiments -run figsched -sched-jobs -5
+	! $(GO) run ./cmd/experiments -run campfail -campaign-runs -1
+	! $(GO) run ./cmd/experiments -run campfail -campaign-mtbf -1
 	$(GO) run ./cmd/ior -nodes 2 -n 16
 	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
 	$(GO) run ./cmd/bpls

@@ -75,6 +75,17 @@ func main() {
 	if *diagEpochs < 1 {
 		fatal(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
 	}
+	// Zero means "the default" for these three; a negative value (or a
+	// NaN MTBF) is no setting at all.
+	if *schedJobs < 0 {
+		fatal(fmt.Errorf("-sched-jobs %d: need 0 (the default) or more", *schedJobs))
+	}
+	if *campaignRuns < 0 {
+		fatal(fmt.Errorf("-campaign-runs %d: need 0 (auto-size) or more", *campaignRuns))
+	}
+	if !(*campaignMTBF >= 0) {
+		fatal(fmt.Errorf("-campaign-mtbf %g: need 0 (the machine preset) or more", *campaignMTBF))
+	}
 
 	o := experiments.Options{
 		Seed:              *seed,

@@ -95,60 +95,69 @@ type Result struct {
 type EnvFor func(r *mpisim.Rank) *posix.Env
 
 // Run executes the benchmark on an existing world and returns the result
-// (valid on every rank after the final barrier).
+// (valid on every rank after the final barrier). A failed mkdir, create or
+// open is every rank's: each phase hands its failures to the barrier that
+// closes it, and Run returns the first.
 func Run(cfg Config, w *mpisim.World, envFor EnvFor) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	res := &Result{}
+	var runErr error
 	w.Run(func(r *mpisim.Rank) {
 		p, env := r.Proc, envFor(r)
+		var err error
 		if r.ID == 0 {
-			if err := env.MkdirAll(p, cfg.TestDir); err != nil {
-				return
-			}
+			err = env.MkdirAll(p, cfg.TestDir)
 		}
-		r.Comm.Barrier()
+		if err = r.Comm.BarrierErr(err); err != nil {
+			runErr = err
+			return
+		}
 
 		path := pfs.Join(cfg.TestDir, "testFile")
 		if cfg.FilePerProc {
 			path = pfs.Join(cfg.TestDir, fmt.Sprintf("testFile.%08d", r.ID))
 		}
 
-		// Write phase.
+		// Write phase. A shared file's other ranks open it once rank 0's
+		// create has passed the barrier.
 		t0 := p.Now()
 		var fd *posix.FD
-		var err error
 		if cfg.FilePerProc || r.ID == 0 {
 			fd, err = env.Create(p, path)
-		} else {
-			r.Comm.Barrier() // shared file: wait for rank 0's create
-			fd, err = env.Open(p, path)
 		}
-		if cfg.FilePerProc {
-			r.Comm.Barrier() // match the shared-file barrier
-		} else if r.ID == 0 {
-			r.Comm.Barrier()
-		}
-		if err != nil {
+		if err = r.Comm.BarrierErr(err); err != nil {
+			if fd != nil {
+				fd.Close(p)
+			}
+			runErr = err
 			return
 		}
-		base := int64(0)
-		if !cfg.FilePerProc {
-			base = int64(r.ID) * cfg.BlockSize
+		if fd == nil {
+			fd, err = env.Open(p, path)
 		}
-		for off := int64(0); off < cfg.BlockSize; off += cfg.TransferSize {
-			n := cfg.TransferSize
-			if off+n > cfg.BlockSize {
-				n = cfg.BlockSize - off
+		if err == nil {
+			base := int64(0)
+			if !cfg.FilePerProc {
+				base = int64(r.ID) * cfg.BlockSize
 			}
-			fd.Pwrite(p, base+off, n, nil)
+			for off := int64(0); off < cfg.BlockSize; off += cfg.TransferSize {
+				n := cfg.TransferSize
+				if off+n > cfg.BlockSize {
+					n = cfg.BlockSize - off
+				}
+				fd.Pwrite(p, base+off, n, nil)
+			}
+			if cfg.Fsync {
+				fd.Fsync(p)
+			}
+			fd.Close(p)
 		}
-		if cfg.Fsync {
-			fd.Fsync(p)
+		if err = r.Comm.BarrierErr(err); err != nil {
+			runErr = err
+			return
 		}
-		fd.Close(p)
-		r.Comm.Barrier()
 		writeEnd := p.Now()
 
 		// Read phase (optionally reordered so ranks do not read their
@@ -164,22 +173,24 @@ func Run(cfg Config, w *mpisim.World, envFor EnvFor) (*Result, error) {
 				rpath = pfs.Join(cfg.TestDir, fmt.Sprintf("testFile.%08d", readID))
 			}
 			rfd, err := env.Open(p, rpath)
-			if err != nil {
+			if err == nil {
+				rbase := int64(0)
+				if !cfg.FilePerProc {
+					rbase = int64(readID) * cfg.BlockSize
+				}
+				for off := int64(0); off < cfg.BlockSize; off += cfg.TransferSize {
+					n := cfg.TransferSize
+					if off+n > cfg.BlockSize {
+						n = cfg.BlockSize - off
+					}
+					rfd.Pread(p, rbase+off, n)
+				}
+				rfd.Close(p)
+			}
+			if err = r.Comm.BarrierErr(err); err != nil {
+				runErr = err
 				return
 			}
-			rbase := int64(0)
-			if !cfg.FilePerProc {
-				rbase = int64(readID) * cfg.BlockSize
-			}
-			for off := int64(0); off < cfg.BlockSize; off += cfg.TransferSize {
-				n := cfg.TransferSize
-				if off+n > cfg.BlockSize {
-					n = cfg.BlockSize - off
-				}
-				rfd.Pread(p, rbase+off, n)
-			}
-			rfd.Close(p)
-			r.Comm.Barrier()
 			readEnd = p.Now()
 		}
 
@@ -203,5 +214,8 @@ func Run(cfg Config, w *mpisim.World, envFor EnvFor) (*Result, error) {
 			}
 		}
 	})
+	if runErr != nil {
+		return nil, runErr
+	}
 	return res, nil
 }

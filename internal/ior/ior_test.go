@@ -1,6 +1,7 @@
 package ior
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -117,5 +118,43 @@ func TestValidation(t *testing.T) {
 	cfg.TransferSize = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("0 transfer accepted")
+	}
+}
+
+// TestSetupFailureIsEveryRanksError: a test directory that cannot be made
+// and a file one rank cannot create end the run with that error on every
+// rank, instead of leaving the ranks that did not fail parked for good.
+func TestSetupFailureIsEveryRanksError(t *testing.T) {
+	for _, tc := range []struct {
+		name, existing string
+		dir            bool
+		want           error
+	}{
+		{"mkdir", "/ior", false, pfs.ErrNotDir},
+		{"create", "/ior/testFile.00000002", true, pfs.ErrIsDir},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			fs := lustre.New(k, lustre.DefaultParams())
+			ns := fs.Namespace()
+			var err error
+			if tc.dir {
+				_, err = ns.MkdirAll(tc.existing)
+			} else {
+				_, err = ns.CreateFile(tc.existing)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(4)
+			cfg.FilePerProc = true
+			w := mpisim.NewWorld(k, 4, mpisim.AlphaBeta(1e-6, 1.0/10e9))
+			res, err := Run(cfg, w, func(r *mpisim.Rank) *posix.Env {
+				return &posix.Env{FS: fs, Client: &pfs.Client{}, Rank: r.ID}
+			})
+			if !errors.Is(err, tc.want) || res != nil {
+				t.Fatalf("Run = %v, %v; want nil, %v", res, err, tc.want)
+			}
+		})
 	}
 }

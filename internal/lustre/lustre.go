@@ -95,12 +95,23 @@ type Layout struct {
 	Objects      []Object
 }
 
-// FS is a simulated Lustre file system: the shared POSIX front end, timed
-// by the MDS/OST cost model below.
+// FS is a simulated Lustre file system, the simulator's one file system.
+// It implements pfs.FileSystem and pfs.Namespacer, and its handles
+// pfs.File: POSIX semantics over a pfs.Namespace (content mode keeps
+// bytes, volume mode sizes only) — create truncates and makes missing
+// parents, open-append creates what is missing, reads clip at EOF — timed
+// by the MDS and OST servers below. Paths are normalized where they enter
+// its methods; the namespace, the placement and the handle get that clean
+// string.
+//
+// Placement draws from the seed stream, so the order of an operation is
+// fixed: charge the metadata operation, then change the namespace, then
+// place — every file Create returns, new or truncated, and a file Open
+// finds unplaced — and never place a file otherwise.
 type FS struct {
-	*pfs.Frontend
 	k        *sim.Kernel
 	p        Params
+	ns       *pfs.Namespace
 	osts     []*sim.Server
 	mds      *sim.MultiServer
 	rng      *xrand.RNG
@@ -108,9 +119,16 @@ type FS struct {
 	nextID   uint64
 	nextOST  int
 
+	bytesRead uint64
+
 	placements  pfs.Slab[placement]
 	dirDefaults map[string]Layout // SetStripe on directories, by clean path
 }
+
+var (
+	_ pfs.FileSystem = (*FS)(nil)
+	_ pfs.Namespacer = (*FS)(nil)
+)
 
 // New creates a Lustre file system on kernel k.
 func New(k *sim.Kernel, p Params) *FS {
@@ -129,6 +147,7 @@ func New(k *sim.Kernel, p Params) *FS {
 	fs := &FS{
 		k:           k,
 		p:           p,
+		ns:          pfs.NewNamespace(),
 		mds:         sim.NewMultiServer(k, p.MDSThreads),
 		rng:         xrand.New(p.Seed ^ 0x1f5),
 		nextID:      297000000,
@@ -140,7 +159,6 @@ func New(k *sim.Kernel, p Params) *FS {
 	if p.BackboneRate > 0 {
 		fs.backbone = sim.NewServer(k, p.BackboneRate, 0)
 	}
-	fs.Frontend = pfs.NewFrontend("lustre", model{fs})
 	return fs
 }
 
@@ -190,29 +208,170 @@ func (fs *FS) defaultLayoutFor(path string) Layout {
 	return Layout{StripeCount: fs.p.DefaultStripeCount, StripeSize: fs.p.DefaultStripeSize, Pattern: "raid0"}
 }
 
-// placement is a layout and the backing of its Objects when there is one
-// object — the default striping, and every file of a file-per-rank run.
-// Placements are carved from the FS's slab, so placing such a file
-// allocates nothing of its own.
+// Name implements pfs.FileSystem.
+func (fs *FS) Name() string { return "lustre" }
+
+// Namespace exposes the file tree for offline inspection (tools, tests);
+// it must not be mutated while processes are running.
+func (fs *FS) Namespace() *pfs.Namespace { return fs.ns }
+
+// TotalBytesRead reports cumulative bytes read across all files.
+func (fs *FS) TotalBytesRead() uint64 { return fs.bytesRead }
+
+// meta charges p one metadata operation of service time d on the MDS.
+func (fs *FS) meta(p *sim.Proc, d sim.Duration) {
+	p.SleepUntil(fs.mds.ReserveDur(fs.jitter(d)) + fs.p.RPCLatency)
+}
+
+// Create implements pfs.FileSystem. Its file is new or truncated, so it
+// is always placed.
+func (fs *FS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSCreate)
+	n, err := fs.ns.CreateFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &fs.place(path, n).h, nil
+}
+
+// Open implements pfs.FileSystem. It places only a file a tool put into
+// the namespace, which has no placement yet.
+func (fs *FS) Open(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSOpen)
+	n, err := fs.ns.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	pl, ok := n.Aux.(*placement)
+	if !ok {
+		pl = fs.place(path, n)
+	}
+	return &pl.h, nil
+}
+
+// OpenAppend implements pfs.FileSystem: the lookup that decides between
+// creating and opening is free; the create or open it leads to is not.
+func (fs *FS) OpenAppend(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
+	path = pfs.Clean(path)
+	if _, err := fs.ns.Lookup(path); err != nil {
+		return fs.Create(p, c, path)
+	}
+	return fs.Open(p, c, path)
+}
+
+// Stat implements pfs.FileSystem.
+func (fs *FS) Stat(p *sim.Proc, c *pfs.Client, path string) (pfs.FileInfo, error) {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSStat)
+	n, err := fs.ns.Lookup(path)
+	if err != nil {
+		return pfs.FileInfo{}, err
+	}
+	return pfs.FileInfo{Path: path, Size: n.Size, IsDir: n.Dir}, nil
+}
+
+// Unlink implements pfs.FileSystem.
+func (fs *FS) Unlink(p *sim.Proc, c *pfs.Client, path string) error {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSUnlink)
+	return fs.ns.Unlink(path)
+}
+
+// MkdirAll implements pfs.FileSystem: one metadata operation however many
+// directories it makes.
+func (fs *FS) MkdirAll(p *sim.Proc, c *pfs.Client, path string) error {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSMkdir)
+	_, err := fs.ns.MkdirAll(path)
+	return err
+}
+
+// ReadDir implements pfs.FileSystem; the MDS prices it as a stat.
+func (fs *FS) ReadDir(p *sim.Proc, c *pfs.Client, path string) ([]pfs.FileInfo, error) {
+	path = pfs.Clean(path)
+	fs.meta(p, fs.p.MDSStat)
+	return fs.ns.ReadDir(path)
+}
+
+// handle is an open file. It holds nothing an open owns — the offset is
+// the descriptor's — so every open of a file shares the one its placement
+// carries, and opening allocates nothing.
+type handle struct {
+	fs   *FS
+	node *pfs.Node
+	path string
+}
+
+func (f *handle) Path() string { return f.path }
+func (f *handle) Size() int64  { return f.node.Size }
+
+// nicDone books n bytes on the client's NIC, when it has one, and returns
+// when they are through. The NIC and the OSTs are distinct servers, so it
+// does not matter which is reserved first.
+func nicDone(p *sim.Proc, c *pfs.Client, n int64) sim.Time {
+	if c != nil && c.NIC != nil && n > 0 {
+		return c.NIC.Reserve(n)
+	}
+	return p.Now()
+}
+
+// WriteAt implements pfs.File. The bytes land before the sleep: a process
+// that runs while this one waits already sees the new size.
+func (f *handle) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
+	end := f.fs.absorb(f.node, off, n, nicDone(p, c, n))
+	pfs.NodeWrite(f.node, off, n, data)
+	p.SleepUntil(end)
+}
+
+// ReadAt implements pfs.File. A read at or past EOF is free, and so is one
+// with a negative offset or length — pread's EINVAL: nothing is served and
+// nothing returned; one that straddles EOF is clipped. The content is
+// taken after the sleep, so it includes what was written while this
+// process waited.
+func (f *handle) ReadAt(p *sim.Proc, c *pfs.Client, off, n int64) []byte {
+	if off < 0 || n < 0 || off >= f.node.Size {
+		return nil
+	}
+	n = min(n, f.node.Size-off)
+	end := f.fs.serve(f.node, off, n, nicDone(p, c, n))
+	f.fs.bytesRead += uint64(n)
+	p.SleepUntil(end)
+	return pfs.NodeRead(f.node, off, n)
+}
+
+// Sync implements pfs.File.
+func (f *handle) Sync(p *sim.Proc, c *pfs.Client) { p.SleepUntil(f.fs.fsync(f.node)) }
+
+// Close implements pfs.File: a close is a metadata operation.
+func (f *handle) Close(p *sim.Proc, c *pfs.Client) { f.fs.meta(p, f.fs.p.MDSClose) }
+
+// placement is what n.Aux holds for a placed file: its layout, the
+// backing of the layout's Objects when there is one object — the default
+// striping, and every file of a file-per-rank run — and the handle every
+// open of the file shares. Placements are carved from the FS's slab, so
+// placing such a file allocates nothing of its own.
 type placement struct {
 	Layout
 	one [1]Object
+	h   handle
 }
 
 // allocate assigns count stripe objects of size bytes round-robin across
-// OSTs into l — a truncated file's layout, or nil — when its Objects have
-// the room, so that a re-create allocates nothing, and into a new layout
-// otherwise; the draws are the same either way.
-func (fs *FS) allocate(count int, size int64, l *Layout) *Layout {
-	if l == nil || cap(l.Objects) < count {
-		pl := fs.placements.New()
+// OSTs into pl — a truncated file's placement, or nil — when its Objects
+// have the room, so that a re-create allocates nothing, and into a new
+// placement otherwise; the draws are the same either way.
+func (fs *FS) allocate(count int, size int64, pl *placement) *placement {
+	if pl == nil || cap(pl.Objects) < count {
+		pl = fs.placements.New()
 		if count == 1 {
 			pl.Objects = pl.one[:]
 		} else {
 			pl.Objects = make([]Object, count)
 		}
-		l = &pl.Layout
 	}
+	l := &pl.Layout
 	*l = Layout{StripeCount: count, StripeSize: size, StripeOffset: fs.nextOST % fs.p.NumOSTs,
 		Pattern: "raid0", Objects: l.Objects[:count]}
 	for i := range l.Objects {
@@ -225,7 +384,20 @@ func (fs *FS) allocate(count int, size int64, l *Layout) *Layout {
 		}
 	}
 	fs.nextOST = (fs.nextOST + count) % fs.p.NumOSTs
-	return l
+	return pl
+}
+
+// place gives the regular file n at the clean path a layout from the
+// nearest SetStripe default, its objects allocated round-robin — in the
+// truncated file's old placement, when it has one — and the handle its
+// opens share, and returns the placement.
+func (fs *FS) place(path string, n *pfs.Node) *placement {
+	l := fs.defaultLayoutFor(path)
+	old, _ := n.Aux.(*placement)
+	pl := fs.allocate(l.StripeCount, l.StripeSize, old)
+	pl.h = handle{fs: fs, node: n, path: path}
+	n.Aux = pl
+	return pl
 }
 
 func (fs *FS) jitter(d sim.Duration) sim.Duration {
@@ -236,43 +408,21 @@ func (fs *FS) jitter(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * f)
 }
 
-// model is the FS as the front end's cost model (pfs.Backend); a type of
-// its own keeps the hooks off *FS's exported method set.
-type model struct{ *FS }
-
-// Meta implements pfs.Backend: the MDS prices each kind of operation.
-func (fs model) Meta(op pfs.MetaOp) sim.Time {
-	d := [...]sim.Duration{
-		pfs.MetaCreate: fs.p.MDSCreate, pfs.MetaOpen: fs.p.MDSOpen, pfs.MetaStat: fs.p.MDSStat,
-		pfs.MetaClose: fs.p.MDSClose, pfs.MetaUnlink: fs.p.MDSUnlink, pfs.MetaMkdir: fs.p.MDSMkdir,
-	}[op]
-	return fs.mds.ReserveDur(fs.jitter(d)) + fs.p.RPCLatency
-}
-
-// Place implements pfs.Backend: a layout from the nearest SetStripe
-// default, its objects allocated round-robin — in the truncated file's
-// old layout, when it has one.
-func (fs model) Place(path string, n *pfs.Node) {
-	l := fs.defaultLayoutFor(path)
-	old, _ := n.Aux.(*Layout)
-	n.Aux = fs.allocate(l.StripeCount, l.StripeSize, old)
-}
-
 // GetStripe returns the layout of the file at path, as `lfs getstripe`
 // would report it. The result is the caller's: its Objects are a copy, so
 // a later re-create, which rewrites the file's layout in place, leaves it
 // as it was.
 func (fs *FS) GetStripe(path string) (Layout, error) {
-	n, err := fs.Namespace().OpenFile(path)
+	n, err := fs.ns.OpenFile(path)
 	if err != nil {
 		return Layout{}, err
 	}
-	l, ok := n.Aux.(*Layout)
+	pl, ok := n.Aux.(*placement)
 	if !ok {
 		return Layout{}, fmt.Errorf("lustre: %s has no layout", path)
 	}
-	out := *l
-	out.Objects = slices.Clone(l.Objects)
+	out := pl.Layout
+	out.Objects = slices.Clone(pl.Objects)
 	return out, nil
 }
 
@@ -303,7 +453,7 @@ func (fs *FS) reserve(n *pfs.Node, off, length int64, end sim.Time) sim.Time {
 	if length <= 0 {
 		return end
 	}
-	l := n.Aux.(*Layout)
+	l := n.Aux.(*placement)
 	ss := l.StripeSize
 	round := ss * int64(l.StripeCount)
 	hi := off + length
@@ -322,11 +472,12 @@ func (fs *FS) reserve(n *pfs.Node, off, length int64, end sim.Time) sim.Time {
 	return end
 }
 
-// Absorb implements pfs.Backend. The client injects the payload through
-// its node NIC while the fabric and the OSTs drain their stripe shares
-// concurrently; completion is the latest stage, jittered, plus an RPC
-// latency and the client-side cost of a synchronous write.
-func (fs model) Absorb(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+// absorb books a write of [off, off+length) to n and returns when the
+// write call returns. The client injects the payload through its node NIC
+// (done at nicDone) while the fabric and the OSTs drain their stripe
+// shares concurrently; completion is the latest stage, jittered, plus an
+// RPC latency and the client-side cost of a synchronous write.
+func (fs *FS) absorb(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
 	end := nicDone
 	if fs.backbone != nil && length > 0 {
 		if e := fs.backbone.Reserve(length); e > end {
@@ -338,16 +489,19 @@ func (fs model) Absorb(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Tim
 	return now + max(0, fs.jitter(end-now)) + fs.p.RPCLatency + fs.p.ClientWriteLatency
 }
 
-// Serve implements pfs.Backend: a request latency out, the stripe
-// objects' OSTs and the client NIC in parallel, a reply latency back.
-func (fs model) Serve(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
+// serve books a read of [off, off+length), already clipped to the file
+// size, and returns when the data is at the client: a request latency
+// out, the stripe objects' OSTs and the client NIC (done at nicDone) in
+// parallel, a reply latency back.
+func (fs *FS) serve(n *pfs.Node, off, length int64, nicDone sim.Time) sim.Time {
 	return max(nicDone, fs.reserve(n, off, length, fs.k.Now()+fs.p.RPCLatency)) + fs.p.RPCLatency
 }
 
-// Fsync implements pfs.Backend: one RPC per stripe object.
-func (fs model) Fsync(n *pfs.Node) sim.Time {
+// fsync books an fsync of n, one RPC per stripe object, and returns when
+// it completes.
+func (fs *FS) fsync(n *pfs.Node) sim.Time {
 	end := fs.k.Now()
-	for _, o := range n.Aux.(*Layout).Objects {
+	for _, o := range n.Aux.(*placement).Objects {
 		if e := fs.osts[o.OBDIdx].Reserve(0); e > end {
 			end = e
 		}

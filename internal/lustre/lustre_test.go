@@ -81,7 +81,7 @@ func TestReserveMatchesStripeSplit(t *testing.T) {
 			}
 			f.Close(p, nil)
 			n, _ := fs.Namespace().Lookup(path)
-			l := n.Aux.(*Layout)
+			l := &n.Aux.(*placement).Layout
 			for i := 0; i < 20; i++ {
 				off := rng.Int63n(4 * ss * int64(count))
 				var length int64
@@ -131,11 +131,10 @@ func TestReserveAllocs(t *testing.T) {
 		})
 		k.Run()
 		n, _ := fs.Namespace().Lookup("/io/f")
-		m := model{fs}
 		off := int64(0)
 		if a := testing.AllocsPerRun(100, func() {
-			m.Absorb(n, off, 3<<20|4096, k.Now())
-			m.Serve(n, off+12345, 5<<20, k.Now())
+			fs.absorb(n, off, 3<<20|4096, k.Now())
+			fs.serve(n, off+12345, 5<<20, k.Now())
 			off += 3<<20 | 4096
 		}); a != 0 {
 			t.Errorf("stripe count %d: a write and a read allocate %.0f objects, want 0", count, a)
@@ -170,7 +169,7 @@ const slabRuns = 1024
 // TestPlaceRecyclesAllocs: re-placing a truncated file reuses its layout
 // while the layout's objects have the room — the same stripe count, or a
 // lower one — and otherwise takes a placement from the slab and allocates
-// only the new Objects. What Place allocates is what truncating to a
+// only the new Objects. What place allocates is what truncating to a
 // from-object layout and placing allocates less what the truncation does;
 // both take their placements from the slab, so the difference is exact up
 // to a chunk's share.
@@ -187,17 +186,16 @@ func TestPlaceRecyclesAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := model{fs}
 		truncated := func() { n.Aux = fs.allocate(tc.from, 1<<20, nil) }
 		base, _ := allocated(slabRuns, truncated)
 		a, _ := allocated(slabRuns, func() {
 			truncated()
-			m.Place("/io/f", n)
+			fs.place("/io/f", n)
 		})
 		if a -= base; a < tc.want-0.005 || a > tc.want+0.02 {
 			t.Errorf("re-placing %d objects as %d allocates %.4f objects, want %.0f (+0.02)", tc.from, tc.to, a, tc.want)
 		}
-		if l := n.Aux.(*Layout); l.StripeCount != tc.to || len(l.Objects) != tc.to {
+		if l := n.Aux.(*placement); l.StripeCount != tc.to || len(l.Objects) != tc.to {
 			t.Errorf("re-placed %d as %d: count %d with %d objects", tc.from, tc.to, l.StripeCount, len(l.Objects))
 		}
 	}
@@ -213,7 +211,7 @@ func TestPlaceRecyclesAllocs(t *testing.T) {
 // chunk of them.
 func TestCreateAllocs(t *testing.T) {
 	_, fs := testFS(DefaultParams())
-	ns, m := fs.Namespace(), model{fs}
+	ns := fs.Namespace()
 	paths := make([]string, slabRuns)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/out/bit1_%06d.dat", i)
@@ -224,7 +222,7 @@ func TestCreateAllocs(t *testing.T) {
 		}
 		for _, p := range paths {
 			n, _ := ns.CreateFile(p)
-			m.Place(p, n)
+			fs.place(p, n)
 		}
 	})
 	objects, bytes = objects/slabRuns, bytes/slabRuns
@@ -241,14 +239,68 @@ func TestCreateAllocs(t *testing.T) {
 	_, one := allocated(1, func() {
 		ns := pfs.NewNamespace()
 		n, _ := ns.CreateFile("/f")
-		model{fs}.Place("/f", n)
+		fs.place("/f", n)
 	})
-	// Measured (go1.24): 576, of which the root directory, its map and the
-	// map's first group take 368; a first chunk of four would add 624.
+	// Measured (go1.24): 544, of which the root directory, its map and the
+	// map's first group take 336; a first chunk of four would add 624.
 	t.Logf("a namespace of one file: %.0f bytes", one)
 	if one > 640 {
 		t.Errorf("a namespace of one file allocates %.0f bytes, want at most 640", one)
 	}
+}
+
+// TestOpenPlacesAToolCreatedFile: a file a tool put into the namespace
+// has no placement until its first Open, which draws one layout from the
+// directory's default; a second open shares that placement's handle and
+// draws nothing.
+func TestOpenPlacesAToolCreatedFile(t *testing.T) {
+	k, fs := testFS(DefaultParams())
+	if err := fs.SetStripe("/io", 4, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	n, err := fs.Namespace().CreateFile("/io/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Aux != nil {
+		t.Fatalf("a tool's create placed the file: %v", n.Aux)
+	}
+	type draws struct {
+		nextID  uint64
+		nextOST int
+	}
+	state := func() draws { return draws{fs.nextID, fs.nextOST} }
+	k.Spawn("r", func(p *sim.Proc) {
+		before := state()
+		f1, err := fs.Open(p, nil, "/io/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pl, ok := n.Aux.(*placement)
+		if !ok || pl.StripeCount != 4 || len(pl.Objects) != 4 || f1 != &pl.h {
+			t.Errorf("the first open left Aux %#v and handle %p", n.Aux, f1)
+			return
+		}
+		if got := state(); got.nextOST != before.nextOST+4 || got.nextID == before.nextID {
+			t.Errorf("the first open drew %+v from %+v, want one 4-object placement", got, before)
+		}
+		before = state()
+		f2, err := fs.Open(p, nil, "/io/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if f2 != f1 || n.Aux != pl {
+			t.Errorf("the second open re-placed the file: handle %p, was %p", f2, f1)
+		}
+		if got := state(); got != before {
+			t.Errorf("the second open drew: %+v, was %+v", got, before)
+		}
+		f1.Close(p, nil)
+		f2.Close(p, nil)
+	})
+	k.Run()
 }
 
 // TestGetStripeIsACopy: a layout GetStripe returned stays what it was when
@@ -481,7 +533,7 @@ func TestRoundRobinAllocationSpreads(t *testing.T) {
 	// host exactly one of NumOSTs single-stripe files.
 	used := map[int]int{}
 	fs.Namespace().WalkFiles("/d", func(path string, n *pfs.Node) {
-		l := n.Aux.(*Layout)
+		l := n.Aux.(*placement)
 		used[l.Objects[0].OBDIdx]++
 	})
 	for ost, cnt := range used {

@@ -240,9 +240,7 @@ func traceLustre(k *sim.Kernel) *lustre.FS {
 }
 
 // TestBackendTraces pins Lustre's cost model to the nanosecond:
-// testdata/trace_lustre.txt was printed by this scenario at parent
-// 6ceed54, when the backend still carried its own copy of the namespace
-// methods and the file handle, before the front end replaced them. The
+// testdata/trace_lustre.txt was printed by this scenario at 6ceed54. The
 // subtest is named for its trace file.
 func TestBackendTraces(t *testing.T) {
 	t.Run("lustre", func(t *testing.T) {
@@ -354,11 +352,11 @@ func TestReadRejectsNegativeRegion(t *testing.T) {
 	check("burst+lustre", k, tier.FS())
 }
 
-// TestSharedHandle: the opens of one file share its node's handle — a
-// handle holds nothing an open owns — and its path is the clean one
-// however the file was named; a file unlinked and created again is a new
-// node with a handle of its own, and the old handle still names the old
-// file's bytes.
+// TestSharedHandle: the opens of one file share the handle its
+// placement carries — a handle holds nothing an open owns — and its path
+// is the clean one however the file was named; a file unlinked and
+// created again is a new node with a handle of its own, and the old
+// handle still names the old file's bytes.
 func TestSharedHandle(t *testing.T) {
 	t.Run("lustre", func(t *testing.T) {
 		k := sim.NewKernel()

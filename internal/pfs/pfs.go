@@ -1,12 +1,9 @@
-// Package pfs defines the POSIX side of the simulated parallel file
-// system: a POSIX-ish namespace, files with offset-addressed reads and
-// writes, and the notion of a client (a compute node's network endpoint)
-// through which every operation is issued.
-//
-// The semantics live here, in Frontend: the namespace (directories,
-// sizes, optional contents), the open handle and the path rules. The
-// concrete file system, Lustre, is the Backend cost model that times
-// them.
+// Package pfs defines what a simulated parallel file system is to its
+// callers: the FileSystem and File interfaces, the client (a compute
+// node's network endpoint) through which every operation is issued, the
+// path rules, and the Namespace — the in-memory file tree of directories,
+// sizes and optional contents. The one file system, lustre.FS, gives the
+// namespace its POSIX semantics and its timing; the burst tier wraps it.
 package pfs
 
 import (
@@ -89,10 +86,9 @@ type Stager interface {
 	DrainEpoch(p *sim.Proc)
 }
 
-// Namespacer is implemented by Frontend, and so by Lustre, which embeds
-// it: it exposes the in-memory file tree for offline inspection — file
-// statistics, profile extraction, tool clones — without charging
-// simulated time.
+// Namespacer is implemented by lustre.FS: it exposes the in-memory file
+// tree for offline inspection — file statistics, profile extraction, tool
+// clones — without charging simulated time.
 type Namespacer interface {
 	Namespace() *Namespace
 }
@@ -154,25 +150,21 @@ func Split(path string) (dir, base string) {
 func Join(elem ...string) string { return Clean(strings.Join(elem, "/")) }
 
 // Node is an entry in a Namespace: either a directory or a regular file's
-// metadata record. Concrete file systems hang their layout/extent state off
-// the Aux field.
+// metadata record. The file system hangs a file's placement off the Aux
+// field (lustre: its layout and shared handle).
 type Node struct {
 	Name     string
 	Dir      bool
-	stale    bool // Aux is a truncated incarnation's, for Place to recycle
 	Size     int64
 	Children map[string]*Node // directories only
 	Content  []byte           // content-mode data; nil in volume mode
-	Aux      any              // backend-specific state (e.g. Lustre layout)
-
-	h file // the handle every open of the file shares (Frontend.handle)
+	Aux      any              // the file system's placement state
 }
 
-// Namespace is a plain in-memory file tree with no timing model. It is the
-// semantic core that every simulated file system shares. Every method
-// normalizes the path it is given (free for the clean paths a Frontend
-// hands it) and resolves it component by component. Its regular files'
-// nodes are carved from a slab.
+// Namespace is a plain in-memory file tree with no timing model. Every
+// method normalizes the path it is given (free for the clean paths
+// lustre.FS hands it) and resolves it component by component. Its regular
+// files' nodes are carved from a slab.
 type Namespace struct {
 	root  *Node
 	files Slab[Node]
@@ -250,8 +242,8 @@ func (ns *Namespace) MkdirAll(path string) (*Node, error) {
 
 // CreateFile creates or truncates a regular file, creating parents as
 // needed (matching the behaviour the simulation layers rely on). A
-// truncated file keeps its placement state, marked stale: the next open
-// re-places it, and the backend may recycle what it held.
+// truncated file keeps its Aux, for the file system that truncated it to
+// re-place it in.
 func (ns *Namespace) CreateFile(path string) (*Node, error) {
 	p := Clean(path)
 	if p == "/" {
@@ -268,7 +260,6 @@ func (ns *Namespace) CreateFile(path string) (*Node, error) {
 		}
 		n.Size = 0
 		n.Content = nil
-		n.stale = true
 		return n, nil
 	}
 	n := ns.files.New()

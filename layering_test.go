@@ -28,9 +28,9 @@ var layers = []string{
 	"xrand",       // seeded random streams
 	"sim",         // discrete-event kernel
 	"mpisim",      // simulated MPI
-	"pfs",         // the file-system front end
-	"lustre",      // the pfs.Backend cost model
-	"burst",       // node-local staging tier over a backend
+	"pfs",         // the file-system interfaces and namespace
+	"lustre",      // the one file system and its cost model
+	"burst",       // node-local staging tier over lustre
 	"posix",       // descriptors, with the monitoring hook
 	"stdio",       // C-stdio buffering
 	"darshan",     // the monitor behind the hook
