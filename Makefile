@@ -60,23 +60,27 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin schedq_mem.pprof > schedq_alloc_top.txt
 
 # smoke builds and runs every example with its interesting flag
-# combinations, and the two job CLIs that share cluster.System's launcher,
-# so neither can silently rot. A typo'd mode, a negative aggregator count,
-# a zero scale and a negative job count, draw count or MTBF are usage
+# combinations, the two job CLIs that share cluster.System's launcher and
+# the tool clones, so none can silently rot. A typo'd mode, a negative
+# aggregator count, an openPMD flag in original mode, a zero scale or
+# worker count and a negative job count, draw count or MTBF are usage
 # errors, not another experiment; so is an argument to bpls, which reads
-# no host file, and darshan-parser says no to a missing file, an empty one
-# and a directory.
+# no host file, and a stripe count of 0 to lfs; darshan-parser says no to
+# a missing file, an empty one and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode orignal
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -aggregators -3
+	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original -aggregators 3
+	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original -compressor bzip2
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
 	! $(GO) run ./cmd/experiments -run figsched -sched-jobs -5
 	! $(GO) run ./cmd/experiments -run campfail -campaign-runs -1
 	! $(GO) run ./cmd/experiments -run campfail -campaign-mtbf -1
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 8 -diag-epochs 1 -parallel 0
 	$(GO) run ./cmd/ior -nodes 2 -n 16
 	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
 	$(GO) run ./cmd/bpls
@@ -84,6 +88,8 @@ smoke:
 	! $(GO) run ./cmd/darshan-parser nonexistent.darshan.gz
 	! $(GO) run ./cmd/darshan-parser /dev/null
 	! $(GO) run ./cmd/darshan-parser .
+	$(GO) run ./cmd/lfs setstripe -c 8 -S 16M io_openPMD
+	! $(GO) run ./cmd/lfs setstripe -c 0 -S 1M io
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ionization
 	$(GO) run ./examples/striping-tuning

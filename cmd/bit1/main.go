@@ -57,6 +57,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The original writer has no aggregators and no compressor: set for
+	// it, either flag is a mistake, not an ignored setting.
+	if ioMode == bit1.IOOriginal {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "aggregators" || f.Name == "compressor" {
+				fatal(fmt.Errorf("-%s %s: an openPMD setting; -mode original has none", f.Name, f.Value))
+			}
+		})
+	}
 	numAgg := *aggregators
 	if numAgg < 0 {
 		fatal(fmt.Errorf("-aggregators %d: want a count, or 0 for one per node", numAgg))

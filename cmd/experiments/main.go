@@ -75,6 +75,9 @@ func main() {
 	if *diagEpochs < 1 {
 		fatal(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
 	}
+	if *parallel < 1 {
+		fatal(fmt.Errorf("-parallel %d: need at least 1 worker", *parallel))
+	}
 	// Zero means "the default" for these three; a negative value (or a
 	// NaN MTBF) is no setting at all.
 	if *schedJobs < 0 {

@@ -325,7 +325,7 @@ func TestParkedRankStack(t *testing.T) {
 		name   string
 		cfg    Config
 		levels int // the fewest levels of padding a rank must have room for
-	}{{"openpmd", openPMDRun(4, 10), 6}, {"original", original, 4}} {
+	}{{"openpmd", openPMDRun(4, 10), 6}, {"original", original, 5}} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The bound holds for a single run as it comes, collector on.
 			perRank := parkedStack(t, tc.cfg, ranks, 0)
@@ -364,9 +364,10 @@ func TestParkedRankStack(t *testing.T) {
 			// openPMD: 912 to 1064 under a coroutine's yield (760 to 912
 			// while Run's frame held the memo's copies of the config, and
 			// while the open's split pair sat under a helper frame); 608
-			// to 760 under chanrecv and gopark. Original: 608 to 760; with
-			// the stream on the stack and the copies still in Run's frame,
-			// 456 to 608 — too little for the deeper launchers of
+			// to 760 under chanrecv and gopark. Original: 760 to 912 with a
+			// bare descriptor on the stack; 608 to 760 with a stdio stream
+			// in its place; with the stream and the copies still in Run's
+			// frame, 456 to 608 — too little for the deeper launchers of
 			// experiments and the benchmark, whose ranks doubled to 8 KiB.
 			t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
 			if lo < tc.levels {

@@ -10,7 +10,6 @@ import (
 	"picmcio/internal/pfs"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
-	"picmcio/internal/stdio"
 	"picmcio/internal/workload"
 )
 
@@ -266,11 +265,11 @@ func runOriginal(pl *plan, re RankEnv) error {
 
 	datPath, dmpPath := pl.rankFiles(r.ID)
 
-	var shared []*stdio.File
+	var shared []posix.FD
 	var err error
 	if r.ID == 0 {
 		if err = env.MkdirAll(p, cfg.OutDir); err == nil {
-			shared, err = fopenShared(p, env, pl.shared)
+			shared, err = openShared(p, env, pl.shared)
 		}
 	}
 	if err = r.Comm.BarrierErr(err); err != nil {
@@ -287,9 +286,8 @@ func runOriginal(pl *plan, re RankEnv) error {
 			if err := writeStdioVolume(p, env, datPath, pl.diagBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
 				return err
 			}
-			for _, f := range shared {
-				f.Fwrite(p, sz.SharedFileBytes, nil)
-				f.Fflush(p)
+			for i := range shared {
+				writeChunked(p, &shared[i], sz.SharedFileBytes, sz.StdioChunk, 0)
 			}
 		}
 		if ep.checkpoint {
@@ -298,41 +296,55 @@ func runOriginal(pl *plan, re RankEnv) error {
 			}
 		}
 	}
-	for _, f := range shared {
-		f.Fclose(p)
+	for i := range shared {
+		shared[i].Close(p)
 	}
 	r.Comm.Barrier()
 	return nil
 }
 
-// fopenShared is rank 0's part of a run's setup: it opens the global
-// history files for writing.
-func fopenShared(p *sim.Proc, env *posix.Env, names []string) ([]*stdio.File, error) {
-	shared := make([]*stdio.File, 0, len(names))
-	for _, name := range names {
-		f, err := stdio.Fopen(p, env, name, "w")
-		if err != nil {
+// openShared is rank 0's part of a run's setup: it creates the global
+// history files.
+func openShared(p *sim.Proc, env *posix.Env, names []string) ([]posix.FD, error) {
+	shared := make([]posix.FD, len(names))
+	for i, name := range names {
+		if err := env.OpenFD(&shared[i], p, name, posix.Truncate); err != nil {
 			return nil, err
 		}
-		shared = append(shared, f)
 	}
 	return shared, nil
 }
 
-// writeStdioVolume re-creates path and streams n bytes through a stdio
-// buffer of the given chunk size, mimicking BIT1's formatted output. The
-// stream is the rank's, on its stack: an epoch's re-create allocates
-// nothing.
+// writeStdioVolume re-creates path and writes n bytes to it as BIT1's
+// formatted output reaches POSIX (writeChunked). The descriptor is the
+// rank's, on its stack: an epoch's re-create allocates nothing.
 func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, overhead sim.Duration) error {
-	var f stdio.File
-	if err := f.Open(p, env, path, "w"); err != nil {
+	var fd posix.FD
+	if err := env.OpenFD(&fd, p, path, posix.Truncate); err != nil {
 		return err
 	}
-	f.SetBufSize(chunk)
-	f.SetWriteOverhead(overhead)
-	f.Fwrite(p, n, nil)
-	f.Fclose(p)
+	writeChunked(p, &fd, n, chunk, overhead)
+	fd.Close(p)
 	return nil
+}
+
+// writeChunked writes n bytes at fd's offset the way a C stdio buffer of
+// chunk bytes spills them: min(n, chunk) bytes a write, the last one
+// short, each after overhead of synchronous client cost (formatting, VFS
+// and the RPC round trip that make BIT1's fprintf slow even on an idle
+// file system). A chunk <= 0 is an unbuffered stream: one byte a write.
+func writeChunked(p *sim.Proc, fd *posix.FD, n, chunk int64, overhead sim.Duration) {
+	if chunk <= 0 {
+		chunk = 1
+	}
+	for n > 0 {
+		w := min(n, chunk)
+		if overhead > 0 {
+			p.Sleep(overhead)
+		}
+		fd.Write(p, w, nil)
+		n -= w
+	}
 }
 
 // runOpenPMD is the paper's integration: accumulate per-rank vectors,
@@ -342,11 +354,11 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg := &pl.cfg
 
-	var shared []*stdio.File
+	var shared []posix.FD
 	var err error
 	if r.ID == 0 {
 		if err = env.MkdirAll(p, cfg.OutDir); err == nil {
-			shared, err = fopenShared(p, env, pl.shared)
+			shared, err = openShared(p, env, pl.shared)
 		}
 	}
 	if err = r.Comm.BarrierErr(err); err != nil {
@@ -377,14 +389,13 @@ func runOpenPMD(pl *plan, re RankEnv) error {
 			return err
 		}
 		if ep.diag {
-			for _, f := range shared {
-				f.Fwrite(p, cfg.Sizing.SharedFileBytes, nil)
-				f.Fflush(p)
+			for i := range shared {
+				writeChunked(p, &shared[i], cfg.Sizing.SharedFileBytes, cfg.Sizing.StdioChunk, 0)
 			}
 		}
 	}
-	for _, f := range shared {
-		f.Fclose(p)
+	for i := range shared {
+		shared[i].Close(p)
 	}
 	if err := ad.close(); err != nil {
 		return err

@@ -534,13 +534,13 @@ func TestOneFileOneRecord(t *testing.T) {
 		if _, err := env.Stat(p, "/out/./x.dat"); err != nil {
 			t.Error(err)
 		}
-		ap, err := env.OpenAppend(p, "out/x.dat")
+		fd, err = env.Create(p, "out/x.dat")
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ap.Write(p, 4096, nil)
-		ap.Close(p)
+		fd.Write(p, 4096, nil)
+		fd.Close(p)
 		if err := env.Unlink(p, "/out/sub/../x.dat"); err != nil {
 			t.Error(err)
 		}

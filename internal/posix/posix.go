@@ -99,28 +99,24 @@ type FD struct {
 	off  int64
 }
 
-// OpenMode is how OpenFD opens a file: C's fopen "w", "a" and "r".
+// OpenMode is how OpenFD opens a file: C's fopen "w" and "r".
 type OpenMode int
 
 // The ways to open a file.
 const (
 	Truncate OpenMode = iota // create, or truncate, at offset 0
-	Append                   // create if needed, positioned at the end
 	ReadOnly                 // an existing file, at offset 0
 )
 
-// OpenFD opens path into fd, a descriptor the caller holds by value — a
-// stdio stream holds its own — so that what wraps a descriptor is one
-// allocation with it. Create, Open and OpenAppend are OpenFD into a new
+// OpenFD opens path into fd, a descriptor the caller holds by value — on
+// its stack, or inside what wraps it — so that opening allocates nothing
+// beyond what the file system does. Create and Open are OpenFD into a new
 // descriptor; on an error fd is left as it was.
 func (e *Env) OpenFD(fd *FD, p *sim.Proc, path string, mode OpenMode) error {
 	path, start := begin(p, path)
 	op, call := OpOpen, e.FS.Open
-	switch mode {
-	case Truncate:
+	if mode == Truncate {
 		op, call = OpCreate, e.FS.Create
-	case Append:
-		call = e.FS.OpenAppend
 	}
 	f, err := call(p, e.Client, path)
 	e.record(op, path, 0, start, p.Now())
@@ -128,9 +124,6 @@ func (e *Env) OpenFD(fd *FD, p *sim.Proc, path string, mode OpenMode) error {
 		return err
 	}
 	*fd = FD{env: e, f: f, path: path}
-	if mode == Append {
-		fd.off = f.Size()
-	}
 	return nil
 }
 
@@ -147,9 +140,6 @@ func (e *Env) Create(p *sim.Proc, path string) (*FD, error) { return e.open(p, p
 
 // Open opens an existing file at offset 0.
 func (e *Env) Open(p *sim.Proc, path string) (*FD, error) { return e.open(p, path, ReadOnly) }
-
-// OpenAppend opens (creating if needed) a file positioned at its end.
-func (e *Env) OpenAppend(p *sim.Proc, path string) (*FD, error) { return e.open(p, path, Append) }
 
 // Stat reports file metadata.
 func (e *Env) Stat(p *sim.Proc, path string) (pfs.FileInfo, error) {

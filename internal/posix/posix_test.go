@@ -64,30 +64,6 @@ func TestPwriteDoesNotMoveOffset(t *testing.T) {
 	k.Run()
 }
 
-func TestOpenAppendPositionsAtEnd(t *testing.T) {
-	k, env, _ := newEnv(t)
-	k.Spawn("r", func(p *sim.Proc) {
-		fd, _ := env.Create(p, "/log")
-		fd.Write(p, 64, nil)
-		fd.Close(p)
-		fd2, err := env.OpenAppend(p, "/log")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if fd2.off != 64 {
-			t.Errorf("append offset=%d, want 64", fd2.off)
-		}
-		fd2.Write(p, 64, nil)
-		fd2.Close(p)
-		fi, _ := env.Stat(p, "/log")
-		if fi.Size != 128 {
-			t.Errorf("size=%d, want 128", fi.Size)
-		}
-	})
-	k.Run()
-}
-
 func TestReadClipsAtEOF(t *testing.T) {
 	k, env, _ := newEnv(t)
 	k.Spawn("r", func(p *sim.Proc) {

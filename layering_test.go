@@ -32,7 +32,6 @@ var layers = []string{
 	"lustre",      // the one file system and its cost model
 	"burst",       // node-local staging tier over lustre
 	"posix",       // descriptors, with the monitoring hook
-	"stdio",       // C-stdio buffering
 	"darshan",     // the monitor behind the hook
 	"compress",    // Blosc/bzip2 codecs
 	"adios2",      // BP4 engine, aggregation, operators
