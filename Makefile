@@ -63,10 +63,11 @@ profile:
 # combinations, the two job CLIs that share cluster.System's launcher and
 # the tool clones, so none can silently rot. A typo'd mode, a negative
 # aggregator count, an openPMD flag in original mode, a zero scale or
-# worker count and a negative job count, draw count or MTBF are usage
-# errors, not another experiment; so is an argument to bpls, which reads
-# no host file, and a stripe count of 0 to lfs; darshan-parser says no to
-# a missing file, an empty one and a directory.
+# worker count, a node count below 1 (-nodes or any -node-list entry) and
+# a negative job count, draw count or MTBF are usage errors, not another
+# experiment; so is an argument to bpls, which reads no host file, and a
+# stripe count of 0 to lfs; darshan-parser says no to a missing file, an
+# empty one and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
@@ -77,6 +78,10 @@ smoke:
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original -compressor bzip2
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
+	! $(GO) run ./cmd/experiments -run fig6 -nodes 0
+	! $(GO) run ./cmd/experiments -run fig6 -nodes -1
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 0
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 30,-2
 	! $(GO) run ./cmd/experiments -run figsched -sched-jobs -5
 	! $(GO) run ./cmd/experiments -run campfail -campaign-runs -1
 	! $(GO) run ./cmd/experiments -run campfail -campaign-mtbf -1

@@ -68,7 +68,11 @@ func main() {
 		runWhat = &joined
 	}
 	// Options reads a zero scale as "the default", so refuse one here
-	// rather than silently run 128 ranks a node or 5 epochs.
+	// rather than silently run 128 ranks a node or 5 epochs; a node
+	// count below 1 is no machine at all.
+	if *nodes < 1 {
+		fatal(fmt.Errorf("-nodes %d: need at least 1", *nodes))
+	}
 	if *ranksPerNode < 1 {
 		fatal(fmt.Errorf("-ranks-per-node %d: need at least 1", *ranksPerNode))
 	}
@@ -105,6 +109,9 @@ func main() {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
 				fatal(err)
+			}
+			if n < 1 {
+				fatal(fmt.Errorf("-node-list %s: node count %d: need at least 1", *nodeList, n))
 			}
 			o.NodeCounts = append(o.NodeCounts, n)
 		}

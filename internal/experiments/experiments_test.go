@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -471,6 +473,15 @@ func TestFig9TableShape(t *testing.T) {
 	}
 }
 
+// TestFig9ErrorRendersNoGrid: a failed run returns its error and no
+// grid, not a grid with the failed cells left at zero.
+func TestFig9ErrorRendersNoGrid(t *testing.T) {
+	tab, sec, err := testOptions().Fig9(0, []int64{1 << 20}, []int{1, 8})
+	if err == nil || sec != nil || len(tab.Rows) != 0 {
+		t.Fatalf("Fig9 at 0 nodes: err %v, sec %v, %d rows", err, sec, len(tab.Rows))
+	}
+}
+
 func TestFig9StripingHelps(t *testing.T) {
 	o := testOptions()
 	_, sec, err := o.Fig9(2, []int64{4 << 20}, []int{1, 8})
@@ -538,6 +549,70 @@ func TestRenderSeries(t *testing.T) {
 	for _, want := range []string{"# demo", "nodes", "a", "b", "0.5000", "3.5000"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestEvaluateRunsLargestFirst: evaluate launches the largest node count
+// first, in list order among equal counts, and folds each run once under
+// its list index, with the throughput a standalone RunBIT1 of that run
+// measures.
+func TestEvaluateRunsLargestFirst(t *testing.T) {
+	o := Options{Seed: 1, RanksPerNode: 2, DiagEpochs: 1}
+	d := cluster.Dardel()
+	runs := []Run{
+		{Machine: d, Nodes: 1, Config: Original},
+		{Machine: d, Nodes: 3, Config: Original},
+		{Machine: d, Nodes: 2, Config: BP4},
+		{Machine: d, Nodes: 3, Config: BP4},
+	}
+	var order []int
+	got := make([]float64, len(runs))
+	if err := o.evaluate(runs, func(i int, r *RunResult) error {
+		order = append(order, i)
+		got[i] = r.ThroughputGiBs
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3, 2, 0}; !slices.Equal(order, want) {
+		t.Fatalf("fold order %v, want %v", order, want)
+	}
+	for i, run := range runs {
+		r, err := o.RunBIT1(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(r.ThroughputGiBs) {
+			t.Errorf("run %d (%d nodes): folded %v GiB/s, standalone %v", i, run.Nodes, got[i], r.ThroughputGiBs)
+		}
+	}
+}
+
+// TestScalingIgnoresNodeOrder: Fig. 3 over node counts in any order
+// measures the same throughput at each count, and plots the counts in
+// the order given.
+func TestScalingIgnoresNodeOrder(t *testing.T) {
+	o := Options{Seed: 1, RanksPerNode: 2, DiagEpochs: 1}
+	o.NodeCounts = []int{1, 2, 4}
+	sorted, err := o.Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.NodeCounts = []int{4, 1, 2}
+	shuffled, err := o.Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, s := range shuffled {
+		if want := []float64{4, 1, 2}; !slices.Equal(s.X, want) {
+			t.Fatalf("%s: X %v, want %v", s.Label, s.X, want)
+		}
+		for j, x := range s.X {
+			k := slices.Index(sorted[l].X, x)
+			if math.Float64bits(s.Y[j]) != math.Float64bits(sorted[l].Y[k]) {
+				t.Errorf("%s at %v nodes: %v GiB/s, %v in ascending order", s.Label, x, s.Y[j], sorted[l].Y[k])
+			}
 		}
 	}
 }

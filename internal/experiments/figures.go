@@ -34,18 +34,21 @@ func (o Options) acrossNodes(lines []Run) []Run {
 // line's configuration label, across the node counts.
 func (o Options) scaling(lines []Run) ([]Series, error) {
 	o = o.WithDefaults()
+	n := len(o.NodeCounts)
 	ss := make([]Series, len(lines))
 	for i, line := range lines {
-		ss[i] = Series{Label: line.Config.Label}
+		ss[i] = Series{Label: line.Config.Label, X: make([]float64, n), Y: make([]float64, n)}
 	}
 	runs := o.acrossNodes(lines)
 	err := o.evaluate(runs, func(i int, r *RunResult) error {
-		s := &ss[i/len(o.NodeCounts)]
-		s.X = append(s.X, float64(runs[i].Nodes))
-		s.Y = append(s.Y, r.ThroughputGiBs)
+		s, j := &ss[i/n], i%n
+		s.X[j], s.Y[j] = float64(runs[i].Nodes), r.ThroughputGiBs
 		return nil
 	})
-	return ss, err
+	if err != nil {
+		return nil, err
+	}
+	return ss, nil
 }
 
 // onDardel puts configurations on the machine every tuning experiment of
@@ -176,11 +179,15 @@ func (o Options) Fig6(nodes int, aggs []int) (Series, error) {
 	if len(cfgs) == 0 {
 		return s, fmt.Errorf("no aggregator count of %v fits %d nodes × %d ranks", aggs, nodes, o.RanksPerNode)
 	}
-	err := o.evaluate(atNodes(nodes, onDardel(cfgs...)), func(_ int, r *RunResult) error {
-		s.Y = append(s.Y, r.ThroughputGiBs)
+	s.Y = make([]float64, len(cfgs))
+	err := o.evaluate(atNodes(nodes, onDardel(cfgs...)), func(i int, r *RunResult) error {
+		s.Y[i] = r.ThroughputGiBs
 		return nil
 	})
-	return s, err
+	if err != nil {
+		return Series{}, err
+	}
+	return s, nil
 }
 
 // Fig7 compares original I/O with openPMD+BP4+Blosc (1 aggregator) as
@@ -241,14 +248,18 @@ func (o Options) Tab2() (Table, error) {
 		Header: []string{"configuration", "nodes", "total files", "avg size", "max size"},
 	}
 	runs := o.acrossNodes(onDardel(Tab2Configs...))
+	t.Rows = make([][]string, len(runs))
 	err := o.evaluate(runs, func(i int, r *RunResult) error {
-		t.Rows = append(t.Rows, []string{
+		t.Rows[i] = []string{
 			runs[i].Config.Label, fmt.Sprint(runs[i].Nodes), fmt.Sprint(r.Files.Count),
 			units.Bytes(r.Files.AvgBytes), units.Bytes(r.Files.MaxBytes),
-		})
+		}
 		return nil
 	})
-	return t, err
+	if err != nil {
+		return Table{}, err
+	}
+	return t, nil
 }
 
 // Fig9StripeSizes and Fig9OSTCounts are the paper's sweep axes.
@@ -285,6 +296,9 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float6
 		}
 	}
 	sec := make([][]float64, len(sizes))
+	for i := range sec {
+		sec[i] = make([]float64, len(counts))
+	}
 	err := o.evaluate(runs, func(i int, r *RunResult) error {
 		var writeSec float64
 		var writes int64
@@ -297,9 +311,12 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float6
 		if writes == 0 {
 			return fmt.Errorf("fig9: no data subfile writes recorded")
 		}
-		sec[i/len(counts)] = append(sec[i/len(counts)], writeSec/float64(writes))
+		sec[i/len(counts)][i%len(counts)] = writeSec / float64(writes)
 		return nil
 	})
+	if err != nil {
+		return Table{}, nil, err
+	}
 	for i, size := range sizes {
 		row := []string{units.Bytes(size)}
 		for _, v := range sec[i] {
@@ -307,7 +324,7 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float6
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, sec, err
+	return t, sec, nil
 }
 
 // Listing1 reproduces the paper's Listing 1 on a simulated Dardel: create

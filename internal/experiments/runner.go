@@ -11,7 +11,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -207,11 +209,22 @@ type Run struct {
 }
 
 // evaluate is the one loop every paper figure runs on: it measures each
-// run of the list in order and hands the result to fold, which keeps the
-// few numbers the figure plots. The result — the Darshan records, the file
-// statistics of a whole namespace — is dropped before the next run starts.
+// run of the list and hands the result to fold with the run's index in
+// the list; fold keeps the few numbers the figure plots, by that index.
+// The result — the Darshan records, the file statistics of a whole
+// namespace — is dropped before the next run starts. Runs go largest node
+// count first, in list order among equal counts: the kernel trims its
+// idle carriers to each run's process count, so the first launch makes
+// the carriers and every later one only trims. Each run is a pure
+// function of itself and the seed, so the order shows in no output.
 func (o Options) evaluate(runs []Run, fold func(i int, r *RunResult) error) error {
-	for i, run := range runs {
+	order := make([]int, len(runs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(runs[b].Nodes, runs[a].Nodes) })
+	for _, i := range order {
+		run := runs[i]
 		measure := o.RunBIT1
 		if run.Config.IOR != nil {
 			measure = o.runIOR
