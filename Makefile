@@ -63,11 +63,13 @@ profile:
 # combinations, the two job CLIs that share cluster.System's launcher and
 # the tool clones, so none can silently rot. A typo'd mode, a negative
 # aggregator count, an openPMD flag in original mode, a zero scale or
-# worker count, a node count below 1 (-nodes or any -node-list entry) and
-# a negative job count, draw count or MTBF are usage errors, not another
-# experiment; so is an argument to bpls, which reads no host file, and a
-# stripe count of 0 to lfs; darshan-parser says no to a missing file, an
-# empty one and a directory.
+# worker count, a node count below 1 or an empty entry (-nodes or
+# -node-list), a negative job count, draw count or MTBF, an artifact
+# named without -run and the retired -optimal flag are usage errors, not
+# another experiment; so is an argument to bpls, which reads no host
+# file, and a stripe count of 0 to lfs. A typo'd -run name is refused
+# before any artifact prints. darshan-parser says no to a missing file,
+# an empty one and a directory.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
@@ -83,6 +85,10 @@ smoke:
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 0
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 30,-2
 	! $(GO) run ./cmd/experiments -run figsched -sched-jobs -5
+	! $(GO) run ./cmd/experiments -run fig3 -node-list 1,,2
+	! $(GO) run ./cmd/experiments fig3
+	! $(GO) run ./cmd/experiments -optimal -run campfail
+	test -z "$$($(GO) run ./cmd/experiments -run lst1,nope 2>/dev/null)"
 	! $(GO) run ./cmd/experiments -run campfail -campaign-runs -1
 	! $(GO) run ./cmd/experiments -run campfail -campaign-mtbf -1
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 8 -diag-epochs 1 -parallel 0
@@ -108,21 +114,21 @@ smoke:
 	$(GO) run ./examples/schedtrace -fair -preempt 8 -mtbf 1500
 
 # sweep-smoke runs the sweep-native artifacts at tiny scale and writes
-# their machine-readable JSON; CI archives the outputs. The -optimal
-# campaign run doubles as the interval-recommendation validation at an
-# accelerated MTBF.
+# their machine-readable JSON; CI archives the outputs. The campopt run
+# doubles as the interval-recommendation validation at an accelerated
+# MTBF.
 sweep-smoke:
-	$(GO) run ./cmd/experiments -parallel 4 figsizing campfail
-	$(GO) run ./cmd/experiments -parallel 4 -optimal -campaign-mtbf 500 campfail
-	$(GO) run ./cmd/experiments -json -parallel 4 figsizing > figsizing.json
-	$(GO) run ./cmd/experiments -json -parallel 4 -campaign-runs 1500 -campaign-mtbf 500 campfail > campfail.json
-	$(GO) run ./cmd/experiments -json -parallel 4 figinterval > figinterval.json
-	$(GO) run ./cmd/experiments -parallel 4 figsched
-	$(GO) run ./cmd/experiments -json -parallel 4 figsched > figsched.json
-	$(GO) run ./cmd/experiments -parallel 4 figfair
-	$(GO) run ./cmd/experiments -json -parallel 4 figfair > figfair.json
-	$(GO) run ./cmd/experiments -parallel 4 figworkload
-	$(GO) run ./cmd/experiments -json -parallel 4 figworkload > figworkload.json
+	$(GO) run ./cmd/experiments -parallel 4 -run figsizing,campfail
+	$(GO) run ./cmd/experiments -parallel 4 -run campopt -campaign-mtbf 500
+	$(GO) run ./cmd/experiments -json -parallel 4 -run figsizing > figsizing.json
+	$(GO) run ./cmd/experiments -json -parallel 4 -campaign-runs 1500 -campaign-mtbf 500 -run campfail > campfail.json
+	$(GO) run ./cmd/experiments -json -parallel 4 -run figinterval > figinterval.json
+	$(GO) run ./cmd/experiments -parallel 4 -run figsched
+	$(GO) run ./cmd/experiments -json -parallel 4 -run figsched > figsched.json
+	$(GO) run ./cmd/experiments -parallel 4 -run figfair
+	$(GO) run ./cmd/experiments -json -parallel 4 -run figfair > figfair.json
+	$(GO) run ./cmd/experiments -parallel 4 -run figworkload
+	$(GO) run ./cmd/experiments -json -parallel 4 -run figworkload > figworkload.json
 
 clean:
 	rm -f cpu.pprof mem.pprof kernel.test sched_cpu.pprof sched_mem.pprof sched.test

@@ -14,8 +14,8 @@ import (
 
 	"picmcio/internal/bit1"
 	"picmcio/internal/cluster"
-	"picmcio/internal/compress"
 	"picmcio/internal/darshan"
+	"picmcio/internal/experiments"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/sim"
 	"picmcio/internal/units"
@@ -23,14 +23,15 @@ import (
 )
 
 func main() {
+	def := experiments.Options{}.WithDefaults()
 	machine := flag.String("machine", "dardel", "machine model: discoverer|dardel|vega")
 	nodes := flag.Int("nodes", 1, "node allocation")
-	ranksPerNode := flag.Int("ranks-per-node", 128, "MPI ranks per node")
+	ranksPerNode := flag.Int("ranks-per-node", def.RanksPerNode, "MPI ranks per node")
 	mode := flag.String("mode", "openpmd", "I/O path: original|openpmd")
 	aggregators := flag.Int("aggregators", 0, "BP4 aggregator count (0 = one per node)")
 	compressor := flag.String("compressor", "", "compression operator: blosc|bzip2")
 	deckPath := flag.String("input", "", "BIT1 input deck file (key = value)")
-	diagEpochs := flag.Int("diag-epochs", 5, "diagnostic epochs to simulate")
+	diagEpochs := flag.Int("diag-epochs", def.DiagEpochs, "diagnostic epochs to simulate")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
@@ -76,11 +77,10 @@ func main() {
 	var toml strings.Builder
 	fmt.Fprintf(&toml, "[adios2.engine.parameters]\nNumAggregators = \"%d\"\n", numAgg)
 	if *compressor != "" {
-		c, err := compress.New(*compressor, 8)
+		ratio, err := experiments.MeasuredRatio(*compressor)
 		if err != nil {
 			fatal(err)
 		}
-		ratio := compress.Ratio(c, workload.Float64sToBytes(workload.SamplePayload(1<<15, *seed)))
 		fmt.Fprintf(&toml, "SimCompressionRatio = \"%.4f\"\n\n[adios2.dataset.operators]\ntype = %q\n", ratio, *compressor)
 	}
 

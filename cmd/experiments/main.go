@@ -6,13 +6,13 @@
 //
 // Usage:
 //
-//	experiments -list                # catalogue with descriptions
-//	experiments -run fig2            # one artifact
-//	experiments -run all             # everything (about a minute)
-//	experiments -run fig6 -nodes 200 # with explicit scale
-//	experiments -json figsizing      # sweep table as JSON
-//	experiments -parallel 8 figfault # bit-identical to -parallel 1
-//	experiments -optimal campfail    # validate the ckptopt interval
+//	experiments -list                      # catalogue with descriptions
+//	experiments -run fig2                  # one artifact
+//	experiments -run all                   # everything (about a minute)
+//	experiments -run fig6 -nodes 200       # with explicit scale
+//	experiments -json -run figsizing       # sweep table as JSON
+//	experiments -parallel 8 -run figfault  # bit-identical to -parallel 1
+//	experiments -run campopt               # validate the ckptopt interval
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof -run fig6
 package main
 
@@ -30,19 +30,19 @@ import (
 )
 
 func main() {
+	def := experiments.Options{}.WithDefaults()
 	runWhat := flag.String("run", "all", "comma-separated artifact names (see -list), or all")
 	list := flag.Bool("list", false, "print every artifact name with its description and exit")
 	jsonOut := flag.Bool("json", false, "emit the sweep table as JSON instead of text (sweep-backed artifacts)")
 	parallel := flag.Int("parallel", 1, "sweep trial worker pool size (output is bit-identical at any width)")
 	nodes := flag.Int("nodes", 200, "node count for fixed-scale artifacts (fig5, fig6, fig8, fig9)")
-	nodeList := flag.String("node-list", "", "comma-separated node counts for scaling artifacts (default: paper set)")
-	ranksPerNode := flag.Int("ranks-per-node", 128, "MPI ranks per node")
-	diagEpochs := flag.Int("diag-epochs", 5, "simulated diagnostic epochs (paper run: 200)")
+	nodeList := flag.String("node-list", joinInts(def.NodeCounts), "comma-separated node counts for scaling artifacts")
+	ranksPerNode := flag.Int("ranks-per-node", def.RanksPerNode, "MPI ranks per node")
+	diagEpochs := flag.Int("diag-epochs", def.DiagEpochs, "simulated diagnostic epochs (paper run: 200)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	campaignRuns := flag.Int("campaign-runs", 0, "campfail Monte-Carlo draws per cell (0 = auto-size to the expected-failure target)")
-	campaignMTBF := flag.Float64("campaign-mtbf", 0, "campfail/figinterval per-node MTBF override in hours (0 = machine preset)")
-	optimal := flag.Bool("optimal", false, "campfail validation mode: run at the ckptopt-recommended interval vs fixed baselines")
-	schedJobs := flag.Int("sched-jobs", 0, "figsched expected jobs per campaign cell (0 = default 240)")
+	campaignRuns := flag.Int("campaign-runs", 0, "campfail/campopt Monte-Carlo draws per cell (0 = auto-size to the expected-failure target)")
+	campaignMTBF := flag.Float64("campaign-mtbf", 0, "campfail/campopt/figinterval per-node MTBF override in hours (0 = machine preset)")
+	schedJobs := flag.Int("sched-jobs", def.SchedJobs, "figsched expected jobs per campaign cell")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the artifact runs to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (every allocation sampled) to this file")
 	flag.Parse()
@@ -53,23 +53,11 @@ func main() {
 		return
 	}
 	if args := flag.Args(); len(args) > 0 {
-		// Positional form: `experiments figfault [figburst ...]`. Flags
-		// must come first (flag parsing stops at the first positional),
-		// and mixing the positional form with -run is ambiguous.
-		for _, a := range args {
-			if strings.HasPrefix(a, "-") {
-				fatal(fmt.Errorf("flag %q after artifact names: flags must precede positional artifacts", a))
-			}
-		}
-		if *runWhat != "all" {
-			fatal(fmt.Errorf("use either -run or positional artifact names, not both"))
-		}
-		joined := strings.Join(args, ",")
-		runWhat = &joined
+		fatal(fmt.Errorf("unexpected argument %q: name artifacts with -run", args[0]))
 	}
 	// Options reads a zero scale as "the default", so refuse one here
-	// rather than silently run 128 ranks a node or 5 epochs; a node
-	// count below 1 is no machine at all.
+	// rather than silently run the default; a node count below 1 is no
+	// machine at all.
 	if *nodes < 1 {
 		fatal(fmt.Errorf("-nodes %d: need at least 1", *nodes))
 	}
@@ -101,52 +89,48 @@ func main() {
 		Parallel:          *parallel,
 		CampaignRuns:      *campaignRuns,
 		CampaignMTBFHours: *campaignMTBF,
-		CampaignOptimal:   *optimal,
 		SchedJobs:         *schedJobs,
 	}
-	if *nodeList != "" {
-		for _, part := range strings.Split(*nodeList, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(err)
-			}
-			if n < 1 {
-				fatal(fmt.Errorf("-node-list %s: node count %d: need at least 1", *nodeList, n))
-			}
-			o.NodeCounts = append(o.NodeCounts, n)
+	for _, part := range strings.Split(*nodeList, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			fatal(fmt.Errorf("-node-list %s: %q is not a node count of 1 or more", *nodeList, part))
 		}
+		o.NodeCounts = append(o.NodeCounts, n)
 	}
-	o = o.WithDefaults()
 
-	names := strings.Split(*runWhat, ",")
+	// Resolve every name before running anything: a typo at the end of
+	// the list must not cost the artifacts before it.
+	var arts []experiments.Artifact
 	if *runWhat == "all" {
-		names = nil
-		for _, a := range experiments.Catalog() {
-			names = append(names, a.Name)
+		arts = experiments.Catalog()
+	} else {
+		for _, name := range strings.Split(*runWhat, ",") {
+			name = strings.TrimSpace(name)
+			a, ok := experiments.Lookup(name)
+			if !ok {
+				fatal(fmt.Errorf("unknown artifact %q (see -list)", name))
+			}
+			arts = append(arts, a)
 		}
 	}
-	if *jsonOut && len(names) > 1 {
+	if *jsonOut && len(arts) > 1 {
 		// One table per document: concatenated top-level JSON values would
 		// break any consumer doing a single parse of the output.
-		fatal(fmt.Errorf("-json emits one JSON document; run one artifact per invocation (got %d)", len(names)))
+		fatal(fmt.Errorf("-json emits one JSON document; run one artifact per invocation (got %d)", len(arts)))
 	}
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		a, ok := experiments.Lookup(name)
-		if !ok {
-			fatal(fmt.Errorf("unknown artifact %q (see -list)", name))
-		}
+	for _, a := range arts {
 		out, err := a.Run(o, *nodes)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			fatal(fmt.Errorf("%s: %w", a.Name, err))
 		}
 		if *jsonOut {
-			if err := emitJSON(name, out); err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
+			if err := emitJSON(a.Name, out); err != nil {
+				fatal(fmt.Errorf("%s: %w", a.Name, err))
 			}
 			continue
 		}
@@ -155,6 +139,15 @@ func main() {
 	if err := stop(); err != nil {
 		fatal(err)
 	}
+}
+
+// joinInts renders a node list the way -node-list takes it.
+func joinInts(ns []int) string {
+	s := make([]string, len(ns))
+	for i, n := range ns {
+		s[i] = strconv.Itoa(n)
+	}
+	return strings.Join(s, ",")
 }
 
 // startProfiles begins the requested pprof profiles and returns the

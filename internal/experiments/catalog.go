@@ -224,19 +224,19 @@ var catalog = []Artifact{
 		}
 		return Output{Text: renderInterval(st), Table: &st}, nil
 	}},
-	{"campfail", "stochastic MTBF failure campaign: expected lost node-hours per policy/QoS (-optimal: validate the ckptopt interval)", func(o Options, _ int) (Output, error) {
-		if o.CampaignOptimal {
-			st, err := o.CampaignOptimum()
-			if err != nil {
-				return Output{}, err
-			}
-			return Output{Text: renderOptimal(st), Table: &st}, nil
-		}
+	{"campfail", "stochastic MTBF failure campaign: expected lost node-hours per policy/QoS", func(o Options, _ int) (Output, error) {
 		st, err := o.CampaignFailure()
 		if err != nil {
 			return Output{}, err
 		}
 		return Output{Text: renderCampaign(st), Table: &st}, nil
+	}},
+	{"campopt", "failure campaign at the ckptopt-recommended interval vs fixed baselines: validate the recommendation", func(o Options, _ int) (Output, error) {
+		st, err := o.CampaignOptimum()
+		if err != nil {
+			return Output{}, err
+		}
+		return Output{Text: renderOptimal(st), Table: &st}, nil
 	}},
 	{"figsched", "batch-scheduling campaign: FCFS vs EASY backfill over multi-tenant job streams", func(o Options, _ int) (Output, error) {
 		st, err := o.FigSched()

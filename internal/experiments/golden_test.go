@@ -32,18 +32,13 @@ var goldenCases = []struct {
 	// where each killed run or job restarts, so byte identity pins the
 	// restart position.
 	{"campfail", "golden_campfail.txt", campaignOpts},
-	{"campfail", "golden_campfail_optimal.txt", withOptimal(campaignOpts)},
+	{"campopt", "golden_campfail_optimal.txt", campaignOpts},
 	{"figinterval", "golden_figinterval.txt", campaignOpts},
 	{"figfair", "golden_figfair.txt", campaignOpts},
 }
 
 // campaignOpts sizes the Monte Carlo failure campaigns for the suite.
 var campaignOpts = Options{Seed: 1, CampaignRuns: 1500, CampaignMTBFHours: 500}
-
-func withOptimal(o Options) Options {
-	o.CampaignOptimal = true
-	return o
-}
 
 // paperGoldens are the paper's own artifacts. Their captures were printed
 // by parent 91d8545's `cmd/experiments -run <name> -ranks-per-node 8
@@ -175,7 +170,7 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("Lookup(%q) failed", a.Name)
 		}
 	}
-	for _, want := range []string{"fig2", "figburst", "figcontention", "figfault", "figworkload", "figsizing", "figinterval", "campfail", "figsched", "figfair", "tab1", "tab2", "lst1"} {
+	for _, want := range []string{"fig2", "figburst", "figcontention", "figfault", "figworkload", "figsizing", "figinterval", "campfail", "campopt", "figsched", "figfair", "tab1", "tab2", "lst1"} {
 		if !seen[want] {
 			t.Errorf("catalogue missing %q", want)
 		}

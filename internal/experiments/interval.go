@@ -38,7 +38,7 @@ func intervalMachines() []cluster.Machine {
 }
 
 // intervalProbeWorkload is the cost-measurement scenario shared by the
-// interval figure and the -optimal campaign: the fault grid's chunked
+// interval figure and the campopt campaign: the fault grid's chunked
 // checkpoint writer.
 func intervalProbeWorkload() jobs.ChunkedWriter {
 	return jobs.ChunkedWriter{
@@ -191,7 +191,7 @@ func renderInterval(t sweep.Table) string {
 	return b.String()
 }
 
-// optimalTargetFailures sizes the -optimal campaign's draw count: well
+// optimalTargetFailures sizes the campopt campaign's draw count: well
 // above the plain campaign's target because the verdict compares cells
 // against each other rather than just ordering them, and the flanking
 // baselines sit only ~25% above the optimum's waste — draws are cheap
@@ -212,7 +212,7 @@ type OptimalCell struct {
 	WastePerKNH float64 // total waste per 1000 useful node-hours
 }
 
-// CampaignOptimum is the -optimal mode of the failure campaign: the
+// CampaignOptimum is the campopt artifact, the failure campaign's
 // empirical validation that the ckptopt recommendation is worth
 // following. Per staging-tier preset it measures checkpoint costs,
 // prices the recommended interval, and then runs the stochastic MTBF
@@ -249,7 +249,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 		mAxis.Values = append(mAxis.Values, m.Name)
 		plan, err := intervalPlan(m, o.CampaignMTBFHours, o.Seed)
 		if err != nil {
-			return sweep.Table{}, fmt.Errorf("campfail -optimal %s: %w", m.Name, err)
+			return sweep.Table{}, fmt.Errorf("campopt %s: %w", m.Name, err)
 		}
 		st := &mstate{m: m, plan: plan, mtbf: m.MTBFNodeHours, seed: xrand.SeedAt(o.Seed, uint64(1000+mi))}
 		if o.CampaignMTBFHours > 0 {
@@ -275,11 +275,11 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 			spec := jobs.Spec{Name: "victim", Nodes: intervalProbeNodes, Burst: st.m.Burst, Workload: wl, StripeCount: -1}
 			clean, err := jobs.Run(st.m, []jobs.Spec{spec}, o.Seed)
 			if err != nil {
-				return sweep.Point{}, fmt.Errorf("campfail -optimal clean: %w", err)
+				return sweep.Point{}, fmt.Errorf("campopt clean: %w", err)
 			}
 			overheadSec := clean[0].AppSec - tau*float64(wl.Epochs)
 			if !(overheadSec > 0) {
-				return sweep.Point{}, fmt.Errorf("campfail -optimal: non-positive overhead %v", overheadSec)
+				return sweep.Point{}, fmt.Errorf("campopt: non-positive overhead %v", overheadSec)
 			}
 			cell := OptimalCell{
 				Machine:    st.m.Name,
@@ -315,7 +315,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 				}
 				res, err := jobs.Run(st.m, jobs.WithFault([]jobs.Spec{spec}, 0, fs), o.Seed)
 				if err != nil {
-					return sweep.Point{}, fmt.Errorf("campfail -optimal run %d: %w", run, err)
+					return sweep.Point{}, fmt.Errorf("campopt run %d: %w", run, err)
 				}
 				if res[0].Fault == nil {
 					continue
@@ -366,7 +366,7 @@ func OptimalVerdicts(t sweep.Table) map[string]bool {
 	return out
 }
 
-// renderOptimal builds the -optimal artifact text: the waste grid plus
+// renderOptimal builds the campopt artifact text: the waste grid plus
 // a per-machine verdict line comparing the recommendation against the
 // best fixed baseline.
 func renderOptimal(t sweep.Table) string {

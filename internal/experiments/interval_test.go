@@ -148,6 +148,6 @@ func TestCampaignOptimalValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if renderOptimal(st) != renderOptimal(pst) {
-		t.Fatal("campfail -optimal diverged between serial and -parallel 4")
+		t.Fatal("campopt diverged between serial and -parallel 4")
 	}
 }

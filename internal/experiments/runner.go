@@ -72,12 +72,6 @@ type Options struct {
 	// the campaign (0: keep the preset). Accelerated MTBFs make tiny
 	// smoke campaigns actually observe failures.
 	CampaignMTBFHours float64
-	// CampaignOptimal switches the campfail artifact to its validation
-	// mode: run the stochastic campaign at the ckptopt-recommended
-	// checkpoint interval and at fixed baselines bracketing it, and
-	// report whether the recommendation's empirical waste wins
-	// (CampaignOptimum).
-	CampaignOptimal bool
 
 	// SchedJobs is the expected job count per figsched campaign cell
 	// (default 240: comfortably past the 200-job bar with Poisson
