@@ -62,14 +62,16 @@ profile:
 # smoke builds and runs every example with its interesting flag
 # combinations, the two job CLIs that share cluster.System's launcher and
 # the tool clones, so none can silently rot. A typo'd mode, a negative
-# aggregator count, an openPMD flag in original mode, a zero scale or
+# aggregator count, an openPMD flag in original mode, -diag-epochs beside
+# an -input deck, a zero scale or
 # worker count, a node count below 1 or an empty entry (-nodes or
 # -node-list), a negative job count, draw count or MTBF, an artifact
 # named without -run and the retired -optimal flag are usage errors, not
 # another experiment; so is an argument to bpls, which reads no host
 # file, and a stripe count of 0 to lfs. A typo'd -run name is refused
 # before any artifact prints. darshan-parser says no to a missing file,
-# an empty one and a directory.
+# an empty one and a directory. lfs setstripe prints the layout of -run
+# lst1, the paper's Listing 1.
 smoke:
 	$(GO) build ./...
 	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
@@ -78,6 +80,7 @@ smoke:
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -aggregators -3
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original -aggregators 3
 	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original -compressor bzip2
+	! $(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -input <(printf 'last_step = 300\nmvstep = 100\ndmpstep = 300\n') -diag-epochs 7
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
 	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
 	! $(GO) run ./cmd/experiments -run fig6 -nodes 0
@@ -99,7 +102,7 @@ smoke:
 	! $(GO) run ./cmd/darshan-parser nonexistent.darshan.gz
 	! $(GO) run ./cmd/darshan-parser /dev/null
 	! $(GO) run ./cmd/darshan-parser .
-	$(GO) run ./cmd/lfs setstripe -c 8 -S 16M io_openPMD
+	cmp <($(GO) run ./cmd/lfs setstripe -c 8 -S 16M io_openPMD) <($(GO) run ./cmd/experiments -run lst1 | sed '1,2d;$$d')
 	! $(GO) run ./cmd/lfs setstripe -c 0 -S 1M io
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ionization

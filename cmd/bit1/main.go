@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"picmcio/internal/bit1"
 	"picmcio/internal/cluster"
@@ -40,10 +39,7 @@ func main() {
 		fatal(err)
 	}
 
-	deck := bit1.DefaultDeck()
-	deck.MVStep = 100
-	deck.LastStep = *diagEpochs * 100
-	deck.DMPStep = deck.LastStep
+	deck := experiments.Options{DiagEpochs: *diagEpochs}.Deck()
 	if *deckPath != "" {
 		src, err := os.ReadFile(*deckPath)
 		if err != nil {
@@ -58,15 +54,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The original writer has no aggregators and no compressor: set for
-	// it, either flag is a mistake, not an ignored setting.
-	if ioMode == bit1.IOOriginal {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "aggregators" || f.Name == "compressor" {
-				fatal(fmt.Errorf("-%s %s: an openPMD setting; -mode original has none", f.Name, f.Value))
-			}
-		})
-	}
+	// A deck sets its own run length, and the original writer has no
+	// aggregators and no compressor: set beside them, these flags are
+	// mistakes, not ignored settings.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "diag-epochs" && *deckPath != "":
+			fatal(fmt.Errorf("-diag-epochs %s: the -input deck sets the run length", f.Value))
+		case ioMode == bit1.IOOriginal && (f.Name == "aggregators" || f.Name == "compressor"):
+			fatal(fmt.Errorf("-%s %s: an openPMD setting; -mode original has none", f.Name, f.Value))
+		}
+	})
 	numAgg := *aggregators
 	if numAgg < 0 {
 		fatal(fmt.Errorf("-aggregators %d: want a count, or 0 for one per node", numAgg))
@@ -74,14 +72,9 @@ func main() {
 	if numAgg == 0 {
 		numAgg = *nodes
 	}
-	var toml strings.Builder
-	fmt.Fprintf(&toml, "[adios2.engine.parameters]\nNumAggregators = \"%d\"\n", numAgg)
-	if *compressor != "" {
-		ratio, err := experiments.MeasuredRatio(*compressor)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(&toml, "SimCompressionRatio = \"%.4f\"\n\n[adios2.dataset.operators]\ntype = %q\n", ratio, *compressor)
+	toml, err := experiments.BP4Options(numAgg, *compressor)
+	if err != nil {
+		fatal(err)
 	}
 
 	k := m.NewKernel(*nodes)
@@ -96,7 +89,7 @@ func main() {
 	}
 	cfg := bit1.Config{
 		Deck: deck, Sizing: workload.Default(), OutDir: "/scratch/bit1",
-		Mode: ioMode, OpenPMDOptions: toml.String(),
+		Mode: ioMode, OpenPMDOptions: toml,
 		StdioOverhead: sim.Duration(m.StdioWriteOverhead),
 	}
 	var runErr error

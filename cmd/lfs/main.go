@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"os"
 
-	"picmcio/internal/cluster"
-	"picmcio/internal/lustre"
+	"picmcio/internal/experiments"
 	"picmcio/internal/pfs"
-	"picmcio/internal/posix"
-	"picmcio/internal/sim"
 	"picmcio/internal/units"
 )
 
@@ -64,32 +61,11 @@ func getstripe(args []string, count int, size int64) {
 	if len(args) != 1 {
 		usage()
 	}
-	path := pfs.Clean(args[0])
-	dir, _ := pfs.Split(path)
-	m := cluster.Dardel()
-	k := m.NewKernel(1)
-	sys, err := m.Build(k, 1, 1)
+	out, err := experiments.StripeListing(args[0], count, size)
 	if err != nil {
 		fatal(err)
 	}
-	if err := sys.Lustre.SetStripe(dir, count, size); err != nil {
-		fatal(err)
-	}
-	k.Spawn("w", func(p *sim.Proc) {
-		env := &posix.Env{FS: sys.FS, Client: sys.Clients[0]}
-		fd, err := env.Create(p, path)
-		if err != nil {
-			fatal(err)
-		}
-		fd.Write(p, 64<<20, nil)
-		fd.Close(p)
-	})
-	k.Run()
-	lay, err := sys.Lustre.GetStripe(path)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(lustre.FormatGetStripe(path[1:], lay))
+	fmt.Print(out)
 }
 
 func fatal(err error) {

@@ -10,7 +10,7 @@
 // simulator. Costs come in as plain seconds — measured by probe runs
 // through the staging tier (jobs.MeasureCheckpointCosts) rather than
 // hand-fed constants — and the Plan goes back out as plain seconds that
-// jobs.Spec.IntervalFrom stamps onto a workload's compute phase.
+// a campaign sets as its workload's compute phase (campopt's ComputeSec).
 //
 // # The model
 //

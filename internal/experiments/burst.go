@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/bit1"
 	"picmcio/internal/cluster"
 	"picmcio/internal/sweep"
+	"picmcio/internal/units"
 )
 
 // BurstPoint is one node count of the burst-buffer figure: the direct vs
@@ -82,4 +84,45 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 				Extra: pt,
 			}, nil
 		})
+}
+
+// burstSeriesAndPoints derives the figure's series and typed points from
+// the sweep table.
+func burstSeriesAndPoints(t sweep.Table) ([]Series, []BurstPoint) {
+	direct := Series{Label: "openPMD+BP4 direct"}
+	staged := Series{Label: "openPMD+BP4 staged"}
+	var pts []BurstPoint
+	for _, p := range t.Points {
+		pt := p.Extra.(BurstPoint)
+		pts = append(pts, pt)
+		direct.X = append(direct.X, float64(pt.Nodes))
+		direct.Y = append(direct.Y, pt.DirectGiBs)
+		staged.X = append(staged.X, float64(pt.Nodes))
+		staged.Y = append(staged.Y, pt.StagedGiBs)
+	}
+	return []Series{direct, staged}, pts
+}
+
+// renderBurst builds the artifact's text block: the direct and staged
+// series plus the drain accounting table.
+func renderBurst(st sweep.Table) string {
+	ss, pts := burstSeriesAndPoints(st)
+	var b strings.Builder
+	b.WriteString(RenderSeries(st.Title, "nodes", ss) + "\n")
+	t := Table{
+		Title:  "Fig B drain accounting (Dardel burst tier)",
+		Header: []string{"nodes", "drain busy", "drain tail", "overlap", "absorbed", "fallback"},
+	}
+	for _, pt := range pts {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(pt.Nodes),
+			units.Seconds(pt.DrainSec),
+			units.Seconds(pt.DrainTailSec),
+			fmt.Sprintf("%.1f%%", 100*pt.OverlapFrac),
+			units.Bytes(pt.AbsorbedBytes),
+			units.Bytes(pt.FallbackBytes),
+		})
+	}
+	b.WriteString(t.Render() + "\n")
+	return b.String()
 }

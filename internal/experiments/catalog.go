@@ -40,28 +40,37 @@ func Lookup(name string) (Artifact, bool) {
 	return Artifact{}, false
 }
 
+// scalingArtifact declares a paper figure that plots series against the
+// node count under the given title.
+func scalingArtifact(name, desc, title string, run func(Options) ([]Series, error)) Artifact {
+	return Artifact{name, desc, func(o Options, _ int) (Output, error) {
+		ss, err := run(o)
+		if err != nil {
+			return Output{}, err
+		}
+		return Output{Text: RenderSeries(title, "nodes", ss) + "\n"}, nil
+	}}
+}
+
+// gridArtifact declares a sweep-backed artifact: its text is what render
+// makes of the sweep table, and -json serializes the table itself.
+func gridArtifact(name, desc string, run func(Options) (sweep.Table, error), render func(sweep.Table) string) Artifact {
+	return Artifact{name, desc, func(o Options, _ int) (Output, error) {
+		st, err := run(o)
+		if err != nil {
+			return Output{}, err
+		}
+		return Output{Text: render(st), Table: &st}, nil
+	}}
+}
+
 var catalog = []Artifact{
-	{"fig2", "BIT1 original file I/O write throughput on all three machines", func(o Options, _ int) (Output, error) {
-		ss, err := o.Fig2()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: RenderSeries("Fig 2: BIT1 original file I/O write throughput (GiB/s)", "nodes", ss) + "\n"}, nil
-	}},
-	{"fig3", "original I/O vs openPMD+BP4 scaling on Dardel", func(o Options, _ int) (Output, error) {
-		ss, err := o.Fig3()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: RenderSeries("Fig 3: original vs openPMD+BP4 on Dardel (GiB/s)", "nodes", ss) + "\n"}, nil
-	}},
-	{"fig4", "BIT1 configurations vs the IOR reference lines on Dardel", func(o Options, _ int) (Output, error) {
-		ss, err := o.Fig4()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: RenderSeries("Fig 4: BIT1 vs IOR on Dardel (GiB/s)", "nodes", ss) + "\n"}, nil
-	}},
+	scalingArtifact("fig2", "BIT1 original file I/O write throughput on all three machines",
+		"Fig 2: BIT1 original file I/O write throughput (GiB/s)", Options.Fig2),
+	scalingArtifact("fig3", "original I/O vs openPMD+BP4 scaling on Dardel",
+		"Fig 3: original vs openPMD+BP4 on Dardel (GiB/s)", Options.Fig3),
+	scalingArtifact("fig4", "BIT1 configurations vs the IOR reference lines on Dardel",
+		"Fig 4: BIT1 vs IOR on Dardel (GiB/s)", Options.Fig4),
 	{"fig5", "per-process read/metadata/write cost decomposition (full-run equivalent)", func(o Options, nodes int) (Output, error) {
 		r, err := o.Fig5(nodes)
 		if err != nil {
@@ -90,13 +99,8 @@ var catalog = []Artifact{
 		return Output{Text: RenderSeries(
 			fmt.Sprintf("Fig 6: aggregator sweep on Dardel, %d nodes (GiB/s)", nodes), "aggregators", []Series{s}) + "\n"}, nil
 	}},
-	{"fig7", "openPMD+BP4+Blosc with one aggregator vs original I/O", func(o Options, _ int) (Output, error) {
-		ss, err := o.Fig7()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: RenderSeries("Fig 7: Blosc + 1 AGGR vs original on Dardel (GiB/s)", "nodes", ss) + "\n"}, nil
-	}},
+	scalingArtifact("fig7", "openPMD+BP4+Blosc with one aggregator vs original I/O",
+		"Fig 7: Blosc + 1 AGGR vs original on Dardel (GiB/s)", Options.Fig7),
 	{"fig8", "BP4 memcpy elimination under compression (profiling.json)", func(o Options, nodes int) (Output, error) {
 		r, err := o.Fig8(nodes)
 		if err != nil {
@@ -116,68 +120,12 @@ var catalog = []Artifact{
 		}
 		return Output{Text: t.Render() + "\n"}, nil
 	}},
-	{"figburst", "direct vs burst-buffer-staged openPMD+BP4 with drain accounting", func(o Options, _ int) (Output, error) {
-		st, err := o.FigBurstSweep()
-		if err != nil {
-			return Output{}, err
-		}
-		ss, pts := burstSeriesAndPoints(st)
-		var b strings.Builder
-		b.WriteString(RenderSeries(st.Title, "nodes", ss) + "\n")
-		t := Table{
-			Title:  "Fig B drain accounting (Dardel burst tier)",
-			Header: []string{"nodes", "drain busy", "drain tail", "overlap", "absorbed", "fallback"},
-		}
-		for _, pt := range pts {
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(pt.Nodes),
-				units.Seconds(pt.DrainSec),
-				units.Seconds(pt.DrainTailSec),
-				fmt.Sprintf("%.1f%%", 100*pt.OverlapFrac),
-				units.Bytes(pt.AbsorbedBytes),
-				units.Bytes(pt.FallbackBytes),
-			})
-		}
-		b.WriteString(t.Render() + "\n")
-		return Output{Text: b.String(), Table: &st}, nil
-	}},
-	{"figcontention", "two-job contention under each drain-QoS policy (slowdown, Jain)", func(o Options, _ int) (Output, error) {
-		st, err := o.FigContentionSweep()
-		if err != nil {
-			return Output{}, err
-		}
-		t, rows := contentionTable(st)
-		var b strings.Builder
-		b.WriteString(t.Render() + "\n")
-		for _, row := range rows {
-			res := row.Result
-			fmt.Fprintf(&b, "%-10s  max slowdown %.3fx  Jain %.4f\n", row.Policy, res.MaxSlowdown(), res.Jain)
-		}
-		b.WriteString("\n")
-		return Output{Text: b.String(), Table: &st}, nil
-	}},
-	{"figworkload", "workload × drain-QoS × aggregator-count composition grid (chunked writer vs BIT1 rank schedule)", func(o Options, _ int) (Output, error) {
-		st, err := o.FigWorkloadSweep()
-		if err != nil {
-			return Output{}, err
-		}
-		t, cells := workloadTable(st)
-		var b strings.Builder
-		b.WriteString(t.Render() + "\n")
-		// Summary line the aggregator axis exists to show: funnelling the
-		// same volume through fewer writer nodes changes when it is durable.
-		for _, qos := range WorkloadQoSPolicies {
-			fmt.Fprintf(&b, "rank schedule, %-11s staged durable by aggregator count:", qos+":")
-			for _, c := range cells {
-				if c.Kind == "ranks" && c.QoS == qos {
-					fmt.Fprintf(&b, "  %d aggr %s", c.Aggr, units.Seconds(c.Result.Jobs[0].DurableSec))
-				}
-			}
-			b.WriteString("\n")
-		}
-		b.WriteString("\n")
-		return Output{Text: b.String(), Table: &st}, nil
-	}},
+	gridArtifact("figburst", "direct vs burst-buffer-staged openPMD+BP4 with drain accounting",
+		Options.FigBurstSweep, renderBurst),
+	gridArtifact("figcontention", "two-job contention under each drain-QoS policy (slowdown, Jain)",
+		Options.FigContentionSweep, renderContention),
+	gridArtifact("figworkload", "workload × drain-QoS × aggregator-count composition grid (chunked writer vs BIT1 rank schedule)",
+		Options.FigWorkloadSweep, renderWorkload),
 	{"figfault", "node-loss grid: kill-time × drain-policy × QoS, plus survivability", func(o Options, _ int) (Output, error) {
 		st, err := o.FigFaultSweep()
 		if err != nil {
@@ -210,48 +158,18 @@ var catalog = []Artifact{
 			nk.RestartEpoch, units.Bytes(nk.RedrainBytes))
 		return Output{Text: b.String(), Table: &st}, nil
 	}},
-	{"figsizing", "burst capacity × drain-rate sizing grid per machine (the staging knee)", func(o Options, _ int) (Output, error) {
-		st, err := o.FigSizing()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderSizing(st), Table: &st}, nil
-	}},
-	{"figinterval", "expected checkpoint waste vs epoch length, Young/Daly optima on measured costs", func(o Options, _ int) (Output, error) {
-		st, err := o.FigIntervalSweep()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderInterval(st), Table: &st}, nil
-	}},
-	{"campfail", "stochastic MTBF failure campaign: expected lost node-hours per policy/QoS", func(o Options, _ int) (Output, error) {
-		st, err := o.CampaignFailure()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderCampaign(st), Table: &st}, nil
-	}},
-	{"campopt", "failure campaign at the ckptopt-recommended interval vs fixed baselines: validate the recommendation", func(o Options, _ int) (Output, error) {
-		st, err := o.CampaignOptimum()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderOptimal(st), Table: &st}, nil
-	}},
-	{"figsched", "batch-scheduling campaign: FCFS vs EASY backfill over multi-tenant job streams", func(o Options, _ int) (Output, error) {
-		st, err := o.FigSched()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderSched(st), Table: &st}, nil
-	}},
-	{"figfair", "fairness-under-failures campaign: fair-share vs FCFS/EASY with preemption and node failures", func(o Options, _ int) (Output, error) {
-		st, err := o.FigFair()
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Text: renderFair(st), Table: &st}, nil
-	}},
+	gridArtifact("figsizing", "burst capacity × drain-rate sizing grid per machine (the staging knee)",
+		Options.FigSizing, renderSizing),
+	gridArtifact("figinterval", "expected checkpoint waste vs epoch length, Young/Daly optima on measured costs",
+		Options.FigIntervalSweep, renderInterval),
+	gridArtifact("campfail", "stochastic MTBF failure campaign: expected lost node-hours per policy/QoS",
+		Options.CampaignFailure, renderCampaign),
+	gridArtifact("campopt", "failure campaign at the ckptopt-recommended interval vs fixed baselines: validate the recommendation",
+		Options.CampaignOptimum, renderOptimal),
+	gridArtifact("figsched", "batch-scheduling campaign: FCFS vs EASY backfill over multi-tenant job streams",
+		Options.FigSched, renderSched),
+	gridArtifact("figfair", "fairness-under-failures campaign: fair-share vs FCFS/EASY with preemption and node failures",
+		Options.FigFair, renderFair),
 	{"tab1", "IOR command lines of Table I", func(Options, int) (Output, error) {
 		return Output{Text: Tab1().Render() + "\n"}, nil
 	}},
@@ -270,21 +188,4 @@ var catalog = []Artifact{
 		return Output{Text: "# Listing 1: lfs getstripe on simulated Dardel\n" +
 			"$ lfs getstripe io_openPMD/dat_file.bp4/data.0\n" + out + "\n"}, nil
 	}},
-}
-
-// burstSeriesAndPoints derives the figure's series and typed points from
-// the sweep table.
-func burstSeriesAndPoints(t sweep.Table) ([]Series, []BurstPoint) {
-	direct := Series{Label: "openPMD+BP4 direct"}
-	staged := Series{Label: "openPMD+BP4 staged"}
-	var pts []BurstPoint
-	for _, p := range t.Points {
-		pt := p.Extra.(BurstPoint)
-		pts = append(pts, pt)
-		direct.X = append(direct.X, float64(pt.Nodes))
-		direct.Y = append(direct.Y, pt.DirectGiBs)
-		staged.X = append(staged.X, float64(pt.Nodes))
-		staged.Y = append(staged.Y, pt.StagedGiBs)
-	}
-	return []Series{direct, staged}, pts
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
@@ -156,4 +157,18 @@ func jobCells(res *jobs.ContentionResult, i int) []string {
 		drain, ck, dg,
 		fmt.Sprintf("%.4f", res.Jain),
 	}
+}
+
+// renderContention builds the artifact's text block: the grid table plus
+// each policy's worst slowdown and Jain index.
+func renderContention(st sweep.Table) string {
+	t, rows := contentionTable(st)
+	var b strings.Builder
+	b.WriteString(t.Render() + "\n")
+	for _, row := range rows {
+		res := row.Result
+		fmt.Fprintf(&b, "%-10s  max slowdown %.3fx  Jain %.4f\n", row.Policy, res.MaxSlowdown(), res.Jain)
+	}
+	b.WriteString("\n")
+	return b.String()
 }

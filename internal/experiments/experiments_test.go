@@ -505,6 +505,27 @@ func TestListing1Format(t *testing.T) {
 	}
 }
 
+// `lfs getstripe` alone lists a file made under the default layout: one
+// object of a 1 MiB stripe, under the path as given, made relative.
+func TestStripeListingDefaultLayout(t *testing.T) {
+	out, err := StripeListing("a/b/c", 1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, objects, ok := strings.Cut(out, "obdidx")
+	if !ok || !strings.HasPrefix(head, "a/b/c\n") {
+		t.Fatalf("listing has no a/b/c header or no object table:\n%s", out)
+	}
+	for _, want := range []string{"lmm_stripe_count:  1\n", "lmm_stripe_size:   1048576\n"} {
+		if !strings.Contains(head, want) {
+			t.Errorf("listing missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(objects, "\n") - 1; n != 1 {
+		t.Errorf("listing has %d objects, want 1:\n%s", n, out)
+	}
+}
+
 func TestMeasuredRatio(t *testing.T) {
 	if r, err := MeasuredRatio("none"); err != nil || r != 1 {
 		t.Fatalf("none ratio=%v err=%v", r, err)

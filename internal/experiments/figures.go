@@ -8,6 +8,7 @@ import (
 	"picmcio/internal/darshan"
 	"picmcio/internal/ior"
 	"picmcio/internal/lustre"
+	"picmcio/internal/pfs"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 	"picmcio/internal/units"
@@ -330,28 +331,42 @@ func (o Options) Fig9(nodes int, sizes []int64, counts []int) (Table, [][]float6
 // Listing1 reproduces the paper's Listing 1 on a simulated Dardel: create
 // a striped file and render its layout as `lfs getstripe` would.
 func Listing1() (string, error) {
+	return StripeListing("/io_openPMD/dat_file.bp4/data.0", 8, 16<<20)
+}
+
+// StripeListing creates the file at path on a fresh simulated Dardel,
+// with its directory striped count × size, and renders its layout as
+// `lfs getstripe` would.
+func StripeListing(path string, count int, size int64) (string, error) {
+	path = pfs.Clean(path)
+	dir, _ := pfs.Split(path)
 	m := cluster.Dardel()
 	k := m.NewKernel(1)
 	sys, err := m.Build(k, 1, 1)
 	if err != nil {
 		return "", err
 	}
-	if err := sys.Lustre.SetStripe("/io_openPMD", 8, 16<<20); err != nil {
+	if err := sys.Lustre.SetStripe(dir, count, size); err != nil {
 		return "", err
 	}
+	var createErr error
 	k.Spawn("w", func(p *sim.Proc) {
 		env := &posix.Env{FS: sys.FS, Client: sys.Clients[0]}
-		fd, err := env.Create(p, "/io_openPMD/dat_file.bp4/data.0")
+		fd, err := env.Create(p, path)
 		if err != nil {
+			createErr = err
 			return
 		}
 		fd.Write(p, 64<<20, nil)
 		fd.Close(p)
 	})
 	k.Run()
-	lay, err := sys.Lustre.GetStripe("/io_openPMD/dat_file.bp4/data.0")
+	if createErr != nil {
+		return "", createErr
+	}
+	lay, err := sys.Lustre.GetStripe(path)
 	if err != nil {
 		return "", err
 	}
-	return lustre.FormatGetStripe("io_openPMD/dat_file.bp4/data.0", lay), nil
+	return lustre.FormatGetStripe(path[1:], lay), nil
 }

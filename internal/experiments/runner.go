@@ -106,8 +106,9 @@ func (o Options) EpochFactor() float64 {
 	return fullDiagEpochs / float64(o.DiagEpochs)
 }
 
-// deck builds the scaled input deck for the options.
-func (o Options) deck() bit1.InputDeck {
+// Deck builds the input deck scaled to the options' DiagEpochs: one
+// diagnostic output every 100 steps, one checkpoint at the end.
+func (o Options) Deck() bit1.InputDeck {
 	d := bit1.DefaultDeck()
 	d.MVStep = 100
 	d.MVFlag = 1
@@ -168,10 +169,7 @@ var (
 	BP4OneAggr = bp4("BIT1 openPMD + BP4 + 1 AGGR", func(int) int { return 1 })
 	// BP4BloscOneAggr assumes Blosc at its measured ratio on a PIC payload.
 	BP4BloscOneAggr = Config{Label: "BIT1 openPMD + BP4 + Blosc + 1 AGGR", Mode: bit1.IOOpenPMD,
-		TOML: func(int) (string, error) {
-			ratio, err := MeasuredRatio("blosc")
-			return aggrTOML(1, "blosc", ratio), err
-		}}
+		TOML: func(int) (string, error) { return BP4Options(1, "blosc") }}
 
 	// Tab2Configs lists them in the paper's order.
 	Tab2Configs = []Config{Original, BP4, BP4OneAggr, BP4BloscOneAggr}
@@ -181,7 +179,7 @@ var (
 // the node count.
 func bp4(label string, aggregators func(nodes int) int) Config {
 	return Config{Label: label, Mode: bit1.IOOpenPMD, TOML: func(nodes int) (string, error) {
-		return aggrTOML(aggregators(nodes), "", 1), nil
+		return BP4Options(aggregators(nodes), "")
 	}}
 }
 
@@ -267,7 +265,7 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 		return nil, err
 	}
 	cfg := bit1.Config{
-		Deck:           o.deck(),
+		Deck:           o.Deck(),
 		Sizing:         workload.Default(),
 		OutDir:         "/scratch/bit1",
 		Mode:           mode,
@@ -370,18 +368,24 @@ func profileOf(sys *cluster.System, path string) *adios2.Timers {
 	return &total
 }
 
-// aggrTOML renders the adaptor TOML for a configuration.
-func aggrTOML(numAgg int, codec string, ratio float64) string {
+// BP4Options renders the openPMD adaptor TOML of a BP4 configuration:
+// the aggregator count (0: the engine's default) and the compression
+// operator ("": none) at its measured ratio.
+func BP4Options(aggregators int, codec string) (string, error) {
+	ratio, err := MeasuredRatio(codec)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("[adios2.engine]\ntype = \"bp4\"\n\n[adios2.engine.parameters]\n")
-	if numAgg > 0 {
-		fmt.Fprintf(&b, "NumAggregators = \"%d\"\n", numAgg)
+	if aggregators > 0 {
+		fmt.Fprintf(&b, "NumAggregators = \"%d\"\n", aggregators)
 	}
-	if codec != "" && codec != "none" {
+	if codec != "" {
 		fmt.Fprintf(&b, "SimCompressionRatio = \"%.4f\"\n", ratio)
 		fmt.Fprintf(&b, "\n[adios2.dataset.operators]\ntype = \"%s\"\n", codec)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 var ratioCache sync.Map

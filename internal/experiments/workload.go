@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
@@ -187,4 +188,24 @@ func workloadTable(st sweep.Table) (Table, []WorkloadCell) {
 		}
 	}
 	return t, cells
+}
+
+// renderWorkload builds the artifact's text block: the grid table plus
+// the line the aggregator axis exists to show — funnelling the same
+// volume through fewer writer nodes changes when it is durable.
+func renderWorkload(st sweep.Table) string {
+	t, cells := workloadTable(st)
+	var b strings.Builder
+	b.WriteString(t.Render() + "\n")
+	for _, qos := range WorkloadQoSPolicies {
+		fmt.Fprintf(&b, "rank schedule, %-11s staged durable by aggregator count:", qos+":")
+		for _, c := range cells {
+			if c.Kind == "ranks" && c.QoS == qos {
+				fmt.Fprintf(&b, "  %d aggr %s", c.Aggr, units.Seconds(c.Result.Jobs[0].DurableSec))
+			}
+		}
+		b.WriteString("\n")
+	}
+	b.WriteString("\n")
+	return b.String()
 }

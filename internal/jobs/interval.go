@@ -3,8 +3,8 @@
 // runner. MeasureCheckpointCosts prices a machine's checkpoint levels by
 // probe runs through the real staging and PFS code paths — the measured
 // costs the ROADMAP's interval-optimization item asks for, as opposed to
-// hand-fed constants — and Spec.IntervalFrom stamps a plan's recommended
-// cadence back onto a workload so campaigns run *at* the optimum.
+// hand-fed constants. A campaign runs *at* a plan's recommended cadence
+// by setting its workload's ComputeSec to the interval (campopt does).
 package jobs
 
 import (

@@ -40,11 +40,10 @@ type Spec struct {
 	Workload Workload
 
 	// StripeCount widens the job's output directory striping (-1 = all
-	// OSTs, 0 = machine default).
+	// OSTs, 0 = machine default) at jobStripeSize.
 	// Checkpoint directories are conventionally striped wide, and wide
 	// stripes are what make co-scheduled jobs share OSTs.
 	StripeCount int
-	StripeSize  int64 // stripe size in bytes; 0 = 4 MiB
 
 	// Fault injects a node (or whole-job) failure into the job's epoch
 	// schedule: the victim writer(s) die mid-epoch, the staged state on
@@ -54,6 +53,9 @@ type Spec struct {
 	// job that kept running. nil = no failure.
 	Fault *fault.Spec
 }
+
+// jobStripeSize is the stripe size of a job's widened output directory.
+const jobStripeSize = 4 << 20
 
 // dir is the job's output directory on the shared file system.
 func (s Spec) dir() string { return "/scratch/" + s.Name }
@@ -262,11 +264,7 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 			return nil, err
 		}
 		if spec.StripeCount != 0 {
-			size := spec.StripeSize
-			if size == 0 {
-				size = 4 << 20
-			}
-			if err := sys.Lustre.SetStripe(spec.dir(), spec.StripeCount, size); err != nil {
+			if err := sys.Lustre.SetStripe(spec.dir(), spec.StripeCount, jobStripeSize); err != nil {
 				return nil, fmt.Errorf("jobs: job %s: %w", spec.Name, err)
 			}
 		}

@@ -35,13 +35,14 @@ func newIOTemplate(cfg *Config) ioTemplate {
 	// Engine parameters pass through from the TOML config; the aggregator
 	// count is the paper's OPENPMD_ADIOS2_BP5_NumAgg knob. A tier's drain
 	// policy and QoS are its burst.Spec's, so a burst_* key other than the
-	// two below is a typo or a removed knob, and an error.
+	// two top-level ones below — under [adios2.engine] too — is a typo or
+	// a removed knob, and an error.
 	for _, key := range cfg.Keys() {
 		if param, ok := strings.CutPrefix(key, "adios2.engine.parameters."); ok && param != "" {
 			v, _ := cfg.Get(key)
 			io.SetParameter(param, v)
 		}
-		if name := strings.TrimPrefix(key, "adios2.engine."); strings.HasPrefix(name, "burst_") && name != "burst_buffer" && name != "burst_durability" {
+		if name := strings.TrimPrefix(key, "adios2.engine."); strings.HasPrefix(name, "burst_") && key != "burst_buffer" && key != "burst_durability" {
 			return ioTemplate{err: fmt.Errorf("openpmd: unknown key %q (the burst keys are burst_buffer and burst_durability)", key)}
 		}
 	}
@@ -50,18 +51,16 @@ func newIOTemplate(cfg *Config) ioTemplate {
 			return ioTemplate{err: err}
 		}
 	}
-	// Burst-buffer staging: `burst_buffer = true` (top level or under
-	// [adios2.engine]) routes engine I/O through the host environment's
-	// staging tier; `burst_durability = "pfs"` makes iteration close wait
-	// for write-back instead of returning at buffered durability.
+	// Burst-buffer staging: a top-level `burst_buffer = true` routes
+	// engine I/O through the host environment's staging tier;
+	// `burst_durability = "pfs"` makes iteration close wait for write-back
+	// instead of returning at buffered durability.
 	for _, bk := range []struct{ toml, param string }{
 		{"burst_buffer", "BurstBuffer"},
 		{"burst_durability", "BurstDurability"},
 	} {
-		for _, key := range []string{bk.toml, "adios2.engine." + bk.toml} {
-			if v, ok := cfg.Get(key); ok {
-				io.SetParameter(bk.param, v)
-			}
+		if v, ok := cfg.Get(bk.toml); ok {
+			io.SetParameter(bk.param, v)
 		}
 	}
 	return ioTemplate{io: io}

@@ -251,14 +251,16 @@ func TestUnknownBackendRejected(t *testing.T) {
 	})
 }
 
-// A burst_* key other than burst_buffer and burst_durability, at the top
-// level or under [adios2.engine], is an openPMD error naming it on every
-// rank — a typo or a removed QoS knob does not run silently as if unset.
+// A burst_* key other than the top-level burst_buffer and
+// burst_durability — any burst_* key under [adios2.engine] — is an
+// openPMD error naming it on every rank: a typo, a removed QoS knob or a
+// misplaced key does not run silently as if unset.
 func TestUnknownBurstKeyRejected(t *testing.T) {
 	for _, c := range []struct{ toml, key string }{
 		{"burst_buffer = true\nburst_drain_limit = \"2e9\"\n", "burst_drain_limit"},
 		{"burst_bufer = true\n", "burst_bufer"},
 		{"[adios2.engine]\nburst_qos_priority = true\n", "adios2.engine.burst_qos_priority"},
+		{"[adios2.engine]\nburst_buffer = true\n", "adios2.engine.burst_buffer"},
 	} {
 		const ranks = 3
 		rg := newRig(ranks)
