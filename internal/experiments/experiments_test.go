@@ -547,6 +547,20 @@ func TestMeasuredRatio(t *testing.T) {
 	}
 }
 
+// TestBP4OptionsNoneIsNoCodec: "none" names no operator, so its TOML is
+// the uncompressed one byte for byte, at any aggregator count.
+func TestBP4OptionsNoneIsNoCodec(t *testing.T) {
+	for _, aggr := range []int{0, 1, 4} {
+		none, err := BP4Options(aggr, "none")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain, _ := BP4Options(aggr, ""); none != plain {
+			t.Errorf("aggregators=%d: none renders\n%s\nwant\n%s", aggr, none, plain)
+		}
+	}
+}
+
 func TestRunIOROrdering(t *testing.T) {
 	o := testOptions()
 	fpp, err := o.runIOR(Run{Machine: cluster.Dardel(), Nodes: 2, Config: IORFilePerProc})

@@ -68,18 +68,12 @@ type FaultCell struct {
 // — the grid's headline separation between the policies' durability
 // positions.
 func faultScenario(pol burst.Policy, qos burst.QoS, f *fault.Spec) []jobs.Spec {
-	wl := jobs.ChunkedWriter{
-		Epochs:          faultEpochs,
-		CheckpointBytes: 128 * units.MiB,
-		ComputeSec:      0.03,
-		ChunkBytes:      16 * units.MiB,
-	}
 	return []jobs.Spec{
 		{
 			Name:        "victim",
 			Nodes:       2,
 			Burst:       stagedTier(5.5e9, pol, qos),
-			Workload:    wl,
+			Workload:    checkpointWriter(),
 			StripeCount: -1,
 			Fault:       f,
 		},
@@ -93,6 +87,17 @@ func faultScenario(pol burst.Policy, qos burst.QoS, f *fault.Spec) []jobs.Spec {
 			},
 			StripeCount: -1,
 		},
+	}
+}
+
+// checkpointWriter is the fault grid's victim workload, which the interval
+// figure's cost probe and the campopt campaign measure too.
+func checkpointWriter() jobs.ChunkedWriter {
+	return jobs.ChunkedWriter{
+		Epochs:          faultEpochs,
+		CheckpointBytes: 128 * units.MiB,
+		ComputeSec:      0.03,
+		ChunkBytes:      16 * units.MiB,
 	}
 }
 

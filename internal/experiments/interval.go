@@ -37,18 +37,6 @@ func intervalMachines() []cluster.Machine {
 	return ms
 }
 
-// intervalProbeWorkload is the cost-measurement scenario shared by the
-// interval figure and the campopt campaign: the fault grid's chunked
-// checkpoint writer.
-func intervalProbeWorkload() jobs.ChunkedWriter {
-	return jobs.ChunkedWriter{
-		Epochs:          6,
-		CheckpointBytes: 128 * units.MiB,
-		ComputeSec:      0.03,
-		ChunkBytes:      16 * units.MiB,
-	}
-}
-
 // intervalProbeNodes is the probe and campaign job scale.
 const intervalProbeNodes = 2
 
@@ -60,7 +48,7 @@ func intervalPlan(m cluster.Machine, mtbfHours float64, seed uint64) (ckptopt.Pl
 	if mtbfHours > 0 {
 		m.MTBFNodeHours = mtbfHours
 	}
-	costs, err := jobs.MeasureCheckpointCosts(m, intervalProbeWorkload(), intervalProbeNodes, seed)
+	costs, err := jobs.MeasureCheckpointCosts(m, checkpointWriter(), intervalProbeNodes, seed)
 	if err != nil {
 		return ckptopt.Plan{}, err
 	}
@@ -256,7 +244,7 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 			st.mtbf = o.CampaignMTBFHours
 		}
 		tau := plan.IntervalSec()
-		wl := intervalProbeWorkload()
+		wl := checkpointWriter()
 		span := float64(wl.Epochs) * (tau + plan.Recommended().SaveSec)
 		lambda := fault.ExpectedFailures(st.mtbf, intervalProbeNodes, sim.Duration(span))
 		st.runs = campaignDraws(o.CampaignRuns, optimalTargetFailures, lambda)
@@ -264,13 +252,13 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 	}
 	g := sweep.Grid{mAxis, sweep.Floats("interval_x", IntervalScales)}
 	title := fmt.Sprintf("Campaign O: empirical waste at the ckptopt interval vs fixed baselines (%d-epoch runs, interval_x=1 is the recommendation)",
-		intervalProbeWorkload().Epochs)
+		checkpointWriter().Epochs)
 	return sweep.Run(g, o.sweepOptions(title),
 		func(c sweep.Config) (sweep.Point, error) {
 			st := states[c.Str("machine")]
 			scale := c.Float("interval_x")
 			tau := scale * st.plan.IntervalSec()
-			wl := intervalProbeWorkload()
+			wl := checkpointWriter()
 			wl.ComputeSec = sim.Duration(tau)
 			spec := jobs.Spec{Name: "victim", Nodes: intervalProbeNodes, Burst: st.m.Burst, Workload: wl, StripeCount: -1}
 			clean, err := jobs.Run(st.m, []jobs.Spec{spec}, o.Seed)

@@ -145,6 +145,9 @@ type RunResult struct {
 	// accrued while ranks were still running — the portion of write-back
 	// genuinely overlapped with the app.
 	DrainTailSec, DrainOverlapSec float64
+	// ElapsedSec is the virtual time at which the kernel drained: the
+	// job's run time, drain tail included.
+	ElapsedSec float64
 }
 
 // Config is one I/O configuration a run is launched in: the label the
@@ -198,6 +201,9 @@ type Run struct {
 	Config      Config
 	StripeCount int
 	StripeSize  int64
+	// Deck is BIT1's input deck; nil means the one Options.DiagEpochs
+	// scales. The full-run extrapolations assume DiagEpochs either way.
+	Deck *bit1.InputDeck
 }
 
 // evaluate is the one loop every paper figure runs on: it measures each
@@ -264,8 +270,12 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	deck := o.Deck()
+	if run.Deck != nil {
+		deck = *run.Deck
+	}
 	cfg := bit1.Config{
-		Deck:           o.Deck(),
+		Deck:           deck,
 		Sizing:         workload.Default(),
 		OutDir:         "/scratch/bit1",
 		Mode:           mode,
@@ -294,7 +304,7 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &RunResult{}
+	res := &RunResult{ElapsedSec: float64(k.Now())}
 	if sys.Burst != nil {
 		st := sys.Burst.Stats()
 		res.Burst = &st
@@ -370,7 +380,7 @@ func profileOf(sys *cluster.System, path string) *adios2.Timers {
 
 // BP4Options renders the openPMD adaptor TOML of a BP4 configuration:
 // the aggregator count (0: the engine's default) and the compression
-// operator ("": none) at its measured ratio.
+// operator ("" or "none": no operator section) at its measured ratio.
 func BP4Options(aggregators int, codec string) (string, error) {
 	ratio, err := MeasuredRatio(codec)
 	if err != nil {
@@ -381,7 +391,7 @@ func BP4Options(aggregators int, codec string) (string, error) {
 	if aggregators > 0 {
 		fmt.Fprintf(&b, "NumAggregators = \"%d\"\n", aggregators)
 	}
-	if codec != "" {
+	if codec != "" && codec != "none" {
 		fmt.Fprintf(&b, "SimCompressionRatio = \"%.4f\"\n", ratio)
 		fmt.Fprintf(&b, "\n[adios2.dataset.operators]\ntype = \"%s\"\n", codec)
 	}
