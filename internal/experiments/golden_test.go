@@ -20,6 +20,9 @@ var goldenCases = []struct {
 	{"figburst", "golden_figburst.txt", Options{Seed: 1, RanksPerNode: 8, NodeCounts: []int{1, 4}, DiagEpochs: 2}},
 	{"figcontention", "golden_figcontention.txt", Options{Seed: 1}},
 	{"figfault", "golden_figfault.txt", Options{Seed: 1}},
+	// figsizing's capture dates from when it joined the pinned set, long
+	// after its introduction; it pins the capacity × drain-rate surface.
+	{"figsizing", "golden_figsizing.txt", Options{Seed: 1}},
 	// figworkload's capture dates from its introduction (it postdates the
 	// sweep engine); byte identity pins the workload-interface composition.
 	{"figworkload", "golden_figworkload.txt", Options{Seed: 1}},
