@@ -25,7 +25,6 @@ dmpstep = 500
 mvflag  = 1
 mvstep  = 100
 last_step = 1000
-cells = 1024
 `
 
 var deckBad = []string{
@@ -34,6 +33,7 @@ var deckBad = []string{
 	"dmpstep = abc",
 	"last_step = 0",
 	"mvflag = 1\nmvstep = 0",
+	"cells = 1024", // a size no run reads
 }
 
 func TestParseDeck(t *testing.T) {
@@ -41,7 +41,7 @@ func TestParseDeck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.DatFile != "run42" || d.DMPStep != 500 || d.MVStep != 100 || d.LastStep != 1000 || d.Cells != 1024 {
+	if d.DatFile != "run42" || d.DMPStep != 500 || d.MVStep != 100 || d.LastStep != 1000 {
 		t.Fatalf("deck=%+v", d)
 	}
 	diags, checkpoints := 0, 0

@@ -1,8 +1,8 @@
 // Package bit1 is the application shell of the simulated BIT1 code: the
-// input deck (the five critical I/O parameters of §II), the time-step
-// loop, and the two output paths the paper compares — the original serial
-// stdio file-per-process writer and the openPMD adaptor (adaptor.go), the
-// paper's contribution.
+// input deck (the five I/O-critical parameters of §II and nothing else),
+// the time-step loop, and the two output paths the paper compares — the
+// original serial stdio file-per-process writer and the openPMD adaptor
+// (adaptor.go), the paper's contribution.
 package bit1
 
 import (
@@ -11,37 +11,32 @@ import (
 	"strings"
 )
 
-// InputDeck mirrors BIT1's input parameters. The five I/O-critical ones
-// are named as in the paper; physics knobs cover the §III-C use case.
+// InputDeck holds BIT1's five I/O-critical input parameters, named as in
+// the paper. They are all a run reads from a deck: the data volume comes
+// from Config.Sizing, not from a cell or particle count.
 type InputDeck struct {
 	DatFile  string // diagnostic snapshot base name
 	DMPStep  int    // checkpoint period in steps
 	MVFlag   int    // >0 activates time-dependent diagnostics
 	MVStep   int    // steps between time-dependent diagnostics
 	LastStep int    // final step (saves state and terminates)
-
-	Cells     int
-	Particles int // macro-particles per species
-	Species   int
 }
 
 // DefaultDeck returns a deck shaped like the paper's production case but
 // scaled in epochs: diagnostics every MVStep, checkpoints every DMPStep.
 func DefaultDeck() InputDeck {
 	return InputDeck{
-		DatFile:   "bit1",
-		DMPStep:   10000,
-		MVFlag:    1,
-		MVStep:    1000,
-		LastStep:  200000,
-		Cells:     100000,
-		Particles: 10000000,
-		Species:   3,
+		DatFile:  "bit1",
+		DMPStep:  10000,
+		MVFlag:   1,
+		MVStep:   1000,
+		LastStep: 200000,
 	}
 }
 
 // ParseDeck parses a key = value deck (the 1–3 kB input file every rank
-// reads). Unknown keys are rejected so typos fail loudly.
+// reads). Unknown keys are rejected so typos fail loudly, and so is a
+// size (cells, particles, species) the run would ignore.
 func ParseDeck(src string) (InputDeck, error) {
 	d := DefaultDeck()
 	for ln, raw := range strings.Split(src, "\n") {
@@ -75,12 +70,6 @@ func ParseDeck(src string) (InputDeck, error) {
 			err = setInt(&d.MVStep)
 		case "last_step", "laststep":
 			err = setInt(&d.LastStep)
-		case "cells":
-			err = setInt(&d.Cells)
-		case "particles":
-			err = setInt(&d.Particles)
-		case "species":
-			err = setInt(&d.Species)
 		default:
 			return d, fmt.Errorf("bit1: input line %d: unknown key %q", ln+1, key)
 		}

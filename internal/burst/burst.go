@@ -128,7 +128,7 @@ type Spec struct {
 	DrainRate     float64      // drain-side bandwidth cap; 0 = PFS-limited
 	Policy        Policy
 	HighWater     float64 // watermark start fraction (default 0.7)
-	LowWater      float64 // watermark stop fraction (default 0.3)
+	LowWater      float64 // watermark stop fraction (default HighWater/2: 0.35 at the default)
 
 	// QoS is the drain scheduler's quality-of-service setting, fixed for
 	// the tier's life: the spec is the one place it is set.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"picmcio/internal/burst"
+	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
 	"picmcio/internal/jobs"
 	"picmcio/internal/sim"
@@ -53,6 +54,54 @@ func killPoint(t, cycle float64, epochs int) (int, float64) {
 	return epoch, frac
 }
 
+// failureLoop is the Monte-Carlo loop both failure campaigns share.
+// Each of runs draws failure arrivals over the victim's (job 0's) nodes
+// and spanH hours from rng(run) at the machine's per-node MTBF; a run
+// with no arrival inside the span is skipped. Otherwise its first
+// arrival kills the victim at its killPoint in cycleH-hour epochs under
+// kill, on a victim node drawn next from the same stream unless kill
+// takes the whole job. First-failure truncation: λ ≪ 1 per run, so the
+// chance of a second failure inside one run's span is negligible and
+// the recovery dynamics of a single kill are what the campaigns price.
+type failureLoop struct {
+	m      cluster.Machine
+	specs  []jobs.Spec
+	seed   uint64 // every simulated run's seed
+	runs   int
+	rng    func(run int) *xrand.RNG
+	spanH  float64
+	cycleH float64
+	kill   fault.Spec // scope, survival and restart delay of every kill
+}
+
+// each runs the loop, handing the victim's result of every run whose
+// kill fired to failed. A run whose victim finished before its kill (a
+// kill in the last epoch's tail) lost nothing and is skipped.
+func (l failureLoop) each(failed func(victim jobs.Result)) error {
+	victim := l.specs[0]
+	epochs := victim.Workload.Shape().Epochs
+	for run := 0; run < l.runs; run++ {
+		rng := l.rng(run)
+		arrivals := fault.Arrivals(rng, l.m.MTBFNodeHours, victim.Nodes, l.spanH)
+		if len(arrivals) == 0 {
+			continue
+		}
+		fs := l.kill
+		fs.KillEpoch, fs.KillFrac = killPoint(arrivals[0], l.cycleH, epochs)
+		if !fs.WholeJob {
+			fs.Node = rng.Intn(victim.Nodes)
+		}
+		res, err := jobs.Run(l.m, jobs.WithFault(l.specs, 0, &fs), l.seed)
+		if err != nil {
+			return fmt.Errorf("run %d: %w", run, err)
+		}
+		if res[0].Fault != nil {
+			failed(res[0])
+		}
+	}
+	return nil
+}
+
 // CampaignCell is one (drain policy × QoS) cell of the stochastic
 // failure campaign: the Monte-Carlo accounting over all sampled runs.
 type CampaignCell struct {
@@ -81,73 +130,47 @@ type CampaignCell struct {
 // a parallel campaign draws the exact arrivals a serial one does.
 func (o Options) CampaignFailure() (sweep.Table, error) {
 	o = o.WithDefaults()
-	m := FaultMachine()
-	mtbf := m.MTBFNodeHours
-	if o.CampaignMTBFHours > 0 {
-		mtbf = o.CampaignMTBFHours
-	}
+	m := o.campaignMachine(FaultMachine())
 	// The campaign's arrival rate and victim sampling derive from the
 	// scenario's own victim job, so a resized faultScenario cannot
 	// silently drift out of step with the sampler.
 	victim := faultScenario(burst.PolicyImmediate, burst.QoS{}, nil)[0]
 	wl := victim.Workload.Shape()
-	victimNodes := victim.Nodes
 	spanHours := float64(wl.Epochs) * campaignEpochHours
-	lambda := fault.ExpectedFailures(mtbf, victimNodes, sim.Duration(spanHours*3600))
+	lambda := fault.ExpectedFailures(m.MTBFNodeHours, victim.Nodes, sim.Duration(spanHours*3600))
 	runs := campaignDraws(o.CampaignRuns, campaignTargetFailures, lambda)
-	g := sweep.Grid{faultPolicyAxis(), sweep.Strings("qos", FaultQoSPolicies)}
+	g := sweep.Grid{settingsAxis("policy", FaultDrainPolicies), settingsAxis("qos", FaultQoSPolicies)}
 	title := fmt.Sprintf("Campaign F: stochastic node failures on %s (MTBF %.3gk h, %d-epoch runs, %g h/epoch, %d runs/cell)",
-		m.Name, mtbf/1e3, wl.Epochs, campaignEpochHours, runs)
+		m.Name, m.MTBFNodeHours/1e3, wl.Epochs, campaignEpochHours, runs)
 	return sweep.Run(g, o.sweepOptions(title),
 		func(c sweep.Config) (sweep.Point, error) {
 			pol := c.Value("policy").(burst.Policy)
-			qosName := c.Str("qos")
-			qos, err := contentionQoS(qosName, 0)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			cell := CampaignCell{Policy: pol, QoS: qosName, Runs: runs, ExpectedPerRun: lambda}
-			rng := xrand.New(c.Seed)
-			specs := faultScenario(pol, qos, nil)
+			q := c.Value("qos").(qosSetting)
+			cell := CampaignCell{Policy: pol, QoS: q.name, Runs: runs, ExpectedPerRun: lambda}
+			specs := faultScenario(pol, q.qos, nil)
 			// One clean baseline serves every failing run of the cell: the
 			// scenario is deterministic under o.Seed.
 			clean, err := jobs.Run(m, specs, o.Seed)
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("campfail clean: %w", err)
 			}
-			for run := 0; run < runs; run++ {
-				arrivals := fault.Arrivals(rng, mtbf, victimNodes, spanHours)
-				if len(arrivals) == 0 {
-					continue
-				}
-				// First-failure truncation: λ ≪ 1 per run, so the chance of
-				// a second failure inside one run's span is negligible and
-				// the recovery dynamics of a single kill are what the drain
-				// policies differ on.
-				epoch, frac := killPoint(arrivals[0], campaignEpochHours, wl.Epochs)
-				fs := &fault.Spec{
-					KillEpoch: epoch,
-					KillFrac:  frac,
-					Node:      rng.Intn(victimNodes),
-					Survival:  m.NVMeSurvival,
-					// The figfault-scale reschedule delay keeps the sim
-					// readable; the production-hours cost uses the machine's
-					// real NodeRestartSec below.
-					RestartDelay: 0.05,
-				}
-				res, err := jobs.Run(m, jobs.WithFault(specs, 0, fs), o.Seed)
-				if err != nil {
-					return sweep.Point{}, fmt.Errorf("campfail run %d: %w", run, err)
-				}
-				if res[0].Fault == nil {
-					// The sampled victim finished before the kill fired (a
-					// kill in the last epoch's tail): no recovery, nothing
-					// lost.
-					continue
-				}
+			rng := xrand.New(c.Seed) // one stream for the whole cell
+			err = failureLoop{
+				m: m, specs: specs, seed: o.Seed, runs: runs,
+				rng:    func(int) *xrand.RNG { return rng },
+				spanH:  spanHours,
+				cycleH: campaignEpochHours,
+				// The figfault-scale reschedule delay keeps the sim
+				// readable; the production-hours cost uses the machine's
+				// real NodeRestartSec below.
+				kill: fault.Spec{Survival: m.NVMeSurvival, RestartDelay: 0.05},
+			}.each(func(victim jobs.Result) {
 				cell.Failures++
-				cell.LostNodeHours += res[0].LostNodeHours(campaignEpochHours, m.NodeRestartSec/3600)
-				cell.MeanFaultCostSec += res[0].DurableSec - clean[0].DurableSec
+				cell.LostNodeHours += victim.LostNodeHours(campaignEpochHours, m.NodeRestartSec/3600)
+				cell.MeanFaultCostSec += victim.DurableSec - clean[0].DurableSec
+			})
+			if err != nil {
+				return sweep.Point{}, fmt.Errorf("campfail %w", err)
 			}
 			if cell.Failures > 0 {
 				cell.MeanLostPerFail = cell.LostNodeHours / float64(cell.Failures)

@@ -7,35 +7,44 @@ import (
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
 	"picmcio/internal/jobs"
-	"picmcio/internal/sim"
 	"picmcio/internal/sweep"
 	"picmcio/internal/units"
 )
 
-// ContentionQoSPolicies names the drain-QoS grid of FigContention, in
-// table order: the plain scheduler, the checkpoint priority lane, the
-// write-back rate limit, and drain-by-next-epoch deadline pacing.
-var ContentionQoSPolicies = []string{"qos-off", "priority", "rate-limit", "deadline"}
+// qosSetting is one named drain-QoS setting of the staged scenarios: a
+// sweep axis value that prints as its name.
+type qosSetting struct {
+	name string
+	qos  burst.QoS
+}
 
-// contentionQoS maps a QoS policy name to the staged job's drain QoS:
-// figcontention's and figworkload's four, and the figfault and campfail
-// subset. epochWindow sizes the deadline policy's pacing.
-func contentionQoS(policy string, epochWindow float64) (burst.QoS, error) {
-	switch policy {
-	case "qos-off":
-		return burst.QoS{}, nil
-	case "priority":
-		return burst.QoS{PriorityLanes: true}, nil
-	case "rate-limit":
-		// Per-node cap well under the PFS-limited burst rate: write-back
-		// yields bandwidth to the neighbour at the cost of a longer tail,
-		// and a backlog that spans epochs leaves the durable position
-		// further behind the buffered one.
-		return burst.QoS{DrainLimit: 1.5e9}, nil
-	case "deadline":
-		return burst.QoS{Deadline: sim.Duration(epochWindow)}, nil
+func (q qosSetting) String() string { return q.name }
+
+// The drain-QoS settings the staged scenarios share: the plain
+// scheduler, the checkpoint priority lane, and a per-node write-back cap
+// well under the PFS-limited burst rate (write-back yields bandwidth to
+// the neighbour at the cost of a longer tail, and a backlog that spans
+// epochs leaves the durable position further behind the buffered one).
+var (
+	qosOff       = qosSetting{"qos-off", burst.QoS{}}
+	qosPriority  = qosSetting{"priority", burst.QoS{PriorityLanes: true}}
+	qosRateLimit = qosSetting{"rate-limit", burst.QoS{DrainLimit: 1.5e9}}
+)
+
+// ContentionQoSPolicies is the drain-QoS grid of FigContention, in table
+// order: the shared settings plus drain-by-next-epoch deadline pacing,
+// whose window is one epoch interval — absorb (~22 ms at NVMe speed)
+// plus the compute phase.
+var ContentionQoSPolicies = []qosSetting{qosOff, qosPriority, qosRateLimit, {"deadline", burst.QoS{Deadline: 0.04}}}
+
+// settingsAxis builds a sweep axis over typed settings, each printed by
+// its String method.
+func settingsAxis[T fmt.Stringer](name string, vs []T) sweep.Axis {
+	a := sweep.Axis{Name: name}
+	for _, v := range vs {
+		a.Values = append(a.Values, v)
 	}
-	return burst.QoS{}, fmt.Errorf("unknown QoS policy %q", policy)
+	return a
 }
 
 // ContentionRow is one QoS policy's measurement of the two-job scenario.
@@ -93,17 +102,11 @@ func contentionSpecs(qos burst.QoS, epochs int) []jobs.Spec {
 func (o Options) FigContentionSweep() (sweep.Table, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
-	g := sweep.Grid{sweep.Strings("policy", ContentionQoSPolicies)}
+	g := sweep.Grid{settingsAxis("policy", ContentionQoSPolicies)}
 	return sweep.Run(g, o.sweepOptions("Fig C: multi-job contention on Dardel (staged ckpt-heavy job vs direct neighbour)"),
 		func(c sweep.Config) (sweep.Point, error) {
-			policy := c.Str("policy")
-			// The deadline window is one epoch interval: absorb (~22 ms at
-			// NVMe speed) plus the compute phase — "drain by next epoch".
-			qos, err := contentionQoS(policy, 0.04)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			res, err := jobs.Contention(m, contentionSpecs(qos, 3), o.Seed)
+			q := c.Value("policy").(qosSetting)
+			res, err := jobs.Contention(m, contentionSpecs(q.qos, 3), o.Seed)
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figcontention: %w", err)
 			}
@@ -116,7 +119,7 @@ func (o Options) FigContentionSweep() (sweep.Table, error) {
 					sweep.V(j.Name+"_slowdown_x", res.Slowdown[i]),
 					sweep.V(j.Name+"_client_gibps", units.GiBps(j.ClientBps)))
 			}
-			return sweep.Point{Values: vals, Extra: ContentionRow{Policy: policy, Result: res}}, nil
+			return sweep.Point{Values: vals, Extra: ContentionRow{Policy: q.name, Result: res}}, nil
 		})
 }
 

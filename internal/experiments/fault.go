@@ -17,7 +17,7 @@ var FaultDrainPolicies = []burst.Policy{burst.PolicyImmediate, burst.PolicyEpoch
 // FaultQoSPolicies is the drain-QoS axis: the plain scheduler and the
 // good-neighbour write-back cap (which slows the march to PFS durability
 // and so raises what a node loss costs).
-var FaultQoSPolicies = []string{"qos-off", "rate-limit"}
+var FaultQoSPolicies = []qosSetting{qosOff, qosRateLimit}
 
 // FaultKillFracs is the kill-time axis: fractions through the kill
 // epoch's compute phase. Both points sit after the immediate drain's
@@ -35,16 +35,6 @@ const (
 // FaultMachine is the machine the fault grid runs on — the single source
 // both FigFault and the cmd/experiments header derive it from.
 func FaultMachine() cluster.Machine { return cluster.Dardel() }
-
-// faultPolicyAxis is the drain-policy sweep axis FigFault and the
-// failure campaign share.
-func faultPolicyAxis() sweep.Axis {
-	a := sweep.Axis{Name: "policy"}
-	for _, p := range FaultDrainPolicies {
-		a.Values = append(a.Values, p)
-	}
-	return a
-}
 
 // FaultCell is one grid cell of the fault-injection figure.
 type FaultCell struct {
@@ -137,33 +127,25 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 	}
 	cleans := map[cleanKey]float64{}
 	for _, pol := range FaultDrainPolicies {
-		for _, qosName := range FaultQoSPolicies {
-			qos, err := contentionQoS(qosName, 0)
+		for _, q := range FaultQoSPolicies {
+			clean, err := jobs.Run(m, faultScenario(pol, q.qos, nil), o.Seed)
 			if err != nil {
-				return sweep.Table{}, err
+				return sweep.Table{}, fmt.Errorf("figfault clean %s/%s: %w", pol, q, err)
 			}
-			clean, err := jobs.Run(m, faultScenario(pol, qos, nil), o.Seed)
-			if err != nil {
-				return sweep.Table{}, fmt.Errorf("figfault clean %s/%s: %w", pol, qosName, err)
-			}
-			cleans[cleanKey{pol, qosName}] = clean[0].DurableSec
+			cleans[cleanKey{pol, q.name}] = clean[0].DurableSec
 		}
 	}
 	g := sweep.Grid{
-		faultPolicyAxis(),
-		sweep.Strings("qos", FaultQoSPolicies),
+		settingsAxis("policy", FaultDrainPolicies),
+		settingsAxis("qos", FaultQoSPolicies),
 		sweep.Floats("kill_frac", FaultKillFracs),
 	}
 	return sweep.Run(g, o.sweepOptions("Fig F: node-loss fault injection on Dardel (staged victim + direct neighbour, kill in epoch 3/6)"),
 		func(c sweep.Config) (sweep.Point, error) {
 			pol := c.Value("policy").(burst.Policy)
-			qosName := c.Str("qos")
+			q := c.Value("qos").(qosSetting)
 			frac := c.Float("kill_frac")
-			qos, err := contentionQoS(qosName, 0)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			res, err := jobs.Run(m, faultScenario(pol, qos, figFaultSpec(frac)), o.Seed)
+			res, err := jobs.Run(m, faultScenario(pol, q.qos, figFaultSpec(frac)), o.Seed)
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figfault: %w", err)
 			}
@@ -172,10 +154,10 @@ func (o Options) FigFaultSweep() (sweep.Table, error) {
 				return sweep.Point{}, fmt.Errorf("figfault: injection never fired")
 			}
 			cell := FaultCell{
-				Policy: pol, QoS: qosName, KillFrac: frac,
+				Policy: pol, QoS: q.name, KillFrac: frac,
 				Report:        rep,
 				VictimDurable: res[0].DurableSec,
-				CleanDurable:  cleans[cleanKey{pol, qosName}],
+				CleanDurable:  cleans[cleanKey{pol, q.name}],
 			}
 			return sweep.Point{
 				Values: []sweep.Value{
@@ -233,13 +215,12 @@ type FaultSurvivalComparison struct {
 func (o Options) FigFaultSurvival() (*FaultSurvivalComparison, error) {
 	o = o.WithDefaults()
 	m := FaultMachine()
-	qos, _ := contentionQoS("qos-off", 0)
 	frac := FaultKillFracs[len(FaultKillFracs)-1]
 	var out FaultSurvivalComparison
 	for _, surv := range []fault.Survivability{fault.SurviveNone, fault.SurviveNVMe} {
 		fs := figFaultSpec(frac)
 		fs.Survival = surv
-		res, err := jobs.Run(m, faultScenario(burst.PolicyWatermark, qos, fs), o.Seed)
+		res, err := jobs.Run(m, faultScenario(burst.PolicyWatermark, qosOff.qos, fs), o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("figfault survival %v: %w", surv, err)
 		}

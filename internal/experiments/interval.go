@@ -41,13 +41,8 @@ func intervalMachines() []cluster.Machine {
 const intervalProbeNodes = 2
 
 // intervalPlan measures machine m's checkpoint costs under the drain
-// policy its burst spec carries and prices them into a plan. A zero
-// mtbfHours keeps the preset MTBF; the override is what lets accelerated
-// smoke campaigns observe failures.
-func intervalPlan(m cluster.Machine, mtbfHours float64, seed uint64) (ckptopt.Plan, error) {
-	if mtbfHours > 0 {
-		m.MTBFNodeHours = mtbfHours
-	}
+// policy its burst spec carries and prices them into a plan at m's MTBF.
+func intervalPlan(m cluster.Machine, seed uint64) (ckptopt.Plan, error) {
 	costs, err := jobs.MeasureCheckpointCosts(m, checkpointWriter(), intervalProbeNodes, seed)
 	if err != nil {
 		return ckptopt.Plan{}, err
@@ -90,9 +85,9 @@ func (o Options) FigIntervalSweep() (sweep.Table, error) {
 	for _, m := range machines {
 		mAxis.Values = append(mAxis.Values, m.Name)
 		for _, pol := range FaultDrainPolicies {
-			mp := m
+			mp := o.campaignMachine(m)
 			mp.Burst.Policy = pol
-			p, err := intervalPlan(mp, o.CampaignMTBFHours, o.Seed)
+			p, err := intervalPlan(mp, o.Seed)
 			if err != nil {
 				return sweep.Table{}, fmt.Errorf("figinterval %s/%s: %w", m.Name, pol, err)
 			}
@@ -101,7 +96,7 @@ func (o Options) FigIntervalSweep() (sweep.Table, error) {
 	}
 	g := sweep.Grid{
 		mAxis,
-		faultPolicyAxis(),
+		settingsAxis("policy", FaultDrainPolicies),
 		sweep.Strings("durability", IntervalDurabilities),
 		sweep.Floats("interval_x", IntervalScales),
 	}
@@ -228,25 +223,22 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 	type mstate struct {
 		m    cluster.Machine
 		plan ckptopt.Plan
-		mtbf float64
 		runs int
 		seed uint64
 	}
 	states := map[string]*mstate{}
 	for mi, m := range machines {
+		m = o.campaignMachine(m)
 		mAxis.Values = append(mAxis.Values, m.Name)
-		plan, err := intervalPlan(m, o.CampaignMTBFHours, o.Seed)
+		plan, err := intervalPlan(m, o.Seed)
 		if err != nil {
 			return sweep.Table{}, fmt.Errorf("campopt %s: %w", m.Name, err)
 		}
-		st := &mstate{m: m, plan: plan, mtbf: m.MTBFNodeHours, seed: xrand.SeedAt(o.Seed, uint64(1000+mi))}
-		if o.CampaignMTBFHours > 0 {
-			st.mtbf = o.CampaignMTBFHours
-		}
+		st := &mstate{m: m, plan: plan, seed: xrand.SeedAt(o.Seed, uint64(1000+mi))}
 		tau := plan.IntervalSec()
 		wl := checkpointWriter()
 		span := float64(wl.Epochs) * (tau + plan.Recommended().SaveSec)
-		lambda := fault.ExpectedFailures(st.mtbf, intervalProbeNodes, sim.Duration(span))
+		lambda := fault.ExpectedFailures(m.MTBFNodeHours, intervalProbeNodes, sim.Duration(span))
 		st.runs = campaignDraws(o.CampaignRuns, optimalTargetFailures, lambda)
 		states[m.Name] = st
 	}
@@ -276,40 +268,27 @@ func (o Options) CampaignOptimum() (sweep.Table, error) {
 				Runs:       st.runs,
 				OverheadNH: overheadSec / 3600 * float64(spec.Nodes),
 			}
-			cycleH := (tau + overheadSec/float64(wl.Epochs)) / 3600
-			spanH := clean[0].AppSec / 3600
 			tauH := tau / 3600
 			restartH := st.m.NodeRestartSec / 3600
 			var lossNH float64
-			for run := 0; run < st.runs; run++ {
+			err = failureLoop{
+				m: st.m, specs: []jobs.Spec{spec}, seed: o.Seed, runs: st.runs,
 				// Common random numbers: the seed depends on the machine and
 				// the run index only, never on the interval cell.
-				rng := xrand.New(xrand.SeedAt(st.seed, uint64(run)))
-				arrivals := fault.Arrivals(rng, st.mtbf, spec.Nodes, spanH)
-				if len(arrivals) == 0 {
-					continue
-				}
-				epoch, frac := killPoint(arrivals[0], cycleH, wl.Epochs)
+				rng:    func(run int) *xrand.RNG { return xrand.New(xrand.SeedAt(st.seed, uint64(run))) },
+				spanH:  clean[0].AppSec / 3600,
+				cycleH: (tau + overheadSec/float64(wl.Epochs)) / 3600,
 				// Checkpointing here is coordinated (the whole job writes and
 				// rolls back together, as an MPI application does), so any
 				// node's failure restarts every node — the setting whose
 				// job-level MTBF the plan prices.
-				fs := &fault.Spec{
-					KillEpoch:    epoch,
-					KillFrac:     frac,
-					WholeJob:     true,
-					Survival:     st.m.NVMeSurvival,
-					RestartDelay: sim.Duration(st.m.NodeRestartSec),
-				}
-				res, err := jobs.Run(st.m, jobs.WithFault([]jobs.Spec{spec}, 0, fs), o.Seed)
-				if err != nil {
-					return sweep.Point{}, fmt.Errorf("campopt run %d: %w", run, err)
-				}
-				if res[0].Fault == nil {
-					continue
-				}
+				kill: fault.Spec{WholeJob: true, Survival: st.m.NVMeSurvival, RestartDelay: sim.Duration(st.m.NodeRestartSec)},
+			}.each(func(victim jobs.Result) {
 				cell.Failures++
-				lossNH += res[0].LostNodeHours(tauH, restartH)
+				lossNH += victim.LostNodeHours(tauH, restartH)
+			})
+			if err != nil {
+				return sweep.Point{}, fmt.Errorf("campopt %w", err)
 			}
 			if cell.Failures > 0 {
 				cell.MeanLossNH = lossNH / float64(cell.Failures)

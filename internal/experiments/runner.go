@@ -69,8 +69,9 @@ type Options struct {
 	// campaignTargetFailures failures at the preset MTBF).
 	CampaignRuns int
 	// CampaignMTBFHours overrides the machine preset's per-node MTBF in
-	// the campaign (0: keep the preset). Accelerated MTBFs make tiny
-	// smoke campaigns actually observe failures.
+	// campfail, campopt and figinterval (0: keep the preset; see
+	// campaignMachine). Accelerated MTBFs make tiny smoke campaigns
+	// actually observe failures.
 	CampaignMTBFHours float64
 
 	// SchedJobs is the expected job count per figsched campaign cell
@@ -99,6 +100,16 @@ func (o Options) WithDefaults() Options {
 // sweepOptions builds the engine options every artifact sweep shares.
 func (o Options) sweepOptions(title string) sweep.Options {
 	return sweep.Options{Title: title, Seed: o.Seed, Parallel: o.Parallel}
+}
+
+// campaignMachine is machine m as the failure campaigns and the
+// interval plans see it: with CampaignMTBFHours as its per-node MTBF
+// when that is set.
+func (o Options) campaignMachine(m cluster.Machine) cluster.Machine {
+	if o.CampaignMTBFHours > 0 {
+		m.MTBFNodeHours = o.CampaignMTBFHours
+	}
+	return m
 }
 
 // EpochFactor is the full-run / simulated-run extrapolation ratio.

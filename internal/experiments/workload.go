@@ -21,7 +21,7 @@ var WorkloadKinds = []string{"chunked", "ranks"}
 // WorkloadQoSPolicies is the drain-QoS axis (a subset of the contention
 // grid's policies: the deadline pacer needs a per-workload window and is
 // left to FigContention).
-var WorkloadQoSPolicies = []string{"qos-off", "priority", "rate-limit"}
+var WorkloadQoSPolicies = []qosSetting{qosOff, qosPriority, qosRateLimit}
 
 // WorkloadAggregators is the aggregator-count axis for the rank
 // workload: how many writer groups the node leaders gather into. The
@@ -109,48 +109,40 @@ func (o Options) FigWorkloadSweep() (sweep.Table, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
 	chunked := map[string]*jobs.ContentionResult{}
-	for _, qosName := range WorkloadQoSPolicies {
-		qos, err := contentionQoS(qosName, 0)
-		if err != nil {
-			return sweep.Table{}, fmt.Errorf("figworkload: %w", err)
-		}
-		specs, err := workloadSpecs("chunked", 1, qos)
+	for _, q := range WorkloadQoSPolicies {
+		specs, err := workloadSpecs("chunked", 1, q.qos)
 		if err != nil {
 			return sweep.Table{}, err
 		}
 		res, err := jobs.Contention(m, specs, o.Seed)
 		if err != nil {
-			return sweep.Table{}, fmt.Errorf("figworkload chunked/%s: %w", qosName, err)
+			return sweep.Table{}, fmt.Errorf("figworkload chunked/%s: %w", q, err)
 		}
-		chunked[qosName] = res
+		chunked[q.name] = res
 	}
 	g := sweep.Grid{
 		sweep.Strings("workload", WorkloadKinds),
-		sweep.Strings("qos", WorkloadQoSPolicies),
+		settingsAxis("qos", WorkloadQoSPolicies),
 		sweep.Ints("aggregators", WorkloadAggregators),
 	}
 	return sweep.Run(g, o.sweepOptions("Fig W: workload composition on Dardel (staged workload-under-test vs direct neighbour)"),
 		func(c sweep.Config) (sweep.Point, error) {
 			kind := c.Str("workload")
-			qosName := c.Str("qos")
+			q := c.Value("qos").(qosSetting)
 			aggr := c.Int("aggregators")
-			res := chunked[qosName]
+			res := chunked[q.name]
 			if kind != "chunked" {
-				qos, err := contentionQoS(qosName, 0)
-				if err != nil {
-					return sweep.Point{}, err
-				}
-				specs, err := workloadSpecs(kind, aggr, qos)
+				specs, err := workloadSpecs(kind, aggr, q.qos)
 				if err != nil {
 					return sweep.Point{}, err
 				}
 				res, err = jobs.Contention(m, specs, o.Seed)
 				if err != nil {
-					return sweep.Point{}, fmt.Errorf("figworkload %s/%s/%d: %w", kind, qosName, aggr, err)
+					return sweep.Point{}, fmt.Errorf("figworkload %s/%s/%d: %w", kind, q, aggr, err)
 				}
 			}
 			staged := res.Jobs[0]
-			cell := WorkloadCell{Kind: kind, QoS: qosName, Aggr: aggr, Result: res}
+			cell := WorkloadCell{Kind: kind, QoS: q.name, Aggr: aggr, Result: res}
 			return sweep.Point{
 				Values: []sweep.Value{
 					sweep.V("staged_slowdown_x", res.Slowdown[0]),
@@ -197,10 +189,10 @@ func renderWorkload(st sweep.Table) string {
 	t, cells := workloadTable(st)
 	var b strings.Builder
 	b.WriteString(t.Render() + "\n")
-	for _, qos := range WorkloadQoSPolicies {
-		fmt.Fprintf(&b, "rank schedule, %-11s staged durable by aggregator count:", qos+":")
+	for _, q := range WorkloadQoSPolicies {
+		fmt.Fprintf(&b, "rank schedule, %-11s staged durable by aggregator count:", q.name+":")
 		for _, c := range cells {
-			if c.Kind == "ranks" && c.QoS == qos {
+			if c.Kind == "ranks" && c.QoS == q.name {
 				fmt.Fprintf(&b, "  %d aggr %s", c.Aggr, units.Seconds(c.Result.Jobs[0].DurableSec))
 			}
 		}

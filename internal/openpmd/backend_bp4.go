@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"picmcio/internal/adios2"
-	"picmcio/internal/mpisim"
 )
 
 // bp4Backend drives the simulated ADIOS2 BP engine. Iterations map to
@@ -18,15 +17,20 @@ type bp4Backend struct {
 	inIter bool
 }
 
-// ioTemplate is the world-memo value of a Config's ADIOS2 settings: an IO
-// every rank's is forked from, or why there is none.
+// ioTemplate is the world-memo value of an options document's ADIOS2
+// settings: an IO every rank's is forked from, or why there is none.
 type ioTemplate struct {
 	io  *adios2.IO
 	err error
 }
 
-// newIOTemplate resolves the options document into ADIOS2 settings.
-func newIOTemplate(cfg *Config) ioTemplate {
+// newIOTemplate parses the options document and resolves it into ADIOS2
+// settings.
+func newIOTemplate(options string) ioTemplate {
+	cfg, err := ParseTOML(options)
+	if err != nil {
+		return ioTemplate{err: err}
+	}
 	io := adios2.New().DeclareIO("openpmd")
 	// BP4 is the one engine; the TOML may name it, and nothing else.
 	if engine := cfg.GetDefault("adios2.engine.type", "bp4"); engine != "bp4" && engine != "BP4" {
@@ -66,16 +70,9 @@ func newIOTemplate(cfg *Config) ioTemplate {
 	return ioTemplate{io: io}
 }
 
-// open opens s's engine.
-func (b *bp4Backend) open(s *Series) error {
-	// The Config is one per world (NewSeries), so what it says about the
-	// engine is resolved once per world too; a rank's IO reads the
-	// template's settings in place and has only its variables to itself.
-	tmpl := mpisim.Memo(s.host.Comm, s.cfg, func() ioTemplate { return newIOTemplate(s.cfg) })
-	if tmpl.err != nil {
-		return tmpl.err
-	}
-	b.fork(tmpl.io)
+// open opens s's engine with an IO forked from tmpl.
+func (b *bp4Backend) open(s *Series, tmpl *adios2.IO) error {
+	b.fork(tmpl)
 	h := adios2.Host{Proc: s.host.Proc, Env: s.host.Env, Comm: s.host.Comm}
 	mode := adios2.ModeWrite
 	if s.access == AccessReadOnly {

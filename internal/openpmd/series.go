@@ -66,7 +66,6 @@ type Series struct {
 	host    Host
 	path    string
 	access  Access
-	cfg     *Config
 	curIter *Iteration
 	// lastIter is the most recently closed write iteration — the only
 	// closed one a series keeps — so that WriteIteration with the same id
@@ -80,13 +79,8 @@ type Series struct {
 	bp4 bp4Backend
 }
 
-// tomlKey is the world-memo key of a parsed options document.
+// tomlKey is the world-memo key of an options document.
 type tomlKey string
-
-type parsedTOML struct {
-	cfg *Config
-	err error
-}
 
 // NewSeries opens (or creates) the BP4 series at path, which must end in
 // .bp4. options is a TOML document ("" for defaults). Creating is
@@ -99,18 +93,16 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 	if !strings.HasSuffix(path, ".bp4") {
 		return nil, fmt.Errorf("openpmd: %q is not a BP4 series path (use .bp4)", path)
 	}
-	// The options are the same document on every rank: parse it once per
-	// world. The shared Config is never written after ParseTOML returns.
-	parsed := mpisim.Memo(h.Comm, tomlKey(options), func() parsedTOML {
-		cfg, err := ParseTOML(options)
-		return parsedTOML{cfg, err}
-	})
-	cfg, err := parsed.cfg, parsed.err
-	if err != nil {
-		return nil, err
+	// The options are the same document on every rank: what they say
+	// about the engine is resolved once per world, and a rank's IO reads
+	// the template's settings in place and has only its variables to
+	// itself.
+	tmpl := mpisim.Memo(h.Comm, tomlKey(options), func() ioTemplate { return newIOTemplate(options) })
+	if tmpl.err != nil {
+		return nil, tmpl.err
 	}
-	s := newSeries(h, path, access, cfg)
-	if err := s.bp4.open(s); err != nil {
+	s := newSeries(h, path, access)
+	if err := s.bp4.open(s, tmpl.io); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -121,9 +113,9 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 // literal's temporary may fatten its.
 //
 //go:noinline
-func newSeries(h Host, path string, access Access, cfg *Config) *Series {
+func newSeries(h Host, path string, access Access) *Series {
 	s := mpisim.Block[string, Series](h.Comm, path)
-	s.host, s.path, s.access, s.cfg = h, path, access, cfg
+	s.host, s.path, s.access = h, path, access
 	return s
 }
 
