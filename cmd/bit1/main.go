@@ -25,7 +25,8 @@ func main() {
 }
 
 // run is the command on its arguments and output streams. It returns the
-// exit status: 0, 1 on an error, 2 on a flag the parser rejects.
+// exit status: 0, 1 on an error, 2 on a flag the parser rejects or an
+// argument that is no flag.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -42,6 +43,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bit1: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
 	fail := func(err error) int {

@@ -247,9 +247,9 @@ func TestSpawnInsideRunReusesCarriers(t *testing.T) {
 }
 
 // TestIdleListSharedByKernels: kernels on two goroutines take carriers
-// from the one idle list and give them back, each world still running to
-// its own end, with no goroutine left beside the idle carriers. Run it
-// under -race.
+// from the one idle list, and queue storage from the one pool, and give
+// them back, each world still running to its own end, with no goroutine
+// left beside the idle carriers. Run it under -race.
 func TestIdleListSharedByKernels(t *testing.T) {
 	NewKernel().Run()
 	baseline := runtime.NumGoroutine()

@@ -35,7 +35,7 @@ type Duration = Time
 // a Kill superseding a sleep) can never resume a process twice or out of
 // order. An entry whose p is a batch's entry stands for one such entry per
 // member at (at, seq), delivered back to back: see release. Entries are
-// 24 bytes, and stay so: the heap moves them by value.
+// 24 bytes, and stay so: the queue moves them by value.
 type event struct {
 	at  Time
 	seq uint64
@@ -67,7 +67,7 @@ type batch struct {
 // The zero value is not usable; create kernels with NewKernel.
 type Kernel struct {
 	now  Time
-	q    []event // (at, seq) min-heap, see evPush/evPop
+	q    queue // sorted lanes and a spill heap, see queue.go
 	seq  uint64
 	live int // processes spawned and not yet finished
 	// fastPath enables run-to-completion timer sleeps (see
@@ -207,10 +207,15 @@ func (k *Kernel) SpawnN(n int, prefix string, fn func(i int, p *Proc)) {
 	}
 }
 
-// block allocates n processes of this kernel, each with a carrier,
-// remembers them and makes room in the queue for their first resumes.
+// block allocates n processes of this kernel, each with a carrier, and
+// remembers them. The kernel's first block takes its queue's storage from
+// the pool; every block makes room for its processes' first resumes in
+// the lane they will go to, and for as many entries in the spill heap.
 func (k *Kernel) block(n int) []Proc {
-	k.q = grow(k.q, n)
+	if !k.q.held() {
+		k.q.take()
+	}
+	k.q.reserve(k.now, n)
 	ps := make([]Proc, n)
 	carriers(ps)
 	for i := range ps {
@@ -357,7 +362,7 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 	if !p.killed {
 		p.pendingSeq = k.seq
 	}
-	k.q = evPush(k.q, event{at: at, seq: k.seq, p: p})
+	k.q.push(event{at: at, seq: k.seq, p: p})
 }
 
 // popLive returns the next live resumption: the next member of the batch
@@ -378,11 +383,10 @@ func (k *Kernel) popLive() (Time, *Proc, bool) {
 			k.stats.Stale++
 			continue
 		}
-		if len(k.q) == 0 {
+		if k.q.n == 0 {
 			return 0, nil, false
 		}
-		var e event
-		e, k.q = evPop(k.q)
+		e := k.q.pop()
 		if e.p.batch {
 			k.cur = k.batchAt(e.p.index)
 			continue
@@ -435,7 +439,7 @@ func (k *Kernel) release(t Time, ws []*Proc, rider *Proc, pooled bool) bool {
 	}
 	b.at, b.seq, b.ws, b.rider, b.i, b.pooled = t, s, ws, rider, 0, pooled
 	b.skip()
-	k.q = evPush(k.q, event{at: t, seq: s, p: &b.entry})
+	k.q.push(event{at: t, seq: s, p: &b.entry})
 	return true
 }
 
@@ -490,11 +494,14 @@ func (k *Kernel) recycle(b *batch) {
 // Run's goroutine as iter.Pull documents; on each of them Run first
 // unwinds every process that has not finished, so a world that ends badly
 // leaves no goroutine behind. Either way it leaves no more carriers idle
-// than its kernel spawned processes.
+// than its kernel spawned processes; a clean end also gives its queue's
+// storage back to the pool.
 func (k *Kernel) Run() Time {
 	clean := false
 	defer func() {
-		if !clean {
+		if clean {
+			k.q.give()
+		} else {
 			k.unwind()
 		}
 		trimIdle(k.procs)
@@ -559,8 +566,9 @@ func (p *Proc) Sleep(d Duration) {
 // scheduled at the same instant a chance to run in seq order); NaN
 // panics.
 //
-// Fast path: when no pending event is due at or before t, nothing can run
-// before this process resumes — only the running process can create new
+// Fast path: when no pending event is due at or before t (the queue keeps
+// its earliest time, lanes and heap alike), nothing can run before this
+// process resumes — only the running process can create new
 // events, and kills or wakes can only be issued by running processes. The
 // sleep therefore runs to completion in-line: the clock jumps to t and the
 // process keeps going, with no queue traffic and no switch to the run loop.
@@ -575,7 +583,7 @@ func (p *Proc) SleepUntil(t Time) {
 		t = k.now
 	}
 	if k.fastPath && !p.killed && k.cur == nil {
-		if len(k.q) == 0 || k.q[0].at > t {
+		if k.q.n == 0 || k.q.first > t {
 			k.now = t
 			k.stats.FastPathEvents++
 			return

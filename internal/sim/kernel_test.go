@@ -145,7 +145,7 @@ func TestNaNTimePanics(t *testing.T) {
 					k.Spawn("bystander", func(p *Proc) { p.Sleep(5) })
 				}
 				k.Spawn("caller", func(p *Proc) {
-					if got := len(k.q) > 0; got != busy {
+					if got := k.q.n > 0; got != busy {
 						t.Errorf("queue non-empty = %v at the call, want %v", got, busy)
 					}
 					tc.call(p, parked, c)
