@@ -1,5 +1,5 @@
-# Developer entry points. CI runs `make smoke`, `make sweep-smoke` and
-# `make profile`. Performance claims go through `go run ./benchmark`.
+# Developer entry points. CI runs `make sweep-smoke` and `make profile`.
+# Performance claims go through `go run ./benchmark`.
 
 # -ec so every recipe line must succeed; pipefail so a failing stage of a
 # pipe fails its line.
@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: check test vet profile smoke sweep-smoke clean
+.PHONY: check test vet profile sweep-smoke clean
 
 check: vet test
 
@@ -58,59 +58,6 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin fig2_mem.pprof > fig2_alloc_top.txt
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin figburst_mem.pprof > figburst_alloc_top.txt
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin schedq_mem.pprof > schedq_alloc_top.txt
-
-# smoke builds and runs every example with its interesting flag
-# combinations, the two job CLIs that share cluster.System's launcher and
-# the tool clones, so none can silently rot. cmd/bit1's output and its
-# refusals are pinned by its own tests (go test ./cmd/bit1); here it runs
-# in both modes, and -compressor none prints what no -compressor does.
-# To cmd/experiments a zero scale or worker count, a node count below 1
-# or an empty entry (-nodes or -node-list), a negative job count, draw
-# count or MTBF, an artifact named without -run and the retired -optimal
-# flag are usage errors, not another experiment; so is an argument to
-# bpls, which reads no host file, and a stripe count of 0 to lfs. A
-# typo'd -run name is refused before any artifact prints. darshan-parser
-# says no to a missing file, an empty one and a directory. lfs setstripe
-# prints the layout of -run lst1, the paper's Listing 1.
-smoke:
-	$(GO) build ./...
-	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2
-	$(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -mode original
-	cmp <($(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2) <($(GO) run ./cmd/bit1 -nodes 2 -ranks-per-node 8 -diag-epochs 2 -compressor none)
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 0
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -diag-epochs 0
-	! $(GO) run ./cmd/experiments -run fig6 -nodes 0
-	! $(GO) run ./cmd/experiments -run fig6 -nodes -1
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 0
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 30,-2
-	! $(GO) run ./cmd/experiments -run figsched -sched-jobs -5
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 1,,2
-	! $(GO) run ./cmd/experiments fig3
-	! $(GO) run ./cmd/experiments -optimal -run campfail
-	test -z "$$($(GO) run ./cmd/experiments -run lst1,nope 2>/dev/null)"
-	! $(GO) run ./cmd/experiments -run campfail -campaign-runs -1
-	! $(GO) run ./cmd/experiments -run campfail -campaign-mtbf -1
-	! $(GO) run ./cmd/experiments -run fig3 -node-list 1 -ranks-per-node 8 -diag-epochs 1 -parallel 0
-	$(GO) run ./cmd/ior -nodes 2 -n 16
-	$(GO) run ./cmd/ior -nodes 2 -n 16 -F
-	$(GO) run ./cmd/bpls
-	! $(GO) run ./cmd/bpls x
-	! $(GO) run ./cmd/darshan-parser nonexistent.darshan.gz
-	! $(GO) run ./cmd/darshan-parser /dev/null
-	! $(GO) run ./cmd/darshan-parser .
-	cmp <($(GO) run ./cmd/lfs setstripe -c 8 -S 16M io_openPMD) <($(GO) run ./cmd/experiments -run lst1 | sed '1,2d;$$d')
-	! $(GO) run ./cmd/lfs setstripe -c 0 -S 1M io
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/ionization
-	$(GO) run ./examples/striping-tuning
-	$(GO) run ./examples/checkpoint-restart
-	$(GO) run ./examples/checkpoint-restart -burst
-	$(GO) run ./examples/checkpoint-restart -burst -kill
-	$(GO) run ./examples/checkpoint-restart -burst -auto-interval
-	$(GO) run ./examples/multi-job
-	$(GO) run ./examples/schedtrace
-	$(GO) run ./examples/schedtrace -nodes 256 -jobs 1000
-	$(GO) run ./examples/schedtrace -fair -preempt 8 -mtbf 1500
 
 # sweep-smoke runs the sweep-native artifacts at tiny scale and writes
 # their machine-readable JSON; CI archives the outputs. The campopt run

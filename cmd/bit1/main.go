@@ -66,6 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *diagEpochs < 1 {
 		return fail(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
 	}
+	ranks := *nodes * *ranksPerNode
 	m, err := cluster.ByName(*machine)
 	if err != nil {
 		return fail(err)
@@ -105,6 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if numAgg < 0 {
 		return fail(fmt.Errorf("-aggregators %d: want a count, or 0 for one per node", numAgg))
 	}
+	if numAgg > ranks {
+		return fail(fmt.Errorf("-aggregators %d: more than the %d ranks", numAgg, ranks))
+	}
 	if numAgg == 0 {
 		numAgg = *nodes
 	}
@@ -121,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	ranks := *nodes * *ranksPerNode
 	log := res.Darshan.Snapshot(darshan.JobMeta{
 		Executable: "bit1 (" + ioMode.String() + ")", NProcs: ranks,
 		Machine: m.Name, RunSeconds: res.ElapsedSec,

@@ -2,12 +2,12 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"picmcio/clitest"
 )
 
 // The arguments TestRun checks. A run that succeeds must print its
@@ -20,69 +20,35 @@ const (
 	deck  = "-nodes 2 -ranks-per-node 8 -input testdata/deck.inp"
 )
 
-var runRows = []struct {
-	args   string
-	golden string // stdout, exit 0
-	code   int    // otherwise: the exit code ...
-	stderr string // ... and the first stderr line
-}{
-	{args: scale, golden: "openpmd.txt"},
-	{args: scale + " -mode original", golden: "original.txt"},
-	{args: scale + " -compressor blosc", golden: "blosc.txt"},
-	{args: scale + " -compressor bzip2 -aggregators 1", golden: "bzip2_1aggr.txt"},
+var runRows = []clitest.Row{
+	{Args: scale, Golden: "openpmd.txt"},
+	{Args: scale + " -mode original", Golden: "original.txt"},
+	{Args: scale + " -compressor blosc", Golden: "blosc.txt"},
+	{Args: scale + " -compressor bzip2 -aggregators 1", Golden: "bzip2_1aggr.txt"},
 	// none is no operator: the uncompressed run, byte for byte.
-	{args: scale + " -compressor none", golden: "openpmd.txt"},
-	{args: deck, golden: "input.txt"},
-	{args: deck + " -mode original", golden: "input_original.txt"},
-	{args: "-machine vega -seed 7 " + scale, golden: "vega_seed7.txt"},
-	{args: "-machine discoverer -nodes 1 -ranks-per-node 8 -diag-epochs 1 -mode original", golden: "discoverer_original.txt"},
+	{Args: scale + " -compressor none", Golden: "openpmd.txt"},
+	{Args: deck, Golden: "input.txt"},
+	{Args: deck + " -mode original", Golden: "input_original.txt"},
+	{Args: "-machine vega -seed 7 " + scale, Golden: "vega_seed7.txt"},
+	{Args: "-machine discoverer -nodes 1 -ranks-per-node 8 -diag-epochs 1 -mode original", Golden: "discoverer_original.txt"},
 
-	{args: scale + " -mode orignal", code: 1, stderr: `bit1: bit1: unknown I/O mode "orignal" (want original or openpmd)`},
-	{args: scale + " -aggregators -3", code: 1, stderr: "bit1: -aggregators -3: want a count, or 0 for one per node"},
-	{args: scale + " -mode original -aggregators 3", code: 1, stderr: "bit1: -aggregators 3: an openPMD setting; -mode original has none"},
-	{args: scale + " -mode original -compressor bzip2", code: 1, stderr: "bit1: -compressor bzip2: an openPMD setting; -mode original has none"},
-	{args: deck + " -diag-epochs 7", code: 1, stderr: "bit1: -diag-epochs 7: the -input deck sets the run length"},
+	{Args: scale + " -mode orignal", Code: 1, Stderr: `bit1: bit1: unknown I/O mode "orignal" (want original or openpmd)`},
+	{Args: scale + " -aggregators -3", Code: 1, Stderr: "bit1: -aggregators -3: want a count, or 0 for one per node"},
+	{Args: scale + " -mode original -aggregators 3", Code: 1, Stderr: "bit1: -aggregators 3: an openPMD setting; -mode original has none"},
+	{Args: scale + " -mode original -compressor bzip2", Code: 1, Stderr: "bit1: -compressor bzip2: an openPMD setting; -mode original has none"},
+	{Args: deck + " -diag-epochs 7", Code: 1, Stderr: "bit1: -diag-epochs 7: the -input deck sets the run length"},
 	// Options reads a zero scale as its default: refused, not run.
-	{args: "-nodes 0 -ranks-per-node 8 -diag-epochs 2", code: 1, stderr: "bit1: -nodes 0: need at least 1"},
-	{args: "-nodes 2 -ranks-per-node 0 -diag-epochs 2", code: 1, stderr: "bit1: -ranks-per-node 0: need at least 1"},
-	{args: "-nodes 2 -ranks-per-node 8 -diag-epochs 0", code: 1, stderr: "bit1: -diag-epochs 0: need at least 1"},
-	{args: scale + " -bogus", code: 2, stderr: "flag provided but not defined: -bogus"},
+	{Args: "-nodes 0 -ranks-per-node 8 -diag-epochs 2", Code: 1, Stderr: "bit1: -nodes 0: need at least 1"},
+	{Args: "-nodes 2 -ranks-per-node 0 -diag-epochs 2", Code: 1, Stderr: "bit1: -ranks-per-node 0: need at least 1"},
+	{Args: "-nodes 2 -ranks-per-node 8 -diag-epochs 0", Code: 1, Stderr: "bit1: -diag-epochs 0: need at least 1"},
+	{Args: scale + " -bogus", Code: 2, Stderr: "flag provided but not defined: -bogus"},
 	// A setting given without its flag is not ignored.
-	{args: scale + " original", code: 2, stderr: `bit1: unexpected argument "original": every setting is a flag`},
+	{Args: scale + " original", Code: 2, Stderr: `bit1: unexpected argument "original": every setting is a flag`},
+	// No more aggregators than ranks: a larger count is not clamped.
+	{Args: scale + " -aggregators 1000000", Code: 1, Stderr: "bit1: -aggregators 1000000: more than the 16 ranks"},
 }
 
-// TestRun runs the command in process on runRows; a divergence from a
-// golden is saved as testdata/<name>.got.txt.
-func TestRun(t *testing.T) {
-	for _, tc := range runRows {
-		t.Run(tc.args, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			code := run(strings.Fields(tc.args), &stdout, &stderr)
-			if tc.golden == "" {
-				first, _, _ := strings.Cut(stderr.String(), "\n")
-				if code != tc.code || first != tc.stderr || stdout.Len() > 0 {
-					t.Fatalf("exit %d, stderr %q, %d bytes of stdout; want exit %d, stderr %q, none",
-						code, first, stdout.Len(), tc.code, tc.stderr)
-				}
-				return
-			}
-			if code != 0 {
-				t.Fatalf("exit %d: %s", code, stderr.String())
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := stdout.String(); got != string(want) {
-				name := filepath.Join("testdata", strings.TrimSuffix(tc.golden, ".txt")+".got.txt")
-				if err := os.WriteFile(name, stdout.Bytes(), 0o644); err != nil {
-					t.Logf("could not save diverging output: %v", err)
-				}
-				t.Fatalf("stdout differs from testdata/%s (saved as %s):\n%s", tc.golden, name, got)
-			}
-		})
-	}
-}
+func TestRun(t *testing.T) { clitest.Rows(t, run, runRows) }
 
 // TestHelp: -h prints the flags and exits 0, and -compressor lists none.
 func TestHelp(t *testing.T) {
@@ -164,6 +130,16 @@ func fuzzSeed(t testing.TB, row string) []uint8 {
 	return idx
 }
 
+// num is the integer args give the named flag as run parses it, def if
+// they give none.
+func num(args []string, name string, def int64) int64 {
+	if i := slices.Index(args, name); i >= 0 && i+1 < len(args) {
+		n, _ := strconv.ParseInt(args[i+1], 0, 64)
+		return n
+	}
+	return def
+}
+
 // FuzzFlags drives run with flag values from flagTable, the indices
 // wrapping: whatever they pick, it exits 0 (a report, or -h), 1 with one
 // bit1: line and no report, or 2 with a usage text and no report —
@@ -171,7 +147,7 @@ func fuzzSeed(t testing.TB, row string) []uint8 {
 // seeds are TestRun's rows, and tier-1 runs only those.
 func FuzzFlags(f *testing.F) {
 	for _, row := range runRows {
-		idx := fuzzSeed(f, row.args)
+		idx := fuzzSeed(f, row.Args)
 		f.Add(idx[0], idx[1], idx[2], idx[3], idx[4], idx[5], idx[6], idx[7], idx[8], idx[9])
 	}
 	f.Fuzz(func(t *testing.T, machine, nodes, ranks, epochs, mode, aggregators, compressor, input, seed, trailing uint8) {
@@ -187,6 +163,9 @@ func FuzzFlags(f *testing.F) {
 		case code == 0:
 			if !strings.HasPrefix(out, "machine=") {
 				t.Fatalf("%q: exit 0 without a report: %q", args, out)
+			}
+			if num(args, "-aggregators", 0) > num(args, "-nodes", 1)*num(args, "-ranks-per-node", 128) {
+				t.Fatalf("%q: exit 0 with more aggregators than ranks", args)
 			}
 		case code == 1:
 			if out != "" || !strings.HasPrefix(errs, "bit1: ") || strings.Count(errs, "\n") != 1 {

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,13 +24,36 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bpls (no arguments: it lists the demonstration series it writes)")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error, 2 on any argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 0 {
+		fmt.Fprintln(stderr, "usage: bpls (no arguments: it lists the demonstration series it writes)")
+		return 2
 	}
+	if err := demo(stdout); err != nil {
+		fmt.Fprintln(stderr, "bpls:", err)
+		return 1
+	}
+	return 0
+}
+
+// demo writes the series, lists it and reports what the listing read. A
+// rank that fails records its error and ends; the first one recorded is
+// returned once the kernel has run.
+func demo(stdout io.Writer) error {
 	k := sim.NewKernel()
 	fs := lustre.New(k, lustre.DefaultParams())
 	w := mpisim.NewWorld(k, 8, mpisim.AlphaBeta(1e-6, 1.0/10e9))
+	var err error
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
 
 	// Write a 3-step series with two variables across 8 ranks.
 	w.Run(func(r *mpisim.Rank) {
@@ -44,7 +68,8 @@ func main() {
 			[]uint64{8 * slab}, []uint64{uint64(slab * r.ID)}, []uint64{slab})
 		e, err := io.Open(h, "/demo.bp4", adios2.ModeWrite)
 		if err != nil {
-			fatal(err)
+			fail(err)
+			return
 		}
 		vals := make([]float64, slab)
 		for s := 0; s < 3; s++ {
@@ -55,6 +80,9 @@ func main() {
 		}
 		e.Close()
 	})
+	if err != nil {
+		return err
+	}
 
 	// List it, counting read traffic.
 	w2 := mpisim.NewWorld(k, 1, nil)
@@ -64,14 +92,15 @@ func main() {
 		h := adios2.Host{Proc: r.Proc, Env: &posix.Env{FS: fs, Client: &pfs.Client{}}, Comm: r.Comm}
 		e, err := a.DeclareIO("ls").Open(h, "/demo.bp4", adios2.ModeRead)
 		if err != nil {
-			fatal(err)
+			fail(err)
+			return
 		}
 		steps, _ := e.Steps()
-		fmt.Printf("File info:\n  of steps:     %d\n", len(steps))
+		fmt.Fprintf(stdout, "File info:\n  of steps:     %d\n", len(steps))
 		for _, s := range steps {
 			vars, _ := e.VariablesAt(s)
 			for _, v := range vars {
-				fmt.Printf("  step %d: %-9s %-20s shape=%v chunks=%d bytes=%s\n",
+				fmt.Fprintf(stdout, "  step %d: %-9s %-20s shape=%v chunks=%d bytes=%s\n",
 					s, v.Type, v.Name, v.Shape, v.Chunks, units.Bytes(v.Bytes))
 			}
 		}
@@ -82,12 +111,8 @@ func main() {
 				dataBytes += n.Size
 			}
 		})
-		fmt.Printf("\nrapid metadata extraction: read %s of metadata; %s of data untouched\n",
+		fmt.Fprintf(stdout, "\nrapid metadata extraction: read %s of metadata; %s of data untouched\n",
 			units.Bytes(int64(fs.TotalBytesRead()-before)), units.Bytes(dataBytes))
 	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bpls:", err)
-	os.Exit(1)
+	return err
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -30,56 +31,73 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error or a refused value, 2 on a flag the
+// parser rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	def := experiments.Options{}.WithDefaults()
-	runWhat := flag.String("run", "all", "comma-separated artifact names (see -list), or all")
-	list := flag.Bool("list", false, "print every artifact name with its description and exit")
-	jsonOut := flag.Bool("json", false, "emit the sweep table as JSON instead of text (sweep-backed artifacts)")
-	parallel := flag.Int("parallel", 1, "sweep trial worker pool size (output is bit-identical at any width)")
-	nodes := flag.Int("nodes", 200, "node count for fixed-scale artifacts (fig5, fig6, fig8, fig9)")
-	nodeList := flag.String("node-list", joinInts(def.NodeCounts), "comma-separated node counts for scaling artifacts")
-	ranksPerNode := flag.Int("ranks-per-node", def.RanksPerNode, "MPI ranks per node")
-	diagEpochs := flag.Int("diag-epochs", def.DiagEpochs, "simulated diagnostic epochs (paper run: 200)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	campaignRuns := flag.Int("campaign-runs", 0, "campfail/campopt Monte-Carlo draws per cell (0 = auto-size to the expected-failure target)")
-	campaignMTBF := flag.Float64("campaign-mtbf", 0, "campfail/campopt/figinterval per-node MTBF override in hours (0 = machine preset)")
-	schedJobs := flag.Int("sched-jobs", def.SchedJobs, "figsched expected jobs per campaign cell")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the artifact runs to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (every allocation sampled) to this file")
-	flag.Parse()
+	runWhat := fs.String("run", "all", "comma-separated artifact names (see -list), or all")
+	list := fs.Bool("list", false, "print every artifact name with its description and exit")
+	jsonOut := fs.Bool("json", false, "emit the sweep table as JSON instead of text (sweep-backed artifacts)")
+	parallel := fs.Int("parallel", 1, "sweep trial worker pool size (output is bit-identical at any width)")
+	nodes := fs.Int("nodes", 200, "node count for fixed-scale artifacts (fig5, fig6, fig8, fig9)")
+	nodeList := fs.String("node-list", joinInts(def.NodeCounts), "comma-separated node counts for scaling artifacts")
+	ranksPerNode := fs.Int("ranks-per-node", def.RanksPerNode, "MPI ranks per node")
+	diagEpochs := fs.Int("diag-epochs", def.DiagEpochs, "simulated diagnostic epochs (paper run: 200)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	campaignRuns := fs.Int("campaign-runs", 0, "campfail/campopt Monte-Carlo draws per cell (0 = auto-size to the expected-failure target)")
+	campaignMTBF := fs.Float64("campaign-mtbf", 0, "campfail/campopt/figinterval per-node MTBF override in hours (0 = machine preset)")
+	schedJobs := fs.Int("sched-jobs", def.SchedJobs, "figsched expected jobs per campaign cell")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the artifact runs to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof allocation profile (every allocation sampled) to this file")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
 	if *list {
 		for _, a := range experiments.Catalog() {
-			fmt.Printf("%-14s  %s\n", a.Name, a.Desc)
+			fmt.Fprintf(stdout, "%-14s  %s\n", a.Name, a.Desc)
 		}
-		return
+		return 0
 	}
-	if args := flag.Args(); len(args) > 0 {
-		fatal(fmt.Errorf("unexpected argument %q: name artifacts with -run", args[0]))
+	if fs.NArg() > 0 {
+		return fail(fmt.Errorf("unexpected argument %q: name artifacts with -run", fs.Arg(0)))
 	}
 	// Options reads a zero scale as "the default", so refuse one here
 	// rather than silently run the default; a node count below 1 is no
 	// machine at all.
 	if *nodes < 1 {
-		fatal(fmt.Errorf("-nodes %d: need at least 1", *nodes))
+		return fail(fmt.Errorf("-nodes %d: need at least 1", *nodes))
 	}
 	if *ranksPerNode < 1 {
-		fatal(fmt.Errorf("-ranks-per-node %d: need at least 1", *ranksPerNode))
+		return fail(fmt.Errorf("-ranks-per-node %d: need at least 1", *ranksPerNode))
 	}
 	if *diagEpochs < 1 {
-		fatal(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
+		return fail(fmt.Errorf("-diag-epochs %d: need at least 1", *diagEpochs))
 	}
 	if *parallel < 1 {
-		fatal(fmt.Errorf("-parallel %d: need at least 1 worker", *parallel))
+		return fail(fmt.Errorf("-parallel %d: need at least 1 worker", *parallel))
 	}
 	// Zero means "the default" for these three; a negative value (or a
 	// NaN MTBF) is no setting at all.
 	if *schedJobs < 0 {
-		fatal(fmt.Errorf("-sched-jobs %d: need 0 (the default) or more", *schedJobs))
+		return fail(fmt.Errorf("-sched-jobs %d: need 0 (the default) or more", *schedJobs))
 	}
 	if *campaignRuns < 0 {
-		fatal(fmt.Errorf("-campaign-runs %d: need 0 (auto-size) or more", *campaignRuns))
+		return fail(fmt.Errorf("-campaign-runs %d: need 0 (auto-size) or more", *campaignRuns))
 	}
 	if !(*campaignMTBF >= 0) {
-		fatal(fmt.Errorf("-campaign-mtbf %g: need 0 (the machine preset) or more", *campaignMTBF))
+		return fail(fmt.Errorf("-campaign-mtbf %g: need 0 (the machine preset) or more", *campaignMTBF))
 	}
 
 	o := experiments.Options{
@@ -94,7 +112,7 @@ func main() {
 	for _, part := range strings.Split(*nodeList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			fatal(fmt.Errorf("-node-list %s: %q is not a node count of 1 or more", *nodeList, part))
+			return fail(fmt.Errorf("-node-list %s: %q is not a node count of 1 or more", *nodeList, part))
 		}
 		o.NodeCounts = append(o.NodeCounts, n)
 	}
@@ -109,7 +127,7 @@ func main() {
 			name = strings.TrimSpace(name)
 			a, ok := experiments.Lookup(name)
 			if !ok {
-				fatal(fmt.Errorf("unknown artifact %q (see -list)", name))
+				return fail(fmt.Errorf("unknown artifact %q (see -list)", name))
 			}
 			arts = append(arts, a)
 		}
@@ -117,28 +135,37 @@ func main() {
 	if *jsonOut && len(arts) > 1 {
 		// One table per document: concatenated top-level JSON values would
 		// break any consumer doing a single parse of the output.
-		fatal(fmt.Errorf("-json emits one JSON document; run one artifact per invocation (got %d)", len(arts)))
+		return fail(fmt.Errorf("-json emits one JSON document; run one artifact per invocation (got %d)", len(arts)))
 	}
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	err = runArtifacts(stdout, o, *nodes, arts, *jsonOut)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// runArtifacts runs each artifact in turn and prints it as text, or as
+// JSON with asJSON.
+func runArtifacts(stdout io.Writer, o experiments.Options, nodes int, arts []experiments.Artifact, asJSON bool) error {
 	for _, a := range arts {
-		out, err := a.Run(o, *nodes)
+		out, err := a.Run(o, nodes)
+		if err == nil && asJSON {
+			err = emitJSON(stdout, a.Name, out)
+		} else if err == nil {
+			_, err = io.WriteString(stdout, out.Text)
+		}
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", a.Name, err))
+			return fmt.Errorf("%s: %w", a.Name, err)
 		}
-		if *jsonOut {
-			if err := emitJSON(a.Name, out); err != nil {
-				fatal(fmt.Errorf("%s: %w", a.Name, err))
-			}
-			continue
-		}
-		fmt.Print(out.Text)
 	}
-	if err := stop(); err != nil {
-		fatal(err)
-	}
+	return nil
 }
 
 // joinInts renders a node list the way -node-list takes it.
@@ -151,8 +178,7 @@ func joinInts(ns []int) string {
 }
 
 // startProfiles begins the requested pprof profiles and returns the
-// function that finishes and writes them. A run that ends in fatal
-// leaves no profile: there is nothing worth reading in one.
+// function that finishes and writes them, which a failed run calls too.
 func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuPath != "" {
@@ -193,14 +219,14 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 
 // emitJSON writes the artifact's machine-readable form: the sweep table
 // for sweep-backed artifacts, a {artifact, text} wrapper otherwise.
-func emitJSON(name string, out experiments.Output) error {
+func emitJSON(stdout io.Writer, name string, out experiments.Output) error {
 	if out.Table != nil {
 		buf, err := out.Table.JSON()
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(buf)
-		return nil
+		_, err = stdout.Write(buf)
+		return err
 	}
 	buf, err := json.MarshalIndent(struct {
 		Artifact string `json:"artifact"`
@@ -209,11 +235,6 @@ func emitJSON(name string, out experiments.Output) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(buf))
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	_, err = fmt.Fprintln(stdout, string(buf))
+	return err
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -16,60 +17,79 @@ import (
 )
 
 func main() {
-	tasks := flag.Int("n", 128, "task count (-N)")
-	api := flag.String("a", "POSIX", "API")
-	fpp := flag.Bool("F", false, "file per process")
-	reorder := flag.Bool("C", false, "reorder tasks for readback")
-	fsync := flag.Bool("e", false, "fsync on close")
-	read := flag.Bool("r", false, "perform the read phase")
-	transfer := flag.String("t", "1m", "transfer size")
-	block := flag.String("b", "16m", "block size per task")
-	machine := flag.String("machine", "dardel", "machine model")
-	nodes := flag.Int("nodes", 1, "node allocation")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	m, err := cluster.ByName(*machine)
-	if err != nil {
-		fatal(err)
+// run is the command on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error, 2 on a flag the parser rejects or an
+// argument that is no flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tasks := fs.Int("n", 128, "task count (-N)")
+	api := fs.String("a", "POSIX", "API")
+	fpp := fs.Bool("F", false, "file per process")
+	reorder := fs.Bool("C", false, "reorder tasks for readback")
+	fsync := fs.Bool("e", false, "fsync on close")
+	read := fs.Bool("r", false, "perform the read phase")
+	transfer := fs.String("t", "1m", "transfer size")
+	block := fs.String("b", "16m", "block size per task")
+	machine := fs.String("machine", "dardel", "machine model")
+	nodes := fs.Int("nodes", 1, "node allocation")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	tSize, err := units.ParseBytes(*transfer)
-	if err != nil {
-		fatal(err)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "ior: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
 	}
-	bSize, err := units.ParseBytes(*block)
-	if err != nil {
-		fatal(err)
+	if err := runIOR(stdout, *machine, *nodes, *api, *transfer, *block, ior.Config{
+		NumTasks: *tasks, FilePerProc: *fpp, ReorderTasks: *reorder, Fsync: *fsync,
+		ReadBack: *read, TestDir: "/ior",
+	}); err != nil {
+		fmt.Fprintln(stderr, "ior:", err)
+		return 1
 	}
-	cfg := ior.Config{
-		NumTasks: *tasks, API: ior.API(strings.ToUpper(*api)),
-		FilePerProc: *fpp, ReorderTasks: *reorder, Fsync: *fsync,
-		TransferSize: tSize, BlockSize: bSize, ReadBack: *read,
-		TestDir: "/ior",
-	}
-	sys, err := m.Build(m.NewKernel(*nodes), *nodes, 1)
+	return 0
+}
+
+// runIOR completes cfg with the API and the sizes as given on the command
+// line, runs it on nodes of the named machine and prints the summary.
+func runIOR(stdout io.Writer, machine string, nodes int, api, transfer, block string, cfg ior.Config) error {
+	m, err := cluster.ByName(machine)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	w, envOf, err := sys.LaunchN(*tasks, nil)
+	cfg.API = ior.API(strings.ToUpper(api))
+	if cfg.TransferSize, err = units.ParseBytes(transfer); err != nil {
+		return err
+	}
+	if cfg.BlockSize, err = units.ParseBytes(block); err != nil {
+		return err
+	}
+	sys, err := m.Build(m.NewKernel(nodes), nodes, 1)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	w, envOf, err := sys.LaunchN(cfg.NumTasks, nil)
+	if err != nil {
+		return err
 	}
 	res, err := ior.Run(cfg, w, envOf)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("command:   %s\n", cfg.CommandLine())
-	fmt.Printf("machine:   %s (%d nodes)\n", m.Name, *nodes)
-	fmt.Printf("write:     %s in %s -> %s\n", units.Bytes(res.WriteBytes),
+	fmt.Fprintf(stdout, "command:   %s\n", cfg.CommandLine())
+	fmt.Fprintf(stdout, "machine:   %s (%d nodes)\n", m.Name, nodes)
+	fmt.Fprintf(stdout, "write:     %s in %s -> %s\n", units.Bytes(res.WriteBytes),
 		units.Seconds(res.WriteSeconds), units.Throughput(res.WriteBandwidth))
 	if cfg.ReadBack {
-		fmt.Printf("read:      %s in %s -> %s\n", units.Bytes(res.ReadBytes),
+		fmt.Fprintf(stdout, "read:      %s in %s -> %s\n", units.Bytes(res.ReadBytes),
 			units.Seconds(res.ReadSeconds), units.Throughput(res.ReadBandwidth))
 	}
-	fmt.Printf("files:     %d\n", res.FilesCreated)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ior:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "files:     %d\n", res.FilesCreated)
+	return nil
 }

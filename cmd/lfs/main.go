@@ -9,7 +9,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"picmcio/internal/experiments"
 	"picmcio/internal/pfs"
@@ -17,58 +19,62 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "setstripe":
-		setstripe(os.Args[2:])
-	case "getstripe":
-		// getstripe needs a file to exist; this demo tool combines both
-		// verbs on a fresh simulated FS, so getstripe alone re-creates
-		// the default-layout file first.
-		getstripe(os.Args[2:], 1, 1<<20)
-	default:
-		usage()
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   lfs setstripe -c <count> -S <size> <dir>   (then shows getstripe of a file in <dir>)
-  lfs getstripe <path>`)
-	os.Exit(2)
-}
+  lfs getstripe <path>`
 
-func setstripe(args []string) {
-	fs := flag.NewFlagSet("setstripe", flag.ExitOnError)
-	count := fs.Int("c", 1, "stripe count (-1 = all OSTs)")
-	size := fs.String("S", "1M", "stripe size")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+// run is the command on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error, 2 on a verb, flag or path count it does
+// not take; getstripe takes no flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
-	sz, err := units.ParseBytes(*size)
+	// getstripe needs a file to exist; this demo tool combines both verbs
+	// on a fresh simulated FS, so getstripe alone creates the file with
+	// the default layout first.
+	path, count, size := "", 1, int64(1<<20)
+	switch args[0] {
+	case "setstripe":
+		fs := flag.NewFlagSet("setstripe", flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		c := fs.Int("c", 1, "stripe count (-1 = all OSTs)")
+		s := fs.String("S", "1M", "stripe size")
+		if err := fs.Parse(args[1:]); err == flag.ErrHelp {
+			return 0
+		} else if err != nil {
+			return 2
+		}
+		if fs.NArg() != 1 {
+			fmt.Fprintln(stderr, usage)
+			return 2
+		}
+		sz, err := units.ParseBytes(*s)
+		if err != nil {
+			fmt.Fprintln(stderr, "lfs:", err)
+			return 1
+		}
+		path, count, size = pfs.Join(fs.Arg(0), "dat_file.bp4", "data.0"), *c, sz
+	case "getstripe":
+		if len(args) != 2 || strings.HasPrefix(args[1], "-") {
+			fmt.Fprintln(stderr, usage)
+			return 2
+		}
+		path = args[1]
+	default:
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	// The target is created on a simulated Dardel with the given layout.
+	out, err := experiments.StripeListing(path, count, size)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "lfs:", err)
+		return 1
 	}
-	getstripe([]string{pfs.Join(fs.Arg(0), "dat_file.bp4", "data.0")}, *count, sz)
-}
-
-// getstripe creates the target on a simulated Dardel with the given
-// directory layout and prints its stripe map.
-func getstripe(args []string, count int, size int64) {
-	if len(args) != 1 {
-		usage()
-	}
-	out, err := experiments.StripeListing(args[0], count, size)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lfs:", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, out)
+	return 0
 }

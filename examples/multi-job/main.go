@@ -12,7 +12,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"picmcio/internal/burst"
 	"picmcio/internal/cluster"
@@ -49,28 +50,25 @@ func specs(qos burst.QoS) []jobs.Spec {
 	}
 }
 
-func run(label string, qos burst.QoS, override ...[]jobs.Spec) *jobs.ContentionResult {
-	s := specs(qos)
-	if len(override) > 0 {
-		s = override[0]
-	}
-	res, err := jobs.Contention(cluster.Dardel(), s, 1)
+// contend runs the co-schedule of js and prints what each job paid.
+func contend(stdout io.Writer, label string, js []jobs.Spec) (*jobs.ContentionResult, error) {
+	res, err := jobs.Contention(cluster.Dardel(), js, 1)
 	if err != nil {
-		log.Fatal(err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	fmt.Printf("=== %s ===\n", label)
+	fmt.Fprintf(stdout, "=== %s ===\n", label)
 	for i, j := range res.Jobs {
-		fmt.Printf("  %-11s %d nodes  wrote %-8s durable in %-10s slowdown %.3fx vs isolated\n",
+		fmt.Fprintf(stdout, "  %-11s %d nodes  wrote %-8s durable in %-10s slowdown %.3fx vs isolated\n",
 			j.Name, j.Nodes, units.Bytes(j.BytesWritten), units.Seconds(j.DurableSec), res.Slowdown[i])
 	}
 	staged := res.Jobs[0]
 	ck := staged.Burst.Class[burst.ClassCheckpoint]
 	dg := staged.Burst.Class[burst.ClassDiagnostic]
-	fmt.Printf("  drain lanes: checkpoint %s durable at %s, diagnostics %s at %s\n",
+	fmt.Fprintf(stdout, "  drain lanes: checkpoint %s durable at %s, diagnostics %s at %s\n",
 		units.Bytes(ck.DrainedBytes), units.Seconds(float64(ck.LastDrainEnd)),
 		units.Bytes(dg.DrainedBytes), units.Seconds(float64(dg.LastDrainEnd)))
-	fmt.Printf("  Jain fairness index over achieved bandwidth: %.4f\n\n", res.Jain)
-	return res
+	fmt.Fprintf(stdout, "  Jain fairness index over achieved bandwidth: %.4f\n\n", res.Jain)
+	return res, nil
 }
 
 // rankJob swaps the staged job's flat writer for a BIT1-style rank
@@ -93,29 +91,62 @@ func rankJob(qos burst.QoS, aggr int) []jobs.Spec {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the example on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error, 2 on any argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 0 {
+		fmt.Fprintln(stderr, "usage: multi-job (no arguments)")
+		return 2
+	}
+	if err := compare(stdout); err != nil {
+		fmt.Fprintln(stderr, "multi-job:", err)
+		return 1
+	}
+	return 0
+}
+
+// compare runs the co-schedule under both QoS settings, then with the
+// rank-level workload at two aggregator counts.
+func compare(stdout io.Writer) error {
 	base := burst.QoS{DrainLimit: 1e9} // backlogged write-back, one FIFO lane
 	prio := burst.QoS{DrainLimit: 1e9, PriorityLanes: true}
 
-	off := run("QoS off (FIFO write-back)", base)
-	on := run("checkpoint priority lane", prio)
+	off, err := contend(stdout, "QoS off (FIFO write-back)", specs(base))
+	if err != nil {
+		return err
+	}
+	on, err := contend(stdout, "checkpoint priority lane", specs(prio))
+	if err != nil {
+		return err
+	}
 
 	offCk := off.Jobs[0].Burst.Class[burst.ClassCheckpoint].LastDrainEnd
 	onCk := on.Jobs[0].Burst.Class[burst.ClassCheckpoint].LastDrainEnd
-	fmt.Printf("last checkpoint byte PFS-durable: %s (FIFO) -> %s (priority lane)\n",
+	fmt.Fprintf(stdout, "last checkpoint byte PFS-durable: %s (FIFO) -> %s (priority lane)\n",
 		units.Seconds(float64(offCk)), units.Seconds(float64(onCk)))
 	if onCk < offCk {
-		fmt.Println("priority QoS makes checkpoints restart-safe sooner; diagnostics absorb the wait ✔")
+		fmt.Fprintln(stdout, "priority QoS makes checkpoints restart-safe sooner; diagnostics absorb the wait ✔")
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// The same co-schedule with a rank-level workload under test: the
 	// drain rate is per node, so funnelling every group through one
 	// aggregator defers PFS durability vs spreading over four writers.
-	one := run("rank schedule, 1 aggregator group", base, rankJob(base, 1))
-	four := run("rank schedule, 4 aggregator groups", base, rankJob(base, 4))
-	fmt.Printf("staged job durable: %s (1 aggregator) -> %s (4 aggregators)\n",
+	one, err := contend(stdout, "rank schedule, 1 aggregator group", rankJob(base, 1))
+	if err != nil {
+		return err
+	}
+	four, err := contend(stdout, "rank schedule, 4 aggregator groups", rankJob(base, 4))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "staged job durable: %s (1 aggregator) -> %s (4 aggregators)\n",
 		units.Seconds(one.Jobs[0].DurableSec), units.Seconds(four.Jobs[0].DurableSec))
 	if four.Jobs[0].DurableSec < one.Jobs[0].DurableSec {
-		fmt.Println("spreading aggregators across nodes drains in parallel and is durable sooner ✔")
+		fmt.Fprintln(stdout, "spreading aggregators across nodes drains in parallel and is durable sooner ✔")
 	}
+	return nil
 }

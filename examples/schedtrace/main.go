@@ -26,7 +26,8 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"strings"
 
 	"picmcio/internal/cluster"
@@ -34,16 +35,57 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 64, "partition size in nodes")
-	jobCount := flag.Int("jobs", 240, "approximate number of submissions to synthesize")
-	fair := flag.Bool("fair", false, "skew the tenant submission rates and add the fair-share policy to the comparison")
-	preemptW := flag.Float64("preempt", 0, "preempt running jobs once the queue head has waited this many hours (0 = off)")
-	mtbf := flag.Float64("mtbf", 0, "per-node MTBF in hours for in-queue node failures (0 = off)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the example on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error or a refused value, 2 on a flag the
+// parser rejects or an argument that is no flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 64, "partition size in nodes")
+	jobCount := fs.Int("jobs", 240, "approximate number of submissions to synthesize")
+	fair := fs.Bool("fair", false, "skew the tenant submission rates and add the fair-share policy to the comparison")
+	preemptW := fs.Float64("preempt", 0, "preempt running jobs once the queue head has waited this many hours (0 = off)")
+	mtbf := fs.Float64("mtbf", 0, "per-node MTBF in hours for in-queue node failures (0 = off)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "schedtrace: unexpected argument %q: every setting is a flag\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "schedtrace:", err)
+		return 1
+	}
+	// Zero turns preemption and failures off; a negative or NaN value is
+	// no setting at all.
+	if *jobCount < 1 {
+		return fail(fmt.Errorf("-jobs %d: need at least 1", *jobCount))
+	}
+	if !(*preemptW >= 0) {
+		return fail(fmt.Errorf("-preempt %g: need 0 (off) or more hours", *preemptW))
+	}
+	if !(*mtbf >= 0) {
+		return fail(fmt.Errorf("-mtbf %g: need 0 (off) or more hours", *mtbf))
+	}
+	if err := schedtrace(stdout, *nodes, *jobCount, *fair, *preemptW, *mtbf); err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// schedtrace synthesizes the stream, round-trips it through the trace
+// format and prints each policy's schedule of it.
+func schedtrace(stdout io.Writer, nodes, jobCount int, fair bool, preemptW, mtbf float64) error {
 	m := cluster.Dardel()
-	if *nodes > m.MaxNodes {
-		m.MaxNodes = *nodes
+	if nodes > m.MaxNodes {
+		m.MaxNodes = nodes
 	}
 	pricer := sched.NewPricer(m, 1, 6)
 
@@ -51,86 +93,87 @@ func main() {
 	// node-hour capacity: enough pressure that a queue forms and the
 	// policies have something to disagree about.
 	s := sched.Synth{Tenants: 8, Users: 4, Seed: 1}
-	if *fair {
+	if fair {
 		// One hog tenant at 6× the base rate: the workload fair-share
 		// exists to push back on.
 		s.TenantWeights = []float64{6, 3, 2, 1, 1, 1, 1, 1}
 	}
-	mean, err := sched.SubmitMeanForLoad(pricer, m, s, 1.1, *nodes)
+	mean, err := sched.SubmitMeanForLoad(pricer, m, s, 1.1, nodes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s.SubmitMeanHours = mean
-	s.SpanHours = float64(*jobCount) * mean / float64(8*4)
+	s.SpanHours = float64(jobCount) * mean / float64(8*4)
 	stream, err := sched.Synthesize(m, s)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Price every distinct shape up front on a small worker pool; the
 	// replayed schedules then never stall on a probe simulation.
 	if err := pricer.Prewarm(stream, 4); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Round-trip the stream through the trace format: what a scheduler
 	// comparison replays is a file you can store, diff, and hand-edit.
 	var buf bytes.Buffer
 	if err := sched.WriteTrace(&buf, stream); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lines := strings.SplitN(buf.String(), "\n", 4)
-	fmt.Printf("trace: %d jobs from %d tenants over %.0f h, first entries:\n  %s\n  %s\n  %s\n",
+	fmt.Fprintf(stdout, "trace: %d jobs from %d tenants over %.0f h, first entries:\n  %s\n  %s\n  %s\n",
 		len(stream), s.Tenants, s.SpanHours, lines[0], lines[1], lines[2])
 	replay, err := sched.ReadTrace(&buf, m, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	cfg := sched.Config{Machine: m, Nodes: *nodes, Seed: 1, Pricer: pricer}
-	if *preemptW > 0 {
-		cfg.Preempt = sched.PreemptConfig{MaxHeadWaitHours: *preemptW, CheckpointHours: 0.5}
+	cfg := sched.Config{Machine: m, Nodes: nodes, Seed: 1, Pricer: pricer}
+	if preemptW > 0 {
+		cfg.Preempt = sched.PreemptConfig{MaxHeadWaitHours: preemptW, CheckpointHours: 0.5}
 	}
-	if *mtbf > 0 {
-		cfg.Faults = sched.FaultConfig{MTBFNodeHours: *mtbf, RepairHours: 12, RestartOverheadHours: 0.5}
+	if mtbf > 0 {
+		cfg.Faults = sched.FaultConfig{MTBFNodeHours: mtbf, RepairHours: 12, RestartOverheadHours: 0.5}
 	}
 	policies := []sched.Policy{sched.FCFS, sched.EASY}
-	if *fair {
+	if fair {
 		policies = append(policies, sched.FairShare)
 	}
 	var results []*sched.Result
 	for _, pol := range policies {
 		res, err := sched.Run(cfg, pol, replay)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results = append(results, res)
-		fmt.Printf("\n=== %s ===\n", res.Policy)
-		fmt.Printf("  makespan %.0f h, utilization %.1f%%, mean wait %.1f h (p95 %.1f h), %d backfills\n",
+		fmt.Fprintf(stdout, "\n=== %s ===\n", res.Policy)
+		fmt.Fprintf(stdout, "  makespan %.0f h, utilization %.1f%%, mean wait %.1f h (p95 %.1f h), %d backfills\n",
 			res.Makespan, 100*res.Utilization(), res.MeanWaitHours(), res.WaitQuantile(0.95), res.Backfills)
-		fmt.Printf("  per-tenant Jain fairness (%d tenants): %.4f\n", len(res.TenantStats()), res.JainTenants())
-		if *fair || *preemptW > 0 || *mtbf > 0 {
-			fmt.Printf("  delivered-usage Jain %.4f (share error %.4f), %d preemptions, %d failure kills, %.0f node-h lost, %.0f node-h down\n",
+		fmt.Fprintf(stdout, "  per-tenant Jain fairness (%d tenants): %.4f\n", len(res.TenantStats()), res.JainTenants())
+		if fair || preemptW > 0 || mtbf > 0 {
+			fmt.Fprintf(stdout, "  delivered-usage Jain %.4f (share error %.4f), %d preemptions, %d failure kills, %.0f node-h lost, %.0f node-h down\n",
 				res.UsageJain, res.ShareErr, res.Preemptions, res.FailureKills, res.LostNodeHours, res.DownNodeHours)
 		}
-		fmt.Println("  size classes:")
+		fmt.Fprintln(stdout, "  size classes:")
 		for _, c := range res.ClassStats() {
-			fmt.Printf("    %-8s %3d jobs  mean wait %7.1f h  mean slowdown %6.2fx\n",
+			fmt.Fprintf(stdout, "    %-8s %3d jobs  mean wait %7.1f h  mean slowdown %6.2fx\n",
 				c.Name, c.Jobs, c.MeanWaitHours, c.MeanSlowdown)
 		}
 	}
 
 	fcfs, easy := results[0], results[1]
-	fmt.Printf("\nmean queue wait: %.1f h (FCFS) -> %.1f h (EASY backfill)\n",
+	fmt.Fprintf(stdout, "\nmean queue wait: %.1f h (FCFS) -> %.1f h (EASY backfill)\n",
 		fcfs.MeanWaitHours(), easy.MeanWaitHours())
 	if easy.MeanWaitHours() < fcfs.MeanWaitHours() && easy.Utilization() >= fcfs.Utilization() {
-		fmt.Println("backfill cuts queue waits without giving up utilization ✔")
+		fmt.Fprintln(stdout, "backfill cuts queue waits without giving up utilization ✔")
 	}
-	if *fair {
+	if fair {
 		fs := results[2]
-		fmt.Printf("delivered-usage Jain: %.4f (FCFS), %.4f (EASY) -> %.4f (fair-share)\n",
+		fmt.Fprintf(stdout, "delivered-usage Jain: %.4f (FCFS), %.4f (EASY) -> %.4f (fair-share)\n",
 			fcfs.UsageJain, easy.UsageJain, fs.UsageJain)
 		if fs.UsageJain > easy.UsageJain && fs.UsageJain > fcfs.UsageJain {
-			fmt.Println("fair-share holds delivered usage nearest equal shares under the skew ✔")
+			fmt.Fprintln(stdout, "fair-share holds delivered usage nearest equal shares under the skew ✔")
 		}
 	}
+	return nil
 }

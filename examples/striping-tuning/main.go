@@ -6,13 +6,24 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"picmcio/internal/experiments"
 	"picmcio/internal/units"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the example on its arguments and output streams. It returns the
+// exit status: 0, 1 on an error, 2 on any argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 0 {
+		fmt.Fprintln(stderr, "usage: striping-tuning (no arguments)")
+		return 2
+	}
 	o := experiments.Options{
 		Seed:         1,
 		RanksPerNode: 16, // laptop-scale sweep; raise to 128 for paper scale
@@ -24,9 +35,10 @@ func main() {
 
 	t, sec, err := o.Fig9(nodes, sizes, counts)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "striping-tuning:", err)
+		return 1
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(stdout, t.Render())
 
 	bi, bj := 0, 0
 	for i := range sec {
@@ -36,6 +48,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("best configuration: lfs setstripe -c %d -S %s  (%s per write)\n",
+	fmt.Fprintf(stdout, "best configuration: lfs setstripe -c %d -S %s  (%s per write)\n",
 		counts[bj], units.Bytes(sizes[bi]), units.Seconds(sec[bi][bj]))
+	return 0
 }

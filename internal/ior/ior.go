@@ -49,7 +49,9 @@ func DefaultConfig(tasks int) Config {
 	}
 }
 
-// CommandLine renders the equivalent IOR invocation (Table I style).
+// CommandLine renders the equivalent IOR invocation (Table I style). It
+// names -t and -b only where they differ from Table I's 1 MiB transfers
+// and 16 MiB blocks.
 func (c Config) CommandLine() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "srun -n %d ior -N=%d -a %s", c.NumTasks, c.NumTasks, c.API)
@@ -62,7 +64,30 @@ func (c Config) CommandLine() string {
 	if c.Fsync {
 		b.WriteString(" -e")
 	}
+	if c.ReadBack {
+		b.WriteString(" -r")
+	}
+	if c.TransferSize != 1<<20 {
+		b.WriteString(" -t " + sizeArg(c.TransferSize))
+	}
+	if c.BlockSize != 16<<20 {
+		b.WriteString(" -b " + sizeArg(c.BlockSize))
+	}
 	return b.String()
+}
+
+// sizeArg renders a byte count as IOR's -t and -b take it: in the largest
+// of g, m and k that divides it, else in bytes.
+func sizeArg(n int64) string {
+	switch {
+	case n%(1<<30) == 0:
+		return fmt.Sprintf("%dg", n>>30)
+	case n%(1<<20) == 0:
+		return fmt.Sprintf("%dm", n>>20)
+	case n%(1<<10) == 0:
+		return fmt.Sprintf("%dk", n>>10)
+	}
+	return fmt.Sprint(n)
 }
 
 // Validate checks the configuration.

@@ -102,6 +102,15 @@ func TestCommandLineRendering(t *testing.T) {
 	if !strings.Contains(cfg.CommandLine(), "-a POSIX -C -e") {
 		t.Fatalf("shared cmdline=%q", cfg.CommandLine())
 	}
+	// The read phase and sizes off Table I's are part of the run.
+	cfg.ReadBack, cfg.TransferSize, cfg.BlockSize = true, 2<<20, 8<<20+512
+	if got, want := cfg.CommandLine(), "srun -n 25600 ior -N=25600 -a POSIX -C -e -r -t 2m -b 8389120"; got != want {
+		t.Fatalf("cmdline=%q, want %q", got, want)
+	}
+	cfg.TransferSize, cfg.BlockSize = 4<<10, 1<<30
+	if got, want := cfg.CommandLine(), "srun -n 25600 ior -N=25600 -a POSIX -C -e -r -t 4k -b 1g"; got != want {
+		t.Fatalf("cmdline=%q, want %q", got, want)
+	}
 }
 
 func TestValidation(t *testing.T) {
