@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -89,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-parallel %d: need at least 1 worker", *parallel))
 	}
 	// Zero means "the default" for these three; a negative value (or a
-	// NaN MTBF) is no setting at all.
+	// NaN or infinite MTBF) is no setting at all.
 	if *schedJobs < 0 {
 		return fail(fmt.Errorf("-sched-jobs %d: need 0 (the default) or more", *schedJobs))
 	}
@@ -98,6 +99,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !(*campaignMTBF >= 0) {
 		return fail(fmt.Errorf("-campaign-mtbf %g: need 0 (the machine preset) or more", *campaignMTBF))
+	}
+	if math.IsInf(*campaignMTBF, 1) {
+		return fail(fmt.Errorf("-campaign-mtbf %g: need a finite number of hours", *campaignMTBF))
 	}
 
 	o := experiments.Options{

@@ -37,6 +37,7 @@ var runRows = []clitest.Row{
 	{Args: "-run campfail -campaign-runs -1", Code: 1, Stderr: "experiments: -campaign-runs -1: need 0 (auto-size) or more"},
 	{Args: "-run campfail -campaign-mtbf -1", Code: 1, Stderr: "experiments: -campaign-mtbf -1: need 0 (the machine preset) or more"},
 	{Args: "-run campfail -campaign-mtbf NaN", Code: 1, Stderr: "experiments: -campaign-mtbf NaN: need 0 (the machine preset) or more"},
+	{Args: "-run campfail -campaign-mtbf +Inf", Code: 1, Stderr: "experiments: -campaign-mtbf +Inf: need a finite number of hours"},
 	// An artifact is named with -run, and a typo prints nothing at all.
 	{Args: "fig3", Code: 1, Stderr: `experiments: unexpected argument "fig3": name artifacts with -run`},
 	{Args: "-run lst1,nope", Code: 1, Stderr: `experiments: unknown artifact "nope" (see -list)`},

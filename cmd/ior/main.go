@@ -70,6 +70,12 @@ func runIOR(stdout io.Writer, machine string, nodes int, api, transfer, block st
 	if cfg.BlockSize, err = units.ParseBytes(block); err != nil {
 		return err
 	}
+	// IOR's rule: a task's block is whole transfers. ior.Config takes a
+	// short last transfer (fig4's reference run writes one), the command
+	// line does not.
+	if cfg.TransferSize > 0 && cfg.BlockSize%cfg.TransferSize != 0 {
+		return fmt.Errorf("-b %s is not a multiple of -t %s", block, transfer)
+	}
 	sys, err := m.Build(m.NewKernel(nodes), nodes, 1)
 	if err != nil {
 		return err

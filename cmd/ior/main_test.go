@@ -22,6 +22,7 @@ var runRows = []clitest.Row{
 	{Args: "-nodes 0 -n 16", Code: 1, Stderr: "ior: cluster: need at least one node"},
 	{Args: "-a HDF5 -n 4", Code: 1, Stderr: "ior: ior: API HDF5 not supported (POSIX only)"},
 	{Args: "-t 0 -n 4", Code: 1, Stderr: "ior: ior: transfer and block sizes must be positive"},
+	{Args: "-n 4 -t 32m -b 16m", Code: 1, Stderr: "ior: -b 16m is not a multiple of -t 32m"},
 	{Args: "-b NaN -n 4", Code: 1, Stderr: `ior: units: size "NaN" is not a byte count from 0 to 9223372036854775807`},
 	{Args: "-machine nope -n 4", Code: 1, Stderr: `ior: cluster: unknown machine "nope"`},
 	{Args: "-bogus", Code: 2, Stderr: "flag provided but not defined: -bogus"},
@@ -44,7 +45,7 @@ var flagTable = clitest.Table{
 	{"", "-C -e", "-C", "-e"},
 	{"", "-r"},
 	{"", "-t 2m", "-t 0", "-t 1e3", "-t -1m", "-t 32m", "-t 1x"},
-	{"", "-b 8m", "-b NaN", "-b 0", "-b 1k"},
+	{"", "-b 8m", "-b 16m", "-b NaN", "-b 0", "-b 1k"},
 	{"", "-machine vega", "-machine discoverer", "-machine nope"},
 	{"", "extra", "-h", "-bogus", "-n"},
 }

@@ -108,6 +108,15 @@ func schedtrace(stdout io.Writer, nodes, jobCount int, fair bool, preemptW, mtbf
 	if err != nil {
 		return err
 	}
+	// Every policy would fail on a job wider than the partition: refuse
+	// it before anything is printed.
+	widest := 0
+	for _, j := range stream {
+		widest = max(widest, j.Nodes)
+	}
+	if widest > nodes {
+		return fmt.Errorf("-nodes %d: the stream's widest job needs %d nodes", nodes, widest)
+	}
 	// Price every distinct shape up front on a small worker pool; the
 	// replayed schedules then never stall on a probe simulation.
 	if err := pricer.Prewarm(stream, 4); err != nil {

@@ -25,6 +25,9 @@ var runRows = []clitest.Row{
 	{Args: "-mtbf -5", Code: 1, Stderr: "schedtrace: -mtbf -5: need 0 (off) or more hours"},
 	{Args: "-mtbf NaN", Code: 1, Stderr: "schedtrace: -mtbf NaN: need 0 (off) or more hours"},
 	{Args: "-nodes 0", Code: 1, Stderr: "schedtrace: sched: load 1.1 on 0 nodes is not calibratable"},
+	// A partition narrower than a job of the stream is refused before
+	// the trace's head is printed.
+	{Args: "-nodes 1", Code: 1, Stderr: "schedtrace: -nodes 1: the stream's widest job needs 16 nodes"},
 	{Args: "-bogus", Code: 2, Stderr: "flag provided but not defined: -bogus"},
 	// A setting given without its flag is not ignored.
 	{Args: "x", Code: 2, Stderr: `schedtrace: unexpected argument "x": every setting is a flag`},

@@ -333,18 +333,22 @@ func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, 
 // short, each after overhead of synchronous client cost (formatting, VFS
 // and the RPC round trip that make BIT1's fprintf slow even on an idle
 // file system). A chunk <= 0 is an unbuffered stream: one byte a write.
+// The overhead before each write but the first rides on the previous
+// write's wait (posix.FD.WritePause).
 func writeChunked(p *sim.Proc, fd *posix.FD, n, chunk int64, overhead sim.Duration) {
+	if n <= 0 {
+		return
+	}
 	if chunk <= 0 {
 		chunk = 1
 	}
-	for n > 0 {
-		w := min(n, chunk)
-		if overhead > 0 {
-			p.Sleep(overhead)
-		}
-		fd.Write(p, w, nil)
-		n -= w
+	if overhead > 0 {
+		p.Sleep(overhead)
 	}
+	for ; n > chunk; n -= chunk {
+		fd.WritePause(p, chunk, nil, overhead)
+	}
+	fd.Write(p, n, nil)
 }
 
 // runOpenPMD is the paper's integration: accumulate per-rank vectors,

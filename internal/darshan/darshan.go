@@ -119,8 +119,16 @@ type Collector struct {
 
 // rankRecords finds one rank's records by path.
 type rankRecords struct {
-	few  [4]*Record         // its first files, in the order it touched them: a BIT1 rank has three
+	few  [4]*Record         // its first files, the last one looked up first: a BIT1 rank has three
 	more map[string]*Record // the rest
+}
+
+// toFront puts r, found at or bound for few[i], in few's first slot and
+// the i before it one slot down. A rank's next operations are most likely
+// on the file of its last one, and then compare against that record alone.
+func (rr *rankRecords) toFront(i int, r *Record) {
+	copy(rr.few[1:i+1], rr.few[:i])
+	rr.few[0] = r
 }
 
 const (
@@ -152,6 +160,7 @@ func (c *Collector) record(rank int, path string, start sim.Time) *Record {
 			break
 		}
 		if r.Path == path {
+			rr.toFront(i, r)
 			return r
 		}
 	}
@@ -171,7 +180,7 @@ func (c *Collector) record(rank int, path string, start sim.Time) *Record {
 	c.n++
 	switch {
 	case free >= 0:
-		rr.few[free] = r
+		rr.toFront(free, r)
 	case rr.more == nil:
 		rr.more = map[string]*Record{path: r}
 	default:

@@ -566,3 +566,65 @@ func TestOneFileOneRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupMovesToFront: lookups that alternate between a rank's files —
+// a few of them, and more than few holds — return the record each file
+// got first, leave the last one looked up in few's first slot with few
+// holding each record once and no hole before a record, and change
+// nothing All visits: one record per (rank, path), in (rank, path) order,
+// each counting its own writes.
+func TestLookupMovesToFront(t *testing.T) {
+	files := []string{"/d", "/a", "/c", "/b", "/f", "/e"}
+	col := NewCollector()
+	first := map[string]*Record{}
+	key := func(rank int, path string) string { return fmt.Sprint(rank, path) }
+	writes := map[string]int64{}
+	rng := rand.New(rand.NewPCG(7, 0))
+	for i := range 400 {
+		rank := []int{3, rankBlock + 1, 0}[i%3]
+		n := len(files)
+		if rank == 0 {
+			n = 3 // a BIT1 rank's three files: few only
+		}
+		path := files[rng.IntN(n)]
+		r := col.record(rank, path, sim.Time(i))
+		if f, ok := first[key(rank, path)]; !ok {
+			first[key(rank, path)] = r
+		} else if f != r {
+			t.Fatalf("lookup %d: rank %d's %s moved to another record", i, rank, path)
+		}
+		rr := &col.ranks[rank/rankBlock][rank%rankBlock]
+		if rr.more[path] == nil && rr.few[0] != r {
+			t.Fatalf("lookup %d: rank %d's %s is not first in few", i, rank, path)
+		}
+		seen := map[*Record]bool{}
+		for j, fr := range rr.few {
+			if fr == nil {
+				if j < len(rr.few)-1 && rr.few[j+1] != nil {
+					t.Fatalf("lookup %d: rank %d's few has a hole at %d", i, rank, j)
+				}
+				continue
+			}
+			if seen[fr] || rr.more[fr.Path] != nil {
+				t.Fatalf("lookup %d: rank %d's %s is in its index twice", i, rank, fr.Path)
+			}
+			seen[fr] = true
+		}
+		col.Record(rank, posix.OpWrite, path, 1, sim.Time(i), sim.Time(i)+0.5)
+		writes[key(rank, path)]++
+	}
+	var got []*Record
+	for r := range col.All() {
+		got = append(got, r)
+	}
+	byRankPath := func(a, b *Record) int { return cmp.Or(cmp.Compare(a.Rank, b.Rank), strings.Compare(a.Path, b.Path)) }
+	if len(got) != len(first) || !slices.IsSortedFunc(got, byRankPath) {
+		t.Fatalf("All visits %d records for %d (rank, path) pairs, in (rank, path) order: %t",
+			len(got), len(first), slices.IsSortedFunc(got, byRankPath))
+	}
+	for _, r := range got {
+		if k := key(r.Rank, r.Path); first[k] != r || r.Counters[POSIX_WRITES] != writes[k] {
+			t.Errorf("rank %d's %s: %d writes in its record, %d made", r.Rank, r.Path, r.Counters[POSIX_WRITES], writes[k])
+		}
+	}
+}

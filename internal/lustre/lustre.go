@@ -320,9 +320,14 @@ func nicDone(p *sim.Proc, c *pfs.Client, n int64) sim.Time {
 // WriteAt implements pfs.File. The bytes land before the sleep: a process
 // that runs while this one waits already sees the new size.
 func (f *handle) WriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) {
+	p.SleepUntil(f.BookWriteAt(p, c, off, n, data))
+}
+
+// BookWriteAt implements pfs.WriteBooker: WriteAt without the sleep.
+func (f *handle) BookWriteAt(p *sim.Proc, c *pfs.Client, off, n int64, data []byte) sim.Time {
 	end := f.fs.absorb(f.node, off, n, nicDone(p, c, n))
 	pfs.NodeWrite(f.node, off, n, data)
-	p.SleepUntil(end)
+	return end
 }
 
 // ReadAt implements pfs.File. A read at or past EOF is free, and so is one

@@ -86,6 +86,16 @@ type Stager interface {
 	DrainEpoch(p *sim.Proc)
 }
 
+// WriteBooker is optionally implemented by a File whose write is one wait:
+// BookWriteAt is WriteAt without the wait — the bytes land and the servers
+// are booked at once — and returns when the write completes. The caller
+// then owns the wait, so it can fold a pause that follows the write into
+// it. lustre's handle implements it; a staged file, which may wait for a
+// drain in the middle of a write, does not.
+type WriteBooker interface {
+	BookWriteAt(p *sim.Proc, c *Client, off int64, n int64, data []byte) sim.Time
+}
+
 // Namespacer is implemented by lustre.FS: it exposes the in-memory file
 // tree for offline inspection — file statistics, profile extraction, tool
 // clones — without charging simulated time.

@@ -175,6 +175,27 @@ func (fd *FD) Write(p *sim.Proc, n int64, data []byte) {
 	fd.off += n
 }
 
+// WritePause is Write, then pause of the caller's own time before its next
+// operation: the client cost of producing the next buffer. The monitor
+// sees the write's own span, as after Write. On a file that books its
+// writes (pfs.WriteBooker) the write and the pause are one wait; on any
+// other they are two. A pause <= 0 is none.
+func (fd *FD) WritePause(p *sim.Proc, n int64, data []byte, pause sim.Duration) {
+	b, ok := fd.f.(pfs.WriteBooker)
+	if !ok {
+		fd.Write(p, n, data)
+		if pause > 0 {
+			p.Sleep(pause)
+		}
+		return
+	}
+	start := p.Now()
+	end := max(b.BookWriteAt(p, fd.env.Client, fd.off, n, data), start)
+	fd.off += n
+	fd.env.record(OpWrite, fd.path, n, start, end)
+	p.SleepUntil(end + max(pause, 0))
+}
+
 // Pwrite writes n bytes at offset off without moving the file position.
 func (fd *FD) Pwrite(p *sim.Proc, off, n int64, data []byte) {
 	start := p.Now()

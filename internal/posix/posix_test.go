@@ -2,6 +2,7 @@ package posix
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"picmcio/internal/lustre"
@@ -167,5 +168,126 @@ func TestCreateWriteCloseAllocs(t *testing.T) {
 		t.Errorf("create+write+close of a new file allocates %.2f objects, want 2 (and whatever grows amortised)", per)
 	} else {
 		t.Logf("create+write+close of a new file allocates %.2f objects", per)
+	}
+}
+
+// callLog keeps every monitored call, per rank, in the order the rank made
+// them: a Darshan record — every counter and F-counter — is a function of
+// its (rank, path)'s calls in that order.
+type callLog map[int][]call
+
+type call struct {
+	op         Op
+	path       string
+	bytes      int64
+	start, end sim.Time
+}
+
+func (m callLog) Record(rank int, op Op, path string, bytes int64, start, end sim.Time) {
+	m[rank] = append(m[rank], call{op, path, bytes, start, end})
+}
+
+// plainFS hides lustre's pfs.WriteBooker: its files are only pfs.File.
+type plainFS struct{ pfs.FileSystem }
+
+type plainFile struct{ pfs.File }
+
+func (f plainFS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
+	file, err := f.FileSystem.Create(p, c, path)
+	if err != nil {
+		return nil, err
+	}
+	return plainFile{file}, nil
+}
+
+// TestWritePauseMatchesWriteThenSleep: WritePause on a file that books its
+// writes is one wait where Write then Sleep is two, and nothing else
+// tells them apart. Six ranks on two nodes' NICs, sharing Lustre's OSTs,
+// each write a file in chunks of their own size with a pause of their own
+// (two of them none) before a short last write and a close. Through
+// lustre and through a file system hiding BookWriteAt, each rank's
+// monitored calls — operation, bytes, start and end — and its end time
+// are the same, each write moves the offset past it, and the folded
+// world takes fewer queued events.
+func TestWritePauseMatchesWriteThenSleep(t *testing.T) {
+	type world struct {
+		calls callLog
+		ends  []sim.Time
+		stats sim.KernelStats
+	}
+	run := func(hide bool) world {
+		k := sim.NewKernel()
+		var fs pfs.FileSystem = lustre.New(k, lustre.DefaultParams())
+		if hide {
+			fs = plainFS{fs}
+		}
+		nics := []*pfs.Client{
+			{Node: 0, NIC: sim.NewServer(k, 2e9, 0)},
+			{Node: 1, NIC: sim.NewServer(k, 2e9, 0)},
+		}
+		w := world{calls: callLog{}, ends: make([]sim.Time, 6)}
+		for rank := range w.ends {
+			env := &Env{FS: fs, Client: nics[rank%2], Rank: rank, Monitor: w.calls}
+			chunk := int64(64<<10) << (rank % 3)
+			pause := sim.Duration(rank%4) * 3e-4
+			k.Spawn("r", func(p *sim.Proc) {
+				fd, err := env.Create(p, fmt.Sprintf("/out/r%d", rank))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range 8 {
+					fd.WritePause(p, chunk, nil, pause)
+					if fd.off != int64(i+1)*chunk || fd.Size() < fd.off {
+						t.Errorf("rank %d: after %d writes offset %d, size %d", rank, i+1, fd.off, fd.Size())
+					}
+				}
+				fd.Write(p, 100, nil)
+				fd.Close(p)
+				w.ends[rank] = p.Now()
+			})
+		}
+		k.Run()
+		w.stats = k.Stats()
+		return w
+	}
+	folded, plain := run(false), run(true)
+	if !reflect.DeepEqual(folded.calls, plain.calls) {
+		for rank := range folded.ends {
+			if !reflect.DeepEqual(folded.calls[rank], plain.calls[rank]) {
+				t.Errorf("rank %d: folded calls %v, write then sleep %v", rank, folded.calls[rank], plain.calls[rank])
+			}
+		}
+	}
+	if !reflect.DeepEqual(folded.ends, plain.ends) {
+		t.Errorf("end times: folded %v, write then sleep %v", folded.ends, plain.ends)
+	}
+	if len(folded.calls[0]) != 1+8+1+1 {
+		t.Errorf("rank 0 made %d calls, want 11", len(folded.calls[0]))
+	}
+	if f, w := folded.stats.QueueEvents, plain.stats.QueueEvents; f >= w {
+		t.Errorf("queued events: folded %d, write then sleep %d; want fewer", f, w)
+	} else {
+		t.Logf("queued events: folded %d, write then sleep %d", f, w)
+	}
+}
+
+// TestWritePauseContent: with data, WritePause lands the bytes at the
+// descriptor's offset and moves it, as Write does.
+func TestWritePauseContent(t *testing.T) {
+	k, env, mon := newEnv(t)
+	k.Spawn("r", func(p *sim.Proc) {
+		fd, _ := env.Create(p, "/f")
+		fd.WritePause(p, 4, []byte("abcd"), 1e-3)
+		fd.WritePause(p, 2, []byte("ef"), 0)
+		fd.off = 0
+		if got := fd.Read(p, 10); string(got) != "abcdef" {
+			t.Errorf("read %q, want abcdef", got)
+		}
+		fd.Close(p)
+	})
+	k.Run()
+	if want := []Op{OpCreate, OpWrite, OpWrite, OpRead, OpClose}; !reflect.DeepEqual(mon.ops, want) {
+		t.Errorf("ops %v, want %v", mon.ops, want)
 	}
 }
