@@ -22,6 +22,13 @@ var runRows = []clitest.Row{
 	{Args: "-json -run lst1", Golden: "lst1_json.txt"},
 	{Args: "-json -run figsizing", Golden: "figsizing_json.txt"},
 	{Args: fig3, Golden: "fig3_1node.txt"},
+	// The campaign and queue artifacts at CLI defaults; their goldens run
+	// the suite's smaller campaigns.
+	{Args: "-run campfail", Golden: "campfail.txt"},
+	{Args: "-run campopt -campaign-mtbf 500", Golden: "campopt_mtbf500.txt"},
+	{Args: "-run figinterval", Golden: "figinterval.txt"},
+	{Args: "-run figfair", Golden: "figfair.txt"},
+	{Args: "-json -run figfair", Golden: "figfair_json.txt"},
 
 	// Options reads a zero scale as its default, and a node count below 1
 	// is no machine: refused, not run.
@@ -68,7 +75,8 @@ func TestHelp(t *testing.T) {
 // arguments are all here.
 var flagTable = clitest.Table{
 	{"-run lst1", "-run tab1", "-run fig3", "-run fig8", "-run figsizing", "-run figinterval",
-		"-run nope", "-run lst1,nope", "-run tab1,lst1", "-run fig6", "-run figsched", "-run campfail", "-run ,"},
+		"-run nope", "-run lst1,nope", "-run tab1,lst1", "-run fig6", "-run figsched", "-run campfail", "-run ,",
+		"-run campopt", "-run figfair"},
 	{"-nodes 1", "-nodes 2", "-nodes 0", "-nodes -1", "-nodes NaN"},
 	{"-node-list 1", "-node-list 1,2", "-node-list 0", "-node-list 30,-2", "-node-list 1,,2", "-node-list x"},
 	{"-ranks-per-node 8", "-ranks-per-node 1", "-ranks-per-node 0", "-ranks-per-node -8"},
