@@ -1,4 +1,4 @@
-# Developer entry points. CI runs `make sweep-smoke` and `make profile`.
+# Developer entry points. CI runs `make profile`.
 # Performance claims go through `go run ./benchmark`.
 
 # -ec so every recipe line must succeed; pipefail so a failing stage of a
@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: check test vet profile sweep-smoke clean
+.PHONY: check test vet profile clean
 
 check: vet test
 
@@ -59,26 +59,8 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin figburst_mem.pprof > figburst_alloc_top.txt
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 experiments.bin schedq_mem.pprof > schedq_alloc_top.txt
 
-# sweep-smoke runs the sweep-native artifacts at tiny scale and writes
-# their machine-readable JSON; CI archives the outputs. The campopt run
-# doubles as the interval-recommendation validation at an accelerated
-# MTBF.
-sweep-smoke:
-	$(GO) run ./cmd/experiments -parallel 4 -run figsizing,campfail
-	$(GO) run ./cmd/experiments -parallel 4 -run campopt -campaign-mtbf 500
-	$(GO) run ./cmd/experiments -json -parallel 4 -run figsizing > figsizing.json
-	$(GO) run ./cmd/experiments -json -parallel 4 -campaign-runs 1500 -campaign-mtbf 500 -run campfail > campfail.json
-	$(GO) run ./cmd/experiments -json -parallel 4 -run figinterval > figinterval.json
-	$(GO) run ./cmd/experiments -parallel 4 -run figsched
-	$(GO) run ./cmd/experiments -json -parallel 4 -run figsched > figsched.json
-	$(GO) run ./cmd/experiments -parallel 4 -run figfair
-	$(GO) run ./cmd/experiments -json -parallel 4 -run figfair > figfair.json
-	$(GO) run ./cmd/experiments -parallel 4 -run figworkload
-	$(GO) run ./cmd/experiments -json -parallel 4 -run figworkload > figworkload.json
-
 clean:
 	rm -f cpu.pprof mem.pprof kernel.test sched_cpu.pprof sched_mem.pprof sched.test
 	rm -f fig6_cpu.pprof fig6_mem.pprof fig2_cpu.pprof fig2_mem.pprof experiments.bin
 	rm -f figburst_cpu.pprof figburst_mem.pprof schedq_cpu.pprof schedq_mem.pprof
 	rm -f fig6_alloc_top.txt fig2_alloc_top.txt figburst_alloc_top.txt schedq_alloc_top.txt
-	rm -f figsizing.json campfail.json figinterval.json figsched.json figfair.json figworkload.json

@@ -104,9 +104,9 @@ func (tb Table) Seed(t testing.TB, row string) []byte {
 
 // Fuzz seeds f with rows and drives run with the arguments tb picks.
 // Whatever they are, run must exit 0 with stdout starting with out (and
-// not empty), or on -h with none; 1 with one "<name>: " stderr line; or 2
-// with a usage text and no stdout — never panic. The kernel reports a
-// deadlock as a panic.
+// not empty), or on -h with none; 1 with one "<name>: " stderr line and
+// no stdout; or 2 with a usage text and no stdout — never panic. The
+// kernel reports a deadlock as a panic.
 func Fuzz(f *testing.F, run Run, rows []Row, tb Table, name, out string) {
 	for _, row := range rows {
 		f.Add(tb.Seed(f, row.Args))
@@ -127,8 +127,8 @@ func Fuzz(f *testing.F, run Run, rows []Row, tb Table, name, out string) {
 				t.Fatalf("%q: exit 0 with stdout %q, want it to start %q", args, got, out)
 			}
 		case code == 1:
-			if !strings.HasPrefix(errs, name+": ") || strings.Count(errs, "\n") != 1 {
-				t.Fatalf("%q: exit 1 with stderr %q, want one %s: line", args, errs, name)
+			if got != "" || !strings.HasPrefix(errs, name+": ") || strings.Count(errs, "\n") != 1 {
+				t.Fatalf("%q: exit 1 with %d bytes of stdout and stderr %q, want one %s: line and none", args, len(got), errs, name)
 			}
 		case code == 2:
 			if got != "" || !usage {

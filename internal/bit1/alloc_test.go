@@ -371,11 +371,13 @@ func TestParkedRankStack(t *testing.T) {
 			// openPMD: 912 to 1064 under a coroutine's yield (760 to 912
 			// while Run's frame held the memo's copies of the config, and
 			// while the open's split pair sat under a helper frame); 608
-			// to 760 under chanrecv and gopark. Original: 760 to 912 with a
-			// bare descriptor on the stack; 608 to 760 with a stdio stream
-			// in its place; with the stream and the copies still in Run's
-			// frame, 456 to 608 — too little for the deeper launchers of
-			// experiments and the benchmark, whose ranks doubled to 8 KiB.
+			// to 760 under chanrecv and gopark. Original: 912 to 1064 under
+			// the step loop both modes share; 760 to 912 under a loop of
+			// its own, 16 bytes fatter; 608 to 760 with a stdio stream in
+			// place of the bare descriptor; with the stream and the copies
+			// still in Run's frame, 456 to 608 — too little for the deeper
+			// launchers of experiments and the benchmark, whose ranks
+			// doubled to 8 KiB.
 			t.Logf("%d to %d bytes of frames to spare", lo*padFrame, (lo+1)*padFrame)
 			if lo < tc.levels {
 				t.Errorf("a parked rank has room for %d levels of padding, want at least %d: a frame on its chain grew", lo, tc.levels)

@@ -148,8 +148,9 @@ func countFiles(fs *lustre.FS, dir string) (n int, total, maxSize int64) {
 // output directory looks like and however many digits the rank has; a
 // plan cuts its world's names from one block, without allocating.
 func TestRankFileName(t *testing.T) {
+	deck := InputDeck{DatFile: "bit1", LastStep: 1, DMPStep: 1} // a plan checks its deck
 	for _, dir := range []string{"/out", "/scratch//run/./x/", "rel/../out", strings.Repeat("/deep", 30)} {
-		cfg := Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: dir, Mode: IOOriginal, Sizing: workload.Default()}
+		cfg := Config{Deck: deck, OutDir: dir, Mode: IOOriginal, Sizing: workload.Default()}
 		pl := newPlan(cfg, 4)
 		for _, rank := range []int{0, 7, 42, 99999, 100000, 123456, 999999, 1000000, 1234567, 98765432} {
 			for _, ext := range []string{".dat", ".dmp"} {
@@ -167,7 +168,7 @@ func TestRankFileName(t *testing.T) {
 	}
 	// Worlds that cross 10⁶ ranks: the block's offsets count the extra digit.
 	for _, ranks := range []int{1, 4, 1000003} {
-		pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, ranks)
+		pl := newPlan(Config{Deck: deck, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, ranks)
 		if len(pl.rankNames) != pl.rankNamesBefore(ranks) {
 			t.Errorf("%d ranks: a block of %d bytes, sized %d", ranks, len(pl.rankNames), pl.rankNamesBefore(ranks))
 		}
@@ -184,7 +185,7 @@ func TestRankFileName(t *testing.T) {
 			}
 		}
 	}
-	pl := newPlan(Config{Deck: InputDeck{DatFile: "bit1"}, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, 5000)
+	pl := newPlan(Config{Deck: deck, OutDir: "/out", Mode: IOOriginal, Sizing: workload.Default()}, 5000)
 	if n := testing.AllocsPerRun(100, func() { pl.rankFiles(4242) }); n != 0 {
 		t.Errorf("rankFiles allocates %.0f objects, want 0", n)
 	}

@@ -70,9 +70,6 @@ type RankEnv struct {
 // launched once per rank under mpisim. Collective operations inside
 // require every rank of the world to call Run with the same config.
 func Run(cfg Config, re RankEnv) error {
-	if err := cfg.Deck.Validate(); err != nil {
-		return err
-	}
 	pl := planFor(&cfg, re.Rank.Comm)
 	if pl.err != nil {
 		return pl.err
@@ -80,14 +77,7 @@ func Run(cfg Config, re RankEnv) error {
 	if err := readInputDeck(pl, re); err != nil {
 		return err
 	}
-	switch cfg.Mode {
-	case IOOriginal:
-		return runOriginal(pl, re)
-	case IOOpenPMD:
-		return runOpenPMD(pl, re)
-	default:
-		return fmt.Errorf("bit1: unknown I/O mode %d", cfg.Mode)
-	}
+	return runSteps(pl, re)
 }
 
 // planFor returns the world's plan for cfg, built by the first rank that
@@ -151,16 +141,21 @@ type plan struct {
 	seriesPath string
 	schema     *openpmd.Schema // the snapshot's components
 	elems      []int64         // per-rank elements of each, per epoch
-	err        error           // why there is no schema
+
+	err error // why the config cannot run: the rest is unset
 }
 
 func newPlan(cfg Config, ranks int) *plan {
-	pl := &plan{
-		cfg:       cfg,
-		inputPath: pfs.Join(cfg.OutDir, "..", cfg.Deck.DatFile+".inp"),
-		epochs:    epochs(cfg.Deck),
-		shared:    sharedFileNames(cfg),
+	pl := &plan{cfg: cfg}
+	if pl.err = cfg.Deck.Validate(); pl.err != nil {
+		return pl
 	}
+	if cfg.Mode != IOOriginal && cfg.Mode != IOOpenPMD {
+		pl.err = fmt.Errorf("bit1: unknown I/O mode %d", cfg.Mode)
+		return pl
+	}
+	pl.inputPath = pfs.Join(cfg.OutDir, "..", cfg.Deck.DatFile+".inp")
+	pl.epochs, pl.shared = epochs(cfg.Deck), sharedFileNames(cfg)
 	if cfg.Mode == IOOriginal {
 		pl.diagBytes, pl.checkpointBytes = cfg.Sizing.PerRankDiag(ranks), cfg.Sizing.PerRankCheckpoint(ranks)
 		pl.rankFilePrefix = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_")
@@ -255,15 +250,18 @@ func (pl *plan) rankFiles(rank int) (dat, dmp string) {
 	return pl.rankNames[off : off+n], pl.rankNames[off+n : off+2*n]
 }
 
-// runOriginal is BIT1's baseline writer: every rank owns a .dat and a
-// .dmp file, re-written at each epoch through buffered stdio, while rank 0
-// additionally appends the global history files — the file-per-process
-// pattern whose metadata cost collapses at scale (Figs. 2–5).
-func runOriginal(pl *plan, re RankEnv) error {
+// runSteps is BIT1's one time-step loop on a rank, in either output
+// mode; the two differ only in what an epoch writes. In the original mode
+// every rank re-creates its own .dat at each diagnostic epoch and its .dmp
+// at each checkpoint, through buffered stdio: the file-per-process pattern
+// whose metadata cost collapses at scale (Figs. 2–5). In the openPMD mode,
+// the paper's integration, every rank accumulates its vectors and saves
+// them as openPMD iteration 0, overwritten with the latest system state,
+// through ADIOS2 BP4. Rank 0 also appends the global history files at
+// each diagnostic epoch.
+func runSteps(pl *plan, re RankEnv) error {
 	r, env, p := re.Rank, re.Env, re.Rank.Proc
 	cfg, sz := &pl.cfg, &pl.cfg.Sizing
-
-	datPath, dmpPath := pl.rankFiles(r.ID)
 
 	var shared []posix.FD
 	var err error
@@ -275,6 +273,13 @@ func runOriginal(pl *plan, re RankEnv) error {
 	if err = r.Comm.BarrierErr(err); err != nil {
 		return err
 	}
+	var ad *adaptor
+	if cfg.Mode == IOOpenPMD {
+		ad, err = newAdaptor(openpmd.Host{Proc: p, Env: env, Comm: r.Comm}, pl.seriesPath, cfg.OpenPMDOptions, pl.schema)
+		if err != nil {
+			return err
+		}
+	}
 
 	prev := 0
 	for _, ep := range pl.epochs {
@@ -282,22 +287,40 @@ func runOriginal(pl *plan, re RankEnv) error {
 			p.Sleep(cfg.ComputePerStep * sim.Duration(ep.step-prev))
 		}
 		prev = ep.step
-		if ep.diag {
-			if err := writeStdioVolume(p, env, datPath, pl.diagBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
+		if ad != nil {
+			// The latest system state (checkpoint and diagnostics) goes
+			// into the global vectors, flushed as iteration 0.
+			for i, n := range pl.elems {
+				ad.accumulateVolume(i, n)
+			}
+			if err := ad.saveIteration(0); err != nil {
 				return err
 			}
+		} else if ep.diag {
+			dat, _ := pl.rankFiles(r.ID)
+			if err := writeStdioVolume(p, env, dat, pl.diagBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
+				return err
+			}
+		}
+		if ep.diag {
 			for i := range shared {
 				writeChunked(p, &shared[i], sz.SharedFileBytes, sz.StdioChunk, 0)
 			}
 		}
-		if ep.checkpoint {
-			if err := writeStdioVolume(p, env, dmpPath, pl.checkpointBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
+		if ad == nil && ep.checkpoint {
+			_, dmp := pl.rankFiles(r.ID)
+			if err := writeStdioVolume(p, env, dmp, pl.checkpointBytes, sz.StdioChunk, cfg.StdioOverhead); err != nil {
 				return err
 			}
 		}
 	}
 	for i := range shared {
 		shared[i].Close(p)
+	}
+	if ad != nil {
+		if err := ad.close(); err != nil {
+			return err
+		}
 	}
 	r.Comm.Barrier()
 	return nil
@@ -349,63 +372,6 @@ func writeChunked(p *sim.Proc, fd *posix.FD, n, chunk int64, overhead sim.Durati
 		fd.WritePause(p, chunk, nil, overhead)
 	}
 	fd.Write(p, n, nil)
-}
-
-// runOpenPMD is the paper's integration: accumulate per-rank vectors,
-// then save everything as openPMD iteration 0 (periodically overwritten
-// with the latest system state) through the ADIOS2 BP4 engine.
-func runOpenPMD(pl *plan, re RankEnv) error {
-	r, env, p := re.Rank, re.Env, re.Rank.Proc
-	cfg := &pl.cfg
-
-	var shared []posix.FD
-	var err error
-	if r.ID == 0 {
-		if err = env.MkdirAll(p, cfg.OutDir); err == nil {
-			shared, err = openShared(p, env, pl.shared)
-		}
-	}
-	if err = r.Comm.BarrierErr(err); err != nil {
-		return err
-	}
-
-	host := openpmd.Host{Proc: p, Env: env, Comm: r.Comm}
-	ad, err := newAdaptor(host, pl.seriesPath, cfg.OpenPMDOptions, pl.schema)
-	if err != nil {
-		return err
-	}
-
-	prev := 0
-	for _, ep := range pl.epochs {
-		if cfg.ComputePerStep > 0 {
-			p.Sleep(cfg.ComputePerStep * sim.Duration(ep.step-prev))
-		}
-		prev = ep.step
-		if !ep.diag && !ep.checkpoint {
-			continue
-		}
-		// Accumulate the latest system state (checkpoint + diagnostics)
-		// into the global vectors, then flush as iteration 0.
-		for i, n := range pl.elems {
-			ad.accumulateVolume(i, n)
-		}
-		if err := ad.saveIteration(0); err != nil {
-			return err
-		}
-		if ep.diag {
-			for i := range shared {
-				writeChunked(p, &shared[i], cfg.Sizing.SharedFileBytes, cfg.Sizing.StdioChunk, 0)
-			}
-		}
-	}
-	for i := range shared {
-		shared[i].Close(p)
-	}
-	if err := ad.close(); err != nil {
-		return err
-	}
-	r.Comm.Barrier()
-	return nil
 }
 
 // snapshotComponents names the openPMD components the snapshot is spread

@@ -294,13 +294,13 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 		ComputePerStep: o.computePerStep,
 		StdioOverhead:  sim.Duration(m.StdioWriteOverhead),
 	}
-	var mu sync.Mutex
+	// Ranks of one kernel never run at once: the closure's state needs no
+	// lock.
 	var firstErr error
 	var appEnd sim.Time
 	var drainBusyAtAppEnd float64
 	w.Run(func(r *mpisim.Rank) {
 		err := bit1.Run(cfg, bit1.RankEnv{Rank: r, Env: envOf(r)})
-		mu.Lock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -310,7 +310,6 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 				drainBusyAtAppEnd = sys.Burst.Stats().DrainBusySec
 			}
 		}
-		mu.Unlock()
 	})
 	if firstErr != nil {
 		return nil, firstErr

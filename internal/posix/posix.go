@@ -205,13 +205,8 @@ func (fd *FD) Pwrite(p *sim.Proc, off, n int64, data []byte) {
 
 // Read reads up to n bytes at the current offset and advances it.
 func (fd *FD) Read(p *sim.Proc, n int64) []byte {
+	n = fd.readable(fd.off, n)
 	b := fd.Pread(p, fd.off, n)
-	if rem := fd.f.Size() - fd.off; rem < n {
-		n = rem
-	}
-	if n < 0 {
-		n = 0
-	}
 	fd.off += n
 	return b
 }
@@ -219,16 +214,21 @@ func (fd *FD) Read(p *sim.Proc, n int64) []byte {
 // Pread reads up to n bytes at offset off without moving the position.
 func (fd *FD) Pread(p *sim.Proc, off, n int64) []byte {
 	start := p.Now()
+	n = fd.readable(off, n)
 	b := fd.f.ReadAt(p, fd.env.Client, off, n)
-	got := n
-	if rem := fd.f.Size() - off; rem < got {
-		got = rem
-	}
-	if got < 0 {
-		got = 0
-	}
-	fd.env.record(OpRead, fd.path, got, start, p.Now())
+	fd.env.record(OpRead, fd.path, n, start, p.Now())
 	return b
+}
+
+// readable is how many of n bytes at off a read starting now gets: it
+// clips at the end of the file as it is when the read starts, as the file
+// system does, so bytes that land while the read waits are left for the
+// next one. A negative offset or length gets none.
+func (fd *FD) readable(off, n int64) int64 {
+	if off < 0 || n < 0 {
+		return 0
+	}
+	return max(min(n, fd.f.Size()-off), 0)
 }
 
 // Fsync flushes the file to stable storage.

@@ -3,6 +3,7 @@ package posix
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"picmcio/internal/lustre"
@@ -77,6 +78,32 @@ func TestReadClipsAtEOF(t *testing.T) {
 		}
 		if fd.off != 10 {
 			t.Errorf("offset=%d, want 10 (clipped)", fd.off)
+		}
+		fd.Close(p)
+	})
+	k.Run()
+}
+
+// TestReadClipsAtStart: a read gets the bytes the file holds when it
+// starts. What another process appends while it waits is not returned,
+// not counted, and not skipped over: the next read returns it.
+func TestReadClipsAtStart(t *testing.T) {
+	k, env, mon := newEnv(t)
+	k.Spawn("r", func(p *sim.Proc) {
+		fd, _ := env.Create(p, "/f")
+		fd.Write(p, 10, []byte("0123456789"))
+		fd.off = 0
+		k.Spawn("appender", func(q *sim.Proc) { fd.Pwrite(q, 10, 10, []byte("abcdefghij")) })
+		for _, want := range []string{"0123456789", "abcdefghij"} {
+			reads, off := len(mon.ops), fd.off
+			got := fd.Read(p, 100)
+			if string(got) != want {
+				t.Errorf("read %q, want %q", got, want)
+			}
+			i := slices.Index(mon.ops[reads:], OpRead)
+			if i < 0 || mon.bytes[reads+i] != int64(len(got)) || fd.off-off != int64(len(got)) {
+				t.Errorf("read %d bytes, monitor %v, offset moved %d", len(got), mon.bytes[reads:], fd.off-off)
+			}
 		}
 		fd.Close(p)
 	})
