@@ -357,7 +357,7 @@ func writeStdioVolume(p *sim.Proc, env *posix.Env, path string, n, chunk int64, 
 // and the RPC round trip that make BIT1's fprintf slow even on an idle
 // file system). A chunk <= 0 is an unbuffered stream: one byte a write.
 // The overhead before each write but the first rides on the previous
-// write's wait (posix.FD.WritePause).
+// write's wait, and the full chunks are one posix.FD.WritePause.
 func writeChunked(p *sim.Proc, fd *posix.FD, n, chunk int64, overhead sim.Duration) {
 	if n <= 0 {
 		return
@@ -368,10 +368,9 @@ func writeChunked(p *sim.Proc, fd *posix.FD, n, chunk int64, overhead sim.Durati
 	if overhead > 0 {
 		p.Sleep(overhead)
 	}
-	for ; n > chunk; n -= chunk {
-		fd.WritePause(p, chunk, nil, overhead)
-	}
-	fd.Write(p, n, nil)
+	full := (n - 1) / chunk
+	fd.WritePause(p, int(full), chunk, nil, overhead)
+	fd.Write(p, n-full*chunk, nil)
 }
 
 // snapshotComponents names the openPMD components the snapshot is spread

@@ -348,11 +348,12 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 // append-mode files (BP metadata, shared histories), since those grow
 // linearly with epochs while snapshot files are overwritten in place. It
 // builds no file's path: none of isAppendMode's patterns holds a '/', so
-// a path matches exactly when its directory or its name does.
+// a path matches exactly when its directory or its name does. A sum, a
+// count and a maximum need no order, so it sorts no directory.
 func (o Options) fileStats(sys *cluster.System, dir string) FileStats {
 	var fs FileStats
 	factor := o.EpochFactor()
-	sys.Lustre.Namespace().Files(dir, func(dir string, n *pfs.Node) {
+	sys.Lustre.Namespace().FilesUnordered(dir, func(dir string, n *pfs.Node) {
 		size := n.Size
 		if isAppendMode(n.Name) || strings.Contains(dir, "_global_") {
 			size = int64(float64(size) * factor)

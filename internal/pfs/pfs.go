@@ -343,18 +343,37 @@ func (ns *Namespace) ReadDir(path string) ([]FileInfo, error) {
 // calling fn with the file's directory and node: the file's path is
 // Join(dir, n.Name). It builds a path for each directory, none for a file.
 func (ns *Namespace) Files(root string, fn func(dir string, n *Node)) error {
+	return ns.visit(root, true, fn)
+}
+
+// FilesUnordered is Files in no particular order: it sorts no directory,
+// for a caller that only sums, counts or takes a maximum.
+func (ns *Namespace) FilesUnordered(root string, fn func(dir string, n *Node)) error {
+	return ns.visit(root, false, fn)
+}
+
+func (ns *Namespace) visit(root string, sorted bool, fn func(dir string, n *Node)) error {
 	start, err := ns.Lookup(root)
 	if err != nil {
 		return err
 	}
 	var rec func(dir string, d *Node)
+	visit := func(dir, name string, n *Node) {
+		if n.Dir {
+			rec(Join(dir, name), n)
+		} else {
+			fn(dir, n)
+		}
+	}
 	rec = func(dir string, d *Node) {
-		for _, name := range sortedNames(d) {
-			if n := d.Children[name]; n.Dir {
-				rec(Join(dir, name), n)
-			} else {
-				fn(dir, n)
+		if !sorted {
+			for name, n := range d.Children {
+				visit(dir, name, n)
 			}
+			return
+		}
+		for _, name := range sortedNames(d) {
+			visit(dir, name, d.Children[name])
 		}
 	}
 	if root = Clean(root); start.Dir {

@@ -119,6 +119,7 @@ func TestReadDirSorted(t *testing.T) {
 // order — sorted by path component by component, so "/a/b/c" before
 // "/a/b-" — handing over each file's directory, from which WalkFiles
 // joins the path; a root that is a file is visited with its parent.
+// FilesUnordered visits the same files, in any order.
 func TestWalkFiles(t *testing.T) {
 	ns := NewNamespace()
 	paths := []string{"/top", "/a/z", "/a/b/c", "/a/b_global_1/md.0", "/a/b_global_1/x", "/a/m", "/a/b-", "/b/data.0"}
@@ -152,9 +153,19 @@ func TestWalkFiles(t *testing.T) {
 		if !slices.Equal(walked, want) || !slices.Equal(joined, want) {
 			t.Errorf("under %q: WalkFiles %q, Files %q, want %q", root, walked, joined, want)
 		}
+		var unordered []string
+		if err := ns.FilesUnordered(root, func(dir string, n *Node) { unordered = append(unordered, Join(dir, n.Name)) }); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Sort(unordered); !slices.Equal(unordered, slices.Sorted(slices.Values(want))) {
+			t.Errorf("under %q: FilesUnordered %q, want %q in any order", root, unordered, want)
+		}
 	}
 	if err := ns.Files("/missing", func(string, *Node) { t.Error("visited under a missing root") }); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Files of a missing root: err=%v, want ErrNotExist", err)
+	}
+	if err := ns.FilesUnordered("/missing", func(string, *Node) { t.Error("visited under a missing root") }); !errors.Is(err, ErrNotExist) {
+		t.Errorf("FilesUnordered of a missing root: err=%v, want ErrNotExist", err)
 	}
 }
 

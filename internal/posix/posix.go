@@ -6,6 +6,8 @@
 package posix
 
 import (
+	"sync"
+
 	"picmcio/internal/pfs"
 	"picmcio/internal/sim"
 )
@@ -170,30 +172,129 @@ func (fd *FD) Size() int64 { return fd.f.Size() }
 
 // Write writes n bytes at the current offset and advances it. data may be
 // nil (volume mode) or must have length n.
-func (fd *FD) Write(p *sim.Proc, n int64, data []byte) {
-	fd.Pwrite(p, fd.off, n, data)
-	fd.off += n
-}
+func (fd *FD) Write(p *sim.Proc, n int64, data []byte) { fd.write(p, nil, n, data) }
 
-// WritePause is Write, then pause of the caller's own time before its next
-// operation: the client cost of producing the next buffer. The monitor
-// sees the write's own span, as after Write. On a file that books its
-// writes (pfs.WriteBooker) the write and the pause are one wait; on any
-// other they are two. A pause <= 0 is none.
-func (fd *FD) WritePause(p *sim.Proc, n int64, data []byte, pause sim.Duration) {
+// WritePause is count times Write, each followed by pause of the
+// caller's own time before its next operation: the client cost of
+// producing the next buffer. data may be nil or must have length count*n,
+// the i-th write taking the i-th n bytes. The monitor sees each write's
+// own span, as after Write. On a file that books its writes
+// (pfs.WriteBooker) a write and its pause are one wait, and the writes
+// run as the kernel's steps (sim.Proc.Continue), the first at once, with
+// no switch to the caller between them; on any other a write and its
+// pause are two waits of the caller's. A pause <= 0 is none.
+func (fd *FD) WritePause(p *sim.Proc, count int, n int64, data []byte, pause sim.Duration) {
+	if count <= 0 {
+		return
+	}
 	b, ok := fd.f.(pfs.WriteBooker)
 	if !ok {
-		fd.Write(p, n, data)
+		fd.writeEach(p, count, n, data, pause)
+		return
+	}
+	w := takeWriteStep(fd, b, count, n, data, pause)
+	defer w.done(fd)
+	p.Continue(w)
+}
+
+// writeEach is WritePause on a file that does not book its writes: the
+// caller waits for each write, then for its pause. It is a function of
+// its own to keep WritePause's frame, under which a rank parks, small.
+func (fd *FD) writeEach(p *sim.Proc, count int, n int64, data []byte, pause sim.Duration) {
+	for i := range count {
+		fd.Write(p, n, chunkOf(data, i, n))
 		if pause > 0 {
 			p.Sleep(pause)
 		}
-		return
 	}
+}
+
+// write is every write at the offset: n bytes of data booked through b —
+// the caller then owns the wait until the returned end — or, when b is
+// nil, written with WriteAt's own wait. It moves the offset past them and
+// shows the monitor the write's span.
+func (fd *FD) write(p *sim.Proc, b pfs.WriteBooker, n int64, data []byte) sim.Time {
 	start := p.Now()
-	end := max(b.BookWriteAt(p, fd.env.Client, fd.off, n, data), start)
+	var end sim.Time
+	if b != nil {
+		end = max(b.BookWriteAt(p, fd.env.Client, fd.off, n, data), start)
+	} else {
+		fd.f.WriteAt(p, fd.env.Client, fd.off, n, data)
+		end = p.Now()
+	}
 	fd.off += n
 	fd.env.record(OpWrite, fd.path, n, start, end)
-	p.SleepUntil(end + max(pause, 0))
+	return end
+}
+
+// chunkOf is the i-th n bytes of data, or nil for a volume-mode write.
+func chunkOf(data []byte, i int, n int64) []byte {
+	if data == nil {
+		return nil
+	}
+	return data[int64(i)*n:][:n]
+}
+
+// writeStep is WritePause's continuation on a file that books its writes:
+// a write and its pause at each wake. It works on a copy of the caller's
+// descriptor, which may live on the caller's stack, and done hands the
+// offset back.
+type writeStep struct {
+	fd    FD
+	b     pfs.WriteBooker
+	left  int // writes still to make
+	i     int // the next write's chunk of data
+	n     int64
+	data  []byte
+	pause sim.Duration
+	free  *writeStep // the next free record, while this one is free
+}
+
+// Step implements sim.Stepper.
+func (w *writeStep) Step(p *sim.Proc) (sim.Time, bool) {
+	end := w.fd.write(p, w.b, w.n, chunkOf(w.data, w.i, w.n))
+	w.i++
+	w.left--
+	return end + w.pause, w.left > 0
+}
+
+// done moves fd's offset past the writes made — all of them, or those
+// before a kill — and returns the record to the free list.
+func (w *writeStep) done(fd *FD) {
+	fd.off = w.fd.off
+	writeSteps.Lock()
+	*w = writeStep{free: writeSteps.free}
+	writeSteps.free = w
+	writeSteps.Unlock()
+}
+
+// writeSteps is the process-wide free list of write steps, grown a slab
+// at a time: the records in use are one per process in WritePause, in
+// any kernel, so what they weigh follows the most ranks mid-write at once.
+var writeSteps struct {
+	sync.Mutex
+	free *writeStep
+}
+
+// writeStepSlab is how many records the free list grows by at a time.
+const writeStepSlab = 256
+
+// takeWriteStep hands out a free record, growing the list by a slab when
+// it is empty, set to write count chunks at fd's offset.
+func takeWriteStep(fd *FD, b pfs.WriteBooker, count int, n int64, data []byte, pause sim.Duration) *writeStep {
+	writeSteps.Lock()
+	if writeSteps.free == nil {
+		slab := make([]writeStep, writeStepSlab)
+		for i := range slab {
+			slab[i].free = writeSteps.free
+			writeSteps.free = &slab[i]
+		}
+	}
+	w := writeSteps.free
+	writeSteps.free = w.free
+	writeSteps.Unlock()
+	*w = writeStep{fd: *fd, b: b, left: count, n: n, data: data, pause: max(pause, 0)}
+	return w
 }
 
 // Pwrite writes n bytes at offset off without moving the file position.

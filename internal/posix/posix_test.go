@@ -227,25 +227,47 @@ func (f plainFS) Create(p *sim.Proc, c *pfs.Client, path string) (pfs.File, erro
 	return plainFile{file}, nil
 }
 
+// writePauseSwitched is WritePause of one chunk on a file that books its
+// writes as it was before the kernel ran continuations, kept as the
+// oracle: the caller books the write and sleeps until its end and the
+// pause, a switch to the run loop and back a chunk.
+func writePauseSwitched(p *sim.Proc, fd *FD, n int64, pause sim.Duration) {
+	start := p.Now()
+	end := max(fd.f.(pfs.WriteBooker).BookWriteAt(p, fd.env.Client, fd.off, n, nil), start)
+	fd.off += n
+	fd.env.record(OpWrite, fd.path, n, start, end)
+	p.SleepUntil(end + max(pause, 0))
+}
+
+// The three ways a rank of TestWritePauseMatchesWriteThenSleep writes its
+// chunks.
+const (
+	continued = iota // WritePause's continuation on lustre
+	switched         // writePauseSwitched on lustre, a chunk at a time
+	plain            // WritePause through a file system hiding BookWriteAt
+)
+
 // TestWritePauseMatchesWriteThenSleep: WritePause on a file that books its
-// writes is one wait where Write then Sleep is two, and nothing else
-// tells them apart. Six ranks on two nodes' NICs, sharing Lustre's OSTs,
-// each write a file in chunks of their own size with a pause of their own
-// (two of them none) before a short last write and a close. Through
-// lustre and through a file system hiding BookWriteAt, each rank's
-// monitored calls — operation, bytes, start and end — and its end time
-// are the same, each write moves the offset past it, and the folded
-// world takes fewer queued events.
+// writes is one wait a chunk where Write then Sleep is two, its chunks
+// after the first run as kernel steps where the switch path resumes the
+// caller for each, and nothing else tells the three apart. Six ranks on
+// two nodes' NICs, sharing Lustre's OSTs, each write a file in 8 chunks
+// of their own size with a pause of their own (two of them none) before a
+// short last write and a close. Each rank's monitored calls — operation,
+// bytes, start and end — and its end time are the same every way, the
+// offset ends past every write, the continuation delivers as many events
+// as the switch path, and each takes fewer switches than the one before.
 func TestWritePauseMatchesWriteThenSleep(t *testing.T) {
+	const chunks = 8
 	type world struct {
 		calls callLog
 		ends  []sim.Time
 		stats sim.KernelStats
 	}
-	run := func(hide bool) world {
+	run := func(way int) world {
 		k := sim.NewKernel()
 		var fs pfs.FileSystem = lustre.New(k, lustre.DefaultParams())
-		if hide {
+		if way == plain {
 			fs = plainFS{fs}
 		}
 		nics := []*pfs.Client{
@@ -263,11 +285,15 @@ func TestWritePauseMatchesWriteThenSleep(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for i := range 8 {
-					fd.WritePause(p, chunk, nil, pause)
-					if fd.off != int64(i+1)*chunk || fd.Size() < fd.off {
-						t.Errorf("rank %d: after %d writes offset %d, size %d", rank, i+1, fd.off, fd.Size())
+				if way == switched {
+					for range chunks {
+						writePauseSwitched(p, fd, chunk, pause)
 					}
+				} else {
+					fd.WritePause(p, chunks, chunk, nil, pause)
+				}
+				if fd.off != chunks*chunk || fd.Size() < fd.off {
+					t.Errorf("rank %d: after %d writes offset %d, size %d", rank, chunks, fd.off, fd.Size())
 				}
 				fd.Write(p, 100, nil)
 				fd.Close(p)
@@ -278,43 +304,100 @@ func TestWritePauseMatchesWriteThenSleep(t *testing.T) {
 		w.stats = k.Stats()
 		return w
 	}
-	folded, plain := run(false), run(true)
-	if !reflect.DeepEqual(folded.calls, plain.calls) {
-		for rank := range folded.ends {
-			if !reflect.DeepEqual(folded.calls[rank], plain.calls[rank]) {
-				t.Errorf("rank %d: folded calls %v, write then sleep %v", rank, folded.calls[rank], plain.calls[rank])
+	worlds := []world{run(continued), run(switched), run(plain)}
+	names := []string{"continued", "switched", "write then sleep"}
+	for i, w := range worlds[1:] {
+		if !reflect.DeepEqual(worlds[0].calls, w.calls) {
+			for rank := range w.ends {
+				if !reflect.DeepEqual(worlds[0].calls[rank], w.calls[rank]) {
+					t.Errorf("rank %d: continued calls %v, %s %v", rank, worlds[0].calls[rank], names[i+1], w.calls[rank])
+				}
 			}
 		}
+		if !reflect.DeepEqual(worlds[0].ends, w.ends) {
+			t.Errorf("end times: continued %v, %s %v", worlds[0].ends, names[i+1], w.ends)
+		}
 	}
-	if !reflect.DeepEqual(folded.ends, plain.ends) {
-		t.Errorf("end times: folded %v, write then sleep %v", folded.ends, plain.ends)
+	if len(worlds[0].calls[0]) != 1+chunks+1+1 {
+		t.Errorf("rank 0 made %d calls, want 11", len(worlds[0].calls[0]))
 	}
-	if len(folded.calls[0]) != 1+8+1+1 {
-		t.Errorf("rank 0 made %d calls, want 11", len(folded.calls[0]))
+	if c, s := worlds[0].stats, worlds[1].stats; c.Events() != s.Events() || c.StepEvents == 0 {
+		t.Errorf("events: continued %+v, switched %+v; want as many, some of them steps", c, s)
 	}
-	if f, w := folded.stats.QueueEvents, plain.stats.QueueEvents; f >= w {
-		t.Errorf("queued events: folded %d, write then sleep %d; want fewer", f, w)
-	} else {
-		t.Logf("queued events: folded %d, write then sleep %d", f, w)
+	for i := range 2 {
+		if a, b := worlds[i].stats.QueueEvents, worlds[i+1].stats.QueueEvents; a >= b {
+			t.Errorf("switches: %s %d, %s %d; want fewer", names[i], a, names[i+1], b)
+		} else {
+			t.Logf("switches: %s %d, %s %d", names[i], a, names[i+1], b)
+		}
 	}
 }
 
-// TestWritePauseContent: with data, WritePause lands the bytes at the
-// descriptor's offset and moves it, as Write does.
+// freeWriteSteps counts the records on the write steps' free list.
+func freeWriteSteps() int {
+	writeSteps.Lock()
+	defer writeSteps.Unlock()
+	n := 0
+	for w := writeSteps.free; w != nil; w = w.free {
+		n++
+	}
+	return n
+}
+
+// TestWritePauseKilled: a rank killed between two of WritePause's steps
+// dies there, as in a sleep: its deferred functions run, its descriptor's
+// offset is past the writes it made, which are all the monitor saw, and
+// its step record is back on the free list.
+func TestWritePauseKilled(t *testing.T) {
+	k, env, mon := newEnv(t)
+	free := freeWriteSteps()
+	var off int64
+	victim := k.Spawn("r", func(p *sim.Proc) {
+		var fd FD
+		if err := env.OpenFD(&fd, p, "/f", Truncate); err != nil {
+			t.Error(err)
+			return
+		}
+		defer func() { off = fd.off }()
+		fd.WritePause(p, 100, 1<<20, nil, 1)
+		t.Error("a killed WritePause returned")
+	})
+	k.Spawn("killer", func(p *sim.Proc) {
+		p.Sleep(3.5)
+		k.Kill(victim)
+	})
+	k.Run()
+	if want := []Op{OpCreate, OpWrite, OpWrite, OpWrite, OpWrite}; !reflect.DeepEqual(mon.ops, want) {
+		t.Errorf("ops %v, want %v", mon.ops, want)
+	}
+	if off != 4<<20 {
+		t.Errorf("offset %d after 4 writes of 1 MiB", off)
+	}
+	want := free
+	if free == 0 {
+		want = writeStepSlab // the one taken came from a new slab
+	}
+	if got := freeWriteSteps(); got != want {
+		t.Errorf("%d write steps free after the kill, want %d (%d before)", got, want, free)
+	}
+}
+
+// TestWritePauseContent: with data, WritePause lands each chunk at the
+// descriptor's offset and moves it, as Write does, in-line or stepped.
 func TestWritePauseContent(t *testing.T) {
 	k, env, mon := newEnv(t)
 	k.Spawn("r", func(p *sim.Proc) {
 		fd, _ := env.Create(p, "/f")
-		fd.WritePause(p, 4, []byte("abcd"), 1e-3)
-		fd.WritePause(p, 2, []byte("ef"), 0)
+		fd.WritePause(p, 1, 4, []byte("abcd"), 1e-3)
+		fd.WritePause(p, 3, 2, []byte("efghij"), 0)
 		fd.off = 0
-		if got := fd.Read(p, 10); string(got) != "abcdef" {
-			t.Errorf("read %q, want abcdef", got)
+		if got := fd.Read(p, 20); string(got) != "abcdefghij" {
+			t.Errorf("read %q, want abcdefghij", got)
 		}
 		fd.Close(p)
 	})
 	k.Run()
-	if want := []Op{OpCreate, OpWrite, OpWrite, OpRead, OpClose}; !reflect.DeepEqual(mon.ops, want) {
+	if want := []Op{OpCreate, OpWrite, OpWrite, OpWrite, OpWrite, OpRead, OpClose}; !reflect.DeepEqual(mon.ops, want) {
 		t.Errorf("ops %v, want %v", mon.ops, want)
 	}
 }

@@ -78,6 +78,9 @@ type Kernel struct {
 	// cur is the batch being delivered, while it has members left that
 	// were claimed: they are the earliest events there are.
 	cur *batch
+	// inStep is the process whose continuation Run is stepping, while
+	// it is: whom a panic out of the step names.
+	inStep *Proc
 
 	stats KernelStats
 
@@ -103,6 +106,10 @@ type KernelStats struct {
 	// QueueEvents is the number of process resumptions delivered through
 	// the event queue (one coroutine switch there and one back each).
 	QueueEvents uint64
+	// StepEvents is the number of wakes delivered through the event queue
+	// to a continuation's next step (see Proc.Continue): the run loop
+	// calls it, and no switch is made.
+	StepEvents uint64
 	// FastPathEvents is the number of timer sleeps that ran to completion
 	// in-line: no earlier event existed, so the clock advanced without
 	// touching the queue or handing control to the scheduler.
@@ -114,7 +121,7 @@ type KernelStats struct {
 
 // Events reports the total number of process resumptions, however they
 // were delivered.
-func (s KernelStats) Events() uint64 { return s.QueueEvents + s.FastPathEvents }
+func (s KernelStats) Events() uint64 { return s.QueueEvents + s.FastPathEvents + s.StepEvents }
 
 // Stats returns a snapshot of the kernel's scheduler counters.
 func (k *Kernel) Stats() KernelStats { return k.stats }
@@ -152,6 +159,7 @@ type Proc struct {
 	done       bool
 	killed     bool
 	batch      bool // a batch's queue entry, not a process (see batch)
+	stepping   bool // its next pop runs its carrier's step (see Continue)
 
 	c  *carrier    // runs the body; nil once the process has finished
 	fn func(*Proc) // the body
@@ -255,7 +263,8 @@ type carrier struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	p     *Proc // the process it runs; nil once that has finished
+	p     *Proc   // the process it runs; nil once that has finished
+	step  Stepper // p's continuation, while p is stepping
 }
 
 // idle holds the carriers whose processes finished, in any kernel, for
@@ -501,10 +510,21 @@ func (k *Kernel) Run() Time {
 	defer func() {
 		if clean {
 			k.q.give()
-		} else {
-			k.unwind()
+			trimIdle(k.procs)
+			return
 		}
+		// A panic out of a step is its process's, reported as leave
+		// reports one out of a body.
+		p := k.inStep
+		var r any
+		if p != nil {
+			k.inStep, r = nil, recover()
+		}
+		k.unwind()
 		trimIdle(k.procs)
+		if r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r))
+		}
 	}()
 	for {
 		at, p, ok := k.popLive()
@@ -515,7 +535,17 @@ func (k *Kernel) Run() Time {
 			panic("sim: event queue went backwards")
 		}
 		k.now = at
-		k.stats.QueueEvents++
+		if p.stepping && !p.killed {
+			k.stats.StepEvents++
+			k.inStep = p
+			queued := k.steps(p, p.c.step)
+			k.inStep = nil
+			if queued {
+				continue
+			}
+		} else {
+			k.stats.QueueEvents++
+		}
 		c := p.c
 		c.next()
 		if c.p == nil {
@@ -591,6 +621,72 @@ func (p *Proc) SleepUntil(t Time) {
 	}
 	k.schedule(t, p)
 	p.await()
+}
+
+// Stepper is a continuation: what a process does at each of a series of
+// wakes, run by the kernel in place of the process. Step does what the
+// process would do at that instant — no sleep, park or wait of its own —
+// and returns when it next wakes and whether another step follows there;
+// if not, the process itself resumes at that wake.
+type Stepper interface {
+	Step(p *Proc) (next Time, more bool)
+}
+
+// Continue runs s's steps as the process's own, the first now, each
+// followed by what SleepUntil(next) would do, fast path included, and
+// returns at the wake after the last. While a step waits in the queue the
+// process stays suspended, and Run calls the step at its pop, with no
+// switch to the process and back: what the process would have done
+// there, at the same instant and in the same (at, seq) order. A kill
+// lands as in a sleep: the process unwinds at the kill's pop and the
+// steps left never run. s must not be handed to another process before
+// Continue returns.
+func (p *Proc) Continue(s Stepper) {
+	if p.k.steps(p, s) {
+		p.awaitSteps()
+	}
+}
+
+// awaitSteps is await for a process whose steps are queued: a kill ends
+// them too.
+func (p *Proc) awaitSteps() {
+	if !p.c.yield(struct{}{}) || p.killed {
+		p.hold(nil)
+		panic(killSignal{})
+	}
+}
+
+// hold makes s the step p's next pop runs, or, when s is nil, has that
+// pop resume p.
+func (p *Proc) hold(s Stepper) { p.stepping, p.c.step = s != nil, s }
+
+// steps runs s for p from now: a step, then its sleep, in-line while the
+// fast path takes them, until a sleep goes through the queue; it reports
+// whether one did. p waits there for its next step, or for its own resume
+// if s had no more.
+func (k *Kernel) steps(p *Proc, s Stepper) bool {
+	for {
+		t, more := s.Step(p)
+		checkTime(t)
+		if t < k.now {
+			t = k.now
+		}
+		if k.fastPath && !p.killed && k.cur == nil && (k.q.n == 0 || k.q.first > t) {
+			k.now = t
+			k.stats.FastPathEvents++
+			if more {
+				continue
+			}
+			p.hold(nil)
+			return false
+		}
+		k.schedule(t, p)
+		if !more {
+			s = nil
+		}
+		p.hold(s)
+		return true
+	}
 }
 
 // await switches to the run loop until it hands the process control again,
