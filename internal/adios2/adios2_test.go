@@ -726,3 +726,37 @@ func TestDeclareThenPutSizesOnce(t *testing.T) {
 		t.Errorf("a put record is %d bytes, want 16", got)
 	}
 }
+
+// TestOneCodecPerWorld: every rank's engine of a world compresses with
+// the one codec the world memo holds for the operator; a second world
+// builds its own.
+func TestOneCodecPerWorld(t *testing.T) {
+	var first any
+	for world := range 2 {
+		rg := newRig(4)
+		codecs := make([]any, 4)
+		rg.w.Run(func(r *mpisim.Rank) {
+			io := New().DeclareIO("out")
+			if err := io.AddOperation("blosc"); err != nil {
+				t.Error(err)
+				return
+			}
+			e, err := io.Open(rg.host(r), "/io/c.bp4", ModeWrite)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			codecs[r.ID] = e.codec
+			e.Close()
+		})
+		for rank, c := range codecs {
+			if c == nil || c != codecs[0] {
+				t.Fatalf("world %d: rank %d's codec %p is not rank 0's %p", world, rank, c, codecs[0])
+			}
+		}
+		if world == 1 && codecs[0] == first {
+			t.Error("a second world shares the first one's codec")
+		}
+		first = codecs[0]
+	}
+}

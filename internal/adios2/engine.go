@@ -134,12 +134,15 @@ type Engine struct {
 // it every rank's.
 func (e *Engine) openWriter() error {
 	io, h := e.io, e.h
-	var err error
 	if op := io.set.operator; op != "" && op != "none" {
-		if e.codec, err = compress.New(op, 8); err != nil {
-			return err
-		}
+		// A codec is immutable, so the world builds one per operator
+		// for all its ranks; AddOperation has checked the name.
+		e.codec = mpisim.Memo(h.Comm, operatorKey(op), func() compress.Codec {
+			c, _ := compress.New(op, 8)
+			return c
+		})
 	}
+	var err error
 
 	// A subfile's group is a run of ranks and its lowest is the group's
 	// aggregator, so both colours are known before the one split.
@@ -162,6 +165,10 @@ func (e *Engine) openWriter() error {
 	}
 	return h.Comm.BarrierErr(err)
 }
+
+// operatorKey is an operator's name as the key of its codec in the
+// world memo.
+type operatorKey string
 
 // aggregators reports the number of subfiles: NumAggregators, clamped to
 // the number of ranks, which it is without the parameter.

@@ -94,23 +94,56 @@ func placementTrace(t *testing.T) string {
 // offset, OST indexes and object IDs — and the virtual times of a
 // file-per-process BIT1 run and of re-creates after its directory's
 // striping changes, byte for byte against a capture made before re-creates
-// recycled placement state. A divergence is saved as
+// recycled placement state. It runs on fresh storage and on the nodes and
+// placements a larger file system released. A divergence is saved as
 // testdata/placement_lustre.got.txt; the subtest is named for its file.
 func TestPlacementFence(t *testing.T) {
 	t.Run("lustre", func(t *testing.T) {
 		file := filepath.Join("testdata", "placement_lustre.txt")
-		got := placementTrace(t)
 		want, err := os.ReadFile(file)
-		if err == nil && got == string(want) {
-			return
+		for _, run := range []struct {
+			name  string
+			pools func()
+		}{{"fresh", emptyPools}, {"recycled", dirtyPools}} {
+			run.pools()
+			got := placementTrace(t)
+			if err == nil && got == string(want) {
+				continue
+			}
+			gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
+			if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
+				t.Logf("could not save diverging trace: %v", werr)
+			}
+			if err != nil {
+				t.Fatalf("%v (trace saved to %s)", err, gotFile)
+			}
+			t.Fatalf("%s placement diverged from the capture (saved to %s)", run.name, gotFile)
 		}
-		gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
-		if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
-			t.Logf("could not save diverging trace: %v", werr)
-		}
-		if err != nil {
-			t.Fatalf("%v (trace saved to %s)", err, gotFile)
-		}
-		t.Fatalf("placement diverged from the capture (saved to %s)", gotFile)
 	})
+}
+
+// emptyPools empties the node and placement pools: a pool keeps at most
+// what its last release gave, and a file system of no files gives none.
+func emptyPools() { lustre.New(sim.NewKernel(), lustre.DefaultParams()).Release() }
+
+// dirtyPools fills the node and placement pools with the full chunks of a
+// file system of written, striped files.
+func dirtyPools() {
+	k := sim.NewKernel()
+	fs := lustre.New(k, lustre.DefaultParams())
+	if err := fs.SetStripe("/dirty", 4, units.MiB); err != nil {
+		panic(err)
+	}
+	k.Spawn("dirty", func(p *sim.Proc) {
+		c := &pfs.Client{}
+		for i := range 3000 {
+			f, err := fs.Create(p, c, fmt.Sprintf("/dirty/f%d", i))
+			if err != nil {
+				panic(err)
+			}
+			f.WriteAt(p, c, 0, 3, []byte("abc"))
+		}
+	})
+	k.Run()
+	fs.Release()
 }

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 
+	"picmcio/internal/pfs"
 	"picmcio/internal/posix"
 	"picmcio/internal/sim"
 )
@@ -108,13 +109,14 @@ type Record struct {
 // Collector gathers records during a run. It implements posix.Monitor and
 // is attached to every rank's POSIX environment, exactly where the real
 // Darshan library interposes. It allocates per block of ranks and per
-// block of records, not per record: the index is by rank, then by path
-// among the few files a rank touches, and the records lie in chunks that
-// never move.
+// chunk of records, not per record: the index is by rank, then by path
+// among the few files a rank touches, and the records lie in a slab whose
+// chunks never move. Release gives both back for the next collector.
 type Collector struct {
-	ranks  [][]rankRecords // ranks[r/rankBlock][r%rankBlock] is rank r's index
-	chunks [][]Record      // every chunk but the last is full
-	n      int
+	ranks    [][]rankRecords // ranks[r/rankBlock][r%rankBlock] is rank r's index
+	records  pfs.Slab[Record]
+	n        int
+	released bool
 }
 
 // rankRecords finds one rank's records by path.
@@ -131,17 +133,40 @@ func (rr *rankRecords) toFront(i int, r *Record) {
 	rr.few[0] = r
 }
 
-const (
-	rankBlock   = 256
-	recordChunk = 128
+const rankBlock = 256
+
+// The pools of every collector's record chunks and rank blocks.
+var (
+	recordChunks pfs.Pool[Record]
+	rankBlocks   pfs.Pool[rankRecords]
 )
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
+func NewCollector() *Collector { return &Collector{records: pfs.NewSlab(&recordChunks)} }
+
+// Release gives the collector's records and rank blocks back to
+// process-wide pools for the next collector and ends it: every later use
+// panics. A Log from Snapshot is a copy and stays valid; a *Record read
+// from All must not be kept.
+func (c *Collector) Release() {
+	c.live()
+	c.records.Release()
+	// A block no rank of it recorded in was never taken.
+	rankBlocks.Give(slices.DeleteFunc(c.ranks, func(b []rankRecords) bool { return b == nil }))
+	*c = Collector{released: true}
+}
+
+// live panics if the collector has been released.
+func (c *Collector) live() {
+	if c.released {
+		panic("darshan: use of a released Collector")
+	}
+}
 
 // record returns the record of (rank, path), new if it is their first
 // operation; start is then when that began.
 func (c *Collector) record(rank int, path string, start sim.Time) *Record {
+	c.live()
 	if rank < 0 {
 		panic(fmt.Sprintf("darshan: record of rank %d", rank))
 	}
@@ -150,7 +175,7 @@ func (c *Collector) record(rank int, path string, start sim.Time) *Record {
 	}
 	block := &c.ranks[rank/rankBlock]
 	if *block == nil {
-		*block = make([]rankRecords, rankBlock)
+		*block = rankBlocks.Take(rankBlock)
 	}
 	rr := &(*block)[rank%rankBlock]
 	free := -1 // the first empty slot of few
@@ -170,12 +195,8 @@ func (c *Collector) record(rank int, path string, start sim.Time) *Record {
 		}
 	}
 
-	if len(c.chunks) == 0 || len(c.chunks[len(c.chunks)-1]) == recordChunk {
-		c.chunks = append(c.chunks, make([]Record, 0, recordChunk))
-	}
-	chunk := &c.chunks[len(c.chunks)-1]
-	*chunk = append(*chunk, Record{Rank: rank, Path: path})
-	r := &(*chunk)[len(*chunk)-1]
+	r := c.records.New()
+	r.Rank, r.Path = rank, path
 	r.FCount[POSIX_F_OPEN_START_TIMESTAMP] = float64(start)
 	c.n++
 	switch {
@@ -282,6 +303,7 @@ func (c *Collector) All() iter.Seq[*Record] {
 // visit is All's sequence. A rank's records are sorted as pointers, in a
 // buffer on the stack unless the rank has more files than it holds.
 func (c *Collector) visit(yield func(*Record) bool) {
+	c.live()
 	var stack [8]*Record
 	rank := stack[:0]
 	for _, block := range c.ranks {
@@ -317,6 +339,7 @@ func (c *Collector) visit(yield func(*Record) bool) {
 // exactly the collector's size — so recording may go on after it. A
 // reduction needs no copy: the collector's own forms read it in place.
 func (c *Collector) Snapshot(meta JobMeta) *Log {
+	c.live()
 	meta.Version = "darshan-sim 3.4.2-go"
 	l := &Log{Meta: meta, Records: make([]Record, 0, c.n)}
 	for r := range c.All() {

@@ -628,3 +628,85 @@ func TestLookupMovesToFront(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledCollectorMatchesFresh: a collector on the record chunks and
+// rank blocks a larger, dirtier collector released logs byte for byte
+// what a fresh one does.
+func TestRecycledCollectorMatchesFresh(t *testing.T) {
+	play := func(col *Collector, ranks, files int, bytes int64) {
+		for rank := range ranks {
+			for f := range files {
+				path := fmt.Sprintf("/out/f%d", (rank+f)%files)
+				col.Record(rank*3, posix.OpCreate, path, 0, sim.Time(rank), sim.Time(rank)+1e-3)
+				col.Record(rank*3, posix.OpWrite, path, bytes*int64(f+1), sim.Time(rank)+1e-3, sim.Time(rank)+2e-3)
+				col.Record(rank*3, posix.OpClose, path, 0, sim.Time(rank)+2e-3, sim.Time(rank)+3e-3)
+			}
+		}
+	}
+	encode := func(col *Collector) (*Log, []byte) {
+		l := col.Snapshot(JobMeta{Executable: "recycle", NProcs: 3 * 2 * rankBlock})
+		var b bytes.Buffer
+		if err := l.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return l, b.Bytes()
+	}
+	// Empty the pools, for the fresh collector to allocate its own.
+	recordChunks.Give(nil)
+	rankBlocks.Give(nil)
+	fresh := NewCollector()
+	play(fresh, 2*rankBlock/3+5, 6, 100)
+	wantLog, want := encode(fresh)
+
+	dirty := NewCollector()
+	play(dirty, 4*rankBlock/3, 9, 7)
+	dirty.Record(6*rankBlock, posix.OpWrite, "/far", 1, 0, 1) // past two blocks it never takes
+	released := map[*Record]bool{}
+	for r := range dirty.All() {
+		released[r] = true
+	}
+	dirty.Release()
+
+	recycled := NewCollector()
+	play(recycled, 2*rankBlock/3+5, 6, 100)
+	reused := 0
+	for r := range recycled.All() {
+		if released[r] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("the collector took no record the dirty one released")
+	}
+	gotLog, got := encode(recycled)
+	if !reflect.DeepEqual(gotLog, wantLog) || !bytes.Equal(got, want) {
+		t.Errorf("a collector on recycled storage (%d records reused) logs differently from a fresh one", reused)
+	}
+	fresh.Release()
+	recycled.Release()
+}
+
+// TestReleasedCollectorPanics: every use of a released collector panics
+// with a message that names it; none reads its cleared records.
+func TestReleasedCollectorPanics(t *testing.T) {
+	col := NewCollector()
+	col.Record(0, posix.OpWrite, "/f", 1, 0, 1)
+	col.Release()
+	for name, use := range map[string]func(){
+		"Record":                   func() { col.Record(0, posix.OpWrite, "/f", 1, 0, 1) },
+		"Snapshot":                 func() { col.Snapshot(JobMeta{}) },
+		"All":                      func() { _ = slices.Collect(col.All()) },
+		"WriteThroughputByElapsed": func() { col.WriteThroughputByElapsed(nil) },
+		"PerProcessTimes":          func() { col.PerProcessTimes(1, nil) },
+		"Release":                  col.Release,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "darshan: use of a released Collector" {
+					t.Errorf("%s after Release: recovered %v", name, r)
+				}
+			}()
+			use()
+		}()
+	}
+}

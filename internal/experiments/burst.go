@@ -53,11 +53,14 @@ func (o Options) FigBurstSweep() (sweep.Table, error) {
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst direct: %w", err)
 			}
+			pt := BurstPoint{Nodes: nodes, DirectGiBs: rd.ThroughputGiBs}
+			rd.release() // before the staged run, which takes its records
 			rs, err := o.RunBIT1(Run{Machine: m, Nodes: nodes, Config: bp4Staged})
 			if err != nil {
 				return sweep.Point{}, fmt.Errorf("figburst staged: %w", err)
 			}
-			pt := BurstPoint{Nodes: nodes, DirectGiBs: rd.ThroughputGiBs, StagedGiBs: rs.ThroughputGiBs}
+			defer rs.release()
+			pt.StagedGiBs = rs.ThroughputGiBs
 			if rs.Burst != nil {
 				pt.DrainSec = rs.Burst.DrainBusySec
 				pt.DrainTailSec = rs.DrainTailSec

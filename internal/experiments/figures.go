@@ -105,6 +105,7 @@ func (o Options) runIOR(run Run) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Lustre.Release()
 	w, envOf, err := sys.Launch(o.RanksPerNode, nil)
 	if err != nil {
 		return nil, err

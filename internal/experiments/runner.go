@@ -220,8 +220,9 @@ type Run struct {
 // evaluate is the one loop every paper figure runs on: it measures each
 // run of the list and hands the result to fold with the run's index in
 // the list; fold keeps the few numbers the figure plots, by that index.
-// The result — the Darshan records, the file statistics of a whole
-// namespace — is dropped before the next run starts. Runs go largest node
+// The result is released once fold returns — its Darshan records go back
+// to the pools the next run's collector takes from — so fold keeps
+// numbers, never the collector or a record. Runs go largest node
 // count first, in list order among equal counts: the kernel trims its
 // idle carriers to each run's process count, so the first launch makes
 // the carriers and every later one only trims. Each run is a pure
@@ -241,6 +242,7 @@ func (o Options) evaluate(runs []Run, fold func(i int, r *RunResult) error) erro
 		r, err := measure(run)
 		if err == nil {
 			err = fold(i, r)
+			r.release()
 		}
 		if err != nil {
 			return fmt.Errorf("%q on %s, %d node(s): %w", run.Config.Label, run.Machine.Name, run.Nodes, err)
@@ -260,15 +262,27 @@ func (o Options) build(run Run) (*cluster.System, error) {
 	return sys, sys.Lustre.SetStripe("/scratch", run.StripeCount, run.StripeSize)
 }
 
+// release gives the result's Darshan records back to the pools; its
+// collector must not be used afterwards.
+func (r *RunResult) release() {
+	if r.Darshan != nil {
+		r.Darshan.Release()
+	}
+}
+
 // RunBIT1 executes one full BIT1 run under Darshan and returns the
 // measurements. cluster.System.Launch owns the rank count, the rank→node
-// mapping and each rank's POSIX environment.
+// mapping and each rank's POSIX environment. The file system's storage
+// goes back to the pools when it returns, once everything the result
+// reads off the namespace is read; the Darshan records are the caller's
+// to release.
 func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	o = o.WithDefaults()
 	sys, err := o.build(run)
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Lustre.Release()
 	m, k, mode := run.Machine, sys.K, run.Config.Mode
 	var toml string
 	if run.Config.TOML != nil {

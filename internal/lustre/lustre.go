@@ -122,8 +122,11 @@ type FS struct {
 	bytesRead uint64
 
 	placements  pfs.Slab[placement]
-	dirDefaults map[string]Layout // SetStripe on directories, by clean path
+	dirDefaults map[string]Layout // SetStripe on directories, by clean path; nil once released
 }
+
+// placements is the pool of every file system's placements.
+var placements pfs.Pool[placement]
 
 var (
 	_ pfs.FileSystem = (*FS)(nil)
@@ -151,6 +154,7 @@ func New(k *sim.Kernel, p Params) *FS {
 		mds:         sim.NewMultiServer(k, p.MDSThreads),
 		rng:         xrand.New(p.Seed ^ 0x1f5),
 		nextID:      297000000,
+		placements:  pfs.NewSlab(&placements),
 		dirDefaults: map[string]Layout{},
 	}
 	for i := 0; i < p.NumOSTs; i++ {
@@ -160,6 +164,25 @@ func New(k *sim.Kernel, p Params) *FS {
 		fs.backbone = sim.NewServer(k, p.BackboneRate, 0)
 	}
 	return fs
+}
+
+// Release gives the file system's per-file storage — its namespace's
+// file nodes and its placements, with the handles they carry — back to
+// process-wide pools for the next file system, and ends it: every later
+// call panics. Call it once nothing runs on it and what is wanted of its
+// namespace has been read out; no handle or node of it may be kept.
+func (fs *FS) Release() {
+	fs.live()
+	fs.ns.Release()
+	fs.placements.Release()
+	fs.dirDefaults = nil
+}
+
+// live panics if the file system has been released.
+func (fs *FS) live() {
+	if fs.dirDefaults == nil {
+		panic("lustre: use of a released FS")
+	}
 }
 
 // Params returns the configuration the file system was built with.
@@ -180,6 +203,7 @@ func (fs *FS) OSTStats(i int) (ops, bytes uint64, busy sim.Duration) {
 // beneath dir, mirroring `lfs setstripe -c count -S size dir`.
 // count -1 means "all OSTs".
 func (fs *FS) SetStripe(dir string, count int, size int64) error {
+	fs.live()
 	if count == -1 {
 		count = fs.p.NumOSTs
 	}
@@ -213,13 +237,17 @@ func (fs *FS) Name() string { return "lustre" }
 
 // Namespace exposes the file tree for offline inspection (tools, tests);
 // it must not be mutated while processes are running.
-func (fs *FS) Namespace() *pfs.Namespace { return fs.ns }
+func (fs *FS) Namespace() *pfs.Namespace {
+	fs.live()
+	return fs.ns
+}
 
 // TotalBytesRead reports cumulative bytes read across all files.
 func (fs *FS) TotalBytesRead() uint64 { return fs.bytesRead }
 
 // meta charges p one metadata operation of service time d on the MDS.
 func (fs *FS) meta(p *sim.Proc, d sim.Duration) {
+	fs.live()
 	p.SleepUntil(fs.mds.ReserveDur(fs.jitter(d)) + fs.p.RPCLatency)
 }
 
@@ -254,6 +282,7 @@ func (fs *FS) Open(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
 // OpenAppend implements pfs.FileSystem: the lookup that decides between
 // creating and opening is free; the create or open it leads to is not.
 func (fs *FS) OpenAppend(p *sim.Proc, c *pfs.Client, path string) (pfs.File, error) {
+	fs.live()
 	path = pfs.Clean(path)
 	if _, err := fs.ns.Lookup(path); err != nil {
 		return fs.Create(p, c, path)
@@ -418,6 +447,7 @@ func (fs *FS) jitter(d sim.Duration) sim.Duration {
 // a later re-create, which rewrites the file's layout in place, leaves it
 // as it was.
 func (fs *FS) GetStripe(path string) (Layout, error) {
+	fs.live()
 	n, err := fs.ns.OpenFile(path)
 	if err != nil {
 		return Layout{}, err

@@ -586,3 +586,72 @@ func TestJitterDeterministic(t *testing.T) {
 		t.Fatalf("jittered runs diverged: %v vs %v", a, b)
 	}
 }
+
+// TestReleaseRecyclesPlacements: a file system's release hands its
+// placements and nodes to the next one, whose files get fresh layouts and
+// handles of their own in them.
+func TestReleaseRecyclesPlacements(t *testing.T) {
+	const files = 2000 // past the small chunks, which go to the collector
+	create := func(fs *FS) []*placement {
+		pls := make([]*placement, files)
+		for i := range pls {
+			p := fmt.Sprintf("/out/f%d", i)
+			n, err := fs.ns.CreateFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pls[i] = fs.place(p, n)
+		}
+		return pls
+	}
+	_, first := testFS(DefaultParams())
+	released := map[*placement]bool{}
+	for _, pl := range create(first) {
+		released[pl] = true
+	}
+	first.Release()
+
+	_, fs := testFS(DefaultParams())
+	reused := 0
+	for i, pl := range create(fs) {
+		if released[pl] {
+			reused++
+		}
+		if pl.h.fs != fs || pl.h.path != fmt.Sprintf("/out/f%d", i) || pl.h.node.Aux != pl || len(pl.Objects) != 1 {
+			t.Fatalf("file %d's placement is not its own: %+v", i, *pl)
+		}
+	}
+	if reused == 0 {
+		t.Error("the second file system took no placement the first released")
+	}
+	fs.Release()
+}
+
+// TestReleasedFSPanics: every use of a released file system panics with a
+// message that names it.
+func TestReleasedFSPanics(t *testing.T) {
+	_, fs := testFS(DefaultParams())
+	fs.Release()
+	for name, use := range map[string]func(){
+		"Create":     func() { fs.Create(nil, nil, "/f") },
+		"Open":       func() { fs.Open(nil, nil, "/f") },
+		"OpenAppend": func() { fs.OpenAppend(nil, nil, "/f") },
+		"Stat":       func() { fs.Stat(nil, nil, "/f") },
+		"Unlink":     func() { fs.Unlink(nil, nil, "/f") },
+		"MkdirAll":   func() { fs.MkdirAll(nil, nil, "/d") },
+		"ReadDir":    func() { fs.ReadDir(nil, nil, "/") },
+		"SetStripe":  func() { fs.SetStripe("/d", 1, 1<<20) },
+		"GetStripe":  func() { fs.GetStripe("/f") },
+		"Namespace":  func() { fs.Namespace() },
+		"Release":    fs.Release,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "lustre: use of a released FS" {
+					t.Errorf("%s after Release: recovered %v", name, r)
+				}
+			}()
+			use()
+		}()
+	}
+}

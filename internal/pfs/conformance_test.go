@@ -240,26 +240,59 @@ func traceLustre(k *sim.Kernel) *lustre.FS {
 }
 
 // TestBackendTraces pins Lustre's cost model to the nanosecond:
-// testdata/trace_lustre.txt was printed by this scenario at 6ceed54. The
-// subtest is named for its trace file.
+// testdata/trace_lustre.txt was printed by this scenario at 6ceed54. It
+// runs on fresh storage and on the nodes and placements a larger file
+// system released. The subtest is named for its trace file.
 func TestBackendTraces(t *testing.T) {
 	t.Run("lustre", func(t *testing.T) {
 		file := filepath.Join("testdata", "trace_lustre.txt")
-		k := sim.NewKernel()
-		_, got := runScenario(k, traceLustre(k))
 		want, err := os.ReadFile(file)
-		if err == nil && got == string(want) {
-			return
+		for _, run := range []struct {
+			name  string
+			pools func()
+		}{{"fresh", emptyPools}, {"recycled", dirtyPools}} {
+			run.pools()
+			k := sim.NewKernel()
+			_, got := runScenario(k, traceLustre(k))
+			if err == nil && got == string(want) {
+				continue
+			}
+			gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
+			if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
+				t.Logf("could not save diverging trace: %v", werr)
+			}
+			if err != nil {
+				t.Fatalf("%v (trace saved to %s)", err, gotFile)
+			}
+			t.Fatalf("%s trace diverged from the 6ceed54 capture (saved to %s); first difference:\n%s", run.name, gotFile, firstDiff(got, string(want)))
 		}
-		gotFile := strings.TrimSuffix(file, ".txt") + ".got.txt"
-		if werr := os.WriteFile(gotFile, []byte(got), 0o644); werr != nil {
-			t.Logf("could not save diverging trace: %v", werr)
-		}
-		if err != nil {
-			t.Fatalf("%v (trace saved to %s)", err, gotFile)
-		}
-		t.Fatalf("trace diverged from the 6ceed54 capture (saved to %s); first difference:\n%s", gotFile, firstDiff(got, string(want)))
 	})
+}
+
+// emptyPools empties the node and placement pools: a pool keeps at most
+// what its last release gave, and a file system of no files gives none.
+func emptyPools() { lustre.New(sim.NewKernel(), lustre.DefaultParams()).Release() }
+
+// dirtyPools fills the node and placement pools with the full chunks of a
+// file system of written, striped files.
+func dirtyPools() {
+	k := sim.NewKernel()
+	fs := lustre.New(k, lustre.DefaultParams())
+	if err := fs.SetStripe("/dirty", 4, mib); err != nil {
+		panic(err)
+	}
+	k.Spawn("dirty", func(p *sim.Proc) {
+		c := &pfs.Client{}
+		for i := range 3000 {
+			f, err := fs.Create(p, c, fmt.Sprintf("/dirty/f%d", i))
+			if err != nil {
+				panic(err)
+			}
+			f.WriteAt(p, c, 0, 3, []byte("abc"))
+		}
+	})
+	k.Run()
+	fs.Release()
 }
 
 func firstDiff(got, want string) string {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"picmcio/internal/sim"
 )
@@ -174,32 +175,49 @@ type Node struct {
 // Namespace is a plain in-memory file tree with no timing model. Every
 // method normalizes the path it is given (free for the clean paths
 // lustre.FS hands it) and resolves it component by component. Its regular
-// files' nodes are carved from a slab.
+// files' nodes are carved from a slab whose chunks a released namespace
+// gives back to a process-wide pool.
 type Namespace struct {
 	root  *Node
 	files Slab[Node]
 }
 
-// Slab hands out zero values of T carved from chunks it allocates, so that
-// making many values of one kind costs an allocation a chunk, not one
-// each. A new chunk holds an eighth of the values handed out so far, at
-// least one and at most slabCap: what a slab leaves unused is at most an
-// eighth of what it has handed out, so a namespace of a few files pays
-// for them one by one, and one of thousands a chunk per 128. A slot is
-// never handed out twice: a value, and with it its chunk, lives while
-// anything points at it. The zero Slab is ready to use.
+// nodes is the pool of every namespace's file nodes.
+var nodes Pool[Node]
+
+// Slab hands out zero values of T carved from chunks, so that making many
+// values of one kind costs an allocation a chunk, not one each. A chunk
+// comes from the slab's pool when the pool has one; otherwise a new chunk
+// holds an eighth of the values handed out so far, at least one and at
+// most slabCap: what a slab leaves unused is at most an eighth of what it
+// has handed out, so a namespace of a few files pays for them one by one,
+// and one of thousands a chunk per 128. Until Release a slot is never
+// handed out twice; Release gives the full chunks — slabCap values, the
+// pool's and those of a large slab — back, cleared, and from then on a
+// value the slab handed out may be any later slab's. The smaller chunks
+// are left to the collector: keeping count of them would cost a small
+// slab allocations of its own. Make one with NewSlab.
 type Slab[T any] struct {
-	free []T
-	n    int // values handed out
+	pool   *Pool[T]
+	chunks [][]T // the full chunks carved from, for Release
+	free   []T
+	n      int // values handed out
 }
 
 const slabGrowth, slabCap = 8, 128
+
+// NewSlab returns an empty slab that takes its chunks from pool and
+// gives them back to it at Release.
+func NewSlab[T any](pool *Pool[T]) Slab[T] { return Slab[T]{pool: pool} }
 
 // New returns a pointer to a zero T from the current chunk, or from a new
 // one when it is used up.
 func (s *Slab[T]) New() *T {
 	if len(s.free) == 0 {
-		s.free = make([]T, min(max(s.n/slabGrowth, 1), slabCap))
+		s.free = s.pool.Take(min(max(s.n/slabGrowth, 1), slabCap))
+		if len(s.free) == slabCap {
+			s.chunks = append(s.chunks, s.free)
+		}
 	}
 	s.n++
 	v := &s.free[0]
@@ -207,13 +225,80 @@ func (s *Slab[T]) New() *T {
 	return v
 }
 
+// Release gives the slab's full chunks to its pool and empties it.
+// Nothing may use a value it handed out afterwards.
+func (s *Slab[T]) Release() {
+	s.pool.Give(s.chunks)
+	*s = Slab[T]{pool: s.pool}
+}
+
+// Pool is a free list of chunks shared by every slab of one kind in the
+// process: a run's slabs give theirs back when it ends, and the next
+// run's take them instead of allocating. It keeps at most as many chunks
+// as its last Give brought, dropping the oldest, so that storage a large
+// run left does not outlive the smaller ones after it (the kernel trims
+// its idle carriers to a world's size the same way). Safe for concurrent
+// use; the zero Pool is empty.
+type Pool[T any] struct {
+	mu     sync.Mutex
+	chunks [][]T
+}
+
+// Take returns a chunk from the pool, whole, or a new one of n values
+// when the pool is empty. Either holds only zero values.
+func (p *Pool[T]) Take(n int) []T {
+	p.mu.Lock()
+	k := len(p.chunks)
+	if k == 0 {
+		p.mu.Unlock()
+		return make([]T, n)
+	}
+	c := p.chunks[k-1]
+	p.chunks[k-1] = nil
+	p.chunks = p.chunks[:k-1]
+	p.mu.Unlock()
+	return c
+}
+
+// Give clears the chunks and adds them to the pool, which then drops its
+// oldest beyond len(chunks). The chunks are the pool's from then on.
+func (p *Pool[T]) Give(chunks [][]T) {
+	for _, c := range chunks {
+		clear(c)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.chunks = append(p.chunks, chunks...)
+	if drop := len(p.chunks) - len(chunks); drop > 0 {
+		n := copy(p.chunks, p.chunks[drop:])
+		clear(p.chunks[n:])
+		p.chunks = p.chunks[:n]
+	}
+}
+
 // NewNamespace returns a namespace containing only the root directory.
 func NewNamespace() *Namespace {
-	return &Namespace{root: &Node{Name: "/", Dir: true, Children: map[string]*Node{}}}
+	return &Namespace{root: &Node{Name: "/", Dir: true, Children: map[string]*Node{}}, files: NewSlab(&nodes)}
+}
+
+// Release gives the namespace's file nodes back to the pool and ends it:
+// every later call panics. A node of it must not be kept past Release.
+func (ns *Namespace) Release() {
+	ns.live()
+	ns.files.Release()
+	ns.root = nil
+}
+
+// live panics if the namespace has been released.
+func (ns *Namespace) live() {
+	if ns.root == nil {
+		panic("pfs: use of a released Namespace")
+	}
 }
 
 // Lookup returns the node at path.
 func (ns *Namespace) Lookup(path string) (*Node, error) {
+	ns.live()
 	p := Clean(path)
 	cur := ns.root
 	for rest := p[1:]; rest != ""; {
@@ -233,6 +318,7 @@ func (ns *Namespace) Lookup(path string) (*Node, error) {
 
 // MkdirAll creates a directory chain; existing directories are fine.
 func (ns *Namespace) MkdirAll(path string) (*Node, error) {
+	ns.live()
 	p := Clean(path)
 	cur := ns.root
 	for rest := p[1:]; rest != ""; {
@@ -255,6 +341,7 @@ func (ns *Namespace) MkdirAll(path string) (*Node, error) {
 // truncated file keeps its Aux, for the file system that truncated it to
 // re-place it in.
 func (ns *Namespace) CreateFile(path string) (*Node, error) {
+	ns.live()
 	p := Clean(path)
 	if p == "/" {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)

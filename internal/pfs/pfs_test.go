@@ -169,9 +169,10 @@ func TestWalkFiles(t *testing.T) {
 	}
 }
 
-// TestUnlinkedNodeKept: nodes come from a slab, and a slot is never handed
-// out twice. A node unlinked while something holds it keeps its size, and
-// the next create of its path, in any chunk, gets a fresh node.
+// TestUnlinkedNodeKept: nodes come from a slab, and until the namespace is
+// released a slot is never handed out twice. A node unlinked while
+// something holds it keeps its size, and the next create of its path, in
+// any chunk, gets a fresh node.
 func TestUnlinkedNodeKept(t *testing.T) {
 	ns := NewNamespace()
 	const files = 3 * slabCap
@@ -205,6 +206,104 @@ func TestUnlinkedNodeKept(t *testing.T) {
 		if n.Size != int64(i+1) {
 			t.Fatalf("unlinked f%d: size %d, want %d", i, n.Size, i+1)
 		}
+	}
+}
+
+// TestSlabRecyclesZeroValues: a slab on the full chunks a dirtier slab
+// gave back hands out those chunks' slots first, each a zero value.
+func TestSlabRecyclesZeroValues(t *testing.T) {
+	type val struct {
+		n int
+		p *int
+		s string
+	}
+	var pool Pool[val]
+	s := NewSlab(&pool)
+	const n = 12*slabCap + 5 // past the small chunks
+	for i := range n {
+		*s.New() = val{n: i + 1, p: &i, s: "dirty"}
+	}
+	released := map[*val]bool{}
+	for _, c := range s.chunks {
+		for i := range c {
+			released[&c[i]] = true
+		}
+	}
+	if len(released) == 0 {
+		t.Fatal("the slab kept no full chunk")
+	}
+	s.Release()
+	s = NewSlab(&pool)
+	for i := range len(released) {
+		v := s.New()
+		if *v != (val{}) {
+			t.Fatalf("a recycled slot holds %+v", *v)
+		}
+		if !released[v] {
+			t.Fatalf("value %d of %d is not from a released chunk", i, len(released))
+		}
+		v.n = -1 // a slot handed out twice would show it
+	}
+}
+
+// TestPoolKeepsLastRelease: a pool holds at most what its last Give
+// brought, the newest chunks, and hands them out before it makes one.
+func TestPoolKeepsLastRelease(t *testing.T) {
+	var p Pool[int]
+	chunks := func(k int) [][]int {
+		cs := make([][]int, k)
+		for i := range cs {
+			cs[i] = []int{k, i}
+		}
+		return cs
+	}
+	p.Give(chunks(5))
+	p.Give(chunks(2))
+	if len(p.chunks) != 2 {
+		t.Fatalf("after giving 5 then 2 chunks the pool holds %d, want 2", len(p.chunks))
+	}
+	for _, c := range p.chunks {
+		if c[0] != 0 || c[1] != 0 || cap(c) != 2 {
+			t.Fatalf("pooled chunk %v is not one of the last Give's, cleared", c)
+		}
+	}
+	if c := p.Take(7); len(c) != 2 || len(p.chunks) != 1 {
+		t.Fatalf("Take from a pool of 2 returned %d values and left %d chunks, want 2 and 1", len(c), len(p.chunks))
+	}
+	p.Give(nil)
+	if len(p.chunks) != 0 {
+		t.Fatalf("after an empty Give the pool holds %d chunks, want 0", len(p.chunks))
+	}
+	if c := p.Take(7); len(c) != 7 {
+		t.Fatalf("Take from an empty pool returned %d values, want a new chunk of 7", len(c))
+	}
+}
+
+// TestReleasedNamespacePanics: every use of a released namespace panics
+// with a message that names it.
+func TestReleasedNamespacePanics(t *testing.T) {
+	ns := NewNamespace()
+	if _, err := ns.CreateFile("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	ns.Release()
+	for name, use := range map[string]func(){
+		"Lookup":     func() { ns.Lookup("/d/f") },
+		"CreateFile": func() { ns.CreateFile("/") },
+		"OpenFile":   func() { ns.OpenFile("/d/f") },
+		"ReadDir":    func() { ns.ReadDir("/d") },
+		"Files":      func() { ns.Files("/", func(string, *Node) {}) },
+		"Unlink":     func() { ns.Unlink("/d/f") },
+		"Release":    ns.Release,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "pfs: use of a released Namespace" {
+					t.Errorf("%s after Release: recovered %v", name, r)
+				}
+			}()
+			use()
+		}()
 	}
 }
 
