@@ -137,8 +137,8 @@ const rankBlock = 256
 
 // The pools of every collector's record chunks and rank blocks.
 var (
-	recordChunks pfs.Pool[Record]
-	rankBlocks   pfs.Pool[rankRecords]
+	recordChunks sim.Pool[Record]
+	rankBlocks   sim.Pool[rankRecords]
 )
 
 // NewCollector returns an empty collector.

@@ -110,6 +110,7 @@ func (o Options) runIOR(run Run) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Release()
 	cfg := run.Config.IOR(w.Size)
 	// IOR benchmarks large-transfer performance: stripe the shared-file
 	// directory wide, as benchmarkers do.

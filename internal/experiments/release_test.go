@@ -32,15 +32,18 @@ func fingerprint(t *testing.T, r *RunResult) string {
 	return fmt.Sprintf("%+v %+v %+v %x", res, profile, burst, b.Bytes())
 }
 
-// TestConcurrentRunsShareThePools: two runs on two goroutines, each
-// releasing its file system and its records into the pools the other
-// takes from, measure what each measures alone — the path a figure's
-// trials take with -parallel 2. Run it under -race.
+// TestConcurrentRunsShareThePools: three runs on three goroutines, each
+// releasing its file system, its records and its world's blocks into the
+// pools the others take from, measure what each measures alone — the
+// path a figure's trials take with -parallel 2. The two BP4 runs are
+// worlds of 8 and 16 ranks, so blocks pass between sizes both ways. Run
+// it under -race.
 func TestConcurrentRunsShareThePools(t *testing.T) {
 	o := testOptions()
 	cells := []Run{
 		{Machine: cluster.Dardel(), Nodes: 2, Config: Original},
 		{Machine: cluster.Vega(), Nodes: 1, Config: BP4BloscOneAggr},
+		{Machine: cluster.Dardel(), Nodes: 2, Config: BP4},
 	}
 	want := make([]string, len(cells))
 	for i, run := range cells {
@@ -62,7 +65,7 @@ func TestConcurrentRunsShareThePools(t *testing.T) {
 					return
 				}
 				if got := fingerprint(t, r); got != want[i] {
-					t.Errorf("%s, round %d beside the other run: measured differently from the serial run", run.Config.Label, round)
+					t.Errorf("%s, round %d beside the other runs: measured differently from the serial run", run.Config.Label, round)
 				}
 			}
 		}()

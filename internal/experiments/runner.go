@@ -272,10 +272,10 @@ func (r *RunResult) release() {
 
 // RunBIT1 executes one full BIT1 run under Darshan and returns the
 // measurements. cluster.System.Launch owns the rank count, the rank→node
-// mapping and each rank's POSIX environment. The file system's storage
-// goes back to the pools when it returns, once everything the result
-// reads off the namespace is read; the Darshan records are the caller's
-// to release.
+// mapping and each rank's POSIX environment. The file system's and the
+// MPI world's storage go back to the pools when it returns, once
+// everything the result reads off the namespace is read; the Darshan
+// records are the caller's to release.
 func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	o = o.WithDefaults()
 	sys, err := o.build(run)
@@ -295,6 +295,7 @@ func (o Options) RunBIT1(run Run) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Release()
 	deck := o.Deck()
 	if run.Deck != nil {
 		deck = *run.Deck

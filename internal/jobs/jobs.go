@@ -254,6 +254,7 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Lustre.Release()
 
 	rts := make([]jobRT, len(specs))
 	for i := range specs {

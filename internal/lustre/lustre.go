@@ -126,7 +126,7 @@ type FS struct {
 }
 
 // placements is the pool of every file system's placements.
-var placements pfs.Pool[placement]
+var placements sim.Pool[placement]
 
 var (
 	_ pfs.FileSystem = (*FS)(nil)

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"picmcio/internal/sim"
 )
@@ -49,6 +50,10 @@ type World struct {
 	// has been called with, under a zero-size token of that pair.
 	memo       map[any]any
 	memoBuilds int
+
+	// Spawn's rank handles and world communicators, for Release.
+	handles []Rank
+	comms   []Comm
 }
 
 // NewWorld creates a world of size ranks with the given network model.
@@ -60,12 +65,101 @@ func NewWorld(k *sim.Kernel, size int, cost CostModel) *World {
 		cost = AlphaBeta(1e-6, 1.0/10e9)
 	}
 	w := &World{K: k, Size: size, cost: cost}
-	ranks := make([]int, size)
-	for i := range ranks {
-		ranks[i] = i
+	g := &commGroup{w: w}
+	w.world = g
+	g.ranks, g.parked = chunk[int](g, size), chunk[*sim.Proc](g, size)
+	for i := range g.ranks {
+		g.ranks[i] = i
 	}
-	w.world = &commGroup{w: w, ranks: ranks, parked: make([]*sim.Proc, size)}
 	return w
+}
+
+// Release gives the storage of the world group — its rank table, the
+// blocks Rows and Block made on the world communicator, its collectives'
+// rendezvous blocks and Spawn's rank handles — back to process-wide
+// pools, one per element type, for the next world, and ends the world:
+// Rows, Block, Memo and Spawn on it panic from then on. Call it once its
+// kernel has run; no handle, block or collective result of the world may
+// be kept.
+func (w *World) Release() {
+	w.live()
+	g := w.world
+	gs := addChunk(nil, g.ranks)
+	gs = addChunk(gs, g.parked)
+	gs = addChunk(gs, w.handles)
+	gs = addChunk(gs, w.comms)
+	for _, b := range g.blocks {
+		gs = b.addChunks(gs)
+	}
+	for _, k := range g.kinds {
+		gs = k.addChunks(gs)
+	}
+	for _, cs := range gs {
+		cs.give()
+	}
+	w.world, w.memo, w.handles, w.comms = nil, nil, nil, nil
+}
+
+// live panics if the world has been released.
+func (w *World) live() {
+	if w.world == nil {
+		panic(fmt.Sprintf("mpisim: use of a released World of %d ranks", w.Size))
+	}
+}
+
+// holder is storage of the world group that holds pooled chunks: a block
+// or a collective's rendezvous.
+type holder interface {
+	addChunks(gs []giver) []giver
+}
+
+// giver is a released world's chunks of one element type.
+type giver interface{ give() }
+
+type chunks[T any] [][]T
+
+func (cs *chunks[T]) give() { poolOf[T]().Give(*cs) }
+
+// addChunk adds c, whole, to the chunks in gs of its element type, so
+// that each pool gets one Give: a pool keeps what its last Give brought.
+func addChunk[T any](gs []giver, c []T) []giver {
+	if cap(c) == 0 {
+		return gs
+	}
+	c = c[:cap(c)]
+	for _, cs := range gs {
+		if cs, ok := cs.(*chunks[T]); ok {
+			*cs = append(*cs, c)
+			return gs
+		}
+	}
+	return append(gs, &chunks[T]{c})
+}
+
+// pools holds the pool of each element type under a zero-size token of
+// the type.
+var pools sync.Map
+
+type poolKey[T any] struct{}
+
+// poolOf returns the process-wide pool of T.
+func poolOf[T any]() *sim.Pool[T] {
+	p, ok := pools.Load(poolKey[T]{})
+	if !ok {
+		p, _ = pools.LoadOrStore(poolKey[T]{}, new(sim.Pool[T]))
+	}
+	return p.(*sim.Pool[T])
+}
+
+// chunk returns n zero values of T for g's storage. For the world group,
+// which Release gives back, they are the pool of T's chunk, whole behind
+// the n, when one holds that many; a split group's are made, as the world
+// keeps no list of its splits — a world may split any number of times.
+func chunk[T any](g *commGroup, n int) []T {
+	if g != g.w.world {
+		return make([]T, n)
+	}
+	return poolOf[T]().Take(n)[:n]
 }
 
 // Rank is the per-process handle passed to rank programs.
@@ -77,9 +171,11 @@ type Rank struct {
 
 // Spawn launches the rank programs; the caller then drives the kernel with
 // K.Run(). fn runs once per rank. The ranks' processes, handles and world
-// communicators are one block each per world.
+// communicators are one block each per world, from the pools.
 func (w *World) Spawn(fn func(r *Rank)) {
-	ranks, comms := make([]Rank, w.Size), make([]Comm, w.Size)
+	w.live()
+	ranks, comms := chunk[Rank](w.world, w.Size), chunk[Comm](w.world, w.Size)
+	w.handles, w.comms = ranks, comms
 	w.K.SpawnN(w.Size, "rank", func(i int, p *sim.Proc) {
 		r, c := &ranks[i], &comms[i]
 		*r = Rank{ID: i, Proc: p, Comm: c}
@@ -124,6 +220,7 @@ type memoSlot[K comparable, V any] struct{}
 // a world must not be shared between kernels.
 func Memo[K comparable, V any](c *Comm, key K, build func() V) V {
 	w := c.g.w
+	w.live()
 	m, _ := w.memo[memoSlot[K, V]{}].(map[K]V)
 	if v, ok := m[key]; ok {
 		return v
@@ -157,17 +254,19 @@ type block[K comparable, T any] struct {
 // Block returns this rank's element of the block the communicator's group
 // holds under (key, T), so that what every rank of a collective open has
 // one of is one allocation, as the ranks' handles are (World.Spawn). The
-// first rank to ask makes the block, one zero element per comm rank. A
-// rank asking again for a slot it has taken — a second open of one path,
-// say — gets a new element: a slot is never handed out twice. Unlike a
-// Memo value, the element is the rank's to write. Make K or T private to
-// the calling package.
+// first rank to ask makes the block, one zero element per comm rank; on
+// the world communicator it takes it from the pool a released world gave
+// its blocks of T to (World.Release). A rank asking again for a slot it
+// has taken — a second open of one path, say — gets a new element: a
+// slot is never handed out twice. Unlike a Memo value, the element is the
+// rank's to write. Make K or T private to the calling package.
 func Block[K comparable, T any](c *Comm, key K) *T { return &Rows[K, T](c, key, 1)[0] }
 
 // Rows is Block for a row of width elements, capped: an append to it
 // cannot reach the next rank's row.
 func Rows[K comparable, T any](c *Comm, key K, width int) []T {
 	g := c.g
+	g.w.live()
 	var b *block[K, T]
 	for _, x := range g.blocks {
 		if x, ok := x.(*block[K, T]); ok && x.key == key && x.width == width {
@@ -176,7 +275,7 @@ func Rows[K comparable, T any](c *Comm, key K, width int) []T {
 		}
 	}
 	if b == nil {
-		b = &block[K, T]{key: key, width: width, elems: make([]T, len(g.ranks)*width), taken: make([]bool, len(g.ranks))}
+		b = &block[K, T]{key: key, width: width, elems: chunk[T](g, len(g.ranks)*width), taken: chunk[bool](g, len(g.ranks))}
 		g.blocks = append(g.blocks, b)
 	}
 	if b.taken[c.rank] {
@@ -185,6 +284,10 @@ func Rows[K comparable, T any](c *Comm, key K, width int) []T {
 	b.taken[c.rank] = true
 	lo := c.rank * width
 	return b.elems[lo : lo+width : lo+width]
+}
+
+func (b *block[K, T]) addChunks(gs []giver) []giver {
+	return addChunk(addChunk(gs, b.elems), b.taken)
 }
 
 // commGroup is the shared state of one communicator.
@@ -207,11 +310,14 @@ type commGroup struct {
 	// kernel as the release's list, where its own slot is skipped.
 	parked []*sim.Proc
 	// blocks holds what Block and Rows have made: a few, so a list.
-	blocks []any
+	blocks []holder
 }
 
 // rendezvous is a collState of any types, for the communicator's list.
-type rendezvous interface{ kind() string }
+type rendezvous interface {
+	kind() string
+	holder
+}
 
 // collState is one kind of collective on a communicator: its name, how
 // many calls its rendezvous stands for (two for a pair fused into one),
@@ -228,6 +334,21 @@ type collState[C, R any] struct {
 
 func (st *collState[C, R]) kind() string { return st.name }
 
+func (st *collState[C, R]) addChunks(gs []giver) []giver {
+	gs = addChunk(gs, st.contribs)
+	if r, ok := any(st.result).(holder); ok {
+		gs = r.addChunks(gs)
+	}
+	return gs
+}
+
+// pooled is a collective's result block that the communicator keeps,
+// taken from the pools on the world group: Release gives it back with
+// the rendezvous's contributions.
+type pooled[E any] []E
+
+func (p pooled[E]) addChunks(gs []giver) []giver { return addChunk(gs, []E(p)) }
+
 // stateOf returns g's rendezvous for the collective name of parts calls,
 // made at its first call.
 func stateOf[C, R any](g *commGroup, name string, parts int) *collState[C, R] {
@@ -236,7 +357,7 @@ func stateOf[C, R any](g *commGroup, name string, parts int) *collState[C, R] {
 			return st
 		}
 	}
-	st := &collState[C, R]{name: name, parts: parts, contribs: make([]C, parts*len(g.ranks))}
+	st := &collState[C, R]{name: name, parts: parts, contribs: chunk[C](g, parts*len(g.ranks))}
 	g.kinds = append(g.kinds, st)
 	return st
 }
@@ -415,12 +536,14 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 	}
 	// The block is a row per rank, then the result.
 	n, m := c.Size(), len(v)
-	st := enter[struct{}, []float64](c, "AllreduceVecF64", -1, struct{}{})
-	if len(st.result) != (n+len(ops))*m {
-		st.result = make([]float64, (n+len(ops))*m)
+	st := enter[struct{}, pooled[float64]](c, "AllreduceVecF64", -1, struct{}{})
+	if size := (n + len(ops)) * m; cap(st.result) < size {
+		st.result = chunk[float64](c.g, size)
+	} else {
+		st.result = st.result[:size]
 	}
 	copy(st.result[c.rank*m:], v)
-	return leave(c, st, func(st *collState[struct{}, []float64]) int {
+	return leave(c, st, func(st *collState[struct{}, pooled[float64]]) int {
 		rows, res := st.result[:n*m], st.result[n*m:]
 		for k, op := range ops {
 			for j := range m {
@@ -463,11 +586,11 @@ func (c *Comm) ExscanI64(v int64) int64 {
 // until this rank's next ExscanVecI64 on the communicator.
 func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 	m := len(v)
-	slab := leave(c, enter[[]int64, []int64](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, []int64]) int {
+	slab := leave(c, enter[[]int64, pooled[int64]](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, pooled[int64]]) int {
 		// Row i is rank i's offsets; the row after the last is the totals.
 		n := len(st.contribs)
 		if cap(st.result) < (n+1)*m {
-			st.result = make([]int64, (n+1)*m)
+			st.result = chunk[int64](c.g, (n+1)*m)
 		}
 		slab := st.result[:(n+1)*m]
 		clear(slab[:m])

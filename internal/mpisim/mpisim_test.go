@@ -917,3 +917,59 @@ func TestWorldSpawnAllocations(t *testing.T) {
 		t.Errorf("World.Spawn allocates %.0f B per rank above iter.Pull's %.0f, bound 230", ownBytes, pullBytes)
 	}
 }
+
+// TestReleasedWorldPanics: Rows, Block, Memo, Spawn and Release on a
+// released world panic with a message that names it.
+func TestReleasedWorldPanics(t *testing.T) {
+	type key string
+	w := world(3)
+	c := w.Attach(0, nil).Comm // Attach's handles are not the world's storage
+	w.Release()
+	for name, use := range map[string]func(){
+		"Rows":    func() { Rows[key, int](c, "k", 2) },
+		"Block":   func() { Block[key, int](c, "k") },
+		"Memo":    func() { Memo(c, key("k"), func() int { return 1 }) },
+		"Spawn":   func() { w.Spawn(func(*Rank) {}) },
+		"Release": w.Release,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "mpisim: use of a released World of 3 ranks" {
+					t.Errorf("%s after Release: recovered %v", name, r)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestRecycledBlockIsZero: the blocks a released world wrote every slot
+// of are the next world's, each slot a zero value again.
+func TestRecycledBlockIsZero(t *testing.T) {
+	type key string
+	type cell struct { // a type of its own: no other test uses its pool
+		n int
+		p *int
+		s string
+	}
+	const size, width = 8, 3
+	released := map[*cell]bool{}
+	for round := range 2 {
+		w := world(size)
+		w.Run(func(r *Rank) {
+			slots := []*cell{Block[key, cell](r.Comm, "b")}
+			row := Rows[key, cell](r.Comm, "r", width)
+			for i := range row {
+				slots = append(slots, &row[i])
+			}
+			for _, v := range slots {
+				if round == 1 && (*v != cell{} || !released[v]) {
+					t.Errorf("rank %d: slot %p holds %+v, from a released block %v; want a zero value of one", r.ID, v, *v, released[v])
+				}
+				*v = cell{n: r.ID + 1, p: &r.ID, s: "dirty"}
+				released[v] = true
+			}
+		})
+		w.Release()
+	}
+}

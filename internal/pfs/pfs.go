@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"picmcio/internal/sim"
 )
@@ -183,7 +182,7 @@ type Namespace struct {
 }
 
 // nodes is the pool of every namespace's file nodes.
-var nodes Pool[Node]
+var nodes sim.Pool[Node]
 
 // Slab hands out zero values of T carved from chunks, so that making many
 // values of one kind costs an allocation a chunk, not one each. A chunk
@@ -198,7 +197,7 @@ var nodes Pool[Node]
 // are left to the collector: keeping count of them would cost a small
 // slab allocations of its own. Make one with NewSlab.
 type Slab[T any] struct {
-	pool   *Pool[T]
+	pool   *sim.Pool[T]
 	chunks [][]T // the full chunks carved from, for Release
 	free   []T
 	n      int // values handed out
@@ -208,7 +207,7 @@ const slabGrowth, slabCap = 8, 128
 
 // NewSlab returns an empty slab that takes its chunks from pool and
 // gives them back to it at Release.
-func NewSlab[T any](pool *Pool[T]) Slab[T] { return Slab[T]{pool: pool} }
+func NewSlab[T any](pool *sim.Pool[T]) Slab[T] { return Slab[T]{pool: pool} }
 
 // New returns a pointer to a zero T from the current chunk, or from a new
 // one when it is used up.
@@ -230,50 +229,6 @@ func (s *Slab[T]) New() *T {
 func (s *Slab[T]) Release() {
 	s.pool.Give(s.chunks)
 	*s = Slab[T]{pool: s.pool}
-}
-
-// Pool is a free list of chunks shared by every slab of one kind in the
-// process: a run's slabs give theirs back when it ends, and the next
-// run's take them instead of allocating. It keeps at most as many chunks
-// as its last Give brought, dropping the oldest, so that storage a large
-// run left does not outlive the smaller ones after it (the kernel trims
-// its idle carriers to a world's size the same way). Safe for concurrent
-// use; the zero Pool is empty.
-type Pool[T any] struct {
-	mu     sync.Mutex
-	chunks [][]T
-}
-
-// Take returns a chunk from the pool, whole, or a new one of n values
-// when the pool is empty. Either holds only zero values.
-func (p *Pool[T]) Take(n int) []T {
-	p.mu.Lock()
-	k := len(p.chunks)
-	if k == 0 {
-		p.mu.Unlock()
-		return make([]T, n)
-	}
-	c := p.chunks[k-1]
-	p.chunks[k-1] = nil
-	p.chunks = p.chunks[:k-1]
-	p.mu.Unlock()
-	return c
-}
-
-// Give clears the chunks and adds them to the pool, which then drops its
-// oldest beyond len(chunks). The chunks are the pool's from then on.
-func (p *Pool[T]) Give(chunks [][]T) {
-	for _, c := range chunks {
-		clear(c)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.chunks = append(p.chunks, chunks...)
-	if drop := len(p.chunks) - len(chunks); drop > 0 {
-		n := copy(p.chunks, p.chunks[drop:])
-		clear(p.chunks[n:])
-		p.chunks = p.chunks[:n]
-	}
 }
 
 // NewNamespace returns a namespace containing only the root directory.

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"picmcio/internal/sim"
 )
 
 func TestClean(t *testing.T) {
@@ -217,7 +219,7 @@ func TestSlabRecyclesZeroValues(t *testing.T) {
 		p *int
 		s string
 	}
-	var pool Pool[val]
+	var pool sim.Pool[val]
 	s := NewSlab(&pool)
 	const n = 12*slabCap + 5 // past the small chunks
 	for i := range n {
@@ -247,35 +249,33 @@ func TestSlabRecyclesZeroValues(t *testing.T) {
 }
 
 // TestPoolKeepsLastRelease: a pool holds at most what its last Give
-// brought, the newest chunks, and hands them out before it makes one.
+// brought, the newest chunks, and hands them out, cleared, before it
+// makes one.
 func TestPoolKeepsLastRelease(t *testing.T) {
-	var p Pool[int]
+	var p sim.Pool[int]
+	given := map[*int]int{} // a chunk, by its first value, → the size of the Give that brought it
 	chunks := func(k int) [][]int {
 		cs := make([][]int, k)
 		for i := range cs {
 			cs[i] = []int{k, i}
+			given[&cs[i][0]] = k
 		}
 		return cs
 	}
 	p.Give(chunks(5))
 	p.Give(chunks(2))
-	if len(p.chunks) != 2 {
-		t.Fatalf("after giving 5 then 2 chunks the pool holds %d, want 2", len(p.chunks))
-	}
-	for _, c := range p.chunks {
-		if c[0] != 0 || c[1] != 0 || cap(c) != 2 {
-			t.Fatalf("pooled chunk %v is not one of the last Give's, cleared", c)
+	for i := range 3 {
+		c := p.Take(2)
+		if k := given[&c[0]]; i < 2 && (k != 2 || c[0] != 0 || c[1] != 0) {
+			t.Fatalf("Take %d returned %v of a Give of %d, want a chunk of the last Give (2), cleared", i+1, c, k)
+		} else if i == 2 && k != 0 {
+			t.Fatalf("Take 3 returned a chunk of a Give of %d, want a new one: the pool keeps the last Give's 2", k)
 		}
 	}
-	if c := p.Take(7); len(c) != 2 || len(p.chunks) != 1 {
-		t.Fatalf("Take from a pool of 2 returned %d values and left %d chunks, want 2 and 1", len(c), len(p.chunks))
-	}
+	p.Give(chunks(1))
 	p.Give(nil)
-	if len(p.chunks) != 0 {
-		t.Fatalf("after an empty Give the pool holds %d chunks, want 0", len(p.chunks))
-	}
-	if c := p.Take(7); len(c) != 7 {
-		t.Fatalf("Take from an empty pool returned %d values, want a new chunk of 7", len(c))
+	if c := p.Take(2); given[&c[0]] != 0 {
+		t.Fatal("after an empty Give the pool handed out a chunk, want a new one")
 	}
 }
 
