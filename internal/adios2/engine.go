@@ -77,10 +77,6 @@ type writerFiles struct {
 	md    *posix.FD         // world rank 0 only
 	idx   *posix.FD         // world rank 0 only
 	steps map[int64]stepLoc // aggregator-local step placement
-	// The receive buffers of the gathers an aggregator is the root of, kept
-	// across steps: payloads then chunk tables from its group, and — world
-	// rank 0's — the leaders' step metadata.
-	chunks, leaders []mpisim.GatherChunk
 }
 
 // Engine is an open BP4 dataset.
@@ -315,18 +311,13 @@ func (e *Engine) EndStep() error {
 	}
 
 	// Gather payloads and chunk tables to the group aggregator in one
-	// rendezvous, into the buffer it keeps.
+	// rendezvous.
 	p := e.h.Proc
-	var chunks []mpisim.GatherChunk
-	if e.isAgg {
-		chunks = e.files.chunks
-	}
 	t0 := p.Now()
-	chunks = e.aggComm.GathervPair(stored, content, tableBytes, table, 0, chunks...)
+	chunks := e.aggComm.GathervPair(stored, content, tableBytes, table, 0)
 	e.Timers.Gather += p.Now() - t0
 
 	if e.isAgg {
-		e.files.chunks = chunks
 		n := e.aggComm.Size()
 		if err := e.aggregateStep(chunks[:n], chunks[n:]); err != nil {
 			return err
@@ -466,9 +457,8 @@ func (e *Engine) aggregateStep(chunks, tchunks []mpisim.GatherChunk) error {
 		}
 		mdBytes = int64(len(mdJSON))
 	}
-	gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0, e.files.leaders...)
+	gathered := e.ldrComm.GathervBytes(mdBytes, mdJSON, 0)
 	if e.h.Comm.Rank() == 0 {
-		e.files.leaders = gathered
 		return e.publishStep(gathered)
 	}
 	return nil

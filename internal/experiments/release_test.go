@@ -32,18 +32,20 @@ func fingerprint(t *testing.T, r *RunResult) string {
 	return fmt.Sprintf("%+v %+v %+v %x", res, profile, burst, b.Bytes())
 }
 
-// TestConcurrentRunsShareThePools: three runs on three goroutines, each
+// TestConcurrentRunsShareThePools: four runs on four goroutines, each
 // releasing its file system, its records and its world's blocks into the
 // pools the others take from, measure what each measures alone — the
-// path a figure's trials take with -parallel 2. The two BP4 runs are
-// worlds of 8 and 16 ranks, so blocks pass between sizes both ways. Run
-// it under -race.
+// path a figure's trials take with -parallel 2. The BP4 runs are worlds
+// of 8 and 16 ranks, so blocks pass between sizes both ways, and two of
+// 16 with 2 and 16 aggregators, so split storage cut for different group
+// counts does too. Run it under -race.
 func TestConcurrentRunsShareThePools(t *testing.T) {
 	o := testOptions()
 	cells := []Run{
 		{Machine: cluster.Dardel(), Nodes: 2, Config: Original},
 		{Machine: cluster.Vega(), Nodes: 1, Config: BP4BloscOneAggr},
 		{Machine: cluster.Dardel(), Nodes: 2, Config: BP4},
+		{Machine: cluster.Dardel(), Nodes: 2, Config: bp4("BIT1 openPMD + BP4 + 16 AGGR", func(int) int { return 16 })},
 	}
 	want := make([]string, len(cells))
 	for i, run := range cells {

@@ -51,9 +51,31 @@ type World struct {
 	memo       map[any]any
 	memoBuilds int
 
-	// Spawn's rank handles and world communicators, for Release.
+	// calls records the world group's storage, then each split call's, in
+	// one block from the pools, for Release: a call's record costs no
+	// object of its own.
+	calls []splitCall
+	// Spawn's rank handles, for Release.
 	handles []Rank
-	comms   []Comm
+}
+
+// splitCall is the storage one split call cut its groups from — or, first
+// in World.calls, NewWorld the world group: the groups, the new handles,
+// the rank tables and the parking slots, one block each (a SplitPair's
+// two calls share them, and its first call's record holds them; the
+// world's handles are Spawn's), and the block of each collective kind
+// the call's groups have run.
+type splitCall struct {
+	groups []commGroup
+	comms  []Comm
+	ranks  []int
+	parked []*sim.Proc
+	kinds  []rendezvous
+	// n is how many ranks the call partitioned, and slots how many result
+	// slots a kind's block holds: n for a split, whatever its group
+	// count, so that a block a released world gave back fits the next
+	// world's split of as many ranks; one for the world group.
+	n, slots int
 }
 
 // NewWorld creates a world of size ranks with the given network model.
@@ -65,39 +87,69 @@ func NewWorld(k *sim.Kernel, size int, cost CostModel) *World {
 		cost = AlphaBeta(1e-6, 1.0/10e9)
 	}
 	w := &World{K: k, Size: size, cost: cost}
-	g := &commGroup{w: w}
-	w.world = g
-	g.ranks, g.parked = chunk[int](g, size), chunk[*sim.Proc](g, size)
-	for i := range g.ranks {
-		g.ranks[i] = i
+	// Room for the world group's record and one SplitPair's. The world
+	// group is an object of its own, not a pooled one: a handle kept past
+	// Release still finds the world, released.
+	w.calls = poolOf[splitCall]().Take(3)[:1]
+	s := &w.calls[0]
+	*s = splitCall{ranks: chunk[int](size), parked: chunk[*sim.Proc](size), n: size, slots: 1}
+	for i := range s.ranks {
+		s.ranks[i] = i
 	}
+	w.world = &commGroup{w: w, ranks: s.ranks, parked: s.parked}
 	return w
 }
 
-// Release gives the storage of the world group — its rank table, the
-// blocks Rows and Block made on the world communicator, its collectives'
-// rendezvous blocks and Spawn's rank handles — back to process-wide
+// Release gives the world's storage — every group's rank table and
+// parking slots, the blocks Rows and Block made on any of its
+// communicators, its collectives' rendezvous blocks, the handles Spawn
+// and every split made, and the groups themselves — back to process-wide
 // pools, one per element type, for the next world, and ends the world:
 // Rows, Block, Memo and Spawn on it panic from then on. Call it once its
 // kernel has run; no handle, block or collective result of the world may
 // be kept.
 func (w *World) Release() {
 	w.live()
-	g := w.world
-	gs := addChunk(nil, g.ranks)
-	gs = addChunk(gs, g.parked)
-	gs = addChunk(gs, w.handles)
-	gs = addChunk(gs, w.comms)
-	for _, b := range g.blocks {
-		gs = b.addChunks(gs)
+	// Room in each type's list for a chunk of each kind a record holds.
+	gs := &givers{room: 2*len(w.calls) + 2}
+	addChunk(gs, w.handles)
+	for _, b := range w.world.blocks {
+		b.addChunks(gs)
 	}
-	for _, k := range g.kinds {
-		gs = k.addChunks(gs)
+	for i := range w.calls {
+		w.calls[i].addChunks(gs)
 	}
-	for _, cs := range gs {
+	addChunk(gs, w.calls)
+	for _, cs := range gs.types {
 		cs.give()
 	}
-	w.world, w.memo, w.handles, w.comms = nil, nil, nil, nil
+	w.world, w.memo, w.handles, w.calls = nil, nil, nil, nil
+}
+
+func (s *splitCall) addChunks(gs *givers) {
+	for i := range s.groups {
+		for _, b := range s.groups[i].blocks {
+			b.addChunks(gs)
+		}
+	}
+	for _, k := range s.kinds {
+		k.addChunks(gs)
+	}
+	addChunk(gs, s.groups)
+	addChunk(gs, s.comms)
+	addChunk(gs, s.ranks)
+	addChunk(gs, s.parked)
+}
+
+// record adds a split call's record to the world's, growing their block
+// from the pools, and returns its index.
+func (w *World) record(s splitCall) int {
+	if len(w.calls) == cap(w.calls) {
+		calls := poolOf[splitCall]().Take(2 * len(w.calls))
+		w.calls = calls[:copy(calls, w.calls)]
+	}
+	w.calls = append(w.calls, s)
+	return len(w.calls) - 1
 }
 
 // live panics if the world has been released.
@@ -107,10 +159,19 @@ func (w *World) live() {
 	}
 }
 
-// holder is storage of the world group that holds pooled chunks: a block
+// holder is storage of a world's group that holds pooled chunks: a block
 // or a collective's rendezvous.
 type holder interface {
-	addChunks(gs []giver) []giver
+	addChunks(gs *givers)
+}
+
+// givers is a released world's chunks, a list per element type, each
+// list with room for room chunks: a pool keeps what its last Give brought,
+// so each gets one, and a list that grew as it filled would cost objects
+// in proportion to the world's splits.
+type givers struct {
+	types []giver
+	room  int
 }
 
 // giver is a released world's chunks of one element type.
@@ -120,20 +181,20 @@ type chunks[T any] [][]T
 
 func (cs *chunks[T]) give() { poolOf[T]().Give(*cs) }
 
-// addChunk adds c, whole, to the chunks in gs of its element type, so
-// that each pool gets one Give: a pool keeps what its last Give brought.
-func addChunk[T any](gs []giver, c []T) []giver {
+// addChunk adds c, whole, to the chunks in gs of its element type.
+func addChunk[T any](gs *givers, c []T) {
 	if cap(c) == 0 {
-		return gs
+		return
 	}
 	c = c[:cap(c)]
-	for _, cs := range gs {
+	for _, cs := range gs.types {
 		if cs, ok := cs.(*chunks[T]); ok {
 			*cs = append(*cs, c)
-			return gs
+			return
 		}
 	}
-	return append(gs, &chunks[T]{c})
+	cs := append(make(chunks[T], 0, gs.room), c)
+	gs.types = append(gs.types, &cs)
 }
 
 // pools holds the pool of each element type under a zero-size token of
@@ -151,16 +212,10 @@ func poolOf[T any]() *sim.Pool[T] {
 	return p.(*sim.Pool[T])
 }
 
-// chunk returns n zero values of T for g's storage. For the world group,
-// which Release gives back, they are the pool of T's chunk, whole behind
-// the n, when one holds that many; a split group's are made, as the world
-// keeps no list of its splits — a world may split any number of times.
-func chunk[T any](g *commGroup, n int) []T {
-	if g != g.w.world {
-		return make([]T, n)
-	}
-	return poolOf[T]().Take(n)[:n]
-}
+// chunk returns n zero values of T for a world's storage, which Release
+// gives back: the pool of T's chunk, whole behind the n, when one holds
+// that many.
+func chunk[T any](n int) []T { return poolOf[T]().Take(n)[:n] }
 
 // Rank is the per-process handle passed to rank programs.
 type Rank struct {
@@ -174,8 +229,8 @@ type Rank struct {
 // communicators are one block each per world, from the pools.
 func (w *World) Spawn(fn func(r *Rank)) {
 	w.live()
-	ranks, comms := chunk[Rank](w.world, w.Size), chunk[Comm](w.world, w.Size)
-	w.handles, w.comms = ranks, comms
+	ranks, comms := chunk[Rank](w.Size), chunk[Comm](w.Size)
+	w.handles, w.calls[0].comms = ranks, comms
 	w.K.SpawnN(w.Size, "rank", func(i int, p *sim.Proc) {
 		r, c := &ranks[i], &comms[i]
 		*r = Rank{ID: i, Proc: p, Comm: c}
@@ -254,9 +309,9 @@ type block[K comparable, T any] struct {
 // Block returns this rank's element of the block the communicator's group
 // holds under (key, T), so that what every rank of a collective open has
 // one of is one allocation, as the ranks' handles are (World.Spawn). The
-// first rank to ask makes the block, one zero element per comm rank; on
-// the world communicator it takes it from the pool a released world gave
-// its blocks of T to (World.Release). A rank asking again for a slot it
+// first rank to ask makes the block, one zero element per comm rank,
+// taking it from the pool a released world gave its blocks of T to
+// (World.Release). A rank asking again for a slot it
 // has taken — a second open of one path, say — gets a new element: a
 // slot is never handed out twice. Unlike a Memo value, the element is the
 // rank's to write. Make K or T private to the calling package.
@@ -275,7 +330,7 @@ func Rows[K comparable, T any](c *Comm, key K, width int) []T {
 		}
 	}
 	if b == nil {
-		b = &block[K, T]{key: key, width: width, elems: chunk[T](g, len(g.ranks)*width), taken: chunk[bool](g, len(g.ranks))}
+		b = &block[K, T]{key: key, width: width, elems: chunk[T](len(g.ranks) * width), taken: chunk[bool](len(g.ranks))}
 		g.blocks = append(g.blocks, b)
 	}
 	if b.taken[c.rank] {
@@ -286,8 +341,9 @@ func Rows[K comparable, T any](c *Comm, key K, width int) []T {
 	return b.elems[lo : lo+width : lo+width]
 }
 
-func (b *block[K, T]) addChunks(gs []giver) []giver {
-	return addChunk(addChunk(gs, b.elems), b.taken)
+func (b *block[K, T]) addChunks(gs *givers) {
+	addChunk(gs, b.elems)
+	addChunk(gs, b.taken)
 }
 
 // commGroup is the shared state of one communicator.
@@ -295,12 +351,13 @@ type commGroup struct {
 	w     *World
 	ranks []int // world rank per comm rank
 
-	// kinds holds one rendezvous per collective the communicator has run,
-	// kept across calls with its contribution block and result block.
-	kinds []rendezvous
-	// The rendezvous in progress, one of kinds, and the root it names (-1
-	// for a collective without one). A communicator has at most one:
-	// nobody leaves collective k before everybody has entered it, so
+	// call indexes the record of the split call that cut the group (0 for
+	// the world group) in w.calls, and off is where its ranks start among
+	// the call's: the group's part of each kind's block begins there.
+	call, off int
+	// The rendezvous in progress, a kind of the call's, and the root it
+	// names (-1 for a collective without one). A communicator has at most
+	// one: nobody leaves collective k before everybody has entered it, so
 	// nobody enters k+1 while k is pending.
 	pending rendezvous
 	root    int
@@ -313,53 +370,88 @@ type commGroup struct {
 	blocks []holder
 }
 
-// rendezvous is a collState of any types, for the communicator's list.
+// rendezvous is a kindBlock of any types, for a split call's list.
 type rendezvous interface {
 	kind() string
 	holder
 }
 
-// collState is one kind of collective on a communicator: its name, how
-// many calls its rendezvous stands for (two for a pair fused into one),
-// every rank's contribution by call and then comm rank and, once the last
-// rank has arrived, the bytes each call moved and the result all of them
-// read — for a rooted collective, the root's receive buffer.
-type collState[C, R any] struct {
-	name     string
-	parts    int
-	contribs []C
-	moved    [2]int64 // by call: a pair's two at most
-	result   R
+// kindBlock is one kind of collective on every group of a split call (or
+// on the world group), kept across calls: its name, how many calls its
+// rendezvous stands for (two for a pair fused into one), and, a part per
+// group at the group's offset, every rank's contribution by call and then
+// comm rank, a gather's result rows laid out as the contributions, and
+// one result slot. st is the reducing group's view of its part: ranks of
+// one kernel never run at once, and a reduce does not park.
+type kindBlock[C, R any] struct {
+	name           string
+	parts          int
+	contribs, rows []C // one chunk: the rows, if any, follow the contributions
+	results        []R // by group offset
+	st             collState[C, R]
 }
 
-func (st *collState[C, R]) kind() string { return st.name }
+func (b *kindBlock[C, R]) kind() string { return b.name }
 
-func (st *collState[C, R]) addChunks(gs []giver) []giver {
-	gs = addChunk(gs, st.contribs)
-	if r, ok := any(st.result).(holder); ok {
-		gs = r.addChunks(gs)
+func (b *kindBlock[C, R]) addChunks(gs *givers) {
+	addChunk(gs, b.contribs)
+	addChunk(gs, b.results)
+	if _, ok := any((*R)(nil)).(holder); ok {
+		for i := range b.results {
+			any(&b.results[i]).(holder).addChunks(gs)
+		}
 	}
-	return gs
+}
+
+// span is where g's part of the block's contributions, and of its rows,
+// lies.
+func (b *kindBlock[C, R]) span(g *commGroup) (lo, hi int) {
+	lo = b.parts * g.off
+	return lo, lo + b.parts*len(g.ranks)
+}
+
+// collState is a group's part of a kind's block, as its reduce sees it:
+// how many calls the rendezvous stands for, every rank's contribution by
+// call and then comm rank, a gather's result rows, the result slot all
+// of the group's ranks read and, once the reduce has run, the bytes each
+// call moved.
+type collState[C, R any] struct {
+	parts          int
+	contribs, rows []C
+	result         *R
+	moved          [2]int64 // by call: a pair's two at most
 }
 
 // pooled is a collective's result block that the communicator keeps,
-// taken from the pools on the world group: Release gives it back with
-// the rendezvous's contributions.
+// taken from the pools: Release gives it back with the rendezvous's
+// contributions.
 type pooled[E any] []E
 
-func (p pooled[E]) addChunks(gs []giver) []giver { return addChunk(gs, []E(p)) }
+func (p *pooled[E]) addChunks(gs *givers) { addChunk(gs, []E(*p)) }
 
-// stateOf returns g's rendezvous for the collective name of parts calls,
-// made at its first call.
-func stateOf[C, R any](g *commGroup, name string, parts int) *collState[C, R] {
-	for _, k := range g.kinds {
-		if st, ok := k.(*collState[C, R]); ok && st.name == name {
-			return st
+// kindOf returns the block of the collective name, of parts calls, that
+// g's split call keeps for all its groups, taken from the pools at the
+// first call of that kind on any of them: parts contributions a rank of
+// the call, as many result rows after them if rows, and the call's result
+// slots. Sized by the call's rank count, not by its groups, a block a
+// released world gave back fits the next world's split of as many ranks
+// into however many groups.
+func kindOf[C, R any](g *commGroup, name string, parts int, rows bool) *kindBlock[C, R] {
+	s := &g.w.calls[g.call]
+	for _, k := range s.kinds {
+		if b, ok := k.(*kindBlock[C, R]); ok && b.name == name {
+			return b
 		}
 	}
-	st := &collState[C, R]{name: name, parts: parts, contribs: chunk[C](g, parts*len(g.ranks))}
-	g.kinds = append(g.kinds, st)
-	return st
+	n := parts * s.n
+	size := n
+	if rows {
+		size = 2 * n
+	}
+	cs := chunk[C](size)
+	b := &kindBlock[C, R]{name: name, parts: parts, contribs: cs[:n], rows: cs[n:], results: chunk[R](s.slots)}
+	s.kinds = append(s.kinds, b)
+	return b
 }
 
 // Comm is a per-rank communicator handle.
@@ -383,61 +475,68 @@ func (c *Comm) Size() int { return len(c.g.ranks) }
 // enter enters this rank into the communicator's collective name, which
 // names root (-1 for a collective without one), with its contribution to
 // each of the calls the collective stands for, and returns the kind's
-// rendezvous. Ranks entering different collectives, or naming different
-// roots, panic.
-func enter[C, R any](c *Comm, name string, root int, contrib ...C) *collState[C, R] {
+// block, with result rows if rows (a gather's). Ranks entering different
+// collectives, or naming different roots, panic.
+func enter[C, R any](c *Comm, name string, root int, rows bool, contrib ...C) *kindBlock[C, R] {
 	g := c.g
-	var st *collState[C, R]
+	var b *kindBlock[C, R]
 	if g.arrived == 0 {
-		st = stateOf[C, R](g, name, len(contrib))
-		g.pending, g.root = st, root
-	} else if s, ok := g.pending.(*collState[C, R]); ok && s.name == name && root == g.root {
-		st = s
+		b = kindOf[C, R](g, name, len(contrib), rows)
+		g.pending, g.root = b, root
+	} else if x, ok := g.pending.(*kindBlock[C, R]); ok && x.name == name && root == g.root {
+		b = x
 	} else {
 		panic(c.mismatch(name, root))
 	}
+	lo, _ := b.span(g)
 	for j, x := range contrib {
-		st.contribs[j*len(g.ranks)+c.rank] = x
+		b.contribs[lo+j*len(g.ranks)+c.rank] = x
 	}
-	return st
+	return b
 }
 
 // leave, the rank's contribution entered, counts it in and parks it, or,
 // for the last to arrive, runs reduce and releases everybody. reduce finds
 // every rank's contribution to each call in comm-rank order, call after
 // call — a block it may overwrite, kept for the kind's next call — writes
-// st.result and, in st.moved, the bytes each call moved, and returns how
-// many operations each call stands for. Every operation is charged to the
-// cost model for its call's bytes, one after the other, the first call's
-// first: a pair of calls fused into one rendezvous costs what the two
-// cost back to back.
-func leave[C, R any](c *Comm, st *collState[C, R], reduce func(st *collState[C, R]) (ops int)) R {
+// the group's result slot (and rows) and, in st.moved, the bytes each
+// call moved, and returns how many operations each call stands for. Every
+// operation is charged to the cost model for its call's bytes, one after
+// the other, the first call's first: a pair of calls fused into one
+// rendezvous costs what the two cost back to back.
+func leave[C, R any](c *Comm, b *kindBlock[C, R], reduce func(st *collState[C, R]) (ops int)) R {
 	p, g := c.r.Proc, c.g
 	g.arrived++
 	if g.arrived < len(g.ranks) {
 		g.parked[c.rank] = p
 		p.Park()
-		return st.result
+		return b.results[g.off]
 	}
 	g.pending, g.arrived = nil, 0
-	ops := reduce(st)
 	// The parked ranks leave in comm-rank order, this one after them, from
 	// one queue entry: same-instant seq ties decide who reserves shared
 	// servers first, and replay bit-identity pins that order.
-	p.WakeAllAndSleepUntil(g.charge(p.Now(), st.moved[:st.parts], ops), g.parked)
-	return st.result
+	p.WakeAllAndSleepUntil(b.settle(g, p.Now(), reduce), g.parked)
+	return b.results[g.off]
 }
 
-// charge returns when a release that starts at now ends: ops operations
-// for each call, each charged to the cost model for its call's bytes
-// moved, one after the other. It has its own frame, which no parked rank
-// holds.
+// settle runs reduce on g's part of the block and returns when the
+// release that starts at now ends: the operations of each call, each
+// charged to the cost model for its call's bytes moved, one after the
+// other. It has its own frame, which no parked rank holds.
 //
 //go:noinline
-func (g *commGroup) charge(now sim.Time, moved []int64, ops int) sim.Time {
-	for _, b := range moved {
+func (b *kindBlock[C, R]) settle(g *commGroup, now sim.Time, reduce func(st *collState[C, R]) (ops int)) sim.Time {
+	lo, hi := b.span(g)
+	st := &b.st
+	*st = collState[C, R]{parts: b.parts, contribs: b.contribs[lo:hi:hi], result: &b.results[g.off]}
+	if len(b.rows) > 0 {
+		st.rows = b.rows[lo:hi:hi]
+	}
+	ops := reduce(st)
+	for _, m := range st.moved[:b.parts] {
 		for range ops {
-			now += g.w.cost(len(g.ranks), b)
+			now += g.w.cost(len(g.ranks), m)
 		}
 	}
 	return now
@@ -463,7 +562,7 @@ func (c *Comm) badRoot(name string, root int) string {
 
 // Barrier blocks until every rank in the communicator has entered.
 func (c *Comm) Barrier() {
-	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, struct{}{}), func(*collState[struct{}, struct{}]) int { return 1 })
+	leave(c, enter[struct{}, struct{}](c, "Barrier", -1, false, struct{}{}), func(*collState[struct{}, struct{}]) int { return 1 })
 }
 
 // BarrierErr is a Barrier that a rank may reach having failed: every rank
@@ -472,11 +571,11 @@ func (c *Comm) Barrier() {
 // the rest parked for good. The error rides the synchronisation and is
 // charged as a barrier's, so where no rank failed it is Barrier.
 func (c *Comm) BarrierErr(err error) error {
-	return leave(c, enter[error, error](c, "BarrierErr", -1, err), func(st *collState[error, error]) int {
-		st.result = nil
+	return leave(c, enter[error, error](c, "BarrierErr", -1, false, err), func(st *collState[error, error]) int {
+		*st.result = nil
 		for _, e := range st.contribs {
 			if e != nil {
-				st.result = e
+				*st.result = e
 				break
 			}
 		}
@@ -508,12 +607,12 @@ func combine[T int64 | float64](op string, acc, x T) T {
 // allreduce combines one value per rank in comm-rank order.
 func allreduce[T int64 | float64](c *Comm, name string, v T, op string) T {
 	checkOp(op)
-	return leave(c, enter[T, T](c, name, -1, v), func(st *collState[T, T]) int {
+	return leave(c, enter[T, T](c, name, -1, false, v), func(st *collState[T, T]) int {
 		acc := st.contribs[0]
 		for _, x := range st.contribs[1:] {
 			acc = combine(op, acc, x)
 		}
-		st.result, st.moved[0] = acc, int64(8*len(st.contribs))
+		*st.result, st.moved[0] = acc, int64(8*len(st.contribs))
 		return 1
 	})
 }
@@ -534,17 +633,18 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 	for _, op := range ops {
 		checkOp(op)
 	}
-	// The block is a row per rank, then the result.
+	// The group's result slot is a row per rank, then the result.
 	n, m := c.Size(), len(v)
-	st := enter[struct{}, pooled[float64]](c, "AllreduceVecF64", -1, struct{}{})
-	if size := (n + len(ops)) * m; cap(st.result) < size {
-		st.result = chunk[float64](c.g, size)
+	b := enter[struct{}, pooled[float64]](c, "AllreduceVecF64", -1, false, struct{}{})
+	slot := &b.results[c.g.off]
+	if size := (n + len(ops)) * m; cap(*slot) < size {
+		*slot = chunk[float64](size)
 	} else {
-		st.result = st.result[:size]
+		*slot = (*slot)[:size]
 	}
-	copy(st.result[c.rank*m:], v)
-	return leave(c, st, func(st *collState[struct{}, pooled[float64]]) int {
-		rows, res := st.result[:n*m], st.result[n*m:]
+	copy((*slot)[c.rank*m:], v)
+	return leave(c, b, func(st *collState[struct{}, pooled[float64]]) int {
+		rows, res := (*st.result)[:n*m], (*st.result)[n*m:]
 		for k, op := range ops {
 			for j := range m {
 				acc := rows[j]
@@ -565,13 +665,13 @@ func (c *Comm) AllreduceVecF64(v []float64, ops ...string) []float64 {
 func (c *Comm) ExscanI64(v int64) int64 {
 	// The scan is written over the contributions, where each rank reads its
 	// own at once: only it writes that slot again.
-	return leave(c, enter[int64, []int64](c, "ExscanI64", -1, v), func(st *collState[int64, []int64]) int {
+	return leave(c, enter[int64, []int64](c, "ExscanI64", -1, false, v), func(st *collState[int64, []int64]) int {
 		var run int64
 		for i, x := range st.contribs {
 			st.contribs[i] = run
 			run += x
 		}
-		st.result, st.moved[0] = st.contribs, int64(8*len(st.contribs))
+		*st.result, st.moved[0] = st.contribs, int64(8*len(st.contribs))
 		return 1
 	})[c.rank]
 }
@@ -586,13 +686,13 @@ func (c *Comm) ExscanI64(v int64) int64 {
 // until this rank's next ExscanVecI64 on the communicator.
 func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 	m := len(v)
-	slab := leave(c, enter[[]int64, pooled[int64]](c, "ExscanVecI64", -1, v), func(st *collState[[]int64, pooled[int64]]) int {
+	slab := leave(c, enter[[]int64, pooled[int64]](c, "ExscanVecI64", -1, false, v), func(st *collState[[]int64, pooled[int64]]) int {
 		// Row i is rank i's offsets; the row after the last is the totals.
 		n := len(st.contribs)
-		if cap(st.result) < (n+1)*m {
-			st.result = chunk[int64](c.g, (n+1)*m)
+		if cap(*st.result) < (n+1)*m {
+			*st.result = chunk[int64]((n + 1) * m)
 		}
-		slab := st.result[:(n+1)*m]
+		slab := (*st.result)[:(n+1)*m]
 		clear(slab[:m])
 		for i, vec := range st.contribs {
 			row, next := slab[i*m:(i+1)*m], slab[(i+1)*m:(i+2)*m]
@@ -600,7 +700,7 @@ func (c *Comm) ExscanVecI64(v []int64) (offsets, totals []int64) {
 				next[j] = row[j] + vec[j]
 			}
 		}
-		st.result, st.moved[0] = slab, int64(8*m*n)
+		*st.result, st.moved[0] = slab, int64(8*m*n)
 		return 1
 	})
 	lo, end := c.rank*m, len(slab)-m
@@ -617,46 +717,41 @@ type GatherChunk struct {
 // GathervBytes gathers variable-size chunks onto root. Every rank passes
 // its size n and optional payload; root receives all chunks in comm-rank
 // order, other ranks receive nil. Cost is charged for the total volume.
-// recv, which only root's matters, is MPI's receive buffer: the chunks are
-// written over it, grown if it is short, and it is returned — pass the
-// last call's result (as recv...) and a gather allocates nothing.
-func (c *Comm) GathervBytes(n int64, data []byte, root int, recv ...GatherChunk) []GatherChunk {
-	chunks := leave(c, enterGather(c, "GathervBytes", root, recv, GatherChunk{Rank: c.rank, N: n, Data: data}), gathered)
-	if c.rank != root {
-		return nil
-	}
-	return chunks
+// Root's chunks are a view of result rows the communicator keeps,
+// read-only and valid until root's next GathervBytes on it: the rows are
+// written as the last rank arrives, and that takes root's arrival, so a
+// rank that leaves first and enters the next gather writes only its
+// contribution.
+func (c *Comm) GathervBytes(n int64, data []byte, root int) []GatherChunk {
+	b := enterGather(c, "GathervBytes", root, GatherChunk{Rank: c.rank, N: n, Data: data})
+	leave(c, b, gathered)
+	return b.view(c, root)
 }
 
 // GathervPair is GathervBytes(n1, data1, root) then GathervBytes(n2,
 // data2, root) in one rendezvous, charged as the two back to back. Root
 // receives the first gather's chunks and then the second's, in comm-rank
-// order each, in one block — recv, as GathervBytes's — so its chunk i is
-// rank i's first contribution and chunk Size()+i its second.
-func (c *Comm) GathervPair(n1 int64, data1 []byte, n2 int64, data2 []byte, root int, recv ...GatherChunk) []GatherChunk {
-	chunks := leave(c, enterGather(c, "GathervPair", root, recv, GatherChunk{Rank: c.rank, N: n1, Data: data1}, GatherChunk{Rank: c.rank, N: n2, Data: data2}), gathered)
-	if c.rank != root {
-		return nil
-	}
-	return chunks
+// order each, in one view — valid until root's next GathervPair on the
+// communicator — so its chunk i is rank i's first contribution and chunk
+// Size()+i its second.
+func (c *Comm) GathervPair(n1 int64, data1 []byte, n2 int64, data2 []byte, root int) []GatherChunk {
+	b := enterGather(c, "GathervPair", root, GatherChunk{Rank: c.rank, N: n1, Data: data1}, GatherChunk{Rank: c.rank, N: n2, Data: data2})
+	leave(c, b, gathered)
+	return b.view(c, root)
 }
 
 // enterGather enters a gather of one chunk a rank per call it stands for,
-// checking its root first, and hands it root's receive buffer.
-func enterGather(c *Comm, name string, root int, recv []GatherChunk, parts ...GatherChunk) *collState[GatherChunk, []GatherChunk] {
+// checking its root first.
+func enterGather(c *Comm, name string, root int, parts ...GatherChunk) *kindBlock[GatherChunk, struct{}] {
 	if root < 0 || root >= c.Size() {
 		panic(c.badRoot(name, root))
 	}
-	st := enter[GatherChunk, []GatherChunk](c, name, root, parts...)
-	if c.rank == root {
-		st.result = recv
-	}
-	return st
+	return enter[GatherChunk, struct{}](c, name, root, true, parts...)
 }
 
 // gathered is a gather's reduce: it copies every chunk, call after call,
-// into root's receive buffer.
-func gathered(st *collState[GatherChunk, []GatherChunk]) int {
+// into the group's result rows.
+func gathered(st *collState[GatherChunk, struct{}]) int {
 	n := len(st.contribs) / st.parts
 	st.moved = [2]int64{}
 	for i, ch := range st.contribs {
@@ -664,9 +759,19 @@ func gathered(st *collState[GatherChunk, []GatherChunk]) int {
 	}
 	// Copied now: a rank that leaves before the root may enter the next
 	// gather and write its slot.
-	st.result = append(st.result[:0], st.contribs...)
+	copy(st.rows, st.contribs)
 	clear(st.contribs) // the payloads are the ranks', not the communicator's
 	return 1
+}
+
+// view returns root's view of the communicator's result rows, nil to
+// the other ranks.
+func (b *kindBlock[C, R]) view(c *Comm, root int) []C {
+	if c.rank != root {
+		return nil
+	}
+	lo, hi := b.span(c.g)
+	return b.rows[lo:hi:hi]
 }
 
 // splitEntry is one rank's contribution to Split.
@@ -675,8 +780,8 @@ type splitEntry struct{ color, key, world, commRank int }
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by (key, world rank), mirroring MPI_Comm_split.
 func (c *Comm) Split(color, key int) *Comm {
-	st := enter[splitEntry, []Comm](c, "Split", -1, splitEntry{color, key, c.g.ranks[c.rank], c.rank})
-	m := &leave(c, st, c.partition)[c.rank]
+	b := enter[splitEntry, []Comm](c, "Split", -1, false, splitEntry{color, key, c.g.ranks[c.rank], c.rank})
+	m := &leave(c, b, c.partition)[c.rank]
 	m.r = c.r // each rank completes its own handle, and only that
 	return m
 }
@@ -685,11 +790,11 @@ func (c *Comm) Split(color, key int) *Comm {
 // rendezvous, charged as the two back to back.
 func (c *Comm) SplitPair(color1, key1, color2, key2 int) (*Comm, *Comm) {
 	w := c.g.ranks[c.rank]
-	st := enter[splitEntry, []Comm](c, "SplitPair", -1, splitEntry{color1, key1, w, c.rank}, splitEntry{color2, key2, w, c.rank})
-	ms := leave(c, st, c.partition)
-	a, b := &ms[c.rank], &ms[c.Size()+c.rank]
-	a.r, b.r = c.r, c.r
-	return a, b
+	b := enter[splitEntry, []Comm](c, "SplitPair", -1, false, splitEntry{color1, key1, w, c.rank}, splitEntry{color2, key2, w, c.rank})
+	ms := leave(c, b, c.partition)
+	x, y := &ms[c.rank], &ms[c.Size()+c.rank]
+	x.r, y.r = c.r, c.r
+	return x, y
 }
 
 // partition is a split's reduce: every rank's new handles, call after
@@ -698,8 +803,10 @@ func (c *Comm) partition(st *collState[splitEntry, []Comm]) int {
 	// Sorted, every color of a call is one run and the run is its group in
 	// rank order: membership is built once per color, and the groups of
 	// every call, their rank tables, their parking slots and every rank's
-	// handles each come out of one block (the groups' sized exactly:
-	// handles point into it).
+	// handles each come out of one block from the pools (the groups' sized
+	// by their count: handles point into it). Each call has a record of its
+	// own, for the blocks of the collectives its groups run; the first
+	// holds the four.
 	es := st.contribs
 	n := len(es) / st.parts
 	for lo := 0; lo < len(es); lo += n {
@@ -713,19 +820,25 @@ func (c *Comm) partition(st *collState[splitEntry, []Comm]) int {
 			colors++
 		}
 	}
-	groups, members := make([]commGroup, 0, colors), make([]Comm, len(es))
-	world, parked := make([]int, len(es)), make([]*sim.Proc, len(es))
-	for lo, hi := 0, 0; lo < len(es); lo = hi {
+	w := c.g.w
+	groups, members := chunk[commGroup](colors), chunk[Comm](len(es))
+	world, parked := chunk[int](len(es)), chunk[*sim.Proc](len(es))
+	first := w.record(splitCall{groups: groups, comms: members, ranks: world, parked: parked, n: n, slots: n})
+	for range st.parts - 1 {
+		w.record(splitCall{n: n, slots: n})
+	}
+	for lo, hi, gi := 0, 0, 0; lo < len(es); lo, gi = hi, gi+1 {
 		part := lo / n
 		for hi < len(es) && hi/n == part && es[hi].color == es[lo].color {
 			world[hi] = es[hi].world
 			hi++
 		}
-		groups = append(groups, commGroup{w: c.g.w, ranks: world[lo:hi:hi], parked: parked[lo:hi:hi]})
+		g := &groups[gi]
+		*g = commGroup{w: w, ranks: world[lo:hi:hi], call: first + part, off: lo - part*n, parked: parked[lo:hi:hi]}
 		for i := lo; i < hi; i++ {
-			members[part*n+es[i].commRank] = Comm{g: &groups[len(groups)-1], rank: i - lo}
+			members[part*n+es[i].commRank] = Comm{g: g, rank: i - lo}
 		}
 	}
-	st.result, st.moved = members, [2]int64{int64(16 * n), int64(16 * n)}
+	*st.result, st.moved = members, [2]int64{int64(16 * n), int64(16 * n)}
 	return 1
 }

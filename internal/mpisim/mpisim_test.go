@@ -32,9 +32,11 @@ func (c *Comm) splitPairOracle(color1, key1, color2, key2 int) (*Comm, *Comm) {
 }
 
 // gathervPairOracle is what GathervPair stands for: two GathervBytes back
-// to back, root's chunks of the first then the second in one slice.
+// to back, root's chunks of the first then the second in one slice. The
+// first view is cloned before the second call: it is valid only until
+// then.
 func (c *Comm) gathervPairOracle(n1 int64, data1 []byte, n2 int64, data2 []byte, root int) []GatherChunk {
-	first := c.GathervBytes(n1, data1, root)
+	first := slices.Clone(c.GathervBytes(n1, data1, root))
 	second := c.GathervBytes(n2, data2, root)
 	if first == nil {
 		return nil
@@ -639,57 +641,81 @@ func TestExscanVecViewsAreDisjoint(t *testing.T) {
 }
 
 // A collective allocates nothing once its communicator has run one of its
-// kind — a gather that is handed back its last result as the root's
-// receive buffer included — and Split a constant number of objects,
-// however many ranks it has: its groups, their rank tables and parking
-// slots, and the new handles are a block each, and live on.
-// Measured as the difference between worlds that differ only in how often
-// they call, so that spawning the world, the kernel's queue and each
-// kind's first call cancel out.
+// kind — a gather on a split group included — and Split a constant number
+// of objects, however many ranks it has: its groups, their rank tables and
+// parking slots, and the new handles are a block each, which its world
+// keeps, and its record in the world's block of records is none. After a
+// world of the same size is released, those blocks come from the pools:
+// Split allocates next to nothing. Measured as the difference between
+// worlds that differ only in how often they call, so that spawning the
+// world, the kernel's queue and each kind's first call cancel out; on
+// worlds never released, and on worlds each released after the run.
 func TestCollectiveAllocs(t *testing.T) {
 	const ranks, short, long = 64, 2, 10
 	vec := make([][]int64, ranks)
 	vals := make([][]float64, ranks)
-	bufs := make([][]GatherChunk, ranks)
 	for i := range vec {
 		vec[i] = make([]int64, 10)
 		vals[i] = make([]float64, 4)
 	}
+	// subs holds each rank's split group, made at its first call.
+	subs := make([]*Comm, ranks)
+	sub := func(r *Rank) *Comm {
+		if subs[r.ID] == nil {
+			subs[r.ID] = r.Comm.Split(r.ID%4, r.ID)
+		}
+		return subs[r.ID]
+	}
 	for _, c := range []struct {
-		name string
-		call func(r *Rank)
-		want float64
+		name           string
+		call           func(r *Rank)
+		fresh, recycle float64 // bounds on never-released and released worlds
 	}{
-		{"Barrier", func(r *Rank) { r.Comm.Barrier() }, 0},
-		{"BarrierErr", func(r *Rank) { r.Comm.BarrierErr(nil) }, 0},
-		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }, 0},
-		{"AllreduceI64", func(r *Rank) { r.Comm.AllreduceI64(1, "max") }, 0},
-		{"AllreduceVecF64", func(r *Rank) { r.Comm.AllreduceVecF64(vals[r.ID], "sum", "max", "min") }, 0},
-		{"ExscanI64", func(r *Rank) { r.Comm.ExscanI64(1) }, 0},
-		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }, 0},
-		{"GathervBytes", func(r *Rank) { bufs[r.ID] = r.Comm.GathervBytes(8, nil, 0, bufs[r.ID]...) }, 0},
-		{"GathervPair", func(r *Rank) { bufs[r.ID] = r.Comm.GathervPair(8, nil, 16, nil, 0, bufs[r.ID]...) }, 0},
-		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }, 5},
-		{"SplitPair", func(r *Rank) { r.Comm.SplitPair(r.ID%4, r.ID, r.ID%2, -r.ID) }, 5},
+		{"Barrier", func(r *Rank) { r.Comm.Barrier() }, 0, 0},
+		{"BarrierErr", func(r *Rank) { r.Comm.BarrierErr(nil) }, 0, 0},
+		{"AllreduceF64", func(r *Rank) { r.Comm.AllreduceF64(1, "sum") }, 0, 0},
+		{"AllreduceI64", func(r *Rank) { r.Comm.AllreduceI64(1, "max") }, 0, 0},
+		{"AllreduceVecF64", func(r *Rank) { r.Comm.AllreduceVecF64(vals[r.ID], "sum", "max", "min") }, 0, 0},
+		{"ExscanI64", func(r *Rank) { r.Comm.ExscanI64(1) }, 0, 0},
+		{"ExscanVecI64", func(r *Rank) { r.Comm.ExscanVecI64(vec[r.ID]) }, 0, 0},
+		{"GathervBytes", func(r *Rank) { r.Comm.GathervBytes(8, nil, 0) }, 0, 0},
+		{"GathervPair", func(r *Rank) { r.Comm.GathervPair(8, nil, 16, nil, 0) }, 0, 0},
+		{"split GathervBytes", func(r *Rank) { sub(r).GathervBytes(8, nil, 0) }, 0, 0},
+		{"split GathervPair", func(r *Rank) { sub(r).GathervPair(8, nil, 16, nil, 0) }, 0, 0},
+		{"Split", func(r *Rank) { r.Comm.Split(r.ID%4, r.ID) }, 5, 1},
+		{"SplitPair", func(r *Rank) { r.Comm.SplitPair(r.ID%4, r.ID, r.ID%2, -r.ID) }, 5, 1},
 	} {
-		run := func(calls int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				clear(bufs)
-				world(ranks).Run(func(r *Rank) {
-					for i := 0; i < calls; i++ {
-						c.call(r)
+		for _, release := range []bool{false, true} {
+			run := func(calls int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					clear(subs)
+					w := world(ranks)
+					w.Run(func(r *Rank) {
+						for i := 0; i < calls; i++ {
+							c.call(r)
+						}
+					})
+					if release {
+						w.Release()
 					}
 				})
-			})
-		}
-		perCall := (run(long) - run(short)) / (long - short)
-		t.Logf("%s on %d ranks: %.1f objects per call", c.name, ranks, perCall)
-		// Measured 0 throughout but Split's and SplitPair's 4.0 to 4.1 (their
-		// four blocks, which SplitPair's two splits share);
-		// 1, 2, 3, 2 and 6 for Barrier, AllreduceF64, ExscanVecI64,
-		// GathervBytes and Split while every call made its rendezvous anew.
-		if perCall > c.want {
-			t.Errorf("%s on %d ranks allocates %.1f objects per call, want at most %.0f", c.name, ranks, perCall, c.want)
+			}
+			perCall := (run(long) - run(short)) / (long - short)
+			want, worlds := c.fresh, "never released"
+			if release {
+				want, worlds = c.recycle, "each released"
+			}
+			t.Logf("%s on %d ranks, worlds %s: %.2f objects per call", c.name, ranks, worlds, perCall)
+			// Measured 0 throughout but Split's and SplitPair's: 4.2 on worlds
+			// never released (their four blocks, which SplitPair's two splits
+			// share, and now and then a larger block of records), 0 on released
+			// ones; 4.0 while a split's storage was made and never given back,
+			// 6.4 while each call's record was an object appended to a list.
+			// 1, 2, 3, 2 and 6 for Barrier, AllreduceF64, ExscanVecI64,
+			// GathervBytes and Split while every call made its rendezvous anew.
+			if perCall > want {
+				t.Errorf("%s on %d ranks, worlds %s, allocates %.2f objects per call, want at most %.0f", c.name, ranks, worlds, perCall, want)
+			}
 		}
 	}
 }
@@ -805,23 +831,25 @@ func TestBadRootPanicsBeforeParking(t *testing.T) {
 
 // A rank that leaves a gather before its root may enter the next gather on
 // the communicator and write its contribution there before the root has
-// run again: the root's result was copied into its receive buffer when the
-// last rank arrived, so it holds this gather's chunks, not the next one's.
-// So with a pair: root holds both calls' chunks of this pair, as the two
+// run again: the root's view is of result rows the communicator wrote
+// when the last rank arrived, so while every other rank has entered the
+// next gather it holds this gather's chunks, not the next one's. So with
+// a pair: root holds both calls' chunks of this pair, as the two
 // GathervBytes it stands for would have given it.
 func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
-	const n = 5
+	const n, gathers = 5, 3
 	world(n).Run(func(r *Rank) {
-		var kept []GatherChunk
-		for g := 0; g < 3; g++ {
+		for g := range gathers {
 			if r.ID == 0 {
 				r.Proc.Sleep(1) // the root arrives last and leaves last
 			}
-			chunks := r.Comm.GathervBytes(int64(g), []byte{byte(10*g + r.ID)}, 0, kept...)
+			chunks := r.Comm.GathervBytes(int64(g), []byte{byte(10*g + r.ID)}, 0)
 			if r.ID != 0 {
 				continue
 			}
-			kept = chunks
+			if g+1 < gathers && r.Comm.g.arrived != n-1 {
+				t.Errorf("gather %d: root reads its chunks with %d ranks in the next gather, want %d", g, r.Comm.g.arrived, n-1)
+			}
 			for i, ch := range chunks {
 				if ch.Rank != i || ch.N != int64(g) || ch.Data[0] != byte(10*g+i) {
 					t.Errorf("gather %d: chunk %d is %+v", g, i, ch)
@@ -832,8 +860,7 @@ func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 	pairs := func(fused bool) [][]GatherChunk {
 		var got [][]GatherChunk
 		world(n).Run(func(r *Rank) {
-			var kept []GatherChunk
-			for g := 0; g < 3; g++ {
+			for g := range gathers {
 				if r.ID == 0 {
 					r.Proc.Sleep(1)
 				}
@@ -841,12 +868,11 @@ func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 				n2, d2 := int64(100+g), []byte{byte(50 + 10*g + r.ID)}
 				var chunks []GatherChunk
 				if fused {
-					chunks = r.Comm.GathervPair(n1, d1, n2, d2, 0, kept...)
+					chunks = r.Comm.GathervPair(n1, d1, n2, d2, 0)
 				} else {
 					chunks = r.Comm.gathervPairOracle(n1, d1, n2, d2, 0)
 				}
 				if r.ID == 0 {
-					kept = chunks
 					got = append(got, slices.Clone(chunks))
 				}
 			}
@@ -854,8 +880,8 @@ func TestBackToBackGathersKeepTheirChunks(t *testing.T) {
 		return got
 	}
 	got, want := pairs(true), pairs(false)
-	if len(got) != 3 || len(want) != 3 {
-		t.Fatalf("root gathered %d pairs, the oracle %d; want 3", len(got), len(want))
+	if len(got) != gathers || len(want) != gathers {
+		t.Fatalf("root gathered %d pairs, the oracle %d; want %d", len(got), len(want), gathers)
 	}
 	for g := range got {
 		if !slices.EqualFunc(got[g], want[g], func(a, b GatherChunk) bool {
@@ -970,6 +996,94 @@ func TestRecycledBlockIsZero(t *testing.T) {
 				released[v] = true
 			}
 		})
+		w.Release()
+	}
+}
+
+// TestRecycledSplitStorageIsZero: the storage a released world's split
+// groups wrote — every contribution, every gather's result rows, every
+// result slot and parking slot — is the next world's split groups', each
+// value a zero one again. The next world's world rank 0 takes each kind's
+// block for its three split calls before any rank enters a collective on
+// them, and reads it.
+func TestRecycledSplitStorageIsZero(t *testing.T) {
+	const size = 12
+	fail := fmt.Errorf("dirty")
+	released := map[unsafe.Pointer]bool{}
+	type kinds struct {
+		bytes *kindBlock[GatherChunk, struct{}]
+		pair  *kindBlock[GatherChunk, struct{}]
+		scan  *kindBlock[int64, []int64]
+		errs  *kindBlock[error, error]
+	}
+	blocksOf := func(c *Comm) kinds {
+		return kinds{
+			kindOf[GatherChunk, struct{}](c.g, "GathervBytes", 1, true),
+			kindOf[GatherChunk, struct{}](c.g, "GathervPair", 2, true),
+			kindOf[int64, []int64](c.g, "ExscanI64", 1, false),
+			kindOf[error, error](c.g, "BarrierErr", 1, false),
+		}
+	}
+	// visit calls f with each chunk of the world's split storage named in
+	// the test, whole, as a pointer to its start and whether every value
+	// in it is zero.
+	visit := func(w *World, subs []*Comm, f func(what string, at unsafe.Pointer, zero bool)) {
+		for _, s := range w.calls[1:] {
+			if s.parked != nil {
+				p := s.parked[:cap(s.parked)]
+				f("parking slots", unsafe.Pointer(&p[0]), !slices.ContainsFunc(p, func(p *sim.Proc) bool { return p != nil }))
+			}
+		}
+		for _, c := range subs {
+			k := blocksOf(c)
+			for _, b := range []*kindBlock[GatherChunk, struct{}]{k.bytes, k.pair} {
+				cs := b.contribs[:cap(b.contribs)]
+				f(b.name+" contributions and rows", unsafe.Pointer(&cs[0]), !slices.ContainsFunc(cs, func(ch GatherChunk) bool { return ch.Rank != 0 || ch.N != 0 || ch.Data != nil }))
+			}
+			cs, rs := k.scan.contribs[:cap(k.scan.contribs)], k.scan.results[:cap(k.scan.results)]
+			f("ExscanI64 contributions", unsafe.Pointer(&cs[0]), !slices.ContainsFunc(cs, func(v int64) bool { return v != 0 }))
+			f("ExscanI64 results", unsafe.Pointer(&rs[0]), !slices.ContainsFunc(rs, func(v []int64) bool { return v != nil }))
+			es, ers := k.errs.contribs[:cap(k.errs.contribs)], k.errs.results[:cap(k.errs.results)]
+			f("BarrierErr contributions", unsafe.Pointer(&es[0]), !slices.ContainsFunc(es, func(e error) bool { return e != nil }))
+			f("BarrierErr results", unsafe.Pointer(&ers[0]), !slices.ContainsFunc(ers, func(e error) bool { return e != nil }))
+		}
+	}
+	for round := range 2 {
+		w := world(size)
+		var subs []*Comm // world rank 0's, one of each split call
+		w.Run(func(r *Rank) {
+			a, b := r.Comm.SplitPair(r.ID%3, r.ID, r.ID%2, -r.ID)
+			c := r.Comm.Split(r.ID%4, r.ID)
+			if r.ID == 0 {
+				subs = []*Comm{a, b, c}
+				if round == 1 {
+					visit(w, subs, func(what string, at unsafe.Pointer, zero bool) {
+						if !zero || !released[at] {
+							t.Errorf("%s at %p: all zero %v, released by the last world %v; want both", what, at, zero, released[at])
+						}
+					})
+				}
+			}
+			r.Comm.Barrier() // nobody enters a split's collective before rank 0 has read
+			for _, sub := range []*Comm{a, b, c} {
+				data := []byte{byte(r.ID + 1)}
+				sub.GathervBytes(1, data, 0)
+				sub.GathervPair(1, data, 2, data, sub.Size()-1)
+				sub.ExscanI64(int64(r.ID + 1))
+				sub.BarrierErr(fail)
+			}
+		})
+		if round == 0 {
+			visit(w, subs, func(what string, at unsafe.Pointer, zero bool) {
+				if zero {
+					t.Errorf("%s at %p: all zero after the world wrote it", what, at)
+				}
+				released[at] = true
+			})
+			// The next world group may take these parking slots, and a split
+			// the world group's.
+			released[unsafe.Pointer(unsafe.SliceData(w.world.parked))] = true
+		}
 		w.Release()
 	}
 }
