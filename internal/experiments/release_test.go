@@ -74,3 +74,40 @@ func TestConcurrentRunsShareThePools(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestArtifactsIgnoreWhatRanBefore: the paper's artifacts and the scenario
+// figures that reach the BP4 path render the same text whatever ran
+// before them in the process — forward serially, backward serially, then
+// forward two trials at a time — so storage a finished run gave back to
+// the pools leaves nothing behind in the next.
+func TestArtifactsIgnoreWhatRanBefore(t *testing.T) {
+	names := []string{"fig2", "fig3", "fig6", "fig9", "figburst", "figworkload", "tab2"}
+	o := Options{Seed: 1, RanksPerNode: 8, NodeCounts: []int{1, 2}, DiagEpochs: 1}
+	const nodes = 2
+	first := map[string]string{}
+	render := func(pass string, name string, parallel int) {
+		a, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no artifact %q", name)
+		}
+		o.Parallel = parallel
+		out, err := a.Run(o, nodes)
+		if err != nil {
+			t.Fatalf("%s, %s: %v", name, pass, err)
+		}
+		if want, ok := first[name]; !ok {
+			first[name] = out.Text
+		} else if out.Text != want {
+			t.Errorf("%s, %s: the text differs from the first pass's:\n--- got ---\n%s\n--- want ---\n%s", name, pass, out.Text, want)
+		}
+	}
+	for _, name := range names {
+		render("forward at -parallel 1", name, 1)
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		render("backward at -parallel 1", names[i], 1)
+	}
+	for _, name := range names {
+		render("forward at -parallel 2", name, 2)
+	}
+}
