@@ -161,7 +161,7 @@ func saveCheckpoint(series *openpmd.Series, s *pic.Sim) error {
 		{"position/x", e.X}, {"momentum/x", e.VX}, {"momentum/y", e.VY}, {"momentum/z", e.VZ},
 	} {
 		rc := it.Particles("e").Record(rec.name[:8]).Component(rec.name[9:])
-		rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{n}})
+		rc.ResetDataset(openpmd.Dataset{Extent: []uint64{n}})
 		if err := rc.StoreChunk([]uint64{0}, []uint64{n}, rec.data); err != nil {
 			return err
 		}

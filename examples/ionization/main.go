@@ -98,7 +98,7 @@ func ionize(stdout io.Writer, r *mpisim.Rank, fs *lustre.FS) error {
 			prof := s.DensityProfile(sp)
 			rc := it.Meshes("density_" + sp.Name).Component(openpmd.Scalar)
 			cells := uint64(len(prof))
-			rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{cells * uint64(r.Comm.Size())}})
+			rc.ResetDataset(openpmd.Dataset{Extent: []uint64{cells * uint64(r.Comm.Size())}})
 			rc.StoreChunk([]uint64{cells * uint64(r.Comm.Rank())}, []uint64{cells}, prof)
 		}
 		it.Close()

@@ -120,7 +120,7 @@ NumAggregators = "2"
 	local := int64(e.N())
 	global := r.Comm.AllreduceI64(local, "sum")
 	offset := r.Comm.ExscanI64(local)
-	rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{uint64(global)}})
+	rc.ResetDataset(openpmd.Dataset{Extent: []uint64{uint64(global)}})
 	if err := rc.StoreChunk([]uint64{uint64(offset)}, []uint64{uint64(local)}, e.X); err != nil {
 		return err
 	}

@@ -760,3 +760,51 @@ func TestOneCodecPerWorld(t *testing.T) {
 		first = codecs[0]
 	}
 }
+
+// A closed engine writes nothing more: BeginStep is an error naming the
+// dataset, so Put and EndStep find no step, and a second Close neither
+// writes profiling.json again nor meets the other ranks in a barrier.
+func TestClosedEngineRefusesSteps(t *testing.T) {
+	const path = "/io/closed.bp4"
+	rg := newRig(2)
+	var size [2]int64
+	rg.w.Run(func(r *mpisim.Rank) {
+		io := New().DeclareIO("out")
+		v, err := io.DefineVariable("e/position", TypeFloat64, []uint64{2}, []uint64{uint64(r.ID)}, []uint64{1})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		e, err := io.Open(rg.host(r), path, ModeWrite)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, err := range []error{e.BeginStep(0), e.PutFloat64s(v, []float64{1}), e.EndStep(), e.Close()} {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		n, _ := rg.fs.Namespace().Lookup(path + "/data.0")
+		size[0] = n.Size
+		closedAt := r.Proc.Now()
+		if err := e.BeginStep(1); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("rank %d: BeginStep after Close: %v, want an error naming %s", r.ID, err, path)
+		}
+		if e.PutFloat64s(v, []float64{2}) == nil || e.EndStep() == nil {
+			t.Errorf("rank %d: Put or EndStep after Close accepted", r.ID)
+		}
+		if err := e.Close(); err != nil {
+			t.Errorf("rank %d: second Close: %v", r.ID, err)
+		}
+		if now := r.Proc.Now(); now != closedAt {
+			t.Errorf("rank %d: the second Close took %v of virtual time, want none", r.ID, now-closedAt)
+		}
+		n, _ = rg.fs.Namespace().Lookup(path + "/data.0")
+		size[1] = n.Size
+	})
+	if size[1] != size[0] {
+		t.Errorf("data.0 grew from %d to %d bytes after Close", size[0], size[1])
+	}
+}

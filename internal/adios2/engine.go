@@ -111,6 +111,7 @@ type Engine struct {
 	mode      Mode
 	isAgg     bool
 	inStep    bool
+	closed    bool
 	contentOK bool // all puts so far carried real bytes
 	copying   bool
 
@@ -210,6 +211,9 @@ func (e *Engine) createSubfile() (err error) {
 func (e *Engine) BeginStep(id int64) error {
 	if e.mode != ModeWrite {
 		return fmt.Errorf("adios2: BeginStep on read engine")
+	}
+	if e.closed {
+		return fmt.Errorf("adios2: %s: BeginStep on closed engine", e.path)
 	}
 	if e.inStep {
 		return fmt.Errorf("adios2: nested BeginStep")
@@ -536,13 +540,19 @@ type mdStepRecord struct {
 	Chunks []chunkDesc `json:"chunks"`
 }
 
-// Close flushes profiling output and closes all files. It is collective.
+// Close flushes profiling output and closes all files. It is collective;
+// a second Close does nothing. A step left open is not written.
 func (e *Engine) Close() error {
+	if e.closed {
+		return nil
+	}
+	e.closed = true
 	if e.mode == ModeRead {
 		return e.closeReader()
 	}
 	p, comm := e.h.Proc, e.h.Comm
 	e.copyPuts() // a step left open
+	e.inStep = false
 	if e.wp.profile {
 		if err := e.writeProfile(); err != nil {
 			return err

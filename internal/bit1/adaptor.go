@@ -50,7 +50,6 @@ type adaptor struct {
 	comps  openpmd.ComponentSet
 	iter   *openpmd.Iteration
 	locals []int64 // saveIteration's exscan contribution, one per component
-	closed bool
 }
 
 // idle is a volume accumulator nothing was added to since the last save.
@@ -135,9 +134,6 @@ func (a *adaptor) pending(i int) bool { return a.vols[i] != idle || a.content(i)
 // flushes it once. It is collective: every rank parks under it twice,
 // so it keeps to the calls and leaves the loops to its helpers' frames.
 func (a *adaptor) saveIteration(id uint64) error {
-	if a.closed {
-		return fmt.Errorf("bit1: adaptor is closed")
-	}
 	// Checked before anything collective, so that a rank with an error in
 	// its contribution leaves nobody parked on its account.
 	if err := a.contribute(); err != nil {
@@ -215,7 +211,7 @@ func (a *adaptor) stage(offsets, totals []int64) error {
 			continue
 		}
 		rc := a.comps.At(i)
-		if err := rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{uint64(global)}}); err != nil {
+		if err := rc.ResetDataset(openpmd.Dataset{Extent: []uint64{uint64(global)}}); err != nil {
 			return err
 		}
 		// Zero-extent ranks still participate in the collective close;
@@ -229,11 +225,5 @@ func (a *adaptor) stage(offsets, totals []int64) error {
 	return nil
 }
 
-// close closes the series. It is collective.
-func (a *adaptor) close() error {
-	if a.closed {
-		return nil
-	}
-	a.closed = true
-	return a.series.Close()
-}
+// close closes the series; a second call does nothing. It is collective.
+func (a *adaptor) close() error { return a.series.Close() }

@@ -32,7 +32,7 @@ func (rg *rig) host(r *mpisim.Rank) openpmd.Host {
 // schemaOf is the adaptor's schema of the named components.
 func schemaOf(tb testing.TB, names ...openpmd.ComponentName) *openpmd.Schema {
 	tb.Helper()
-	schema, err := openpmd.NewSchema(names, openpmd.Float64, 1)
+	schema, err := openpmd.NewSchema(names, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

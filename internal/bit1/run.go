@@ -169,7 +169,7 @@ func newPlan(cfg Config, ranks int) *plan {
 	}
 	if cfg.Mode == IOOpenPMD {
 		pl.seriesPath = pfs.Join(cfg.OutDir, cfg.Deck.DatFile+"_file.bp4")
-		pl.schema, pl.err = openpmd.NewSchema(snapshotComponents(cfg.Sizing.NVars), openpmd.Float64, 1)
+		pl.schema, pl.err = openpmd.NewSchema(snapshotComponents(cfg.Sizing.NVars), 1)
 		pl.elems = cfg.Sizing.PerRankSnapshotElems(ranks)
 	}
 	return pl

@@ -43,7 +43,7 @@ func writeIteration(t *testing.T, toml string, drainRate float64) (pendingAtClos
 			return
 		}
 		rc := it.Particles("e").Record("position").Component("x")
-		rc.ResetDataset(openpmd.Dataset{Type: openpmd.Float64, Extent: []uint64{2 << 20}})
+		rc.ResetDataset(openpmd.Dataset{Extent: []uint64{2 << 20}})
 		if err := rc.StoreChunk([]uint64{uint64(r.ID) << 20}, []uint64{1 << 20}, nil); err != nil {
 			t.Error(err)
 			return

@@ -51,13 +51,13 @@ func TestHandleLifetime(t *testing.T) {
 
 			it0 := open(0)
 			rc := component(it0)
-			must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("ResetDataset", rc.ResetDataset(Dataset{Extent: ext}))
 			must("StoreChunk", rc.StoreChunk(off, ext, []float64{1, 2}))
 			must("Close", it0.Close())
 
 			// Closed: one error, from both entry points.
 			wantStale(t, "StoreChunk after Close", rc.StoreChunk(off, ext, []float64{3, 4}))
-			wantStale(t, "ResetDataset after Close", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			wantStale(t, "ResetDataset after Close", rc.ResetDataset(Dataset{Extent: ext}))
 			if err := it0.Close(); err == nil {
 				t.Error("double Close accepted")
 			}
@@ -81,7 +81,7 @@ func TestHandleLifetime(t *testing.T) {
 			if err := fresh.StoreChunk(off, ext, []float64{7, 8}); err == nil {
 				t.Error("iteration 1's component inherited a dataset")
 			}
-			must("ResetDataset", fresh.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("ResetDataset", fresh.ResetDataset(Dataset{Extent: ext}))
 			must("StoreChunk", fresh.StoreChunk(off, ext, []float64{7, 8}))
 			must("Close", it1.Close())
 
@@ -92,7 +92,7 @@ func TestHandleLifetime(t *testing.T) {
 			}
 			wantStale(t, "StoreChunk through the first iteration 0's handle", rc.StoreChunk(off, ext, []float64{9, 9}))
 			rc = component(third)
-			must("ResetDataset", rc.ResetDataset(Dataset{Type: Float64, Extent: ext}))
+			must("ResetDataset", rc.ResetDataset(Dataset{Extent: ext}))
 			must("StoreChunk", rc.StoreChunk(off, ext, []float64{9, 10}))
 			must("Series.Close with an open iteration", s.Close())
 			wantStale(t, "StoreChunk after Series.Close", rc.StoreChunk(off, ext, []float64{0, 0}))
@@ -140,7 +140,7 @@ func TestStoreChunkCopiesDimensions(t *testing.T) {
 			rc := it.Particles("e").Record("position").Component("x")
 			global, off, ext := []uint64{4}, []uint64{0}, []uint64{2}
 			errs := []error{
-				rc.ResetDataset(Dataset{Type: Float64, Extent: global}),
+				rc.ResetDataset(Dataset{Extent: global}),
 				rc.StoreChunk(off, ext, []float64{1, 2}),
 			}
 			off[0] = 2 // the second chunk, through the same slices
@@ -154,6 +154,51 @@ func TestStoreChunkCopiesDimensions(t *testing.T) {
 			}
 		})
 		readBack(t, rg, path, map[uint64][]float64{0: {1, 2, 3, 4}})
+	})
+}
+
+// A closed series takes no more iterations: WriteIteration of a new id
+// or of the one closed last is the engine's error naming the series, the
+// handles taken before the close stay dead, and a second Close does
+// nothing.
+func TestClosedSeriesRefusesWrites(t *testing.T) {
+	const path = "/closed.bp4"
+	rg := newRig(2)
+	rg.w.Run(func(r *mpisim.Rank) {
+		s, err := NewSeries(rg.host(r), path, AccessCreate, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		it, err := s.WriteIteration(0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rc := it.Particles("e").Record("position").Component("x")
+		off, ext := []uint64{uint64(r.ID)}, []uint64{1}
+		for _, err := range []error{
+			rc.ResetDataset(Dataset{Extent: []uint64{2}}),
+			rc.StoreChunk(off, ext, []float64{1}),
+			s.Close(),
+		} {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, id := range []uint64{1, 0} {
+			if _, err := s.WriteIteration(id); err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("rank %d: WriteIteration(%d) after Close: %v, want an error naming %s", r.ID, id, err, path)
+			}
+		}
+		wantStale(t, "StoreChunk after the series closed", rc.StoreChunk(off, ext, []float64{2}))
+		if err := it.Close(); err == nil {
+			t.Errorf("rank %d: closing an iteration of a closed series accepted", r.ID)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("rank %d: second Close: %v", r.ID, err)
+		}
 	})
 }
 
@@ -178,8 +223,8 @@ func TestReopenGetsItsOwnSeries(t *testing.T) {
 			return
 		}
 		firsts[r.ID] = first
-		if first == second || first.bp4.eng == second.bp4.eng {
-			t.Errorf("rank %d: the second open shares the first's series %t or engine %t", r.ID, first == second, first.bp4.eng == second.bp4.eng)
+		if first == second || first.eng == second.eng {
+			t.Errorf("rank %d: the second open shares the first's series %t or engine %t", r.ID, first == second, first.eng == second.eng)
 		}
 		it, err := first.WriteIteration(0)
 		if err != nil {
@@ -192,7 +237,7 @@ func TestReopenGetsItsOwnSeries(t *testing.T) {
 			data[i] = float64(r.ID*perRank + i)
 		}
 		for _, err := range []error{
-			rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks * perRank}}),
+			rc.ResetDataset(Dataset{Extent: []uint64{ranks * perRank}}),
 			rc.StoreChunk([]uint64{uint64(r.ID * perRank)}, []uint64{perRank}, data),
 			it.Close(),
 			first.Close(),

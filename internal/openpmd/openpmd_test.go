@@ -110,7 +110,7 @@ func writeParticleSeries(t *testing.T, path string, ranks, perRank int, toml str
 		}
 		rc := it.Particles("e").Record("position").Component("x")
 		total := uint64(ranks * perRank)
-		if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{total}}); err != nil {
+		if err := rc.ResetDataset(Dataset{Extent: []uint64{total}}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -181,7 +181,7 @@ func TestMeshNamingSchema(t *testing.T) {
 		}
 		it, _ := s.WriteIteration(7)
 		rc := it.Meshes("density").Component(Scalar)
-		rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{8}})
+		rc.ResetDataset(Dataset{Extent: []uint64{8}})
 		data := make([]float64, 4)
 		for i := range data {
 			data[i] = float64(10*r.ID + i)
@@ -222,7 +222,7 @@ func TestValidationErrors(t *testing.T) {
 		if err := rc.StoreChunk([]uint64{0}, []uint64{4}, make([]float64, 4)); err == nil {
 			t.Error("StoreChunk before ResetDataset accepted")
 		}
-		rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{8}})
+		rc.ResetDataset(Dataset{Extent: []uint64{8}})
 		if err := rc.StoreChunk([]uint64{0}, []uint64{4}, make([]float64, 3)); err == nil {
 			t.Error("mis-sized chunk accepted")
 		}
@@ -301,7 +301,7 @@ Profile = "off"
 				return
 			}
 			rc := it.Particles("D+").Record("position").Component("x")
-			rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{64}})
+			rc.ResetDataset(Dataset{Extent: []uint64{64}})
 			rc.StoreChunk([]uint64{uint64(32 * r.ID)}, []uint64{32}, make([]float64, 32))
 			it.Close()
 			if r.ID == 0 && rep == 1 {

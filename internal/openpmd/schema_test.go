@@ -18,7 +18,7 @@ func testSchema(t *testing.T, n int) (*Schema, []ComponentName) {
 		names[i] = ComponentName{Species: fmt.Sprint("s", i), Record: "momentum", Component: "x"}
 	}
 	names[n-1] = ComponentName{Mesh: true, Record: "density", Component: Scalar}
-	s, err := NewSchema(names, Float64, 1)
+	s, err := NewSchema(names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSharedSettingsAreNotAliased(t *testing.T) {
 		// it and to the series below, which would then write 1 to 3
 		// subfiles, not 16. (adios2's TestForkSharesSettingsCopyOnWrite
 		// holds the operator to travel with the parameters.)
-		a.bp4.io.SetParameter("NumAggregators", fmt.Sprint(1+r.ID%3))
+		a.io.SetParameter("NumAggregators", fmt.Sprint(1+r.ID%3))
 		r.Comm.Barrier()
 		again, err := NewSeries(rg.host(r), "/again.bp4", AccessCreate, wide)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestComponentsMatchOneAtATime(t *testing.T) {
 			if rc.Path() != single.Path() {
 				t.Errorf("component %d is %s, one at a time %s", i, rc.Path(), single.Path())
 			}
-			if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4}}); err != nil {
+			if err := rc.ResetDataset(Dataset{Extent: []uint64{4}}); err != nil {
 				t.Error(err)
 			}
 			if err := rc.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}); err != nil {
@@ -141,11 +141,8 @@ func TestComponentsMatchOneAtATime(t *testing.T) {
 			if got, want := [3]uint64(nums[3*i:3*i+3]), [3]uint64{4, uint64(r.ID), 1}; got != want {
 				t.Errorf("component %d: the block holds %v, want %v", i, got, want)
 			}
-			if err := rc.ResetDataset(Dataset{Type: Float64, Extent: []uint64{4, 4}}); err == nil {
+			if err := rc.ResetDataset(Dataset{Extent: []uint64{4, 4}}); err == nil {
 				t.Error("a 2-D dataset in a schema of 1-D ones accepted")
-			}
-			if err := rc.ResetDataset(Dataset{Type: UInt64, Extent: []uint64{4}}); err == nil {
-				t.Error("a dataset of another type than the schema's accepted")
 			}
 		}
 		it.Close()
@@ -157,7 +154,7 @@ func TestComponentsMatchOneAtATime(t *testing.T) {
 	if builders != 1 {
 		t.Errorf("%d ranks built memo values resolving the schema, want one", builders)
 	}
-	if _, err := NewSchema(names, Float64, 0); err == nil {
+	if _, err := NewSchema(names, 0); err == nil {
 		t.Error("a schema of 0-dimensional datasets accepted")
 	}
 }
@@ -189,7 +186,7 @@ func TestSelectionsStayPerRank(t *testing.T) {
 			for i := range data {
 				data[i] = float64(100*c + 10*r.ID + i)
 			}
-			if err := cs.At(c).ResetDataset(Dataset{Type: Float64, Extent: []uint64{total}}); err != nil {
+			if err := cs.At(c).ResetDataset(Dataset{Extent: []uint64{total}}); err != nil {
 				t.Error(err)
 			}
 			if err := cs.At(c).StoreChunk([]uint64{offset(r.ID)}, []uint64{uint64(r.ID + 1)}, data); err != nil {
@@ -294,13 +291,13 @@ func TestNamedHandleOnDeclaredPath(t *testing.T) {
 			}
 			base := float64(100 * epoch)
 			for c := 0; c < len(cs.paths); c++ {
-				if err := cs.At(c).ResetDataset(Dataset{Type: Float64, Extent: []uint64{2 * ranks}}); err != nil {
+				if err := cs.At(c).ResetDataset(Dataset{Extent: []uint64{2 * ranks}}); err != nil {
 					t.Error(err)
 				}
 			}
 			errs := []error{
 				cs.At(0).StoreChunk([]uint64{uint64(2 * r.ID)}, []uint64{1}, []float64{base + float64(2*r.ID)}),
-				named.ResetDataset(Dataset{Type: Float64, Extent: []uint64{2 * ranks}}),
+				named.ResetDataset(Dataset{Extent: []uint64{2 * ranks}}),
 				named.StoreChunk([]uint64{uint64(2*r.ID + 1)}, []uint64{1}, []float64{base + float64(2*r.ID+1)}),
 				cs.At(1).StoreChunk([]uint64{uint64(2 * r.ID)}, []uint64{2}, []float64{base, base}),
 				it.Close(),
@@ -314,9 +311,9 @@ func TestNamedHandleOnDeclaredPath(t *testing.T) {
 		next, _ := s.WriteIteration(1)
 		alone := next.Meshes("rho").Component(Scalar)
 		errs := []error{
-			alone.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks}}),
+			alone.ResetDataset(Dataset{Extent: []uint64{ranks}}),
 			alone.StoreChunk([]uint64{uint64(r.ID)}, []uint64{1}, []float64{1}),
-			alone.ResetDataset(Dataset{Type: Float64, Extent: []uint64{ranks, 2}}),
+			alone.ResetDataset(Dataset{Extent: []uint64{ranks, 2}}),
 		}
 		for i, err := range errs {
 			if err != nil {

@@ -1,8 +1,8 @@
 // Package openpmd reimplements the slice of the openPMD standard and the
 // openPMD-api library that BIT1's I/O integration uses: a Series of
 // Iterations holding Meshes and ParticleSpecies whose Records store
-// chunked, offset-addressed data through the BP4 backend, which drives
-// the simulated ADIOS2 engine (the paper's configuration).
+// chunked, offset-addressed data through the simulated ADIOS2 BP4 engine
+// (the paper's configuration).
 //
 // The standard's naming schema — /data/<iteration>/particles/<species>/
 // <record>/<component> and /data/<iteration>/meshes/<mesh>/<component> —
@@ -29,22 +29,6 @@ const (
 	AccessReadOnly
 )
 
-// Datatype identifies record component element types.
-type Datatype int
-
-// Datatypes.
-const (
-	Float64 Datatype = iota
-	UInt64
-)
-
-func (d Datatype) adios() adios2.DType {
-	if d == UInt64 {
-		return adios2.TypeUInt64
-	}
-	return adios2.TypeFloat64
-}
-
 // Scalar is the component name of scalar records.
 const Scalar = "\x00scalar"
 
@@ -55,9 +39,9 @@ type Host struct {
 	Comm *mpisim.Comm
 }
 
-// Dataset declares a record component's global shape.
+// Dataset declares a record component's global shape. Its elements are
+// float64s.
 type Dataset struct {
-	Type   Datatype
 	Extent []uint64
 }
 
@@ -73,10 +57,13 @@ type Series struct {
 	lastIter *Iteration
 	// first is the first iteration written: most series write one, over
 	// and over, and it need not be an object of its own.
-	first  Iteration
-	closed bool
-	// bp4 is the series' storage: the ADIOS2 IO and engine behind it.
-	bp4 bp4Backend
+	first Iteration
+	// io and eng are the series' storage: its ADIOS2 IO, forked from the
+	// options' template, and the BP4 engine it opened. Iterations map to
+	// engine steps ("group-based iteration encoding with steps", §III-B),
+	// so one engine/directory holds the whole series.
+	io  adios2.IO
+	eng *adios2.Engine
 }
 
 // tomlKey is the world-memo key of an options document.
@@ -102,9 +89,16 @@ func NewSeries(h Host, path string, access Access, options string) (*Series, err
 		return nil, tmpl.err
 	}
 	s := newSeries(h, path, access)
-	if err := s.bp4.open(s, tmpl.io); err != nil {
+	s.fork(tmpl.io)
+	mode := adios2.ModeWrite
+	if access == AccessReadOnly {
+		mode = adios2.ModeRead
+	}
+	eng, err := s.io.Open(adios2.Host{Proc: h.Proc, Env: h.Env, Comm: h.Comm}, path, mode)
+	if err != nil {
 		return nil, err
 	}
+	s.eng = eng
 	return s, nil
 }
 
@@ -119,6 +113,12 @@ func newSeries(h Host, path string, access Access) *Series {
 	return s
 }
 
+// fork takes s's IO from the template: every rank parks under NewSeries,
+// and the forked IO's temporary may not fatten its frame.
+//
+//go:noinline
+func (s *Series) fork(tmpl *adios2.IO) { s.io = tmpl.Fork() }
+
 // WriteIteration opens iteration id for writing. Only one iteration may be
 // open at a time; openPMD semantics allow re-opening a previously written
 // id (BIT1 re-writes iteration 0 for checkpoints). When id is the one
@@ -132,7 +132,7 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 	if s.curIter != nil {
 		return nil, fmt.Errorf("openpmd: iteration %d still open", s.curIter.ID)
 	}
-	if err := s.bp4.beginIteration(id); err != nil {
+	if err := s.eng.BeginStep(int64(id)); err != nil {
 		return nil, err
 	}
 	if it := s.lastIter; it != nil && it.ID == id {
@@ -151,7 +151,17 @@ func (s *Series) WriteIteration(id uint64) (*Iteration, error) {
 }
 
 // Iterations lists the iteration ids available for reading.
-func (s *Series) Iterations() ([]uint64, error) { return s.bp4.iterations() }
+func (s *Series) Iterations() ([]uint64, error) {
+	steps, err := s.eng.Steps()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, len(steps))
+	for i, st := range steps {
+		out[i] = uint64(st)
+	}
+	return out, nil
+}
 
 // ReadIteration returns a read handle for iteration id.
 func (s *Series) ReadIteration(id uint64) (*Iteration, error) {
@@ -161,18 +171,15 @@ func (s *Series) ReadIteration(id uint64) (*Iteration, error) {
 	return &Iteration{series: s, ID: id, read: true}, nil
 }
 
-// Close finalizes the series; any open iteration is closed first.
+// Close finalizes the series; any open iteration is closed first. A
+// second Close does nothing.
 func (s *Series) Close() error {
-	if s.closed {
-		return nil
-	}
 	if s.curIter != nil {
 		if err := s.curIter.Close(); err != nil {
 			return err
 		}
 	}
-	s.closed = true
-	return s.bp4.close()
+	return s.eng.Close()
 }
 
 // Iteration is one time point of a series.
@@ -210,24 +217,23 @@ type ComponentName struct {
 	Component string // Scalar for a scalar record
 }
 
-// Schema is a list of record components of one datatype and
-// dimensionality, for a writer that knows them all before its first store
+// Schema is a list of record components of one dimensionality, for a
+// writer that knows them all before its first store
 // (Iteration.Components). It is immutable: make one and hand the same
 // pointer to every rank, so that what it resolves to in an iteration is
 // worked out once per world.
 type Schema struct {
 	names []ComponentName
-	dtype Datatype
 	dims  int
 }
 
 // NewSchema returns the schema of the named components, each holding
-// datasets of type t and dims dimensions. names is copied.
-func NewSchema(names []ComponentName, t Datatype, dims int) (*Schema, error) {
+// datasets of dims dimensions. names is copied.
+func NewSchema(names []ComponentName, dims int) (*Schema, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("openpmd: schema of %d-dimensional datasets", dims)
 	}
-	return &Schema{names: append([]ComponentName(nil), names...), dtype: t, dims: dims}, nil
+	return &Schema{names: append([]ComponentName(nil), names...), dims: dims}, nil
 }
 
 // Len reports the number of components in the schema.
@@ -260,7 +266,6 @@ type resolved struct {
 type ComponentSet struct {
 	it    *Iteration
 	paths []string
-	dtype Datatype
 	dims  int // 0 until a named component's ResetDataset
 	// nums holds, per component, the dataset extent and the offset and count
 	// of the chunk last stored, each of dims words. A schema's is the block
@@ -297,10 +302,10 @@ func (it *Iteration) Components(s *Schema, nums []uint64) (ComponentSet, error) 
 			paths[i] = componentPath(recordPath(it.ID, n.Mesh, n.Species, n.Record), n.Component)
 		}
 		// dims was checked by NewSchema.
-		vars, _ := adios2.NewVarSet(paths, s.dtype.adios(), s.dims)
+		vars, _ := adios2.NewVarSet(paths, adios2.TypeFloat64, s.dims)
 		return resolved{paths, vars}
 	})
-	return ComponentSet{it: it, paths: res.paths, dtype: s.dtype, dims: s.dims, nums: nums, vars: res.vars}, nil
+	return ComponentSet{it: it, paths: res.paths, dims: s.dims, nums: nums, vars: res.vars}, nil
 }
 
 // At returns the handle of component i: a value, good for as long as the
@@ -321,7 +326,7 @@ func (it *Iteration) Close() error {
 	it.closed = true
 	it.series.curIter = nil
 	it.series.lastIter = it
-	return it.series.bp4.closeIteration()
+	return it.series.eng.EndStep()
 }
 
 // Species is a particle species container.
@@ -390,9 +395,8 @@ func (rc RecordComponent) writable(op string) error {
 	return nil
 }
 
-// ResetDataset declares the component's global datatype and extent. The
-// extent is copied. A component of a schema keeps the schema's datatype
-// and dimensionality.
+// ResetDataset declares the component's global extent. The extent is
+// copied. A component of a schema keeps the schema's dimensionality.
 func (rc RecordComponent) ResetDataset(d Dataset) error {
 	if err := rc.writable("ResetDataset"); err != nil {
 		return err
@@ -402,16 +406,13 @@ func (rc RecordComponent) ResetDataset(d Dataset) error {
 		return fmt.Errorf("openpmd: empty extent for %s", rc.Path())
 	}
 	if set.vars != nil {
-		if n != set.dims || d.Type != set.dtype {
-			return fmt.Errorf("openpmd: %s: a %d-dimensional dataset of another type or dimensionality than its schema's %d", rc.Path(), n, set.dims)
-		}
-	} else {
 		if n != set.dims {
-			// The variable bound to the old block, if any, is found again
-			// by name at the next store.
-			set.nums, set.dims, set.bpRow = make([]uint64, 3*n), n, nil
+			return fmt.Errorf("openpmd: %s: a %d-dimensional dataset for a schema of %d", rc.Path(), n, set.dims)
 		}
-		set.dtype = d.Type
+	} else if n != set.dims {
+		// The variable bound to the old block, if any, is found again by
+		// name at the next store.
+		set.nums, set.dims, set.bpRow = make([]uint64, 3*n), n, nil
 	}
 	copy(rc.extent(), d.Extent)
 	return nil
@@ -442,7 +443,54 @@ func (rc RecordComponent) StoreChunk(offset, extent []uint64, data []float64) er
 	}
 	copy(rc.offset(), offset)
 	copy(rc.count(), extent)
-	return rc.set.it.series.bp4.store(rc, data)
+	return rc.store(data)
+}
+
+// store puts the chunk just recorded in the component's numbers.
+func (rc RecordComponent) store(data []float64) error {
+	set, s := rc.set, rc.set.it.series
+	if set.bpRow == nil {
+		if err := s.bind(set); err != nil {
+			return err
+		}
+	}
+	v := set.bpRow.At(set.bpAt + rc.i)
+	if !set.bpInPlace {
+		if err := v.SetShape(rc.extent()); err != nil {
+			return err
+		}
+		if err := v.SetSelection(rc.offset(), rc.count()); err != nil {
+			return err
+		}
+	}
+	if data == nil {
+		return s.eng.Put(&v, nil)
+	}
+	return s.eng.PutFloat64s(&v, data)
+}
+
+// bind finds or defines the variables of a set's components, at its first
+// store: a schema's all together over the set's own block of numbers, and
+// so a named component's — unless another handle on the same path defined
+// the variable already, which is then handed a copy at every store.
+func (s *Series) bind(set *ComponentSet) error {
+	vars := set.vars
+	if vars == nil {
+		if v, ok := s.io.InquireVariable(set.paths[0]); ok {
+			set.bpRow, set.bpAt, set.bpInPlace = v.Row(), v.Index(), false
+			return nil
+		}
+		var err error
+		if vars, err = adios2.NewVarSet(set.paths, adios2.TypeFloat64, set.dims); err != nil {
+			return err
+		}
+	}
+	row, err := s.io.DefineRow(vars, set.nums)
+	if err != nil {
+		return err
+	}
+	set.bpRow, set.bpAt, set.bpInPlace = row, 0, true
+	return nil
 }
 
 // Load reads the whole component (read mode).
@@ -451,5 +499,9 @@ func (rc RecordComponent) Load() ([]float64, []uint64, error) {
 	if !it.read {
 		return nil, nil, fmt.Errorf("openpmd: Load on write iteration")
 	}
-	return it.series.bp4.load(it.ID, rc.Path())
+	raw, shape, err := it.series.eng.Get(int64(it.ID), rc.Path())
+	if err != nil {
+		return nil, nil, err
+	}
+	return adios2.Float64sFromBytes(raw), shape, nil
 }
