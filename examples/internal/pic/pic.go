@@ -84,7 +84,6 @@ type Params struct {
 
 	UseFieldSolver bool // enable Poisson solve + particle acceleration
 	UseSmoother    bool // enable 1-2-1 density smoothing
-	BoundedWalls   bool // absorbing walls (divertor plates) instead of periodic
 
 	IonizationRate float64 // R in ∂n/∂t = −n·nₑ·R (m³/s)
 }
@@ -107,8 +106,6 @@ type Sim struct {
 	Rho []float64 // charge density at nodes (Cells+1)
 	Phi []float64 // potential at nodes
 	E   []float64 // electric field at nodes
-
-	Walls *WallStats // populated when BoundedWalls is set
 
 	Step int
 	rng  *xrand.RNG
@@ -347,11 +344,7 @@ func (s *Sim) Advance() error {
 		}
 	}
 	s.CollideIonization()
-	if s.P.BoundedWalls {
-		s.PushParticlesBounded()
-	} else {
-		s.PushParticles()
-	}
+	s.PushParticles()
 	s.Step++
 	return nil
 }

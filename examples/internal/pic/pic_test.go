@@ -364,63 +364,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestBoundedWallsAbsorbAndAccount(t *testing.T) {
-	s, err := New(Params{Cells: 32, Length: 1.0, Dt: 1e-7, Seed: 5, BoundedWalls: true},
-		[]SpeciesSpec{
-			{Name: "e", Mass: ElectronMass, Charge: -ElementaryQ, NParticles: 10000, Density: 1e18, Temperature: 10},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := s.Species[0]
-	n0 := e.N()
-	for i := 0; i < 50; i++ {
-		if err := s.Advance(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lost := int64(n0 - e.N())
-	if lost == 0 {
-		t.Fatal("no particles reached the walls")
-	}
-	if totalAbsorbed(s.Walls) != lost {
-		t.Fatalf("flux accounting %d != losses %d", totalAbsorbed(s.Walls), lost)
-	}
-	lf, rf := s.Walls.Left["e"], s.Walls.Right["e"]
-	if lf == nil || rf == nil || lf.Particles == 0 || rf.Particles == 0 {
-		t.Fatalf("both walls should collect a thermal plasma: %+v %+v", lf, rf)
-	}
-	if lf.Power <= 0 || rf.Power <= 0 {
-		t.Fatal("power flux must be positive")
-	}
-	// Every surviving particle stays in the domain.
-	for _, x := range e.X {
-		if x < 0 || x >= s.P.Length {
-			t.Fatalf("particle outside bounded domain: %v", x)
-		}
-	}
-}
-
-func TestWallFluxSymmetry(t *testing.T) {
-	// A symmetric thermal plasma loses comparable numbers to both walls.
-	s, _ := New(Params{Cells: 32, Length: 1.0, Dt: 1e-7, Seed: 9, BoundedWalls: true},
-		[]SpeciesSpec{
-			{Name: "e", Mass: ElectronMass, Charge: -ElementaryQ, NParticles: 40000, Density: 1e18, Temperature: 10},
-		})
-	for i := 0; i < 30; i++ {
-		s.Advance()
-	}
-	l := float64(s.Walls.Left["e"].Particles)
-	r := float64(s.Walls.Right["e"].Particles)
-	if l == 0 || r == 0 {
-		t.Fatal("no wall losses")
-	}
-	asym := math.Abs(l-r) / (l + r)
-	if asym > 0.1 {
-		t.Fatalf("wall fluxes asymmetric: left=%v right=%v", l, r)
-	}
-}
-
 // totalEnergy is kinetic plus field energy: the conserved quantity of
 // TestEnergyConservationPlasmaOscillation.
 func totalEnergy(s *Sim) float64 {
@@ -433,18 +376,6 @@ func totalEnergy(s *Sim) float64 {
 		e += 0.5 * Epsilon0 * ef * ef * dx
 	}
 	return e
-}
-
-// totalAbsorbed is the macro-particles lost to both walls.
-func totalAbsorbed(w *WallStats) int64 {
-	var n int64
-	for _, f := range w.Left {
-		n += f.Particles
-	}
-	for _, f := range w.Right {
-		n += f.Particles
-	}
-	return n
 }
 
 // velocityDistribution histograms one velocity component into bins over
